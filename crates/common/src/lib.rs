@@ -54,7 +54,7 @@ pub use id::{CompositionId, ContextId, EngineId, FunctionId, InvocationId, NodeI
 pub use json::JsonValue;
 pub use mpsc::MpscQueue;
 pub use pool::BufferPool;
-pub use rope::{Rope, RopeWriter};
+pub use rope::{BatchProgress, Rope, RopeBatch, RopeWriter};
 
 /// Number of bytes in a kibibyte.
 pub const KIB: usize = 1024;

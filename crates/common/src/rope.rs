@@ -13,6 +13,7 @@
 //! The first two segments are stored inline, so the common head+body
 //! message is built and delivered without touching the allocator at all.
 
+use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
 
 use crate::bytes::{SharedBytes, SharedBytesMut};
@@ -178,15 +179,8 @@ impl Rope {
             offset + dest.len(),
             self.len
         );
-        let mut skip = offset;
         let mut filled = 0;
-        for segment in self.iter() {
-            if skip >= segment.len() {
-                skip -= segment.len();
-                continue;
-            }
-            let available = &segment[skip..];
-            skip = 0;
+        for available in self.suffix(offset) {
             let take = available.len().min(dest.len() - filled);
             dest[filled..filled + take].copy_from_slice(&available[..take]);
             filled += take;
@@ -278,6 +272,22 @@ impl Rope {
 }
 
 impl Rope {
+    /// The bytes from `offset` on, segment by segment: whole segments that
+    /// `offset` covers are skipped and the one it lands in is trimmed.
+    fn suffix(&self, offset: usize) -> impl Iterator<Item = &[u8]> {
+        let mut skip = offset;
+        self.iter().filter_map(move |segment| {
+            if skip >= segment.len() {
+                skip -= segment.len();
+                None
+            } else {
+                let unwritten = &segment[skip..];
+                skip = 0;
+                Some(unwritten)
+            }
+        })
+    }
+
     /// Performs **one** vectored write of the rope's suffix starting at byte
     /// `offset`, returning how many bytes the writer accepted.
     ///
@@ -295,19 +305,12 @@ impl Rope {
         if offset >= self.len {
             return Ok(0);
         }
-        // Build the IoSlice table for the unwritten suffix: skip whole
-        // segments covered by `offset`, trim the first partially written one.
-        let mut skip = offset;
+        // Build the IoSlice table for the unwritten suffix.
         let mut inline = [IoSlice::new(&[]); INLINE_SEGMENTS];
         let mut heap: Vec<IoSlice<'_>> = Vec::new();
         let mut count = 0usize;
-        for segment in self.iter() {
-            if skip >= segment.len() {
-                skip -= segment.len();
-                continue;
-            }
-            let slice = IoSlice::new(&segment[skip..]);
-            skip = 0;
+        for unwritten in self.suffix(offset) {
+            let slice = IoSlice::new(unwritten);
             if count < INLINE_SEGMENTS {
                 inline[count] = slice;
             } else {
@@ -390,6 +393,141 @@ impl RopeWriter {
                 Err(error) => return Err(error),
             }
         }
+    }
+}
+
+/// Most `IoSlice`s one [`RopeBatch`] write gathers: the table lives on the
+/// stack, far under the kernel's `IOV_MAX` (1024). At two segments per
+/// message (head + body) that is 32 messages per `writev`.
+const BATCH_SLICES: usize = 64;
+
+/// What [`RopeBatch::write_some`] did, accumulated across calls by the
+/// caller: `messages / writes` is how many messages one write carried.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchProgress {
+    /// Vectored writes issued, including one refused with `WouldBlock`.
+    pub writes: u64,
+    /// Messages whose last byte left; each is counted exactly once.
+    pub messages: u64,
+}
+
+/// A queue of messages delivered by gathering writes that span message
+/// boundaries.
+///
+/// A pipelined connection often has several complete messages to send at
+/// once. Writing them one by one costs a system call each; a `RopeBatch`
+/// points one vectored write at the unwritten bytes of every queued message
+/// in order, so they leave together. The ropes are never joined or copied:
+/// the `IoSlice` table references each message's own segments, the bytes the
+/// writer accepts are credited to the messages front to back, and finished
+/// messages are dropped from the head. A message's cursor therefore says
+/// whether any of its bytes left — [`RopeBatch::take_unsent`] hands back
+/// exactly the messages still at zero.
+#[derive(Debug, Default)]
+pub struct RopeBatch {
+    queue: VecDeque<RopeWriter>,
+    /// Bytes accepted over the batch's lifetime.
+    written: u64,
+}
+
+impl RopeBatch {
+    /// An empty batch (no allocation until the first message).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Queues a message behind those already waiting.
+    pub fn push(&mut self, rope: Rope) {
+        self.queue.push_back(RopeWriter::new(rope));
+    }
+
+    /// Messages not yet fully delivered.
+    pub fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Returns `true` when nothing is waiting to be written.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// The queued messages with their cursors, head first.
+    pub fn pending(&self) -> impl Iterator<Item = &RopeWriter> {
+        self.queue.iter()
+    }
+
+    /// Bytes the writer has accepted since the batch was created; it only
+    /// grows, so a caller can tell progress from a stall across calls.
+    pub fn written(&self) -> u64 {
+        self.written
+    }
+
+    /// Writes as much of the queue as the writer accepts, one vectored
+    /// write over up to [`BATCH_SLICES`] segments at a time.
+    ///
+    /// Returns `Ok(true)` when the queue is empty and `Ok(false)` when the
+    /// writer signalled [`WouldBlock`](io::ErrorKind::WouldBlock) — call
+    /// again when the destination is writable. Errors are those of
+    /// [`RopeWriter::write_some`]. `progress` is updated even when the call
+    /// fails, so a message completed before the error is still reported.
+    pub fn write_some<W: Write>(
+        &mut self,
+        writer: &mut W,
+        progress: &mut BatchProgress,
+    ) -> io::Result<bool> {
+        loop {
+            while self.queue.front().is_some_and(RopeWriter::is_finished) {
+                self.queue.pop_front();
+                progress.messages += 1;
+            }
+            if self.queue.is_empty() {
+                return Ok(true);
+            }
+            let mut table = [IoSlice::new(&[]); BATCH_SLICES];
+            let unwritten = self
+                .queue
+                .iter()
+                .flat_map(|message| message.rope.suffix(message.written));
+            let mut count = 0;
+            for (slot, slice) in table.iter_mut().zip(unwritten) {
+                *slot = IoSlice::new(slice);
+                count += 1;
+            }
+            progress.writes += 1;
+            match writer.write_vectored(&table[..count]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(accepted) => {
+                    self.written += accepted as u64;
+                    let mut left = accepted;
+                    for message in &mut self.queue {
+                        let credit = left.min(message.remaining());
+                        message.written += credit;
+                        left -= credit;
+                        if left == 0 {
+                            break;
+                        }
+                    }
+                }
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+                Err(error) if error.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(error) => return Err(error),
+            }
+        }
+    }
+
+    /// Removes and returns, in queue order, the messages none of whose
+    /// bytes were accepted. Messages written in part or in full stay: the
+    /// peer may have acted on them.
+    pub fn take_unsent(&mut self) -> Vec<Rope> {
+        let sent = self
+            .queue
+            .iter()
+            .rposition(|message| message.written > 0)
+            .map_or(0, |last_sent| last_sent + 1);
+        self.queue
+            .drain(sent..)
+            .map(|message| message.rope)
+            .collect()
     }
 }
 
@@ -619,6 +757,79 @@ mod tests {
             &payload
         ));
         assert_eq!(choppy.out.len(), writer.rope().len());
+    }
+
+    #[test]
+    fn batch_sends_every_queued_message_in_one_vectored_write() {
+        let body = SharedBytes::from_vec(vec![9u8; 32]);
+        let mut batch = RopeBatch::new();
+        let mut reference = Vec::new();
+        for index in 0..5u8 {
+            let mut rope = Rope::new();
+            rope.push(SharedBytes::from_vec(vec![index; 3]));
+            rope.push(body.clone());
+            reference.extend_from_slice(&rope.to_vec());
+            batch.push(rope);
+        }
+        let mut out = Vec::new();
+        let mut progress = BatchProgress::default();
+        assert!(batch.write_some(&mut out, &mut progress).unwrap());
+        assert_eq!(out, reference);
+        assert_eq!(
+            progress,
+            BatchProgress {
+                writes: 1,
+                messages: 5
+            }
+        );
+        assert_eq!(batch.written(), reference.len() as u64);
+        // An empty batch is done without touching the writer.
+        assert!(batch.write_some(&mut out, &mut progress).unwrap());
+        assert_eq!(progress.writes, 1);
+    }
+
+    #[test]
+    fn batch_spills_past_the_slice_table_into_further_writes() {
+        // One message with more segments than a write gathers, then another.
+        let mut long = Rope::new();
+        for index in 0..(BATCH_SLICES + 10) {
+            long.push(SharedBytes::from_vec(vec![index as u8; 2]));
+        }
+        let mut batch = RopeBatch::new();
+        let mut reference = long.to_vec();
+        reference.extend_from_slice(b"tail");
+        batch.push(long);
+        batch.push(Rope::from(SharedBytes::from("tail")));
+        let mut out = Vec::new();
+        let mut progress = BatchProgress::default();
+        assert!(batch.write_some(&mut out, &mut progress).unwrap());
+        assert_eq!(out, reference);
+        assert_eq!(
+            progress,
+            BatchProgress {
+                writes: 2,
+                messages: 2
+            }
+        );
+    }
+
+    #[test]
+    fn batch_take_unsent_keeps_messages_with_bytes_on_the_wire() {
+        let mut batch = RopeBatch::new();
+        for text in ["first", "second", "third"] {
+            batch.push(Rope::from(SharedBytes::from(text)));
+        }
+        // Seven bytes leave: all of "first", two of "second".
+        let mut choppy = Choppy::new(7);
+        let mut progress = BatchProgress::default();
+        assert!(!batch.write_some(&mut choppy, &mut progress).unwrap());
+        assert_eq!(choppy.out, b"firstse");
+        assert_eq!(progress.messages, 1);
+        let unsent = batch.take_unsent();
+        assert_eq!(unsent.len(), 1);
+        assert_eq!(unsent[0].to_vec(), b"third");
+        assert_eq!(batch.len(), 1, "the partly written message stays");
+        assert_eq!(batch.pending().next().unwrap().written(), 2);
     }
 
     #[test]

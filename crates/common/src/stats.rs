@@ -3,8 +3,10 @@
 //! The evaluation of the paper reports tail latencies (p99, p99.5), medians
 //! with p5/p95 error bars, averages, relative variance, and committed-memory
 //! time series. This module provides the small statistics toolkit used by the
-//! simulator and the benchmark harness to compute those numbers.
+//! simulator and the benchmark harness to compute those numbers, and the
+//! bounded [`LatencyHistogram`] a serving process records into instead.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Collects duration samples and computes summary statistics.
@@ -205,6 +207,142 @@ impl LatencySummary {
     }
 }
 
+/// Sub-buckets per power of two of [`LatencyHistogram`], as a bit count: 64
+/// of them make a bucket at most 1/64 (1.6 %) as wide as its lower bound.
+const HISTOGRAM_SUB_BITS: u32 = 6;
+/// Values at or above 2^42 ns (73 minutes) land in the last bucket.
+const HISTOGRAM_MAX_BITS: u32 = 42;
+const HISTOGRAM_BUCKETS: usize =
+    ((HISTOGRAM_MAX_BITS - HISTOGRAM_SUB_BITS + 1) as usize) << HISTOGRAM_SUB_BITS;
+
+/// A fixed-size latency histogram that any thread records into without a
+/// lock or an allocation.
+///
+/// [`LatencyRecorder`] keeps every sample, which suits a simulation that
+/// ends; a serving process settles invocations for as long as it is up.
+/// This histogram instead counts nanosecond values in log-linear buckets
+/// (HDR-histogram style: each power of two is cut into 64 equal buckets), so
+/// its 19 KiB never grow, a record is three relaxed atomic adds, and a
+/// reported percentile — the midpoint of the bucket holding that rank — is
+/// within 1 % of the sample it stands for.
+pub struct LatencyHistogram {
+    buckets: Box<[AtomicU64]>,
+    sum_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
+
+impl LatencyHistogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self {
+            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            sum_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// The bucket of a nanosecond value: values below 64 have one each;
+    /// above, the top seven bits select it (one leading bit, six of
+    /// mantissa), so buckets double in width with each power of two.
+    fn bucket_of(ns: u64) -> usize {
+        let sub = 1u64 << HISTOGRAM_SUB_BITS;
+        if ns < sub {
+            return ns as usize;
+        }
+        let shift = (63 - ns.leading_zeros()) - HISTOGRAM_SUB_BITS;
+        ((u64::from(shift + 1) << HISTOGRAM_SUB_BITS) + ((ns >> shift) - sub)) as usize
+    }
+
+    /// The midpoint, in nanoseconds, of the values `bucket` holds.
+    fn midpoint_ns(bucket: usize) -> f64 {
+        let sub = 1usize << HISTOGRAM_SUB_BITS;
+        if bucket < sub {
+            return bucket as f64;
+        }
+        let shift = bucket / sub - 1;
+        let low = ((sub + bucket % sub) as u64) << shift;
+        low as f64 + ((1u64 << shift) - 1) as f64 / 2.0
+    }
+
+    /// Records one latency sample.
+    pub fn record(&self, latency: Duration) {
+        let ns = u64::try_from(latency.as_nanos())
+            .unwrap_or(u64::MAX)
+            .min((1 << HISTOGRAM_MAX_BITS) - 1);
+        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    /// Summarizes what has been recorded so far. Count, mean and maximum
+    /// are exact; percentiles and the deviation are computed from bucket
+    /// midpoints. Samples recorded while this runs may or may not be seen.
+    pub fn summary(&self) -> LatencySummary {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|bucket| bucket.load(Ordering::Relaxed))
+            .collect();
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
+            return LatencySummary::default();
+        }
+        let max_us = self.max_ns.load(Ordering::Relaxed) as f64 / 1e3;
+        let percentile_us = |percentile: f64| {
+            // The same rank LatencyRecorder interpolates from.
+            let rank = (percentile / 100.0 * (count - 1) as f64) as u64;
+            let mut seen = 0;
+            for (bucket, &in_bucket) in counts.iter().enumerate() {
+                seen += in_bucket;
+                if seen > rank {
+                    return (Self::midpoint_ns(bucket) / 1e3).min(max_us);
+                }
+            }
+            max_us
+        };
+        let mean_us = self.sum_ns.load(Ordering::Relaxed) as f64 / 1e3 / count as f64;
+        let variance_us2 = counts
+            .iter()
+            .enumerate()
+            .map(|(bucket, &in_bucket)| {
+                let diff = Self::midpoint_ns(bucket) / 1e3 - mean_us;
+                in_bucket as f64 * diff * diff
+            })
+            .sum::<f64>()
+            / count as f64;
+        LatencySummary {
+            count: count as usize,
+            mean_us,
+            p5_us: percentile_us(5.0),
+            p50_us: percentile_us(50.0),
+            p95_us: percentile_us(95.0),
+            p99_us: percentile_us(99.0),
+            p995_us: percentile_us(99.5),
+            max_us,
+            std_dev_us: variance_us2.sqrt(),
+            relative_variance_percent: if mean_us > 0.0 {
+                100.0 * variance_us2 / (mean_us * mean_us)
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for LatencyHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("LatencyHistogram")
+            .field(&self.summary())
+            .finish()
+    }
+}
+
 /// A `(time, value)` series, e.g. committed memory over time.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
@@ -375,6 +513,64 @@ mod tests {
         let recorder = recorder_from_ms(&[5, 15]);
         let relative = recorder.relative_variance_percent().unwrap();
         assert!((relative - 25.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn histogram_buckets_tile_the_range_within_two_percent() {
+        // Every value maps into a bucket whose midpoint is within 2 % of it,
+        // bucket indices never decrease with the value, and the largest
+        // trackable value lands in the last bucket.
+        let mut previous = 0;
+        let mut value = 1u64;
+        while value < 1 << HISTOGRAM_MAX_BITS {
+            for ns in [value, value + value / 3, value * 2 - 1] {
+                let bucket = LatencyHistogram::bucket_of(ns);
+                assert!(bucket >= previous, "bucket order broke at {ns}");
+                previous = bucket;
+                let error = (LatencyHistogram::midpoint_ns(bucket) - ns as f64).abs() / ns as f64;
+                assert!(error <= 0.02, "{ns} ns is {error} off its bucket midpoint");
+            }
+            value *= 2;
+        }
+        assert_eq!(
+            LatencyHistogram::bucket_of((1 << HISTOGRAM_MAX_BITS) - 1),
+            HISTOGRAM_BUCKETS - 1
+        );
+    }
+
+    #[test]
+    fn histogram_summary_tracks_the_exact_recorder() {
+        // 50k samples spread log-uniformly over 2 us .. 20 s: wide enough to
+        // cross 23 powers of two, dense enough that neighbouring ranks agree.
+        let histogram = LatencyHistogram::new();
+        let mut exact = LatencyRecorder::new();
+        let mut rng = crate::rng::SplitMix64::new(7);
+        for _ in 0..50_000 {
+            let exponent = 11.0 + 23.0 * (rng.next_bounded(1 << 30) as f64 / (1u64 << 30) as f64);
+            let latency = Duration::from_nanos(exponent.exp2() as u64);
+            histogram.record(latency);
+            exact.record(latency);
+        }
+        let summary = histogram.summary();
+        let reference = exact.summary();
+        assert_eq!(summary.count, reference.count);
+        let close = |name: &str, got: f64, want: f64, tolerance: f64| {
+            let error = (got - want).abs() / want;
+            assert!(error <= tolerance, "{name}: {got} vs {want} ({error})");
+        };
+        close("mean", summary.mean_us, reference.mean_us, 1e-9);
+        close("max", summary.max_us, reference.max_us, 1e-9);
+        close("p5", summary.p5_us, reference.p5_us, 0.02);
+        close("p50", summary.p50_us, reference.p50_us, 0.02);
+        close("p95", summary.p95_us, reference.p95_us, 0.02);
+        close("p99", summary.p99_us, reference.p99_us, 0.02);
+        close("p99.5", summary.p995_us, reference.p995_us, 0.02);
+        close("std dev", summary.std_dev_us, reference.std_dev_us, 0.02);
+        // Out-of-range samples saturate instead of indexing out of bounds,
+        // and an empty histogram summarizes to zeros.
+        histogram.record(Duration::from_secs(1 << 40));
+        assert_eq!(histogram.summary().count, 50_001);
+        assert_eq!(LatencyHistogram::new().summary(), LatencySummary::default());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dandelion_common::config::WorkerConfig;
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::stats::LatencyRecorder;
+use dandelion_common::stats::LatencyHistogram;
 use dandelion_common::{fail_point, DandelionError, DandelionResult, DataSet, InvocationId};
 use dandelion_dsl::CompositionGraph;
 use parking_lot::Mutex;
@@ -180,8 +180,9 @@ pub struct DispatchMetrics {
     pub communication_tasks: AtomicU64,
     /// Invocations currently registered and not yet terminal.
     pub inflight: AtomicU64,
-    /// End-to-end latency of completed invocations.
-    pub latency: Mutex<LatencyRecorder>,
+    /// End-to-end latency of completed invocations: fixed size however
+    /// long the node serves, recorded without a lock.
+    pub latency: LatencyHistogram,
 }
 
 impl Default for DispatchMetrics {
@@ -192,7 +193,7 @@ impl Default for DispatchMetrics {
             compute_tasks: AtomicU64::new(0),
             communication_tasks: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            latency: Mutex::new(LatencyRecorder::new()),
+            latency: LatencyHistogram::new(),
         }
     }
 }
@@ -1058,7 +1059,7 @@ impl DispatcherCore {
                     self.metrics
                         .communication_tasks
                         .fetch_add(outcome.report.communication_tasks as u64, Ordering::Relaxed);
-                    self.metrics.latency.lock().record(inner.started.elapsed());
+                    self.metrics.latency.record(inner.started.elapsed());
                 }
                 Err(_) => {
                     self.metrics.failures.fetch_add(1, Ordering::Relaxed);

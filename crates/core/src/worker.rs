@@ -238,7 +238,7 @@ impl WorkerNode {
             communication_cores: allocation.communication,
             compute_queue_depth: self.compute_pool.queue().len(),
             communication_queue_depth: self.communication_pool.queue().len(),
-            latency: self.metrics.latency.lock().summary(),
+            latency: self.metrics.latency.summary(),
         }
     }
 

@@ -1,13 +1,24 @@
 //! The per-connection state machine.
 //!
 //! A connection no longer owns a thread: it is a small state machine inside
-//! an event loop's slab, advanced whenever its socket signals readiness or
-//! a completion message arrives for it. The machine reads into its
-//! [`RequestDecoder`] (pooled receive buffers, zero-copy bodies), dispatches
-//! every complete request through [`Frontend::begin`], and delivers each
-//! response through a resumable [`RopeWriter`] — so a function's output
-//! buffer still travels from context export to the socket by reference,
-//! even when the kernel accepts the response in pieces.
+//! an event loop's slab, advanced in the two halves of a loop turn. In the
+//! *apply* half ([`Conn::pump`], [`Conn::complete`]) it reads into its
+//! [`RequestDecoder`] (pooled receive buffers, zero-copy bodies),
+//! dispatches every complete request through [`Frontend::begin`], and has
+//! its waiting slots filled by completions — and writes nothing. In the
+//! *flush* half ([`Conn::flush`], once per turn) every consecutive `Ready`
+//! slot at the head of the pipeline is serialized into the connection's
+//! [`RopeBatch`] and the whole batch leaves in one vectored write, resumed
+//! on writability when the kernel accepts it in pieces. The ropes are
+//! gathered, never joined, so a function's output buffer still travels from
+//! context export to the socket by reference.
+//!
+//! What bounds a batch: it ends behind a response that closes the
+//! connection (nothing is serialized after it, and later slots are
+//! discarded with the connection); it holds at most `max_pipelined`
+//! responses, since serialized and unserialized responses count against
+//! that backlog alike; and one `writev` gathers at most 64 segments — a
+//! longer batch simply takes another write.
 //!
 //! Protocol behaviour:
 //!
@@ -15,8 +26,8 @@
 //!   default; pipelined requests are dispatched in arrival order and their
 //!   responses delivered in that same order, with synchronous invocations
 //!   parking a *response slot* (not a thread) until the worker settles
-//!   them. Reads pause once `max_pipelined` responses are queued and
-//!   resume as the backlog drains. `Connection: close` (or HTTP/1.0
+//!   them. Reads pause once `max_pipelined` responses are owed (queued or
+//!   partly written) and resume as the backlog drains. `Connection: close` (or HTTP/1.0
 //!   without `Connection: keep-alive`) closes after the response.
 //! * **Malformed requests** are answered with a structured JSON error body
 //!   (stable `code`: `malformed_request`, `headers_too_large` for `431`,
@@ -34,7 +45,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dandelion_common::{failpoint, JsonValue, Rope, RopeWriter};
+use dandelion_common::{failpoint, BatchProgress, JsonValue, Rope, RopeBatch};
 use dandelion_core::{sync_invoke_response, FrontendReply};
 use dandelion_http::{
     rejection_code, rejection_status, HttpParseError, HttpRequest, HttpResponse, RequestDecoder,
@@ -152,11 +163,13 @@ pub(crate) struct Conn {
     /// The slab token completions use to find this connection again.
     token: u64,
     decoder: RequestDecoder,
-    /// The response currently (partially) on the wire.
-    writer: Option<RopeWriter>,
-    /// Whether the in-flight response closes the connection once delivered.
+    /// Serialized responses on their way to the wire, in request order:
+    /// every flush gathers all of them into one vectored write.
+    outbound: RopeBatch,
+    /// The last response in `outbound` closes the connection once
+    /// delivered; nothing is promoted behind it.
     close_after_write: bool,
-    /// Responses queued behind the writer, in request order.
+    /// Responses not yet serialized, in request order, behind `outbound`.
     slots: VecDeque<Slot>,
     /// Sequence number of `slots.front()`.
     front_seq: u64,
@@ -169,9 +182,16 @@ pub(crate) struct Conn {
     /// readable event fires once per arrival, so readability must be
     /// remembered across pumps: backpressure (a full pipeline backlog) can
     /// suspend reading mid-drain, and the kernel will not repeat the edge
-    /// when the backlog later clears. Set by a readable event, cleared only
-    /// when a read actually returns `EWOULDBLOCK` or EOF.
+    /// when the backlog later clears. Set by a readable event, cleared when
+    /// a read proves the socket dry: it returns fewer bytes than the space
+    /// it offered (epoll(7) — no confirming `EWOULDBLOCK` read is paid),
+    /// `EWOULDBLOCK`, or EOF.
     sock_readable: bool,
+    /// The peer finished sending (`EPOLLRDHUP`). The FIN may have arrived
+    /// together with the last bytes, in which case no further edge will
+    /// announce it: from here on a short read is not proof of a dry socket
+    /// and reading continues until it returns the EOF itself.
+    peer_closed: bool,
     /// Deadline for the partially received request to finish arriving;
     /// armed when its first byte lands, disarmed when it completes.
     request_deadline: Option<Instant>,
@@ -184,9 +204,9 @@ pub(crate) struct Conn {
     /// never reads is closed (counted in `write_timeouts`) instead of
     /// holding its buffers until drain.
     write_deadline: Option<Instant>,
-    /// `RopeWriter::written` when the write deadline was last (re)armed;
+    /// `RopeBatch::written` when the write deadline was last (re)armed;
     /// progress past it counts as the client still reading.
-    write_progress_mark: usize,
+    write_progress_mark: u64,
 }
 
 impl Conn {
@@ -196,13 +216,14 @@ impl Conn {
             peer,
             token,
             decoder: RequestDecoder::new(shared.config.limits),
-            writer: None,
+            outbound: RopeBatch::new(),
             close_after_write: false,
             slots: VecDeque::new(),
             front_seq: 0,
             next_seq: 0,
             stop_reading: false,
             sock_readable: false,
+            peer_closed: false,
             request_deadline: None,
             idle_deadline: Instant::now() + shared.config.read_timeout,
             write_deadline: None,
@@ -216,12 +237,23 @@ impl Conn {
 
     /// Nothing buffered, queued or in flight: safe to close silently.
     fn is_idle(&self) -> bool {
-        self.writer.is_none() && self.slots.is_empty() && self.decoder.buffered() == 0
+        self.backlog() == 0 && self.decoder.buffered() == 0
     }
 
-    /// Advances the connection as far as readiness allows: parses buffered
-    /// requests, reads while `readable` and the socket has bytes,
-    /// dispatches through the frontend, and flushes queued responses.
+    /// Responses owed and not yet fully written; `max_pipelined` bounds it.
+    fn backlog(&self) -> usize {
+        self.slots.len() + self.outbound.len()
+    }
+
+    /// The socket reported `EPOLLRDHUP`: see `peer_closed`.
+    pub(crate) fn note_peer_closed(&mut self) {
+        self.peer_closed = true;
+    }
+
+    /// The *apply* half of a loop turn: takes in what readiness offers —
+    /// parses buffered requests, reads while the socket has bytes, and
+    /// dispatches through the frontend — without touching the write side.
+    /// Responses that become ready wait for the turn's [`Conn::flush`].
     pub(crate) fn pump(
         &mut self,
         shared: &Shared,
@@ -231,11 +263,25 @@ impl Conn {
         if readable {
             self.sock_readable = true;
         }
+        self.advance(shared, me, false)
+    }
+
+    /// The *flush* half of a loop turn: every response ready at the head of
+    /// the pipeline leaves in one vectored write, and intake resumes if
+    /// that cleared a full backlog.
+    pub(crate) fn flush(&mut self, shared: &Shared, me: &Arc<LoopShared>) -> Verdict {
+        self.advance(shared, me, true)
+    }
+
+    /// Advances the connection as far as readiness allows; `write` selects
+    /// whether this pass may also push queued responses onto the wire.
+    fn advance(&mut self, shared: &Shared, me: &Arc<LoopShared>, write: bool) -> Verdict {
         let stopping = shared.stopping.load(Ordering::Acquire);
+        let max_pipelined = shared.config.max_pipelined;
         loop {
             let mut progressed = false;
             // Parse whatever is already buffered, bounded by the backlog.
-            while !self.stop_reading && self.slots.len() < shared.config.max_pipelined {
+            while !self.stop_reading && self.backlog() < max_pipelined {
                 match self.decoder.next_request() {
                     Ok(Some(request)) => {
                         self.dispatch(request, shared, me);
@@ -254,14 +300,11 @@ impl Conn {
                 }
             }
             // Pull more bytes while the kernel has them for us. The sticky
-            // `sock_readable` flag — not this pump's trigger — gates the
-            // read: a completion-driven pump resumes a drain that an earlier
-            // pump suspended for backpressure, and only an actual
-            // `EWOULDBLOCK` (or EOF) declares the socket dry again.
-            if self.sock_readable
-                && !self.stop_reading
-                && self.slots.len() < shared.config.max_pipelined
-            {
+            // `sock_readable` flag — not this pass's trigger — gates the
+            // read: a completion-driven pass resumes a drain that an earlier
+            // one suspended for backpressure, and only a read that proves
+            // the socket dry declares it so.
+            if self.sock_readable && !self.stop_reading && self.backlog() < max_pipelined {
                 let mut read_chunk = shared.config.read_chunk_bytes;
                 if failpoint::enabled() {
                     match failpoint::check("conn/read") {
@@ -287,7 +330,12 @@ impl Conn {
                         self.sock_readable = false;
                         continue;
                     }
-                    Ok(_) => {
+                    Ok(read) => {
+                        // Fewer bytes than offered: the socket is drained,
+                        // and the next arrival raises a fresh edge.
+                        if read < read_chunk && !self.peer_closed {
+                            self.sock_readable = false;
+                        }
                         continue;
                     }
                     Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
@@ -297,10 +345,12 @@ impl Conn {
                     Err(_) => return Verdict::Close,
                 }
             }
-            match self.flush(shared, stopping) {
-                Flush::Close => return Verdict::Close,
-                Flush::Progress => progressed = true,
-                Flush::Blocked => {}
+            if write {
+                match self.write_ready(shared, me, stopping) {
+                    Flush::Close => return Verdict::Close,
+                    Flush::Progress => progressed = true,
+                    Flush::Blocked => {}
+                }
             }
             if !progressed {
                 break;
@@ -311,7 +361,7 @@ impl Conn {
         // buffer restarts the idle clock. Bytes left unparsed because the
         // pipeline backlog is full are server-side backpressure, not a
         // client stall, so they must not arm (or sustain) the deadline.
-        if self.slots.len() >= shared.config.max_pipelined {
+        if self.backlog() >= max_pipelined {
             self.request_deadline = None;
         } else if self.decoder.buffered() > 0 {
             if self.request_deadline.is_none() {
@@ -433,19 +483,14 @@ impl Conn {
         }
     }
 
-    /// The mid-request read deadline fired: answer `408` and close (after
-    /// any queued responses drain). Returns `Close` when there is nothing
-    /// to flush at all.
-    pub(crate) fn fire_request_timeout(&mut self, shared: &Shared) -> Verdict {
+    /// The mid-request read deadline fired: queue a `408` that closes the
+    /// connection once it (and any response queued ahead of it) has been
+    /// flushed.
+    pub(crate) fn fire_request_timeout(&mut self, shared: &Shared) {
         shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
         self.request_deadline = None;
         self.stop_reading = true;
         self.enqueue(timeout_response(), true);
-        let stopping = shared.stopping.load(Ordering::Acquire);
-        match self.flush(shared, stopping) {
-            Flush::Close => Verdict::Close,
-            _ => Verdict::Keep,
-        }
     }
 
     /// Whether a deadline has passed, and which one.
@@ -466,72 +511,64 @@ impl Conn {
         None
     }
 
-    /// Pushes queued responses onto the wire until everything ready is
-    /// delivered or the socket refuses more bytes.
-    fn flush(&mut self, shared: &Shared, stopping: bool) -> Flush {
+    /// Serializes every consecutive `Ready` slot at the head of the
+    /// pipeline into `outbound` — stopping behind a response that closes —
+    /// and pushes the batch onto the wire until it is delivered or the
+    /// socket refuses more bytes.
+    fn write_ready(&mut self, shared: &Shared, me: &LoopShared, stopping: bool) -> Flush {
         let mut progressed = false;
-        loop {
-            if let Some(writer) = &mut self.writer {
-                if failpoint::enabled() && failpoint::check("conn/write").is_some() {
-                    return Flush::Close;
-                }
-                match writer.write_some(&mut self.stream) {
-                    Ok(true) => {
-                        self.writer = None;
-                        self.write_deadline = None;
-                        self.write_progress_mark = 0;
-                        progressed = true;
-                        if self.close_after_write {
-                            return Flush::Close;
-                        }
-                    }
-                    Ok(false) => {
-                        // Blocked mid-response: (re)arm the write deadline,
-                        // crediting any bytes the client drained since the
-                        // last arm — only a fully stalled reader expires.
-                        let written = writer.written();
-                        if self.write_deadline.is_none() || written > self.write_progress_mark {
-                            self.write_deadline =
-                                Some(Instant::now() + shared.config.write_timeout);
-                            self.write_progress_mark = written;
-                        }
-                        return Flush::Blocked;
-                    }
-                    Err(_) => return Flush::Close,
-                }
-                continue;
+        while !self.close_after_write && matches!(self.slots.front(), Some(Slot::Ready { .. })) {
+            let Some(Slot::Ready { response, close }) = self.slots.pop_front() else {
+                // Invariant: the front slot was matched as `Ready` one line
+                // up and nothing popped it in between. If the pipeline state
+                // machine ever breaks it, close this connection instead of
+                // unwinding a loop thread that owns thousands of others.
+                return Flush::Close;
+            };
+            self.front_seq += 1;
+            // A draining server closes keep-alives at the response boundary
+            // instead of mid-exchange.
+            let close = close || stopping;
+            if close {
+                self.stop_reading = true;
+                self.close_after_write = true;
             }
-            match self.slots.front() {
-                Some(Slot::Ready { .. }) => {
-                    let Some(Slot::Ready { response, close }) = self.slots.pop_front() else {
-                        // Invariant: the front slot was matched as `Ready`
-                        // two lines up and nothing popped it in between. If
-                        // the pipeline state machine ever breaks it, close
-                        // this connection instead of unwinding a loop
-                        // thread that owns thousands of others.
-                        return Flush::Close;
-                    };
-                    self.front_seq += 1;
-                    // A draining server closes keep-alives at the response
-                    // boundary instead of mid-exchange.
-                    let close = close || stopping;
-                    if close {
-                        self.stop_reading = true;
-                        self.close_after_write = true;
-                    }
-                    self.writer = Some(RopeWriter::new(response_rope(response, close)));
+            self.outbound.push(response_rope(response, close));
+            progressed = true;
+        }
+        if !self.outbound.is_empty() {
+            if failpoint::enabled() && failpoint::check("conn/write").is_some() {
+                return Flush::Close;
+            }
+            let mut progress = BatchProgress::default();
+            let drained = self.outbound.write_some(&mut self.stream, &mut progress);
+            me.note_written(progress);
+            match drained {
+                Ok(true) => {
+                    self.write_deadline = None;
                     progressed = true;
-                }
-                Some(Slot::Waiting { .. }) => break,
-                None => {
-                    if self.stop_reading {
-                        // Everything owed is delivered and no more requests
-                        // will be accepted.
+                    if self.close_after_write {
                         return Flush::Close;
                     }
-                    break;
                 }
+                Ok(false) => {
+                    // Blocked mid-batch: (re)arm the write deadline,
+                    // crediting any bytes the client drained since the last
+                    // arm — only a fully stalled reader expires.
+                    let written = self.outbound.written();
+                    if self.write_deadline.is_none() || written > self.write_progress_mark {
+                        self.write_deadline = Some(Instant::now() + shared.config.write_timeout);
+                        self.write_progress_mark = written;
+                    }
+                    return Flush::Blocked;
+                }
+                Err(_) => return Flush::Close,
             }
+        }
+        if self.slots.is_empty() && self.stop_reading {
+            // Everything owed is delivered and no more requests will be
+            // accepted.
+            return Flush::Close;
         }
         if progressed {
             Flush::Progress

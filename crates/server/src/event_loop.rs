@@ -28,9 +28,29 @@
 //! the posted/wakeup counters in `/v1/stats` prove the coalescing.
 //!
 //! Connection registrations are **edge-triggered** (`EPOLLET`, full
-//! interest mask registered once at adoption): the pumps drain until
-//! `EWOULDBLOCK`, and no per-wakeup re-arm `epoll_ctl` call exists on the
-//! hot path at all.
+//! interest mask registered once at adoption): the pumps read until a read
+//! comes back short (or `EWOULDBLOCK`), and no per-wakeup re-arm
+//! `epoll_ctl` call exists on the hot path at all.
+//!
+//! **A turn applies first and writes once.** Each pass of
+//! [`EventLoop::run`] is *apply → flush dirty → deadlines → flush dirty*.
+//! Applying is everything that takes input: readiness events are read,
+//! parsed and dispatched, member responses are decoded and put into the
+//! client slots that wait for them, and the inbox is drained — settled
+//! invocations fill their slots, forward plans join an upstream's outbox.
+//! None of that writes a socket; it only marks the endpoint *dirty* (a
+//! flag in its slab entry plus a reused index list, so a turn allocates
+//! nothing for it). Only then does `flush_dirty` visit each dirty endpoint
+//! once: a client sends every response that is ready at the head of its
+//! pipeline, an upstream its whole outbox, each in a single vectored write
+//! ([`dandelion_common::RopeBatch`]). So the completions, forwards and
+//! proxied replies that land in the same turn cost one `writev` per
+//! connection instead of one per message, and a turn that carries a single
+//! message issues exactly the one write it always did. The deadline scan
+//! can queue output too (a `408`, a forward whose backoff expired), hence
+//! the second flush, which costs one emptiness check when it queued none.
+//! The per-loop `writes` / `messages_written` counters in `/v1/stats`
+//! show the ratio on a running server.
 //!
 //! Tokens carry a generation tag: when a connection closes its slab index
 //! is recycled, and the bumped generation makes stale epoll events or
@@ -45,7 +65,7 @@ use std::time::{Duration, Instant};
 
 use dandelion_common::mpsc::{Drain, MpscQueue};
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::{fail_point, InvocationId, JsonValue, NodeId};
+use dandelion_common::{fail_point, BatchProgress, InvocationId, JsonValue, NodeId};
 use dandelion_http::{HttpResponse, StatusCode};
 
 use crate::conn::{overloaded_response, response_rope, Conn, Due, Verdict};
@@ -114,6 +134,12 @@ pub(crate) struct LoopShared {
     /// Eventfd signals actually written; `posted - wakeups` is the number
     /// of posts that found the loop awake and cost no syscall.
     pub(crate) wakeups: AtomicU64,
+    /// Vectored socket writes this loop issued (client responses and
+    /// upstream forwards alike).
+    pub(crate) writes: AtomicU64,
+    /// Messages those writes finished; `messages_written / writes` is how
+    /// many messages a write carried, 1.0 for a client that never pipelines.
+    pub(crate) messages_written: AtomicU64,
 }
 
 impl LoopShared {
@@ -126,6 +152,8 @@ impl LoopShared {
             inflight: AtomicUsize::new(0),
             posted: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+            messages_written: AtomicU64::new(0),
         })
     }
 
@@ -134,6 +162,17 @@ impl LoopShared {
     /// still out-bids one driving busy invocations.
     pub(crate) fn load_score(&self) -> usize {
         self.connections.load(Ordering::Relaxed) + 4 * self.inflight.load(Ordering::Relaxed)
+    }
+
+    /// Accounts one flush's socket writes (statistics only, hence relaxed).
+    pub(crate) fn note_written(&self, progress: BatchProgress) {
+        if progress.writes > 0 {
+            self.writes.fetch_add(progress.writes, Ordering::Relaxed);
+        }
+        if progress.messages > 0 {
+            self.messages_written
+                .fetch_add(progress.messages, Ordering::Relaxed);
+        }
     }
 
     /// Approximate number of messages waiting in the inbox (stats gauge).
@@ -210,6 +249,8 @@ enum Endpoint {
 struct SlabEntry {
     generation: u32,
     endpoint: Option<Endpoint>,
+    /// The index is on the loop's dirty list (and so listed only once).
+    dirty: bool,
 }
 
 /// A replanned forward waiting out its backoff delay; the deadline scan
@@ -240,6 +281,10 @@ pub(crate) struct EventLoop {
     listener: Option<TcpListener>,
     slab: Vec<SlabEntry>,
     free: Vec<usize>,
+    /// Slab indices whose endpoint took in something this turn that its
+    /// socket has not seen yet; [`EventLoop::flush_dirty`] writes each once
+    /// and empties the list, whose capacity is kept from turn to turn.
+    dirty: Vec<usize>,
     /// Open **client** connections (upstreams do not count — the loop may
     /// exit a drain with idle upstreams still in the slab).
     open: usize,
@@ -285,6 +330,7 @@ impl EventLoop {
             listener,
             slab: Vec::new(),
             free: Vec::new(),
+            dirty: Vec::new(),
             open: 0,
             pools: HashMap::new(),
             drain_deadline: None,
@@ -327,7 +373,9 @@ impl EventLoop {
                 }
             }
             self.drain_inbox();
+            self.flush_dirty();
             self.scan_deadlines();
+            self.flush_dirty();
             if self.shared.stopping.load(Ordering::Acquire) && self.open == 0 {
                 return;
             }
@@ -472,6 +520,7 @@ impl EventLoop {
                 self.slab.push(SlabEntry {
                     generation: 0,
                     endpoint: None,
+                    dirty: false,
                 });
                 self.slab.len() - 1
             }
@@ -490,8 +539,8 @@ impl EventLoop {
         let token = token_of(index, self.slab[index].generation);
         let conn = Conn::new(stream, peer, token, &self.shared);
         // Edge-triggered with the full interest mask, registered exactly
-        // once: the pumps drain until `EWOULDBLOCK`, so this connection
-        // never pays another `epoll_ctl` until it closes.
+        // once: the pumps drain the socket on every edge, so this
+        // connection never pays another `epoll_ctl` until it closes.
         if self
             .epoll
             .add(
@@ -529,69 +578,115 @@ impl EventLoop {
             return;
         }
         let hangup = events & (EPOLLERR | EPOLLHUP) != 0;
-        let readable = events & (EPOLLIN | EPOLLRDHUP) != 0;
-        match &entry.endpoint {
+        let peer_closed = events & EPOLLRDHUP != 0;
+        let readable = events & EPOLLIN != 0 || peer_closed;
+        match self.slab[index].endpoint.as_mut() {
             None => {}
-            Some(Endpoint::Client(_)) => {
+            Some(Endpoint::Client(conn)) => {
                 if hangup {
                     self.close_client(index);
                 } else {
                     // EPOLLRDHUP without data: the read path observes the
                     // EOF itself.
+                    if peer_closed {
+                        conn.note_peer_closed();
+                    }
                     self.service(index, readable);
                 }
             }
-            Some(Endpoint::Upstream(_)) => {
+            Some(Endpoint::Upstream(upstream)) => {
                 if hangup {
                     self.fail_upstream(index);
                 } else {
                     // Writability matters here beyond resuming writes: on a
                     // connecting socket it is the kernel's connect-success
                     // signal.
-                    let writable = events & EPOLLOUT != 0;
-                    self.service_upstream(index, readable, writable);
+                    if events & EPOLLOUT != 0 {
+                        upstream.note_writable();
+                    }
+                    if peer_closed {
+                        upstream.note_peer_closed();
+                    }
+                    self.service_upstream(index, readable);
                 }
             }
         }
     }
 
-    /// Pumps one client connection and applies the verdict.
+    /// Runs one step of the client connection at `index` and applies its
+    /// verdict.
     ///
     /// A panic while servicing must cost only that connection, never the
     /// loop thread (which owns thousands of others): the unwind is caught
     /// and the offending connection closed.
-    fn service(&mut self, index: usize, readable: bool) {
-        let shared = Arc::clone(&self.shared);
-        let me = Arc::clone(&self.me);
-        let verdict = {
-            let Some(Endpoint::Client(conn)) = self.slab[index].endpoint.as_mut() else {
-                return;
-            };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                conn.pump(&shared, &me, readable)
-            }))
-            .unwrap_or(Verdict::Close)
+    fn with_client(
+        &mut self,
+        index: usize,
+        step: impl FnOnce(&mut Conn, &Shared, &Arc<LoopShared>) -> Verdict,
+    ) {
+        let (shared, me) = (&self.shared, &self.me);
+        let Some(Endpoint::Client(conn)) = self.slab[index].endpoint.as_mut() else {
+            return;
         };
+        let verdict =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(conn, shared, me)))
+                .unwrap_or(Verdict::Close);
         if verdict == Verdict::Close {
             self.close_client(index);
         }
     }
 
+    /// Applies readiness to one client connection — read, parse, dispatch —
+    /// and leaves whatever it now owes its socket to the turn's flush.
+    fn service(&mut self, index: usize, readable: bool) {
+        self.with_client(index, |conn, shared, me| conn.pump(shared, me, readable));
+        self.mark_dirty(index);
+    }
+
+    /// Puts `index` on the dirty list unless it is there already.
+    fn mark_dirty(&mut self, index: usize) {
+        let entry = &mut self.slab[index];
+        if !entry.dirty {
+            entry.dirty = true;
+            self.dirty.push(index);
+        }
+    }
+
+    /// The flush half of a turn: every dirty endpoint writes what the
+    /// apply half queued for it — all of it in one vectored write while
+    /// the socket accepts it. A flush can itself dirty endpoints (a failed
+    /// upstream write answers or replays its exchanges), so the list is
+    /// walked until it stops growing. An index whose occupant has closed
+    /// since, or been replaced, costs at most one idle pass.
+    fn flush_dirty(&mut self) {
+        let mut next = 0;
+        while let Some(&index) = self.dirty.get(next) {
+            next += 1;
+            self.slab[index].dirty = false;
+            match &self.slab[index].endpoint {
+                Some(Endpoint::Client(_)) => {
+                    self.with_client(index, |conn, shared, me| conn.flush(shared, me));
+                }
+                Some(Endpoint::Upstream(_)) => self.service_upstream(index, false),
+                None => {}
+            }
+        }
+        self.dirty.clear();
+    }
+
     /// Pumps one upstream connection: writes queued forwards, decodes
-    /// member responses, and delivers each to its waiting client slot.
-    fn service_upstream(&mut self, index: usize, readable: bool, writable: bool) {
+    /// member responses, and hands each to its waiting client slot.
+    fn service_upstream(&mut self, index: usize, readable: bool) {
         let read_chunk = self.shared.config.read_chunk_bytes;
+        let me = &self.me;
         let (verdict, delivered, node) = {
             let Some(Endpoint::Upstream(upstream)) = self.slab[index].endpoint.as_mut() else {
                 return;
             };
-            if writable {
-                upstream.note_writable();
-            }
             let node = upstream.node();
             let (verdict, delivered) =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    upstream.pump(readable, read_chunk)
+                    upstream.pump(readable, read_chunk, me)
                 }))
                 .unwrap_or((UpstreamVerdict::Close, Vec::new()));
             (verdict, delivered, node)
@@ -676,11 +771,12 @@ impl EventLoop {
     }
 
     /// Executes a forward plan: find (or open) an upstream connection to
-    /// the planned member and pipeline the exchange onto it. Connect
-    /// failures re-plan onto another member (within the retry budget and
-    /// attempt ceiling), but the next attempt waits out an exponential
-    /// backoff with equal jitter rather than hammering the cluster in a
-    /// tight loop — the deadline scan re-fires it.
+    /// the planned member and queue the exchange on it; the turn's flush
+    /// writes it, together with every other forward the turn queued there.
+    /// Connect failures re-plan onto another member (within the retry
+    /// budget and attempt ceiling), but the next attempt waits out an
+    /// exponential backoff with equal jitter rather than hammering the
+    /// cluster in a tight loop — the deadline scan re-fires it.
     fn forward(&mut self, token: u64, seq: u64, mut plan: ForwardPlan) {
         let router = self.router();
         if let Some(upstream_index) = self.upstream_for(&plan) {
@@ -694,7 +790,7 @@ impl EventLoop {
                     track_submit: plan.track_submit,
                 };
                 upstream.enqueue(plan.rope, origin);
-                self.service_upstream(upstream_index, false, false);
+                self.mark_dirty(upstream_index);
             } else {
                 // Invariant: `upstream_for` returned a live upstream slot.
                 // If the pool bookkeeping ever breaks it, fail this one
@@ -828,9 +924,10 @@ impl EventLoop {
         self.complete_client(origin.token, origin.seq, proxy_response(response, node));
     }
 
-    /// Fills a client's waiting slot with its response and services the
-    /// connection. Stale tokens (the client closed first) are dropped; the
-    /// in-flight gauge is released either way.
+    /// Fills a client's waiting slot with its response and marks the
+    /// connection dirty; nothing is written here. Stale tokens (the client
+    /// closed first) are dropped; the in-flight gauge is released either
+    /// way.
     fn complete_client(&mut self, token: u64, seq: u64, response: HttpResponse) {
         // Paired with the increment when the slot was parked; settled work
         // leaves the load score even when the connection died before its
@@ -846,7 +943,7 @@ impl EventLoop {
         }
         if let Some(Endpoint::Client(conn)) = entry.endpoint.as_mut() {
             conn.complete(seq, response);
-            self.service(index, false);
+            self.mark_dirty(index);
         }
     }
 
@@ -963,19 +1060,11 @@ impl EventLoop {
                 }
                 Action::FailUpstream => self.fail_upstream(index),
                 Action::FireRequestTimeout => {
-                    let shared = Arc::clone(&self.shared);
-                    let verdict = match self.slab[index].endpoint.as_mut() {
-                        Some(Endpoint::Client(conn)) => Some(
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                conn.fire_request_timeout(&shared)
-                            }))
-                            .unwrap_or(Verdict::Close),
-                        ),
-                        _ => None,
-                    };
-                    if verdict == Some(Verdict::Close) {
-                        self.close_client(index);
-                    }
+                    self.with_client(index, |conn, shared, _| {
+                        conn.fire_request_timeout(shared);
+                        Verdict::Keep
+                    });
+                    self.mark_dirty(index);
                 }
             }
         }

@@ -4,19 +4,36 @@
 //!
 //! An [`UpstreamConn`] is the second connection role in an event loop's
 //! slab. Requests are serialized once (bodies attached by reference) and
-//! pipelined onto the member connection through a resumable
-//! [`RopeWriter`]; responses stream back through a [`ResponseDecoder`]
-//! whose bodies are zero-copy views of the receive buffer, and are matched
-//! FIFO to the client slots that wait for them. The gateway therefore
-//! never burns a thread per in-flight request — an upstream connection is
-//! a slab entry, exactly like the downstream connections it serves.
+//! queued in the connection's outbox, a [`RopeBatch`]; responses stream
+//! back through a [`ResponseDecoder`] whose bodies are zero-copy views of
+//! the receive buffer, and are matched FIFO to the client slots that wait
+//! for them. The gateway therefore never burns a thread per in-flight
+//! request — an upstream connection is a slab entry, exactly like the
+//! downstream connections it serves.
+//!
+//! Within a loop turn, forwards are only *queued* ([`UpstreamConn::enqueue`]
+//! during the apply half); the turn's flush then calls
+//! [`UpstreamConn::pump`] once, which sends the whole outbox — every
+//! forward the turn routed here — in one vectored write (64 segments per
+//! `writev`, so a longer outbox takes another write), resumed on
+//! writability if the member's socket fills.
+//!
+//! Batching does not blur which exchanges a dying member may have seen. The
+//! batch writer credits the bytes a write accepted to the queued requests
+//! front to back, so each request keeps an exact cursor, and
+//! [`UpstreamConn::take_unsent`] returns precisely those still at zero:
+//! none of their bytes left the gateway, and replaying them on another
+//! member cannot run anything twice. A request with even one byte written
+//! stays behind and is failed with `502`.
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::time::Instant;
 
-use dandelion_common::{failpoint, NodeId, Rope, RopeWriter};
+use dandelion_common::{failpoint, BatchProgress, NodeId, Rope, RopeBatch};
 use dandelion_http::{HttpResponse, ParseLimits, ResponseDecoder};
+
+use crate::event_loop::LoopShared;
 
 /// Where a proxied response must be delivered: the client connection slot
 /// that parked for it.
@@ -47,14 +64,16 @@ pub(crate) enum UpstreamVerdict {
 pub(crate) struct UpstreamConn {
     stream: TcpStream,
     node: NodeId,
-    /// The serialized request currently (partially) on the wire.
-    writer: Option<RopeWriter>,
-    /// Requests accepted but not yet written.
-    outbox: VecDeque<Rope>,
+    /// Serialized requests not yet fully written, each with its own write
+    /// cursor; they align with the tail of `pending`.
+    outbox: RopeBatch,
     decoder: ResponseDecoder,
-    /// Exchanges written (or being written) and awaiting their responses,
-    /// in pipeline order.
+    /// Exchanges queued, on the wire, or awaiting their responses, in
+    /// pipeline order.
     pending: VecDeque<Origin>,
+    /// The member finished sending (`EPOLLRDHUP`): a short read no longer
+    /// proves the socket dry, reads continue until the EOF shows.
+    peer_closed: bool,
     /// A non-blocking connect is still in progress: the socket reporting
     /// writable (or responding) completes it; until then the stall check
     /// runs on the (short) connect budget instead of the response timeout.
@@ -78,10 +97,10 @@ impl UpstreamConn {
         UpstreamConn {
             stream,
             node,
-            writer: None,
-            outbox: VecDeque::new(),
+            outbox: RopeBatch::new(),
             decoder: ResponseDecoder::new(limits),
             pending: VecDeque::new(),
+            peer_closed: false,
             connecting,
             last_progress: Instant::now(),
         }
@@ -109,21 +128,16 @@ impl UpstreamConn {
     }
 
     /// Splits off the exchanges that never reached the wire (teardown):
-    /// the outbox holds fully unsent requests, which align with the tail
-    /// of `pending`, so they can be replayed on another member. Exchanges
-    /// written or partially written stay in `pending` and must fail — the
-    /// member may have executed them.
+    /// the requests in the outbox whose write cursor is still at zero,
+    /// which align with the tail of `pending`, so they can be replayed on
+    /// another member. Exchanges written or partially written — the batch
+    /// writer credits accepted bytes message by message, so the cursor is
+    /// exact — stay in `pending` and must fail: the member may have
+    /// executed them.
     pub(crate) fn take_unsent(&mut self) -> Vec<(Rope, Origin)> {
-        let mut unsent = Vec::new();
-        while let Some(rope) = self.outbox.pop_back() {
-            let origin = self
-                .pending
-                .pop_back()
-                .expect("every outbox entry has a pending origin");
-            unsent.push((rope, origin));
-        }
-        unsent.reverse();
-        unsent
+        let ropes = self.outbox.take_unsent();
+        let origins = self.pending.split_off(self.pending.len() - ropes.len());
+        ropes.into_iter().zip(origins).collect()
     }
 
     /// Accepts one serialized exchange for delivery to the member.
@@ -135,7 +149,7 @@ impl UpstreamConn {
         if self.pending.is_empty() {
             self.last_progress = Instant::now();
         }
-        self.outbox.push_back(rope);
+        self.outbox.push(rope);
         self.pending.push_back(origin);
     }
 
@@ -155,6 +169,11 @@ impl UpstreamConn {
         }
     }
 
+    /// The socket reported `EPOLLRDHUP`: see `peer_closed`.
+    pub(crate) fn note_peer_closed(&mut self) {
+        self.peer_closed = true;
+    }
+
     /// Whether the connection has stalled past `timeout` (no response
     /// progress with exchanges pending, or a connect that never completed).
     pub(crate) fn stalled(&self, now: Instant, timeout: std::time::Duration) -> bool {
@@ -162,43 +181,36 @@ impl UpstreamConn {
             && now.duration_since(self.last_progress) >= timeout
     }
 
-    /// Advances the connection: writes queued requests until the socket
-    /// blocks, reads and decodes responses while `readable`. Decoded
-    /// responses are returned paired with their origins for the event loop
-    /// to deliver to the client connections.
+    /// Advances the connection: writes the whole outbox — every queued
+    /// request in one vectored write while the socket accepts it — then
+    /// reads and decodes responses while `readable`. Decoded responses are
+    /// returned paired with their origins for the event loop to deliver to
+    /// the client connections; the writes are accounted to `me`.
     pub(crate) fn pump(
         &mut self,
         readable: bool,
         read_chunk: usize,
+        me: &LoopShared,
     ) -> (UpstreamVerdict, Vec<(Origin, HttpResponse)>) {
         let mut delivered = Vec::new();
-        // Write side: drive the current writer, then promote the outbox.
         let mut write_failed = false;
-        loop {
-            if let Some(writer) = &mut self.writer {
-                // Injected write fault: same disposition as a kernel write
-                // error — doom the connection but still drain the read side.
-                if failpoint::enabled() && failpoint::check("upstream/write").is_some() {
-                    write_failed = true;
-                    break;
-                }
-                match writer.write_some(&mut self.stream) {
-                    Ok(true) => self.writer = None,
-                    Ok(false) => break,
-                    // A write error dooms the connection, but the member may
-                    // already have answered earlier exchanges: fall through
-                    // to the read/decode side so responses sitting in the
-                    // socket (or the decoder buffer) are still delivered
-                    // before the remaining pending exchanges are failed.
-                    Err(_) => {
-                        write_failed = true;
-                        break;
-                    }
-                }
-            }
-            match self.outbox.pop_front() {
-                Some(rope) => self.writer = Some(RopeWriter::new(rope)),
-                None => break,
+        if !self.outbox.is_empty() {
+            // Injected write fault: same disposition as a kernel write
+            // error — doom the connection but still drain the read side.
+            if failpoint::enabled() && failpoint::check("upstream/write").is_some() {
+                write_failed = true;
+            } else {
+                let mut progress = BatchProgress::default();
+                // A write error dooms the connection, but the member may
+                // already have answered earlier exchanges: fall through to
+                // the read/decode side so responses sitting in the socket
+                // (or the decoder buffer) are still delivered before the
+                // remaining pending exchanges are failed.
+                write_failed = self
+                    .outbox
+                    .write_some(&mut self.stream, &mut progress)
+                    .is_err();
+                me.note_written(progress);
             }
         }
         // Read side: pull bytes and decode complete responses in order.
@@ -225,7 +237,14 @@ impl UpstreamConn {
                         saw_eof = true;
                         break;
                     }
-                    Ok(_) => self.last_progress = Instant::now(),
+                    Ok(read) => {
+                        self.last_progress = Instant::now();
+                        // Fewer bytes than offered: the socket is drained,
+                        // and the next arrival raises a fresh edge.
+                        if read < read_chunk && !self.peer_closed {
+                            break;
+                        }
+                    }
                     Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -332,10 +351,11 @@ mod tests {
     #[test]
     fn write_error_still_delivers_responses_already_received() {
         let (ours, mut member) = socket_pair();
+        let me = LoopShared::new().unwrap();
         let mut conn = UpstreamConn::new(ours, NodeId::from_raw(2), ParseLimits::default(), false);
         // Exchange 0 reaches the member, which answers it.
         conn.enqueue(request_rope(), origin(0));
-        let (verdict, delivered) = conn.pump(false, 4096);
+        let (verdict, delivered) = conn.pump(false, 4096, &me);
         assert_eq!(verdict, UpstreamVerdict::Keep);
         assert!(delivered.is_empty());
         let mut sink = [0u8; 4096];
@@ -350,7 +370,7 @@ mod tests {
         // it behind the write error.
         conn.stream.shutdown(Shutdown::Write).unwrap();
         conn.enqueue(request_rope(), origin(1));
-        let (verdict, delivered) = conn.pump(false, 4096);
+        let (verdict, delivered) = conn.pump(false, 4096, &me);
         assert_eq!(verdict, UpstreamVerdict::Close);
         assert_eq!(
             delivered.len(),

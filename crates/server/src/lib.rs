@@ -13,10 +13,10 @@
 //! * **per-connection state machines** that read into pooled buffers,
 //!   parse requests incrementally (partial reads, pipelined keep-alive
 //!   requests, `Connection: close`), dispatch without blocking
-//!   ([`dandelion_core::Frontend::begin`]), and write responses with
-//!   resumable vectored [`RopeWriter`](dandelion_common::RopeWriter)
-//!   writes so bodies leave the process by reference even across
-//!   `EWOULDBLOCK` suspensions,
+//!   ([`dandelion_core::Frontend::begin`]), and write every response that
+//!   is ready in a loop turn with one resumable vectored
+//!   [`RopeBatch`](dandelion_common::RopeBatch) write, so bodies leave the
+//!   process by reference even across `EWOULDBLOCK` suspensions,
 //! * **asynchronous completion**: the dispatcher settles a synchronous
 //!   invocation by posting the finished response to the owning event loop
 //!   through an `eventfd` wakeup,

@@ -118,7 +118,9 @@ impl ServerStats {
 /// per event loop — the placement gauges (`connections`, `inflight`), the
 /// inbox backlog, and the wakeup-coalescing counters (`posted` messages vs
 /// `wakeups` actually signalled; `coalesced` is the difference, i.e. posts
-/// that found the loop awake and cost no syscall).
+/// that found the loop awake and cost no syscall), and the write-coalescing
+/// counters (`messages_written / writes` is how many responses and upstream
+/// forwards one vectored socket write carried).
 pub(crate) fn server_stats_json(stats: &ServerStats, loops: &[Arc<LoopShared>]) -> JsonValue {
     let mut json = stats.to_json(loops.len());
     if let JsonValue::Object(pairs) = &mut json {
@@ -140,6 +142,14 @@ pub(crate) fn server_stats_json(stats: &ServerStats, loops: &[Arc<LoopShared>]) 
                     ("posted", JsonValue::from(posted)),
                     ("wakeups", JsonValue::from(wakeups)),
                     ("coalesced", JsonValue::from(posted.saturating_sub(wakeups))),
+                    (
+                        "writes",
+                        JsonValue::from(loop_shared.writes.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "messages_written",
+                        JsonValue::from(loop_shared.messages_written.load(Ordering::Relaxed)),
+                    ),
                 ])
             })),
         ));

@@ -573,3 +573,190 @@ fn proxied_response_bodies_keep_their_buffer_identity() {
     );
     assert_eq!(proxied.body.as_ref(), b"member payload, by reference");
 }
+
+/// A cluster member that answers the gateway's control-plane probes but
+/// never reads an invocation: forwards pile up in its 16 KiB receive
+/// buffer and then in the gateway's outbox. Dropping it (`kill`) resets
+/// every held connection, unread bytes and all — a member dying with a
+/// forward batch partly written.
+struct StallingMember {
+    addr: SocketAddr,
+    kill: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl StallingMember {
+    fn start() -> StallingMember {
+        use std::io::{Read, Write};
+        use std::os::fd::AsRawFd;
+        const SOL_SOCKET: i32 = 1;
+        const SO_RCVBUF: i32 = 8;
+        extern "C" {
+            fn setsockopt(
+                fd: i32,
+                level: i32,
+                name: i32,
+                value: *const std::ffi::c_void,
+                len: u32,
+            ) -> i32;
+        }
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        // Accepted sockets inherit the listener's receive buffer.
+        let size: i32 = 16 * 1024;
+        // SAFETY: `size` outlives the call and `len` is its size; the fd is
+        // the listener's, open for the duration.
+        let rc = unsafe {
+            setsockopt(
+                listener.as_raw_fd(),
+                SOL_SOCKET,
+                SO_RCVBUF,
+                &size as *const i32 as *const std::ffi::c_void,
+                std::mem::size_of::<i32>() as u32,
+            )
+        };
+        assert_eq!(rc, 0, "setsockopt(SO_RCVBUF) failed");
+        let addr = listener.local_addr().unwrap();
+        let kill = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let kill = Arc::clone(&kill);
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                for stream in listener.incoming() {
+                    if kill.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let mut stream = stream.unwrap();
+                    let mut first = [0u8; 4];
+                    if stream.peek(&mut first).unwrap_or(0) < 4 || &first != b"GET " {
+                        held.push(stream);
+                        continue;
+                    }
+                    // A probe: one small GET, answered and closed.
+                    let mut head = Vec::new();
+                    let mut byte = [0u8; 1];
+                    while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                        head.push(byte[0]);
+                    }
+                    let body = if head.starts_with(b"GET /v1/compositions") {
+                        r#"{"compositions":["EchoComp"]}"#
+                    } else {
+                        "{}"
+                    };
+                    let _ = stream.write_all(
+                        format!(
+                            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                             Connection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                            body.len()
+                        )
+                        .as_bytes(),
+                    );
+                }
+            })
+        };
+        StallingMember { addr, kill, thread }
+    }
+
+    fn kill(self) {
+        self.kill.store(true, Ordering::Release);
+        // Wake the accept loop; it drops the listener and every held socket.
+        let _ = std::net::TcpStream::connect(self.addr);
+        self.thread.join().unwrap();
+    }
+}
+
+/// A member dies while a batch of forwards is partly written to it. The
+/// batch writer's per-message cursors split the batch exactly: exchanges
+/// with any byte on the wire fail `502` (the member may have run them),
+/// exchanges with none are replayed — once — on another member. Every
+/// pipelined request gets exactly one answer, in request order.
+#[test]
+fn a_member_killed_mid_forward_batch_splits_it_into_502s_and_single_replays() {
+    const REQUESTS: usize = 40;
+    const BODY_BYTES: usize = 256 * 1024;
+    let stalling = StallingMember::start();
+    let config = GatewayConfig {
+        // One upstream connection, so the forwards form one batch.
+        upstreams_per_loop: 1,
+        ..test_gateway_config()
+    };
+    let (gateway, router) = start_gateway(config, &[stalling.addr]);
+    let gateway_addr = gateway.local_addr();
+
+    // Pipeline 10 MiB of invocations without reading a response: more than
+    // the stalled member's receive buffer plus the gateway's send buffer
+    // can absorb, so the tail of the batch never leaves the gateway.
+    let mut client = connect(gateway_addr);
+    for index in 0..REQUESTS {
+        client
+            .send(&HttpRequest::post(
+                "/v1/invoke/EchoComp",
+                vec![index as u8; BODY_BYTES],
+            ))
+            .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let stats = connect(gateway_addr)
+            .request(&HttpRequest::get("/v1/stats"))
+            .unwrap();
+        let document = JsonValue::parse(&stats.body_text()).unwrap();
+        let inflight: u64 = document
+            .get("server")
+            .and_then(|server| server.get("loops"))
+            .and_then(JsonValue::as_array)
+            .expect("server.loops[] present")
+            .iter()
+            .map(|entry| entry.get("inflight").and_then(JsonValue::as_u64).unwrap())
+            .sum();
+        if inflight == REQUESTS as u64 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "only {inflight} forwards parked");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // A healthy member arrives; then the stalled one dies.
+    let (survivor, survivor_worker) = start_member();
+    router.join(survivor.local_addr()).expect("survivor joins");
+    stalling.kill();
+
+    let mut failed = 0;
+    let mut replayed = 0;
+    for index in 0..REQUESTS {
+        let response = client.receive().expect("every request is answered");
+        match response.status.0 {
+            502 => {
+                assert_eq!(replayed, 0, "a sent exchange behind an unsent one");
+                failed += 1;
+            }
+            200 => {
+                assert_eq!(response.body.len(), BODY_BYTES);
+                assert!(
+                    response.body.iter().all(|&byte| byte == index as u8),
+                    "response {index} carries another request's payload"
+                );
+                replayed += 1;
+            }
+            other => panic!("request {index} answered {other}"),
+        }
+    }
+    assert!(failed >= 1, "the head of the batch had bytes on the wire");
+    assert!(
+        replayed >= 1,
+        "the tail of the batch never left the gateway"
+    );
+    assert_eq!(
+        survivor_worker.stats().invocations,
+        replayed as u64,
+        "each unsent exchange ran exactly once"
+    );
+    let stats = client.request(&HttpRequest::get("/v1/stats")).unwrap();
+    let document = JsonValue::parse(&stats.body_text()).unwrap();
+    let counter = |key: &str| document.get(key).and_then(JsonValue::as_u64).unwrap();
+    assert_eq!(counter("retries"), replayed as u64);
+    assert_eq!(counter("upstream_errors"), failed as u64);
+
+    gateway.shutdown();
+    survivor.shutdown();
+    survivor_worker.shutdown();
+}

@@ -856,3 +856,221 @@ fn graceful_shutdown_drains_inflight_invocations() {
     assert_eq!(response.headers.get("connection"), Some("close"));
     worker.shutdown();
 }
+
+/// A worker whose `SlowComp` sleeps 150 ms before echoing and whose
+/// `EchoComp` answers at once, behind a one-loop server: pipelining a slow
+/// request ahead of fast ones parks the fast responses behind the head of
+/// the pipeline, so they are all ready in the same loop turn.
+fn start_slow_head_server() -> (Server, Arc<WorkerNode>) {
+    let worker = test_worker();
+    worker
+        .register_function(FunctionArtifact::new(
+            "Slow",
+            &["Out"],
+            |ctx: &mut FunctionCtx| {
+                std::thread::sleep(Duration::from_millis(150));
+                let data = ctx.single_input("In")?.data.clone();
+                ctx.push_output("Out", dandelion_common::DataItem::new("slow", data))
+            },
+        ))
+        .unwrap();
+    worker
+        .register_composition_dsl(
+            "composition SlowComp(Input) => Output { Slow(In = all Input) => (Output = Out); }",
+        )
+        .unwrap();
+    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+    let config = ServerConfig {
+        event_loops: 1,
+        read_timeout: Duration::from_secs(10),
+        ..loopback_config()
+    };
+    let server = Server::start(config, frontend).expect("server binds");
+    (server, worker)
+}
+
+/// `(writes, messages_written)` summed over the loops, read in-process so
+/// that reading them writes nothing to a socket.
+fn write_counters(server: &Server) -> (u64, u64) {
+    let stats = server.frontend().handle(&HttpRequest::get("/v1/stats"));
+    let document = dandelion_common::JsonValue::parse(&stats.body_text()).unwrap();
+    let loops = document
+        .get("server")
+        .and_then(|server| server.get("loops"))
+        .and_then(|loops| loops.as_array())
+        .expect("server.loops[] present")
+        .to_vec();
+    let sum = |key: &str| {
+        loops
+            .iter()
+            .map(|entry| {
+                entry
+                    .get(key)
+                    .and_then(dandelion_common::JsonValue::as_u64)
+                    .unwrap_or_else(|| panic!("server.loops[].{key} present"))
+            })
+            .sum()
+    };
+    (sum("writes"), sum("messages_written"))
+}
+
+/// [`write_counters`] once `messages_written` has reached `messages`: the
+/// loop accounts a write after the system call returns, by which time the
+/// client may already have read the bytes.
+fn write_counters_at(server: &Server, messages: u64) -> (u64, u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let counters = write_counters(server);
+        if counters.1 >= messages || std::time::Instant::now() >= deadline {
+            assert_eq!(counters.1, messages, "messages_written");
+            return counters;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn invoke_bytes(composition: &str, body: &str, extra_header: &str) -> Vec<u8> {
+    format!(
+        "POST /v1/invoke/{composition} HTTP/1.1\r\n{extra_header}Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Responses that become ready in one loop turn leave in one vectored
+/// write: eight pipelined invocations whose head is slow are answered in
+/// request order by far fewer writes than messages, while a client that
+/// waits for each response before sending the next costs exactly one write
+/// per message.
+#[test]
+fn pipelined_responses_share_a_write_and_a_depth_one_client_gets_one_each() {
+    const PIPELINED: u64 = 8;
+    let (server, worker) = start_slow_head_server();
+    assert_eq!(write_counters(&server), (0, 0));
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut wire = invoke_bytes("SlowComp", "pipelined-0", "");
+    for index in 1..PIPELINED {
+        wire.extend(invoke_bytes("EchoComp", &format!("pipelined-{index}"), ""));
+    }
+    stream.write_all(&wire).unwrap();
+    let mut decoder = dandelion_http::ResponseDecoder::new(ParseLimits::default());
+    for index in 0..PIPELINED {
+        let response = loop {
+            if let Some(response) = decoder.next_response().unwrap() {
+                break response;
+            }
+            assert!(decoder.read_from(&mut stream, 64 * 1024).unwrap() > 0);
+        };
+        assert_eq!(response.status.0, 200);
+        assert_eq!(response.body_text(), format!("pipelined-{index}"));
+    }
+    let (writes, messages) = write_counters_at(&server, PIPELINED);
+    assert!(
+        writes <= PIPELINED / 2,
+        "{messages} responses ready behind one slow head took {writes} writes"
+    );
+
+    // Depth one: every response is alone in its turn.
+    let mut client =
+        HttpClientConnection::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+    for index in 0..10 {
+        let body = format!("alone-{index}");
+        let response = client
+            .request(&HttpRequest::post(
+                "/v1/invoke/EchoComp",
+                body.clone().into_bytes(),
+            ))
+            .unwrap();
+        assert_eq!(response.body_text(), body);
+    }
+    let (writes_after, _) = write_counters_at(&server, messages + 10);
+    assert_eq!(
+        writes_after - writes,
+        10,
+        "an unpipelined client must cost exactly one write per response"
+    );
+    server.shutdown();
+    worker.shutdown();
+}
+
+/// `Connection: close` in the middle of a pipeline ends the batch it rides
+/// in: the responses up to and including the closing one are delivered (in
+/// one write here — both are ready when the slow head settles), the request
+/// pipelined behind it is never answered, and the connection closes.
+#[test]
+fn connection_close_mid_pipeline_ends_the_batch_and_discards_the_rest() {
+    let (server, worker) = start_slow_head_server();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut wire = invoke_bytes("SlowComp", "first", "");
+    wire.extend(invoke_bytes("EchoComp", "closing", "Connection: close\r\n"));
+    wire.extend(invoke_bytes("EchoComp", "never-answered", ""));
+    stream.write_all(&wire).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap(); // EOF proves the close
+    assert_eq!(reply.matches("HTTP/1.1 200 OK\r\n").count(), 2, "{reply}");
+    let first = reply.find("first").expect("first response delivered");
+    let closing = reply.find("closing").expect("closing response delivered");
+    assert!(first < closing, "responses out of request order: {reply}");
+    assert_eq!(reply.matches("Connection: keep-alive\r\n").count(), 1);
+    assert_eq!(reply.matches("Connection: close\r\n").count(), 1);
+    assert!(reply.ends_with("closing"), "{reply}");
+    assert!(!reply.contains("never-answered"));
+    assert_eq!(write_counters_at(&server, 2), (1, 2));
+    assert_eq!(
+        server.stats().requests,
+        2,
+        "the third request is not parsed"
+    );
+    server.shutdown();
+    worker.shutdown();
+}
+
+/// A read that returns fewer bytes than it offered space for is taken as
+/// proof the socket is drained — no confirming `EWOULDBLOCK` read follows.
+/// Bytes that arrive afterwards must raise a fresh edge and be served: the
+/// rest of a request whose first half was a short read, and a whole new
+/// request on the then idle connection.
+#[test]
+fn requests_arriving_after_a_short_read_are_still_served() {
+    let (server, worker) = start_server(ServerConfig {
+        read_timeout: Duration::from_secs(10),
+        ..loopback_config()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = invoke_bytes("EchoComp", "split across two arrivals", "");
+    let (front, back) = request.split_at(request.len() / 2);
+    let mut decoder = dandelion_http::ResponseDecoder::new(ParseLimits::default());
+    let mut receive = |stream: &mut TcpStream| loop {
+        if let Some(response) = decoder.next_response().unwrap() {
+            break response;
+        }
+        assert!(decoder.read_from(stream, 64 * 1024).unwrap() > 0);
+    };
+    // Each pause outlasts a loop turn, so each arrival is read on its own —
+    // and short, the chunk being 64 KiB.
+    stream.write_all(front).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(back).unwrap();
+    assert_eq!(
+        receive(&mut stream).body_text(),
+        "split across two arrivals"
+    );
+    std::thread::sleep(Duration::from_millis(100));
+    stream
+        .write_all(&invoke_bytes("EchoComp", "after the socket ran dry", ""))
+        .unwrap();
+    assert_eq!(receive(&mut stream).body_text(), "after the socket ran dry");
+    assert_eq!(server.stats().requests, 2);
+    server.shutdown();
+    worker.shutdown();
+}

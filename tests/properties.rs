@@ -621,6 +621,103 @@ fn resumed_partial_writes_are_byte_identical_for_every_chunk_size() {
     }
 }
 
+/// Batching is invisible on the wire: a pipeline of responses gathered into
+/// one `RopeBatch` and written through a writer that accepts `k` bytes per
+/// readiness window — for *every* `k`, so a `WouldBlock` falls at every
+/// byte position — delivers exactly the bytes of writing the same messages
+/// one by one. Along the way each message is reported complete exactly once
+/// and exactly when its last byte has left, every body segment still is the
+/// caller's buffer, and `take_unsent` returns precisely the messages none
+/// of whose bytes left.
+#[test]
+fn batched_writes_equal_one_by_one_writes_at_every_suspension_point() {
+    use dandelion_common::{BatchProgress, RopeBatch, RopeWriter, SharedBytes};
+    use dandelion_http::HttpResponse;
+    use dandelion_integration_tests::ChoppyWriter;
+    use dandelion_server::response_rope;
+
+    for seed in 0..25u64 {
+        let mut rng = SplitMix64::new(0xba7c_4ed0 ^ seed);
+        let count = 1 + rng.next_bounded(5) as usize;
+        let messages: Vec<_> = (0..count)
+            .map(|_| {
+                let payload = arbitrary_request(&mut rng).body;
+                let rope = response_rope(HttpResponse::ok(payload.clone()), false);
+                (rope, payload)
+            })
+            .collect();
+        // The reference: one writer per message, one after the other.
+        let mut reference = Vec::new();
+        let mut starts = Vec::new();
+        let mut ends = Vec::new();
+        for (rope, _) in &messages {
+            starts.push(reference.len());
+            assert!(RopeWriter::new(rope.clone())
+                .write_some(&mut reference)
+                .unwrap());
+            ends.push(reference.len());
+        }
+        let same_body = |writer: &RopeWriter, payload: &SharedBytes| {
+            payload.is_empty()
+                || SharedBytes::same_buffer(writer.rope().last_segment().unwrap(), payload)
+        };
+
+        for quota in 1..=reference.len() {
+            let mut batch = RopeBatch::new();
+            for (rope, _) in &messages {
+                batch.push(rope.clone());
+            }
+            let mut choppy = ChoppyWriter::new(quota);
+            let mut progress = BatchProgress::default();
+            let mut windows = 0;
+            while !batch.write_some(&mut choppy, &mut progress).unwrap() {
+                windows += 1;
+                assert!(
+                    windows <= reference.len() + 2,
+                    "seed {seed}: quota {quota} stalled"
+                );
+                let sent = choppy.out.len();
+                assert_eq!(batch.written(), sent as u64);
+                // Completions follow the message boundaries exactly.
+                let complete = ends.iter().filter(|&&end| end <= sent).count();
+                assert_eq!(
+                    progress.messages, complete as u64,
+                    "seed {seed}: quota {quota}: completions at byte {sent}"
+                );
+                assert_eq!(batch.len(), count - complete);
+                // Zero-copy across suspensions, for every queued message.
+                for (writer, (_, payload)) in batch.pending().zip(&messages[complete..]) {
+                    assert!(
+                        same_body(writer, payload),
+                        "seed {seed}: quota {quota} copied a body"
+                    );
+                }
+                // Exactly the messages starting at or after `sent` are
+                // unsent; putting them back changes nothing.
+                let untouched = starts.iter().filter(|&&start| start >= sent).count();
+                let unsent = batch.take_unsent();
+                assert_eq!(
+                    unsent.len(),
+                    untouched,
+                    "seed {seed}: quota {quota}: unsent set at byte {sent}"
+                );
+                for (rope, (original, _)) in unsent.iter().zip(&messages[count - untouched..]) {
+                    assert_eq!(rope.to_vec(), original.to_vec());
+                }
+                for rope in unsent {
+                    batch.push(rope);
+                }
+            }
+            assert_eq!(choppy.out, reference, "seed {seed}: quota {quota} diverged");
+            assert_eq!(
+                progress.messages, count as u64,
+                "each message completes once"
+            );
+            assert!(batch.is_empty() && batch.take_unsent().is_empty());
+        }
+    }
+}
+
 /// Partition-parallel SSB execution is equivalent to single-node execution
 /// for any partition count.
 #[test]
