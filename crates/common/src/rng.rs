@@ -15,6 +15,12 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The Weyl increment the state advances by per draw. A generator seeded
+    /// with `seed + k * INCREMENT` continues the sequence of one seeded with
+    /// `seed` after `k` draws, which lets concurrent callers share a
+    /// sequence through an atomic counter.
+    pub const INCREMENT: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
@@ -22,7 +28,7 @@ impl SplitMix64 {
 
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::INCREMENT);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -556,12 +556,35 @@ impl WorkItem {
     }
 }
 
+/// Seed of the cold-binary draw sequence.
+const COLD_DRAW_SEED: u64 = 0xDA4D_E110;
+
+/// Draws whether a compute task's binary must be loaded cold, with
+/// probability `ratio`, from the process-wide sequence in `state`.
+///
+/// SplitMix64 is a Weyl counter plus an output mix, so concurrent submitters
+/// advance the counter with one `fetch_add` and mix their own value: together
+/// they draw exactly the sequence `SplitMix64::new(COLD_DRAW_SEED)` yields,
+/// without a lock. A ratio of 0 or 1 has one outcome and draws nothing.
+fn draw_cold_binary(state: &AtomicU64, ratio: f64) -> bool {
+    if ratio <= 0.0 {
+        return false;
+    }
+    if ratio >= 1.0 {
+        return true;
+    }
+    // Relaxed: the counter publishes no other data.
+    let before = state.fetch_add(SplitMix64::INCREMENT, Ordering::Relaxed);
+    SplitMix64::new(before).bernoulli(ratio)
+}
+
 struct DispatcherCore {
     registry: Arc<Registry>,
     compute_queue: TaskQueue,
     communication_queue: TaskQueue,
     config: WorkerConfig,
-    rng: Mutex<SplitMix64>,
+    /// State of the cold-binary draw, see [`draw_cold_binary`].
+    cold_draw_state: AtomicU64,
     table: Arc<InFlightTable>,
     results: Sender<Vec<TaskResult>>,
     metrics: Arc<DispatchMetrics>,
@@ -607,7 +630,7 @@ impl Dispatcher {
             communication_queue,
             table: Arc::new(InFlightTable::new(config.completed_retention)),
             config,
-            rng: Mutex::new(SplitMix64::new(0xDA4D_E110)),
+            cold_draw_state: AtomicU64::new(COLD_DRAW_SEED),
             results: results_tx,
             metrics,
             shutting_down: AtomicBool::new(false),
@@ -957,17 +980,17 @@ impl DispatcherCore {
         match vertex {
             Vertex::Compute(artifact) => {
                 inner.report.compute_tasks += 1;
-                let cold_binary = self
-                    .rng
-                    .lock()
-                    .bernoulli(self.config.binary_cold_load_ratio);
+                let cold_binary =
+                    draw_cold_binary(&self.cold_draw_state, self.config.binary_cold_load_ratio);
                 let task = Task {
                     invocation: id,
                     node: spec.node,
                     instance: spec.instance,
                     payload: TaskPayload::Compute {
                         artifact,
-                        inputs: spec.inputs,
+                        // The one place a task's inputs are built; from here
+                        // on they are shared, never cloned.
+                        inputs: spec.inputs.into(),
                         cold_binary,
                         timeout: self.config.function_timeout,
                     },
@@ -990,7 +1013,7 @@ impl DispatcherCore {
                     node: spec.node,
                     instance: spec.instance,
                     payload: TaskPayload::Http {
-                        inputs: spec.inputs,
+                        inputs: spec.inputs.into(),
                         response_set,
                     },
                     reply: self.results.clone(),
@@ -1762,6 +1785,30 @@ mod tests {
         let second = handle.wait_snapshot(Some(Duration::from_secs(10))).unwrap();
         assert_eq!(second.outputs[0].items[0].as_str(), Some("keep"));
         assert!(harness.dispatcher.poll(handle.id()).is_some());
+    }
+
+    #[test]
+    fn cold_draws_are_the_seeded_splitmix_sequence() {
+        let state = AtomicU64::new(COLD_DRAW_SEED);
+        let mut reference = SplitMix64::new(0xDA4D_E110);
+        let mut cold = 0;
+        for draw in 0..4096 {
+            let ratio = if draw % 2 == 0 { 0.03 } else { 0.5 };
+            let drawn = draw_cold_binary(&state, ratio);
+            assert_eq!(drawn, reference.bernoulli(ratio), "draw {draw}");
+            cold += usize::from(drawn);
+        }
+        assert!((900..1300).contains(&cold), "{cold} cold of 4096");
+        // A certain outcome consumes nothing from the sequence.
+        let before = state.load(Ordering::Relaxed);
+        assert!(!draw_cold_binary(&state, 0.0));
+        assert!(draw_cold_binary(&state, 1.0));
+        assert_eq!(state.load(Ordering::Relaxed), before);
+        assert_eq!(
+            draw_cold_binary(&state, 0.5),
+            reference.bernoulli(0.5),
+            "the sequence continues where it was"
+        );
     }
 
     #[test]

@@ -29,7 +29,6 @@ use std::time::Duration;
 use dandelion_common::config::EngineKind;
 use dandelion_common::{fail_point, failpoint, DandelionError, DataItem, DataSet};
 use dandelion_http::validate::{validate_request_shared, ValidationPolicy};
-use dandelion_http::Uri;
 use dandelion_isolation::{ExecutionTask, IsolationBackend};
 use dandelion_services::ServiceRegistry;
 use parking_lot::Mutex;
@@ -82,15 +81,16 @@ impl EngineExecutor {
                 },
                 EngineExecutor::Compute { backend },
             ) => {
-                let execution = ExecutionTask::new(Arc::clone(artifact), inputs.clone())
+                // The backend shares the task's inputs (a reference count)
+                // and its report leaves by move.
+                let execution = ExecutionTask::new(Arc::clone(artifact), Arc::clone(inputs))
                     .with_cold_binary(*cold_binary)
                     .with_timeout(*timeout);
                 match backend.execute(&execution) {
-                    Ok(report) => (
-                        Ok(report.outputs.clone()),
-                        report.context_high_water,
-                        report.modeled_total(),
-                    ),
+                    Ok(report) => {
+                        let modeled = report.modeled_total();
+                        (Ok(report.outputs), report.context_high_water, modeled)
+                    }
                     Err(err) => (Err(err), 0, Duration::ZERO),
                 }
             }
@@ -150,9 +150,7 @@ fn execute_http(
             // frozen without any copy at all.
             let (response_bytes, latency) = match validate_request_shared(&item.data, policy) {
                 Ok(validated) => {
-                    let uri = Uri::parse(&validated.request.target)
-                        .expect("validated requests carry a parseable URI");
-                    let reply = registry.dispatch(&uri, &validated.request);
+                    let reply = registry.dispatch(&validated.uri, &validated.request);
                     (reply.response.to_shared(), reply.latency)
                 }
                 Err(err) => {
@@ -273,7 +271,10 @@ impl PoolShared {
 /// held (once each), and respawns a replacement within the budget.
 struct EngineGuard {
     shared: Arc<PoolShared>,
-    /// Tasks popped but whose results have not been delivered yet.
+    /// Tasks popped but whose results have not been delivered yet. The
+    /// engine moves each task in here and executes it from here, so a
+    /// requeue hands on the very task that was popped — inputs, artifact and
+    /// reply channel — without a clone having been taken up front.
     inflight: Vec<Task>,
     /// A task popped for a different invocation, carried into the next
     /// batch (not started: always safe to requeue).
@@ -325,6 +326,14 @@ impl Drop for EngineGuard {
     }
 }
 
+/// Parks `task` in the guard's in-flight list — where supervision finds it
+/// if this thread dies before the reply — and executes it from there.
+fn execute_inflight(guard: &mut EngineGuard, task: Task) -> TaskResult {
+    guard.inflight.push(task);
+    let task = guard.inflight.last().expect("pushed above");
+    execute_supervised(&guard.shared.executor, task)
+}
+
 /// The engine thread body: pull, execute under supervision, coalesce,
 /// reply. Mirrors the pre-supervision loop; `guard` tracks what must be
 /// rescued if a panic unwinds out of here.
@@ -341,25 +350,24 @@ fn run_engine(guard: &mut EngineGuard) {
         if matches!(task.payload, TaskPayload::Shutdown) {
             return;
         }
-        guard.inflight.push(task.clone());
-        let mut batch = vec![execute_supervised(&guard.shared.executor, &task)];
+        let mut batch = vec![execute_inflight(guard, task)];
         // Coalesce: execute same-invocation tasks already queued and reply
         // with one batch. A task for a different invocation (or reply
         // channel) flushes the batch and is carried into the next
         // iteration; a shutdown marker flushes it and ends the engine.
         let mut stop_after_flush = false;
         while batch.len() < ENGINE_COALESCE_MAX {
+            let first = &guard.inflight[0];
             match guard.shared.queue.try_pop() {
                 Some(next) if matches!(next.payload, TaskPayload::Shutdown) => {
                     stop_after_flush = true;
                     break;
                 }
                 Some(next)
-                    if next.invocation == task.invocation
-                        && task.reply.same_channel(&next.reply) =>
+                    if next.invocation == first.invocation
+                        && first.reply.same_channel(&next.reply) =>
                 {
-                    guard.inflight.push(next.clone());
-                    batch.push(execute_supervised(&guard.shared.executor, &next));
+                    batch.push(execute_inflight(guard, next));
                 }
                 Some(next) => {
                     guard.carried = Some(next);
@@ -373,7 +381,7 @@ fn run_engine(guard: &mut EngineGuard) {
         fail_point!("engine/reply");
         // A dropped receiver means the invocation was abandoned; the
         // engine simply moves on.
-        let _ = task.reply.send(batch);
+        let _ = guard.inflight[0].reply.send(batch);
         guard.inflight.clear();
         // Chaos hook: a panic here dies *after* delivery — the respawn
         // keeps the pool size, and nothing is requeued.
@@ -555,7 +563,7 @@ mod tests {
                 instance: index,
                 payload: TaskPayload::Compute {
                     artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", format!("p{index}").into_bytes())],
+                    inputs: vec![DataSet::single("in", format!("p{index}").into_bytes())].into(),
                     cold_binary: false,
                     timeout: Duration::from_secs(5),
                 },
@@ -591,7 +599,7 @@ mod tests {
                 instance,
                 payload: TaskPayload::Compute {
                     artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", format!("c{instance}").into_bytes())],
+                    inputs: vec![DataSet::single("in", format!("c{instance}").into_bytes())].into(),
                     cold_binary: false,
                     timeout: Duration::from_secs(5),
                 },
@@ -622,7 +630,7 @@ mod tests {
                 instance: index,
                 payload: TaskPayload::Compute {
                     artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", vec![index as u8])],
+                    inputs: vec![DataSet::single("in", vec![index as u8])].into(),
                     cold_binary: false,
                     timeout: Duration::from_secs(5),
                 },
@@ -659,7 +667,8 @@ mod tests {
                         DataItem::new("r1", missing),
                         DataItem::new("r2", invalid),
                     ],
-                )],
+                )]
+                .into(),
                 response_set: "Response".to_string(),
             },
             reply,
@@ -690,7 +699,7 @@ mod tests {
             instance: 0,
             payload: TaskPayload::Compute {
                 artifact: echo_artifact(),
-                inputs: vec![],
+                inputs: Arc::new([]),
                 cold_binary: false,
                 timeout: Duration::from_secs(1),
             },
@@ -724,7 +733,7 @@ mod tests {
             instance: 0,
             payload: TaskPayload::Compute {
                 artifact: echo_artifact(),
-                inputs: vec![DataSet::single("in", b"alive".to_vec())],
+                inputs: vec![DataSet::single("in", b"alive".to_vec())].into(),
                 cold_binary: false,
                 timeout: Duration::from_secs(5),
             },
@@ -748,7 +757,7 @@ mod tests {
                 instance: index,
                 payload: TaskPayload::Compute {
                     artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", format!("t{index}").into_bytes())],
+                    inputs: vec![DataSet::single("in", format!("t{index}").into_bytes())].into(),
                     cold_binary: false,
                     timeout: Duration::from_secs(5),
                 },

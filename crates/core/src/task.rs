@@ -16,6 +16,11 @@ use dandelion_common::{DandelionResult, DataSet, InvocationId};
 use dandelion_isolation::FunctionArtifact;
 
 /// The work carried by a task.
+///
+/// A task's inputs are built once, when the dispatcher submits the instance,
+/// and travel as one shared slice: the engine, a supervision requeue and the
+/// function's context all hold the same allocation, so handing a task on
+/// never copies set or item metadata.
 #[derive(Debug, Clone)]
 pub enum TaskPayload {
     /// Execute a compute function instance in a sandbox.
@@ -23,7 +28,7 @@ pub enum TaskPayload {
         /// The function to run.
         artifact: Arc<FunctionArtifact>,
         /// Materialized inputs for this instance.
-        inputs: Vec<DataSet>,
+        inputs: Arc<[DataSet]>,
         /// Whether the binary must be loaded from disk.
         cold_binary: bool,
         /// Execution timeout.
@@ -32,7 +37,7 @@ pub enum TaskPayload {
     /// Execute an HTTP communication function instance.
     Http {
         /// Materialized inputs; every item is a serialized HTTP request.
-        inputs: Vec<DataSet>,
+        inputs: Arc<[DataSet]>,
         /// The output set name the responses are collected into.
         response_set: String,
     },
@@ -227,7 +232,7 @@ mod tests {
             node: 0,
             instance: 0,
             payload: TaskPayload::Http {
-                inputs: vec![],
+                inputs: Arc::new([]),
                 response_set: "Response".to_string(),
             },
             reply,
@@ -240,7 +245,7 @@ mod tests {
             artifact: Arc::new(FunctionArtifact::new("f", &["o"], |_: &mut FunctionCtx| {
                 Ok(())
             })),
-            inputs: vec![],
+            inputs: Arc::new([]),
             cold_binary: false,
             timeout: Duration::from_secs(1),
         };

@@ -68,7 +68,7 @@ fn task(reply: &crossbeam::channel::Sender<Vec<dandelion_core::task::TaskResult>
         instance: 0,
         payload: TaskPayload::Compute {
             artifact: echo_artifact(),
-            inputs: vec![DataSet::single("in", b"payload".to_vec())],
+            inputs: vec![DataSet::single("in", b"payload".to_vec())].into(),
             cold_binary: false,
             timeout: Duration::from_secs(5),
         },

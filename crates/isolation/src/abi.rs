@@ -12,11 +12,19 @@
 //! a capacity-bounded virtual filesystem, an output staging API and a
 //! syscall shim that enforces the [`SyscallPolicy`]. There is no other
 //! ambient authority: no real filesystem, no network, no clock.
+//!
+//! Building a context copies nothing: the inputs, the output-set names and
+//! the policy are shared with the task, the artifact and the backend, and
+//! the filesystem view of the inputs is built by the first
+//! [`FunctionCtx::fs`] / [`FunctionCtx::fs_mut`] call — a function that only
+//! uses [`FunctionCtx::inputs`] and [`FunctionCtx::push_output`] never pays
+//! for a directory tree.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
 
-use dandelion_common::{DataItem, DataSet};
+use dandelion_common::{DataItem, DataSet, SharedBytes};
 use dandelion_vfs::{VfsPath, VirtualFs};
 
 use crate::policy::{SyscallDisposition, SyscallPolicy};
@@ -68,13 +76,15 @@ where
 pub struct FunctionArtifact {
     /// The function name used in compositions.
     pub name: String,
-    /// Synthetic binary bytes; the length models the real binary size and is
-    /// what gets "loaded" into the memory context.
-    pub binary: Arc<Vec<u8>>,
+    /// Synthetic binary bytes, built once; the length models the real binary
+    /// size and every sandbox of the function maps this one buffer into its
+    /// memory context by reference.
+    pub binary: SharedBytes,
     /// Declared memory requirement (context capacity), in bytes.
     pub memory_requirement: usize,
-    /// Declared output set names, harvested after execution.
-    pub output_sets: Vec<String>,
+    /// Declared output set names, harvested after execution; shared with
+    /// every [`FunctionCtx`] of the function.
+    pub output_sets: Arc<[String]>,
     /// The executable logic.
     pub logic: Arc<dyn ComputeLogic>,
 }
@@ -100,7 +110,7 @@ impl FunctionArtifact {
     ) -> Self {
         Self {
             name: name.into(),
-            binary: Arc::new(vec![0xD4; 64 * 1024]),
+            binary: SharedBytes::from_vec(vec![0xD4; 64 * 1024]),
             memory_requirement: 16 * 1024 * 1024,
             output_sets: output_sets.iter().map(|s| s.to_string()).collect(),
             logic: Arc::new(logic),
@@ -109,7 +119,7 @@ impl FunctionArtifact {
 
     /// Overrides the synthetic binary size.
     pub fn with_binary_size(mut self, bytes: usize) -> Self {
-        self.binary = Arc::new(vec![0xD4; bytes]);
+        self.binary = SharedBytes::from_vec(vec![0xD4; bytes]);
         self
     }
 
@@ -131,36 +141,64 @@ pub struct SyscallAttempt {
 
 /// The execution context handed to user code.
 pub struct FunctionCtx {
-    inputs: Vec<DataSet>,
-    fs: VirtualFs,
-    output_sets: Vec<String>,
+    inputs: Arc<[DataSet]>,
+    /// The `/<set>/<item>` view of the inputs, built on first use.
+    fs: OnceCell<VirtualFs>,
+    /// Bounds the filesystem, mirroring the memory context capacity.
+    capacity: usize,
+    output_sets: Arc<[String]>,
     staged_outputs: Vec<DataSet>,
-    policy: SyscallPolicy,
+    policy: Arc<SyscallPolicy>,
     syscall_attempts: Vec<SyscallAttempt>,
-    faulted: Option<String>,
+    /// Set by a denied syscall or by inputs that have no filesystem view; a
+    /// cell because the latter is found out behind `&self`.
+    faulted: OnceCell<String>,
 }
 
 impl FunctionCtx {
     /// Builds a context from materialized inputs.
     ///
-    /// `capacity` bounds the virtual filesystem, mirroring the memory
-    /// context capacity.
+    /// Every argument is taken either owned (`Vec<DataSet>`, `Vec<String>`,
+    /// `SyscallPolicy`) or already shared (`Arc<[DataSet]>`, `Arc<[String]>`,
+    /// `Arc<SyscallPolicy>`); the backend passes the shared forms, so a
+    /// sandbox's context costs reference counts only. `capacity` bounds the
+    /// virtual filesystem, mirroring the memory context capacity.
+    ///
+    /// Always `Ok`: inputs that cannot be laid out as `/<set>/<item>` files
+    /// fault the function when it first asks for the filesystem (see
+    /// [`FunctionCtx::fs`]), not here. The `Result` is what callers compile
+    /// against.
     pub fn new(
-        inputs: Vec<DataSet>,
-        output_sets: Vec<String>,
+        inputs: impl Into<Arc<[DataSet]>>,
+        output_sets: impl Into<Arc<[String]>>,
         capacity: usize,
-        policy: SyscallPolicy,
+        policy: impl Into<Arc<SyscallPolicy>>,
     ) -> Result<Self, FunctionError> {
-        let fs = VirtualFs::from_input_sets(&inputs, capacity)
-            .map_err(|err| FunctionError(format!("failed to materialize inputs: {err}")))?;
         Ok(Self {
-            inputs,
-            fs,
-            output_sets,
+            inputs: inputs.into(),
+            fs: OnceCell::new(),
+            capacity,
+            output_sets: output_sets.into(),
             staged_outputs: Vec::new(),
-            policy,
+            policy: policy.into(),
             syscall_attempts: Vec::new(),
-            faulted: None,
+            faulted: OnceCell::new(),
+        })
+    }
+
+    /// Builds the filesystem view of the inputs if this is the first use.
+    /// Inputs without one (a set or item name that is not a usable path
+    /// component, inputs beyond the capacity) leave the view empty and fault
+    /// the function, which the backend reports after the body returns.
+    fn materialize_fs(&self) -> &VirtualFs {
+        self.fs.get_or_init(|| {
+            VirtualFs::from_input_sets(&self.inputs, self.capacity).unwrap_or_else(|err| {
+                // An earlier fault stands.
+                let _ = self
+                    .faulted
+                    .set(format!("failed to materialize inputs: {err}"));
+                VirtualFs::new(self.capacity)
+            })
         })
     }
 
@@ -189,14 +227,23 @@ impl FunctionCtx {
         Ok(&set.items[0])
     }
 
-    /// Read-only access to the virtual filesystem.
+    /// Read-only access to the virtual filesystem: every input item is a
+    /// file at `/<set>/<item>` carrying the item's key and sharing its
+    /// buffer.
     pub fn fs(&self) -> &VirtualFs {
-        &self.fs
+        self.materialize_fs()
     }
 
     /// Mutable access to the virtual filesystem.
     pub fn fs_mut(&mut self) -> &mut VirtualFs {
-        &mut self.fs
+        self.materialize_fs();
+        self.fs.get_mut().expect("materialized above")
+    }
+
+    /// Whether the filesystem view has been built.
+    #[cfg(test)]
+    pub(crate) fn fs_materialized(&self) -> bool {
+        self.fs.get().is_some()
     }
 
     /// The declared output set names.
@@ -251,7 +298,7 @@ impl FunctionCtx {
             SyscallDisposition::Stub { errno } => Ok(-errno),
             SyscallDisposition::Terminate => {
                 let message = format!("attempted forbidden syscall `{name}`");
-                self.faulted = Some(message.clone());
+                self.faulted = OnceCell::from(message.clone());
                 Err(FunctionError(message))
             }
         }
@@ -262,28 +309,39 @@ impl FunctionCtx {
         &self.syscall_attempts
     }
 
-    /// Returns the fault recorded by a denied syscall, if any.
+    /// Returns the fault recorded by a denied syscall or by inputs that
+    /// could not be laid out as files, if any.
     pub fn fault(&self) -> Option<&str> {
-        self.faulted.as_deref()
+        self.faulted.get().map(String::as_str)
     }
 
-    /// Collects the function's outputs: explicitly staged items first, then
-    /// any files written under declared output-set directories in the
-    /// filesystem. Every declared set is present in the result (possibly
-    /// empty), in declaration order.
+    /// Collects the function's outputs: explicitly staged items first (moved
+    /// out, not cloned), then any files under declared output-set
+    /// directories in the filesystem — which is consulted only if the
+    /// function ever asked for it, since only then can it hold anything it
+    /// wrote. (The view holds the inputs too: an input set named like a
+    /// declared output set is harvested with it.) Every declared set is
+    /// present in the result (possibly empty), in declaration order.
     pub fn take_outputs(&mut self) -> Vec<DataSet> {
-        let from_fs = self.fs.harvest_output_sets(&self.output_sets);
-        let mut outputs = Vec::with_capacity(self.output_sets.len());
-        for (index, set_name) in self.output_sets.iter().enumerate() {
-            let mut set = DataSet::new(set_name.clone());
-            if let Some(staged) = self.staged_outputs.iter().find(|s| &s.name == set_name) {
-                set.items.extend(staged.items.iter().cloned());
-            }
-            set.items.extend(from_fs[index].items.iter().cloned());
-            outputs.push(set);
-        }
-        self.staged_outputs.clear();
-        outputs
+        let mut staged = std::mem::take(&mut self.staged_outputs);
+        let mut from_fs = self
+            .fs
+            .get()
+            .map(|fs| fs.harvest_output_sets(&self.output_sets));
+        self.output_sets
+            .iter()
+            .enumerate()
+            .map(|(index, set_name)| {
+                let mut set = match staged.iter().position(|s| &s.name == set_name) {
+                    Some(position) => staged.swap_remove(position),
+                    None => DataSet::new(set_name.clone()),
+                };
+                if let Some(from_fs) = &mut from_fs {
+                    set.items.append(&mut from_fs[index].items);
+                }
+                set
+            })
+            .collect()
     }
 }
 
@@ -325,6 +383,70 @@ mod tests {
         assert!(ctx.single_input("missing").is_err());
         let listing = ctx.fs().list_dir(&VfsPath::new("/request")).unwrap();
         assert_eq!(listing, vec!["request.0"]);
+    }
+
+    #[test]
+    fn a_function_that_never_asks_for_the_fs_builds_none() {
+        let mut ctx = sample_ctx();
+        let request = ctx.single_input("request").unwrap().data.clone();
+        ctx.push_output_bytes("response", "r0", request).unwrap();
+        let outputs = ctx.take_outputs();
+        assert_eq!(outputs[0].items[0].data.as_slice(), b"GET /logs");
+        assert!(
+            !ctx.fs_materialized(),
+            "inputs(), push_output() and take_outputs() must not build the VFS"
+        );
+        // The first fs() call builds it, once.
+        assert!(ctx.fs().exists(&VfsPath::new("/request/request.0")));
+        assert!(ctx.fs_materialized());
+    }
+
+    #[test]
+    fn the_fs_view_holds_every_input_with_its_key_and_buffer() {
+        let inputs = vec![
+            DataSet::with_items(
+                "logs",
+                vec![
+                    DataItem::with_key("a.log", "west", b"alpha".to_vec()),
+                    DataItem::new("b.log", b"beta".to_vec()),
+                ],
+            ),
+            DataSet::single("token", b"secret".to_vec()),
+        ];
+        let ctx = FunctionCtx::new(
+            inputs.clone(),
+            vec!["out".to_string()],
+            1024,
+            SyscallPolicy::strict(),
+        )
+        .unwrap();
+        for set in &inputs {
+            for item in &set.items {
+                let path = VfsPath::set_item(&set.name, &item.name);
+                let file = ctx.fs().read_file_shared(&path).unwrap();
+                assert!(SharedBytes::same_buffer(&file, &item.data), "{path}");
+                assert_eq!(ctx.fs().metadata(&path).unwrap().key, item.key, "{path}");
+            }
+        }
+        assert_eq!(ctx.fs().used_bytes(), 15);
+        assert!(ctx.fault().is_none());
+    }
+
+    #[test]
+    fn inputs_without_a_filesystem_view_fault_on_first_use_only() {
+        // 9 input bytes cannot be laid out in a 4-byte filesystem.
+        let ctx = FunctionCtx::new(
+            vec![DataSet::single("request", b"GET /logs".to_vec())],
+            vec!["response".to_string()],
+            4,
+            SyscallPolicy::strict(),
+        )
+        .unwrap();
+        assert_eq!(ctx.inputs().len(), 1);
+        assert!(ctx.fault().is_none());
+        assert!(!ctx.fs().exists(&VfsPath::new("/request")));
+        let fault = ctx.fault().expect("the failed materialization is a fault");
+        assert!(fault.starts_with("failed to materialize inputs"), "{fault}");
     }
 
     #[test]

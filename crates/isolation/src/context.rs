@@ -16,20 +16,26 @@
 //! [`MemoryContext::import`] attaches a producer's exported view to a
 //! consumer context without copying — modeling the page remapping the real
 //! backends perform. The explicit byte copy survives only as the documented
-//! portable fallback, [`MemoryContext::transfer_to`], and as copy-on-write
-//! when a frozen region with outstanding views is written again.
-
+//! portable fallback, [`MemoryContext::transfer_to`] (with
+//! [`MemoryContext::append`] / [`MemoryContext::write`] underneath it), and
+//! as copy-on-write when a frozen region with outstanding views is written
+//! again.
 //!
 //! # Pooled arenas
 //!
-//! Sandbox setup/teardown is the per-invocation hot path, so a context's
-//! own region is drawn from the process-wide
-//! [`BufferPool`](dandelion_common::pool::BufferPool) instead of the global
-//! allocator: the first committed write acquires a pooled arena, and
-//! [`MemoryContext::clear`] (or dropping the context) recycles it — including
-//! a frozen region whose exported views have all been dropped. Steady-state
-//! invocation turnover therefore allocates nothing. Regions above the
-//! largest pool class fall back to plain allocation transparently.
+//! A context owns an arena only if something is *written* into its own
+//! region. The sandbox lifecycle writes nothing: the function binary, the
+//! inputs, the output frame and the outputs are all attached with
+//! [`MemoryContext::import`], so a task's context is a capacity, a
+//! high-water mark and a list of references — it acquires no arena, zeroes
+//! nothing and copies nothing. For the callers that do write (the copy
+//! fallback above, tests, baselines) the own region is drawn from the
+//! process-wide [`BufferPool`](dandelion_common::pool::BufferPool) instead
+//! of the global allocator: the first committed write acquires a pooled
+//! arena, and [`MemoryContext::clear`] (or dropping the context) recycles it
+//! — including a frozen region whose exported views have all been dropped.
+//! Regions above the largest pool class fall back to plain allocation
+//! transparently.
 
 use std::sync::Arc;
 

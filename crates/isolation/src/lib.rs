@@ -2,7 +2,7 @@
 //!
 //! Dandelion executes untrusted *pure compute functions* inside lightweight
 //! sandboxes. The platform prepares an isolated [`MemoryContext`] for each
-//! function instance, loads the function binary and its inputs into the
+//! function instance, maps the function binary and attaches its inputs to the
 //! context, runs the function through one of several [`IsolationBackend`]s,
 //! and parses the outputs the function left behind (paper §5, §6.2).
 //!
@@ -13,8 +13,9 @@
 //! replaced by an in-process bounds-checked execution with a calibrated cost
 //! model (see `DESIGN.md` §1 for the substitution rationale):
 //!
-//! * every backend really materializes inputs, invokes the function against a
-//!   capacity-bounded virtual filesystem, serializes the outputs into the
+//! * every backend really accounts binary and inputs against the context's
+//!   capacity, invokes the function with a capacity-bounded virtual
+//!   filesystem on demand, serializes the outputs into the
 //!   memory context using the binary descriptor format of
 //!   [`output_parser`], and re-parses them exactly as the trusted engine
 //!   would;

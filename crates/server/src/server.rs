@@ -298,9 +298,13 @@ impl Server {
             // Pin inside the spawned thread: affinity is per thread, and a
             // pin failure (restrictive cpuset) degrades to an unpinned loop.
             let pin = config.pin_cores.then_some(index % cores);
+            // The kernel keeps 15 bytes of a thread name: short enough that
+            // the loop index and the port both survive, so `top -H` and
+            // `/proc/<pid>/task/*/comm` tell the loops of one server apart,
+            // and the servers of one process.
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("dandelion-loop-{index}"))
+                    .name(format!("dl-loop{index}@{}", addr.port()))
                     .spawn(move || {
                         if let Some(core) = pin {
                             let _ = pin_thread_to_core(core);

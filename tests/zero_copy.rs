@@ -3,16 +3,35 @@
 //! outputs as views of the producer's buffer (`Arc`-identity, not just
 //! equal bytes).
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::failpoint::{self, FailAction};
 use dandelion_common::{DataItem, DataSet, SharedBytes};
 use dandelion_core::worker::{default_test_services, WorkerNode};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 use parking_lot::Mutex;
 
 const PAYLOAD_BYTES: usize = 1024 * 1024;
+
+/// The failpoint registry is process-wide and one test here arms it: that
+/// test holds this lock for writing, every test that runs engines for
+/// reading, so the parallel test runner never shows a test someone else's
+/// injected panic.
+static FAILPOINTS: RwLock<()> = RwLock::new(());
+
+fn no_faults() -> RwLockReadGuard<'static, ()> {
+    FAILPOINTS
+        .read()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn faults_mine() -> RwLockWriteGuard<'static, ()> {
+    FAILPOINTS
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn worker() -> Arc<WorkerNode> {
     WorkerNode::start_with_control(
@@ -47,6 +66,7 @@ fn capturing_relay(name: &str, seen: Arc<Mutex<Vec<SharedBytes>>>) -> FunctionAr
 /// buffer the client allocated.
 #[test]
 fn client_input_reaches_the_function_without_copying() {
+    let _quiet = no_faults();
     let worker = worker();
     let seen = Arc::new(Mutex::new(Vec::new()));
     worker
@@ -79,12 +99,75 @@ fn client_input_reaches_the_function_without_copying() {
     worker.shutdown();
 }
 
+/// The buffer the dispatcher submits is the buffer `ctx.inputs()` shows the
+/// function — across the engine queue, the backend and the function's
+/// context — and it still is when the engine dies between executing the task
+/// and replying, and supervision requeues the task onto a fresh engine: the
+/// retry runs on the very inputs the first attempt had, not on a copy taken
+/// for safekeeping.
+#[test]
+fn a_requeued_task_still_sees_the_submitted_buffers() {
+    let _exclusive = faults_mine();
+    failpoint::clear();
+    let worker = worker();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen_by_fn = Arc::clone(&seen);
+    worker
+        .register_function(
+            FunctionArtifact::new("Relay", &["Out"], move |ctx: &mut FunctionCtx| {
+                let item = ctx.inputs()[0].items[0].clone();
+                let mut seen = seen_by_fn.lock();
+                seen.push(item.data.clone());
+                if seen.len() == 2 {
+                    // The retry: let this one be delivered.
+                    failpoint::remove("engine/reply");
+                }
+                drop(seen);
+                ctx.push_output("Out", item)
+            })
+            .with_memory_requirement(64 * 1024 * 1024),
+        )
+        .unwrap();
+    worker
+        .register_composition_dsl(
+            "composition Identity(In) => Out { Relay(Items = all In) => (Out = Out); }",
+        )
+        .unwrap();
+
+    let payload = SharedBytes::from_vec(vec![0xE1; PAYLOAD_BYTES]);
+    let inputs = vec![DataSet::with_items(
+        "In",
+        vec![DataItem::new("blob", payload.clone())],
+    )];
+    // The first engine to finish the task dies before replying.
+    failpoint::configure("engine/reply", FailAction::Panic, 1.0);
+    let outcome = worker.invoke("Identity", inputs);
+    failpoint::clear();
+    let outcome = outcome.unwrap();
+
+    assert_eq!(worker.compute_pool().engine_deaths(), 1);
+    let seen = seen.lock();
+    assert_eq!(seen.len(), 2, "one attempt that died, one retry");
+    for (attempt, received) in seen.iter().enumerate() {
+        assert!(
+            SharedBytes::same_buffer(received, &payload),
+            "attempt {attempt} must read the submitted buffer, not a copy"
+        );
+    }
+    assert!(SharedBytes::same_buffer(
+        &outcome.outputs[0].items[0].data,
+        &payload
+    ));
+    worker.shutdown();
+}
+
 /// A producer's staged outputs cross the composition edge into every
 /// fan-out instance of the consumer — and on into the external outputs —
 /// without any payload copy: all observed views share the producer's
 /// allocations.
 #[test]
 fn composition_edges_share_the_producers_buffers() {
+    let _quiet = no_faults();
     let worker = worker();
     let produced = Arc::new(Mutex::new(Vec::new()));
     let produced_for_fn = Arc::clone(&produced);
@@ -150,6 +233,7 @@ fn composition_edges_share_the_producers_buffers() {
 /// outputs.
 #[test]
 fn builder_frozen_payloads_reach_outputs_without_copying() {
+    let _quiet = no_faults();
     use dandelion_common::SharedBytesMut;
     let worker = worker();
     let frozen = Arc::new(Mutex::new(Vec::new()));
@@ -221,6 +305,7 @@ fn http_rope_serialization_attaches_bodies_by_reference() {
 /// above) keep full sharing.
 #[test]
 fn retained_slivers_do_not_pin_their_parent_buffers() {
+    let _quiet = no_faults();
     let worker = worker();
     worker
         .register_function(
@@ -261,6 +346,7 @@ fn retained_slivers_do_not_pin_their_parent_buffers() {
 /// the driver thread still delivers the producer's buffer.
 #[test]
 fn submitted_invocations_preserve_sharing() {
+    let _quiet = no_faults();
     let worker = worker();
     let seen = Arc::new(Mutex::new(Vec::new()));
     worker
