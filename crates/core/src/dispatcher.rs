@@ -21,7 +21,7 @@
 //! table, linked to the parent instance that spawned them; a child's
 //! completion flows back into the parent exactly like an engine result.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -35,7 +35,7 @@ use dandelion_common::{fail_point, DandelionError, DandelionResult, DataSet, Inv
 use dandelion_dsl::CompositionGraph;
 use parking_lot::Mutex;
 
-use crate::invocation::{InstanceSpec, InvocationState};
+use crate::invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 use crate::registry::{Registry, Vertex};
 use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
 
@@ -180,6 +180,9 @@ pub struct DispatchMetrics {
     pub communication_tasks: AtomicU64,
     /// Invocations currently registered and not yet terminal.
     pub inflight: AtomicU64,
+    /// Settled invocations whose result the in-flight table still holds for
+    /// polling (submitted, neither consumed nor expired).
+    pub retained_results: AtomicU64,
     /// End-to-end latency of completed invocations: fixed size however
     /// long the node serves, recorded without a lock.
     pub latency: LatencyHistogram,
@@ -193,13 +196,15 @@ impl Default for DispatchMetrics {
             compute_tasks: AtomicU64::new(0),
             communication_tasks: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
+            retained_results: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         }
     }
 }
 
-/// A one-shot callback fired when an invocation settles, carrying a clone
-/// of the outcome (the retained result stays pollable). Registered through
+/// A one-shot callback fired when an invocation settles. It receives the
+/// outcome itself, not a copy: the result is consumed and the table entry
+/// released, as by [`InvocationHandle::wait`]. Registered through
 /// [`InvocationHandle::on_settle`]; invoked on the dispatcher driver thread
 /// (or the registering thread when the invocation already settled), never
 /// while an entry lock is held — so the callback may use the table freely.
@@ -221,14 +226,10 @@ struct EntryInner {
     report: InvocationReport,
     /// Engine tasks plus child invocations currently outstanding.
     outstanding: usize,
-    /// Instances whose completion was already applied. A supervised engine
-    /// retry can deliver a result for an instance that settled just before
-    /// the original engine died — the duplicate must be dropped, never
-    /// folded into the dataflow a second time.
-    completed: HashSet<(usize, usize)>,
-    /// The settled result; `take`n by the first consumer.
+    /// The settled result of an invocation nobody was waiting for through a
+    /// callback or a parent; `take`n by the first consumer.
     outcome: Option<DandelionResult<InvocationOutcome>>,
-    /// Fired (with a clone of the outcome) when the invocation settles.
+    /// Handed the outcome when the invocation settles.
     notify: Option<SettleCallback>,
     parent: Option<ParentLink>,
     started: Instant,
@@ -243,6 +244,9 @@ struct InvocationEntry {
     composition: String,
     inner: StdMutex<EntryInner>,
     settled: Condvar,
+    /// Set while the table holds this entry's settled result for polling;
+    /// owned by [`InFlightTable`], which counts the entries that have it set.
+    retained: AtomicBool,
 }
 
 impl InvocationEntry {
@@ -254,7 +258,6 @@ impl InvocationEntry {
                 dataflow: Some(state),
                 report: InvocationReport::default(),
                 outstanding: 0,
-                completed: HashSet::new(),
                 outcome: None,
                 notify: None,
                 parent,
@@ -262,6 +265,7 @@ impl InvocationEntry {
                 last_progress: Instant::now(),
             }),
             settled: Condvar::new(),
+            retained: AtomicBool::new(false),
         }
     }
 
@@ -270,9 +274,13 @@ impl InvocationEntry {
     }
 }
 
-/// The shared table of every invocation the dispatcher knows about:
-/// queued, running, and recently finished (retained for result polling up
-/// to the configured retention, after which polling reports not-found).
+/// The shared table of every invocation the dispatcher knows about: queued,
+/// running, and — for invocations that were submitted to be polled —
+/// recently finished, retained for result polling up to the configured
+/// retention, after which polling reports not-found. An invocation whose
+/// outcome goes to a settle callback (every sync `/v1/invoke` of the
+/// network server) or to a parent invocation is never retained: its entry
+/// leaves the table the moment it settles.
 ///
 /// The table is split into [`IN_FLIGHT_SHARDS`] shards keyed by invocation
 /// id, so concurrent submitters, pollers and the driver thread only contend
@@ -289,16 +297,19 @@ struct InFlightTable {
     shards: Vec<StdMutex<HashMap<u64, Arc<InvocationEntry>>>>,
     finished: StdMutex<VecDeque<u64>>,
     retention: usize,
+    /// `retained_results` counts the entries retained here.
+    metrics: Arc<DispatchMetrics>,
 }
 
 impl InFlightTable {
-    fn new(retention: usize) -> Self {
+    fn new(retention: usize, metrics: Arc<DispatchMetrics>) -> Self {
         Self {
             shards: (0..in_flight_shard_count())
                 .map(|_| StdMutex::new(HashMap::new()))
                 .collect(),
             finished: StdMutex::new(VecDeque::new()),
             retention: retention.max(1),
+            metrics,
         }
     }
 
@@ -316,13 +327,24 @@ impl InFlightTable {
         self.shard(id.as_u64()).get(&id.as_u64()).cloned()
     }
 
+    /// Releases an entry: its result was consumed, handed over, or expired.
     fn remove(&self, id: InvocationId) {
-        self.shard(id.as_u64()).remove(&id.as_u64());
+        let removed = self.shard(id.as_u64()).remove(&id.as_u64());
+        if removed.is_some_and(|entry| entry.retained.swap(false, Ordering::Relaxed)) {
+            // Relaxed: a statistic, it publishes no other data.
+            self.metrics
+                .retained_results
+                .fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
-    /// Records a settled invocation and expires the oldest retained results
-    /// beyond the retention limit.
-    fn mark_finished(&self, id: InvocationId) {
+    /// Retains a settled invocation's result for polling and expires the
+    /// oldest retained results beyond the retention limit.
+    fn retain_finished(&self, id: InvocationId, entry: &InvocationEntry) {
+        entry.retained.store(true, Ordering::Relaxed);
+        self.metrics
+            .retained_results
+            .fetch_add(1, Ordering::Relaxed);
         let expired: Vec<u64> = {
             let mut finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
             finished.push_back(id.as_u64());
@@ -330,7 +352,7 @@ impl InFlightTable {
             finished.drain(..excess).collect()
         };
         for id in expired {
-            self.shard(id).remove(&id);
+            self.remove(InvocationId::from_raw(id));
         }
     }
 
@@ -352,11 +374,16 @@ impl InFlightTable {
 ///
 /// The handle does not pin a thread: the invocation advances on the engine
 /// and driver threads whether or not anyone is watching. Results are
-/// consumed exactly once — the first successful [`try_result`] or [`wait`]
-/// takes the outcome and releases the table entry.
+/// consumed exactly once — the first successful [`try_result`] or [`wait`],
+/// or the [`on_settle`] callback, takes the outcome and releases the table
+/// entry. Until one of them does, the settled result stays in the table for
+/// polling by id ([`Dispatcher::poll`], [`wait_snapshot`]) up to the
+/// configured retention.
 ///
 /// [`try_result`]: InvocationHandle::try_result
 /// [`wait`]: InvocationHandle::wait
+/// [`on_settle`]: InvocationHandle::on_settle
+/// [`wait_snapshot`]: InvocationHandle::wait_snapshot
 pub struct InvocationHandle {
     id: InvocationId,
     entry: Arc<InvocationEntry>,
@@ -379,9 +406,13 @@ impl InvocationHandle {
         self.entry.lock().status
     }
 
-    /// Registers a one-shot callback fired when the invocation settles,
-    /// with a clone of the outcome (the retained result stays pollable by
-    /// id until retention expiry).
+    /// Registers a one-shot callback fired when the invocation settles.
+    /// The callback consumes the result as [`InvocationHandle::wait`] does:
+    /// it receives the outcome by move and the table entry is released, so
+    /// nothing is retained for an invocation nobody can poll. Registering
+    /// after settlement takes the retained outcome the same way; if it was
+    /// already taken the callback gets a dispatch error, like a second
+    /// `wait`.
     ///
     /// This is the asynchronous completion hook of the serving layer: an
     /// event loop submits an invocation, parks the connection, and the
@@ -400,17 +431,14 @@ impl InvocationHandle {
         let immediate = {
             let mut inner = self.entry.lock();
             if inner.status.is_terminal() {
-                Some(inner.outcome.clone().unwrap_or_else(|| {
-                    Err(DandelionError::Dispatch(
-                        "invocation result was already taken".to_string(),
-                    ))
-                }))
+                Some(inner.outcome.take().unwrap_or_else(already_taken))
             } else {
                 inner.notify = callback.take();
                 None
             }
         };
         if let (Some(callback), Some(outcome)) = (callback, immediate) {
+            self.table.remove(self.id);
             callback(outcome);
         }
     }
@@ -443,11 +471,7 @@ impl InvocationHandle {
             inner.outcome.take()
         };
         self.table.remove(self.id);
-        outcome.unwrap_or_else(|| {
-            Err(DandelionError::Dispatch(
-                "invocation result was already taken".to_string(),
-            ))
-        })
+        outcome.unwrap_or_else(already_taken)
     }
 
     /// Blocks until the invocation settles and returns a clone of the
@@ -456,11 +480,7 @@ impl InvocationHandle {
     /// both its backends behave identically.
     pub fn wait_snapshot(&self, timeout: Option<Duration>) -> DandelionResult<InvocationOutcome> {
         let inner = self.wait_settled(timeout)?;
-        inner.outcome.clone().unwrap_or_else(|| {
-            Err(DandelionError::Dispatch(
-                "invocation result was already taken".to_string(),
-            ))
-        })
+        inner.outcome.clone().unwrap_or_else(already_taken)
     }
 
     /// Waits until the entry is terminal and returns the guard.
@@ -498,6 +518,13 @@ impl InvocationHandle {
         }
         Ok(inner)
     }
+}
+
+/// What a consumer gets when an earlier one already took the result.
+fn already_taken() -> DandelionResult<InvocationOutcome> {
+    Err(DandelionError::Dispatch(
+        "invocation result was already taken".to_string(),
+    ))
 }
 
 impl std::fmt::Debug for InvocationHandle {
@@ -628,7 +655,10 @@ impl Dispatcher {
             registry,
             compute_queue,
             communication_queue,
-            table: Arc::new(InFlightTable::new(config.completed_retention)),
+            table: Arc::new(InFlightTable::new(
+                config.completed_retention,
+                Arc::clone(&metrics),
+            )),
             config,
             cold_draw_state: AtomicU64::new(COLD_DRAW_SEED),
             results: results_tx,
@@ -672,7 +702,7 @@ impl Dispatcher {
                 // entry existed, in which case nothing would ever settle
                 // it. Re-check and cancel the fresh entry ourselves.
                 if self.core.shutting_down.load(Ordering::SeqCst) {
-                    self.core.cancel_entry(&entry);
+                    self.core.cancel_entry(id, &entry);
                     return Err(DandelionError::Cancelled);
                 }
                 // Engine-queue back-pressure during the initial submission
@@ -891,13 +921,15 @@ impl DispatcherCore {
         }
         let mut check_ready = completion.is_none();
         if let Some(completion) = completion {
-            if !inner
-                .completed
-                .insert((completion.node, completion.instance))
-            {
+            let applied = inner
+                .dataflow
+                .as_mut()
+                .expect("running invocations keep their dataflow state")
+                .complete_instance(completion.node, completion.instance, completion.outcome);
+            if applied == Ok(InstanceCompletion::Duplicate) {
                 // A duplicate result for an instance that already completed
                 // (an engine died after replying and its retry ran anyway):
-                // settling it twice would corrupt the dataflow counters.
+                // counting it twice would corrupt `outstanding`.
                 return out;
             }
             inner.last_progress = Instant::now();
@@ -907,16 +939,8 @@ impl DispatcherCore {
             if let Some(child_report) = &completion.child_report {
                 inner.report.merge(child_report);
             }
-            let dataflow = inner
-                .dataflow
-                .as_mut()
-                .expect("running invocations keep their dataflow state");
-            match dataflow.complete_instance(
-                completion.node,
-                completion.instance,
-                completion.outcome,
-            ) {
-                Ok(finished_node) => check_ready = finished_node,
+            match applied {
+                Ok(applied) => check_ready = applied == InstanceCompletion::NodeFinished,
                 Err(error) => {
                     self.settle(id, entry, inner, Err(error), &mut out);
                     return out;
@@ -924,24 +948,28 @@ impl DispatcherCore {
             }
         }
         if check_ready {
-            let ready = {
-                let dataflow = inner
-                    .dataflow
-                    .as_mut()
-                    .expect("running invocations keep their dataflow state");
-                match dataflow.ready_instances() {
-                    Ok(ready) => ready,
-                    Err(error) => {
-                        self.settle(id, entry, inner, Err(error), &mut out);
-                        return out;
-                    }
-                }
+            // The ready instances borrow the graph through `dataflow`, so the
+            // other fields they are submitted against are borrowed beside it.
+            let EntryInner {
+                dataflow,
+                report,
+                outstanding,
+                ..
+            } = &mut *inner;
+            let failure = match dataflow
+                .as_mut()
+                .expect("running invocations keep their dataflow state")
+                .ready_instances()
+            {
+                Ok(ready) => ready.into_iter().find_map(|spec| {
+                    self.submit_instance(id, spec, report, outstanding, &mut out)
+                        .err()
+                }),
+                Err(error) => Some(error),
             };
-            for spec in ready {
-                if let Err(error) = self.submit_instance(id, spec, inner, &mut out) {
-                    self.settle(id, entry, inner, Err(error), &mut out);
-                    return out;
-                }
+            if let Some(error) = failure {
+                self.settle(id, entry, inner, Err(error), &mut out);
+                return out;
             }
         }
         let complete = inner.outstanding == 0
@@ -966,20 +994,21 @@ impl DispatcherCore {
     fn submit_instance(
         &self,
         id: InvocationId,
-        spec: InstanceSpec,
-        inner: &mut EntryInner,
+        spec: InstanceSpec<'_>,
+        report: &mut InvocationReport,
+        outstanding: &mut usize,
         out: &mut Vec<WorkItem>,
     ) -> DandelionResult<()> {
         let vertex =
             self.registry
-                .resolve(&spec.vertex)
+                .resolve(spec.vertex)
                 .ok_or_else(|| DandelionError::NotFound {
                     kind: "vertex",
-                    name: spec.vertex.clone(),
+                    name: spec.vertex.to_string(),
                 })?;
         match vertex {
             Vertex::Compute(artifact) => {
-                inner.report.compute_tasks += 1;
+                report.compute_tasks += 1;
                 let cold_binary =
                     draw_cold_binary(&self.cold_draw_state, self.config.binary_cold_load_ratio);
                 let task = Task {
@@ -999,15 +1028,14 @@ impl DispatcherCore {
                 self.compute_queue.try_push(task).map_err(|_| {
                     DandelionError::ResourceExhausted("compute queue full".to_string())
                 })?;
-                inner.outstanding += 1;
+                *outstanding += 1;
             }
             Vertex::Communication(_) => {
-                inner.report.communication_tasks += 1;
+                report.communication_tasks += 1;
                 let response_set = spec
                     .output_sets
                     .first()
-                    .cloned()
-                    .unwrap_or_else(|| "Response".to_string());
+                    .map_or_else(|| "Response".to_string(), |output| output.set.clone());
                 let task = Task {
                     invocation: id,
                     node: spec.node,
@@ -1021,12 +1049,12 @@ impl DispatcherCore {
                 self.communication_queue.try_push(task).map_err(|_| {
                     DandelionError::ResourceExhausted("communication queue full".to_string())
                 })?;
-                inner.outstanding += 1;
+                *outstanding += 1;
             }
             Vertex::Composition(nested) => {
                 // Nested composition: a child invocation in the same table,
                 // completing the parent instance when it settles.
-                inner.outstanding += 1;
+                *outstanding += 1;
                 out.push(WorkItem::SpawnChild {
                     parent: ParentLink {
                         invocation: id,
@@ -1041,9 +1069,11 @@ impl DispatcherCore {
         Ok(())
     }
 
-    /// Settles an invocation: records the outcome, updates metrics for
-    /// top-level invocations, wakes waiters, and queues the parent's
-    /// completion for child invocations.
+    /// Settles an invocation: updates metrics for top-level invocations,
+    /// wakes waiters, and hands the outcome to whoever it belongs to — the
+    /// parent instance of a child invocation, the registered settle
+    /// callback, or, when nobody has asked for it yet, the table, which
+    /// retains it for polling. Only the last keeps the entry in the table.
     fn settle(
         &self,
         id: InvocationId,
@@ -1059,75 +1089,73 @@ impl DispatcherCore {
             return;
         }
         fail_point!("dispatcher/settle");
-        let mut result = outcome.map(|outputs| InvocationOutcome {
-            outputs,
-            report: inner.report.clone(),
-        });
-        let top_level = inner.parent.is_none();
-        if top_level {
-            // Retained results live in the table until consumed or expired;
-            // compact views that would pin a much larger parent buffer for
-            // that whole time. Child outputs are not compacted — they flow
-            // straight back into the parent's dataflow, where keeping the
-            // producer's buffer shared is the point.
-            if let Ok(outcome) = &mut result {
-                compact_retained_outputs(&mut outcome.outputs);
-            }
-            match &result {
-                Ok(outcome) => {
-                    self.metrics.invocations.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .compute_tasks
-                        .fetch_add(outcome.report.compute_tasks as u64, Ordering::Relaxed);
-                    self.metrics
-                        .communication_tasks
-                        .fetch_add(outcome.report.communication_tasks as u64, Ordering::Relaxed);
-                    self.metrics.latency.record(inner.started.elapsed());
-                }
-                Err(_) => {
-                    self.metrics.failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-        if let Some(parent) = inner.parent.take() {
-            out.push(WorkItem::Complete {
-                invocation: parent.invocation,
-                node: parent.node,
-                instance: parent.instance,
-                outcome: result
-                    .as_ref()
-                    .map(|o| o.outputs.clone())
-                    .map_err(Clone::clone),
-                context_high_water: 0,
-                modeled_latency: Duration::ZERO,
-                child_report: result.as_ref().ok().map(|o| o.report.clone()),
-            });
-        }
-        inner.status = if result.is_ok() {
+        inner.status = if outcome.is_ok() {
             InvocationStatus::Completed
         } else {
             InvocationStatus::Failed
         };
-        // The callback is deferred as a work item so it runs after this
-        // entry's lock is released; it gets a clone, the retained result
-        // stays available for polling.
-        if let Some(callback) = inner.notify.take() {
-            out.push(WorkItem::Notify {
-                callback,
-                outcome: result.clone(),
-            });
-        }
-        inner.outcome = Some(result);
         inner.dataflow = None;
         entry.settled.notify_all();
-        self.table.mark_finished(id);
+        if let Some(parent) = inner.parent.take() {
+            // A child's outputs flow straight back into the parent's
+            // dataflow (uncompacted: keeping the producer's buffer shared is
+            // the point) and its statistics fold into the parent's report.
+            out.push(WorkItem::Complete {
+                invocation: parent.invocation,
+                node: parent.node,
+                instance: parent.instance,
+                child_report: outcome.is_ok().then(|| inner.report.clone()),
+                outcome,
+                context_high_water: 0,
+                modeled_latency: Duration::ZERO,
+            });
+            self.table.remove(id);
+            return;
+        }
+        let mut result = outcome.map(|outputs| InvocationOutcome {
+            outputs,
+            report: inner.report.clone(),
+        });
+        match &result {
+            Ok(outcome) => {
+                self.metrics.invocations.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .compute_tasks
+                    .fetch_add(outcome.report.compute_tasks as u64, Ordering::Relaxed);
+                self.metrics
+                    .communication_tasks
+                    .fetch_add(outcome.report.communication_tasks as u64, Ordering::Relaxed);
+                self.metrics.latency.record(inner.started.elapsed());
+            }
+            Err(_) => {
+                self.metrics.failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
+        if let Some(callback) = inner.notify.take() {
+            // Deferred as a work item so the callback runs after this
+            // entry's lock is released.
+            out.push(WorkItem::Notify {
+                callback,
+                outcome: result,
+            });
+            self.table.remove(id);
+        } else {
+            // Retained results live in the table until consumed or expired;
+            // compact views that would pin a much larger parent buffer for
+            // that whole time.
+            if let Ok(outcome) = &mut result {
+                compact_retained_outputs(&mut outcome.outputs);
+            }
+            inner.outcome = Some(result);
+            self.table.retain_finished(id, entry);
+        }
     }
 
     /// Fails every unsettled invocation; called when the driver stops.
     fn cancel_unsettled(&self) {
-        for (_, entry) in self.table.all_entries() {
-            self.cancel_entry(&entry);
+        for (id, entry) in self.table.all_entries() {
+            self.cancel_entry(id, &entry);
         }
     }
 
@@ -1160,7 +1188,7 @@ impl DispatcherCore {
 
     /// Fails one invocation with [`DandelionError::Cancelled`]; a no-op if
     /// it already settled.
-    fn cancel_entry(&self, entry: &Arc<InvocationEntry>) {
+    fn cancel_entry(&self, id: InvocationId, entry: &Arc<InvocationEntry>) {
         let notify = {
             let mut inner = entry.lock();
             if inner.status.is_terminal() {
@@ -1171,13 +1199,18 @@ impl DispatcherCore {
                 self.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
             }
             inner.status = InvocationStatus::Failed;
-            inner.outcome = Some(Err(DandelionError::Cancelled));
             inner.dataflow = None;
             entry.settled.notify_all();
-            inner.notify.take()
+            let notify = inner.notify.take();
+            if notify.is_none() {
+                inner.outcome = Some(Err(DandelionError::Cancelled));
+            }
+            notify
         };
-        // Fired outside the entry lock, like every settle notification.
+        // Fired outside the entry lock, like every settle notification, and
+        // consuming the result like one.
         if let Some(callback) = notify {
+            self.table.remove(id);
             callback(Err(DandelionError::Cancelled));
         }
     }
@@ -1227,6 +1260,14 @@ mod tests {
         _compute_pool: EnginePool,
         _communication_pool: EnginePool,
         registry: Arc<Registry>,
+    }
+
+    fn retained_results(harness: &Harness) -> u64 {
+        harness
+            .dispatcher
+            .metrics()
+            .retained_results
+            .load(Ordering::Relaxed)
     }
 
     fn harness() -> Harness {
@@ -1411,6 +1452,10 @@ mod tests {
         // The child's tasks fold into the parent's report.
         assert_eq!(outcome.report.compute_tasks, 2);
         assert_eq!(outcome.report.communication_tasks, 1);
+        // The child's result went to the parent and the parent's to
+        // `invoke`: neither is left in the table.
+        assert!(harness.dispatcher.core.table.all_entries().is_empty());
+        assert_eq!(retained_results(&harness), 0);
     }
 
     #[test]
@@ -1633,6 +1678,7 @@ mod tests {
         assert!(harness.dispatcher.poll(handles[0].id()).is_none());
         assert!(harness.dispatcher.poll(handles[1].id()).is_some());
         assert!(harness.dispatcher.poll(handles[2].id()).is_some());
+        assert_eq!(retained_results(&harness), 2);
     }
 
     #[test]
@@ -1731,16 +1777,47 @@ mod tests {
             .expect("callback fires")
             .expect("invocation succeeds");
         assert_eq!(outcome.outputs[0].items[0].as_str(), Some("cb"));
-        // The callback got a clone: the retained result is still pollable.
-        assert!(harness.dispatcher.poll(handle.id()).is_some());
-        // Registering after settlement fires immediately, on this thread.
+        // The callback consumed the result: nothing is retained for it.
+        assert!(harness.dispatcher.poll(handle.id()).is_none());
+        assert!(harness.dispatcher.core.table.entry(handle.id()).is_none());
+        assert_eq!(retained_results(&harness), 0);
+        // Registering after settlement fires immediately, on this thread,
+        // and finds the result gone — like a second `wait`.
         let fired = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&fired);
         handle.on_settle(move |outcome| {
-            assert!(outcome.is_ok());
+            assert_eq!(
+                outcome.unwrap_err(),
+                DandelionError::Dispatch("invocation result was already taken".to_string())
+            );
             flag.store(true, Ordering::SeqCst);
         });
         assert!(fired.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn on_settle_after_settlement_takes_the_retained_outcome() {
+        let harness = harness();
+        let graph = register_copy_identity(&harness.registry);
+        let handle = harness
+            .dispatcher
+            .submit(graph, vec![DataSet::single("In", b"late".to_vec())])
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handle.status().is_terminal() {
+            assert!(Instant::now() < deadline, "invocation did not settle");
+            std::thread::yield_now();
+        }
+        // Nobody asked for the result yet: it is retained for polling.
+        assert!(harness.dispatcher.poll(handle.id()).is_some());
+        assert_eq!(retained_results(&harness), 1);
+        let taken = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&taken);
+        handle.on_settle(move |outcome| *slot.lock() = Some(outcome));
+        let outcome = taken.lock().take().expect("fires on this thread").unwrap();
+        assert_eq!(outcome.outputs[0].items[0].as_str(), Some("late"));
+        assert!(harness.dispatcher.poll(handle.id()).is_none());
+        assert_eq!(retained_results(&harness), 0);
     }
 
     #[test]
@@ -1816,7 +1893,7 @@ mod tests {
         let shards = in_flight_shard_count();
         assert!((4..=64).contains(&shards));
         assert!(shards.is_power_of_two());
-        let table = InFlightTable::new(8);
+        let table = InFlightTable::new(8, Arc::new(DispatchMetrics::default()));
         assert_eq!(table.shards.len(), shards);
     }
 

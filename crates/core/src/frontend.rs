@@ -240,6 +240,10 @@ impl Frontend {
         let mut pairs: Vec<(String, JsonValue)> = vec![
             ("inflight".into(), JsonValue::from(self.worker.inflight())),
             (
+                "retained_results".into(),
+                JsonValue::from(self.worker.retained_results()),
+            ),
+            (
                 "draining".into(),
                 JsonValue::from(self.worker.is_draining()),
             ),

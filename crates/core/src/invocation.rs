@@ -3,44 +3,78 @@
 //! The dispatcher "schedules functions by tracking input/output dependencies
 //! and determines when a function is ready to run (i.e., when all its inputs
 //! are available)" (paper §5). [`InvocationState`] is that bookkeeping as a
-//! pure state machine: the threaded dispatcher and the discrete-event
-//! simulator both drive it, so the scheduling semantics — `all`/`each`/`key`
-//! distribution, optional sets, skip-on-empty failure handling (§4.4) — are
-//! implemented exactly once.
+//! pure state machine with one user, [`crate::dispatcher`]: the scheduling
+//! semantics — `all`/`each`/`key` distribution, optional sets, skip-on-empty
+//! failure handling (§4.4) — live here and nowhere else.
+//!
+//! The state addresses data by position: a node counts the producers it
+//! still waits for, its merged outputs sit in a list indexed like the
+//! node's declared outputs, and names are read from the shared
+//! [`CompositionGraph`], never copied per invocation.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
-use dandelion_dsl::graph::{CompositionGraph, GraphNode, InputSource};
+use dandelion_common::{DandelionError, DandelionResult, DataItem, DataSet, InvocationId};
+use dandelion_dsl::graph::{CompositionGraph, GraphNode, InputSource, NodeInput, NodeOutput};
 use dandelion_dsl::Distribution;
 
-/// One executable instance of a node, with materialized inputs.
-#[derive(Debug, Clone)]
-pub struct InstanceSpec {
+/// One executable instance of a node, with materialized inputs. The vertex
+/// name and the output sets are lent from the invocation's graph.
+#[derive(Debug)]
+pub struct InstanceSpec<'g> {
     /// The node index in the composition graph.
     pub node: usize,
     /// The instance index within the node (0-based).
     pub instance: usize,
     /// The vertex name (compute function, communication function, or nested
     /// composition).
-    pub vertex: String,
+    pub vertex: &'g str,
     /// Materialized input sets, named after the node's declared input sets.
     pub inputs: Vec<DataSet>,
-    /// The node's declared output set names, in declaration order.
-    pub output_sets: Vec<String>,
+    /// The node's declared outputs, in declaration order.
+    pub output_sets: &'g [NodeOutput],
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// What [`InvocationState::complete_instance`] did with a completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InstanceCompletion {
+    /// This instance had already completed; nothing was applied. A supervised
+    /// engine retry can deliver a result for an instance that settled just
+    /// before the original engine died — the caller drops it.
+    Duplicate,
+    /// Applied; other instances of the node are still running.
+    Pending,
+    /// Applied, and it finished the node: ask for newly ready instances.
+    NodeFinished,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeStatus {
     /// Waiting for upstream nodes to finish.
     Waiting,
-    /// Instances have been handed out; `completed` of `total` finished.
-    Running { total: usize, completed: usize },
+    /// Instances have been handed out and not all of them finished.
+    Running,
     /// The node was skipped because a required input set was empty.
     Skipped,
     /// All instances finished and outputs are merged.
     Completed,
+}
+
+#[derive(Debug)]
+struct NodeState {
+    status: NodeStatus,
+    /// Distinct producer nodes that have neither completed nor been skipped.
+    pending: usize,
+    /// Instances handed out when the node started running.
+    instances: usize,
+    /// Instances that completed so far.
+    finished: usize,
+    /// Merged output items, indexed like the node's declared outputs; empty
+    /// until the node completes.
+    outputs: Vec<Vec<DataItem>>,
+    /// Per-instance results while the node is running.
+    partial: Vec<Option<Vec<DataSet>>>,
 }
 
 /// The dataflow state of one composition invocation.
@@ -48,12 +82,11 @@ enum NodeStatus {
 pub struct InvocationState {
     id: InvocationId,
     graph: Arc<CompositionGraph>,
-    external_inputs: Vec<DataSet>,
-    status: Vec<NodeStatus>,
-    /// Merged outputs per node, keyed by output-set name.
-    outputs: Vec<HashMap<String, DataSet>>,
-    /// Per-node, per-instance partial results while a node is running.
-    partial: Vec<Vec<Option<Vec<DataSet>>>>,
+    /// The client's items, indexed like the graph's external inputs.
+    external_inputs: Vec<Vec<DataItem>>,
+    nodes: Vec<NodeState>,
+    /// Nodes that have neither completed nor been skipped.
+    unsettled: usize,
     error: Option<DandelionError>,
 }
 
@@ -66,7 +99,7 @@ impl InvocationState {
     pub fn new(
         id: InvocationId,
         graph: Arc<CompositionGraph>,
-        inputs: Vec<DataSet>,
+        mut inputs: Vec<DataSet>,
     ) -> DandelionResult<Self> {
         for provided in &inputs {
             if !graph.external_inputs.contains(&provided.name) {
@@ -81,20 +114,30 @@ impl InvocationState {
             .iter()
             .map(|name| {
                 inputs
-                    .iter()
+                    .iter_mut()
                     .find(|set| &set.name == name)
-                    .cloned()
-                    .unwrap_or_else(|| DataSet::new(name.clone()))
+                    .map(|set| std::mem::take(&mut set.items))
+                    .unwrap_or_default()
             })
             .collect();
-        let node_count = graph.nodes.len();
+        let nodes: Vec<NodeState> = graph
+            .nodes
+            .iter()
+            .map(|node| NodeState {
+                status: NodeStatus::Waiting,
+                pending: node.dependencies().len(),
+                instances: 0,
+                finished: 0,
+                outputs: Vec::new(),
+                partial: Vec::new(),
+            })
+            .collect();
         Ok(Self {
             id,
+            unsettled: nodes.len(),
             graph,
             external_inputs,
-            status: vec![NodeStatus::Waiting; node_count],
-            outputs: vec![HashMap::new(); node_count],
-            partial: vec![Vec::new(); node_count],
+            nodes,
             error: None,
         })
     }
@@ -112,11 +155,7 @@ impl InvocationState {
     /// Returns `true` once every node has completed or been skipped, or an
     /// error occurred.
     pub fn is_complete(&self) -> bool {
-        self.error.is_some()
-            || self
-                .status
-                .iter()
-                .all(|status| matches!(status, NodeStatus::Completed | NodeStatus::Skipped))
+        self.error.is_some() || self.unsettled == 0
     }
 
     /// The error that aborted the invocation, if any.
@@ -131,133 +170,86 @@ impl InvocationState {
         }
     }
 
-    fn source_data(&self, node: &GraphNode, binding_index: usize) -> Option<DataSet> {
-        let binding = &node.inputs[binding_index];
-        match &binding.source {
-            InputSource::External { name } => self
-                .external_inputs
-                .iter()
-                .find(|set| &set.name == name)
-                .cloned(),
-            InputSource::Node {
-                node: producer,
-                set,
-            } => match &self.status[*producer] {
-                NodeStatus::Completed => Some(
-                    self.outputs[*producer]
-                        .get(set)
-                        .cloned()
-                        .unwrap_or_else(|| DataSet::new(set.clone())),
-                ),
-                NodeStatus::Skipped => Some(DataSet::new(set.clone())),
-                _ => None,
-            },
-        }
-    }
-
-    fn dependencies_satisfied(&self, node: &GraphNode) -> bool {
-        node.dependencies().iter().all(|dep| {
-            matches!(
-                self.status[*dep],
-                NodeStatus::Completed | NodeStatus::Skipped
-            )
-        })
-    }
-
     /// Returns the instances that became ready, transitioning their nodes to
     /// the running (or skipped) state.
     ///
     /// Call this after construction and after every completed instance; it
     /// cascades skip decisions through the DAG, so one call may settle
     /// several nodes.
-    pub fn ready_instances(&mut self) -> DandelionResult<Vec<InstanceSpec>> {
-        if self.error.is_some() {
-            return Ok(Vec::new());
-        }
+    pub fn ready_instances(&mut self) -> DandelionResult<Vec<InstanceSpec<'_>>> {
         let mut ready = Vec::new();
+        if self.error.is_some() {
+            return Ok(ready);
+        }
+        let graph: &CompositionGraph = &self.graph;
+        // Settling a node can release nodes before it in index order, so
+        // sweep until a pass releases nothing. A sweep reads two integers per
+        // node; only a node whose last producer settled is looked at.
         let mut progressed = true;
         while progressed {
             progressed = false;
-            for index in 0..self.graph.nodes.len() {
-                if self.status[index] != NodeStatus::Waiting {
+            for (index, node) in graph.nodes.iter().enumerate() {
+                let state = &self.nodes[index];
+                if state.status != NodeStatus::Waiting || state.pending > 0 {
                     continue;
-                }
-                let node = self.graph.nodes[index].clone();
-                if !self.dependencies_satisfied(&node) {
-                    continue;
-                }
-                // Materialize every input binding.
-                let mut sources = Vec::with_capacity(node.inputs.len());
-                for binding_index in 0..node.inputs.len() {
-                    let Some(data) = self.source_data(&node, binding_index) else {
-                        return Err(DandelionError::Dispatch(format!(
-                            "node {index} considered ready but an input was unavailable"
-                        )));
-                    };
-                    sources.push(data);
-                }
-                // Skip the node if any required set is empty (paper §4.4).
-                let must_skip = node
-                    .inputs
-                    .iter()
-                    .zip(&sources)
-                    .any(|(binding, data)| !binding.optional && data.is_empty());
-                if must_skip {
-                    self.status[index] = NodeStatus::Skipped;
-                    progressed = true;
-                    continue;
-                }
-                let instances = expand_instances(&node, &sources)?;
-                if instances.is_empty() {
-                    // e.g. an `each` over an empty optional set: nothing to
-                    // run, the node completes with empty outputs.
-                    self.status[index] = NodeStatus::Completed;
-                    self.outputs[index] = node
-                        .outputs
-                        .iter()
-                        .map(|output| (output.set.clone(), DataSet::new(output.set.clone())))
-                        .collect();
-                    progressed = true;
-                    continue;
-                }
-                let total = instances.len();
-                self.partial[index] = vec![None; total];
-                self.status[index] = NodeStatus::Running {
-                    total,
-                    completed: 0,
-                };
-                let output_sets: Vec<String> = node
-                    .outputs
-                    .iter()
-                    .map(|output| output.set.clone())
-                    .collect();
-                for (instance_index, inputs) in instances.into_iter().enumerate() {
-                    ready.push(InstanceSpec {
-                        node: index,
-                        instance: instance_index,
-                        vertex: node.vertex.clone(),
-                        inputs,
-                        output_sets: output_sets.clone(),
-                    });
                 }
                 progressed = true;
+                let instances = node_instances(graph, &self.external_inputs, &self.nodes, index)?;
+                let state = &mut self.nodes[index];
+                match instances {
+                    Some(instances) if !instances.is_empty() => {
+                        state.status = NodeStatus::Running;
+                        state.instances = instances.len();
+                        state.partial = vec![None; instances.len()];
+                        ready.extend(instances.into_iter().enumerate().map(
+                            |(instance, inputs)| InstanceSpec {
+                                node: index,
+                                instance,
+                                vertex: &node.vertex,
+                                inputs,
+                                output_sets: &node.outputs,
+                            },
+                        ));
+                    }
+                    // Nothing to run: the node is skipped, or — e.g. an `each`
+                    // over an empty optional set — completes with empty
+                    // outputs. Either way its consumers stop waiting for it.
+                    settled => {
+                        state.status = match settled {
+                            Some(_) => NodeStatus::Completed,
+                            None => NodeStatus::Skipped,
+                        };
+                        self.unsettled -= 1;
+                        release_consumers(graph, &mut self.nodes, index);
+                    }
+                }
             }
         }
         Ok(ready)
     }
 
-    /// Records the completion of one instance.
-    ///
-    /// Returns `true` if this completion finished the node (so the caller
-    /// should ask for newly ready instances).
+    /// Records the completion of one instance and says what it amounted to:
+    /// a duplicate (dropped), one more instance of a running node, or the
+    /// completion that finished the node.
     pub fn complete_instance(
         &mut self,
         node: usize,
         instance: usize,
         outcome: DandelionResult<Vec<DataSet>>,
-    ) -> DandelionResult<bool> {
+    ) -> DandelionResult<InstanceCompletion> {
+        let already_applied = self
+            .nodes
+            .get(node)
+            .is_some_and(|state| match state.status {
+                NodeStatus::Running => matches!(state.partial.get(instance), Some(Some(_))),
+                NodeStatus::Completed => instance < state.instances,
+                NodeStatus::Waiting | NodeStatus::Skipped => false,
+            });
+        if already_applied {
+            return Ok(InstanceCompletion::Duplicate);
+        }
         if self.error.is_some() {
-            return Ok(false);
+            return Ok(InstanceCompletion::Pending);
         }
         let outputs = match outcome {
             Ok(outputs) => outputs,
@@ -266,43 +258,45 @@ impl InvocationState {
                 return Err(error);
             }
         };
-        let NodeStatus::Running { total, completed } = self.status[node].clone() else {
-            return Err(DandelionError::Dispatch(format!(
-                "completion for node {node} which is not running"
-            )));
-        };
-        let slot = self.partial[node]
+        let state = self
+            .nodes
+            .get_mut(node)
+            .filter(|state| state.status == NodeStatus::Running)
+            .ok_or_else(|| {
+                DandelionError::Dispatch(format!("completion for node {node} which is not running"))
+            })?;
+        let slot = state
+            .partial
             .get_mut(instance)
             .ok_or_else(|| DandelionError::Dispatch(format!("instance {instance} out of range")))?;
-        if slot.is_some() {
-            return Err(DandelionError::Dispatch(format!(
-                "instance {instance} of node {node} completed twice"
-            )));
-        }
         *slot = Some(outputs);
-        let completed = completed + 1;
-        if completed < total {
-            self.status[node] = NodeStatus::Running { total, completed };
-            return Ok(false);
+        state.finished += 1;
+        if state.finished < state.instances {
+            return Ok(InstanceCompletion::Pending);
         }
         // Merge instance outputs per declared output set, instance order.
-        let graph_node = &self.graph.nodes[node];
-        let mut merged: HashMap<String, DataSet> = graph_node
-            .outputs
-            .iter()
-            .map(|output| (output.set.clone(), DataSet::new(output.set.clone())))
-            .collect();
-        for instance_outputs in self.partial[node].iter().flatten() {
-            for set in instance_outputs {
-                if let Some(target) = merged.get_mut(&set.name) {
-                    target.items.extend(set.items.iter().cloned());
+        // The items move; a set no instance appended to before is taken whole.
+        let declared = &self.graph.nodes[node].outputs;
+        let mut merged = vec![Vec::new(); declared.len()];
+        for set in std::mem::take(&mut state.partial)
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            if let Some(position) = declared.iter().position(|output| output.set == set.name) {
+                let target: &mut Vec<DataItem> = &mut merged[position];
+                if target.is_empty() {
+                    *target = set.items;
+                } else {
+                    target.extend(set.items);
                 }
             }
         }
-        self.outputs[node] = merged;
-        self.partial[node].clear();
-        self.status[node] = NodeStatus::Completed;
-        Ok(true)
+        state.outputs = merged;
+        state.status = NodeStatus::Completed;
+        self.unsettled -= 1;
+        release_consumers(&self.graph, &mut self.nodes, node);
+        Ok(InstanceCompletion::NodeFinished)
     }
 
     /// Assembles the composition's external outputs once complete.
@@ -315,79 +309,157 @@ impl InvocationState {
                 "invocation is not complete yet".to_string(),
             ));
         }
-        let mut outputs = Vec::with_capacity(self.graph.output_bindings.len());
-        for binding in &self.graph.output_bindings {
-            let mut set = self.outputs[binding.node]
-                .get(&binding.set)
-                .cloned()
-                .unwrap_or_else(|| DataSet::new(binding.set.clone()));
-            set.name = binding.name.clone();
-            outputs.push(set);
-        }
-        Ok(outputs)
+        Ok(self
+            .graph
+            .output_bindings
+            .iter()
+            .map(|binding| DataSet {
+                name: binding.name.clone(),
+                items: produced_items(&self.graph, &self.nodes, binding.node, &binding.set)
+                    .to_vec(),
+            })
+            .collect())
     }
 }
 
-/// Expands a node's materialized source sets into per-instance input sets
-/// according to the distribution keywords.
-fn expand_instances(node: &GraphNode, sources: &[DataSet]) -> DandelionResult<Vec<Vec<DataSet>>> {
-    let fanout_bindings: Vec<usize> = node
+/// Tells every waiting consumer of `settled` that it has one producer less
+/// to wait for.
+fn release_consumers(graph: &CompositionGraph, nodes: &mut [NodeState], settled: usize) {
+    for (node, state) in graph.nodes.iter().zip(nodes) {
+        let consumes = node.inputs.iter().any(
+            |binding| matches!(&binding.source, InputSource::Node { node, .. } if *node == settled),
+        );
+        if consumes && state.status == NodeStatus::Waiting {
+            state.pending -= 1;
+        }
+    }
+}
+
+/// The merged items `producer` published as `set` (none if it was skipped or
+/// declares no such set).
+fn produced_items<'a>(
+    graph: &CompositionGraph,
+    nodes: &'a [NodeState],
+    producer: usize,
+    set: &str,
+) -> &'a [DataItem] {
+    graph.nodes[producer]
+        .outputs
+        .iter()
+        .position(|output| output.set == set)
+        .and_then(|position| nodes[producer].outputs.get(position))
+        .map_or(&[], Vec::as_slice)
+}
+
+/// The items a binding of a ready node reads; `None` if the binding names an
+/// external input the graph does not declare.
+fn source_items<'a>(
+    graph: &CompositionGraph,
+    external_inputs: &'a [Vec<DataItem>],
+    nodes: &'a [NodeState],
+    binding: &NodeInput,
+) -> Option<&'a [DataItem]> {
+    match &binding.source {
+        InputSource::External { name } => graph
+            .external_inputs
+            .iter()
+            .position(|declared| declared == name)
+            .map(|position| external_inputs[position].as_slice()),
+        InputSource::Node { node, set } => Some(produced_items(graph, nodes, *node, set)),
+    }
+}
+
+/// The per-instance input sets of a node whose producers have all settled,
+/// or `None` if the node must be skipped because a required set is empty
+/// (paper §4.4).
+fn node_instances(
+    graph: &CompositionGraph,
+    external_inputs: &[Vec<DataItem>],
+    nodes: &[NodeState],
+    index: usize,
+) -> DandelionResult<Option<Vec<Vec<DataSet>>>> {
+    let node = &graph.nodes[index];
+    let mut sources = Vec::with_capacity(node.inputs.len());
+    for binding in &node.inputs {
+        let Some(items) = source_items(graph, external_inputs, nodes, binding) else {
+            return Err(DandelionError::Dispatch(format!(
+                "node {index} considered ready but an input was unavailable"
+            )));
+        };
+        sources.push(items);
+    }
+    let must_skip = node
+        .inputs
+        .iter()
+        .zip(&sources)
+        .any(|(binding, items)| !binding.optional && items.is_empty());
+    if must_skip {
+        return Ok(None);
+    }
+    expand_instances(node, &sources).map(Some)
+}
+
+/// Expands a node's source items into per-instance input sets according to
+/// the distribution keywords, each set renamed to the function-facing input
+/// set name.
+fn expand_instances(
+    node: &GraphNode,
+    sources: &[&[DataItem]],
+) -> DandelionResult<Vec<Vec<DataSet>>> {
+    let mut fanout_bindings = node
         .inputs
         .iter()
         .enumerate()
-        .filter(|(_, binding)| binding.distribution != Distribution::All)
-        .map(|(index, _)| index)
-        .collect();
-    if fanout_bindings.len() > 1 {
+        .filter(|(_, binding)| binding.distribution != Distribution::All);
+    let fanout = fanout_bindings.next();
+    if fanout_bindings.next().is_some() {
         return Err(DandelionError::Validation(format!(
             "vertex `{}` uses more than one `each`/`key` input, which is not supported",
             node.vertex
         )));
     }
-
-    // Rename each source set to the function-facing input set name.
-    let renamed: Vec<DataSet> = node
-        .inputs
-        .iter()
-        .zip(sources)
-        .map(|(binding, data)| DataSet {
-            name: binding.set.clone(),
-            items: data.items.clone(),
-        })
-        .collect();
-
-    let Some(&fanout_index) = fanout_bindings.first() else {
-        // All bindings are `all`: one instance receives everything.
-        return Ok(vec![renamed]);
+    // One instance's inputs: every binding gets all of its source's items,
+    // except the fan-out binding, which gets `share`.
+    let inputs_with = |mut share: Option<(usize, Vec<DataItem>)>| -> Vec<DataSet> {
+        node.inputs
+            .iter()
+            .zip(sources)
+            .enumerate()
+            .map(|(position, (binding, items))| DataSet {
+                name: binding.set.clone(),
+                items: match &mut share {
+                    Some((fanout, share)) if *fanout == position => std::mem::take(share),
+                    _ => items.to_vec(),
+                },
+            })
+            .collect()
     };
-
-    let binding = &node.inputs[fanout_index];
-    let fanout_set = &renamed[fanout_index];
-    let mut instances = Vec::new();
-    match binding.distribution {
-        Distribution::Each => {
-            for item in &fanout_set.items {
-                let mut inputs = renamed.clone();
-                inputs[fanout_index] = DataSet {
-                    name: binding.set.clone(),
-                    items: vec![item.clone()],
-                };
-                instances.push(inputs);
-            }
-        }
+    let Some((position, binding)) = fanout else {
+        // All bindings are `all`: one instance receives everything.
+        return Ok(vec![inputs_with(None)]);
+    };
+    Ok(match binding.distribution {
+        Distribution::Each => sources[position]
+            .iter()
+            .map(|item| inputs_with(Some((position, vec![item.clone()]))))
+            .collect(),
         Distribution::Key => {
-            for (_, items) in fanout_set.group_by_key() {
-                let mut inputs = renamed.clone();
-                inputs[fanout_index] = DataSet {
-                    name: binding.set.clone(),
-                    items,
-                };
-                instances.push(inputs);
+            // Items without a key are grouped under the empty string; groups
+            // are ordered by key so that scheduling is deterministic.
+            let mut groups: BTreeMap<&str, Vec<DataItem>> = BTreeMap::new();
+            for item in sources[position] {
+                groups
+                    .entry(item.key.as_deref().unwrap_or_default())
+                    .or_default()
+                    .push(item.clone());
             }
+            groups
+                .into_values()
+                .map(|items| inputs_with(Some((position, items))))
+                .collect()
         }
         Distribution::All => unreachable!("all-bindings are handled above"),
-    }
-    Ok(instances)
+    })
 }
 
 #[cfg(test)]
@@ -428,11 +500,16 @@ mod tests {
                 )]),
             )
             .unwrap();
-        assert!(finished);
+        assert_eq!(finished, InstanceCompletion::NodeFinished);
         let ready = state.ready_instances().unwrap();
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].vertex, "HTTP");
-        assert_eq!(ready[0].output_sets, vec!["Response"]);
+        let output_sets: Vec<&str> = ready[0]
+            .output_sets
+            .iter()
+            .map(|output| output.set.as_str())
+            .collect();
+        assert_eq!(output_sets, vec!["Response"]);
     }
 
     #[test]
@@ -461,17 +538,18 @@ mod tests {
         assert_eq!(ready.len(), 3);
         assert!(ready.iter().all(|spec| spec.inputs[0].len() == 1));
         // Completing out of order still merges in instance order.
-        for spec in ready.iter().rev() {
+        let handed_out: Vec<(usize, usize)> = ready
+            .iter()
+            .map(|spec| (spec.node, spec.instance))
+            .collect();
+        for (node, instance) in handed_out.into_iter().rev() {
             state
                 .complete_instance(
-                    spec.node,
-                    spec.instance,
+                    node,
+                    instance,
                     Ok(vec![DataSet::with_items(
                         "result",
-                        vec![DataItem::new(
-                            format!("r{}", spec.instance),
-                            vec![spec.instance as u8],
-                        )],
+                        vec![DataItem::new(format!("r{instance}"), vec![instance as u8])],
                     )]),
                 )
                 .unwrap();
@@ -567,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_and_unknown_completions_are_rejected() {
+    fn duplicate_completions_are_reported_and_unknown_ones_rejected() {
         let graph = CompositionBuilder::new("One")
             .input("In")
             .output("Out")
@@ -578,12 +656,22 @@ mod tests {
             .unwrap();
         let mut state = invocation(graph, vec![DataSet::single("In", vec![1])]);
         let _ = state.ready_instances().unwrap();
-        state
-            .complete_instance(0, 0, Ok(vec![DataSet::single("o", vec![2])]))
-            .unwrap();
+        // An instance the node never handed out.
         assert!(state
-            .complete_instance(0, 0, Ok(vec![DataSet::single("o", vec![2])]))
+            .complete_instance(0, 1, Ok(vec![DataSet::single("o", vec![2])]))
             .is_err());
+        assert_eq!(
+            state.complete_instance(0, 0, Ok(vec![DataSet::single("o", vec![2])])),
+            Ok(InstanceCompletion::NodeFinished)
+        );
+        // The same instance again changes nothing, whatever it carries.
+        assert_eq!(
+            state.complete_instance(0, 0, Err(DandelionError::Cancelled)),
+            Ok(InstanceCompletion::Duplicate)
+        );
+        assert!(state.is_complete());
+        let outputs = state.external_outputs().unwrap();
+        assert_eq!(outputs[0].items[0].data.as_slice(), &[2]);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   or a cluster behind one typed submit/poll/invoke interface.
 //!
 //! The crate is usable both as a real multi-threaded runtime (see
-//! [`worker::WorkerNode`]) and as a library of policy components (the PI
-//! controller, the invocation state machine) that the discrete-event
-//! simulator in `dandelion-sim` reuses under virtual time.
+//! [`worker::WorkerNode`]) and as a library of policy components: the
+//! discrete-event simulator in `dandelion-sim` reuses the PI controller
+//! under virtual time.
 
 pub mod client;
 pub mod cluster;

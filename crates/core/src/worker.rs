@@ -205,6 +205,13 @@ impl WorkerNode {
         self.metrics.inflight.load(Ordering::SeqCst) as usize
     }
 
+    /// Number of settled invocations whose result this node still holds for
+    /// polling by id (submitted, neither consumed nor expired).
+    pub fn retained_results(&self) -> usize {
+        // Relaxed: a statistic, it publishes no other data.
+        self.metrics.retained_results.load(Ordering::Relaxed) as usize
+    }
+
     /// The compute engine pool (supervision counters, chaos tests).
     pub fn compute_pool(&self) -> &Arc<EnginePool> {
         &self.compute_pool

@@ -379,7 +379,9 @@ impl Conn {
 
     /// Routes one parsed request: rate limit first, then the frontend.
     /// Synchronous invocations park a `Waiting` slot and hand their
-    /// completion callback the loop's inbox.
+    /// completion callback the loop's inbox. The callback is the outcome's
+    /// only consumer — a sync response carries no invocation id to poll —
+    /// so the worker hands it over by move and retains nothing.
     fn dispatch(&mut self, request: HttpRequest, shared: &Shared, me: &Arc<LoopShared>) {
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         let close = wants_close(&request);
@@ -405,8 +407,9 @@ impl Conn {
                     let me = Arc::clone(me);
                     let token = self.token;
                     // Runs on the dispatcher driver thread when the worker
-                    // settles the invocation: encode there (cheap, zero-copy
-                    // for single outputs) and wake the owning event loop.
+                    // settles the invocation and releases its table entry:
+                    // encode there (cheap, zero-copy for single outputs) and
+                    // wake the owning event loop.
                     handle.on_settle(move |outcome| {
                         me.post(LoopMsg::Complete {
                             token,

@@ -460,6 +460,90 @@ fn server_stats_are_exposed_through_v1_stats() {
     worker.shutdown();
 }
 
+/// A sync `/v1/invoke` response carries no invocation id, so nobody can poll
+/// for it: its outcome is handed to the connection and nothing stays behind
+/// in the worker. A submitted invocation is retained until it is consumed or
+/// `completed_retention` (1 024) newer ones finish. `/v1/stats` shows both.
+#[test]
+fn sync_invokes_retain_nothing_and_submitted_invocations_stay_pollable() {
+    use dandelion_common::JsonValue;
+    let (server, worker) = start_server(loopback_config());
+    let mut client =
+        HttpClientConnection::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let retained_results = |client: &mut HttpClientConnection| {
+        let response = client.request(&HttpRequest::get("/v1/stats")).unwrap();
+        let document = JsonValue::parse(&response.body_text()).expect("stats body is JSON");
+        assert_eq!(
+            document.get("inflight").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        document
+            .get("retained_results")
+            .and_then(JsonValue::as_u64)
+            .expect("retained_results gauge")
+    };
+
+    // Three times the retention limit, so retaining them would show.
+    for index in 0..3_000 {
+        let body = format!("sync {index}");
+        let response = client
+            .request(&HttpRequest::post(
+                "/v1/invoke/EchoComp",
+                body.clone().into_bytes(),
+            ))
+            .unwrap();
+        assert_eq!(response.status.0, 200);
+        assert_eq!(response.body_text(), body);
+    }
+    assert_eq!(retained_results(&mut client), 0);
+
+    let poll = |client: &mut HttpClientConnection, id: &str| {
+        let response = client
+            .request(&HttpRequest::get(format!("/v1/invocations/{id}")))
+            .unwrap();
+        assert_eq!(response.status.0, 200, "{id} is no longer pollable");
+        let document = JsonValue::parse(&response.body_text()).expect("status body is JSON");
+        document
+            .get("status")
+            .and_then(JsonValue::as_str)
+            .expect("status field")
+            .to_string()
+    };
+    let ids: Vec<String> = (0..10)
+        .map(|index| {
+            let response = client
+                .request(&HttpRequest::post(
+                    "/v1/invocations/EchoComp",
+                    format!("async {index}").into_bytes(),
+                ))
+                .unwrap();
+            assert_eq!(response.status.0, 202);
+            JsonValue::parse(&response.body_text())
+                .unwrap()
+                .get("invocation_id")
+                .and_then(JsonValue::as_str)
+                .expect("invocation id")
+                .to_string()
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    for id in &ids {
+        while poll(&mut client, id) != "completed" {
+            assert!(std::time::Instant::now() < deadline, "{id} never completed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    assert_eq!(retained_results(&mut client), 10);
+    // Polling is non-consuming: every one is still there.
+    for id in &ids {
+        assert_eq!(poll(&mut client, id), "completed");
+    }
+    assert_eq!(retained_results(&mut client), 10);
+    assert_eq!(worker.retained_results(), 10);
+    server.shutdown();
+    worker.shutdown();
+}
+
 /// A client that sends its request and immediately half-closes
 /// (`shutdown(SHUT_WR)`) still gets its response: responses owed for
 /// received requests drain before the connection closes on EOF.

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 use parking_lot::RwLock;
 
@@ -13,8 +14,11 @@ use crate::latency::{defaults, LatencyModel};
 use crate::registry::{RemoteService, ServiceResponse};
 
 /// Token-to-endpoints authorization service.
+///
+/// A grant is stored as the reply body it produces (the endpoints joined by
+/// newlines), so authorizing a token is a lookup and a reference count.
 pub struct AuthService {
-    tokens: RwLock<BTreeMap<String, Vec<String>>>,
+    tokens: RwLock<BTreeMap<String, SharedBytes>>,
     latency: LatencyModel,
 }
 
@@ -37,13 +41,12 @@ impl AuthService {
 
     /// Authorizes `token` to read from the given log-service endpoints.
     pub fn grant(&self, token: &str, endpoints: &[&str]) {
-        self.tokens.write().insert(
-            token.to_string(),
-            endpoints.iter().map(|s| s.to_string()).collect(),
-        );
+        self.tokens
+            .write()
+            .insert(token.to_string(), endpoints.join("\n").into_bytes().into());
     }
 
-    fn authorize(&self, token: &str) -> Option<Vec<String>> {
+    fn authorize(&self, token: &str) -> Option<SharedBytes> {
         self.tokens.read().get(token).cloned()
     }
 }
@@ -88,10 +91,9 @@ impl RemoteService for AuthService {
             );
         }
         match self.authorize(&token) {
-            Some(endpoints) => {
-                let body = endpoints.join("\n");
+            Some(body) => {
                 let bytes = body.len();
-                make(HttpResponse::ok(body.into_bytes()), bytes)
+                make(HttpResponse::ok(body), bytes)
             }
             None => make(
                 HttpResponse::error(StatusCode::UNAUTHORIZED, "unknown access token"),
@@ -125,6 +127,19 @@ mod tests {
         assert_eq!(endpoints.len(), 2);
         assert!(endpoints[0].contains("logs-0"));
         assert!(reply.latency >= defaults::MICROSERVICE.base);
+    }
+
+    #[test]
+    fn a_second_grant_replaces_the_stored_list() {
+        let auth = service();
+        let request = HttpRequest::post("http://auth.internal/authorize", b"token-alpha".to_vec());
+        let endpoints = ["http://logs-7.internal/logs", "http://logs-8.internal/logs"];
+        auth.grant("token-alpha", &endpoints[..1]);
+        auth.grant("token-alpha", &endpoints);
+        let first = auth.handle(&request).response;
+        let second = auth.handle(&request).response;
+        assert_eq!(first.body.as_slice(), endpoints.join("\n").as_bytes());
+        assert!(SharedBytes::same_buffer(&first.body, &second.body));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! Render function templates them into an HTML report (paper Figure 3).
 
 use dandelion_common::rng::SplitMix64;
+use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 
 use crate::latency::{defaults, LatencyModel};
@@ -16,20 +17,24 @@ const LEVELS: [&str; 4] = ["DEBUG", "INFO", "WARN", "ERROR"];
 const COMPONENTS: [&str; 5] = ["frontend", "scheduler", "storage", "billing", "gateway"];
 
 /// A log service that serves a deterministic synthetic log file.
+///
+/// The file is rendered once, when the service is created, and held as
+/// [`SharedBytes`]: a GET answers with a view of that buffer, as
+/// `ObjectStore` does for its objects. Producing the log is the remote
+/// machine's work, not the worker's.
 pub struct LogService {
     name: String,
-    lines: usize,
-    seed: u64,
+    log: SharedBytes,
     latency: LatencyModel,
 }
 
 impl LogService {
-    /// Creates a log service with the given name, line count and seed.
+    /// Creates a log service with the given name, serving the log
+    /// [`LogService::render_log`] generates for that name, line count and seed.
     pub fn new(name: &str, lines: usize, seed: u64) -> Self {
         Self {
             name: name.to_string(),
-            lines,
-            seed,
+            log: Self::render_log(name, lines, seed).into_bytes().into(),
             latency: defaults::MICROSERVICE,
         }
     }
@@ -40,20 +45,19 @@ impl LogService {
         self
     }
 
-    /// Renders the synthetic log contents (also used by tests to know the
-    /// expected payload).
-    pub fn render_log(&self) -> String {
-        let mut rng = SplitMix64::new(self.seed);
-        let mut out = String::with_capacity(self.lines * 64);
+    /// Generates the synthetic log of the service called `name`: `lines` lines
+    /// drawn from `seed`. Tests use it as the oracle for the served payload.
+    pub fn render_log(name: &str, lines: usize, seed: u64) -> String {
+        let mut rng = SplitMix64::new(seed);
+        let mut out = String::with_capacity(lines * 64);
         let mut timestamp = 1_700_000_000u64;
-        for line in 0..self.lines {
+        for line in 0..lines {
             timestamp += rng.next_bounded(5) + 1;
             let level = LEVELS[rng.next_bounded(LEVELS.len() as u64) as usize];
             let component = COMPONENTS[rng.next_bounded(COMPONENTS.len() as u64) as usize];
             out.push_str(&format!(
-                "{timestamp} {level:5} [{component}] request {line} handled in {} us on {}\n",
+                "{timestamp} {level:5} [{component}] request {line} handled in {} us on {name}\n",
                 rng.next_bounded(50_000),
-                self.name,
             ));
         }
         out
@@ -75,11 +79,9 @@ impl RemoteService for LogService {
                 latency: self.latency.latency_for(0),
             };
         }
-        let body = self.render_log();
-        let bytes = body.len();
         ServiceResponse {
-            response: HttpResponse::ok(body.into_bytes()).with_header("Content-Type", "text/plain"),
-            latency: self.latency.latency_for(bytes),
+            response: HttpResponse::ok(self.log.clone()).with_header("Content-Type", "text/plain"),
+            latency: self.latency.latency_for(self.log.len()),
         }
     }
 }
@@ -89,20 +91,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serves_deterministic_logs() {
+    fn serves_the_stored_log_without_rendering_or_copying_it() {
         let service = LogService::new("logs-0", 100, 7);
         let request = HttpRequest::get("http://logs-0.internal/logs");
         let first = service.handle(&request);
         let second = service.handle(&request);
-        assert_eq!(first.response.body, second.response.body);
         assert_eq!(first.response.status, StatusCode::OK);
-        assert_eq!(first.response.body_text().lines().count(), 100);
+        assert_eq!(
+            first.response.headers.get("Content-Type"),
+            Some("text/plain")
+        );
+        // Both replies are views of the one buffer rendered in `new`.
+        assert!(SharedBytes::same_buffer(
+            &first.response.body,
+            &second.response.body
+        ));
+        let expected = LogService::render_log("logs-0", 100, 7);
+        assert_eq!(first.response.body.as_slice(), expected.as_bytes());
+        assert_eq!(second.response.body.as_slice(), expected.as_bytes());
+        assert_eq!(expected.lines().count(), 100);
+        assert!(expected.lines().all(|line| line.ends_with(" us on logs-0")));
     }
 
     #[test]
     fn different_seeds_produce_different_logs() {
-        let a = LogService::new("logs-0", 50, 1).render_log();
-        let b = LogService::new("logs-0", 50, 2).render_log();
+        let a = LogService::render_log("logs-0", 50, 1);
+        let b = LogService::render_log("logs-0", 50, 2);
         assert_ne!(a, b);
     }
 

@@ -731,3 +731,308 @@ fn partitioned_queries_are_deterministic() {
         }
     }
 }
+
+/// `crates/core/src/invocation.rs` as it was at the parent commit: the
+/// reference [`dataflow_state_matches_the_parent_oracle`] compares against.
+#[allow(dead_code)]
+#[path = "oracle/invocation_parent.rs"]
+mod parent_dataflow;
+
+/// What a dataflow state hands out or returns, in a form both the current
+/// state and the oracle can be reduced to: names, and for payloads the
+/// address and length of the view — equal only if both sides passed the
+/// *same* buffer on, neither a copy nor another item's.
+mod dataflow_view {
+    use dandelion_common::{DandelionResult, DataSet};
+
+    pub type Item = (String, Option<String>, usize, usize);
+    pub type Set = (String, Vec<Item>);
+    /// node, instance, vertex, output set names, inputs.
+    pub type Ready = (usize, usize, String, Vec<String>, Vec<Set>);
+
+    pub fn sets(sets: &[DataSet]) -> Vec<Set> {
+        sets.iter()
+            .map(|set| {
+                let items = set
+                    .items
+                    .iter()
+                    .map(|item| {
+                        (
+                            item.name.clone(),
+                            item.key.clone(),
+                            item.data.as_slice().as_ptr() as usize,
+                            item.data.len(),
+                        )
+                    })
+                    .collect();
+                (set.name.clone(), items)
+            })
+            .collect()
+    }
+
+    pub fn outputs(outputs: DandelionResult<Vec<DataSet>>) -> Result<Vec<Set>, String> {
+        outputs
+            .map(|outputs| sets(&outputs))
+            .map_err(|error| error.to_string())
+    }
+}
+
+/// A random composition of at most eight nodes: `all`/`each`/`key` and
+/// optional bindings over external inputs and other nodes' outputs, in
+/// shuffled statement order (so a producer may sit after its consumer), now
+/// and then with two fan-out bindings (an error both sides must report alike)
+/// or with two outputs of one set name.
+fn arbitrary_composition(rng: &mut SplitMix64) -> dandelion_dsl::CompositionGraph {
+    let externals: Vec<String> = (0..1 + rng.next_bounded(3))
+        .map(|index| format!("E{index}"))
+        .collect();
+    let node_count = 1 + rng.next_bounded(8) as usize;
+    let mut available = externals.clone();
+    let mut published_by_nodes = Vec::new();
+    let mut statements = Vec::new();
+    for node in 0..node_count {
+        let mut fanout_left = if rng.bernoulli(0.04) { 2 } else { 1 };
+        let bindings: Vec<(String, Distribution, String, bool)> = (0..1 + rng.next_bounded(3))
+            .map(|binding| {
+                let source = available[rng.next_bounded(available.len() as u64) as usize].clone();
+                let distribution = match rng.next_bounded(4) {
+                    0 if fanout_left > 0 => Distribution::Each,
+                    1 if fanout_left > 0 => Distribution::Key,
+                    _ => Distribution::All,
+                };
+                if distribution != Distribution::All {
+                    fanout_left -= 1;
+                }
+                (
+                    format!("in{binding}"),
+                    distribution,
+                    source,
+                    rng.bernoulli(0.3),
+                )
+            })
+            .collect();
+        let same_set_twice = rng.bernoulli(0.1);
+        let outputs: Vec<(String, String)> = (0..1 + rng.next_bounded(2))
+            .map(|output| {
+                let set = if same_set_twice { 0 } else { output };
+                (format!("P{node}x{output}"), format!("out{set}"))
+            })
+            .collect();
+        for (published, _) in &outputs {
+            available.push(published.clone());
+            published_by_nodes.push(published.clone());
+        }
+        statements.push((format!("V{node}"), bindings, outputs));
+    }
+    rng.shuffle(&mut statements);
+    let mut builder = dandelion_dsl::CompositionBuilder::new("Random");
+    for external in &externals {
+        builder = builder.input(external);
+    }
+    for _ in 0..1 + rng.next_bounded(2) {
+        let published =
+            &published_by_nodes[rng.next_bounded(published_by_nodes.len() as u64) as usize];
+        if !builder.ast().outputs.contains(published) {
+            builder = builder.output(published);
+        }
+    }
+    for (vertex, bindings, outputs) in statements {
+        builder = builder.node(&vertex, |mut node| {
+            for (set, distribution, source, optional) in &bindings {
+                node = if *optional {
+                    node.bind_optional(set, *distribution, source)
+                } else {
+                    node.bind(set, *distribution, source)
+                };
+            }
+            for (published, set) in &outputs {
+                node = node.publish(published, set);
+            }
+            node
+        });
+    }
+    builder.build().expect("generated compositions are valid")
+}
+
+/// Up to `max` items with fresh buffers, some of them keyed.
+fn arbitrary_items(rng: &mut SplitMix64, prefix: &str, max: u64) -> Vec<DataItem> {
+    (0..rng.next_bounded(max + 1))
+        .map(|index| {
+            let mut item = DataItem::new(format!("{prefix}{index}"), random_bytes(rng, 24));
+            if rng.bernoulli(0.6) {
+                item.key = Some(format!("k{}", rng.next_bounded(3)));
+            }
+            item
+        })
+        .collect()
+}
+
+/// The dataflow state machine hands out the same instances with the same
+/// inputs, in the same order, and assembles the same external outputs as the
+/// one it replaced — at every step of a random schedule with out-of-order and
+/// duplicate completions, empty and missing sets, undeclared and repeated
+/// output sets, and at most one failing instance.
+#[test]
+fn dataflow_state_matches_the_parent_oracle() {
+    use dandelion_common::{DandelionError, InvocationId};
+    use dandelion_core::invocation::{InstanceCompletion, InvocationState};
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    for seed in 0..2_500u64 {
+        let mut rng = SplitMix64::new(0xDA7A_F10E ^ seed);
+        let graph = Arc::new(arbitrary_composition(&mut rng));
+        let mut inputs = Vec::new();
+        for name in &graph.external_inputs {
+            // A client may leave a declared input out.
+            if !rng.bernoulli(0.15) {
+                inputs.push(DataSet::with_items(
+                    name.clone(),
+                    arbitrary_items(&mut rng, "x", 3),
+                ));
+            }
+        }
+        let id = InvocationId::next();
+        let mut current = InvocationState::new(id, Arc::clone(&graph), inputs.clone()).unwrap();
+        let mut oracle =
+            parent_dataflow::InvocationState::new(id, Arc::clone(&graph), inputs).unwrap();
+        // The oracle's caller kept the set of applied completions (the
+        // dispatcher's `EntryInner.completed`); the current state answers
+        // "duplicate" itself.
+        let mut applied: HashSet<(usize, usize)> = HashSet::new();
+        let mut outstanding: Vec<(usize, usize, Vec<String>)> = Vec::new();
+        let mut completed: Vec<(usize, usize)> = Vec::new();
+        let mut may_fail = rng.bernoulli(0.3);
+        // Far more steps than eight nodes can take: duplicates are drawn with
+        // probability 0.2, so every schedule ends long before the bound.
+        for step in 0..10_000 {
+            let context = format!("seed {seed} step {step}");
+            let ready: Result<Vec<dataflow_view::Ready>, String> = current
+                .ready_instances()
+                .map(|ready| {
+                    ready
+                        .iter()
+                        .map(|spec| {
+                            (
+                                spec.node,
+                                spec.instance,
+                                spec.vertex.to_string(),
+                                spec.output_sets.iter().map(|o| o.set.clone()).collect(),
+                                dataflow_view::sets(&spec.inputs),
+                            )
+                        })
+                        .collect()
+                })
+                .map_err(|error| error.to_string());
+            let expected: Result<Vec<dataflow_view::Ready>, String> = oracle
+                .ready_instances()
+                .map(|ready| {
+                    ready
+                        .iter()
+                        .map(|spec| {
+                            (
+                                spec.node,
+                                spec.instance,
+                                spec.vertex.clone(),
+                                spec.output_sets.clone(),
+                                dataflow_view::sets(&spec.inputs),
+                            )
+                        })
+                        .collect()
+                })
+                .map_err(|error| error.to_string());
+            assert_eq!(ready, expected, "{context}: ready instances");
+            let Ok(ready) = ready else {
+                // Two fan-out bindings: the dispatcher fails the invocation.
+                break;
+            };
+            outstanding.extend(
+                ready
+                    .into_iter()
+                    .map(|(node, instance, _, output_sets, _)| (node, instance, output_sets)),
+            );
+            assert_eq!(
+                current.is_complete(),
+                oracle.is_complete(),
+                "{context}: completeness"
+            );
+            assert_eq!(
+                dataflow_view::outputs(current.external_outputs()),
+                dataflow_view::outputs(oracle.external_outputs()),
+                "{context}: external outputs"
+            );
+            assert_eq!(current.error(), oracle.error(), "{context}: error");
+
+            // Now and then an engine retry re-delivers an applied result.
+            // (Not after a failure: the dispatcher settles a failed
+            // invocation at once and applies nothing to it afterwards.)
+            let redeliver = !completed.is_empty() && current.error().is_none();
+            let (node, instance, outcome) = if redeliver && rng.bernoulli(0.2) {
+                let (node, instance) = completed[rng.next_bounded(completed.len() as u64) as usize];
+                let outcome = if rng.bernoulli(0.5) {
+                    Ok(vec![DataSet::with_items(
+                        "out0",
+                        arbitrary_items(&mut rng, "dup", 2),
+                    )])
+                } else {
+                    Err(DandelionError::Cancelled)
+                };
+                (node, instance, outcome)
+            } else if outstanding.is_empty() {
+                break;
+            } else {
+                // Completions arrive in any order.
+                let pick = rng.next_bounded(outstanding.len() as u64) as usize;
+                let (node, instance, mut output_sets) = outstanding.swap_remove(pick);
+                completed.push((node, instance));
+                let outcome = if may_fail && rng.bernoulli(0.15) {
+                    may_fail = false;
+                    Err(DandelionError::FunctionFault {
+                        function: format!("V{node}"),
+                        reason: "injected".to_string(),
+                    })
+                } else {
+                    // A function may leave a declared set out, return one
+                    // twice, or return a set nobody declared.
+                    output_sets.push("undeclared".to_string());
+                    if rng.bernoulli(0.2) {
+                        output_sets.push("out0".to_string());
+                    }
+                    let mut outputs = Vec::new();
+                    for set in output_sets {
+                        if !rng.bernoulli(0.15) {
+                            let prefix = format!("n{node}i{instance}.");
+                            outputs.push(DataSet::with_items(
+                                set,
+                                arbitrary_items(&mut rng, &prefix, 3),
+                            ));
+                        }
+                    }
+                    Ok(outputs)
+                };
+                (node, instance, outcome)
+            };
+            let got = current
+                .complete_instance(node, instance, outcome.clone())
+                .map_err(|error| error.to_string());
+            let expected = if applied.insert((node, instance)) {
+                oracle
+                    .complete_instance(node, instance, outcome)
+                    .map(|finished_node| {
+                        if finished_node {
+                            InstanceCompletion::NodeFinished
+                        } else {
+                            InstanceCompletion::Pending
+                        }
+                    })
+                    .map_err(|error| error.to_string())
+            } else {
+                Ok(InstanceCompletion::Duplicate)
+            };
+            assert_eq!(
+                got, expected,
+                "{context}: completing node {node} instance {instance}"
+            );
+        }
+    }
+}
