@@ -46,8 +46,8 @@ pub enum ExperimentId {
     Fig10,
     /// §8 — trusted computing base and attack-surface summary.
     Security,
-    /// Repo-only: synchronous vs pipelined submission throughput on a
-    /// 2-node cluster through the `DandelionClient` facade.
+    /// Repo-only: synchronous vs pipelined submission throughput on one
+    /// 8-core worker through the `DandelionClient` facade.
     Concurrency,
     /// Repo-only: zero-copy data plane vs per-edge copying on a
     /// large-payload pipeline with fan-out.
@@ -808,64 +808,57 @@ pub fn security_summary() -> Report {
 /// dependency. Each invocation runs a function that blocks for a fixed
 /// service time (emulating a slow downstream service); a single synchronous
 /// caller serializes those waits, while `DandelionClient::submit` keeps all
-/// of them in flight across the cluster's engines.
+/// of them in flight across the worker's engines.
 pub fn concurrency_fanout() -> Report {
-    use dandelion_common::config::{ClusterConfig, LoadBalancing, WorkerConfig};
-    use dandelion_core::{ClusterManager, DandelionClient};
+    use dandelion_common::config::WorkerConfig;
+    use dandelion_core::{DandelionClient, WorkerNode};
     use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
     const INVOCATIONS: usize = 24;
     const SERVICE_TIME: Duration = Duration::from_millis(25);
 
-    let make_cluster = || {
-        let config = ClusterConfig {
-            nodes: 2,
-            worker: WorkerConfig {
-                total_cores: 4,
-                initial_communication_cores: 1,
-                isolation: IsolationKind::Native,
-                ..WorkerConfig::default()
-            },
-            load_balancing: LoadBalancing::RoundRobin,
+    let make_worker = || {
+        let config = WorkerConfig {
+            total_cores: 8,
+            initial_communication_cores: 1,
+            isolation: IsolationKind::Native,
+            ..WorkerConfig::default()
         };
-        let cluster = Arc::new(
-            ClusterManager::start(config, dandelion_apps::setup::demo_services(false))
-                .expect("cluster starts"),
-        );
-        cluster
-            .register_function_with(|| {
-                FunctionArtifact::new("AwaitService", &["Out"], |ctx: &mut FunctionCtx| {
+        let worker = WorkerNode::start(config, dandelion_apps::setup::demo_services(false))
+            .expect("worker starts");
+        worker
+            .register_function(FunctionArtifact::new(
+                "AwaitService",
+                &["Out"],
+                |ctx: &mut FunctionCtx| {
                     let payload = ctx.single_input("In")?.data.as_slice().to_vec();
                     std::thread::sleep(SERVICE_TIME);
                     ctx.push_output_bytes("Out", "echo", payload)
-                })
-            })
+                },
+            ))
             .expect("function registers");
-        cluster
-            .register_composition(
-                dandelion_dsl::compile(
-                    "composition SlowEcho(Request) => Reply { \
-                     AwaitService(In = all Request) => (Reply = Out); }",
-                )
-                .expect("DSL compiles"),
+        worker
+            .register_composition_dsl(
+                "composition SlowEcho(Request) => Reply { \
+                 AwaitService(In = all Request) => (Reply = Out); }",
             )
             .expect("composition registers");
-        cluster
+        worker
     };
 
     let mut report = Report::new(
-        "Concurrency: synchronous vs pipelined invocation on a 2-node cluster",
+        "Concurrency: synchronous vs pipelined invocation on one 8-core worker",
         &format!(
             "{INVOCATIONS} invocations of a {} ms blocking service call, \
-             4 cores per node, DandelionClient facade",
+             one worker (7 compute engines), DandelionClient::for_worker",
             SERVICE_TIME.as_millis()
         ),
     );
     report.header(&["mode", "wall time [ms]", "throughput [inv/s]"]);
 
     let run = |pipelined: bool| {
-        let cluster = make_cluster();
-        let client = DandelionClient::for_cluster(Arc::clone(&cluster));
+        let worker = make_worker();
+        let client = DandelionClient::for_worker(Arc::clone(&worker));
         let inputs =
             |index: usize| vec![DataSet::single("Request", format!("r{index}").into_bytes())];
         let start = Instant::now();
@@ -894,7 +887,7 @@ pub fn concurrency_fanout() -> Report {
             }
         }
         let elapsed = start.elapsed();
-        cluster.shutdown();
+        worker.shutdown();
         elapsed
     };
 
@@ -916,7 +909,7 @@ pub fn concurrency_fanout() -> Report {
     }
     report.note(&format!(
         "pipelined speedup {:.1}x: a synchronous caller pays one service time per \
-         invocation, the submit/poll API overlaps them across the cluster's 6 compute engines",
+         invocation, the submit/poll API overlaps them across the worker's 7 compute engines",
         sync_elapsed.as_secs_f64() / pipelined_elapsed.as_secs_f64().max(1e-9)
     ));
     report

@@ -10,7 +10,8 @@
 //! Absolute numbers are not expected to match the paper — the baselines are
 //! calibrated queueing models and the hardware differs — but the *shape* of
 //! every result (orderings, crossovers, relative factors) is asserted in the
-//! workspace test suites and summarized in `EXPERIMENTS.md`.
+//! workspace test suites and printed in each report's notes
+//! (`reproduce --list` names the experiments).
 
 pub mod experiments;
 pub mod report;

@@ -180,38 +180,6 @@ impl WorkerConfig {
     }
 }
 
-/// Cluster-level configuration (multiple worker nodes, Dirigent-style).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterConfig {
-    /// Number of worker nodes.
-    pub nodes: usize,
-    /// Per-node configuration template.
-    pub worker: WorkerConfig,
-    /// Load balancing policy across nodes.
-    pub load_balancing: LoadBalancing,
-}
-
-/// Load balancing policy used by the cluster manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadBalancing {
-    /// Rotate through nodes in order.
-    RoundRobin,
-    /// Pick the node with the fewest in-flight invocations.
-    LeastLoaded,
-    /// Hash the composition name to a node (improves binary cache locality).
-    CompositionAffinity,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 1,
-            worker: WorkerConfig::default(),
-            load_balancing: LoadBalancing::LeastLoaded,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

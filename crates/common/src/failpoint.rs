@@ -100,8 +100,9 @@ pub fn enabled() -> bool {
 /// counters, and returns the fault the site must apply, if any. `Delay`
 /// sleeps here (off-lock) and returns `None`; `Panic` panics here.
 ///
-/// Sites guard the call with [`enabled`] (the [`fail_point!`] macro does)
-/// so the unconfigured cost stays one relaxed load.
+/// Sites guard the call with [`enabled`] (the
+/// [`fail_point!`](crate::fail_point) macro does) so the unconfigured cost
+/// stays one relaxed load.
 pub fn check(name: &str) -> Option<Fault> {
     if !enabled() {
         return None;

@@ -10,8 +10,6 @@
 //!   invocations, engines, nodes and memory contexts.
 //! * [`data`] — the value model passed between functions: [`data::DataItem`]
 //!   and [`data::DataSet`].
-//! * [`clock`] — the [`clock::Clock`] abstraction with a monotonic real clock
-//!   and a manually advanced virtual clock used by the simulator.
 //! * [`stats`] — latency recorders, percentile summaries and time series used
 //!   by the benchmark harness.
 //! * [`rng`] — a small deterministic RNG and the statistical distributions
@@ -32,7 +30,6 @@
 //!   buffers behind builders and memory-context arenas.
 
 pub mod bytes;
-pub mod clock;
 pub mod config;
 pub mod data;
 pub mod encoding;
@@ -47,7 +44,6 @@ pub mod rope;
 pub mod stats;
 
 pub use bytes::{SharedBytes, SharedBytesMut};
-pub use clock::{Clock, RealClock, SharedClock, VirtualClock};
 pub use data::{DataItem, DataSet};
 pub use error::{DandelionError, DandelionResult};
 pub use id::{CompositionId, ContextId, EngineId, FunctionId, InvocationId, NodeId};

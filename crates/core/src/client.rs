@@ -1,21 +1,24 @@
 //! `DandelionClient`: one typed client for every deployment shape.
 //!
-//! The platform exposes invocations through two surfaces: the in-process
-//! [`ClusterManager`] (examples, benchmarks, embedded use) and the HTTP
-//! [`Frontend`] (external clients). Both now share the submit/poll model, so
-//! this facade wraps either behind a single interface:
+//! The platform's one public surface is the v1 HTTP API, so the client is one
+//! code path — encode the v1 request, hand it to a transport, decode the
+//! status document — and a deployment shape is only a choice of transport:
+//! [`Frontend::handle`] in process ([`DandelionClient::for_frontend`],
+//! [`DandelionClient::for_worker`]) or one keep-alive socket to a worker or a
+//! gateway (`dandelion_server::connect`).
 //!
 //! * [`DandelionClient::submit`] — non-blocking; returns a [`ClientHandle`]
 //!   so any number of invocations can be kept in flight,
 //! * [`DandelionClient::poll`] — non-consuming status/result lookup by id,
 //! * [`DandelionClient::invoke_sync`] — submit-and-wait convenience.
 //!
-//! Over the frontend backend the client speaks the real v1 JSON wire
-//! protocol — inputs travel as binary set-lists, results come back from the
-//! status document (base64 items, report, structured errors) — so tests and
-//! benchmarks driving `DandelionClient` exercise the same bytes an external
-//! client would see.
+//! Either way the client speaks the real v1 JSON wire protocol — inputs
+//! travel as binary set-lists, results come back from the status document
+//! (base64 items, report, structured errors) — so tests and benchmarks
+//! driving `DandelionClient` exercise the same bytes an external client
+//! would see.
 
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,27 +29,23 @@ use dandelion_common::{
 use dandelion_http::{HttpRequest, HttpResponse, StatusCode};
 use dandelion_isolation::output_parser;
 
-use crate::cluster::ClusterManager;
-use crate::dispatcher::{InvocationHandle, InvocationOutcome, InvocationReport, InvocationStatus};
+use crate::dispatcher::{InvocationOutcome, InvocationReport, InvocationStatus};
 use crate::frontend::{Frontend, SET_LIST_CONTENT_TYPE};
 
-/// Initial sleep between polls while waiting on the HTTP backend (the
-/// in-process backend blocks on the handle instead). Doubles per idle poll
-/// up to [`POLL_BACKOFF_MAX`], so short invocations settle with microsecond
+/// Initial sleep between polls while waiting. Doubles per idle poll up to
+/// [`POLL_BACKOFF_MAX`], so short invocations settle with microsecond
 /// reactivity while long waits cost a handful of polls per second.
 const POLL_BACKOFF_INITIAL: Duration = Duration::from_micros(500);
 
 /// Upper bound on the poll backoff.
 const POLL_BACKOFF_MAX: Duration = Duration::from_millis(20);
 
-/// The deployment surface a [`DandelionClient`] talks to.
-#[derive(Clone)]
-enum ClientBackend {
-    Frontend(Arc<Frontend>),
-    Cluster(Arc<ClusterManager>),
-}
+/// How a [`DandelionClient`] reaches the v1 API: one request in, its
+/// response out. An `Err` is the transport's failure (a dead socket), not
+/// the server's answer.
+type Transport = dyn Fn(&HttpRequest) -> io::Result<HttpResponse> + Send + Sync;
 
-/// A non-consuming view of an invocation, unified across backends.
+/// A non-consuming view of an invocation.
 #[derive(Debug, Clone)]
 pub struct ClientPoll {
     /// The invocation id.
@@ -60,10 +59,7 @@ pub struct ClientPoll {
 /// A handle to an invocation submitted through a [`DandelionClient`].
 pub struct ClientHandle {
     id: InvocationId,
-    backend: ClientBackend,
-    /// Present for in-process backends: waiting blocks on the dispatcher's
-    /// condition variable instead of polling.
-    local: Option<InvocationHandle>,
+    client: DandelionClient,
 }
 
 impl ClientHandle {
@@ -74,19 +70,15 @@ impl ClientHandle {
 
     /// Non-consuming status/result lookup.
     pub fn poll(&self) -> DandelionResult<ClientPoll> {
-        poll_backend(&self.backend, self.id)
+        self.client.poll(self.id)
     }
 
-    /// Blocks until the invocation settles and returns its outcome.
+    /// Polls (with backoff) until the invocation settles and returns its
+    /// outcome.
     ///
-    /// Non-consuming on every backend: the result stays retained
-    /// server-side (until retention expiry), so waiting then polling
-    /// behaves identically whether the client wraps a cluster or a
-    /// frontend.
+    /// Non-consuming: the result stays retained server-side (until
+    /// retention expiry), so polling after a wait still finds it.
     pub fn wait(&self, timeout: Option<Duration>) -> DandelionResult<InvocationOutcome> {
-        if let Some(local) = &self.local {
-            return local.wait_snapshot(timeout);
-        }
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut backoff = POLL_BACKOFF_INITIAL;
         loop {
@@ -116,18 +108,25 @@ impl std::fmt::Debug for ClientHandle {
     }
 }
 
-/// A typed client over a [`Frontend`] or a [`ClusterManager`].
+/// A typed client of the v1 API over a transport.
 #[derive(Clone)]
 pub struct DandelionClient {
-    backend: ClientBackend,
+    transport: Arc<Transport>,
 }
 
 impl DandelionClient {
+    /// A client whose requests travel through `transport`.
+    pub fn with_transport(
+        transport: impl Fn(&HttpRequest) -> io::Result<HttpResponse> + Send + Sync + 'static,
+    ) -> Self {
+        Self {
+            transport: Arc::new(transport),
+        }
+    }
+
     /// A client speaking the v1 JSON protocol against an HTTP frontend.
     pub fn for_frontend(frontend: Arc<Frontend>) -> Self {
-        Self {
-            backend: ClientBackend::Frontend(frontend),
-        }
+        Self::with_transport(move |request| Ok(frontend.handle(request)))
     }
 
     /// A client over a single worker node (wraps it in a frontend, so the
@@ -136,59 +135,44 @@ impl DandelionClient {
         Self::for_frontend(Arc::new(Frontend::new(worker)))
     }
 
-    /// A client dispatching in-process across a cluster's worker nodes.
-    pub fn for_cluster(cluster: Arc<ClusterManager>) -> Self {
-        Self {
-            backend: ClientBackend::Cluster(cluster),
+    /// Sends one request; any status but `expected` becomes the typed error
+    /// its body carries.
+    fn call(&self, request: &HttpRequest, expected: StatusCode) -> DandelionResult<JsonValue> {
+        let response = (self.transport)(request)
+            .map_err(|error| DandelionError::Internal(format!("transport failed: {error}")))?;
+        if response.status != expected {
+            return Err(response_error(&response));
         }
+        response_json(&response)
     }
 
     /// Submits an invocation without blocking and returns its handle.
     pub fn submit(&self, composition: &str, inputs: Vec<DataSet>) -> DandelionResult<ClientHandle> {
-        match &self.backend {
-            ClientBackend::Cluster(cluster) => {
-                let (_, handle) = cluster.submit(composition, inputs)?;
-                Ok(ClientHandle {
-                    id: handle.id(),
-                    backend: self.backend.clone(),
-                    local: Some(handle),
-                })
-            }
-            ClientBackend::Frontend(frontend) => {
-                let body = output_parser::encode_outputs(&inputs);
-                let request = HttpRequest::post(
-                    format!("http://frontend/v1/invocations/{composition}"),
-                    body,
-                )
-                .with_header("Content-Type", SET_LIST_CONTENT_TYPE);
-                let response = frontend.handle(&request);
-                if response.status != StatusCode::ACCEPTED {
-                    return Err(response_error(&response));
-                }
-                let document = response_json(&response)?;
-                let id = document
-                    .get("invocation_id")
-                    .and_then(JsonValue::as_str)
-                    .and_then(InvocationId::parse)
-                    .ok_or_else(|| {
-                        DandelionError::Internal(
-                            "202 response carried no invocation id".to_string(),
-                        )
-                    })?;
-                Ok(ClientHandle {
-                    id,
-                    backend: self.backend.clone(),
-                    local: None,
-                })
-            }
-        }
+        let request = HttpRequest::post(
+            format!("/v1/invocations/{composition}"),
+            output_parser::encode_outputs(&inputs),
+        )
+        .with_header("Content-Type", SET_LIST_CONTENT_TYPE);
+        let document = self.call(&request, StatusCode::ACCEPTED)?;
+        let id = document
+            .get("invocation_id")
+            .and_then(JsonValue::as_str)
+            .and_then(InvocationId::parse)
+            .ok_or_else(|| {
+                DandelionError::Internal("202 response carried no invocation id".to_string())
+            })?;
+        Ok(ClientHandle {
+            id,
+            client: self.clone(),
+        })
     }
 
     /// Non-consuming status/result lookup by invocation id.
     ///
     /// Unknown and expired ids yield [`DandelionError::NotFound`].
     pub fn poll(&self, id: InvocationId) -> DandelionResult<ClientPoll> {
-        poll_backend(&self.backend, id)
+        let request = HttpRequest::get(format!("/v1/invocations/{id}"));
+        parse_status_document(id, &self.call(&request, StatusCode::OK)?)
     }
 
     /// Submits and waits; the synchronous convenience path.
@@ -198,31 +182,6 @@ impl DandelionClient {
         inputs: Vec<DataSet>,
     ) -> DandelionResult<InvocationOutcome> {
         self.submit(composition, inputs)?.wait(None)
-    }
-}
-
-fn poll_backend(backend: &ClientBackend, id: InvocationId) -> DandelionResult<ClientPoll> {
-    match backend {
-        ClientBackend::Cluster(cluster) => {
-            let snapshot = cluster.poll(id).ok_or(DandelionError::NotFound {
-                kind: "invocation",
-                name: id.to_string(),
-            })?;
-            Ok(ClientPoll {
-                id,
-                status: snapshot.status,
-                outcome: snapshot.outcome,
-            })
-        }
-        ClientBackend::Frontend(frontend) => {
-            let response = frontend.handle(&HttpRequest::get(format!(
-                "http://frontend/v1/invocations/{id}"
-            )));
-            if response.status != StatusCode::OK {
-                return Err(response_error(&response));
-            }
-            parse_status_document(id, &response_json(&response)?)
-        }
     }
 }
 
@@ -347,7 +306,7 @@ fn parse_report_json(report: Option<&JsonValue>) -> InvocationReport {
 mod tests {
     use super::*;
     use crate::worker::{default_test_services, WorkerNode};
-    use dandelion_common::config::{ClusterConfig, IsolationKind, LoadBalancing, WorkerConfig};
+    use dandelion_common::config::{IsolationKind, WorkerConfig};
     use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
     const IDENTITY_DSL: &str =
@@ -372,25 +331,6 @@ mod tests {
         worker.register_function(copy_artifact()).unwrap();
         worker.register_composition_dsl(IDENTITY_DSL).unwrap();
         DandelionClient::for_worker(worker)
-    }
-
-    fn cluster_client(nodes: usize) -> DandelionClient {
-        let config = ClusterConfig {
-            nodes,
-            worker: WorkerConfig {
-                total_cores: 2,
-                initial_communication_cores: 1,
-                isolation: IsolationKind::Native,
-                ..WorkerConfig::default()
-            },
-            load_balancing: LoadBalancing::RoundRobin,
-        };
-        let cluster = ClusterManager::start(config, default_test_services()).unwrap();
-        cluster.register_function_with(copy_artifact).unwrap();
-        cluster
-            .register_composition(dandelion_dsl::compile(IDENTITY_DSL).unwrap())
-            .unwrap();
-        DandelionClient::for_cluster(Arc::new(cluster))
     }
 
     #[test]
@@ -420,26 +360,6 @@ mod tests {
         )];
         let outcome = client.invoke_sync("Identity", inputs).unwrap();
         assert_eq!(outcome.outputs[0].items[0].data.as_slice(), b"payload");
-    }
-
-    #[test]
-    fn cluster_backend_roundtrip_and_typed_not_found() {
-        let client = cluster_client(2);
-        let handle = client
-            .submit(
-                "Identity",
-                vec![DataSet::single("In", b"clustered".to_vec())],
-            )
-            .unwrap();
-        let outcome = handle.wait(Some(Duration::from_secs(10))).unwrap();
-        assert_eq!(outcome.outputs[0].items[0].as_str(), Some("clustered"));
-        // Facade waits are non-consuming on every backend: polling after a
-        // wait works on the cluster exactly like over HTTP.
-        let poll = client.poll(handle.id()).unwrap();
-        assert_eq!(poll.status, InvocationStatus::Completed);
-        assert!(poll.outcome.is_some());
-        let err = client.poll(InvocationId::from_raw(u64::MAX)).unwrap_err();
-        assert!(matches!(err, DandelionError::NotFound { .. }));
     }
 
     #[test]

@@ -374,21 +374,32 @@ fn json_response(status: StatusCode, value: &JsonValue) -> HttpResponse {
         .with_header("Content-Type", JSON_CONTENT_TYPE)
 }
 
-/// Structured JSON error body with a stable machine-readable code.
-fn error_response(err: &DandelionError) -> HttpResponse {
+/// The structured error response of every layer — worker, connection
+/// layer and gateway answer with this one wire shape:
+/// `{"error": {"code": "..", "message": "..", "retryable": bool}}`.
+pub fn error_body(status: StatusCode, code: &str, message: &str, retryable: bool) -> HttpResponse {
     json_response(
+        status,
+        &JsonValue::object([("error", error_json(code, message, retryable))]),
+    )
+}
+
+fn error_response(err: &DandelionError) -> HttpResponse {
+    error_body(
         StatusCode(err.status_code()),
-        &JsonValue::object([("error", error_json(err))]),
+        err.code(),
+        &err.to_string(),
+        err.is_retryable(),
     )
 }
 
 /// The wire-format error object shared by error responses and failed
 /// invocations' status documents.
-fn error_json(err: &DandelionError) -> JsonValue {
+fn error_json(code: &str, message: &str, retryable: bool) -> JsonValue {
     JsonValue::object([
-        ("code", JsonValue::string(err.code())),
-        ("message", JsonValue::string(err.to_string())),
-        ("retryable", JsonValue::from(err.is_retryable())),
+        ("code", JsonValue::string(code)),
+        ("message", JsonValue::string(message)),
+        ("retryable", JsonValue::from(retryable)),
     ])
 }
 
@@ -465,7 +476,10 @@ fn snapshot_json(snapshot: &InvocationSnapshot) -> JsonValue {
             pairs.push(("report".to_string(), report_json(outcome)));
         }
         Some(Err(err)) => {
-            pairs.push(("error".to_string(), error_json(err)));
+            pairs.push((
+                "error".to_string(),
+                error_json(err.code(), &err.to_string(), err.is_retryable()),
+            ));
         }
         None => {}
     }

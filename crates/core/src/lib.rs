@@ -16,10 +16,13 @@
 //! * the **HTTP frontend** for registration and invocation ([`frontend`]),
 //!   exposing the versioned v1 JSON API with non-blocking
 //!   submit/poll invocation endpoints;
-//! * a small **cluster manager** that load-balances invocations across
-//!   worker nodes, in the spirit of Dirigent ([`cluster`]);
-//! * the **client facade** [`client::DandelionClient`] wrapping a frontend
-//!   or a cluster behind one typed submit/poll/invoke interface.
+//! * the **client facade** [`client::DandelionClient`]: one typed
+//!   submit/poll/invoke code path over a transport — a [`Frontend`] in
+//!   process, or a socket (`dandelion_server::connect`).
+//!
+//! The paper's cluster manager (§5, Dirigent) is not in this crate: a worker
+//! knows nothing of its peers, and `dandelion-server`'s gateway is the one
+//! layer that load-balances invocations across worker nodes.
 //!
 //! The crate is usable both as a real multi-threaded runtime (see
 //! [`worker::WorkerNode`]) and as a library of policy components: the
@@ -27,7 +30,6 @@
 //! under virtual time.
 
 pub mod client;
-pub mod cluster;
 pub mod control;
 pub mod dispatcher;
 pub mod engine;
@@ -38,7 +40,6 @@ pub mod task;
 pub mod worker;
 
 pub use client::{ClientHandle, ClientPoll, DandelionClient};
-pub use cluster::{composition_affinity_hash, ClusterManager};
 pub use control::PiController;
 pub use dispatcher::{
     DispatchMetrics, Dispatcher, InvocationHandle, InvocationOutcome, InvocationSnapshot,

@@ -6,8 +6,8 @@
 //!                 [--max-connections N] [--max-head-bytes N]
 //!                 [--max-body-bytes N] [--read-timeout-ms N]
 //!                 [--rate-limit RPS] [--rate-burst N]
-//!                 [--pin-cores] [--single-listener]
-//!                 [--gateway] [--member HOST:PORT]... [--join HOST:PORT]
+//!                 [--pin-cores] [--gateway] [--member HOST:PORT]...
+//!                 [--join HOST:PORT]
 //! ```
 //!
 //! Roles:
@@ -47,8 +47,7 @@ fn usage() -> ! {
         "usage: dandelion-serve [--addr HOST:PORT] [--cores N] [--event-loops N] \
          [--max-connections N] [--max-head-bytes N] [--max-body-bytes N] \
          [--read-timeout-ms N] [--rate-limit RPS] [--rate-burst N] \
-         [--pin-cores] [--single-listener] \
-         [--gateway] [--member HOST:PORT]... [--join HOST:PORT]"
+         [--pin-cores] [--gateway] [--member HOST:PORT]... [--join HOST:PORT]"
     );
     exit(2);
 }
@@ -85,12 +84,6 @@ fn parse_options() -> Options {
         }
         if flag == "--pin-cores" {
             options.config.pin_cores = true;
-            continue;
-        }
-        // Opt out of `SO_REUSEPORT` accept sharding: one listener owned by
-        // loop 0, placing connections on the least-loaded loop.
-        if flag == "--single-listener" {
-            options.config.reuseport = false;
             continue;
         }
         let Some(value) = args.next() else { usage() };

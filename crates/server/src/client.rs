@@ -12,7 +12,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use dandelion_common::KIB;
+use dandelion_core::DandelionClient;
 use dandelion_http::{HttpRequest, HttpResponse, ParseLimits, ResponseDecoder};
+use parking_lot::Mutex;
 
 /// Bytes requested from the kernel per read.
 const READ_CHUNK: usize = 64 * KIB;
@@ -67,4 +69,14 @@ impl HttpClientConnection {
         self.send(request)?;
         self.receive()
     }
+}
+
+/// Connects the typed [`DandelionClient`] to the worker or gateway at
+/// `addr`. Its transport is one [`HttpClientConnection`] behind a mutex:
+/// no pool and no reconnect — a dead socket is an error to the caller.
+pub fn connect(addr: impl ToSocketAddrs, read_timeout: Duration) -> io::Result<DandelionClient> {
+    let connection = Mutex::new(HttpClientConnection::connect(addr, read_timeout)?);
+    Ok(DandelionClient::with_transport(move |request| {
+        connection.lock().request(request)
+    }))
 }

@@ -18,16 +18,10 @@ pub struct ServerConfig {
     /// Event-loop threads multiplexing all connections; `0` resolves to a
     /// core-derived default. A connection consumes memory only — never a
     /// thread — so a small pool serves thousands of mostly-idle keep-alive
-    /// clients.
+    /// clients. Every loop binds its own `SO_REUSEPORT` listener on `addr`
+    /// and the kernel load-balances incoming connections across them, so no
+    /// loop is the admission chokepoint.
     pub event_loops: usize,
-    /// Sharded accept (the default): every event loop binds its own
-    /// `SO_REUSEPORT` listener and the kernel load-balances incoming
-    /// connections across them, so no loop is the admission chokepoint.
-    /// `false` falls back to the single listener owned by loop 0 with
-    /// least-loaded placement over the loop gauges — a deterministic path
-    /// placement-sensitive tests (and kernels without `SO_REUSEPORT`
-    /// balancing) can rely on.
-    pub reuseport: bool,
     /// Pin each event-loop thread to one core (`loop index % cores`), so a
     /// connection's buffers, slab entry and pool allocations stay on one
     /// core's cache hierarchy. Off by default: pinning helps a dedicated
@@ -70,7 +64,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:8080".to_string(),
             event_loops: 0,
-            reuseport: true,
             pin_cores: false,
             max_connections: 4096,
             limits: ParseLimits::default(),

@@ -45,7 +45,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dandelion_common::{failpoint, BatchProgress, JsonValue, Rope, RopeBatch};
+use dandelion_common::{failpoint, BatchProgress, Rope, RopeBatch};
+use dandelion_core::frontend::error_body;
 use dandelion_core::{sync_invoke_response, FrontendReply};
 use dandelion_http::{
     rejection_code, rejection_status, HttpParseError, HttpRequest, HttpResponse, RequestDecoder,
@@ -57,63 +58,49 @@ use crate::gateway::GatewayReply;
 use crate::rate::RateLimit;
 use crate::server::{AppKind, Shared};
 
-/// Builds the JSON error body shared by every connection-level rejection.
-fn error_body(code: &str, message: &str, retryable: bool) -> HttpResponse {
-    let document = JsonValue::object([(
-        "error",
-        JsonValue::object([
-            ("code", JsonValue::string(code)),
-            ("message", JsonValue::string(message)),
-            ("retryable", JsonValue::from(retryable)),
-        ]),
-    )]);
-    HttpResponse::new(StatusCode::OK, document.to_json_string().into_bytes())
-        .with_header("Content-Type", "application/json")
-}
-
 /// The response for a request that failed parsing: `400`, `413` or `431`
 /// with a stable machine-readable code.
 pub fn rejection_response(error: &HttpParseError) -> HttpResponse {
-    let mut response = error_body(rejection_code(error), &error.to_string(), false);
-    response.status = rejection_status(error);
-    response
+    error_body(
+        rejection_status(error),
+        rejection_code(error),
+        &error.to_string(),
+        false,
+    )
 }
 
 /// The `503` answer for a connection refused by admission control.
 pub fn overloaded_response(max_connections: usize) -> HttpResponse {
-    let mut response = error_body(
+    error_body(
+        StatusCode::SERVICE_UNAVAILABLE,
         "overloaded",
         &format!("connection limit of {max_connections} reached"),
         true,
-    );
-    response.status = StatusCode::SERVICE_UNAVAILABLE;
-    response
+    )
 }
 
 /// The `408` answer for a client that stalled mid-request past the read
 /// deadline.
 pub fn timeout_response() -> HttpResponse {
-    let mut response = error_body(
+    error_body(
+        StatusCode::REQUEST_TIMEOUT,
         "read_timeout",
         "request was not received within the read deadline",
         true,
-    );
-    response.status = StatusCode::REQUEST_TIMEOUT;
-    response
+    )
 }
 
 /// The `429` answer for a client over its per-IP token bucket.
 pub fn rate_limited_response(limit: RateLimit) -> HttpResponse {
-    let mut response = error_body(
+    error_body(
+        StatusCode::TOO_MANY_REQUESTS,
         "rate_limited",
         &format!(
             "client exceeded {} requests/second (burst {})",
             limit.requests_per_sec, limit.burst
         ),
         true,
-    );
-    response.status = StatusCode::TOO_MANY_REQUESTS;
-    response
+    )
 }
 
 /// Finalizes a response for delivery: stamps the `Connection` header and

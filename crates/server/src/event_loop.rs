@@ -16,10 +16,11 @@
 //! upstream connection of the same loop, and the member's response is
 //! delivered straight back into the client's slot, body by reference.
 //!
-//! Cross-thread traffic arrives through each loop's inbox — a lock-free
-//! [`MpscQueue`] drained in whole batches: the accept path posts admitted
-//! connections (fallback single-listener mode only; with `SO_REUSEPORT`
-//! sharding each loop accepts its own), the dispatcher's completion
+//! Every loop accepts for itself: each binds its own `SO_REUSEPORT`
+//! listener on the shared address, the kernel load-balances new connections
+//! across them, and a connection lives and dies on the loop that accepted
+//! it. Cross-thread traffic arrives through each loop's inbox — a lock-free
+//! [`MpscQueue`] drained in whole batches: the dispatcher's completion
 //! callbacks post finished responses ([`LoopMsg::Complete`]), and gateway
 //! dispatch posts forward plans ([`LoopMsg::Forward`]). The `eventfd`
 //! wakeup is conditional: a producer writes it only when it observes the
@@ -77,8 +78,7 @@ use crate::sys::{
     EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 
-/// Token of the loop's listener registration (every loop in sharded accept
-/// mode, loop 0 only in fallback mode).
+/// Token of the loop's listener registration.
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Token of the loop's own waker eventfd.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
@@ -95,8 +95,6 @@ const RETRY_BACKOFF_CAP_MS: u64 = 200;
 /// A message for one event loop, posted by another thread (or by the loop
 /// itself, for work it must finish outside a connection borrow).
 pub(crate) enum LoopMsg {
-    /// An admitted connection to adopt (from the accept path).
-    Accept(TcpStream, IpAddr),
     /// A settled synchronous invocation's response for slot `seq` of the
     /// connection identified by `token`.
     Complete {
@@ -114,8 +112,8 @@ pub(crate) enum LoopMsg {
 }
 
 /// The cross-thread half of one event loop: a lock-free inbox plus the
-/// eventfd that wakes the loop to drain it. Shared with the accept path and
-/// with every completion callback targeting this loop.
+/// eventfd that wakes the loop to drain it. Shared with every completion
+/// callback targeting this loop.
 pub(crate) struct LoopShared {
     inbox: MpscQueue<LoopMsg>,
     waker: EventFd,
@@ -123,8 +121,8 @@ pub(crate) struct LoopShared {
     /// inbox; swapped off by the first producer that posts into the sleep,
     /// which is the only producer that signals the eventfd.
     sleeping: AtomicBool,
-    /// Gauge: connections owned by (or in transit to) this loop. Fed by the
-    /// accept path's placement decision, drained by `close`.
+    /// Gauge: connections owned by this loop. Raised by `adopt`, drained by
+    /// `close`.
     pub(crate) connections: AtomicUsize,
     /// Gauge: invocations in flight for connections on this loop (parked
     /// `Waiting` slots, including proxied upstream requests).
@@ -155,13 +153,6 @@ impl LoopShared {
             writes: AtomicU64::new(0),
             messages_written: AtomicU64::new(0),
         })
-    }
-
-    /// The placement score of this loop: open connections weighted with the
-    /// work actually in flight, so a loop holding mostly-idle keep-alives
-    /// still out-bids one driving busy invocations.
-    pub(crate) fn load_score(&self) -> usize {
-        self.connections.load(Ordering::Relaxed) + 4 * self.inflight.load(Ordering::Relaxed)
     }
 
     /// Accounts one flush's socket writes (statistics only, hence relaxed).
@@ -273,11 +264,11 @@ struct NodePool {
 
 /// One epoll-driven event loop thread.
 pub(crate) struct EventLoop {
-    index: usize,
     shared: Arc<Shared>,
     me: Arc<LoopShared>,
     epoll: Epoll,
-    /// Loop 0 owns the (non-blocking) listener and runs the accept path.
+    /// This loop's own (non-blocking) `SO_REUSEPORT` listener; `None` once
+    /// draining began.
     listener: Option<TcpListener>,
     slab: Vec<SlabEntry>,
     free: Vec<usize>,
@@ -313,21 +304,18 @@ impl EventLoop {
     pub(crate) fn new(
         index: usize,
         shared: Arc<Shared>,
-        listener: Option<TcpListener>,
+        listener: TcpListener,
     ) -> std::io::Result<EventLoop> {
         let epoll = Epoll::new()?;
         let me = Arc::clone(&shared.loops[index]);
         epoll.add(me.waker.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
-        if let Some(listener) = &listener {
-            listener.set_nonblocking(true)?;
-            epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
-        }
+        listener.set_nonblocking(true)?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
         Ok(EventLoop {
-            index,
             shared,
             me,
             epoll,
-            listener,
+            listener: Some(listener),
             slab: Vec::new(),
             free: Vec::new(),
             dirty: Vec::new(),
@@ -382,7 +370,7 @@ impl EventLoop {
         }
     }
 
-    /// Stops admitting (loop 0 closes the listener) and sweeps idle
+    /// Stops admitting (the listener closes) and sweeps idle
     /// connections; busy ones drain at their next response boundary, with a
     /// hard deadline backstop. Idle upstream connections are released
     /// immediately — ones with pending responses finish their exchanges.
@@ -455,46 +443,22 @@ impl EventLoop {
         }
     }
 
-    /// Admission control plus placement. With sharded (`SO_REUSEPORT`)
-    /// accept the kernel already load-balanced the connection to this
-    /// loop's listener, so the loop adopts it locally — no cross-loop
-    /// hand-off on the admission path at all. In fallback single-listener
-    /// mode the accepting loop reads every loop's connection and in-flight
-    /// gauges and hands the connection to the cheapest one (itself
-    /// included).
+    /// Admission control. The kernel already load-balanced the connection
+    /// to this loop's listener, so the loop that accepted it adopts it — no
+    /// cross-loop hand-off on the admission path at all.
     fn admit(&mut self, stream: TcpStream, peer: IpAddr) {
         if self.shared.stopping.load(Ordering::Acquire) {
             return;
         }
-        // `active` counts connections open plus in transit to a loop; past
-        // the limit the client gets a 503 instead of unbounded queueing.
+        // `active` counts connections open across all loops; past the
+        // limit the client gets a 503 instead of unbounded queueing.
         if self.shared.active.fetch_add(1, Ordering::AcqRel) >= self.shared.config.max_connections {
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
             self.reject(stream);
             return;
         }
         self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        let target = if self.shared.config.reuseport {
-            self.index
-        } else {
-            self.shared
-                .loops
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, loop_shared)| loop_shared.load_score())
-                .map(|(index, _)| index)
-                .unwrap_or(self.index)
-        };
-        // Count the connection against the target immediately so the next
-        // placement decision sees it even before the target loop adopts it.
-        self.shared.loops[target]
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
-        if target == self.index {
-            self.adopt(stream, peer);
-        } else {
-            self.shared.loops[target].post(LoopMsg::Accept(stream, peer));
-        }
+        self.adopt(stream, peer);
     }
 
     /// Answers a refused connection with `503` before closing it. The
@@ -532,7 +496,6 @@ impl EventLoop {
     fn adopt(&mut self, stream: TcpStream, peer: IpAddr) {
         if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
-            self.me.connections.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         let index = self.alloc_slot();
@@ -552,11 +515,11 @@ impl EventLoop {
         {
             self.free.push(index);
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
-            self.me.connections.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         self.slab[index].endpoint = Some(Endpoint::Client(conn));
         self.open += 1;
+        self.me.connections.fetch_add(1, Ordering::Relaxed);
         self.shared
             .stats
             .open_connections
@@ -930,7 +893,7 @@ impl EventLoop {
     /// way.
     fn complete_client(&mut self, token: u64, seq: u64, response: HttpResponse) {
         // Paired with the increment when the slot was parked; settled work
-        // leaves the load score even when the connection died before its
+        // leaves the gauge even when the connection died before its
         // completion arrived.
         self.me.inflight.fetch_sub(1, Ordering::Relaxed);
         let index = (token & u32::MAX as u64) as usize;
@@ -947,21 +910,11 @@ impl EventLoop {
         }
     }
 
-    /// Applies queued cross-thread messages: adopted connections, settled
-    /// invocation responses, and gateway forward plans.
+    /// Applies queued cross-thread messages: settled invocation responses
+    /// and gateway forward plans.
     fn drain_inbox(&mut self) {
         for msg in self.me.take_messages() {
             match msg {
-                LoopMsg::Accept(stream, peer) => {
-                    if self.shared.stopping.load(Ordering::Acquire) {
-                        // Admitted but the server started draining before
-                        // the loop adopted it: release the admission slot.
-                        self.shared.active.fetch_sub(1, Ordering::AcqRel);
-                        self.me.connections.fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    self.adopt(stream, peer);
-                }
                 LoopMsg::Complete {
                     token,
                     seq,

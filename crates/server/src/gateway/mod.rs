@@ -60,6 +60,6 @@ mod router;
 pub(crate) mod upstream;
 
 pub use membership::{Member, MemberLoad, MemberState};
-pub use router::{proxy_request, proxy_response, GatewayConfig, Router};
+pub use router::{composition_affinity_hash, proxy_request, proxy_response, GatewayConfig, Router};
 
 pub(crate) use router::{upstream_failed_response, ForwardPlan, GatewayReply};

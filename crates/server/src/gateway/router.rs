@@ -29,7 +29,7 @@ use std::sync::{mpsc, Arc, Weak};
 use std::time::Duration;
 
 use dandelion_common::{failpoint, InvocationId, JsonValue, NodeId, Rope, SharedBytes};
-use dandelion_core::composition_affinity_hash;
+use dandelion_core::frontend::error_body;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -44,6 +44,17 @@ const INVOCATION_ROUTE_CAPACITY: usize = 64 * 1024;
 /// be before the router abandons affinity for the least-loaded member:
 /// past `2 * min + SLACK` the preference loses.
 const AFFINITY_LOAD_SLACK: usize = 16;
+
+/// FNV-1a over the composition name: the stable hash behind
+/// composition-affinity placement (`hash % eligible members`).
+pub fn composition_affinity_hash(composition: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in composition.as_bytes() {
+        hash ^= *byte as u64;
+        hash = hash.wrapping_mul(0x1000_0000_01b3);
+    }
+    hash
+}
 
 /// Tunables of the gateway router.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,7 +355,7 @@ impl Router {
             }
         };
         if let Some(complete) = rejected {
-            complete(gateway_error(
+            complete(error_body(
                 StatusCode::SERVICE_UNAVAILABLE,
                 "gateway_stopping",
                 "the gateway control plane is shut down",
@@ -538,7 +549,7 @@ impl Router {
     /// directly, proxied requests come back as a [`ForwardPlan`].
     pub(crate) fn dispatch(&self, request: &HttpRequest) -> GatewayReply {
         let Some(uri) = Uri::parse(&request.target) else {
-            return GatewayReply::Respond(gateway_error(
+            return GatewayReply::Respond(error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
                 &format!("unparseable request target `{}`", request.target),
@@ -546,7 +557,7 @@ impl Router {
             ));
         };
         if uri.query.is_some() {
-            return GatewayReply::Respond(gateway_error(
+            return GatewayReply::Respond(error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
                 "query strings are not accepted",
@@ -590,7 +601,7 @@ impl Router {
             (Method::Get, ["v1", "invocations", id]) if !id.is_empty() => {
                 self.plan_poll(request, id)
             }
-            _ => GatewayReply::Respond(gateway_error(
+            _ => GatewayReply::Respond(error_body(
                 StatusCode::NOT_FOUND,
                 "not_found",
                 &format!("endpoint `{}` not found on the gateway", uri.path),
@@ -643,7 +654,7 @@ impl Router {
             // misleading `404`, so answer `410` and say why.
             Some(Err(())) => {
                 self.stats.evicted_polls.fetch_add(1, Ordering::Relaxed);
-                return GatewayReply::Respond(gateway_error(
+                return GatewayReply::Respond(error_body(
                     StatusCode(410),
                     "result_evicted",
                     &format!(
@@ -890,7 +901,7 @@ impl Router {
             }
         }
         let Some(name) = name else {
-            return gateway_error(
+            return error_body(
                 StatusCode(502),
                 "upstream_failed",
                 &format!(
@@ -918,7 +929,7 @@ impl Router {
                 ]),
             )
         } else {
-            gateway_error(
+            error_body(
                 StatusCode(502),
                 "partial_registration",
                 &format!(
@@ -958,7 +969,7 @@ impl Router {
             })
             .and_then(|text| text.parse::<SocketAddr>().ok());
         let Some(addr) = addr else {
-            return gateway_error(
+            return error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
                 "body must be a JSON object with an `addr` of the form `host:port`",
@@ -973,7 +984,7 @@ impl Router {
                     ("addr", JsonValue::string(addr.to_string())),
                 ]),
             ),
-            Err(problem) => gateway_error(StatusCode(502), "join_failed", &problem, true),
+            Err(problem) => error_body(StatusCode(502), "join_failed", &problem, true),
         }
     }
 
@@ -983,7 +994,7 @@ impl Router {
     /// Blocking (the relay is an HTTP call) — control thread only.
     fn drain_request(&self, node_text: &str) -> HttpResponse {
         let Some(node) = NodeId::parse(node_text) else {
-            return gateway_error(
+            return error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
                 &format!("malformed node id `{node_text}`"),
@@ -991,7 +1002,7 @@ impl Router {
             );
         };
         let Some(addr) = self.drain(node) else {
-            return gateway_error(
+            return error_body(
                 StatusCode::NOT_FOUND,
                 "not_found",
                 &format!("no member `{node}` in the cluster"),
@@ -1134,29 +1145,9 @@ fn json_response(status: StatusCode, value: &JsonValue) -> HttpResponse {
         .with_header("Content-Type", "application/json")
 }
 
-/// A structured gateway error in the same wire shape as the worker's.
-pub(crate) fn gateway_error(
-    status: StatusCode,
-    code: &str,
-    message: &str,
-    retryable: bool,
-) -> HttpResponse {
-    json_response(
-        status,
-        &JsonValue::object([(
-            "error",
-            JsonValue::object([
-                ("code", JsonValue::string(code)),
-                ("message", JsonValue::string(message)),
-                ("retryable", JsonValue::from(retryable)),
-            ]),
-        )]),
-    )
-}
-
 /// The `502` for an exchange that died with its upstream connection.
 pub(crate) fn upstream_failed_response(node: NodeId) -> HttpResponse {
-    gateway_error(
+    error_body(
         StatusCode(502),
         "upstream_failed",
         &format!("member {node} failed while handling the request"),
@@ -1166,7 +1157,7 @@ pub(crate) fn upstream_failed_response(node: NodeId) -> HttpResponse {
 
 /// The `503` when no routable member exists for a request.
 pub(crate) fn no_members_response() -> HttpResponse {
-    gateway_error(
+    error_body(
         StatusCode::SERVICE_UNAVAILABLE,
         "no_members",
         "no healthy cluster member is available",

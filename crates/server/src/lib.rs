@@ -5,11 +5,11 @@
 //! This crate is the transport — the subsystem the paper's platform puts
 //! between untrusted clients and the dispatcher:
 //!
-//! * a non-blocking TCP listener feeding a **small pool of epoll event
-//!   loops** ([`sys`] declares the few libc symbols needed — no async
-//!   runtime is vendored). Each loop multiplexes thousands of connections:
-//!   an idle keep-alive client or one waiting on an invocation consumes
-//!   memory only, never a thread,
+//! * a **small pool of epoll event loops** ([`sys`] declares the few libc
+//!   symbols needed — no async runtime is vendored), each accepting on its
+//!   own non-blocking `SO_REUSEPORT` listener. Each loop multiplexes
+//!   thousands of connections: an idle keep-alive client or one waiting on
+//!   an invocation consumes memory only, never a thread,
 //! * **per-connection state machines** that read into pooled buffers,
 //!   parse requests incrementally (partial reads, pipelined keep-alive
 //!   requests, `Connection: close`), dispatch without blocking
@@ -30,7 +30,9 @@
 //!
 //! The `dandelion-serve` binary wires a demo worker behind a [`Server`];
 //! [`HttpClientConnection`] is the in-repo load generator used by the
-//! `network` benchmark and the integration tests.
+//! `network` benchmark and the integration tests, and [`connect`] puts the
+//! typed [`DandelionClient`](dandelion_core::DandelionClient) on one such
+//! connection, so it reaches a worker or a gateway like every other client.
 
 mod client;
 mod config;
@@ -41,7 +43,7 @@ mod rate;
 mod server;
 pub mod sys;
 
-pub use client::HttpClientConnection;
+pub use client::{connect, HttpClientConnection};
 pub use config::ServerConfig;
 pub use conn::{
     overloaded_response, rate_limited_response, rejection_response, response_rope, timeout_response,

@@ -2,7 +2,7 @@
 //! graceful shutdown.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -115,7 +115,7 @@ impl ServerStats {
 }
 
 /// The `"server"` stats document: the aggregate counters plus one entry
-/// per event loop — the placement gauges (`connections`, `inflight`), the
+/// per event loop — the load gauges (`connections`, `inflight`), the
 /// inbox backlog, and the wakeup-coalescing counters (`posted` messages vs
 /// `wakeups` actually signalled; `coalesced` is the difference, i.e. posts
 /// that found the loop awake and cost no syscall), and the write-coalescing
@@ -167,8 +167,8 @@ pub(crate) enum AppKind {
     Gateway(Arc<Router>),
 }
 
-/// State shared by every event loop, the accept path and the dispatcher's
-/// completion callbacks.
+/// State shared by every event loop and the dispatcher's completion
+/// callbacks.
 pub(crate) struct Shared {
     pub(crate) app: AppKind,
     pub(crate) config: ServerConfig,
@@ -176,15 +176,15 @@ pub(crate) struct Shared {
     pub(crate) limiter: Option<RateLimiter>,
     /// Set once by shutdown; loops observe it and drain.
     pub(crate) stopping: AtomicBool,
-    /// Admission gauge: connections open plus in transit to a loop.
+    /// Admission gauge: connections open across all loops.
     pub(crate) active: AtomicUsize,
     /// The cross-thread half of each event loop, indexed by loop.
     pub(crate) loops: Vec<Arc<LoopShared>>,
 }
 
-/// A running network server: a non-blocking listener plus a small pool of
-/// epoll event loops multiplexing every connection, all serving one
-/// [`Frontend`].
+/// A running network server: a small pool of epoll event loops, each
+/// accepting on its own `SO_REUSEPORT` listener and multiplexing the
+/// connections it accepted, all serving one [`Frontend`].
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -228,34 +228,24 @@ impl Server {
             .map_err(|problem| io::Error::new(io::ErrorKind::InvalidInput, problem))?;
         dandelion_common::failpoint::init_from_env();
         let loop_count = config.resolved_event_loops();
-        // Sharded accept: every loop gets its own `SO_REUSEPORT` listener
-        // and the kernel load-balances incoming connections across them.
-        // The first bind resolves an ephemeral port; the rest join its
-        // accept group at the concrete address. Fallback mode binds one
-        // listener, owned by loop 0, which places connections by load.
-        let (addr, listeners) = if config.reuseport {
-            let resolved = std::net::ToSocketAddrs::to_socket_addrs(&config.addr)?
-                .next()
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("address {:?} resolved to nothing", config.addr),
-                    )
-                })?;
-            let first = bind_reuseport(&resolved)?;
-            let addr = first.local_addr()?;
-            let mut listeners = vec![Some(first)];
-            for _ in 1..loop_count {
-                listeners.push(Some(bind_reuseport(&addr)?));
-            }
-            (addr, listeners)
-        } else {
-            let listener = TcpListener::bind(&config.addr)?;
-            let addr = listener.local_addr()?;
-            let mut listeners: Vec<Option<TcpListener>> = (0..loop_count).map(|_| None).collect();
-            listeners[0] = Some(listener);
-            (addr, listeners)
-        };
+        // Every loop gets its own `SO_REUSEPORT` listener and the kernel
+        // load-balances incoming connections across them. The first bind
+        // resolves an ephemeral port; the rest join its accept group at the
+        // concrete address.
+        let resolved = std::net::ToSocketAddrs::to_socket_addrs(&config.addr)?
+            .next()
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("address {:?} resolved to nothing", config.addr),
+                )
+            })?;
+        let first = bind_reuseport(&resolved)?;
+        let addr = first.local_addr()?;
+        let mut listeners = vec![first];
+        for _ in 1..loop_count {
+            listeners.push(bind_reuseport(&addr)?);
+        }
         let stats = Arc::new(ServerStats::default());
         let loops = (0..loop_count)
             .map(|_| LoopShared::new().map(Arc::new))
@@ -275,9 +265,9 @@ impl Server {
         });
 
         // Surface the serving-layer gauges through `GET /v1/stats` next to
-        // the worker counters, including the per-loop placement gauges the
-        // least-loaded accept path reads. The gateway merges the same
-        // document into its own stats response.
+        // the worker counters, including the per-loop `connections` and
+        // `inflight` gauges. The gateway merges the same document into its
+        // own stats response.
         {
             let stats = Arc::clone(&stats);
             let loops = shared.loops.clone();

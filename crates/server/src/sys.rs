@@ -200,8 +200,8 @@ impl Epoll {
 }
 
 /// A wakeup channel another thread can signal to interrupt an
-/// [`Epoll::wait`]: registered in the loop's epoll set, written by the
-/// accept path and by dispatcher completion callbacks.
+/// [`Epoll::wait`]: registered in the loop's epoll set, written by
+/// dispatcher completion callbacks, gateway dispatch and shutdown.
 #[derive(Debug)]
 pub struct EventFd {
     fd: OwnedFd,

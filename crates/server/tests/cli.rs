@@ -1,0 +1,169 @@
+//! The `dandelion-serve` command line: flag validation exits `2` with a
+//! message before anything is bound, and a served process reports the
+//! address it bound and one accepting event loop per `--event-loops`.
+
+use std::io::{BufRead, BufReader, Read};
+use std::net::SocketAddr;
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use dandelion_common::JsonValue;
+use dandelion_http::HttpRequest;
+use dandelion_server::HttpClientConnection;
+
+/// How long a child gets to exit, or to print the address it bound.
+const CHILD_DEADLINE: Duration = Duration::from_secs(10);
+
+/// A `dandelion-serve` child, killed and reaped on every exit path of the
+/// test that spawned it — a failed assertion included.
+struct Serve {
+    child: std::process::Child,
+    /// The thread reading the child's stdout, once something asked for it;
+    /// it ends at EOF, i.e. when the child is gone.
+    stdout_drain: Option<JoinHandle<()>>,
+}
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(drain) = self.stdout_drain.take() {
+            let _ = drain.join();
+        }
+    }
+}
+
+impl Serve {
+    /// The address the child printed as bound. A thread owns stdout, so a
+    /// child that prints nothing is a timeout here, not a read that blocks
+    /// for ever.
+    fn bound_addr(&mut self) -> SocketAddr {
+        let stdout = BufReader::new(self.child.stdout.take().expect("stdout was piped"));
+        let (lines_tx, lines_rx) = mpsc::channel::<String>();
+        self.stdout_drain = Some(std::thread::spawn(move || {
+            for line in stdout.lines().map_while(Result::ok) {
+                let _ = lines_tx.send(line);
+            }
+        }));
+        let deadline = Instant::now() + CHILD_DEADLINE;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let line = lines_rx
+                .recv_timeout(left)
+                .expect("dandelion-serve prints the address it bound");
+            if let Some((_, addr)) = line.split_once("listening on http://") {
+                return addr.trim().parse().expect("a socket address");
+            }
+        }
+    }
+}
+
+fn spawn(args: &[&str]) -> Serve {
+    let child = Command::new(env!("CARGO_BIN_EXE_dandelion-serve"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("dandelion-serve spawns");
+    Serve {
+        child,
+        stdout_drain: None,
+    }
+}
+
+/// Runs `dandelion-serve args..` until it exits by itself and returns its
+/// exit code and what it wrote to stderr. A child that keeps serving
+/// instead fails the test (and is killed by its guard).
+fn run_to_exit(args: &[&str]) -> (Option<i32>, String) {
+    let mut serve = spawn(args);
+    let deadline = Instant::now() + CHILD_DEADLINE;
+    let status = loop {
+        if let Some(status) = serve.child.try_wait().expect("child can be waited on") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "dandelion-serve {args:?} kept running instead of rejecting its flags"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    serve
+        .child
+        .stderr
+        .take()
+        .expect("stderr was piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr is text");
+    (status.code(), stderr)
+}
+
+#[test]
+fn the_single_listener_flag_is_gone() {
+    let (code, stderr) = run_to_exit(&["--single-listener"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.starts_with("usage: dandelion-serve"), "{stderr}");
+    assert!(!stderr.contains("single-listener"), "{stderr}");
+    // Not the last argument either: it is no flag at all, with or without
+    // something after it.
+    let (code, _) = run_to_exit(&["--single-listener", "--addr", "127.0.0.1:0"]);
+    assert_eq!(code, Some(2));
+}
+
+#[test]
+fn flag_combinations_are_rejected_before_anything_is_bound() {
+    let (code, stderr) = run_to_exit(&["--rate-burst", "5"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("requires --rate-limit"), "{stderr}");
+    let (code, stderr) = run_to_exit(&["--gateway", "--join", "127.0.0.1:1"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("mutually exclusive"), "{stderr}");
+}
+
+#[test]
+fn serves_on_the_printed_address_with_one_accepting_loop_per_event_loop() {
+    let mut serve = spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--cores",
+        "2",
+        "--event-loops",
+        "3",
+    ]);
+    let addr = serve.bound_addr();
+    assert!(addr.ip().is_loopback());
+    assert_ne!(addr.port(), 0, "the printed port is the bound one");
+
+    // Hold five connections open; each has been answered once, so each is
+    // owned by the loop that accepted it.
+    let mut held: Vec<HttpClientConnection> = (0..5)
+        .map(|_| HttpClientConnection::connect(addr, CHILD_DEADLINE).expect("connects"))
+        .collect();
+    for connection in &mut held {
+        let health = connection.request(&HttpRequest::get("/healthz")).unwrap();
+        assert_eq!(health.status.0, 200);
+        assert_eq!(health.body_text(), "ok");
+    }
+    let stats = held[0].request(&HttpRequest::get("/v1/stats")).unwrap();
+    assert_eq!(stats.status.0, 200);
+    let document = JsonValue::parse(&stats.body_text()).expect("stats JSON");
+    let loops = document
+        .get("server")
+        .and_then(|server| server.get("loops"))
+        .and_then(JsonValue::as_array)
+        .expect("server.loops");
+    assert_eq!(loops.len(), 3);
+    let connections: u64 = loops
+        .iter()
+        .map(|entry| {
+            entry
+                .get("connections")
+                .and_then(JsonValue::as_u64)
+                .expect("loops[].connections")
+        })
+        .sum();
+    assert_eq!(connections, held.len() as u64);
+}

@@ -1,5 +1,6 @@
 //! Socket-level tests of the serving layer: admission control, the read
-//! deadline, malformed-request hardening and graceful shutdown.
+//! deadline, malformed-request hardening, graceful shutdown, and the typed
+//! client over its socket transport.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -76,6 +77,38 @@ fn serves_health_and_sync_invoke_over_a_real_socket() {
     assert_eq!(invoke.body_text(), "over the wire");
     assert_eq!(server.stats().requests, 2);
     assert!(server.shutdown(), "drains with nothing in flight");
+    worker.shutdown();
+}
+
+#[test]
+fn typed_client_roundtrip_and_typed_not_found_over_a_socket() {
+    use dandelion_common::{DandelionError, DataSet, InvocationId};
+    use dandelion_core::InvocationStatus;
+    let (server, worker) = start_server(ServerConfig {
+        read_timeout: Duration::from_secs(10),
+        ..loopback_config()
+    });
+    let client = dandelion_server::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let handle = client
+        .submit(
+            "EchoComp",
+            vec![DataSet::single("Input", b"over a socket".to_vec())],
+        )
+        .unwrap();
+    let outcome = handle.wait(Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(outcome.outputs[0].items[0].as_str(), Some("over a socket"));
+    // Waits are non-consuming on every transport: polling after a wait
+    // works over the socket exactly like in process.
+    let poll = client.poll(handle.id()).unwrap();
+    assert_eq!(poll.status, InvocationStatus::Completed);
+    assert!(poll.outcome.is_some());
+    let err = client.poll(InvocationId::from_raw(u64::MAX)).unwrap_err();
+    assert!(matches!(err, DandelionError::NotFound { .. }));
+    // No reconnect: once the server is gone the transport's failure is the
+    // caller's error, not a server answer.
+    server.shutdown();
+    let err = client.poll(handle.id()).unwrap_err();
+    assert!(matches!(err, DandelionError::Internal(_)), "{err}");
     worker.shutdown();
 }
 

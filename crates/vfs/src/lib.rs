@@ -13,7 +13,8 @@
 //! * The function reads and writes through [`VirtualFs`] and [`FileHandle`]
 //!   without any ambient authority.
 //! * [`VirtualFs::harvest_output_sets`] turns the files under each declared
-//!   output directory back into [`DataSet`]s for the dispatcher.
+//!   output directory back into [`DataSet`](dandelion_common::DataSet)s for
+//!   the dispatcher.
 //!
 //! The filesystem is intentionally small and strict: paths are normalized,
 //! directories and files are distinct node types, and all failures are

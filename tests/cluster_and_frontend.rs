@@ -1,11 +1,13 @@
-//! Integration tests for the HTTP frontend and the multi-node cluster
-//! manager, plus the control-plane behaviour under mixed load.
+//! Integration tests for the HTTP frontend, plus the control-plane
+//! behaviour under mixed load. The cluster layer is the gateway: its tests
+//! run over sockets in `crates/server/tests/gateway.rs`, and the typed
+//! client's two-member run is in `nonblocking_api.rs`.
 
 use std::sync::Arc;
 
-use dandelion_common::config::{ClusterConfig, IsolationKind, LoadBalancing, WorkerConfig};
+use dandelion_common::config::{IsolationKind, WorkerConfig};
 use dandelion_common::DataSet;
-use dandelion_core::{ClusterManager, Frontend};
+use dandelion_core::Frontend;
 use dandelion_http::{HttpRequest, StatusCode};
 use dandelion_integration_tests::demo_worker;
 
@@ -47,42 +49,6 @@ fn frontend_serves_registration_and_invocation_over_http() {
         Some(1)
     );
     worker.shutdown();
-}
-
-#[test]
-fn cluster_manager_balances_across_nodes() {
-    let config = ClusterConfig {
-        nodes: 3,
-        worker: WorkerConfig {
-            total_cores: 2,
-            initial_communication_cores: 1,
-            isolation: IsolationKind::Native,
-            ..WorkerConfig::default()
-        },
-        load_balancing: LoadBalancing::RoundRobin,
-    };
-    let cluster =
-        ClusterManager::start(config, dandelion_apps::setup::demo_services(false)).unwrap();
-    cluster
-        .register_function_with(dandelion_apps::matmul::matmul_artifact)
-        .unwrap();
-    cluster
-        .register_composition(dandelion_apps::matmul::matmul_composition())
-        .unwrap();
-
-    for seed in 0..6 {
-        let outcome = cluster
-            .invoke(
-                "MatMulApp",
-                vec![dandelion_apps::matmul::matmul_inputs(8, seed)],
-            )
-            .unwrap();
-        assert_eq!(outcome.outputs[0].len(), 1);
-    }
-    let stats = cluster.stats();
-    assert_eq!(stats.len(), 3);
-    assert!(stats.iter().all(|(_, s)| s.invocations == 2));
-    cluster.shutdown();
 }
 
 #[test]

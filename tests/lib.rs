@@ -1,8 +1,10 @@
 //! Shared helpers for the cross-crate integration tests.
 //!
-//! The actual tests live in the sibling files (`end_to_end.rs`,
-//! `properties.rs`, `cluster_and_frontend.rs`); this library only hosts the
-//! helpers they share.
+//! The actual tests live in the sibling files, one `[[test]]` target each
+//! (`end_to_end.rs`, `properties.rs`, `cluster_and_frontend.rs` for the
+//! frontend and the control plane, `nonblocking_api.rs` for submit/poll and
+//! the typed client through a two-member gateway, ...); this library only
+//! hosts the helpers they share.
 
 use std::sync::Arc;
 

@@ -1,17 +1,20 @@
 //! Integration tests for the non-blocking invocation API: the v1 JSON
 //! submit/poll endpoints on a worker frontend, the `DandelionClient` facade
-//! over a multi-node cluster, and byte-compatibility of the synchronous
+//! over both of its transports (a frontend in process, a socket to a gateway
+//! fronting two members), and byte-compatibility of the synchronous
 //! `/v1/invoke/{name}` path with the async result encoding.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{ClusterConfig, IsolationKind, LoadBalancing, WorkerConfig};
+use dandelion_common::config::{IsolationKind, WorkerConfig};
 use dandelion_common::encoding::base64_decode;
 use dandelion_common::{DataSet, JsonValue};
-use dandelion_core::{ClusterManager, DandelionClient, Frontend, WorkerNode};
+use dandelion_core::{DandelionClient, Frontend, InvocationStatus, WorkerNode};
 use dandelion_http::{HttpRequest, StatusCode};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
+use dandelion_server::gateway::composition_affinity_hash;
+use dandelion_server::{GatewayConfig, Router, Server, ServerConfig};
 use dandelion_services::ServiceRegistry;
 
 const SHOUT_DSL: &str =
@@ -167,30 +170,55 @@ fn sync_invoke_path_returns_identical_bytes_to_the_async_result() {
 
 #[test]
 fn client_facade_keeps_eight_invocations_in_flight_on_a_two_node_cluster() {
-    let config = ClusterConfig {
-        nodes: 2,
-        worker: WorkerConfig {
-            total_cores: 2,
-            initial_communication_cores: 1,
-            isolation: IsolationKind::Native,
-            ..WorkerConfig::default()
-        },
-        load_balancing: LoadBalancing::RoundRobin,
-    };
-    let cluster = Arc::new(ClusterManager::start(config, ServiceRegistry::new()).unwrap());
-    cluster.register_function_with(upper_artifact).unwrap();
-    cluster
-        .register_composition(dandelion_dsl::compile(SHOUT_DSL).unwrap())
-        .unwrap();
-    let client = DandelionClient::for_cluster(Arc::clone(&cluster));
+    // A second composition over the same function, named so that the
+    // gateway's affinity hash sends the two to different members.
+    const LOUD_DSL: &str =
+        "composition Loud(Input) => Output { Upper(Text = all Input) => (Output = Out); }";
+    let compositions = ["Shout", "Loud"];
+    assert_ne!(
+        composition_affinity_hash(compositions[0]) % 2,
+        composition_affinity_hash(compositions[1]) % 2,
+        "the two compositions must prefer different members of a 2-member cluster"
+    );
 
-    // Submit 8 invocations up front; all are in flight before the first
-    // wait, spread across both nodes by round robin.
+    // Two members and a gateway in this process, talking over loopback.
+    let loopback = || ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        event_loops: 1,
+        ..ServerConfig::default()
+    };
+    let members: Vec<(Server, Arc<WorkerNode>)> = (0..2)
+        .map(|_| {
+            let config = WorkerConfig {
+                total_cores: 2,
+                initial_communication_cores: 1,
+                isolation: IsolationKind::Native,
+                ..WorkerConfig::default()
+            };
+            let worker = WorkerNode::start(config, ServiceRegistry::new()).unwrap();
+            worker.register_function(upper_artifact()).unwrap();
+            worker.register_composition_dsl(SHOUT_DSL).unwrap();
+            worker.register_composition_dsl(LOUD_DSL).unwrap();
+            let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+            let server = Server::start(loopback(), frontend).expect("member binds");
+            (server, worker)
+        })
+        .collect();
+    let router = Router::start(GatewayConfig::default());
+    for (server, _) in &members {
+        router.join(server.local_addr()).expect("member joins");
+    }
+    let gateway = Server::start_gateway(loopback(), router).expect("gateway binds");
+    let client = dandelion_server::connect(gateway.local_addr(), Duration::from_secs(10))
+        .expect("client connects");
+
+    // Submit 8 invocations up front, alternating compositions; all are in
+    // flight before the first wait, spread across both members by affinity.
     let handles: Vec<_> = (0..8)
         .map(|index| {
             let handle = client
                 .submit(
-                    "Shout",
+                    compositions[index % 2],
                     vec![DataSet::single(
                         "Input",
                         format!("fan out {index}").into_bytes(),
@@ -209,13 +237,29 @@ fn client_facade_keeps_eight_invocations_in_flight_on_a_two_node_cluster() {
         );
     }
 
-    // Both nodes did work and the totals add up.
-    let stats = cluster.stats();
-    assert_eq!(stats.len(), 2);
-    let total: u64 = stats.iter().map(|(_, s)| s.invocations).sum();
-    assert_eq!(total, 8);
-    assert!(stats.iter().all(|(_, s)| s.invocations > 0));
-    cluster.shutdown();
+    // Both members did work and the totals add up.
+    let invocations: Vec<u64> = members
+        .iter()
+        .map(|(_, worker)| worker.stats().invocations)
+        .collect();
+    assert_eq!(invocations.iter().sum::<u64>(), 8);
+    assert!(
+        invocations.iter().all(|&count| count > 0),
+        "{invocations:?}"
+    );
+
+    // Polls follow the member that accepted the submission: routed to the
+    // other one, any of these would be `NotFound`.
+    for (_, handle) in &handles {
+        let poll = client.poll(handle.id()).unwrap();
+        assert_eq!(poll.status, InvocationStatus::Completed);
+    }
+
+    assert!(gateway.shutdown(), "gateway drains cleanly");
+    for (server, worker) in members {
+        server.shutdown();
+        worker.shutdown();
+    }
 }
 
 #[test]
