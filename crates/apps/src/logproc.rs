@@ -39,7 +39,7 @@ pub fn fanout_artifact() -> FunctionArtifact {
             // skip and the composition returns an empty report (§4.4).
             return Ok(());
         }
-        let body = response.body_text();
+        let body = response.body_str();
         for (index, endpoint) in body
             .lines()
             .map(str::trim)
@@ -53,21 +53,34 @@ pub fn fanout_artifact() -> FunctionArtifact {
     })
 }
 
+/// The most a section adds around what it takes from its response: either
+/// shape's tags (33 bytes around a log, 50 around an error's status line) and
+/// the newline a log's last line may lack.
+const SECTION_MARKUP: usize = 64;
+
 /// `Render`: log responses → a single HTML report.
 pub fn render_artifact() -> FunctionArtifact {
     FunctionArtifact::new("Render", &["HTMLOutput"], |ctx: &mut FunctionCtx| {
+        const OPEN: &str = "<html><body><h1>Service logs</h1>\n";
+        const CLOSE: &str = "</body></html>\n";
         let responses = ctx
             .input_set("HTTPResponses")
-            .ok_or("missing input set `HTTPResponses`")?
-            .clone();
-        let mut html = String::from("<html><body><h1>Service logs</h1>\n");
+            .ok_or("missing input set `HTTPResponses`")?;
+        // The report is its inputs' bytes between fixed tags, so its size is
+        // bounded before the first byte is written: one allocation, never
+        // regrown.
+        let payload: usize = responses.items.iter().map(|item| item.data.len()).sum();
+        let mut html = String::with_capacity(
+            OPEN.len() + payload + responses.items.len() * SECTION_MARKUP + CLOSE.len(),
+        );
+        html.push_str(OPEN);
         for item in &responses.items {
             let response: HttpResponse = dandelion_http::parse_response_shared(&item.data)
                 .map_err(|err| format!("malformed log response: {err}"))?;
             if response.status.is_success() {
                 html.push_str("<section><pre>\n");
-                let body = response.body_text();
-                for line in body.lines().take(200) {
+                // Read in place: the lines are slices of the response buffer.
+                for line in response.body_str().lines().take(200) {
                     html.push_str(line);
                     html.push('\n');
                 }
@@ -79,7 +92,7 @@ pub fn render_artifact() -> FunctionArtifact {
                 ));
             }
         }
-        html.push_str("</body></html>\n");
+        html.push_str(CLOSE);
         ctx.push_output_bytes("HTMLOutput", "report.html", html.into_bytes())
     })
 }

@@ -11,6 +11,7 @@
 //! 4. `MergePartials` (compute) — merges the per-partition results into the
 //!    final answer.
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_dsl::{CompositionBuilder, CompositionGraph, Distribution};
 use dandelion_http::HttpRequest;
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
@@ -150,7 +151,7 @@ pub fn run_partition_artifact() -> FunctionArtifact {
             if !response.status.is_success() {
                 return Err(format!("object fetch failed: {}", response.status).into());
             }
-            let csv = response.body_text();
+            let csv = response.body_str();
             // The item name encodes which table this is:
             // `response-fetch-<partition>-<table>`.
             let table_kind = item.name.rsplit('-').next().unwrap_or_default().to_string();
@@ -189,13 +190,13 @@ pub fn merge_partials_artifact() -> FunctionArtifact {
             return Err("no partial results to merge".into());
         }
         // All partials share the schema of the first one.
-        let first_csv = String::from_utf8_lossy(&partials_set.items[0].data).into_owned();
+        let first_csv = utf8_lossy(&partials_set.items[0].data);
         let header = first_csv.lines().next().unwrap_or_default().to_string();
         let schema = partial_schema(query, &header);
         let partials: Vec<Table> = partials_set
             .items
             .iter()
-            .map(|item| Table::from_csv(schema.clone(), &String::from_utf8_lossy(&item.data)))
+            .map(|item| Table::from_csv(schema.clone(), &utf8_lossy(&item.data)))
             .collect::<Result<_, _>>()?;
         let merged = merge_partials(query, &partials)?;
         ctx.push_output_bytes("Result", "result.csv", merged.to_csv().into_bytes())

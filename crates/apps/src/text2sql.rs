@@ -68,7 +68,7 @@ pub fn extract_sql_artifact() -> FunctionArtifact {
         if !response.status.is_success() {
             return Err(format!("LLM call failed: {}", response.status).into());
         }
-        let sql = extract_sql(&response.body_text())
+        let sql = extract_sql(&response.body_str())
             .ok_or("no SQL statement found in the LLM response")?;
         let request = HttpRequest::post(DB_ENDPOINT, sql.into_bytes())
             .with_header("Content-Type", "application/sql");
@@ -85,7 +85,7 @@ pub fn format_response_artifact() -> FunctionArtifact {
         if !response.status.is_success() {
             return Err(format!("database query failed: {}", response.status).into());
         }
-        let csv = response.body_text();
+        let csv = response.body_str();
         let mut lines = csv.lines();
         let header: Vec<&str> = lines.next().unwrap_or("").split(',').collect();
         let mut answer = String::new();
@@ -178,7 +178,7 @@ mod tests {
         );
         let request = dandelion_http::parse_request(&outputs[0].items[0].data).unwrap();
         assert_eq!(request.target, LLM_ENDPOINT);
-        assert!(String::from_utf8_lossy(&request.body).contains("Switzerland"));
+        assert!(request.body_str().contains("Switzerland"));
     }
 
     #[test]

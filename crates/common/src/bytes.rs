@@ -14,7 +14,11 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::io::{self, Read};
+use std::mem::MaybeUninit;
 use std::ops::{Bound, Deref, RangeBounds};
+use std::os::fd::{AsRawFd, BorrowedFd};
+use std::os::raw::{c_int, c_void};
 use std::sync::{Arc, OnceLock};
 
 /// An immutable, reference-counted byte buffer view.
@@ -352,6 +356,13 @@ impl FromIterator<u8> for SharedBytes {
     }
 }
 
+extern "C" {
+    /// `read(2)`, bound by hand like the syscalls of the network server (the
+    /// workspace has no `libc` crate); [`SharedBytesMut::read_fd`] is its one
+    /// caller.
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+}
+
 /// An append-only builder that freezes into a [`SharedBytes`] without
 /// copying.
 ///
@@ -452,27 +463,104 @@ impl SharedBytesMut {
         self.buf.clear();
     }
 
-    /// Reads up to `max_bytes` from `reader` straight into this builder's
-    /// buffer, appending after the bytes already written. Returns the number
-    /// of bytes read (`0` at end of stream).
+    /// Offers `fill` exactly `max_bytes` of this builder's spare capacity,
+    /// after the bytes already written, and appends what it reports having
+    /// written. Returns that count (`0` at end of stream).
+    ///
+    /// Guaranteed: the builder grows first (geometrically) when it has fewer
+    /// than `max_bytes` spare, so `fill` always sees the full space and a
+    /// short count means the source ran dry, not the buffer; the length
+    /// advances by exactly the count `fill` returns, and not at all when it
+    /// fails; a count larger than the space offered is refused
+    /// (`InvalidData`) with the length unchanged. The landing area is handed
+    /// out as it is, never cleared first: a received byte is written once, by
+    /// whoever fills it.
+    ///
+    /// # Safety
+    ///
+    /// When `fill` returns `Ok(n)` for an `n` that fits the slice it was
+    /// given, it must have written the first `n` slots of it (a larger `n` is
+    /// refused, so promises nothing). Only the count's size can be checked
+    /// here, not the writes: bytes reported but never written would be read
+    /// uninitialised. That is also why the closure form stays private — the
+    /// two fillers are [`SharedBytesMut::read_from`] and
+    /// [`SharedBytesMut::read_fd`] below, and safe code cannot bring its own.
+    unsafe fn read_with(
+        &mut self,
+        max_bytes: usize,
+        fill: impl FnOnce(&mut [MaybeUninit<u8>]) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        self.buf.reserve(max_bytes);
+        let filled = fill(&mut self.buf.spare_capacity_mut()[..max_bytes])?;
+        if filled > max_bytes {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("filler reported {filled} bytes for {max_bytes} bytes of space"),
+            ));
+        }
+        // SAFETY: `reserve` made the capacity at least `len + max_bytes` and
+        // `filled <= max_bytes` was checked just above, so the new length is
+        // within capacity; the `filled` slots after the old length were
+        // written by `fill`, which is what this function's caller vouches
+        // for.
+        unsafe { self.buf.set_len(self.buf.len() + filled) };
+        Ok(filled)
+    }
+
+    /// Reads up to `max_bytes` from `reader`, in one `read` call, straight
+    /// into this builder's buffer, appending after the bytes already written.
+    /// Returns the number of bytes read (`0` at end of stream).
+    ///
+    /// A `Read` implementation may look at the slice it is given, so it
+    /// cannot be handed uninitialised memory: the landing area is zero-filled
+    /// first. Sockets go through [`SharedBytesMut::read_fd`] and skip that
+    /// pass.
+    pub fn read_from<R: Read>(&mut self, reader: &mut R, max_bytes: usize) -> io::Result<usize> {
+        let fill = |spare: &mut [MaybeUninit<u8>]| {
+            spare.fill(MaybeUninit::new(0));
+            // SAFETY: every slot of `spare` was initialised by the `fill`
+            // one line up.
+            reader.read(unsafe { spare.assume_init_mut() })
+        };
+        // SAFETY: `fill` writes every slot it is offered before the reader
+        // sees any, so whatever count the reader reports has been written.
+        unsafe { self.read_with(max_bytes, fill) }
+    }
+
+    /// [`SharedBytesMut::read_from`] for a file descriptor: one `read(2)` of
+    /// up to `max_bytes` from `fd` into this builder's spare capacity as it
+    /// is — the kernel only writes there, so nothing clears it first.
     ///
     /// This is the socket receive path of the network server: the connection
     /// handler reads into a pooled builder, freezes it once a request is
     /// complete, and the parsed request's body is a zero-copy view of the
     /// very buffer the kernel copied into.
-    pub fn read_from<R: std::io::Read>(
-        &mut self,
-        reader: &mut R,
-        max_bytes: usize,
-    ) -> std::io::Result<usize> {
-        let len = self.buf.len();
-        // Zero-fill the landing area (no unsafe set_len); the cost is one
-        // memset per read, dwarfed by the syscall it precedes.
-        self.buf.resize(len + max_bytes, 0);
-        let result = reader.read(&mut self.buf[len..]);
-        self.buf
-            .truncate(len + result.as_ref().copied().unwrap_or(0));
-        result
+    ///
+    /// Errors are the kernel's, undigested: `WouldBlock` on a drained
+    /// non-blocking socket (or a blocking one whose receive timeout expired),
+    /// `Interrupted` when a signal cut the call short.
+    pub fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
+        let fill = |spare: &mut [MaybeUninit<u8>]| {
+            // SAFETY: `spare` is an exclusive borrow of `spare.len()`
+            // writable bytes; the kernel writes at most that many through
+            // the pointer and reads none of them, so their being
+            // uninitialised is no matter. `fd` is open for as long as its
+            // borrow lasts.
+            let count = unsafe {
+                read(
+                    fd.as_raw_fd(),
+                    spare.as_mut_ptr().cast::<c_void>(),
+                    spare.len(),
+                )
+            };
+            if count < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(count as usize)
+        };
+        // SAFETY: a non-negative return of `read(2)` is the number of bytes
+        // the kernel wrote at the front of the buffer it was given.
+        unsafe { self.read_with(max_bytes, fill) }
     }
 
     /// Freezes the builder into an immutable [`SharedBytes`].
@@ -654,6 +742,80 @@ mod tests {
         // End of stream reads zero bytes and leaves the buffer untouched.
         assert_eq!(builder.read_from(&mut source, 64).unwrap(), 0);
         assert_eq!(builder.len(), 19);
+    }
+
+    #[test]
+    fn read_with_refuses_a_count_larger_than_the_space_offered() {
+        let mut builder = SharedBytesMut::with_capacity(32);
+        builder.put_str("kept");
+        // SAFETY: neither filler reports a count that fits — the first one's
+        // is too large, the second fails — so neither owes a written slot.
+        let error = unsafe { builder.read_with(8, |spare| Ok(spare.len() + 1)) }.unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(builder.as_slice(), b"kept");
+        // A filler's own failure leaves the length alone too.
+        let error =
+            unsafe { builder.read_with(8, |_| Err(io::ErrorKind::WouldBlock.into())) }.unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(builder.len(), 4);
+    }
+
+    #[test]
+    fn every_byte_below_len_was_written_by_a_filler() {
+        // Byte `i` of the stream is `i mod 251`; each filler writes only as
+        // many slots as it reports, so a length that ran ahead of the writes
+        // (or a landing area that moved) breaks the pattern.
+        const MAX_BYTES: usize = 64 * 1024;
+        let mut builder = SharedBytesMut::new();
+        for round in 0..3 {
+            for fills in [1, 7, 4096, MAX_BYTES] {
+                let start = builder.len();
+                let fill = |spare: &mut [MaybeUninit<u8>]| {
+                    assert_eq!(spare.len(), MAX_BYTES, "round {round}");
+                    for (index, slot) in spare[..fills].iter_mut().enumerate() {
+                        slot.write(((start + index) % 251) as u8);
+                    }
+                    Ok(fills)
+                };
+                // SAFETY: `fill` writes the first `fills` slots and reports
+                // that many.
+                let read = unsafe { builder.read_with(MAX_BYTES, fill) }.unwrap();
+                assert_eq!(read, fills);
+                assert_eq!(builder.len(), start + fills);
+            }
+        }
+        assert_eq!(builder.len(), 3 * (1 + 7 + 4096 + MAX_BYTES));
+        for (index, &byte) in builder.as_slice().iter().enumerate() {
+            assert_eq!(byte, (index % 251) as u8, "byte {index}");
+        }
+    }
+
+    #[test]
+    fn read_fd_lands_what_the_kernel_wrote_and_passes_its_errors_on() {
+        use std::io::Write;
+        use std::os::fd::AsFd;
+        use std::os::unix::net::UnixStream;
+
+        let (mut sender, receiver) = UnixStream::pair().unwrap();
+        receiver.set_nonblocking(true).unwrap();
+        let sent: Vec<u8> = (0..10_000).map(|index| (index % 251) as u8).collect();
+        sender.write_all(&sent).unwrap();
+        let mut builder = SharedBytesMut::new();
+        builder.put_str("head:");
+        // Reads smaller than, equal to and larger than what is waiting.
+        assert_eq!(builder.read_fd(receiver.as_fd(), 7).unwrap(), 7);
+        assert_eq!(builder.read_fd(receiver.as_fd(), 4096).unwrap(), 4096);
+        assert_eq!(builder.read_fd(receiver.as_fd(), 64 * 1024).unwrap(), 5897);
+        assert_eq!(&builder.as_slice()[..5], b"head:");
+        assert_eq!(&builder.as_slice()[5..], sent);
+        // Drained: the kernel's error comes through, the length stays.
+        let error = builder.read_fd(receiver.as_fd(), 64).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(builder.len(), 5 + sent.len());
+        // End of stream reads zero bytes.
+        drop(sender);
+        assert_eq!(builder.read_fd(receiver.as_fd(), 64).unwrap(), 0);
+        assert_eq!(builder.len(), 5 + sent.len());
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Base64 encoding for binary payloads in JSON documents.
+//! Text encodings of byte payloads: base64 for binary payloads in JSON
+//! documents, and the one lossy bytes-to-text conversion the workspace uses.
 //!
 //! The v1 HTTP API returns invocation outputs inside JSON status documents;
 //! output items are arbitrary bytes, so they are carried as standard base64
 //! (RFC 4648, with padding). Implemented here because the workspace builds
 //! fully offline.
+
+use std::borrow::Cow;
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
@@ -11,6 +14,23 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 /// to a 64-character stack buffer, keeping the formatter call count low
 /// without any heap allocation.
 const STREAM_CHUNK_BYTES: usize = 48;
+
+/// Reads bytes as text, replacing each invalid UTF-8 sequence with U+FFFD:
+/// std's lossy conversion, byte for byte.
+///
+/// Valid input — what HTTP bodies and heads nearly always are — is checked
+/// by [`std::str::from_utf8`], which validates ASCII a word at a time, and
+/// comes back borrowed: the text *is* the input buffer. The lossy conversion
+/// itself walks every byte through `Utf8Chunks` even when nothing needs
+/// replacing (a fifth of the server's CPU on the `logs` workload, when every
+/// caller went to it directly); here it runs only for input that does.
+pub fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        #[allow(clippy::disallowed_methods)]
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
+}
 
 /// Encodes bytes as standard base64 with padding.
 pub fn base64_encode(data: &[u8]) -> String {

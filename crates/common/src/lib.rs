@@ -18,7 +18,8 @@
 //!   the simulator.
 //! * [`json`] — a dependency-free JSON value model (writer + parser) used by
 //!   the v1 HTTP API and the benchmark reports.
-//! * [`encoding`] — base64 for binary payloads inside JSON documents.
+//! * [`encoding`] — base64 for binary payloads inside JSON documents, and
+//!   [`encoding::utf8_lossy`], the one lossy bytes-to-text conversion.
 //! * [`bytes`] — [`bytes::SharedBytes`], the zero-copy payload view threaded
 //!   through the data plane, and [`bytes::SharedBytesMut`], the append-only
 //!   builder that freezes into it without copying.

@@ -186,13 +186,13 @@ impl DandelionClient {
 }
 
 fn response_json(response: &HttpResponse) -> DandelionResult<JsonValue> {
-    JsonValue::parse(&response.body_text())
+    JsonValue::parse(&response.body_str())
         .map_err(|err| DandelionError::Internal(format!("malformed JSON response: {err}")))
 }
 
 /// Reconstructs the typed error from a structured JSON error body.
 fn response_error(response: &HttpResponse) -> DandelionError {
-    if let Ok(document) = JsonValue::parse(&response.body_text()) {
+    if let Ok(document) = JsonValue::parse(&response.body_str()) {
         if let Some(error) = document.get("error") {
             let code = error.get("code").and_then(JsonValue::as_str).unwrap_or("");
             let message = error

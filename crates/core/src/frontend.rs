@@ -211,7 +211,7 @@ impl Frontend {
     }
 
     fn register_composition(&self, request: &HttpRequest) -> HttpResponse {
-        let source = String::from_utf8_lossy(&request.body);
+        let source = request.body_str();
         match self.worker.register_composition_dsl(&source) {
             Ok(name) => json_response(
                 StatusCode::CREATED,

@@ -8,9 +8,12 @@
 use std::fmt;
 use std::ops::Range;
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::SharedBytes;
 
-use crate::types::{Headers, HttpRequest, HttpResponse, Method, StatusCode, Version};
+use crate::types::{
+    parse_content_length, Headers, HttpRequest, HttpResponse, Method, StatusCode, Version,
+};
 
 /// Maximum accepted length of the request/status line in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -109,16 +112,25 @@ fn read_line(input: &[u8], offset: &mut usize) -> Result<String, HttpParseError>
     if end > MAX_LINE_BYTES {
         return Err(HttpParseError::LimitExceeded("line length"));
     }
-    let line = String::from_utf8_lossy(&rest[..end]).into_owned();
+    let line = utf8_lossy(&rest[..end]).into_owned();
     *offset += end + 2;
     Ok(line)
+}
+
+/// The body length a `Content-Length` field value declares. A value that is
+/// not a length is a malformed header for every parser alike — the stream
+/// probe and the one-shot parsers both come through here.
+pub(crate) fn declared_length(value: &str) -> Result<usize, HttpParseError> {
+    parse_content_length(value)
+        .ok_or_else(|| HttpParseError::MalformedHeader(format!("Content-Length: {}", value.trim())))
 }
 
 /// Determines the byte range of the message body within `input`.
 fn body_range(input: &[u8], head: &MessageHead) -> Result<Range<usize>, HttpParseError> {
     let available = input.len() - head.body_offset;
-    let length = match head.headers.content_length() {
-        Some(length) => {
+    let length = match head.headers.get("content-length") {
+        Some(value) => {
+            let length = declared_length(value)?;
             if length > MAX_BODY_BYTES {
                 return Err(HttpParseError::LimitExceeded("body size"));
             }

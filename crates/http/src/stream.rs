@@ -22,12 +22,15 @@
 //! [`parse_request_shared`] yields on the whole buffer (the property tests
 //! split at every byte boundary to prove it).
 
-use std::io::Read;
+use std::io::{self, Read};
+use std::os::fd::BorrowedFd;
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::{SharedBytes, SharedBytesMut};
 
 use crate::parse::{
-    parse_request_shared, parse_response_shared, HttpParseError, MAX_BODY_BYTES, MAX_LINE_BYTES,
+    declared_length, parse_request_shared, parse_response_shared, HttpParseError, MAX_BODY_BYTES,
+    MAX_LINE_BYTES,
 };
 use crate::types::{HttpRequest, HttpResponse, StatusCode};
 
@@ -85,7 +88,7 @@ fn head_end(input: &[u8], limits: &ParseLimits) -> Result<Option<usize>, HttpPar
 
 /// Extracts the declared `Content-Length` from a raw head section without
 /// building a header map. Returns `None` when the header is absent,
-/// an error when it is present but not a number.
+/// an error when it is present but not a length.
 fn declared_content_length(head: &[u8]) -> Result<Option<usize>, HttpParseError> {
     const NAME: &[u8] = b"content-length";
     for line in head.split(|&byte| byte == b'\n') {
@@ -103,12 +106,7 @@ fn declared_content_length(head: &[u8]) -> Result<Option<usize>, HttpParseError>
             name = rest;
         }
         if name.eq_ignore_ascii_case(NAME) {
-            let value = String::from_utf8_lossy(&line[colon + 1..]);
-            return value
-                .trim()
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| HttpParseError::MalformedHeader(value.trim().to_string()));
+            return declared_length(&utf8_lossy(&line[colon + 1..])).map(Some);
         }
     }
     Ok(None)
@@ -169,32 +167,6 @@ pub fn rejection_code(error: &HttpParseError) -> &'static str {
     }
 }
 
-/// How the decoders parse one complete message out of a frozen buffer.
-trait Decode: Sized {
-    fn probe(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError>;
-    fn parse(message: &SharedBytes) -> Result<Self, HttpParseError>;
-}
-
-impl Decode for HttpRequest {
-    fn probe(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-        probe_request(input, limits)
-    }
-
-    fn parse(message: &SharedBytes) -> Result<Self, HttpParseError> {
-        parse_request_shared(message)
-    }
-}
-
-impl Decode for HttpResponse {
-    fn probe(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-        probe_response(input, limits)
-    }
-
-    fn parse(message: &SharedBytes) -> Result<Self, HttpParseError> {
-        parse_response_shared(message)
-    }
-}
-
 /// The stream decoder shared by [`RequestDecoder`] and [`ResponseDecoder`].
 ///
 /// Unparsed bytes live in exactly one of two places: the pooled `builder`
@@ -243,15 +215,31 @@ impl StreamDecoder {
         self.builder.put_slice(bytes);
     }
 
-    fn read_from<R: Read>(&mut self, reader: &mut R, max_bytes: usize) -> std::io::Result<usize> {
+    /// The builder, holding every unparsed byte and — pooled — ready for a
+    /// read of up to `max_bytes` behind them.
+    fn receiving(&mut self, max_bytes: usize) -> &mut SharedBytesMut {
         self.unfreeze(max_bytes);
         if self.builder.capacity() == 0 {
             self.builder = SharedBytesMut::with_capacity(max_bytes);
         }
-        self.builder.read_from(reader, max_bytes)
+        &mut self.builder
     }
 
-    fn next<M: Decode>(&mut self) -> Result<Option<M>, HttpParseError> {
+    fn read_from<R: Read>(&mut self, reader: &mut R, max_bytes: usize) -> io::Result<usize> {
+        self.receiving(max_bytes).read_from(reader, max_bytes)
+    }
+
+    fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
+        self.receiving(max_bytes).read_fd(fd, max_bytes)
+    }
+
+    /// Parses the next complete message out of the buffer with `parse` (the
+    /// one-shot shared parser for requests or for responses: framing does not
+    /// inspect the start line, so it is the same for both).
+    fn next<M>(
+        &mut self,
+        parse: fn(&SharedBytes) -> Result<M, HttpParseError>,
+    ) -> Result<Option<M>, HttpParseError> {
         let unparsed: &[u8] = if self.frozen.is_empty() {
             &self.builder
         } else {
@@ -260,7 +248,7 @@ impl StreamDecoder {
         if unparsed.is_empty() {
             return Ok(None);
         }
-        let consumed = match M::probe(unparsed, &self.limits)? {
+        let consumed = match probe_request(unparsed, &self.limits)? {
             Probe::Complete { consumed } => consumed,
             Probe::Partial => return Ok(None),
         };
@@ -271,7 +259,7 @@ impl StreamDecoder {
         }
         let (message, rest) = self.frozen.split_at(consumed);
         self.frozen = rest;
-        M::parse(&message).map(Some)
+        parse(&message).map(Some)
     }
 }
 
@@ -301,7 +289,7 @@ impl RequestDecoder {
     }
 
     /// Appends bytes by copy (tests and in-memory callers; the socket path
-    /// uses [`RequestDecoder::read_from`]).
+    /// uses [`RequestDecoder::read_fd`]).
     pub fn feed(&mut self, bytes: &[u8]) {
         self.inner.feed(bytes);
     }
@@ -316,6 +304,13 @@ impl RequestDecoder {
         self.inner.read_from(reader, max_bytes)
     }
 
+    /// The socket path of [`RequestDecoder::read_from`]: one `read(2)` of up
+    /// to `max_bytes` from `fd` straight into the receive buffer, which is
+    /// not cleared first ([`SharedBytesMut::read_fd`]).
+    pub fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
+        self.inner.read_fd(fd, max_bytes)
+    }
+
     /// Bytes buffered but not yet parsed into a request.
     pub fn buffered(&self) -> usize {
         self.inner.buffered()
@@ -326,7 +321,7 @@ impl RequestDecoder {
     /// buffer. Errors are terminal: the connection should answer with
     /// [`rejection_status`] and close.
     pub fn next_request(&mut self) -> Result<Option<HttpRequest>, HttpParseError> {
-        self.inner.next()
+        self.inner.next(parse_request_shared)
     }
 }
 
@@ -359,6 +354,12 @@ impl ResponseDecoder {
         self.inner.read_from(reader, max_bytes)
     }
 
+    /// The socket path of [`ResponseDecoder::read_from`]; see
+    /// [`RequestDecoder::read_fd`].
+    pub fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
+        self.inner.read_fd(fd, max_bytes)
+    }
+
     /// Bytes buffered but not yet parsed into a response.
     pub fn buffered(&self) -> usize {
         self.inner.buffered()
@@ -367,7 +368,7 @@ impl ResponseDecoder {
     /// Parses the next complete response, or `None` when more bytes are
     /// needed.
     pub fn next_response(&mut self) -> Result<Option<HttpResponse>, HttpParseError> {
-        self.inner.next()
+        self.inner.next(parse_response_shared)
     }
 }
 
@@ -436,6 +437,41 @@ mod tests {
             probe_request(bad_length, &limits),
             Err(HttpParseError::MalformedHeader(_))
         ));
+    }
+
+    #[test]
+    fn probe_and_one_shot_parsers_agree_on_what_a_content_length_is() {
+        use crate::parse::{parse_request, parse_response};
+        let limits = ParseLimits::default();
+        // Not a length, and not an absent header either — that would make
+        // the rest of the buffer the body.
+        for garbage in ["+5", "-0", "0x10", "1 2", ""] {
+            let request =
+                format!("POST /x HTTP/1.1\r\nContent-Length: {garbage}\r\n\r\nhello").into_bytes();
+            let response =
+                format!("HTTP/1.1 200 OK\r\nContent-Length: {garbage}\r\n\r\nhello").into_bytes();
+            for error in [
+                probe_request(&request, &limits).unwrap_err(),
+                parse_request(&request).unwrap_err(),
+                probe_response(&response, &limits).unwrap_err(),
+                parse_response(&response).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(error, HttpParseError::MalformedHeader(_)),
+                    "`{garbage}`: {error}"
+                );
+                assert_eq!(rejection_status(&error), StatusCode::BAD_REQUEST);
+                assert_eq!(rejection_code(&error), "malformed_request");
+            }
+        }
+        let padded = b"POST /x HTTP/1.1\r\nContent-Length: \t5 \r\n\r\nhello";
+        assert_eq!(
+            probe_request(padded, &limits).unwrap(),
+            Probe::Complete {
+                consumed: padded.len()
+            }
+        );
+        assert_eq!(parse_request(padded).unwrap().body, b"hello");
     }
 
     #[test]

@@ -4,9 +4,29 @@
 //! yields a body that references the receive buffer, and moving a body into
 //! a data item or another message never copies the payload.
 
+use std::borrow::Cow;
 use std::fmt;
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::{Rope, SharedBytes, SharedBytesMut};
+
+/// Parses a `Content-Length` field value: `1*DIGIT` (RFC 9110 §8.6) with
+/// optional surrounding whitespace, nothing else — no sign, no radix prefix,
+/// no inner space — and no value that overflows `usize`.
+///
+/// Every reader of the header goes through here (the stream decoders' frame
+/// probe, the one-shot parsers, [`Headers::content_length`]), so they cannot
+/// disagree on where a body ends.
+pub(crate) fn parse_content_length(value: &str) -> Option<usize> {
+    let digits = value.trim();
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0usize, |length, byte| {
+        let digit = byte.is_ascii_digit().then(|| usize::from(byte - b'0'))?;
+        length.checked_mul(10)?.checked_add(digit)
+    })
+}
 
 /// Number of decimal digits in `value` (at least 1).
 fn decimal_len(mut value: usize) -> usize {
@@ -280,7 +300,7 @@ impl Headers {
 
     /// Parses the `Content-Length` header if present and well-formed.
     pub fn content_length(&self) -> Option<usize> {
-        self.get("content-length")?.trim().parse().ok()
+        parse_content_length(self.get("content-length")?)
     }
 }
 
@@ -335,6 +355,12 @@ impl HttpRequest {
     pub fn with_header(mut self, name: &str, value: &str) -> Self {
         self.headers.insert(name, value);
         self
+    }
+
+    /// The body as text (lossy): a borrow of the body's buffer when it is
+    /// valid UTF-8, a repaired copy only when it is not.
+    pub fn body_str(&self) -> Cow<'_, str> {
+        utf8_lossy(&self.body)
     }
 
     /// Exact wire length of the request head (everything before the body).
@@ -428,9 +454,17 @@ impl HttpResponse {
         self
     }
 
-    /// Returns the body as text (lossy).
+    /// The body as text (lossy): a borrow of the body's buffer when it is
+    /// valid UTF-8, a repaired copy only when it is not. Callers that only
+    /// read the text use this.
+    pub fn body_str(&self) -> Cow<'_, str> {
+        utf8_lossy(&self.body)
+    }
+
+    /// The body as owned text (lossy); [`HttpResponse::body_str`] without
+    /// the copy is enough for callers that only read it.
     pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+        self.body_str().into_owned()
     }
 
     /// Exact wire length of the response head (everything before the body).
@@ -520,6 +554,43 @@ mod tests {
         assert_eq!(headers.content_length(), None);
         headers.insert("Content-Length", " 42 ");
         assert_eq!(headers.content_length(), Some(42));
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        assert_eq!(parse_content_length("0"), Some(0));
+        assert_eq!(parse_content_length("\t007 "), Some(7));
+        assert_eq!(
+            parse_content_length(&usize::MAX.to_string()),
+            Some(usize::MAX)
+        );
+        for garbage in ["", "  ", "+5", "-0", "0x10", "1 2", "5;", "ten"] {
+            assert_eq!(parse_content_length(garbage), None, "`{garbage}`");
+        }
+        // Past `usize::MAX`, by one more digit and by many.
+        assert_eq!(parse_content_length(&format!("{}0", usize::MAX)), None);
+        assert_eq!(parse_content_length(&"9".repeat(40)), None);
+    }
+
+    #[test]
+    fn body_str_borrows_a_valid_body_and_repairs_an_invalid_one() {
+        let response = HttpResponse::ok("gr\u{fc}ezi\n".as_bytes().to_vec());
+        let text = response.body_str();
+        assert!(matches!(text, Cow::Borrowed(_)));
+        assert_eq!(text.as_ptr(), response.body.as_ptr());
+        assert_eq!(response.body_text(), "gr\u{fc}ezi\n");
+        let request = HttpRequest::post("/x", b"plain".to_vec());
+        assert_eq!(request.body_str().as_ptr(), request.body.as_ptr());
+
+        // A body that is not UTF-8: each invalid sequence becomes U+FFFD, in
+        // `body_str()` and `body_text()` alike.
+        let broken = b"ok \xF0\x9F\x8C rest \xFF\xC3".to_vec();
+        let expected = "ok \u{FFFD} rest \u{FFFD}\u{FFFD}";
+        let response = HttpResponse::ok(broken.clone());
+        assert!(matches!(response.body_str(), Cow::Owned(_)));
+        assert_eq!(response.body_str(), expected);
+        assert_eq!(response.body_text(), expected);
+        assert_eq!(HttpRequest::post("/x", broken).body_str(), expected);
     }
 
     #[test]

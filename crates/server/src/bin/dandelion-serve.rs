@@ -201,7 +201,7 @@ fn announce_to_gateway(gateway: &str, local: std::net::SocketAddr) {
         Ok(response) => eprintln!(
             "  gateway {gateway} refused the join ({}): {}",
             response.status.0,
-            response.body_text()
+            response.body_str()
         ),
         Err(error) => eprintln!("  could not reach gateway {gateway}: {error}"),
     }

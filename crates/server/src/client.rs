@@ -9,6 +9,7 @@
 
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::os::fd::AsFd;
 use std::time::Duration;
 
 use dandelion_common::KIB;
@@ -50,7 +51,7 @@ impl HttpClientConnection {
             match self.decoder.next_response() {
                 Ok(Some(response)) => return Ok(response),
                 Ok(None) => {
-                    if self.decoder.read_from(&mut self.stream, READ_CHUNK)? == 0 {
+                    if self.decoder.read_fd(self.stream.as_fd(), READ_CHUNK)? == 0 {
                         return Err(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "server closed the connection mid-response",

@@ -41,6 +41,7 @@
 
 use std::collections::VecDeque;
 use std::net::{IpAddr, TcpStream};
+use std::os::fd::AsFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -306,7 +307,7 @@ impl Conn {
                         None => {}
                     }
                 }
-                match self.decoder.read_from(&mut self.stream, read_chunk) {
+                match self.decoder.read_fd(self.stream.as_fd(), read_chunk) {
                     // Peer finished sending (close or half-close). Requests
                     // already received are still owed their responses — a
                     // "send, shutdown(WR), read replies" client must get

@@ -874,7 +874,7 @@ impl EventLoop {
             router.note_upstream_success(&pool.load);
         }
         if origin.track_submit && response.status == StatusCode::ACCEPTED {
-            if let Ok(document) = JsonValue::parse(&response.body_text()) {
+            if let Ok(document) = JsonValue::parse(&response.body_str()) {
                 if let Some(id) = document
                     .get("invocation_id")
                     .and_then(JsonValue::as_str)

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Weak};
 use std::time::Duration;
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::{failpoint, InvocationId, JsonValue, NodeId, Rope, SharedBytes};
 use dandelion_core::frontend::error_body;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
@@ -958,8 +959,7 @@ impl Router {
     /// member announcing itself (what `dandelion-serve --join` sends).
     /// Blocking (join probes the candidate) — control thread only.
     fn join_request(&self, body: &[u8]) -> HttpResponse {
-        let body = String::from_utf8_lossy(body).to_string();
-        let addr = JsonValue::parse(&body)
+        let addr = JsonValue::parse(&utf8_lossy(body))
             .ok()
             .and_then(|document| {
                 document
@@ -1088,7 +1088,7 @@ fn fetch_compositions(addr: SocketAddr, timeout: Duration) -> Result<Vec<String>
         ));
     }
     let document =
-        JsonValue::parse(&response.body_text()).map_err(|error| format!("bad JSON: {error}"))?;
+        JsonValue::parse(&response.body_str()).map_err(|error| format!("bad JSON: {error}"))?;
     let names = document
         .get("compositions")
         .and_then(|value| value.as_array())
@@ -1113,10 +1113,10 @@ fn register_on_member(addr: SocketAddr, body: &[u8], timeout: Duration) -> Resul
         return Err(format!(
             "registration answered {}: {}",
             response.status.0,
-            response.body_text()
+            response.body_str()
         ));
     }
-    JsonValue::parse(&response.body_text())
+    JsonValue::parse(&response.body_str())
         .ok()
         .and_then(|document| {
             document

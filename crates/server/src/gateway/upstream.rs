@@ -28,6 +28,7 @@
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
+use std::os::fd::AsFd;
 use std::time::Instant;
 
 use dandelion_common::{failpoint, BatchProgress, NodeId, Rope, RopeBatch};
@@ -232,7 +233,7 @@ impl UpstreamConn {
                         None => {}
                     }
                 }
-                match self.decoder.read_from(&mut self.stream, read_chunk) {
+                match self.decoder.read_fd(self.stream.as_fd(), read_chunk) {
                     Ok(0) => {
                         saw_eof = true;
                         break;

@@ -7,6 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_core::worker::{default_test_services, WorkerNode};
 use dandelion_core::Frontend;
 use dandelion_http::{HttpRequest, ParseLimits};
@@ -243,7 +244,7 @@ fn drip_feeding_bytes_cannot_reset_the_request_deadline() {
             "only a reset may stand in for the EOF: {error}"
         );
     }
-    let reply = String::from_utf8_lossy(&reply);
+    let reply = utf8_lossy(&reply);
     assert!(reply.starts_with("HTTP/1.1 408 "), "got: {reply}");
     assert!(reply.contains("\"read_timeout\""), "got: {reply}");
     assert!(
@@ -370,7 +371,7 @@ fn two_event_loops_sustain_a_thousand_open_connections() {
             assert!(n > 0, "server closed mid-response");
             filled += n;
         }
-        let text = String::from_utf8_lossy(&reply[..filled]);
+        let text = utf8_lossy(&reply[..filled]);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
     }
     assert_eq!(server_thread_count(port), 2);

@@ -76,7 +76,7 @@ impl RemoteService for AuthService {
         }
         // The token is either the request body or a `token=` query parameter.
         let token = if !request.body.is_empty() {
-            String::from_utf8_lossy(&request.body).trim().to_string()
+            request.body_str().trim().to_string()
         } else {
             request
                 .target

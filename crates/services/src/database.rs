@@ -314,7 +314,7 @@ impl RemoteService for SqlDatabaseService {
                 latency: self.latency.latency_for(0),
             };
         }
-        let sql = String::from_utf8_lossy(&request.body);
+        let sql = request.body_str();
         match self.query(&sql) {
             Ok(csv) => ServiceResponse {
                 latency: self.latency.latency_for(request.body.len() + csv.len()),

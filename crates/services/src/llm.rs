@@ -129,7 +129,7 @@ impl RemoteService for LlmService {
                 latency: self.latency.latency_for(0),
             };
         }
-        let prompt = String::from_utf8_lossy(&request.body);
+        let prompt = request.body_str();
         if prompt.trim().is_empty() {
             return ServiceResponse {
                 response: HttpResponse::error(StatusCode::BAD_REQUEST, "empty prompt"),

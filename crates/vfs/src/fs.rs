@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::{DataItem, DataSet, SharedBytes};
 
 use crate::path::VfsPath;
@@ -348,7 +349,7 @@ impl VirtualFs {
     /// Reads a file as UTF-8 text, replacing invalid sequences.
     pub fn read_to_string(&self, path: &VfsPath) -> Result<String, VfsError> {
         self.read_file(path)
-            .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+            .map(|bytes| utf8_lossy(&bytes).into_owned())
     }
 
     /// Attaches or clears the grouping key of a file.

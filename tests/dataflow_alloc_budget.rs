@@ -16,70 +16,25 @@
 //! moving instance outputs instead of cloning them is what keeps a pass at
 //! less than half the parent's blocks; any of those coming back goes over.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use dandelion_common::{DataItem, DataSet, InvocationId, SharedBytes};
 use dandelion_core::invocation::{InstanceCompletion, InvocationState};
 use dandelion_dsl::builder::render_logs_composition;
 use dandelion_dsl::CompositionGraph;
+use dandelion_integration_tests::{heap_use_of, CountingAllocator};
 
 #[allow(dead_code)]
 #[path = "oracle/invocation_parent.rs"]
 mod parent_dataflow;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// Blocks requested by this thread. `const`-initialised and without a
-    /// destructor, so touching it never allocates.
-    static BLOCKS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down.
-    let _ = BLOCKS.try_with(|blocks| blocks.set(blocks.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counting touches only a thread-local `Cell`.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's layout is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's layout is passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Blocks this thread requested while `work` ran.
 fn blocks_requested_by<T>(work: impl FnOnce() -> T) -> (T, usize) {
-    let before = BLOCKS.with(Cell::get);
-    let value = work();
-    (value, BLOCKS.with(Cell::get) - before)
+    let (value, heap_use) = heap_use_of(work);
+    (value, heap_use.blocks)
 }
 
 /// The log services a `RenderLogs` request fans out to.

@@ -1,7 +1,8 @@
 //! Property-style tests on the security- and correctness-critical
 //! invariants: the untrusted output-descriptor parser, the HTTP request
 //! validator, the composition DSL round-trip, the virtual filesystem's
-//! capacity accounting and the query engine's partition-parallel execution.
+//! capacity accounting, the query engine's partition-parallel execution and
+//! the one lossy bytes-to-text conversion every HTTP body goes through.
 //!
 //! The workspace builds offline, so instead of `proptest` these tests drive
 //! the same invariants with the repo's deterministic [`SplitMix64`] RNG:
@@ -401,6 +402,94 @@ fn shared_bytes_slices_view_the_original_buffer() {
             assert!(SharedBytes::same_buffer(&view, &root), "seed {seed}");
         }
     }
+}
+
+/// Bytes assembled from the fragments UTF-8 validation has to tell apart:
+/// well-formed characters of every length next to the ways of getting one
+/// wrong.
+fn arbitrary_almost_utf8(rng: &mut SplitMix64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for _ in 0..1 + rng.next_bounded(8) {
+        let mut encoded = [0u8; 4];
+        let valid = [
+            'a',
+            ' ',
+            '\n',
+            '\u{e9}',
+            '\u{20ac}',
+            '\u{fffd}',
+            '\u{1f33c}',
+        ][rng.next_bounded(7) as usize]
+            .encode_utf8(&mut encoded)
+            .as_bytes();
+        match rng.next_bounded(8) {
+            // An ASCII run long enough to reach the word-at-a-time path.
+            0 => bytes.extend((0..rng.next_bounded(24)).map(|index| b'a' + index as u8)),
+            1 | 2 => bytes.extend_from_slice(valid),
+            // Truncated multi-byte sequence.
+            3 => bytes.extend_from_slice(&valid[..valid.len() - 1]),
+            // Overlong encodings of NUL and of `/`.
+            4 => bytes.extend_from_slice(
+                [&b"\xC0\x80"[..], b"\xE0\x80\xAF", b"\xF0\x80\x80\xAF"]
+                    [rng.next_bounded(3) as usize],
+            ),
+            // A UTF-16 surrogate, and a code point past U+10FFFF.
+            5 => bytes.extend_from_slice(
+                [&b"\xED\xA0\x80"[..], b"\xED\xBF\xBF", b"\xF4\x90\x80\x80"]
+                    [rng.next_bounded(3) as usize],
+            ),
+            // A lone continuation byte.
+            6 => bytes.push(0x80 + rng.next_bounded(0x40) as u8),
+            // Any byte at all (`0xF5..` can start nothing).
+            _ => bytes.push(rng.next_u64() as u8),
+        }
+    }
+    bytes
+}
+
+/// `utf8_lossy` answers exactly what std's lossy conversion answers — which
+/// std documents as this loop over `Utf8Chunks`, the byte-at-a-time walk the
+/// helper exists to skip for valid input — and valid input comes back
+/// borrowed: the text is the input buffer, not a copy of it.
+#[test]
+fn utf8_lossy_is_the_lossy_conversion_and_borrows_valid_input() {
+    use dandelion_common::encoding::utf8_lossy;
+    use std::borrow::Cow;
+
+    const WANTED: usize = 20_000;
+    let (mut checked, mut valid, mut repaired) = (0usize, 0usize, 0usize);
+    for seed in 0.. {
+        if checked >= WANTED {
+            break;
+        }
+        let bytes = arbitrary_almost_utf8(&mut SplitMix64::new(0x07F8 ^ seed));
+        // Every prefix: each multi-byte sequence also ends the input at each
+        // of its bytes, where a validator's lookahead runs out.
+        for cut in 0..=bytes.len() {
+            let input = &bytes[..cut];
+            let mut reference = String::new();
+            for chunk in input.utf8_chunks() {
+                reference.push_str(chunk.valid());
+                if !chunk.invalid().is_empty() {
+                    reference.push('\u{FFFD}');
+                }
+            }
+            let text = utf8_lossy(input);
+            assert_eq!(text, reference, "seed {seed}, first {cut} bytes");
+            if std::str::from_utf8(input).is_ok() {
+                assert!(matches!(text, Cow::Borrowed(_)), "seed {seed}, cut {cut}");
+                assert_eq!(text.as_ptr(), input.as_ptr(), "seed {seed}, cut {cut}");
+                assert_eq!(text.len(), input.len(), "seed {seed}, cut {cut}");
+                valid += 1;
+            } else {
+                repaired += 1;
+            }
+            checked += 1;
+        }
+    }
+    // The generator reaches both sides in bulk, not one of them by accident.
+    assert!(valid >= WANTED / 10, "{valid} valid inputs");
+    assert!(repaired >= WANTED / 10, "{repaired} invalid inputs");
 }
 
 /// Splitting a view at any point and merging the halves back is the

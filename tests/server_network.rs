@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
-use dandelion_common::encoding::base64_decode;
+use dandelion_common::encoding::{base64_decode, utf8_lossy};
 use dandelion_common::{DataItem, JsonValue, SharedBytes};
 use dandelion_core::worker::{default_test_services, WorkerNode};
 use dandelion_core::Frontend;
@@ -200,7 +200,7 @@ fn function_output_reaches_the_socket_write_path_by_arc_identity() {
     // ...and vectored delivery writes exactly the wire bytes.
     let mut delivered = Vec::new();
     rope.write_to(&mut delivered).unwrap();
-    let text_head = String::from_utf8_lossy(&delivered[..64]);
+    let text_head = utf8_lossy(&delivered[..64]);
     assert!(text_head.starts_with("HTTP/1.1 200 OK\r\n"));
     assert!(delivered.ends_with(payload.as_slice()));
 
