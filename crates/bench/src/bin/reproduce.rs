@@ -7,20 +7,27 @@
 //! reproduce fig5 table1       # run selected experiments
 //! reproduce --list            # list experiment names
 //! reproduce --json fig10      # additionally emit the rows as JSON
-//! reproduce --save data_plane # additionally write BENCH_<name>.json
 //! ```
 
 use std::time::Instant;
 
 use dandelion_bench::{run_experiment, ExperimentId};
 
+const FLAGS: [&str; 2] = ["--list", "--json"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|arg| arg == "--json");
-    let save = args.iter().any(|arg| arg == "--save");
-    let names: Vec<&String> = args.iter().filter(|arg| !arg.starts_with("--")).collect();
+    let (flags, names): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|arg| arg.starts_with("--"));
+    if let Some(unknown) = flags.iter().find(|flag| !FLAGS.contains(flag)) {
+        eprintln!("unknown flag `{unknown}`; the flags are --list and --json");
+        std::process::exit(2);
+    }
+    let json = flags.contains(&"--json");
 
-    if args.iter().any(|arg| arg == "--list") {
+    if flags.contains(&"--list") {
         for id in ExperimentId::ALL {
             println!("{}", id.name());
         }
@@ -47,13 +54,6 @@ fn main() {
         println!("{report}");
         if json {
             println!("json[{}] = {}", id.name(), report.rows_json());
-        }
-        if save {
-            let path = format!("BENCH_{}.json", id.name());
-            match std::fs::write(&path, format!("{}\n", report.to_json())) {
-                Ok(()) => println!("  wrote {path}"),
-                Err(err) => eprintln!("  failed to write {path}: {err}"),
-            }
         }
         println!("  ({} finished in {:.1?})\n", id.name(), start.elapsed());
     }

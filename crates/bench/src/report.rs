@@ -54,31 +54,6 @@ impl Report {
             )
         }))
     }
-
-    /// Serializes the whole report (title, setup, rows, notes) as a JSON
-    /// document — the format of the `BENCH_<experiment>.json` baselines
-    /// written by `reproduce --save`.
-    pub fn to_json(&self) -> dandelion_common::JsonValue {
-        dandelion_common::JsonValue::object([
-            (
-                "title",
-                dandelion_common::JsonValue::string(self.title.clone()),
-            ),
-            (
-                "setup",
-                dandelion_common::JsonValue::string(self.setup.clone()),
-            ),
-            ("rows", self.rows_json()),
-            (
-                "notes",
-                dandelion_common::JsonValue::array(
-                    self.notes
-                        .iter()
-                        .map(|note| dandelion_common::JsonValue::string(note.clone())),
-                ),
-            ),
-        ])
-    }
 }
 
 impl fmt::Display for Report {

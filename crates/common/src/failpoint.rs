@@ -31,7 +31,7 @@ use std::sync::{Mutex, Once, OnceLock};
 use std::time::Duration;
 
 use crate::json::JsonValue;
-use crate::rng::SplitMix64;
+use crate::rng::{fnv1a, SplitMix64};
 
 /// What a configured failpoint does when it triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,15 +78,6 @@ static ENV_INIT: Once = Once::new();
 
 fn registry() -> &'static Mutex<HashMap<String, Point>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn fnv1a(name: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// Whether any failpoint is configured at all. This is the entire cost of
@@ -140,7 +131,7 @@ pub fn io_error(name: &str) -> std::io::Error {
 /// per-name stream, so reconfiguring mid-test stays reproducible.
 pub fn configure(name: &str, action: FailAction, probability: f64) {
     let mut points = registry().lock().expect("failpoint registry poisoned");
-    let seed = SEED.load(Ordering::Relaxed) ^ fnv1a(name);
+    let seed = SEED.load(Ordering::Relaxed) ^ fnv1a(name.as_bytes());
     points.insert(
         name.to_string(),
         Point {

@@ -28,7 +28,7 @@
 //! * [`mpsc`] — [`mpsc::MpscQueue`], the lock-free multi-producer inbox
 //!   the server's event loops drain in batches.
 //! * [`pool`] — [`pool::BufferPool`], the fixed-class slab of reusable
-//!   buffers behind builders and memory-context arenas.
+//!   buffers behind the byte builders.
 
 pub mod bytes;
 pub mod config;

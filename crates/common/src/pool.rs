@@ -1,10 +1,9 @@
 //! Fixed-class buffer pooling for the allocation-free steady-state path.
 //!
 //! The hot path of a small invocation touches the global allocator many
-//! times: HTTP header assembly, output-descriptor frames, and every
-//! [`MemoryContext`](https://en.wikipedia.org/wiki/Region-based_memory_management)
-//! arena used to be a fresh `Vec<u8>` that was freed again microseconds
-//! later. The [`BufferPool`] replaces those churn allocations with a small
+//! times: every HTTP head, receive buffer and output-descriptor frame used
+//! to be a fresh `Vec<u8>` that was freed again microseconds later. The
+//! [`BufferPool`] replaces those churn allocations with a small
 //! slab of reusable buffers in a handful of fixed size classes: `acquire`
 //! pops a cleared buffer of at least the requested capacity (or allocates
 //! one of the class size on a miss) and `recycle` returns it for the next
@@ -161,7 +160,7 @@ impl BufferPool {
     }
 
     /// Like [`BufferPool::acquire`] but returns the raw vector for owners
-    /// that embed it in their own structures (e.g. a memory context arena).
+    /// that embed it in their own structures (e.g. a `SharedBytesMut`).
     pub fn acquire_vec(&self, min_capacity: usize) -> Vec<u8> {
         self.acquire(min_capacity).detach()
     }
@@ -258,9 +257,10 @@ impl std::fmt::Debug for BufferPool {
 /// this ownership interval.
 ///
 /// The handle intentionally does *not* auto-recycle on drop — ownership of
-/// the allocation usually migrates (into a frozen `SharedBytes`, a context
-/// arena, …) and the final owner decides whether the buffer flows back via
-/// [`BufferPool::recycle_vec`]. Dropping the handle simply frees the buffer.
+/// the allocation usually migrates (into a `SharedBytesMut`, then the frozen
+/// `SharedBytes`) and the final owner decides whether the buffer flows back
+/// via [`BufferPool::recycle_vec`]. Dropping the handle simply frees the
+/// buffer.
 #[derive(Debug)]
 pub struct PooledBuf {
     vec: Vec<u8>,
@@ -446,7 +446,7 @@ mod tests {
     fn grown_buffers_refile_into_a_larger_class() {
         let pool = BufferPool::new();
         let mut vec = pool.acquire_vec(4096);
-        // Grow past the acquired class, as a context arena would.
+        // Grow past the acquired class, as a builder that outgrows it does.
         vec.resize(SIZE_CLASSES[2] + 10, 0);
         let capacity = vec.capacity();
         pool.recycle_vec(vec);

@@ -377,13 +377,11 @@ impl InFlightTable {
 /// consumed exactly once — the first successful [`try_result`] or [`wait`],
 /// or the [`on_settle`] callback, takes the outcome and releases the table
 /// entry. Until one of them does, the settled result stays in the table for
-/// polling by id ([`Dispatcher::poll`], [`wait_snapshot`]) up to the
-/// configured retention.
+/// polling by id ([`Dispatcher::poll`]) up to the configured retention.
 ///
 /// [`try_result`]: InvocationHandle::try_result
 /// [`wait`]: InvocationHandle::wait
 /// [`on_settle`]: InvocationHandle::on_settle
-/// [`wait_snapshot`]: InvocationHandle::wait_snapshot
 pub struct InvocationHandle {
     id: InvocationId,
     entry: Arc<InvocationEntry>,
@@ -472,15 +470,6 @@ impl InvocationHandle {
         };
         self.table.remove(self.id);
         outcome.unwrap_or_else(already_taken)
-    }
-
-    /// Blocks until the invocation settles and returns a clone of the
-    /// result, leaving it retained for further polling (until retention
-    /// expiry). This is the non-consuming wait the client facade uses so
-    /// both its backends behave identically.
-    pub fn wait_snapshot(&self, timeout: Option<Duration>) -> DandelionResult<InvocationOutcome> {
-        let inner = self.wait_settled(timeout)?;
-        inner.outcome.clone().unwrap_or_else(already_taken)
     }
 
     /// Waits until the entry is terminal and returns the guard.
@@ -1846,22 +1835,6 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("cancellation reaches the callback");
         assert!(matches!(outcome, Err(DandelionError::Cancelled)));
-    }
-
-    #[test]
-    fn wait_snapshot_leaves_the_result_retained() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
-        let handle = harness
-            .dispatcher
-            .submit(graph, vec![DataSet::single("In", b"keep".to_vec())])
-            .unwrap();
-        let first = handle.wait_snapshot(Some(Duration::from_secs(10))).unwrap();
-        assert_eq!(first.outputs[0].items[0].as_str(), Some("keep"));
-        // Non-consuming: a second wait and a poll both still see it.
-        let second = handle.wait_snapshot(Some(Duration::from_secs(10))).unwrap();
-        assert_eq!(second.outputs[0].items[0].as_str(), Some("keep"));
-        assert!(harness.dispatcher.poll(handle.id()).is_some());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! marshal the task, map the function binary into the memory context,
 //! attach the inputs, execute the function body, collect the outputs it
 //! left behind, and clean up. The [`StagedExecutor`] implements that
-//! lifecycle once; the concrete backends in [`crate::backends`] parameterize
-//! it with their syscall policy and cost model and add their
-//! mechanism-specific bookkeeping.
+//! lifecycle once and is the one [`IsolationBackend`];
+//! [`create_backend`](crate::backends::create_backend) gives it each
+//! mechanism's syscall policy and cost model.
 //!
 //! Nothing a task is handed — binary, inputs, output-set names, syscall
 //! policy — is copied on the way in: each is a shared, read-only reference
@@ -152,7 +152,7 @@ pub trait IsolationBackend: Send + Sync {
     fn execute(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport>;
 }
 
-/// Shared staged execution used by all backends.
+/// The staged execution every isolation mechanism shares.
 ///
 /// The stages do the bookkeeping the mechanism would do — the binary, the
 /// inputs and the outputs are really attached to a capacity-bounded
@@ -176,14 +176,19 @@ impl StagedExecutor {
             cost,
         }
     }
+}
 
-    /// The cost model used for modeled timings.
-    pub fn cost_model(&self) -> &SandboxCostModel {
+impl IsolationBackend for StagedExecutor {
+    fn kind(&self) -> IsolationKind {
+        self.kind
+    }
+
+    fn cost_model(&self) -> &SandboxCostModel {
         &self.cost
     }
 
     /// Runs the full sandbox lifecycle for one task.
-    pub fn run(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport> {
+    fn execute(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport> {
         let mut measured = StageTimings::new();
         let artifact = &task.artifact;
 
@@ -209,8 +214,7 @@ impl StagedExecutor {
         // every sandbox of the function attaches it by reference, the way
         // the real backends share the page-cache mapping of a cached binary.
         // It counts toward the context's capacity and high-water mark byte
-        // for byte, but no byte of it is touched here and the context's own
-        // region stays empty, so no arena is acquired. (What a cold or warm
+        // for byte, but no byte of it is touched here. (What a cold or warm
         // load costs on the paper's hardware is the cost model's charge,
         // `modeled`, not this span.)
         let load_start = Instant::now();
@@ -221,9 +225,8 @@ impl StagedExecutor {
 
         // Stage 3: transfer input — attach input payloads to the context by
         // reference (the zero-copy data passing of paper §6.1). The bytes
-        // stay in the producer's exported region; only capacity accounting
-        // happens here. `MemoryContext::transfer_to` remains the portable
-        // memcpy fallback for backends that cannot remap.
+        // stay in the producer's buffer; only capacity accounting happens
+        // here.
         let transfer_start = Instant::now();
         for set in task.inputs.iter() {
             for item in &set.items {
@@ -315,11 +318,6 @@ impl StagedExecutor {
             syscall_attempts,
         })
     }
-
-    /// The mechanism this executor models.
-    pub fn kind(&self) -> IsolationKind {
-        self.kind
-    }
 }
 
 /// Rebuilds the output sets from a validated frame, attaching each staged
@@ -406,7 +404,7 @@ mod tests {
             echo_artifact(),
             vec![DataSet::single("in", b"ping".to_vec())],
         );
-        let report = executor().run(&task).unwrap();
+        let report = executor().execute(&task).unwrap();
         assert_eq!(report.outputs.len(), 1);
         assert_eq!(report.outputs[0].items[0].data.as_slice(), b"ping");
         assert!(report.context_high_water > 0);
@@ -417,9 +415,9 @@ mod tests {
     #[test]
     fn modeled_timings_include_cold_load_penalty() {
         let task = ExecutionTask::new(echo_artifact(), vec![DataSet::single("in", b"x".to_vec())]);
-        let warm = executor().run(&task).unwrap();
+        let warm = executor().execute(&task).unwrap();
         let cold = executor()
-            .run(&task.clone().with_cold_binary(true))
+            .execute(&task.clone().with_cold_binary(true))
             .unwrap();
         assert!(cold.modeled.get(Stage::Load) > warm.modeled.get(Stage::Load));
     }
@@ -432,7 +430,7 @@ mod tests {
             |_ctx: &mut FunctionCtx| Err("boom".into()),
         ));
         let err = executor()
-            .run(&ExecutionTask::new(failing, vec![]))
+            .execute(&ExecutionTask::new(failing, vec![]))
             .unwrap_err();
         assert!(matches!(err, DandelionError::FunctionFault { .. }));
     }
@@ -447,7 +445,7 @@ mod tests {
             },
         ));
         let err = executor()
-            .run(&ExecutionTask::new(panicking, vec![]))
+            .execute(&ExecutionTask::new(panicking, vec![]))
             .unwrap_err();
         match err {
             DandelionError::FunctionFault { reason, .. } => {
@@ -474,7 +472,9 @@ mod tests {
                 ctx.syscall("execve").map(|_| ())
             },
         ));
-        let err = strict.run(&ExecutionTask::new(nosy, vec![])).unwrap_err();
+        let err = strict
+            .execute(&ExecutionTask::new(nosy, vec![]))
+            .unwrap_err();
         assert!(matches!(err, DandelionError::FunctionFault { .. }));
         assert!(err.to_string().contains("execve"));
     }
@@ -486,7 +486,7 @@ mod tests {
                 .with_memory_requirement(8),
         );
         let err = executor()
-            .run(&ExecutionTask::new(
+            .execute(&ExecutionTask::new(
                 tiny,
                 vec![DataSet::single("in", vec![0u8; 64])],
             ))
@@ -501,7 +501,7 @@ mod tests {
     fn high_water_is_binary_plus_inputs_plus_frame_plus_outputs() {
         let artifact = Arc::new((*echo_artifact()).clone().with_binary_size(48 * 1024));
         let task = ExecutionTask::new(artifact, vec![DataSet::single("in", vec![7u8; 1000])]);
-        let report = executor().run(&task).unwrap();
+        let report = executor().execute(&task).unwrap();
         let frame = output_parser::encode_frame_shared(&report.outputs);
         assert_eq!(
             report.context_high_water,
@@ -519,14 +519,14 @@ mod tests {
         // Capacity is 8192 + 64 KiB + 4096. 8000 bytes in pass the marshal
         // check; 8000 in + 8000 out + frame exceed what the binary leaves.
         let err = executor()
-            .run(&ExecutionTask::new(
+            .execute(&ExecutionTask::new(
                 Arc::clone(&artifact),
                 vec![DataSet::single("in", vec![1u8; 8000])],
             ))
             .unwrap_err();
         assert!(matches!(err, DandelionError::ContextError(_)), "{err}");
         let report = executor()
-            .run(&ExecutionTask::new(
+            .execute(&ExecutionTask::new(
                 artifact,
                 vec![DataSet::single("in", vec![1u8; 6000])],
             ))
@@ -546,7 +546,7 @@ mod tests {
             },
         ));
         let err = executor()
-            .run(&ExecutionTask::new(slow, vec![]).with_timeout(Duration::from_millis(1)))
+            .execute(&ExecutionTask::new(slow, vec![]).with_timeout(Duration::from_millis(1)))
             .unwrap_err();
         assert!(matches!(err, DandelionError::Timeout { .. }));
     }
@@ -557,7 +557,7 @@ mod tests {
             echo_artifact(),
             vec![DataSet::single("in", b"ping".to_vec())],
         );
-        let report = executor().run(&task).unwrap();
+        let report = executor().execute(&task).unwrap();
         for stage in Stage::ALL {
             // Modeled timings always have an entry for every stage.
             assert!(report.modeled.get(stage) > Duration::ZERO, "{stage:?}");

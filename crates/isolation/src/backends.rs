@@ -1,138 +1,58 @@
-//! The concrete isolation backends.
+//! The isolation mechanisms, as configurations of one executor.
 //!
 //! The paper implements four mechanisms (§6.2) and argues the platform is not
-//! tied to any of them; this module mirrors that structure. Each backend
-//! wraps the shared [`StagedExecutor`] with its mechanism-specific policy,
-//! cost model and bookkeeping:
+//! tied to any of them. Here they share the whole sandbox lifecycle
+//! ([`StagedExecutor`]) and differ in exactly two values: the syscall policy
+//! a function runs under and the [`SandboxCostModel`] that charges the
+//! mechanism's stage latencies (Table 1).
 //!
-//! * [`CheriBackend`] — functions run as threads of the engine process;
-//!   hybrid capabilities bound every load/store. Syscalls never reach the
-//!   kernel because dlibc stubs them (permissive policy), and the sandbox
-//!   setup is the cheapest of all backends.
-//! * [`KvmBackend`] — each function runs in a lightweight VM without a guest
-//!   kernel; any syscall-shaped escape is a VM exit that kills the function
-//!   (strict policy). VM structures are pooled and reset between uses
-//!   (Virtines-style), which the backend tracks for reporting.
-//! * [`ProcessBackend`] — each function runs in a fresh process whose
-//!   syscalls are intercepted with ptrace (strict policy).
-//! * [`RwasmBackend`] — functions are registered as Wasm, transpiled to safe
-//!   Rust and compiled to a shared library; isolation comes from the Rust
-//!   compiler. The backend models the transpilation's execution slowdown and
-//!   its comparatively expensive dynamic load.
-//! * [`NativeBackend`] — repo-only reference backend with no isolation
-//!   charge, used to validate functional behaviour.
+//! * CHERI — functions run as threads of the engine process; hybrid
+//!   capabilities bound every load/store. Syscalls never reach the kernel
+//!   because dlibc stubs them (permissive policy), and the sandbox setup is
+//!   the cheapest of all backends.
+//! * KVM — each function runs in a lightweight VM without a guest kernel;
+//!   any syscall-shaped escape is a VM exit that kills the function (strict
+//!   policy).
+//! * process — each function runs in a fresh process whose syscalls are
+//!   intercepted with ptrace (strict policy).
+//! * rWasm — functions are registered as Wasm, transpiled to safe Rust and
+//!   compiled to a shared library; isolation comes from the Rust compiler
+//!   (strict policy). The cost model carries the transpilation's execution
+//!   slowdown and its comparatively expensive dynamic load.
+//! * native — repo-only reference with no isolation charge (permissive
+//!   policy), used to validate functional behaviour.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dandelion_common::config::IsolationKind;
-use dandelion_common::DandelionResult;
 
-use crate::backend::{ExecutionReport, ExecutionTask, IsolationBackend, StagedExecutor};
+use crate::backend::{IsolationBackend, StagedExecutor};
 use crate::cost::{HardwarePlatform, SandboxCostModel};
 use crate::policy::SyscallPolicy;
 
-macro_rules! define_backend {
-    ($(#[$meta:meta])* $name:ident, $kind:expr, $policy:expr) => {
-        $(#[$meta])*
-        pub struct $name {
-            executor: StagedExecutor,
-            executions: AtomicU64,
-        }
-
-        impl $name {
-            /// Creates the backend calibrated for the given hardware platform.
-            pub fn new(platform: HardwarePlatform) -> Self {
-                Self {
-                    executor: StagedExecutor::new(
-                        $kind,
-                        $policy,
-                        SandboxCostModel::for_backend($kind, platform),
-                    ),
-                    executions: AtomicU64::new(0),
-                }
-            }
-
-            /// Number of sandboxes this backend has created so far.
-            pub fn sandboxes_created(&self) -> u64 {
-                self.executions.load(Ordering::Relaxed)
-            }
-        }
-
-        impl IsolationBackend for $name {
-            fn kind(&self) -> IsolationKind {
-                $kind
-            }
-
-            fn cost_model(&self) -> &SandboxCostModel {
-                self.executor.cost_model()
-            }
-
-            fn execute(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport> {
-                self.executions.fetch_add(1, Ordering::Relaxed);
-                self.executor.run(task)
-            }
-        }
-    };
-}
-
-define_backend!(
-    /// CHERI hybrid-capability isolation (single address space, cheapest
-    /// sandbox creation; paper Table 1 column 1).
-    CheriBackend,
-    IsolationKind::Cheri,
-    SyscallPolicy::permissive()
-);
-
-define_backend!(
-    /// Lightweight-VM isolation on KVM without a guest kernel (paper Table 1
-    /// column 4).
-    KvmBackend,
-    IsolationKind::Kvm,
-    SyscallPolicy::strict()
-);
-
-define_backend!(
-    /// Process isolation with ptrace syscall interception (paper Table 1
-    /// column 3).
-    ProcessBackend,
-    IsolationKind::Process,
-    SyscallPolicy::strict()
-);
-
-define_backend!(
-    /// rWasm software fault isolation: Wasm transpiled to safe Rust (paper
-    /// Table 1 column 2).
-    RwasmBackend,
-    IsolationKind::Rwasm,
-    SyscallPolicy::strict()
-);
-
-define_backend!(
-    /// Direct in-process execution used as the functional reference.
-    NativeBackend,
-    IsolationKind::Native,
-    SyscallPolicy::permissive()
-);
-
-/// Creates a boxed backend of the requested kind, calibrated for `platform`.
+/// Creates a backend of the requested kind, calibrated for `platform`.
 pub fn create_backend(
     kind: IsolationKind,
     platform: HardwarePlatform,
 ) -> Arc<dyn IsolationBackend> {
-    match kind {
-        IsolationKind::Cheri => Arc::new(CheriBackend::new(platform)),
-        IsolationKind::Kvm => Arc::new(KvmBackend::new(platform)),
-        IsolationKind::Process => Arc::new(ProcessBackend::new(platform)),
-        IsolationKind::Rwasm => Arc::new(RwasmBackend::new(platform)),
-        IsolationKind::Native => Arc::new(NativeBackend::new(platform)),
-    }
+    let policy = match kind {
+        IsolationKind::Cheri | IsolationKind::Native => SyscallPolicy::permissive(),
+        IsolationKind::Kvm | IsolationKind::Process | IsolationKind::Rwasm => {
+            SyscallPolicy::strict()
+        }
+    };
+    Arc::new(StagedExecutor::new(
+        kind,
+        policy,
+        SandboxCostModel::for_backend(kind, platform),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abi::{FunctionArtifact, FunctionCtx};
+    use crate::backend::ExecutionTask;
     use dandelion_common::{DataItem, DataSet};
     use std::time::Duration;
 
@@ -189,15 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn sandbox_counter_increments() {
-        let backend = CheriBackend::new(HardwarePlatform::Morello);
-        assert_eq!(backend.sandboxes_created(), 0);
-        backend.execute(&echo_task()).unwrap();
-        backend.execute(&echo_task()).unwrap();
-        assert_eq!(backend.sandboxes_created(), 2);
-    }
-
-    #[test]
     fn strict_backends_kill_syscalling_functions_permissive_do_not() {
         let nosy = Arc::new(FunctionArtifact::new(
             "nosy",
@@ -208,9 +119,9 @@ mod tests {
             },
         ));
         let task = ExecutionTask::new(nosy, vec![]);
-        let process = ProcessBackend::new(HardwarePlatform::Morello);
+        let process = create_backend(IsolationKind::Process, HardwarePlatform::Morello);
         assert!(process.execute(&task).is_err());
-        let cheri = CheriBackend::new(HardwarePlatform::Morello);
+        let cheri = create_backend(IsolationKind::Cheri, HardwarePlatform::Morello);
         assert!(cheri.execute(&task).is_ok());
     }
 }

@@ -11,7 +11,9 @@
 //! reproduction keeps the same staged lifecycle and per-backend behaviour,
 //! but the hardware mechanisms themselves (Morello capabilities, VT-x) are
 //! replaced by an in-process bounds-checked execution with a calibrated cost
-//! model (see `DESIGN.md` §1 for the substitution rationale):
+//! model (the hardware is not available to a portable build, and the paper's
+//! argument rests on the lifecycle and its stage costs, not on the
+//! mechanism):
 //!
 //! * every backend really accounts binary and inputs against the context's
 //!   capacity, invokes the function with a capacity-bounded virtual
@@ -24,8 +26,8 @@
 //!
 //! The module layout mirrors the subsystems:
 //!
-//! * [`context`] — bounded, contiguous memory regions managed by the
-//!   dispatcher.
+//! * [`context`] — the capacity-bounded set of regions attached to one
+//!   function instance.
 //! * [`abi`] — the function ABI: artifacts, the [`abi::ComputeLogic`] trait
 //!   and the [`abi::FunctionCtx`] handed to user code.
 //! * [`output_parser`] — the small, heavily tested parser for the output
@@ -33,8 +35,10 @@
 //!   parser is ~100 lines and must be memory safe).
 //! * [`cost`] — per-backend, per-stage latency models (Table 1).
 //! * [`policy`] — the syscall stub/deny policy compute functions run under.
-//! * [`backend`] — the [`IsolationBackend`] trait and staged executor.
-//! * [`backends`] — the CHERI / KVM / process / rWasm / native backends.
+//! * [`backend`] — the [`IsolationBackend`] trait and the staged executor
+//!   that implements it.
+//! * [`backends`] — [`create_backend`]: the executor configured as CHERI,
+//!   KVM, process, rWasm or native.
 
 pub mod abi;
 pub mod backend;

@@ -202,12 +202,9 @@ pub fn parse_outputs_with_limits(bytes: &[u8], limits: &Limits) -> DandelionResu
 /// Parses an output descriptor held in a [`SharedBytes`] buffer, handing out
 /// item payloads as zero-copy views of that buffer.
 ///
-/// This is the engine's hot path: a producer context [`exports`] its
-/// descriptor region once, and every item parsed from it — including `each`
-/// fan-out and `key` grouping downstream — references the producer's bytes
-/// instead of copying them. Validation is identical to [`parse_outputs`].
-///
-/// [`exports`]: crate::context::MemoryContext::export
+/// Every item parsed from the buffer — including `each` fan-out and `key`
+/// grouping downstream — references the producer's bytes instead of copying
+/// them. Validation is identical to [`parse_outputs`].
 pub fn parse_outputs_shared(shared: &SharedBytes) -> DandelionResult<Vec<DataSet>> {
     parse_outputs_impl(shared.as_slice(), &LIMITS, &mut |range| shared.slice(range))
 }

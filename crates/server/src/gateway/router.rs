@@ -29,6 +29,7 @@ use std::sync::{mpsc, Arc, Weak};
 use std::time::Duration;
 
 use dandelion_common::encoding::utf8_lossy;
+use dandelion_common::rng::fnv1a;
 use dandelion_common::{failpoint, InvocationId, JsonValue, NodeId, Rope, SharedBytes};
 use dandelion_core::frontend::error_body;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
@@ -49,12 +50,7 @@ const AFFINITY_LOAD_SLACK: usize = 16;
 /// FNV-1a over the composition name: the stable hash behind
 /// composition-affinity placement (`hash % eligible members`).
 pub fn composition_affinity_hash(composition: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in composition.as_bytes() {
-        hash ^= *byte as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
+    fnv1a(composition.as_bytes())
 }
 
 /// Tunables of the gateway router.
@@ -1062,31 +1058,46 @@ pub fn proxy_response(mut response: HttpResponse, node: NodeId) -> HttpResponse 
 // Blocking member calls (control plane and health probes only)
 // ----------------------------------------------------------------------
 
-fn probe_stats(addr: SocketAddr, timeout: Duration) -> Result<(), String> {
+/// One request to a member on a fresh connection. Any answer but the
+/// `expected` status is an error naming what the member said instead.
+fn member_call(
+    addr: SocketAddr,
+    timeout: Duration,
+    request: &HttpRequest,
+    expected: StatusCode,
+) -> Result<HttpResponse, String> {
     let mut client =
         HttpClientConnection::connect(addr, timeout).map_err(|error| error.to_string())?;
-    let response = client
-        .request(&HttpRequest::get("/v1/stats"))
-        .map_err(|error| error.to_string())?;
-    if response.status == StatusCode::OK {
-        Ok(())
-    } else {
-        Err(format!("stats probe answered {}", response.status.0))
+    let response = client.request(request).map_err(|error| error.to_string())?;
+    if response.status != expected {
+        return Err(format!(
+            "{} {} answered {}: {}",
+            request.method,
+            request.target,
+            response.status.0,
+            response.body_str()
+        ));
     }
+    Ok(response)
+}
+
+fn probe_stats(addr: SocketAddr, timeout: Duration) -> Result<(), String> {
+    member_call(
+        addr,
+        timeout,
+        &HttpRequest::get("/v1/stats"),
+        StatusCode::OK,
+    )
+    .map(drop)
 }
 
 fn fetch_compositions(addr: SocketAddr, timeout: Duration) -> Result<Vec<String>, String> {
-    let mut client =
-        HttpClientConnection::connect(addr, timeout).map_err(|error| error.to_string())?;
-    let response = client
-        .request(&HttpRequest::get("/v1/compositions"))
-        .map_err(|error| error.to_string())?;
-    if response.status != StatusCode::OK {
-        return Err(format!(
-            "composition listing answered {}",
-            response.status.0
-        ));
-    }
+    let response = member_call(
+        addr,
+        timeout,
+        &HttpRequest::get("/v1/compositions"),
+        StatusCode::OK,
+    )?;
     let document =
         JsonValue::parse(&response.body_str()).map_err(|error| format!("bad JSON: {error}"))?;
     let names = document
@@ -1104,18 +1115,12 @@ fn fetch_compositions(addr: SocketAddr, timeout: Duration) -> Result<Vec<String>
 }
 
 fn register_on_member(addr: SocketAddr, body: &[u8], timeout: Duration) -> Result<String, String> {
-    let mut client =
-        HttpClientConnection::connect(addr, timeout).map_err(|error| error.to_string())?;
-    let response = client
-        .request(&HttpRequest::post("/v1/compositions", body.to_vec()))
-        .map_err(|error| error.to_string())?;
-    if response.status != StatusCode::CREATED {
-        return Err(format!(
-            "registration answered {}: {}",
-            response.status.0,
-            response.body_str()
-        ));
-    }
+    let response = member_call(
+        addr,
+        timeout,
+        &HttpRequest::post("/v1/compositions", body.to_vec()),
+        StatusCode::CREATED,
+    )?;
     JsonValue::parse(&response.body_str())
         .ok()
         .and_then(|document| {
@@ -1127,13 +1132,16 @@ fn register_on_member(addr: SocketAddr, body: &[u8], timeout: Duration) -> Resul
         .ok_or_else(|| "registration response carried no name".to_string())
 }
 
+/// Relays the drain signal: only the member's own `202` means it began
+/// draining — a `404`, a `429` from its rate limit or a `500` did not.
 fn relay_drain(addr: SocketAddr, timeout: Duration) -> Result<(), String> {
-    let mut client =
-        HttpClientConnection::connect(addr, timeout).map_err(|error| error.to_string())?;
-    client
-        .request(&HttpRequest::post("/v1/drain", Vec::new()))
-        .map(|_| ())
-        .map_err(|error| error.to_string())
+    member_call(
+        addr,
+        timeout,
+        &HttpRequest::post("/v1/drain", Vec::new()),
+        StatusCode::ACCEPTED,
+    )
+    .map(drop)
 }
 
 // ----------------------------------------------------------------------
@@ -1240,6 +1248,91 @@ mod tests {
             panic!("must forward");
         };
         assert_eq!(second.node, other);
+    }
+
+    /// "Routing collapsed onto one member" without a stopwatch: twelve
+    /// compositions over three members that all advertise them.
+    #[test]
+    fn affinity_spreads_shards_over_three_members_and_spills_past_the_slack() {
+        let router = router_without_health();
+        let shards: Vec<String> = (0..12).map(|index| format!("Shard{index}")).collect();
+        let names: Vec<&str> = shards.iter().map(String::as_str).collect();
+        let nodes = [9001, 9002, 9003].map(|port| insert_member(&router, port, &names));
+        let placement = || -> Vec<NodeId> {
+            shards
+                .iter()
+                .map(|shard| {
+                    let target = format!("/v1/invoke/{shard}");
+                    let GatewayReply::Forward(plan) =
+                        router.dispatch(&HttpRequest::post(target, b"x".to_vec()))
+                    else {
+                        panic!("must forward");
+                    };
+                    plan.node
+                })
+                .collect()
+        };
+        let set_in_flight = |node: NodeId, in_flight: usize| {
+            let members = router.members.read();
+            let member = members.iter().find(|m| m.id == node).unwrap();
+            member.load.in_flight.store(in_flight, Ordering::Relaxed);
+        };
+
+        // Every member is the affinity pick of some shards, and a shard's
+        // pick does not move between requests.
+        let idle = placement();
+        for node in nodes {
+            let owned = idle.iter().filter(|pick| **pick == node).count();
+            assert!(owned >= 2, "{node} owns {owned} of 12 shards");
+        }
+        for _ in 0..8 {
+            assert_eq!(placement(), idle);
+        }
+
+        // At `2 * min + SLACK` the preference still holds; one past it the
+        // member's shards go to the least loaded and nobody else's move.
+        let [loaded, least, other] = nodes;
+        set_in_flight(least, 1);
+        set_in_flight(other, 2);
+        set_in_flight(loaded, 2 + AFFINITY_LOAD_SLACK);
+        assert_eq!(placement(), idle);
+        set_in_flight(loaded, 2 + AFFINITY_LOAD_SLACK + 1);
+        let spilled: Vec<NodeId> = idle
+            .iter()
+            .map(|pick| if *pick == loaded { least } else { *pick })
+            .collect();
+        assert_eq!(placement(), spilled);
+    }
+
+    /// A member that refuses the drain signal did not begin draining, and
+    /// the operator is told so.
+    #[test]
+    fn a_refused_drain_relay_is_reported_as_not_relayed() {
+        use std::io::{Read, Write};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let member = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") {
+                stream.read_exact(&mut byte).unwrap();
+                head.push(byte[0]);
+            }
+            assert!(head.starts_with(b"POST /v1/drain "));
+            stream
+                .write_all(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n")
+                .unwrap();
+        });
+        let router = router_without_health();
+        let node = insert_member(&router, port, &["Echo"]);
+        let response = router.drain_request(&node.to_string());
+        member.join().unwrap();
+        assert_eq!(response.status, StatusCode::ACCEPTED);
+        assert!(response.body_text().contains("\"relayed\":false"));
+        // The gateway's own half still happened: no new work goes there.
+        assert_eq!(router.member_rows()[0].2, "draining");
     }
 
     #[test]

@@ -9,80 +9,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dandelion_common::JsonValue;
-use dandelion_core::worker::{default_test_services, WorkerNode};
-use dandelion_core::Frontend;
+use dandelion_core::worker::WorkerNode;
 use dandelion_http::HttpRequest;
-use dandelion_server::{GatewayConfig, HttpClientConnection, Router, Server, ServerConfig};
+use dandelion_server::{GatewayConfig, Server};
 
-/// A member worker with the `Echo` function and `EchoComp` registered.
-fn echo_worker() -> Arc<WorkerNode> {
-    use dandelion_common::config::{IsolationKind, WorkerConfig};
-    use dandelion_isolation::{FunctionArtifact, FunctionCtx};
-    let config = WorkerConfig {
-        total_cores: 2,
-        initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
-        ..WorkerConfig::default()
-    };
-    let worker = WorkerNode::start_with_control(config, default_test_services(), false).unwrap();
-    worker
-        .register_function(FunctionArtifact::new(
-            "Echo",
-            &["Out"],
-            |ctx: &mut FunctionCtx| {
-                let data = ctx.single_input("In")?.data.clone();
-                ctx.push_output("Out", dandelion_common::DataItem::new("echo", data))
-            },
-        ))
-        .unwrap();
-    worker
-        .register_composition_dsl(
-            "composition EchoComp(Input) => Output { Echo(In = all Input) => (Output = Out); }",
-        )
-        .unwrap();
-    worker
-}
-
-fn loopback_config() -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        event_loops: 2,
-        read_timeout: Duration::from_secs(10),
-        ..ServerConfig::default()
-    }
-}
-
-/// One cluster member: worker + frontend + server on an ephemeral port.
-fn start_member() -> (Server, Arc<WorkerNode>) {
-    let worker = echo_worker();
-    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
-    let server = Server::start(loopback_config(), frontend).expect("member binds");
-    (server, worker)
-}
-
-/// Probe cadence short enough that ejection and drain-removal happen well
-/// inside a test's patience.
-fn test_gateway_config() -> GatewayConfig {
-    GatewayConfig {
-        probe_interval: Duration::from_millis(50),
-        probe_timeout: Duration::from_millis(500),
-        ..GatewayConfig::default()
-    }
-}
-
-fn start_gateway(config: GatewayConfig, members: &[SocketAddr]) -> (Server, Arc<Router>) {
-    let router = Router::start(config);
-    for addr in members {
-        router.join(*addr).expect("member joins");
-    }
-    let server =
-        Server::start_gateway(loopback_config(), Arc::clone(&router)).expect("gateway binds");
-    (server, router)
-}
-
-fn connect(addr: SocketAddr) -> HttpClientConnection {
-    HttpClientConnection::connect(addr, Duration::from_secs(10)).expect("client connects")
-}
+mod common;
+use common::{connect, start_gateway, start_member, test_gateway_config};
 
 /// `node-id → addr` rows from the gateway's membership document.
 fn member_table(gateway: SocketAddr) -> Vec<(String, SocketAddr, String)> {

@@ -6,8 +6,8 @@
 //! replaying a 20-minute Azure Functions trace. Reproducing those figures by
 //! direct measurement would require the original hardware and the original
 //! systems; instead this crate models each platform as a queueing system with
-//! calibrated service times (see `DESIGN.md` §1) and replays the same
-//! workloads under virtual time:
+//! calibrated service times and replays the same workloads under virtual
+//! time:
 //!
 //! * [`request`] — request/phase descriptions and the workload presets used
 //!   by the figures (1×1 and 128×128 matmul, fetch-and-compute phases, log

@@ -4,7 +4,7 @@
 //! a 100-function sample of the Azure Functions production trace
 //! (Shahrad et al., ATC'20) selected with the InVitro sampler. The real trace
 //! is not redistributable, so this crate generates a synthetic trace with the
-//! published statistical properties instead (see `DESIGN.md` §1):
+//! published statistical properties instead:
 //!
 //! * **heavy-tailed popularity** — a few functions receive most invocations
 //!   while most functions are invoked rarely;

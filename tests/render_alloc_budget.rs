@@ -9,10 +9,14 @@
 //! conversion makes one per response), no regrown report (grown from its
 //! opening tag, a 40 KiB report doubles 11 times, the last doubling moving
 //! all of it), and a block count that is the same for 8 KiB and 64 KiB logs.
+//!
+//! The second case holds the HTTP boundary around it to the same rule: a
+//! request and a response are put on the wire as a head built once plus the
+//! body by reference, whatever the body's size.
 
 use dandelion_apps::logproc::render_artifact;
-use dandelion_common::{DataItem, DataSet};
-use dandelion_http::HttpResponse;
+use dandelion_common::{DataItem, DataSet, SharedBytes};
+use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator, HeapUse};
 use dandelion_isolation::{FunctionCtx, SyscallPolicy};
 
@@ -103,4 +107,33 @@ fn render_reads_bodies_in_place_and_allocates_the_report_once() {
         blocks.push(heap_use.blocks);
     }
     assert_eq!(blocks[0], blocks[1], "blocks for 8 KiB vs 64 KiB logs");
+}
+
+/// After a warm-up a request and a response go on the wire without asking
+/// the heap for anything: the head is built in a pooled buffer that the rope
+/// carries unfrozen (no `Arc`), head and body sit in the rope's two inline
+/// slots, the `IoSlice` table is on the stack and the body is a reference.
+/// Flattening a message shows as one block of its size, a frozen head as one
+/// `Arc`, a third segment as the rope's spill list.
+#[test]
+fn http_messages_go_on_the_wire_as_a_built_head_and_a_referenced_body() {
+    for body_bytes in [4 * 1024, 64 * 1024] {
+        let body = SharedBytes::from_vec(vec![b'p'; body_bytes]);
+        let request = HttpRequest::post("/v1/invoke/Echo", body.clone())
+            .with_header("Content-Type", "application/octet-stream");
+        let response =
+            HttpResponse::ok(body).with_header("Content-Type", "application/octet-stream");
+        let put_on_the_wire = || {
+            let ropes = [request.to_rope(), response.to_rope()];
+            for rope in &ropes {
+                rope.write_to(&mut std::io::sink()).expect("a sink accepts");
+            }
+            ropes.iter().map(|rope| rope.len()).sum::<usize>()
+        };
+        // Once unmeasured: the heads' buffers come back from the pool.
+        put_on_the_wire();
+        let (written, heap_use) = heap_use_of(put_on_the_wire);
+        assert!(written > 2 * body_bytes, "{written} bytes written");
+        assert_eq!(heap_use, HeapUse::default(), "{body_bytes}-byte bodies");
+    }
 }
