@@ -1,6 +1,11 @@
 //! Helpers to wire the applications and their services onto a worker node.
+//!
+//! Start-up does only what readiness needs. What the simulated services
+//! serve — the `phases` arrays, the SSB tables, the demo image — is
+//! materialised on first use, then stored: a node that never runs those
+//! applications never holds their data.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use dandelion_common::DandelionResult;
@@ -71,21 +76,29 @@ pub fn demo_services(realistic_latency: bool) -> ServiceRegistry {
     }
 
     // Object store with the fetch-and-compute arrays, the demo QOI image and
-    // the SSB dataset.
+    // the SSB dataset. In the paper's deployment these sit on another
+    // machine, so nothing is put here: each bucket gets a source and an
+    // object is materialised on first use, then stored.
     let store = ObjectStore::with_latency(object_latency);
-    for key in 0..16u64 {
-        store.put_object("arrays", &key.to_string(), phases::array_object(key));
-    }
-    // Keys produced by SumMinMax are `sum % 1000`; make sure they resolve.
-    for key in 0..1000u64 {
-        if store.get_object("arrays", &key.to_string()).is_none() {
-            store.put_object("arrays", &key.to_string(), phases::array_object(key));
-        }
-    }
-    let image = image::Image::synthetic(96, 64);
-    store.put_object("images", "input.qoi", image::qoi_encode(&image));
-    let ssb = generate_database(0.05, 42);
-    query_app::upload_database(&store, &ssb, 8);
+    // Keys produced by SumMinMax are `sum % 1000`, in plain decimal.
+    store.set_source("arrays", |key| {
+        let index: u64 = key.parse().ok().filter(|index| *index < 1000)?;
+        (index.to_string() == key).then(|| phases::array_object(index).into())
+    });
+    store.set_source("images", |key| {
+        (key == "input.qoi").then(|| image::qoi_encode(&image::Image::synthetic(96, 64)).into())
+    });
+    // The SSB database is generated and CSV-encoded once, by the bucket's
+    // first read, through the same `upload_database` an eager caller uses.
+    let ssb = OnceLock::new();
+    store.set_source(query_app::BUCKET, move |key| {
+        ssb.get_or_init(|| {
+            let encoded = ObjectStore::new();
+            query_app::upload_database(&encoded, &generate_database(0.05, 42), 8);
+            encoded
+        })
+        .get_object(query_app::BUCKET, key)
+    });
     registry.register(query_app::STORE_HOST, Arc::new(store));
 
     // LLM and SQL database for the Text2SQL workflow.
@@ -147,6 +160,11 @@ pub fn demo_worker(
     total_cores: usize,
     realistic_latency: bool,
 ) -> DandelionResult<Arc<WorkerNode>> {
+    worker_with(total_cores, demo_services(realistic_latency))
+}
+
+/// The demo worker over the given services.
+fn worker_with(total_cores: usize, services: ServiceRegistry) -> DandelionResult<Arc<WorkerNode>> {
     use dandelion_common::config::{IsolationKind, WorkerConfig};
     let config = WorkerConfig {
         total_cores: total_cores.max(2),
@@ -155,7 +173,7 @@ pub fn demo_worker(
         function_timeout: Duration::from_secs(60),
         ..WorkerConfig::default()
     };
-    let worker = WorkerNode::start_with_control(config, demo_services(realistic_latency), false)?;
+    let worker = WorkerNode::start_with_control(config, services, false)?;
     register_applications(&worker)?;
     Ok(worker)
 }
@@ -256,5 +274,108 @@ mod tests {
         assert_eq!(outcome.report.compute_tasks, 9);
         assert_eq!(outcome.report.communication_tasks, 4);
         worker.shutdown();
+    }
+
+    /// A demo worker whose only service is an object store filled ahead of
+    /// time by `fill` — the fixture `demo_services` used to build — as the
+    /// reference the lazily sourced buckets must answer like.
+    fn eager_worker(fill: impl FnOnce(&ObjectStore)) -> Arc<WorkerNode> {
+        let store = ObjectStore::with_latency(LatencyModel::zero());
+        fill(&store);
+        let mut services = ServiceRegistry::new();
+        services.register(query_app::STORE_HOST, Arc::new(store));
+        worker_with(4, services).unwrap()
+    }
+
+    fn output_bytes(worker: &WorkerNode, composition: &str, input: DataSet) -> Vec<Vec<u8>> {
+        let outcome = worker.invoke(composition, vec![input]).unwrap();
+        outcome
+            .outputs
+            .iter()
+            .flat_map(|set| &set.items)
+            .map(|item| item.data.as_slice().to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn every_phase_chain_answers_like_an_eagerly_filled_store() {
+        let eager = eager_worker(|store| {
+            for key in 0..1000u64 {
+                store.put_object("arrays", &key.to_string(), phases::array_object(key));
+            }
+        });
+        let lazy = demo_worker(4, false).unwrap();
+        let idle = lazy.services().resident_bytes();
+        assert!(
+            idle < phases::ARRAY_BYTES,
+            "nothing is preloaded: {idle} bytes resident"
+        );
+        for phases in [2, 4, 8, 16] {
+            let composition = format!("FetchCompute{phases}");
+            let input = || DataSet::single("Phase0", b"1".to_vec());
+            let answer = output_bytes(&lazy, &composition, input());
+            assert!(!answer.is_empty());
+            assert_eq!(answer, output_bytes(&eager, &composition, input()));
+        }
+        // The worker holds what the chains touched (at most 16 arrays, whole
+        // ones), not the thousand it could have been asked for.
+        let touched = lazy.services().resident_bytes() - idle;
+        assert_eq!(touched % phases::ARRAY_BYTES, 0);
+        assert!((1..=16).contains(&(touched / phases::ARRAY_BYTES)));
+        eager.shutdown();
+        lazy.shutdown();
+    }
+
+    #[test]
+    fn every_ssb_query_answers_like_an_eagerly_uploaded_database() {
+        let eager = eager_worker(|store| {
+            query_app::upload_database(store, &generate_database(0.05, 42), 8);
+        });
+        let lazy = demo_worker(4, false).unwrap();
+        for query in ["1.1", "2.1", "3.1", "4.1"] {
+            let input = || DataSet::single("QuerySpec", format!("{query};8").into_bytes());
+            let answer = output_bytes(&lazy, "SsbQuery", input());
+            assert!(!answer.is_empty());
+            assert_eq!(answer, output_bytes(&eager, "SsbQuery", input()));
+        }
+        eager.shutdown();
+        lazy.shutdown();
+    }
+
+    #[test]
+    fn sourced_objects_are_the_bytes_the_eager_fixture_stored() {
+        use dandelion_http::{HttpRequest, Uri};
+        let services = demo_services(false);
+        let get = |path: &str| {
+            let request = HttpRequest::get(format!("http://{}/{path}", query_app::STORE_HOST));
+            let uri = Uri::parse(&request.target).unwrap();
+            services.dispatch(&uri, &request).response
+        };
+        let idle = services.resident_bytes();
+
+        let image = image::qoi_encode(&image::Image::synthetic(96, 64));
+        assert_eq!(get("images/input.qoi").body, image.as_slice());
+        assert_eq!(services.resident_bytes(), idle + image.len());
+        assert_eq!(get("images/other.qoi").status.0, 404);
+
+        assert_eq!(get("arrays/999").body, phases::array_object(999).as_slice());
+        // Only the keys the eager loop wrote exist: plain decimal, below 1000.
+        for missing in ["arrays/1000", "arrays/007", "arrays/+7", "arrays/x"] {
+            assert_eq!(get(missing).status.0, 404, "{missing}");
+        }
+
+        let uploaded = ObjectStore::new();
+        query_app::upload_database(&uploaded, &generate_database(0.05, 42), 8);
+        let keys = uploaded.list_bucket(query_app::BUCKET);
+        assert_eq!(keys.len(), 4 + 8);
+        for key in keys {
+            let expected = uploaded.get_object(query_app::BUCKET, &key).unwrap();
+            let first = get(&format!("ssb/{key}")).body;
+            assert_eq!(first, expected, "{key}");
+            // Served from the store from then on, like any put.
+            let again = get(&format!("ssb/{key}")).body;
+            assert!(dandelion_common::SharedBytes::same_buffer(&first, &again));
+        }
+        assert_eq!(get("ssb/lineorder-008.csv").status.0, 404);
     }
 }

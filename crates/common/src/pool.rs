@@ -34,6 +34,32 @@ pub const SIZE_CLASSES: [usize; 6] = [
 /// Maximum buffers retained per size class; excess recycles are dropped.
 const PER_CLASS_LIMIT: usize = 64;
 
+/// Maximum bytes (summed capacities) retained per size class. The count alone
+/// would let the largest class keep 64 × 4 MiB and the pool 341 MiB; with
+/// both, a class keeps 64/64/64/32/8/2 buffers of its own size — fewer of
+/// buffers that grew past it — and the pool at most 37 MiB.
+const PER_CLASS_BYTES: usize = 8 * 1024 * 1024;
+
+/// The parked buffers of one size class and their summed capacities.
+#[derive(Default)]
+struct Slab {
+    buffers: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
+/// What one size class of a pool's shared slabs holds at this moment;
+/// snapshot via [`BufferPool::retained`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassRetention {
+    /// The class size ([`SIZE_CLASSES`]).
+    pub class_bytes: usize,
+    /// Buffers parked in the class.
+    pub buffers: usize,
+    /// Their capacities, summed (a grown buffer is filed under the largest
+    /// class it can serve, so this can exceed `buffers * class_bytes`).
+    pub bytes: usize,
+}
+
 /// Counters describing pool behaviour; snapshot via [`BufferPool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -60,7 +86,7 @@ std::thread_local! {
 
 /// A slab of reusable fixed-class byte buffers.
 pub struct BufferPool {
-    classes: Vec<Mutex<Vec<Vec<u8>>>>,
+    classes: Vec<Mutex<Slab>>,
     /// Whether this pool fronts its shared slabs with the thread-local
     /// cache. Only the process-wide global pool does; private pools (tests)
     /// keep fully deterministic, observable behaviour.
@@ -85,7 +111,7 @@ impl BufferPool {
         Self {
             classes: SIZE_CLASSES
                 .iter()
-                .map(|_| Mutex::new(Vec::new()))
+                .map(|_| Mutex::new(Slab::default()))
                 .collect(),
             thread_cached: false,
             generation: AtomicU64::new(0),
@@ -110,7 +136,7 @@ impl BufferPool {
         })
     }
 
-    fn class_lock(&self, class: usize) -> MutexGuard<'_, Vec<Vec<u8>>> {
+    fn class_lock(&self, class: usize) -> MutexGuard<'_, Slab> {
         self.classes[class]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -196,11 +222,12 @@ impl BufferPool {
             }
         }
         let mut slab = self.class_lock(class);
-        if slab.len() >= PER_CLASS_LIMIT {
+        if slab.buffers.len() >= PER_CLASS_LIMIT || slab.bytes + vec.capacity() > PER_CLASS_BYTES {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        slab.push(vec);
+        slab.bytes += vec.capacity();
+        slab.buffers.push(vec);
         self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -222,7 +249,10 @@ impl BufferPool {
                 return cached;
             }
         }
-        self.class_lock(class).pop()
+        let mut slab = self.class_lock(class);
+        let vec = slab.buffers.pop()?;
+        slab.bytes -= vec.capacity();
+        Some(vec)
     }
 
     /// A point-in-time snapshot of the pool counters.
@@ -236,11 +266,23 @@ impl BufferPool {
         }
     }
 
+    /// What each size class holds right now, in [`SIZE_CLASSES`] order. The
+    /// global pool's per-thread caches (at most one buffer per class and
+    /// thread) are not visible from here.
+    pub fn retained(&self) -> [ClassRetention; SIZE_CLASSES.len()] {
+        std::array::from_fn(|class| {
+            let slab = self.class_lock(class);
+            ClassRetention {
+                class_bytes: SIZE_CLASSES[class],
+                buffers: slab.buffers.len(),
+                bytes: slab.bytes,
+            }
+        })
+    }
+
     /// Number of buffers currently parked in the pool across all classes.
     pub fn pooled_buffers(&self) -> usize {
-        (0..SIZE_CLASSES.len())
-            .map(|class| self.class_lock(class).len())
-            .sum()
+        self.retained().iter().map(|class| class.buffers).sum()
     }
 }
 
@@ -351,6 +393,36 @@ mod tests {
         }
         assert_eq!(pool.pooled_buffers(), PER_CLASS_LIMIT);
         assert_eq!(pool.stats().discarded, 5);
+    }
+
+    #[test]
+    fn large_classes_are_bounded_in_bytes_not_only_in_count() {
+        let pool = BufferPool::new();
+        for _ in 0..70 {
+            pool.recycle_vec(Vec::with_capacity(SIZE_CLASSES[4]));
+        }
+        assert_eq!(pool.pooled_buffers(), 8);
+        assert_eq!(pool.stats().discarded, 62);
+        assert_eq!(
+            pool.retained()[4],
+            ClassRetention {
+                class_bytes: SIZE_CLASSES[4],
+                buffers: 8,
+                bytes: PER_CLASS_BYTES,
+            }
+        );
+        // A buffer that grew past its class counts for what it holds: half
+        // as many twice-the-size buffers fit.
+        for _ in 0..70 {
+            pool.recycle_vec(Vec::with_capacity(2 * SIZE_CLASSES[3]));
+        }
+        let grown = pool.retained()[3];
+        assert_eq!((grown.buffers, grown.bytes), (16, PER_CLASS_BYTES));
+        // Taking one out makes room for one again.
+        let taken = pool.acquire_vec(SIZE_CLASSES[3]);
+        assert_eq!(pool.retained()[3].bytes, PER_CLASS_BYTES - taken.capacity());
+        pool.recycle_vec(taken);
+        assert_eq!(pool.retained()[3].buffers, 16);
     }
 
     #[test]

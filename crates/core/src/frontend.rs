@@ -42,7 +42,9 @@
 
 use std::sync::Arc;
 
-use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId, JsonValue};
+use dandelion_common::{
+    BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, JsonValue,
+};
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
 use dandelion_isolation::output_parser;
 use parking_lot::RwLock;
@@ -269,6 +271,7 @@ impl Frontend {
             ),
             ("p50_ms".into(), JsonValue::from(stats.latency.p50_ms())),
             ("p99_ms".into(), JsonValue::from(stats.latency.p99_ms())),
+            ("memory".into(), memory_stats(&self.worker)),
         ];
         // Registered sources (e.g. the network server's connection gauges)
         // ride along in the same document under their registered name.
@@ -364,6 +367,53 @@ impl Frontend {
             request.body.clone(),
         )])
     }
+}
+
+/// Where the process's resident memory is held, beyond code and stacks: the
+/// global [`BufferPool`]'s counters and what its shared slabs retain per size
+/// class, and what the simulated remote services hold in the worker's heap.
+/// Computed when `/v1/stats` is asked; nothing on the request path feeds it.
+fn memory_stats(worker: &WorkerNode) -> JsonValue {
+    let pool = BufferPool::global();
+    let counters = pool.stats();
+    let retained = pool.retained();
+    JsonValue::object([
+        (
+            "pool",
+            JsonValue::object([
+                ("acquires", JsonValue::from(counters.acquires)),
+                ("reuses", JsonValue::from(counters.reuses)),
+                ("allocations", JsonValue::from(counters.allocations)),
+                ("recycled", JsonValue::from(counters.recycled)),
+                ("discarded", JsonValue::from(counters.discarded)),
+                (
+                    "retained_buffers",
+                    JsonValue::from(retained.iter().map(|class| class.buffers).sum::<usize>()),
+                ),
+                (
+                    "retained_bytes",
+                    JsonValue::from(retained.iter().map(|class| class.bytes).sum::<usize>()),
+                ),
+                (
+                    "classes",
+                    JsonValue::array(retained.iter().map(|class| {
+                        JsonValue::object([
+                            ("class_bytes", JsonValue::from(class.class_bytes)),
+                            ("retained_buffers", JsonValue::from(class.buffers)),
+                            ("retained_bytes", JsonValue::from(class.bytes)),
+                        ])
+                    })),
+                ),
+            ]),
+        ),
+        (
+            "services",
+            JsonValue::object([(
+                "resident_bytes",
+                JsonValue::from(worker.services().resident_bytes()),
+            )]),
+        ),
+    ])
 }
 
 fn json_response(status: StatusCode, value: &JsonValue) -> HttpResponse {

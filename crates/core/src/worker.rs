@@ -52,6 +52,7 @@ pub struct WorkerStats {
 pub struct WorkerNode {
     config: WorkerConfig,
     registry: Arc<Registry>,
+    services: Arc<ServiceRegistry>,
     dispatcher: Dispatcher,
     compute_pool: Arc<EnginePool>,
     communication_pool: Arc<EnginePool>,
@@ -85,6 +86,8 @@ impl WorkerNode {
         let compute_queue = TaskQueue::new(EngineKind::Compute, config.queue_capacity);
         let communication_queue = TaskQueue::new(EngineKind::Communication, config.queue_capacity);
 
+        let services = Arc::new(services);
+
         let backend = create_backend(config.isolation, HardwarePlatform::X86Linux);
         let compute_pool = Arc::new(EnginePool::new(
             EngineExecutor::Compute { backend },
@@ -94,7 +97,7 @@ impl WorkerNode {
 
         let communication_pool = Arc::new(EnginePool::new(
             EngineExecutor::Communication {
-                registry: Arc::new(services),
+                registry: Arc::clone(&services),
                 policy: Arc::new(ValidationPolicy::default()),
             },
             communication_queue.clone(),
@@ -125,6 +128,7 @@ impl WorkerNode {
         Ok(Arc::new(Self {
             config,
             registry,
+            services,
             dispatcher,
             compute_pool,
             communication_pool,
@@ -142,6 +146,11 @@ impl WorkerNode {
     /// The function/composition registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
+    }
+
+    /// The remote services the communication engines dispatch against.
+    pub fn services(&self) -> &ServiceRegistry {
+        &self.services
     }
 
     /// Registers a compute function.

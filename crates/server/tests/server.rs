@@ -1220,3 +1220,130 @@ fn requests_arriving_after_a_short_read_are_still_served() {
     server.shutdown();
     worker.shutdown();
 }
+
+/// `/v1/stats` says where the resident set is held: `memory.pool` (the
+/// global buffer pool's counters and what each size class retains) and
+/// `memory.services.resident_bytes` (what the simulated remote services hold
+/// in this process). The services materialise content on first use, so the
+/// latter moves only when a request names content nobody has read yet — by
+/// exactly that content's size.
+#[test]
+fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
+    use dandelion_apps::{matmul, phases, setup};
+    use dandelion_common::{DataSet, JsonValue};
+
+    let worker = setup::demo_worker(2, false).unwrap();
+    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+    let server = Server::start(
+        ServerConfig {
+            read_timeout: Duration::from_secs(10),
+            ..loopback_config()
+        },
+        frontend,
+    )
+    .expect("server binds");
+    let client = dandelion_server::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let mut stats_connection =
+        HttpClientConnection::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let mut memory = || {
+        let response = stats_connection
+            .request(&HttpRequest::get("/v1/stats"))
+            .unwrap();
+        assert_eq!(response.status.0, 200);
+        let document = JsonValue::parse(&response.body_text()).expect("stats body is JSON");
+        document.get("memory").expect("memory object").clone()
+    };
+    let resident_bytes = |memory: &JsonValue| {
+        memory
+            .get("services")
+            .and_then(|services| services.get("resident_bytes"))
+            .and_then(JsonValue::as_u64)
+            .expect("memory.services.resident_bytes")
+    };
+
+    let idle = memory();
+    let pool = idle.get("pool").expect("memory.pool");
+    for counter in [
+        "acquires",
+        "reuses",
+        "allocations",
+        "recycled",
+        "discarded",
+        "retained_buffers",
+        "retained_bytes",
+    ] {
+        assert!(
+            pool.get(counter).and_then(JsonValue::as_u64).is_some(),
+            "memory.pool.{counter}"
+        );
+    }
+    let classes = pool
+        .get("classes")
+        .and_then(JsonValue::as_array)
+        .expect("memory.pool.classes");
+    let class_bytes: Vec<u64> = classes
+        .iter()
+        .map(|class| {
+            assert!(class.get("retained_buffers").is_some());
+            assert!(class.get("retained_bytes").is_some());
+            class
+                .get("class_bytes")
+                .and_then(JsonValue::as_u64)
+                .unwrap()
+        })
+        .collect();
+    let expected: Vec<u64> = dandelion_common::pool::SIZE_CLASSES
+        .iter()
+        .map(|bytes| *bytes as u64)
+        .collect();
+    assert_eq!(class_bytes, expected);
+
+    // Neither workload of the benchmark's reads content that is made on
+    // first use: their requests leave the services' bytes where they were.
+    client
+        .invoke_sync("MatMulApp", vec![matmul::matmul_inputs(1, 3)])
+        .expect("MatMulApp runs");
+    client
+        .invoke_sync(
+            "RenderLogs",
+            vec![DataSet::single(
+                "AccessToken",
+                setup::DEMO_TOKEN.as_bytes().to_vec(),
+            )],
+        )
+        .expect("RenderLogs runs");
+    assert_eq!(resident_bytes(&memory()), resident_bytes(&idle));
+
+    // A four-phase chain fetches `arrays/<key>` four times; the key after
+    // `key` is what SumMinMax derives from that array's sampled sum.
+    let mut key = 1u64;
+    let mut distinct = std::collections::BTreeSet::new();
+    for _ in 0..4 {
+        distinct.insert(key);
+        let sum: i64 = phases::array_object(key)
+            .chunks_exact(8)
+            .step_by(phases::ARRAY_BYTES / 8 / phases::SAMPLE)
+            .map(|chunk| i64::from_le_bytes(chunk.try_into().unwrap()))
+            .sum();
+        key = sum.unsigned_abs() % 1000;
+    }
+    client
+        .invoke_sync(
+            "FetchCompute4",
+            vec![DataSet::single("Phase0", b"1".to_vec())],
+        )
+        .expect("FetchCompute4 runs");
+    let touched = resident_bytes(&memory()) - resident_bytes(&idle);
+    assert_eq!(touched, (phases::ARRAY_BYTES * distinct.len()) as u64);
+    // The same chain again reads what is stored now.
+    client
+        .invoke_sync(
+            "FetchCompute4",
+            vec![DataSet::single("Phase0", b"1".to_vec())],
+        )
+        .expect("FetchCompute4 runs again");
+    assert_eq!(resident_bytes(&memory()) - resident_bytes(&idle), touched);
+
+    server.shutdown();
+    worker.shutdown();
+}

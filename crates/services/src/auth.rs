@@ -62,6 +62,10 @@ impl RemoteService for AuthService {
         "auth"
     }
 
+    fn resident_bytes(&self) -> usize {
+        self.tokens.read().values().map(SharedBytes::len).sum()
+    }
+
     fn handle(&self, request: &HttpRequest) -> ServiceResponse {
         let payload = request.body.len();
         let make = |response: HttpResponse, extra: usize| ServiceResponse {

@@ -10,12 +10,21 @@
 //! socket — everything else (request validation, response handling, data
 //! flow) is identical to a real deployment.
 //!
+//! What a stand-in serves would sit on another machine, so it must not be
+//! the worker's start-up work or its idle memory: content is materialised on
+//! first use, then stored ([`object_store::ObjectStore::set_source`]), and
+//! a GET answers with a view of the stored bytes (a log service's few KiB
+//! are rendered when it is created). What the services hold at
+//! any moment is [`ServiceRegistry::resident_bytes`], which `/v1/stats`
+//! reports as `memory.services.resident_bytes`.
+//!
 //! Provided services:
 //!
 //! * [`auth::AuthService`] — token → list of authorized log-service endpoints.
 //! * [`logs::LogService`] — serves synthetic log files.
 //! * [`object_store::ObjectStore`] — S3-like GET/PUT/DELETE of objects in
-//!   buckets.
+//!   buckets; a bucket can have a source that makes an object when it is
+//!   first read.
 //! * [`llm::LlmService`] — deterministic Text2SQL "LLM" with the measured
 //!   latency of the paper's Gemma-3-4b deployment.
 //! * [`database::SqlDatabaseService`] — a small SQL-over-HTTP database used

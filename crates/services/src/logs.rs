@@ -69,6 +69,10 @@ impl RemoteService for LogService {
         &self.name
     }
 
+    fn resident_bytes(&self) -> usize {
+        self.log.len()
+    }
+
     fn handle(&self, request: &HttpRequest) -> ServiceResponse {
         if request.method != Method::Get {
             return ServiceResponse {

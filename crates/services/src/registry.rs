@@ -22,6 +22,13 @@ pub trait RemoteService: Send + Sync {
 
     /// Handles one request, returning the response and its modeled latency.
     fn handle(&self, request: &HttpRequest) -> ServiceResponse;
+
+    /// Bytes of served content this stand-in holds in the worker's memory —
+    /// content that sits on another machine in a real deployment. Read for
+    /// `/v1/stats` only.
+    fn resident_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Maps host names to services.
@@ -55,6 +62,15 @@ impl ServiceRegistry {
     /// Returns `true` if a service is registered for `host`.
     pub fn contains(&self, host: &str) -> bool {
         self.services.contains_key(host)
+    }
+
+    /// What the registered services hold in memory, summed
+    /// ([`RemoteService::resident_bytes`]).
+    pub fn resident_bytes(&self) -> usize {
+        self.services
+            .values()
+            .map(|service| service.resident_bytes())
+            .sum()
     }
 
     /// Performs a validated request against the service its URI names.
@@ -127,5 +143,20 @@ mod tests {
         let reply = registry.dispatch(&uri, &request);
         assert_eq!(reply.response.status, StatusCode(502));
         assert!(reply.response.body_text().contains("nowhere.internal"));
+    }
+
+    #[test]
+    fn resident_bytes_sums_what_the_services_hold() {
+        use crate::logs::LogService;
+        use crate::object_store::ObjectStore;
+        let mut registry = ServiceRegistry::new();
+        registry.register("echo.internal", Arc::new(EchoService));
+        assert_eq!(registry.resident_bytes(), 0, "the default is nothing held");
+        let store = ObjectStore::new();
+        store.put_object("b", "k", vec![0u8; 100]);
+        registry.register("s3.internal", Arc::new(store));
+        registry.register("logs.internal", Arc::new(LogService::new("logs", 10, 1)));
+        let log = LogService::render_log("logs", 10, 1).len();
+        assert_eq!(registry.resident_bytes(), 100 + log);
     }
 }

@@ -8,6 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dandelion_core::WorkerNode;
@@ -32,9 +33,15 @@ thread_local! {
     };
 }
 
+/// Bytes allocated and not yet freed, by every thread of the process
+/// (footprint is the process's, whichever thread holds it). Relaxed: a
+/// statistic, it publishes no other data.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 /// The counting global allocator of the allocation-budget tests. A test
 /// binary installs it with `#[global_allocator]` and measures with
-/// [`heap_use_of`].
+/// [`heap_use_of`] (what one thread requested) or [`live_heap_bytes`] (what
+/// the process holds).
 pub struct CountingAllocator;
 
 fn note(bytes: usize, regrown: bool) {
@@ -56,24 +63,29 @@ fn note(bytes: usize, regrown: bool) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size(), false);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's layout is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size(), false);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's layout is passed through as is.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size, true);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` and `layout` come from this allocator, which is
         // `System` underneath.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` and `layout` come from this allocator, which is
         // `System` underneath.
         unsafe { System.dealloc(ptr, layout) }
@@ -86,6 +98,12 @@ pub fn heap_use_of<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
     HEAP_USE.with(|cell| cell.set(HeapUse::default()));
     let value = work();
     (value, HEAP_USE.with(Cell::get))
+}
+
+/// Bytes the process holds on the heap right now (zero unless the binary
+/// installed [`CountingAllocator`]).
+pub fn live_heap_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// Starts the fully configured demo worker used by most integration tests
