@@ -6,6 +6,8 @@
 //! a second HTTP node fetches all logs in parallel; `Render` templates the
 //! responses into a single HTML report.
 
+use std::fmt::Write;
+
 use dandelion_dsl::builder::render_logs_composition;
 use dandelion_dsl::CompositionGraph;
 use dandelion_http::{HttpRequest, HttpResponse};
@@ -24,7 +26,7 @@ pub fn access_artifact() -> FunctionArtifact {
         }
         let request = HttpRequest::post(AUTH_ENDPOINT, token_text.as_bytes().to_vec())
             .with_header("Content-Type", "text/plain");
-        ctx.push_output_bytes("HTTPRequest", "auth-request", request.to_bytes())
+        ctx.push_output_bytes("HTTPRequest", "auth-request", request.to_shared())
     })
 }
 
@@ -46,7 +48,7 @@ pub fn fanout_artifact() -> FunctionArtifact {
             .filter(|l| !l.is_empty())
             .enumerate()
         {
-            let request = HttpRequest::get(endpoint).to_bytes();
+            let request = HttpRequest::get(endpoint).to_shared();
             ctx.push_output_bytes("HTTPRequests", &format!("log-request-{index}"), request)?;
         }
         Ok(())
@@ -67,33 +69,35 @@ pub fn render_artifact() -> FunctionArtifact {
             .input_set("HTTPResponses")
             .ok_or("missing input set `HTTPResponses`")?;
         // The report is its inputs' bytes between fixed tags, so its size is
-        // bounded before the first byte is written: one allocation, never
-        // regrown.
+        // bounded before the first byte is written: one output buffer from
+        // the platform, never outgrown.
         let payload: usize = responses.items.iter().map(|item| item.data.len()).sum();
-        let mut html = String::with_capacity(
+        let mut html = ctx.output_buffer(
             OPEN.len() + payload + responses.items.len() * SECTION_MARKUP + CLOSE.len(),
         );
-        html.push_str(OPEN);
+        html.put_str(OPEN);
         for item in &responses.items {
             let response: HttpResponse = dandelion_http::parse_response_shared(&item.data)
                 .map_err(|err| format!("malformed log response: {err}"))?;
             if response.status.is_success() {
-                html.push_str("<section><pre>\n");
+                html.put_str("<section><pre>\n");
                 // Read in place: the lines are slices of the response buffer.
                 for line in response.body_str().lines().take(200) {
-                    html.push_str(line);
-                    html.push('\n');
+                    html.put_str(line);
+                    html.put_u8(b'\n');
                 }
-                html.push_str("</pre></section>\n");
+                html.put_str("</pre></section>\n");
             } else {
-                html.push_str(&format!(
-                    "<section class=\"error\">upstream error: {}</section>\n",
+                writeln!(
+                    html,
+                    "<section class=\"error\">upstream error: {}</section>",
                     response.status
-                ));
+                )
+                .expect("a builder accepts every write");
             }
         }
-        html.push_str(CLOSE);
-        ctx.push_output_bytes("HTMLOutput", "report.html", html.into_bytes())
+        html.put_str(CLOSE);
+        ctx.push_output_bytes("HTMLOutput", "report.html", html)
     })
 }
 

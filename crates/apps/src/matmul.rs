@@ -8,14 +8,32 @@
 
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
+/// Byte length of an encoded `dimension`×`dimension` matrix.
+fn encoded_len(dimension: usize) -> usize {
+    4 + dimension * dimension * 8
+}
+
+/// Encodes a square row-major matrix with a u32 dimension prefix and hands
+/// the bytes to `put`, in bulk: the values are encoded a block at a time on
+/// the stack, so the sink appends once per block (an append per element costs
+/// a capacity check each — 16 384 of them for a 128×128 product).
+fn encode_matrix_into(dimension: usize, values: &[i64], mut put: impl FnMut(&[u8])) {
+    const BLOCK_VALUES: usize = 512;
+    assert_eq!(values.len(), dimension * dimension, "matrix must be square");
+    put(&(dimension as u32).to_le_bytes());
+    let mut block = [0u8; BLOCK_VALUES * 8];
+    for chunk in values.chunks(BLOCK_VALUES) {
+        for (encoded, value) in block.chunks_exact_mut(8).zip(chunk) {
+            encoded.copy_from_slice(&value.to_le_bytes());
+        }
+        put(&block[..chunk.len() * 8]);
+    }
+}
+
 /// Serializes a square row-major matrix with a u32 dimension prefix.
 pub fn encode_matrix(dimension: usize, values: &[i64]) -> Vec<u8> {
-    assert_eq!(values.len(), dimension * dimension, "matrix must be square");
-    let mut out = Vec::with_capacity(4 + values.len() * 8);
-    out.extend_from_slice(&(dimension as u32).to_le_bytes());
-    for value in values {
-        out.extend_from_slice(&value.to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(encoded_len(dimension));
+    encode_matrix_into(dimension, values, |bytes| out.extend_from_slice(bytes));
     out
 }
 
@@ -77,7 +95,10 @@ pub fn matmul_artifact() -> FunctionArtifact {
             return Err(format!("dimension mismatch: {dim_a} vs {dim_b}").into());
         }
         let product = multiply(dim_a, &a, &b);
-        ctx.push_output_bytes("Product", "product", encode_matrix(dim_a, &product))
+        // Written into the platform's output memory, not a vector of ours.
+        let mut encoded = ctx.output_buffer(encoded_len(dim_a));
+        encode_matrix_into(dim_a, &product, |bytes| encoded.put_slice(bytes));
+        ctx.push_output_bytes("Product", "product", encoded)
     })
     .with_binary_size(48 * 1024)
     .with_memory_requirement(8 * 1024 * 1024)
@@ -130,6 +151,11 @@ mod tests {
         assert_eq!(decoded, values);
         assert!(decode_matrix(&encoded[..7]).is_err());
         assert!(decode_matrix(&[0, 0, 0, 1]).is_err());
+        // Across the encoder's block boundary, last block partial.
+        let values: Vec<i64> = (0..23 * 23).map(|value| value * -7).collect();
+        let encoded = encode_matrix(23, &values);
+        assert_eq!(encoded.len(), encoded_len(23));
+        assert_eq!(decode_matrix(&encoded).unwrap(), (23, values));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! phase count measures the overhead of decomposing an application into many
 //! short-lived sandboxes.
 
+use std::fmt::Write;
+
 use dandelion_dsl::{CompositionBuilder, CompositionGraph, Distribution};
 use dandelion_http::HttpRequest;
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
@@ -23,7 +25,7 @@ pub fn make_fetch_artifact() -> FunctionArtifact {
     FunctionArtifact::new("MakeFetch", &["Request"], |ctx: &mut FunctionCtx| {
         let phase = ctx.single_input("Phase")?.clone();
         let key = phase.as_str().unwrap_or("0").trim().to_string();
-        let request = HttpRequest::get(format!("http://s3.internal/arrays/{key}")).to_bytes();
+        let request = HttpRequest::get(format!("http://s3.internal/arrays/{key}")).to_shared();
         ctx.push_output_bytes("Request", "fetch", request)
     })
 }
@@ -54,15 +56,15 @@ pub fn sum_min_max_artifact() -> FunctionArtifact {
             let sum: i64 = sample.iter().sum();
             let min = sample.iter().min().copied().unwrap_or(0);
             let max = sample.iter().max().copied().unwrap_or(0);
-            ctx.push_output_bytes(
-                "Stats",
-                "stats",
-                format!("sum={sum} min={min} max={max}").into_bytes(),
-            )?;
+            // Three i64 and the labels: 80 bytes at most.
+            let mut stats = ctx.output_buffer(80);
+            write!(stats, "sum={sum} min={min} max={max}").expect("a builder accepts every write");
+            ctx.push_output_bytes("Stats", "stats", stats)?;
             // The phase index of the next fetch is derived from this phase's key
             // (encoded in the request URL by convention: `arrays/<index>`).
-            let next = (sum.unsigned_abs() % 1000).to_string();
-            ctx.push_output_bytes("NextPhase", "phase", next.into_bytes())
+            let mut next = ctx.output_buffer(3);
+            next.put_decimal((sum.unsigned_abs() % 1000) as usize);
+            ctx.push_output_bytes("NextPhase", "phase", next)
         },
     )
 }
@@ -107,11 +109,12 @@ pub fn composition(phases: usize) -> CompositionGraph {
         .expect("static fetch-and-compute composition")
 }
 
-/// `Finalize`: copies the last phase's stats to the composition output.
+/// `Finalize`: passes the last phase's stats on as the composition output.
 pub fn finalize_artifact() -> FunctionArtifact {
     FunctionArtifact::new("Finalize", &["Out"], |ctx: &mut FunctionCtx| {
-        let stats = ctx.single_input("Stats")?.clone();
-        ctx.push_output_bytes("Out", "stats", stats.data.as_slice().to_vec())
+        // By reference: the output is the input's buffer.
+        let stats = ctx.single_input("Stats")?.data.clone();
+        ctx.push_output_bytes("Out", "stats", stats)
     })
 }
 

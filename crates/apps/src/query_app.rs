@@ -12,6 +12,7 @@
 //!    final answer.
 
 use dandelion_common::encoding::utf8_lossy;
+use dandelion_common::SharedBytesMut;
 use dandelion_dsl::{CompositionBuilder, CompositionGraph, Distribution};
 use dandelion_http::HttpRequest;
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
@@ -116,7 +117,7 @@ pub fn plan_query_artifact() -> FunctionArtifact {
                 ] {
                     let request =
                         HttpRequest::get(format!("http://{STORE_HOST}/{BUCKET}/{object}"))
-                            .to_bytes();
+                            .to_shared();
                     let item = dandelion_common::DataItem::with_key(
                         format!("fetch-{partition:03}-{kind}"),
                         format!("partition-{partition:03}"),
@@ -125,10 +126,21 @@ pub fn plan_query_artifact() -> FunctionArtifact {
                     ctx.push_output("Fetches", item)?;
                 }
             }
-            ctx.push_output_bytes("Query", "query", query.trim().as_bytes().to_vec())
+            let mut name = ctx.output_buffer(query.len());
+            name.put_str(query.trim());
+            ctx.push_output_bytes("Query", "query", name)
         },
     )
     .with_memory_requirement(16 * 1024 * 1024)
+}
+
+/// `table` as CSV, written cell by cell into the platform's output memory.
+fn csv_output(ctx: &FunctionCtx, table: &Table) -> SharedBytesMut {
+    let mut csv = ctx.output_buffer(0);
+    table
+        .write_csv(&mut csv)
+        .expect("a builder accepts every write");
+    csv
 }
 
 /// `RunPartition`: parses one partition's objects and runs the query.
@@ -172,7 +184,7 @@ pub fn run_partition_artifact() -> FunctionArtifact {
             part: part.ok_or("missing part dimension")?,
         };
         let partial = query.run_over(&db, &db.lineorder)?;
-        ctx.push_output_bytes("Partial", "partial.csv", partial.to_csv().into_bytes())
+        ctx.push_output_bytes("Partial", "partial.csv", csv_output(ctx, &partial))
     })
     .with_memory_requirement(256 * 1024 * 1024)
 }
@@ -199,7 +211,7 @@ pub fn merge_partials_artifact() -> FunctionArtifact {
             .map(|item| Table::from_csv(schema.clone(), &utf8_lossy(&item.data)))
             .collect::<Result<_, _>>()?;
         let merged = merge_partials(query, &partials)?;
-        ctx.push_output_bytes("Result", "result.csv", merged.to_csv().into_bytes())
+        ctx.push_output_bytes("Result", "result.csv", csv_output(ctx, &merged))
     })
     .with_memory_requirement(64 * 1024 * 1024)
 }

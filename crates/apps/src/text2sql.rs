@@ -36,7 +36,7 @@ pub fn parse_prompt_artifact() -> FunctionArtifact {
         );
         let request = HttpRequest::post(LLM_ENDPOINT, full_prompt.into_bytes())
             .with_header("Content-Type", "text/plain");
-        ctx.push_output_bytes("LlmRequest", "llm-request", request.to_bytes())
+        ctx.push_output_bytes("LlmRequest", "llm-request", request.to_shared())
     })
 }
 
@@ -72,7 +72,7 @@ pub fn extract_sql_artifact() -> FunctionArtifact {
             .ok_or("no SQL statement found in the LLM response")?;
         let request = HttpRequest::post(DB_ENDPOINT, sql.into_bytes())
             .with_header("Content-Type", "application/sql");
-        ctx.push_output_bytes("DbRequest", "db-request", request.to_bytes())
+        ctx.push_output_bytes("DbRequest", "db-request", request.to_shared())
     })
 }
 
@@ -88,23 +88,26 @@ pub fn format_response_artifact() -> FunctionArtifact {
         let csv = response.body_str();
         let mut lines = csv.lines();
         let header: Vec<&str> = lines.next().unwrap_or("").split(',').collect();
-        let mut answer = String::new();
+        // Each cell once, behind its column's name: at most the header per
+        // row on top of the table itself.
+        let mut answer = ctx.output_buffer(csv.len() * 2);
         let mut rows = 0usize;
         for line in lines {
-            let cells: Vec<&str> = line.split(',').collect();
-            let rendered: Vec<String> = header
-                .iter()
-                .zip(&cells)
-                .map(|(name, value)| format!("{name}: {value}"))
-                .collect();
-            answer.push_str(&rendered.join(", "));
-            answer.push('\n');
+            for (index, (name, value)) in header.iter().zip(line.split(',')).enumerate() {
+                if index > 0 {
+                    answer.put_str(", ");
+                }
+                answer.put_str(name);
+                answer.put_str(": ");
+                answer.put_str(value);
+            }
+            answer.put_u8(b'\n');
             rows += 1;
         }
         if rows == 0 {
-            answer.push_str("No rows matched the query.\n");
+            answer.put_str("No rows matched the query.\n");
         }
-        ctx.push_output_bytes("Answer", "answer.txt", answer.into_bytes())
+        ctx.push_output_bytes("Answer", "answer.txt", answer)
     })
 }
 

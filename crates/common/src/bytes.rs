@@ -21,16 +21,46 @@ use std::os::fd::{AsRawFd, BorrowedFd};
 use std::os::raw::{c_int, c_void};
 use std::sync::{Arc, OnceLock};
 
+use crate::pool::{BufferPool, LARGEST_CLASS};
+
 /// An immutable, reference-counted byte buffer view.
 ///
 /// `clone` is an `Arc` bump; [`SharedBytes::slice`] produces a narrower view
 /// of the same allocation. Equality and hashing are by content, so the type
 /// is a drop-in replacement for `Vec<u8>` payload fields.
+///
+/// Where the allocation goes when the last view of it drops depends on where
+/// it came from: a buffer the global [`BufferPool`] issued (a frozen
+/// [`SharedBytesMut`]) flows back to it, closing the pooling loop for
+/// everything built in pooled memory and shipped through the data plane; a
+/// vector that came from anywhere else ([`SharedBytes::from_vec`]) is freed —
+/// the pool takes back only what it issued. Every view of an allocation
+/// knows which it is (one bit next to its offset: the view stays three words
+/// and the shared header a bare vector), and the one that
+/// [`Arc::into_inner`] tells it was the last returns the buffer — exactly
+/// one does, however the last drops race.
 #[derive(Clone)]
 pub struct SharedBytes {
-    buf: Arc<Vec<u8>>,
-    offset: usize,
+    /// The allocation. `None` only once `drop` or `into_vec` has taken it.
+    buf: Option<Arc<Vec<u8>>>,
+    /// Where the window starts in the allocation, and in the top bit
+    /// ([`POOLED`]; a vector is never longer than `isize::MAX`) whether the
+    /// pool issued it.
+    origin: usize,
     len: usize,
+}
+
+/// Set in [`SharedBytes::origin`] for a view of a buffer the pool issued.
+const POOLED: usize = 1 << (usize::BITS - 1);
+
+impl Drop for SharedBytes {
+    fn drop(&mut self) {
+        if self.pooled() {
+            if let Some(bytes) = self.buf.take().and_then(Arc::into_inner) {
+                BufferPool::global().recycle_vec(bytes);
+            }
+        }
+    }
 }
 
 /// The process-wide buffer behind every empty view, so constructing empty
@@ -45,8 +75,8 @@ impl SharedBytes {
     /// buffer).
     pub fn new() -> Self {
         Self {
-            buf: empty_buf(),
-            offset: 0,
+            buf: Some(empty_buf()),
+            origin: 0,
             len: 0,
         }
     }
@@ -58,8 +88,8 @@ impl SharedBytes {
         }
         let len = data.len();
         Self {
-            buf: Arc::new(data),
-            offset: 0,
+            buf: Some(Arc::new(data)),
+            origin: 0,
             len,
         }
     }
@@ -67,6 +97,16 @@ impl SharedBytes {
     /// Copies a slice into a fresh buffer (the one constructor that copies).
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Self::from_vec(data.to_vec())
+    }
+
+    fn buf(&self) -> &Arc<Vec<u8>> {
+        self.buf
+            .as_ref()
+            .expect("a view holds its buffer until it drops")
+    }
+
+    fn pooled(&self) -> bool {
+        self.origin & POOLED != 0
     }
 
     /// Number of visible bytes.
@@ -81,7 +121,17 @@ impl SharedBytes {
 
     /// The visible bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.offset..self.offset + self.len]
+        let offset = self.offset_in_buffer();
+        &self.buf()[offset..offset + self.len]
+    }
+
+    /// A view of `len` bytes of the same allocation from `offset` in it.
+    fn view(&self, offset: usize, len: usize) -> SharedBytes {
+        SharedBytes {
+            buf: Some(Arc::clone(self.buf())),
+            origin: offset | (self.origin & POOLED),
+            len,
+        }
     }
 
     /// A zero-copy sub-view of this view.
@@ -108,11 +158,7 @@ impl SharedBytes {
             "slice range {start}..{end} out of bounds for SharedBytes of length {}",
             self.len
         );
-        SharedBytes {
-            buf: Arc::clone(&self.buf),
-            offset: self.offset + start,
-            len: end - start,
-        }
+        self.view(self.offset_in_buffer() + start, end - start)
     }
 
     /// Splits the view in two at `at`, both halves sharing the buffer.
@@ -129,7 +175,7 @@ impl SharedBytes {
     /// happened" invariant the integration tests assert across composition
     /// edges.
     pub fn same_buffer(a: &SharedBytes, b: &SharedBytes) -> bool {
-        Arc::ptr_eq(&a.buf, &b.buf)
+        Arc::ptr_eq(a.buf(), b.buf())
     }
 
     /// Zero-copy merge of two adjacent views of the same buffer.
@@ -138,38 +184,42 @@ impl SharedBytes {
     /// not contiguous (`self` must end exactly where `other` starts); callers
     /// fall back to copying in that case.
     pub fn try_merge(&self, other: &SharedBytes) -> Option<SharedBytes> {
-        if !SharedBytes::same_buffer(self, other) || self.offset + self.len != other.offset {
+        let offset = self.offset_in_buffer();
+        if !SharedBytes::same_buffer(self, other) || offset + self.len != other.offset_in_buffer() {
             return None;
         }
-        Some(SharedBytes {
-            buf: Arc::clone(&self.buf),
-            offset: self.offset,
-            len: self.len + other.len,
-        })
+        Some(self.view(offset, self.len + other.len))
     }
 
     /// The view's start offset within the underlying buffer (diagnostics and
     /// tests).
     pub fn offset_in_buffer(&self) -> usize {
-        self.offset
+        self.origin & !POOLED
     }
 
-    /// Length of the underlying buffer this view references. Equal to
-    /// [`SharedBytes::len`] only when the view covers its whole allocation —
-    /// a larger value means holding this view pins extra bytes.
+    /// Bytes of the allocation this view keeps from other use: the length of
+    /// the vector it came from, or for a pooled buffer its capacity, the
+    /// class's size. Equal to [`SharedBytes::len`] only when the view covers
+    /// the whole of it — a larger value means holding this view pins extra
+    /// bytes.
     pub fn backing_len(&self) -> usize {
-        self.buf.len()
+        if self.pooled() {
+            self.buf().capacity()
+        } else {
+            self.buf().len()
+        }
     }
 
     /// Returns a view that does not pin bytes outside its window: the view
-    /// itself when it already covers its whole allocation, otherwise a
-    /// fresh copy of the visible bytes.
+    /// itself when it covers the whole of an allocation made for it,
+    /// otherwise a fresh copy of the visible bytes.
     ///
     /// Long-lived stores (e.g. the object store) compact before retaining
     /// so that a small slice of a large producer buffer does not keep the
-    /// whole allocation alive indefinitely.
+    /// whole allocation alive indefinitely — nor a pooled buffer, whose
+    /// capacity is its class's, out of circulation.
     pub fn compact(&self) -> SharedBytes {
-        if self.len == self.buf.len() {
+        if self.len == self.buf().len() && !self.pooled() {
             self.clone()
         } else {
             SharedBytes::copy_from_slice(self.as_slice())
@@ -178,57 +228,16 @@ impl SharedBytes {
 
     /// Extracts an owned vector.
     ///
-    /// When this view is the sole reference to the buffer and covers it
-    /// entirely the vector is moved out without copying; otherwise the
-    /// visible bytes are copied.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.try_unwrap_whole()
-            .unwrap_or_else(|shared| shared.as_slice().to_vec())
-    }
-
-    /// Hands back the underlying allocation for adoption by another owner
-    /// (e.g. a memory context unfreezing after an export), if this view is
-    /// the sole reference and covers the whole buffer. Returns the view
-    /// unchanged otherwise, so callers can fall back to copying.
-    pub fn try_unwrap_whole(mut self) -> Result<Vec<u8>, SharedBytes> {
-        if self.offset != 0 || self.len != self.buf.len() {
-            return Err(self);
+    /// When this view is the sole reference to a vector that was handed in
+    /// ([`SharedBytes::from_vec`]) and covers it entirely, the vector is
+    /// moved out without copying; otherwise the visible bytes are copied (a
+    /// pooled buffer stays the pool's).
+    pub fn into_vec(mut self) -> Vec<u8> {
+        if self.len != self.buf().len() || self.pooled() {
+            return self.as_slice().to_vec();
         }
-        // Detach the buffer before `self` drops, so the drop glue sees the
-        // (shared, empty) sentinel instead of double-handling the
-        // allocation.
-        let buf = std::mem::replace(&mut self.buf, empty_buf());
-        match Arc::try_unwrap(buf) {
-            Ok(vec) => Ok(vec),
-            Err(buf) => {
-                let offset = self.offset;
-                let len = self.len;
-                // Restore the original buffer into a fresh view (`self`
-                // still drops its sentinel harmlessly).
-                Err(SharedBytes { buf, offset, len })
-            }
-        }
-    }
-}
-
-impl Drop for SharedBytes {
-    /// The last view of a buffer recycles the allocation into the global
-    /// [`BufferPool`](crate::pool::BufferPool) instead of freeing it.
-    ///
-    /// This closes the pooling loop for frozen builders and exported
-    /// context regions: a descriptor frame or HTTP head built in a pooled
-    /// buffer, frozen, shipped through the data plane and finally dropped
-    /// flows back to the pool for the next invocation. Buffers whose
-    /// capacity matches no pool class (or whose class is full) are freed
-    /// normally.
-    fn drop(&mut self) {
-        // `get_mut` succeeds only for the sole remaining reference, so at
-        // most one view ever reclaims a given buffer.
-        if let Some(vec) = Arc::get_mut(&mut self.buf) {
-            if vec.capacity() > 0 {
-                crate::pool::BufferPool::global().recycle_vec(std::mem::take(vec));
-            }
-        }
+        let buf = self.buf.take().expect("taken only here and in drop");
+        Arc::try_unwrap(buf).unwrap_or_else(|shared| shared.to_vec())
     }
 }
 
@@ -367,19 +376,25 @@ extern "C" {
 /// copying.
 ///
 /// This is the write side of the zero-copy data plane: hot-path
-/// serializers (HTTP heads, output-descriptor frames) assemble their bytes
-/// here and [`freeze`](SharedBytesMut::freeze) the result — the heap
-/// allocation moves into the `SharedBytes` unchanged, so building a payload
-/// costs exactly one buffer for its whole lifetime. Builders created with
-/// [`SharedBytesMut::with_capacity`] draw that buffer from the global
-/// [`BufferPool`](crate::pool::BufferPool), and a builder dropped without
-/// freezing returns it there, so steady-state construction does not touch
-/// the global allocator at all.
+/// serializers (HTTP heads, output-descriptor frames), the receive path and
+/// the functions' outputs assemble their bytes here and
+/// [`freeze`](SharedBytesMut::freeze) the result — the heap allocation moves
+/// into the `SharedBytes` unchanged, so building a payload costs exactly one
+/// buffer for its whole lifetime.
+///
+/// That buffer is always the global [`BufferPool`]'s: a builder draws it at
+/// [`SharedBytesMut::with_capacity`] (or at its first write), one that runs
+/// out of room moves into a buffer of a larger class and returns the one it
+/// leaves — the vector itself never regrows, so its capacity stays the class
+/// size the pool files it under — and a builder dropped without freezing
+/// returns it, so steady-state construction does not touch the global
+/// allocator at all.
 ///
 /// The builder implements [`std::fmt::Write`], so `write!` formats numbers
 /// and the like straight into the buffer with no intermediate `String`.
 #[derive(Debug, Default)]
 pub struct SharedBytesMut {
+    /// Without capacity, or a vector the global pool issued.
     buf: Vec<u8>,
 }
 
@@ -390,16 +405,11 @@ impl SharedBytesMut {
     }
 
     /// Creates a builder whose buffer comes from the global buffer pool
-    /// (falling back to a plain allocation for oversized capacities).
+    /// (a plain allocation for capacities above its largest class).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            buf: crate::pool::BufferPool::global().acquire_vec(capacity),
+            buf: BufferPool::global().acquire_vec(capacity),
         }
-    }
-
-    /// Wraps an existing vector, keeping its contents.
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Self { buf }
     }
 
     /// Bytes written so far.
@@ -422,19 +432,52 @@ impl SharedBytesMut {
         &self.buf
     }
 
+    /// Makes room for `additional` more bytes. Every write goes through
+    /// here first, so the vector's own growth never runs.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        if self.buf.capacity() - self.buf.len() < additional {
+            self.grow(additional);
+        }
+    }
+
+    /// Moves the contents into a pooled buffer with room for `additional`
+    /// more bytes and returns the outgrown one.
+    #[cold]
+    fn grow(&mut self, additional: usize) {
+        let needed = self
+            .buf
+            .len()
+            .checked_add(additional)
+            .expect("capacity overflow");
+        // Up to the largest class the step to the next class is the
+        // geometric growth; above it the pool allocates what it is asked.
+        let capacity = if needed > LARGEST_CLASS {
+            needed.max(2 * self.buf.capacity())
+        } else {
+            needed
+        };
+        let pool = BufferPool::global();
+        let mut grown = pool.acquire_vec(capacity);
+        grown.extend_from_slice(&self.buf);
+        pool.recycle_vec(std::mem::replace(&mut self.buf, grown));
+    }
+
     /// Appends a byte slice.
     pub fn put_slice(&mut self, data: &[u8]) {
+        self.reserve(data.len());
         self.buf.extend_from_slice(data);
     }
 
     /// Appends a single byte.
     pub fn put_u8(&mut self, byte: u8) {
+        self.reserve(1);
         self.buf.push(byte);
     }
 
     /// Appends a `u32` in little-endian order (the descriptor wire order).
     pub fn put_u32_le(&mut self, value: u32) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
+        self.put_slice(&value.to_le_bytes());
     }
 
     /// Appends the decimal representation of `value` without allocating.
@@ -450,12 +493,12 @@ impl SharedBytesMut {
                 break;
             }
         }
-        self.buf.extend_from_slice(&digits[cursor..]);
+        self.put_slice(&digits[cursor..]);
     }
 
     /// Appends UTF-8 text.
     pub fn put_str(&mut self, text: &str) {
-        self.buf.extend_from_slice(text.as_bytes());
+        self.put_slice(text.as_bytes());
     }
 
     /// Discards the contents, keeping the buffer for reuse.
@@ -467,11 +510,11 @@ impl SharedBytesMut {
     /// after the bytes already written, and appends what it reports having
     /// written. Returns that count (`0` at end of stream).
     ///
-    /// Guaranteed: the builder grows first (geometrically) when it has fewer
-    /// than `max_bytes` spare, so `fill` always sees the full space and a
-    /// short count means the source ran dry, not the buffer; the length
-    /// advances by exactly the count `fill` returns, and not at all when it
-    /// fails; a count larger than the space offered is refused
+    /// Guaranteed: the builder grows first ([`SharedBytesMut::reserve`]) when
+    /// it has fewer than `max_bytes` spare, so `fill` always sees the full
+    /// space and a short count means the source ran dry, not the buffer; the
+    /// length advances by exactly the count `fill` returns, and not at all
+    /// when it fails; a count larger than the space offered is refused
     /// (`InvalidData`) with the length unchanged. The landing area is handed
     /// out as it is, never cleared first: a received byte is written once, by
     /// whoever fills it.
@@ -490,7 +533,7 @@ impl SharedBytesMut {
         max_bytes: usize,
         fill: impl FnOnce(&mut [MaybeUninit<u8>]) -> io::Result<usize>,
     ) -> io::Result<usize> {
-        self.buf.reserve(max_bytes);
+        self.reserve(max_bytes);
         let filled = fill(&mut self.buf.spare_capacity_mut()[..max_bytes])?;
         if filled > max_bytes {
             return Err(io::Error::new(
@@ -567,9 +610,25 @@ impl SharedBytesMut {
     ///
     /// The heap allocation is moved, not copied: the frozen view's bytes
     /// live at the same address the builder wrote them to (the freeze
-    /// identity the property tests assert).
+    /// identity the property tests assert), and goes back to the pool when
+    /// the last view of it drops. (An empty builder freezes into the shared
+    /// empty view and returns its buffer right away.)
     pub fn freeze(mut self) -> SharedBytes {
-        SharedBytes::from_vec(std::mem::take(&mut self.buf))
+        if self.buf.is_empty() {
+            return SharedBytes::new();
+        }
+        let len = self.buf.len();
+        SharedBytes {
+            buf: Some(Arc::new(std::mem::take(&mut self.buf))),
+            origin: POOLED,
+            len,
+        }
+    }
+}
+
+impl From<SharedBytesMut> for SharedBytes {
+    fn from(builder: SharedBytesMut) -> Self {
+        builder.freeze()
     }
 }
 
@@ -588,7 +647,7 @@ impl Drop for SharedBytesMut {
     fn drop(&mut self) {
         // A builder dropped without freezing returns its buffer to the pool
         // (freeze leaves a zero-capacity vec behind, which recycle ignores).
-        crate::pool::BufferPool::global().recycle_vec(std::mem::take(&mut self.buf));
+        BufferPool::global().recycle_vec(std::mem::take(&mut self.buf));
     }
 }
 

@@ -1,51 +1,99 @@
 //! Fixed-class buffer pooling for the allocation-free steady-state path.
 //!
-//! The hot path of a small invocation touches the global allocator many
-//! times: every HTTP head, receive buffer and output-descriptor frame used
-//! to be a fresh `Vec<u8>` that was freed again microseconds later. The
-//! [`BufferPool`] replaces those churn allocations with a small
-//! slab of reusable buffers in a handful of fixed size classes: `acquire`
-//! pops a cleared buffer of at least the requested capacity (or allocates
-//! one of the class size on a miss) and `recycle` returns it for the next
-//! invocation.
+//! The hot path of an invocation touches payload memory at every layer: the
+//! receive buffer, HTTP heads, output-descriptor frames, the outputs a
+//! function writes, flattened service replies. The [`BufferPool`] hands all
+//! of them out of a small slab of reusable buffers in a handful of fixed size
+//! classes: `acquire` pops a cleared buffer of the smallest class that holds
+//! the request (or allocates one of exactly the class size on a miss) and the
+//! handle's drop returns it for the next invocation.
+//!
+//! # The issuing-class rule
+//!
+//! The pool takes back only what it issued, into the class that issued it. A
+//! buffer's class is read off its capacity, which is the class size from the
+//! allocation on: the owning handles ([`SharedBytesMut`](crate::SharedBytesMut)
+//! and the frozen [`SharedBytes`](crate::SharedBytes)) never let a pooled
+//! vector regrow — a builder that runs out of room moves into a buffer of a
+//! larger class and returns the one it leaves. So whatever a class retains is
+//! exactly what an `acquire` of that class size pops, nothing waits where no
+//! request looks for it, and a vector that came from somewhere else (user
+//! code's `Vec`, a `String`) is freed by whoever owns it and never parked
+//! here. A returned buffer the class has no room for and one that is not of
+//! a class size (a request above the largest class is served by a plain
+//! allocation) are counted as `discarded`, so at any quiet moment
+//! `acquires = recycled + discarded + live`.
+//!
+//! # Giving it back
+//!
+//! What the classes retain follows the load with a delay: [`IdleRelease`],
+//! ticked by a thread that wakes anyway, frees about twice a second the
+//! buffers each class held the whole time since it last looked — the class's
+//! low-water mark — so small traffic that keeps going (a health probe, a
+//! scrape) does not keep a burst's memory committed. A freed buffer is the
+//! allocator's; [`settle_heap_thresholds`] and the `malloc_trim` after each
+//! release are what this module tells glibc about that.
 //!
 //! Every acquisition is stamped with a process-wide monotonically increasing
 //! *generation tag*. The tag uniquely identifies one ownership interval of a
 //! buffer: two live handles can never carry the same generation, which is
 //! what the aliasing stress test asserts while hammering the pool from many
-//! threads. Buffers that out-grow the largest class (or arrive while the
-//! class is full) are simply dropped to the global allocator — the pool is
-//! an opportunistic fast path, never a correctness dependency.
+//! threads. The pool is an opportunistic fast path, never a correctness
+//! dependency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The pooled size classes in bytes. Requests are rounded up to the next
-/// class; buffers above the largest class bypass the pool.
-pub const SIZE_CLASSES: [usize; 6] = [
-    4 * 1024,
-    16 * 1024,
-    64 * 1024,
-    256 * 1024,
-    1024 * 1024,
-    4 * 1024 * 1024,
-];
+/// The pooled size classes in bytes: from 4 KiB to 4 MiB, every power of two
+/// and the three quarter steps between it and the next (4, 5, 6, 7, 8, 10,
+/// 12, 14, 16 KiB, ...), so a buffer is less than a quarter larger than what
+/// was asked of it — a power of two plus a few bytes of framing, which is
+/// what a matrix on the wire is, does not take the next power of two.
+/// Requests are rounded up to the next class; buffers above the largest
+/// class bypass the pool.
+pub const SIZE_CLASSES: [usize; 41] = {
+    let mut classes = [0; 41];
+    let mut class = 0;
+    while class < classes.len() {
+        classes[class] = (4 + class % 4) << (10 + class / 4);
+        class += 1;
+    }
+    classes
+};
 
-/// Maximum buffers retained per size class; excess recycles are dropped.
-const PER_CLASS_LIMIT: usize = 64;
+/// The largest pooled class: a request above it is served by a plain
+/// allocation of what it asks for.
+pub const LARGEST_CLASS: usize = SIZE_CLASSES[SIZE_CLASSES.len() - 1];
 
-/// Maximum bytes (summed capacities) retained per size class. The count alone
-/// would let the largest class keep 64 × 4 MiB and the pool 341 MiB; with
-/// both, a class keeps 64/64/64/32/8/2 buffers of its own size — fewer of
-/// buffers that grew past it — and the pool at most 37 MiB.
+/// Maximum bytes retained per size class, so 2048 buffers of 4 KiB down to
+/// two of 4 MiB. A class retains what was in flight in it at once, up to
+/// this, and until it has gone unused ([`IdleRelease`]).
 const PER_CLASS_BYTES: usize = 8 * 1024 * 1024;
 
-/// The parked buffers of one size class and their summed capacities.
-#[derive(Default)]
-struct Slab {
-    buffers: Vec<Vec<u8>>,
-    bytes: usize,
+/// Buffers `class` may retain: every buffer of a class is of the class size,
+/// so the byte bound is a count.
+const fn class_limit(class: usize) -> usize {
+    PER_CLASS_BYTES / SIZE_CLASSES[class]
 }
+
+/// The smallest class whose buffers hold `capacity` bytes, if any does.
+fn class_holding(capacity: usize) -> Option<usize> {
+    let capacity = capacity.max(SIZE_CLASSES[0]);
+    // The power of two at or below `capacity` is `4 << quarter`, the classes
+    // from it to the next a `1 << quarter` apart.
+    let octave = capacity.ilog2() - SIZE_CLASSES[0].ilog2();
+    let quarter = octave + 10;
+    let quarters = (capacity - (4 << quarter)).div_ceil(1 << quarter);
+    let class = 4 * octave as usize + quarters;
+    (class < SIZE_CLASSES.len()).then_some(class)
+}
+
+/// Classes fronted by the thread-local cache: up to 64 KiB. A thread parks at
+/// most one buffer of each class it uses, out of [`BufferPool::retained`]'s
+/// and [`BufferPool::release_unused`]'s sight; the large classes, where a
+/// hidden buffer per thread would be megabytes, always go through the shared
+/// slabs (one uncontended lock next to a copy of that size).
+const THREAD_CACHED_CLASSES: usize = 17;
 
 /// What one size class of a pool's shared slabs holds at this moment;
 /// snapshot via [`BufferPool::retained`].
@@ -55,12 +103,13 @@ pub struct ClassRetention {
     pub class_bytes: usize,
     /// Buffers parked in the class.
     pub buffers: usize,
-    /// Their capacities, summed (a grown buffer is filed under the largest
-    /// class it can serve, so this can exceed `buffers * class_bytes`).
+    /// Their capacities, summed: `buffers * class_bytes`.
     pub bytes: usize,
 }
 
 /// Counters describing pool behaviour; snapshot via [`BufferPool::stats`].
+/// Once the pool is quiet `acquires = reuses + allocations` and
+/// `acquires = recycled + discarded + live`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total `acquire` calls.
@@ -69,10 +118,14 @@ pub struct PoolStats {
     pub reuses: u64,
     /// Acquires that had to allocate (pool miss or oversized request).
     pub allocations: u64,
-    /// Buffers returned to a class for reuse.
+    /// Issued buffers that came back and were kept for reuse.
     pub recycled: u64,
-    /// Returned buffers dropped (oversized, undersized or class full).
+    /// Issued buffers that came back and were freed: the class was full, or
+    /// the request was above the largest class.
     pub discarded: u64,
+    /// Issued buffers that have not come back yet: a gauge kept by the
+    /// handles, not derived from the other counters.
+    pub live: u64,
 }
 
 std::thread_local! {
@@ -80,8 +133,20 @@ std::thread_local! {
     /// pool's shared slabs. An engine thread's steady-state loop
     /// (acquire → freeze → ship → last-view drop → recycle) stays on one
     /// thread, so the common case needs no lock at all.
-    static THREAD_CACHE: std::cell::RefCell<[Option<Vec<u8>>; SIZE_CLASSES.len()]> =
-        const { std::cell::RefCell::new([None, None, None, None, None, None]) };
+    static THREAD_CACHE: std::cell::RefCell<[Option<Vec<u8>>; THREAD_CACHED_CLASSES]> =
+        const { std::cell::RefCell::new([const { None }; THREAD_CACHED_CLASSES]) };
+}
+
+/// The parked buffers of one size class, every one of the class size.
+#[derive(Default)]
+struct Slab {
+    /// A stack: the most recently returned buffer is the next one issued, so
+    /// what goes unused collects at the bottom.
+    buffers: Vec<Vec<u8>>,
+    /// The fewest buffers parked at any moment since
+    /// [`BufferPool::release_unused`] last looked: that many, the bottom of
+    /// the stack, nobody needed in all that time.
+    low_water: usize,
 }
 
 /// A slab of reusable fixed-class byte buffers.
@@ -97,6 +162,7 @@ pub struct BufferPool {
     allocations: AtomicU64,
     recycled: AtomicU64,
     discarded: AtomicU64,
+    live: AtomicU64,
 }
 
 impl Default for BufferPool {
@@ -120,6 +186,7 @@ impl BufferPool {
             allocations: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
             discarded: AtomicU64::new(0),
+            live: AtomicU64::new(0),
         }
     }
 
@@ -142,71 +209,73 @@ impl BufferPool {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The smallest class whose buffers can hold `capacity` bytes.
-    fn class_for_acquire(capacity: usize) -> Option<usize> {
-        SIZE_CLASSES.iter().position(|&size| size >= capacity)
-    }
-
-    /// The largest class a buffer of `capacity` bytes can serve.
-    fn class_for_recycle(capacity: usize) -> Option<usize> {
-        SIZE_CLASSES
-            .iter()
-            .rposition(|&size| size <= capacity)
-            .filter(|_| capacity <= 2 * SIZE_CLASSES[SIZE_CLASSES.len() - 1])
+    fn uses_thread_cache(&self, class: usize) -> bool {
+        self.thread_cached && class < THREAD_CACHED_CLASSES
     }
 
     /// Pops (or allocates) an empty buffer with capacity for at least
-    /// `min_capacity` bytes, stamped with a fresh generation tag.
+    /// `min_capacity` bytes, stamped with a fresh generation tag; dropping
+    /// the handle returns the buffer.
     ///
     /// The returned vector always has `len() == 0`; recycled buffers are
     /// cleared before they are handed out, so no bytes from a previous
     /// owner are ever visible.
-    pub fn acquire(&self, min_capacity: usize) -> PooledBuf {
+    pub fn acquire(&self, min_capacity: usize) -> PooledBuf<'_> {
         self.acquires.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_add(1, Ordering::Relaxed);
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let vec = match Self::class_for_acquire(min_capacity) {
-            Some(class) => match self.pop_class(class, min_capacity) {
-                Some(vec) => {
-                    self.reuses.fetch_add(1, Ordering::Relaxed);
-                    vec
-                }
-                None => {
-                    self.allocations.fetch_add(1, Ordering::Relaxed);
-                    Vec::with_capacity(SIZE_CLASSES[class])
-                }
-            },
-            // Oversized request: plain allocation, never pooled on return.
+        let class = class_holding(min_capacity);
+        let vec = match class.and_then(|class| self.pop_class(class)) {
+            Some(vec) => {
+                self.reuses.fetch_add(1, Ordering::Relaxed);
+                vec
+            }
+            // A miss allocates the class size, so the buffer can come back;
+            // a request above the largest class what it asked for, and that
+            // one is freed on return.
             None => {
                 self.allocations.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(min_capacity)
+                Vec::with_capacity(class.map_or(min_capacity, |class| SIZE_CLASSES[class]))
             }
         };
         debug_assert!(vec.is_empty());
-        PooledBuf { vec, generation }
+        PooledBuf {
+            vec,
+            generation,
+            pool: self,
+        }
     }
 
     /// Like [`BufferPool::acquire`] but returns the raw vector for owners
-    /// that embed it in their own structures (e.g. a `SharedBytesMut`).
+    /// that embed it in their own structures (a `SharedBytesMut`). The owner
+    /// must not let the vector reallocate and hands it back with
+    /// [`BufferPool::recycle_vec`]; until then it counts as live.
     pub fn acquire_vec(&self, min_capacity: usize) -> Vec<u8> {
         self.acquire(min_capacity).detach()
     }
 
-    /// Returns a buffer to the pool for reuse.
+    /// Takes back a buffer this pool issued.
     ///
-    /// The buffer is cleared and filed under the largest class its capacity
-    /// can serve; empty-capacity, undersized, grossly oversized buffers and
-    /// buffers arriving at a full class are dropped instead.
+    /// The buffer is cleared and filed under the class of its capacity, the
+    /// one whose `acquire` finds it; one that is not of a class size (issued
+    /// for a request above the largest class, or regrown by an owner that
+    /// broke the rule) and one arriving at a full class are freed. A vector
+    /// without capacity is what a handle that already gave its buffer away
+    /// holds, and is ignored.
     pub fn recycle_vec(&self, mut vec: Vec<u8>) {
         if vec.capacity() == 0 {
             return;
         }
-        let Some(class) = Self::class_for_recycle(vec.capacity()) else {
+        self.live.fetch_sub(1, Ordering::Relaxed);
+        let class =
+            class_holding(vec.capacity()).filter(|&class| SIZE_CLASSES[class] == vec.capacity());
+        let Some(class) = class else {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
         };
         vec.clear();
         // Fast path: park the buffer in this thread's cache slot.
-        if self.thread_cached {
+        if self.uses_thread_cache(class) {
             let parked = THREAD_CACHE.with(|cache| {
                 let mut cache = cache.borrow_mut();
                 if cache[class].is_none() {
@@ -222,40 +291,52 @@ impl BufferPool {
             }
         }
         let mut slab = self.class_lock(class);
-        if slab.buffers.len() >= PER_CLASS_LIMIT || slab.bytes + vec.capacity() > PER_CLASS_BYTES {
+        if slab.buffers.len() >= class_limit(class) {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        slab.bytes += vec.capacity();
         slab.buffers.push(vec);
         self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pops a buffer able to hold `min_capacity` from the thread cache (when
-    /// enabled) or the shared slab of `class`.
-    fn pop_class(&self, class: usize, min_capacity: usize) -> Option<Vec<u8>> {
-        if self.thread_cached {
-            let cached = THREAD_CACHE.with(|cache| {
-                let mut cache = cache.borrow_mut();
-                // The exact class, or any larger cached buffer that fits.
-                (class..SIZE_CLASSES.len()).find_map(|candidate| {
-                    cache[candidate]
-                        .as_ref()
-                        .is_some_and(|vec| vec.capacity() >= min_capacity)
-                        .then(|| cache[candidate].take().expect("checked above"))
-                })
-            });
+    /// Pops a buffer of `class` from the thread cache (when it fronts the
+    /// class) or the shared slab.
+    fn pop_class(&self, class: usize) -> Option<Vec<u8>> {
+        if self.uses_thread_cache(class) {
+            let cached = THREAD_CACHE.with(|cache| cache.borrow_mut()[class].take());
             if cached.is_some() {
                 return cached;
             }
         }
         let mut slab = self.class_lock(class);
         let vec = slab.buffers.pop()?;
-        slab.bytes -= vec.capacity();
+        slab.low_water = slab.low_water.min(slab.buffers.len());
         Some(vec)
     }
 
-    /// A point-in-time snapshot of the pool counters.
+    /// Frees the buffers the shared slabs held the whole time since the last
+    /// call — each class's low-water mark, so what a load is using, or used
+    /// a moment ago, stays — and returns how many bytes that was. Two calls
+    /// with nothing issued in between free everything retained. What threads
+    /// park in their own caches stays; buffers in use are untouched and
+    /// retained again when they come back.
+    pub fn release_unused(&self) -> usize {
+        (0..SIZE_CLASSES.len())
+            .map(|class| {
+                let mut slab = self.class_lock(class);
+                let unused = slab.low_water.min(slab.buffers.len());
+                let released: Vec<_> = slab.buffers.drain(..unused).collect();
+                slab.low_water = slab.buffers.len();
+                // Freed after the lock is let go.
+                drop(slab);
+                released.len() * SIZE_CLASSES[class]
+            })
+            .sum()
+    }
+
+    /// A snapshot of the pool counters. Each is read on its own: the two
+    /// sums of [`PoolStats`] hold once the pool is quiet, and may be off by
+    /// the operations under way otherwise.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             acquires: self.acquires.load(Ordering::Relaxed),
@@ -263,19 +344,20 @@ impl BufferPool {
             allocations: self.allocations.load(Ordering::Relaxed),
             recycled: self.recycled.load(Ordering::Relaxed),
             discarded: self.discarded.load(Ordering::Relaxed),
+            live: self.live.load(Ordering::Relaxed),
         }
     }
 
     /// What each size class holds right now, in [`SIZE_CLASSES`] order. The
-    /// global pool's per-thread caches (at most one buffer per class and
-    /// thread) are not visible from here.
+    /// global pool's per-thread caches (at most one buffer per small class
+    /// and thread) are not visible from here.
     pub fn retained(&self) -> [ClassRetention; SIZE_CLASSES.len()] {
         std::array::from_fn(|class| {
-            let slab = self.class_lock(class);
+            let buffers = self.class_lock(class).buffers.len();
             ClassRetention {
                 class_bytes: SIZE_CLASSES[class],
-                buffers: slab.buffers.len(),
-                bytes: slab.bytes,
+                buffers,
+                bytes: buffers * SIZE_CLASSES[class],
             }
         })
     }
@@ -296,33 +378,37 @@ impl std::fmt::Debug for BufferPool {
 }
 
 /// An acquired pool buffer: an empty `Vec<u8>` plus the generation tag of
-/// this ownership interval.
-///
-/// The handle intentionally does *not* auto-recycle on drop — ownership of
-/// the allocation usually migrates (into a `SharedBytesMut`, then the frozen
-/// `SharedBytes`) and the final owner decides whether the buffer flows back
-/// via [`BufferPool::recycle_vec`]. Dropping the handle simply frees the
-/// buffer.
+/// this ownership interval. Dropping the handle returns the buffer to its
+/// pool; [`PooledBuf::detach`] hands the vector to an owner that returns it
+/// itself.
 #[derive(Debug)]
-pub struct PooledBuf {
+pub struct PooledBuf<'pool> {
     vec: Vec<u8>,
     generation: u64,
+    pool: &'pool BufferPool,
 }
 
-impl PooledBuf {
+impl PooledBuf<'_> {
     /// The generation tag stamped at acquisition. Strictly increasing across
     /// all acquires of the pool, so no two live handles share a tag.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Extracts the buffer, consuming the handle.
-    pub fn detach(self) -> Vec<u8> {
-        self.vec
+    /// Extracts the buffer, consuming the handle; the buffer stays live
+    /// until [`BufferPool::recycle_vec`] gets it back.
+    pub fn detach(mut self) -> Vec<u8> {
+        std::mem::take(&mut self.vec)
     }
 }
 
-impl std::ops::Deref for PooledBuf {
+impl Drop for PooledBuf<'_> {
+    fn drop(&mut self) {
+        self.pool.recycle_vec(std::mem::take(&mut self.vec));
+    }
+}
+
+impl std::ops::Deref for PooledBuf<'_> {
     type Target = Vec<u8>;
 
     fn deref(&self) -> &Vec<u8> {
@@ -330,9 +416,104 @@ impl std::ops::Deref for PooledBuf {
     }
 }
 
-impl std::ops::DerefMut for PooledBuf {
+impl std::ops::DerefMut for PooledBuf<'_> {
     fn deref_mut(&mut self) -> &mut Vec<u8> {
         &mut self.vec
+    }
+}
+
+/// Gives memory a pool no longer uses back: ticked at a steady rate by a
+/// thread that wakes anyway, every `period_ticks`th tick frees what the
+/// classes held unused since the one before
+/// ([`BufferPool::release_unused`]). Committed memory then follows the load
+/// with a delay of one to two periods; a load that comes back finds what it
+/// used within the last period still there.
+#[derive(Debug)]
+pub struct IdleRelease {
+    period_ticks: u32,
+    ticks: u32,
+}
+
+impl IdleRelease {
+    /// A releaser that looks every `period_ticks` ticks.
+    pub fn new(period_ticks: u32) -> Self {
+        Self {
+            period_ticks,
+            ticks: 0,
+        }
+    }
+
+    /// One tick: returns the bytes freed (zero between periods, and while
+    /// everything retained is in use).
+    pub fn tick(&mut self, pool: &BufferPool) -> usize {
+        self.ticks += 1;
+        if self.ticks < self.period_ticks {
+            return 0;
+        }
+        self.ticks = 0;
+        let released = pool.release_unused();
+        if released > 0 {
+            trim_heap();
+        }
+        released
+    }
+}
+
+/// Hands the allocator's free pages back to the kernel. Freeing the pool's
+/// buffers puts them on glibc's free lists, where their pages stay resident
+/// until asked: without this a node that served `RenderLogs` sits 2.5 MiB
+/// above its idle footprint for good.
+fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        // SAFETY: `malloc_trim` takes no pointer and may be called from any
+        // thread at any time; it locks each arena while it releases that
+        // arena's free pages and touches no memory in use.
+        unsafe { glibc::malloc_trim(0) };
+    }
+}
+
+/// Fixes where the allocator takes large blocks from, once, at the start of
+/// a process that serves: everything up to the largest class comes from the
+/// heap proper, and the heap's top is given back only when twice that much
+/// of it is free (the rest goes when the pool falls idle, [`IdleRelease`]).
+///
+/// Left alone, glibc moves both thresholds with the largest block freed so
+/// far, and a server that keeps its large buffers never frees one: the
+/// thresholds then follow whatever user code frees. Three equal vectors (a
+/// 128×128 multiplication's operands and product) are just more than twice
+/// the largest of them, so every request's end trimmed the heap's top and
+/// the next one faulted it in again: 64 page faults and 6 % more CPU per
+/// request, which the node did not pay as long as it kept freeing 512 KiB
+/// buffers it should have kept.
+pub fn settle_heap_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        let largest = LARGEST_CLASS as std::os::raw::c_int;
+        // SAFETY: `mallopt` takes two integers and changes allocator
+        // parameters under the allocator's own lock; every value is valid
+        // (an out-of-range one is refused, not acted on).
+        unsafe {
+            glibc::mallopt(glibc::M_MMAP_THRESHOLD, largest);
+            glibc::mallopt(glibc::M_TRIM_THRESHOLD, 2 * largest);
+        }
+    }
+}
+
+/// The two glibc calls above, bound by hand like `read(2)` in `bytes.rs`
+/// (the workspace has no `libc` crate).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod glibc {
+    use std::os::raw::c_int;
+
+    /// `malloc.h`: the heap's top is trimmed when more than this is free.
+    pub const M_TRIM_THRESHOLD: c_int = -1;
+    /// `malloc.h`: requests of at least this many bytes are mapped singly.
+    pub const M_MMAP_THRESHOLD: c_int = -3;
+
+    extern "C" {
+        pub fn malloc_trim(pad: usize) -> c_int;
+        pub fn mallopt(parameter: c_int, value: c_int) -> c_int;
     }
 }
 
@@ -340,8 +521,30 @@ impl std::ops::DerefMut for PooledBuf {
 mod tests {
     use super::*;
 
+    fn accounted(pool: &BufferPool) {
+        let stats = pool.stats();
+        assert_eq!(
+            stats.acquires,
+            stats.reuses + stats.allocations,
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.acquires,
+            stats.recycled + stats.discarded + stats.live,
+            "{stats:?}"
+        );
+    }
+
     #[test]
     fn acquire_rounds_up_to_a_class() {
+        for (class, &size) in SIZE_CLASSES.iter().enumerate() {
+            assert_eq!(class_holding(size), Some(class));
+            assert_eq!(class_holding(size - 1), Some(class));
+            let next = (class + 1 < SIZE_CLASSES.len()).then_some(class + 1);
+            assert_eq!(class_holding(size + 1), next);
+        }
+        assert_eq!(class_holding(0), Some(0));
+        assert_eq!(class_holding(usize::MAX), None);
         let pool = BufferPool::new();
         let buf = pool.acquire(10);
         assert!(buf.is_empty());
@@ -365,6 +568,47 @@ mod tests {
         assert_eq!(stats.reuses, 1);
         assert_eq!(stats.allocations, 1);
         assert_eq!(stats.recycled, 1);
+        assert_eq!(stats.live, 1);
+        accounted(&pool);
+    }
+
+    #[test]
+    fn a_dropped_handle_returns_its_buffer() {
+        let pool = BufferPool::new();
+        let ptr = pool.acquire(100).as_ptr();
+        assert_eq!(pool.pooled_buffers(), 1);
+        assert_eq!(pool.stats().live, 0);
+        assert_eq!(pool.acquire(100).as_ptr(), ptr);
+        accounted(&pool);
+    }
+
+    #[test]
+    fn what_a_class_retains_is_served_to_an_acquire_of_that_class_size() {
+        // Every class, two buffers each, asked for at the class size itself,
+        // at one byte (the smallest class only) and at one byte more than
+        // the class below holds.
+        let pool = BufferPool::new();
+        for (class, &size) in SIZE_CLASSES.iter().enumerate() {
+            let smallest_request = match class {
+                0 => 1,
+                _ => SIZE_CLASSES[class - 1] + 1,
+            };
+            let issued = [pool.acquire_vec(size), pool.acquire_vec(smallest_request)];
+            let pointers = issued.each_ref().map(|vec| vec.as_ptr());
+            for vec in issued {
+                assert_eq!(vec.capacity(), size);
+                pool.recycle_vec(vec);
+            }
+            let retained = pool.retained()[class];
+            assert_eq!((retained.buffers, retained.bytes), (2, 2 * size));
+            let allocations = pool.stats().allocations;
+            let served = [size, smallest_request].map(|request| pool.acquire_vec(request));
+            for vec in &served {
+                assert!(pointers.contains(&vec.as_ptr()), "class {size}");
+            }
+            assert_eq!(pool.stats().allocations, allocations, "class {size}");
+            assert_eq!(pool.retained()[class].buffers, 0);
+        }
     }
 
     #[test]
@@ -375,54 +619,93 @@ mod tests {
         pool.recycle_vec(huge);
         assert_eq!(pool.pooled_buffers(), 0);
         assert_eq!(pool.stats().discarded, 1);
+        accounted(&pool);
     }
 
     #[test]
     fn tiny_and_empty_returns_are_dropped_quietly() {
         let pool = BufferPool::new();
+        // A handle that gave its buffer away has nothing to return.
         pool.recycle_vec(Vec::new());
-        pool.recycle_vec(Vec::with_capacity(16));
+        assert_eq!(pool.stats(), PoolStats::default());
+        // An owner that let the vector regrow to something that is no class
+        // size: the buffer is freed, not parked where no request looks.
+        let mut vec = pool.acquire_vec(SIZE_CLASSES[2]);
+        vec.reserve_exact(SIZE_CLASSES[2] + 10);
+        assert_eq!(vec.capacity(), SIZE_CLASSES[2] + 10);
+        pool.recycle_vec(vec);
         assert_eq!(pool.pooled_buffers(), 0);
+        assert_eq!(pool.stats().discarded, 1);
+        accounted(&pool);
+    }
+
+    #[test]
+    fn grown_buffers_refile_into_a_larger_class() {
+        // A builder that outgrows its buffer moves into one of the class
+        // that fits and returns the one it leaves; neither vector regrows,
+        // so each is filed under the class that issued it. (Builders use
+        // the global pool, which other tests share: capacities are
+        // asserted, not counters.)
+        let mut builder = crate::SharedBytesMut::with_capacity(SIZE_CLASSES[3]);
+        assert_eq!(builder.capacity(), SIZE_CLASSES[3]);
+        builder.put_slice(&[7u8; 100]);
+        builder.put_slice(&vec![8u8; SIZE_CLASSES[3]]);
+        assert_eq!(builder.capacity(), SIZE_CLASSES[4]);
+        assert_eq!(builder.len(), 100 + SIZE_CLASSES[3]);
+        assert_eq!(builder[..100], [7u8; 100]);
+        assert_eq!(builder[100..], vec![8u8; SIZE_CLASSES[3]][..]);
+        // Above the largest class the pool allocates what it is asked, and
+        // growth doubles.
+        let mut huge = crate::SharedBytesMut::with_capacity(LARGEST_CLASS);
+        huge.put_slice(&vec![9u8; LARGEST_CLASS]);
+        huge.put_u8(9);
+        assert_eq!(huge.capacity(), 2 * LARGEST_CLASS);
     }
 
     #[test]
     fn class_overflow_discards() {
         let pool = BufferPool::new();
-        for _ in 0..PER_CLASS_LIMIT + 5 {
-            pool.recycle_vec(Vec::with_capacity(SIZE_CLASSES[0]));
+        let issued: Vec<_> = (0..class_limit(0) + 5)
+            .map(|_| pool.acquire_vec(SIZE_CLASSES[0]))
+            .collect();
+        for vec in issued {
+            pool.recycle_vec(vec);
         }
-        assert_eq!(pool.pooled_buffers(), PER_CLASS_LIMIT);
+        assert_eq!(pool.pooled_buffers(), class_limit(0));
         assert_eq!(pool.stats().discarded, 5);
+        accounted(&pool);
     }
 
     #[test]
     fn large_classes_are_bounded_in_bytes_not_only_in_count() {
+        const MIB_CLASS: usize = 32;
+        assert_eq!(SIZE_CLASSES[MIB_CLASS], 1024 * 1024);
         let pool = BufferPool::new();
-        for _ in 0..70 {
-            pool.recycle_vec(Vec::with_capacity(SIZE_CLASSES[4]));
+        let issued: Vec<_> = (0..70)
+            .map(|_| pool.acquire_vec(SIZE_CLASSES[MIB_CLASS]))
+            .collect();
+        for vec in issued {
+            pool.recycle_vec(vec);
         }
         assert_eq!(pool.pooled_buffers(), 8);
         assert_eq!(pool.stats().discarded, 62);
         assert_eq!(
-            pool.retained()[4],
+            pool.retained()[MIB_CLASS],
             ClassRetention {
-                class_bytes: SIZE_CLASSES[4],
+                class_bytes: SIZE_CLASSES[MIB_CLASS],
                 buffers: 8,
                 bytes: PER_CLASS_BYTES,
             }
         );
-        // A buffer that grew past its class counts for what it holds: half
-        // as many twice-the-size buffers fit.
-        for _ in 0..70 {
-            pool.recycle_vec(Vec::with_capacity(2 * SIZE_CLASSES[3]));
-        }
-        let grown = pool.retained()[3];
-        assert_eq!((grown.buffers, grown.bytes), (16, PER_CLASS_BYTES));
         // Taking one out makes room for one again.
-        let taken = pool.acquire_vec(SIZE_CLASSES[3]);
-        assert_eq!(pool.retained()[3].bytes, PER_CLASS_BYTES - taken.capacity());
+        let taken = pool.acquire_vec(SIZE_CLASSES[MIB_CLASS]);
+        assert_eq!(
+            pool.retained()[MIB_CLASS].bytes,
+            PER_CLASS_BYTES - taken.capacity()
+        );
         pool.recycle_vec(taken);
-        assert_eq!(pool.retained()[3].buffers, 16);
+        assert_eq!(pool.retained()[MIB_CLASS].buffers, 8);
+        accounted(&pool);
     }
 
     #[test]
@@ -435,6 +718,38 @@ mod tests {
         pool.recycle_vec(vec);
         let c = pool.acquire(64);
         assert!(c.generation() > b.generation());
+    }
+
+    #[test]
+    fn what_a_class_held_unused_for_a_period_is_given_back() {
+        let pool = BufferPool::new();
+        let mut idle = IdleRelease::new(3);
+        let held = pool.acquire_vec(SIZE_CLASSES[3]);
+        // A burst leaves three buffers of the smallest class and a larger
+        // one behind.
+        drop([100, 100, 100, SIZE_CLASSES[4]].map(|bytes| pool.acquire(bytes)));
+        // Nothing between periods, and the first look finds the marks of
+        // the burst, which had the classes empty.
+        assert_eq!([0; 3], [0; 3].map(|_| idle.tick(&pool)));
+        assert_eq!(pool.pooled_buffers(), 4);
+        // Small traffic goes on, one buffer of the smallest class at a time:
+        // the other two and the larger one went unused, and go.
+        drop(pool.acquire(100));
+        assert_eq!([0; 2], [0; 2].map(|_| idle.tick(&pool)));
+        drop(pool.acquire(100));
+        assert_eq!(idle.tick(&pool), 2 * SIZE_CLASSES[0] + SIZE_CLASSES[4]);
+        assert_eq!(pool.retained()[0].buffers, 1);
+        assert_eq!(pool.pooled_buffers(), 1);
+        // What was in use comes back late and goes once it has lain there
+        // for a whole period; the traffic has stopped, so its buffer does too.
+        pool.recycle_vec(held);
+        assert_eq!([0, 0, SIZE_CLASSES[0]], [0; 3].map(|_| idle.tick(&pool)));
+        assert_eq!([0, 0, SIZE_CLASSES[3]], [0; 3].map(|_| idle.tick(&pool)));
+        assert_eq!(pool.pooled_buffers(), 0);
+        assert_eq!([0; 3], [0; 3].map(|_| idle.tick(&pool)));
+        // Released buffers are gone, not lost count of.
+        accounted(&pool);
+        assert_eq!(pool.stats().live, 0);
     }
 
     fn thread_cached_pool() -> BufferPool {
@@ -455,6 +770,7 @@ mod tests {
         assert_eq!(again.as_ptr(), ptr);
         assert!(again.is_empty(), "cached buffers must arrive cleared");
         assert_eq!(pool.stats().reuses, 1);
+        pool.recycle_vec(again);
     }
 
     #[test]
@@ -464,16 +780,20 @@ mod tests {
         pool.recycle_vec(pool.acquire_vec(SIZE_CLASSES[0]));
         // ...then ask for more than it can hold: the cache must be skipped.
         let big = pool.acquire_vec(SIZE_CLASSES[1]);
-        assert!(big.capacity() >= SIZE_CLASSES[1]);
-        // A smaller request is served from the cache (the class-0 buffer
-        // parked above fits it exactly).
+        assert_eq!(big.capacity(), SIZE_CLASSES[1]);
         pool.recycle_vec(big);
+        // A smaller request is served by the class-0 buffer parked above,
+        // and with that taken by a new one — never by the larger buffer.
         let small = pool.acquire_vec(SIZE_CLASSES[0]);
-        assert!(small.capacity() >= SIZE_CLASSES[0]);
-        // With class 0 drained, the larger cached buffer serves the next
-        // small request too.
-        let from_larger = pool.acquire_vec(SIZE_CLASSES[0]);
-        assert!(from_larger.capacity() >= SIZE_CLASSES[1]);
+        let another = pool.acquire_vec(SIZE_CLASSES[0]);
+        assert_eq!(small.capacity(), SIZE_CLASSES[0]);
+        assert_eq!(another.capacity(), SIZE_CLASSES[0]);
+        assert_eq!(pool.stats().reuses, 1);
+        // The large classes have no cache slot: straight to the shared slab.
+        pool.recycle_vec(pool.acquire_vec(SIZE_CLASSES[THREAD_CACHED_CLASSES]));
+        assert_eq!(pool.retained()[THREAD_CACHED_CLASSES].buffers, 1);
+        pool.recycle_vec(small);
+        pool.recycle_vec(another);
     }
 
     #[test]
@@ -512,20 +832,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.acquires, 4 * 300);
         assert!(stats.reuses > 0, "the fast path must actually recycle");
-    }
-
-    #[test]
-    fn grown_buffers_refile_into_a_larger_class() {
-        let pool = BufferPool::new();
-        let mut vec = pool.acquire_vec(4096);
-        // Grow past the acquired class, as a builder that outgrows it does.
-        vec.resize(SIZE_CLASSES[2] + 10, 0);
-        let capacity = vec.capacity();
-        pool.recycle_vec(vec);
-        assert_eq!(pool.pooled_buffers(), 1);
-        // The refiled buffer serves requests up to its real capacity class.
-        let again = pool.acquire_vec(SIZE_CLASSES[2]);
-        assert!(again.capacity() >= SIZE_CLASSES[2]);
-        assert_eq!(again.capacity(), capacity);
+        accounted(&pool);
     }
 }

@@ -8,7 +8,7 @@
 //! and delivery walks the segments with a vectored [`Rope::write_to`] — no
 //! flattening on the steady-state path. [`Rope::into_shared`] collapses to a
 //! single contiguous view only when a caller really needs one, with exactly
-//! one exact-capacity copy (and none at all for single-segment ropes).
+//! one copy into a pooled buffer (and none at all for single-segment ropes).
 //!
 //! The first two segments are stored inline, so the common head+body
 //! message is built and delivered without touching the allocator at all.
@@ -203,8 +203,8 @@ impl Rope {
     /// Collapses the rope into one contiguous [`SharedBytes`].
     ///
     /// Zero-copy for empty and single-segment ropes (the segment is handed
-    /// through unchanged); multi-segment ropes are flattened with one
-    /// exact-capacity copy.
+    /// through unchanged); multi-segment ropes are flattened with one copy
+    /// into a pooled buffer sized for the whole rope.
     pub fn into_shared(mut self) -> SharedBytes {
         match self.segment_count() {
             0 => SharedBytes::new(),
@@ -212,7 +212,13 @@ impl Rope {
                 Segment::Shared(shared) => shared,
                 Segment::Builder(builder) => builder.freeze(),
             },
-            _ => SharedBytes::from_vec(self.to_vec()),
+            _ => {
+                let mut flat = SharedBytesMut::with_capacity(self.len);
+                for segment in self.iter() {
+                    flat.put_slice(segment);
+                }
+                flat.freeze()
+            }
         }
     }
 

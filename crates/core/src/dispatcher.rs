@@ -29,9 +29,12 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dandelion_common::config::WorkerConfig;
+use dandelion_common::pool::IdleRelease;
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::stats::LatencyHistogram;
-use dandelion_common::{fail_point, DandelionError, DandelionResult, DataSet, InvocationId};
+use dandelion_common::{
+    fail_point, BufferPool, DandelionError, DandelionResult, DataSet, InvocationId,
+};
 use dandelion_dsl::CompositionGraph;
 use parking_lot::Mutex;
 
@@ -41,6 +44,11 @@ use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
 
 /// How often the driver thread re-checks the shutdown flag while idle.
 const DRIVER_IDLE_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Idle driver wake-ups between two looks at what the buffer pool retains:
+/// a buffer nobody needed for that long, half a second, is given back, so
+/// a node's memory is back about a second after a load.
+const POOL_RELEASE_TICKS: u32 = 5;
 
 /// Number of shards of the in-flight table: the machine's available
 /// parallelism rounded up to a power of two, clamped to `[4, 64]`.
@@ -779,6 +787,10 @@ impl Drop for Dispatcher {
 }
 
 fn driver_loop(core: Arc<DispatcherCore>, results: Receiver<Vec<TaskResult>>) {
+    // Ticked on the wake-ups the idle driver makes anyway, so committed
+    // memory follows the load: what the pool retains and nothing has needed
+    // since the look before is freed.
+    let mut pool_idle = IdleRelease::new(POOL_RELEASE_TICKS);
     loop {
         if core.shutting_down.load(Ordering::SeqCst) {
             break;
@@ -800,7 +812,10 @@ fn driver_loop(core: Arc<DispatcherCore>, results: Receiver<Vec<TaskResult>>) {
                 }
                 core.process(batch);
             }
-            Err(RecvTimeoutError::Timeout) => core.reap_stalled(),
+            Err(RecvTimeoutError::Timeout) => {
+                core.reap_stalled();
+                pool_idle.tick(BufferPool::global());
+            }
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }

@@ -386,6 +386,7 @@ fn memory_stats(worker: &WorkerNode) -> JsonValue {
                 ("allocations", JsonValue::from(counters.allocations)),
                 ("recycled", JsonValue::from(counters.recycled)),
                 ("discarded", JsonValue::from(counters.discarded)),
+                ("live", JsonValue::from(counters.live)),
                 (
                     "retained_buffers",
                     JsonValue::from(retained.iter().map(|class| class.buffers).sum::<usize>()),
@@ -555,7 +556,8 @@ fn encode_outputs_response(outputs: &[DataSet]) -> HttpResponse {
         return HttpResponse::ok(outputs[0].items[0].data.clone())
             .with_header("Content-Type", "application/octet-stream");
     }
-    HttpResponse::ok(output_parser::encode_outputs(outputs))
+    // One body for the set list: flattened once, into a pooled buffer.
+    HttpResponse::ok(output_parser::encode_outputs_rope(outputs).into_shared())
         .with_header("Content-Type", SET_LIST_CONTENT_TYPE)
 }
 

@@ -26,6 +26,7 @@ use std::io::{self, Read};
 use std::os::fd::BorrowedFd;
 
 use dandelion_common::encoding::utf8_lossy;
+use dandelion_common::pool::LARGEST_CLASS;
 use dandelion_common::{SharedBytes, SharedBytesMut};
 
 use crate::parse::{
@@ -112,6 +113,20 @@ fn declared_content_length(head: &[u8]) -> Result<Option<usize>, HttpParseError>
     Ok(None)
 }
 
+/// The length of the message at the front of `input` — head plus declared
+/// body — once its head is complete, however much of the body has arrived;
+/// `None` while the head is still arriving. Enforces `limits`.
+fn frame_len(input: &[u8], limits: &ParseLimits) -> Result<Option<usize>, HttpParseError> {
+    let Some(body_offset) = head_end(input, limits)? else {
+        return Ok(None);
+    };
+    let length = declared_content_length(&input[..body_offset])?.unwrap_or(0);
+    if length > limits.max_body_bytes {
+        return Err(HttpParseError::LimitExceeded("body size"));
+    }
+    Ok(Some(body_offset + length))
+}
+
 /// Probes `input` for one complete HTTP request, enforcing `limits`.
 ///
 /// Requests without a `Content-Length` header have no body (RFC 9112 §6):
@@ -119,18 +134,9 @@ fn declared_content_length(head: &[u8]) -> Result<Option<usize>, HttpParseError>
 /// treats the remainder as the body — a stream decoder must not swallow a
 /// pipelined successor, so the message ends at the head terminator.
 pub fn probe_request(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-    let Some(body_offset) = head_end(input, limits)? else {
-        return Ok(Probe::Partial);
-    };
-    let length = declared_content_length(&input[..body_offset])?.unwrap_or(0);
-    if length > limits.max_body_bytes {
-        return Err(HttpParseError::LimitExceeded("body size"));
-    }
-    if input.len() < body_offset + length {
-        return Ok(Probe::Partial);
-    }
-    Ok(Probe::Complete {
-        consumed: body_offset + length,
+    Ok(match frame_len(input, limits)? {
+        Some(consumed) if consumed <= input.len() => Probe::Complete { consumed },
+        _ => Probe::Partial,
     })
 }
 
@@ -172,13 +178,19 @@ pub fn rejection_code(error: &HttpParseError) -> &'static str {
 /// Unparsed bytes live in exactly one of two places: the pooled `builder`
 /// (still mutable, accepting reads) or the `frozen` view left over from the
 /// last parse (pipelined successors and partial tails). A message that
-/// arrives across many reads accumulates in the builder without re-copying;
-/// only a tail left behind by an earlier parse is copied — once — into the
-/// next builder when more bytes are needed.
+/// arrives across many reads accumulates in the builder; once its head has
+/// declared its length the builder is given room for all of it, so the bytes
+/// of a large body are copied at most once — what had arrived by then — and
+/// the buffer they end up in is of a pool class, the one the next message of
+/// that size pops. A tail left behind by an earlier parse is copied — once —
+/// into the next builder when more bytes are needed.
 #[derive(Debug, Default)]
 struct StreamDecoder {
     builder: SharedBytesMut,
     frozen: SharedBytes,
+    /// Length of the partial message at the front of the unparsed bytes, as
+    /// its head declared it; zero while no complete head is waiting.
+    awaited: usize,
     limits: ParseLimits,
 }
 
@@ -187,6 +199,7 @@ impl StreamDecoder {
         Self {
             builder: SharedBytesMut::new(),
             frozen: SharedBytes::new(),
+            awaited: 0,
             limits,
         }
     }
@@ -196,33 +209,36 @@ impl StreamDecoder {
         self.builder.len() + self.frozen.len()
     }
 
-    /// Moves any frozen leftover back into the builder so new bytes can
-    /// append after it (the one copy a parse tail ever pays).
-    fn unfreeze(&mut self, reserve: usize) {
-        if self.frozen.is_empty() {
-            return;
+    /// The builder, holding every unparsed byte and with room for `reserve`
+    /// more: a frozen leftover moves back in first so new bytes can append
+    /// after it (the one copy a parse tail ever pays).
+    fn appending(&mut self, reserve: usize) -> &mut SharedBytesMut {
+        if !self.frozen.is_empty() {
+            // The invariant that unparsed bytes live in exactly one place
+            // means the builder is always empty here; the tail keeps its
+            // order.
+            debug_assert!(self.builder.is_empty());
+            self.builder = SharedBytesMut::with_capacity(self.frozen.len() + reserve);
+            self.builder.put_slice(&self.frozen);
+            self.frozen = SharedBytes::new();
         }
-        // The invariant that unparsed bytes live in exactly one place means
-        // the builder is always empty here; the tail keeps its order.
-        debug_assert!(self.builder.is_empty());
-        self.builder = SharedBytesMut::with_capacity(self.frozen.len() + reserve);
-        self.builder.put_slice(&self.frozen);
-        self.frozen = SharedBytes::new();
+        self.builder.reserve(reserve);
+        &mut self.builder
     }
 
     fn feed(&mut self, bytes: &[u8]) {
-        self.unfreeze(bytes.len());
-        self.builder.put_slice(bytes);
+        self.appending(bytes.len()).put_slice(bytes);
     }
 
-    /// The builder, holding every unparsed byte and — pooled — ready for a
-    /// read of up to `max_bytes` behind them.
+    /// The builder ready for a read of up to `max_bytes`: with room for the
+    /// rest of the message under way, when its head has said how long it is,
+    /// and for a full read behind that — reserved here, once, so that no read
+    /// after this one moves the body. What a head can make the decoder
+    /// reserve before the bytes are there is bounded by the pool's largest
+    /// class; a body beyond that grows by doubling as it arrives.
     fn receiving(&mut self, max_bytes: usize) -> &mut SharedBytesMut {
-        self.unfreeze(max_bytes);
-        if self.builder.capacity() == 0 {
-            self.builder = SharedBytesMut::with_capacity(max_bytes);
-        }
-        &mut self.builder
+        let rest = self.awaited.saturating_sub(self.buffered());
+        self.appending(rest.min(LARGEST_CLASS) + max_bytes)
     }
 
     fn read_from<R: Read>(&mut self, reader: &mut R, max_bytes: usize) -> io::Result<usize> {
@@ -248,10 +264,11 @@ impl StreamDecoder {
         if unparsed.is_empty() {
             return Ok(None);
         }
-        let consumed = match probe_request(unparsed, &self.limits)? {
-            Probe::Complete { consumed } => consumed,
-            Probe::Partial => return Ok(None),
-        };
+        self.awaited = frame_len(unparsed, &self.limits)?.unwrap_or(0);
+        if self.awaited == 0 || unparsed.len() < self.awaited {
+            return Ok(None);
+        }
+        let consumed = std::mem::take(&mut self.awaited);
         if self.frozen.is_empty() {
             // Freeze moves the allocation: the parsed body will view the
             // buffer the bytes were received into.

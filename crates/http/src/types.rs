@@ -402,7 +402,7 @@ impl HttpRequest {
     }
 
     /// Serializes the request into one contiguous zero-copy view
-    /// (one exact-capacity allocation; none when the body is empty).
+    /// (one copy into a pooled buffer; none when the body is empty).
     pub fn to_shared(&self) -> SharedBytes {
         self.to_rope().into_shared()
     }
@@ -503,7 +503,7 @@ impl HttpResponse {
     }
 
     /// Serializes the response into one contiguous zero-copy view
-    /// (one exact-capacity allocation; none when the body is empty).
+    /// (one copy into a pooled buffer; none when the body is empty).
     pub fn to_shared(&self) -> SharedBytes {
         self.to_rope().into_shared()
     }

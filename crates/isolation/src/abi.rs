@@ -19,12 +19,27 @@
 //! [`FunctionCtx::fs`] / [`FunctionCtx::fs_mut`] call — a function that only
 //! uses [`FunctionCtx::inputs`] and [`FunctionCtx::push_output`] never pays
 //! for a directory tree.
+//!
+//! # Who owns output memory
+//!
+//! The platform does, as the paper's memory context does: a context is made
+//! with output memory in it — a builder over a buffer of the global
+//! [`BufferPool`](dandelion_common::BufferPool), sized like the inputs, there
+//! before the function runs — and the function asks for it
+//! ([`FunctionCtx::output_buffer`]), fills it and stages the filled builder
+//! ([`FunctionCtx::push_output_bytes`] freezes it in place). The buffer goes
+//! back to the pool class that issued it when the last consumer of the
+//! output lets go — the next invocation's output is written into the same
+//! memory. An output that *is* an input passes on by reference as before. A
+//! `Vec` or `String` user code allocated is still accepted; it is the
+//! allocator's, freed when the output dies and never parked in the pool.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use dandelion_common::{DataItem, DataSet, SharedBytes};
+use dandelion_common::pool::SIZE_CLASSES;
+use dandelion_common::{DataItem, DataSet, SharedBytes, SharedBytesMut};
 use dandelion_vfs::{VfsPath, VirtualFs};
 
 use crate::policy::{SyscallDisposition, SyscallPolicy};
@@ -100,17 +115,31 @@ impl fmt::Debug for FunctionArtifact {
     }
 }
 
+/// A synthetic binary of `bytes` bytes.
+fn synthetic_binary(bytes: usize) -> SharedBytes {
+    SharedBytes::from_vec(vec![0xD4; bytes])
+}
+
 impl FunctionArtifact {
     /// Creates an artifact with a default 64 KiB synthetic binary and a
     /// 16 MiB memory requirement.
+    ///
+    /// The default binary is one buffer, built by the first artifact and
+    /// shared by every one that keeps the default size (only its length
+    /// means anything), so an artifact that goes on to
+    /// [`with_binary_size`](FunctionArtifact::with_binary_size) builds its
+    /// binary once, at its final size.
     pub fn new(
         name: impl Into<String>,
         output_sets: &[&str],
         logic: impl ComputeLogic + 'static,
     ) -> Self {
+        static DEFAULT_BINARY: OnceLock<SharedBytes> = OnceLock::new();
         Self {
             name: name.into(),
-            binary: SharedBytes::from_vec(vec![0xD4; 64 * 1024]),
+            binary: DEFAULT_BINARY
+                .get_or_init(|| synthetic_binary(64 * 1024))
+                .clone(),
             memory_requirement: 16 * 1024 * 1024,
             output_sets: output_sets.iter().map(|s| s.to_string()).collect(),
             logic: Arc::new(logic),
@@ -119,7 +148,7 @@ impl FunctionArtifact {
 
     /// Overrides the synthetic binary size.
     pub fn with_binary_size(mut self, bytes: usize) -> Self {
-        self.binary = SharedBytes::from_vec(vec![0xD4; bytes]);
+        self.binary = synthetic_binary(bytes);
         self
     }
 
@@ -147,6 +176,9 @@ pub struct FunctionCtx {
     /// Bounds the filesystem, mirroring the memory context capacity.
     capacity: usize,
     output_sets: Arc<[String]>,
+    /// Output memory made ready with the context, until the function asks
+    /// for it ([`FunctionCtx::output_buffer`]).
+    output: Cell<SharedBytesMut>,
     staged_outputs: Vec<DataSet>,
     policy: Arc<SyscallPolicy>,
     syscall_attempts: Vec<SyscallAttempt>,
@@ -174,11 +206,19 @@ impl FunctionCtx {
         capacity: usize,
         policy: impl Into<Arc<SyscallPolicy>>,
     ) -> Result<Self, FunctionError> {
+        let inputs: Arc<[DataSet]> = inputs.into();
+        // An output is about the size of what it is made from.
+        let input_bytes: usize = inputs
+            .iter()
+            .flat_map(|set| &set.items)
+            .map(|item| item.data.len())
+            .sum();
         Ok(Self {
-            inputs: inputs.into(),
+            inputs,
             fs: OnceCell::new(),
             capacity,
             output_sets: output_sets.into(),
+            output: Cell::new(SharedBytesMut::with_capacity(input_bytes)),
             staged_outputs: Vec::new(),
             policy: policy.into(),
             syscall_attempts: Vec::new(),
@@ -251,6 +291,24 @@ impl FunctionCtx {
         &self.output_sets
     }
 
+    /// Output memory from the platform: an empty builder over a pooled
+    /// buffer with room for `capacity` bytes (it moves to a larger one if the
+    /// function writes more). Fill it — in bulk where the output is large —
+    /// and stage it with [`FunctionCtx::push_output_bytes`].
+    ///
+    /// The first call gets the buffer the context was made with when that
+    /// fits; one that is too small, or more than twice what is asked for,
+    /// goes back to the pool at once for a buffer of the right class.
+    pub fn output_buffer(&self, capacity: usize) -> SharedBytesMut {
+        let ready = self.output.take();
+        if (capacity..=2 * capacity.max(SIZE_CLASSES[0])).contains(&ready.capacity()) {
+            ready
+        } else {
+            drop(ready);
+            SharedBytesMut::with_capacity(capacity)
+        }
+    }
+
     /// Stages an output item for the named set.
     pub fn push_output(&mut self, set: &str, item: DataItem) -> Result<(), FunctionError> {
         if !self.output_sets.iter().any(|name| name == set) {
@@ -272,8 +330,9 @@ impl FunctionCtx {
     /// Convenience wrapper staging a single unnamed item.
     ///
     /// Accepts anything convertible to a [`dandelion_common::SharedBytes`]
-    /// view; passing an input item's `data.clone()` stages the output
-    /// without copying the payload.
+    /// view: a filled [`FunctionCtx::output_buffer`] is frozen in place, and
+    /// passing an input item's `data.clone()` stages the output without
+    /// copying the payload.
     pub fn push_output_bytes(
         &mut self,
         set: &str,
@@ -323,6 +382,9 @@ impl FunctionCtx {
     /// declared output set is harvested with it.) Every declared set is
     /// present in the result (possibly empty), in declaration order.
     pub fn take_outputs(&mut self) -> Vec<DataSet> {
+        // The function is done: output memory it did not ask for goes back
+        // (and is what this thread builds the outputs' frame in).
+        drop(self.output.take());
         let mut staged = std::mem::take(&mut self.staged_outputs);
         let mut from_fs = self
             .fs

@@ -299,23 +299,29 @@ impl Table {
     /// Serializes the table as CSV (header + rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let header: Vec<&str> = self
-            .schema
-            .fields
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .collect();
-        out.push_str(&header.join(","));
-        for row in 0..self.rows() {
-            out.push('\n');
-            let cells: Vec<String> = self
-                .columns
-                .iter()
-                .map(|column| column.value(row).to_string())
-                .collect();
-            out.push_str(&cells.join(","));
-        }
+        self.write_csv(&mut out)
+            .expect("a string accepts every write");
         out
+    }
+
+    /// Writes what [`Table::to_csv`] returns into `out`, cell by cell.
+    pub fn write_csv(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        for (index, (name, _)) in self.schema.fields.iter().enumerate() {
+            if index > 0 {
+                out.write_char(',')?;
+            }
+            out.write_str(name)?;
+        }
+        for row in 0..self.rows() {
+            out.write_char('\n')?;
+            for (index, column) in self.columns.iter().enumerate() {
+                if index > 0 {
+                    out.write_char(',')?;
+                }
+                write!(out, "{}", column.value(row))?;
+            }
+        }
+        Ok(())
     }
 
     /// Parses a CSV produced by [`Table::to_csv`], using `schema` for types.

@@ -212,6 +212,7 @@ fn main() {
     if options.gateway {
         run_gateway(options);
     }
+    dandelion_common::pool::settle_heap_thresholds();
     let worker = match dandelion_apps::setup::demo_worker(options.cores, false) {
         Ok(worker) => worker,
         Err(error) => {

@@ -55,9 +55,21 @@ pub struct ServerConfig {
     pub rate_limit: Option<RateLimit>,
     /// Responses a connection may have queued or in flight before the
     /// server stops reading further pipelined requests from it (read
-    /// interest resumes as the backlog drains).
+    /// interest resumes as the backlog drains). A worker's connections
+    /// stop at [`WORKER_PIPELINE_DEPTH`] if that is lower.
     pub max_pipelined: usize,
 }
+
+/// How many requests of one connection a worker takes in at a time,
+/// whatever `max_pipelined` allows. A request parsed on a worker is an
+/// invocation under way, and what it has fetched and computed so far is
+/// committed memory: a client that catches up after a pause with 32
+/// pipelined `RenderLogs` requests would commit four times what eight hold
+/// (+4.9 MiB on a 6 MiB node) and finish no sooner, since eight already keep
+/// the engines busy. The rest of the burst waits as bytes in the receive
+/// buffer or the socket. A gateway forwards by reference and keeps
+/// `max_pipelined`.
+pub const WORKER_PIPELINE_DEPTH: usize = 8;
 
 impl Default for ServerConfig {
     fn default() -> Self {

@@ -27,8 +27,11 @@
 //!   responses delivered in that same order, with synchronous invocations
 //!   parking a *response slot* (not a thread) until the worker settles
 //!   them. Reads pause once `max_pipelined` responses are owed (queued or
-//!   partly written) and resume as the backlog drains. `Connection: close` (or HTTP/1.0
-//!   without `Connection: keep-alive`) closes after the response.
+//!   partly written; on a worker at most
+//!   [`WORKER_PIPELINE_DEPTH`](crate::config::WORKER_PIPELINE_DEPTH), so a
+//!   burst commits no more memory than a full pipeline does) and resume as
+//!   the backlog drains. `Connection: close` (or HTTP/1.0 without
+//!   `Connection: keep-alive`) closes after the response.
 //! * **Malformed requests** are answered with a structured JSON error body
 //!   (stable `code`: `malformed_request`, `headers_too_large` for `431`,
 //!   `body_too_large` for `413`) and the connection is closed — never a
@@ -265,11 +268,11 @@ impl Conn {
     /// whether this pass may also push queued responses onto the wire.
     fn advance(&mut self, shared: &Shared, me: &Arc<LoopShared>, write: bool) -> Verdict {
         let stopping = shared.stopping.load(Ordering::Acquire);
-        let max_pipelined = shared.config.max_pipelined;
+        let pipeline_depth = shared.pipeline_depth();
         loop {
             let mut progressed = false;
             // Parse whatever is already buffered, bounded by the backlog.
-            while !self.stop_reading && self.backlog() < max_pipelined {
+            while !self.stop_reading && self.backlog() < pipeline_depth {
                 match self.decoder.next_request() {
                     Ok(Some(request)) => {
                         self.dispatch(request, shared, me);
@@ -292,7 +295,7 @@ impl Conn {
             // read: a completion-driven pass resumes a drain that an earlier
             // one suspended for backpressure, and only a read that proves
             // the socket dry declares it so.
-            if self.sock_readable && !self.stop_reading && self.backlog() < max_pipelined {
+            if self.sock_readable && !self.stop_reading && self.backlog() < pipeline_depth {
                 let mut read_chunk = shared.config.read_chunk_bytes;
                 if failpoint::enabled() {
                     match failpoint::check("conn/read") {
@@ -349,7 +352,7 @@ impl Conn {
         // buffer restarts the idle clock. Bytes left unparsed because the
         // pipeline backlog is full are server-side backpressure, not a
         // client stall, so they must not arm (or sustain) the deadline.
-        if self.backlog() >= max_pipelined {
+        if self.backlog() >= pipeline_depth {
             self.request_deadline = None;
         } else if self.decoder.buffered() > 0 {
             if self.request_deadline.is_none() {

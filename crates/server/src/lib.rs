@@ -44,7 +44,7 @@ mod server;
 pub mod sys;
 
 pub use client::{connect, HttpClientConnection};
-pub use config::ServerConfig;
+pub use config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 pub use conn::{
     overloaded_response, rate_limited_response, rejection_response, response_rope, timeout_response,
 };

@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use dandelion_common::JsonValue;
 use dandelion_core::Frontend;
 
-use crate::config::ServerConfig;
+use crate::config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 use crate::event_loop::{EventLoop, LoopShared};
 use crate::gateway::Router;
 use crate::rate::RateLimiter;
@@ -180,6 +180,16 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicUsize,
     /// The cross-thread half of each event loop, indexed by loop.
     pub(crate) loops: Vec<Arc<LoopShared>>,
+}
+
+impl Shared {
+    /// Responses a connection may owe before its intake pauses.
+    pub(crate) fn pipeline_depth(&self) -> usize {
+        match self.app {
+            AppKind::Local(_) => self.config.max_pipelined.min(WORKER_PIPELINE_DEPTH),
+            AppKind::Gateway(_) => self.config.max_pipelined,
+        }
+    }
 }
 
 /// A running network server: a small pool of epoll event loops, each

@@ -18,12 +18,10 @@ use std::time::{Duration, Instant};
 
 use dandelion_common::failpoint::{self, FailAction};
 use dandelion_common::JsonValue;
-use dandelion_core::worker::WorkerNode;
 use dandelion_http::HttpRequest;
-use dandelion_server::Server;
 
 mod common;
-use common::{connect, start_gateway, start_member, test_gateway_config};
+use common::{connect, shutdown, start_gateway, start_member, test_gateway_config};
 
 /// Serializes the tests and guarantees a clean failpoint registry around
 /// each one, even when an assertion fails mid-test.
@@ -191,14 +189,6 @@ fn wait_until_serving(addr: SocketAddr) {
     );
 }
 
-fn shutdown(gateway: Server, members: Vec<(Server, Arc<WorkerNode>)>) {
-    assert!(gateway.shutdown(), "gateway drains cleanly");
-    for (server, worker) in members {
-        server.shutdown();
-        worker.shutdown();
-    }
-}
-
 #[test]
 fn upstream_write_faults_never_lose_or_cross_wire_responses() {
     let _guard = serial();
@@ -245,7 +235,7 @@ fn upstream_write_faults_never_lose_or_cross_wire_responses() {
 
     failpoint::clear();
     wait_until_serving(gateway_addr);
-    shutdown(gateway, members);
+    assert!(shutdown(gateway, members), "gateway drains cleanly");
 }
 
 #[test]
@@ -273,7 +263,7 @@ fn truncated_upstream_responses_fail_clean_and_the_cluster_recovers() {
 
     failpoint::clear();
     wait_until_serving(gateway_addr);
-    shutdown(gateway, members);
+    assert!(shutdown(gateway, members), "gateway drains cleanly");
 }
 
 #[test]
@@ -320,7 +310,7 @@ fn probe_blackout_ejects_members_and_recovering_probes_readmit_them() {
         assert!(value >= floor, "{counter} = {value}, expected >= {floor}");
     }
     drop(router);
-    shutdown(gateway, members);
+    assert!(shutdown(gateway, members), "gateway drains cleanly");
 }
 
 #[test]
@@ -365,5 +355,5 @@ fn engine_panics_behind_the_gateway_neither_lose_nor_duplicate_results() {
     let calm = blast(gateway_addr, 2, 5);
     let (calm_ok, _) = assert_exactly_once(&calm, 10, &[500]);
     assert_eq!(calm_ok, 10, "no residual faults once the failpoint is off");
-    shutdown(gateway, members);
+    assert!(shutdown(gateway, members), "gateway drains cleanly");
 }

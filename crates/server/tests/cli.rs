@@ -1,7 +1,7 @@
 //! The `dandelion-serve` command line: flag validation exits `2` with a
 //! message before anything is bound, and a served process reports the
 //! address it bound, one accepting event loop per `--event-loops`, and a
-//! resident set that is the platform's.
+//! resident set that is the platform's — and is again soon after a load.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -169,6 +169,18 @@ fn serves_on_the_printed_address_with_one_accepting_loop_per_event_loop() {
     assert_eq!(connections, held.len() as u64);
 }
 
+/// A `<field> <n> kB` line of the child's `/proc/<pid>/status`.
+fn status_kib(serve: &Serve, field: &str) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", serve.child.id()))
+        .expect("the child's /proc status is readable");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix(field))
+        .and_then(|value| value.trim().strip_suffix("kB"))
+        .and_then(|kib| kib.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{field} <n> kB"))
+}
+
 /// The peak resident set of a node that is up and has answered a probe is
 /// the platform's — binary, engines, event loop, registrations — not a
 /// preloaded fixture's: 4.4 MiB measured (6.0 for the unoptimised binary
@@ -190,17 +202,137 @@ fn a_node_that_is_up_is_resident_in_well_under_sixteen_mebibytes() {
     let health = connection.request(&HttpRequest::get("/healthz")).unwrap();
     assert_eq!(health.status.0, 200);
 
-    let status = std::fs::read_to_string(format!("/proc/{}/status", serve.child.id()))
-        .expect("the child's /proc status is readable");
-    let peak_kib: u64 = status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM:"))
-        .and_then(|value| value.trim().strip_suffix("kB"))
-        .and_then(|kib| kib.trim().parse().ok())
-        .expect("VmHWM: <n> kB");
+    let peak_kib = status_kib(&serve, "VmHWM:");
     assert!(peak_kib > 0);
     assert!(
         peak_kib < 16 * 1024,
         "an idle node peaked at {peak_kib} KiB resident"
     );
+}
+
+/// `rounds` rounds of eight pipelined 128×128 multiplications, every
+/// product checked for its status and size.
+fn matmul128_burst(connection: &mut HttpClientConnection, rounds: usize) {
+    use dandelion_apps::matmul::matmul_inputs;
+    use dandelion_core::frontend::SET_LIST_CONTENT_TYPE;
+    use dandelion_isolation::output_parser;
+
+    const DEPTH: usize = 8;
+    let invoke = HttpRequest::post(
+        "/v1/invoke/MatMulApp",
+        output_parser::encode_outputs(&[matmul_inputs(128, 11)]),
+    )
+    .with_header("Content-Type", SET_LIST_CONTENT_TYPE);
+    for _ in 0..rounds {
+        for _ in 0..DEPTH {
+            connection.send(&invoke).expect("request leaves");
+        }
+        for _ in 0..DEPTH {
+            let product = connection.receive().expect("the node answers");
+            assert_eq!(product.status.0, 200);
+            assert_eq!(product.body.len(), 4 + 128 * 128 * 8);
+        }
+    }
+}
+
+/// Committed memory follows the load, in the live system: 200 128×128
+/// multiplications, eight in flight at a time, take the node's resident set
+/// up by what is in flight (receive buffers, products, the multiply's own
+/// vectors); two seconds after the last answer it is back within 3 MiB of
+/// where it was before the first request. The buffer pool frees what it
+/// retained and nothing needed for half a second (the dispatcher driver's
+/// idle wake-ups tick it). At the parent the pool kept its buffers for good:
+/// 17 MiB above.
+#[test]
+fn a_node_is_back_to_its_idle_footprint_two_seconds_after_a_load() {
+    let mut serve = spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--cores",
+        "2",
+        "--event-loops",
+        "1",
+    ]);
+    let addr = serve.bound_addr();
+    let mut connection = HttpClientConnection::connect(addr, CHILD_DEADLINE).expect("connects");
+    let health = connection.request(&HttpRequest::get("/healthz")).unwrap();
+    assert_eq!(health.status.0, 200);
+    let before_kib = status_kib(&serve, "VmRSS:");
+
+    matmul128_burst(&mut connection, 25);
+    let loaded_kib = status_kib(&serve, "VmRSS:");
+    std::thread::sleep(Duration::from_secs(2));
+    let after_kib = status_kib(&serve, "VmRSS:");
+    println!("VmRSS {before_kib} KiB idle, {loaded_kib} KiB loaded, {after_kib} KiB 2 s later");
+    assert!(
+        after_kib <= before_kib + 3 * 1024,
+        "resident {before_kib} KiB idle, {loaded_kib} KiB after the load, \
+         {after_kib} KiB two seconds later"
+    );
+}
+
+/// Small traffic that never stops does not keep a burst's memory committed:
+/// a member behind a gateway is probed twice a second (`GET /v1/stats`, a
+/// receive buffer and a response head from the pool each time) and this test
+/// reads its stats ten times a second on top, and what the pool retained
+/// for a burst of 128×128 multiplications is still given back — the release
+/// goes by what lay unused, not by whether anything at all was acquired.
+#[test]
+fn a_probed_member_gives_a_bursts_buffers_back_while_the_probes_go_on() {
+    /// `(memory.pool.retained_bytes, server.requests)` of the node.
+    fn retained_and_served(connection: &mut HttpClientConnection) -> (u64, u64) {
+        let stats = connection.request(&HttpRequest::get("/v1/stats")).unwrap();
+        assert_eq!(stats.status.0, 200);
+        let document = JsonValue::parse(&stats.body_text()).expect("stats JSON");
+        let field = |section: &[&str]| {
+            section
+                .iter()
+                .try_fold(&document, |value, name| value.get(name))
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("{section:?} in /v1/stats"))
+        };
+        (
+            field(&["memory", "pool", "retained_bytes"]),
+            field(&["server", "requests"]),
+        )
+    }
+
+    let mut gateway = spawn(&["--gateway", "--addr", "127.0.0.1:0"]);
+    let gateway_addr = gateway.bound_addr().to_string();
+    let mut member = spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--cores",
+        "2",
+        "--event-loops",
+        "1",
+        "--join",
+        &gateway_addr,
+    ]);
+    let addr = member.bound_addr();
+    let mut connection = HttpClientConnection::connect(addr, CHILD_DEADLINE).expect("connects");
+
+    matmul128_burst(&mut connection, 5);
+    let (loaded, served_at_the_burst) = retained_and_served(&mut connection);
+    assert!(
+        loaded > 1024 * 1024,
+        "the burst left {loaded} bytes in the pool"
+    );
+    let deadline = Instant::now() + CHILD_DEADLINE;
+    let mut reads = 1;
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let (retained, served) = retained_and_served(&mut connection);
+        reads += 1;
+        // Requests the member served that were not this test's: the
+        // gateway's probes.
+        let probes = served - served_at_the_burst - (reads - 1);
+        if retained < loaded / 8 && probes > 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{retained} of {loaded} bytes still retained after {reads} reads and {probes} probes"
+        );
+    }
 }

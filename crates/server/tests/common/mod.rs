@@ -1,11 +1,13 @@
 //! The cluster fixtures the `gateway` and `chaos` suites share: an `Echo`
 //! member worker, a gateway in front of members, a client connection — all on
-//! ephemeral loopback ports.
+//! ephemeral loopback ports — and the teardown that ends every test over
+//! them with the buffer pool's books checked.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dandelion_common::BufferPool;
 use dandelion_core::worker::{default_test_services, WorkerNode};
 use dandelion_core::Frontend;
 use dandelion_server::{GatewayConfig, HttpClientConnection, Router, Server, ServerConfig};
@@ -78,4 +80,40 @@ pub fn start_gateway(config: GatewayConfig, members: &[SocketAddr]) -> (Server, 
 
 pub fn connect(addr: SocketAddr) -> HttpClientConnection {
     HttpClientConnection::connect(addr, Duration::from_secs(10)).expect("client connects")
+}
+
+/// The end of a test over these fixtures: stops the gateway, then the members
+/// it fronted, and checks the pool half of the teardown invariant
+/// ([`assert_pool_accounted`]). Returns whether the gateway drained cleanly.
+pub fn shutdown(
+    gateway: Server,
+    members: impl IntoIterator<Item = (Server, Arc<WorkerNode>)>,
+) -> bool {
+    let drained = gateway.shutdown();
+    for (server, worker) in members {
+        server.shutdown();
+        worker.shutdown();
+    }
+    assert_pool_accounted();
+    drained
+}
+
+/// Every buffer the global pool ever issued was recycled, was discarded or
+/// is still live: `acquires = recycled + discarded + live`, with `live` a
+/// gauge the handles keep and not the difference of the other three — a
+/// buffer returned twice, or one the pool never issued coming "back", breaks
+/// the sum for good.
+pub fn assert_pool_accounted() {
+    // The counters are read one by one while other tests of this binary use
+    // the pool: a snapshot taken across an acquire or a return is off by
+    // that one, so look again before calling it a miscount.
+    let accounted = (0..10_000).any(|_| {
+        let stats = BufferPool::global().stats();
+        let balanced = stats.acquires == stats.recycled + stats.discarded + stats.live;
+        if !balanced {
+            std::thread::yield_now();
+        }
+        balanced
+    });
+    assert!(accounted, "{:?}", BufferPool::global().stats());
 }

@@ -14,7 +14,7 @@ use dandelion_http::HttpRequest;
 use dandelion_server::{GatewayConfig, Server};
 
 mod common;
-use common::{connect, start_gateway, start_member, test_gateway_config};
+use common::{connect, shutdown, start_gateway, start_member, test_gateway_config};
 
 /// `node-id → addr` rows from the gateway's membership document.
 fn member_table(gateway: SocketAddr) -> Vec<(String, SocketAddr, String)> {
@@ -119,11 +119,7 @@ fn gateway_routes_invocations_and_stamps_the_answering_node() {
         "serving-layer gauges ride in the gateway stats"
     );
 
-    assert!(gateway.shutdown(), "gateway drains cleanly");
-    for (server, worker) in members {
-        server.shutdown();
-        worker.shutdown();
-    }
+    assert!(shutdown(gateway, members), "gateway drains cleanly");
 }
 
 #[test]
@@ -171,11 +167,7 @@ fn composition_registration_broadcasts_to_every_member() {
     assert_eq!(response.status.0, 200, "got: {}", response.body_text());
     assert_eq!(response.body_text(), "broadcast");
 
-    gateway.shutdown();
-    for (server, worker) in members {
-        server.shutdown();
-        worker.shutdown();
-    }
+    shutdown(gateway, members);
 }
 
 /// Kill one of three members under live load: the health checker ejects it
@@ -320,11 +312,7 @@ fn killing_a_member_under_load_ejects_it_and_survivors_keep_serving() {
         .expect("ejections counter");
     assert!(ejections >= 1);
 
-    gateway.shutdown();
-    for member in members.into_iter().flatten() {
-        member.0.shutdown();
-        member.1.shutdown();
-    }
+    shutdown(gateway, members.into_iter().flatten());
 }
 
 /// Submitted invocations are polled on the member that accepted them: the
@@ -390,11 +378,7 @@ fn polls_follow_the_member_that_accepted_the_submission() {
         }
     }
 
-    gateway.shutdown();
-    for (server, worker) in members {
-        server.shutdown();
-        worker.shutdown();
-    }
+    shutdown(gateway, members);
 }
 
 /// `POST /v1/cluster/drain/{node}`: the member leaves rotation, the drain
@@ -468,11 +452,7 @@ fn draining_a_member_relays_the_signal_and_removes_it_once_idle() {
     let document = JsonValue::parse(&stats.body_text()).unwrap();
     assert_eq!(document.get("drained").and_then(JsonValue::as_u64), Some(1));
 
-    gateway.shutdown();
-    for (server, worker) in members {
-        server.shutdown();
-        worker.shutdown();
-    }
+    shutdown(gateway, members);
 }
 
 /// The zero-copy proxy invariant on the real decode path: a response body
@@ -688,7 +668,5 @@ fn a_member_killed_mid_forward_batch_splits_it_into_502s_and_single_replays() {
     assert_eq!(counter("retries"), replayed as u64);
     assert_eq!(counter("upstream_errors"), failed as u64);
 
-    gateway.shutdown();
-    survivor.shutdown();
-    survivor_worker.shutdown();
+    shutdown(gateway, [(survivor, survivor_worker)]);
 }

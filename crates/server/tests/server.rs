@@ -12,7 +12,7 @@ use dandelion_core::worker::{default_test_services, WorkerNode};
 use dandelion_core::Frontend;
 use dandelion_http::{HttpRequest, ParseLimits};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
-use dandelion_server::{HttpClientConnection, Server, ServerConfig};
+use dandelion_server::{HttpClientConnection, Server, ServerConfig, WORKER_PIPELINE_DEPTH};
 
 fn test_worker() -> Arc<WorkerNode> {
     use dandelion_common::config::{IsolationKind, WorkerConfig};
@@ -1035,29 +1035,32 @@ fn start_slow_head_server() -> (Server, Arc<WorkerNode>) {
     (server, worker)
 }
 
-/// `(writes, messages_written)` summed over the loops, read in-process so
-/// that reading them writes nothing to a socket.
-fn write_counters(server: &Server) -> (u64, u64) {
+/// One `server.loops[]` counter of `/v1/stats` summed over the loops, read
+/// in-process so that reading it writes nothing to a socket.
+fn loop_sum(server: &Server, key: &str) -> u64 {
     let stats = server.frontend().handle(&HttpRequest::get("/v1/stats"));
     let document = dandelion_common::JsonValue::parse(&stats.body_text()).unwrap();
-    let loops = document
+    document
         .get("server")
         .and_then(|server| server.get("loops"))
         .and_then(|loops| loops.as_array())
         .expect("server.loops[] present")
-        .to_vec();
-    let sum = |key: &str| {
-        loops
-            .iter()
-            .map(|entry| {
-                entry
-                    .get(key)
-                    .and_then(dandelion_common::JsonValue::as_u64)
-                    .unwrap_or_else(|| panic!("server.loops[].{key} present"))
-            })
-            .sum()
-    };
-    (sum("writes"), sum("messages_written"))
+        .iter()
+        .map(|entry| {
+            entry
+                .get(key)
+                .and_then(dandelion_common::JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("server.loops[].{key} present"))
+        })
+        .sum()
+}
+
+/// `(writes, messages_written)` summed over the loops.
+fn write_counters(server: &Server) -> (u64, u64) {
+    (
+        loop_sum(server, "writes"),
+        loop_sum(server, "messages_written"),
+    )
 }
 
 /// [`write_counters`] once `messages_written` has reached `messages`: the
@@ -1178,6 +1181,82 @@ fn connection_close_mid_pipeline_ends_the_batch_and_discards_the_rest() {
     worker.shutdown();
 }
 
+/// A worker takes in [`WORKER_PIPELINE_DEPTH`] requests of a connection at
+/// a time, so a burst commits no more memory than a full pipeline: behind a
+/// head that does not settle, the seven invocations after it run, their
+/// responses stay owed, and the sixteen requests behind them are not parsed
+/// until the head lets go. Then every one is answered, in order.
+#[test]
+fn a_worker_connection_takes_in_eight_requests_at_a_time() {
+    use std::sync::{Condvar, Mutex};
+    const PIPELINED: usize = 3 * WORKER_PIPELINE_DEPTH;
+    let worker = test_worker();
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let held = Arc::clone(&gate);
+    worker
+        .register_function(FunctionArtifact::new(
+            "Gated",
+            &["Out"],
+            move |ctx: &mut FunctionCtx| {
+                let (open, opened) = &*held;
+                drop(opened.wait_while(open.lock().unwrap(), |open| !*open));
+                let data = ctx.single_input("In")?.data.clone();
+                ctx.push_output("Out", dandelion_common::DataItem::new("gated", data))
+            },
+        ))
+        .unwrap();
+    worker
+        .register_composition_dsl(
+            "composition GatedComp(Input) => Output { Gated(In = all Input) => (Output = Out); }",
+        )
+        .unwrap();
+    let config = ServerConfig {
+        event_loops: 1,
+        read_timeout: Duration::from_secs(10),
+        ..loopback_config()
+    };
+    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+    let server = Server::start(config, frontend).expect("server binds");
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut wire = invoke_bytes("GatedComp", "burst-0", "");
+    for index in 1..PIPELINED {
+        wire.extend(invoke_bytes("EchoComp", &format!("burst-{index}"), ""));
+    }
+    stream.write_all(&wire).unwrap();
+
+    // Eight are taken in; once the seven echoes have settled only the head
+    // is in flight, and the loop has had its chance to take in more.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().requests < WORKER_PIPELINE_DEPTH as u64
+        || loop_sum(&server, "inflight") != 1
+    {
+        assert!(std::time::Instant::now() < deadline, "the burst stalled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats().requests, WORKER_PIPELINE_DEPTH as u64);
+
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    let mut decoder = dandelion_http::ResponseDecoder::new(ParseLimits::default());
+    for index in 0..PIPELINED {
+        let response = loop {
+            if let Some(response) = decoder.next_response().unwrap() {
+                break response;
+            }
+            assert!(decoder.read_from(&mut stream, 64 * 1024).unwrap() > 0);
+        };
+        assert_eq!(response.status.0, 200);
+        assert_eq!(response.body_text(), format!("burst-{index}"));
+    }
+    assert_eq!(server.stats().requests, PIPELINED as u64);
+    server.shutdown();
+    worker.shutdown();
+}
+
 /// A read that returns fewer bytes than it offered space for is taken as
 /// proof the socket is drained — no confirming `EWOULDBLOCK` read follows.
 /// Bytes that arrive afterwards must raise a fresh edge and be served: the
@@ -1269,6 +1348,7 @@ fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
         "allocations",
         "recycled",
         "discarded",
+        "live",
         "retained_buffers",
         "retained_bytes",
     ] {
