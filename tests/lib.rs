@@ -18,6 +18,8 @@ use dandelion_core::WorkerNode;
 pub struct HeapUse {
     /// Blocks requested: every `alloc`, `alloc_zeroed` and `realloc`.
     pub blocks: usize,
+    /// Bytes requested, all blocks together.
+    pub bytes: usize,
     /// Size of the largest block requested, by any of the three.
     pub largest_block: usize,
     /// New size of the largest block a `realloc` regrew.
@@ -29,7 +31,7 @@ thread_local! {
     /// other threads do not leak in). `const`-initialised and without a
     /// destructor, so touching it never allocates.
     static HEAP_USE: Cell<HeapUse> = const {
-        Cell::new(HeapUse { blocks: 0, largest_block: 0, largest_regrown: 0 })
+        Cell::new(HeapUse { blocks: 0, bytes: 0, largest_block: 0, largest_regrown: 0 })
     };
 }
 
@@ -50,6 +52,7 @@ fn note(bytes: usize, regrown: bool) {
     let _ = HEAP_USE.try_with(|cell| {
         let mut heap_use = cell.get();
         heap_use.blocks += 1;
+        heap_use.bytes += bytes;
         heap_use.largest_block = heap_use.largest_block.max(bytes);
         if regrown {
             heap_use.largest_regrown = heap_use.largest_regrown.max(bytes);

@@ -12,9 +12,14 @@
 //!
 //! The second case holds the HTTP boundary around it to the same rule: a
 //! request and a response are put on the wire as a head built once plus the
-//! body by reference, whatever the body's size.
+//! body by reference, whatever the body's size. The third holds `MatMul`, the
+//! compute function of the paper's Fig. 6, to it: the matrices are read where
+//! the request left them and the product is written where the response will
+//! take it from.
 
 use dandelion_apps::logproc::render_artifact;
+use dandelion_apps::matmul::{matmul_artifact, matmul_inputs};
+use dandelion_common::pool::SIZE_CLASSES;
 use dandelion_common::{DataItem, DataSet, SharedBytes};
 use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator, HeapUse};
@@ -107,6 +112,49 @@ fn render_reads_bodies_in_place_and_allocates_the_report_once() {
         blocks.push(heap_use.blocks);
     }
     assert_eq!(blocks[0], blocks[1], "blocks for 8 KiB vs 64 KiB logs");
+}
+
+/// One 128×128 `MatMul` execute asks the heap for a row panel of the product
+/// (4 rows, 4 KiB) and the handful of small blocks that stage an output item
+/// — not for a decoded copy of either 128 KiB matrix, a third vector for the
+/// product, or a clone of the input set — and its `product` item is the
+/// pooled buffer `output_buffer` handed out, frozen where it was filled.
+#[test]
+fn matmul_reads_the_matrices_in_place_and_fills_its_output_buffer() {
+    const DIMENSION: usize = 128;
+    let artifact = matmul_artifact();
+    let execute = || {
+        let mut ctx = FunctionCtx::new(
+            vec![matmul_inputs(DIMENSION, 3)],
+            artifact.output_sets.clone(),
+            artifact.memory_requirement,
+            SyscallPolicy::permissive(),
+        )
+        .expect("context");
+        let (result, heap_use) = heap_use_of(|| artifact.logic.run(&mut ctx));
+        result.expect("MatMul runs");
+        (heap_use, ctx.take_outputs())
+    };
+    // Once unmeasured: its output buffer goes back to the pool, where the
+    // measured run finds it (a pool that has none asks the heap).
+    drop(execute());
+    let (heap_use, outputs) = execute();
+    let product = &outputs[0].items[0].data;
+    // Identity × B = B.
+    let b = &matmul_inputs(DIMENSION, 3).items[1].data;
+    assert_eq!(product.as_slice(), b.as_slice());
+    assert!(
+        heap_use.bytes < 16 * 1024,
+        "{} bytes in {} blocks requested outside the pool, the largest {}",
+        heap_use.bytes,
+        heap_use.blocks,
+        heap_use.largest_block
+    );
+    // The whole of a pooled buffer of the class that holds a product: a
+    // vector of the function's own, staged, would back exactly its length.
+    let class = SIZE_CLASSES.iter().find(|class| **class >= product.len());
+    assert_eq!(product.offset_in_buffer(), 0);
+    assert_eq!(Some(&product.backing_len()), class);
 }
 
 /// After a warm-up a request and a response go on the wire without asking
