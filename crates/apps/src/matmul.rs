@@ -9,8 +9,9 @@
 //! The function is native code and runs like it: one register-blocked loop
 //! ([`multiply_encoded`]) reads the values where the request's bytes lie and
 //! writes the product into the platform's output memory, compiled once per
-//! vector instruction set and chosen by what the processor has. [`multiply`]
-//! is the reference it is checked against.
+//! vector instruction set and chosen by what the processor has — and once
+//! per operand width, chosen by what the matrices hold ([`fits_i32`]).
+//! [`multiply`] is the reference it is checked against.
 
 use dandelion_common::{DataItem, DataSet, SharedBytesMut};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
@@ -93,10 +94,34 @@ fn value_at(bytes: &[u8], index: usize) -> i64 {
     i64::from_le_bytes(*value)
 }
 
+/// Whether every value of an encoded payload (the bytes after the header)
+/// survives the round trip through `i32`. Within a block the pass has no
+/// early exit, which is what lets the compiler vectorise it for the caller's
+/// instruction set; between blocks it has one, so a matrix of 64-bit values
+/// is known for one after its first block. The socket read has just left
+/// the bytes in cache. No values at all fit.
+#[inline(always)]
+fn fits_i32(values: &[u8]) -> bool {
+    values.chunks(4096).all(|block| {
+        let wide = block
+            .chunks_exact(8)
+            .map(|value| i64::from_le_bytes(value.try_into().expect("chunk of 8 bytes")))
+            .fold(false, |wide, value| wide | (value != value as i32 as i64));
+        !wide
+    })
+}
+
 /// Computes the `rows` × `columns` tile of the product at `column` of the
 /// row panel `a_panel` and stores it, encoded, at its place in `panel`.
+///
+/// `NARROW` is the caller's word that every value of both matrices passed
+/// [`fits_i32`]: the products are then taken from the low halves, which is
+/// the one-µop signed 32×32→64 lane multiply every vector ISA has
+/// (`pmuldq`), where a 64×64 one costs three µops on AVX-512DQ and three
+/// multiplies on AVX2. An `i32`×`i32` product fits an `i64`, so it is the
+/// same product; the sums wrap as they do in [`multiply`].
 #[inline(always)]
-fn multiply_tile(
+fn multiply_tile<const NARROW: bool>(
     a_panel: &[u8],
     b: &[u8],
     row_bytes: usize,
@@ -114,7 +139,12 @@ fn multiply_tile(
         for (row, sums) in sums[..rows].iter_mut().enumerate() {
             let a_value = value_at(&a_panel[row * row_bytes..][..row_bytes], k);
             for (sum, b_value) in sums[..columns].iter_mut().zip(&b_values[..columns]) {
-                *sum = sum.wrapping_add(a_value.wrapping_mul(*b_value));
+                let product = if NARROW {
+                    (a_value as i32 as i64).wrapping_mul(*b_value as i32 as i64)
+                } else {
+                    a_value.wrapping_mul(*b_value)
+                };
+                *sum = sum.wrapping_add(product);
             }
         }
     }
@@ -130,12 +160,14 @@ fn multiply_tile(
 /// `out`, reading the values of `a` and `b` (the payloads after their
 /// headers, lengths checked by [`checked_dimension`]) where they lie. The
 /// product leaves in panels of [`TILE_ROWS`] finished rows, the only memory
-/// this asks for besides `out`.
-///
-/// `#[inline(always)]`, so that each caller compiles the loops for its own
-/// instruction set: the body is written once and is all safe code.
+/// this asks for besides `out`. `NARROW` is [`multiply_tile`]'s.
 #[inline(always)]
-fn multiply_encoded(dimension: usize, a: &[u8], b: &[u8], out: &mut SharedBytesMut) {
+fn multiply_encoded<const NARROW: bool>(
+    dimension: usize,
+    a: &[u8],
+    b: &[u8],
+    out: &mut SharedBytesMut,
+) {
     out.put_u32_le(dimension as u32);
     if dimension == 0 {
         return;
@@ -152,19 +184,37 @@ fn multiply_encoded(dimension: usize, a: &[u8], b: &[u8], out: &mut SharedBytesM
             // loops as they are written.
             if (rows, columns) == (TILE_ROWS, TILE_COLUMNS) {
                 let full = (TILE_ROWS, TILE_COLUMNS);
-                multiply_tile(a_panel, b, row_bytes, column, full, &mut panel);
+                multiply_tile::<NARROW>(a_panel, b, row_bytes, column, full, &mut panel);
             } else {
-                multiply_tile(a_panel, b, row_bytes, column, (rows, columns), &mut panel);
+                let partial = (rows, columns);
+                multiply_tile::<NARROW>(a_panel, b, row_bytes, column, partial, &mut panel);
             }
         }
         out.put_slice(&panel[..a_panel.len()]);
     }
 }
 
-/// The instruction sets [`multiply_encoded`] is compiled for, widest first.
-/// Baseline x86-64 has no 64-bit vector multiply (AVX2 builds one from three
-/// 32-bit ones, AVX-512DQ has `vpmullq`), so the same loops run at about
-/// 1 : 1.5 : 3.
+/// [`multiply_encoded`] at the width the operands have: a multiply is as
+/// wide as its operands, and one value of either matrix that needs more
+/// than 32 bits makes it the 64-bit one.
+///
+/// `#[inline(always)]`, so that each caller compiles the check and both
+/// loops for its own instruction set: the body is written once and is all
+/// safe code.
+#[inline(always)]
+fn multiply_at_operand_width(dimension: usize, a: &[u8], b: &[u8], out: &mut SharedBytesMut) {
+    if fits_i32(a) && fits_i32(b) {
+        multiply_encoded::<true>(dimension, a, b, out);
+    } else {
+        multiply_encoded::<false>(dimension, a, b, out);
+    }
+}
+
+/// The instruction sets [`multiply_at_operand_width`] is compiled for,
+/// widest first. Baseline x86-64 has no 64-bit vector multiply (AVX2 builds
+/// one from three 32-bit ones, AVX-512DQ has `vpmullq`), so the 64-bit loops
+/// run at about 1 : 1.5 : 3; the 32-bit ones are one `pmuldq` per vector
+/// from SSE4.1 on.
 #[derive(Debug, Clone, Copy)]
 enum Isa {
     #[cfg(target_arch = "x86_64")]
@@ -183,9 +233,9 @@ impl Isa {
         Isa::Baseline,
     ];
 
-    /// Runs [`multiply_encoded`] as compiled for this instruction set and
-    /// returns `true`, or returns `false` with nothing written when the
-    /// processor lacks it (std caches what it detected).
+    /// Runs [`multiply_at_operand_width`] as compiled for this instruction
+    /// set and returns `true`, or returns `false` with nothing written when
+    /// the processor lacks it (std caches what it detected).
     fn multiply_encoded(
         self,
         dimension: usize,
@@ -215,7 +265,7 @@ impl Isa {
                 // processor just above.
                 unsafe { multiply_encoded_avx2(dimension, a, b, out) }
             }
-            Isa::Baseline => multiply_encoded(dimension, a, b, out),
+            Isa::Baseline => multiply_at_operand_width(dimension, a, b, out),
         }
         true
     }
@@ -224,13 +274,13 @@ impl Isa {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn multiply_encoded_avx512(dimension: usize, a: &[u8], b: &[u8], out: &mut SharedBytesMut) {
-    multiply_encoded(dimension, a, b, out);
+    multiply_at_operand_width(dimension, a, b, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn multiply_encoded_avx2(dimension: usize, a: &[u8], b: &[u8], out: &mut SharedBytesMut) {
-    multiply_encoded(dimension, a, b, out);
+    multiply_at_operand_width(dimension, a, b, out);
 }
 
 /// Creates the matmul compute-function artifact.
@@ -375,38 +425,156 @@ mod tests {
         assert_eq!(product, vec![19, 22, 43, 50]);
     }
 
+    /// A seeded matrix of values that all fit `i32`, its extremes mixed in:
+    /// `i32::MIN` squared is the largest product the narrow multiply forms.
+    fn seeded_narrow_matrix(rng: &mut SplitMix64, dimension: usize) -> Vec<i64> {
+        (0..dimension * dimension)
+            .map(|_| match rng.next_bounded(8) {
+                0 => i64::from(i32::MIN),
+                1 => i64::from(i32::MAX),
+                2 => -1,
+                3 => 0,
+                _ => i64::from(rng.next_u64() as i32),
+            })
+            .collect()
+    }
+
+    /// The payload of `values`: what follows the header of an encoded matrix.
+    fn payload(values: &[i64]) -> Vec<u8> {
+        values
+            .iter()
+            .flat_map(|value| value.to_le_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn a_payload_is_narrow_when_every_value_round_trips_through_i32() {
+        assert!(fits_i32(&[]), "no values at all fit");
+        let extremes = [i64::from(i32::MIN), i64::from(i32::MAX), -1, 0];
+        assert!(fits_i32(&payload(&extremes)));
+        // 583 values are one whole block of the pass and 71 of the next:
+        // whatever vector width it was compiled with here, that is some
+        // unrolled steps, a remainder and a scalar tail. A single value past
+        // either end of `i32` — or with a low half that would pass for a
+        // sign extension — is seen at each position of it.
+        let narrow: Vec<i64> = (0..583).map(|index| extremes[index % 4]).collect();
+        assert!(fits_i32(&payload(&narrow)));
+        for wide in [
+            i64::from(i32::MAX) + 1,
+            i64::from(i32::MIN) - 1,
+            i64::MAX,
+            i64::MIN,
+            1 << 32,
+            i64::from(u32::MAX),
+        ] {
+            assert!(!fits_i32(&payload(&[wide])), "{wide} alone");
+            for position in 0..narrow.len() {
+                let mut values = narrow.clone();
+                values[position] = wide;
+                assert!(!fits_i32(&payload(&values)), "{wide} at {position}");
+            }
+        }
+    }
+
     /// Every dimension around the tile's edges (no full tile, exactly one,
     /// one and a partial one in each direction, the benchmark's 128) on every
-    /// instantiation this processor runs, with both matrices at odd
-    /// addresses: the bytes are those of the reference loop's product.
+    /// instantiation this processor runs, at both operand widths, with both
+    /// matrices at odd addresses: the bytes are those of the reference loop's
+    /// product. The pairs are full-range ones, narrow ones with the extremes
+    /// of `i32`, and those narrow ones with exactly one value just past
+    /// either extreme — first, middle or last, in `a` only or in `b` only —
+    /// which must take the 64-bit multiply.
     #[test]
     fn every_instantiation_multiplies_like_the_reference_loop() {
+        struct Pair {
+            what: String,
+            dimension: usize,
+            a: Vec<i64>,
+            b: Vec<i64>,
+            narrow: bool,
+            expected: Vec<u8>,
+        }
+        let mut pairs = Vec::new();
+        let mut pair = |what: String, dimension: usize, a: &[i64], b: &[i64], narrow: bool| {
+            let expected = encode_matrix(dimension, &multiply(dimension, a, b));
+            let (a, b) = (a.to_vec(), b.to_vec());
+            pairs.push(Pair {
+                what,
+                dimension,
+                a,
+                b,
+                narrow,
+                expected,
+            });
+        };
+        let mut full_range = SplitMix64::new(22);
+        let mut narrow = SplitMix64::new(23);
+        for dimension in [0, 1, 2, 3, 4, 5, 15, 16, 17, 23, 64, 127, 128] {
+            let a = seeded_matrix(&mut full_range, dimension);
+            let b = seeded_matrix(&mut full_range, dimension);
+            let fits = |value: &i64| i32::try_from(*value).is_ok();
+            pair(
+                "full range".into(),
+                dimension,
+                &a,
+                &b,
+                a.iter().chain(&b).all(fits),
+            );
+            let a = seeded_narrow_matrix(&mut narrow, dimension);
+            let b = seeded_narrow_matrix(&mut narrow, dimension);
+            pair("narrow".into(), dimension, &a, &b, true);
+            let Some(last) = (dimension * dimension).checked_sub(1) else {
+                continue;
+            };
+            let past_the_ends = [i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1];
+            for (case, position) in [0, last / 2, last].into_iter().enumerate() {
+                let (mut wide_a, mut wide_b) = (a.clone(), b.clone());
+                wide_a[position] = past_the_ends[case % 2];
+                wide_b[position] = past_the_ends[(case + 1) % 2];
+                pair(
+                    format!("wide at {position} of a"),
+                    dimension,
+                    &wide_a,
+                    &b,
+                    false,
+                );
+                pair(
+                    format!("wide at {position} of b"),
+                    dimension,
+                    &a,
+                    &wide_b,
+                    false,
+                );
+            }
+        }
         for &isa in Isa::WIDEST_FIRST {
-            let mut rng = SplitMix64::new(22);
-            for dimension in [0, 1, 2, 3, 4, 5, 15, 16, 17, 23, 64, 127, 128] {
-                let a = seeded_matrix(&mut rng, dimension);
-                let b = seeded_matrix(&mut rng, dimension);
-                let expected = encode_matrix(dimension, &multiply(dimension, &a, &b));
+            for pair in &pairs {
+                let (what, dimension, expected) = (&pair.what, pair.dimension, &pair.expected);
                 // A vector is 8-aligned or better; the payloads start at
                 // bytes 1 and 7 + 8n² of it, their values 4 further on.
                 let mut buffer = vec![0xaa];
-                buffer.extend(encode_matrix(dimension, &a));
+                buffer.extend(encode_matrix(dimension, &pair.a));
                 buffer.extend([0xaa; 2]);
-                buffer.extend(encode_matrix(dimension, &b));
+                buffer.extend(encode_matrix(dimension, &pair.b));
                 let (encoded_a, encoded_b) = buffer[1..].split_at(expected.len());
                 let encoded_b = &encoded_b[2..];
                 assert_eq!(checked_dimension(encoded_a), Ok(dimension));
                 assert_eq!(checked_dimension(encoded_b), Ok(dimension));
+                let (a, b) = (&encoded_a[4..], &encoded_b[4..]);
+                assert_eq!(
+                    fits_i32(a) && fits_i32(b),
+                    pair.narrow,
+                    "the width for {what}, dimension {dimension}"
+                );
                 let mut product = SharedBytesMut::with_capacity(expected.len());
-                if !isa.multiply_encoded(dimension, &encoded_a[4..], &encoded_b[4..], &mut product)
-                {
+                if !isa.multiply_encoded(dimension, a, b, &mut product) {
                     println!("skipped {isa:?}: this processor does not have it");
                     break;
                 }
                 assert_eq!(
                     product.as_slice(),
                     expected,
-                    "{isa:?}, dimension {dimension}"
+                    "{isa:?}, {what}, dimension {dimension}"
                 );
             }
         }

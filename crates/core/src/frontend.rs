@@ -346,7 +346,7 @@ impl Frontend {
         request: &HttpRequest,
     ) -> Result<Vec<DataSet>, HttpResponse> {
         let content_type = request.headers.get("content-type").unwrap_or("");
-        if content_type == SET_LIST_CONTENT_TYPE {
+        if is_set_list(content_type) {
             // Zero-copy: input items are views of the request's receive
             // buffer, not copies of each payload.
             return output_parser::parse_outputs_shared(&request.body)
@@ -367,6 +367,16 @@ impl Frontend {
             request.body.clone(),
         )])
     }
+}
+
+/// Whether a `Content-Type` value names [`SET_LIST_CONTENT_TYPE`]: the media
+/// type is what precedes the parameters, whitespace around it is not part of
+/// it, and it compares case-insensitively (RFC 9110 §8.3.1).
+fn is_set_list(content_type: &str) -> bool {
+    let media_type = content_type.split(';').next().unwrap_or("");
+    media_type
+        .trim()
+        .eq_ignore_ascii_case(SET_LIST_CONTENT_TYPE)
 }
 
 /// Where the process's resident memory is held, beyond code and stacks: the
@@ -604,6 +614,39 @@ mod tests {
         JsonValue::parse(&response.body_text()).expect("response body is JSON")
     }
 
+    /// Polls invocation `id` until it has completed; the bytes of the first
+    /// item of its first output set.
+    fn first_output_once_completed(frontend: &Frontend, id: &str) -> Vec<u8> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let document = loop {
+            let poll = frontend.handle(&HttpRequest::get(format!(
+                "http://worker/v1/invocations/{id}"
+            )));
+            assert_eq!(poll.status, StatusCode::OK);
+            let document = body_json(&poll);
+            let status = document
+                .get("status")
+                .and_then(JsonValue::as_str)
+                .unwrap()
+                .to_string();
+            if status == "completed" {
+                break document;
+            }
+            assert_ne!(status, "failed");
+            assert!(Instant::now() < deadline, "invocation did not settle");
+            std::thread::yield_now();
+        };
+        let data = document
+            .get("outputs")
+            .and_then(|o| o.as_array())
+            .and_then(|sets| sets[0].get("items"))
+            .and_then(|items| items.as_array())
+            .and_then(|items| items[0].get("data_base64"))
+            .and_then(JsonValue::as_str)
+            .expect("completed document carries outputs");
+        base64_decode(data).unwrap()
+    }
+
     #[test]
     fn health_and_listing() {
         let frontend = frontend();
@@ -672,6 +715,58 @@ mod tests {
         assert_eq!(response.body_text(), "MIXED CASE");
     }
 
+    /// `Application/X-Dandelion-Sets` and `application/x-dandelion-sets; v=1`
+    /// are the set-list media type as much as the constant's spelling is, on
+    /// `invoke` and on `invocations`; a type that merely mentions it is not,
+    /// and its body goes to the composition as it is.
+    #[test]
+    fn a_set_list_request_is_recognised_by_its_media_type() {
+        let frontend = frontend();
+        frontend.handle(&HttpRequest::post(
+            "http://worker/v1/compositions",
+            UPPER_DSL.as_bytes().to_vec(),
+        ));
+        let sets = vec![DataSet::with_items(
+            "Input",
+            vec![DataItem::new("text", b"mixed Case".to_vec())],
+        )];
+        let post = |endpoint: &str, body: Vec<u8>, content_type: &str| {
+            let target = format!("http://worker/v1/{endpoint}/Shout");
+            frontend
+                .handle(&HttpRequest::post(target, body).with_header("Content-Type", content_type))
+        };
+        let submitted_output = |response: HttpResponse| {
+            assert_eq!(response.status, StatusCode::ACCEPTED);
+            let id = body_json(&response)
+                .get("invocation_id")
+                .and_then(JsonValue::as_str)
+                .expect("202 body carries the invocation id")
+                .to_string();
+            first_output_once_completed(&frontend, &id)
+        };
+        for content_type in [
+            "Application/X-Dandelion-Sets",
+            "application/x-dandelion-sets; v=1",
+            " APPLICATION/x-dandelion-sets ;charset=binary",
+        ] {
+            let body = || output_parser::encode_outputs(&sets);
+            let response = post("invoke", body(), content_type);
+            assert_eq!(response.status, StatusCode::OK, "{content_type:?}");
+            assert_eq!(response.body_text(), "MIXED CASE", "{content_type:?}");
+            let output = submitted_output(post("invocations", body(), content_type));
+            assert_eq!(output, b"MIXED CASE", "{content_type:?}");
+        }
+        for content_type in [
+            "text/plain; also=application/x-dandelion-sets",
+            "application/x-dandelion-sets+json",
+        ] {
+            let response = post("invoke", b"raw body".to_vec(), content_type);
+            assert_eq!(response.body_text(), "RAW BODY", "{content_type:?}");
+            let output = submitted_output(post("invocations", b"raw body".to_vec(), content_type));
+            assert_eq!(output, b"RAW BODY", "{content_type:?}");
+        }
+    }
+
     #[test]
     fn submit_then_poll_roundtrip() {
         let frontend = frontend();
@@ -696,35 +791,8 @@ mod tests {
             Some(format!("/v1/invocations/{id}").as_str())
         );
 
-        // Poll until the invocation settles.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let document = loop {
-            let poll = frontend.handle(&HttpRequest::get(format!(
-                "http://worker/v1/invocations/{id}"
-            )));
-            assert_eq!(poll.status, StatusCode::OK);
-            let document = body_json(&poll);
-            let status = document
-                .get("status")
-                .and_then(JsonValue::as_str)
-                .unwrap()
-                .to_string();
-            if status == "completed" {
-                break document;
-            }
-            assert_ne!(status, "failed");
-            assert!(Instant::now() < deadline, "invocation did not settle");
-            std::thread::yield_now();
-        };
-        let data = document
-            .get("outputs")
-            .and_then(|o| o.as_array())
-            .and_then(|sets| sets[0].get("items"))
-            .and_then(|items| items.as_array())
-            .and_then(|items| items[0].get("data_base64"))
-            .and_then(JsonValue::as_str)
-            .expect("completed document carries outputs");
-        assert_eq!(base64_decode(data).unwrap(), b"ASYNC PATH");
+        let output = first_output_once_completed(&frontend, &id);
+        assert_eq!(output, b"ASYNC PATH");
         // Polling is non-consuming.
         let again = frontend.handle(&HttpRequest::get(format!(
             "http://worker/v1/invocations/{id}"

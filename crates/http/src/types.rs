@@ -281,6 +281,19 @@ impl Headers {
             .collect()
     }
 
+    /// Whether `token` is a member of the comma-separated list a header's
+    /// values form, names and members compared case-insensitively and
+    /// whitespace around a member ignored (RFC 9110 §5.6.1; several lines of
+    /// one header are one list, §5.3): `Connection: keep-alive, Close` has
+    /// the token `close`.
+    pub fn has_token(&self, name: &str, token: &str) -> bool {
+        self.entries
+            .iter()
+            .filter(|(key, _)| key.eq_ignore_ascii_case(name))
+            .flat_map(|(_, value)| value.split(','))
+            .any(|member| member.trim().eq_ignore_ascii_case(token))
+    }
+
     /// Number of header entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -546,6 +559,15 @@ mod tests {
         assert_eq!(headers.get_all("X-MULTI"), vec!["a", "b"]);
         assert_eq!(headers.len(), 3);
         assert_eq!(headers.get("missing"), None);
+        // A header's values are one comma-separated list of tokens.
+        headers.insert("Connection", "keep-alive ,\tTE");
+        headers.insert("connection", "Close");
+        for token in ["keep-alive", "te", "close"] {
+            assert!(headers.has_token("CONNECTION", token), "{token}");
+        }
+        assert!(!headers.has_token("connection", "keep"));
+        assert!(!headers.has_token("x-multi", "close"));
+        assert!(!headers.has_token("missing", "close"));
     }
 
     #[test]

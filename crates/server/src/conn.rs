@@ -117,15 +117,12 @@ pub fn response_rope(mut response: HttpResponse, close: bool) -> Rope {
     response.to_rope()
 }
 
-/// Whether the request asks for the connection to close after the response.
+/// Whether the request asks for the connection to close after the response:
+/// `Connection` is a list of tokens, `close` among them closes, and HTTP/1.0
+/// persists only if `keep-alive` is among them.
 fn wants_close(request: &HttpRequest) -> bool {
-    match request.headers.get("connection") {
-        Some(value) if value.eq_ignore_ascii_case("close") => true,
-        Some(value) => {
-            request.version == Version::Http10 && !value.eq_ignore_ascii_case("keep-alive")
-        }
-        None => request.version == Version::Http10,
-    }
+    let has = |token| request.headers.has_token("connection", token);
+    has("close") || (request.version == Version::Http10 && !has("keep-alive"))
 }
 
 /// One queued response, in pipeline order.
@@ -633,6 +630,26 @@ mod tests {
         let mut http10_keep = HttpRequest::get("/x").with_header("Connection", "keep-alive");
         http10_keep.version = Version::Http10;
         assert!(!wants_close(&http10_keep));
+        // The header is a token list: `close` anywhere in it closes, on
+        // either version, and a list without it closes nothing on HTTP/1.1.
+        for (value, http11, http10) in [
+            ("close, TE", true, true),
+            ("keep-alive, close", true, true),
+            ("TE ,\tCLOSE", true, true),
+            ("Keep-Alive, TE", false, false),
+            ("TE", false, true),
+            ("closed", false, true),
+        ] {
+            let mut request = HttpRequest::get("/x").with_header("Connection", value);
+            assert_eq!(wants_close(&request), http11, "HTTP/1.1, {value:?}");
+            request.version = Version::Http10;
+            assert_eq!(wants_close(&request), http10, "HTTP/1.0, {value:?}");
+        }
+        // Two `Connection` lines are one list.
+        let two_lines = HttpRequest::get("/x")
+            .with_header("Connection", "TE")
+            .with_header("Connection", "close");
+        assert!(wants_close(&two_lines));
     }
 
     #[test]

@@ -268,11 +268,7 @@ impl UpstreamConn {
                     // The member closing after this response ends the
                     // connection's usefulness but the response itself is
                     // still good.
-                    if response
-                        .headers
-                        .get("connection")
-                        .is_some_and(|value| value.eq_ignore_ascii_case("close"))
-                    {
+                    if response.headers.has_token("connection", "close") {
                         close = true;
                     }
                     delivered.push((origin, response));
@@ -324,6 +320,30 @@ mod tests {
         HttpRequest::post("/v1/invoke/Echo", b"payload".to_vec()).to_rope()
     }
 
+    /// A connection whose exchange 0 has reached the member and been
+    /// answered — `body`, under this `Connection` header — with the answer
+    /// waiting in the socket; and the member's end of it.
+    fn answered_exchange(
+        connection: &str,
+        body: &[u8],
+        me: &LoopShared,
+    ) -> (UpstreamConn, TcpStream) {
+        let (ours, mut member) = socket_pair();
+        let mut conn = UpstreamConn::new(ours, NodeId::from_raw(2), ParseLimits::default(), false);
+        conn.enqueue(request_rope(), origin(0));
+        let (verdict, delivered) = conn.pump(false, 4096, me);
+        assert_eq!(verdict, UpstreamVerdict::Keep);
+        assert!(delivered.is_empty());
+        let mut sink = [0u8; 4096];
+        assert!(member.read(&mut sink).unwrap() > 0);
+        let answer = HttpResponse::ok(body.to_vec())
+            .with_header("Connection", connection)
+            .to_bytes();
+        std::io::Write::write_all(&mut member, &answer).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        (conn, member)
+    }
+
     #[test]
     fn enqueue_after_idle_restarts_the_stall_clock() {
         let (ours, _member) = socket_pair();
@@ -349,23 +369,29 @@ mod tests {
         );
     }
 
+    /// A member that announces `close` — alone or as one token of a list —
+    /// is not handed the next exchange; the response that said so is good.
+    #[test]
+    fn a_member_that_announces_close_in_a_token_list_is_not_reused() {
+        for (connection, expected) in [
+            ("keep-alive, TE", UpstreamVerdict::Keep),
+            ("close", UpstreamVerdict::Close),
+            ("TE, Close", UpstreamVerdict::Close),
+        ] {
+            let me = LoopShared::new().unwrap();
+            let (mut conn, _member) = answered_exchange(connection, b"last one", &me);
+            let (verdict, delivered) = conn.pump(true, 4096, &me);
+            assert_eq!(verdict, expected, "Connection: {connection}");
+            assert_eq!(delivered.len(), 1, "Connection: {connection}");
+            assert_eq!(delivered[0].1.body.as_ref(), b"last one");
+        }
+    }
+
     #[test]
     fn write_error_still_delivers_responses_already_received() {
-        let (ours, mut member) = socket_pair();
         let me = LoopShared::new().unwrap();
-        let mut conn = UpstreamConn::new(ours, NodeId::from_raw(2), ParseLimits::default(), false);
         // Exchange 0 reaches the member, which answers it.
-        conn.enqueue(request_rope(), origin(0));
-        let (verdict, delivered) = conn.pump(false, 4096, &me);
-        assert_eq!(verdict, UpstreamVerdict::Keep);
-        assert!(delivered.is_empty());
-        let mut sink = [0u8; 4096];
-        assert!(member.read(&mut sink).unwrap() > 0);
-        let answer = HttpResponse::ok(b"already sent".to_vec())
-            .with_header("Connection", "keep-alive")
-            .to_bytes();
-        std::io::Write::write_all(&mut member, &answer).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        let (mut conn, _member) = answered_exchange("keep-alive", b"already sent", &me);
         // Force the next write to fail, with the member's answer sitting in
         // the receive buffer: the doomed pump must deliver it, not discard
         // it behind the write error.

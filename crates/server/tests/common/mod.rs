@@ -83,8 +83,11 @@ pub fn connect(addr: SocketAddr) -> HttpClientConnection {
 }
 
 /// The end of a test over these fixtures: stops the gateway, then the members
-/// it fronted, and checks the pool half of the teardown invariant
-/// ([`assert_pool_accounted`]). Returns whether the gateway drained cleanly.
+/// it fronted, and checks two halves of the teardown invariant — a member
+/// that has shut down has no invocation in flight (submitted = settled:
+/// a settle path that loses one fails here, whatever the test looked at), and
+/// the pool's books balance ([`assert_pool_accounted`]). Returns whether the
+/// gateway drained cleanly.
 pub fn shutdown(
     gateway: Server,
     members: impl IntoIterator<Item = (Server, Arc<WorkerNode>)>,
@@ -93,6 +96,7 @@ pub fn shutdown(
     for (server, worker) in members {
         server.shutdown();
         worker.shutdown();
+        assert_eq!(worker.inflight(), 0, "invocations left in flight");
     }
     assert_pool_accounted();
     drained

@@ -18,7 +18,7 @@
 //! take it from.
 
 use dandelion_apps::logproc::render_artifact;
-use dandelion_apps::matmul::{matmul_artifact, matmul_inputs};
+use dandelion_apps::matmul::{decode_matrix, matmul_artifact, matmul_inputs};
 use dandelion_common::pool::SIZE_CLASSES;
 use dandelion_common::{DataItem, DataSet, SharedBytes};
 use dandelion_http::{HttpRequest, HttpResponse};
@@ -118,11 +118,17 @@ fn render_reads_bodies_in_place_and_allocates_the_report_once() {
 /// (4 rows, 4 KiB) and the handful of small blocks that stage an output item
 /// — not for a decoded copy of either 128 KiB matrix, a third vector for the
 /// product, or a clone of the input set — and its `product` item is the
-/// pooled buffer `output_buffer` handed out, frozen where it was filled.
+/// pooled buffer `output_buffer` handed out, frozen where it was filled. The
+/// values fit `i32`, as the benchmark's do, so this is the 32-bit multiply
+/// and the pass that chooses it.
 #[test]
 fn matmul_reads_the_matrices_in_place_and_fills_its_output_buffer() {
     const DIMENSION: usize = 128;
     let artifact = matmul_artifact();
+    for item in &matmul_inputs(DIMENSION, 3).items {
+        let (_, values) = decode_matrix(&item.data).expect("a matrix");
+        assert!(values.iter().all(|value| i32::try_from(*value).is_ok()));
+    }
     let execute = || {
         let mut ctx = FunctionCtx::new(
             vec![matmul_inputs(DIMENSION, 3)],
