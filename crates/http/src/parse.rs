@@ -37,6 +37,9 @@ pub enum HttpParseError {
     MalformedHeader(String),
     /// A protocol limit (line length, header count, body size) was exceeded.
     LimitExceeded(&'static str),
+    /// The message uses a part of HTTP/1.1 that is not implemented here
+    /// (`Transfer-Encoding`: only `Content-Length` framing is).
+    NotImplemented(&'static str),
     /// The status code was not a number.
     InvalidStatus(String),
     /// The body was shorter than the declared `Content-Length`.
@@ -59,6 +62,7 @@ impl fmt::Display for HttpParseError {
             }
             HttpParseError::MalformedHeader(line) => write!(f, "malformed header: {line}"),
             HttpParseError::LimitExceeded(which) => write!(f, "limit exceeded: {which}"),
+            HttpParseError::NotImplemented(what) => write!(f, "not implemented: {what}"),
             HttpParseError::InvalidStatus(status) => write!(f, "invalid status code: {status}"),
             HttpParseError::BodyTooShort { expected, actual } => {
                 write!(f, "body too short: expected {expected} bytes, got {actual}")
@@ -73,12 +77,15 @@ struct MessageHead {
     start_line: String,
     headers: Headers,
     body_offset: usize,
+    /// The body length the head declares; see [`note_framing_field`].
+    content_length: Option<usize>,
 }
 
 fn parse_head(input: &[u8]) -> Result<MessageHead, HttpParseError> {
     let mut offset = 0usize;
     let start_line = read_line(input, &mut offset)?;
     let mut headers = Headers::new();
+    let mut content_length = None;
     loop {
         let line = read_line(input, &mut offset)?;
         if line.is_empty() {
@@ -90,16 +97,21 @@ fn parse_head(input: &[u8]) -> Result<MessageHead, HttpParseError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| HttpParseError::MalformedHeader(line.clone()))?;
-        let name = name.trim();
+        // Whitespace between a field name and its colon is an error, not
+        // something to trim (RFC 9112 §5.1): a hop that trimmed it and one
+        // that did not would disagree on which field this is.
+        let name = name.trim_start();
         if name.is_empty() || name.chars().any(|c| c.is_whitespace()) {
             return Err(HttpParseError::MalformedHeader(line.clone()));
         }
+        note_framing_field(&mut content_length, name.as_bytes(), value)?;
         headers.insert(name, value.trim());
     }
     Ok(MessageHead {
         start_line,
         headers,
         body_offset: offset,
+        content_length,
     })
 }
 
@@ -118,19 +130,48 @@ fn read_line(input: &[u8], offset: &mut usize) -> Result<String, HttpParseError>
 }
 
 /// The body length a `Content-Length` field value declares. A value that is
-/// not a length is a malformed header for every parser alike — the stream
-/// probe and the one-shot parsers both come through here.
-pub(crate) fn declared_length(value: &str) -> Result<usize, HttpParseError> {
+/// not a length is a malformed header for every parser alike.
+fn declared_length(value: &str) -> Result<usize, HttpParseError> {
     parse_content_length(value)
         .ok_or_else(|| HttpParseError::MalformedHeader(format!("Content-Length: {}", value.trim())))
+}
+
+/// Folds one header field into what the head says about where its body
+/// ends — the stream probe's head scan and the one-shot parsers' both come
+/// through here, so they decide a message's framing alike.
+///
+/// `Content-Length` sets `length`; a second one must repeat the first, for
+/// with two lengths the bytes between them are a body to one reader and the
+/// start of the next message to another (RFC 9112 §6.3). `Transfer-Encoding`
+/// is refused whole: chunked framing is not implemented, and ignoring the
+/// field would run the request with an empty body and parse its chunks as
+/// the next one.
+pub(crate) fn note_framing_field(
+    length: &mut Option<usize>,
+    name: &[u8],
+    value: &str,
+) -> Result<(), HttpParseError> {
+    if name.eq_ignore_ascii_case(b"transfer-encoding") {
+        return Err(HttpParseError::NotImplemented("Transfer-Encoding"));
+    }
+    if name.eq_ignore_ascii_case(b"content-length") {
+        let declared = declared_length(value)?;
+        if length.is_some_and(|earlier| earlier != declared) {
+            return Err(HttpParseError::MalformedHeader(format!(
+                "Content-Length: {} after another length",
+                value.trim()
+            )));
+        }
+        *length = Some(declared);
+    }
+    Ok(())
 }
 
 /// Determines the byte range of the message body within `input`.
 fn body_range(input: &[u8], head: &MessageHead) -> Result<Range<usize>, HttpParseError> {
     let available = input.len() - head.body_offset;
-    let length = match head.headers.get("content-length") {
-        Some(value) => {
-            let length = declared_length(value)?;
+    let length = match head.content_length {
+        Some(length) => {
             if length > MAX_BODY_BYTES {
                 return Err(HttpParseError::LimitExceeded("body size"));
             }

@@ -15,7 +15,8 @@
 //!   parsers, so bodies are zero-copy views of the receive buffer and
 //!   pipelined messages parse from one freeze.
 //! * [`rejection_status`] maps a parse failure to the HTTP status the server
-//!   answers with before closing the connection (`400`, `413` or `431`).
+//!   answers with before closing the connection (`400`, `413`, `431` or
+//!   `501`).
 //!
 //! Decoded results are byte-identical to the one-shot path: a decoder that
 //! was fed a serialized request in arbitrary fragments yields exactly what
@@ -30,8 +31,8 @@ use dandelion_common::pool::LARGEST_CLASS;
 use dandelion_common::{SharedBytes, SharedBytesMut};
 
 use crate::parse::{
-    declared_length, parse_request_shared, parse_response_shared, HttpParseError, MAX_BODY_BYTES,
-    MAX_LINE_BYTES,
+    note_framing_field, parse_request_shared, parse_response_shared, HttpParseError,
+    MAX_BODY_BYTES, MAX_LINE_BYTES,
 };
 use crate::types::{HttpRequest, HttpResponse, StatusCode};
 
@@ -88,29 +89,35 @@ fn head_end(input: &[u8], limits: &ParseLimits) -> Result<Option<usize>, HttpPar
 }
 
 /// Extracts the declared `Content-Length` from a raw head section without
-/// building a header map. Returns `None` when the header is absent,
-/// an error when it is present but not a length.
+/// building a header map. Returns `None` when the header is absent, an
+/// error when the head's framing is one the parsers refuse: a value that is
+/// not a length, two lengths that differ, a `Transfer-Encoding`
+/// ([`note_framing_field`]), or whitespace between a field name and its
+/// colon — which would make it a question of trimming whether this line is
+/// the length at all.
 fn declared_content_length(head: &[u8]) -> Result<Option<usize>, HttpParseError> {
-    const NAME: &[u8] = b"content-length";
-    for line in head.split(|&byte| byte == b'\n') {
+    let mut length = None;
+    // The start line is not a field, whatever colons its target has.
+    for line in head.split(|&byte| byte == b'\n').skip(1) {
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         let Some(colon) = line.iter().position(|&byte| byte == b':') else {
             continue;
         };
-        // The strict parser trims the name before matching; mirror it so
-        // probe and parse agree on which header declares the length.
+        // The strict parser skips whitespace before the name and refuses it
+        // behind; mirror it so probe and parse agree on which header
+        // declares the length.
         let mut name = &line[..colon];
         while let [b' ' | b'\t', rest @ ..] = name {
             name = rest;
         }
-        while let [rest @ .., b' ' | b'\t'] = name {
-            name = rest;
+        if let [.., b' ' | b'\t'] = name {
+            return Err(HttpParseError::MalformedHeader(
+                utf8_lossy(line).into_owned(),
+            ));
         }
-        if name.eq_ignore_ascii_case(NAME) {
-            return declared_length(&utf8_lossy(&line[colon + 1..])).map(Some);
-        }
+        note_framing_field(&mut length, name, &utf8_lossy(&line[colon + 1..]))?;
     }
-    Ok(None)
+    Ok(length)
 }
 
 /// The length of the message at the front of `input` — head plus declared
@@ -152,9 +159,11 @@ pub fn probe_response(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpP
 }
 
 /// Maps a parse failure onto the status code of the rejection response:
-/// oversized heads are `431`, oversized bodies `413`, everything else `400`.
+/// oversized heads are `431`, oversized bodies `413`, framing that is not
+/// implemented `501`, everything else `400`.
 pub fn rejection_status(error: &HttpParseError) -> StatusCode {
     match error {
+        HttpParseError::NotImplemented(_) => StatusCode(501),
         HttpParseError::LimitExceeded("body size") => StatusCode(413),
         HttpParseError::LimitExceeded("head size")
         | HttpParseError::LimitExceeded("line length")
@@ -169,6 +178,7 @@ pub fn rejection_code(error: &HttpParseError) -> &'static str {
     match rejection_status(error).0 {
         413 => "body_too_large",
         431 => "headers_too_large",
+        501 => "not_implemented",
         _ => "malformed_request",
     }
 }
@@ -489,6 +499,100 @@ mod tests {
             }
         );
         assert_eq!(parse_request(padded).unwrap().body, b"hello");
+    }
+
+    /// Heads whose framing fields need a verdict, with the status each gets
+    /// (`200` = framed as three body bytes). `{}` is the start line.
+    const FRAMING_HEADS: [(&str, u16); 9] = [
+        (
+            "{}\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
+            200,
+        ),
+        (
+            "{}\r\nContent-Length: 3\r\ncontent-length: 03 \r\n\r\nabc",
+            200,
+        ),
+        (
+            "{}\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+            400,
+        ),
+        (
+            "{}\r\nContent-Length: 3\r\nX: y\r\nContent-Length: 2\r\n\r\nabc",
+            400,
+        ),
+        ("{}\r\nContent-Length : 3\r\n\r\nabc", 400),
+        ("{}\r\nContent-Length\t: 3\r\n\r\nabc", 400),
+        ("{}\r\nX-Pad : 1\r\nContent-Length: 3\r\n\r\nabc", 400),
+        (
+            "{}\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+            501,
+        ),
+        (
+            "{}\r\nContent-Length: 3\r\ntransfer-encoding: gzip\r\n\r\nabc",
+            501,
+        ),
+    ];
+
+    #[test]
+    fn probe_and_one_shot_parsers_agree_on_a_heads_framing() {
+        use crate::parse::{parse_request, parse_response};
+        let limits = ParseLimits::default();
+        for (head, status) in FRAMING_HEADS {
+            let request = head.replace("{}", "POST /x HTTP/1.1").into_bytes();
+            let response = head.replace("{}", "HTTP/1.1 200 OK").into_bytes();
+            let verdicts = [
+                probe_request(&request, &limits).map(|_| ()),
+                parse_request(&request).map(|parsed| assert_eq!(parsed.body, b"abc")),
+                probe_response(&response, &limits).map(|_| ()),
+                parse_response(&response).map(|parsed| assert_eq!(parsed.body, b"abc")),
+            ];
+            for verdict in verdicts {
+                let got = verdict
+                    .as_ref()
+                    .map_or_else(|e| rejection_status(e).0, |()| 200);
+                assert_eq!(got, status, "{head:?}: {verdict:?}");
+            }
+            if status == 200 {
+                assert_eq!(
+                    probe_request(&request, &limits).unwrap(),
+                    Probe::Complete {
+                        consumed: request.len()
+                    }
+                );
+            }
+        }
+        let error = HttpParseError::NotImplemented("Transfer-Encoding");
+        assert_eq!(rejection_code(&error), "not_implemented");
+    }
+
+    /// The verdict does not depend on how the bytes arrived: a decoder fed
+    /// each head split at every byte says what the one-shot parser says.
+    #[test]
+    fn decoder_and_one_shot_parser_agree_on_framing_at_every_split() {
+        for (head, status) in FRAMING_HEADS {
+            let wire = head.replace("{}", "POST /x HTTP/1.1").into_bytes();
+            for cut in 0..=wire.len() {
+                let mut decoder = RequestDecoder::new(ParseLimits::default());
+                decoder.feed(&wire[..cut]);
+                let verdict = match decoder.next_request() {
+                    Ok(None) => {
+                        decoder.feed(&wire[cut..]);
+                        decoder.next_request()
+                    }
+                    decided => decided,
+                };
+                let got = match &verdict {
+                    Ok(Some(request)) => {
+                        assert_eq!(request.body, b"abc");
+                        assert_eq!(decoder.buffered(), 0);
+                        200
+                    }
+                    Ok(None) => panic!("{head:?} cut at {cut}: undecided"),
+                    Err(error) => rejection_status(error).0,
+                };
+                assert_eq!(got, status, "{head:?} cut at {cut}: {verdict:?}");
+            }
+        }
     }
 
     #[test]

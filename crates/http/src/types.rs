@@ -222,6 +222,7 @@ impl StatusCode {
             429 => "Too Many Requests",
             499 => "Client Closed Request",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             502 => "Bad Gateway",
             503 => "Service Unavailable",
             504 => "Gateway Timeout",

@@ -56,19 +56,34 @@ pub struct ServerConfig {
     /// Responses a connection may have queued or in flight before the
     /// server stops reading further pipelined requests from it (read
     /// interest resumes as the backlog drains). A worker's connections
-    /// stop at [`WORKER_PIPELINE_DEPTH`] if that is lower.
+    /// stop at [`WORKER_PIPELINE_DEPTH`] if that is lower. The same number
+    /// of read chunks (`× read_chunk_bytes`) is the pipeline's depth in
+    /// request-body bytes: a connection holding that much unanswered takes
+    /// in no more until a response leaves, though never fewer than two
+    /// requests.
     pub max_pipelined: usize,
 }
 
-/// How many requests of one connection a worker takes in at a time,
-/// whatever `max_pipelined` allows. A request parsed on a worker is an
-/// invocation under way, and what it has fetched and computed so far is
-/// committed memory: a client that catches up after a pause with 32
-/// pipelined `RenderLogs` requests would commit four times what eight hold
-/// (+4.9 MiB on a 6 MiB node) and finish no sooner, since eight already keep
-/// the engines busy. The rest of the burst waits as bytes in the receive
-/// buffer or the socket. A gateway forwards by reference and keeps
-/// `max_pipelined`.
+/// How deep a worker's pipeline is per connection, whatever `max_pipelined`
+/// allows: this many requests taken in and not yet answered, or this many
+/// read chunks of their bodies (8 × `read_chunk_bytes` = 512 KiB at the
+/// default), whichever comes first — and never fewer than two requests, so
+/// one body lands while another computes and a request larger than the
+/// whole depth is still served (`limits.max_body_bytes` is the limit on
+/// one request). A request parsed on a worker is an invocation under way,
+/// and its body and what it has fetched and computed so far are committed
+/// memory: a client that catches up after a pause with 32 pipelined
+/// `RenderLogs` requests would commit four times what eight hold (+4.9 MiB
+/// on a 6 MiB node) and finish no sooner, since eight already keep the
+/// engines busy; eight pipelined 128×128 `MatMulApp` requests (262 KiB
+/// each) would hold 2 MiB of bodies for one engine to work through, so two
+/// are taken in. The rest of the burst waits as bytes in the socket's
+/// receive buffer and then at its sender, where TCP flow control bounds it.
+/// A gateway forwards by reference and keeps `max_pipelined`, in requests
+/// and in chunks.
+///
+/// The depth is per connection: many connections with one large request
+/// each commit as many bodies, and nothing here bounds the node as a whole.
 pub const WORKER_PIPELINE_DEPTH: usize = 8;
 
 impl Default for ServerConfig {

@@ -26,16 +26,25 @@
 //!   default; pipelined requests are dispatched in arrival order and their
 //!   responses delivered in that same order, with synchronous invocations
 //!   parking a *response slot* (not a thread) until the worker settles
-//!   them. Reads pause once `max_pipelined` responses are owed (queued or
-//!   partly written; on a worker at most
-//!   [`WORKER_PIPELINE_DEPTH`](crate::config::WORKER_PIPELINE_DEPTH), so a
-//!   burst commits no more memory than a full pipeline does) and resume as
-//!   the backlog drains. `Connection: close` (or HTTP/1.0 without
-//!   `Connection: keep-alive`) closes after the response.
+//!   them. Intake — parsing and reading alike — pauses while the pipeline
+//!   is full, and a pipeline is as deep in bytes as it is in requests:
+//!   `max_pipelined` responses owed (queued or partly written; on a worker
+//!   at most [`WORKER_PIPELINE_DEPTH`](crate::config::WORKER_PIPELINE_DEPTH)),
+//!   or that many read chunks of request bodies taken in and not yet
+//!   answered, whichever comes first — but never fewer than two requests,
+//!   so one body lands while another computes and a single request above
+//!   the byte depth is still served. The rest of a burst waits where TCP
+//!   flow control bounds it (the socket's receive buffer, then the sender)
+//!   and intake resumes as responses leave. The bound is per connection,
+//!   like the count it refines: 64 connections with one large request each
+//!   still commit 64 bodies, and nothing here bounds the node as a whole.
+//!   `Connection: close` (or HTTP/1.0 without `Connection: keep-alive`)
+//!   closes after the response.
 //! * **Malformed requests** are answered with a structured JSON error body
 //!   (stable `code`: `malformed_request`, `headers_too_large` for `431`,
-//!   `body_too_large` for `413`) and the connection is closed — never a
-//!   silent drop.
+//!   `body_too_large` for `413`, `not_implemented` for the `501` a
+//!   `Transfer-Encoding` gets — only `Content-Length` framing is
+//!   implemented) and the connection is closed — never a silent drop.
 //! * **Rate-limited clients** (token bucket per peer IP) get `429` with the
 //!   stable `rate_limited` code; the connection stays open.
 //! * **Slow clients** hit the per-request read deadline: a stall
@@ -62,8 +71,8 @@ use crate::gateway::GatewayReply;
 use crate::rate::RateLimit;
 use crate::server::{AppKind, Shared};
 
-/// The response for a request that failed parsing: `400`, `413` or `431`
-/// with a stable machine-readable code.
+/// The response for a request that failed parsing: `400`, `413`, `431` or
+/// `501` with a stable machine-readable code.
 pub fn rejection_response(error: &HttpParseError) -> HttpResponse {
     error_body(
         rejection_status(error),
@@ -125,13 +134,19 @@ fn wants_close(request: &HttpRequest) -> bool {
     has("close") || (request.version == Version::Http10 && !has("keep-alive"))
 }
 
-/// One queued response, in pipeline order.
+/// One queued response, in pipeline order. `held` is the body length of
+/// the request it answers: what the connection keeps resident on that
+/// request's behalf until the slot is popped for the wire.
 enum Slot {
     /// The response is in hand, waiting its turn on the wire.
-    Ready { response: HttpResponse, close: bool },
+    Ready {
+        response: HttpResponse,
+        close: bool,
+        held: usize,
+    },
     /// A synchronous invocation is running on the worker; its completion
     /// callback fills this slot via a [`LoopMsg::Complete`].
-    Waiting { close: bool },
+    Waiting { close: bool, held: usize },
 }
 
 /// What [`Conn::pump`] and friends tell the event loop to do next.
@@ -163,14 +178,18 @@ pub(crate) struct Conn {
     front_seq: u64,
     /// Sequence number the next dispatched request will get.
     next_seq: u64,
+    /// Sum of `held` over `slots`: the request-body bytes taken in and not
+    /// yet answered. Mirrored in the loop's `held_bytes` gauge.
+    held_bytes: usize,
     /// No further requests are read or parsed (close requested, parse
     /// error, deadline fired, or server draining past this connection).
     stop_reading: bool,
     /// The socket may still hold unread bytes. Under edge-triggered epoll a
     /// readable event fires once per arrival, so readability must be
-    /// remembered across pumps: backpressure (a full pipeline backlog) can
-    /// suspend reading mid-drain, and the kernel will not repeat the edge
-    /// when the backlog later clears. Set by a readable event, cleared when
+    /// remembered across pumps: backpressure (a pipeline full by count or
+    /// by bytes) can suspend reading mid-drain, and the kernel will not
+    /// repeat the edge when the pipeline later has room. Set by a readable
+    /// event, cleared when
     /// a read proves the socket dry: it returns fewer bytes than the space
     /// it offered (epoll(7) — no confirming `EWOULDBLOCK` read is paid),
     /// `EWOULDBLOCK`, or EOF.
@@ -209,6 +228,7 @@ impl Conn {
             slots: VecDeque::new(),
             front_seq: 0,
             next_seq: 0,
+            held_bytes: 0,
             stop_reading: false,
             sock_readable: false,
             peer_closed: false,
@@ -231,6 +251,23 @@ impl Conn {
     /// Responses owed and not yet fully written; `max_pipelined` bounds it.
     fn backlog(&self) -> usize {
         self.slots.len() + self.outbound.len()
+    }
+
+    /// Request-body bytes taken in and not yet answered; the loop's gauge
+    /// gives them up with the connection.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.held_bytes
+    }
+
+    /// Whether the pipeline takes in another request: fewer responses owed
+    /// than it is deep, and fewer body bytes held than that many read
+    /// chunks — or fewer than two requests held, whatever they weigh.
+    /// Parsing, reading and the read deadline all ask here, so a closed
+    /// byte gate is the same server-side backpressure a closed count gate
+    /// is.
+    fn has_room(&self, shared: &Shared) -> bool {
+        self.backlog() < shared.pipeline_depth()
+            && (self.slots.len() < 2 || self.held_bytes < shared.pipeline_bytes())
     }
 
     /// The socket reported `EPOLLRDHUP`: see `peer_closed`.
@@ -265,11 +302,11 @@ impl Conn {
     /// whether this pass may also push queued responses onto the wire.
     fn advance(&mut self, shared: &Shared, me: &Arc<LoopShared>, write: bool) -> Verdict {
         let stopping = shared.stopping.load(Ordering::Acquire);
-        let pipeline_depth = shared.pipeline_depth();
         loop {
             let mut progressed = false;
-            // Parse whatever is already buffered, bounded by the backlog.
-            while !self.stop_reading && self.backlog() < pipeline_depth {
+            // Parse whatever is already buffered, while the pipeline has
+            // room.
+            while !self.stop_reading && self.has_room(shared) {
                 match self.decoder.next_request() {
                     Ok(Some(request)) => {
                         self.dispatch(request, shared, me);
@@ -281,7 +318,7 @@ impl Conn {
                             .stats
                             .rejected_requests
                             .fetch_add(1, Ordering::Relaxed);
-                        self.enqueue(rejection_response(&error), true);
+                        self.enqueue(rejection_response(&error), true, 0);
                         progressed = true;
                         break;
                     }
@@ -292,7 +329,7 @@ impl Conn {
             // read: a completion-driven pass resumes a drain that an earlier
             // one suspended for backpressure, and only a read that proves
             // the socket dry declares it so.
-            if self.sock_readable && !self.stop_reading && self.backlog() < pipeline_depth {
+            if self.sock_readable && !self.stop_reading && self.has_room(shared) {
                 let mut read_chunk = shared.config.read_chunk_bytes;
                 if failpoint::enabled() {
                     match failpoint::check("conn/read") {
@@ -347,9 +384,10 @@ impl Conn {
         // Deadline bookkeeping: a partial request pins its deadline at the
         // first byte (a drip-feeding client cannot reset it); an empty
         // buffer restarts the idle clock. Bytes left unparsed because the
-        // pipeline backlog is full are server-side backpressure, not a
-        // client stall, so they must not arm (or sustain) the deadline.
-        if self.backlog() >= pipeline_depth {
+        // pipeline is full — by count or by bytes — are server-side
+        // backpressure, not a client stall, so they must not arm (or
+        // sustain) the deadline.
+        if !self.has_room(shared) {
             self.request_deadline = None;
         } else if self.decoder.buffered() > 0 {
             if self.request_deadline.is_none() {
@@ -369,7 +407,8 @@ impl Conn {
     /// Synchronous invocations park a `Waiting` slot and hand their
     /// completion callback the loop's inbox. The callback is the outcome's
     /// only consumer — a sync response carries no invocation id to poll —
-    /// so the worker hands it over by move and retains nothing.
+    /// so the worker hands it over by move and retains nothing. Whatever
+    /// the route, the request's one slot holds its body length.
     fn dispatch(&mut self, request: HttpRequest, shared: &Shared, me: &Arc<LoopShared>) {
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         let close = wants_close(&request);
@@ -377,21 +416,21 @@ impl Conn {
             // Pipelined successors after an explicit close are ignored.
             self.stop_reading = true;
         }
+        let held = request.body.len();
+        self.held_bytes += held;
+        me.held_bytes.fetch_add(held, Ordering::Relaxed);
         if let Some(limiter) = &shared.limiter {
             if !limiter.admit(self.peer) {
                 shared.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-                self.enqueue(rate_limited_response(limiter.limit()), close);
+                self.enqueue(rate_limited_response(limiter.limit()), close, held);
                 return;
             }
         }
         match &shared.app {
             AppKind::Local(frontend) => match frontend.begin(&request) {
-                FrontendReply::Ready(response) => self.enqueue(response, close),
+                FrontendReply::Ready(response) => self.enqueue(response, close, held),
                 FrontendReply::Pending(handle) => {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.slots.push_back(Slot::Waiting { close });
-                    me.inflight.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.park(close, held, me);
                     let me = Arc::clone(me);
                     let token = self.token;
                     // Runs on the dispatcher driver thread when the worker
@@ -408,7 +447,7 @@ impl Conn {
                 }
             },
             AppKind::Gateway(router) => match router.dispatch(&request) {
-                GatewayReply::Respond(response) => self.enqueue(response, close),
+                GatewayReply::Respond(response) => self.enqueue(response, close, held),
                 GatewayReply::Control(op) => {
                     // Blocking control-plane work (member probes, broadcast
                     // registrations, drain relays) must not run on this loop
@@ -416,10 +455,7 @@ impl Conn {
                     // loop owns. Park a response slot and let the router's
                     // control thread post the completion back, exactly like
                     // a worker invocation settling.
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.slots.push_back(Slot::Waiting { close });
-                    me.inflight.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.park(close, held, me);
                     let me = Arc::clone(me);
                     let token = self.token;
                     router.submit_control(
@@ -437,10 +473,7 @@ impl Conn {
                     // Park a response slot and hand the plan to the owning
                     // event loop (its own inbox — drained this iteration),
                     // which executes it on a pooled upstream connection.
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.slots.push_back(Slot::Waiting { close });
-                    me.inflight.fetch_add(1, Ordering::Relaxed);
+                    let seq = self.park(close, held, me);
                     me.post(LoopMsg::Forward {
                         token: self.token,
                         seq,
@@ -451,10 +484,26 @@ impl Conn {
         }
     }
 
-    /// Queues a response that is already in hand.
-    fn enqueue(&mut self, response: HttpResponse, close: bool) {
+    /// Parks a `Waiting` slot for a response that arrives as a
+    /// [`LoopMsg::Complete`] and returns the sequence number it answers to.
+    fn park(&mut self, close: bool, held: usize, me: &LoopShared) -> u64 {
+        let seq = self.next_seq;
         self.next_seq += 1;
-        self.slots.push_back(Slot::Ready { response, close });
+        self.slots.push_back(Slot::Waiting { close, held });
+        me.inflight.fetch_add(1, Ordering::Relaxed);
+        seq
+    }
+
+    /// Queues a response that is already in hand; `held` is the body length
+    /// of the request it answers, zero when it answers none (a parse
+    /// rejection, the `408`).
+    fn enqueue(&mut self, response: HttpResponse, close: bool, held: usize) {
+        self.next_seq += 1;
+        self.slots.push_back(Slot::Ready {
+            response,
+            close,
+            held,
+        });
         if close {
             self.stop_reading = true;
         }
@@ -468,8 +517,12 @@ impl Conn {
             return;
         };
         if let Some(slot) = self.slots.get_mut(offset as usize) {
-            if let Slot::Waiting { close } = *slot {
-                *slot = Slot::Ready { response, close };
+            if let Slot::Waiting { close, held } = *slot {
+                *slot = Slot::Ready {
+                    response,
+                    close,
+                    held,
+                };
             }
         }
     }
@@ -481,7 +534,7 @@ impl Conn {
         shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
         self.request_deadline = None;
         self.stop_reading = true;
-        self.enqueue(timeout_response(), true);
+        self.enqueue(timeout_response(), true, 0);
     }
 
     /// Whether a deadline has passed, and which one.
@@ -509,7 +562,12 @@ impl Conn {
     fn write_ready(&mut self, shared: &Shared, me: &LoopShared, stopping: bool) -> Flush {
         let mut progressed = false;
         while !self.close_after_write && matches!(self.slots.front(), Some(Slot::Ready { .. })) {
-            let Some(Slot::Ready { response, close }) = self.slots.pop_front() else {
+            let Some(Slot::Ready {
+                response,
+                close,
+                held,
+            }) = self.slots.pop_front()
+            else {
                 // Invariant: the front slot was matched as `Ready` one line
                 // up and nothing popped it in between. If the pipeline state
                 // machine ever breaks it, close this connection instead of
@@ -517,6 +575,8 @@ impl Conn {
                 return Flush::Close;
             };
             self.front_seq += 1;
+            self.held_bytes -= held;
+            me.held_bytes.fetch_sub(held, Ordering::Relaxed);
             // A draining server closes keep-alives at the response boundary
             // instead of mid-exchange.
             let close = close || stopping;
@@ -607,6 +667,9 @@ mod tests {
         let oversized_body = rejection_response(&HttpParseError::LimitExceeded("body size"));
         assert_eq!(oversized_body.status.0, 413);
         assert!(oversized_body.body_text().contains("\"body_too_large\""));
+        let chunked = rejection_response(&HttpParseError::NotImplemented("Transfer-Encoding"));
+        assert_eq!(chunked.status.0, 501);
+        assert!(chunked.body_text().contains("\"not_implemented\""));
         assert_eq!(overloaded_response(7).status.0, 503);
         assert_eq!(timeout_response().status.0, 408);
         let limited = rate_limited_response(RateLimit {

@@ -127,6 +127,9 @@ pub(crate) struct LoopShared {
     /// Gauge: invocations in flight for connections on this loop (parked
     /// `Waiting` slots, including proxied upstream requests).
     pub(crate) inflight: AtomicUsize,
+    /// Gauge: request-body bytes this loop's connections have taken in and
+    /// not yet answered (what their byte gates weigh, summed).
+    pub(crate) held_bytes: AtomicUsize,
     /// Messages ever posted to this inbox.
     pub(crate) posted: AtomicU64,
     /// Eventfd signals actually written; `posted - wakeups` is the number
@@ -148,6 +151,7 @@ impl LoopShared {
             sleeping: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
+            held_bytes: AtomicUsize::new(0),
             posted: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -678,6 +682,10 @@ impl EventLoop {
             .fetch_sub(1, Ordering::Relaxed);
         self.shared.active.fetch_sub(1, Ordering::AcqRel);
         self.me.connections.fetch_sub(1, Ordering::Relaxed);
+        // Slots that die with the connection give up what they held.
+        self.me
+            .held_bytes
+            .fetch_sub(conn.held_bytes(), Ordering::Relaxed);
     }
 
     /// Releases an upstream connection (no admission gauges — upstreams

@@ -321,13 +321,9 @@ mod tests {
     }
 
     /// A connection whose exchange 0 has reached the member and been
-    /// answered — `body`, under this `Connection` header — with the answer
-    /// waiting in the socket; and the member's end of it.
-    fn answered_exchange(
-        connection: &str,
-        body: &[u8],
-        me: &LoopShared,
-    ) -> (UpstreamConn, TcpStream) {
+    /// answered with `answer`, which is waiting in the socket; and the
+    /// member's end of it.
+    fn answered_exchange(answer: HttpResponse, me: &LoopShared) -> (UpstreamConn, TcpStream) {
         let (ours, mut member) = socket_pair();
         let mut conn = UpstreamConn::new(ours, NodeId::from_raw(2), ParseLimits::default(), false);
         conn.enqueue(request_rope(), origin(0));
@@ -336,12 +332,14 @@ mod tests {
         assert!(delivered.is_empty());
         let mut sink = [0u8; 4096];
         assert!(member.read(&mut sink).unwrap() > 0);
-        let answer = HttpResponse::ok(body.to_vec())
-            .with_header("Connection", connection)
-            .to_bytes();
-        std::io::Write::write_all(&mut member, &answer).unwrap();
+        std::io::Write::write_all(&mut member, &answer.to_bytes()).unwrap();
         std::thread::sleep(Duration::from_millis(100));
         (conn, member)
+    }
+
+    /// An answer as a member gives it: `body` under this `Connection` header.
+    fn answer(connection: &str, body: &[u8]) -> HttpResponse {
+        HttpResponse::ok(body.to_vec()).with_header("Connection", connection)
     }
 
     #[test]
@@ -379,7 +377,7 @@ mod tests {
             ("TE, Close", UpstreamVerdict::Close),
         ] {
             let me = LoopShared::new().unwrap();
-            let (mut conn, _member) = answered_exchange(connection, b"last one", &me);
+            let (mut conn, _member) = answered_exchange(answer(connection, b"last one"), &me);
             let (verdict, delivered) = conn.pump(true, 4096, &me);
             assert_eq!(verdict, expected, "Connection: {connection}");
             assert_eq!(delivered.len(), 1, "Connection: {connection}");
@@ -387,11 +385,29 @@ mod tests {
         }
     }
 
+    /// A member's answer that carries `Transfer-Encoding` is not framed by
+    /// its `Content-Length` and handed on: the decoder refuses it, the
+    /// connection is given up, and the exchange is left pending — which the
+    /// loop answers `502`, as for any upstream failure.
+    #[test]
+    fn a_members_transfer_encoding_fails_the_exchange_instead_of_misframing_it() {
+        let me = LoopShared::new().unwrap();
+        let chunked = answer("keep-alive", b"5\r\nhello\r\n0\r\n\r\n")
+            .with_header("Transfer-Encoding", "chunked");
+        let (mut conn, _member) = answered_exchange(chunked, &me);
+        let (verdict, delivered) = conn.pump(true, 4096, &me);
+        assert_eq!(verdict, UpstreamVerdict::Close);
+        assert!(delivered.is_empty(), "nothing of it is delivered");
+        let failed = conn.take_pending();
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].seq, 0);
+    }
+
     #[test]
     fn write_error_still_delivers_responses_already_received() {
         let me = LoopShared::new().unwrap();
         // Exchange 0 reaches the member, which answers it.
-        let (mut conn, _member) = answered_exchange("keep-alive", b"already sent", &me);
+        let (mut conn, _member) = answered_exchange(answer("keep-alive", b"already sent"), &me);
         // Force the next write to fail, with the member's answer sitting in
         // the receive buffer: the doomed pump must deliver it, not discard
         // it behind the write error.

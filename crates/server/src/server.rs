@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dandelion_common::JsonValue;
-use dandelion_core::Frontend;
+use dandelion_core::{Frontend, StatsSource};
 
 use crate::config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 use crate::event_loop::{EventLoop, LoopShared};
@@ -115,12 +115,13 @@ impl ServerStats {
 }
 
 /// The `"server"` stats document: the aggregate counters plus one entry
-/// per event loop — the load gauges (`connections`, `inflight`), the
-/// inbox backlog, and the wakeup-coalescing counters (`posted` messages vs
-/// `wakeups` actually signalled; `coalesced` is the difference, i.e. posts
-/// that found the loop awake and cost no syscall), and the write-coalescing
-/// counters (`messages_written / writes` is how many responses and upstream
-/// forwards one vectored socket write carried).
+/// per event loop — the load gauges (`connections`, `inflight`, and
+/// `held_bytes`: the request bodies its connections have taken in and not
+/// yet answered), the inbox backlog, and the wakeup-coalescing counters
+/// (`posted` messages vs `wakeups` actually signalled; `coalesced` is the
+/// difference, i.e. posts that found the loop awake and cost no syscall),
+/// and the write-coalescing counters (`messages_written / writes` is how
+/// many responses and upstream forwards one vectored socket write carried).
 pub(crate) fn server_stats_json(stats: &ServerStats, loops: &[Arc<LoopShared>]) -> JsonValue {
     let mut json = stats.to_json(loops.len());
     if let JsonValue::Object(pairs) = &mut json {
@@ -137,6 +138,10 @@ pub(crate) fn server_stats_json(stats: &ServerStats, loops: &[Arc<LoopShared>]) 
                     (
                         "inflight",
                         JsonValue::from(loop_shared.inflight.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "held_bytes",
+                        JsonValue::from(loop_shared.held_bytes.load(Ordering::Relaxed)),
                     ),
                     ("inbox_depth", JsonValue::from(loop_shared.inbox_depth())),
                     ("posted", JsonValue::from(posted)),
@@ -190,6 +195,14 @@ impl Shared {
             AppKind::Gateway(_) => self.config.max_pipelined,
         }
     }
+
+    /// The same depth in bytes, one read chunk per request: the request
+    /// bodies a connection may hold unanswered before its intake pauses
+    /// (512 KiB on a worker, 4 MiB on a gateway at the defaults).
+    pub(crate) fn pipeline_bytes(&self) -> usize {
+        self.pipeline_depth()
+            .saturating_mul(self.config.read_chunk_bytes)
+    }
 }
 
 /// A running network server: a small pool of epoll event loops, each
@@ -213,6 +226,7 @@ pub struct Server {
     router: Option<Arc<Router>>,
     config: ServerConfig,
     stats: Arc<ServerStats>,
+    stats_source: StatsSource,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -278,15 +292,15 @@ impl Server {
         // the worker counters, including the per-loop `connections` and
         // `inflight` gauges. The gateway merges the same document into its
         // own stats response.
-        {
+        let stats_source: StatsSource = {
             let stats = Arc::clone(&stats);
             let loops = shared.loops.clone();
-            let source = Arc::new(move || server_stats_json(&stats, &loops));
-            match (&frontend, &router) {
-                (Some(frontend), _) => frontend.add_stats_source("server", source),
-                (_, Some(router)) => router.set_server_stats(source),
-                _ => unreachable!("a server is local or gateway"),
-            }
+            Arc::new(move || server_stats_json(&stats, &loops))
+        };
+        match (&frontend, &router) {
+            (Some(frontend), _) => frontend.add_stats_source("server", Arc::clone(&stats_source)),
+            (_, Some(router)) => router.set_server_stats(Arc::clone(&stats_source)),
+            _ => unreachable!("a server is local or gateway"),
         }
 
         let cores = std::thread::available_parallelism()
@@ -320,6 +334,7 @@ impl Server {
             router,
             config,
             stats,
+            stats_source,
             shared,
             threads,
         })
@@ -354,6 +369,13 @@ impl Server {
     /// Snapshot of the serving-layer counters and gauges.
     pub fn stats(&self) -> ServerStatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// The `"server"` document of `/v1/stats` — the aggregate counters and
+    /// `loops[]` — as a handle that outlives the server: what the gauges
+    /// read once it has shut down is what it left behind.
+    pub fn stats_source(&self) -> StatsSource {
+        Arc::clone(&self.stats_source)
     }
 
     /// Gracefully shuts the server down: stop admitting connections, close

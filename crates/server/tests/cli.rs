@@ -236,9 +236,11 @@ fn matmul128_burst(connection: &mut HttpClientConnection, rounds: usize) {
 }
 
 /// Committed memory follows the load, in the live system: 200 128×128
-/// multiplications, eight in flight at a time, take the node's resident set
-/// up by what is in flight (receive buffers, products, the multiply's own
-/// vectors); two seconds after the last answer it is back within 3 MiB of
+/// multiplications, pipelined eight deep by the client and taken in two at
+/// a time (the pipeline's depth in bytes: two 262 KiB bodies fill its eight
+/// read chunks), take the node's resident set up by what is in flight
+/// (receive buffers, products, the multiply's own vectors); two seconds
+/// after the last answer it is back within 3 MiB of
 /// where it was before the first request. The buffer pool frees what it
 /// retained and nothing needed for half a second (the dispatcher driver's
 /// idle wake-ups tick it). At the parent the pool kept its buffers for good:
@@ -313,7 +315,12 @@ fn a_probed_member_gives_a_bursts_buffers_back_while_the_probes_go_on() {
     let mut connection = HttpClientConnection::connect(addr, CHILD_DEADLINE).expect("connects");
 
     matmul128_burst(&mut connection, 5);
+    // What one connection has in flight of these requests is two bodies
+    // taken in and a third arriving, each in a 512 KiB receive buffer, and
+    // their 128 KiB products — 1.5 to 1.9 MiB retained (it was eight bodies
+    // while the pipeline was counted in requests only).
     let (loaded, served_at_the_burst) = retained_and_served(&mut connection);
+    println!("the burst left {loaded} bytes in the pool");
     assert!(
         loaded > 1024 * 1024,
         "the burst left {loaded} bytes in the pool"

@@ -69,12 +69,25 @@ pub fn test_gateway_config() -> GatewayConfig {
 }
 
 pub fn start_gateway(config: GatewayConfig, members: &[SocketAddr]) -> (Server, Arc<Router>) {
+    start_gateway_pipelining(loopback_config().max_pipelined, config, members)
+}
+
+/// A gateway whose client connections pipeline `max_pipelined` deep — that
+/// many requests, or that many read chunks of their bodies.
+pub fn start_gateway_pipelining(
+    max_pipelined: usize,
+    config: GatewayConfig,
+    members: &[SocketAddr],
+) -> (Server, Arc<Router>) {
     let router = Router::start(config);
     for addr in members {
         router.join(*addr).expect("member joins");
     }
-    let server =
-        Server::start_gateway(loopback_config(), Arc::clone(&router)).expect("gateway binds");
+    let server_config = ServerConfig {
+        max_pipelined,
+        ..loopback_config()
+    };
+    let server = Server::start_gateway(server_config, Arc::clone(&router)).expect("gateway binds");
     (server, router)
 }
 
@@ -83,22 +96,40 @@ pub fn connect(addr: SocketAddr) -> HttpClientConnection {
 }
 
 /// The end of a test over these fixtures: stops the gateway, then the members
-/// it fronted, and checks two halves of the teardown invariant — a member
+/// it fronted, and checks three parts of the teardown invariant — a member
 /// that has shut down has no invocation in flight (submitted = settled:
-/// a settle path that loses one fails here, whatever the test looked at), and
-/// the pool's books balance ([`assert_pool_accounted`]). Returns whether the
-/// gateway drained cleanly.
+/// a settle path that loses one fails here, whatever the test looked at), no
+/// event loop of a stopped server still counts a response owed or a request
+/// body held ([`stop_and_check_loops`]), and the pool's books balance
+/// ([`assert_pool_accounted`]). Returns whether the gateway drained cleanly.
 pub fn shutdown(
     gateway: Server,
     members: impl IntoIterator<Item = (Server, Arc<WorkerNode>)>,
 ) -> bool {
-    let drained = gateway.shutdown();
+    let drained = stop_and_check_loops(gateway);
     for (server, worker) in members {
-        server.shutdown();
+        stop_and_check_loops(server);
         worker.shutdown();
         assert_eq!(worker.inflight(), 0, "invocations left in flight");
     }
     assert_pool_accounted();
+    drained
+}
+
+/// Shuts `server` down and reads what its loops left behind: every slot
+/// parked was completed (`inflight`) and every request body taken in was
+/// given up with its slot or its connection (`held_bytes`).
+fn stop_and_check_loops(server: Server) -> bool {
+    let stats = server.stats_source();
+    let drained = server.shutdown();
+    let document = stats();
+    let loops = document.get("loops").and_then(|loops| loops.as_array());
+    for (index, entry) in loops.expect("server.loops[]").iter().enumerate() {
+        for gauge in ["inflight", "held_bytes"] {
+            let left = entry.get(gauge).and_then(|value| value.as_u64());
+            assert_eq!(left, Some(0), "loop {index} stopped with {gauge} left");
+        }
+    }
     drained
 }
 

@@ -14,7 +14,9 @@ use dandelion_http::HttpRequest;
 use dandelion_server::{GatewayConfig, Server};
 
 mod common;
-use common::{connect, shutdown, start_gateway, start_member, test_gateway_config};
+use common::{
+    connect, shutdown, start_gateway, start_gateway_pipelining, start_member, test_gateway_config,
+};
 
 /// `node-id → addr` rows from the gateway's membership document.
 fn member_table(gateway: SocketAddr) -> Vec<(String, SocketAddr, String)> {
@@ -591,7 +593,14 @@ fn a_member_killed_mid_forward_batch_splits_it_into_502s_and_single_replays() {
         upstreams_per_loop: 1,
         ..test_gateway_config()
     };
-    let (gateway, router) = start_gateway(config, &[stalling.addr]);
+    // A gateway connection's pipeline is `max_pipelined` read chunks deep:
+    // at the default 64 (4 MiB) it would take in sixteen of these bodies,
+    // which the member's and the gateway's socket buffers all but absorb
+    // (fifteen of sixteen had bytes on the wire), and the rest of the burst
+    // would wait at the client. This test needs 10 MiB parked behind one
+    // client connection, so its gateway is configured that deep.
+    let depth = REQUESTS * BODY_BYTES / (64 * 1024);
+    let (gateway, router) = start_gateway_pipelining(depth, config, &[stalling.addr]);
     let gateway_addr = gateway.local_addr();
 
     // Pipeline 10 MiB of invocations without reading a response: more than
