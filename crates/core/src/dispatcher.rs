@@ -697,9 +697,15 @@ impl Dispatcher {
                 // Shutdown may have raced with registration: the driver
                 // could have run its final cancellation sweep before this
                 // entry existed, in which case nothing would ever settle
-                // it. Re-check and cancel the fresh entry ourselves.
+                // it. Re-check and cancel the fresh entry ourselves; its id
+                // is never handed out, so nobody could consume the result.
                 if self.core.shutting_down.load(Ordering::SeqCst) {
-                    self.core.cancel_entry(id, &entry);
+                    let mut work = Vec::new();
+                    let cancelled = Err(DandelionError::Cancelled);
+                    self.core
+                        .settle(id, &entry, &mut entry.lock(), cancelled, &mut work);
+                    self.core.process(work);
+                    self.core.table.remove(id);
                     return Err(DandelionError::Cancelled);
                 }
                 // Engine-queue back-pressure during the initial submission
@@ -1156,11 +1162,21 @@ impl DispatcherCore {
         }
     }
 
-    /// Fails every unsettled invocation; called when the driver stops.
+    /// Fails every unsettled invocation with [`DandelionError::Cancelled`]
+    /// as any other failure settles; called when the driver stops.
     fn cancel_unsettled(&self) {
+        let mut work = Vec::new();
         for (id, entry) in self.table.all_entries() {
-            self.cancel_entry(id, &entry);
+            let mut inner = entry.lock();
+            self.settle(
+                id,
+                &entry,
+                &mut inner,
+                Err(DandelionError::Cancelled),
+                &mut work,
+            );
         }
+        self.process(work);
     }
 
     /// Fails invocations that have gone longer than
@@ -1188,35 +1204,6 @@ impl DispatcherCore {
             );
         }
         self.process(work);
-    }
-
-    /// Fails one invocation with [`DandelionError::Cancelled`]; a no-op if
-    /// it already settled.
-    fn cancel_entry(&self, id: InvocationId, entry: &Arc<InvocationEntry>) {
-        let notify = {
-            let mut inner = entry.lock();
-            if inner.status.is_terminal() {
-                return;
-            }
-            if inner.parent.is_none() {
-                self.metrics.failures.fetch_add(1, Ordering::Relaxed);
-                self.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
-            }
-            inner.status = InvocationStatus::Failed;
-            inner.dataflow = None;
-            entry.settled.notify_all();
-            let notify = inner.notify.take();
-            if notify.is_none() {
-                inner.outcome = Some(Err(DandelionError::Cancelled));
-            }
-            notify
-        };
-        // Fired outside the entry lock, like every settle notification, and
-        // consuming the result like one.
-        if let Some(callback) = notify {
-            self.table.remove(id);
-            callback(Err(DandelionError::Cancelled));
-        }
     }
 }
 
@@ -1966,12 +1953,16 @@ mod tests {
             .submit(Arc::new(graph), vec![DataSet::single("In", vec![1])])
             .unwrap();
         harness.dispatcher.shutdown();
+        // Settled like any other result nobody has consumed yet: retained
+        // for polling, and counted.
+        assert_eq!(retained_results(&harness), 1);
         let result = handle.wait(Some(Duration::from_secs(5)));
         // Either the task squeaked through before the driver stopped or the
         // invocation was cancelled; it must not hang or panic.
         if let Err(error) = result {
             assert_eq!(error, DandelionError::Cancelled);
         }
+        assert_eq!(retained_results(&harness), 0);
         // New submissions are rejected after shutdown.
         let graph2 = register_copy_identity(&harness.registry);
         assert!(matches!(

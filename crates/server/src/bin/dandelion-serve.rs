@@ -6,8 +6,7 @@
 //!                 [--max-connections N] [--max-head-bytes N]
 //!                 [--max-body-bytes N] [--read-timeout-ms N]
 //!                 [--rate-limit RPS] [--rate-burst N]
-//!                 [--pin-cores] [--gateway] [--member HOST:PORT]...
-//!                 [--join HOST:PORT]
+//!                 [--gateway] [--member HOST:PORT]... [--join HOST:PORT]
 //! ```
 //!
 //! Roles:
@@ -47,7 +46,7 @@ fn usage() -> ! {
         "usage: dandelion-serve [--addr HOST:PORT] [--cores N] [--event-loops N] \
          [--max-connections N] [--max-head-bytes N] [--max-body-bytes N] \
          [--read-timeout-ms N] [--rate-limit RPS] [--rate-burst N] \
-         [--pin-cores] [--gateway] [--member HOST:PORT]... [--join HOST:PORT]"
+         [--gateway] [--member HOST:PORT]... [--join HOST:PORT]"
     );
     exit(2);
 }
@@ -80,10 +79,6 @@ fn parse_options() -> Options {
         }
         if flag == "--gateway" {
             options.gateway = true;
-            continue;
-        }
-        if flag == "--pin-cores" {
-            options.config.pin_cores = true;
             continue;
         }
         let Some(value) = args.next() else { usage() };

@@ -50,14 +50,17 @@ impl HttpClientConnection {
         loop {
             match self.decoder.next_response() {
                 Ok(Some(response)) => return Ok(response),
-                Ok(None) => {
-                    if self.decoder.read_fd(self.stream.as_fd(), READ_CHUNK)? == 0 {
+                // `read_fd` is one `read(2)`: a signal can interrupt it.
+                Ok(None) => match self.decoder.read_fd(self.stream.as_fd(), READ_CHUNK) {
+                    Ok(0) => {
                         return Err(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "server closed the connection mid-response",
                         ));
                     }
-                }
+                    Err(error) if error.kind() != io::ErrorKind::Interrupted => return Err(error),
+                    _ => {}
+                },
                 Err(error) => {
                     return Err(io::Error::new(io::ErrorKind::InvalidData, error));
                 }

@@ -22,11 +22,6 @@ pub struct ServerConfig {
     /// and the kernel load-balances incoming connections across them, so no
     /// loop is the admission chokepoint.
     pub event_loops: usize,
-    /// Pin each event-loop thread to one core (`loop index % cores`), so a
-    /// connection's buffers, slab entry and pool allocations stay on one
-    /// core's cache hierarchy. Off by default: pinning helps a dedicated
-    /// serving node and hurts a box shared with other workloads.
-    pub pin_cores: bool,
     /// Admission control: connections held open concurrently. Further
     /// clients get `503` and an immediate close.
     pub max_connections: usize,
@@ -91,7 +86,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:8080".to_string(),
             event_loops: 0,
-            pin_cores: false,
             max_connections: 4096,
             limits: ParseLimits::default(),
             read_timeout: Duration::from_secs(5),

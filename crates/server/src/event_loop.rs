@@ -563,7 +563,7 @@ impl EventLoop {
             }
             Some(Endpoint::Upstream(upstream)) => {
                 if hangup {
-                    self.fail_upstream(index);
+                    self.fail_upstream(index, true);
                 } else {
                     // Writability matters here beyond resuming writes: on a
                     // connecting socket it is the kernel's connect-success
@@ -662,7 +662,7 @@ impl EventLoop {
             self.deliver(node, origin, response);
         }
         if verdict == UpstreamVerdict::Close {
-            self.fail_upstream(index);
+            self.fail_upstream(index, true);
         }
     }
 
@@ -710,13 +710,21 @@ impl EventLoop {
     /// safe. Exchanges still queued never left the gateway and are
     /// replayed on another member, so a killed node costs only its truly
     /// in-flight requests.
-    fn fail_upstream(&mut self, index: usize) {
+    ///
+    /// The member is charged a failed exchange only when the connection
+    /// owed it something — exchanges queued or on the wire, or a connect
+    /// that never completed — and `blame_member` holds (it does not for
+    /// the gateway's own drain backstop). A member closing an idle
+    /// keep-alive, or closing after its last answer, is not failing.
+    fn fail_upstream(&mut self, index: usize, blame_member: bool) {
         let Some(mut upstream) = self.close_upstream(index) else {
             return;
         };
         let node = upstream.node();
         let router = self.router();
-        router.note_upstream_failure(node);
+        if blame_member && (upstream.is_connecting() || upstream.depth() > 0) {
+            router.note_upstream_failure(node);
+        }
         let unsent = upstream.take_unsent();
         let sent = upstream.take_pending();
         let load = self.pools.get(&node).map(|pool| Arc::clone(&pool.load));
@@ -878,7 +886,7 @@ impl EventLoop {
         if let Some(pool) = self.pools.get(&node) {
             router.note_settled(&pool.load, origin.bytes);
             // Any answered exchange is a data-path success: it refills the
-            // member's retry budget and closes a half-open circuit.
+            // member's retry budget and ends its failure streak.
             router.note_upstream_success(&pool.load);
         }
         if origin.track_submit && response.status == StatusCode::ACCEPTED {
@@ -1019,7 +1027,7 @@ impl EventLoop {
                         .fetch_add(1, Ordering::Relaxed);
                     self.close_client(index);
                 }
-                Action::FailUpstream => self.fail_upstream(index),
+                Action::FailUpstream => self.fail_upstream(index, !force_close),
                 Action::FireRequestTimeout => {
                     self.with_client(index, |conn, shared, _| {
                         conn.fire_request_timeout(shared);

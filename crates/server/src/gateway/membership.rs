@@ -5,6 +5,12 @@
 //! every health probe so changes re-advertise automatically), its health
 //! state, and the gateway-side load gauges the router places by: requests
 //! in flight to the node and bytes queued toward it.
+//!
+//! A member's health is one state machine, [`Member::observe`]: the only
+//! code that moves a member between `Healthy` and `Ejected` or touches the
+//! failure streak and window it judges by. It reads no clock and takes no
+//! lock — the router's probe pass is its tick and the table lock is the
+//! caller's — so a script can drive it as well as the health thread can.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,13 +18,16 @@ use std::sync::Arc;
 
 use dandelion_common::{JsonValue, NodeId};
 
+use crate::gateway::GatewayConfig;
+
 /// Health / lifecycle state of one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberState {
-    /// Probes succeed; the router sends new work here.
+    /// The router sends new work here.
     Healthy,
-    /// Consecutive failures crossed the ejection threshold: no new work
-    /// until a probe succeeds again (re-admission).
+    /// Taken out of rotation by the streak rule or the rate rule (see
+    /// [`Member::observe`]): no new work until a probe succeeds again
+    /// (re-admission).
     Ejected,
     /// Draining for a rolling restart: no new work; the member is removed
     /// once its in-flight count reaches zero.
@@ -50,7 +59,8 @@ const RETRY_BUDGET_INITIAL: usize = 10 * RETRY_BUDGET_SCALE;
 /// A token-bucket retry budget: retries against a member are funded by
 /// that member's recent successes, so a down cluster is not DDoS'd by its
 /// own gateway replaying every failure (the classic retry-budget design
-/// from the SRE literature, fixed-point with integer atomics).
+/// from the SRE literature, fixed-point with integer atomics). It limits
+/// how much retrying amplifies load; it does not judge health.
 #[derive(Debug)]
 pub struct RetryBudget {
     /// Token units (`RETRY_BUDGET_SCALE` units = one retry).
@@ -91,137 +101,9 @@ impl RetryBudget {
     }
 }
 
-/// Minimum events in the rolling window before the breaker may trip: one
-/// early error on a quiet member must not open the circuit.
-const CIRCUIT_MIN_EVENTS: usize = 5;
-
-const CIRCUIT_CLOSED: usize = 0;
-const CIRCUIT_OPEN: usize = 1;
-const CIRCUIT_HALF_OPEN: usize = 2;
-
-/// A per-member circuit breaker layered *under* the eject logic: where
-/// ejection reacts to consecutive probe/connect failures, the breaker
-/// reacts to the data-path error **rate**, so a member that answers
-/// probes but fails half its real traffic still stops receiving work.
-///
-/// Closed → Open when the windowed error count reaches the success count
-/// with at least [`CIRCUIT_MIN_EVENTS`] observations. Open → HalfOpen when
-/// a health probe succeeds (the health thread doubles as the half-open
-/// prober). HalfOpen → Closed on the first delivered response, back to
-/// Open on the first error.
-#[derive(Debug, Default)]
-pub struct CircuitBreaker {
-    /// `CIRCUIT_CLOSED` / `CIRCUIT_OPEN` / `CIRCUIT_HALF_OPEN`.
-    state: AtomicUsize,
-    /// Rolling window of delivered responses (decayed by the health thread).
-    successes: AtomicUsize,
-    /// Rolling window of data-path errors (decayed by the health thread).
-    errors: AtomicUsize,
-    /// Times the breaker tripped open (monotonic, for stats).
-    trips: AtomicUsize,
-}
-
-impl CircuitBreaker {
-    /// Whether the router may place new work behind this breaker.
-    pub fn allows(&self) -> bool {
-        self.state.load(Ordering::Relaxed) != CIRCUIT_OPEN
-    }
-
-    /// Stable state name for the membership document.
-    pub fn state_str(&self) -> &'static str {
-        match self.state.load(Ordering::Relaxed) {
-            CIRCUIT_OPEN => "open",
-            CIRCUIT_HALF_OPEN => "half_open",
-            _ => "closed",
-        }
-    }
-
-    /// Times the breaker tripped open.
-    pub fn trips(&self) -> usize {
-        self.trips.load(Ordering::Relaxed)
-    }
-
-    /// A response was delivered from this member.
-    pub fn note_success(&self) {
-        self.successes.fetch_add(1, Ordering::Relaxed);
-        // A half-open trial that succeeds re-closes the circuit with a
-        // fresh window.
-        if self
-            .state
-            .compare_exchange(
-                CIRCUIT_HALF_OPEN,
-                CIRCUIT_CLOSED,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            self.reset_window();
-        }
-    }
-
-    /// A data-path exchange against this member failed.
-    pub fn note_error(&self) {
-        let errors = self.errors.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.state.load(Ordering::Relaxed) {
-            // A half-open trial that fails re-opens immediately.
-            CIRCUIT_HALF_OPEN => {
-                let _ = self.state.compare_exchange(
-                    CIRCUIT_HALF_OPEN,
-                    CIRCUIT_OPEN,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-            }
-            CIRCUIT_CLOSED => {
-                let successes = self.successes.load(Ordering::Relaxed);
-                if errors + successes >= CIRCUIT_MIN_EVENTS
-                    && errors >= successes
-                    && self
-                        .state
-                        .compare_exchange(
-                            CIRCUIT_CLOSED,
-                            CIRCUIT_OPEN,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    self.trips.fetch_add(1, Ordering::Relaxed);
-                    self.reset_window();
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The health thread observed a successful probe: an open circuit is
-    /// re-admitted for one half-open trial.
-    pub fn note_probe_success(&self) {
-        let _ = self.state.compare_exchange(
-            CIRCUIT_OPEN,
-            CIRCUIT_HALF_OPEN,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Ages the rolling window (called once per health-probe pass): the
-    /// breaker judges recent error rate, not all-time totals.
-    pub fn decay(&self) {
-        let _ = self
-            .errors
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| Some(n / 2));
-        let _ = self
-            .successes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| Some(n / 2));
-    }
-
-    fn reset_window(&self) {
-        self.errors.store(0, Ordering::Relaxed);
-        self.successes.store(0, Ordering::Relaxed);
-    }
-}
+/// The rate rule's floor: failures plus answers in the window before it may
+/// eject, so one early failure on a quiet member does not.
+const RATE_MIN_OBSERVATIONS: usize = 5;
 
 /// Gateway-side load gauges of one member, updated by the event loops as
 /// requests are forwarded and settled. Shared via `Arc` so routing reads
@@ -235,8 +117,10 @@ pub struct MemberLoad {
     pub queued_bytes: AtomicUsize,
     /// Token-bucket budget gating forward retries against this member.
     pub retry_budget: RetryBudget,
-    /// Error-rate circuit breaker gating new work toward this member.
-    pub circuit: CircuitBreaker,
+    /// Exchanges the member ever answered: the one increment an answer
+    /// costs the health machine, which reads it instead of being told.
+    /// Relaxed, like the gauges above: it publishes no other data.
+    pub answered: AtomicUsize,
 }
 
 impl MemberLoad {
@@ -248,16 +132,76 @@ impl MemberLoad {
     }
 }
 
+/// What the health machine learns about a member.
+#[derive(Debug)]
+pub enum Observation {
+    /// A probe was answered, with the compositions the member advertises.
+    ProbeAnswered(Vec<String>),
+    /// A probe was not answered, or not with what it asked for.
+    ProbeFailed,
+    /// An exchange failed on the data path: its connect was refused or
+    /// never completed, or its connection died with it queued or on the
+    /// wire.
+    ExchangeFailed,
+}
+
+/// A change [`Member::observe`] made that its caller counts or acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// Healthy → Ejected.
+    Ejected,
+    /// Ejected → Healthy.
+    Readmitted,
+    /// A draining member is done; the caller removes its row.
+    Removed,
+}
+
+/// Failures with no answered exchange and no probe success between them.
+#[derive(Debug, Default, Clone, Copy)]
+struct Streak {
+    failures: u32,
+    /// [`MemberLoad::answered`] at the last failure: a different count at
+    /// the next one means an exchange was answered in between.
+    answered: usize,
+}
+
+/// Failures and answers since the window began, halved by each probe pass
+/// so the rate rule judges recent traffic, not all-time totals.
+#[derive(Debug, Default, Clone, Copy)]
+struct Window {
+    failures: usize,
+    /// The window holds the answers [`MemberLoad::answered`] counted past
+    /// this mark. The count never falls below a mark taken from it: it only
+    /// grows, and observations of one member are serialised by the table
+    /// lock.
+    answered_from: usize,
+}
+
+impl Window {
+    fn halve(&mut self, answered: usize) {
+        self.failures /= 2;
+        self.answered_from = answered - (answered - self.answered_from) / 2;
+    }
+
+    /// The rate rule: failures that reach the answers, over enough
+    /// observations to mean something.
+    fn failing(&self, answered: usize) -> bool {
+        let answers = answered - self.answered_from;
+        self.failures >= answers && self.failures + answers >= RATE_MIN_OBSERVATIONS
+    }
+}
+
 /// One row of the membership table.
 pub struct Member {
     /// Cluster-wide identity assigned at join.
     pub id: NodeId,
     /// Where the member's v1 HTTP server listens.
     pub addr: SocketAddr,
-    /// Current health / lifecycle state.
+    /// Current health / lifecycle state. [`Member::observe`] moves it
+    /// between `Healthy` and `Ejected`; join and drain set it.
     pub state: MemberState,
-    /// Consecutive probe or data-path failures since the last success.
-    pub failures: u32,
+    streak: Streak,
+    window: Window,
     /// Compositions the node advertised on its last successful probe.
     pub compositions: Vec<String>,
     /// Gateway-side load gauges.
@@ -271,9 +215,71 @@ impl Member {
             id: NodeId::next(),
             addr,
             state,
-            failures: 0,
+            streak: Streak::default(),
+            window: Window::default(),
             compositions,
             load: Arc::new(MemberLoad::default()),
+        }
+    }
+
+    /// The health machine: applies one observation and returns the
+    /// transition it made, if any. Two rules eject a healthy member, and a
+    /// succeeding probe readmits it whichever did:
+    ///
+    /// * **streak** — `fail_threshold` failures, probes or exchanges, with
+    ///   no answered exchange and no probe success between them: a dead
+    ///   member leaves rotation at once, and a busy one that fails now and
+    ///   then does not;
+    /// * **rate** — failures that reach the answers in the window, over at
+    ///   least five observations, even while probes pass: a member that
+    ///   answers its probes and fails half its traffic.
+    ///
+    /// A draining member is removed on a probe that finds it idle, answered
+    /// or not, or once its streak reaches the threshold: the rolling restart
+    /// kills the process when its work is done, and a ghost "draining" row
+    /// must not wait forever for a probe that will never succeed.
+    pub fn observe(
+        &mut self,
+        observation: Observation,
+        config: &GatewayConfig,
+    ) -> Option<Transition> {
+        let answered = self.load.answered.load(Ordering::Relaxed);
+        let idle = self.load.in_flight.load(Ordering::Relaxed) == 0;
+        let probe = !matches!(observation, Observation::ExchangeFailed);
+        if probe {
+            self.window.halve(answered);
+        }
+        if let Observation::ProbeAnswered(compositions) = observation {
+            self.compositions = compositions;
+            self.streak.failures = 0;
+            return match self.state {
+                MemberState::Ejected => {
+                    self.state = MemberState::Healthy;
+                    Some(Transition::Readmitted)
+                }
+                MemberState::Draining if idle => Some(Transition::Removed),
+                _ => None,
+            };
+        }
+        if self.streak.answered != answered {
+            self.streak.failures = 0;
+        }
+        self.streak.failures = self.streak.failures.saturating_add(1);
+        self.streak.answered = answered;
+        self.window.failures += 1;
+        let streak_ended = self.streak.failures >= config.fail_threshold;
+        match self.state {
+            MemberState::Healthy if streak_ended || self.window.failing(answered) => {
+                self.state = MemberState::Ejected;
+                // A readmitted member starts a fresh window.
+                self.window = Window {
+                    failures: 0,
+                    answered_from: answered,
+                };
+                Some(Transition::Ejected)
+            }
+            MemberState::Draining if probe && (idle || streak_ended) => Some(Transition::Removed),
+            _ => None,
         }
     }
 
@@ -293,7 +299,7 @@ impl Member {
             ("node", JsonValue::string(self.id.to_string())),
             ("addr", JsonValue::string(self.addr.to_string())),
             ("state", JsonValue::string(self.state.as_str())),
-            ("failures", JsonValue::from(u64::from(self.failures))),
+            ("failures", JsonValue::from(u64::from(self.streak.failures))),
             (
                 "in_flight",
                 JsonValue::from(self.load.in_flight.load(Ordering::Relaxed)),
@@ -302,8 +308,6 @@ impl Member {
                 "queued_bytes",
                 JsonValue::from(self.load.queued_bytes.load(Ordering::Relaxed)),
             ),
-            ("circuit", JsonValue::string(self.load.circuit.state_str())),
-            ("circuit_trips", JsonValue::from(self.load.circuit.trips())),
             (
                 "retry_budget",
                 JsonValue::from(self.load.retry_budget.balance()),
@@ -323,6 +327,48 @@ impl Member {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plays `script` on a member in `state` with `in_flight` exchanges
+    /// outstanding — `a` an answered exchange, `f` a failed one, `p` a
+    /// failed probe, `P` an answered one — and returns what each
+    /// observation did: `.` nothing, `E` ejected, `R` readmitted, `X`
+    /// removed.
+    fn play(state: MemberState, in_flight: usize, config: &GatewayConfig, script: &str) -> String {
+        let mut member = Member::new("127.0.0.1:9000".parse().unwrap(), state, Vec::new());
+        member.load.in_flight.store(in_flight, Ordering::Relaxed);
+        let mut transitions = String::new();
+        for step in script.chars() {
+            let observation = match step {
+                'a' => {
+                    member.load.answered.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                'f' => Observation::ExchangeFailed,
+                'p' => Observation::ProbeFailed,
+                _ => Observation::ProbeAnswered(Vec::new()),
+            };
+            transitions.push(match member.observe(observation, config) {
+                None => '.',
+                Some(Transition::Ejected) => 'E',
+                Some(Transition::Readmitted) => 'R',
+                Some(Transition::Removed) => 'X',
+            });
+        }
+        transitions
+    }
+
+    fn healthy(script: &str) -> String {
+        play(MemberState::Healthy, 0, &GatewayConfig::default(), script)
+    }
+
+    /// Streaks as long as the rate rule could ever need, so it alone decides.
+    fn rate_only(script: &str) -> String {
+        let config = GatewayConfig {
+            fail_threshold: 100,
+            ..GatewayConfig::default()
+        };
+        play(MemberState::Healthy, 0, &config, script)
+    }
 
     #[test]
     fn load_score_weighs_queued_bytes() {
@@ -357,66 +403,83 @@ mod tests {
         assert_eq!(budget.balance(), RETRY_BUDGET_MAX / RETRY_BUDGET_SCALE);
     }
 
+    /// Probes and exchanges alike; failures while ejected change nothing.
     #[test]
-    fn circuit_trips_on_error_rate_and_recovers_through_half_open() {
-        let breaker = CircuitBreaker::default();
-        assert!(breaker.allows());
-        assert_eq!(breaker.state_str(), "closed");
-        // A lone error on a quiet member does not trip.
-        breaker.note_error();
-        assert!(breaker.allows());
-        // Enough errors to dominate the window trip it open.
-        for _ in 0..CIRCUIT_MIN_EVENTS {
-            breaker.note_error();
+    fn three_failures_in_a_row_eject() {
+        for script in ["ffff", "pppp", "fpff"] {
+            assert_eq!(healthy(script), "..E.", "{script}");
         }
-        assert!(!breaker.allows());
-        assert_eq!(breaker.state_str(), "open");
-        assert_eq!(breaker.trips(), 1);
-        // Errors while open change nothing.
-        breaker.note_error();
-        assert!(!breaker.allows());
-        // A successful health probe grants a half-open trial...
-        breaker.note_probe_success();
-        assert!(breaker.allows());
-        assert_eq!(breaker.state_str(), "half_open");
-        // ...and a failed trial slams it shut again.
-        breaker.note_error();
-        assert!(!breaker.allows());
-        // Second recovery: probe, then a delivered response re-closes.
-        breaker.note_probe_success();
-        breaker.note_success();
-        assert_eq!(breaker.state_str(), "closed");
-        assert!(breaker.allows());
-        assert_eq!(breaker.trips(), 1, "half-open failures do not re-count");
     }
 
+    /// A busy member that fails now and then keeps serving, however many
+    /// failures one probe interval holds, and a probe success ends a streak
+    /// too.
     #[test]
-    fn circuit_survives_errors_when_successes_dominate() {
-        let breaker = CircuitBreaker::default();
-        for _ in 0..100 {
-            breaker.note_success();
+    fn an_answer_between_failures_restarts_the_streak() {
+        let busy = format!("{}ff", "a".repeat(100)).repeat(10);
+        let expected = format!("{}...E", ".".repeat(20));
+        assert_eq!(healthy(&format!("{busy}Pfpf")), expected);
+        assert_eq!(healthy("ffPff"), ".....");
+    }
+
+    /// Every streak one failure long, every probe passing: the rate rule
+    /// ejects once the failures reach the answers over five observations,
+    /// and the next probe readmits.
+    #[test]
+    fn a_rate_ejection_while_probes_pass() {
+        assert_eq!(healthy("PafafafP"), "...ER");
+    }
+
+    /// Five failures against no answers eject, four do not, a probe
+    /// readmits, and the window starts afresh.
+    #[test]
+    fn error_rate_ejects_and_a_probe_readmits() {
+        assert_eq!(rate_only("ffffffPffff"), "....E.R....");
+    }
+
+    /// 30 % failures do not eject, before or after a probe halves both sides.
+    #[test]
+    fn a_member_survives_failures_when_answers_dominate() {
+        let script = format!("{}{}PPfff", "a".repeat(100), "f".repeat(30));
+        assert!(!rate_only(&script).contains('E'));
+    }
+
+    /// Idle, a draining member leaves on any probe; busy, after a streak of
+    /// failures that ends on a failed probe (its in-flight gauge may never
+    /// settle) — never on a failed exchange alone.
+    #[test]
+    fn the_two_rules_that_remove_a_draining_member() {
+        let config = GatewayConfig::default();
+        for (in_flight, script, expected) in [
+            (0, "P", "X"),
+            (0, "p", "X"),
+            (1, "PPP", "..."),
+            (1, "ppp", "..X"),
+            (1, "ppfffp", ".....X"),
+        ] {
+            let played = play(MemberState::Draining, in_flight, &config, script);
+            assert_eq!(played, expected, "{in_flight} in flight, {script}");
         }
-        for _ in 0..30 {
-            breaker.note_error();
-        }
-        assert!(breaker.allows(), "30% errors must not trip a 50% breaker");
-        // Decay ages both sides; the ratio (and the closed state) holds.
-        breaker.decay();
-        assert!(breaker.allows());
     }
 
     #[test]
     fn member_json_carries_identity_and_state() {
-        let member = Member::new(
+        let mut member = Member::new(
             "127.0.0.1:9000".parse().unwrap(),
             MemberState::Healthy,
-            vec!["EchoComp".to_string()],
+            Vec::new(),
         );
+        member.observe(
+            Observation::ProbeAnswered(vec!["EchoComp".to_string()]),
+            &GatewayConfig::default(),
+        );
+        member.observe(Observation::ExchangeFailed, &GatewayConfig::default());
         assert!(member.routable());
         assert!(member.advertises("EchoComp"));
         assert!(!member.advertises("Other"));
         let json = member.to_json().to_json_string();
         assert!(json.contains("\"state\":\"healthy\""));
+        assert!(json.contains("\"failures\":1"));
         assert!(json.contains("EchoComp"));
     }
 }

@@ -35,10 +35,11 @@
 //!   Advertisements refresh on every health probe, so registering a new
 //!   composition on a member re-advertises automatically.
 //! * **Health checking**: a background thread probes each member's
-//!   `GET /v1/stats` on a fixed cadence. Consecutive failures eject the
-//!   member from rotation; a succeeding probe re-admits it. Data-path
-//!   failures (refused connects, dead upstream connections) count toward
-//!   the same threshold.
+//!   `GET /v1/compositions` on a fixed cadence. Probe outcomes and failed
+//!   exchanges (refused connects, upstream connections that die owing
+//!   answers) feed one state machine per member ([`Member::observe`]): a
+//!   failure streak or a failure rate that reaches the answers ejects the
+//!   member from rotation, and a succeeding probe re-admits it.
 //! * **Load-aware routing** ([`Router`]): invocations prefer a stable
 //!   member per composition (affinity keeps warm state concentrated) but
 //!   spill to the least-loaded member when the preferred one's in-flight

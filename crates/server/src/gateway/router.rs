@@ -16,11 +16,12 @@
 //! member. Status polls follow the member that accepted the submission
 //! through a bounded invocation-owner map.
 //!
-//! A background health thread probes every member's `GET /v1/stats` on a
-//! fixed cadence, refreshes its advertised compositions (changes
-//! re-advertise automatically), ejects members after consecutive failures,
-//! re-admits them when probes succeed again, and removes draining members
-//! once their in-flight work settles.
+//! A background health thread probes every member's `GET /v1/compositions`
+//! on a fixed cadence and feeds each outcome, like every failed exchange the
+//! loops report, to the member's health machine ([`Member::observe`]): it
+//! refreshes the advertised compositions (changes re-advertise
+//! automatically), ejects and re-admits members, and says when a draining
+//! member is done; the router counts the transitions and removes the row.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
@@ -36,7 +37,7 @@ use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::client::HttpClientConnection;
-use crate::gateway::membership::{Member, MemberLoad, MemberState};
+use crate::gateway::membership::{Member, MemberLoad, MemberState, Observation, Transition};
 
 /// Invocation-owner entries retained for poll routing; the oldest entries
 /// are evicted first once the map is full.
@@ -56,14 +57,17 @@ pub fn composition_affinity_hash(composition: &str) -> u64 {
 /// Tunables of the gateway router.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatewayConfig {
-    /// Cadence of the per-member health probe (`GET /v1/stats`).
+    /// Cadence of the per-member health probe (`GET /v1/compositions`), the
+    /// tick of every member's health machine.
     pub probe_interval: Duration,
     /// Socket timeout of one probe or control-plane call to a member.
     pub probe_timeout: Duration,
     /// Timeout of one upstream `connect` on the data path (the loops call
     /// this inline, so it must stay short).
     pub connect_timeout: Duration,
-    /// Consecutive probe/data-path failures before a member is ejected.
+    /// The streak rule's length: failures, probes or exchanges, with no
+    /// answered exchange and no probe success between them that eject a
+    /// member (and remove a draining one that stopped answering probes).
     pub fail_threshold: u32,
     /// Pipelined upstream connections each event loop keeps per member.
     pub upstreams_per_loop: usize,
@@ -197,7 +201,7 @@ struct GatewayStats {
     upstream_errors: AtomicU64,
     /// Forwards replanned onto another member after a connect failure.
     retries: AtomicU64,
-    /// Members ejected after consecutive failures.
+    /// Members ejected, by the streak rule or the rate rule.
     ejections: AtomicU64,
     /// Ejected members re-admitted by a succeeding probe.
     readmissions: AtomicU64,
@@ -383,11 +387,11 @@ impl Router {
             .map_err(|error| format!("member {addr} did not list compositions: {error}"))?;
         let mut members = self.members.write();
         // Re-joining an address resets it instead of duplicating the row
-        // (a restarted member announces itself again).
+        // (a restarted member announces itself again): back in rotation,
+        // and the join probe ends its failure streak like any probe.
         if let Some(existing) = members.iter_mut().find(|member| member.addr == addr) {
             existing.state = MemberState::Healthy;
-            existing.failures = 0;
-            existing.compositions = compositions;
+            existing.observe(Observation::ProbeAnswered(compositions), &self.config);
             return Ok(existing.id);
         }
         let member = Member::new(addr, MemberState::Healthy, compositions);
@@ -425,80 +429,40 @@ impl Router {
             .map(|member| (member.id, member.addr))
             .collect();
         for (node, addr) in snapshot {
-            let outcome = if failpoint::enabled() && failpoint::check("gateway/probe").is_some() {
-                Err("injected by failpoint gateway/probe".to_string())
+            let observation = if failpoint::enabled() && failpoint::check("gateway/probe").is_some()
+            {
+                Observation::ProbeFailed
             } else {
                 fetch_compositions(addr, self.config.probe_timeout)
+                    .map_or(Observation::ProbeFailed, Observation::ProbeAnswered)
             };
-            let mut members = self.members.write();
-            let Some(member) = members.iter_mut().find(|member| member.id == node) else {
-                continue;
-            };
-            match outcome {
-                Ok(compositions) => {
-                    member.failures = 0;
-                    member.compositions = compositions;
-                    // A reachable member may re-enter rotation: an Open
-                    // circuit goes HalfOpen (the next data-path success
-                    // closes it), and the error window decays so old
-                    // failures age out instead of tripping it again.
-                    member.load.circuit.note_probe_success();
-                    member.load.circuit.decay();
-                    match member.state {
-                        MemberState::Ejected => {
-                            // Probes succeed again: re-admit.
-                            member.state = MemberState::Healthy;
-                            self.stats.readmissions.fetch_add(1, Ordering::Relaxed);
-                        }
-                        MemberState::Draining => {
-                            if member.load.in_flight.load(Ordering::Relaxed) == 0 {
-                                self.stats.drained_out.fetch_add(1, Ordering::Relaxed);
-                                members.retain(|member| member.id != node);
-                            }
-                        }
-                        MemberState::Healthy => {}
-                    }
-                }
-                Err(_) => {
-                    if member.state == MemberState::Draining {
-                        // The normal rolling restart kills the process once
-                        // its work finishes, so a draining member that stops
-                        // answering probes is gone — waiting for a successful
-                        // probe would leave a ghost "draining" row forever.
-                        // Remove it once it looks done, or after the same
-                        // consecutive-failure threshold that ejects healthy
-                        // members.
-                        member.failures = member.failures.saturating_add(1);
-                        let gone = member.load.in_flight.load(Ordering::Relaxed) == 0
-                            || member.failures >= self.config.fail_threshold;
-                        if gone {
-                            self.stats.drained_out.fetch_add(1, Ordering::Relaxed);
-                            members.retain(|member| member.id != node);
-                        }
-                    } else {
-                        self.note_member_failure_locked(member);
-                    }
-                }
-            }
+            self.observe(node, observation);
         }
     }
 
-    /// Records a data-path failure against a member (connect refused, dead
-    /// connection); counts toward the same ejection threshold as probes.
+    /// Records a data-path failure against a member: a connect refused or
+    /// never completed, or a connection that died owing it answers.
     pub(crate) fn note_upstream_failure(&self, node: NodeId) {
-        let mut members = self.members.write();
-        if let Some(member) = members.iter_mut().find(|member| member.id == node) {
-            self.note_member_failure_locked(member);
-        }
+        self.observe(node, Observation::ExchangeFailed);
     }
 
-    fn note_member_failure_locked(&self, member: &mut Member) {
-        member.failures = member.failures.saturating_add(1);
-        member.load.circuit.note_error();
-        if member.state == MemberState::Healthy && member.failures >= self.config.fail_threshold {
-            member.state = MemberState::Ejected;
-            self.stats.ejections.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Hands one observation to `node`'s health machine and applies what it
+    /// decided: counted, and a finished draining member's row removed.
+    fn observe(&self, node: NodeId, observation: Observation) {
+        let mut members = self.members.write();
+        let Some(index) = members.iter().position(|member| member.id == node) else {
+            return;
+        };
+        let counter = match members[index].observe(observation, &self.config) {
+            None => return,
+            Some(Transition::Ejected) => &self.stats.ejections,
+            Some(Transition::Readmitted) => &self.stats.readmissions,
+            Some(Transition::Removed) => {
+                members.remove(index);
+                &self.stats.drained_out
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -524,12 +488,12 @@ impl Router {
         self.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A member answered an exchange: feed the retry budget (successes
-    /// bank future retries) and the circuit breaker (a data-path success
-    /// closes a half-open circuit).
+    /// A member answered an exchange: it banks a sliver of retry budget and
+    /// ends the member's failure streak — one count the health machine
+    /// reads, so the answer path never takes the table lock.
     pub(crate) fn note_upstream_success(&self, load: &MemberLoad) {
         load.retry_budget.note_success();
-        load.circuit.note_success();
+        load.answered.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Remembers which member accepted a submitted invocation, so polls for
@@ -746,13 +710,9 @@ impl Router {
     ) -> Option<(NodeId, SocketAddr, Arc<MemberLoad>)> {
         let members = self.members.read();
         let eligible: Vec<&Member> = {
-            // An Open circuit takes the member out of consideration even
-            // while it is still nominally Healthy (the breaker trips on
-            // error *rate* before consecutive failures eject); HalfOpen
-            // admits it again so a real exchange can close the circuit.
-            let routable = members.iter().filter(|member| {
-                member.routable() && member.load.circuit.allows() && !tried.contains(&member.id)
-            });
+            let routable = members
+                .iter()
+                .filter(|member| member.routable() && !tried.contains(&member.id));
             match composition {
                 Some(name) => {
                     let advertisers: Vec<&Member> =
@@ -1195,13 +1155,42 @@ mod tests {
         id
     }
 
+    fn load_of(router: &Router, node: NodeId) -> Arc<MemberLoad> {
+        let members = router.members.read();
+        Arc::clone(&members.iter().find(|m| m.id == node).unwrap().load)
+    }
+
+    fn invoke_echo() -> HttpRequest {
+        HttpRequest::post("/v1/invoke/Echo", b"x".to_vec())
+    }
+
+    fn poll(id: impl std::fmt::Display) -> HttpRequest {
+        HttpRequest::get(format!("/v1/invocations/{id}"))
+    }
+
+    /// The plan `request` is forwarded with.
+    fn forwarded(router: &Router, request: HttpRequest) -> ForwardPlan {
+        match router.dispatch(&request) {
+            GatewayReply::Forward(plan) => plan,
+            _ => panic!("{} {} must forward", request.method, request.target),
+        }
+    }
+
+    /// The gateway's own answer to `request`.
+    fn answered(router: &Router, request: HttpRequest) -> HttpResponse {
+        match router.dispatch(&request) {
+            GatewayReply::Respond(response) => response,
+            _ => panic!(
+                "{} {} must be answered locally",
+                request.method, request.target
+            ),
+        }
+    }
+
     #[test]
     fn no_members_yields_a_retryable_503() {
         let router = router_without_health();
-        let reply = router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()));
-        let GatewayReply::Respond(response) = reply else {
-            panic!("dispatch without members must respond locally");
-        };
+        let response = answered(&router, invoke_echo());
         assert_eq!(response.status.0, 503);
         assert!(response.body_text().contains("\"no_members\""));
         assert!(response.body_text().contains("\"retryable\":true"));
@@ -1215,10 +1204,7 @@ mod tests {
         insert_member(&router, 9003, &["Alpha"]);
         // Beta has exactly one advertiser: affinity must always choose it.
         for _ in 0..8 {
-            let reply = router.dispatch(&HttpRequest::post("/v1/invoke/Beta", b"x".to_vec()));
-            let GatewayReply::Forward(plan) = reply else {
-                panic!("invocations must forward");
-            };
+            let plan = forwarded(&router, HttpRequest::post("/v1/invoke/Beta", b"x".to_vec()));
             assert_eq!(plan.node, beta);
         }
     }
@@ -1230,24 +1216,12 @@ mod tests {
         let b = insert_member(&router, 9002, &["Echo"]);
         // Find the affinity pick, overload it, and confirm the other member
         // receives the traffic.
-        let GatewayReply::Forward(first) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("must forward");
-        };
-        let preferred = first.node;
+        let preferred = forwarded(&router, invoke_echo()).node;
         let other = if preferred == a { b } else { a };
-        {
-            let members = router.members.read();
-            let member = members.iter().find(|m| m.id == preferred).unwrap();
-            member.load.in_flight.store(1000, Ordering::Relaxed);
-        }
-        let GatewayReply::Forward(second) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("must forward");
-        };
-        assert_eq!(second.node, other);
+        load_of(&router, preferred)
+            .in_flight
+            .store(1000, Ordering::Relaxed);
+        assert_eq!(forwarded(&router, invoke_echo()).node, other);
     }
 
     /// "Routing collapsed onto one member" without a stopwatch: twelve
@@ -1263,19 +1237,14 @@ mod tests {
                 .iter()
                 .map(|shard| {
                     let target = format!("/v1/invoke/{shard}");
-                    let GatewayReply::Forward(plan) =
-                        router.dispatch(&HttpRequest::post(target, b"x".to_vec()))
-                    else {
-                        panic!("must forward");
-                    };
-                    plan.node
+                    forwarded(&router, HttpRequest::post(target, b"x".to_vec())).node
                 })
                 .collect()
         };
         let set_in_flight = |node: NodeId, in_flight: usize| {
-            let members = router.members.read();
-            let member = members.iter().find(|m| m.id == node).unwrap();
-            member.load.in_flight.store(in_flight, Ordering::Relaxed);
+            load_of(&router, node)
+                .in_flight
+                .store(in_flight, Ordering::Relaxed);
         };
 
         // Every member is the affinity pick of some shards, and a shard's
@@ -1342,20 +1311,10 @@ mod tests {
         let b = insert_member(&router, 9002, &["Echo"]);
         router.drain(a);
         for _ in 0..4 {
-            let GatewayReply::Forward(plan) =
-                router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-            else {
-                panic!("must forward");
-            };
-            assert_eq!(plan.node, b);
+            assert_eq!(forwarded(&router, invoke_echo()).node, b);
         }
         router.members.write()[1].state = MemberState::Ejected;
-        let GatewayReply::Respond(response) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("all members out of rotation must respond locally");
-        };
-        assert_eq!(response.status.0, 503);
+        assert_eq!(answered(&router, invoke_echo()).status.0, 503);
     }
 
     #[test]
@@ -1365,18 +1324,9 @@ mod tests {
         let b = insert_member(&router, 9002, &["Echo"]);
         let id = InvocationId::from_raw(777);
         router.record_invocation(id, b);
-        let GatewayReply::Forward(plan) =
-            router.dispatch(&HttpRequest::get(format!("/v1/invocations/{id}")))
-        else {
-            panic!("polls must forward");
-        };
-        assert_eq!(plan.node, b);
+        assert_eq!(forwarded(&router, poll(id)).node, b);
         // Unknown ids fall back to any routable member.
-        let GatewayReply::Forward(fallback) =
-            router.dispatch(&HttpRequest::get("/v1/invocations/inv-424242"))
-        else {
-            panic!("polls must forward");
-        };
+        let fallback = forwarded(&router, poll("inv-424242"));
         assert!(fallback.node == a || fallback.node == b);
     }
 
@@ -1388,21 +1338,10 @@ mod tests {
         for _ in 0..router.config.fail_threshold {
             router.note_upstream_failure(a);
         }
-        assert_eq!(
-            router
-                .member_rows()
-                .iter()
-                .find(|(id, _, _)| *id == a)
-                .unwrap()
-                .2,
-            "ejected"
-        );
+        let rows = router.member_rows();
+        assert_eq!((rows[0].0, rows[0].2), (a, "ejected"));
         // Replanning a forward that already tried `b` has nowhere to go.
-        let GatewayReply::Forward(mut plan) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("must forward");
-        };
+        let mut plan = forwarded(&router, invoke_echo());
         assert_eq!(plan.node, b);
         plan.tried.push(b);
         assert!(router.replan(plan).is_none());
@@ -1413,11 +1352,7 @@ mod tests {
         let router = router_without_health();
         insert_member(&router, 9001, &["Echo"]);
         insert_member(&router, 9002, &["Echo"]);
-        let GatewayReply::Forward(plan) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("must forward");
-        };
+        let plan = forwarded(&router, invoke_echo());
         // Drain the chosen member's bucket (the initial float allows a
         // handful of cold-start retries), then replanning must refuse even
         // though another member is available.
@@ -1432,11 +1367,7 @@ mod tests {
         let router = router_without_health();
         insert_member(&router, 9001, &["Echo"]);
         insert_member(&router, 9002, &["Echo"]);
-        let GatewayReply::Forward(plan) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("must forward");
-        };
+        let plan = forwarded(&router, invoke_echo());
         while plan.load.retry_budget.try_withdraw() {}
         // Ten successes bank exactly one retry.
         for _ in 0..10 {
@@ -1451,40 +1382,28 @@ mod tests {
     }
 
     #[test]
-    fn open_circuit_takes_a_member_out_of_rotation() {
+    fn a_rate_ejected_member_leaves_rotation() {
         let router = router_without_health();
         let a = insert_member(&router, 9001, &["Echo"]);
         let b = insert_member(&router, 9002, &["Echo"]);
-        {
-            let members = router.members.read();
-            let member = members.iter().find(|m| m.id == a).unwrap();
-            for _ in 0..5 {
-                member.load.circuit.note_error();
-            }
-            assert!(!member.load.circuit.allows());
-        }
-        for _ in 0..8 {
-            let GatewayReply::Forward(plan) =
-                router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-            else {
-                panic!("must forward");
-            };
-            assert_eq!(plan.node, b, "the open circuit must shed member a");
-        }
-        // Both circuits open: nothing is routable.
-        {
-            let members = router.members.read();
-            let member = members.iter().find(|m| m.id == b).unwrap();
-            for _ in 0..5 {
-                member.load.circuit.note_error();
-            }
-        }
-        let GatewayReply::Respond(response) =
-            router.dispatch(&HttpRequest::post("/v1/invoke/Echo", b"x".to_vec()))
-        else {
-            panic!("must respond locally when every circuit is open");
+        // Five observations, four of them failures and no three in a row:
+        // the rate rule ejects where no streak would.
+        let fail_at_rate = |node: NodeId| {
+            router.note_upstream_failure(node);
+            router.note_upstream_failure(node);
+            router.note_upstream_success(&load_of(&router, node));
+            router.note_upstream_failure(node);
+            router.note_upstream_failure(node);
         };
-        assert_eq!(response.status.0, 503);
+        fail_at_rate(a);
+        for _ in 0..8 {
+            let plan = forwarded(&router, invoke_echo());
+            assert_eq!(plan.node, b, "the ejection must shed member a");
+        }
+        // Both members out: nothing is routable.
+        fail_at_rate(b);
+        assert_eq!(answered(&router, invoke_echo()).status.0, 503);
+        assert_eq!(router.stats.ejections.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1497,30 +1416,16 @@ mod tests {
         for raw in 2..(INVOCATION_ROUTE_CAPACITY as u64 + 3) {
             router.record_invocation(InvocationId::from_raw(raw), node);
         }
-        let GatewayReply::Respond(response) =
-            router.dispatch(&HttpRequest::get(format!("/v1/invocations/{first}")))
-        else {
-            panic!("an evicted id must be answered locally");
-        };
+        let response = answered(&router, poll(first));
         assert_eq!(response.status.0, 410);
         assert!(response.body_text().contains("\"result_evicted\""));
         assert_eq!(router.stats.evicted_polls.load(Ordering::Relaxed), 1);
         // Ids still tracked keep forwarding to their owner.
         let live = InvocationId::from_raw(INVOCATION_ROUTE_CAPACITY as u64);
-        let GatewayReply::Forward(plan) =
-            router.dispatch(&HttpRequest::get(format!("/v1/invocations/{live}")))
-        else {
-            panic!("live ids still forward");
-        };
-        assert_eq!(plan.node, node);
+        assert_eq!(forwarded(&router, poll(live)).node, node);
         // Resubmitting an evicted id makes it live again.
         router.record_invocation(first, node);
-        let GatewayReply::Forward(plan) =
-            router.dispatch(&HttpRequest::get(format!("/v1/invocations/{first}")))
-        else {
-            panic!("a resubmitted id forwards again");
-        };
-        assert_eq!(plan.node, node);
+        assert_eq!(forwarded(&router, poll(first)).node, node);
     }
 
     /// A loopback port with nothing listening: probes to it fail instantly.

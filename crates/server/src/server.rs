@@ -14,7 +14,7 @@ use crate::config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 use crate::event_loop::{EventLoop, LoopShared};
 use crate::gateway::Router;
 use crate::rate::RateLimiter;
-use crate::sys::{bind_reuseport, pin_thread_to_core};
+use crate::sys::bind_reuseport;
 
 /// Counters and gauges of the serving layer (all relaxed; they feed
 /// dashboards, `/v1/stats` and tests, not control flow).
@@ -303,15 +303,9 @@ impl Server {
             _ => unreachable!("a server is local or gateway"),
         }
 
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
         let mut threads = Vec::with_capacity(loop_count);
         for (index, listener) in listeners.into_iter().enumerate() {
             let event_loop = EventLoop::new(index, Arc::clone(&shared), listener)?;
-            // Pin inside the spawned thread: affinity is per thread, and a
-            // pin failure (restrictive cpuset) degrades to an unpinned loop.
-            let pin = config.pin_cores.then_some(index % cores);
             // The kernel keeps 15 bytes of a thread name: short enough that
             // the loop index and the port both survive, so `top -H` and
             // `/proc/<pid>/task/*/comm` tell the loops of one server apart,
@@ -319,12 +313,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("dl-loop{index}@{}", addr.port()))
-                    .spawn(move || {
-                        if let Some(core) = pin {
-                            let _ = pin_thread_to_core(core);
-                        }
-                        event_loop.run()
-                    })?,
+                    .spawn(move || event_loop.run())?,
             );
         }
 

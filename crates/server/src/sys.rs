@@ -64,8 +64,6 @@ const SO_REUSEPORT: c_int = 15;
 /// to `net.core.somaxconn`). Deliberately deeper than the std default of
 /// 128: a connection storm aimed at one shard must queue, not drop SYNs.
 const LISTEN_BACKLOG: c_int = 4096;
-/// Size of the `cpu_set_t` affinity mask: 1024 CPUs, the Linux ABI default.
-const CPU_SET_WORDS: usize = 16;
 
 /// One readiness event, in the kernel's wire layout (packed on x86-64).
 #[repr(C)]
@@ -125,7 +123,6 @@ extern "C" {
     ) -> c_int;
     fn bind(sockfd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
     fn listen(sockfd: c_int, backlog: c_int) -> c_int;
-    fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
 }
 
 fn check(result: c_int) -> io::Result<c_int> {
@@ -346,20 +343,6 @@ pub fn bind_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
     Ok(listener)
 }
 
-/// Pins the calling thread to `core` (modulo the CPUs the mask can name).
-///
-/// Event loops opt into this via `--pin-cores`: a pinned loop keeps its
-/// connections' pool allocations, slab and decoder buffers on one core's
-/// cache hierarchy instead of migrating them on every reschedule. Failure
-/// (e.g. a cpuset that excludes the core) is reported, not fatal — the
-/// caller degrades to an unpinned loop.
-pub fn pin_thread_to_core(core: usize) -> io::Result<()> {
-    let mut mask = [0u64; CPU_SET_WORDS];
-    let bit = core % (CPU_SET_WORDS * 64);
-    mask[bit / 64] = 1u64 << (bit % 64);
-    check(unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) }).map(|_| ())
-}
-
 /// Raises the process's soft open-file limit to at least `want` descriptors,
 /// returning the resulting soft limit. When `want` exceeds even the hard
 /// limit, a privileged process (tests run as root in CI containers) gets the
@@ -554,19 +537,5 @@ mod tests {
         assert_eq!(served.read(&mut buf).unwrap(), 4);
         client.write_all(b"pong").unwrap();
         assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1, "fresh edge");
-    }
-
-    #[test]
-    fn pinning_the_current_thread_is_accepted() {
-        // Core 0 always exists; the call must succeed (or at minimum not
-        // corrupt the thread) and the thread keeps running afterwards.
-        std::thread::spawn(|| {
-            pin_thread_to_core(0).expect("pin to core 0");
-            // A core the machine does not have is a clean error (callers
-            // degrade to an unpinned loop), never a panic.
-            let _ = pin_thread_to_core(1023);
-        })
-        .join()
-        .unwrap();
     }
 }

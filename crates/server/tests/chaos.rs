@@ -6,7 +6,8 @@
 //! robustness contract: every request gets exactly one response (nothing
 //! lost, nothing duplicated), error counters reconcile with what the
 //! clients saw, and once the fault clears the cluster heals on its own —
-//! ejected members are re-admitted and circuits re-close.
+//! succeeding probes re-admit the members that failure streaks or failure
+//! rates ejected.
 //!
 //! The failpoint registry is process-global, so every test takes the
 //! [`serial`] guard and clears the registry on entry and exit — the suite
@@ -169,9 +170,9 @@ fn assert_exactly_once(
     (ok, faulted)
 }
 
-/// After the fault clears the cluster must heal by itself: probes
-/// re-admit ejected members, a probe success half-opens the circuit and a
-/// delivered response re-closes it. Proven by traffic flowing again.
+/// After the fault clears the cluster must heal by itself: a succeeding
+/// probe re-admits an ejected member, whichever rule ejected it. Proven by
+/// traffic flowing again.
 fn wait_until_serving(addr: SocketAddr) {
     wait_for(
         "the cluster to serve 200s again",

@@ -104,14 +104,17 @@ fn run_to_exit(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn the_single_listener_flag_is_gone() {
-    let (code, stderr) = run_to_exit(&["--single-listener"]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.starts_with("usage: dandelion-serve"), "{stderr}");
-    assert!(!stderr.contains("single-listener"), "{stderr}");
-    // Not the last argument either: it is no flag at all, with or without
-    // something after it.
-    let (code, _) = run_to_exit(&["--single-listener", "--addr", "127.0.0.1:0"]);
-    assert_eq!(code, Some(2));
+    // And `--pin-cores`, deleted the same way.
+    for gone in ["--single-listener", "--pin-cores"] {
+        let (code, stderr) = run_to_exit(&[gone]);
+        assert_eq!(code, Some(2), "stderr: {stderr}");
+        assert!(stderr.starts_with("usage: dandelion-serve"), "{stderr}");
+        assert!(!stderr.contains(gone), "{stderr}");
+        // Not the last argument either: it is no flag at all, with or
+        // without something after it.
+        let (code, _) = run_to_exit(&[gone, "--addr", "127.0.0.1:0"]);
+        assert_eq!(code, Some(2));
+    }
 }
 
 #[test]

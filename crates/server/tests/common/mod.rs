@@ -52,9 +52,19 @@ fn loopback_config() -> ServerConfig {
 
 /// One cluster member: worker + frontend + server on an ephemeral port.
 pub fn start_member() -> (Server, Arc<WorkerNode>) {
+    start_member_idling_out_after(loopback_config().read_timeout)
+}
+
+/// A member that closes a keep-alive connection left idle for
+/// `read_timeout` — the gateway's pooled upstreams included.
+pub fn start_member_idling_out_after(read_timeout: Duration) -> (Server, Arc<WorkerNode>) {
     let worker = echo_worker();
     let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
-    let server = Server::start(loopback_config(), frontend).expect("member binds");
+    let config = ServerConfig {
+        read_timeout,
+        ..loopback_config()
+    };
+    let server = Server::start(config, frontend).expect("member binds");
     (server, worker)
 }
 

@@ -15,7 +15,8 @@ use dandelion_server::{GatewayConfig, Server};
 
 mod common;
 use common::{
-    connect, shutdown, start_gateway, start_gateway_pipelining, start_member, test_gateway_config,
+    connect, shutdown, start_gateway, start_gateway_pipelining, start_member,
+    start_member_idling_out_after, test_gateway_config,
 };
 
 /// `node-id → addr` rows from the gateway's membership document.
@@ -315,6 +316,44 @@ fn killing_a_member_under_load_ejects_it_and_survivors_keep_serving() {
     assert!(ejections >= 1);
 
     shutdown(gateway, members.into_iter().flatten());
+}
+
+/// A member closes the gateway's pooled upstream once it has sat idle past
+/// the member's read timeout. That is the member's keep-alive policy, not a
+/// failure: with one failure enough to eject and no probe due to undo it,
+/// the member stays in rotation and the next request is served.
+#[test]
+fn an_idle_member_closing_its_keep_alives_stays_in_rotation() {
+    let member = start_member_idling_out_after(Duration::from_millis(300));
+    let config = GatewayConfig {
+        fail_threshold: 1,
+        probe_interval: Duration::from_secs(60),
+        ..test_gateway_config()
+    };
+    let (gateway, _router) = start_gateway(config, &[member.0.local_addr()]);
+    let gateway_addr = gateway.local_addr();
+    let mut client = connect(gateway_addr);
+    let mut invoke = || {
+        client
+            .request(&HttpRequest::post("/v1/invoke/EchoComp", b"idle".to_vec()))
+            .unwrap()
+    };
+    assert_eq!(invoke().status.0, 200);
+    std::thread::sleep(Duration::from_secs(1));
+
+    assert_eq!(member_table(gateway_addr)[0].2, "healthy");
+    let stats = connect(gateway_addr)
+        .request(&HttpRequest::get("/v1/stats"))
+        .unwrap();
+    let document = JsonValue::parse(&stats.body_text()).unwrap();
+    assert_eq!(
+        document.get("ejections").and_then(JsonValue::as_u64),
+        Some(0)
+    );
+    let next = invoke();
+    assert_eq!(next.status.0, 200, "got: {}", next.body_text());
+
+    assert!(shutdown(gateway, [member]), "gateway drains cleanly");
 }
 
 /// Submitted invocations are polled on the member that accepted them: the
