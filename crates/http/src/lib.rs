@@ -27,8 +27,8 @@ pub use parse::{
     parse_request, parse_request_shared, parse_response, parse_response_shared, HttpParseError,
 };
 pub use stream::{
-    probe_request, probe_response, rejection_code, rejection_status, ParseLimits, Probe,
-    RequestDecoder, ResponseDecoder,
+    probe_request, probe_response, rejection_code, rejection_status, Frame, ParseLimits, Probe,
+    RequestDecoder, RequestFrame, ResponseDecoder, ResponseFrame,
 };
 pub use types::{Headers, HttpRequest, HttpResponse, Method, StatusCode, Version};
 pub use uri::Uri;

@@ -4,6 +4,14 @@
 //! produced by untrusted compute functions (requests) and by remote services
 //! (responses), so it enforces limits on line length, header count and body
 //! size rather than trusting `Content-Length` blindly.
+//!
+//! A head is read by one scanner, [`scan_head`]: it finds where the head
+//! ends, validates the start line and every field line, and leaves a record
+//! of what the rest of the stack reads — where the body starts, what length
+//! it declares, the start line, and where the `Connection` lines are. The
+//! one-shot parsers here, the stream decoders' framing and the gateway's
+//! splice all read that record, so no two of them can disagree on where a
+//! message ends or whether it is well-formed.
 
 use std::fmt;
 use std::ops::Range;
@@ -73,72 +81,290 @@ impl fmt::Display for HttpParseError {
 
 impl std::error::Error for HttpParseError {}
 
-struct MessageHead {
-    start_line: String,
-    headers: Headers,
-    body_offset: usize,
-    /// The body length the head declares; see [`note_framing_field`].
-    content_length: Option<usize>,
+/// A byte range of a message, counted from its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
 }
 
-fn parse_head(input: &[u8]) -> Result<MessageHead, HttpParseError> {
-    let mut offset = 0usize;
-    let start_line = read_line(input, &mut offset)?;
-    let mut headers = Headers::new();
-    let mut content_length = None;
-    loop {
-        let line = read_line(input, &mut offset)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpParseError::LimitExceeded("header count"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpParseError::MalformedHeader(line.clone()))?;
-        // Whitespace between a field name and its colon is an error, not
-        // something to trim (RFC 9112 §5.1): a hop that trimmed it and one
-        // that did not would disagree on which field this is.
-        let name = name.trim_start();
-        if name.is_empty() || name.chars().any(|c| c.is_whitespace()) {
-            return Err(HttpParseError::MalformedHeader(line.clone()));
-        }
-        note_framing_field(&mut content_length, name.as_bytes(), value)?;
-        headers.insert(name, value.trim());
+impl Span {
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start..self.end
     }
-    Ok(MessageHead {
-        start_line,
-        headers,
-        body_offset: offset,
-        content_length,
+}
+
+/// A request's start line as the scan read it: `method target version`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestLine {
+    pub(crate) method: Method,
+    pub(crate) target: Span,
+    pub(crate) version: Version,
+}
+
+/// A response's start line as the scan read it: `version status reason`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatusLine {
+    pub(crate) version: Version,
+    pub(crate) status: StatusCode,
+}
+
+/// Reads a start line (`line`, its CRLF cut, found at offset `at` of the
+/// message): [`request_line`] or [`status_line`].
+pub(crate) type StartLineParser<L> = fn(line: &[u8], at: usize) -> Result<L, HttpParseError>;
+
+/// Where a head's `Connection` lines are, and which of the tokens this
+/// server acts on they list (RFC 9110 §7.6.1: several lines are one list).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct ConnectionFields {
+    /// The first `Connection` line, its CRLF included.
+    pub(crate) first: Option<Span>,
+    /// How many lines are `Connection` lines.
+    pub(crate) lines: usize,
+    pub(crate) close: bool,
+    pub(crate) keep_alive: bool,
+}
+
+/// What one scan of a head records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Head<L> {
+    pub(crate) start: L,
+    /// The head's length, blank line included: where the body starts.
+    pub(crate) body_offset: usize,
+    /// The body length the head declares; see [`note_framing_field`].
+    pub(crate) content_length: Option<usize>,
+    pub(crate) connection: ConnectionFields,
+}
+
+impl<L> Head<L> {
+    /// The length of the message the head starts: head plus declared body.
+    pub(crate) fn message_len(&self) -> usize {
+        self.body_offset + self.content_length.unwrap_or(0)
+    }
+}
+
+/// Scans the head at the front of `input`: finds its end and validates its
+/// start line (with `start_line`) and every field line — at most
+/// [`MAX_LINE_BYTES`] a line, [`MAX_HEADERS`] fields, a colon with no
+/// whitespace before it, the framing rules of [`note_framing_field`] — and
+/// the head's size against `max_head` (terminator included).
+///
+/// `Ok(None)` while the head has not arrived whole: everything that has
+/// arrived is valid so far. An error depends only on the bytes before the
+/// one that caused it, so a stream decoder that scans a prefix reaches the
+/// verdict the one-shot parser reaches on the whole message.
+pub(crate) fn scan_head<L: Copy>(
+    input: &[u8],
+    max_head: usize,
+    start_line: StartLineParser<L>,
+) -> Result<Option<Head<L>>, HttpParseError> {
+    let window = &input[..input.len().min(max_head)];
+    let mut start = None;
+    let mut content_length = None;
+    let mut connection = ConnectionFields::default();
+    let mut fields = 0;
+    let mut at = 0;
+    while let Some(end) = line_end(window, at)? {
+        let line = &window[at..end];
+        let next = end + 2;
+        match start {
+            None => start = Some(start_line(line, at)?),
+            Some(start) if line.is_empty() => {
+                return Ok(Some(Head {
+                    start,
+                    body_offset: next,
+                    content_length,
+                    connection,
+                }));
+            }
+            Some(_) => {
+                fields += 1;
+                if fields > MAX_HEADERS {
+                    return Err(HttpParseError::LimitExceeded("header count"));
+                }
+                let (name, value) = field(line)?;
+                note_framing_field(&mut content_length, name, value)?;
+                if name.eq_ignore_ascii_case(b"connection") {
+                    connection.first.get_or_insert(Span {
+                        start: at,
+                        end: next,
+                    });
+                    connection.lines += 1;
+                    for token in value.split(|&byte| byte == b',') {
+                        let token = token.trim_ascii();
+                        connection.close |= token.eq_ignore_ascii_case(b"close");
+                        connection.keep_alive |= token.eq_ignore_ascii_case(b"keep-alive");
+                    }
+                }
+            }
+        }
+        at = next;
+    }
+    if input.len() >= max_head {
+        return Err(HttpParseError::LimitExceeded("head size"));
+    }
+    Ok(None)
+}
+
+/// Where the line that starts at `at` ends — the offset of its CR — or
+/// `None` while its end has not arrived.
+///
+/// A line ends at CRLF and nowhere else: a CR that no LF follows, a bare LF
+/// or a NUL anywhere in a head is an error (RFC 9112 §2.2, §5.5). Were a
+/// bare LF a line end to one reader and field content to another, the two
+/// would disagree on which fields a head has — `Content-Length` among them.
+fn line_end(window: &[u8], at: usize) -> Result<Option<usize>, HttpParseError> {
+    let rest = &window[at..];
+    let control = rest
+        .iter()
+        .position(|&byte| matches!(byte, b'\r' | b'\n' | 0));
+    if control.unwrap_or(rest.len()) > MAX_LINE_BYTES {
+        return Err(HttpParseError::LimitExceeded("line length"));
+    }
+    let Some(offset) = control else {
+        return Ok(None);
+    };
+    match rest[offset..] {
+        [b'\r', b'\n', ..] => Ok(Some(at + offset)),
+        [b'\r'] => Ok(None),
+        _ => Err(HttpParseError::MalformedHeader(format!(
+            "{} (a CR, LF or NUL outside a CRLF line end)",
+            utf8_lossy(&rest[..=offset]).escape_debug()
+        ))),
+    }
+}
+
+/// A field line's name — whitespace before it skipped, as the parser always
+/// has — and value, untrimmed; `None` for a line with no colon.
+fn split_field(line: &[u8]) -> Option<(&[u8], &[u8])> {
+    let colon = line.iter().position(|&byte| byte == b':')?;
+    let name = &line[..colon];
+    let indent = name
+        .iter()
+        .take_while(|byte| byte.is_ascii_whitespace())
+        .count();
+    Some((&name[indent..], &line[colon + 1..]))
+}
+
+/// A field line's name and value, refused when it has no colon or a name
+/// that is empty or has whitespace in it or behind it: whitespace between a
+/// field name and its colon is an error, not something to trim (RFC 9112
+/// §5.1) — a hop that trimmed it and one that did not would disagree on
+/// which field this is.
+fn field(line: &[u8]) -> Result<(&[u8], &[u8]), HttpParseError> {
+    match split_field(line) {
+        Some((name, value))
+            if !name.is_empty() && !name.iter().any(|byte| byte.is_ascii_whitespace()) =>
+        {
+            Ok((name, value))
+        }
+        _ => Err(HttpParseError::MalformedHeader(
+            utf8_lossy(line).into_owned(),
+        )),
+    }
+}
+
+/// The field lines of a head the scan accepted, from the one that starts at
+/// `at` up to the blank line: each line's span (CRLF included), name and
+/// value. The scan leaves a CR only at a line end, so the next CR is one.
+pub(crate) fn field_lines(
+    head: &[u8],
+    mut at: usize,
+) -> impl Iterator<Item = (Span, &[u8], &[u8])> {
+    std::iter::from_fn(move || {
+        let end = at + head[at..].iter().position(|&byte| byte == b'\r')?;
+        // The blank line has no colon, and ends the fields.
+        let (name, value) = split_field(&head[at..end])?;
+        let span = Span {
+            start: at,
+            end: end + 2,
+        };
+        at = span.end;
+        Some((span, name, value))
     })
 }
 
-fn read_line(input: &[u8], offset: &mut usize) -> Result<String, HttpParseError> {
-    let rest = &input[*offset..];
-    let end = rest
-        .windows(2)
-        .position(|window| window == b"\r\n")
-        .ok_or(HttpParseError::UnexpectedEof)?;
-    if end > MAX_LINE_BYTES {
-        return Err(HttpParseError::LimitExceeded("line length"));
+/// The ranges of the whitespace-separated tokens of `line`.
+fn tokens(line: &[u8]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at
+            + line[at..]
+                .iter()
+                .position(|byte| !byte.is_ascii_whitespace())?;
+        let end = line[start..]
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .map_or(line.len(), |length| start + length);
+        at = end;
+        Some(start..end)
+    })
+}
+
+fn version(token: &[u8]) -> Result<Version, HttpParseError> {
+    std::str::from_utf8(token)
+        .ok()
+        .and_then(Version::parse)
+        .ok_or_else(|| HttpParseError::UnsupportedVersion(utf8_lossy(token).into_owned()))
+}
+
+/// Reads `method SP target SP version`: exactly three tokens.
+pub(crate) fn request_line(line: &[u8], at: usize) -> Result<RequestLine, HttpParseError> {
+    let malformed = || HttpParseError::MalformedStartLine(utf8_lossy(line).into_owned());
+    let mut parts = tokens(line);
+    let method = parts.next().ok_or_else(malformed)?;
+    let target = parts.next().ok_or_else(malformed)?;
+    let version_token = parts.next().ok_or_else(malformed)?;
+    if parts.next().is_some() {
+        return Err(malformed());
     }
-    let line = utf8_lossy(&rest[..end]).into_owned();
-    *offset += end + 2;
-    Ok(line)
+    let method = &line[method];
+    let method = std::str::from_utf8(method)
+        .ok()
+        .and_then(Method::parse)
+        .ok_or_else(|| HttpParseError::UnknownMethod(utf8_lossy(method).into_owned()))?;
+    Ok(RequestLine {
+        method,
+        version: version(&line[version_token])?,
+        target: Span {
+            start: at + target.start,
+            end: at + target.end,
+        },
+    })
+}
+
+/// Reads `version SP status [SP reason]`, the status in `100..600`.
+pub(crate) fn status_line(line: &[u8], _at: usize) -> Result<StatusLine, HttpParseError> {
+    let mut parts = line.splitn(3, |&byte| byte == b' ');
+    let version_token = parts.next().unwrap_or_default();
+    let status_token = parts
+        .next()
+        .ok_or_else(|| HttpParseError::MalformedStartLine(utf8_lossy(line).into_owned()))?;
+    let version = version(version_token)?;
+    let status = std::str::from_utf8(status_token)
+        .ok()
+        .and_then(|token| token.parse::<u16>().ok())
+        .filter(|status| (100..600).contains(status))
+        .ok_or_else(|| HttpParseError::InvalidStatus(utf8_lossy(status_token).into_owned()))?;
+    Ok(StatusLine {
+        version,
+        status: StatusCode(status),
+    })
 }
 
 /// The body length a `Content-Length` field value declares. A value that is
 /// not a length is a malformed header for every parser alike.
-fn declared_length(value: &str) -> Result<usize, HttpParseError> {
-    parse_content_length(value)
-        .ok_or_else(|| HttpParseError::MalformedHeader(format!("Content-Length: {}", value.trim())))
+fn declared_length(value: &[u8]) -> Result<usize, HttpParseError> {
+    parse_content_length(value).ok_or_else(|| {
+        HttpParseError::MalformedHeader(format!(
+            "Content-Length: {}",
+            utf8_lossy(value.trim_ascii())
+        ))
+    })
 }
 
 /// Folds one header field into what the head says about where its body
-/// ends — the stream probe's head scan and the one-shot parsers' both come
-/// through here, so they decide a message's framing alike.
+/// ends — every head scan comes through here.
 ///
 /// `Content-Length` sets `length`; a second one must repeat the first, for
 /// with two lengths the bytes between them are a body to one reader and the
@@ -146,10 +372,10 @@ fn declared_length(value: &str) -> Result<usize, HttpParseError> {
 /// is refused whole: chunked framing is not implemented, and ignoring the
 /// field would run the request with an empty body and parse its chunks as
 /// the next one.
-pub(crate) fn note_framing_field(
+fn note_framing_field(
     length: &mut Option<usize>,
     name: &[u8],
-    value: &str,
+    value: &[u8],
 ) -> Result<(), HttpParseError> {
     if name.eq_ignore_ascii_case(b"transfer-encoding") {
         return Err(HttpParseError::NotImplemented("Transfer-Encoding"));
@@ -159,7 +385,7 @@ pub(crate) fn note_framing_field(
         if length.is_some_and(|earlier| earlier != declared) {
             return Err(HttpParseError::MalformedHeader(format!(
                 "Content-Length: {} after another length",
-                value.trim()
+                utf8_lossy(value.trim_ascii())
             )));
         }
         *length = Some(declared);
@@ -167,8 +393,56 @@ pub(crate) fn note_framing_field(
     Ok(())
 }
 
-/// Determines the byte range of the message body within `input`.
-fn body_range(input: &[u8], head: &MessageHead) -> Result<Range<usize>, HttpParseError> {
+/// The header map of a scanned message: every field line, names as they
+/// arrived and values trimmed.
+fn headers(message: &[u8]) -> Headers {
+    let mut headers = Headers::new();
+    let fields = message
+        .iter()
+        .position(|&byte| byte == b'\r')
+        .map_or(message.len(), |end| end + 2);
+    for (_, name, value) in field_lines(message, fields) {
+        headers.insert(utf8_lossy(name), utf8_lossy(value).trim());
+    }
+    headers
+}
+
+/// The request a scanned message holds, with `body` as its body.
+pub(crate) fn build_request(
+    message: &[u8],
+    head: &Head<RequestLine>,
+    body: SharedBytes,
+) -> HttpRequest {
+    HttpRequest {
+        method: head.start.method,
+        target: utf8_lossy(&message[head.start.target.range()]).into_owned(),
+        version: head.start.version,
+        headers: headers(message),
+        body,
+    }
+}
+
+/// The response a scanned message holds, with `body` as its body.
+pub(crate) fn build_response(
+    message: &[u8],
+    head: &Head<StatusLine>,
+    body: SharedBytes,
+) -> HttpResponse {
+    HttpResponse {
+        version: head.start.version,
+        status: head.start.status,
+        headers: headers(message),
+        body,
+    }
+}
+
+/// Scans the one message `input` holds and finds its body: the declared
+/// length, or — with none declared — the rest of the input.
+fn parse_message<L: Copy>(
+    input: &[u8],
+    start_line: StartLineParser<L>,
+) -> Result<(Head<L>, Range<usize>), HttpParseError> {
+    let head = scan_head(input, usize::MAX, start_line)?.ok_or(HttpParseError::UnexpectedEof)?;
     let available = input.len() - head.body_offset;
     let length = match head.content_length {
         Some(length) => {
@@ -190,7 +464,7 @@ fn body_range(input: &[u8], head: &MessageHead) -> Result<Range<usize>, HttpPars
             available
         }
     };
-    Ok(head.body_offset..head.body_offset + length)
+    Ok((head, head.body_offset..head.body_offset + length))
 }
 
 /// Parses a serialized HTTP request, copying the body out of `input`.
@@ -198,48 +472,19 @@ fn body_range(input: &[u8], head: &MessageHead) -> Result<Range<usize>, HttpPars
 /// [`parse_request_shared`] is the zero-copy variant over an owned receive
 /// buffer.
 pub fn parse_request(input: &[u8]) -> Result<HttpRequest, HttpParseError> {
-    parse_request_impl(input, &mut |range| {
-        SharedBytes::copy_from_slice(&input[range])
-    })
+    let (head, body) = parse_message(input, request_line)?;
+    Ok(build_request(
+        input,
+        &head,
+        SharedBytes::copy_from_slice(&input[body]),
+    ))
 }
 
 /// Parses a serialized HTTP request held in a [`SharedBytes`] receive
 /// buffer; the returned request's body is a zero-copy view of that buffer.
 pub fn parse_request_shared(input: &SharedBytes) -> Result<HttpRequest, HttpParseError> {
-    parse_request_impl(input.as_slice(), &mut |range| input.slice(range))
-}
-
-fn parse_request_impl(
-    input: &[u8],
-    make_body: &mut dyn FnMut(Range<usize>) -> SharedBytes,
-) -> Result<HttpRequest, HttpParseError> {
-    let head = parse_head(input)?;
-    let mut parts = head.start_line.split_whitespace();
-    let method_token = parts
-        .next()
-        .ok_or_else(|| HttpParseError::MalformedStartLine(head.start_line.clone()))?;
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpParseError::MalformedStartLine(head.start_line.clone()))?
-        .to_string();
-    let version_token = parts
-        .next()
-        .ok_or_else(|| HttpParseError::MalformedStartLine(head.start_line.clone()))?;
-    if parts.next().is_some() {
-        return Err(HttpParseError::MalformedStartLine(head.start_line.clone()));
-    }
-    let method = Method::parse(method_token)
-        .ok_or_else(|| HttpParseError::UnknownMethod(method_token.to_string()))?;
-    let version = Version::parse(version_token)
-        .ok_or_else(|| HttpParseError::UnsupportedVersion(version_token.to_string()))?;
-    let body = make_body(body_range(input, &head)?);
-    Ok(HttpRequest {
-        method,
-        target,
-        version,
-        headers: head.headers,
-        body,
-    })
+    let (head, body) = parse_message(input, request_line)?;
+    Ok(build_request(input, &head, input.slice(body)))
 }
 
 /// Parses a serialized HTTP response, copying the body out of `input`.
@@ -247,44 +492,19 @@ fn parse_request_impl(
 /// [`parse_response_shared`] is the zero-copy variant over an owned receive
 /// buffer.
 pub fn parse_response(input: &[u8]) -> Result<HttpResponse, HttpParseError> {
-    parse_response_impl(input, &mut |range| {
-        SharedBytes::copy_from_slice(&input[range])
-    })
+    let (head, body) = parse_message(input, status_line)?;
+    Ok(build_response(
+        input,
+        &head,
+        SharedBytes::copy_from_slice(&input[body]),
+    ))
 }
 
 /// Parses a serialized HTTP response held in a [`SharedBytes`] receive
 /// buffer; the returned response's body is a zero-copy view of that buffer.
 pub fn parse_response_shared(input: &SharedBytes) -> Result<HttpResponse, HttpParseError> {
-    parse_response_impl(input.as_slice(), &mut |range| input.slice(range))
-}
-
-fn parse_response_impl(
-    input: &[u8],
-    make_body: &mut dyn FnMut(Range<usize>) -> SharedBytes,
-) -> Result<HttpResponse, HttpParseError> {
-    let head = parse_head(input)?;
-    let mut parts = head.start_line.splitn(3, ' ');
-    let version_token = parts
-        .next()
-        .ok_or_else(|| HttpParseError::MalformedStartLine(head.start_line.clone()))?;
-    let status_token = parts
-        .next()
-        .ok_or_else(|| HttpParseError::MalformedStartLine(head.start_line.clone()))?;
-    let version = Version::parse(version_token)
-        .ok_or_else(|| HttpParseError::UnsupportedVersion(version_token.to_string()))?;
-    let status: u16 = status_token
-        .parse()
-        .map_err(|_| HttpParseError::InvalidStatus(status_token.to_string()))?;
-    if !(100..600).contains(&status) {
-        return Err(HttpParseError::InvalidStatus(status_token.to_string()));
-    }
-    let body = make_body(body_range(input, &head)?);
-    Ok(HttpResponse {
-        version,
-        status: StatusCode(status),
-        headers: head.headers,
-        body,
-    })
+    let (head, body) = parse_message(input, status_line)?;
+    Ok(build_response(input, &head, input.slice(body)))
 }
 
 #[cfg(test)]

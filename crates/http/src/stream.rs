@@ -11,30 +11,35 @@
 //!   bodies are rejected before they are buffered in full.
 //! * [`RequestDecoder`] / [`ResponseDecoder`] own the receive buffer: bytes
 //!   accumulate in a pooled [`SharedBytesMut`]; once a message is complete
-//!   the buffer is frozen and the message parsed with the one-shot shared
-//!   parsers, so bodies are zero-copy views of the receive buffer and
-//!   pipelined messages parse from one freeze.
+//!   the buffer is frozen and the message handed out as a [`Frame`] — its
+//!   bytes, a view of the receive buffer, and the record of its head's one
+//!   scan — from which [`Frame::to_request`] / [`Frame::to_response`] build
+//!   the structured message and [`Frame::splice`] the bytes a proxy
+//!   forwards, pipelined messages all from one freeze.
 //! * [`rejection_status`] maps a parse failure to the HTTP status the server
 //!   answers with before closing the connection (`400`, `413`, `431` or
 //!   `501`).
 //!
-//! Decoded results are byte-identical to the one-shot path: a decoder that
-//! was fed a serialized request in arbitrary fragments yields exactly what
-//! [`parse_request_shared`] yields on the whole buffer (the property tests
-//! split at every byte boundary to prove it).
+//! Framing, validation and the one-shot parsers are one head scan, so the
+//! verdicts agree by construction, and decoded results are byte-identical to
+//! the one-shot path: a decoder that was fed a serialized request in
+//! arbitrary fragments yields exactly what [`parse_request_shared`] yields on
+//! the whole buffer (the property tests split at every byte boundary to
+//! prove it).
+//!
+//! [`parse_request_shared`]: crate::parse_request_shared
 
 use std::io::{self, Read};
 use std::os::fd::BorrowedFd;
 
-use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::pool::LARGEST_CLASS;
-use dandelion_common::{SharedBytes, SharedBytesMut};
+use dandelion_common::{Rope, SharedBytes, SharedBytesMut};
 
 use crate::parse::{
-    note_framing_field, parse_request_shared, parse_response_shared, HttpParseError,
-    MAX_BODY_BYTES, MAX_LINE_BYTES,
+    build_request, build_response, field_lines, request_line, scan_head, status_line, Head,
+    HttpParseError, RequestLine, StartLineParser, StatusLine, MAX_BODY_BYTES, MAX_LINE_BYTES,
 };
-use crate::types::{HttpRequest, HttpResponse, StatusCode};
+use crate::types::{HttpRequest, HttpResponse, Method, StatusCode, Version};
 
 /// Per-message limits enforced while a message is still arriving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,92 +75,48 @@ pub enum Probe {
     Partial,
 }
 
-/// Locates the end of the head section (the `\r\n\r\n` terminator),
-/// enforcing the head-size limit on what has arrived so far.
-fn head_end(input: &[u8], limits: &ParseLimits) -> Result<Option<usize>, HttpParseError> {
-    // A conforming head fits in `max_head_bytes`, terminator included, so
-    // only that window needs scanning.
-    let window = input.len().min(limits.max_head_bytes);
-    if let Some(position) = input[..window]
-        .windows(4)
-        .position(|candidate| candidate == b"\r\n\r\n")
-    {
-        return Ok(Some(position + 4));
-    }
-    if input.len() >= limits.max_head_bytes {
-        return Err(HttpParseError::LimitExceeded("head size"));
-    }
-    Ok(None)
-}
-
-/// Extracts the declared `Content-Length` from a raw head section without
-/// building a header map. Returns `None` when the header is absent, an
-/// error when the head's framing is one the parsers refuse: a value that is
-/// not a length, two lengths that differ, a `Transfer-Encoding`
-/// ([`note_framing_field`]), or whitespace between a field name and its
-/// colon — which would make it a question of trimming whether this line is
-/// the length at all.
-fn declared_content_length(head: &[u8]) -> Result<Option<usize>, HttpParseError> {
-    let mut length = None;
-    // The start line is not a field, whatever colons its target has.
-    for line in head.split(|&byte| byte == b'\n').skip(1) {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let Some(colon) = line.iter().position(|&byte| byte == b':') else {
-            continue;
-        };
-        // The strict parser skips whitespace before the name and refuses it
-        // behind; mirror it so probe and parse agree on which header
-        // declares the length.
-        let mut name = &line[..colon];
-        while let [b' ' | b'\t', rest @ ..] = name {
-            name = rest;
-        }
-        if let [.., b' ' | b'\t'] = name {
-            return Err(HttpParseError::MalformedHeader(
-                utf8_lossy(line).into_owned(),
-            ));
-        }
-        note_framing_field(&mut length, name, &utf8_lossy(&line[colon + 1..]))?;
-    }
-    Ok(length)
-}
-
-/// The length of the message at the front of `input` — head plus declared
-/// body — once its head is complete, however much of the body has arrived;
-/// `None` while the head is still arriving. Enforces `limits`.
-fn frame_len(input: &[u8], limits: &ParseLimits) -> Result<Option<usize>, HttpParseError> {
-    let Some(body_offset) = head_end(input, limits)? else {
-        return Ok(None);
-    };
-    let length = declared_content_length(&input[..body_offset])?.unwrap_or(0);
-    if length > limits.max_body_bytes {
+/// The head at the front of `input` once it has arrived whole, refused when
+/// it breaks `limits` or declares a body longer than they allow.
+///
+/// A message without a `Content-Length` has no body (RFC 9112 §6): unlike
+/// the one-shot parser — which is handed exactly one message and treats the
+/// remainder as the body — a stream decoder must not swallow a pipelined
+/// successor, so the message ends at the head terminator. The v1 server
+/// always declares a response's length, and a read-to-close fallback would
+/// deadlock a keep-alive client.
+fn complete_head<L: Copy>(
+    input: &[u8],
+    limits: &ParseLimits,
+    start_line: StartLineParser<L>,
+) -> Result<Option<Head<L>>, HttpParseError> {
+    let head = scan_head(input, limits.max_head_bytes, start_line)?;
+    if head.is_some_and(|head| head.content_length.unwrap_or(0) > limits.max_body_bytes) {
         return Err(HttpParseError::LimitExceeded("body size"));
     }
-    Ok(Some(body_offset + length))
+    Ok(head)
 }
 
-/// Probes `input` for one complete HTTP request, enforcing `limits`.
-///
-/// Requests without a `Content-Length` header have no body (RFC 9112 §6):
-/// unlike the one-shot parser — which is handed exactly one message and
-/// treats the remainder as the body — a stream decoder must not swallow a
-/// pipelined successor, so the message ends at the head terminator.
-pub fn probe_request(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-    Ok(match frame_len(input, limits)? {
-        Some(consumed) if consumed <= input.len() => Probe::Complete { consumed },
+fn probe<L: Copy>(
+    input: &[u8],
+    limits: &ParseLimits,
+    start_line: StartLineParser<L>,
+) -> Result<Probe, HttpParseError> {
+    Ok(match complete_head(input, limits, start_line)? {
+        Some(head) if head.message_len() <= input.len() => Probe::Complete {
+            consumed: head.message_len(),
+        },
         _ => Probe::Partial,
     })
 }
 
+/// Probes `input` for one complete HTTP request, enforcing `limits`.
+pub fn probe_request(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
+    probe(input, limits, request_line)
+}
+
 /// Probes `input` for one complete HTTP response, enforcing `limits`.
-///
-/// Responses without a `Content-Length` header are treated as having an
-/// empty body: the v1 server always declares the length, and a
-/// read-to-close fallback would deadlock a keep-alive client.
 pub fn probe_response(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-    // Requests and responses share the head/Content-Length framing; only the
-    // start-line shape differs, which probing does not inspect.
-    probe_request(input, limits)
+    probe(input, limits, status_line)
 }
 
 /// Maps a parse failure onto the status code of the rejection response:
@@ -183,6 +144,119 @@ pub fn rejection_code(error: &HttpParseError) -> &'static str {
     }
 }
 
+/// One complete message as it arrived: its bytes, a view of the receive
+/// buffer, and the record of its head's one scan. Nothing is decoded into
+/// owned strings until a caller asks for the structured message.
+#[derive(Debug, Clone)]
+pub struct Frame<L> {
+    bytes: SharedBytes,
+    head: Head<L>,
+}
+
+/// A request as a stream decoder frames it.
+pub type RequestFrame = Frame<RequestLine>;
+
+/// A response as a stream decoder frames it.
+pub type ResponseFrame = Frame<StatusLine>;
+
+impl<L> Frame<L> {
+    /// The whole message — head and body — as received.
+    pub fn bytes(&self) -> &SharedBytes {
+        &self.bytes
+    }
+
+    /// The body: a view of the receive buffer.
+    pub fn body(&self) -> SharedBytes {
+        self.bytes.slice(self.head.body_offset..)
+    }
+
+    /// The body's length.
+    pub fn body_len(&self) -> usize {
+        self.bytes.len() - self.head.body_offset
+    }
+
+    /// The length a `Content-Length` field declares, if one does.
+    pub fn content_length(&self) -> Option<usize> {
+        self.head.content_length
+    }
+
+    /// Whether a `Connection` line lists the token `close`.
+    pub fn connection_close(&self) -> bool {
+        self.head.connection.close
+    }
+
+    /// Whether a `Connection` line lists the token `keep-alive`.
+    pub fn connection_keep_alive(&self) -> bool {
+        self.head.connection.keep_alive
+    }
+
+    /// The message with its `Connection` lines cut out and `lines` — each a
+    /// whole field line, CRLF included — added at the end of its head:
+    /// connection negotiation is each hop's own (RFC 9110 §7.6.1). The rest
+    /// is the received bytes by reference, byte for byte; a message with no
+    /// `Connection` line and nothing to add is one segment, its own bytes.
+    pub fn splice(&self, lines: &[&SharedBytes]) -> Rope {
+        let blank_line = self.head.body_offset - 2;
+        let mut rope = Rope::new();
+        let mut kept = 0;
+        if let Some(first) = self.head.connection.first {
+            let mut left = self.head.connection.lines;
+            for (line, name, _) in field_lines(&self.bytes, first.start) {
+                if name.eq_ignore_ascii_case(b"connection") {
+                    rope.push(self.bytes.slice(kept..line.start));
+                    kept = line.end;
+                    left -= 1;
+                    if left == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        rope.push(self.bytes.slice(kept..blank_line));
+        for line in lines {
+            rope.push(SharedBytes::clone(line));
+        }
+        rope.push(self.bytes.slice(blank_line..));
+        rope
+    }
+}
+
+impl Frame<RequestLine> {
+    /// The request method.
+    pub fn method(&self) -> Method {
+        self.head.start.method
+    }
+
+    /// The request target's bytes, as received.
+    pub fn target(&self) -> &[u8] {
+        &self.bytes[self.head.start.target.range()]
+    }
+
+    /// The protocol version.
+    pub fn version(&self) -> Version {
+        self.head.start.version
+    }
+
+    /// The structured request: what
+    /// [`parse_request_shared`](crate::parse_request_shared) makes of the
+    /// same bytes, the body a view of them.
+    pub fn to_request(&self) -> HttpRequest {
+        build_request(&self.bytes, &self.head, self.body())
+    }
+}
+
+impl Frame<StatusLine> {
+    /// The status code.
+    pub fn status(&self) -> StatusCode {
+        self.head.start.status
+    }
+
+    /// The structured response, the body a view of the received bytes.
+    pub fn to_response(&self) -> HttpResponse {
+        build_response(&self.bytes, &self.head, self.body())
+    }
+}
+
 /// The stream decoder shared by [`RequestDecoder`] and [`ResponseDecoder`].
 ///
 /// Unparsed bytes live in exactly one of two places: the pooled `builder`
@@ -194,22 +268,22 @@ pub fn rejection_code(error: &HttpParseError) -> &'static str {
 /// the buffer they end up in is of a pool class, the one the next message of
 /// that size pops. A tail left behind by an earlier parse is copied — once —
 /// into the next builder when more bytes are needed.
-#[derive(Debug, Default)]
-struct StreamDecoder {
+#[derive(Debug)]
+struct StreamDecoder<L> {
     builder: SharedBytesMut,
     frozen: SharedBytes,
-    /// Length of the partial message at the front of the unparsed bytes, as
-    /// its head declared it; zero while no complete head is waiting.
-    awaited: usize,
+    /// The head of the partial message at the front of the unparsed bytes
+    /// once it has arrived whole: scanned once, kept while the body arrives.
+    head: Option<Head<L>>,
     limits: ParseLimits,
 }
 
-impl StreamDecoder {
+impl<L: Copy> StreamDecoder<L> {
     fn new(limits: ParseLimits) -> Self {
         Self {
             builder: SharedBytesMut::new(),
             frozen: SharedBytes::new(),
-            awaited: 0,
+            head: None,
             limits,
         }
     }
@@ -247,7 +321,8 @@ impl StreamDecoder {
     /// reserve before the bytes are there is bounded by the pool's largest
     /// class; a body beyond that grows by doubling as it arrives.
     fn receiving(&mut self, max_bytes: usize) -> &mut SharedBytesMut {
-        let rest = self.awaited.saturating_sub(self.buffered());
+        let awaited = self.head.as_ref().map_or(0, Head::message_len);
+        let rest = awaited.saturating_sub(self.buffered());
         self.appending(rest.min(LARGEST_CLASS) + max_bytes)
     }
 
@@ -259,13 +334,9 @@ impl StreamDecoder {
         self.receiving(max_bytes).read_fd(fd, max_bytes)
     }
 
-    /// Parses the next complete message out of the buffer with `parse` (the
-    /// one-shot shared parser for requests or for responses: framing does not
-    /// inspect the start line, so it is the same for both).
-    fn next<M>(
-        &mut self,
-        parse: fn(&SharedBytes) -> Result<M, HttpParseError>,
-    ) -> Result<Option<M>, HttpParseError> {
+    /// Frames the next complete message of the buffer, its start line read
+    /// with `start_line`.
+    fn next(&mut self, start_line: StartLineParser<L>) -> Result<Option<Frame<L>>, HttpParseError> {
         let unparsed: &[u8] = if self.frozen.is_empty() {
             &self.builder
         } else {
@@ -274,19 +345,26 @@ impl StreamDecoder {
         if unparsed.is_empty() {
             return Ok(None);
         }
-        self.awaited = frame_len(unparsed, &self.limits)?.unwrap_or(0);
-        if self.awaited == 0 || unparsed.len() < self.awaited {
+        let head = match self.head.take() {
+            Some(head) => head,
+            None => match complete_head(unparsed, &self.limits, start_line)? {
+                Some(head) => head,
+                None => return Ok(None),
+            },
+        };
+        let length = head.message_len();
+        if unparsed.len() < length {
+            self.head = Some(head);
             return Ok(None);
         }
-        let consumed = std::mem::take(&mut self.awaited);
         if self.frozen.is_empty() {
-            // Freeze moves the allocation: the parsed body will view the
+            // Freeze moves the allocation: the frame is a view of the
             // buffer the bytes were received into.
             self.frozen = std::mem::take(&mut self.builder).freeze();
         }
-        let (message, rest) = self.frozen.split_at(consumed);
+        let (bytes, rest) = self.frozen.split_at(length);
         self.frozen = rest;
-        parse(&message).map(Some)
+        Ok(Some(Frame { bytes, head }))
     }
 }
 
@@ -302,9 +380,15 @@ impl StreamDecoder {
 /// let request = decoder.next_request().unwrap().expect("complete");
 /// assert_eq!(request.target, "/healthz");
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RequestDecoder {
-    inner: StreamDecoder,
+    inner: StreamDecoder<RequestLine>,
+}
+
+impl Default for RequestDecoder {
+    fn default() -> Self {
+        Self::new(ParseLimits::default())
+    }
 }
 
 impl RequestDecoder {
@@ -343,20 +427,32 @@ impl RequestDecoder {
         self.inner.buffered()
     }
 
-    /// Parses the next complete request out of the buffer, or `None` when
-    /// more bytes are needed. Bodies are zero-copy views of the receive
-    /// buffer. Errors are terminal: the connection should answer with
-    /// [`rejection_status`] and close.
+    /// Frames the next complete request of the buffer, or `None` when more
+    /// bytes are needed. Errors are terminal: the connection should answer
+    /// with [`rejection_status`] and close.
+    pub fn next_frame(&mut self) -> Result<Option<RequestFrame>, HttpParseError> {
+        self.inner.next(request_line)
+    }
+
+    /// [`RequestDecoder::next_frame`], built into a request whose body is a
+    /// zero-copy view of the receive buffer.
     pub fn next_request(&mut self) -> Result<Option<HttpRequest>, HttpParseError> {
-        self.inner.next(parse_request_shared)
+        Ok(self.next_frame()?.map(|frame| frame.to_request()))
     }
 }
 
 /// An incremental decoder for HTTP responses read from a stream — the
-/// client half of [`RequestDecoder`], used by the in-repo load generator.
-#[derive(Debug, Default)]
+/// client half of [`RequestDecoder`], used by a gateway's upstream
+/// connections and the in-repo client.
+#[derive(Debug)]
 pub struct ResponseDecoder {
-    inner: StreamDecoder,
+    inner: StreamDecoder<StatusLine>,
+}
+
+impl Default for ResponseDecoder {
+    fn default() -> Self {
+        Self::new(ParseLimits::default())
+    }
 }
 
 impl ResponseDecoder {
@@ -392,12 +488,58 @@ impl ResponseDecoder {
         self.inner.buffered()
     }
 
-    /// Parses the next complete response, or `None` when more bytes are
+    /// Frames the next complete response, or `None` when more bytes are
     /// needed.
+    pub fn next_frame(&mut self) -> Result<Option<ResponseFrame>, HttpParseError> {
+        self.inner.next(status_line)
+    }
+
+    /// [`ResponseDecoder::next_frame`], built into a response.
     pub fn next_response(&mut self) -> Result<Option<HttpResponse>, HttpParseError> {
-        self.inner.next(parse_response_shared)
+        Ok(self.next_frame()?.map(|frame| frame.to_response()))
     }
 }
+
+/// Heads whose framing a stream decoder and a one-shot parser must agree on,
+/// with the status each gets (`200`: framed as three body bytes). `{}` is
+/// the start line. The framing tables of this module and the gateway splice's
+/// property test (`tests/properties.rs`) read them.
+#[doc(hidden)]
+pub const FRAMING_HEADS: [(&str, u16); 12] = [
+    (
+        "{}\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
+        200,
+    ),
+    (
+        "{}\r\nContent-Length: 3\r\ncontent-length: 03 \r\n\r\nabc",
+        200,
+    ),
+    (
+        "{}\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+        400,
+    ),
+    (
+        "{}\r\nContent-Length: 3\r\nX: y\r\nContent-Length: 2\r\n\r\nabc",
+        400,
+    ),
+    ("{}\r\nContent-Length : 3\r\n\r\nabc", 400),
+    ("{}\r\nContent-Length\t: 3\r\n\r\nabc", 400),
+    ("{}\r\nX-Pad : 1\r\nContent-Length: 3\r\n\r\nabc", 400),
+    (
+        "{}\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+        501,
+    ),
+    (
+        "{}\r\nContent-Length: 3\r\ntransfer-encoding: gzip\r\n\r\nabc",
+        501,
+    ),
+    // A line ends at CRLF and nowhere else: to a reader that split at a bare
+    // LF or CR the length below would be a field, to one that did not it
+    // would be part of `X`'s value.
+    ("{}\r\nX: a\nContent-Length: 3\r\n\r\nabc", 400),
+    ("{}\r\nX: a\rContent-Length: 3\r\n\r\nabc", 400),
+    ("{}\r\nX: a\0b\r\nContent-Length: 3\r\n\r\nabc", 400),
+];
 
 #[cfg(test)]
 mod tests {
@@ -501,38 +643,6 @@ mod tests {
         assert_eq!(parse_request(padded).unwrap().body, b"hello");
     }
 
-    /// Heads whose framing fields need a verdict, with the status each gets
-    /// (`200` = framed as three body bytes). `{}` is the start line.
-    const FRAMING_HEADS: [(&str, u16); 9] = [
-        (
-            "{}\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
-            200,
-        ),
-        (
-            "{}\r\nContent-Length: 3\r\ncontent-length: 03 \r\n\r\nabc",
-            200,
-        ),
-        (
-            "{}\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
-            400,
-        ),
-        (
-            "{}\r\nContent-Length: 3\r\nX: y\r\nContent-Length: 2\r\n\r\nabc",
-            400,
-        ),
-        ("{}\r\nContent-Length : 3\r\n\r\nabc", 400),
-        ("{}\r\nContent-Length\t: 3\r\n\r\nabc", 400),
-        ("{}\r\nX-Pad : 1\r\nContent-Length: 3\r\n\r\nabc", 400),
-        (
-            "{}\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
-            501,
-        ),
-        (
-            "{}\r\nContent-Length: 3\r\ntransfer-encoding: gzip\r\n\r\nabc",
-            501,
-        ),
-    ];
-
     #[test]
     fn probe_and_one_shot_parsers_agree_on_a_heads_framing() {
         use crate::parse::{parse_request, parse_response};
@@ -619,8 +729,7 @@ mod tests {
     fn decoder_matches_one_shot_parse_at_every_split() {
         let request = sample_request();
         let wire = request.to_bytes();
-        let reference =
-            parse_request_shared(&dandelion_common::SharedBytes::from_vec(wire.clone())).unwrap();
+        let reference = crate::parse_request_shared(&SharedBytes::from_vec(wire.clone())).unwrap();
         for cut in 0..=wire.len() {
             let mut decoder = RequestDecoder::new(ParseLimits::default());
             decoder.feed(&wire[..cut]);

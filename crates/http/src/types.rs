@@ -14,15 +14,15 @@ use dandelion_common::{Rope, SharedBytes, SharedBytesMut};
 /// optional surrounding whitespace, nothing else — no sign, no radix prefix,
 /// no inner space — and no value that overflows `usize`.
 ///
-/// Every reader of the header goes through here (the stream decoders' frame
-/// probe, the one-shot parsers, [`Headers::content_length`]), so they cannot
-/// disagree on where a body ends.
-pub(crate) fn parse_content_length(value: &str) -> Option<usize> {
-    let digits = value.trim();
+/// Every reader of the header goes through here (the head scan that frames
+/// streams and one-shot parses alike, [`Headers::content_length`]), so they
+/// cannot disagree on where a body ends.
+pub(crate) fn parse_content_length(value: &[u8]) -> Option<usize> {
+    let digits = value.trim_ascii();
     if digits.is_empty() {
         return None;
     }
-    digits.bytes().try_fold(0usize, |length, byte| {
+    digits.iter().try_fold(0usize, |length, &byte| {
         let digit = byte.is_ascii_digit().then(|| usize::from(byte - b'0'))?;
         length.checked_mul(10)?.checked_add(digit)
     })
@@ -314,7 +314,7 @@ impl Headers {
 
     /// Parses the `Content-Length` header if present and well-formed.
     pub fn content_length(&self) -> Option<usize> {
-        parse_content_length(self.get("content-length")?)
+        parse_content_length(self.get("content-length")?.as_bytes())
     }
 }
 
@@ -581,18 +581,16 @@ mod tests {
 
     #[test]
     fn content_length_is_digits_only() {
-        assert_eq!(parse_content_length("0"), Some(0));
-        assert_eq!(parse_content_length("\t007 "), Some(7));
-        assert_eq!(
-            parse_content_length(&usize::MAX.to_string()),
-            Some(usize::MAX)
-        );
+        let parse = |value: &str| parse_content_length(value.as_bytes());
+        assert_eq!(parse("0"), Some(0));
+        assert_eq!(parse("\t007 "), Some(7));
+        assert_eq!(parse(&usize::MAX.to_string()), Some(usize::MAX));
         for garbage in ["", "  ", "+5", "-0", "0x10", "1 2", "5;", "ten"] {
-            assert_eq!(parse_content_length(garbage), None, "`{garbage}`");
+            assert_eq!(parse(garbage), None, "`{garbage}`");
         }
         // Past `usize::MAX`, by one more digit and by many.
-        assert_eq!(parse_content_length(&format!("{}0", usize::MAX)), None);
-        assert_eq!(parse_content_length(&"9".repeat(40)), None);
+        assert_eq!(parse(&format!("{}0", usize::MAX)), None);
+        assert_eq!(parse(&"9".repeat(40)), None);
     }
 
     #[test]

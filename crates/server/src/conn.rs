@@ -3,11 +3,12 @@
 //! A connection no longer owns a thread: it is a small state machine inside
 //! an event loop's slab, advanced in the two halves of a loop turn. In the
 //! *apply* half ([`Conn::pump`], [`Conn::complete`]) it reads into its
-//! [`RequestDecoder`] (pooled receive buffers, zero-copy bodies),
-//! dispatches every complete request through [`Frontend::begin`], and has
-//! its waiting slots filled by completions — and writes nothing. In the
-//! *flush* half ([`Conn::flush`], once per turn) every consecutive `Ready`
-//! slot at the head of the pipeline is serialized into the connection's
+//! [`RequestDecoder`] (pooled receive buffers, zero-copy bodies), frames
+//! every complete request and dispatches it (built into an `HttpRequest`
+//! for [`Frontend::begin`], or as the frame itself for a gateway's router),
+//! and has its waiting slots filled by completions — and writes nothing. In
+//! the *flush* half ([`Conn::flush`], once per turn) every consecutive
+//! `Ready` slot at the head of the pipeline is serialized into the connection's
 //! [`RopeBatch`] and the whole batch leaves in one vectored write, resumed
 //! on writability when the kernel accepts it in pieces. The ropes are
 //! gathered, never joined, so a function's output buffer still travels from
@@ -58,16 +59,16 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dandelion_common::{failpoint, BatchProgress, Rope, RopeBatch};
+use dandelion_common::{failpoint, BatchProgress, Rope, RopeBatch, SharedBytes};
 use dandelion_core::frontend::error_body;
 use dandelion_core::{sync_invoke_response, FrontendReply};
 use dandelion_http::{
-    rejection_code, rejection_status, HttpParseError, HttpRequest, HttpResponse, RequestDecoder,
-    StatusCode, Version,
+    rejection_code, rejection_status, HttpParseError, HttpResponse, RequestDecoder, RequestFrame,
+    ResponseFrame, StatusCode, Version,
 };
 
 use crate::event_loop::{LoopMsg, LoopShared};
-use crate::gateway::GatewayReply;
+use crate::gateway::{relay_rope, GatewayReply};
 use crate::rate::RateLimit;
 use crate::server::{AppKind, Shared};
 
@@ -129,9 +130,40 @@ pub fn response_rope(mut response: HttpResponse, close: bool) -> Rope {
 /// Whether the request asks for the connection to close after the response:
 /// `Connection` is a list of tokens, `close` among them closes, and HTTP/1.0
 /// persists only if `keep-alive` is among them.
-fn wants_close(request: &HttpRequest) -> bool {
-    let has = |token| request.headers.has_token("connection", token);
-    has("close") || (request.version == Version::Http10 && !has("keep-alive"))
+fn wants_close(request: &RequestFrame) -> bool {
+    request.connection_close()
+        || (request.version() == Version::Http10 && !request.connection_keep_alive())
+}
+
+/// A response in hand, serialized only when its slot is popped for the wire
+/// — that is when the `Connection` line it gets is known.
+pub(crate) enum Reply {
+    /// A response this node built.
+    Built(HttpResponse),
+    /// A member's response as a gateway received it, relayed with
+    /// [`relay_rope`] under the member's `X-Dandelion-Node` line.
+    Relayed {
+        response: ResponseFrame,
+        node_line: SharedBytes,
+    },
+}
+
+impl Reply {
+    fn into_rope(self, close: bool) -> Rope {
+        match self {
+            Reply::Built(response) => response_rope(response, close),
+            Reply::Relayed {
+                response,
+                node_line,
+            } => relay_rope(&response, &node_line, close),
+        }
+    }
+}
+
+impl From<HttpResponse> for Reply {
+    fn from(response: HttpResponse) -> Reply {
+        Reply::Built(response)
+    }
 }
 
 /// One queued response, in pipeline order. `held` is the body length of
@@ -140,7 +172,7 @@ fn wants_close(request: &HttpRequest) -> bool {
 enum Slot {
     /// The response is in hand, waiting its turn on the wire.
     Ready {
-        response: HttpResponse,
+        reply: Reply,
         close: bool,
         held: usize,
     },
@@ -307,7 +339,7 @@ impl Conn {
             // Parse whatever is already buffered, while the pipeline has
             // room.
             while !self.stop_reading && self.has_room(shared) {
-                match self.decoder.next_request() {
+                match self.decoder.next_frame() {
                     Ok(Some(request)) => {
                         self.dispatch(request, shared, me);
                         progressed = true;
@@ -403,20 +435,20 @@ impl Conn {
         Verdict::Keep
     }
 
-    /// Routes one parsed request: rate limit first, then the frontend.
-    /// Synchronous invocations park a `Waiting` slot and hand their
-    /// completion callback the loop's inbox. The callback is the outcome's
-    /// only consumer — a sync response carries no invocation id to poll —
-    /// so the worker hands it over by move and retains nothing. Whatever
-    /// the route, the request's one slot holds its body length.
-    fn dispatch(&mut self, request: HttpRequest, shared: &Shared, me: &Arc<LoopShared>) {
+    /// Routes one framed request: rate limit first, then the frontend or
+    /// the router. Synchronous invocations park a `Waiting` slot and hand
+    /// their completion callback the loop's inbox. The callback is the
+    /// outcome's only consumer — a sync response carries no invocation id to
+    /// poll — so the worker hands it over by move and retains nothing.
+    /// Whatever the route, the request's one slot holds its body length.
+    fn dispatch(&mut self, request: RequestFrame, shared: &Shared, me: &Arc<LoopShared>) {
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         let close = wants_close(&request);
         if close {
             // Pipelined successors after an explicit close are ignored.
             self.stop_reading = true;
         }
-        let held = request.body.len();
+        let held = request.body_len();
         self.held_bytes += held;
         me.held_bytes.fetch_add(held, Ordering::Relaxed);
         if let Some(limiter) = &shared.limiter {
@@ -427,7 +459,7 @@ impl Conn {
             }
         }
         match &shared.app {
-            AppKind::Local(frontend) => match frontend.begin(&request) {
+            AppKind::Local(frontend) => match frontend.begin(&request.to_request()) {
                 FrontendReply::Ready(response) => self.enqueue(response, close, held),
                 FrontendReply::Pending(handle) => {
                     let seq = self.park(close, held, me);
@@ -500,7 +532,7 @@ impl Conn {
     fn enqueue(&mut self, response: HttpResponse, close: bool, held: usize) {
         self.next_seq += 1;
         self.slots.push_back(Slot::Ready {
-            response,
+            reply: Reply::Built(response),
             close,
             held,
         });
@@ -512,17 +544,13 @@ impl Conn {
     /// Fills the `Waiting` slot `seq` with its settled response. Out-of-
     /// window sequences (a slot discarded by a close that raced the
     /// completion) are dropped silently.
-    pub(crate) fn complete(&mut self, seq: u64, response: HttpResponse) {
+    pub(crate) fn complete(&mut self, seq: u64, reply: Reply) {
         let Some(offset) = seq.checked_sub(self.front_seq) else {
             return;
         };
         if let Some(slot) = self.slots.get_mut(offset as usize) {
             if let Slot::Waiting { close, held } = *slot {
-                *slot = Slot::Ready {
-                    response,
-                    close,
-                    held,
-                };
+                *slot = Slot::Ready { reply, close, held };
             }
         }
     }
@@ -562,12 +590,7 @@ impl Conn {
     fn write_ready(&mut self, shared: &Shared, me: &LoopShared, stopping: bool) -> Flush {
         let mut progressed = false;
         while !self.close_after_write && matches!(self.slots.front(), Some(Slot::Ready { .. })) {
-            let Some(Slot::Ready {
-                response,
-                close,
-                held,
-            }) = self.slots.pop_front()
-            else {
+            let Some(Slot::Ready { reply, close, held }) = self.slots.pop_front() else {
                 // Invariant: the front slot was matched as `Ready` one line
                 // up and nothing popped it in between. If the pipeline state
                 // machine ever breaks it, close this connection instead of
@@ -584,7 +607,7 @@ impl Conn {
                 self.stop_reading = true;
                 self.close_after_write = true;
             }
-            self.outbound.push(response_rope(response, close));
+            self.outbound.push(reply.into_rope(close));
             progressed = true;
         }
         if !self.outbound.is_empty() {
@@ -654,7 +677,7 @@ enum Flush {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dandelion_http::ParseLimits;
+    use dandelion_http::{HttpRequest, ParseLimits};
 
     #[test]
     fn rejection_responses_carry_stable_codes() {
@@ -681,18 +704,30 @@ mod tests {
         assert!(limited.body_text().contains("\"retryable\":true"));
     }
 
+    /// `request` as the connection's decoder frames it.
+    fn frame(request: &HttpRequest) -> RequestFrame {
+        let mut decoder = RequestDecoder::default();
+        decoder.feed(&request.to_bytes());
+        decoder.next_frame().unwrap().expect("complete")
+    }
+
+    /// Whether `request` closes the connection after its response.
+    fn closes(request: &HttpRequest) -> bool {
+        wants_close(&frame(request))
+    }
+
     #[test]
     fn connection_header_negotiation() {
         let http11 = HttpRequest::get("/x");
-        assert!(!wants_close(&http11));
+        assert!(!closes(&http11));
         let close = HttpRequest::get("/x").with_header("Connection", "Close");
-        assert!(wants_close(&close));
+        assert!(closes(&close));
         let mut http10 = HttpRequest::get("/x");
         http10.version = Version::Http10;
-        assert!(wants_close(&http10));
+        assert!(closes(&http10));
         let mut http10_keep = HttpRequest::get("/x").with_header("Connection", "keep-alive");
         http10_keep.version = Version::Http10;
-        assert!(!wants_close(&http10_keep));
+        assert!(!closes(&http10_keep));
         // The header is a token list: `close` anywhere in it closes, on
         // either version, and a list without it closes nothing on HTTP/1.1.
         for (value, http11, http10) in [
@@ -704,15 +739,15 @@ mod tests {
             ("closed", false, true),
         ] {
             let mut request = HttpRequest::get("/x").with_header("Connection", value);
-            assert_eq!(wants_close(&request), http11, "HTTP/1.1, {value:?}");
+            assert_eq!(closes(&request), http11, "HTTP/1.1, {value:?}");
             request.version = Version::Http10;
-            assert_eq!(wants_close(&request), http10, "HTTP/1.0, {value:?}");
+            assert_eq!(closes(&request), http10, "HTTP/1.0, {value:?}");
         }
         // Two `Connection` lines are one list.
         let two_lines = HttpRequest::get("/x")
             .with_header("Connection", "TE")
             .with_header("Connection", "close");
-        assert!(wants_close(&two_lines));
+        assert!(closes(&two_lines));
     }
 
     #[test]

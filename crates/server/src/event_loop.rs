@@ -14,7 +14,12 @@
 //! cluster members, owned per loop so a proxied exchange never crosses a
 //! thread: the client parks a response slot, the forward rides an
 //! upstream connection of the same loop, and the member's response is
-//! delivered straight back into the client's slot, body by reference.
+//! delivered straight back into the client's slot as it was framed — the
+//! received bytes and their head's scan record, no header map. It is
+//! serialized when the slot is popped for the wire: the member's head and
+//! body by reference, its `Connection` lines cut, this member's
+//! `X-Dandelion-Node` line (built once per loop) and the client's
+//! `Connection` line spliced in.
 //!
 //! Every loop accepts for itself: each binds its own `SO_REUSEPORT`
 //! listener on the shared address, the kernel load-balances new connections
@@ -36,7 +41,7 @@
 //! **A turn applies first and writes once.** Each pass of
 //! [`EventLoop::run`] is *apply → flush dirty → deadlines → flush dirty*.
 //! Applying is everything that takes input: readiness events are read,
-//! parsed and dispatched, member responses are decoded and put into the
+//! framed and dispatched, member responses are framed and put into the
 //! client slots that wait for them, and the inbox is drained — settled
 //! invocations fill their slots, forward plans join an upstream's outbox.
 //! None of that writes a socket; it only marks the endpoint *dirty* (a
@@ -64,14 +69,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::mpsc::{Drain, MpscQueue};
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::{fail_point, BatchProgress, InvocationId, JsonValue, NodeId};
-use dandelion_http::{HttpResponse, StatusCode};
+use dandelion_common::{fail_point, BatchProgress, InvocationId, JsonValue, NodeId, SharedBytes};
+use dandelion_http::{HttpResponse, ResponseFrame, StatusCode};
 
-use crate::conn::{overloaded_response, response_rope, Conn, Due, Verdict};
+use crate::conn::{overloaded_response, response_rope, Conn, Due, Reply, Verdict};
 use crate::gateway::upstream::{Origin, UpstreamConn, UpstreamVerdict};
-use crate::gateway::{proxy_response, upstream_failed_response, ForwardPlan, MemberLoad, Router};
+use crate::gateway::{node_line, upstream_failed_response, ForwardPlan, MemberLoad, Router};
 use crate::server::{AppKind, Shared};
 use crate::sys::{
     connect_nonblocking, Epoll, EpollEvent, EventFd, EMFILE, ENFILE, EPOLLERR, EPOLLET, EPOLLHUP,
@@ -261,6 +267,9 @@ struct PlannedRetry {
 struct NodePool {
     /// The member's gateway-side load gauges (shared with the router).
     load: Arc<MemberLoad>,
+    /// The `X-Dandelion-Node` line every response relayed from the member
+    /// carries.
+    node_line: SharedBytes,
     /// Tokens of the live upstream connections (kept consistent by
     /// `close_upstream`).
     conns: Vec<u64>,
@@ -821,6 +830,7 @@ impl EventLoop {
         let limit = self.router().config().upstreams_per_loop.max(1);
         let pool = self.pools.entry(plan.node).or_insert_with(|| NodePool {
             load: Arc::clone(&plan.load),
+            node_line: node_line(plan.node),
             conns: Vec::new(),
         });
         let pooled = pool.conns.len();
@@ -880,17 +890,22 @@ impl EventLoop {
 
     /// Delivers a member's response to the client slot that parked for it:
     /// load gauges released, submit responses remembered for owner-routed
-    /// polls, hop-by-hop headers rewritten — the body buffer untouched.
-    fn deliver(&mut self, node: NodeId, origin: Origin, response: HttpResponse) {
+    /// polls, and the frame handed over as it arrived, with the member's
+    /// `X-Dandelion-Node` line for the pop that serializes it.
+    fn deliver(&mut self, node: NodeId, origin: Origin, response: ResponseFrame) {
         let router = self.router();
-        if let Some(pool) = self.pools.get(&node) {
-            router.note_settled(&pool.load, origin.bytes);
-            // Any answered exchange is a data-path success: it refills the
-            // member's retry budget and ends its failure streak.
-            router.note_upstream_success(&pool.load);
-        }
-        if origin.track_submit && response.status == StatusCode::ACCEPTED {
-            if let Ok(document) = JsonValue::parse(&response.body_str()) {
+        let node_line = match self.pools.get(&node) {
+            Some(pool) => {
+                router.note_settled(&pool.load, origin.bytes);
+                // Any answered exchange is a data-path success: it refills
+                // the member's retry budget and ends its failure streak.
+                router.note_upstream_success(&pool.load);
+                pool.node_line.clone()
+            }
+            None => node_line(node),
+        };
+        if origin.track_submit && response.status() == StatusCode::ACCEPTED {
+            if let Ok(document) = JsonValue::parse(&utf8_lossy(&response.body())) {
                 if let Some(id) = document
                     .get("invocation_id")
                     .and_then(JsonValue::as_str)
@@ -900,14 +915,18 @@ impl EventLoop {
                 }
             }
         }
-        self.complete_client(origin.token, origin.seq, proxy_response(response, node));
+        let reply = Reply::Relayed {
+            response,
+            node_line,
+        };
+        self.complete_client(origin.token, origin.seq, reply);
     }
 
     /// Fills a client's waiting slot with its response and marks the
     /// connection dirty; nothing is written here. Stale tokens (the client
     /// closed first) are dropped; the in-flight gauge is released either
     /// way.
-    fn complete_client(&mut self, token: u64, seq: u64, response: HttpResponse) {
+    fn complete_client(&mut self, token: u64, seq: u64, reply: impl Into<Reply>) {
         // Paired with the increment when the slot was parked; settled work
         // leaves the gauge even when the connection died before its
         // completion arrived.
@@ -921,7 +940,7 @@ impl EventLoop {
             return;
         }
         if let Some(Endpoint::Client(conn)) = entry.endpoint.as_mut() {
-            conn.complete(seq, response);
+            conn.complete(seq, reply.into());
             self.mark_dirty(index);
         }
     }

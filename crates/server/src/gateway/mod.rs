@@ -48,9 +48,12 @@
 //! * **Async response proxying**: a forwarded request parks a response
 //!   slot in the client connection — never a thread — while the exchange
 //!   rides a pooled upstream connection owned by the same event loop.
-//!   Member responses are decoded zero-copy and their body buffers are
-//!   delivered to the client by reference ([`proxy_response`] keeps the
-//!   `Arc` identity).
+//!   Neither direction is decoded into a header map or encoded again: the
+//!   forward is the request's received bytes with its `Connection` lines
+//!   cut ([`forward_rope`]), and the client gets the member's bytes with
+//!   `X-Dandelion-Node` and its own `Connection` line spliced into the head
+//!   ([`relay_rope`]) — head slices and body by reference, the `Arc`
+//!   identity of the member's receive buffer kept.
 //! * **Draining** (`POST /v1/cluster/drain/{node}`): a member marked
 //!   draining receives no new work, keeps answering polls, and leaves the
 //!   table once its in-flight work settles — the rolling-restart
@@ -61,6 +64,9 @@ mod router;
 pub(crate) mod upstream;
 
 pub use membership::{Member, MemberLoad, MemberState};
-pub use router::{composition_affinity_hash, proxy_request, proxy_response, GatewayConfig, Router};
+pub use router::{
+    composition_affinity_hash, forward_rope, node_line, proxy_request, proxy_response, relay_rope,
+    GatewayConfig, Router,
+};
 
 pub(crate) use router::{upstream_failed_response, ForwardPlan, GatewayReply};

@@ -2,11 +2,13 @@
 //!
 //! The router owns the membership table and decides, per request, whether
 //! the gateway answers locally (cluster control plane, stats, health) or
-//! forwards to a member over the v1 HTTP protocol. Forwarding is planned
-//! here but executed by the event loops: the router returns a
-//! [`ForwardPlan`] carrying the serialized request (body attached by
-//! reference) and the chosen member, and the loop pipelines it onto a
-//! pooled upstream connection.
+//! forwards to a member over the v1 HTTP protocol. It routes a request by
+//! the record its head's one scan left (method, target, body), never a
+//! decoded header map. Forwarding is planned here but executed by the event
+//! loops: the router returns a [`ForwardPlan`] carrying the bytes to forward
+//! — the request as received, its `Connection` lines cut ([`forward_rope`])
+//! — and the chosen member, and the loop pipelines it onto a pooled upstream
+//! connection.
 //!
 //! Routing is load-aware with composition affinity: invocations of a
 //! composition prefer a stable member (FNV hash of the name over the
@@ -26,14 +28,16 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::rng::fnv1a;
 use dandelion_common::{failpoint, InvocationId, JsonValue, NodeId, Rope, SharedBytes};
 use dandelion_core::frontend::error_body;
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
+use dandelion_http::{
+    HttpRequest, HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, Uri,
+};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::client::HttpClientConnection;
@@ -102,7 +106,7 @@ pub(crate) struct ForwardPlan {
     pub addr: SocketAddr,
     /// The member's gateway-side load gauges (shared, lock-free updates).
     pub load: Arc<MemberLoad>,
-    /// The serialized request.
+    /// The request as it goes on the wire.
     pub rope: Rope,
     /// Wire size of `rope`, counted against the member's queued bytes.
     pub bytes: usize,
@@ -506,14 +510,15 @@ impl Router {
     // Request routing
     // ------------------------------------------------------------------
 
-    /// Routes one parsed request: local control-plane answers are returned
+    /// Routes one framed request: local control-plane answers are returned
     /// directly, proxied requests come back as a [`ForwardPlan`].
-    pub(crate) fn dispatch(&self, request: &HttpRequest) -> GatewayReply {
-        let Some(uri) = Uri::parse(&request.target) else {
+    pub(crate) fn dispatch(&self, request: &RequestFrame) -> GatewayReply {
+        let target = utf8_lossy(request.target());
+        let Some(uri) = Uri::parse(&target) else {
             return GatewayReply::Respond(error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
-                &format!("unparseable request target `{}`", request.target),
+                &format!("unparseable request target `{target}`"),
                 false,
             ));
         };
@@ -526,7 +531,7 @@ impl Router {
             ));
         }
         let segments: Vec<&str> = uri.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method, segments.as_slice()) {
+        match (request.method(), segments.as_slice()) {
             (Method::Get, ["healthz"]) => GatewayReply::Respond(HttpResponse::ok(b"ok".to_vec())),
             (Method::Get, ["v1", "stats"]) => GatewayReply::Respond(self.stats_response()),
             (Method::Get, ["v1", "compositions"]) => {
@@ -537,7 +542,7 @@ impl Router {
             // so the event loop never stalls behind them.
             (Method::Post, ["v1", "compositions"]) => {
                 GatewayReply::Control(ControlOp::RegisterComposition {
-                    body: request.body.clone(),
+                    body: request.body(),
                 })
             }
             (Method::Get, ["v1", "cluster", "members"]) => {
@@ -545,7 +550,7 @@ impl Router {
             }
             (Method::Post, ["v1", "cluster", "members"]) => {
                 GatewayReply::Control(ControlOp::Join {
-                    body: request.body.clone(),
+                    body: request.body(),
                 })
             }
             (Method::Post, ["v1", "cluster", "drain", node]) => {
@@ -575,13 +580,13 @@ impl Router {
     /// composition affinity with a load-aware escape hatch.
     fn plan_invocation(
         &self,
-        request: &HttpRequest,
+        request: &RequestFrame,
         composition: &str,
         track_submit: bool,
     ) -> GatewayReply {
         match self.pick_member(Some(composition), &[]) {
             Some((node, addr, load)) => {
-                let rope = proxy_request(request).to_rope();
+                let rope = forward_rope(request);
                 let bytes = rope.len();
                 GatewayReply::Forward(ForwardPlan {
                     node,
@@ -600,7 +605,7 @@ impl Router {
 
     /// Plans the forward of a status poll: the member that accepted the
     /// submission owns the result, so the owner map wins when it can.
-    fn plan_poll(&self, request: &HttpRequest, id_text: &str) -> GatewayReply {
+    fn plan_poll(&self, request: &RequestFrame, id_text: &str) -> GatewayReply {
         let id = InvocationId::parse(id_text);
         let owner = id.and_then(|id| {
             let owners = self.owners.lock();
@@ -633,7 +638,7 @@ impl Router {
             .or_else(|| self.pick_member(None, &[]));
         match target {
             Some((node, addr, load)) => {
-                let rope = proxy_request(request).to_rope();
+                let rope = forward_rope(request);
                 let bytes = rope.len();
                 GatewayReply::Forward(ForwardPlan {
                     node,
@@ -989,7 +994,10 @@ impl Drop for Router {
 }
 
 // ----------------------------------------------------------------------
-// Proxy transforms (public: the zero-copy tests assert on them)
+// Proxy transforms. The served path splices the received bytes
+// (`forward_rope`, `relay_rope`); `proxy_request` and `proxy_response` are
+// the structured specification the splice is tested against. Public: the
+// zero-copy and property tests assert on them.
 // ----------------------------------------------------------------------
 
 /// Prepares a client request for the upstream wire: hop-by-hop connection
@@ -1004,14 +1012,49 @@ pub fn proxy_request(request: &HttpRequest) -> HttpRequest {
 
 /// Prepares a member's response for the client: the member's `Connection`
 /// header is replaced by the gateway's own negotiation, and the answering
-/// node is surfaced as `X-Dandelion-Node`. The body buffer is reused as-is
-/// — the integration tests assert the `Arc` identity survives this hop.
+/// node is surfaced as `X-Dandelion-Node`. The body buffer is reused as-is.
 pub fn proxy_response(mut response: HttpResponse, node: NodeId) -> HttpResponse {
     response.headers.remove("connection");
     response
         .headers
         .insert("X-Dandelion-Node", node.to_string());
     response
+}
+
+/// [`proxy_request`] on the wire: the request's bytes as the gateway
+/// received them, its `Connection` lines cut. A request with none is one
+/// segment, the received message itself.
+pub fn forward_rope(request: &RequestFrame) -> Rope {
+    request.splice(&[])
+}
+
+/// The `X-Dandelion-Node` line naming `node`: built once per member and
+/// loop, and shared by every response relayed from it.
+pub fn node_line(node: NodeId) -> SharedBytes {
+    SharedBytes::from_vec(format!("X-Dandelion-Node: {node}\r\n").into_bytes())
+}
+
+/// [`proxy_response`] and [`response_rope`](crate::response_rope) on the
+/// wire: the member's bytes with its `Connection` lines cut, and
+/// `node_line`, the gateway's own `Connection` line and — for a response
+/// that declares no length, which the client must not read to a close —
+/// `Content-Length: 0` added to its head. The head's other lines and the
+/// body are views of the member's receive buffer.
+pub fn relay_rope(response: &ResponseFrame, node_line: &SharedBytes, close: bool) -> Rope {
+    static LINES: OnceLock<[SharedBytes; 3]> = OnceLock::new();
+    let [keep_alive, closing, no_length] = LINES.get_or_init(|| {
+        [
+            "Connection: keep-alive\r\n",
+            "Connection: close\r\n",
+            "Content-Length: 0\r\n",
+        ]
+        .map(|line| SharedBytes::from_vec(line.as_bytes().to_vec()))
+    });
+    let connection = if close { closing } else { keep_alive };
+    match response.content_length() {
+        Some(_) => response.splice(&[node_line, connection]),
+        None => response.splice(&[node_line, connection, no_length]),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1168,9 +1211,19 @@ mod tests {
         HttpRequest::get(format!("/v1/invocations/{id}"))
     }
 
+    /// `request` as a client connection's decoder hands it to the router.
+    fn frame(request: &HttpRequest) -> RequestFrame {
+        let mut decoder = dandelion_http::RequestDecoder::default();
+        decoder.feed(&request.to_bytes());
+        decoder
+            .next_frame()
+            .expect("well-formed")
+            .expect("complete")
+    }
+
     /// The plan `request` is forwarded with.
     fn forwarded(router: &Router, request: HttpRequest) -> ForwardPlan {
-        match router.dispatch(&request) {
+        match router.dispatch(&frame(&request)) {
             GatewayReply::Forward(plan) => plan,
             _ => panic!("{} {} must forward", request.method, request.target),
         }
@@ -1178,7 +1231,7 @@ mod tests {
 
     /// The gateway's own answer to `request`.
     fn answered(router: &Router, request: HttpRequest) -> HttpResponse {
-        match router.dispatch(&request) {
+        match router.dispatch(&frame(&request)) {
             GatewayReply::Respond(response) => response,
             _ => panic!(
                 "{} {} must be answered locally",
@@ -1476,7 +1529,10 @@ mod tests {
     #[test]
     fn mutating_control_plane_requests_defer_to_the_control_thread() {
         let router = router_without_health();
-        let drain = HttpRequest::post("/v1/cluster/drain/node-424242", Vec::new());
+        let drain = frame(&HttpRequest::post(
+            "/v1/cluster/drain/node-424242",
+            Vec::new(),
+        ));
         let GatewayReply::Control(op) = router.dispatch(&drain) else {
             panic!("mutating control-plane requests must defer off the event loop");
         };

@@ -3,11 +3,13 @@
 //! client connections.
 //!
 //! An [`UpstreamConn`] is the second connection role in an event loop's
-//! slab. Requests are serialized once (bodies attached by reference) and
-//! queued in the connection's outbox, a [`RopeBatch`]; responses stream
-//! back through a [`ResponseDecoder`] whose bodies are zero-copy views of
-//! the receive buffer, and are matched FIFO to the client slots that wait
-//! for them. The gateway therefore never burns a thread per in-flight
+//! slab. A forward is the client's request as the gateway received it — a
+//! rope of views of the client connection's receive buffer, `Connection`
+//! lines cut — queued in the connection's outbox, a [`RopeBatch`];
+//! responses stream back through a [`ResponseDecoder`] that frames them
+//! without decoding a header map (each a view of the receive buffer plus
+//! its head's scan record), and are matched FIFO to the client slots that
+//! wait for them. The gateway therefore never burns a thread per in-flight
 //! request — an upstream connection is a slab entry, exactly like the
 //! downstream connections it serves.
 //!
@@ -32,7 +34,7 @@ use std::os::fd::AsFd;
 use std::time::Instant;
 
 use dandelion_common::{failpoint, BatchProgress, NodeId, Rope, RopeBatch};
-use dandelion_http::{HttpResponse, ParseLimits, ResponseDecoder};
+use dandelion_http::{ParseLimits, ResponseDecoder, ResponseFrame};
 
 use crate::event_loop::LoopShared;
 
@@ -184,7 +186,7 @@ impl UpstreamConn {
 
     /// Advances the connection: writes the whole outbox — every queued
     /// request in one vectored write while the socket accepts it — then
-    /// reads and decodes responses while `readable`. Decoded responses are
+    /// reads and frames responses while `readable`. Framed responses are
     /// returned paired with their origins for the event loop to deliver to
     /// the client connections; the writes are accounted to `me`.
     pub(crate) fn pump(
@@ -192,7 +194,7 @@ impl UpstreamConn {
         readable: bool,
         read_chunk: usize,
         me: &LoopShared,
-    ) -> (UpstreamVerdict, Vec<(Origin, HttpResponse)>) {
+    ) -> (UpstreamVerdict, Vec<(Origin, ResponseFrame)>) {
         let mut delivered = Vec::new();
         let mut write_failed = false;
         if !self.outbox.is_empty() {
@@ -214,7 +216,7 @@ impl UpstreamConn {
                 me.note_written(progress);
             }
         }
-        // Read side: pull bytes and decode complete responses in order.
+        // Read side: pull bytes and frame complete responses in order.
         let mut saw_eof = false;
         let mut read_chunk = read_chunk;
         if readable || write_failed {
@@ -257,7 +259,7 @@ impl UpstreamConn {
         }
         let mut close = saw_eof || write_failed;
         loop {
-            match self.decoder.next_response() {
+            match self.decoder.next_frame() {
                 Ok(Some(response)) => {
                     let Some(origin) = self.pending.pop_front() else {
                         // A response with no matching exchange: protocol
@@ -268,7 +270,7 @@ impl UpstreamConn {
                     // The member closing after this response ends the
                     // connection's usefulness but the response itself is
                     // still good.
-                    if response.headers.has_token("connection", "close") {
+                    if response.connection_close() {
                         close = true;
                     }
                     delivered.push((origin, response));
@@ -381,7 +383,7 @@ mod tests {
             let (verdict, delivered) = conn.pump(true, 4096, &me);
             assert_eq!(verdict, expected, "Connection: {connection}");
             assert_eq!(delivered.len(), 1, "Connection: {connection}");
-            assert_eq!(delivered[0].1.body.as_ref(), b"last one");
+            assert_eq!(delivered[0].1.body().as_ref(), b"last one");
         }
     }
 
@@ -421,7 +423,7 @@ mod tests {
             "the response received before the write error must be delivered"
         );
         assert_eq!(delivered[0].0.seq, 0);
-        assert_eq!(delivered[0].1.body.as_ref(), b"already sent");
+        assert_eq!(delivered[0].1.body().as_ref(), b"already sent");
         // Only the exchange that never got an answer is left to fail.
         let remaining = conn.take_pending();
         assert_eq!(remaining.len(), 1);

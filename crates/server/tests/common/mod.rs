@@ -109,9 +109,10 @@ pub fn connect(addr: SocketAddr) -> HttpClientConnection {
 /// it fronted, and checks three parts of the teardown invariant — a member
 /// that has shut down has no invocation in flight (submitted = settled:
 /// a settle path that loses one fails here, whatever the test looked at), no
-/// event loop of a stopped server still counts a response owed or a request
-/// body held ([`stop_and_check_loops`]), and the pool's books balance
-/// ([`assert_pool_accounted`]). Returns whether the gateway drained cleanly.
+/// event loop of a stopped server still counts a response owed, a request
+/// body held or a message unread in its inbox ([`stop_and_check_loops`]),
+/// and the pool's books balance ([`assert_pool_accounted`]). Returns whether
+/// the gateway drained cleanly.
 pub fn shutdown(
     gateway: Server,
     members: impl IntoIterator<Item = (Server, Arc<WorkerNode>)>,
@@ -127,15 +128,16 @@ pub fn shutdown(
 }
 
 /// Shuts `server` down and reads what its loops left behind: every slot
-/// parked was completed (`inflight`) and every request body taken in was
-/// given up with its slot or its connection (`held_bytes`).
+/// parked was completed (`inflight`), every request body taken in was
+/// given up with its slot or its connection (`held_bytes`), and every
+/// message posted to a loop was taken out of its inbox (`inbox_depth`).
 fn stop_and_check_loops(server: Server) -> bool {
     let stats = server.stats_source();
     let drained = server.shutdown();
     let document = stats();
     let loops = document.get("loops").and_then(|loops| loops.as_array());
     for (index, entry) in loops.expect("server.loops[]").iter().enumerate() {
-        for gauge in ["inflight", "held_bytes"] {
+        for gauge in ["inflight", "held_bytes", "inbox_depth"] {
             let left = entry.get(gauge).and_then(|value| value.as_u64());
             assert_eq!(left, Some(0), "loop {index} stopped with {gauge} left");
         }

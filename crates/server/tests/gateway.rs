@@ -1,7 +1,7 @@
 //! Cluster gateway integration tests over real sockets: routing with the
 //! `X-Dandelion-Node` stamp, registration broadcast, member failure under
-//! load (ejection + survivors), owner-routed polls, draining, and the
-//! zero-copy proxy invariant.
+//! load (ejection + survivors), owner-routed polls, draining, the
+//! zero-copy proxy invariant, and heads refused before they are forwarded.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -496,35 +496,103 @@ fn draining_a_member_relays_the_signal_and_removes_it_once_idle() {
     shutdown(gateway, members);
 }
 
-/// The zero-copy proxy invariant on the real decode path: a response body
-/// decoded off the upstream wire and passed through [`proxy_response`]
-/// keeps its buffer identity — the gateway never copies payloads between
-/// the member socket and the client socket.
+/// The zero-copy proxy invariant on the served path. A request with no
+/// `Connection` line is forwarded as one segment: the bytes it was received
+/// in. A member's response reaches the client as views of the member
+/// connection's receive buffer — its head's lines and its body — with only
+/// the gateway's own two lines added; nothing is decoded and encoded again.
 #[test]
 fn proxied_response_bodies_keep_their_buffer_identity() {
     use dandelion_common::{NodeId, SharedBytes};
-    use dandelion_http::{HttpResponse, ParseLimits, ResponseDecoder};
-    use dandelion_server::gateway::proxy_response;
+    use dandelion_http::{parse_response, HttpResponse, RequestDecoder, ResponseDecoder};
+    use dandelion_server::gateway::{forward_rope, node_line, relay_rope};
 
-    let wire = HttpResponse::ok(b"member payload, by reference".to_vec())
+    let mut decoder = RequestDecoder::default();
+    decoder.feed(
+        &HttpRequest::post("/v1/invoke/EchoComp", b"client payload".to_vec())
+            .with_header("Host", "gateway")
+            .to_bytes(),
+    );
+    let request = decoder.next_frame().unwrap().expect("complete request");
+    let forward = forward_rope(&request);
+    assert_eq!(forward.segment_count(), 1);
+    let sent = forward.last_segment().expect("a view, not a built head");
+    assert!(
+        SharedBytes::same_buffer(sent, request.bytes()),
+        "the forward must be the client connection's receive buffer, not a copy"
+    );
+    assert_eq!(sent.as_slice(), request.bytes().as_slice());
+
+    let payload = b"member payload, by reference";
+    let wire = HttpResponse::ok(payload.to_vec())
         .with_header("Connection", "keep-alive")
         .to_bytes();
-    let mut decoder = ResponseDecoder::new(ParseLimits::default());
+    let mut decoder = ResponseDecoder::default();
     decoder.feed(&wire);
-    let decoded = decoder
-        .next_response()
-        .expect("well-formed response")
-        .expect("complete response");
-    let body = decoded.body.clone();
-
-    let proxied = proxy_response(decoded, NodeId::from_raw(3));
-    assert_eq!(proxied.headers.get("x-dandelion-node"), Some("node-3"));
-    assert!(proxied.headers.get("connection").is_none());
-    assert!(
-        SharedBytes::same_buffer(&proxied.body, &body),
-        "the proxied body must be the decoder's buffer, not a copy"
+    let response = decoder.next_frame().unwrap().expect("complete response");
+    let relayed = relay_rope(&response, &node_line(NodeId::from_raw(3)), false);
+    let (member, added): (Vec<&SharedBytes>, Vec<&SharedBytes>) = relayed
+        .shared_segments()
+        .partition(|segment| SharedBytes::same_buffer(segment, response.bytes()));
+    assert_eq!(relayed.segment_count(), member.len() + added.len());
+    assert_eq!(
+        added.iter().map(|line| line.as_slice()).collect::<Vec<_>>(),
+        [
+            &b"X-Dandelion-Node: node-3\r\n"[..],
+            b"Connection: keep-alive\r\n"
+        ],
+        "only the gateway's own lines are built"
     );
-    assert_eq!(proxied.body.as_ref(), b"member payload, by reference");
+    let body = member.last().expect("the body is the member's");
+    assert!(
+        body.ends_with(payload),
+        "the body must be the decoder's buffer"
+    );
+    let delivered = parse_response(&relayed.to_vec()).unwrap();
+    assert_eq!(delivered.headers.get("x-dandelion-node"), Some("node-3"));
+    assert_eq!(delivered.headers.get_all("connection"), ["keep-alive"]);
+    assert_eq!(delivered.body.as_ref(), payload);
+}
+
+/// A CR that no LF follows, a bare LF or a NUL in a head is one `400` and a
+/// close wherever it arrives: from a member, and from a gateway before any
+/// upstream carries it — on a pooled upstream the member's refusal would
+/// close a connection other clients' exchanges ride. The `Content-Length`
+/// after it is a field to a reader that splits lines at a bare CR or LF
+/// and part of `X`'s value to one that does not.
+#[test]
+fn a_bare_cr_lf_or_nul_in_a_head_gets_one_400_and_a_close() {
+    use std::io::{Read, Write};
+    let (member, worker) = start_member();
+    let (gateway, _router) = start_gateway(test_gateway_config(), &[member.local_addr()]);
+    for fields in [
+        "X: a\nContent-Length: 5\r\n",
+        "X: a\rContent-Length: 5\r\n",
+        "X: a\0b\r\nContent-Length: 5\r\n",
+    ] {
+        let wire = format!(
+            "POST /v1/invoke/EchoComp HTTP/1.1\r\n{fields}\r\nhelloGET /healthz HTTP/1.1\r\n\r\n"
+        );
+        for addr in [member.local_addr(), gateway.local_addr()] {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(wire.as_bytes()).unwrap();
+            let mut reply = Vec::new();
+            stream.read_to_end(&mut reply).unwrap(); // EOF proves the close
+            let reply = String::from_utf8(reply).unwrap();
+            assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+            assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "{reply}");
+            assert!(reply.contains("\"malformed_request\""), "{reply}");
+            assert!(reply.contains("Connection: close\r\n"), "{reply}");
+        }
+    }
+    // Each side refused the three it was sent: none reached the member
+    // through the gateway.
+    assert_eq!(member.stats().rejected_requests, 3);
+    assert_eq!(gateway.stats().rejected_requests, 3);
+    shutdown(gateway, [(member, worker)]);
 }
 
 /// A cluster member that answers the gateway's control-plane probes but

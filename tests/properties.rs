@@ -646,6 +646,264 @@ fn incremental_parsing_preserves_pipelined_request_order() {
     }
 }
 
+/// A stream decoder of requests or of responses, as the splice property
+/// drives it.
+trait Framer: Default {
+    type Frame;
+    fn feed_bytes(&mut self, bytes: &[u8]);
+    fn frame(&mut self) -> Result<Option<Self::Frame>, dandelion_http::HttpParseError>;
+    fn frame_len(frame: &Self::Frame) -> usize;
+}
+
+impl Framer for dandelion_http::RequestDecoder {
+    type Frame = dandelion_http::RequestFrame;
+    fn feed_bytes(&mut self, bytes: &[u8]) {
+        self.feed(bytes);
+    }
+    fn frame(&mut self) -> Result<Option<Self::Frame>, dandelion_http::HttpParseError> {
+        self.next_frame()
+    }
+    fn frame_len(frame: &Self::Frame) -> usize {
+        frame.bytes().len()
+    }
+}
+
+impl Framer for dandelion_http::ResponseDecoder {
+    type Frame = dandelion_http::ResponseFrame;
+    fn feed_bytes(&mut self, bytes: &[u8]) {
+        self.feed(bytes);
+    }
+    fn frame(&mut self) -> Result<Option<Self::Frame>, dandelion_http::HttpParseError> {
+        self.next_frame()
+    }
+    fn frame_len(frame: &Self::Frame) -> usize {
+        frame.bytes().len()
+    }
+}
+
+/// What a decoder makes of `wire` fed in two pieces, split at every byte:
+/// the framed message's length, `None` while it is incomplete, or the
+/// rejection's status — the same at every split, or the test fails — and
+/// the frame itself.
+fn split_verdict<D: Framer>(
+    wire: &[u8],
+    context: &str,
+) -> (Result<Option<usize>, u16>, Option<D::Frame>) {
+    use dandelion_http::rejection_status;
+    let mut first: Option<Result<Option<usize>, u16>> = None;
+    let mut framed = None;
+    for cut in 0..=wire.len() {
+        let mut decoder = D::default();
+        decoder.feed_bytes(&wire[..cut]);
+        let mut outcome = decoder.frame();
+        if matches!(outcome, Ok(None)) {
+            decoder.feed_bytes(&wire[cut..]);
+            outcome = decoder.frame();
+        }
+        let verdict = match &outcome {
+            Ok(frame) => Ok(frame.as_ref().map(D::frame_len)),
+            Err(error) => Err(rejection_status(error).0),
+        };
+        match &first {
+            Some(earlier) => assert_eq!(&verdict, earlier, "{context}: split at {cut}"),
+            None => first = Some(verdict),
+        }
+        framed = outcome.ok().flatten();
+    }
+    (first.expect("at least one split"), framed)
+}
+
+/// Where the head of an accepted `wire` ends, found without the scanner: a
+/// line ends at CRLF and nowhere else, so the first blank line is it.
+fn head_len(wire: &[u8]) -> usize {
+    wire.windows(4)
+        .position(|window| window == b"\r\n\r\n")
+        .expect("an accepted message has a head")
+        + 4
+}
+
+/// A message's fields as a header multimap, values trimmed: names
+/// lower-cased and in order, the values of one name in the order they came.
+fn multimap(headers: &dandelion_http::Headers) -> Vec<(String, String)> {
+    let mut fields: Vec<(String, String)> = headers
+        .iter()
+        .map(|(name, value)| (name.to_ascii_lowercase(), value.trim().to_string()))
+        .collect();
+    fields.sort_by(|a, b| a.0.cmp(&b.0));
+    fields
+}
+
+/// The framing corpus's heads under `start_line`, mutated the ways a head
+/// goes wrong: byte flips; an inserted CR, LF, colon, space, NUL or byte
+/// above 0x7F; a second `Content-Length`; a `Transfer-Encoding`; one to three
+/// `Connection` lines. Half the draws start from a head the corpus frames.
+fn mutated_message(rng: &mut SplitMix64, start_line: &str) -> Vec<u8> {
+    use dandelion_http::stream::FRAMING_HEADS;
+    let framed: Vec<&str> = FRAMING_HEADS
+        .iter()
+        .filter(|(_, status)| *status == 200)
+        .map(|(head, _)| *head)
+        .collect();
+    let head = if rng.bernoulli(0.5) {
+        framed[rng.next_bounded(framed.len() as u64) as usize]
+    } else {
+        FRAMING_HEADS[rng.next_bounded(FRAMING_HEADS.len() as u64) as usize].0
+    };
+    let mut wire = head.replace("{}", start_line).into_bytes();
+    let insert_line = |rng: &mut SplitMix64, wire: &mut Vec<u8>, line: String| {
+        // After one of the head's CRLFs: a field line's start, or the blank
+        // line's.
+        let blank = wire
+            .windows(4)
+            .position(|window| window == b"\r\n\r\n")
+            .map_or(wire.len(), |at| at + 2);
+        let starts: Vec<usize> = (0..blank.saturating_sub(1))
+            .filter(|&at| &wire[at..at + 2] == b"\r\n")
+            .map(|at| at + 2)
+            .collect();
+        if !starts.is_empty() {
+            let at = starts[rng.next_bounded(starts.len() as u64) as usize];
+            wire.splice(at..at, format!("{line}\r\n").into_bytes());
+        }
+    };
+    for _ in 0..rng.next_bounded(4) {
+        match rng.next_bounded(6) {
+            0 => {
+                let at = rng.next_bounded(wire.len() as u64) as usize;
+                wire[at] ^= 1 << rng.next_bounded(8);
+            }
+            1 => {
+                let byte = if rng.bernoulli(0.5) {
+                    [b'\r', b'\n', b':', b' ', 0][rng.next_bounded(5) as usize]
+                } else {
+                    0x80 + rng.next_bounded(0x80) as u8
+                };
+                let at = rng.next_bounded(wire.len() as u64 + 1) as usize;
+                wire.insert(at, byte);
+            }
+            2 => {
+                let length = rng.next_bounded(5);
+                insert_line(rng, &mut wire, format!("Content-Length: {length}"));
+            }
+            3 => insert_line(rng, &mut wire, "Transfer-Encoding: chunked".to_string()),
+            _ => {
+                const TOKENS: [&str; 5] = ["close", "keep-alive", "TE, close", " Keep-Alive ", "x"];
+                for _ in 0..=rng.next_bounded(3) {
+                    let tokens = TOKENS[rng.next_bounded(TOKENS.len() as u64) as usize];
+                    insert_line(rng, &mut wire, format!("Connection: {tokens}"));
+                }
+            }
+        }
+    }
+    wire
+}
+
+/// The gateway's splice against its specification (the first step of
+/// ROADMAP 2(iii)). On the framing corpus and mutations of it:
+///
+/// * the stream decoders, at every split, reach the one-shot parsers'
+///   verdict, rejection status and message length;
+/// * an accepted request forwards to what `proxy_request` makes of it, and
+///   an accepted response relays to what `proxy_response` and
+///   `response_rope` make of it — compared re-parsed, as header multimaps
+///   with trimmed values, with the same body.
+#[test]
+fn the_gateway_splice_matches_its_specification_on_a_mutated_framing_corpus() {
+    use dandelion_common::encoding::utf8_lossy;
+    use dandelion_common::NodeId;
+    use dandelion_http::{
+        parse_request, parse_response, rejection_status, HttpParseError, RequestDecoder,
+        ResponseDecoder,
+    };
+    use dandelion_server::gateway::{
+        forward_rope, node_line, proxy_request, proxy_response, relay_rope,
+    };
+    use dandelion_server::response_rope;
+
+    let incomplete = |error: &HttpParseError| {
+        matches!(
+            error,
+            HttpParseError::UnexpectedEof | HttpParseError::BodyTooShort { .. }
+        )
+    };
+    let mut accepted = [0usize; 2];
+    for seed in 0..2 * CASES {
+        let mut rng = SplitMix64::new(0x5_911C_E000 ^ seed);
+
+        let wire = mutated_message(&mut rng, "POST /v1/invoke/EchoComp HTTP/1.1");
+        let context = format!("seed {seed}, request {:?}", utf8_lossy(&wire));
+        let (verdict, frame) = split_verdict::<RequestDecoder>(&wire, &context);
+        match (verdict, parse_request(&wire)) {
+            (Ok(Some(length)), Ok(whole)) => {
+                let frame = frame.expect("framed");
+                let head = head_len(&wire);
+                let declared = whole.headers.content_length();
+                assert_eq!(length, head + declared.unwrap_or(0), "{context}");
+                assert_eq!(whole.body, wire[head..head + whole.body.len()], "{context}");
+                let message = parse_request(&wire[..length]).expect("the message parses alone");
+                assert_eq!(frame.to_request(), message, "{context}");
+                let got =
+                    parse_request(&forward_rope(&frame).to_vec()).expect("the forward parses");
+                let want = parse_request(&proxy_request(&message).to_bytes()).expect("reparses");
+                assert_eq!(
+                    (got.method, &got.target, got.version),
+                    (want.method, &want.target, want.version),
+                    "{context}"
+                );
+                assert_eq!(multimap(&got.headers), multimap(&want.headers), "{context}");
+                assert_eq!(got.body, want.body, "{context}");
+                accepted[0] += 1;
+            }
+            (Ok(None), Err(error)) if incomplete(&error) => {}
+            (Err(status), Err(error)) if !incomplete(&error) => {
+                assert_eq!(status, rejection_status(&error).0, "{context}: {error}");
+            }
+            (verdict, whole) => panic!("{context}: stream {verdict:?}, one-shot {whole:?}"),
+        }
+
+        let wire = mutated_message(&mut rng, "HTTP/1.1 200 OK");
+        let context = format!("seed {seed}, response {:?}", utf8_lossy(&wire));
+        let (verdict, frame) = split_verdict::<ResponseDecoder>(&wire, &context);
+        match (verdict, parse_response(&wire)) {
+            (Ok(Some(length)), Ok(whole)) => {
+                let frame = frame.expect("framed");
+                let head = head_len(&wire);
+                let declared = whole.headers.content_length();
+                assert_eq!(length, head + declared.unwrap_or(0), "{context}");
+                assert_eq!(whole.body, wire[head..head + whole.body.len()], "{context}");
+                let message = parse_response(&wire[..length]).expect("the message parses alone");
+                assert_eq!(frame.to_response(), message, "{context}");
+                let node = NodeId::from_raw(rng.next_bounded(100));
+                let close = rng.bernoulli(0.5);
+                let relayed = relay_rope(&frame, &node_line(node), close);
+                let got = parse_response(&relayed.to_vec()).expect("the relay parses");
+                let want =
+                    parse_response(&response_rope(proxy_response(message, node), close).to_vec())
+                        .expect("reparses");
+                assert_eq!(
+                    (got.version, got.status),
+                    (want.version, want.status),
+                    "{context}"
+                );
+                assert_eq!(multimap(&got.headers), multimap(&want.headers), "{context}");
+                assert_eq!(got.body, want.body, "{context}");
+                accepted[1] += 1;
+            }
+            (Ok(None), Err(error)) if incomplete(&error) => {}
+            (Err(status), Err(error)) if !incomplete(&error) => {
+                assert_eq!(status, rejection_status(&error).0, "{context}: {error}");
+            }
+            (verdict, whole) => panic!("{context}: stream {verdict:?}, one-shot {whole:?}"),
+        }
+    }
+    // Enough of the corpus survives its mutations for the splice to be
+    // exercised, not only the verdicts.
+    assert!(
+        accepted.iter().all(|&count| count as u64 >= CASES / 2),
+        "accepted (requests, responses): {accepted:?}"
+    );
+}
+
 /// The resumable write path is suspension-invariant: every response of the
 /// pipelined-order corpus, written through a `WouldBlock`-injecting writer
 /// that accepts `k` bytes per readiness window — for *every* `k` — is

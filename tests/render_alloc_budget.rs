@@ -15,7 +15,9 @@
 //! body by reference, whatever the body's size. The third holds `MatMul`, the
 //! compute function of the paper's Fig. 6, to it: the matrices are read where
 //! the request left them and the product is written where the response will
-//! take it from.
+//! take it from. The fourth holds a gateway's hop to it: what a client sent
+//! and what a member answered go on as the bytes that arrived, spliced, not
+//! decoded and encoded again.
 
 use dandelion_apps::logproc::render_artifact;
 use dandelion_apps::matmul::{decode_matrix, matmul_artifact, matmul_inputs};
@@ -24,6 +26,7 @@ use dandelion_common::{DataItem, DataSet, SharedBytes};
 use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator, HeapUse};
 use dandelion_isolation::{FunctionCtx, SyscallPolicy};
+use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -163,6 +166,11 @@ fn matmul_reads_the_matrices_in_place_and_fills_its_output_buffer() {
     assert_eq!(Some(&product.backing_len()), class);
 }
 
+/// Held by the two HTTP cases: both take the global pool's smallest class,
+/// and one's buffers taken while the other measures would send the other to
+/// the heap.
+static SMALL_BUFFERS: Mutex<()> = Mutex::new(());
+
 /// After a warm-up a request and a response go on the wire without asking
 /// the heap for anything: the head is built in a pooled buffer that the rope
 /// carries unfrozen (no `Arc`), head and body sit in the rope's two inline
@@ -171,6 +179,7 @@ fn matmul_reads_the_matrices_in_place_and_fills_its_output_buffer() {
 /// `Arc`, a third segment as the rope's spill list.
 #[test]
 fn http_messages_go_on_the_wire_as_a_built_head_and_a_referenced_body() {
+    let _pool = SMALL_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
     for body_bytes in [4 * 1024, 64 * 1024] {
         let body = SharedBytes::from_vec(vec![b'p'; body_bytes]);
         let request = HttpRequest::post("/v1/invoke/Echo", body.clone())
@@ -190,4 +199,77 @@ fn http_messages_go_on_the_wire_as_a_built_head_and_a_referenced_body() {
         assert!(written > 2 * body_bytes, "{written} bytes written");
         assert_eq!(heap_use, HeapUse::default(), "{body_bytes}-byte bodies");
     }
+}
+
+/// Blocks one proxied exchange may request of a gateway: each decoder's
+/// frozen receive buffer (2, one shared handle each) and the relayed rope's
+/// list of segments past the two it holds inline (1), with room to spare.
+/// Decoding both messages into header maps, `proxy_request` + `to_rope` and
+/// `proxy_response` + `response_rope` ask for about thirty (the failure
+/// message prints the count).
+const MAX_PROXY_BLOCKS: usize = 10;
+
+/// What a gateway does to one `gw_matmul1` exchange between its two sockets
+/// — a client's request framed and forwarded, the member's response framed
+/// and relayed — is one head scan each and a splice of the received bytes:
+/// no header map of owned strings, no clone of the request, no head built
+/// again. The structured chain it replaced is measured beside it.
+#[test]
+fn a_proxied_exchange_is_framed_and_spliced_not_decoded_and_encoded() {
+    let _pool = SMALL_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
+    use dandelion_common::NodeId;
+    use dandelion_core::frontend::SET_LIST_CONTENT_TYPE;
+    use dandelion_http::{RequestDecoder, ResponseDecoder};
+    use dandelion_server::gateway::{
+        forward_rope, node_line, proxy_request, proxy_response, relay_rope,
+    };
+    use dandelion_server::response_rope;
+
+    // The benchmark's 1×1 `MatMulApp` request, and a member's answer as
+    // its server puts it on the wire.
+    let request = HttpRequest::post("/v1/invoke/MatMulApp", vec![7u8; 48])
+        .with_header("Host", "bench")
+        .with_header("Content-Type", SET_LIST_CONTENT_TYPE)
+        .to_bytes();
+    let answer =
+        HttpResponse::ok(vec![9u8; 24]).with_header("Content-Type", "application/octet-stream");
+    let response = response_rope(answer, false).to_vec();
+    let node = NodeId::from_raw(2);
+    let line = node_line(node);
+
+    let spliced = || {
+        let mut decoder = RequestDecoder::default();
+        decoder.feed(&request);
+        let frame = decoder.next_frame().unwrap().expect("complete request");
+        let forward = forward_rope(&frame);
+        let mut decoder = ResponseDecoder::default();
+        decoder.feed(&response);
+        let frame = decoder.next_frame().unwrap().expect("complete response");
+        (forward, relay_rope(&frame, &line, false))
+    };
+    let rebuilt = || {
+        let mut decoder = RequestDecoder::default();
+        decoder.feed(&request);
+        let parsed = decoder.next_request().unwrap().expect("complete request");
+        let forward = proxy_request(&parsed).to_rope();
+        let mut decoder = ResponseDecoder::default();
+        decoder.feed(&response);
+        let parsed = decoder.next_response().unwrap().expect("complete response");
+        (forward, response_rope(proxy_response(parsed, node), false))
+    };
+    // Once unmeasured each: the receive buffers come back from the pool.
+    spliced();
+    rebuilt();
+    let ((forward, relayed), heap_use) = heap_use_of(spliced);
+    let (_, structured) = heap_use_of(rebuilt);
+    // The forward is the request byte for byte; the relay is the member's
+    // message with `X-Dandelion-Node` in it.
+    assert_eq!(forward.to_vec(), request);
+    assert_eq!(relayed.len(), response.len() + line.len());
+    assert!(
+        heap_use.blocks <= MAX_PROXY_BLOCKS,
+        "{} blocks requested, budget {MAX_PROXY_BLOCKS} (the decode-and-encode chain: {})",
+        heap_use.blocks,
+        structured.blocks
+    );
 }
