@@ -263,11 +263,13 @@ impl Frame<StatusLine> {
 /// (still mutable, accepting reads) or the `frozen` view left over from the
 /// last parse (pipelined successors and partial tails). A message that
 /// arrives across many reads accumulates in the builder; once its head has
-/// declared its length the builder is given room for all of it, so the bytes
-/// of a large body are copied at most once — what had arrived by then — and
-/// the buffer they end up in is of a pool class, the one the next message of
-/// that size pops. A tail left behind by an earlier parse is copied — once —
-/// into the next builder when more bytes are needed.
+/// declared its length the builder is given room for exactly the rest of it
+/// and no read takes in more than that rest, so the bytes of a large body
+/// are copied at most once — what had arrived by then — the buffer they end
+/// up in is the pool class of the message's own size, and no successor's
+/// bytes land behind it. A tail left behind by an earlier parse (what a read
+/// brought in past the end of a message whose length it did not know yet)
+/// is copied — once — into the next builder when more bytes are needed.
 #[derive(Debug)]
 struct StreamDecoder<L> {
     builder: SharedBytesMut,
@@ -314,24 +316,47 @@ impl<L: Copy> StreamDecoder<L> {
         self.appending(bytes.len()).put_slice(bytes);
     }
 
-    /// The builder ready for a read of up to `max_bytes`: with room for the
-    /// rest of the message under way, when its head has said how long it is,
-    /// and for a full read behind that — reserved here, once, so that no read
-    /// after this one moves the body. What a head can make the decoder
-    /// reserve before the bytes are there is bounded by the pool's largest
-    /// class; a body beyond that grows by doubling as it arrives.
-    fn receiving(&mut self, max_bytes: usize) -> &mut SharedBytesMut {
+    /// The bytes of the message under way still to arrive, once its head has
+    /// said how long it is; `0` before that.
+    fn rest(&self) -> usize {
         let awaited = self.head.as_ref().map_or(0, Head::message_len);
-        let rest = awaited.saturating_sub(self.buffered());
-        self.appending(rest.min(LARGEST_CLASS) + max_bytes)
+        awaited.saturating_sub(self.buffered())
+    }
+
+    /// The most the next read takes in when the caller allows `max_bytes`:
+    /// no more than the rest of a message whose length is known.
+    fn offer(&self, max_bytes: usize) -> usize {
+        match self.rest() {
+            0 => max_bytes,
+            rest => rest.min(max_bytes),
+        }
+    }
+
+    /// The builder ready for a read of up to `max_bytes`, and the space that
+    /// read is offered. While a declared message is under way the builder is
+    /// given room for exactly its rest — reserved here, once, so that no read
+    /// after this one moves the body — and the read is offered no more than
+    /// that rest, so the message ends where its buffer does. What a head can
+    /// make the decoder reserve before the bytes are there is bounded by the
+    /// pool's largest class; a body beyond that grows by doubling as it
+    /// arrives.
+    fn receiving(&mut self, max_bytes: usize) -> (&mut SharedBytesMut, usize) {
+        let reserve = match self.rest() {
+            0 => max_bytes,
+            rest => rest.min(LARGEST_CLASS),
+        };
+        let offered = self.offer(max_bytes);
+        (self.appending(reserve), offered)
     }
 
     fn read_from<R: Read>(&mut self, reader: &mut R, max_bytes: usize) -> io::Result<usize> {
-        self.receiving(max_bytes).read_from(reader, max_bytes)
+        let (builder, offered) = self.receiving(max_bytes);
+        builder.read_from(reader, offered)
     }
 
     fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
-        self.receiving(max_bytes).read_fd(fd, max_bytes)
+        let (builder, offered) = self.receiving(max_bytes);
+        builder.read_fd(fd, offered)
     }
 
     /// Frames the next complete message of the buffer, its start line read
@@ -405,8 +430,8 @@ impl RequestDecoder {
         self.inner.feed(bytes);
     }
 
-    /// Reads up to `max_bytes` from `reader` into the receive buffer.
-    /// Returns the byte count (`0` at end of stream).
+    /// Reads up to [`RequestDecoder::offer`]`(max_bytes)` from `reader` into
+    /// the receive buffer. Returns the byte count (`0` at end of stream).
     pub fn read_from<R: Read>(
         &mut self,
         reader: &mut R,
@@ -416,10 +441,21 @@ impl RequestDecoder {
     }
 
     /// The socket path of [`RequestDecoder::read_from`]: one `read(2)` of up
-    /// to `max_bytes` from `fd` straight into the receive buffer, which is
-    /// not cleared first ([`SharedBytesMut::read_fd`]).
+    /// to [`RequestDecoder::offer`]`(max_bytes)` from `fd` straight into the
+    /// receive buffer, which is not cleared first
+    /// ([`SharedBytesMut::read_fd`]).
     pub fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
         self.inner.read_fd(fd, max_bytes)
+    }
+
+    /// The space the next read is offered when the caller allows
+    /// `max_bytes`: all of it, or only the rest of a request whose head has
+    /// arrived and declared its length, so that the body lands in a buffer
+    /// of its own size and a pipelined successor stays in the socket. A read
+    /// that returns fewer bytes than this ran its source dry; one that fills
+    /// it did not say so.
+    pub fn offer(&self, max_bytes: usize) -> usize {
+        self.inner.offer(max_bytes)
     }
 
     /// Bytes buffered but not yet parsed into a request.
@@ -468,7 +504,8 @@ impl ResponseDecoder {
         self.inner.feed(bytes);
     }
 
-    /// Reads up to `max_bytes` from `reader` into the receive buffer.
+    /// Reads up to [`ResponseDecoder::offer`]`(max_bytes)` from `reader` into
+    /// the receive buffer.
     pub fn read_from<R: Read>(
         &mut self,
         reader: &mut R,
@@ -481,6 +518,11 @@ impl ResponseDecoder {
     /// [`RequestDecoder::read_fd`].
     pub fn read_fd(&mut self, fd: BorrowedFd<'_>, max_bytes: usize) -> io::Result<usize> {
         self.inner.read_fd(fd, max_bytes)
+    }
+
+    /// The space the next read is offered; see [`RequestDecoder::offer`].
+    pub fn offer(&self, max_bytes: usize) -> usize {
+        self.inner.offer(max_bytes)
     }
 
     /// Bytes buffered but not yet parsed into a response.
@@ -763,6 +805,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A declared body lands in a buffer of its own size: once the head is
+    /// in, a read is offered only the rest of the message, so a 256 KiB
+    /// request takes the 320 KiB class — not the next one up, which a whole
+    /// read chunk reserved behind it would need — and the request pipelined
+    /// behind it stays in the socket. The read that completes the body fills
+    /// exactly the space it was offered, which says nothing about the socket
+    /// being dry: the successor is read next, into a buffer of its own.
+    #[test]
+    fn a_declared_body_lands_in_a_buffer_of_its_own_size() {
+        use std::io::Write;
+        use std::os::fd::AsFd;
+        use std::os::unix::net::UnixStream;
+
+        use dandelion_common::pool::SIZE_CLASSES;
+
+        const CHUNK: usize = 64 * 1024;
+        let first = HttpRequest::post("/v1/invoke/MatMul", vec![7; 256 * 1024]).to_bytes();
+        let second = HttpRequest::get("/healthz").to_bytes();
+        let (mut sender, receiver) = UnixStream::pair().unwrap();
+        let mut wire = first.clone();
+        wire.extend_from_slice(&second);
+        // The socket holds less than the burst: the writer blocks until the
+        // decoder has taken in enough of the body.
+        let writer = std::thread::spawn(move || sender.write_all(&wire).map(|()| sender));
+        let mut decoder = RequestDecoder::default();
+        let (frame, read, offered) = loop {
+            let offered = decoder.offer(CHUNK);
+            let read = decoder.read_fd(receiver.as_fd(), CHUNK).unwrap();
+            assert!(read > 0 && read <= offered, "read {read} of {offered}");
+            if let Some(frame) = decoder.next_frame().unwrap() {
+                break (frame, read, offered);
+            }
+        };
+        // The sender stays open: an empty socket blocks, it does not EOF.
+        let _sender = writer.join().unwrap().unwrap();
+        assert_eq!(read, offered, "the completing read filled its offer");
+        assert_eq!(frame.bytes().as_ref(), &first[..]);
+        let class = SIZE_CLASSES.into_iter().find(|&class| class >= first.len());
+        assert_eq!(class, Some(320 * 1024));
+        assert_eq!(frame.body().backing_len(), 320 * 1024);
+        assert_eq!(decoder.buffered(), 0, "nothing of the successor was read");
+
+        receiver.set_nonblocking(true).unwrap();
+        assert_eq!(decoder.offer(CHUNK), CHUNK);
+        let read = decoder.read_fd(receiver.as_fd(), CHUNK).unwrap();
+        assert_eq!(read, second.len(), "the successor waited in the socket");
+        let successor = decoder.next_frame().unwrap().expect("complete");
+        assert_eq!(successor.target(), b"/healthz");
+        let error = decoder.read_fd(receiver.as_fd(), CHUNK).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]

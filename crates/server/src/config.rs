@@ -77,8 +77,12 @@ pub struct ServerConfig {
 /// A gateway forwards by reference and keeps `max_pipelined`, in requests
 /// and in chunks.
 ///
-/// The depth is per connection: many connections with one large request
-/// each commit as many bodies, and nothing here bounds the node as a whole.
+/// The byte depth also sizes the node as a whole: a worker's connections
+/// share a budget of one byte depth per compute engine (512 KiB with one
+/// engine), and past its first request a connection takes in only while
+/// the node holds less than that — so many connections with one large
+/// request each commit as many bodies and nothing more, and a request
+/// stuck on one connection never stops another's first.
 pub const WORKER_PIPELINE_DEPTH: usize = 8;
 
 impl Default for ServerConfig {

@@ -34,11 +34,15 @@
 //!   or that many read chunks of request bodies taken in and not yet
 //!   answered, whichever comes first — but never fewer than two requests,
 //!   so one body lands while another computes and a single request above
-//!   the byte depth is still served. The rest of a burst waits where TCP
-//!   flow control bounds it (the socket's receive buffer, then the sender)
-//!   and intake resumes as responses leave. The bound is per connection,
-//!   like the count it refines: 64 connections with one large request each
-//!   still commit 64 bodies, and nothing here bounds the node as a whole.
+//!   the byte depth is still served. On a worker the node's connections
+//!   also share one budget of request bodies, a connection's byte depth
+//!   per compute engine ([`Intake`](crate::server::Intake)): past a
+//!   connection's first request it takes in only while the node holds less
+//!   than that, so 64 connections with one large request each commit 64
+//!   bodies and no more. A connection the budget holds back waits for its
+//!   own responses, as at its own gates. Either way the rest of a burst
+//!   waits where TCP flow control bounds it (the socket's receive buffer,
+//!   then the sender) and intake resumes as responses leave.
 //!   `Connection: close` (or HTTP/1.0 without `Connection: keep-alive`)
 //!   closes after the response.
 //! * **Malformed requests** are answered with a structured JSON error body
@@ -211,7 +215,8 @@ pub(crate) struct Conn {
     /// Sequence number the next dispatched request will get.
     next_seq: u64,
     /// Sum of `held` over `slots`: the request-body bytes taken in and not
-    /// yet answered. Mirrored in the loop's `held_bytes` gauge.
+    /// yet answered. Mirrored in the loop's `held_bytes` gauge, which the
+    /// node's budget sums.
     held_bytes: usize,
     /// No further requests are read or parsed (close requested, parse
     /// error, deadline fired, or server draining past this connection).
@@ -293,13 +298,16 @@ impl Conn {
 
     /// Whether the pipeline takes in another request: fewer responses owed
     /// than it is deep, and fewer body bytes held than that many read
-    /// chunks — or fewer than two requests held, whatever they weigh.
+    /// chunks — or fewer than two requests held, whatever they weigh — and
+    /// then either nothing owed at all or the node under its intake budget.
     /// Parsing, reading and the read deadline all ask here, so a closed
-    /// byte gate is the same server-side backpressure a closed count gate
-    /// is.
+    /// byte gate or a spent budget is the same server-side backpressure a
+    /// closed count gate is, and each reopens as this connection's own
+    /// responses leave.
     fn has_room(&self, shared: &Shared) -> bool {
         self.backlog() < shared.pipeline_depth()
             && (self.slots.len() < 2 || self.held_bytes < shared.pipeline_bytes())
+            && (self.slots.is_empty() || !shared.budget_spent())
     }
 
     /// The socket reported `EPOLLRDHUP`: see `peer_closed`.
@@ -376,7 +384,10 @@ impl Conn {
                         None => {}
                     }
                 }
-                match self.decoder.read_fd(self.stream.as_fd(), read_chunk) {
+                // A body under way is offered only its rest, so a full read
+                // can be shorter than a chunk: what decides is the offer.
+                let offered = self.decoder.offer(read_chunk);
+                match self.decoder.read_fd(self.stream.as_fd(), offered) {
                     // Peer finished sending (close or half-close). Requests
                     // already received are still owed their responses — a
                     // "send, shutdown(WR), read replies" client must get
@@ -390,7 +401,7 @@ impl Conn {
                     Ok(read) => {
                         // Fewer bytes than offered: the socket is drained,
                         // and the next arrival raises a fresh edge.
-                        if read < read_chunk && !self.peer_closed {
+                        if read < offered && !self.peer_closed {
                             self.sock_readable = false;
                         }
                         continue;
@@ -416,9 +427,9 @@ impl Conn {
         // Deadline bookkeeping: a partial request pins its deadline at the
         // first byte (a drip-feeding client cannot reset it); an empty
         // buffer restarts the idle clock. Bytes left unparsed because the
-        // pipeline is full — by count or by bytes — are server-side
-        // backpressure, not a client stall, so they must not arm (or
-        // sustain) the deadline.
+        // pipeline is full — by count, by bytes or by the node's budget —
+        // are server-side backpressure, not a client stall, so they must
+        // not arm (or sustain) the deadline.
         if !self.has_room(shared) {
             self.request_deadline = None;
         } else if self.decoder.buffered() > 0 {

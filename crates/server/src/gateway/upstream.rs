@@ -235,7 +235,10 @@ impl UpstreamConn {
                         None => {}
                     }
                 }
-                match self.decoder.read_fd(self.stream.as_fd(), read_chunk) {
+                // A body under way is offered only its rest, so a full read
+                // can be shorter than a chunk: what decides is the offer.
+                let offered = self.decoder.offer(read_chunk);
+                match self.decoder.read_fd(self.stream.as_fd(), offered) {
                     Ok(0) => {
                         saw_eof = true;
                         break;
@@ -244,7 +247,7 @@ impl UpstreamConn {
                         self.last_progress = Instant::now();
                         // Fewer bytes than offered: the socket is drained,
                         // and the next arrival raises a fresh edge.
-                        if read < read_chunk && !self.peer_closed {
+                        if read < offered && !self.peer_closed {
                             break;
                         }
                     }

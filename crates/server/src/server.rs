@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dandelion_common::JsonValue;
+use dandelion_core::engine::EnginePool;
 use dandelion_core::{Frontend, StatsSource};
 
 use crate::config::{ServerConfig, WORKER_PIPELINE_DEPTH};
@@ -114,17 +115,78 @@ impl ServerStats {
     }
 }
 
-/// The `"server"` stats document: the aggregate counters plus one entry
-/// per event loop — the load gauges (`connections`, `inflight`, and
-/// `held_bytes`: the request bodies its connections have taken in and not
-/// yet answered), the inbox backlog, and the wakeup-coalescing counters
-/// (`posted` messages vs `wakeups` actually signalled; `coalesced` is the
-/// difference, i.e. posts that found the loop awake and cost no syscall),
-/// and the write-coalescing counters (`messages_written / writes` is how
-/// many responses and upstream forwards one vectored socket write carried).
-pub(crate) fn server_stats_json(stats: &ServerStats, loops: &[Arc<LoopShared>]) -> JsonValue {
+/// A worker's budget of request bodies, shared by its loops.
+///
+/// The budget is one connection's byte depth per compute engine
+/// (`engine_count × pipeline_bytes`: 512 KiB on a node with one compute
+/// engine), read at each check, so it follows the control plane's core
+/// moves. What the node holds is the sum of the loops' `held_bytes` gauges.
+/// Past the budget a connection that owes nothing still takes in one
+/// request — a large request stuck on one connection never stops another's
+/// first — and every other waits, its bytes in its socket, for its own
+/// responses to leave. A gateway has no engines to feed and no budget.
+pub(crate) struct Intake {
+    /// A worker's compute engines; `None` on a gateway.
+    engines: Option<Arc<EnginePool>>,
+    /// One connection's depth in request-body bytes.
+    pipeline_bytes: usize,
+}
+
+impl Intake {
+    fn new(app: &AppKind, config: &ServerConfig) -> Intake {
+        let engines = match app {
+            AppKind::Local(frontend) => Some(Arc::clone(frontend.worker().compute_pool())),
+            AppKind::Gateway(_) => None,
+        };
+        Intake {
+            engines,
+            pipeline_bytes: pipeline_depth(app, config).saturating_mul(config.read_chunk_bytes),
+        }
+    }
+
+    /// The request-body bytes the node may hold before only connections
+    /// that owe nothing take in; `None` on a gateway.
+    fn budget(&self) -> Option<usize> {
+        let engines = self.engines.as_ref()?;
+        Some(
+            engines
+                .engine_count()
+                .max(1)
+                .saturating_mul(self.pipeline_bytes),
+        )
+    }
+}
+
+/// Request-body bytes taken in and not yet answered across `loops`.
+fn held_bytes(loops: &[Arc<LoopShared>]) -> usize {
+    loops
+        .iter()
+        .map(|loop_shared| loop_shared.held_bytes.load(Ordering::Relaxed))
+        .sum()
+}
+
+/// The `"server"` stats document: the aggregate counters, the node's intake
+/// (`held_bytes`: the request bodies its connections have taken in and not
+/// yet answered; `budget_bytes`: what a worker lets them hold, `null` on a
+/// gateway), plus one entry per event loop — the load gauges
+/// (`connections`, `inflight`, and `held_bytes`: the loop's share of the
+/// node's), the inbox backlog, and the wakeup-coalescing counters (`posted`
+/// messages vs `wakeups` actually signalled; `coalesced` is the difference,
+/// i.e. posts that found the loop awake and cost no syscall), and the
+/// write-coalescing counters (`messages_written / writes` is how many
+/// responses and upstream forwards one vectored socket write carried).
+pub(crate) fn server_stats_json(
+    stats: &ServerStats,
+    intake: &Intake,
+    loops: &[Arc<LoopShared>],
+) -> JsonValue {
     let mut json = stats.to_json(loops.len());
     if let JsonValue::Object(pairs) = &mut json {
+        pairs.push(("held_bytes".to_string(), JsonValue::from(held_bytes(loops))));
+        pairs.push((
+            "budget_bytes".to_string(),
+            intake.budget().map_or(JsonValue::Null, JsonValue::from),
+        ));
         pairs.push((
             "loops".to_string(),
             JsonValue::array(loops.iter().map(|loop_shared| {
@@ -185,23 +247,39 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicUsize,
     /// The cross-thread half of each event loop, indexed by loop.
     pub(crate) loops: Vec<Arc<LoopShared>>,
+    /// The budget of request bodies the loops share.
+    pub(crate) intake: Arc<Intake>,
+}
+
+/// Responses a connection of `app` may owe before its intake pauses.
+fn pipeline_depth(app: &AppKind, config: &ServerConfig) -> usize {
+    match app {
+        AppKind::Local(_) => config.max_pipelined.min(WORKER_PIPELINE_DEPTH),
+        AppKind::Gateway(_) => config.max_pipelined,
+    }
 }
 
 impl Shared {
     /// Responses a connection may owe before its intake pauses.
     pub(crate) fn pipeline_depth(&self) -> usize {
-        match self.app {
-            AppKind::Local(_) => self.config.max_pipelined.min(WORKER_PIPELINE_DEPTH),
-            AppKind::Gateway(_) => self.config.max_pipelined,
-        }
+        pipeline_depth(&self.app, &self.config)
     }
 
     /// The same depth in bytes, one read chunk per request: the request
     /// bodies a connection may hold unanswered before its intake pauses
     /// (512 KiB on a worker, 4 MiB on a gateway at the defaults).
     pub(crate) fn pipeline_bytes(&self) -> usize {
-        self.pipeline_depth()
-            .saturating_mul(self.config.read_chunk_bytes)
+        self.intake.pipeline_bytes
+    }
+
+    /// Whether the node holds its whole intake budget (never on a
+    /// gateway). Only a connection that already owes a response asks, and
+    /// the answer is a relaxed sum of the loops' gauges: loops that check
+    /// at once may each take in one request past it.
+    pub(crate) fn budget_spent(&self) -> bool {
+        self.intake
+            .budget()
+            .is_some_and(|budget| held_bytes(&self.loops) >= budget)
     }
 }
 
@@ -278,6 +356,7 @@ impl Server {
             AppKind::Local(frontend) => (Some(Arc::clone(frontend)), None),
             AppKind::Gateway(router) => (None, Some(Arc::clone(router))),
         };
+        let intake = Arc::new(Intake::new(&app, &config));
         let shared = Arc::new(Shared {
             app,
             limiter: config.rate_limit.map(RateLimiter::new),
@@ -286,16 +365,17 @@ impl Server {
             stopping: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             loops,
+            intake: Arc::clone(&intake),
         });
 
         // Surface the serving-layer gauges through `GET /v1/stats` next to
-        // the worker counters, including the per-loop `connections` and
-        // `inflight` gauges. The gateway merges the same document into its
-        // own stats response.
+        // the worker counters, including the node's intake and the per-loop
+        // `connections` and `inflight` gauges. The gateway merges the same
+        // document into its own stats response.
         let stats_source: StatsSource = {
             let stats = Arc::clone(&stats);
             let loops = shared.loops.clone();
-            Arc::new(move || server_stats_json(&stats, &loops))
+            Arc::new(move || server_stats_json(&stats, &intake, &loops))
         };
         match (&frontend, &router) {
             (Some(frontend), _) => frontend.add_stats_source("server", Arc::clone(&stats_source)),

@@ -1,7 +1,8 @@
 //! The cluster fixtures the `gateway` and `chaos` suites share: an `Echo`
 //! member worker, a gateway in front of members, a client connection — all on
 //! ephemeral loopback ports — and the teardown that ends every test over
-//! them with the buffer pool's books checked.
+//! them, and every test of the `server` suite, with the loops' gauges, the
+//! worker's in-flight count and the buffer pool's books checked.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -106,32 +107,46 @@ pub fn connect(addr: SocketAddr) -> HttpClientConnection {
 }
 
 /// The end of a test over these fixtures: stops the gateway, then the members
-/// it fronted, and checks three parts of the teardown invariant — a member
-/// that has shut down has no invocation in flight (submitted = settled:
-/// a settle path that loses one fails here, whatever the test looked at), no
-/// event loop of a stopped server still counts a response owed, a request
-/// body held or a message unread in its inbox ([`stop_and_check_loops`]),
-/// and the pool's books balance ([`assert_pool_accounted`]). Returns whether
-/// the gateway drained cleanly.
+/// it fronted ([`shutdown_node`]). Returns whether the gateway drained
+/// cleanly.
 pub fn shutdown(
     gateway: Server,
     members: impl IntoIterator<Item = (Server, Arc<WorkerNode>)>,
 ) -> bool {
     let drained = stop_and_check_loops(gateway);
     for (server, worker) in members {
-        stop_and_check_loops(server);
-        worker.shutdown();
-        assert_eq!(worker.inflight(), 0, "invocations left in flight");
+        shutdown_node(server, worker);
     }
-    assert_pool_accounted();
     drained
 }
 
-/// Shuts `server` down and reads what its loops left behind: every slot
-/// parked was completed (`inflight`), every request body taken in was
-/// given up with its slot or its connection (`held_bytes`), and every
-/// message posted to a loop was taken out of its inbox (`inbox_depth`).
-fn stop_and_check_loops(server: Server) -> bool {
+/// The end of a test over one worker node: stops its server, then the
+/// worker, and checks the teardown invariant — no event loop of the stopped
+/// server still counts a response owed, a request body held or a message
+/// unread in its inbox ([`stop_and_check_loops`]), and the worker has no
+/// invocation in flight and the pool's books balance ([`finish_worker`]).
+/// Returns whether the server drained cleanly.
+pub fn shutdown_node(server: Server, worker: Arc<WorkerNode>) -> bool {
+    let drained = stop_and_check_loops(server);
+    finish_worker(&worker);
+    drained
+}
+
+/// Shuts down a worker whose servers have stopped: it has no invocation in
+/// flight (submitted = settled: a settle path that loses one fails here,
+/// whatever the test looked at), and the pool's books balance
+/// ([`assert_pool_accounted`]).
+pub fn finish_worker(worker: &WorkerNode) {
+    worker.shutdown();
+    assert_eq!(worker.inflight(), 0, "invocations left in flight");
+    assert_pool_accounted();
+}
+
+/// Shuts `server` down and reads what it left behind: every slot parked
+/// was completed (`inflight`), every request body taken in was given up
+/// with its slot or its connection (`held_bytes`), and every message
+/// posted to a loop was taken out of its inbox (`inbox_depth`).
+pub fn stop_and_check_loops(server: Server) -> bool {
     let stats = server.stats_source();
     let drained = server.shutdown();
     let document = stats();

@@ -14,6 +14,10 @@ use dandelion_http::{HttpRequest, ParseLimits};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 use dandelion_server::{HttpClientConnection, Server, ServerConfig, WORKER_PIPELINE_DEPTH};
 
+// This suite takes the teardown; the cluster fixtures are the other suites'.
+#[allow(dead_code)]
+mod common;
+
 fn test_worker() -> Arc<WorkerNode> {
     use dandelion_common::config::{IsolationKind, WorkerConfig};
     let config = WorkerConfig {
@@ -77,8 +81,10 @@ fn serves_health_and_sync_invoke_over_a_real_socket() {
     assert_eq!(invoke.status.0, 200);
     assert_eq!(invoke.body_text(), "over the wire");
     assert_eq!(server.stats().requests, 2);
-    assert!(server.shutdown(), "drains with nothing in flight");
-    worker.shutdown();
+    assert!(
+        common::shutdown_node(server, worker),
+        "drains with nothing in flight"
+    );
 }
 
 #[test]
@@ -107,10 +113,10 @@ fn typed_client_roundtrip_and_typed_not_found_over_a_socket() {
     assert!(matches!(err, DandelionError::NotFound { .. }));
     // No reconnect: once the server is gone the transport's failure is the
     // caller's error, not a server answer.
-    server.shutdown();
+    common::stop_and_check_loops(server);
     let err = client.poll(handle.id()).unwrap_err();
     assert!(matches!(err, DandelionError::Internal(_)), "{err}");
-    worker.shutdown();
+    common::finish_worker(&worker);
 }
 
 #[test]
@@ -124,8 +130,7 @@ fn connection_close_is_honored() {
     assert_eq!(response.headers.get("connection"), Some("close"));
     // The server closed its end: the next receive sees EOF.
     assert!(client.request(&HttpRequest::get("/healthz")).is_err());
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 #[test]
@@ -142,8 +147,7 @@ fn malformed_requests_get_a_structured_400_and_a_close() {
     assert!(reply.contains("\"malformed_request\""));
     assert!(reply.contains("Connection: close\r\n"));
     assert_eq!(server.stats().rejected_requests, 1);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// One exchange on a fresh connection: `wire` out, everything the server
@@ -183,8 +187,7 @@ fn a_transfer_encoding_gets_one_501_and_a_close() {
     }
     let stats = server.stats();
     assert_eq!((stats.requests, stats.rejected_requests), (0, 2));
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// Two `Content-Length`s that differ leave it to the reader where the body
@@ -211,8 +214,7 @@ fn differing_content_lengths_and_a_spaced_colon_get_a_400() {
     assert!(reply.ends_with("\r\n\r\nabc"), "{reply}");
     let stats = server.stats();
     assert_eq!((stats.requests, stats.rejected_requests), (1, 2));
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 #[test]
@@ -251,8 +253,7 @@ fn oversized_heads_and_bodies_get_431_and_413() {
     stream.read_to_string(&mut reply).unwrap();
     assert!(reply.starts_with("HTTP/1.1 413 "));
     assert!(reply.contains("\"body_too_large\""));
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 #[test]
@@ -277,8 +278,7 @@ fn slow_clients_hit_the_read_deadline_with_a_408() {
     let mut reply = String::new();
     idle.read_to_string(&mut reply).unwrap();
     assert!(reply.is_empty(), "idle close carries no response");
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 #[test]
@@ -321,8 +321,7 @@ fn drip_feeding_bytes_cannot_reset_the_request_deadline() {
         "the deadline must fire from the first byte, not the last read"
     );
     writer.join().unwrap();
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 #[test]
@@ -351,8 +350,7 @@ fn admission_control_rejects_connections_past_the_limit() {
     assert_eq!(server.stats().rejected_connections, 1);
     drop(hold_a);
     drop(hold_b);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// Counts the threads of the server bound to `port` (Linux procfs): its event
@@ -445,8 +443,7 @@ fn two_event_loops_sustain_a_thousand_open_connections() {
     }
     assert_eq!(server_thread_count(port), 2);
     drop(held);
-    assert!(server.shutdown());
-    worker.shutdown();
+    assert!(common::shutdown_node(server, worker));
 }
 
 /// Per-client rate limiting: a burst beyond the token bucket gets `429`
@@ -487,8 +484,7 @@ fn rate_limited_clients_get_429_and_keep_their_connection() {
     std::thread::sleep(Duration::from_millis(1100));
     let ok = client.request(&HttpRequest::get("/healthz")).unwrap();
     assert_eq!(ok.status.0, 200);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// The serving-layer gauges ride inside `GET /v1/stats` under `"server"`,
@@ -553,14 +549,14 @@ fn server_stats_are_exposed_through_v1_stats() {
     // After shutdown the gauges unregister: the frontend outlives the
     // server and must not report a dead server's numbers.
     let frontend = Arc::clone(server.frontend());
-    server.shutdown();
+    common::stop_and_check_loops(server);
     let stats = frontend.handle(&HttpRequest::get("/v1/stats"));
     let document = dandelion_common::JsonValue::parse(&stats.body_text()).unwrap();
     assert!(
         document.get("server").is_none(),
         "stopped server still reports gauges"
     );
-    worker.shutdown();
+    common::finish_worker(&worker);
 }
 
 /// A sync `/v1/invoke` response carries no invocation id, so nobody can poll
@@ -643,8 +639,7 @@ fn sync_invokes_retain_nothing_and_submitted_invocations_stay_pollable() {
     }
     assert_eq!(retained_results(&mut client), 10);
     assert_eq!(worker.retained_results(), 10);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// A client that sends its request and immediately half-closes
@@ -665,8 +660,7 @@ fn half_closed_clients_still_receive_their_responses() {
     stream.read_to_string(&mut reply).unwrap();
     assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "got: {reply}");
     assert!(reply.ends_with("send-wr"), "got: {reply}");
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// Misconfiguration is a clear error from `Server::start`, not a panic.
@@ -684,7 +678,7 @@ fn invalid_configs_are_rejected_at_start() {
     };
     assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
     assert!(error.to_string().contains("max_connections"));
-    worker.shutdown();
+    common::finish_worker(&worker);
 }
 
 /// A client that submits a request whose response it never reads cannot
@@ -728,8 +722,7 @@ fn stalled_readers_hit_the_write_deadline_and_are_closed() {
     }
     assert_eq!(server.stats().write_timeouts, 1);
     drop(stream);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// Clamps a socket's `SO_RCVBUF` so the kernel stops absorbing data for a
@@ -843,8 +836,10 @@ fn worker_drain_completes_pipelined_invocations_over_real_sockets() {
         .unwrap();
     assert_eq!(restored.status.0, 200);
     assert_eq!(restored.body_text(), "back");
-    assert!(server.shutdown(), "drained server shuts down cleanly");
-    worker.shutdown();
+    assert!(
+        common::shutdown_node(server, worker),
+        "drained server shuts down cleanly"
+    );
 }
 
 /// Edge-triggered delivery must never strand buffered bytes: a request
@@ -919,8 +914,7 @@ fn edge_triggered_reads_survive_adversarial_fragmentation() {
             assert_eq!(&response.body_text(), body, "pattern {pattern}");
         }
     }
-    assert!(server.shutdown());
-    worker.shutdown();
+    assert!(common::shutdown_node(server, worker));
 }
 
 /// Cross-loop posting under churn: connections open, fire pipelined
@@ -1025,8 +1019,7 @@ fn completion_storm_with_connection_churn_loses_nothing() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(server.shutdown());
-    worker.shutdown();
+    assert!(common::shutdown_node(server, worker));
 }
 
 #[test]
@@ -1063,13 +1056,16 @@ fn graceful_shutdown_drains_inflight_invocations() {
     });
     // Let the request reach the worker, then shut down while it runs.
     std::thread::sleep(Duration::from_millis(100));
-    assert!(server.shutdown(), "shutdown waits for the invocation");
+    assert!(
+        common::stop_and_check_loops(server),
+        "shutdown waits for the invocation"
+    );
     let response = request_thread.join().unwrap();
     assert_eq!(response.status.0, 200);
     assert_eq!(response.body_text(), "drain me");
     // A draining server closes the connection after the response.
     assert_eq!(response.headers.get("connection"), Some("close"));
-    worker.shutdown();
+    common::finish_worker(&worker);
 }
 
 /// A worker whose `SlowComp` sleeps 150 ms before echoing and whose
@@ -1121,6 +1117,15 @@ fn loop_sum(server: &Server, key: &str) -> u64 {
                 .unwrap_or_else(|| panic!("server.loops[].{key} present"))
         })
         .sum()
+}
+
+/// One node-wide field of the `"server"` stats document, read like
+/// [`loop_sum`].
+fn server_field(server: &Server, key: &str) -> u64 {
+    (server.stats_source())()
+        .get(key)
+        .and_then(dandelion_common::JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("server.{key} present"))
 }
 
 /// `(writes, messages_written)` summed over the loops.
@@ -1210,8 +1215,7 @@ fn pipelined_responses_share_a_write_and_a_depth_one_client_gets_one_each() {
         10,
         "an unpipelined client must cost exactly one write per response"
     );
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// `Connection: close` in the middle of a pipeline ends the batch it rides
@@ -1245,8 +1249,7 @@ fn connection_close_mid_pipeline_ends_the_batch_and_discards_the_rest() {
         2,
         "the third request is not parsed"
     );
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// What holds a `GatedComp` invocation on its engine until the test lets go:
@@ -1295,13 +1298,17 @@ impl Drop for Gate {
 
 /// A one-loop worker server with `GatedComp` registered.
 fn start_gated_server(config: ServerConfig) -> (Server, Arc<WorkerNode>, Gate) {
+    start_gated_node(ServerConfig {
+        event_loops: 1,
+        ..config
+    })
+}
+
+/// A worker server of `config`'s loops with `GatedComp` registered.
+fn start_gated_node(config: ServerConfig) -> (Server, Arc<WorkerNode>, Gate) {
     let worker = test_worker();
     let gate = Gate::register(&worker);
     let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
-    let config = ServerConfig {
-        event_loops: 1,
-        ..config
-    };
     let server = Server::start(config, frontend).expect("server binds");
     (server, worker, gate)
 }
@@ -1420,8 +1427,7 @@ fn a_worker_connection_takes_in_eight_requests_at_a_time() {
         burst.expect_every_answer_in_order();
         assert_eq!(server.stats().requests, PIPELINED as u64);
         assert_eq!(loop_sum(&server, "held_bytes"), 0);
-        server.shutdown();
-        worker.shutdown();
+        common::shutdown_node(server, worker);
     }
 }
 
@@ -1441,8 +1447,7 @@ fn a_worker_connection_holds_two_large_bodies_not_eight() {
     burst.expect_every_answer_in_order();
     assert_eq!(server.stats().requests, PIPELINED as u64);
     assert_eq!(loop_sum(&server, "held_bytes"), 0);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// The byte depth never closes a pipeline to fewer than two requests: one
@@ -1455,8 +1460,7 @@ fn a_request_above_the_whole_byte_depth_is_still_served() {
     assert_eq!(intake_at_rest(&server, 2, 1), 2);
     gate.open();
     burst.expect_every_answer_in_order();
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// The depth is a connection's own: while one connection sits at its closed
@@ -1486,8 +1490,7 @@ fn a_closed_byte_gate_leaves_other_connections_intake_alone() {
     assert_eq!(server.stats().requests, 2 + WORKER_PIPELINE_DEPTH as u64);
     gate.open();
     burst.expect_every_answer_in_order();
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// A closed byte gate is the server holding the client back, not the client
@@ -1510,8 +1513,85 @@ fn a_connection_held_at_its_byte_gate_is_not_timed_out() {
     gate.open();
     burst.expect_every_answer_in_order();
     assert_eq!(server.stats().timeouts, 0);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
+}
+
+/// Sixteen connections, each pipelining four 256 KiB requests behind a gated
+/// head, on the three-engine test worker served by `event_loops` loops. The
+/// node's budget is three connections' byte depth, 1.5 MiB: every
+/// connection's head is taken in — it owes nothing — but past that only
+/// three more requests, the most that fit under the budget, plus one for
+/// each loop beyond the first (two loops can each read the budget as open
+/// before either adds its body). Where a connection's own pipeline took in
+/// two, the node takes in 32. What the node holds stays within the budget
+/// and a body per connection at every sample, the burst waits at its
+/// senders for three read timeouts without a `408`, and once the heads let
+/// go every connection gets its four answers in order.
+fn a_node_budget_bounds_a_burst(event_loops: usize) {
+    const CONNECTIONS: usize = 16;
+    const PIPELINED: usize = 4;
+    const BODY: usize = 256 * KIB;
+    let read_timeout = Duration::from_millis(250);
+    let (server, worker, gate) = start_gated_node(ServerConfig {
+        event_loops,
+        read_timeout,
+        ..loopback_config()
+    });
+    let budget = server_field(&server, "budget_bytes");
+    assert_eq!(
+        budget,
+        (3 * WORKER_PIPELINE_DEPTH * 64 * KIB) as u64,
+        "three engines' pipelines"
+    );
+    let overshoot = event_loops - 1;
+    let most_taken = (CONNECTIONS + 3 + overshoot) as u64;
+    let most_held = budget + ((CONNECTIONS + overshoot) * BODY) as u64;
+    let sample = || {
+        let held = server_field(&server, "held_bytes");
+        assert!(held <= most_held, "the node holds {held} bytes");
+    };
+    let bursts: Vec<Burst> = (0..CONNECTIONS)
+        .map(|_| Burst::send(server.local_addr(), PIPELINED, BODY))
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().requests < CONNECTIONS as u64 {
+        assert!(std::time::Instant::now() < deadline, "a head was refused");
+        sample();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let rest = std::time::Instant::now() + 3 * read_timeout;
+    while std::time::Instant::now() < rest {
+        sample();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let taken = server.stats().requests;
+    assert!(taken <= most_taken, "{taken} requests taken in");
+    assert_eq!(server.stats().timeouts, 0);
+    gate.open();
+    let readers: Vec<_> = bursts
+        .into_iter()
+        .map(|burst| std::thread::spawn(move || burst.expect_every_answer_in_order()))
+        .collect();
+    while readers.iter().any(|reader| !reader.is_finished()) {
+        sample();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for reader in readers {
+        reader.join().unwrap();
+    }
+    assert_eq!(server.stats().requests, (CONNECTIONS * PIPELINED) as u64);
+    assert_eq!(server.stats().timeouts, 0);
+    common::shutdown_node(server, worker);
+}
+
+#[test]
+fn a_worker_node_takes_in_past_first_requests_only_under_its_budget() {
+    a_node_budget_bounds_a_burst(1);
+}
+
+#[test]
+fn two_loops_share_one_intake_budget() {
+    a_node_budget_bounds_a_burst(2);
 }
 
 /// A gateway's pipeline is `max_pipelined` deep, 64 requests or 64 read
@@ -1546,9 +1626,7 @@ fn a_gateway_connection_takes_in_large_bodies_by_the_byte_depth() {
     burst.expect_every_answer_in_order();
     assert_eq!(gateway.stats().requests, PIPELINED as u64);
     assert_eq!(loop_sum(&gateway, "held_bytes"), 0);
-    gateway.shutdown();
-    member.shutdown();
-    worker.shutdown();
+    common::shutdown(gateway, [(member, worker)]);
 }
 
 /// A read that returns fewer bytes than it offered space for is taken as
@@ -1590,8 +1668,7 @@ fn requests_arriving_after_a_short_read_are_still_served() {
         .unwrap();
     assert_eq!(receive(&mut stream).body_text(), "after the socket ran dry");
     assert_eq!(server.stats().requests, 2);
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
 
 /// `/v1/stats` says where the resident set is held: `memory.pool` (the
@@ -1718,6 +1795,5 @@ fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
         .expect("FetchCompute4 runs again");
     assert_eq!(resident_bytes(&memory()) - resident_bytes(&idle), touched);
 
-    server.shutdown();
-    worker.shutdown();
+    common::shutdown_node(server, worker);
 }
