@@ -26,13 +26,16 @@
 //!
 //! # Giving it back
 //!
-//! What the classes retain follows the load with a delay: [`IdleRelease`],
-//! ticked by a thread that wakes anyway, frees about twice a second the
+//! What the classes retain follows the load with a delay of one to two
+//! periods: called on a steady schedule (a worker's dispatcher driver calls
+//! it twice a second, busy or idle), [`BufferPool::release_unused`] frees the
 //! buffers each class held the whole time since it last looked — the class's
-//! low-water mark — so small traffic that keeps going (a health probe, a
-//! scrape) does not keep a burst's memory committed. A freed buffer is the
-//! allocator's; [`settle_heap_thresholds`] and the `malloc_trim` after each
-//! release are what this module tells glibc about that.
+//! low-water mark — so a load that comes back finds what it used within the
+//! last period, and traffic that keeps going, a health probe or a steady
+//! stream of small invocations, does not keep a burst's memory committed. A
+//! freed buffer is the allocator's; [`settle_heap_thresholds`] and the
+//! `malloc_trim` after a release that freed something are what this module
+//! tells glibc about that.
 //!
 //! Every acquisition is stamped with a process-wide monotonically increasing
 //! *generation tag*. The tag uniquely identifies one ownership interval of a
@@ -67,7 +70,7 @@ pub const LARGEST_CLASS: usize = SIZE_CLASSES[SIZE_CLASSES.len() - 1];
 
 /// Maximum bytes retained per size class, so 2048 buffers of 4 KiB down to
 /// two of 4 MiB. A class retains what was in flight in it at once, up to
-/// this, and until it has gone unused ([`IdleRelease`]).
+/// this, and until it has gone unused ([`BufferPool::release_unused`]).
 const PER_CLASS_BYTES: usize = 8 * 1024 * 1024;
 
 /// Buffers `class` may retain: every buffer of a class is of the class size,
@@ -321,7 +324,7 @@ impl BufferPool {
     /// park in their own caches stays; buffers in use are untouched and
     /// retained again when they come back.
     pub fn release_unused(&self) -> usize {
-        (0..SIZE_CLASSES.len())
+        let released = (0..SIZE_CLASSES.len())
             .map(|class| {
                 let mut slab = self.class_lock(class);
                 let unused = slab.low_water.min(slab.buffers.len());
@@ -331,7 +334,11 @@ impl BufferPool {
                 drop(slab);
                 released.len() * SIZE_CLASSES[class]
             })
-            .sum()
+            .sum();
+        if released > 0 {
+            trim_heap();
+        }
+        released
     }
 
     /// A snapshot of the pool counters. Each is read on its own: the two
@@ -422,43 +429,6 @@ impl std::ops::DerefMut for PooledBuf<'_> {
     }
 }
 
-/// Gives memory a pool no longer uses back: ticked at a steady rate by a
-/// thread that wakes anyway, every `period_ticks`th tick frees what the
-/// classes held unused since the one before
-/// ([`BufferPool::release_unused`]). Committed memory then follows the load
-/// with a delay of one to two periods; a load that comes back finds what it
-/// used within the last period still there.
-#[derive(Debug)]
-pub struct IdleRelease {
-    period_ticks: u32,
-    ticks: u32,
-}
-
-impl IdleRelease {
-    /// A releaser that looks every `period_ticks` ticks.
-    pub fn new(period_ticks: u32) -> Self {
-        Self {
-            period_ticks,
-            ticks: 0,
-        }
-    }
-
-    /// One tick: returns the bytes freed (zero between periods, and while
-    /// everything retained is in use).
-    pub fn tick(&mut self, pool: &BufferPool) -> usize {
-        self.ticks += 1;
-        if self.ticks < self.period_ticks {
-            return 0;
-        }
-        self.ticks = 0;
-        let released = pool.release_unused();
-        if released > 0 {
-            trim_heap();
-        }
-        released
-    }
-}
-
 /// Hands the allocator's free pages back to the kernel. Freeing the pool's
 /// buffers puts them on glibc's free lists, where their pages stay resident
 /// until asked: without this a node that served `RenderLogs` sits 2.5 MiB
@@ -476,7 +446,8 @@ fn trim_heap() {
 /// Fixes where the allocator takes large blocks from, once, at the start of
 /// a process that serves: everything up to the largest class comes from the
 /// heap proper, and the heap's top is given back only when twice that much
-/// of it is free (the rest goes when the pool falls idle, [`IdleRelease`]).
+/// of it is free (the rest goes when the pool gives back what it no longer
+/// uses, [`BufferPool::release_unused`]).
 ///
 /// Left alone, glibc moves both thresholds with the largest block freed so
 /// far, and a server that keeps its large buffers never frees one: the
@@ -722,31 +693,30 @@ mod tests {
 
     #[test]
     fn what_a_class_held_unused_for_a_period_is_given_back() {
+        // Each `release_unused` is one look, a period after the one before.
         let pool = BufferPool::new();
-        let mut idle = IdleRelease::new(3);
         let held = pool.acquire_vec(SIZE_CLASSES[3]);
         // A burst leaves three buffers of the smallest class and a larger
         // one behind.
         drop([100, 100, 100, SIZE_CLASSES[4]].map(|bytes| pool.acquire(bytes)));
-        // Nothing between periods, and the first look finds the marks of
-        // the burst, which had the classes empty.
-        assert_eq!([0; 3], [0; 3].map(|_| idle.tick(&pool)));
+        // The first look finds the marks of the burst, which had the classes
+        // empty.
+        assert_eq!(pool.release_unused(), 0);
         assert_eq!(pool.pooled_buffers(), 4);
         // Small traffic goes on, one buffer of the smallest class at a time:
         // the other two and the larger one went unused, and go.
         drop(pool.acquire(100));
-        assert_eq!([0; 2], [0; 2].map(|_| idle.tick(&pool)));
         drop(pool.acquire(100));
-        assert_eq!(idle.tick(&pool), 2 * SIZE_CLASSES[0] + SIZE_CLASSES[4]);
+        assert_eq!(pool.release_unused(), 2 * SIZE_CLASSES[0] + SIZE_CLASSES[4]);
         assert_eq!(pool.retained()[0].buffers, 1);
         assert_eq!(pool.pooled_buffers(), 1);
         // What was in use comes back late and goes once it has lain there
         // for a whole period; the traffic has stopped, so its buffer does too.
         pool.recycle_vec(held);
-        assert_eq!([0, 0, SIZE_CLASSES[0]], [0; 3].map(|_| idle.tick(&pool)));
-        assert_eq!([0, 0, SIZE_CLASSES[3]], [0; 3].map(|_| idle.tick(&pool)));
+        assert_eq!(pool.release_unused(), SIZE_CLASSES[0]);
+        assert_eq!(pool.release_unused(), SIZE_CLASSES[3]);
         assert_eq!(pool.pooled_buffers(), 0);
-        assert_eq!([0; 3], [0; 3].map(|_| idle.tick(&pool)));
+        assert_eq!(pool.release_unused(), 0);
         // Released buffers are gone, not lost count of.
         accounted(&pool);
         assert_eq!(pool.stats().live, 0);

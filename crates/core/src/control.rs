@@ -8,17 +8,18 @@
 //! the compute engine type. If it is negative, it re-assigns a core from the
 //! compute engine type to the communication engine type." (paper §5)
 //!
-//! [`PiController`] is the pure decision logic — it is reused verbatim by the
-//! discrete-event simulator — and [`ControlPlane`] is the thread that samples
-//! the real queues and resizes the engine pools.
+//! [`PiController`] is the pure decision logic and [`Step`] one tick of it
+//! against the current split: it takes the two queue depths and returns the
+//! new split when it changes. Neither owns a thread or reads a clock. The
+//! discrete-event simulator steps it at virtual control ticks; a worker node
+//! with control on hands it, with the two engine pools, to its dispatcher
+//! driver, which samples the real queues, steps and resizes the pools every
+//! `interval` on the thread and the clock it keeps anyway.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dandelion_common::config::ControllerConfig;
-use parking_lot::Mutex;
 
 use crate::engine::EnginePool;
 
@@ -92,16 +93,6 @@ impl PiController {
         }
     }
 
-    /// The configured control interval.
-    pub fn interval(&self) -> Duration {
-        self.config.interval
-    }
-
-    /// The configured minimum cores per engine type.
-    pub fn min_cores_per_kind(&self) -> usize {
-        self.config.min_cores_per_kind
-    }
-
     /// Feeds one sample of the two queue depths and returns the actuation.
     ///
     /// The first sample only establishes the baseline and always returns
@@ -154,72 +145,62 @@ impl PiController {
     }
 }
 
-/// The background thread that periodically runs the controller against the
-/// real engine pools.
-pub struct ControlPlane {
-    stop: Arc<AtomicBool>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-    allocation: Arc<Mutex<CoreAllocation>>,
+/// One control tick: the controller and the split it has decided so far.
+#[derive(Debug, Clone)]
+pub struct Step {
+    controller: PiController,
+    allocation: CoreAllocation,
 }
 
-impl ControlPlane {
-    /// Starts the control loop over the two engine pools.
-    pub fn start(
-        config: ControllerConfig,
-        initial: CoreAllocation,
-        compute_pool: Arc<EnginePool>,
-        communication_pool: Arc<EnginePool>,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let allocation = Arc::new(Mutex::new(initial));
-        let thread_stop = Arc::clone(&stop);
-        let thread_allocation = Arc::clone(&allocation);
-        let mut controller = PiController::new(config);
-        let handle = std::thread::Builder::new()
-            .name("dandelion-control-plane".to_string())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(controller.interval());
-                    let compute_len = compute_pool.queue().len();
-                    let communication_len = communication_pool.queue().len();
-                    let decision = controller.tick(compute_len, communication_len);
-                    if decision == CoreMove::Hold {
-                        continue;
-                    }
-                    let mut current = thread_allocation.lock();
-                    let next = current.apply(decision, controller.min_cores_per_kind());
-                    if next != *current {
-                        compute_pool.resize(next.compute);
-                        communication_pool.resize(next.communication);
-                        *current = next;
-                    }
-                }
-            })
-            .expect("spawning the control plane thread");
+impl Step {
+    /// A controller with the given gains over the `initial` split.
+    pub fn new(config: ControllerConfig, initial: CoreAllocation) -> Self {
         Self {
-            stop,
-            handle: Mutex::new(Some(handle)),
-            allocation,
+            controller: PiController::new(config),
+            allocation: initial,
         }
     }
 
-    /// The current core allocation.
-    pub fn allocation(&self) -> CoreAllocation {
-        *self.allocation.lock()
+    /// The configured control interval.
+    pub fn interval(&self) -> Duration {
+        self.controller.config.interval
     }
 
-    /// Stops the control loop.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.lock().take() {
-            let _ = handle.join();
-        }
+    /// Feeds one sample of the two queue depths; returns the new split when
+    /// it differs from the current one (a move the minimum per engine type
+    /// forbids is no change).
+    pub fn step(&mut self, compute: usize, communication: usize) -> Option<CoreAllocation> {
+        let decision = self.controller.tick(compute, communication);
+        let next = self
+            .allocation
+            .apply(decision, self.controller.config.min_cores_per_kind);
+        (next != self.allocation).then(|| {
+            self.allocation = next;
+            next
+        })
     }
 }
 
-impl Drop for ControlPlane {
-    fn drop(&mut self) {
-        self.stop();
+/// A [`Step`] over a worker's two engine pools.
+pub(crate) struct PoolControl {
+    /// The controller, over the split the pools start out with.
+    pub(crate) step: Step,
+    /// The compute engines.
+    pub(crate) compute: Arc<EnginePool>,
+    /// The communication engines.
+    pub(crate) communication: Arc<EnginePool>,
+}
+
+impl PoolControl {
+    /// Samples both queues, steps, and resizes the pools when the split
+    /// changed.
+    pub(crate) fn run(&mut self) {
+        let compute_depth = self.compute.queue().len();
+        let communication_depth = self.communication.queue().len();
+        if let Some(next) = self.step.step(compute_depth, communication_depth) {
+            self.compute.resize(next.compute);
+            self.communication.resize(next.communication);
+        }
     }
 }
 
@@ -307,5 +288,53 @@ mod tests {
         // Cannot shrink compute below the minimum either.
         assert_eq!(grown.apply(CoreMove::ToCommunication, 1), grown);
         assert_eq!(allocation.apply(CoreMove::Hold, 1), allocation);
+    }
+
+    /// `Step` by table: a split, the `(compute, communication)` depths fed
+    /// one tick each, and what each tick returns.
+    #[test]
+    fn a_step_returns_the_split_only_when_it_changes() {
+        type Case<'a> = (
+            &'a str,
+            CoreAllocation,
+            &'a [(usize, usize)],
+            &'a [Option<CoreAllocation>],
+        );
+        let split = CoreAllocation::new;
+        let cases: [Case; 5] = [
+            ("the first sample holds", split(2, 2), &[(100, 0)], &[None]),
+            (
+                "sustained compute growth moves one core",
+                split(2, 2),
+                &[(0, 0), (10, 0), (20, 0), (30, 0)],
+                &[None, Some(split(3, 1)), None, None],
+            ),
+            (
+                "communication growth moves one core back",
+                split(2, 2),
+                &[(0, 0), (0, 10)],
+                &[None, Some(split(1, 3))],
+            ),
+            (
+                "a move past min_cores_per_kind is no change",
+                split(3, 1),
+                &[(0, 0), (10, 0), (20, 0)],
+                &[None, None, None],
+            ),
+            (
+                "balanced growth holds",
+                split(2, 2),
+                &[(0, 0), (5, 5), (10, 10), (15, 15)],
+                &[None, None, None, None],
+            ),
+        ];
+        for (case, initial, depths, expected) in cases {
+            let mut step = Step::new(ControllerConfig::default(), initial);
+            let returned: Vec<_> = depths
+                .iter()
+                .map(|&(compute, communication)| step.step(compute, communication))
+                .collect();
+            assert_eq!(returned, expected, "{case}");
+        }
     }
 }

@@ -17,6 +17,13 @@
 //! per invocation; the blocking [`Dispatcher::invoke`] is just
 //! `submit(..).wait(None)`.
 //!
+//! The driver is the worker's one thread besides the engines, with its one
+//! clock: it waits for results until the stall reaper (every 100 ms), the
+//! pool release (every 500 ms) or, with control on, the core controller is
+//! due, and after every wake reads the clock once and runs what is due, busy
+//! or idle. The table's functions take that `now`, or the one
+//! [`Dispatcher::submit`] reads; they read no clock.
+//!
 //! Nested compositions are registered as *child invocations* in the same
 //! table, linked to the parent instance that spawned them; a child's
 //! completion flows back into the parent exactly like an engine result.
@@ -29,7 +36,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dandelion_common::config::WorkerConfig;
-use dandelion_common::pool::IdleRelease;
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::stats::LatencyHistogram;
 use dandelion_common::{
@@ -38,17 +44,18 @@ use dandelion_common::{
 use dandelion_dsl::CompositionGraph;
 use parking_lot::Mutex;
 
+use crate::control::PoolControl;
 use crate::invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 use crate::registry::{Registry, Vertex};
 use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
 
-/// How often the driver thread re-checks the shutdown flag while idle.
-const DRIVER_IDLE_INTERVAL: Duration = Duration::from_millis(100);
+/// How often the driver fails invocations that stopped making progress.
+const REAP_PERIOD: Duration = Duration::from_millis(100);
 
-/// Idle driver wake-ups between two looks at what the buffer pool retains:
-/// a buffer nobody needed for that long, half a second, is given back, so
-/// a node's memory is back about a second after a load.
-const POOL_RELEASE_TICKS: u32 = 5;
+/// How often the driver looks at what the buffer pool retains: a buffer
+/// nobody needed since the look before, half a second, is given back, so a
+/// node's memory is back about a second after a load.
+const POOL_RELEASE_PERIOD: Duration = Duration::from_millis(500);
 
 /// Number of shards of the in-flight table: the machine's available
 /// parallelism rounded up to a power of two, clamped to `[4, 64]`.
@@ -258,7 +265,12 @@ struct InvocationEntry {
 }
 
 impl InvocationEntry {
-    fn new(composition: String, state: InvocationState, parent: Option<ParentLink>) -> Self {
+    fn new(
+        composition: String,
+        state: InvocationState,
+        parent: Option<ParentLink>,
+        now: Instant,
+    ) -> Self {
         Self {
             composition,
             inner: StdMutex::new(EntryInner {
@@ -269,8 +281,8 @@ impl InvocationEntry {
                 outcome: None,
                 notify: None,
                 parent,
-                started: Instant::now(),
-                last_progress: Instant::now(),
+                started: now,
+                last_progress: now,
             }),
             settled: Condvar::new(),
             retained: AtomicBool::new(false),
@@ -636,16 +648,19 @@ impl Dispatcher {
             communication_queue,
             config,
             Arc::new(DispatchMetrics::default()),
+            None,
         )
     }
 
-    /// Creates a dispatcher that reports into the given shared metrics.
-    pub fn with_metrics(
+    /// Creates a dispatcher that reports into the given shared metrics and,
+    /// given `control`, steps it every controller interval.
+    pub(crate) fn with_metrics(
         registry: Arc<Registry>,
         compute_queue: TaskQueue,
         communication_queue: TaskQueue,
         config: WorkerConfig,
         metrics: Arc<DispatchMetrics>,
+        control: Option<PoolControl>,
     ) -> Self {
         let (results_tx, results_rx) = unbounded::<Vec<TaskResult>>();
         let core = Arc::new(DispatcherCore {
@@ -665,7 +680,7 @@ impl Dispatcher {
         let driver_core = Arc::clone(&core);
         let driver = std::thread::Builder::new()
             .name("dandelion-dispatcher".to_string())
-            .spawn(move || driver_loop(driver_core, results_rx))
+            .spawn(move || driver_loop(driver_core, results_rx, control))
             .expect("spawning the dispatcher driver thread");
         Self {
             core,
@@ -691,9 +706,10 @@ impl Dispatcher {
         if self.core.shutting_down.load(Ordering::SeqCst) {
             return Err(DandelionError::Cancelled);
         }
-        match self.core.register(graph, inputs, None) {
+        let now = Instant::now();
+        match self.core.register(graph, inputs, None, now) {
             Ok((id, entry, work)) => {
-                self.core.process(work);
+                self.core.process(work, now);
                 // Shutdown may have raced with registration: the driver
                 // could have run its final cancellation sweep before this
                 // entry existed, in which case nothing would ever settle
@@ -703,8 +719,8 @@ impl Dispatcher {
                     let mut work = Vec::new();
                     let cancelled = Err(DandelionError::Cancelled);
                     self.core
-                        .settle(id, &entry, &mut entry.lock(), cancelled, &mut work);
-                    self.core.process(work);
+                        .settle(id, &entry, &mut entry.lock(), cancelled, &mut work, now);
+                    self.core.process(work, now);
                     self.core.table.remove(id);
                     return Err(DandelionError::Cancelled);
                 }
@@ -792,16 +808,22 @@ impl Drop for Dispatcher {
     }
 }
 
-fn driver_loop(core: Arc<DispatcherCore>, results: Receiver<Vec<TaskResult>>) {
-    // Ticked on the wake-ups the idle driver makes anyway, so committed
-    // memory follows the load: what the pool retains and nothing has needed
-    // since the look before is freed.
-    let mut pool_idle = IdleRelease::new(POOL_RELEASE_TICKS);
-    loop {
-        if core.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        match results.recv_timeout(DRIVER_IDLE_INTERVAL) {
+fn driver_loop(
+    core: Arc<DispatcherCore>,
+    results: Receiver<Vec<TaskResult>>,
+    control: Option<PoolControl>,
+) {
+    let mut now = Instant::now();
+    let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
+    let mut control = control.map(|control| (now + control.step.interval(), control));
+    while !core.shutting_down.load(Ordering::SeqCst) {
+        let next = reap.min(release);
+        let next = control
+            .as_ref()
+            .map_or(next, |(next_step, _)| next.min(*next_step));
+        let received = results.recv_timeout(next.saturating_duration_since(now));
+        now = Instant::now();
+        match received {
             Ok(first) => {
                 // Engines already coalesce same-invocation results into one
                 // message; drain whatever further messages have arrived
@@ -816,21 +838,35 @@ fn driver_loop(core: Arc<DispatcherCore>, results: Receiver<Vec<TaskResult>>) {
                         Err(_) => break,
                     }
                 }
-                core.process(batch);
+                core.process(batch, now);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                core.reap_stalled();
-                pool_idle.tick(BufferPool::global());
-            }
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
+        if reap <= now {
+            core.reap_stalled(now);
+            reap = now + REAP_PERIOD;
+        }
+        // Committed memory follows the load: what the pool retains and
+        // nothing has needed since the look before is freed.
+        if release <= now {
+            BufferPool::global().release_unused();
+            release = now + POOL_RELEASE_PERIOD;
+        }
+        if let Some((next_step, control)) = &mut control {
+            if *next_step <= now {
+                control.run();
+                *next_step = now + control.step.interval();
+            }
+        }
     }
-    core.cancel_unsettled();
+    core.cancel_unsettled(now);
 }
 
 impl DispatcherCore {
-    /// Creates and kicks off a (top-level or child) invocation. Returns the
-    /// entry plus deferred work items; the caller must [`process`] them.
+    /// Creates and kicks off a (top-level or child) invocation, started at
+    /// `now`. Returns the entry plus deferred work items; the caller must
+    /// [`process`] them.
     ///
     /// [`process`]: DispatcherCore::process
     fn register(
@@ -838,25 +874,26 @@ impl DispatcherCore {
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
         parent: Option<ParentLink>,
+        now: Instant,
     ) -> DandelionResult<(InvocationId, Arc<InvocationEntry>, Vec<WorkItem>)> {
         let id = InvocationId::next();
         let state = InvocationState::new(id, Arc::clone(&graph), inputs)?;
         let top_level = parent.is_none();
-        let entry = Arc::new(InvocationEntry::new(graph.name.clone(), state, parent));
+        let entry = Arc::new(InvocationEntry::new(graph.name.clone(), state, parent, now));
         if top_level {
             self.metrics.inflight.fetch_add(1, Ordering::SeqCst);
         }
         self.table.insert(id, Arc::clone(&entry));
         let mut inner = entry.lock();
         inner.status = InvocationStatus::Running;
-        let work = self.advance(id, &entry, &mut inner, None);
+        let work = self.advance(id, &entry, &mut inner, None, now);
         drop(inner);
         Ok((id, entry, work))
     }
 
-    /// Applies queued work items until none remain. Holds at most one entry
-    /// lock at a time.
-    fn process(&self, items: Vec<WorkItem>) {
+    /// Applies queued work items, as of `now`, until none remain. Holds at
+    /// most one entry lock at a time.
+    fn process(&self, items: Vec<WorkItem>, now: Instant) {
         let mut queue: VecDeque<WorkItem> = items.into();
         while let Some(item) = queue.pop_front() {
             let more = match item {
@@ -887,6 +924,7 @@ impl DispatcherCore {
                             modeled_latency,
                             child_report,
                         }),
+                        now,
                     )
                 }
                 WorkItem::Notify { callback, outcome } => {
@@ -898,7 +936,7 @@ impl DispatcherCore {
                     parent,
                     graph,
                     inputs,
-                } => match self.register(graph, inputs, Some(parent.clone())) {
+                } => match self.register(graph, inputs, Some(parent.clone()), now) {
                     Ok((_, _, work)) => work,
                     Err(error) => vec![WorkItem::Complete {
                         invocation: parent.invocation,
@@ -924,6 +962,7 @@ impl DispatcherCore {
         entry: &Arc<InvocationEntry>,
         inner: &mut EntryInner,
         completion: Option<Completion>,
+        now: Instant,
     ) -> Vec<WorkItem> {
         let mut out = Vec::new();
         if inner.status.is_terminal() {
@@ -942,7 +981,7 @@ impl DispatcherCore {
                 // counting it twice would corrupt `outstanding`.
                 return out;
             }
-            inner.last_progress = Instant::now();
+            inner.last_progress = now;
             inner.outstanding = inner.outstanding.saturating_sub(1);
             inner.report.peak_context_bytes += completion.context_high_water;
             inner.report.modeled_busy_time += completion.modeled_latency;
@@ -952,7 +991,7 @@ impl DispatcherCore {
             match applied {
                 Ok(applied) => check_ready = applied == InstanceCompletion::NodeFinished,
                 Err(error) => {
-                    self.settle(id, entry, inner, Err(error), &mut out);
+                    self.settle(id, entry, inner, Err(error), &mut out, now);
                     return out;
                 }
             }
@@ -978,7 +1017,7 @@ impl DispatcherCore {
                 Err(error) => Some(error),
             };
             if let Some(error) = failure {
-                self.settle(id, entry, inner, Err(error), &mut out);
+                self.settle(id, entry, inner, Err(error), &mut out, now);
                 return out;
             }
         }
@@ -994,7 +1033,7 @@ impl DispatcherCore {
                 .as_ref()
                 .expect("checked above")
                 .external_outputs();
-            self.settle(id, entry, inner, outcome, &mut out);
+            self.settle(id, entry, inner, outcome, &mut out, now);
         }
         out
     }
@@ -1084,6 +1123,7 @@ impl DispatcherCore {
     /// parent instance of a child invocation, the registered settle
     /// callback, or, when nobody has asked for it yet, the table, which
     /// retains it for polling. Only the last keeps the entry in the table.
+    /// A completed invocation's latency runs from its start to `now`.
     fn settle(
         &self,
         id: InvocationId,
@@ -1091,6 +1131,7 @@ impl DispatcherCore {
         inner: &mut EntryInner,
         outcome: DandelionResult<Vec<DataSet>>,
         out: &mut Vec<WorkItem>,
+        now: Instant,
     ) {
         // Exactly-once: every settle path (dataflow completion, dataflow
         // error, stall reaper) funnels through here, and racing paths must
@@ -1135,7 +1176,7 @@ impl DispatcherCore {
                 self.metrics
                     .communication_tasks
                     .fetch_add(outcome.report.communication_tasks as u64, Ordering::Relaxed);
-                self.metrics.latency.record(inner.started.elapsed());
+                self.metrics.latency.record(now - inner.started);
             }
             Err(_) => {
                 self.metrics.failures.fetch_add(1, Ordering::Relaxed);
@@ -1164,46 +1205,35 @@ impl DispatcherCore {
 
     /// Fails every unsettled invocation with [`DandelionError::Cancelled`]
     /// as any other failure settles; called when the driver stops.
-    fn cancel_unsettled(&self) {
+    fn cancel_unsettled(&self, now: Instant) {
         let mut work = Vec::new();
         for (id, entry) in self.table.all_entries() {
-            let mut inner = entry.lock();
-            self.settle(
-                id,
-                &entry,
-                &mut inner,
-                Err(DandelionError::Cancelled),
-                &mut work,
-            );
+            let cancelled = Err(DandelionError::Cancelled);
+            self.settle(id, &entry, &mut entry.lock(), cancelled, &mut work, now);
         }
-        self.process(work);
+        self.process(work, now);
     }
 
-    /// Fails invocations that have gone longer than
+    /// Fails invocations that, at `now`, have gone longer than
     /// `function_timeout + engine_stall_grace` without any instance
     /// completing. Engines time functions out themselves, so this only
-    /// fires if an engine reply is lost (e.g. an engine thread died);
-    /// without it, such an invocation would leave `wait(None)` callers
-    /// blocked forever.
-    fn reap_stalled(&self) {
+    /// fires if an engine reply is lost (e.g. an engine thread died) or a
+    /// function never returns; without it, such an invocation would leave
+    /// `wait(None)` callers blocked forever.
+    fn reap_stalled(&self, now: Instant) {
         let deadline = self.config.function_timeout + self.config.engine_stall_grace;
         let mut work = Vec::new();
         for (id, entry) in self.table.all_entries() {
             let mut inner = entry.lock();
-            if inner.status.is_terminal() || inner.last_progress.elapsed() <= deadline {
+            if inner.status.is_terminal() || now - inner.last_progress <= deadline {
                 continue;
             }
-            self.settle(
-                id,
-                &entry,
-                &mut inner,
-                Err(DandelionError::Dispatch(
-                    "timed out waiting for engine results".to_string(),
-                )),
-                &mut work,
-            );
+            let stalled = Err(DandelionError::Dispatch(
+                "timed out waiting for engine results".to_string(),
+            ));
+            self.settle(id, &entry, &mut inner, stalled, &mut work, now);
         }
-        self.process(work);
+        self.process(work, now);
     }
 }
 
@@ -1750,6 +1780,93 @@ mod tests {
         assert!(
             matches!(&err, DandelionError::Dispatch(message) if message.contains("timed out")),
             "expected the stall reaper's dispatch timeout, got {err:?}"
+        );
+    }
+
+    /// The reaper runs on schedule on a busy node too: a function parked on
+    /// a channel this test holds stalls its invocation while another one
+    /// completes every 20 ms on the second engine, and the stall is failed
+    /// all the same. Its late return settles nothing twice.
+    #[test]
+    fn a_stalled_invocation_is_reaped_while_other_results_keep_arriving() {
+        let harness = harness_with_config(WorkerConfig {
+            total_cores: 4,
+            initial_communication_cores: 1,
+            function_timeout: Duration::from_millis(100),
+            engine_stall_grace: Duration::from_millis(100),
+            ..WorkerConfig::default()
+        });
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let parked = Mutex::new(parked);
+        harness
+            .registry
+            .register_function(FunctionArtifact::new(
+                "Park",
+                &["Out"],
+                move |ctx: &mut FunctionCtx| {
+                    let _ = parked.lock().recv();
+                    ctx.push_output_bytes("Out", "o", vec![1])
+                },
+            ))
+            .unwrap();
+        let parking = CompositionBuilder::new("Parked")
+            .input("In")
+            .output("Out")
+            .node("Park", |node| {
+                node.bind("x", Distribution::All, "In")
+                    .publish("Out", "Out")
+            })
+            .build()
+            .unwrap();
+        harness
+            .registry
+            .register_composition(parking.clone())
+            .unwrap();
+        let copy = register_copy_identity(&harness.registry);
+        let submitted = Instant::now();
+        let stalled = harness
+            .dispatcher
+            .submit(Arc::new(parking), vec![DataSet::single("In", vec![1])])
+            .unwrap();
+        let outcome = loop {
+            if let Some(outcome) = stalled.try_result() {
+                break outcome;
+            }
+            assert!(
+                submitted.elapsed() < Duration::from_secs(3),
+                "the parked invocation never settled"
+            );
+            harness
+                .dispatcher
+                .invoke(Arc::clone(&copy), vec![DataSet::single("In", vec![2])])
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let reaped_after = submitted.elapsed();
+        let err = outcome.unwrap_err();
+        assert_eq!(
+            err,
+            DandelionError::Dispatch("timed out waiting for engine results".to_string())
+        );
+        assert!(
+            reaped_after < Duration::from_secs(1),
+            "reaped {reaped_after:?} after submission"
+        );
+        // The parked function returns late; its result, delivered before the
+        // next invocation's, finds the invocation settled.
+        release.send(()).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        harness
+            .dispatcher
+            .invoke(copy, vec![DataSet::single("In", vec![3])])
+            .unwrap();
+        assert_eq!(
+            harness
+                .dispatcher
+                .metrics()
+                .failures
+                .load(Ordering::Relaxed),
+            1
         );
     }
 

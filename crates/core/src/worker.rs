@@ -2,9 +2,10 @@
 //!
 //! A [`WorkerNode`] assembles the pieces of Figure 4: the registry, the
 //! dispatcher, the compute and communication engine pools, and the control
-//! plane that re-balances cores between them. It exposes the programmatic
-//! API used by examples and benchmarks; the HTTP surface lives in
-//! [`crate::frontend`].
+//! plane that re-balances cores between them, which the dispatcher's driver
+//! thread steps with the rest of the worker's periodic work. It exposes the
+//! programmatic API used by examples and benchmarks; the HTTP surface lives
+//! in [`crate::frontend`].
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use dandelion_http::validate::ValidationPolicy;
 use dandelion_isolation::{create_backend, FunctionArtifact, HardwarePlatform};
 use dandelion_services::ServiceRegistry;
 
-use crate::control::{ControlPlane, CoreAllocation};
+use crate::control::{CoreAllocation, PoolControl, Step};
 use crate::dispatcher::{
     DispatchMetrics, Dispatcher, InvocationHandle, InvocationOutcome, InvocationSnapshot,
 };
@@ -56,7 +57,6 @@ pub struct WorkerNode {
     dispatcher: Dispatcher,
     compute_pool: Arc<EnginePool>,
     communication_pool: Arc<EnginePool>,
-    control_plane: Option<ControlPlane>,
     metrics: Arc<DispatchMetrics>,
     /// Drain signal: while set, `submit` refuses new work so in-flight
     /// invocations can finish (rolling restarts, gateway-driven draining).
@@ -70,8 +70,8 @@ impl WorkerNode {
         Self::start_with_control(config, services, true)
     }
 
-    /// Starts a worker node, optionally without the background control plane
-    /// (tests that assert exact core counts disable it).
+    /// Starts a worker node, optionally without the control plane (tests
+    /// that assert exact core counts disable it).
     pub fn start_with_control(
         config: WorkerConfig,
         services: ServiceRegistry,
@@ -104,16 +104,16 @@ impl WorkerNode {
         ));
         communication_pool.resize(config.initial_communication_cores);
 
-        let control_plane = enable_control_plane.then(|| {
-            ControlPlane::start(
+        let control = enable_control_plane.then(|| PoolControl {
+            step: Step::new(
                 config.controller,
                 CoreAllocation::new(
                     config.initial_compute_cores(),
                     config.initial_communication_cores,
                 ),
-                Arc::clone(&compute_pool),
-                Arc::clone(&communication_pool),
-            )
+            ),
+            compute: Arc::clone(&compute_pool),
+            communication: Arc::clone(&communication_pool),
         });
 
         let metrics = Arc::new(DispatchMetrics::default());
@@ -123,6 +123,7 @@ impl WorkerNode {
             communication_queue,
             config.clone(),
             Arc::clone(&metrics),
+            control,
         );
 
         Ok(Arc::new(Self {
@@ -132,7 +133,6 @@ impl WorkerNode {
             dispatcher,
             compute_pool,
             communication_pool,
-            control_plane,
             metrics,
             draining: std::sync::atomic::AtomicBool::new(false),
         }))
@@ -231,15 +231,14 @@ impl WorkerNode {
         &self.communication_pool
     }
 
-    /// The current compute/communication core split.
+    /// The current compute/communication core split: the engines running
+    /// in each pool. Right after the controller moves a core the shrinking
+    /// pool still counts the engine that has yet to take its stop marker.
     pub fn core_allocation(&self) -> CoreAllocation {
-        match &self.control_plane {
-            Some(control) => control.allocation(),
-            None => CoreAllocation::new(
-                self.compute_pool.engine_count(),
-                self.communication_pool.engine_count(),
-            ),
-        }
+        CoreAllocation::new(
+            self.compute_pool.engine_count(),
+            self.communication_pool.engine_count(),
+        )
     }
 
     /// Snapshot of the worker's statistics.
@@ -298,12 +297,9 @@ impl WorkerNode {
         true
     }
 
-    /// Stops the control plane, the dispatcher and every engine. Unsettled
-    /// invocations fail with [`DandelionError::Cancelled`].
+    /// Stops the dispatcher (and with it the control plane) and every
+    /// engine. Unsettled invocations fail with [`DandelionError::Cancelled`].
     pub fn shutdown(&self) {
-        if let Some(control) = &self.control_plane {
-            control.stop();
-        }
         self.dispatcher.shutdown();
         self.compute_pool.shutdown();
         self.communication_pool.shutdown();
@@ -541,6 +537,64 @@ mod tests {
         // the second is still pollable.
         assert!(worker.poll(first_id).is_none());
         assert!(worker.poll(second_id).is_some());
+        worker.shutdown();
+    }
+
+    /// The controller, live: with both compute engines parked, a stream of
+    /// submissions grows the compute queue, and the dispatcher driver moves
+    /// a core from the communication pool to it.
+    #[test]
+    fn the_controller_moves_a_core_to_a_growing_compute_queue() {
+        let config = WorkerConfig {
+            total_cores: 4,
+            initial_communication_cores: 2,
+            isolation: IsolationKind::Native,
+            ..WorkerConfig::default()
+        };
+        let worker = WorkerNode::start(config, default_test_services()).unwrap();
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let closed = gate.write().unwrap();
+        let parked = Arc::clone(&gate);
+        worker
+            .register_function(FunctionArtifact::new(
+                "Copy",
+                &["Copied"],
+                move |ctx: &mut FunctionCtx| {
+                    drop(parked.read());
+                    let data = ctx.single_input("Data")?.data.as_slice().to_vec();
+                    ctx.push_output_bytes("Copied", "copy", data)
+                },
+            ))
+            .unwrap();
+        worker.register_composition_dsl(identity_dsl()).unwrap();
+        let counts = || {
+            (
+                worker.compute_pool().engine_count(),
+                worker.communication_pool().engine_count(),
+            )
+        };
+        assert_eq!(counts(), (2, 2));
+        let start = std::time::Instant::now();
+        let mut handles = Vec::new();
+        while counts() != (3, 1) {
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(2),
+                "engines {:?} after {} submissions",
+                counts(),
+                handles.len()
+            );
+            handles.push(
+                worker
+                    .submit("Identity", vec![DataSet::single("In", vec![1])])
+                    .unwrap(),
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        drop(closed);
+        for handle in handles {
+            let outcome = handle.wait(Some(std::time::Duration::from_secs(10)));
+            assert_eq!(outcome.unwrap().outputs[0].items[0].as_str(), Some("\u{1}"));
+        }
         worker.shutdown();
     }
 

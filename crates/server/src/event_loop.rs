@@ -38,8 +38,9 @@
 //! comes back short (or `EWOULDBLOCK`), and no per-wakeup re-arm
 //! `epoll_ctl` call exists on the hot path at all.
 //!
-//! **A turn applies first and writes once.** Each pass of
-//! [`EventLoop::run`] is *apply → flush dirty → deadlines → flush dirty*.
+//! **A turn applies first and writes once.** [`EventLoop::run`] waits and
+//! reads the clock; each [`EventLoop::turn`] it hands the readiness and that
+//! `now` to is *apply → flush dirty → deadlines → flush dirty*.
 //! Applying is everything that takes input: readiness events are read,
 //! framed and dispatched, member responses are framed and put into the
 //! client slots that wait for them, and the inbox is drained — settled
@@ -362,33 +363,38 @@ impl EventLoop {
             let timeout_ms = if self.me.prepare_sleep() { TICK_MS } else { 0 };
             let ready = self.epoll.wait(&mut events, timeout_ms).unwrap_or_default();
             self.me.cancel_sleep();
-            let stopping = self.shared.stopping.load(Ordering::Acquire);
-            if stopping && self.drain_deadline.is_none() {
-                self.begin_drain();
-            }
-            for event in &events[..ready] {
-                match event.data {
-                    WAKER_TOKEN => self.me.clear_signal(),
-                    LISTENER_TOKEN => self.accept_ready(),
-                    token => self.conn_event(token, event.events),
-                }
-            }
-            self.drain_inbox();
-            self.flush_dirty();
-            self.scan_deadlines();
-            self.flush_dirty();
+            self.turn(Instant::now(), &events[..ready]);
             if self.shared.stopping.load(Ordering::Acquire) && self.open == 0 {
                 return;
             }
         }
     }
 
+    /// One turn at `now` over readiness `events` (see the module docs): it
+    /// neither waits nor reads the clock.
+    fn turn(&mut self, now: Instant, events: &[EpollEvent]) {
+        if self.shared.stopping.load(Ordering::Acquire) && self.drain_deadline.is_none() {
+            self.begin_drain(now);
+        }
+        for event in events {
+            match event.data {
+                WAKER_TOKEN => self.me.clear_signal(),
+                LISTENER_TOKEN => self.accept_ready(),
+                token => self.conn_event(token, event.events, now),
+            }
+        }
+        self.drain_inbox(now);
+        self.flush_dirty(now);
+        self.scan_deadlines(now);
+        self.flush_dirty(now);
+    }
+
     /// Stops admitting (the listener closes) and sweeps idle
     /// connections; busy ones drain at their next response boundary, with a
     /// hard deadline backstop. Idle upstream connections are released
     /// immediately — ones with pending responses finish their exchanges.
-    fn begin_drain(&mut self) {
-        self.drain_deadline = Some(Instant::now() + self.shared.config.drain_timeout);
+    fn begin_drain(&mut self, now: Instant) {
+        self.drain_deadline = Some(now + self.shared.config.drain_timeout);
         if let Some(listener) = self.listener.take() {
             let _ = self.epoll.delete(listener.as_raw_fd());
         }
@@ -544,7 +550,7 @@ impl EventLoop {
     }
 
     /// Routes one readiness event to its endpoint, ignoring stale tokens.
-    fn conn_event(&mut self, token: u64, events: u32) {
+    fn conn_event(&mut self, token: u64, events: u32, now: Instant) {
         let index = (token & u32::MAX as u64) as usize;
         let generation = (token >> 32) as u32;
         let Some(entry) = self.slab.get(index) else {
@@ -572,7 +578,7 @@ impl EventLoop {
             }
             Some(Endpoint::Upstream(upstream)) => {
                 if hangup {
-                    self.fail_upstream(index, true);
+                    self.fail_upstream(index, true, now);
                 } else {
                     // Writability matters here beyond resuming writes: on a
                     // connecting socket it is the kernel's connect-success
@@ -583,7 +589,7 @@ impl EventLoop {
                     if peer_closed {
                         upstream.note_peer_closed();
                     }
-                    self.service_upstream(index, readable);
+                    self.service_upstream(index, readable, now);
                 }
             }
         }
@@ -634,7 +640,7 @@ impl EventLoop {
     /// upstream write answers or replays its exchanges), so the list is
     /// walked until it stops growing. An index whose occupant has closed
     /// since, or been replaced, costs at most one idle pass.
-    fn flush_dirty(&mut self) {
+    fn flush_dirty(&mut self, now: Instant) {
         let mut next = 0;
         while let Some(&index) = self.dirty.get(next) {
             next += 1;
@@ -643,7 +649,7 @@ impl EventLoop {
                 Some(Endpoint::Client(_)) => {
                     self.with_client(index, |conn, shared, me| conn.flush(shared, me));
                 }
-                Some(Endpoint::Upstream(_)) => self.service_upstream(index, false),
+                Some(Endpoint::Upstream(_)) => self.service_upstream(index, false, now),
                 None => {}
             }
         }
@@ -652,7 +658,7 @@ impl EventLoop {
 
     /// Pumps one upstream connection: writes queued forwards, decodes
     /// member responses, and hands each to its waiting client slot.
-    fn service_upstream(&mut self, index: usize, readable: bool) {
+    fn service_upstream(&mut self, index: usize, readable: bool, now: Instant) {
         let read_chunk = self.shared.config.read_chunk_bytes;
         let me = &self.me;
         let (verdict, delivered, node) = {
@@ -671,7 +677,7 @@ impl EventLoop {
             self.deliver(node, origin, response);
         }
         if verdict == UpstreamVerdict::Close {
-            self.fail_upstream(index, true);
+            self.fail_upstream(index, true, now);
         }
     }
 
@@ -725,7 +731,7 @@ impl EventLoop {
     /// that never completed — and `blame_member` holds (it does not for
     /// the gateway's own drain backstop). A member closing an idle
     /// keep-alive, or closing after its last answer, is not failing.
-    fn fail_upstream(&mut self, index: usize, blame_member: bool) {
+    fn fail_upstream(&mut self, index: usize, blame_member: bool, now: Instant) {
         let Some(mut upstream) = self.close_upstream(index) else {
             return;
         };
@@ -749,7 +755,7 @@ impl EventLoop {
                 router.note_settled(load, origin.bytes);
             }
             match router.plan_fallback(node, rope, origin.bytes, origin.track_submit) {
-                Some(plan) => self.forward(origin.token, origin.seq, plan),
+                Some(plan) => self.forward(origin.token, origin.seq, plan, now),
                 None => {
                     router.note_upstream_error();
                     self.complete_client(origin.token, origin.seq, upstream_failed_response(node));
@@ -765,7 +771,7 @@ impl EventLoop {
     /// budget and attempt ceiling), but the next attempt waits out an
     /// exponential backoff with equal jitter rather than hammering the
     /// cluster in a tight loop — the deadline scan re-fires it.
-    fn forward(&mut self, token: u64, seq: u64, mut plan: ForwardPlan) {
+    fn forward(&mut self, token: u64, seq: u64, mut plan: ForwardPlan, now: Instant) {
         let router = self.router();
         if let Some(upstream_index) = self.upstream_for(&plan) {
             if let Some(Endpoint::Upstream(upstream)) = self.slab[upstream_index].endpoint.as_mut()
@@ -795,7 +801,7 @@ impl EventLoop {
         let failed = plan.node;
         plan.tried.push(failed);
         match router.replan(plan) {
-            Some(next) => self.schedule_retry(token, seq, next),
+            Some(next) => self.schedule_retry(token, seq, next, now),
             None => {
                 router.note_upstream_error();
                 self.complete_client(token, seq, upstream_failed_response(failed));
@@ -803,20 +809,20 @@ impl EventLoop {
         }
     }
 
-    /// Parks a replanned forward until its backoff expires. The delay is
-    /// exponential in the attempt count with *equal jitter* — uniform in
-    /// `[base/2, base]` — so concurrent failures against a member spread
-    /// their retries instead of arriving as a synchronized thundering
-    /// herd. The loop's `TICK_MS` idle timeout bounds how late the
-    /// deadline scan picks it back up.
-    fn schedule_retry(&mut self, token: u64, seq: u64, plan: ForwardPlan) {
+    /// Parks a replanned forward until its backoff, counted from `now`,
+    /// expires. The delay is exponential in the attempt count with *equal
+    /// jitter* — uniform in `[base/2, base]` — so concurrent failures
+    /// against a member spread their retries instead of arriving as a
+    /// synchronized thundering herd. The loop's `TICK_MS` idle timeout
+    /// bounds how late the deadline scan picks it back up.
+    fn schedule_retry(&mut self, token: u64, seq: u64, plan: ForwardPlan, now: Instant) {
         let attempt = plan.tried.len().min(8) as u32;
         let base = RETRY_BACKOFF_BASE_MS
             .saturating_mul(1 << attempt)
             .min(RETRY_BACKOFF_CAP_MS);
         let delay = base / 2 + self.rng.next_bounded(base / 2 + 1);
         self.retries.push(PlannedRetry {
-            due: Instant::now() + Duration::from_millis(delay),
+            due: now + Duration::from_millis(delay),
             token,
             seq,
             plan,
@@ -947,7 +953,7 @@ impl EventLoop {
 
     /// Applies queued cross-thread messages: settled invocation responses
     /// and gateway forward plans.
-    fn drain_inbox(&mut self) {
+    fn drain_inbox(&mut self, now: Instant) {
         for msg in self.me.take_messages() {
             match msg {
                 LoopMsg::Complete {
@@ -955,15 +961,14 @@ impl EventLoop {
                     seq,
                     response,
                 } => self.complete_client(token, seq, response),
-                LoopMsg::Forward { token, seq, plan } => self.forward(token, seq, *plan),
+                LoopMsg::Forward { token, seq, plan } => self.forward(token, seq, *plan, now),
             }
         }
     }
 
-    /// Fires per-connection deadlines, due forward retries, and the drain
-    /// backstop.
-    fn scan_deadlines(&mut self) {
-        let now = Instant::now();
+    /// Fires the per-connection deadlines, forward retries and drain
+    /// backstop due at `now`.
+    fn scan_deadlines(&mut self, now: Instant) {
         let force_close = self.drain_deadline.is_some_and(|deadline| now >= deadline);
         // Re-fire forwards whose backoff expired (all of them at the drain
         // backstop — they either go through or fail fast to the client).
@@ -978,7 +983,7 @@ impl EventLoop {
                 }
             }
             for retry in due {
-                self.forward(retry.token, retry.seq, retry.plan);
+                self.forward(retry.token, retry.seq, retry.plan, now);
             }
         }
         for index in 0..self.slab.len() {
@@ -1046,7 +1051,7 @@ impl EventLoop {
                         .fetch_add(1, Ordering::Relaxed);
                     self.close_client(index);
                 }
-                Action::FailUpstream => self.fail_upstream(index, !force_close),
+                Action::FailUpstream => self.fail_upstream(index, !force_close, now),
                 Action::FireRequestTimeout => {
                     self.with_client(index, |conn, shared, _| {
                         conn.fire_request_timeout(shared);

@@ -10,7 +10,7 @@
 //! code that moves a member between `Healthy` and `Ejected` or touches the
 //! failure streak and window it judges by. It reads no clock and takes no
 //! lock — the router's probe pass is its tick and the table lock is the
-//! caller's — so a script can drive it as well as the health thread can.
+//! caller's — so a script can drive it as well as the control thread can.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -18,18 +18,24 @@
 //! member. Status polls follow the member that accepted the submission
 //! through a bounded invocation-owner map.
 //!
-//! A background health thread probes every member's `GET /v1/compositions`
-//! on a fixed cadence and feeds each outcome, like every failed exchange the
-//! loops report, to the member's health machine ([`Member::observe`]): it
-//! refreshes the advertised compositions (changes re-advertise
+//! The router's one background thread, the control thread, runs the
+//! blocking member calls no event loop may make. It waits for a control
+//! job (a registration broadcast, a join, a drain relay) until the next
+//! probe pass is due, and checks after every job whether one is, so neither
+//! starves the other; a job that arrives during a pass waits it out, at most
+//! members × `probe_timeout`. A pass probes every member's
+//! `GET /v1/compositions` and feeds each outcome, like every failed exchange
+//! the loops report, to the member's health machine ([`Member::observe`]):
+//! it refreshes the advertised compositions (changes re-advertise
 //! automatically), ejects and re-admits members, and says when a draining
 //! member is done; the router counts the transitions and removes the row.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::rng::fnv1a;
@@ -38,7 +44,7 @@ use dandelion_core::frontend::error_body;
 use dandelion_http::{
     HttpRequest, HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, Uri,
 };
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::client::HttpClientConnection;
 use crate::gateway::membership::{Member, MemberLoad, MemberState, Observation, Transition};
@@ -226,21 +232,16 @@ pub struct Router {
     stats: GatewayStats,
     /// The serving layer's stats document, merged into `GET /v1/stats`.
     server_stats: Mutex<Option<Arc<dyn Fn() -> JsonValue + Send + Sync>>>,
-    stopping: AtomicBool,
-    /// Wakes the health thread out of its probe-interval wait so shutdown
-    /// never has to sit out the remainder of a long cadence.
-    health_stop: Arc<(Mutex<bool>, Condvar)>,
-    health_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Feeds the control thread; `None` once shut down (late submissions
-    /// answer `503` instead of blocking).
+    /// answer `503` instead of blocking). Dropping it ends the thread.
     control_tx: Mutex<Option<mpsc::Sender<ControlJob>>>,
     control_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Router {
-    /// Creates the router and starts its health and control threads. Both
-    /// hold weak references, so dropping the last `Arc<Router>` (or calling
-    /// [`Router::shutdown`]) ends them.
+    /// Creates the router and starts its control thread. The thread holds a
+    /// weak reference, so dropping the last `Arc<Router>` (or calling
+    /// [`Router::shutdown`]) ends it.
     pub fn start(config: GatewayConfig) -> Arc<Router> {
         failpoint::init_from_env();
         let router = Arc::new(Router {
@@ -254,52 +255,34 @@ impl Router {
             }),
             stats: GatewayStats::default(),
             server_stats: Mutex::new(None),
-            stopping: AtomicBool::new(false),
-            health_stop: Arc::new((Mutex::new(false), Condvar::new())),
-            health_thread: Mutex::new(None),
             control_tx: Mutex::new(None),
             control_thread: Mutex::new(None),
         });
-        let weak: Weak<Router> = Arc::downgrade(&router);
-        let interval = router.config.probe_interval;
-        let stop = Arc::clone(&router.health_stop);
-        let handle = std::thread::Builder::new()
-            .name("dandelion-gateway-health".to_string())
-            .spawn(move || loop {
-                {
-                    let (stopped, wake) = &*stop;
-                    let mut stopped = stopped.lock();
-                    if !*stopped {
-                        wake.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
-                    }
-                }
-                let Some(router) = weak.upgrade() else {
-                    return;
-                };
-                if router.stopping.load(Ordering::Acquire) {
-                    return;
-                }
-                router.probe_members();
-            })
-            .expect("spawning the gateway health thread");
-        *router.health_thread.lock() = Some(handle);
-        // The control thread serializes the blocking member calls (join
-        // probes, registration broadcasts, drain relays) that must never
-        // run on an event loop; it exits when the sender side is dropped
-        // (shutdown or the router itself going away).
+        // The control thread serializes the blocking member calls that must
+        // never run on an event loop (see the module docs); it exits when
+        // the sender side is dropped (shutdown or the router going away).
         let (control_tx, control_rx) = mpsc::channel::<ControlJob>();
         let weak: Weak<Router> = Arc::downgrade(&router);
+        let interval = router.config.probe_interval;
         let handle = std::thread::Builder::new()
             .name("dandelion-gateway-control".to_string())
             .spawn(move || {
-                while let Ok((op, complete)) = control_rx.recv() {
+                let mut next_probe = Instant::now() + interval;
+                loop {
+                    let job = control_rx
+                        .recv_timeout(next_probe.saturating_duration_since(Instant::now()));
                     let Some(router) = weak.upgrade() else {
                         return;
                     };
-                    complete(router.execute_control(op));
+                    match job {
+                        Ok((op, complete)) => complete(router.execute_control(op)),
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => return,
+                    }
+                    if Instant::now() >= next_probe {
+                        router.probe_members();
+                        next_probe = Instant::now() + interval;
+                    }
                 }
             })
             .expect("spawning the gateway control thread");
@@ -313,28 +296,15 @@ impl Router {
         &self.config
     }
 
-    /// Stops the health and control threads. Forwarding keeps working (the
-    /// server owns the data path); health state is frozen and late
-    /// control-plane requests answer `503`.
+    /// Stops the control thread. Forwarding keeps working (the server owns
+    /// the data path); health state is frozen and late control-plane
+    /// requests answer `503`.
     pub fn shutdown(&self) {
-        self.stopping.store(true, Ordering::Release);
-        self.signal_health_stop();
-        // Dropping the sender ends the control thread's receive loop.
+        // Dropping the sender ends the control thread's wait.
         self.control_tx.lock().take();
-        if let Some(handle) = self.health_thread.lock().take() {
-            let _ = handle.join();
-        }
         if let Some(handle) = self.control_thread.lock().take() {
             let _ = handle.join();
         }
-    }
-
-    /// Kicks the health thread out of its interval wait so it observes the
-    /// stop flag now instead of after the remainder of the cadence.
-    fn signal_health_stop(&self) {
-        let (stopped, wake) = &*self.health_stop;
-        *stopped.lock() = true;
-        wake.notify_all();
     }
 
     /// Installs the serving layer's stats source (set by the server when it
@@ -404,7 +374,7 @@ impl Router {
         Ok(id)
     }
 
-    /// Marks a member draining: no new work; the health thread removes it
+    /// Marks a member draining: no new work; a probe pass removes it
     /// once its in-flight count reaches zero. Returns the member's address
     /// so the caller can relay the drain signal to the node itself.
     pub fn drain(&self, node: NodeId) -> Option<SocketAddr> {
@@ -979,17 +949,6 @@ impl Router {
                 ("relayed", JsonValue::from(relayed)),
             ]),
         )
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.stopping.store(true, Ordering::Release);
-        self.signal_health_stop();
-        // The health thread holds only a weak reference and is woken out
-        // of its wait above; dropping `control_tx` (as a field) ends the
-        // control thread's receive loop. Joining here would deadlock a
-        // drop from one of the threads themselves, so just signal.
     }
 }
 
@@ -1568,6 +1527,42 @@ mod tests {
         let response = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(response.status.0, 503);
         assert!(response.body_text().contains("gateway_stopping"));
+    }
+
+    /// One thread runs both: a control job every 10 ms does not keep the
+    /// probe passes from ejecting a member that refuses connections.
+    #[test]
+    fn probes_stay_on_schedule_under_a_stream_of_control_jobs() {
+        let router = Router::start(GatewayConfig {
+            probe_interval: Duration::from_millis(100),
+            ..GatewayConfig::default()
+        });
+        insert_member(&router, dead_port(), &["Echo"]);
+        let drain = frame(&HttpRequest::post(
+            "/v1/cluster/drain/node-424242",
+            Vec::new(),
+        ));
+        let start = Instant::now();
+        while router.member_rows()[0].2 != "ejected" {
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "the member was not ejected"
+            );
+            let GatewayReply::Control(op) = router.dispatch(&drain) else {
+                panic!("a drain is a control job");
+            };
+            let (tx, rx) = mpsc::channel();
+            router.submit_control(
+                op,
+                Box::new(move |response| {
+                    let _ = tx.send(response);
+                }),
+            );
+            let response = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(response.status.0, 404, "{}", response.body_text());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        router.shutdown();
     }
 
     #[test]

@@ -213,19 +213,24 @@ fn a_node_that_is_up_is_resident_in_well_under_sixteen_mebibytes() {
     );
 }
 
-/// `rounds` rounds of eight pipelined 128×128 multiplications, every
-/// product checked for its status and size.
-fn matmul128_burst(connection: &mut HttpClientConnection, rounds: usize) {
+/// An invocation of `MatMulApp` on two `size`×`size` matrices.
+fn matmul_request(size: usize) -> HttpRequest {
     use dandelion_apps::matmul::matmul_inputs;
     use dandelion_core::frontend::SET_LIST_CONTENT_TYPE;
     use dandelion_isolation::output_parser;
 
-    const DEPTH: usize = 8;
-    let invoke = HttpRequest::post(
+    HttpRequest::post(
         "/v1/invoke/MatMulApp",
-        output_parser::encode_outputs(&[matmul_inputs(128, 11)]),
+        output_parser::encode_outputs(&[matmul_inputs(size, 11)]),
     )
-    .with_header("Content-Type", SET_LIST_CONTENT_TYPE);
+    .with_header("Content-Type", SET_LIST_CONTENT_TYPE)
+}
+
+/// `rounds` rounds of eight pipelined 128×128 multiplications, every
+/// product checked for its status and size.
+fn matmul128_burst(connection: &mut HttpClientConnection, rounds: usize) {
+    const DEPTH: usize = 8;
+    let invoke = matmul_request(128);
     for _ in 0..rounds {
         for _ in 0..DEPTH {
             connection.send(&invoke).expect("request leaves");
@@ -245,8 +250,8 @@ fn matmul128_burst(connection: &mut HttpClientConnection, rounds: usize) {
 /// (receive buffers, products, the multiply's own vectors); two seconds
 /// after the last answer it is back within 3 MiB of
 /// where it was before the first request. The buffer pool frees what it
-/// retained and nothing needed for half a second (the dispatcher driver's
-/// idle wake-ups tick it). At the parent the pool kept its buffers for good:
+/// retained and nothing needed for half a second (the dispatcher driver
+/// looks twice a second). At the parent the pool kept its buffers for good:
 /// 17 MiB above.
 #[test]
 fn a_node_is_back_to_its_idle_footprint_two_seconds_after_a_load() {
@@ -276,6 +281,32 @@ fn a_node_is_back_to_its_idle_footprint_two_seconds_after_a_load() {
     );
 }
 
+/// What `matmul128_burst` leaves in the pool at the least. The pool is
+/// released during the burst too, so what it leaves is what its last half
+/// second had in flight at once: two or three bodies taken in, each in a
+/// 320 KiB receive buffer, and two 160 KiB products, 0.9 to 1.3 MiB (1.5 to
+/// 1.9 while the release waited for the node to fall idle; it was eight
+/// bodies while the pipeline was counted in requests only).
+const BURST_LEAVES_AT_LEAST: u64 = 2 * 320 * 1024;
+
+/// `(memory.pool.retained_bytes, server.requests)` of the node.
+fn retained_and_served(connection: &mut HttpClientConnection) -> (u64, u64) {
+    let stats = connection.request(&HttpRequest::get("/v1/stats")).unwrap();
+    assert_eq!(stats.status.0, 200);
+    let document = JsonValue::parse(&stats.body_text()).expect("stats JSON");
+    let field = |section: &[&str]| {
+        section
+            .iter()
+            .try_fold(&document, |value, name| value.get(name))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("{section:?} in /v1/stats"))
+    };
+    (
+        field(&["memory", "pool", "retained_bytes"]),
+        field(&["server", "requests"]),
+    )
+}
+
 /// Small traffic that never stops does not keep a burst's memory committed:
 /// a member behind a gateway is probed twice a second (`GET /v1/stats`, a
 /// receive buffer and a response head from the pool each time) and this test
@@ -284,24 +315,6 @@ fn a_node_is_back_to_its_idle_footprint_two_seconds_after_a_load() {
 /// goes by what lay unused, not by whether anything at all was acquired.
 #[test]
 fn a_probed_member_gives_a_bursts_buffers_back_while_the_probes_go_on() {
-    /// `(memory.pool.retained_bytes, server.requests)` of the node.
-    fn retained_and_served(connection: &mut HttpClientConnection) -> (u64, u64) {
-        let stats = connection.request(&HttpRequest::get("/v1/stats")).unwrap();
-        assert_eq!(stats.status.0, 200);
-        let document = JsonValue::parse(&stats.body_text()).expect("stats JSON");
-        let field = |section: &[&str]| {
-            section
-                .iter()
-                .try_fold(&document, |value, name| value.get(name))
-                .and_then(JsonValue::as_u64)
-                .unwrap_or_else(|| panic!("{section:?} in /v1/stats"))
-        };
-        (
-            field(&["memory", "pool", "retained_bytes"]),
-            field(&["server", "requests"]),
-        )
-    }
-
     let mut gateway = spawn(&["--gateway", "--addr", "127.0.0.1:0"]);
     let gateway_addr = gateway.bound_addr().to_string();
     let mut member = spawn(&[
@@ -318,14 +331,10 @@ fn a_probed_member_gives_a_bursts_buffers_back_while_the_probes_go_on() {
     let mut connection = HttpClientConnection::connect(addr, CHILD_DEADLINE).expect("connects");
 
     matmul128_burst(&mut connection, 5);
-    // What one connection has in flight of these requests is two bodies
-    // taken in and a third arriving, each in a 512 KiB receive buffer, and
-    // their 128 KiB products — 1.5 to 1.9 MiB retained (it was eight bodies
-    // while the pipeline was counted in requests only).
     let (loaded, served_at_the_burst) = retained_and_served(&mut connection);
     println!("the burst left {loaded} bytes in the pool");
     assert!(
-        loaded > 1024 * 1024,
+        loaded >= BURST_LEAVES_AT_LEAST,
         "the burst left {loaded} bytes in the pool"
     );
     let deadline = Instant::now() + CHILD_DEADLINE;
@@ -343,6 +352,50 @@ fn a_probed_member_gives_a_bursts_buffers_back_while_the_probes_go_on() {
         assert!(
             Instant::now() < deadline,
             "{retained} of {loaded} bytes still retained after {reads} reads and {probes} probes"
+        );
+    }
+}
+
+/// The invocation twin of the probed member: a node that keeps serving a
+/// 1×1 multiplication every 50 ms, an engine result each time, still gives
+/// a burst's buffers back. The release runs on its schedule, not only when
+/// the node has had no result for a while.
+#[test]
+fn a_node_serving_small_invocations_gives_a_bursts_buffers_back() {
+    let mut serve = spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--cores",
+        "2",
+        "--event-loops",
+        "1",
+    ]);
+    let addr = serve.bound_addr();
+    let mut connection = HttpClientConnection::connect(addr, CHILD_DEADLINE).expect("connects");
+
+    matmul128_burst(&mut connection, 5);
+    let (loaded, _) = retained_and_served(&mut connection);
+    assert!(
+        loaded >= BURST_LEAVES_AT_LEAST,
+        "the burst left {loaded} bytes in the pool"
+    );
+    let small = matmul_request(1);
+    let deadline = Instant::now() + CHILD_DEADLINE;
+    let mut invocations = 0;
+    loop {
+        for _ in 0..4 {
+            let product = connection.request(&small).expect("the node answers");
+            assert_eq!(product.status.0, 200);
+            invocations += 1;
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let (retained, _) = retained_and_served(&mut connection);
+        if retained < loaded / 8 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{retained} of {loaded} bytes still retained after {invocations} invocations"
         );
     }
 }

@@ -423,7 +423,7 @@ fn polls_follow_the_member_that_accepted_the_submission() {
 }
 
 /// `POST /v1/cluster/drain/{node}`: the member leaves rotation, the drain
-/// is relayed so the worker itself refuses new work, and the health thread
+/// is relayed so the worker itself refuses new work, and a probe pass
 /// removes the member once its in-flight work settles.
 #[test]
 fn draining_a_member_relays_the_signal_and_removes_it_once_idle() {
@@ -479,7 +479,7 @@ fn draining_a_member_relays_the_signal_and_removes_it_once_idle() {
         );
     }
 
-    // With nothing in flight the health thread removes the drained member.
+    // With nothing in flight a probe pass removes the drained member.
     let deadline = Instant::now() + Duration::from_secs(10);
     while member_table(gateway_addr).len() != 1 {
         assert!(

@@ -15,8 +15,8 @@
 //! * [`server`] — core pools (multi-server FCFS with next-free-time
 //!   bookkeeping), warm-sandbox pools and the committed-memory tracker.
 //! * [`platforms`] — the platform models: Dandelion (per-request sandboxes,
-//!   compute/communication core split driven by the real
-//!   [`dandelion_core::control::PiController`]), D-hybrid
+//!   compute/communication core split driven by the live node's own
+//!   [`dandelion_core::control::Step`]), D-hybrid
 //!   (single hybrid function, thread-per-core tuning), MicroVM platforms
 //!   (Firecracker ± snapshots, gVisor) and Spin/Wasmtime.
 //! * [`autoscaler`] — a Knative-style concurrency autoscaler with

@@ -21,7 +21,7 @@ use std::time::Duration;
 use dandelion_common::config::ControllerConfig;
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::MIB;
-use dandelion_core::control::{CoreAllocation, PiController};
+use dandelion_core::control::{CoreAllocation, Step};
 use dandelion_isolation::{HardwarePlatform, SandboxCostModel};
 
 use crate::autoscaler::KnativeAutoscaler;
@@ -113,8 +113,7 @@ pub struct DandelionSim {
     config: DandelionConfig,
     compute: CorePool,
     communication: CorePool,
-    controller: PiController,
-    allocation: CoreAllocation,
+    control: Step,
     next_control_tick: Duration,
     rng: SplitMix64,
     memory: MemoryTracker,
@@ -130,8 +129,7 @@ impl DandelionSim {
         Self {
             compute: CorePool::new(compute_cores),
             communication: CorePool::new(config.initial_communication_cores),
-            controller: PiController::new(config.controller),
-            allocation,
+            control: Step::new(config.controller, allocation),
             next_control_tick: config.controller.interval,
             rng: SplitMix64::new(config.seed),
             memory: MemoryTracker::new(),
@@ -152,18 +150,13 @@ impl DandelionSim {
             let tick = self.next_control_tick;
             let compute_depth = self.compute.queue_depth(tick);
             let communication_depth = self.communication.queue_depth(tick);
-            let decision = self.controller.tick(compute_depth, communication_depth);
-            let next = self
-                .allocation
-                .apply(decision, self.controller.min_cores_per_kind());
-            if next != self.allocation {
-                self.allocation = next;
+            if let Some(next) = self.control.step(compute_depth, communication_depth) {
                 self.compute.resize(next.compute, tick);
                 self.communication.resize(next.communication, tick);
                 self.core_timeline
                     .push((tick, next.compute, next.communication));
             }
-            self.next_control_tick += self.controller.interval();
+            self.next_control_tick += self.control.interval();
         }
     }
 }

@@ -12,7 +12,8 @@
 //! At the parent commit the first test reads one buffer discarded per
 //! 128×128 request and 16 MiB retained (the product `Vec` user code allocated
 //! was parked in a class no request of its size looks in, and the receive
-//! buffer regrew past its class), and the second has nothing to tick.
+//! buffer regrew past its class), and the second has nothing that gives
+//! buffers back.
 //! (`crates/server/tests/cli.rs` has the same two read off spawned nodes:
 //! `VmRSS` two seconds after a load, and a member that a gateway keeps
 //! probing.)
@@ -24,7 +25,7 @@ use std::time::Duration;
 
 use dandelion_apps::matmul::matmul_inputs;
 use dandelion_apps::setup::{demo_worker, DEMO_TOKEN};
-use dandelion_common::pool::{IdleRelease, PoolStats};
+use dandelion_common::pool::PoolStats;
 use dandelion_common::BufferPool;
 use dandelion_core::frontend::SET_LIST_CONTENT_TYPE;
 use dandelion_core::{Frontend, WorkerNode};
@@ -230,20 +231,14 @@ fn an_idle_node_gives_the_pool_back() {
     pipelined_load(server.local_addr(), &matmul128_wire(), 4);
     assert!(retained_bytes() > MIB, "the load left buffers behind");
     stop_node(server, worker);
-    // The node's own tick is the dispatcher driver's idle wake-up; the same
-    // releaser, ticked by hand: nothing between two looks, and with nothing
-    // issued in between the second look frees all of it (the first may
-    // already free what the load left untouched).
-    const PERIOD_TICKS: u32 = 5;
-    let mut idle = IdleRelease::new(PERIOD_TICKS);
+    // The node's own looks are its dispatcher driver's, twice a second; the
+    // same look, taken by hand: with nothing issued in between the second
+    // look frees all of it (the first may already free what the load left
+    // untouched).
     let pool = BufferPool::global();
-    let between: usize = (1..PERIOD_TICKS).map(|_| idle.tick(pool)).sum();
-    assert_eq!(between, 0);
     let retained = retained_bytes();
     assert!(retained > MIB);
-    let first_look = idle.tick(pool);
-    let between: usize = (1..PERIOD_TICKS).map(|_| idle.tick(pool)).sum();
-    assert_eq!(between, 0);
-    assert_eq!(first_look + idle.tick(pool), retained);
+    let first_look = pool.release_unused();
+    assert_eq!(first_look + pool.release_unused(), retained);
     assert_eq!(retained_bytes(), 0);
 }
