@@ -1797,3 +1797,63 @@ fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
 
     common::shutdown_node(server, worker);
 }
+
+/// A 128×128 `MatMulApp` request takes the multiply its matrices' ranges
+/// allow — the 16-bit one for ±1 000 values (the benchmark's), the 32-bit
+/// one for the extremes of `i32`, the 64-bit one for full-range values —
+/// and each answer, taken off a real socket, is byte for byte the encoded
+/// product of the reference loop.
+#[test]
+fn a_served_product_is_the_reference_loops_at_every_operand_width() {
+    use dandelion_apps::{matmul, setup};
+    use dandelion_common::rng::SplitMix64;
+    use dandelion_common::{DataItem, DataSet};
+    use dandelion_core::frontend::SET_LIST_CONTENT_TYPE;
+    use dandelion_isolation::output_parser;
+
+    const DIMENSION: usize = 128;
+    let worker = setup::demo_worker(2, false).unwrap();
+    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(10),
+        ..loopback_config()
+    };
+    let server = Server::start(config, frontend).expect("server binds");
+    let mut client =
+        HttpClientConnection::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let mut rng = SplitMix64::new(29);
+    for width in ["short", "narrow", "wide"] {
+        let mut matrix = || -> Vec<i64> {
+            (0..DIMENSION * DIMENSION)
+                .map(|_| match width {
+                    "short" => rng.next_bounded(2_001) as i64 - 1_000,
+                    "narrow" => match rng.next_bounded(4) {
+                        0 => i64::from(i32::MIN),
+                        1 => i64::from(i32::MAX),
+                        _ => i64::from(rng.next_u64() as i32),
+                    },
+                    _ => rng.next_u64() as i64,
+                })
+                .collect()
+        };
+        let (a, b) = (matrix(), matrix());
+        let body = output_parser::encode_outputs(&[DataSet::with_items(
+            "Matrices",
+            vec![
+                DataItem::new("a", matmul::encode_matrix(DIMENSION, &a)),
+                DataItem::new("b", matmul::encode_matrix(DIMENSION, &b)),
+            ],
+        )]);
+        let request = HttpRequest::post("/v1/invoke/MatMulApp", body)
+            .with_header("Content-Type", SET_LIST_CONTENT_TYPE);
+        let response = client.request(&request).unwrap();
+        assert_eq!(response.status.0, 200, "{width}: {}", response.body_text());
+        let expected = matmul::encode_matrix(DIMENSION, &matmul::multiply(DIMENSION, &a, &b));
+        assert!(
+            response.body.as_slice() == expected.as_slice(),
+            "{width}: {} bytes that are not the reference loop's product",
+            response.body.len()
+        );
+    }
+    assert!(common::shutdown_node(server, worker), "drains cleanly");
+}

@@ -20,8 +20,11 @@
 //! decoded and encoded again.
 
 use dandelion_apps::logproc::render_artifact;
-use dandelion_apps::matmul::{decode_matrix, matmul_artifact, matmul_inputs};
+use dandelion_apps::matmul::{
+    decode_matrix, encode_matrix, matmul_artifact, matmul_inputs, multiply,
+};
 use dandelion_common::pool::SIZE_CLASSES;
+use dandelion_common::rng::SplitMix64;
 use dandelion_common::{DataItem, DataSet, SharedBytes};
 use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator, HeapUse};
@@ -117,53 +120,92 @@ fn render_reads_bodies_in_place_and_allocates_the_report_once() {
     assert_eq!(blocks[0], blocks[1], "blocks for 8 KiB vs 64 KiB logs");
 }
 
-/// One 128×128 `MatMul` execute asks the heap for a row panel of the product
-/// (4 rows, 4 KiB) and the handful of small blocks that stage an output item
-/// — not for a decoded copy of either 128 KiB matrix, a third vector for the
-/// product, or a clone of the input set — and its `product` item is the
-/// pooled buffer `output_buffer` handed out, frozen where it was filled. The
-/// values fit `i32`, as the benchmark's do, so this is the 32-bit multiply
-/// and the pass that chooses it.
+/// One 128×128 `MatMul` execute asks the heap for the handful of small
+/// blocks that stage an output item — not for a decoded copy of either
+/// 128 KiB matrix, a third vector for the product, a clone of the input set,
+/// or the multiply's working memory (the 72 KiB of packed operands and row
+/// panel of the 16-bit multiply, the 4 KiB row panel of the others), which
+/// comes from the pool — and its `product` item is the pooled buffer
+/// `output_buffer` handed out, frozen where it was filled. Of the three
+/// inputs, identity × `3 + index` and ±1 000 values as the benchmark's take
+/// the 16-bit multiply where the processor has AVX-512BW; values at the ends
+/// of `i32` take the 32-bit one on every processor.
 #[test]
 fn matmul_reads_the_matrices_in_place_and_fills_its_output_buffer() {
     const DIMENSION: usize = 128;
     let artifact = matmul_artifact();
-    for item in &matmul_inputs(DIMENSION, 3).items {
-        let (_, values) = decode_matrix(&item.data).expect("a matrix");
-        assert!(values.iter().all(|value| i32::try_from(*value).is_ok()));
-    }
-    let execute = || {
-        let mut ctx = FunctionCtx::new(
-            vec![matmul_inputs(DIMENSION, 3)],
-            artifact.output_sets.clone(),
-            artifact.memory_requirement,
-            SyscallPolicy::permissive(),
-        )
-        .expect("context");
-        let (result, heap_use) = heap_use_of(|| artifact.logic.run(&mut ctx));
-        result.expect("MatMul runs");
-        (heap_use, ctx.take_outputs())
+    let identity_times_b = matmul_inputs(DIMENSION, 3);
+    let identity_product = identity_times_b.items[1].data.to_vec();
+    let mut rng = SplitMix64::new(128);
+    let mut seeded = |value: &dyn Fn(u64) -> i64| -> Vec<i64> {
+        (0..DIMENSION * DIMENSION)
+            .map(|_| value(rng.next_u64()))
+            .collect()
     };
-    // Once unmeasured: its output buffer goes back to the pool, where the
-    // measured run finds it (a pool that has none asks the heap).
-    drop(execute());
-    let (heap_use, outputs) = execute();
-    let product = &outputs[0].items[0].data;
-    // Identity × B = B.
-    let b = &matmul_inputs(DIMENSION, 3).items[1].data;
-    assert_eq!(product.as_slice(), b.as_slice());
-    assert!(
-        heap_use.bytes < 16 * 1024,
-        "{} bytes in {} blocks requested outside the pool, the largest {}",
-        heap_use.bytes,
-        heap_use.blocks,
-        heap_use.largest_block
-    );
-    // The whole of a pooled buffer of the class that holds a product: a
-    // vector of the function's own, staged, would back exactly its length.
-    let class = SIZE_CLASSES.iter().find(|class| **class >= product.len());
-    assert_eq!(product.offset_in_buffer(), 0);
-    assert_eq!(Some(&product.backing_len()), class);
+    let inputs_and_product = |a: Vec<i64>, b: Vec<i64>| {
+        let product = encode_matrix(DIMENSION, &multiply(DIMENSION, &a, &b));
+        let inputs = DataSet::with_items(
+            "Matrices",
+            vec![
+                DataItem::new("a", encode_matrix(DIMENSION, &a)),
+                DataItem::new("b", encode_matrix(DIMENSION, &b)),
+            ],
+        );
+        (inputs, product)
+    };
+    let within_1000 = |random: u64| (random % 2_001) as i64 - 1_000;
+    let (short_inputs, short_product) =
+        inputs_and_product(seeded(&within_1000), seeded(&within_1000));
+    let at_i32_ends = |random: u64| match random % 3 {
+        0 => i64::from(i32::MIN),
+        1 => i64::from(i32::MAX),
+        _ => i64::from((random >> 32) as i32),
+    };
+    let (narrow_inputs, narrow_product) =
+        inputs_and_product(seeded(&at_i32_ends), seeded(&at_i32_ends));
+    for (what, inputs, expected, short) in [
+        ("identity × B", identity_times_b, identity_product, true),
+        ("±1 000 values", short_inputs, short_product, true),
+        ("the ends of i32", narrow_inputs, narrow_product, false),
+    ] {
+        for item in &inputs.items {
+            let (_, values) = decode_matrix(&item.data).expect("a matrix");
+            let fit_i16 = values.iter().all(|value| i16::try_from(*value).is_ok());
+            assert_eq!(fit_i16, short, "{what}");
+        }
+        let execute = || {
+            let mut ctx = FunctionCtx::new(
+                vec![inputs.clone()],
+                artifact.output_sets.clone(),
+                artifact.memory_requirement,
+                SyscallPolicy::permissive(),
+            )
+            .expect("context");
+            let (result, heap_use) = heap_use_of(|| artifact.logic.run(&mut ctx));
+            result.expect("MatMul runs");
+            (heap_use, ctx.take_outputs())
+        };
+        // Once unmeasured: its output buffer and its working memory go back
+        // to the pool, where the measured run finds them (a pool that has
+        // none asks the heap).
+        drop(execute());
+        let (heap_use, outputs) = execute();
+        let product = &outputs[0].items[0].data;
+        assert_eq!(product.as_slice(), expected, "{what}");
+        assert!(
+            heap_use.bytes < 16 * 1024,
+            "{what}: {} bytes in {} blocks requested outside the pool, the largest {}",
+            heap_use.bytes,
+            heap_use.blocks,
+            heap_use.largest_block
+        );
+        // The whole of a pooled buffer of the class that holds a product: a
+        // vector of the function's own, staged, would back exactly its
+        // length.
+        let class = SIZE_CLASSES.iter().find(|class| **class >= product.len());
+        assert_eq!(product.offset_in_buffer(), 0, "{what}");
+        assert_eq!(Some(&product.backing_len()), class, "{what}");
+    }
 }
 
 /// Held by the two HTTP cases: both take the global pool's smallest class,
