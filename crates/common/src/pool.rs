@@ -6,7 +6,10 @@
 //! of them out of a small slab of reusable buffers in a handful of fixed size
 //! classes: `acquire` pops a cleared buffer of the smallest class that holds
 //! the request (or allocates one of exactly the class size on a miss) and the
-//! handle's drop returns it for the next invocation.
+//! handle's drop returns it for the next invocation. A class is one locked
+//! stack that every thread pops from and returns to, so what the classes
+//! hold is all the pool retains: [`BufferPool::retained`] sees every buffer
+//! and [`BufferPool::release_unused`] can give every one back.
 //!
 //! # The issuing-class rule
 //!
@@ -91,14 +94,7 @@ fn class_holding(capacity: usize) -> Option<usize> {
     (class < SIZE_CLASSES.len()).then_some(class)
 }
 
-/// Classes fronted by the thread-local cache: up to 64 KiB. A thread parks at
-/// most one buffer of each class it uses, out of [`BufferPool::retained`]'s
-/// and [`BufferPool::release_unused`]'s sight; the large classes, where a
-/// hidden buffer per thread would be megabytes, always go through the shared
-/// slabs (one uncontended lock next to a copy of that size).
-const THREAD_CACHED_CLASSES: usize = 17;
-
-/// What one size class of a pool's shared slabs holds at this moment;
+/// What one size class of a pool holds at this moment;
 /// snapshot via [`BufferPool::retained`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassRetention {
@@ -131,15 +127,6 @@ pub struct PoolStats {
     pub live: u64,
 }
 
-std::thread_local! {
-    /// One-buffer-per-class thread-local cache in front of the *global*
-    /// pool's shared slabs. An engine thread's steady-state loop
-    /// (acquire → freeze → ship → last-view drop → recycle) stays on one
-    /// thread, so the common case needs no lock at all.
-    static THREAD_CACHE: std::cell::RefCell<[Option<Vec<u8>>; THREAD_CACHED_CLASSES]> =
-        const { std::cell::RefCell::new([const { None }; THREAD_CACHED_CLASSES]) };
-}
-
 /// The parked buffers of one size class, every one of the class size.
 #[derive(Default)]
 struct Slab {
@@ -155,10 +142,6 @@ struct Slab {
 /// A slab of reusable fixed-class byte buffers.
 pub struct BufferPool {
     classes: Vec<Mutex<Slab>>,
-    /// Whether this pool fronts its shared slabs with the thread-local
-    /// cache. Only the process-wide global pool does; private pools (tests)
-    /// keep fully deterministic, observable behaviour.
-    thread_cached: bool,
     generation: AtomicU64,
     acquires: AtomicU64,
     reuses: AtomicU64,
@@ -182,7 +165,6 @@ impl BufferPool {
                 .iter()
                 .map(|_| Mutex::new(Slab::default()))
                 .collect(),
-            thread_cached: false,
             generation: AtomicU64::new(0),
             acquires: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
@@ -199,21 +181,13 @@ impl BufferPool {
     /// scope (memory contexts, long-lived builders) can clone the handle.
     pub fn global() -> &'static Arc<BufferPool> {
         static GLOBAL: OnceLock<Arc<BufferPool>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let mut pool = BufferPool::new();
-            pool.thread_cached = true;
-            Arc::new(pool)
-        })
+        GLOBAL.get_or_init(|| Arc::new(BufferPool::new()))
     }
 
     fn class_lock(&self, class: usize) -> MutexGuard<'_, Slab> {
         self.classes[class]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn uses_thread_cache(&self, class: usize) -> bool {
-        self.thread_cached && class < THREAD_CACHED_CLASSES
     }
 
     /// Pops (or allocates) an empty buffer with capacity for at least
@@ -277,22 +251,6 @@ impl BufferPool {
             return;
         };
         vec.clear();
-        // Fast path: park the buffer in this thread's cache slot.
-        if self.uses_thread_cache(class) {
-            let parked = THREAD_CACHE.with(|cache| {
-                let mut cache = cache.borrow_mut();
-                if cache[class].is_none() {
-                    cache[class] = Some(std::mem::take(&mut vec));
-                    true
-                } else {
-                    false
-                }
-            });
-            if parked {
-                self.recycled.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
         let mut slab = self.class_lock(class);
         if slab.buffers.len() >= class_limit(class) {
             self.discarded.fetch_add(1, Ordering::Relaxed);
@@ -302,27 +260,19 @@ impl BufferPool {
         self.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pops a buffer of `class` from the thread cache (when it fronts the
-    /// class) or the shared slab.
+    /// Pops the most recently returned buffer of `class`.
     fn pop_class(&self, class: usize) -> Option<Vec<u8>> {
-        if self.uses_thread_cache(class) {
-            let cached = THREAD_CACHE.with(|cache| cache.borrow_mut()[class].take());
-            if cached.is_some() {
-                return cached;
-            }
-        }
         let mut slab = self.class_lock(class);
         let vec = slab.buffers.pop()?;
         slab.low_water = slab.low_water.min(slab.buffers.len());
         Some(vec)
     }
 
-    /// Frees the buffers the shared slabs held the whole time since the last
+    /// Frees the buffers the classes held the whole time since the last
     /// call — each class's low-water mark, so what a load is using, or used
     /// a moment ago, stays — and returns how many bytes that was. Two calls
-    /// with nothing issued in between free everything retained. What threads
-    /// park in their own caches stays; buffers in use are untouched and
-    /// retained again when they come back.
+    /// with nothing issued in between free everything retained. Buffers in
+    /// use are untouched and retained again when they come back.
     pub fn release_unused(&self) -> usize {
         let released = (0..SIZE_CLASSES.len())
             .map(|class| {
@@ -355,9 +305,8 @@ impl BufferPool {
         }
     }
 
-    /// What each size class holds right now, in [`SIZE_CLASSES`] order. The
-    /// global pool's per-thread caches (at most one buffer per small class
-    /// and thread) are not visible from here.
+    /// What each size class holds right now, in [`SIZE_CLASSES`] order:
+    /// everything the pool retains.
     pub fn retained(&self) -> [ClassRetention; SIZE_CLASSES.len()] {
         std::array::from_fn(|class| {
             let buffers = self.class_lock(class).buffers.len();
@@ -720,88 +669,5 @@ mod tests {
         // Released buffers are gone, not lost count of.
         accounted(&pool);
         assert_eq!(pool.stats().live, 0);
-    }
-
-    fn thread_cached_pool() -> BufferPool {
-        let mut pool = BufferPool::new();
-        pool.thread_cached = true;
-        pool
-    }
-
-    #[test]
-    fn thread_cache_round_trips_cleared_buffers() {
-        let pool = thread_cached_pool();
-        let mut vec = pool.acquire_vec(4096);
-        vec.extend_from_slice(&[9u8; 64]);
-        let ptr = vec.as_ptr();
-        pool.recycle_vec(vec);
-        // Served from the thread cache: same allocation, cleared.
-        let again = pool.acquire_vec(4096);
-        assert_eq!(again.as_ptr(), ptr);
-        assert!(again.is_empty(), "cached buffers must arrive cleared");
-        assert_eq!(pool.stats().reuses, 1);
-        pool.recycle_vec(again);
-    }
-
-    #[test]
-    fn thread_cache_never_serves_undersized_buffers() {
-        let pool = thread_cached_pool();
-        // Park a small-class buffer in the cache...
-        pool.recycle_vec(pool.acquire_vec(SIZE_CLASSES[0]));
-        // ...then ask for more than it can hold: the cache must be skipped.
-        let big = pool.acquire_vec(SIZE_CLASSES[1]);
-        assert_eq!(big.capacity(), SIZE_CLASSES[1]);
-        pool.recycle_vec(big);
-        // A smaller request is served by the class-0 buffer parked above,
-        // and with that taken by a new one — never by the larger buffer.
-        let small = pool.acquire_vec(SIZE_CLASSES[0]);
-        let another = pool.acquire_vec(SIZE_CLASSES[0]);
-        assert_eq!(small.capacity(), SIZE_CLASSES[0]);
-        assert_eq!(another.capacity(), SIZE_CLASSES[0]);
-        assert_eq!(pool.stats().reuses, 1);
-        // The large classes have no cache slot: straight to the shared slab.
-        pool.recycle_vec(pool.acquire_vec(SIZE_CLASSES[THREAD_CACHED_CLASSES]));
-        assert_eq!(pool.retained()[THREAD_CACHED_CLASSES].buffers, 1);
-        pool.recycle_vec(small);
-        pool.recycle_vec(another);
-    }
-
-    #[test]
-    fn thread_cached_pool_never_aliases_under_concurrency() {
-        // The same aliasing invariant the properties stress test proves for
-        // shared slabs, but through the thread-local fast path production
-        // uses: generation-stamped patterns must survive other threads'
-        // traffic, and no two live handles may share a generation.
-        let pool = Arc::new(thread_cached_pool());
-        let threads: Vec<_> = (0..4)
-            .map(|worker| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    for round in 0..300u64 {
-                        let mut buf = pool.acquire(4096);
-                        let generation = buf.generation();
-                        assert!(buf.is_empty());
-                        let fill = 512 + ((worker + round) % 64) as usize;
-                        buf.extend((0..fill).map(|i| (generation as usize + i) as u8));
-                        std::thread::yield_now();
-                        for (i, byte) in buf.iter().enumerate() {
-                            assert_eq!(
-                                *byte,
-                                (generation as usize + i) as u8,
-                                "aliased buffer, generation {generation}"
-                            );
-                        }
-                        pool.recycle_vec(buf.detach());
-                    }
-                })
-            })
-            .collect();
-        for thread in threads {
-            thread.join().expect("no worker panics");
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.acquires, 4 * 300);
-        assert!(stats.reuses > 0, "the fast path must actually recycle");
-        accounted(&pool);
     }
 }

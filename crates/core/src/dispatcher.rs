@@ -30,11 +30,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dandelion_common::config::WorkerConfig;
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::stats::LatencyHistogram;
@@ -233,14 +233,27 @@ struct ParentLink {
     instance: usize,
 }
 
+impl ParentLink {
+    /// The parent instance's result: the child's outcome, or the error that
+    /// kept the child from starting.
+    fn result(&self, outcome: DandelionResult<Vec<DataSet>>) -> TaskResult {
+        TaskResult {
+            invocation: self.invocation,
+            node: self.node,
+            instance: self.instance,
+            outcome,
+            context_high_water: 0,
+            modeled_latency: Duration::ZERO,
+        }
+    }
+}
+
 /// The mutable half of an in-flight table entry.
 struct EntryInner {
     status: InvocationStatus,
     /// Dataflow state; dropped once the invocation settles.
     dataflow: Option<InvocationState>,
     report: InvocationReport,
-    /// Engine tasks plus child invocations currently outstanding.
-    outstanding: usize,
     /// The settled result of an invocation nobody was waiting for through a
     /// callback or a parent; `take`n by the first consumer.
     outcome: Option<DandelionResult<InvocationOutcome>>,
@@ -277,7 +290,6 @@ impl InvocationEntry {
                 status: InvocationStatus::Queued,
                 dataflow: Some(state),
                 report: InvocationReport::default(),
-                outstanding: 0,
                 outcome: None,
                 notify: None,
                 parent,
@@ -553,13 +565,10 @@ impl std::fmt::Debug for InvocationHandle {
 /// instantly produces a `Complete` item for its parent rather than locking
 /// the parent while the child is being advanced.
 enum WorkItem {
+    /// A completed instance: an engine result, or a child invocation's
+    /// outcome addressed to the parent instance that spawned it.
     Complete {
-        invocation: InvocationId,
-        node: usize,
-        instance: usize,
-        outcome: DandelionResult<Vec<DataSet>>,
-        context_high_water: usize,
-        modeled_latency: Duration,
+        result: TaskResult,
         /// Present when the completion is a child invocation folding its
         /// execution statistics into the parent.
         child_report: Option<InvocationReport>,
@@ -576,20 +585,6 @@ enum WorkItem {
         callback: SettleCallback,
         outcome: DandelionResult<InvocationOutcome>,
     },
-}
-
-impl WorkItem {
-    fn from_task_result(result: TaskResult) -> WorkItem {
-        WorkItem::Complete {
-            invocation: result.invocation,
-            node: result.node,
-            instance: result.instance,
-            outcome: result.outcome,
-            context_high_water: result.context_high_water,
-            modeled_latency: result.modeled_latency,
-            child_report: None,
-        }
-    }
 }
 
 /// Seed of the cold-binary draw sequence.
@@ -662,7 +657,7 @@ impl Dispatcher {
         metrics: Arc<DispatchMetrics>,
         control: Option<PoolControl>,
     ) -> Self {
-        let (results_tx, results_rx) = unbounded::<Vec<TaskResult>>();
+        let (results_tx, results_rx) = channel::<Vec<TaskResult>>();
         let core = Arc::new(DispatcherCore {
             registry,
             compute_queue,
@@ -816,6 +811,10 @@ fn driver_loop(
     let mut now = Instant::now();
     let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
     let mut control = control.map(|control| (now + control.step.interval(), control));
+    let complete = |result| WorkItem::Complete {
+        result,
+        child_report: None,
+    };
     while !core.shutting_down.load(Ordering::SeqCst) {
         let next = reap.min(release);
         let next = control
@@ -831,10 +830,10 @@ fn driver_loop(
                 // everything in one pass, instead of one channel round-trip
                 // and one table lookup cycle per reply.
                 let mut batch: Vec<WorkItem> = Vec::with_capacity(first.len());
-                batch.extend(first.into_iter().map(WorkItem::from_task_result));
+                batch.extend(first.into_iter().map(complete));
                 while batch.len() < DRIVER_MAX_BATCH {
                     match results.try_recv() {
-                        Ok(more) => batch.extend(more.into_iter().map(WorkItem::from_task_result)),
+                        Ok(more) => batch.extend(more.into_iter().map(complete)),
                         Err(_) => break,
                     }
                 }
@@ -898,34 +897,17 @@ impl DispatcherCore {
         while let Some(item) = queue.pop_front() {
             let more = match item {
                 WorkItem::Complete {
-                    invocation,
-                    node,
-                    instance,
-                    outcome,
-                    context_high_water,
-                    modeled_latency,
+                    result,
                     child_report,
                 } => {
                     // Unknown ids are results for abandoned or already
                     // settled invocations; they are dropped.
-                    let Some(entry) = self.table.entry(invocation) else {
+                    let id = result.invocation;
+                    let Some(entry) = self.table.entry(id) else {
                         continue;
                     };
                     let mut inner = entry.lock();
-                    self.advance(
-                        invocation,
-                        &entry,
-                        &mut inner,
-                        Some(Completion {
-                            node,
-                            instance,
-                            outcome,
-                            context_high_water,
-                            modeled_latency,
-                            child_report,
-                        }),
-                        now,
-                    )
+                    self.advance(id, &entry, &mut inner, Some((result, child_report)), now)
                 }
                 WorkItem::Notify { callback, outcome } => {
                     fail_point!("dispatcher/notify");
@@ -939,12 +921,7 @@ impl DispatcherCore {
                 } => match self.register(graph, inputs, Some(parent.clone()), now) {
                     Ok((_, _, work)) => work,
                     Err(error) => vec![WorkItem::Complete {
-                        invocation: parent.invocation,
-                        node: parent.node,
-                        instance: parent.instance,
-                        outcome: Err(error),
-                        context_high_water: 0,
-                        modeled_latency: Duration::ZERO,
+                        result: parent.result(Err(error)),
                         child_report: None,
                     }],
                 },
@@ -953,7 +930,8 @@ impl DispatcherCore {
         }
     }
 
-    /// Advances one invocation: applies an instance completion (if any),
+    /// Advances one invocation: applies an instance completion (if any: a
+    /// result, with the report of the child invocation it came from),
     /// submits newly ready instances, and settles the invocation when its
     /// dataflow has no work left. Returns deferred work for other entries.
     fn advance(
@@ -961,7 +939,7 @@ impl DispatcherCore {
         id: InvocationId,
         entry: &Arc<InvocationEntry>,
         inner: &mut EntryInner,
-        completion: Option<Completion>,
+        completion: Option<(TaskResult, Option<InvocationReport>)>,
         now: Instant,
     ) -> Vec<WorkItem> {
         let mut out = Vec::new();
@@ -969,23 +947,22 @@ impl DispatcherCore {
             return out;
         }
         let mut check_ready = completion.is_none();
-        if let Some(completion) = completion {
+        if let Some((result, child_report)) = completion {
             let applied = inner
                 .dataflow
                 .as_mut()
                 .expect("running invocations keep their dataflow state")
-                .complete_instance(completion.node, completion.instance, completion.outcome);
+                .complete_instance(result.node, result.instance, result.outcome);
             if applied == Ok(InstanceCompletion::Duplicate) {
                 // A duplicate result for an instance that already completed
                 // (an engine died after replying and its retry ran anyway):
-                // counting it twice would corrupt `outstanding`.
+                // counting it twice would inflate the report.
                 return out;
             }
             inner.last_progress = now;
-            inner.outstanding = inner.outstanding.saturating_sub(1);
-            inner.report.peak_context_bytes += completion.context_high_water;
-            inner.report.modeled_busy_time += completion.modeled_latency;
-            if let Some(child_report) = &completion.child_report {
+            inner.report.peak_context_bytes += result.context_high_water;
+            inner.report.modeled_busy_time += result.modeled_latency;
+            if let Some(child_report) = &child_report {
                 inner.report.merge(child_report);
             }
             match applied {
@@ -1000,20 +977,16 @@ impl DispatcherCore {
             // The ready instances borrow the graph through `dataflow`, so the
             // other fields they are submitted against are borrowed beside it.
             let EntryInner {
-                dataflow,
-                report,
-                outstanding,
-                ..
+                dataflow, report, ..
             } = &mut *inner;
             let failure = match dataflow
                 .as_mut()
                 .expect("running invocations keep their dataflow state")
                 .ready_instances()
             {
-                Ok(ready) => ready.into_iter().find_map(|spec| {
-                    self.submit_instance(id, spec, report, outstanding, &mut out)
-                        .err()
-                }),
+                Ok(ready) => ready
+                    .into_iter()
+                    .find_map(|spec| self.submit_instance(id, spec, report, &mut out).err()),
                 Err(error) => Some(error),
             };
             if let Some(error) = failure {
@@ -1021,13 +994,14 @@ impl DispatcherCore {
                 return out;
             }
         }
-        let complete = inner.outstanding == 0
-            && inner
-                .dataflow
-                .as_ref()
-                .map(InvocationState::is_complete)
-                .unwrap_or(false);
-        if complete {
+        // Complete: every node completed or was skipped (an error settled
+        // above), so no engine task or child invocation of this one is
+        // outstanding.
+        if inner
+            .dataflow
+            .as_ref()
+            .is_some_and(InvocationState::is_complete)
+        {
             let outcome = inner
                 .dataflow
                 .as_ref()
@@ -1045,7 +1019,6 @@ impl DispatcherCore {
         id: InvocationId,
         spec: InstanceSpec<'_>,
         report: &mut InvocationReport,
-        outstanding: &mut usize,
         out: &mut Vec<WorkItem>,
     ) -> DandelionResult<()> {
         let vertex =
@@ -1077,7 +1050,6 @@ impl DispatcherCore {
                 self.compute_queue.try_push(task).map_err(|_| {
                     DandelionError::ResourceExhausted("compute queue full".to_string())
                 })?;
-                *outstanding += 1;
             }
             Vertex::Communication(_) => {
                 report.communication_tasks += 1;
@@ -1098,12 +1070,10 @@ impl DispatcherCore {
                 self.communication_queue.try_push(task).map_err(|_| {
                     DandelionError::ResourceExhausted("communication queue full".to_string())
                 })?;
-                *outstanding += 1;
             }
             Vertex::Composition(nested) => {
                 // Nested composition: a child invocation in the same table,
                 // completing the parent instance when it settles.
-                *outstanding += 1;
                 out.push(WorkItem::SpawnChild {
                     parent: ParentLink {
                         invocation: id,
@@ -1152,13 +1122,8 @@ impl DispatcherCore {
             // dataflow (uncompacted: keeping the producer's buffer shared is
             // the point) and its statistics fold into the parent's report.
             out.push(WorkItem::Complete {
-                invocation: parent.invocation,
-                node: parent.node,
-                instance: parent.instance,
                 child_report: outcome.is_ok().then(|| inner.report.clone()),
-                outcome,
-                context_high_water: 0,
-                modeled_latency: Duration::ZERO,
+                result: parent.result(outcome),
             });
             self.table.remove(id);
             return;
@@ -1251,17 +1216,6 @@ fn compact_retained_outputs(sets: &mut [DataSet]) {
             }
         }
     }
-}
-
-/// A completed instance (engine result or child invocation) to fold into an
-/// invocation's dataflow state.
-struct Completion {
-    node: usize,
-    instance: usize,
-    outcome: DandelionResult<Vec<DataSet>>,
-    context_high_water: usize,
-    modeled_latency: Duration,
-    child_report: Option<InvocationReport>,
 }
 
 #[cfg(test)]

@@ -339,22 +339,21 @@ fn execute_inflight(guard: &mut EngineGuard, task: Task) -> TaskResult {
 /// rescued if a panic unwinds out of here.
 fn run_engine(guard: &mut EngineGuard) {
     loop {
-        let task = match guard
-            .carried
-            .take()
-            .or_else(|| guard.shared.queue.pop_wait())
-        {
+        let task = match guard.carried.take() {
             Some(task) => task,
-            None => return,
+            None => guard.shared.queue.pop_wait(),
         };
         if matches!(task.payload, TaskPayload::Shutdown) {
             return;
         }
         let mut batch = vec![execute_inflight(guard, task)];
         // Coalesce: execute same-invocation tasks already queued and reply
-        // with one batch. A task for a different invocation (or reply
-        // channel) flushes the batch and is carried into the next
-        // iteration; a shutdown marker flushes it and ends the engine.
+        // with one batch. The id alone decides: ids are process-unique
+        // (`InvocationId::next`) and every task of an invocation carries its
+        // one dispatcher's sender, so one id means one reply channel. A task
+        // for a different invocation flushes the batch and is carried into
+        // the next iteration; a shutdown marker flushes it and ends the
+        // engine.
         let mut stop_after_flush = false;
         while batch.len() < ENGINE_COALESCE_MAX {
             let first = &guard.inflight[0];
@@ -363,10 +362,7 @@ fn run_engine(guard: &mut EngineGuard) {
                     stop_after_flush = true;
                     break;
                 }
-                Some(next)
-                    if next.invocation == first.invocation
-                        && first.reply.same_channel(&next.reply) =>
-                {
+                Some(next) if next.invocation == first.invocation => {
                     batch.push(execute_inflight(guard, next));
                 }
                 Some(next) => {
@@ -478,7 +474,7 @@ impl EnginePool {
             }
         } else {
             for _ in target..current {
-                let (reply, _unused) = crossbeam::channel::bounded(1);
+                let (reply, _unused) = std::sync::mpsc::channel();
                 self.shared.queue.push(Task {
                     invocation: dandelion_common::InvocationId::from_raw(0),
                     node: 0,
@@ -510,12 +506,12 @@ impl Drop for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use dandelion_common::config::IsolationKind;
     use dandelion_common::InvocationId;
     use dandelion_http::HttpRequest;
     use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
     use dandelion_services::object_store::ObjectStore;
+    use std::sync::mpsc::channel;
 
     fn compute_pool() -> EnginePool {
         let queue = TaskQueue::new(EngineKind::Compute, 1024);
@@ -555,7 +551,7 @@ mod tests {
         let pool = compute_pool();
         pool.resize(2);
         assert_eq!(pool.engine_count(), 2);
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         for index in 0..4 {
             pool.queue().push(Task {
                 invocation: InvocationId::from_raw(7),
@@ -588,7 +584,7 @@ mod tests {
     #[test]
     fn same_invocation_results_coalesce_into_one_reply() {
         let pool = compute_pool();
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         // Queue every task before any engine exists, so a single engine
         // deterministically finds the rest of the invocation's tasks queued
         // when the first one finishes.
@@ -622,7 +618,7 @@ mod tests {
     #[test]
     fn different_invocations_do_not_coalesce() {
         let pool = compute_pool();
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         for (index, invocation) in [7u64, 7, 9, 9].into_iter().enumerate() {
             pool.queue().push(Task {
                 invocation: InvocationId::from_raw(invocation),
@@ -651,7 +647,7 @@ mod tests {
     fn communication_pool_performs_http_requests() {
         let (pool, _store) = comm_pool_with_store();
         pool.resize(1);
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         let good = HttpRequest::get("http://s3.internal/bucket/hello.txt").to_bytes();
         let missing = HttpRequest::get("http://s3.internal/bucket/none").to_bytes();
         let invalid = b"NOT A REQUEST".to_vec();
@@ -692,7 +688,7 @@ mod tests {
     fn misrouted_tasks_report_dispatch_errors() {
         let (pool, _store) = comm_pool_with_store();
         pool.resize(1);
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         pool.queue().push(Task {
             invocation: InvocationId::from_raw(2),
             node: 0,
@@ -726,7 +722,7 @@ mod tests {
         assert_eq!(pool.engine_count(), 1);
         // No marker is left over: a task pushed now is executed, not eaten
         // by a stale shutdown marker.
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         pool.queue().push(Task {
             invocation: InvocationId::from_raw(9),
             node: 0,
@@ -748,7 +744,7 @@ mod tests {
     fn shrink_then_grow_never_loses_queued_tasks() {
         let pool = compute_pool();
         pool.resize(2);
-        let (reply, results) = unbounded();
+        let (reply, results) = channel();
         let total = 50usize;
         for index in 0..total {
             pool.queue().push(Task {

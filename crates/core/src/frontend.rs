@@ -380,8 +380,8 @@ fn is_set_list(content_type: &str) -> bool {
 }
 
 /// Where the process's resident memory is held, beyond code and stacks: the
-/// global [`BufferPool`]'s counters and what its shared slabs retain per size
-/// class, and what the simulated remote services hold in the worker's heap.
+/// global [`BufferPool`]'s counters and what it retains per size class, and
+/// what the simulated remote services hold in the worker's heap.
 /// Computed when `/v1/stats` is asked; nothing on the request path feeds it.
 fn memory_stats(worker: &WorkerNode) -> JsonValue {
     let pool = BufferPool::global();

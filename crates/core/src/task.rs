@@ -3,14 +3,14 @@
 //! The dispatcher enqueues tasks (a prepared set of inputs plus metadata) to
 //! per-engine-kind queues; engines poll their type-specific queue to ensure
 //! late binding of tasks to cores (paper §5, "Engines"). Queue lengths are
-//! also the control plane's only input signal, so the queues track the
-//! statistics the PI controller needs.
+//! also the control plane's only input signal. Results flow back to the
+//! dispatcher over the standard library's channel.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
 use dandelion_common::config::EngineKind;
 use dandelion_common::{DandelionResult, DataSet, InvocationId};
 use dandelion_isolation::FunctionArtifact;
@@ -55,7 +55,9 @@ impl TaskPayload {
     }
 }
 
-/// The reply channel engines send completed task results on.
+/// The reply channel engines send completed task results on (a
+/// `std::sync::mpsc` sender: cloned per task, shared by every submitting
+/// thread).
 ///
 /// Results cross the channel in *batches*: an engine coalesces the results
 /// of consecutively executed same-invocation tasks into one message, so a
@@ -95,32 +97,34 @@ pub struct TaskResult {
     pub modeled_latency: Duration,
 }
 
-/// A task queue with the statistics the control plane samples.
+/// A task queue: the FIFO deque engines of one kind park on.
 ///
-/// Built on an unbounded crossbeam channel: `push` never blocks the
-/// dispatcher; capacity-induced back-pressure is applied explicitly via
-/// [`TaskQueue::try_push`] when a maximum depth is configured.
+/// `push` never blocks the dispatcher; capacity-induced back-pressure is
+/// applied explicitly via [`TaskQueue::try_push`]. Every push wakes one
+/// parked engine. Clones share the deque.
 #[derive(Clone)]
 pub struct TaskQueue {
     kind: EngineKind,
-    sender: Sender<Task>,
-    receiver: Receiver<Task>,
-    depth: Arc<AtomicI64>,
-    enqueued_total: Arc<AtomicU64>,
     capacity: usize,
+    shared: Arc<Shared>,
+}
+
+struct Shared {
+    tasks: Mutex<VecDeque<Task>>,
+    /// Notified once per push; engines with nothing to pop wait on it.
+    available: Condvar,
 }
 
 impl TaskQueue {
     /// Creates a queue for the given engine kind with a maximum depth.
     pub fn new(kind: EngineKind, capacity: usize) -> Self {
-        let (sender, receiver) = unbounded();
         Self {
             kind,
-            sender,
-            receiver,
-            depth: Arc::new(AtomicI64::new(0)),
-            enqueued_total: Arc::new(AtomicU64::new(0)),
             capacity,
+            shared: Arc::new(Shared {
+                tasks: Mutex::new(VecDeque::new()),
+                available: Condvar::new(),
+            }),
         }
     }
 
@@ -129,38 +133,31 @@ impl TaskQueue {
         self.kind
     }
 
+    /// Locks the deque. A push or a pop leaves it whole, so the guard of a
+    /// lock poisoned by a panicking thread is as good as any.
+    fn tasks(&self) -> MutexGuard<'_, VecDeque<Task>> {
+        self.shared
+            .tasks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues a task, applying back-pressure when the queue is full.
     pub fn try_push(&self, task: Task) -> Result<(), Task> {
-        if self.len() >= self.capacity {
+        let mut tasks = self.tasks();
+        if tasks.len() >= self.capacity {
             return Err(task);
         }
-        self.push(task);
+        tasks.push_back(task);
+        drop(tasks);
+        self.shared.available.notify_one();
         Ok(())
     }
 
     /// Enqueues a task unconditionally.
     pub fn push(&self, task: Task) {
-        self.depth.fetch_add(1, Ordering::SeqCst);
-        self.enqueued_total.fetch_add(1, Ordering::Relaxed);
-        match self.sender.try_send(task) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                // Unbounded channel with a live receiver handle held by the
-                // queue itself: this cannot happen.
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Dequeues the next task, waiting up to `timeout`.
-    pub fn pop(&self, timeout: Duration) -> Option<Task> {
-        match self.receiver.recv_timeout(timeout) {
-            Ok(task) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Some(task)
-            }
-            Err(_) => None,
-        }
+        self.tasks().push_back(task);
+        self.shared.available.notify_one();
     }
 
     /// Dequeues the next task if one is immediately available, without
@@ -169,45 +166,35 @@ impl TaskQueue {
     /// Engines use this after finishing a task to coalesce further
     /// already-queued work of the same invocation into one reply batch.
     pub fn try_pop(&self) -> Option<Task> {
-        match self.receiver.try_recv() {
-            Ok(task) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Some(task)
-            }
-            Err(_) => None,
-        }
+        self.tasks().pop_front()
     }
 
     /// Dequeues the next task, blocking until one arrives.
     ///
-    /// Engines use this instead of polling [`TaskQueue::pop`] in a loop: an
-    /// idle engine parks on the queue's condition variable and is woken by
-    /// either real work or a [`TaskPayload::Shutdown`] marker.
-    pub fn pop_wait(&self) -> Option<Task> {
-        match self.receiver.recv() {
-            Ok(task) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Some(task)
+    /// An idle engine parks on the queue's condition variable and is woken
+    /// by either real work or a [`TaskPayload::Shutdown`] marker.
+    pub fn pop_wait(&self) -> Task {
+        let mut tasks = self.tasks();
+        loop {
+            if let Some(task) = tasks.pop_front() {
+                return task;
             }
-            // The queue holds its own sender, so a disconnect can only
-            // happen while the queue itself is being torn down.
-            Err(_) => None,
+            tasks = self
+                .shared
+                .available
+                .wait(tasks)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Current queue depth.
     pub fn len(&self) -> usize {
-        self.depth.load(Ordering::SeqCst).max(0) as usize
+        self.tasks().len()
     }
 
     /// Returns `true` if the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of tasks ever enqueued (monotonic).
-    pub fn enqueued_total(&self) -> u64 {
-        self.enqueued_total.load(Ordering::Relaxed)
     }
 }
 
@@ -216,7 +203,6 @@ impl std::fmt::Debug for TaskQueue {
         f.debug_struct("TaskQueue")
             .field("kind", &self.kind)
             .field("len", &self.len())
-            .field("enqueued_total", &self.enqueued_total())
             .finish()
     }
 }
@@ -225,6 +211,7 @@ impl std::fmt::Debug for TaskQueue {
 mod tests {
     use super::*;
     use dandelion_isolation::FunctionCtx;
+    use std::sync::mpsc::channel;
 
     fn dummy_task(reply: ReplySender) -> Task {
         Task {
@@ -259,26 +246,24 @@ mod tests {
     #[test]
     fn queue_tracks_depth_and_totals() {
         let queue = TaskQueue::new(EngineKind::Communication, 16);
-        let (reply, _rx) = unbounded();
+        let (reply, _rx) = channel();
         assert!(queue.is_empty());
         queue.push(dummy_task(reply.clone()));
         queue.push(dummy_task(reply.clone()));
         assert_eq!(queue.len(), 2);
-        assert_eq!(queue.enqueued_total(), 2);
-        assert!(queue.pop(Duration::from_millis(10)).is_some());
+        assert!(queue.try_pop().is_some());
         assert_eq!(queue.len(), 1);
-        assert!(queue.pop(Duration::from_millis(10)).is_some());
-        assert!(queue.pop(Duration::from_millis(10)).is_none());
-        assert_eq!(queue.enqueued_total(), 2);
+        assert!(queue.try_pop().is_some());
+        assert!(queue.try_pop().is_none());
     }
 
     #[test]
     fn try_push_applies_back_pressure() {
         let queue = TaskQueue::new(EngineKind::Communication, 1);
-        let (reply, _rx) = unbounded();
+        let (reply, _rx) = channel();
         assert!(queue.try_push(dummy_task(reply.clone())).is_ok());
         assert!(queue.try_push(dummy_task(reply.clone())).is_err());
-        queue.pop(Duration::from_millis(10)).unwrap();
+        queue.try_pop().unwrap();
         assert!(queue.try_push(dummy_task(reply)).is_ok());
     }
 
@@ -286,10 +271,10 @@ mod tests {
     fn queue_clones_share_state() {
         let queue = TaskQueue::new(EngineKind::Compute, 8);
         let clone = queue.clone();
-        let (reply, _rx) = unbounded();
+        let (reply, _rx) = channel();
         queue.push(dummy_task(reply));
         assert_eq!(clone.len(), 1);
-        assert!(clone.pop(Duration::from_millis(10)).is_some());
+        assert!(clone.try_pop().is_some());
         assert!(queue.is_empty());
     }
 
@@ -297,7 +282,7 @@ mod tests {
     fn try_pop_is_nonblocking() {
         let queue = TaskQueue::new(EngineKind::Compute, 8);
         assert!(queue.try_pop().is_none());
-        let (reply, _rx) = unbounded();
+        let (reply, _rx) = channel();
         queue.push(dummy_task(reply));
         assert!(queue.try_pop().is_some());
         assert!(queue.try_pop().is_none());

@@ -11,16 +11,16 @@
 //! is safe under the default parallel test runner.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use dandelion_common::config::{EngineKind, IsolationKind, WorkerConfig};
 use dandelion_common::failpoint::{self, FailAction};
 use dandelion_common::{DandelionError, DataSet, InvocationId};
 use dandelion_core::dispatcher::Dispatcher;
 use dandelion_core::engine::{EngineExecutor, EnginePool};
-use dandelion_core::task::{Task, TaskPayload, TaskQueue};
+use dandelion_core::task::{ReplySender, Task, TaskPayload, TaskQueue};
 use dandelion_core::Registry;
 use dandelion_dsl::{CompositionBuilder, Distribution};
 use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
@@ -61,7 +61,7 @@ fn compute_pool() -> EnginePool {
     EnginePool::new(EngineExecutor::Compute { backend }, queue)
 }
 
-fn task(reply: &crossbeam::channel::Sender<Vec<dandelion_core::task::TaskResult>>) -> Task {
+fn task(reply: &ReplySender) -> Task {
     Task {
         invocation: InvocationId::from_raw(7),
         node: 0,
@@ -92,7 +92,7 @@ fn injected_execute_error_surfaces_as_engine_fault() {
     failpoint::configure("engine/execute", FailAction::Error, 1.0);
     let pool = compute_pool();
     pool.resize(1);
-    let (reply, results) = unbounded();
+    let (reply, results) = channel();
     pool.queue().push(task(&reply));
     let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(batch.len(), 1);
@@ -115,7 +115,7 @@ fn panic_in_the_task_body_is_contained_to_a_result() {
     failpoint::configure("engine/execute", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.resize(1);
-    let (reply, results) = unbounded();
+    let (reply, results) = channel();
     pool.queue().push(task(&reply));
     let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
     match &batch[0].outcome {
@@ -139,7 +139,7 @@ fn reply_panic_retries_once_then_fails_exactly_once() {
     failpoint::configure("engine/reply", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.resize(1);
-    let (reply, results) = unbounded();
+    let (reply, results) = channel();
     pool.queue().push(task(&reply));
     // First engine dies before delivering; the task is requeued once onto
     // the respawned engine, which also dies — the second death settles the
@@ -171,7 +171,7 @@ fn post_delivery_panic_respawns_without_duplicating_the_result() {
     failpoint::configure("engine/after-reply", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.resize(1);
-    let (reply, results) = unbounded();
+    let (reply, results) = channel();
     pool.queue().push(task(&reply));
     let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
     assert!(batch[0].outcome.is_ok(), "the result was already delivered");
@@ -196,7 +196,7 @@ fn exhausted_restart_budget_stops_respawns_but_allows_manual_recovery() {
     let pool = compute_pool();
     pool.set_restart_budget(0);
     pool.resize(1);
-    let (reply, results) = unbounded();
+    let (reply, results) = channel();
     pool.queue().push(task(&reply));
     assert!(results.recv_timeout(Duration::from_secs(5)).unwrap()[0]
         .outcome
@@ -291,7 +291,7 @@ fn engine_fault_fails_the_invocation_exactly_once() {
         .submit(graph, vec![DataSet::single("In", b"x".to_vec())])
         .unwrap();
     let settled = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let counter = Arc::clone(&settled);
     handle.on_settle(move |outcome| {
         counter.fetch_add(1, Ordering::SeqCst);
@@ -330,7 +330,7 @@ fn cancellation_racing_completion_settles_exactly_once() {
             .submit(graph, vec![DataSet::single("In", b"race".to_vec())])
             .unwrap();
         let settled = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let counter = Arc::clone(&settled);
         handle.on_settle(move |outcome| {
             counter.fetch_add(1, Ordering::SeqCst);

@@ -4,8 +4,8 @@
 //! receive buffer, flattened service reply and function output is written
 //! into memory the buffer pool issued, goes back to the class that issued it
 //! when its last consumer lets go, and is what the next request of that size
-//! pops. And a node that falls idle gives all of it back. Both are read off
-//! the pool's own counters — counts, not timings — with the demo worker
+//! pops. And a node that falls idle gives all of it back, whichever thread
+//! returned it. All of it is read off the pool's own counters — counts, not timings — with the demo worker
 //! served over loopback sockets in this process and driven by clients that
 //! use plain vectors, so every pooled buffer counted is the node's.
 //!
@@ -13,7 +13,9 @@
 //! 128×128 request and 16 MiB retained (the product `Vec` user code allocated
 //! was parked in a class no request of its size looks in, and the receive
 //! buffer regrew past its class), and the second has nothing that gives
-//! buffers back.
+//! buffers back. While the global pool kept a cache per thread, a buffer a
+//! live thread returned was parked there, where neither `retained` nor
+//! `release_unused` saw it.
 //! (`crates/server/tests/cli.rs` has the same two read off spawned nodes:
 //! `VmRSS` two seconds after a load, and a member that a gateway keeps
 //! probing.)
@@ -39,7 +41,7 @@ const ROUNDS: usize = 40;
 
 const MIB: usize = 1024 * 1024;
 
-/// Both tests read the process-wide pool: one at a time.
+/// The tests read the process-wide pool: one at a time.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL
@@ -241,4 +243,33 @@ fn an_idle_node_gives_the_pool_back() {
     let first_look = pool.release_unused();
     assert_eq!(first_look + pool.release_unused(), retained);
     assert_eq!(retained_bytes(), 0);
+}
+
+#[test]
+fn what_a_live_thread_returns_is_retained_and_released() {
+    const FIVE_KIB: usize = 5 * 1024;
+    let _serial = serial();
+    let pool = BufferPool::global();
+    // Two looks with nothing issued in between empty the pool.
+    pool.release_unused();
+    pool.release_unused();
+    assert_eq!(retained_bytes(), 0);
+    // A thread that stays alive returns one buffer of the 5 KiB class.
+    let (returned_tx, returned) = std::sync::mpsc::channel();
+    let (done, done_rx) = std::sync::mpsc::channel::<()>();
+    let thread = std::thread::spawn(move || {
+        drop(BufferPool::global().acquire(FIVE_KIB));
+        returned_tx.send(()).expect("the test waits");
+        // Held until the pool has been read; a sender dropped by a failed
+        // assertion lets it go too.
+        let _ = done_rx.recv();
+    });
+    returned.recv().expect("the thread returns its buffer");
+    let class = pool.retained()[1];
+    assert_eq!((class.class_bytes, class.buffers), (FIVE_KIB, 1));
+    let first_look = pool.release_unused();
+    assert_eq!(first_look + pool.release_unused(), FIVE_KIB);
+    assert_eq!(retained_bytes(), 0);
+    drop(done);
+    thread.join().expect("the thread finishes");
 }
