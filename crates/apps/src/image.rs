@@ -132,7 +132,7 @@ pub fn qoi_encode(image: &Image) -> Vec<u8> {
 }
 
 /// Decodes a QOI image.
-pub fn qoi_decode(bytes: &[u8]) -> Result<Image, String> {
+pub(crate) fn qoi_decode(bytes: &[u8]) -> Result<Image, String> {
     if bytes.len() < 14 || &bytes[0..4] != QOI_MAGIC {
         return Err("not a QOI file".to_string());
     }
@@ -258,14 +258,8 @@ fn png_chunk(put: &mut impl FnMut(&[u8]), kind: &[u8; 4], payload: &[u8]) {
     put(&crc32(&crc_input).to_be_bytes());
 }
 
-/// Encodes an RGBA image as a PNG file (zlib stored blocks, no filtering).
-pub fn png_encode(image: &Image) -> Vec<u8> {
-    let mut out = Vec::new();
-    png_encode_into(image, |bytes| out.extend_from_slice(bytes));
-    out
-}
-
-/// [`png_encode`], handing the file to `put` chunk by chunk.
+/// Encodes an RGBA image as a PNG file (zlib stored blocks, no filtering),
+/// handing the file to `put` chunk by chunk.
 fn png_encode_into(image: &Image, mut put: impl FnMut(&[u8])) {
     let out = &mut put;
     out(&[0x89, b'P', b'N', b'G', b'\r', b'\n', 0x1A, b'\n']);
@@ -302,7 +296,7 @@ fn png_encode_into(image: &Image, mut put: impl FnMut(&[u8])) {
     png_chunk(out, b"IEND", &[]);
 }
 
-/// Parses the dimensions out of a PNG produced by [`png_encode`].
+/// Parses the dimensions out of a PNG the `CompressImage` function produced.
 pub fn png_dimensions(bytes: &[u8]) -> Option<(u32, u32)> {
     if bytes.len() < 33 || bytes[1..4] != *b"PNG" {
         return None;
@@ -313,7 +307,7 @@ pub fn png_dimensions(bytes: &[u8]) -> Option<(u32, u32)> {
 }
 
 /// The `CompressImage` compute function: QOI in, PNG out.
-pub fn compress_artifact() -> FunctionArtifact {
+pub(crate) fn compress_artifact() -> FunctionArtifact {
     FunctionArtifact::new("CompressImage", &["Png"], |ctx: &mut FunctionCtx| {
         let input = ctx.single_input("Qoi")?.clone();
         let image = qoi_decode(&input.data)?;
@@ -330,7 +324,7 @@ pub fn compress_artifact() -> FunctionArtifact {
 }
 
 /// The image-compression composition: a single compute node.
-pub fn composition() -> dandelion_dsl::CompositionGraph {
+pub(crate) fn composition() -> dandelion_dsl::CompositionGraph {
     dandelion_dsl::CompositionBuilder::new("CompressImageApp")
         .input("Qoi")
         .output("Png")
@@ -366,7 +360,8 @@ mod tests {
     #[test]
     fn png_structure_is_valid() {
         let image = Image::synthetic(32, 16);
-        let png = png_encode(&image);
+        let mut png = Vec::new();
+        png_encode_into(&image, |chunk| png.extend_from_slice(chunk));
         assert_eq!(
             &png[..8],
             &[0x89, b'P', b'N', b'G', b'\r', b'\n', 0x1A, b'\n']

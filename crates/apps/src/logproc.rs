@@ -8,16 +8,15 @@
 
 use std::fmt::Write;
 
-use dandelion_dsl::builder::render_logs_composition;
-use dandelion_dsl::CompositionGraph;
+use dandelion_dsl::{render_logs_composition, CompositionGraph};
 use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
 /// The auth-service endpoint the Access function targets.
-pub const AUTH_ENDPOINT: &str = "http://auth.internal/authorize";
+pub(crate) const AUTH_ENDPOINT: &str = "http://auth.internal/authorize";
 
 /// `Access`: access token → auth-service request.
-pub fn access_artifact() -> FunctionArtifact {
+pub(crate) fn access_artifact() -> FunctionArtifact {
     FunctionArtifact::new("Access", &["HTTPRequest"], |ctx: &mut FunctionCtx| {
         let token = ctx.single_input("AccessToken")?.clone();
         let token_text = token.as_str().ok_or("access token is not UTF-8")?.trim();
@@ -31,7 +30,7 @@ pub fn access_artifact() -> FunctionArtifact {
 }
 
 /// `FanOut`: auth response → one GET request per authorized log endpoint.
-pub fn fanout_artifact() -> FunctionArtifact {
+pub(crate) fn fanout_artifact() -> FunctionArtifact {
     FunctionArtifact::new("FanOut", &["HTTPRequests"], |ctx: &mut FunctionCtx| {
         let response_item = ctx.single_input("HTTPResponse")?.clone();
         let response = dandelion_http::parse_response_shared(&response_item.data)
@@ -102,7 +101,7 @@ pub fn render_artifact() -> FunctionArtifact {
 }
 
 /// The `RenderLogs` composition (identical to the paper's Listing 2).
-pub fn composition() -> CompositionGraph {
+pub(crate) fn composition() -> CompositionGraph {
     render_logs_composition()
 }
 

@@ -10,18 +10,17 @@
 //! read the values where the request's bytes lie and write the product into
 //! the platform's output memory, compiled once per vector instruction set
 //! and chosen by what the processor has. A sum is as wide as its bound, so
-//! one pass over each matrix ([`Range::of`]) also chooses the operand width
-//! ([`OperandWidth`]): 16-bit operands into 32-bit sums when the matrices'
-//! ranges prove every sum fits ([`multiply_short`], on AVX-512's 16-bit
+//! one pass over each matrix (`Range::of`) also chooses the operand width
+//! (`OperandWidth`): 16-bit operands into 32-bit sums when the matrices'
+//! ranges prove every sum fits (`multiply_short`, on AVX-512's 16-bit
 //! lanes; it packs both matrices first), 32-bit operands into 64-bit sums
-//! when every value fits `i32` ([`multiply_encoded`]), and the 64-bit
+//! when every value fits `i32` (`multiply_encoded`), and the 64-bit
 //! multiply otherwise. Every multiply takes its working memory — the row
 //! panel the product leaves in, the short one's packed operands too — from
-//! the global pool ([`scratch`]). [`multiply`] is the reference every one of
+//! the global pool (`scratch`). [`multiply`] is the reference every one of
 //! them is checked against.
 
-use dandelion_common::pool::{BufferPool, PooledBuf};
-use dandelion_common::{DataItem, DataSet, SharedBytesMut};
+use dandelion_common::{BufferPool, DataItem, DataSet, PooledBuf, SharedBytesMut};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
 /// Byte length of an encoded `dimension`×`dimension` matrix.
@@ -590,7 +589,7 @@ pub fn matmul_inputs(dimension: usize, seed: i64) -> DataSet {
 }
 
 /// The single-node matmul composition used by benchmarks and examples.
-pub fn matmul_composition() -> dandelion_dsl::CompositionGraph {
+pub(crate) fn matmul_composition() -> dandelion_dsl::CompositionGraph {
     dandelion_dsl::CompositionBuilder::new("MatMulApp")
         .input("Matrices")
         .output("Product")
@@ -606,7 +605,7 @@ pub fn matmul_composition() -> dandelion_dsl::CompositionGraph {
 mod tests {
     use super::*;
     use dandelion_common::rng::SplitMix64;
-    use dandelion_isolation::abi::FunctionError;
+    use dandelion_isolation::FunctionError;
     use dandelion_isolation::{ExecutionTask, SyscallPolicy};
     use std::sync::Arc;
 

@@ -13,15 +13,15 @@ use dandelion_http::HttpRequest;
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
 /// Size of the fetched array in bytes.
-pub const ARRAY_BYTES: usize = 64 * 1024;
+pub const PHASE_ARRAY_BYTES: usize = 64 * 1024;
 /// Number of elements sampled by the compute step.
-pub const SAMPLE: usize = 1024;
+pub const PHASE_SAMPLE: usize = 1024;
 
 /// `MakeFetch`: emits the GET request for one phase's array.
 ///
 /// The object key is taken from the `Phase` input item's contents so that
 /// consecutive phases fetch different objects.
-pub fn make_fetch_artifact() -> FunctionArtifact {
+pub(crate) fn make_fetch_artifact() -> FunctionArtifact {
     FunctionArtifact::new("MakeFetch", &["Request"], |ctx: &mut FunctionCtx| {
         let phase = ctx.single_input("Phase")?.clone();
         let key = phase.as_str().unwrap_or("0").trim().to_string();
@@ -32,7 +32,7 @@ pub fn make_fetch_artifact() -> FunctionArtifact {
 
 /// `SumMinMax`: parses the fetched array and reduces a sample of it, then
 /// emits the key of the next phase's object.
-pub fn sum_min_max_artifact() -> FunctionArtifact {
+pub(crate) fn sum_min_max_artifact() -> FunctionArtifact {
     FunctionArtifact::new(
         "SumMinMax",
         &["Stats", "NextPhase"],
@@ -51,7 +51,7 @@ pub fn sum_min_max_artifact() -> FunctionArtifact {
             if values.is_empty() {
                 return Err("empty array".into());
             }
-            let stride = (values.len() / SAMPLE).max(1);
+            let stride = (values.len() / PHASE_SAMPLE).max(1);
             let sample: Vec<i64> = values.iter().step_by(stride).copied().collect();
             let sum: i64 = sample.iter().sum();
             let min = sample.iter().min().copied().unwrap_or(0);
@@ -70,7 +70,7 @@ pub fn sum_min_max_artifact() -> FunctionArtifact {
 }
 
 /// Builds the N-phase fetch-and-compute composition.
-pub fn composition(phases: usize) -> CompositionGraph {
+pub(crate) fn composition(phases: usize) -> CompositionGraph {
     let phases = phases.max(1);
     let mut builder = CompositionBuilder::new(&format!("FetchCompute{phases}"))
         .input("Phase0")
@@ -110,7 +110,7 @@ pub fn composition(phases: usize) -> CompositionGraph {
 }
 
 /// `Finalize`: passes the last phase's stats on as the composition output.
-pub fn finalize_artifact() -> FunctionArtifact {
+pub(crate) fn finalize_artifact() -> FunctionArtifact {
     FunctionArtifact::new("Finalize", &["Out"], |ctx: &mut FunctionCtx| {
         // By reference: the output is the input's buffer.
         let stats = ctx.single_input("Stats")?.data.clone();
@@ -119,10 +119,10 @@ pub fn finalize_artifact() -> FunctionArtifact {
 }
 
 /// Builds the 64 KiB little-endian i64 array object for key `key`.
-pub fn array_object(key: u64) -> Vec<u8> {
+pub fn phase_array(key: u64) -> Vec<u8> {
     let mut rng = dandelion_common::rng::SplitMix64::new(key.wrapping_mul(0x9E37) + 1);
-    let mut out = Vec::with_capacity(ARRAY_BYTES);
-    while out.len() < ARRAY_BYTES {
+    let mut out = Vec::with_capacity(PHASE_ARRAY_BYTES);
+    while out.len() < PHASE_ARRAY_BYTES {
         out.extend_from_slice(&(rng.next_u64() as i64 % 10_000).to_le_bytes());
     }
     out
@@ -143,18 +143,18 @@ mod tests {
 
     #[test]
     fn array_objects_are_full_sized_and_deterministic() {
-        let a = array_object(7);
-        let b = array_object(7);
-        assert_eq!(a.len(), ARRAY_BYTES);
+        let a = phase_array(7);
+        let b = phase_array(7);
+        assert_eq!(a.len(), PHASE_ARRAY_BYTES);
         assert_eq!(a, b);
-        assert_ne!(array_object(8), a);
+        assert_ne!(phase_array(8), a);
     }
 
     #[test]
     fn sum_min_max_reduces_a_fetched_array() {
         use dandelion_common::DataSet;
         use dandelion_isolation::SyscallPolicy;
-        let body = array_object(3);
+        let body = phase_array(3);
         let response = dandelion_http::HttpResponse::ok(body).to_bytes();
         let artifact = sum_min_max_artifact();
         let mut ctx = FunctionCtx::new(

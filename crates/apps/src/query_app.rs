@@ -11,19 +11,19 @@
 //! 4. `MergePartials` (compute) — merges the per-partition results into the
 //!    final answer.
 
-use dandelion_common::encoding::utf8_lossy;
-use dandelion_common::SharedBytesMut;
+use dandelion_common::{utf8_lossy, SharedBytesMut};
 use dandelion_dsl::{CompositionBuilder, CompositionGraph, Distribution};
 use dandelion_http::HttpRequest;
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
-use dandelion_query::ssb::{lineorder_schema, merge_partials, SsbDatabase, SsbQuery};
-use dandelion_query::table::{DataType, Schema, Table};
-use dandelion_services::object_store::ObjectStore;
+use dandelion_query::{
+    lineorder_schema, merge_partials, DataType, Schema, SsbDatabase, SsbQuery, Table,
+};
+use dandelion_services::ObjectStore;
 
 /// The object-store host used by the query application.
-pub const STORE_HOST: &str = "s3.internal";
+pub(crate) const STORE_HOST: &str = "s3.internal";
 /// The bucket holding the SSB data.
-pub const BUCKET: &str = "ssb";
+pub(crate) const BUCKET: &str = "ssb";
 
 fn dimension_schema(table: &str) -> Schema {
     match table {
@@ -54,7 +54,7 @@ fn dimension_schema(table: &str) -> Schema {
 
 /// Uploads an SSB database into the object store as CSV objects, splitting
 /// the fact table into `partitions` objects. Returns the total bytes stored.
-pub fn upload_database(store: &ObjectStore, db: &SsbDatabase, partitions: usize) -> usize {
+pub(crate) fn upload_database(store: &ObjectStore, db: &SsbDatabase, partitions: usize) -> usize {
     for (name, table) in [
         ("date", &db.date),
         ("customer", &db.customer),
@@ -89,7 +89,7 @@ fn parse_query(name: &str) -> Result<SsbQuery, String> {
 /// requests carry a key (`partition-N` or `dimensions`) so the `key`
 /// distribution routes each partition plus a copy of the dimensions to its
 /// own `RunPartition` instance.
-pub fn plan_query_artifact() -> FunctionArtifact {
+pub(crate) fn plan_query_artifact() -> FunctionArtifact {
     FunctionArtifact::new(
         "PlanQuery",
         &["Fetches", "Query"],
@@ -144,7 +144,7 @@ fn csv_output(ctx: &FunctionCtx, table: &Table) -> SharedBytesMut {
 }
 
 /// `RunPartition`: parses one partition's objects and runs the query.
-pub fn run_partition_artifact() -> FunctionArtifact {
+pub(crate) fn run_partition_artifact() -> FunctionArtifact {
     FunctionArtifact::new("RunPartition", &["Partial"], |ctx: &mut FunctionCtx| {
         let query_name = ctx.single_input("Query")?.clone();
         let query = parse_query(query_name.as_str().ok_or("query name is not UTF-8")?)?;
@@ -190,7 +190,7 @@ pub fn run_partition_artifact() -> FunctionArtifact {
 }
 
 /// `MergePartials`: merges per-partition results into the final table.
-pub fn merge_partials_artifact() -> FunctionArtifact {
+pub(crate) fn merge_partials_artifact() -> FunctionArtifact {
     FunctionArtifact::new("MergePartials", &["Result"], |ctx: &mut FunctionCtx| {
         let query_name = ctx.single_input("Query")?.clone();
         let query = parse_query(query_name.as_str().ok_or("query name is not UTF-8")?)?;
@@ -237,7 +237,7 @@ fn partial_schema(query: SsbQuery, header: &str) -> Schema {
 }
 
 /// The query-processing composition.
-pub fn composition() -> CompositionGraph {
+pub(crate) fn composition() -> CompositionGraph {
     CompositionBuilder::new("SsbQuery")
         .input("QuerySpec")
         .output("Result")

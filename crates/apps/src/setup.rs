@@ -11,13 +11,10 @@ use std::time::Duration;
 use dandelion_common::DandelionResult;
 use dandelion_core::WorkerNode;
 use dandelion_query::generate_database;
-use dandelion_services::auth::AuthService;
-use dandelion_services::database::SqlDatabaseService;
-use dandelion_services::latency::LatencyModel;
-use dandelion_services::llm::LlmService;
-use dandelion_services::logs::LogService;
-use dandelion_services::object_store::ObjectStore;
-use dandelion_services::ServiceRegistry;
+use dandelion_services::{
+    AuthService, LatencyModel, LlmService, LogService, ObjectStore, ServiceRegistry,
+    SqlDatabaseService,
+};
 
 use crate::{image, logproc, matmul, phases, query_app, text2sql};
 
@@ -33,22 +30,22 @@ pub const DEMO_TOKEN: &str = "demo-token";
 /// models (examples, benchmarks) and zero latency (unit/integration tests).
 pub fn demo_services(realistic_latency: bool) -> ServiceRegistry {
     let microservice = if realistic_latency {
-        dandelion_services::latency::defaults::MICROSERVICE
+        dandelion_services::LatencyModel::MICROSERVICE
     } else {
         LatencyModel::zero()
     };
     let object_latency = if realistic_latency {
-        dandelion_services::latency::defaults::OBJECT_STORE
+        dandelion_services::LatencyModel::OBJECT_STORE
     } else {
         LatencyModel::zero()
     };
     let llm_latency = if realistic_latency {
-        dandelion_services::latency::defaults::LLM
+        dandelion_services::LatencyModel::LLM
     } else {
         LatencyModel::zero()
     };
     let db_latency = if realistic_latency {
-        dandelion_services::latency::defaults::SQL_DATABASE
+        dandelion_services::LatencyModel::SQL_DATABASE
     } else {
         LatencyModel::zero()
     };
@@ -83,7 +80,7 @@ pub fn demo_services(realistic_latency: bool) -> ServiceRegistry {
     // Keys produced by SumMinMax are `sum % 1000`, in plain decimal.
     store.set_source("arrays", |key| {
         let index: u64 = key.parse().ok().filter(|index| *index < 1000)?;
-        (index.to_string() == key).then(|| phases::array_object(index).into())
+        (index.to_string() == key).then(|| phases::phase_array(index).into())
     });
     store.set_source("images", |key| {
         (key == "input.qoi").then(|| image::qoi_encode(&image::Image::synthetic(96, 64)).into())
@@ -301,13 +298,13 @@ mod tests {
     fn every_phase_chain_answers_like_an_eagerly_filled_store() {
         let eager = eager_worker(|store| {
             for key in 0..1000u64 {
-                store.put_object("arrays", &key.to_string(), phases::array_object(key));
+                store.put_object("arrays", &key.to_string(), phases::phase_array(key));
             }
         });
         let lazy = demo_worker(4, false).unwrap();
         let idle = lazy.services().resident_bytes();
         assert!(
-            idle < phases::ARRAY_BYTES,
+            idle < phases::PHASE_ARRAY_BYTES,
             "nothing is preloaded: {idle} bytes resident"
         );
         for phases in [2, 4, 8, 16] {
@@ -320,8 +317,8 @@ mod tests {
         // The worker holds what the chains touched (at most 16 arrays, whole
         // ones), not the thousand it could have been asked for.
         let touched = lazy.services().resident_bytes() - idle;
-        assert_eq!(touched % phases::ARRAY_BYTES, 0);
-        assert!((1..=16).contains(&(touched / phases::ARRAY_BYTES)));
+        assert_eq!(touched % phases::PHASE_ARRAY_BYTES, 0);
+        assert!((1..=16).contains(&(touched / phases::PHASE_ARRAY_BYTES)));
         eager.shutdown();
         lazy.shutdown();
     }
@@ -358,7 +355,7 @@ mod tests {
         assert_eq!(services.resident_bytes(), idle + image.len());
         assert_eq!(get("images/other.qoi").status.0, 404);
 
-        assert_eq!(get("arrays/999").body, phases::array_object(999).as_slice());
+        assert_eq!(get("arrays/999").body, phases::phase_array(999).as_slice());
         // Only the keys the eager loop wrote exist: plain decimal, below 1000.
         for missing in ["arrays/1000", "arrays/007", "arrays/+7", "arrays/x"] {
             assert_eq!(get(missing).status.0, 404, "{missing}");

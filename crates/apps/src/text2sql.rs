@@ -11,12 +11,12 @@ use dandelion_http::HttpRequest;
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
 /// The LLM inference endpoint.
-pub const LLM_ENDPOINT: &str = "http://llm.internal/v1/generate";
+pub(crate) const LLM_ENDPOINT: &str = "http://llm.internal/v1/generate";
 /// The SQL database endpoint.
-pub const DB_ENDPOINT: &str = "http://db.internal/query";
+pub(crate) const DB_ENDPOINT: &str = "http://db.internal/query";
 
 /// Step 1 — `ParsePrompt`: cleans the prompt and builds the LLM request.
-pub fn parse_prompt_artifact() -> FunctionArtifact {
+pub(crate) fn parse_prompt_artifact() -> FunctionArtifact {
     FunctionArtifact::new("ParsePrompt", &["LlmRequest"], |ctx: &mut FunctionCtx| {
         let prompt_item = ctx.single_input("Prompt")?.clone();
         let prompt = prompt_item
@@ -40,9 +40,9 @@ pub fn parse_prompt_artifact() -> FunctionArtifact {
     })
 }
 
-/// Extracts the SQL statement from an LLM completion (looks for a fenced
-/// ```sql block, falling back to the first line starting with SELECT).
-pub fn extract_sql(completion: &str) -> Option<String> {
+/// Extracts the SQL statement from an LLM completion: the body of a fenced
+/// `sql` code block, or else the first line starting with `SELECT`.
+pub(crate) fn extract_sql(completion: &str) -> Option<String> {
     if let Some(start) = completion.find("```sql") {
         let rest = &completion[start + 6..];
         if let Some(end) = rest.find("```") {
@@ -60,7 +60,7 @@ pub fn extract_sql(completion: &str) -> Option<String> {
 }
 
 /// Step 3 — `ExtractSql`: LLM response → database request.
-pub fn extract_sql_artifact() -> FunctionArtifact {
+pub(crate) fn extract_sql_artifact() -> FunctionArtifact {
     FunctionArtifact::new("ExtractSql", &["DbRequest"], |ctx: &mut FunctionCtx| {
         let response_item = ctx.single_input("LlmResponse")?.clone();
         let response = dandelion_http::parse_response_shared(&response_item.data)
@@ -77,7 +77,7 @@ pub fn extract_sql_artifact() -> FunctionArtifact {
 }
 
 /// Step 5 — `FormatResponse`: database CSV → human-readable answer.
-pub fn format_response_artifact() -> FunctionArtifact {
+pub(crate) fn format_response_artifact() -> FunctionArtifact {
     FunctionArtifact::new("FormatResponse", &["Answer"], |ctx: &mut FunctionCtx| {
         let response_item = ctx.single_input("DbResponse")?.clone();
         let response = dandelion_http::parse_response_shared(&response_item.data)
@@ -112,7 +112,7 @@ pub fn format_response_artifact() -> FunctionArtifact {
 }
 
 /// The five-step Text2SQL composition.
-pub fn composition() -> CompositionGraph {
+pub(crate) fn composition() -> CompositionGraph {
     CompositionBuilder::new("Text2Sql")
         .input("Prompt")
         .output("Answer")

@@ -9,12 +9,11 @@ use dandelion_isolation::{
     create_backend, ExecutionTask, HardwarePlatform, SandboxCostModel, Stage,
 };
 use dandelion_query::{generate_database, AthenaModel, Ec2Model, SsbQuery};
-use dandelion_sim::autoscaler::KnativeAutoscaler;
-use dandelion_sim::platforms::{
-    DHybridSim, DandelionConfig, DandelionSim, MicroVmKind, MicroVmSim, PlatformModel, WarmPolicy,
+use dandelion_sim::{
+    run_bursty, run_open_loop, run_trace, sweep_open_loop, workloads, DHybridSim, DandelionConfig,
+    DandelionSim, KnativeAutoscaler, MicroVmKind, MicroVmSim, PlatformModel, WarmPolicy,
     WasmtimeSim,
 };
-use dandelion_sim::{run_bursty, run_open_loop, run_trace, sweep_open_loop, workloads};
 use dandelion_trace::{generate_trace, TraceConfig};
 
 use crate::report::Report;
@@ -143,7 +142,7 @@ fn dandelion_xeon(backend: IsolationKind) -> DandelionSim {
 
 /// Figure 1: Knative keeps idle VMs in memory; compare the committed memory
 /// against the memory of VMs actively serving requests.
-pub fn fig1_knative_memory() -> Report {
+pub(crate) fn fig1_knative_memory() -> Report {
     let trace = default_trace();
     let mut firecracker = knative_firecracker(16, 1);
     let result = run_trace(&mut firecracker, &trace);
@@ -189,7 +188,7 @@ pub fn fig1_knative_memory() -> Report {
 
 /// Figure 2: Firecracker tail latency is extremely sensitive to the fraction
 /// of requests that hit a warm MicroVM.
-pub fn fig2_firecracker_hot_ratio() -> Report {
+pub(crate) fn fig2_firecracker_hot_ratio() -> Report {
     let spec = workloads::matmul_128();
     let rps_points = [500.0, 1000.0, 2000.0, 3000.0, 4000.0];
     let mut report = Report::new(
@@ -237,7 +236,7 @@ pub fn fig2_firecracker_hot_ratio() -> Report {
 }
 
 /// Table 1: per-stage cold-start latency of each Dandelion isolation backend.
-pub fn table1_sandbox_breakdown() -> Report {
+pub(crate) fn table1_sandbox_breakdown() -> Report {
     let paper_totals = [
         (IsolationKind::Cheri, 89u64),
         (IsolationKind::Rwasm, 241),
@@ -287,7 +286,7 @@ pub fn table1_sandbox_breakdown() -> Report {
 }
 
 /// Figure 5: sandbox-creation latency vs throughput with 0% hot requests.
-pub fn fig5_sandbox_creation() -> Report {
+pub(crate) fn fig5_sandbox_creation() -> Report {
     let spec = workloads::matmul_1x1();
     let rps_points = [50.0, 500.0, 2000.0, 6000.0, 10_000.0];
     let mut report = Report::new(
@@ -337,7 +336,7 @@ pub fn fig5_sandbox_creation() -> Report {
 }
 
 /// Figure 6: 128×128 matmul latency vs throughput on the 16-core server.
-pub fn fig6_compute_throughput() -> Report {
+pub(crate) fn fig6_compute_throughput() -> Report {
     let spec = workloads::matmul_128();
     let rps_points = [500.0, 1500.0, 2500.0, 3500.0, 4500.0];
     let mut report = Report::new(
@@ -395,7 +394,7 @@ pub fn fig6_compute_throughput() -> Report {
 }
 
 /// §7.4: latency vs number of fetch-and-compute phases (unloaded).
-pub fn fig7a_composition_phases() -> Report {
+pub(crate) fn fig7a_composition_phases() -> Report {
     let phase_counts = [2usize, 4, 8, 16];
     let mut report = Report::new(
         "Section 7.4: composition overhead vs number of fetch-and-compute phases",
@@ -460,7 +459,7 @@ pub fn fig7a_composition_phases() -> Report {
 }
 
 /// Figure 7: Dandelion vs D-hybrid for a compute-heavy and an I/O-heavy app.
-pub fn fig7_compute_comm_split() -> Report {
+pub(crate) fn fig7_compute_comm_split() -> Report {
     let mut report = Report::new(
         "Figure 7: separating compute and communication (Dandelion) vs hybrid functions (D-hybrid)",
         "p99 latency in ms at increasing offered load, 16-core server",
@@ -507,7 +506,7 @@ pub fn fig7_compute_comm_split() -> Report {
 }
 
 /// Figure 8: multiplexing an I/O-intensive and a compute-intensive app.
-pub fn fig8_multiplexing() -> Report {
+pub(crate) fn fig8_multiplexing() -> Report {
     let duration = Duration::from_secs(30);
     // Rates are chosen so the 16-core node stays below saturation outside the
     // burst and well-loaded during it (the paper plots the same qualitative
@@ -572,7 +571,7 @@ pub fn fig8_multiplexing() -> Report {
 }
 
 /// Figure 9: SSB query latency and cost, Dandelion on EC2 vs Athena.
-pub fn fig9_ssb_queries() -> Report {
+pub(crate) fn fig9_ssb_queries() -> Report {
     // Generate a database and measure real single-core execution per query.
     let db = generate_database(1.0, 7);
     let scanned_bytes = db.total_bytes() as u64;
@@ -621,8 +620,7 @@ pub fn fig9_ssb_queries() -> Report {
 }
 
 /// §7.7: Text2SQL agentic workflow, step-by-step latency.
-pub fn text2sql_breakdown() -> Report {
-    use dandelion_apps::text2sql;
+pub(crate) fn text2sql_breakdown() -> Report {
     let mut report = Report::new(
         "Section 7.7: Text2SQL agentic workflow latency breakdown",
         "five-step workflow: parse prompt, LLM call, extract SQL, database query, format response",
@@ -647,9 +645,9 @@ pub fn text2sql_breakdown() -> Report {
 
     // The communication latencies come from the calibrated service models
     // (the paper's measured LLM and database latencies).
-    let llm = dandelion_services::latency::defaults::LLM.base;
-    let database = dandelion_services::latency::defaults::SQL_DATABASE.base;
-    let paper = text2sql::paper_step_latencies_ms();
+    let llm = dandelion_services::LatencyModel::LLM.base;
+    let database = dandelion_services::LatencyModel::SQL_DATABASE.base;
+    let paper = dandelion_apps::paper_step_latencies_ms();
     let compute_share = compute_elapsed.as_secs_f64() * 1e3 / 3.0;
     let reproduction = [
         compute_share,
@@ -688,7 +686,7 @@ pub fn text2sql_breakdown() -> Report {
 }
 
 /// Figure 10 / §7.8: committed memory and latency for the Azure trace.
-pub fn fig10_azure_memory() -> Report {
+pub(crate) fn fig10_azure_memory() -> Report {
     let trace = default_trace();
     let mut firecracker = knative_firecracker(16, 3);
     let firecracker_result = run_trace(&mut firecracker, &trace);
@@ -745,7 +743,7 @@ pub fn fig10_azure_memory() -> Report {
 }
 
 /// §8: trusted computing base and attack-surface summary.
-pub fn security_summary() -> Report {
+pub(crate) fn security_summary() -> Report {
     let mut report = Report::new(
         "Section 8: attack surface and trusted computing base",
         "static summary of the reproduction's security-relevant properties",

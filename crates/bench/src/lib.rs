@@ -1,7 +1,7 @@
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation.
 //!
-//! Each function in [`experiments`] reproduces one experiment and returns a
+//! Each experiment ([`ExperimentId`], run by [`run_experiment`]) returns a
 //! plain-text report (plus machine-readable series where useful). The
 //! `reproduce` binary runs them individually or all together. Their numbers
 //! are *modeled*: the calibrated cost model of `dandelion-isolation`, the
@@ -17,8 +17,8 @@
 //! workspace test suites and printed in each report's notes
 //! (`reproduce --list` names the experiments).
 
-pub mod experiments;
-pub mod report;
+mod experiments;
+mod report;
 
 pub use experiments::{run_experiment, ExperimentId};
 pub use report::Report;

@@ -2,7 +2,7 @@
 
 use std::process::{Command, Output};
 
-use dandelion_common::encoding::utf8_lossy;
+use dandelion_common::utf8_lossy;
 
 fn reproduce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))

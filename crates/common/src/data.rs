@@ -150,15 +150,8 @@ impl DataSet {
     }
 }
 
-/// A list of data sets, the unit of function input and output.
-pub type SetList = Vec<DataSet>;
-
-/// Looks up a set by name in a [`SetList`].
-pub fn find_set<'a>(sets: &'a [DataSet], name: &str) -> Option<&'a DataSet> {
-    sets.iter().find(|set| set.name == name)
-}
-
-/// Total number of payload bytes across a [`SetList`].
+/// Total number of payload bytes across a list of sets, the unit of function
+/// input and output.
 pub fn total_bytes(sets: &[DataSet]) -> usize {
     sets.iter().map(DataSet::total_bytes).sum()
 }
@@ -222,7 +215,5 @@ mod tests {
             DataSet::single("b", vec![0u8; 20]),
         ];
         assert_eq!(total_bytes(&sets), 30);
-        assert!(find_set(&sets, "b").is_some());
-        assert!(find_set(&sets, "missing").is_none());
     }
 }

@@ -32,19 +32,12 @@ pub fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
     }
 }
 
-/// Encodes bytes as standard base64 with padding.
-pub fn base64_encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    base64_encode_into(&mut out, data).expect("writing to a String cannot fail");
-    out
-}
-
-/// Streams base64 straight into a [`std::fmt::Write`] sink.
+/// Streams standard base64 with padding straight into a [`std::fmt::Write`] sink.
 ///
 /// This is the allocation-free path the JSON encoder uses to serialize
 /// binary payloads: output items stream from their [`crate::SharedBytes`]
 /// slices into the response body without an intermediate `String` per item.
-pub fn base64_encode_into(out: &mut impl std::fmt::Write, data: &[u8]) -> std::fmt::Result {
+pub(crate) fn base64_encode_into(out: &mut impl std::fmt::Write, data: &[u8]) -> std::fmt::Result {
     let mut encoded = [0u8; STREAM_CHUNK_BYTES / 3 * 4];
     for chunk in data.chunks(STREAM_CHUNK_BYTES) {
         let mut filled = 0;
@@ -116,13 +109,20 @@ pub fn base64_decode(text: &str) -> Result<Vec<u8>, String> {
 mod tests {
     use super::*;
 
+    /// The whole of `data` through the streaming encoder.
+    fn encode(data: &[u8]) -> String {
+        let mut out = String::new();
+        base64_encode_into(&mut out, data).unwrap();
+        out
+    }
+
     #[test]
     fn known_vectors() {
-        assert_eq!(base64_encode(b""), "");
-        assert_eq!(base64_encode(b"f"), "Zg==");
-        assert_eq!(base64_encode(b"fo"), "Zm8=");
-        assert_eq!(base64_encode(b"foo"), "Zm9v");
-        assert_eq!(base64_encode(b"foobar"), "Zm9vYmFy");
+        assert_eq!(encode(b""), "");
+        assert_eq!(encode(b"f"), "Zg==");
+        assert_eq!(encode(b"fo"), "Zm8=");
+        assert_eq!(encode(b"foo"), "Zm9v");
+        assert_eq!(encode(b"foobar"), "Zm9vYmFy");
         assert_eq!(base64_decode("Zm9vYmFy").unwrap(), b"foobar");
     }
 
@@ -131,7 +131,7 @@ mod tests {
         let data: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
         for len in [0, 1, 2, 3, 61, 255, 256] {
             let slice = &data[..len];
-            assert_eq!(base64_decode(&base64_encode(slice)).unwrap(), slice);
+            assert_eq!(base64_decode(&encode(slice)).unwrap(), slice);
         }
     }
 

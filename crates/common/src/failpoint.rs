@@ -10,9 +10,9 @@
 //! The design constraint is the disabled cost: production binaries ship
 //! with every failpoint compiled in, so an unconfigured site must cost one
 //! relaxed atomic load and a predictable branch — nothing else. Only when
-//! at least one point is configured does [`check`] take the registry lock.
+//! at least one point is configured does [`check_failpoint`] take the registry lock.
 //!
-//! Configuration is programmatic ([`configure`]) or environmental:
+//! Configuration is programmatic ([`configure_failpoint`]) or environmental:
 //!
 //! ```text
 //! DANDELION_FAILPOINTS="upstream/write=error%0.05,engine/execute=panic%0.01"
@@ -22,7 +22,7 @@
 //! Actions: `error`, `panic`, `delay:<ms>`, `partial:<bytes>`, `off`. The
 //! `%p` suffix is the trigger probability (default `1`; values above `1`
 //! are read as percentages, so `%5` means 5%). Every point keeps hit and
-//! evaluation counters, surfaced by [`stats_json`] under `failpoints` in
+//! evaluation counters, surfaced by [`failpoint_stats_json`] under `failpoints` in
 //! `/v1/stats`.
 
 use std::collections::HashMap;
@@ -50,7 +50,7 @@ pub enum FailAction {
 }
 
 /// The fault a triggered failpoint hands back to its site. `Delay` and
-/// `Panic` never reach the caller — [`check`] sleeps or panics itself.
+/// `Panic` never reach the caller — [`check_failpoint`] sleeps or panics itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Fail the operation.
@@ -69,7 +69,7 @@ struct Point {
     hits: u64,
 }
 
-/// Number of configured points; `0` keeps [`check`] to one relaxed load.
+/// Number of configured points; `0` keeps [`check_failpoint`] to one relaxed load.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 /// Base seed; each point derives its own stream as `seed ^ fnv1a(name)`.
 static SEED: AtomicU64 = AtomicU64::new(0x5EED_DA4D_E110_4EAF);
@@ -83,7 +83,7 @@ fn registry() -> &'static Mutex<HashMap<String, Point>> {
 /// Whether any failpoint is configured at all. This is the entire cost of
 /// a disabled failpoint on the hot path.
 #[inline]
-pub fn enabled() -> bool {
+pub fn failpoints_enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
@@ -91,11 +91,11 @@ pub fn enabled() -> bool {
 /// counters, and returns the fault the site must apply, if any. `Delay`
 /// sleeps here (off-lock) and returns `None`; `Panic` panics here.
 ///
-/// Sites guard the call with [`enabled`] (the
+/// Sites guard the call with [`failpoints_enabled`] (the
 /// [`fail_point!`](crate::fail_point) macro does) so the unconfigured cost
 /// stays one relaxed load.
-pub fn check(name: &str) -> Option<Fault> {
-    if !enabled() {
+pub fn check_failpoint(name: &str) -> Option<Fault> {
+    if !failpoints_enabled() {
         return None;
     }
     let triggered = {
@@ -122,14 +122,14 @@ pub fn check(name: &str) -> Option<Fault> {
 }
 
 /// The `std::io::Error` an injected I/O fault surfaces as.
-pub fn io_error(name: &str) -> std::io::Error {
+pub fn failpoint_io_error(name: &str) -> std::io::Error {
     std::io::Error::other(format!("failpoint {name} injected error"))
 }
 
 /// Configures (or reconfigures) the failpoint `name`. `probability` is
 /// clamped to `[0, 1]`. The point's RNG restarts from its deterministic
 /// per-name stream, so reconfiguring mid-test stays reproducible.
-pub fn configure(name: &str, action: FailAction, probability: f64) {
+pub fn configure_failpoint(name: &str, action: FailAction, probability: f64) {
     let mut points = registry().lock().expect("failpoint registry poisoned");
     let seed = SEED.load(Ordering::Relaxed) ^ fnv1a(name.as_bytes());
     points.insert(
@@ -147,22 +147,22 @@ pub fn configure(name: &str, action: FailAction, probability: f64) {
 
 /// Removes the failpoint `name`; the site reverts to one relaxed load
 /// once no points remain.
-pub fn remove(name: &str) {
+pub fn remove_failpoint(name: &str) {
     let mut points = registry().lock().expect("failpoint registry poisoned");
     points.remove(name);
     ACTIVE.store(points.len(), Ordering::Relaxed);
 }
 
 /// Removes every configured failpoint.
-pub fn clear() {
+pub fn clear_failpoints() {
     let mut points = registry().lock().expect("failpoint registry poisoned");
     points.clear();
     ACTIVE.store(0, Ordering::Relaxed);
 }
 
-/// Sets the base seed future [`configure`] calls derive per-point streams
+/// Sets the base seed future [`configure_failpoint`] calls derive per-point streams
 /// from (existing points keep their streams).
-pub fn set_seed(seed: u64) {
+pub fn set_failpoint_seed(seed: u64) {
     SEED.store(seed, Ordering::Relaxed);
 }
 
@@ -217,15 +217,15 @@ fn parse_clause(clause: &str) -> Result<(String, Option<(FailAction, f64)>), Str
 /// Applies a comma-separated `name=action%p` specification (the
 /// `DANDELION_FAILPOINTS` format). Clauses apply left to right; `off`
 /// removes a point.
-pub fn configure_str(spec: &str) -> Result<(), String> {
+pub(crate) fn configure_failpoints(spec: &str) -> Result<(), String> {
     for clause in spec.split(',') {
         let clause = clause.trim();
         if clause.is_empty() {
             continue;
         }
         match parse_clause(clause)? {
-            (name, Some((action, probability))) => configure(&name, action, probability),
-            (name, None) => remove(&name),
+            (name, Some((action, probability))) => configure_failpoint(&name, action, probability),
+            (name, None) => remove_failpoint(&name),
         }
     }
     Ok(())
@@ -236,16 +236,16 @@ pub fn configure_str(spec: &str) -> Result<(), String> {
 /// (worker start, server start, gateway start) — whichever runs first
 /// wins, the rest are no-ops. A malformed spec panics: a chaos run that
 /// silently ignores its configuration would report false confidence.
-pub fn init_from_env() {
+pub fn init_failpoints_from_env() {
     ENV_INIT.call_once(|| {
         if let Ok(seed) = std::env::var("DANDELION_FAILPOINT_SEED") {
             match seed.trim().parse::<u64>() {
-                Ok(seed) => set_seed(seed),
+                Ok(seed) => set_failpoint_seed(seed),
                 Err(_) => panic!("DANDELION_FAILPOINT_SEED is not a u64: {seed:?}"),
             }
         }
         if let Ok(spec) = std::env::var("DANDELION_FAILPOINTS") {
-            if let Err(problem) = configure_str(&spec) {
+            if let Err(problem) = configure_failpoints(&spec) {
                 panic!("DANDELION_FAILPOINTS: {problem}");
             }
         }
@@ -264,8 +264,8 @@ fn action_label(action: FailAction) -> String {
 /// The `failpoints` stats document: one entry per configured point with
 /// its action, probability and counters. `None` when nothing is
 /// configured, so `/v1/stats` stays unchanged in production.
-pub fn stats_json() -> Option<JsonValue> {
-    if !enabled() {
+pub fn failpoint_stats_json() -> Option<JsonValue> {
+    if !failpoints_enabled() {
         return None;
     }
     let points = registry().lock().expect("failpoint registry poisoned");
@@ -291,7 +291,7 @@ pub fn stats_json() -> Option<JsonValue> {
 }
 
 /// Hits recorded for the failpoint `name` (testing aid).
-pub fn hits(name: &str) -> u64 {
+pub fn failpoint_hits(name: &str) -> u64 {
     let points = registry().lock().expect("failpoint registry poisoned");
     points.get(name).map_or(0, |point| point.hits)
 }
@@ -304,28 +304,30 @@ pub fn hits(name: &str) -> u64 {
 /// enclosing function's return value and `return`s it:
 ///
 /// ```
-/// use dandelion_common::{fail_point, failpoint};
+/// use dandelion_common::{
+///     configure_failpoint, fail_point, failpoint_io_error, remove_failpoint, FailAction,
+/// };
 ///
 /// fn send() -> std::io::Result<()> {
-///     fail_point!("doc/send", |_| Err(failpoint::io_error("doc/send")));
+///     fail_point!("doc/send", |_| Err(failpoint_io_error("doc/send")));
 ///     Ok(())
 /// }
 ///
-/// failpoint::configure("doc/send", failpoint::FailAction::Error, 1.0);
+/// configure_failpoint("doc/send", FailAction::Error, 1.0);
 /// assert!(send().is_err());
-/// failpoint::remove("doc/send");
+/// remove_failpoint("doc/send");
 /// assert!(send().is_ok());
 /// ```
 #[macro_export]
 macro_rules! fail_point {
     ($name:expr) => {
-        if $crate::failpoint::enabled() {
-            let _ = $crate::failpoint::check($name);
+        if $crate::failpoints_enabled() {
+            let _ = $crate::check_failpoint($name);
         }
     };
     ($name:expr, $on_fault:expr) => {
-        if $crate::failpoint::enabled() {
-            if let Some(fault) = $crate::failpoint::check($name) {
+        if $crate::failpoints_enabled() {
+            if let Some(fault) = $crate::check_failpoint($name) {
                 #[allow(clippy::redundant_closure_call)]
                 return ($on_fault)(fault);
             }
@@ -342,24 +344,24 @@ mod tests {
 
     #[test]
     fn disabled_points_cost_nothing_and_fire_nothing() {
-        assert_eq!(check("test/unconfigured"), None);
+        assert_eq!(check_failpoint("test/unconfigured"), None);
     }
 
     #[test]
     fn error_fault_fires_and_counts() {
-        configure("test/error", FailAction::Error, 1.0);
-        assert_eq!(check("test/error"), Some(Fault::Error));
-        assert_eq!(check("test/error"), Some(Fault::Error));
-        assert_eq!(hits("test/error"), 2);
-        remove("test/error");
-        assert_eq!(check("test/error"), None);
+        configure_failpoint("test/error", FailAction::Error, 1.0);
+        assert_eq!(check_failpoint("test/error"), Some(Fault::Error));
+        assert_eq!(check_failpoint("test/error"), Some(Fault::Error));
+        assert_eq!(failpoint_hits("test/error"), 2);
+        remove_failpoint("test/error");
+        assert_eq!(check_failpoint("test/error"), None);
     }
 
     #[test]
     fn partial_fault_carries_its_cap() {
-        configure("test/partial", FailAction::Partial(3), 1.0);
-        assert_eq!(check("test/partial"), Some(Fault::Partial(3)));
-        remove("test/partial");
+        configure_failpoint("test/partial", FailAction::Partial(3), 1.0);
+        assert_eq!(check_failpoint("test/partial"), Some(Fault::Partial(3)));
+        remove_failpoint("test/partial");
     }
 
     #[test]
@@ -367,9 +369,11 @@ mod tests {
         // The per-point stream restarts on configure, so two identical
         // configurations produce identical trigger sequences.
         let sequence = |_: ()| {
-            configure("test/prob", FailAction::Error, 0.5);
-            let fired: Vec<bool> = (0..64).map(|_| check("test/prob").is_some()).collect();
-            remove("test/prob");
+            configure_failpoint("test/prob", FailAction::Error, 0.5);
+            let fired: Vec<bool> = (0..64)
+                .map(|_| check_failpoint("test/prob").is_some())
+                .collect();
+            remove_failpoint("test/prob");
             fired
         };
         let first = sequence(());
@@ -381,29 +385,29 @@ mod tests {
 
     #[test]
     fn delay_sleeps_and_returns_no_fault() {
-        configure(
+        configure_failpoint(
             "test/delay",
             FailAction::Delay(Duration::from_millis(20)),
             1.0,
         );
         let started = std::time::Instant::now();
-        assert_eq!(check("test/delay"), None);
+        assert_eq!(check_failpoint("test/delay"), None);
         assert!(started.elapsed() >= Duration::from_millis(20));
-        remove("test/delay");
+        remove_failpoint("test/delay");
     }
 
     #[test]
     fn panic_action_panics_with_the_point_name() {
-        configure("test/panic", FailAction::Panic, 1.0);
-        let result = std::panic::catch_unwind(|| check("test/panic"));
-        remove("test/panic");
+        configure_failpoint("test/panic", FailAction::Panic, 1.0);
+        let result = std::panic::catch_unwind(|| check_failpoint("test/panic"));
+        remove_failpoint("test/panic");
         let message = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(message.contains("test/panic"));
     }
 
     #[test]
     fn spec_strings_parse_every_action() {
-        configure_str(
+        configure_failpoints(
             "test/spec-a=error%0.25, test/spec-b=panic, \
              test/spec-c=delay:5%50, test/spec-d=partial:7",
         )
@@ -419,29 +423,30 @@ mod tests {
         assert!((points["test/spec-c"].probability - 0.5).abs() < 1e-9);
         assert_eq!(points["test/spec-d"].action, FailAction::Partial(7));
         drop(points);
-        configure_str("test/spec-a=off,test/spec-b=off,test/spec-c=off,test/spec-d=off").unwrap();
-        assert_eq!(check("test/spec-a"), None);
+        configure_failpoints("test/spec-a=off,test/spec-b=off,test/spec-c=off,test/spec-d=off")
+            .unwrap();
+        assert_eq!(check_failpoint("test/spec-a"), None);
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
-        assert!(configure_str("no-equals-sign").is_err());
-        assert!(configure_str("=error").is_err());
-        assert!(configure_str("x=explode").is_err());
-        assert!(configure_str("x=delay:abc").is_err());
-        assert!(configure_str("x=partial:-1").is_err());
-        assert!(configure_str("x=error%many").is_err());
+        assert!(configure_failpoints("no-equals-sign").is_err());
+        assert!(configure_failpoints("=error").is_err());
+        assert!(configure_failpoints("x=explode").is_err());
+        assert!(configure_failpoints("x=delay:abc").is_err());
+        assert!(configure_failpoints("x=partial:-1").is_err());
+        assert!(configure_failpoints("x=error%many").is_err());
     }
 
     #[test]
     fn stats_document_reports_counters() {
-        configure("test/stats", FailAction::Error, 1.0);
-        let _ = check("test/stats");
-        let json = stats_json().expect("a configured point produces stats");
+        configure_failpoint("test/stats", FailAction::Error, 1.0);
+        let _ = check_failpoint("test/stats");
+        let json = failpoint_stats_json().expect("a configured point produces stats");
         let text = json.to_json_string();
         assert!(text.contains("\"test/stats\""));
         assert!(text.contains("\"action\":\"error\""));
-        remove("test/stats");
+        remove_failpoint("test/stats");
     }
 
     #[test]
@@ -451,9 +456,9 @@ mod tests {
             Ok(7)
         }
         assert_eq!(guarded(), Ok(7));
-        configure("test/macro", FailAction::Error, 1.0);
+        configure_failpoint("test/macro", FailAction::Error, 1.0);
         assert_eq!(guarded(), Err("injected".to_string()));
-        remove("test/macro");
+        remove_failpoint("test/macro");
         assert_eq!(guarded(), Ok(7));
     }
 }

@@ -1,8 +1,8 @@
 //! Strongly typed identifiers used across the platform.
 //!
 //! Each identifier wraps a `u64` and provides a process-wide monotonic
-//! generator. Using distinct types prevents mixing up, say, a function id and
-//! an invocation id in dispatcher bookkeeping.
+//! generator. Using distinct types prevents mixing up, say, a node id and an
+//! invocation id in dispatcher bookkeeping.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,16 +59,6 @@ macro_rules! define_id {
 }
 
 define_id!(
-    /// Identifies a registered compute or communication function.
-    FunctionId,
-    "fn-"
-);
-define_id!(
-    /// Identifies a registered composition (application DAG).
-    CompositionId,
-    "comp-"
-);
-define_id!(
     /// Identifies a single client invocation of a composition or function.
     InvocationId,
     "inv-"
@@ -79,54 +69,14 @@ define_id!(
     "node-"
 );
 define_id!(
-    /// Identifies a compute or communication engine on a worker node.
-    EngineId,
-    "eng-"
-);
-define_id!(
     /// Identifies a memory context managed by the dispatcher.
     ContextId,
     "ctx-"
 );
 
-/// Allocates sequential identifiers scoped to one owner (e.g. one dispatcher).
-///
-/// Unlike the `next()` constructors this generator is deterministic per
-/// instance, which keeps simulation runs reproducible.
-#[derive(Debug)]
-pub struct IdGenerator {
-    next: AtomicU64,
-}
-
-impl IdGenerator {
-    /// Creates a generator that starts at `1`.
-    pub const fn new() -> Self {
-        Self {
-            next: AtomicU64::new(1),
-        }
-    }
-
-    /// Returns the next raw identifier value.
-    pub fn next_raw(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Returns the next identifier converted into the requested type.
-    pub fn next_id<T: From<u64>>(&self) -> T {
-        T::from(self.next_raw())
-    }
-}
-
-impl Default for IdGenerator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn ids_are_unique_and_monotonic() {
@@ -137,7 +87,7 @@ mod tests {
 
     #[test]
     fn display_includes_prefix() {
-        assert_eq!(FunctionId::from_raw(7).to_string(), "fn-7");
+        assert_eq!(InvocationId::from_raw(7).to_string(), "inv-7");
         assert_eq!(format!("{:?}", NodeId::from_raw(3)), "node-3");
     }
 
@@ -146,32 +96,15 @@ mod tests {
         let id = InvocationId::from_raw(42);
         assert_eq!(InvocationId::parse(&id.to_string()), Some(id));
         assert_eq!(InvocationId::parse("42"), Some(id));
-        assert_eq!(FunctionId::parse("fn-7"), Some(FunctionId::from_raw(7)));
+        assert_eq!(NodeId::parse("node-7"), Some(NodeId::from_raw(7)));
         assert_eq!(InvocationId::parse("inv-"), None);
         assert_eq!(InvocationId::parse("zzz"), None);
         assert_eq!(InvocationId::parse("node-3"), None);
     }
 
     #[test]
-    fn generator_is_deterministic_per_instance() {
-        let generator = IdGenerator::new();
-        let ids: Vec<u64> = (0..5).map(|_| generator.next_raw()).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn generator_produces_distinct_typed_ids() {
-        let generator = IdGenerator::new();
-        let mut seen = HashSet::new();
-        for _ in 0..100 {
-            let id: ContextId = generator.next_id();
-            assert!(seen.insert(id));
-        }
-    }
-
-    #[test]
     fn ids_are_ordered_by_raw_value() {
         assert!(ContextId::from_raw(1) < ContextId::from_raw(2));
-        assert_eq!(EngineId::from_raw(9), EngineId::from(9u64));
+        assert_eq!(NodeId::from_raw(9), NodeId::from(9u64));
     }
 }

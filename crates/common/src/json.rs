@@ -537,7 +537,8 @@ mod tests {
         let payload: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
         let document = JsonValue::object([("data", JsonValue::bytes(payload.clone()))]);
         let text = document.to_string();
-        let expected = crate::encoding::base64_encode(&payload);
+        let mut expected = String::new();
+        crate::encoding::base64_encode_into(&mut expected, &payload).unwrap();
         assert_eq!(text, format!("{{\"data\":\"{expected}\"}}"));
         // Parsing yields the string form; decoding recovers the payload.
         let parsed = JsonValue::parse(&text).unwrap();

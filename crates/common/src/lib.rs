@@ -3,55 +3,71 @@
 //! This crate deliberately has no dependency on the rest of the workspace. It
 //! provides:
 //!
-//! * [`error`] — the shared [`DandelionError`] type and [`DandelionResult`].
-//! * [`failpoint`] — deterministic fault injection: named failpoints with
-//!   seeded probabilities, zero-cost when disabled (one relaxed load).
-//! * [`id`] — strongly typed identifiers for functions, compositions,
-//!   invocations, engines, nodes and memory contexts.
-//! * [`data`] — the value model passed between functions: [`data::DataItem`]
-//!   and [`data::DataSet`].
-//! * [`stats`] — latency recorders, percentile summaries and time series used
-//!   by the benchmark harness.
+//! * the shared [`DandelionError`] type and [`DandelionResult`];
+//! * deterministic fault injection ([`fail_point!`], [`configure_failpoint`]):
+//!   named failpoints with seeded probabilities, zero-cost when disabled (one
+//!   relaxed load);
+//! * strongly typed identifiers for invocations, nodes and memory contexts
+//!   ([`InvocationId`], [`NodeId`], [`ContextId`]);
+//! * the value model passed between functions: [`DataItem`] and
+//!   [`DataSet`];
+//! * latency recorders, histograms and time series ([`LatencyRecorder`],
+//!   [`LatencyHistogram`], [`TimeSeries`]);
 //! * [`rng`] — a small deterministic RNG and the statistical distributions
-//!   used to generate synthetic workloads.
+//!   used to generate synthetic workloads;
 //! * [`config`] — platform configuration structs shared by the runtime and
-//!   the simulator.
-//! * [`json`] — a dependency-free JSON value model (writer + parser) used by
-//!   the v1 HTTP API and the benchmark reports.
-//! * [`encoding`] — base64 for binary payloads inside JSON documents, and
-//!   [`encoding::utf8_lossy`], the one lossy bytes-to-text conversion.
-//! * [`bytes`] — [`bytes::SharedBytes`], the zero-copy payload view threaded
-//!   through the data plane, and [`bytes::SharedBytesMut`], the append-only
-//!   builder that freezes into it without copying.
-//! * [`rope`] — [`rope::Rope`], multi-part payloads as lists of zero-copy
-//!   segments with vectored delivery.
-//! * [`mpsc`] — [`mpsc::MpscQueue`], the lock-free multi-producer inbox
-//!   the server's event loops drain in batches.
-//! * [`pool`] — [`pool::BufferPool`], the fixed-class slab of reusable
-//!   buffers behind the byte builders.
+//!   the simulator;
+//! * [`JsonValue`], a dependency-free JSON value model (writer + parser) used
+//!   by the v1 HTTP API and the benchmark reports;
+//! * base64 for binary payloads inside JSON documents ([`base64_decode`]),
+//!   and [`utf8_lossy`], the one lossy bytes-to-text conversion;
+//! * [`SharedBytes`], the zero-copy payload view threaded through the data
+//!   plane, and [`SharedBytesMut`], the append-only builder that freezes
+//!   into it without copying;
+//! * [`Rope`], multi-part payloads as lists of zero-copy segments with
+//!   vectored delivery;
+//! * [`MpscQueue`], the lock-free multi-producer inbox the server's event
+//!   loops drain in batches;
+//! * [`BufferPool`], the fixed-class slab of reusable buffers behind the
+//!   byte builders.
+//!
+//! Its two modules with a path of their own, [`config`] and [`rng`], are
+//! named that way by `benchmark/`; everything else is used from the crate
+//! root.
 
-pub mod bytes;
+mod bytes;
+// `pub` because `benchmark/src/layerwalk.rs` imports it by path.
 pub mod config;
-pub mod data;
-pub mod encoding;
-pub mod error;
-pub mod failpoint;
-pub mod id;
-pub mod json;
-pub mod mpsc;
-pub mod pool;
+mod data;
+mod encoding;
+mod error;
+mod failpoint;
+mod id;
+mod json;
+mod mpsc;
+mod pool;
+// `pub` because `benchmark/src/{workload,schedule}.rs` import it by path.
 pub mod rng;
-pub mod rope;
-pub mod stats;
+mod rope;
+mod stats;
 
 pub use bytes::{SharedBytes, SharedBytesMut};
-pub use data::{DataItem, DataSet};
+pub use data::{total_bytes, DataItem, DataSet};
+pub use encoding::{base64_decode, utf8_lossy};
 pub use error::{DandelionError, DandelionResult};
-pub use id::{CompositionId, ContextId, EngineId, FunctionId, InvocationId, NodeId};
+pub use failpoint::{
+    check_failpoint, clear_failpoints, configure_failpoint, failpoint_hits, failpoint_io_error,
+    failpoint_stats_json, failpoints_enabled, init_failpoints_from_env, remove_failpoint,
+    set_failpoint_seed, FailAction, Fault,
+};
+pub use id::{ContextId, InvocationId, NodeId};
 pub use json::JsonValue;
-pub use mpsc::MpscQueue;
-pub use pool::BufferPool;
+pub use mpsc::{Drain, MpscQueue};
+pub use pool::{
+    settle_heap_thresholds, BufferPool, PoolStats, PooledBuf, LARGEST_CLASS, SIZE_CLASSES,
+};
 pub use rope::{BatchProgress, Rope, RopeBatch, RopeWriter};
+pub use stats::{LatencyHistogram, LatencyRecorder, LatencySummary, TimeSeries};
 
 /// Number of bytes in a kibibyte.
 pub const KIB: usize = 1024;

@@ -427,13 +427,13 @@ mod glibc {
     use std::os::raw::c_int;
 
     /// `malloc.h`: the heap's top is trimmed when more than this is free.
-    pub const M_TRIM_THRESHOLD: c_int = -1;
+    pub(super) const M_TRIM_THRESHOLD: c_int = -1;
     /// `malloc.h`: requests of at least this many bytes are mapped singly.
-    pub const M_MMAP_THRESHOLD: c_int = -3;
+    pub(super) const M_MMAP_THRESHOLD: c_int = -3;
 
     extern "C" {
-        pub fn malloc_trim(pad: usize) -> c_int;
-        pub fn mallopt(parameter: c_int, value: c_int) -> c_int;
+        pub(super) fn malloc_trim(pad: usize) -> c_int;
+        pub(super) fn mallopt(parameter: c_int, value: c_int) -> c_int;
     }
 }
 

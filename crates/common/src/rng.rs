@@ -72,14 +72,14 @@ impl SplitMix64 {
     }
 
     /// Samples a standard normal value using the Box-Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Samples a normal value with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
     }
 

@@ -469,7 +469,7 @@ impl RopeBatch {
     }
 
     /// Writes as much of the queue as the writer accepts, one vectored
-    /// write over up to [`BATCH_SLICES`] segments at a time.
+    /// write over up to `BATCH_SLICES` segments at a time.
     ///
     /// Returns `Ok(true)` when the queue is empty and `Ok(false)` when the
     /// writer signalled [`WouldBlock`](io::ErrorKind::WouldBlock) — call

@@ -36,12 +36,6 @@ impl LatencyRecorder {
         self.sorted = false;
     }
 
-    /// Records a latency expressed in microseconds.
-    pub fn record_us(&mut self, micros: f64) {
-        self.samples_us.push(micros);
-        self.sorted = false;
-    }
-
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
         self.samples_us.len()
@@ -135,12 +129,6 @@ impl LatencyRecorder {
     pub fn max_us(&mut self) -> Option<f64> {
         self.ensure_sorted();
         self.samples_us.last().copied()
-    }
-
-    /// Minimum sample in microseconds.
-    pub fn min_us(&mut self) -> Option<f64> {
-        self.ensure_sorted();
-        self.samples_us.first().copied()
     }
 
     /// Produces an immutable summary of the recorded distribution.
@@ -426,43 +414,6 @@ impl TimeSeries {
     }
 }
 
-/// A simple throughput/utilization counter over a fixed window.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    total: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `count` events.
-    pub fn add(&mut self, count: u64) {
-        self.total += count;
-    }
-
-    /// Increments the counter by one.
-    pub fn increment(&mut self) {
-        self.total += 1;
-    }
-
-    /// Total events observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events per second over the given span.
-    pub fn rate(&self, span: Duration) -> f64 {
-        if span.is_zero() {
-            0.0
-        } else {
-            self.total as f64 / span.as_secs_f64()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,15 +565,5 @@ mod tests {
         assert_eq!(down.len(), 100);
         let same = series.downsample(10_000);
         assert_eq!(same.len(), 1000);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut counter = Counter::new();
-        counter.add(500);
-        counter.increment();
-        assert_eq!(counter.total(), 501);
-        assert!((counter.rate(Duration::from_secs(10)) - 50.1).abs() < 1e-9);
-        assert_eq!(counter.rate(Duration::ZERO), 0.0);
     }
 }

@@ -22,9 +22,8 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dandelion_common::encoding::base64_decode;
 use dandelion_common::{
-    DandelionError, DandelionResult, DataItem, DataSet, InvocationId, JsonValue,
+    base64_decode, DandelionError, DandelionResult, DataItem, DataSet, InvocationId, JsonValue,
 };
 use dandelion_http::{HttpRequest, HttpResponse, StatusCode};
 use dandelion_isolation::output_parser;

@@ -75,7 +75,7 @@ impl CoreAllocation {
 
 /// Proportional-Integral controller over queue growth rates.
 #[derive(Debug, Clone)]
-pub struct PiController {
+pub(crate) struct PiController {
     config: ControllerConfig,
     integral: f64,
     previous_compute_len: Option<usize>,
@@ -84,7 +84,7 @@ pub struct PiController {
 
 impl PiController {
     /// Creates a controller with the given gains.
-    pub fn new(config: ControllerConfig) -> Self {
+    pub(crate) fn new(config: ControllerConfig) -> Self {
         Self {
             config,
             integral: 0.0,
@@ -97,7 +97,11 @@ impl PiController {
     ///
     /// The first sample only establishes the baseline and always returns
     /// [`CoreMove::Hold`].
-    pub fn tick(&mut self, compute_queue_len: usize, communication_queue_len: usize) -> CoreMove {
+    pub(crate) fn tick(
+        &mut self,
+        compute_queue_len: usize,
+        communication_queue_len: usize,
+    ) -> CoreMove {
         let (Some(previous_compute), Some(previous_communication)) =
             (self.previous_compute_len, self.previous_communication_len)
         else {
@@ -135,13 +139,6 @@ impl PiController {
         } else {
             CoreMove::Hold
         }
-    }
-
-    /// Resets the controller state (used when the workload changes abruptly).
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.previous_compute_len = None;
-        self.previous_communication_len = None;
     }
 }
 
@@ -266,15 +263,6 @@ mod tests {
             moves.push(pi.tick(compute, (step * 15) as usize));
         }
         assert!(moves.contains(&CoreMove::ToCommunication));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut pi = controller();
-        pi.tick(0, 0);
-        pi.tick(100, 0);
-        pi.reset();
-        assert_eq!(pi.tick(1000, 0), CoreMove::Hold);
     }
 
     #[test]

@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 
 use dandelion_common::config::WorkerConfig;
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::stats::LatencyHistogram;
 use dandelion_common::{
     fail_point, BufferPool, DandelionError, DandelionResult, DataSet, InvocationId,
+    LatencyHistogram,
 };
 use dandelion_dsl::CompositionGraph;
 use parking_lot::Mutex;
@@ -223,7 +223,7 @@ impl Default for DispatchMetrics {
 /// [`InvocationHandle::on_settle`]; invoked on the dispatcher driver thread
 /// (or the registering thread when the invocation already settled), never
 /// while an entry lock is held — so the callback may use the table freely.
-pub type SettleCallback = Box<dyn FnOnce(DandelionResult<InvocationOutcome>) + Send>;
+pub(crate) type SettleCallback = Box<dyn FnOnce(DandelionResult<InvocationOutcome>) + Send>;
 
 /// Links a child invocation to the parent instance awaiting it.
 #[derive(Debug, Clone)]
@@ -1227,7 +1227,7 @@ mod tests {
     use dandelion_http::validate::ValidationPolicy;
     use dandelion_http::{HttpRequest, HttpResponse};
     use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
-    use dandelion_services::object_store::ObjectStore;
+    use dandelion_services::ObjectStore;
     use dandelion_services::ServiceRegistry;
 
     struct Harness {

@@ -27,7 +27,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dandelion_common::config::EngineKind;
-use dandelion_common::{fail_point, failpoint, DandelionError, DataItem, DataSet};
+use dandelion_common::{
+    check_failpoint, fail_point, failpoints_enabled, DandelionError, DataItem, DataSet, Fault,
+};
 use dandelion_http::validate::{validate_request_shared, ValidationPolicy};
 use dandelion_isolation::{ExecutionTask, IsolationBackend};
 use dandelion_services::ServiceRegistry;
@@ -183,8 +185,8 @@ const DEFAULT_RESTART_BUDGET: usize = 32;
 /// killing the engine thread.
 fn execute_supervised(executor: &EngineExecutor, task: &Task) -> TaskResult {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if failpoint::enabled() {
-            if let Some(failpoint::Fault::Error) = failpoint::check("engine/execute") {
+        if failpoints_enabled() {
+            if let Some(Fault::Error) = check_failpoint("engine/execute") {
                 return TaskResult {
                     invocation: task.invocation,
                     node: task.node,
@@ -510,7 +512,7 @@ mod tests {
     use dandelion_common::InvocationId;
     use dandelion_http::HttpRequest;
     use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
-    use dandelion_services::object_store::ObjectStore;
+    use dandelion_services::ObjectStore;
     use std::sync::mpsc::channel;
 
     fn compute_pool() -> EnginePool {

@@ -56,7 +56,7 @@ use crate::worker::WorkerNode;
 pub const SET_LIST_CONTENT_TYPE: &str = "application/x-dandelion-sets";
 
 /// Content type for JSON documents.
-pub const JSON_CONTENT_TYPE: &str = "application/json";
+const JSON_CONTENT_TYPE: &str = "application/json";
 
 /// The typed routes of the frontend, as resolved by [`Route::resolve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +113,7 @@ pub enum FrontendReply {
     Ready(HttpResponse),
     /// A `POST /v1/invoke/{name}` is running on the worker. Block on the
     /// handle (what [`Frontend::handle`] does) or register an
-    /// [`InvocationHandle::on_settle`] callback and encode the outcome with
+    /// `InvocationHandle::on_settle` callback and encode the outcome with
     /// [`sync_invoke_response`] — the readiness-driven server's path, which
     /// parks the connection instead of a thread.
     Pending(InvocationHandle),
@@ -280,7 +280,7 @@ impl Frontend {
         }
         // Only present when fault injection is configured: per-failpoint
         // hit counters so a chaos run can reconcile what actually fired.
-        if let Some(failpoints) = dandelion_common::failpoint::stats_json() {
+        if let Some(failpoints) = dandelion_common::failpoint_stats_json() {
             pairs.push(("failpoints".into(), failpoints));
         }
         json_response(StatusCode::OK, &JsonValue::Object(pairs))
@@ -575,8 +575,8 @@ fn encode_outputs_response(outputs: &[DataSet]) -> HttpResponse {
 mod tests {
     use super::*;
     use crate::worker::{default_test_services, WorkerNode};
+    use dandelion_common::base64_decode;
     use dandelion_common::config::{IsolationKind, WorkerConfig};
-    use dandelion_common::encoding::base64_decode;
     use dandelion_common::DataItem;
     use dandelion_isolation::{FunctionArtifact, FunctionCtx};
     use std::time::{Duration, Instant};

@@ -16,8 +16,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dandelion_common::{DandelionError, DandelionResult, DataItem, DataSet, InvocationId};
-use dandelion_dsl::graph::{CompositionGraph, GraphNode, InputSource, NodeInput, NodeOutput};
-use dandelion_dsl::Distribution;
+use dandelion_dsl::{
+    CompositionGraph, Distribution, GraphNode, InputSource, NodeInput, NodeOutput,
+};
 
 /// One executable instance of a node, with materialized inputs. The vertex
 /// name and the output sets are lent from the invocation's graph.
@@ -466,7 +467,7 @@ fn expand_instances(
 mod tests {
     use super::*;
     use dandelion_common::DataItem;
-    use dandelion_dsl::builder::render_logs_composition;
+    use dandelion_dsl::render_logs_composition;
     use dandelion_dsl::{CompositionBuilder, Distribution};
 
     fn invocation(graph: CompositionGraph, inputs: Vec<DataSet>) -> InvocationState {

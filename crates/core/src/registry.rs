@@ -198,7 +198,7 @@ impl std::fmt::Debug for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dandelion_dsl::builder::render_logs_composition;
+    use dandelion_dsl::render_logs_composition;
     use dandelion_isolation::FunctionCtx;
 
     fn noop(name: &str) -> FunctionArtifact {

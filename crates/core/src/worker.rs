@@ -11,8 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use dandelion_common::config::{EngineKind, WorkerConfig};
-use dandelion_common::stats::LatencySummary;
-use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
+use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId, LatencySummary};
 use dandelion_dsl::CompositionGraph;
 use dandelion_http::validate::ValidationPolicy;
 use dandelion_isolation::{create_backend, FunctionArtifact, HardwarePlatform};
@@ -81,7 +80,7 @@ impl WorkerNode {
         // Chaos runs configure fault injection through the environment; in
         // production no variable is set and every failpoint stays one
         // relaxed atomic load.
-        dandelion_common::failpoint::init_from_env();
+        dandelion_common::init_failpoints_from_env();
         let registry = Arc::new(Registry::new());
         let compute_queue = TaskQueue::new(EngineKind::Compute, config.queue_capacity);
         let communication_queue = TaskQueue::new(EngineKind::Communication, config.queue_capacity);
@@ -173,10 +172,9 @@ impl WorkerNode {
 
     /// Submits an invocation of a registered composition without blocking.
     ///
-    /// The returned [`InvocationHandle`] tracks the invocation through the
-    /// dispatcher's shared in-flight table: poll it with
-    /// [`InvocationHandle::try_result`], block on it with
-    /// [`InvocationHandle::wait`], or discard it and poll by id through
+    /// The returned `InvocationHandle` tracks the invocation through the
+    /// dispatcher's shared in-flight table: poll it with `try_result`, block
+    /// on it with `wait`, or discard it and poll by id through
     /// [`WorkerNode::poll`]. Many invocations can be in flight per client.
     pub fn submit(
         &self,
@@ -316,12 +314,12 @@ impl Drop for WorkerNode {
 /// services used throughout the examples (auth, logs, object store, LLM,
 /// SQL database), all with zero artificial latency so tests stay fast.
 pub fn default_test_services() -> ServiceRegistry {
-    use dandelion_services::auth::AuthService;
-    use dandelion_services::database::SqlDatabaseService;
-    use dandelion_services::latency::LatencyModel;
-    use dandelion_services::llm::LlmService;
-    use dandelion_services::logs::LogService;
-    use dandelion_services::object_store::ObjectStore;
+    use dandelion_services::AuthService;
+    use dandelion_services::LatencyModel;
+    use dandelion_services::LlmService;
+    use dandelion_services::LogService;
+    use dandelion_services::ObjectStore;
+    use dandelion_services::SqlDatabaseService;
 
     let mut registry = ServiceRegistry::new();
     let auth = AuthService::with_latency(LatencyModel::zero());

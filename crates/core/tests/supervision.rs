@@ -16,12 +16,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dandelion_common::config::{EngineKind, IsolationKind, WorkerConfig};
-use dandelion_common::failpoint::{self, FailAction};
-use dandelion_common::{DandelionError, DataSet, InvocationId};
-use dandelion_core::dispatcher::Dispatcher;
-use dandelion_core::engine::{EngineExecutor, EnginePool};
-use dandelion_core::task::{ReplySender, Task, TaskPayload, TaskQueue};
-use dandelion_core::Registry;
+use dandelion_common::{
+    clear_failpoints, configure_failpoint, failpoint_hits, DandelionError, DataSet, FailAction,
+    InvocationId,
+};
+use dandelion_core::{
+    Dispatcher, EngineExecutor, EnginePool, Registry, ReplySender, Task, TaskPayload, TaskQueue,
+};
 use dandelion_dsl::{CompositionBuilder, Distribution};
 use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
 
@@ -32,7 +33,7 @@ fn serial() -> MutexGuard<'static, ()> {
     let guard = GUARD
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    failpoint::clear();
+    clear_failpoints();
     guard
 }
 
@@ -40,7 +41,7 @@ struct ClearOnDrop;
 
 impl Drop for ClearOnDrop {
     fn drop(&mut self) {
-        failpoint::clear();
+        clear_failpoints();
     }
 }
 
@@ -89,7 +90,7 @@ fn wait_until(what: &str, predicate: impl Fn() -> bool) {
 fn injected_execute_error_surfaces_as_engine_fault() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    failpoint::configure("engine/execute", FailAction::Error, 1.0);
+    configure_failpoint("engine/execute", FailAction::Error, 1.0);
     let pool = compute_pool();
     pool.resize(1);
     let (reply, results) = channel();
@@ -105,14 +106,14 @@ fn injected_execute_error_surfaces_as_engine_fault() {
     // The fault was contained to the result: the engine thread survived.
     assert_eq!(pool.engine_deaths(), 0);
     assert_eq!(pool.engine_count(), 1);
-    assert!(failpoint::hits("engine/execute") >= 1);
+    assert!(failpoint_hits("engine/execute") >= 1);
 }
 
 #[test]
 fn panic_in_the_task_body_is_contained_to_a_result() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    failpoint::configure("engine/execute", FailAction::Panic, 1.0);
+    configure_failpoint("engine/execute", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.resize(1);
     let (reply, results) = channel();
@@ -136,7 +137,7 @@ fn panic_in_the_task_body_is_contained_to_a_result() {
 fn reply_panic_retries_once_then_fails_exactly_once() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    failpoint::configure("engine/reply", FailAction::Panic, 1.0);
+    configure_failpoint("engine/reply", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.resize(1);
     let (reply, results) = channel();
@@ -168,7 +169,7 @@ fn reply_panic_retries_once_then_fails_exactly_once() {
 fn post_delivery_panic_respawns_without_duplicating_the_result() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    failpoint::configure("engine/after-reply", FailAction::Panic, 1.0);
+    configure_failpoint("engine/after-reply", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.resize(1);
     let (reply, results) = channel();
@@ -192,7 +193,7 @@ fn post_delivery_panic_respawns_without_duplicating_the_result() {
 fn exhausted_restart_budget_stops_respawns_but_allows_manual_recovery() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    failpoint::configure("engine/after-reply", FailAction::Panic, 1.0);
+    configure_failpoint("engine/after-reply", FailAction::Panic, 1.0);
     let pool = compute_pool();
     pool.set_restart_budget(0);
     pool.resize(1);
@@ -209,7 +210,7 @@ fn exhausted_restart_budget_stops_respawns_but_allows_manual_recovery() {
     assert_eq!(pool.restart_budget_left(), 0);
     // The operator's escape hatch: clear the fault and resize the pool back
     // up; queued work flows again.
-    failpoint::clear();
+    clear_failpoints();
     pool.resize(2);
     pool.queue().push(task(&reply));
     assert!(results.recv_timeout(Duration::from_secs(5)).unwrap()[0]
@@ -283,7 +284,7 @@ fn identity_graph(registry: &Registry) -> Arc<dandelion_dsl::CompositionGraph> {
 fn engine_fault_fails_the_invocation_exactly_once() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    failpoint::configure("engine/reply", FailAction::Panic, 1.0);
+    configure_failpoint("engine/reply", FailAction::Panic, 1.0);
     let harness = harness(Duration::ZERO);
     let graph = identity_graph(&harness.registry);
     let handle = harness

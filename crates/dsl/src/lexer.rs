@@ -4,7 +4,7 @@ use dandelion_common::DandelionError;
 
 /// The kinds of tokens produced by the lexer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// The `composition` keyword.
     Composition,
     /// The `all` distribution keyword.
@@ -39,7 +39,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// Human readable description used in error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Composition => "`composition`".to_string(),
             TokenKind::All => "`all`".to_string(),
@@ -62,7 +62,7 @@ impl TokenKind {
 
 /// A token with its source location (1-based line and column).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
     pub kind: TokenKind,
     /// Line where the token starts.
@@ -84,7 +84,7 @@ fn is_identifier_continue(c: char) -> bool {
 /// `//` and `#` introduce comments that run to end of line. Whitespace is
 /// insignificant. The returned vector always ends with an [`TokenKind::Eof`]
 /// token carrying the final position.
-pub fn lex(source: &str) -> Result<Vec<Token>, DandelionError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DandelionError> {
     let mut tokens = Vec::new();
     let mut line = 1usize;
     let mut column = 1usize;

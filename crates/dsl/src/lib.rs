@@ -30,26 +30,24 @@
 //!
 //! This crate provides:
 //!
-//! * [`lex`] / [`parse_program`] / [`parse_composition`] — text to AST,
-//! * [`ast`] — the AST types,
-//! * [`graph`] — semantic validation and lowering to [`graph::CompositionGraph`],
-//!   the executable DAG the dispatcher consumes,
-//! * [`builder`] — a programmatic builder for constructing graphs without DSL
-//!   text.
+//! * [`compile`] — DSL text to a validated [`CompositionGraph`], the
+//!   executable DAG the dispatcher consumes (lexer, parser, AST and semantic
+//!   validation are private to the crate),
+//! * [`CompositionBuilder`] — a programmatic builder for constructing graphs
+//!   without DSL text.
 
-pub mod ast;
-pub mod builder;
-pub mod graph;
+mod ast;
+mod builder;
+mod graph;
 mod lexer;
 mod parser;
 
-pub use ast::{CompositionAst, Distribution, InputBinding, OutputBinding, Statement};
-pub use builder::CompositionBuilder;
-pub use graph::{CompositionGraph, GraphNode, InputSource, ValidationError};
-pub use lexer::{lex, Token, TokenKind};
-pub use parser::{parse_composition, parse_program};
+pub use ast::Distribution;
+pub use builder::{render_logs_composition, CompositionBuilder};
+pub use graph::{CompositionGraph, GraphNode, InputSource, NodeInput, NodeOutput};
 
 use dandelion_common::DandelionResult;
+use parser::{parse_composition, parse_program};
 
 /// Parses and validates a single composition from DSL text.
 ///
@@ -73,7 +71,7 @@ mod tests {
     use super::*;
 
     /// The running example from the paper (Listing 2).
-    pub const RENDER_LOGS: &str = r#"
+    pub(crate) const RENDER_LOGS: &str = r#"
         composition RenderLogs(AccessToken) => HTMLOutput {
             Access(AccessToken = all AccessToken) => (AuthRequest = HTTPRequest);
             HTTP(Request = each AuthRequest) => (AuthResponse = Response);

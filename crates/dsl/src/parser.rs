@@ -183,7 +183,7 @@ impl Parser {
 ///
 /// Trailing input after the composition is rejected; use [`parse_program`]
 /// for files containing several compositions.
-pub fn parse_composition(source: &str) -> DandelionResult<CompositionAst> {
+pub(crate) fn parse_composition(source: &str) -> DandelionResult<CompositionAst> {
     let mut parser = Parser::new(lex(source)?);
     let composition = parser.parse_composition()?;
     if !parser.at_eof() {
@@ -193,7 +193,7 @@ pub fn parse_composition(source: &str) -> DandelionResult<CompositionAst> {
 }
 
 /// Parses every composition in a DSL program.
-pub fn parse_program(source: &str) -> DandelionResult<Vec<CompositionAst>> {
+pub(crate) fn parse_program(source: &str) -> DandelionResult<Vec<CompositionAst>> {
     let mut parser = Parser::new(lex(source)?);
     let mut compositions = Vec::new();
     while !parser.at_eof() {

@@ -14,21 +14,22 @@
 //! * the URI authority must be a syntactically valid IP address or domain
 //!   name.
 //!
-//! [`validate::validate_request`] implements exactly those checks and is
-//! covered by property tests.
+//! [`validate::validate_request_shared`] implements exactly those checks and
+//! is covered by property tests.
 
 mod parse;
-pub mod stream;
+mod stream;
 mod types;
 mod uri;
+// `pub` because `benchmark/src/layerwalk.rs` imports it by path.
 pub mod validate;
 
 pub use parse::{
     parse_request, parse_request_shared, parse_response, parse_response_shared, HttpParseError,
 };
 pub use stream::{
-    probe_request, probe_response, rejection_code, rejection_status, Frame, ParseLimits, Probe,
-    RequestDecoder, RequestFrame, ResponseDecoder, ResponseFrame,
+    rejection_code, rejection_status, Frame, ParseLimits, RequestDecoder, RequestFrame,
+    ResponseDecoder, ResponseFrame, FRAMING_HEADS,
 };
 pub use types::{Headers, HttpRequest, HttpResponse, Method, StatusCode, Version};
 pub use uri::Uri;

@@ -16,19 +16,18 @@
 use std::fmt;
 use std::ops::Range;
 
-use dandelion_common::encoding::utf8_lossy;
-use dandelion_common::SharedBytes;
+use dandelion_common::{utf8_lossy, SharedBytes};
 
 use crate::types::{
     parse_content_length, Headers, HttpRequest, HttpResponse, Method, StatusCode, Version,
 };
 
 /// Maximum accepted length of the request/status line in bytes.
-pub const MAX_LINE_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Maximum accepted number of header fields.
-pub const MAX_HEADERS: usize = 128;
+pub(crate) const MAX_HEADERS: usize = 128;
 /// Maximum accepted body size in bytes (64 MiB).
-pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// Errors produced when parsing HTTP messages.
 #[derive(Debug, Clone, PartialEq, Eq)]

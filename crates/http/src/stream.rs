@@ -1,15 +1,13 @@
 //! Incremental parsing for messages arriving over a byte stream.
 //!
-//! The one-shot parsers in [`crate::parse`] assume the whole message is in
-//! hand. A socket delivers bytes in arbitrary fragments, possibly several
-//! pipelined messages per read, so the network server needs three extra
-//! capabilities, provided here:
+//! The one-shot parsers ([`parse_request_shared`] and its siblings) assume
+//! the whole message is in hand. A socket delivers bytes in arbitrary
+//! fragments, possibly several pipelined messages per read, so the network
+//! server needs two extra capabilities, provided here:
 //!
-//! * [`probe_request`] / [`probe_response`] decide — without building
-//!   anything — whether a buffer holds a complete message and how many bytes
-//!   it spans, enforcing configurable [`ParseLimits`] so oversized heads and
-//!   bodies are rejected before they are buffered in full.
-//! * [`RequestDecoder`] / [`ResponseDecoder`] own the receive buffer: bytes
+//! * [`RequestDecoder`] / [`ResponseDecoder`] enforce configurable
+//!   [`ParseLimits`], so oversized heads and bodies are rejected before they
+//!   are buffered in full, and own the receive buffer: bytes
 //!   accumulate in a pooled [`SharedBytesMut`]; once a message is complete
 //!   the buffer is frozen and the message handed out as a [`Frame`] — its
 //!   bytes, a view of the receive buffer, and the record of its head's one
@@ -32,8 +30,7 @@
 use std::io::{self, Read};
 use std::os::fd::BorrowedFd;
 
-use dandelion_common::pool::LARGEST_CLASS;
-use dandelion_common::{Rope, SharedBytes, SharedBytesMut};
+use dandelion_common::{Rope, SharedBytes, SharedBytesMut, LARGEST_CLASS};
 
 use crate::parse::{
     build_request, build_response, field_lines, request_line, scan_head, status_line, Head,
@@ -63,18 +60,6 @@ impl Default for ParseLimits {
     }
 }
 
-/// The outcome of probing a buffer for one complete message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// A complete message spans the first `consumed` bytes of the buffer.
-    Complete {
-        /// Bytes of the buffer the message occupies (head + body).
-        consumed: usize,
-    },
-    /// The buffer holds only a prefix of a message; read more bytes.
-    Partial,
-}
-
 /// The head at the front of `input` once it has arrived whole, refused when
 /// it breaks `limits` or declares a body longer than they allow.
 ///
@@ -94,29 +79,6 @@ fn complete_head<L: Copy>(
         return Err(HttpParseError::LimitExceeded("body size"));
     }
     Ok(head)
-}
-
-fn probe<L: Copy>(
-    input: &[u8],
-    limits: &ParseLimits,
-    start_line: StartLineParser<L>,
-) -> Result<Probe, HttpParseError> {
-    Ok(match complete_head(input, limits, start_line)? {
-        Some(head) if head.message_len() <= input.len() => Probe::Complete {
-            consumed: head.message_len(),
-        },
-        _ => Probe::Partial,
-    })
-}
-
-/// Probes `input` for one complete HTTP request, enforcing `limits`.
-pub fn probe_request(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-    probe(input, limits, request_line)
-}
-
-/// Probes `input` for one complete HTTP response, enforcing `limits`.
-pub fn probe_response(input: &[u8], limits: &ParseLimits) -> Result<Probe, HttpParseError> {
-    probe(input, limits, status_line)
 }
 
 /// Maps a parse failure onto the status code of the rejection response:
@@ -593,65 +555,89 @@ mod tests {
             .with_header("Content-Type", "application/octet-stream")
     }
 
+    /// What a decoder fed all of `wire` at once makes of its first request.
+    fn decode_request(
+        wire: &[u8],
+        limits: ParseLimits,
+    ) -> Result<Option<RequestFrame>, HttpParseError> {
+        let mut decoder = RequestDecoder::new(limits);
+        decoder.feed(wire);
+        decoder.next_frame()
+    }
+
+    /// What a decoder fed all of `wire` at once makes of its first response.
+    fn decode_response(
+        wire: &[u8],
+        limits: ParseLimits,
+    ) -> Result<Option<ResponseFrame>, HttpParseError> {
+        let mut decoder = ResponseDecoder::new(limits);
+        decoder.feed(wire);
+        decoder.next_frame()
+    }
+
     #[test]
-    fn probe_reports_partial_then_complete() {
+    fn decoder_reports_partial_then_complete_at_every_cut() {
         let wire = sample_request().to_bytes();
         let limits = ParseLimits::default();
         for cut in 0..wire.len() {
-            assert_eq!(
-                probe_request(&wire[..cut], &limits).unwrap(),
-                Probe::Partial,
+            assert!(
+                decode_request(&wire[..cut], limits).unwrap().is_none(),
                 "prefix of {cut} bytes must be partial"
             );
         }
-        assert_eq!(
-            probe_request(&wire, &limits).unwrap(),
-            Probe::Complete {
-                consumed: wire.len()
-            }
-        );
+        let frame = decode_request(&wire, limits).unwrap().expect("complete");
+        assert_eq!(frame.bytes().as_ref(), &wire[..]);
     }
 
     #[test]
     fn request_without_content_length_ends_at_the_head() {
         let wire = b"GET /healthz HTTP/1.1\r\nHost: svc\r\n\r\nGET /next HTTP/1.1\r\n\r\n";
-        match probe_request(wire, &ParseLimits::default()).unwrap() {
-            Probe::Complete { consumed } => assert_eq!(consumed, 36),
-            Probe::Partial => panic!("head is complete"),
-        }
+        let mut decoder = RequestDecoder::new(ParseLimits::default());
+        decoder.feed(wire);
+        let first = decoder.next_frame().unwrap().expect("head is complete");
+        assert_eq!(first.bytes().len(), 36);
+        assert_eq!(first.body_len(), 0);
+        let second = decoder
+            .next_frame()
+            .unwrap()
+            .expect("successor is complete");
+        assert_eq!(second.target(), b"/next");
     }
 
     #[test]
-    fn probe_enforces_head_and_body_limits() {
+    fn decoders_enforce_head_and_body_limits() {
         let limits = ParseLimits {
             max_head_bytes: 64,
             max_body_bytes: 128,
         };
         let oversized_head = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "y".repeat(100));
-        assert_eq!(
-            probe_request(oversized_head.as_bytes(), &limits),
-            Err(HttpParseError::LimitExceeded("head size"))
-        );
+        let error = decode_request(oversized_head.as_bytes(), limits).unwrap_err();
+        assert_eq!(error, HttpParseError::LimitExceeded("head size"));
+        assert_eq!(rejection_status(&error).0, 431);
         // The limit triggers even before the terminator arrives.
         let unterminated = vec![b'a'; 80];
         assert_eq!(
-            probe_request(&unterminated, &limits),
-            Err(HttpParseError::LimitExceeded("head size"))
+            decode_request(&unterminated, limits).unwrap_err(),
+            HttpParseError::LimitExceeded("head size")
         );
         let oversized_body = b"POST /x HTTP/1.1\r\nContent-Length: 1000\r\n\r\n";
+        let error = decode_request(oversized_body, limits).unwrap_err();
+        assert_eq!(error, HttpParseError::LimitExceeded("body size"));
+        assert_eq!(rejection_status(&error).0, 413);
+        let oversized_response = b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n";
         assert_eq!(
-            probe_request(oversized_body, &limits),
-            Err(HttpParseError::LimitExceeded("body size"))
+            decode_response(oversized_response, limits).unwrap_err(),
+            HttpParseError::LimitExceeded("body size")
         );
         let bad_length = b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n";
         assert!(matches!(
-            probe_request(bad_length, &limits),
+            decode_request(bad_length, limits),
             Err(HttpParseError::MalformedHeader(_))
         ));
     }
 
     #[test]
-    fn probe_and_one_shot_parsers_agree_on_what_a_content_length_is() {
+    fn decoders_and_one_shot_parsers_agree_on_what_a_content_length_is() {
         use crate::parse::{parse_request, parse_response};
         let limits = ParseLimits::default();
         // Not a length, and not an absent header either — that would make
@@ -662,9 +648,9 @@ mod tests {
             let response =
                 format!("HTTP/1.1 200 OK\r\nContent-Length: {garbage}\r\n\r\nhello").into_bytes();
             for error in [
-                probe_request(&request, &limits).unwrap_err(),
+                decode_request(&request, limits).unwrap_err(),
                 parse_request(&request).unwrap_err(),
-                probe_response(&response, &limits).unwrap_err(),
+                decode_response(&response, limits).unwrap_err(),
                 parse_response(&response).unwrap_err(),
             ] {
                 assert!(
@@ -676,26 +662,27 @@ mod tests {
             }
         }
         let padded = b"POST /x HTTP/1.1\r\nContent-Length: \t5 \r\n\r\nhello";
-        assert_eq!(
-            probe_request(padded, &limits).unwrap(),
-            Probe::Complete {
-                consumed: padded.len()
-            }
-        );
+        let frame = decode_request(padded, limits).unwrap().expect("complete");
+        assert_eq!(frame.bytes().len(), padded.len());
+        assert_eq!(frame.body(), b"hello");
         assert_eq!(parse_request(padded).unwrap().body, b"hello");
     }
 
     #[test]
-    fn probe_and_one_shot_parsers_agree_on_a_heads_framing() {
+    fn decoders_and_one_shot_parsers_agree_on_a_heads_framing() {
         use crate::parse::{parse_request, parse_response};
         let limits = ParseLimits::default();
         for (head, status) in FRAMING_HEADS {
             let request = head.replace("{}", "POST /x HTTP/1.1").into_bytes();
             let response = head.replace("{}", "HTTP/1.1 200 OK").into_bytes();
             let verdicts = [
-                probe_request(&request, &limits).map(|_| ()),
+                decode_request(&request, limits).map(|frame| {
+                    assert_eq!(frame.expect("complete").bytes().len(), request.len());
+                }),
                 parse_request(&request).map(|parsed| assert_eq!(parsed.body, b"abc")),
-                probe_response(&response, &limits).map(|_| ()),
+                decode_response(&response, limits).map(|frame| {
+                    assert_eq!(frame.expect("complete").body(), b"abc");
+                }),
                 parse_response(&response).map(|parsed| assert_eq!(parsed.body, b"abc")),
             ];
             for verdict in verdicts {
@@ -703,14 +690,6 @@ mod tests {
                     .as_ref()
                     .map_or_else(|e| rejection_status(e).0, |()| 200);
                 assert_eq!(got, status, "{head:?}: {verdict:?}");
-            }
-            if status == 200 {
-                assert_eq!(
-                    probe_request(&request, &limits).unwrap(),
-                    Probe::Complete {
-                        consumed: request.len()
-                    }
-                );
             }
         }
         let error = HttpParseError::NotImplemented("Transfer-Encoding");
@@ -820,7 +799,7 @@ mod tests {
         use std::os::fd::AsFd;
         use std::os::unix::net::UnixStream;
 
-        use dandelion_common::pool::SIZE_CLASSES;
+        use dandelion_common::SIZE_CLASSES;
 
         const CHUNK: usize = 64 * 1024;
         let first = HttpRequest::post("/v1/invoke/MatMul", vec![7; 256 * 1024]).to_bytes();

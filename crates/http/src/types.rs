@@ -7,8 +7,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use dandelion_common::encoding::utf8_lossy;
-use dandelion_common::{Rope, SharedBytes, SharedBytesMut};
+use dandelion_common::{utf8_lossy, Rope, SharedBytes, SharedBytesMut};
 
 /// Parses a `Content-Length` field value: `1*DIGIT` (RFC 9110 §8.6) with
 /// optional surrounding whitespace, nothing else — no sign, no radix prefix,
@@ -173,16 +172,12 @@ impl StatusCode {
     pub const BAD_REQUEST: StatusCode = StatusCode(400);
     /// 401 Unauthorized
     pub const UNAUTHORIZED: StatusCode = StatusCode(401);
-    /// 403 Forbidden
-    pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// 404 Not Found
     pub const NOT_FOUND: StatusCode = StatusCode(404);
     /// 408 Request Timeout
     pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// 429 Too Many Requests
     pub const TOO_MANY_REQUESTS: StatusCode = StatusCode(429);
-    /// 500 Internal Server Error
-    pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
     /// 503 Service Unavailable
     pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
 

@@ -108,7 +108,7 @@ fn split_query(path_and_query: &str) -> (String, Option<String>) {
 }
 
 /// Checks whether `host` is a dotted-quad IPv4 address.
-pub fn is_valid_ipv4(host: &str) -> bool {
+pub(crate) fn is_valid_ipv4(host: &str) -> bool {
     let octets: Vec<&str> = host.split('.').collect();
     if octets.len() != 4 {
         return false;
@@ -127,7 +127,7 @@ pub fn is_valid_ipv4(host: &str) -> bool {
 /// ending with `-`; the full name must be at most 253 characters and contain
 /// at least one label. Purely numeric names are rejected (they would be
 /// confusable with malformed IP addresses).
-pub fn is_valid_domain(host: &str) -> bool {
+pub(crate) fn is_valid_domain(host: &str) -> bool {
     if host.is_empty() || host.len() > 253 {
         return false;
     }

@@ -72,7 +72,7 @@ pub fn validate_request_shared(
 }
 
 /// Validates an already parsed request against the policy.
-pub fn validate_request(
+fn validate_request(
     request: HttpRequest,
     policy: &ValidationPolicy,
 ) -> DandelionResult<ValidatedRequest> {

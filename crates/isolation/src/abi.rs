@@ -38,9 +38,8 @@ use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use dandelion_common::pool::SIZE_CLASSES;
-use dandelion_common::{DataItem, DataSet, SharedBytes, SharedBytesMut};
-use dandelion_vfs::{VfsPath, VirtualFs};
+use dandelion_common::{DataItem, DataSet, SharedBytes, SharedBytesMut, SIZE_CLASSES};
+use dandelion_vfs::VirtualFs;
 
 use crate::policy::{SyscallDisposition, SyscallPolicy};
 
@@ -407,20 +406,10 @@ impl FunctionCtx {
     }
 }
 
-/// Writes an input item into the conventional `/<set>/<item>` location of a
-/// context filesystem. Mostly useful in tests and examples that construct
-/// contexts by hand.
-pub fn write_input_item(
-    fs: &mut VirtualFs,
-    set: &str,
-    item: &DataItem,
-) -> Result<(), dandelion_vfs::VfsError> {
-    fs.create_dir_all(&VfsPath::new(set))?;
-    fs.write_file(&VfsPath::set_item(set, &item.name), &item.data)
-}
-
 #[cfg(test)]
 mod tests {
+    use dandelion_vfs::VfsPath;
+
     use super::*;
 
     fn sample_ctx() -> FunctionCtx {
@@ -570,16 +559,5 @@ mod tests {
         artifact.logic.run(&mut ctx).unwrap();
         let outputs = ctx.take_outputs();
         assert_eq!(outputs[0].items[0].data.as_slice(), &[2, 4, 6]);
-    }
-
-    #[test]
-    fn write_input_item_helper() {
-        let mut fs = VirtualFs::new(1024);
-        let item = DataItem::new("part.bin", vec![9, 9]);
-        write_input_item(&mut fs, "parts", &item).unwrap();
-        assert_eq!(
-            fs.read_file(&VfsPath::new("/parts/part.bin")).unwrap(),
-            vec![9, 9]
-        );
     }
 }

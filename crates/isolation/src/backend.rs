@@ -161,7 +161,7 @@ pub trait IsolationBackend: Send + Sync {
 /// output descriptor parser — so that functional behaviour, capacity
 /// enforcement and fault paths are genuine even though the absolute stage
 /// latencies of the original hardware are modeled.
-pub struct StagedExecutor {
+pub(crate) struct StagedExecutor {
     kind: IsolationKind,
     policy: Arc<SyscallPolicy>,
     cost: SandboxCostModel,
@@ -169,7 +169,7 @@ pub struct StagedExecutor {
 
 impl StagedExecutor {
     /// Creates an executor for a backend.
-    pub fn new(kind: IsolationKind, policy: SyscallPolicy, cost: SandboxCostModel) -> Self {
+    pub(crate) fn new(kind: IsolationKind, policy: SyscallPolicy, cost: SandboxCostModel) -> Self {
         Self {
             kind,
             policy: Arc::new(policy),
@@ -200,7 +200,7 @@ impl IsolationBackend for StagedExecutor {
                 reason: "function declares no output sets".to_string(),
             });
         }
-        let input_bytes = dandelion_common::data::total_bytes(&task.inputs);
+        let input_bytes = dandelion_common::total_bytes(&task.inputs);
         if input_bytes > artifact.memory_requirement {
             return Err(DandelionError::ContextError(format!(
                 "inputs of {} bytes exceed the declared memory requirement of {} bytes",
@@ -296,7 +296,7 @@ impl IsolationBackend for StagedExecutor {
         // remains the wire format at the HTTP boundary.)
         let output_start = Instant::now();
         let outputs = ctx.take_outputs();
-        let frame = output_parser::encode_frame_shared(&outputs);
+        let frame = output_parser::encode_frame(&outputs);
         context.import(&frame)?;
         let parsed = output_parser::parse_frame(&frame)?;
         let outputs = attach_frame_payloads(&artifact.name, parsed, outputs, &mut context)?;
@@ -502,7 +502,7 @@ mod tests {
         let artifact = Arc::new((*echo_artifact()).clone().with_binary_size(48 * 1024));
         let task = ExecutionTask::new(artifact, vec![DataSet::single("in", vec![7u8; 1000])]);
         let report = executor().execute(&task).unwrap();
-        let frame = output_parser::encode_frame_shared(&report.outputs);
+        let frame = output_parser::encode_frame(&report.outputs);
         assert_eq!(
             report.context_high_water,
             48 * 1024 + 1000 + frame.len() + 1000

@@ -22,35 +22,36 @@
 //!   [`output_parser`], and re-parses them exactly as the trusted engine
 //!   would;
 //! * per-stage latencies for virtual-time experiments come from
-//!   [`cost::SandboxCostModel`], calibrated against Table 1 of the paper.
+//!   [`SandboxCostModel`], calibrated against Table 1 of the paper.
 //!
-//! The module layout mirrors the subsystems:
+//! The crate's parts:
 //!
-//! * [`context`] — the capacity-bounded set of regions attached to one
+//! * [`MemoryContext`] — the capacity-bounded set of regions attached to one
 //!   function instance.
-//! * [`abi`] — the function ABI: artifacts, the [`abi::ComputeLogic`] trait
-//!   and the [`abi::FunctionCtx`] handed to user code.
+//! * The function ABI: [`FunctionArtifact`]s and the [`FunctionCtx`] handed
+//!   to user code.
 //! * [`output_parser`] — the small, heavily tested parser for the output
 //!   descriptor a function leaves in its context (paper §8 emphasizes this
 //!   parser is ~100 lines and must be memory safe).
-//! * [`cost`] — per-backend, per-stage latency models (Table 1).
-//! * [`policy`] — the syscall stub/deny policy compute functions run under.
-//! * [`backend`] — the [`IsolationBackend`] trait and the staged executor
-//!   that implements it.
-//! * [`backends`] — [`create_backend`]: the executor configured as CHERI,
-//!   KVM, process, rWasm or native.
+//! * [`SandboxCostModel`] — per-backend, per-stage latency models (Table 1).
+//! * [`SyscallPolicy`] — the syscall stub/deny policy compute functions run
+//!   under.
+//! * [`IsolationBackend`] — the staged executor's interface, and
+//!   [`create_backend`]: the executor configured as CHERI, KVM, process,
+//!   rWasm or native.
 
-pub mod abi;
-pub mod backend;
-pub mod backends;
-pub mod context;
-pub mod cost;
+mod abi;
+mod backend;
+mod backends;
+mod context;
+mod cost;
+// `pub` because `benchmark/src/{workload,layerwalk}.rs` import it by path.
 pub mod output_parser;
-pub mod policy;
+mod policy;
 
-pub use abi::{ComputeLogic, FunctionArtifact, FunctionCtx};
-pub use backend::{ExecutionReport, ExecutionTask, IsolationBackend, StageTimings};
+pub use abi::{FunctionArtifact, FunctionCtx, FunctionError};
+pub use backend::{ExecutionReport, ExecutionTask, IsolationBackend};
 pub use backends::create_backend;
 pub use context::MemoryContext;
 pub use cost::{HardwarePlatform, SandboxCostModel, Stage};
-pub use policy::{SyscallDisposition, SyscallPolicy};
+pub use policy::SyscallPolicy;

@@ -23,35 +23,35 @@
 //! ```
 //!
 //! The parser never panics on malformed input: every length is validated
-//! against the remaining buffer and against [`LIMITS`], and any violation
-//! produces a descriptive error.
+//! against the remaining buffer and against hard limits on counts, name
+//! lengths and item sizes, and any violation produces a descriptive error.
 
 use dandelion_common::{
     DandelionError, DandelionResult, DataItem, DataSet, Rope, SharedBytes, SharedBytesMut,
 };
 
 /// Magic number identifying an output descriptor.
-pub const MAGIC: u32 = 0xDA4D_E110;
+const MAGIC: u32 = 0xDA4D_E110;
 
 /// Magic number identifying a metadata-only descriptor *frame*
 /// (see [`encode_frame`]).
-pub const FRAME_MAGIC: u32 = 0xDA4D_E1F2;
+const FRAME_MAGIC: u32 = 0xDA4D_E1F2;
 
 /// Hard limits applied while parsing untrusted descriptors.
 #[derive(Debug, Clone, Copy)]
-pub struct Limits {
+struct Limits {
     /// Maximum number of output sets.
-    pub max_sets: u32,
+    max_sets: u32,
     /// Maximum number of items per set.
-    pub max_items_per_set: u32,
+    max_items_per_set: u32,
     /// Maximum length of a set, item or key name in bytes.
-    pub max_name_bytes: u32,
+    max_name_bytes: u32,
     /// Maximum payload length of one item in bytes.
-    pub max_item_bytes: u32,
+    max_item_bytes: u32,
 }
 
 /// Default limits used by the engines.
-pub const LIMITS: Limits = Limits {
+const LIMITS: Limits = Limits {
     max_sets: 256,
     max_items_per_set: 64 * 1024,
     max_name_bytes: 4 * 1024,
@@ -78,7 +78,8 @@ fn descriptor_meta_len(sets: &[DataSet]) -> usize {
 ///
 /// This remains the portable wire format at the HTTP boundary; the
 /// in-process path uses [`encode_outputs_rope`], which never copies
-/// payloads.
+/// payloads. Its callers are the tests and `benchmark/`, which build request
+/// bodies with it.
 pub fn encode_outputs(sets: &[DataSet]) -> Vec<u8> {
     encode_outputs_rope(sets).to_vec()
 }
@@ -186,14 +187,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parses an output descriptor produced by an untrusted compute function.
+/// Parses an output descriptor produced by an untrusted compute function,
+/// copying item payloads out of it. Its callers are the tests and
+/// `benchmark/`; the serving path parses with [`parse_outputs_shared`].
 pub fn parse_outputs(bytes: &[u8]) -> DandelionResult<Vec<DataSet>> {
     parse_outputs_with_limits(bytes, &LIMITS)
 }
 
-/// Parses an output descriptor with explicit limits. Item payloads are
-/// copied out of the descriptor buffer.
-pub fn parse_outputs_with_limits(bytes: &[u8], limits: &Limits) -> DandelionResult<Vec<DataSet>> {
+/// [`parse_outputs`] with explicit limits.
+fn parse_outputs_with_limits(bytes: &[u8], limits: &Limits) -> DandelionResult<Vec<DataSet>> {
     parse_outputs_impl(bytes, limits, &mut |range| {
         SharedBytes::copy_from_slice(&bytes[range])
     })
@@ -256,27 +258,28 @@ fn parse_outputs_impl(
 
 /// One set of a parsed descriptor [frame](encode_frame).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameSet {
+pub(crate) struct FrameSet {
     /// The set name.
-    pub name: String,
+    pub(crate) name: String,
     /// The set's item metadata, in production order.
-    pub items: Vec<FrameItem>,
+    pub(crate) items: Vec<FrameItem>,
 }
 
 /// One item of a [`FrameSet`]: everything about the item except the payload
 /// bytes, which stay in the function's memory and are attached by reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameItem {
+pub(crate) struct FrameItem {
     /// The item name.
-    pub name: String,
+    pub(crate) name: String,
     /// The grouping key, if any.
-    pub key: Option<String>,
+    pub(crate) key: Option<String>,
     /// Declared payload length in bytes, checked against the attached
     /// payload region.
-    pub data_len: usize,
+    pub(crate) data_len: usize,
 }
 
-/// Serializes output sets into a metadata-only descriptor *frame*.
+/// Serializes output sets into a metadata-only descriptor *frame*, a frozen
+/// [`SharedBytes`] built in one pooled, exactly sized buffer.
 ///
 /// The frame carries the structure of the outputs — set and item names,
 /// keys, and payload lengths — but not the payload bytes: those already live
@@ -286,18 +289,12 @@ pub struct FrameItem {
 /// region zero-copy after checking its length against the frame. The full
 /// payload-carrying descriptor ([`encode_outputs`]) remains the portable
 /// wire format for set lists crossing the HTTP boundary.
-pub fn encode_frame(sets: &[DataSet]) -> Vec<u8> {
-    encode_frame_shared(sets).into_vec()
-}
-
-/// Like [`encode_frame`] but returns the frame as a frozen [`SharedBytes`]
-/// built in one pooled, exactly sized buffer.
 ///
-/// This is the engine's steady-state path: the frame is written once, frozen
-/// without copy, attached to the function's memory context by reference
-/// (capacity-accounted like any import) and parsed in place — no descriptor
-/// bytes ever round-trip through the global allocator.
-pub fn encode_frame_shared(sets: &[DataSet]) -> SharedBytes {
+/// The frame is written once, frozen without copy, attached to the
+/// function's memory context by reference (capacity-accounted like any
+/// import) and parsed in place — no descriptor bytes ever round-trip through
+/// the global allocator.
+pub(crate) fn encode_frame(sets: &[DataSet]) -> SharedBytes {
     // A frame is the descriptor metadata with payload bytes omitted, so the
     // metadata length is exact for it too.
     let mut out = SharedBytesMut::with_capacity(descriptor_meta_len(sets));
@@ -319,12 +316,8 @@ pub fn encode_frame_shared(sets: &[DataSet]) -> SharedBytes {
 /// Parses a descriptor frame produced by [`encode_frame`], applying the
 /// default [`LIMITS`]. Like [`parse_outputs`] this never panics on
 /// malformed input.
-pub fn parse_frame(bytes: &[u8]) -> DandelionResult<Vec<FrameSet>> {
-    parse_frame_with_limits(bytes, &LIMITS)
-}
-
-/// Parses a descriptor frame with explicit limits.
-pub fn parse_frame_with_limits(bytes: &[u8], limits: &Limits) -> DandelionResult<Vec<FrameSet>> {
+pub(crate) fn parse_frame(bytes: &[u8]) -> DandelionResult<Vec<FrameSet>> {
+    let limits = &LIMITS;
     let mut reader = Reader::new(bytes);
     let magic = reader.read_u32()?;
     if magic != FRAME_MAGIC {
@@ -425,14 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_shared_matches_frame() {
-        let sets = sample_sets();
-        assert_eq!(encode_frame_shared(&sets).as_slice(), encode_frame(&sets));
-        let parsed = parse_frame(&encode_frame_shared(&sets)).unwrap();
-        assert_eq!(parsed.len(), 2);
-    }
-
-    #[test]
     fn shared_parse_hands_out_views_of_the_descriptor() {
         let sets = sample_sets();
         let encoded = SharedBytes::from_vec(encode_outputs(&sets));
@@ -467,7 +452,7 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(parse_frame(&frame[..cut]).is_err(), "truncation at {cut}");
         }
-        let mut trailing = frame.clone();
+        let mut trailing = frame.to_vec();
         trailing.push(0);
         assert!(parse_frame(&trailing).is_err());
         // A full descriptor is not a frame and vice versa.

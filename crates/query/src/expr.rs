@@ -4,7 +4,7 @@ use crate::table::{Column, Table, Value};
 
 /// A scalar expression evaluated row-wise over a table.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Reference to a column by name.
     Column(String),
     /// A literal value broadcast to every row.
@@ -22,23 +22,17 @@ pub enum Expr {
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinaryOp {
-    /// Addition (integers).
-    Add,
+pub(crate) enum BinaryOp {
     /// Subtraction (integers).
     Sub,
     /// Multiplication (integers).
     Mul,
     /// Equality (integers or strings).
     Eq,
-    /// Inequality.
-    NotEq,
     /// Less-than (integers).
     Lt,
     /// Less-or-equal (integers).
     LtEq,
-    /// Greater-than (integers).
-    Gt,
     /// Greater-or-equal (integers).
     GtEq,
     /// Logical and (boolean-as-integer columns).
@@ -49,17 +43,17 @@ pub enum BinaryOp {
 
 impl Expr {
     /// Column reference.
-    pub fn col(name: &str) -> Expr {
+    pub(crate) fn col(name: &str) -> Expr {
         Expr::Column(name.to_string())
     }
 
     /// Integer literal.
-    pub fn int(value: i64) -> Expr {
+    pub(crate) fn int(value: i64) -> Expr {
         Expr::Literal(Value::Int(value))
     }
 
     /// String literal.
-    pub fn str(value: &str) -> Expr {
+    pub(crate) fn str(value: &str) -> Expr {
         Expr::Literal(Value::Str(value.to_string()))
     }
 
@@ -71,73 +65,57 @@ impl Expr {
         }
     }
 
-    /// `self + other`
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(self, other: Expr) -> Expr {
-        self.binary(BinaryOp::Add, other)
-    }
-
     /// `self - other`
     #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, other: Expr) -> Expr {
+    pub(crate) fn sub(self, other: Expr) -> Expr {
         self.binary(BinaryOp::Sub, other)
     }
 
     /// `self * other`
     #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, other: Expr) -> Expr {
+    pub(crate) fn mul(self, other: Expr) -> Expr {
         self.binary(BinaryOp::Mul, other)
     }
 
     /// `self = other`
-    pub fn eq(self, other: Expr) -> Expr {
+    pub(crate) fn eq(self, other: Expr) -> Expr {
         self.binary(BinaryOp::Eq, other)
     }
 
-    /// `self != other`
-    pub fn not_eq(self, other: Expr) -> Expr {
-        self.binary(BinaryOp::NotEq, other)
-    }
-
     /// `self < other`
-    pub fn lt(self, other: Expr) -> Expr {
+    pub(crate) fn lt(self, other: Expr) -> Expr {
         self.binary(BinaryOp::Lt, other)
     }
 
     /// `self <= other`
-    pub fn lt_eq(self, other: Expr) -> Expr {
+    pub(crate) fn lt_eq(self, other: Expr) -> Expr {
         self.binary(BinaryOp::LtEq, other)
     }
 
-    /// `self > other`
-    pub fn gt(self, other: Expr) -> Expr {
-        self.binary(BinaryOp::Gt, other)
-    }
-
     /// `self >= other`
-    pub fn gt_eq(self, other: Expr) -> Expr {
+    pub(crate) fn gt_eq(self, other: Expr) -> Expr {
         self.binary(BinaryOp::GtEq, other)
     }
 
     /// `self AND other`
-    pub fn and(self, other: Expr) -> Expr {
+    pub(crate) fn and(self, other: Expr) -> Expr {
         self.binary(BinaryOp::And, other)
     }
 
     /// `self OR other`
-    pub fn or(self, other: Expr) -> Expr {
+    pub(crate) fn or(self, other: Expr) -> Expr {
         self.binary(BinaryOp::Or, other)
     }
 
     /// `low <= self <= high`
-    pub fn between(self, low: i64, high: i64) -> Expr {
+    pub(crate) fn between(self, low: i64, high: i64) -> Expr {
         self.clone()
             .gt_eq(Expr::int(low))
             .and(self.lt_eq(Expr::int(high)))
     }
 
     /// Evaluates the expression over every row of `table`.
-    pub fn evaluate(&self, table: &Table) -> Result<Column, String> {
+    pub(crate) fn evaluate(&self, table: &Table) -> Result<Column, String> {
         match self {
             Expr::Column(name) => table
                 .column(name)
@@ -162,7 +140,7 @@ impl Expr {
     ///
     /// The expression must produce an integer column where non-zero means
     /// "keep the row".
-    pub fn evaluate_mask(&self, table: &Table) -> Result<Vec<bool>, String> {
+    pub(crate) fn evaluate_mask(&self, table: &Table) -> Result<Vec<bool>, String> {
         match self.evaluate(table)? {
             Column::Int64(values) => Ok(values.into_iter().map(|value| value != 0).collect()),
             Column::Utf8(_) => Err("predicate did not evaluate to a boolean column".to_string()),
@@ -186,9 +164,7 @@ fn evaluate_binary(left: &Column, op: BinaryOp, right: &Column) -> Result<Column
                 .zip(right)
                 .map(|(l, r)| match op {
                     BinaryOp::Eq => Ok((l == r) as i64),
-                    BinaryOp::NotEq => Ok((l != r) as i64),
                     BinaryOp::Lt => Ok((l < r) as i64),
-                    BinaryOp::Gt => Ok((l > r) as i64),
                     other => Err(format!("operator {other:?} is not defined on strings")),
                 })
                 .collect::<Result<_, String>>()?;
@@ -200,14 +176,11 @@ fn evaluate_binary(left: &Column, op: BinaryOp, right: &Column) -> Result<Column
 
 fn apply_int(left: i64, op: BinaryOp, right: i64) -> Result<i64, String> {
     Ok(match op {
-        BinaryOp::Add => left.wrapping_add(right),
         BinaryOp::Sub => left.wrapping_sub(right),
         BinaryOp::Mul => left.wrapping_mul(right),
         BinaryOp::Eq => (left == right) as i64,
-        BinaryOp::NotEq => (left != right) as i64,
         BinaryOp::Lt => (left < right) as i64,
         BinaryOp::LtEq => (left <= right) as i64,
-        BinaryOp::Gt => (left > right) as i64,
         BinaryOp::GtEq => (left >= right) as i64,
         BinaryOp::And => ((left != 0) && (right != 0)) as i64,
         BinaryOp::Or => ((left != 0) || (right != 0)) as i64,
@@ -260,7 +233,7 @@ mod tests {
         let table = table();
         let mask = Expr::col("region")
             .eq(Expr::str("ASIA"))
-            .and(Expr::col("price").gt(Expr::int(5)))
+            .and(Expr::col("price").gt_eq(Expr::int(6)))
             .evaluate_mask(&table)
             .unwrap();
         assert_eq!(mask, vec![false, false, true]);
@@ -277,7 +250,7 @@ mod tests {
         let table = table();
         assert!(Expr::col("missing").evaluate(&table).is_err());
         assert!(Expr::col("region")
-            .add(Expr::str("x"))
+            .sub(Expr::str("x"))
             .evaluate(&table)
             .is_err());
         assert!(Expr::col("region")

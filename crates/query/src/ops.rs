@@ -12,13 +12,13 @@ use crate::expr::Expr;
 use crate::table::{Column, DataType, Schema, Table, Value};
 
 /// Keeps the rows of `input` for which `predicate` evaluates to true.
-pub fn filter(input: &Table, predicate: &Expr) -> Result<Table, String> {
+pub(crate) fn filter(input: &Table, predicate: &Expr) -> Result<Table, String> {
     let mask = predicate.evaluate_mask(input)?;
     Ok(input.filter(&mask))
 }
 
 /// Projects `input` onto named expressions.
-pub fn project(input: &Table, columns: &[(&str, Expr)]) -> Result<Table, String> {
+pub(crate) fn project(input: &Table, columns: &[(&str, Expr)]) -> Result<Table, String> {
     let mut fields = Vec::with_capacity(columns.len());
     let mut data = Vec::with_capacity(columns.len());
     for (name, expr) in columns {
@@ -34,7 +34,7 @@ pub fn project(input: &Table, columns: &[(&str, Expr)]) -> Result<Table, String>
 /// Columns of the right table are appended to the left table's columns; a
 /// right column whose name collides with a left column gets a `right_`
 /// prefix.
-pub fn hash_join(
+pub(crate) fn hash_join(
     left: &Table,
     left_key: &str,
     right: &Table,
@@ -78,27 +78,13 @@ pub fn hash_join(
     Table::new(schema, columns)
 }
 
-/// An aggregate function over an integer column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Aggregate {
-    /// Sum of the column.
-    Sum,
-    /// Number of rows.
-    Count,
-    /// Minimum value.
-    Min,
-    /// Maximum value.
-    Max,
-}
-
-/// Groups `input` by `group_by` columns and computes the aggregates.
+/// Groups `input` by `group_by` columns and sums integer columns per group.
 ///
-/// Each aggregate is `(output name, input column, function)`; for
-/// [`Aggregate::Count`] the input column is ignored.
-pub fn aggregate(
+/// Each sum is `(output name, input column)`.
+pub(crate) fn aggregate(
     input: &Table,
     group_by: &[&str],
-    aggregates: &[(&str, &str, Aggregate)],
+    sums: &[(&str, &str)],
 ) -> Result<Table, String> {
     // Resolve group columns up front.
     let group_columns: Vec<&Column> = group_by
@@ -109,12 +95,9 @@ pub fn aggregate(
                 .ok_or_else(|| format!("no column named `{name}`"))
         })
         .collect::<Result<_, _>>()?;
-    let agg_inputs: Vec<Option<&Vec<i64>>> = aggregates
+    let sum_inputs: Vec<&Vec<i64>> = sums
         .iter()
-        .map(|(_, column, function)| match function {
-            Aggregate::Count => Ok(None),
-            _ => input.int_column(column).map(Some),
-        })
+        .map(|(_, column)| input.int_column(column))
         .collect::<Result<_, String>>()?;
 
     // Group rows by their key tuple, preserving first-seen order.
@@ -132,13 +115,13 @@ pub fn aggregate(
     }
     if group_by.is_empty() && groups.is_empty() {
         // Global aggregation over an empty input still yields one row of
-        // neutral aggregate values.
+        // zero sums.
         let key: Vec<Value> = Vec::new();
         order.push(key.clone());
         groups.insert(key, Vec::new());
     }
 
-    // Assemble the output schema: group columns followed by aggregates.
+    // Assemble the output schema: group columns followed by sums.
     let mut fields: Vec<(String, DataType)> = group_by
         .iter()
         .map(|name| {
@@ -146,38 +129,19 @@ pub fn aggregate(
             (name.to_string(), input.schema.fields[index].1)
         })
         .collect();
-    for (output, _, _) in aggregates {
+    for (output, _) in sums {
         fields.push((output.to_string(), DataType::Int64));
     }
 
     let mut group_data: Vec<Vec<Value>> = vec![Vec::new(); group_by.len()];
-    let mut agg_data: Vec<Vec<i64>> = vec![Vec::new(); aggregates.len()];
+    let mut sum_data: Vec<Vec<i64>> = vec![Vec::new(); sums.len()];
     for key in &order {
         let rows = &groups[key];
         for (column_index, value) in key.iter().enumerate() {
             group_data[column_index].push(value.clone());
         }
-        for (agg_index, ((_, _, function), input_column)) in
-            aggregates.iter().zip(&agg_inputs).enumerate()
-        {
-            let value = match function {
-                Aggregate::Count => rows.len() as i64,
-                Aggregate::Sum => rows
-                    .iter()
-                    .map(|row| input_column.expect("sum has an input")[*row])
-                    .sum(),
-                Aggregate::Min => rows
-                    .iter()
-                    .map(|row| input_column.expect("min has an input")[*row])
-                    .min()
-                    .unwrap_or(0),
-                Aggregate::Max => rows
-                    .iter()
-                    .map(|row| input_column.expect("max has an input")[*row])
-                    .max()
-                    .unwrap_or(0),
-            };
-            agg_data[agg_index].push(value);
+        for (sum, input_column) in sum_data.iter_mut().zip(&sum_inputs) {
+            sum.push(rows.iter().map(|row| input_column[*row]).sum());
         }
     }
 
@@ -202,7 +166,7 @@ pub fn aggregate(
         };
         columns.push(column);
     }
-    for data in agg_data {
+    for data in sum_data {
         columns.push(Column::Int64(data));
     }
     let schema = Schema { fields };
@@ -211,7 +175,7 @@ pub fn aggregate(
 
 /// Sort direction for [`sort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortOrder {
+pub(crate) enum SortOrder {
     /// Ascending order.
     Ascending,
     /// Descending order.
@@ -219,7 +183,7 @@ pub enum SortOrder {
 }
 
 /// Sorts `input` by the given `(column, order)` keys.
-pub fn sort(input: &Table, keys: &[(&str, SortOrder)]) -> Result<Table, String> {
+pub(crate) fn sort(input: &Table, keys: &[(&str, SortOrder)]) -> Result<Table, String> {
     let key_columns: Vec<(&Column, SortOrder)> = keys
         .iter()
         .map(|(name, order)| {
@@ -244,12 +208,6 @@ pub fn sort(input: &Table, keys: &[(&str, SortOrder)]) -> Result<Table, String> 
         std::cmp::Ordering::Equal
     });
     Ok(input.take(&indices))
-}
-
-/// Keeps at most the first `count` rows.
-pub fn limit(input: &Table, count: usize) -> Table {
-    let indices: Vec<usize> = (0..input.rows().min(count)).collect();
-    input.take(&indices)
 }
 
 #[cfg(test)]
@@ -325,10 +283,7 @@ mod tests {
         let by_customer = aggregate(
             &table,
             &["cust_id"],
-            &[
-                ("total_qty", "qty", Aggregate::Sum),
-                ("orders", "qty", Aggregate::Count),
-            ],
+            &[("total_qty", "qty"), ("total_price", "price")],
         )
         .unwrap();
         assert_eq!(by_customer.rows(), 3);
@@ -336,20 +291,14 @@ mod tests {
             by_customer.int_column("total_qty").unwrap(),
             &vec![13, 12, 1]
         );
-        assert_eq!(by_customer.int_column("orders").unwrap(), &vec![2, 2, 1]);
+        assert_eq!(
+            by_customer.int_column("total_price").unwrap(),
+            &vec![140, 310, 900]
+        );
 
-        let global = aggregate(
-            &table,
-            &[],
-            &[
-                ("max_price", "price", Aggregate::Max),
-                ("min_price", "price", Aggregate::Min),
-            ],
-        )
-        .unwrap();
+        let global = aggregate(&table, &[], &[("total_price", "price")]).unwrap();
         assert_eq!(global.rows(), 1);
-        assert_eq!(global.int_column("max_price").unwrap(), &vec![900]);
-        assert_eq!(global.int_column("min_price").unwrap(), &vec![40]);
+        assert_eq!(global.int_column("total_price").unwrap(), &vec![1350]);
     }
 
     #[test]
@@ -360,7 +309,7 @@ mod tests {
             sorted.int_column("price").unwrap(),
             &vec![900, 250, 100, 60, 40]
         );
-        let top2 = limit(&sorted, 2);
+        let top2 = sorted.take(&[0, 1]);
         assert_eq!(top2.rows(), 2);
         assert_eq!(top2.int_column("order_id").unwrap(), &vec![4, 2]);
         // Multi-key sort with string keys.
@@ -381,7 +330,7 @@ mod tests {
         let table = orders();
         assert!(filter(&table, &Expr::col("missing").lt(Expr::int(1))).is_err());
         assert!(hash_join(&table, "missing", &customers(), "cust_id").is_err());
-        assert!(aggregate(&table, &["nope"], &[("x", "qty", Aggregate::Sum)]).is_err());
+        assert!(aggregate(&table, &["nope"], &[("x", "qty")]).is_err());
         assert!(sort(&table, &[("nope", SortOrder::Ascending)]).is_err());
     }
 }

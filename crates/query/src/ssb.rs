@@ -13,7 +13,7 @@
 use dandelion_common::rng::SplitMix64;
 
 use crate::expr::Expr;
-use crate::ops::{aggregate, filter, hash_join, sort, Aggregate, SortOrder};
+use crate::ops::{aggregate, filter, hash_join, sort, SortOrder};
 use crate::table::{Column, DataType, Schema, Table};
 
 /// The five SSB tables.
@@ -295,11 +295,7 @@ impl SsbQuery {
                         Expr::col("lo_extendedprice").mul(Expr::col("lo_discount")),
                     )],
                 )?;
-                aggregate(
-                    &with_revenue,
-                    &[],
-                    &[("revenue", "discounted_revenue", Aggregate::Sum)],
-                )
+                aggregate(&with_revenue, &[], &[("revenue", "discounted_revenue")])
             }
             SsbQuery::Q2_1 => {
                 let parts = filter(&db.part, &Expr::col("p_category").eq(Expr::str("MFGR#12")))?;
@@ -313,7 +309,7 @@ impl SsbQuery {
                 let grouped = aggregate(
                     &joined,
                     &["d_year", "p_brand1"],
-                    &[("revenue", "lo_revenue", Aggregate::Sum)],
+                    &[("revenue", "lo_revenue")],
                 )?;
                 sort(
                     &grouped,
@@ -338,7 +334,7 @@ impl SsbQuery {
                 let grouped = aggregate(
                     &joined,
                     &["c_nation", "s_nation", "d_year"],
-                    &[("revenue", "lo_revenue", Aggregate::Sum)],
+                    &[("revenue", "lo_revenue")],
                 )?;
                 sort(
                     &grouped,
@@ -381,7 +377,7 @@ impl SsbQuery {
                 let grouped = aggregate(
                     &with_profit,
                     &["d_year", "c_nation"],
-                    &[("profit", "row_profit", Aggregate::Sum)],
+                    &[("profit", "row_profit")],
                 )?;
                 sort(
                     &grouped,
@@ -435,11 +431,7 @@ pub fn run_partitioned(
 pub fn merge_partials(query: SsbQuery, partials: &[Table]) -> Result<Table, String> {
     let combined = Table::concat(partials)?;
     let measure = query.measure_column();
-    let merged = aggregate(
-        &combined,
-        query.group_columns(),
-        &[(measure, measure, Aggregate::Sum)],
-    )?;
+    let merged = aggregate(&combined, query.group_columns(), &[(measure, measure)])?;
     match query {
         SsbQuery::Q1_1 => Ok(merged),
         SsbQuery::Q2_1 => sort(

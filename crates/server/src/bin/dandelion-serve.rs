@@ -207,7 +207,7 @@ fn main() {
     if options.gateway {
         run_gateway(options);
     }
-    dandelion_common::pool::settle_heap_thresholds();
+    dandelion_common::settle_heap_thresholds();
     let worker = match dandelion_apps::setup::demo_worker(options.cores, false) {
         Ok(worker) => worker,
         Err(error) => {

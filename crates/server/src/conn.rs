@@ -63,7 +63,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dandelion_common::{failpoint, BatchProgress, Rope, RopeBatch, SharedBytes};
+use dandelion_common::{
+    check_failpoint, failpoints_enabled, BatchProgress, Fault, Rope, RopeBatch, SharedBytes,
+};
 use dandelion_core::frontend::error_body;
 use dandelion_core::{sync_invoke_response, FrontendReply};
 use dandelion_http::{
@@ -78,7 +80,7 @@ use crate::server::{AppKind, Shared};
 
 /// The response for a request that failed parsing: `400`, `413`, `431` or
 /// `501` with a stable machine-readable code.
-pub fn rejection_response(error: &HttpParseError) -> HttpResponse {
+pub(crate) fn rejection_response(error: &HttpParseError) -> HttpResponse {
     error_body(
         rejection_status(error),
         rejection_code(error),
@@ -88,7 +90,7 @@ pub fn rejection_response(error: &HttpParseError) -> HttpResponse {
 }
 
 /// The `503` answer for a connection refused by admission control.
-pub fn overloaded_response(max_connections: usize) -> HttpResponse {
+pub(crate) fn overloaded_response(max_connections: usize) -> HttpResponse {
     error_body(
         StatusCode::SERVICE_UNAVAILABLE,
         "overloaded",
@@ -99,7 +101,7 @@ pub fn overloaded_response(max_connections: usize) -> HttpResponse {
 
 /// The `408` answer for a client that stalled mid-request past the read
 /// deadline.
-pub fn timeout_response() -> HttpResponse {
+pub(crate) fn timeout_response() -> HttpResponse {
     error_body(
         StatusCode::REQUEST_TIMEOUT,
         "read_timeout",
@@ -109,7 +111,7 @@ pub fn timeout_response() -> HttpResponse {
 }
 
 /// The `429` answer for a client over its per-IP token bucket.
-pub fn rate_limited_response(limit: RateLimit) -> HttpResponse {
+pub(crate) fn rate_limited_response(limit: RateLimit) -> HttpResponse {
     error_body(
         StatusCode::TOO_MANY_REQUESTS,
         "rate_limited",
@@ -371,14 +373,14 @@ impl Conn {
             // the socket dry declares it so.
             if self.sock_readable && !self.stop_reading && self.has_room(shared) {
                 let mut read_chunk = shared.config.read_chunk_bytes;
-                if failpoint::enabled() {
-                    match failpoint::check("conn/read") {
+                if failpoints_enabled() {
+                    match check_failpoint("conn/read") {
                         // An injected read error behaves like the kernel's:
                         // the connection closes.
-                        Some(failpoint::Fault::Error) => return Verdict::Close,
+                        Some(Fault::Error) => return Verdict::Close,
                         // Partial I/O: cap this pass's read so the decoder
                         // exercises its split-buffer resume paths.
-                        Some(failpoint::Fault::Partial(cap)) => {
+                        Some(Fault::Partial(cap)) => {
                             read_chunk = read_chunk.min(cap.max(1));
                         }
                         None => {}
@@ -622,7 +624,7 @@ impl Conn {
             progressed = true;
         }
         if !self.outbound.is_empty() {
-            if failpoint::enabled() && failpoint::check("conn/write").is_some() {
+            if failpoints_enabled() && check_failpoint("conn/write").is_some() {
                 return Flush::Close;
             }
             let mut progress = BatchProgress::default();

@@ -70,10 +70,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dandelion_common::encoding::utf8_lossy;
-use dandelion_common::mpsc::{Drain, MpscQueue};
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::{fail_point, BatchProgress, InvocationId, JsonValue, NodeId, SharedBytes};
+use dandelion_common::{
+    fail_point, utf8_lossy, BatchProgress, Drain, InvocationId, JsonValue, MpscQueue, NodeId,
+    SharedBytes,
+};
 use dandelion_http::{HttpResponse, ResponseFrame, StatusCode};
 
 use crate::conn::{overloaded_response, response_rope, Conn, Due, Reply, Verdict};

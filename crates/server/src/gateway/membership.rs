@@ -22,7 +22,7 @@ use crate::gateway::GatewayConfig;
 
 /// Health / lifecycle state of one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberState {
+pub(super) enum MemberState {
     /// The router sends new work here.
     Healthy,
     /// Taken out of rotation by the streak rule or the rate rule (see
@@ -36,7 +36,7 @@ pub enum MemberState {
 
 impl MemberState {
     /// Stable lowercase name used in the membership JSON document.
-    pub fn as_str(&self) -> &'static str {
+    pub(super) fn as_str(&self) -> &'static str {
         match self {
             MemberState::Healthy => "healthy",
             MemberState::Ejected => "ejected",
@@ -62,7 +62,7 @@ const RETRY_BUDGET_INITIAL: usize = 10 * RETRY_BUDGET_SCALE;
 /// from the SRE literature, fixed-point with integer atomics). It limits
 /// how much retrying amplifies load; it does not judge health.
 #[derive(Debug)]
-pub struct RetryBudget {
+pub(crate) struct RetryBudget {
     /// Token units (`RETRY_BUDGET_SCALE` units = one retry).
     tokens: AtomicUsize,
 }
@@ -77,7 +77,7 @@ impl Default for RetryBudget {
 
 impl RetryBudget {
     /// A delivered response funds a sliver of future retry capacity.
-    pub fn note_success(&self) {
+    pub(crate) fn note_success(&self) {
         let _ = self
             .tokens
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |tokens| {
@@ -87,7 +87,7 @@ impl RetryBudget {
 
     /// Attempts to withdraw one retry's worth of tokens; `false` means the
     /// budget is exhausted and the caller must fail fast instead.
-    pub fn try_withdraw(&self) -> bool {
+    pub(crate) fn try_withdraw(&self) -> bool {
         self.tokens
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |tokens| {
                 tokens.checked_sub(RETRY_BUDGET_SCALE)
@@ -96,7 +96,7 @@ impl RetryBudget {
     }
 
     /// Whole retries currently funded (stats/debugging).
-    pub fn balance(&self) -> usize {
+    pub(crate) fn balance(&self) -> usize {
         self.tokens.load(Ordering::Relaxed) / RETRY_BUDGET_SCALE
     }
 }
@@ -109,7 +109,7 @@ const RATE_MIN_OBSERVATIONS: usize = 5;
 /// requests are forwarded and settled. Shared via `Arc` so routing reads
 /// them without holding the table lock.
 #[derive(Debug, Default)]
-pub struct MemberLoad {
+pub(crate) struct MemberLoad {
     /// Requests forwarded and not yet answered (or failed).
     pub in_flight: AtomicUsize,
     /// Serialized request bytes accepted for this member and not yet
@@ -126,7 +126,7 @@ pub struct MemberLoad {
 impl MemberLoad {
     /// The routing score: in-flight requests weighted with queued payload
     /// (16 KiB of unsent body counts like one extra request).
-    pub fn score(&self) -> usize {
+    pub(crate) fn score(&self) -> usize {
         self.in_flight.load(Ordering::Relaxed)
             + self.queued_bytes.load(Ordering::Relaxed) / (16 * 1024)
     }
@@ -134,7 +134,7 @@ impl MemberLoad {
 
 /// What the health machine learns about a member.
 #[derive(Debug)]
-pub enum Observation {
+pub(super) enum Observation {
     /// A probe was answered, with the compositions the member advertises.
     ProbeAnswered(Vec<String>),
     /// A probe was not answered, or not with what it asked for.
@@ -147,7 +147,7 @@ pub enum Observation {
 
 /// A change [`Member::observe`] made that its caller counts or acts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transition {
+pub(super) enum Transition {
     /// Healthy → Ejected.
     Ejected,
     /// Ejected → Healthy.
@@ -192,7 +192,7 @@ impl Window {
 }
 
 /// One row of the membership table.
-pub struct Member {
+pub(super) struct Member {
     /// Cluster-wide identity assigned at join.
     pub id: NodeId,
     /// Where the member's v1 HTTP server listens.
@@ -210,7 +210,7 @@ pub struct Member {
 
 impl Member {
     /// A freshly joined member.
-    pub fn new(addr: SocketAddr, state: MemberState, compositions: Vec<String>) -> Member {
+    pub(super) fn new(addr: SocketAddr, state: MemberState, compositions: Vec<String>) -> Member {
         Member {
             id: NodeId::next(),
             addr,
@@ -238,7 +238,7 @@ impl Member {
     /// or not, or once its streak reaches the threshold: the rolling restart
     /// kills the process when its work is done, and a ghost "draining" row
     /// must not wait forever for a probe that will never succeed.
-    pub fn observe(
+    pub(super) fn observe(
         &mut self,
         observation: Observation,
         config: &GatewayConfig,
@@ -284,17 +284,17 @@ impl Member {
     }
 
     /// Whether the router may send new work here.
-    pub fn routable(&self) -> bool {
+    pub(super) fn routable(&self) -> bool {
         self.state == MemberState::Healthy
     }
 
     /// Whether this member advertises `composition`.
-    pub fn advertises(&self, composition: &str) -> bool {
+    pub(super) fn advertises(&self, composition: &str) -> bool {
         self.compositions.iter().any(|name| name == composition)
     }
 
     /// The member as one entry of the membership JSON document.
-    pub fn to_json(&self) -> JsonValue {
+    pub(super) fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("node", JsonValue::string(self.id.to_string())),
             ("addr", JsonValue::string(self.addr.to_string())),

@@ -29,7 +29,7 @@
 //!
 //! What the subsystem provides:
 //!
-//! * **Membership** ([`membership`]): nodes join by announcing their
+//! * **Membership**: nodes join by announcing their
 //!   address (`POST /v1/cluster/members`, or `dandelion-serve --join`);
 //!   the gateway probes them and records the compositions they advertise.
 //!   Advertisements refresh on every health probe, so registering a new
@@ -37,7 +37,7 @@
 //! * **Health checking**: a background thread probes each member's
 //!   `GET /v1/compositions` on a fixed cadence. Probe outcomes and failed
 //!   exchanges (refused connects, upstream connections that die owing
-//!   answers) feed one state machine per member ([`Member::observe`]): a
+//!   answers) feed one state machine per member (`Member::observe`): a
 //!   failure streak or a failure rate that reaches the answers ejects the
 //!   member from rotation, and a succeeding probe re-admits it.
 //! * **Load-aware routing** ([`Router`]): invocations prefer a stable
@@ -53,20 +53,24 @@
 //!   cut ([`forward_rope`]), and the client gets the member's bytes with
 //!   `X-Dandelion-Node` and its own `Connection` line spliced into the head
 //!   ([`relay_rope`]) — head slices and body by reference, the `Arc`
-//!   identity of the member's receive buffer kept.
+//!   identity of the member's receive buffer kept. [`proxy_request`] and
+//!   [`proxy_response`] say the same over structured messages: they are the
+//!   specification the splice is tested against, and nothing served runs
+//!   them.
 //! * **Draining** (`POST /v1/cluster/drain/{node}`): a member marked
 //!   draining receives no new work, keeps answering polls, and leaves the
 //!   table once its in-flight work settles — the rolling-restart
 //!   primitive.
 
-pub mod membership;
+mod membership;
 mod router;
+mod specification;
 pub(crate) mod upstream;
 
-pub use membership::{Member, MemberLoad, MemberState};
 pub use router::{
-    composition_affinity_hash, forward_rope, node_line, proxy_request, proxy_response, relay_rope,
-    GatewayConfig, Router,
+    composition_affinity_hash, forward_rope, node_line, relay_rope, GatewayConfig, Router,
 };
+pub use specification::{proxy_request, proxy_response};
 
+pub(crate) use membership::MemberLoad;
 pub(crate) use router::{upstream_failed_response, ForwardPlan, GatewayReply};

@@ -37,9 +37,11 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use dandelion_common::encoding::utf8_lossy;
 use dandelion_common::rng::fnv1a;
-use dandelion_common::{failpoint, InvocationId, JsonValue, NodeId, Rope, SharedBytes};
+use dandelion_common::{
+    check_failpoint, failpoint_stats_json, failpoints_enabled, init_failpoints_from_env,
+    utf8_lossy, InvocationId, JsonValue, NodeId, Rope, SharedBytes,
+};
 use dandelion_core::frontend::error_body;
 use dandelion_http::{
     HttpRequest, HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, Uri,
@@ -243,7 +245,7 @@ impl Router {
     /// weak reference, so dropping the last `Arc<Router>` (or calling
     /// [`Router::shutdown`]) ends it.
     pub fn start(config: GatewayConfig) -> Arc<Router> {
-        failpoint::init_from_env();
+        init_failpoints_from_env();
         let router = Arc::new(Router {
             config,
             members: RwLock::new(Vec::new()),
@@ -403,7 +405,7 @@ impl Router {
             .map(|member| (member.id, member.addr))
             .collect();
         for (node, addr) in snapshot {
-            let observation = if failpoint::enabled() && failpoint::check("gateway/probe").is_some()
+            let observation = if failpoints_enabled() && check_failpoint("gateway/probe").is_some()
             {
                 Observation::ProbeFailed
             } else {
@@ -785,7 +787,7 @@ impl Router {
         if let Some(source) = self.server_stats.lock().as_ref() {
             pairs.push(("server".into(), source()));
         }
-        if let Some(failpoints) = failpoint::stats_json() {
+        if let Some(failpoints) = failpoint_stats_json() {
             pairs.push(("failpoints".into(), failpoints));
         }
         json_response(StatusCode::OK, &JsonValue::Object(pairs))
@@ -952,37 +954,9 @@ impl Router {
     }
 }
 
-// ----------------------------------------------------------------------
-// Proxy transforms. The served path splices the received bytes
-// (`forward_rope`, `relay_rope`); `proxy_request` and `proxy_response` are
-// the structured specification the splice is tested against. Public: the
-// zero-copy and property tests assert on them.
-// ----------------------------------------------------------------------
-
-/// Prepares a client request for the upstream wire: hop-by-hop connection
-/// negotiation is the gateway's business on each side, so the client's
-/// `Connection` header is stripped (upstream connections are always
-/// keep-alive). The body rides along by reference.
-pub fn proxy_request(request: &HttpRequest) -> HttpRequest {
-    let mut upstream = request.clone();
-    upstream.headers.remove("connection");
-    upstream
-}
-
-/// Prepares a member's response for the client: the member's `Connection`
-/// header is replaced by the gateway's own negotiation, and the answering
-/// node is surfaced as `X-Dandelion-Node`. The body buffer is reused as-is.
-pub fn proxy_response(mut response: HttpResponse, node: NodeId) -> HttpResponse {
-    response.headers.remove("connection");
-    response
-        .headers
-        .insert("X-Dandelion-Node", node.to_string());
-    response
-}
-
-/// [`proxy_request`] on the wire: the request's bytes as the gateway
-/// received them, its `Connection` lines cut. A request with none is one
-/// segment, the received message itself.
+/// [`proxy_request`](super::proxy_request) on the wire: the request's bytes
+/// as the gateway received them, its `Connection` lines cut. A request with
+/// none is one segment, the received message itself.
 pub fn forward_rope(request: &RequestFrame) -> Rope {
     request.splice(&[])
 }
@@ -993,7 +967,8 @@ pub fn node_line(node: NodeId) -> SharedBytes {
     SharedBytes::from_vec(format!("X-Dandelion-Node: {node}\r\n").into_bytes())
 }
 
-/// [`proxy_response`] and [`response_rope`](crate::response_rope) on the
+/// [`proxy_response`](super::proxy_response) and
+/// [`response_rope`](crate::response_rope) on the
 /// wire: the member's bytes with its `Connection` lines cut, and
 /// `node_line`, the gateway's own `Connection` line and — for a response
 /// that declares no length, which the client must not read to a close —
@@ -1563,29 +1538,5 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         router.shutdown();
-    }
-
-    #[test]
-    fn proxy_transforms_strip_hop_by_hop_and_stamp_the_node() {
-        let request = HttpRequest::post("/v1/invoke/Echo", b"payload".to_vec())
-            .with_header("Connection", "close")
-            .with_header("Content-Type", "text/plain");
-        let upstream = proxy_request(&request);
-        assert!(upstream.headers.get("connection").is_none());
-        assert_eq!(upstream.headers.get("content-type"), Some("text/plain"));
-
-        let node = NodeId::from_raw(7);
-        let body = dandelion_common::SharedBytes::from_vec(b"result".to_vec());
-        let mut response = HttpResponse::new(StatusCode::OK, Vec::new());
-        response.body = body.clone();
-        response.headers.insert("Connection", "keep-alive");
-        let proxied = proxy_response(response, node);
-        assert!(proxied.headers.get("connection").is_none());
-        assert_eq!(proxied.headers.get("x-dandelion-node"), Some("node-7"));
-        // The zero-copy invariant: the body is the same buffer, not a copy.
-        assert!(dandelion_common::SharedBytes::same_buffer(
-            &proxied.body,
-            &body
-        ));
     }
 }

@@ -33,7 +33,9 @@ use std::net::TcpStream;
 use std::os::fd::AsFd;
 use std::time::Instant;
 
-use dandelion_common::{failpoint, BatchProgress, NodeId, Rope, RopeBatch};
+use dandelion_common::{
+    check_failpoint, failpoints_enabled, BatchProgress, Fault, NodeId, Rope, RopeBatch,
+};
 use dandelion_http::{ParseLimits, ResponseDecoder, ResponseFrame};
 
 use crate::event_loop::LoopShared;
@@ -200,7 +202,7 @@ impl UpstreamConn {
         if !self.outbox.is_empty() {
             // Injected write fault: same disposition as a kernel write
             // error — doom the connection but still drain the read side.
-            if failpoint::enabled() && failpoint::check("upstream/write").is_some() {
+            if failpoints_enabled() && check_failpoint("upstream/write").is_some() {
                 write_failed = true;
             } else {
                 let mut progress = BatchProgress::default();
@@ -221,15 +223,15 @@ impl UpstreamConn {
         let mut read_chunk = read_chunk;
         if readable || write_failed {
             loop {
-                if failpoint::enabled() {
-                    match failpoint::check("upstream/read") {
+                if failpoints_enabled() {
+                    match check_failpoint("upstream/read") {
                         // Injected truncation: the member "vanished"
                         // mid-response; pending exchanges fail `502`.
-                        Some(failpoint::Fault::Error) => {
+                        Some(Fault::Error) => {
                             saw_eof = true;
                             break;
                         }
-                        Some(failpoint::Fault::Partial(cap)) => {
+                        Some(Fault::Partial(cap)) => {
                             read_chunk = read_chunk.min(cap.max(1));
                         }
                         None => {}

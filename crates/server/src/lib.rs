@@ -5,7 +5,7 @@
 //! This crate is the transport — the subsystem the paper's platform puts
 //! between untrusted clients and the dispatcher:
 //!
-//! * a **small pool of epoll event loops** ([`sys`] declares the few libc
+//! * a **small pool of epoll event loops** (`sys` declares the few libc
 //!   symbols needed — no async runtime is vendored), each accepting on its
 //!   own non-blocking `SO_REUSEPORT` listener. Each loop multiplexes
 //!   thousands of connections: an idle keep-alive client or one waiting on
@@ -38,16 +38,16 @@ mod client;
 mod config;
 mod conn;
 mod event_loop;
+// `pub` because `benchmark/src/layerwalk.rs` imports it by path.
 pub mod gateway;
 mod rate;
 mod server;
-pub mod sys;
+mod sys;
 
 pub use client::{connect, HttpClientConnection};
 pub use config::{ServerConfig, WORKER_PIPELINE_DEPTH};
-pub use conn::{
-    overloaded_response, rate_limited_response, rejection_response, response_rope, timeout_response,
-};
+pub use conn::response_rope;
 pub use gateway::{GatewayConfig, Router};
-pub use rate::{RateLimit, RateLimiter};
-pub use server::{Server, ServerStats, ServerStatsSnapshot};
+pub use rate::RateLimit;
+pub use server::Server;
+pub use sys::raise_nofile_limit;

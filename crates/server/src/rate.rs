@@ -56,14 +56,14 @@ struct Buckets {
 
 /// Token buckets keyed by peer IP (see the module docs).
 #[derive(Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     limit: RateLimit,
     buckets: Mutex<Buckets>,
 }
 
 impl RateLimiter {
     /// Creates a limiter enforcing `limit` per client IP.
-    pub fn new(limit: RateLimit) -> Self {
+    pub(crate) fn new(limit: RateLimit) -> Self {
         Self {
             limit,
             buckets: Mutex::new(Buckets::default()),
@@ -72,13 +72,13 @@ impl RateLimiter {
 
     /// Spends one token from `peer`'s bucket; `false` means over limit and
     /// the request should be refused with `429`.
-    pub fn admit(&self, peer: IpAddr) -> bool {
+    pub(crate) fn admit(&self, peer: IpAddr) -> bool {
         self.admit_at(peer, Instant::now())
     }
 
     /// [`RateLimiter::admit`] with an explicit clock, for deterministic
     /// tests.
-    pub fn admit_at(&self, peer: IpAddr, now: Instant) -> bool {
+    pub(crate) fn admit_at(&self, peer: IpAddr, now: Instant) -> bool {
         let rate = f64::from(self.limit.requests_per_sec);
         let burst = f64::from(self.limit.burst.max(1));
         let mut buckets = self.buckets.lock();
@@ -110,7 +110,7 @@ impl RateLimiter {
     }
 
     /// The configured limit.
-    pub fn limit(&self) -> RateLimit {
+    pub(crate) fn limit(&self) -> RateLimit {
         self.limit
     }
 }

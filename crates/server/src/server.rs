@@ -8,8 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dandelion_common::JsonValue;
-use dandelion_core::engine::EnginePool;
-use dandelion_core::{Frontend, StatsSource};
+use dandelion_core::{EnginePool, Frontend, StatsSource};
 
 use crate::config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 use crate::event_loop::{EventLoop, LoopShared};
@@ -20,7 +19,7 @@ use crate::sys::bind_reuseport;
 /// Counters and gauges of the serving layer (all relaxed; they feed
 /// dashboards, `/v1/stats` and tests, not control flow).
 #[derive(Debug, Default)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     /// Connections admitted past admission control.
     pub accepted: AtomicU64,
     /// Connections refused by admission control (answered `503`).
@@ -88,7 +87,7 @@ impl ServerStats {
     }
 
     /// The stats as the JSON object `/v1/stats` embeds under `"server"`.
-    pub fn to_json(&self, event_loops: usize) -> JsonValue {
+    pub(crate) fn to_json(&self, event_loops: usize) -> JsonValue {
         let snapshot = self.snapshot();
         JsonValue::object([
             ("event_loops", JsonValue::from(event_loops)),
@@ -328,7 +327,7 @@ impl Server {
         config
             .validate()
             .map_err(|problem| io::Error::new(io::ErrorKind::InvalidInput, problem))?;
-        dandelion_common::failpoint::init_from_env();
+        dandelion_common::init_failpoints_from_env();
         let loop_count = config.resolved_event_loops();
         // Every loop gets its own `SO_REUSEPORT` listener and the kernel
         // load-balances incoming connections across them. The first bind

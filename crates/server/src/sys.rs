@@ -19,29 +19,23 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_uint, c_void};
 
 /// Readable readiness (`EPOLLIN`).
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// Writable readiness (`EPOLLOUT`).
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// Error condition (`EPOLLERR`); always reported, never registered.
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hangup (`EPOLLHUP`); always reported, never registered.
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// Peer closed its write half (`EPOLLRDHUP`).
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 /// Edge-triggered delivery (`EPOLLET`): readiness is reported once per
 /// transition instead of once per `epoll_wait` while it persists. The
 /// connection pumps drain until `EWOULDBLOCK`, which removes every
 /// re-arm `epoll_ctl` call from the hot path.
-pub const EPOLLET: u32 = 1 << 31;
-/// One-shot delivery (`EPOLLONESHOT`): the registration disarms after one
-/// event until explicitly re-armed. Declared for completeness next to
-/// [`EPOLLET`]; the event loops prefer edge-triggering, which needs no
-/// re-arm syscall at all.
-pub const EPOLLONESHOT: u32 = 1 << 30;
+pub(crate) const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0x80000;
 const EFD_CLOEXEC: c_int = 0x80000;
 const EFD_NONBLOCK: c_int = 0x800;
@@ -69,7 +63,7 @@ const LISTEN_BACKLOG: c_int = 4096;
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Debug, Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     /// Bitmask of `EPOLL*` readiness flags.
     pub events: u32,
     /// The caller's token, returned verbatim with each event.
@@ -135,13 +129,13 @@ fn check(result: c_int) -> io::Result<c_int> {
 
 /// An epoll instance: the readiness multiplexer one event loop blocks on.
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: OwnedFd,
 }
 
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll {
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
@@ -157,26 +151,21 @@ impl Epoll {
     }
 
     /// Registers `fd` for the given readiness `events` under `token`.
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
-    }
-
-    /// Changes the registered interest of `fd`.
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
     /// Removes `fd` from the interest list (closing the fd does this too,
     /// but an explicit delete keeps already-queued events from referencing
     /// a recycled descriptor).
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks up to `timeout_ms` (`-1` = forever) and fills `events` with
     /// ready descriptors, returning how many. Interrupted waits report `0`
     /// ready events rather than an error.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         let count = unsafe {
             epoll_wait(
                 self.fd.as_raw_fd(),
@@ -200,13 +189,13 @@ impl Epoll {
 /// [`Epoll::wait`]: registered in the loop's epoll set, written by
 /// dispatcher completion callbacks, gateway dispatch and shutdown.
 #[derive(Debug)]
-pub struct EventFd {
+pub(crate) struct EventFd {
     fd: OwnedFd,
 }
 
 impl EventFd {
     /// Creates a non-blocking, close-on-exec eventfd.
-    pub fn new() -> io::Result<EventFd> {
+    pub(crate) fn new() -> io::Result<EventFd> {
         let fd = check(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd {
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
@@ -214,14 +203,14 @@ impl EventFd {
     }
 
     /// The descriptor to register with an [`Epoll`].
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         self.fd.as_raw_fd()
     }
 
     /// Wakes the owning loop. Signalling is best-effort and idempotent: the
     /// counter saturating (or any other failure) still leaves the loop
     /// readable, which is all a wakeup needs.
-    pub fn signal(&self) {
+    pub(crate) fn signal(&self) {
         let one: u64 = 1;
         unsafe {
             write(
@@ -233,7 +222,7 @@ impl EventFd {
     }
 
     /// Clears pending wakeups so level-triggered polling goes quiet again.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut counter: u64 = 0;
         unsafe {
             read(
@@ -284,9 +273,9 @@ fn with_sockaddr<R>(addr: &SocketAddr, call: impl FnOnce(*const c_void, u32) -> 
 /// `EPOLLERR`/`EPOLLHUP` (and any read or write on the socket surfaces the
 /// error). Event loops use this for upstream connections so the data path
 /// never stalls on a slow member's handshake.
-pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
     dandelion_common::fail_point!("upstream/connect", |_fault| {
-        Err(dandelion_common::failpoint::io_error("upstream/connect"))
+        Err(dandelion_common::failpoint_io_error("upstream/connect"))
     });
     let domain = match addr {
         SocketAddr::V4(_) => AF_INET,
@@ -315,7 +304,7 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
 /// every event loop own a listener of its own instead of funnelling all
 /// admissions through loop 0. `SO_REUSEADDR` is set too, matching the std
 /// listener's behaviour across restarts.
-pub fn bind_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
+pub(crate) fn bind_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
     let domain = match addr {
         SocketAddr::V4(_) => AF_INET,
         SocketAddr::V6(_) => AF_INET6,
@@ -421,8 +410,9 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(served.read(&mut buf).unwrap(), 4);
 
-        // Interest can be switched to writability and deleted again.
-        epoll.modify(served.as_raw_fd(), EPOLLOUT, 42).unwrap();
+        // Interest can be deleted and registered again, for writability.
+        epoll.delete(served.as_raw_fd()).unwrap();
+        epoll.add(served.as_raw_fd(), EPOLLOUT, 42).unwrap();
         let ready = epoll.wait(&mut events, 1000).unwrap();
         assert_eq!(ready, 1);
         let mask = events[0].events;

@@ -17,8 +17,10 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dandelion_common::failpoint::{self, FailAction};
-use dandelion_common::JsonValue;
+use dandelion_common::{
+    clear_failpoints, configure_failpoint, failpoint_hits, set_failpoint_seed, FailAction,
+    JsonValue,
+};
 use dandelion_http::HttpRequest;
 
 mod common;
@@ -31,7 +33,7 @@ fn serial() -> MutexGuard<'static, ()> {
     let guard = GUARD
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    failpoint::clear();
+    clear_failpoints();
     guard
 }
 
@@ -39,7 +41,7 @@ struct ClearOnDrop;
 
 impl Drop for ClearOnDrop {
     fn drop(&mut self) {
-        failpoint::clear();
+        clear_failpoints();
     }
 }
 
@@ -200,13 +202,13 @@ fn upstream_write_faults_never_lose_or_cross_wire_responses() {
     let gateway_addr = gateway.local_addr();
     wait_until_serving(gateway_addr);
 
-    failpoint::set_seed(0xC0FFEE);
-    failpoint::configure("upstream/write", FailAction::Error, 0.25);
+    set_failpoint_seed(0xC0FFEE);
+    configure_failpoint("upstream/write", FailAction::Error, 0.25);
     let outcomes = blast(gateway_addr, 4, 25);
     let (ok, _faulted) = assert_exactly_once(&outcomes, 100, &[502, 503]);
     assert!(ok > 0, "some requests must get through the write chaos");
     assert!(
-        failpoint::hits("upstream/write") > 0,
+        failpoint_hits("upstream/write") > 0,
         "the failpoint must actually have fired"
     );
 
@@ -234,7 +236,7 @@ fn upstream_write_faults_never_lose_or_cross_wire_responses() {
         "active failpoint hit counters surface in /v1/stats"
     );
 
-    failpoint::clear();
+    clear_failpoints();
     wait_until_serving(gateway_addr);
     assert!(shutdown(gateway, members), "gateway drains cleanly");
 }
@@ -252,17 +254,17 @@ fn truncated_upstream_responses_fail_clean_and_the_cluster_recovers() {
     // `upstream/read` cuts the member's response off mid-stream: the
     // gateway must treat the connection as dead and answer the affected
     // exchanges with a clean 502, never a half-written body.
-    failpoint::set_seed(0xFEED);
-    failpoint::configure("upstream/read", FailAction::Error, 0.2);
+    set_failpoint_seed(0xFEED);
+    configure_failpoint("upstream/read", FailAction::Error, 0.2);
     let outcomes = blast(gateway_addr, 2, 20);
     let (ok, _faulted) = assert_exactly_once(&outcomes, 40, &[502, 503]);
     assert!(ok > 0, "some requests must survive truncation chaos");
     assert!(
-        failpoint::hits("upstream/read") > 0,
+        failpoint_hits("upstream/read") > 0,
         "the failpoint must actually have fired"
     );
 
-    failpoint::clear();
+    clear_failpoints();
     wait_until_serving(gateway_addr);
     assert!(shutdown(gateway, members), "gateway drains cleanly");
 }
@@ -278,7 +280,7 @@ fn probe_blackout_ejects_members_and_recovering_probes_readmit_them() {
     wait_until_serving(gateway_addr);
 
     // Every probe fails: consecutive failures must eject both members.
-    failpoint::configure("gateway/probe", FailAction::Error, 1.0);
+    configure_failpoint("gateway/probe", FailAction::Error, 1.0);
     wait_for("both members ejected", Duration::from_secs(10), || {
         member_states(gateway_addr)
             .iter()
@@ -297,7 +299,7 @@ fn probe_blackout_ejects_members_and_recovering_probes_readmit_them() {
 
     // The blackout lifts: succeeding probes re-admit the members and
     // traffic flows again without any operator action.
-    failpoint::clear();
+    clear_failpoints();
     wait_for("both members re-admitted", Duration::from_secs(10), || {
         member_states(gateway_addr)
             .iter()
@@ -333,13 +335,13 @@ fn engine_panics_behind_the_gateway_neither_lose_nor_duplicate_results() {
     // supervision must requeue the task once (so most requests still get
     // their 200) and a task whose retry also dies fails exactly once with
     // an engine-fault 500 — never silently, never twice.
-    failpoint::set_seed(0xDEAD);
-    failpoint::configure("engine/reply", FailAction::Panic, 0.3);
+    set_failpoint_seed(0xDEAD);
+    configure_failpoint("engine/reply", FailAction::Panic, 0.3);
     let outcomes = blast(gateway_addr, 2, 20);
     let (ok, _faulted) = assert_exactly_once(&outcomes, 40, &[500]);
     assert!(ok > 0, "most requests must survive one engine death");
 
-    failpoint::clear();
+    clear_failpoints();
 
     let deaths =
         worker.compute_pool().engine_deaths() + worker.communication_pool().engine_deaths();

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dandelion_common::BufferPool;
-use dandelion_core::worker::{default_test_services, WorkerNode};
-use dandelion_core::Frontend;
+use dandelion_core::{default_test_services, Frontend, WorkerNode};
 use dandelion_server::{GatewayConfig, HttpClientConnection, Router, Server, ServerConfig};
 
 /// A member worker with the `Echo` function and `EchoComp` registered.
@@ -52,13 +51,13 @@ fn loopback_config() -> ServerConfig {
 }
 
 /// One cluster member: worker + frontend + server on an ephemeral port.
-pub fn start_member() -> (Server, Arc<WorkerNode>) {
+pub(crate) fn start_member() -> (Server, Arc<WorkerNode>) {
     start_member_idling_out_after(loopback_config().read_timeout)
 }
 
 /// A member that closes a keep-alive connection left idle for
 /// `read_timeout` — the gateway's pooled upstreams included.
-pub fn start_member_idling_out_after(read_timeout: Duration) -> (Server, Arc<WorkerNode>) {
+pub(crate) fn start_member_idling_out_after(read_timeout: Duration) -> (Server, Arc<WorkerNode>) {
     let worker = echo_worker();
     let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
     let config = ServerConfig {
@@ -71,7 +70,7 @@ pub fn start_member_idling_out_after(read_timeout: Duration) -> (Server, Arc<Wor
 
 /// Probe cadence short enough that ejection and drain-removal happen well
 /// inside a test's patience.
-pub fn test_gateway_config() -> GatewayConfig {
+pub(crate) fn test_gateway_config() -> GatewayConfig {
     GatewayConfig {
         probe_interval: Duration::from_millis(50),
         probe_timeout: Duration::from_millis(500),
@@ -79,13 +78,16 @@ pub fn test_gateway_config() -> GatewayConfig {
     }
 }
 
-pub fn start_gateway(config: GatewayConfig, members: &[SocketAddr]) -> (Server, Arc<Router>) {
+pub(crate) fn start_gateway(
+    config: GatewayConfig,
+    members: &[SocketAddr],
+) -> (Server, Arc<Router>) {
     start_gateway_pipelining(loopback_config().max_pipelined, config, members)
 }
 
 /// A gateway whose client connections pipeline `max_pipelined` deep — that
 /// many requests, or that many read chunks of their bodies.
-pub fn start_gateway_pipelining(
+pub(crate) fn start_gateway_pipelining(
     max_pipelined: usize,
     config: GatewayConfig,
     members: &[SocketAddr],
@@ -102,14 +104,14 @@ pub fn start_gateway_pipelining(
     (server, router)
 }
 
-pub fn connect(addr: SocketAddr) -> HttpClientConnection {
+pub(crate) fn connect(addr: SocketAddr) -> HttpClientConnection {
     HttpClientConnection::connect(addr, Duration::from_secs(10)).expect("client connects")
 }
 
 /// The end of a test over these fixtures: stops the gateway, then the members
 /// it fronted ([`shutdown_node`]). Returns whether the gateway drained
 /// cleanly.
-pub fn shutdown(
+pub(crate) fn shutdown(
     gateway: Server,
     members: impl IntoIterator<Item = (Server, Arc<WorkerNode>)>,
 ) -> bool {
@@ -126,7 +128,7 @@ pub fn shutdown(
 /// unread in its inbox ([`stop_and_check_loops`]), and the worker has no
 /// invocation in flight and the pool's books balance ([`finish_worker`]).
 /// Returns whether the server drained cleanly.
-pub fn shutdown_node(server: Server, worker: Arc<WorkerNode>) -> bool {
+pub(crate) fn shutdown_node(server: Server, worker: Arc<WorkerNode>) -> bool {
     let drained = stop_and_check_loops(server);
     finish_worker(&worker);
     drained
@@ -136,7 +138,7 @@ pub fn shutdown_node(server: Server, worker: Arc<WorkerNode>) -> bool {
 /// flight (submitted = settled: a settle path that loses one fails here,
 /// whatever the test looked at), and the pool's books balance
 /// ([`assert_pool_accounted`]).
-pub fn finish_worker(worker: &WorkerNode) {
+pub(crate) fn finish_worker(worker: &WorkerNode) {
     worker.shutdown();
     assert_eq!(worker.inflight(), 0, "invocations left in flight");
     assert_pool_accounted();
@@ -146,7 +148,7 @@ pub fn finish_worker(worker: &WorkerNode) {
 /// was completed (`inflight`), every request body taken in was given up
 /// with its slot or its connection (`held_bytes`), and every message
 /// posted to a loop was taken out of its inbox (`inbox_depth`).
-pub fn stop_and_check_loops(server: Server) -> bool {
+pub(crate) fn stop_and_check_loops(server: Server) -> bool {
     let stats = server.stats_source();
     let drained = server.shutdown();
     let document = stats();
@@ -165,7 +167,7 @@ pub fn stop_and_check_loops(server: Server) -> bool {
 /// gauge the handles keep and not the difference of the other three — a
 /// buffer returned twice, or one the pool never issued coming "back", breaks
 /// the sum for good.
-pub fn assert_pool_accounted() {
+pub(crate) fn assert_pool_accounted() {
     // The counters are read one by one while other tests of this binary use
     // the pool: a snapshot taken across an acquire or a return is off by
     // that one, so look again before calling it a miscount.

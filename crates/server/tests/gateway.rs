@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dandelion_common::JsonValue;
-use dandelion_core::worker::WorkerNode;
+use dandelion_core::WorkerNode;
 use dandelion_http::HttpRequest;
 use dandelion_server::{GatewayConfig, Server};
 

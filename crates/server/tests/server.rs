@@ -7,9 +7,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dandelion_common::encoding::utf8_lossy;
-use dandelion_core::worker::{default_test_services, WorkerNode};
-use dandelion_core::Frontend;
+use dandelion_common::utf8_lossy;
+use dandelion_core::{default_test_services, Frontend, WorkerNode};
 use dandelion_http::{HttpRequest, ParseLimits};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 use dandelion_server::{HttpClientConnection, Server, ServerConfig, WORKER_PIPELINE_DEPTH};
@@ -375,7 +374,7 @@ fn server_thread_count(port: u16) -> usize {
 #[test]
 fn two_event_loops_sustain_a_thousand_open_connections() {
     const CONNECTIONS: usize = 1000;
-    dandelion_server::sys::raise_nofile_limit(3 * CONNECTIONS as u64 + 256).unwrap();
+    dandelion_server::raise_nofile_limit(3 * CONNECTIONS as u64 + 256).unwrap();
     let config = ServerConfig {
         // Long deadlines so the held connections stay open for the whole
         // test; admission must clear the 1000 plus the sampling clients.
@@ -1679,7 +1678,7 @@ fn requests_arriving_after_a_short_read_are_still_served() {
 /// exactly that content's size.
 #[test]
 fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
-    use dandelion_apps::{matmul, phases, setup};
+    use dandelion_apps::{matmul, phase_array, setup, PHASE_ARRAY_BYTES, PHASE_SAMPLE};
     use dandelion_common::{DataSet, JsonValue};
 
     let worker = setup::demo_worker(2, false).unwrap();
@@ -1743,7 +1742,7 @@ fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
                 .unwrap()
         })
         .collect();
-    let expected: Vec<u64> = dandelion_common::pool::SIZE_CLASSES
+    let expected: Vec<u64> = dandelion_common::SIZE_CLASSES
         .iter()
         .map(|bytes| *bytes as u64)
         .collect();
@@ -1771,9 +1770,9 @@ fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
     let mut distinct = std::collections::BTreeSet::new();
     for _ in 0..4 {
         distinct.insert(key);
-        let sum: i64 = phases::array_object(key)
+        let sum: i64 = phase_array(key)
             .chunks_exact(8)
-            .step_by(phases::ARRAY_BYTES / 8 / phases::SAMPLE)
+            .step_by(PHASE_ARRAY_BYTES / 8 / PHASE_SAMPLE)
             .map(|chunk| i64::from_le_bytes(chunk.try_into().unwrap()))
             .sum();
         key = sum.unsigned_abs() % 1000;
@@ -1785,7 +1784,7 @@ fn memory_stats_attribute_resident_bytes_to_the_content_requests_touched() {
         )
         .expect("FetchCompute4 runs");
     let touched = resident_bytes(&memory()) - resident_bytes(&idle);
-    assert_eq!(touched, (phases::ARRAY_BYTES * distinct.len()) as u64);
+    assert_eq!(touched, (PHASE_ARRAY_BYTES * distinct.len()) as u64);
     // The same chain again reads what is stored now.
     client
         .invoke_sync(

@@ -10,7 +10,7 @@ use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 use parking_lot::RwLock;
 
-use crate::latency::{defaults, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
 
 /// Token-to-endpoints authorization service.
@@ -27,7 +27,7 @@ impl AuthService {
     pub fn new() -> Self {
         Self {
             tokens: RwLock::new(BTreeMap::new()),
-            latency: defaults::MICROSERVICE,
+            latency: LatencyModel::MICROSERVICE,
         }
     }
 
@@ -130,7 +130,7 @@ mod tests {
         let endpoints: Vec<&str> = body.lines().map(str::trim).collect();
         assert_eq!(endpoints.len(), 2);
         assert!(endpoints[0].contains("logs-0"));
-        assert!(reply.latency >= defaults::MICROSERVICE.base);
+        assert!(reply.latency >= LatencyModel::MICROSERVICE.base);
     }
 
     #[test]

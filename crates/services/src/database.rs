@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 use parking_lot::RwLock;
 
-use crate::latency::{defaults, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
 
 /// A cell value: text or number.
@@ -76,7 +76,7 @@ impl SqlDatabaseService {
     pub fn new() -> Self {
         Self {
             tables: RwLock::new(BTreeMap::new()),
-            latency: defaults::SQL_DATABASE,
+            latency: LatencyModel::SQL_DATABASE,
         }
     }
 

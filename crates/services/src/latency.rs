@@ -42,26 +42,22 @@ impl LatencyModel {
 }
 
 /// Default latency models matching the scale of the paper's experiments.
-pub mod defaults {
-    use super::LatencyModel;
-    use std::time::Duration;
-
+impl LatencyModel {
     /// Intra-datacenter microservice call (auth, log service): ~1 ms base,
     /// ~10 µs per KiB.
-    pub const MICROSERVICE: LatencyModel =
-        LatencyModel::new(Duration::from_micros(1000), Duration::from_micros(10));
+    pub const MICROSERVICE: Self =
+        Self::new(Duration::from_micros(1000), Duration::from_micros(10));
 
     /// Object storage (S3-like): ~15 ms first-byte latency, ~12 µs per KiB
     /// (≈ 80 MB/s effective per-request throughput).
-    pub const OBJECT_STORE: LatencyModel =
-        LatencyModel::new(Duration::from_millis(15), Duration::from_micros(12));
+    pub const OBJECT_STORE: Self = Self::new(Duration::from_millis(15), Duration::from_micros(12));
 
     /// LLM inference: the paper measures 1238 ms for the Text2SQL prompt on
     /// Gemma-3-4b (§7.7).
-    pub const LLM: LatencyModel = LatencyModel::fixed(Duration::from_millis(1238));
+    pub const LLM: Self = Self::fixed(Duration::from_millis(1238));
 
     /// SQL database query: the paper measures 136 ms for the Text2SQL query.
-    pub const SQL_DATABASE: LatencyModel = LatencyModel::fixed(Duration::from_millis(136));
+    pub const SQL_DATABASE: Self = Self::fixed(Duration::from_millis(136));
 }
 
 #[cfg(test)]
@@ -88,8 +84,8 @@ mod tests {
 
     #[test]
     fn default_models_are_ordered_sensibly() {
-        assert!(defaults::MICROSERVICE.base < defaults::OBJECT_STORE.base);
-        assert!(defaults::OBJECT_STORE.base < defaults::SQL_DATABASE.base);
-        assert!(defaults::SQL_DATABASE.base < defaults::LLM.base);
+        assert!(LatencyModel::MICROSERVICE.base < LatencyModel::OBJECT_STORE.base);
+        assert!(LatencyModel::OBJECT_STORE.base < LatencyModel::SQL_DATABASE.base);
+        assert!(LatencyModel::SQL_DATABASE.base < LatencyModel::LLM.base);
     }
 }

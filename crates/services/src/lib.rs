@@ -12,7 +12,7 @@
 //!
 //! What a stand-in serves would sit on another machine, so it must not be
 //! the worker's start-up work or its idle memory: content is materialised on
-//! first use, then stored ([`object_store::ObjectStore::set_source`]), and
+//! first use, then stored ([`ObjectStore::set_source`]), and
 //! a GET answers with a view of the stored bytes (a log service's few KiB
 //! are rendered when it is created). What the services hold at
 //! any moment is [`ServiceRegistry::resident_bytes`], which `/v1/stats`
@@ -20,23 +20,28 @@
 //!
 //! Provided services:
 //!
-//! * [`auth::AuthService`] — token → list of authorized log-service endpoints.
-//! * [`logs::LogService`] — serves synthetic log files.
-//! * [`object_store::ObjectStore`] — S3-like GET/PUT/DELETE of objects in
+//! * [`AuthService`] — token → list of authorized log-service endpoints.
+//! * [`LogService`] — serves synthetic log files.
+//! * [`ObjectStore`] — S3-like GET/PUT/DELETE of objects in
 //!   buckets; a bucket can have a source that makes an object when it is
 //!   first read.
-//! * [`llm::LlmService`] — deterministic Text2SQL "LLM" with the measured
+//! * [`LlmService`] — deterministic Text2SQL "LLM" with the measured
 //!   latency of the paper's Gemma-3-4b deployment.
-//! * [`database::SqlDatabaseService`] — a small SQL-over-HTTP database used
+//! * [`SqlDatabaseService`] — a small SQL-over-HTTP database used
 //!   by the Text2SQL workflow.
 
-pub mod auth;
-pub mod database;
-pub mod latency;
-pub mod llm;
-pub mod logs;
-pub mod object_store;
-pub mod registry;
+mod auth;
+mod database;
+mod latency;
+mod llm;
+mod logs;
+mod object_store;
+mod registry;
 
+pub use auth::AuthService;
+pub use database::SqlDatabaseService;
 pub use latency::LatencyModel;
-pub use registry::{RemoteService, ServiceRegistry, ServiceResponse};
+pub use llm::LlmService;
+pub use logs::LogService;
+pub use object_store::ObjectStore;
+pub use registry::ServiceRegistry;

@@ -10,7 +10,7 @@
 
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 
-use crate::latency::{defaults, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
 
 /// Deterministic Text2SQL "LLM" endpoint.
@@ -22,7 +22,7 @@ impl LlmService {
     /// Creates the service with the paper's measured inference latency.
     pub fn new() -> Self {
         Self {
-            latency: defaults::LLM,
+            latency: LatencyModel::LLM,
         }
     }
 
@@ -191,7 +191,7 @@ mod tests {
         let llm = LlmService::new();
         let request = HttpRequest::post("http://llm.internal/v1/generate", b"hello".to_vec());
         let reply = llm.handle(&request);
-        assert_eq!(reply.latency, defaults::LLM.base);
+        assert_eq!(reply.latency, LatencyModel::LLM.base);
     }
 
     #[test]

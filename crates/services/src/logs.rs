@@ -8,7 +8,7 @@ use dandelion_common::rng::SplitMix64;
 use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 
-use crate::latency::{defaults, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
 
 /// Severity levels used in the synthetic logs.
@@ -35,7 +35,7 @@ impl LogService {
         Self {
             name: name.to_string(),
             log: Self::render_log(name, lines, seed).into_bytes().into(),
-            latency: defaults::MICROSERVICE,
+            latency: LatencyModel::MICROSERVICE,
         }
     }
 

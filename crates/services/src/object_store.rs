@@ -18,7 +18,7 @@ use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
 use parking_lot::RwLock;
 
-use crate::latency::{defaults, LatencyModel};
+use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
 
 /// Makes the object a bucket holds under a key, or declines the key.
@@ -41,7 +41,7 @@ pub struct ObjectStore {
 impl ObjectStore {
     /// Creates an empty object store with the default S3-like latency model.
     pub fn new() -> Self {
-        Self::with_latency(defaults::OBJECT_STORE)
+        Self::with_latency(LatencyModel::OBJECT_STORE)
     }
 
     /// Creates a store with a custom latency model.

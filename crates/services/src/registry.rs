@@ -64,8 +64,8 @@ impl ServiceRegistry {
         self.services.contains_key(host)
     }
 
-    /// What the registered services hold in memory, summed
-    /// ([`RemoteService::resident_bytes`]).
+    /// What the registered services hold in memory, summed over each
+    /// service's own `resident_bytes`.
     pub fn resident_bytes(&self) -> usize {
         self.services
             .values()

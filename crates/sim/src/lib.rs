@@ -9,34 +9,36 @@
 //! calibrated service times and replays the same workloads under virtual
 //! time:
 //!
-//! * [`request`] — request/phase descriptions and the workload presets used
-//!   by the figures (1×1 and 128×128 matmul, fetch-and-compute phases, log
-//!   processing, image compression).
-//! * [`server`] — core pools (multi-server FCFS with next-free-time
-//!   bookkeeping), warm-sandbox pools and the committed-memory tracker.
-//! * [`platforms`] — the platform models: Dandelion (per-request sandboxes,
-//!   compute/communication core split driven by the live node's own
-//!   [`dandelion_core::control::Step`]), D-hybrid
-//!   (single hybrid function, thread-per-core tuning), MicroVM platforms
-//!   (Firecracker ± snapshots, gVisor) and Spin/Wasmtime.
-//! * [`autoscaler`] — a Knative-style concurrency autoscaler with
+//! * [`RequestSpec`] — request/phase descriptions, and [`workloads`], the
+//!   presets used by the figures (1×1 and 128×128 matmul, fetch-and-compute
+//!   phases, log processing, image compression).
+//! * Core pools (multi-server FCFS with next-free-time bookkeeping) and the
+//!   committed-memory tracker.
+//! * [`PlatformModel`] — the platform models: Dandelion (per-request
+//!   sandboxes, compute/communication core split driven by the live node's
+//!   own [`dandelion_core::Step`]), D-hybrid (single hybrid function,
+//!   thread-per-core tuning), MicroVM platforms (Firecracker ± snapshots,
+//!   gVisor) and Spin/Wasmtime.
+//! * [`KnativeAutoscaler`] — a Knative-style concurrency autoscaler with
 //!   scale-to-zero grace periods, used for the Azure-trace memory
 //!   experiments.
-//! * [`load`] — open-loop Poisson and bursty load generators plus the trace
-//!   replayer, and the sweep helpers the benchmark harness uses.
+//! * [`run_open_loop`], [`run_bursty`], [`run_trace`] — open-loop Poisson and
+//!   bursty load generators plus the trace replayer, and
+//!   [`sweep_open_loop`], the sweep the benchmark harness uses.
 //!
 //! Every model is deterministic given its seed, so figures regenerate
 //! identically across machines.
 
-pub mod autoscaler;
-pub mod load;
-pub mod platforms;
-pub mod request;
-pub mod server;
+mod autoscaler;
+mod load;
+mod platforms;
+mod request;
+mod server;
 
-pub use load::{run_bursty, run_open_loop, run_trace, sweep_open_loop, RunResult, SweepPoint};
+pub use autoscaler::KnativeAutoscaler;
+pub use load::{run_bursty, run_open_loop, run_trace, sweep_open_loop, RunResult};
 pub use platforms::{
-    Completion, DHybridSim, DandelionSim, MicroVmKind, MicroVmSim, PlatformModel, WasmtimeSim,
+    DHybridSim, DandelionConfig, DandelionSim, MicroVmKind, MicroVmSim, PlatformModel, WarmPolicy,
+    WasmtimeSim,
 };
 pub use request::{workloads, Phase, RequestSpec};
-pub use server::{CorePool, MemoryTracker, WarmPool};

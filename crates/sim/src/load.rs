@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::stats::{LatencyRecorder, LatencySummary, TimeSeries};
+use dandelion_common::{LatencyRecorder, LatencySummary, TimeSeries};
 use dandelion_trace::Trace;
 
 use crate::platforms::PlatformModel;
@@ -117,7 +117,7 @@ pub fn sweep_open_loop(
 
 /// A piecewise-constant rate profile: `(from, rps)` segments, each active
 /// from its start time until the next segment (or the end of the run).
-pub type RateProfile = Vec<(Duration, f64)>;
+pub(crate) type RateProfile = Vec<(Duration, f64)>;
 
 /// Runs a mix of applications with time-varying rates (Figure 8's bursty
 /// multiplexing experiment). Returns per-application results keyed by the

@@ -21,7 +21,7 @@ use std::time::Duration;
 use dandelion_common::config::ControllerConfig;
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::MIB;
-use dandelion_core::control::{CoreAllocation, Step};
+use dandelion_core::{CoreAllocation, Step};
 use dandelion_isolation::{HardwarePlatform, SandboxCostModel};
 
 use crate::autoscaler::KnativeAutoscaler;

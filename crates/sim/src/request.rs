@@ -58,16 +58,6 @@ pub struct RequestSpec {
 }
 
 impl RequestSpec {
-    /// Creates a single-phase compute request.
-    pub fn compute_only(name: &str, work: Duration, memory_mib: u32) -> Self {
-        Self {
-            name: name.to_string(),
-            phases: vec![Phase::Compute { work }],
-            memory_mib,
-            io_bytes: 4 * 1024,
-        }
-    }
-
     /// Total native compute time across phases.
     pub fn total_compute(&self) -> Duration {
         self.phases.iter().map(Phase::compute_time).sum()

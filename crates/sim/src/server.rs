@@ -1,9 +1,8 @@
-//! Core pools, warm-sandbox pools and the committed-memory tracker.
+//! Core pools and the committed-memory tracker.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use dandelion_common::stats::TimeSeries;
+use dandelion_common::TimeSeries;
 
 /// A pool of identical CPU cores scheduling work FCFS.
 ///
@@ -12,7 +11,7 @@ use dandelion_common::stats::TimeSeries;
 /// exact model of an FCFS multi-server queue as long as work is submitted in
 /// non-decreasing arrival order, which the load generators guarantee.
 #[derive(Debug, Clone)]
-pub struct CorePool {
+pub(crate) struct CorePool {
     free_at: Vec<Duration>,
     /// Target size; shrinking is applied lazily when cores become free.
     target: usize,
@@ -23,7 +22,7 @@ pub struct CorePool {
 
 impl CorePool {
     /// Creates a pool with `cores` cores, all free at time zero.
-    pub fn new(cores: usize) -> Self {
+    pub(crate) fn new(cores: usize) -> Self {
         Self {
             free_at: vec![Duration::ZERO; cores],
             target: cores,
@@ -31,22 +30,12 @@ impl CorePool {
         }
     }
 
-    /// The current number of cores (including ones pending removal).
-    pub fn cores(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// The target number of cores.
-    pub fn target_cores(&self) -> usize {
-        self.target
-    }
-
     /// Requests the pool to grow or shrink to `target` cores.
     ///
     /// Growth takes effect immediately (the new core is free at `now`);
     /// shrinking removes the earliest-free cores lazily so in-flight work is
     /// never aborted.
-    pub fn resize(&mut self, target: usize, now: Duration) {
+    pub(crate) fn resize(&mut self, target: usize, now: Duration) {
         let target = target.max(1);
         self.target = target;
         while self.free_at.len() < target {
@@ -90,7 +79,7 @@ impl CorePool {
 
     /// Schedules `service` on the earliest available core not before
     /// `ready`. Returns the `(start, finish)` times.
-    pub fn acquire(&mut self, ready: Duration, service: Duration) -> (Duration, Duration) {
+    pub(crate) fn acquire(&mut self, ready: Duration, service: Duration) -> (Duration, Duration) {
         self.apply_shrink(ready);
         let index = self.pick_core(ready);
         let start = self.free_at[index].max(ready);
@@ -108,7 +97,7 @@ impl CorePool {
     /// [`CorePool::occupy_until`] with the computed finish time. Used by the
     /// D-hybrid model where a slot's occupancy depends on work scheduled on
     /// other pools.
-    pub fn acquire_deferred(&mut self, ready: Duration) -> (usize, Duration) {
+    pub(crate) fn acquire_deferred(&mut self, ready: Duration) -> (usize, Duration) {
         self.apply_shrink(ready);
         let index = self.pick_core(ready);
         let start = self.free_at[index].max(ready);
@@ -120,7 +109,7 @@ impl CorePool {
 
     /// Marks the core claimed by [`CorePool::acquire_deferred`] busy until
     /// `finish`.
-    pub fn occupy_until(&mut self, index: usize, finish: Duration) {
+    pub(crate) fn occupy_until(&mut self, index: usize, finish: Duration) {
         if let Some(slot) = self.free_at.get_mut(index) {
             *slot = (*slot).max(finish);
         }
@@ -128,120 +117,9 @@ impl CorePool {
 
     /// Number of accepted requests that have not started executing yet at
     /// `now` — the queue depth the control plane samples.
-    pub fn queue_depth(&mut self, now: Duration) -> usize {
+    pub(crate) fn queue_depth(&mut self, now: Duration) -> usize {
         self.pending_starts.retain(|start| *start > now);
         self.pending_starts.len()
-    }
-
-    /// Number of cores busy at `now`.
-    pub fn busy_cores(&self, now: Duration) -> usize {
-        self.free_at.iter().filter(|free| **free > now).count()
-    }
-}
-
-/// A per-function pool of warm sandboxes with keep-alive semantics.
-///
-/// Used by the MicroVM baselines: a warm sandbox serves a request without
-/// paying the boot cost; sandboxes idle longer than the keep-alive window are
-/// torn down (by [`WarmPool::expire`]), releasing their memory.
-#[derive(Debug, Clone, Default)]
-pub struct WarmPool {
-    /// Per-function list of sandbox-free times and last-use timestamps.
-    sandboxes: HashMap<String, Vec<Sandbox>>,
-    keep_alive: Duration,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Sandbox {
-    free_at: Duration,
-    last_used: Duration,
-    memory_bytes: usize,
-}
-
-impl WarmPool {
-    /// Creates a pool with the given keep-alive window.
-    pub fn new(keep_alive: Duration) -> Self {
-        Self {
-            sandboxes: HashMap::new(),
-            keep_alive,
-        }
-    }
-
-    /// Tries to claim a warm sandbox for `function` that is free at `now`.
-    /// Returns `true` when a warm sandbox was claimed (warm start).
-    pub fn claim(&mut self, function: &str, now: Duration, busy_until: Duration) -> bool {
-        let Some(pool) = self.sandboxes.get_mut(function) else {
-            return false;
-        };
-        if let Some(sandbox) = pool.iter_mut().find(|sandbox| sandbox.free_at <= now) {
-            sandbox.free_at = busy_until;
-            sandbox.last_used = busy_until;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Registers a freshly booted sandbox that will be busy until
-    /// `busy_until` and keeps it warm afterwards.
-    pub fn add(&mut self, function: &str, busy_until: Duration, memory_bytes: usize) {
-        self.sandboxes
-            .entry(function.to_string())
-            .or_default()
-            .push(Sandbox {
-                free_at: busy_until,
-                last_used: busy_until,
-                memory_bytes,
-            });
-    }
-
-    /// Tears down sandboxes idle since before `now - keep_alive`, returning
-    /// the number of bytes released.
-    pub fn expire(&mut self, now: Duration) -> usize {
-        let keep_alive = self.keep_alive;
-        let mut released = 0usize;
-        for pool in self.sandboxes.values_mut() {
-            pool.retain(|sandbox| {
-                let idle_expired = sandbox.free_at <= now && sandbox.last_used + keep_alive <= now;
-                if idle_expired {
-                    released += sandbox.memory_bytes;
-                }
-                !idle_expired
-            });
-        }
-        released
-    }
-
-    /// Number of warm sandboxes currently provisioned for `function`.
-    pub fn provisioned(&self, function: &str) -> usize {
-        self.sandboxes.get(function).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Total memory committed by all provisioned sandboxes.
-    pub fn committed_bytes(&self) -> usize {
-        self.sandboxes
-            .values()
-            .flatten()
-            .map(|sandbox| sandbox.memory_bytes)
-            .sum()
-    }
-
-    /// Removes sandboxes of `function` beyond `target` instances, preferring
-    /// idle ones (used by the autoscaler to scale in).
-    pub fn scale_to(&mut self, function: &str, target: usize, now: Duration) -> usize {
-        let Some(pool) = self.sandboxes.get_mut(function) else {
-            return 0;
-        };
-        let mut released = 0usize;
-        while pool.len() > target {
-            if let Some(position) = pool.iter().position(|sandbox| sandbox.free_at <= now) {
-                released += pool[position].memory_bytes;
-                pool.remove(position);
-            } else {
-                break;
-            }
-        }
-        released
     }
 }
 
@@ -346,7 +224,8 @@ mod tests {
         assert_eq!((s2, f2), (ms(0), ms(10)));
         // Third request queues behind the first free core.
         assert_eq!((s3, f3), (ms(10), ms(20)));
-        assert_eq!(pool.busy_cores(ms(5)), 2);
+        let busy = pool.free_at.iter().filter(|free| **free > ms(5)).count();
+        assert_eq!(busy, 2);
         assert_eq!(pool.queue_depth(ms(5)), 1);
         assert_eq!(pool.queue_depth(ms(15)), 0);
     }
@@ -356,49 +235,18 @@ mod tests {
         let mut pool = CorePool::new(1);
         let (_, _) = pool.acquire(ms(0), ms(100));
         pool.resize(3, ms(0));
-        assert_eq!(pool.cores(), 3);
+        assert_eq!(pool.free_at.len(), 3);
         // Work lands on the new idle cores immediately.
         let (start, _) = pool.acquire(ms(1), ms(10));
         assert_eq!(start, ms(1));
         // Shrinking below the busy count happens once cores free up.
         pool.resize(1, ms(2));
-        assert!(pool.cores() >= 1);
+        assert!(!pool.free_at.is_empty());
         let _ = pool.acquire(ms(200), ms(1));
-        assert_eq!(pool.cores(), 1);
+        assert_eq!(pool.free_at.len(), 1);
         // A pool never shrinks to zero.
         pool.resize(0, ms(300));
-        assert_eq!(pool.target_cores(), 1);
-    }
-
-    #[test]
-    fn warm_pool_claims_and_expires() {
-        let mut pool = WarmPool::new(ms(100));
-        assert!(!pool.claim("f", ms(0), ms(10)));
-        pool.add("f", ms(10), 128);
-        assert_eq!(pool.provisioned("f"), 1);
-        // Busy until 10: cannot claim at 5, can claim at 12.
-        assert!(!pool.claim("f", ms(5), ms(20)));
-        assert!(pool.claim("f", ms(12), ms(30)));
-        assert_eq!(pool.committed_bytes(), 128);
-        // Not yet idle long enough to expire.
-        assert_eq!(pool.expire(ms(50)), 0);
-        // After 30 + 100 of idleness the sandbox is torn down.
-        assert_eq!(pool.expire(ms(200)), 128);
-        assert_eq!(pool.provisioned("f"), 0);
-    }
-
-    #[test]
-    fn warm_pool_scale_to_releases_idle_sandboxes() {
-        let mut pool = WarmPool::new(ms(1000));
-        pool.add("f", ms(0), 100);
-        pool.add("f", ms(0), 100);
-        pool.add("f", ms(500), 100);
-        // Two of the three sandboxes are idle at t=10; scaling to one removes
-        // both idle ones and leaves the busy one in place.
-        let released = pool.scale_to("f", 1, ms(10));
-        assert_eq!(released, 200);
-        assert_eq!(pool.provisioned("f"), 1);
-        assert_eq!(pool.scale_to("missing", 0, ms(10)), 0);
+        assert_eq!(pool.target, 1);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! * **bursty / periodic arrival patterns** with long idle periods, which is
 //!   what makes keep-alive policies commit so much idle memory.
 //!
-//! The main entry points are [`sample_functions`] (the InVitro-style
-//! sampler), [`generate_trace`], and [`Trace::arrivals_per_second`].
+//! The main entry points are [`generate_trace`], which samples the
+//! functions InVitro-style and generates their arrivals, and
+//! [`Trace::arrivals_per_second`].
 
 mod model;
 
-pub use model::{
-    generate_trace, sample_functions, ArrivalPattern, FunctionSpec, Trace, TraceConfig, TraceEvent,
-};
+pub use model::{generate_trace, Trace, TraceConfig};

@@ -146,7 +146,7 @@ const MEMORY_CHOICES: [(u32, f64); 5] =
 
 /// Samples a population of functions with Azure-trace-like statistics
 /// (InVitro-style sampling).
-pub fn sample_functions(count: usize, seed: u64) -> Vec<FunctionSpec> {
+pub(crate) fn sample_functions(count: usize, seed: u64) -> Vec<FunctionSpec> {
     let mut rng = SplitMix64::new(seed);
     let mut specs = Vec::with_capacity(count);
     let memory_weights: Vec<f64> = MEMORY_CHOICES.iter().map(|(_, weight)| *weight).collect();

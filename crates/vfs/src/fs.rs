@@ -3,8 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dandelion_common::encoding::utf8_lossy;
-use dandelion_common::{DataItem, DataSet, SharedBytes};
+use dandelion_common::{utf8_lossy, DataItem, DataSet, SharedBytes};
 
 use crate::path::VfsPath;
 

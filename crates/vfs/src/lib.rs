@@ -10,8 +10,8 @@
 //!
 //! * [`VirtualFs::from_input_sets`] lays out `/<set-name>/<item-name>` files
 //!   for every input item.
-//! * The function reads and writes through [`VirtualFs`] and [`FileHandle`]
-//!   without any ambient authority.
+//! * The function reads and writes through [`VirtualFs`] without any
+//!   ambient authority.
 //! * [`VirtualFs::harvest_output_sets`] turns the files under each declared
 //!   output directory back into [`DataSet`](dandelion_common::DataSet)s for
 //!   the dispatcher.
@@ -21,9 +21,7 @@
 //! reported as [`VfsError`] values rather than panics.
 
 mod fs;
-mod handle;
 mod path;
 
-pub use fs::{Metadata, NodeKind, VfsError, VirtualFs};
-pub use handle::{FileHandle, OpenMode, SeekFrom};
+pub use fs::{VfsError, VirtualFs};
 pub use path::VfsPath;

@@ -12,11 +12,10 @@ use std::time::Duration;
 
 use dandelion_common::config::IsolationKind;
 use dandelion_isolation::{HardwarePlatform, SandboxCostModel};
-use dandelion_sim::autoscaler::KnativeAutoscaler;
-use dandelion_sim::platforms::{
-    DandelionConfig, DandelionSim, MicroVmKind, MicroVmSim, WarmPolicy,
+use dandelion_sim::{
+    run_trace, DandelionConfig, DandelionSim, KnativeAutoscaler, MicroVmKind, MicroVmSim,
+    WarmPolicy,
 };
-use dandelion_sim::run_trace;
 use dandelion_trace::{generate_trace, TraceConfig};
 
 fn main() {

@@ -13,8 +13,8 @@
 
 use std::time::Instant;
 
+use dandelion_apps::paper_step_latencies_ms;
 use dandelion_apps::setup::demo_worker;
-use dandelion_apps::text2sql::paper_step_latencies_ms;
 use dandelion_common::DataSet;
 use dandelion_core::DandelionClient;
 

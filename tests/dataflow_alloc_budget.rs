@@ -19,9 +19,8 @@
 use std::sync::Arc;
 
 use dandelion_common::{DataItem, DataSet, InvocationId, SharedBytes};
-use dandelion_core::invocation::{InstanceCompletion, InvocationState};
-use dandelion_dsl::builder::render_logs_composition;
-use dandelion_dsl::CompositionGraph;
+use dandelion_core::{InstanceCompletion, InvocationState};
+use dandelion_dsl::{render_logs_composition, CompositionGraph};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator};
 
 #[allow(dead_code)]

@@ -2,9 +2,9 @@
 //! real worker runtime (dispatcher, engines, isolation backends, simulated
 //! remote services) and produces correct results.
 
-use dandelion_apps::image::{png_dimensions, qoi_encode, Image};
 use dandelion_apps::matmul::{decode_matrix, matmul_inputs};
 use dandelion_apps::setup::DEMO_TOKEN;
+use dandelion_apps::{png_dimensions, qoi_encode, Image};
 use dandelion_common::config::IsolationKind;
 use dandelion_common::DataSet;
 use dandelion_integration_tests::demo_worker;

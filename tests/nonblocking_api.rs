@@ -8,8 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
-use dandelion_common::encoding::base64_decode;
-use dandelion_common::{DataSet, JsonValue};
+use dandelion_common::{base64_decode, DataSet, JsonValue};
 use dandelion_core::{DandelionClient, Frontend, InvocationStatus, WorkerNode};
 use dandelion_http::{HttpRequest, StatusCode};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};

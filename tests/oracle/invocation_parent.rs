@@ -19,12 +19,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
-use dandelion_dsl::graph::{CompositionGraph, GraphNode, InputSource};
-use dandelion_dsl::Distribution;
+use dandelion_dsl::{CompositionGraph, Distribution, GraphNode, InputSource};
 
 /// One executable instance of a node, with materialized inputs.
 #[derive(Debug, Clone)]
-pub struct InstanceSpec {
+pub(crate) struct InstanceSpec {
     /// The node index in the composition graph.
     pub node: usize,
     /// The instance index within the node (0-based).
@@ -52,7 +51,7 @@ enum NodeStatus {
 
 /// The dataflow state of one composition invocation.
 #[derive(Debug)]
-pub struct InvocationState {
+pub(crate) struct InvocationState {
     id: InvocationId,
     graph: Arc<CompositionGraph>,
     external_inputs: Vec<DataSet>,
@@ -70,7 +69,7 @@ impl InvocationState {
     /// Inputs are matched to the composition's external input names by set
     /// name; declared inputs that the client did not provide are treated as
     /// empty sets (which will skip any node that requires them).
-    pub fn new(
+    pub(crate) fn new(
         id: InvocationId,
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
@@ -107,18 +106,18 @@ impl InvocationState {
     }
 
     /// The invocation identifier.
-    pub fn id(&self) -> InvocationId {
+    pub(crate) fn id(&self) -> InvocationId {
         self.id
     }
 
     /// The composition being executed.
-    pub fn graph(&self) -> &CompositionGraph {
+    pub(crate) fn graph(&self) -> &CompositionGraph {
         &self.graph
     }
 
     /// Returns `true` once every node has completed or been skipped, or an
     /// error occurred.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.error.is_some()
             || self
                 .status
@@ -127,12 +126,12 @@ impl InvocationState {
     }
 
     /// The error that aborted the invocation, if any.
-    pub fn error(&self) -> Option<&DandelionError> {
+    pub(crate) fn error(&self) -> Option<&DandelionError> {
         self.error.as_ref()
     }
 
     /// Records an invocation-fatal error.
-    pub fn fail(&mut self, error: DandelionError) {
+    pub(crate) fn fail(&mut self, error: DandelionError) {
         if self.error.is_none() {
             self.error = Some(error);
         }
@@ -177,7 +176,7 @@ impl InvocationState {
     /// Call this after construction and after every completed instance; it
     /// cascades skip decisions through the DAG, so one call may settle
     /// several nodes.
-    pub fn ready_instances(&mut self) -> DandelionResult<Vec<InstanceSpec>> {
+    pub(crate) fn ready_instances(&mut self) -> DandelionResult<Vec<InstanceSpec>> {
         if self.error.is_some() {
             return Ok(Vec::new());
         }
@@ -257,7 +256,7 @@ impl InvocationState {
     ///
     /// Returns `true` if this completion finished the node (so the caller
     /// should ask for newly ready instances).
-    pub fn complete_instance(
+    pub(crate) fn complete_instance(
         &mut self,
         node: usize,
         instance: usize,
@@ -313,7 +312,7 @@ impl InvocationState {
     }
 
     /// Assembles the composition's external outputs once complete.
-    pub fn external_outputs(&self) -> DandelionResult<Vec<DataSet>> {
+    pub(crate) fn external_outputs(&self) -> DandelionResult<Vec<DataSet>> {
         if let Some(error) = &self.error {
             return Err(error.clone());
         }

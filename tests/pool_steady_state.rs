@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use dandelion_apps::matmul::matmul_inputs;
 use dandelion_apps::setup::{demo_worker, DEMO_TOKEN};
-use dandelion_common::pool::PoolStats;
-use dandelion_common::BufferPool;
+use dandelion_common::{BufferPool, PoolStats};
 use dandelion_core::frontend::SET_LIST_CONTENT_TYPE;
 use dandelion_core::{Frontend, WorkerNode};
 use dandelion_http::HttpRequest;

@@ -14,8 +14,7 @@ use dandelion_common::{DataItem, DataSet};
 use dandelion_dsl::Distribution;
 use dandelion_http::validate::{validate_request_bytes, ValidationPolicy};
 use dandelion_isolation::output_parser::{encode_outputs, parse_outputs};
-use dandelion_query::generate_database;
-use dandelion_query::ssb::{run_partitioned, SsbQuery};
+use dandelion_query::{generate_database, run_partitioned, SsbQuery};
 use dandelion_vfs::{VfsPath, VirtualFs};
 
 const CASES: u64 = 300;
@@ -453,7 +452,7 @@ fn arbitrary_almost_utf8(rng: &mut SplitMix64) -> Vec<u8> {
 /// borrowed: the text is the input buffer, not a copy of it.
 #[test]
 fn utf8_lossy_is_the_lossy_conversion_and_borrows_valid_input() {
-    use dandelion_common::encoding::utf8_lossy;
+    use dandelion_common::utf8_lossy;
     use std::borrow::Cow;
 
     const WANTED: usize = 20_000;
@@ -738,7 +737,7 @@ fn multimap(headers: &dandelion_http::Headers) -> Vec<(String, String)> {
 /// above 0x7F; a second `Content-Length`; a `Transfer-Encoding`; one to three
 /// `Connection` lines. Half the draws start from a head the corpus frames.
 fn mutated_message(rng: &mut SplitMix64, start_line: &str) -> Vec<u8> {
-    use dandelion_http::stream::FRAMING_HEADS;
+    use dandelion_http::FRAMING_HEADS;
     let framed: Vec<&str> = FRAMING_HEADS
         .iter()
         .filter(|(_, status)| *status == 200)
@@ -809,7 +808,7 @@ fn mutated_message(rng: &mut SplitMix64, start_line: &str) -> Vec<u8> {
 ///   with trimmed values, with the same body.
 #[test]
 fn the_gateway_splice_matches_its_specification_on_a_mutated_framing_corpus() {
-    use dandelion_common::encoding::utf8_lossy;
+    use dandelion_common::utf8_lossy;
     use dandelion_common::NodeId;
     use dandelion_http::{
         parse_request, parse_response, rejection_status, HttpParseError, RequestDecoder,
@@ -1092,12 +1091,12 @@ mod parent_dataflow;
 mod dataflow_view {
     use dandelion_common::{DandelionResult, DataSet};
 
-    pub type Item = (String, Option<String>, usize, usize);
-    pub type Set = (String, Vec<Item>);
+    pub(crate) type Item = (String, Option<String>, usize, usize);
+    pub(crate) type Set = (String, Vec<Item>);
     /// node, instance, vertex, output set names, inputs.
-    pub type Ready = (usize, usize, String, Vec<String>, Vec<Set>);
+    pub(crate) type Ready = (usize, usize, String, Vec<String>, Vec<Set>);
 
-    pub fn sets(sets: &[DataSet]) -> Vec<Set> {
+    pub(crate) fn sets(sets: &[DataSet]) -> Vec<Set> {
         sets.iter()
             .map(|set| {
                 let items = set
@@ -1117,7 +1116,7 @@ mod dataflow_view {
             .collect()
     }
 
-    pub fn outputs(outputs: DandelionResult<Vec<DataSet>>) -> Result<Vec<Set>, String> {
+    pub(crate) fn outputs(outputs: DandelionResult<Vec<DataSet>>) -> Result<Vec<Set>, String> {
         outputs
             .map(|outputs| sets(&outputs))
             .map_err(|error| error.to_string())
@@ -1222,7 +1221,7 @@ fn arbitrary_items(rng: &mut SplitMix64, prefix: &str, max: u64) -> Vec<DataItem
 #[test]
 fn dataflow_state_matches_the_parent_oracle() {
     use dandelion_common::{DandelionError, InvocationId};
-    use dandelion_core::invocation::{InstanceCompletion, InvocationState};
+    use dandelion_core::{InstanceCompletion, InvocationState};
     use std::collections::HashSet;
     use std::sync::Arc;
 

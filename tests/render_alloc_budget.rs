@@ -19,13 +19,12 @@
 //! and what a member answered go on as the bytes that arrived, spliced, not
 //! decoded and encoded again.
 
-use dandelion_apps::logproc::render_artifact;
 use dandelion_apps::matmul::{
     decode_matrix, encode_matrix, matmul_artifact, matmul_inputs, multiply,
 };
-use dandelion_common::pool::SIZE_CLASSES;
+use dandelion_apps::render_artifact;
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::{DataItem, DataSet, SharedBytes};
+use dandelion_common::{DataItem, DataSet, SharedBytes, SIZE_CLASSES};
 use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator, HeapUse};
 use dandelion_isolation::{FunctionCtx, SyscallPolicy};

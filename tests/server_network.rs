@@ -8,10 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
-use dandelion_common::encoding::{base64_decode, utf8_lossy};
-use dandelion_common::{DataItem, JsonValue, SharedBytes};
-use dandelion_core::worker::{default_test_services, WorkerNode};
-use dandelion_core::Frontend;
+use dandelion_common::{base64_decode, utf8_lossy, DataItem, JsonValue, SharedBytes};
+use dandelion_core::{default_test_services, Frontend, WorkerNode};
 use dandelion_http::{HttpRequest, HttpResponse};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 use dandelion_server::{response_rope, HttpClientConnection, Server, ServerConfig};

@@ -7,9 +7,11 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
-use dandelion_common::failpoint::{self, FailAction};
-use dandelion_common::{DataItem, DataSet, SharedBytes};
-use dandelion_core::worker::{default_test_services, WorkerNode};
+use dandelion_common::{
+    clear_failpoints, configure_failpoint, remove_failpoint, DataItem, DataSet, FailAction,
+    SharedBytes,
+};
+use dandelion_core::{default_test_services, WorkerNode};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 use parking_lot::Mutex;
 
@@ -108,7 +110,7 @@ fn client_input_reaches_the_function_without_copying() {
 #[test]
 fn a_requeued_task_still_sees_the_submitted_buffers() {
     let _exclusive = faults_mine();
-    failpoint::clear();
+    clear_failpoints();
     let worker = worker();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let seen_by_fn = Arc::clone(&seen);
@@ -120,7 +122,7 @@ fn a_requeued_task_still_sees_the_submitted_buffers() {
                 seen.push(item.data.clone());
                 if seen.len() == 2 {
                     // The retry: let this one be delivered.
-                    failpoint::remove("engine/reply");
+                    remove_failpoint("engine/reply");
                 }
                 drop(seen);
                 ctx.push_output("Out", item)
@@ -140,9 +142,9 @@ fn a_requeued_task_still_sees_the_submitted_buffers() {
         vec![DataItem::new("blob", payload.clone())],
     )];
     // The first engine to finish the task dies before replying.
-    failpoint::configure("engine/reply", FailAction::Panic, 1.0);
+    configure_failpoint("engine/reply", FailAction::Panic, 1.0);
     let outcome = worker.invoke("Identity", inputs);
-    failpoint::clear();
+    clear_failpoints();
     let outcome = outcome.unwrap();
 
     assert_eq!(worker.compute_pool().engine_deaths(), 1);
