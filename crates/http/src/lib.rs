@@ -25,7 +25,8 @@ mod uri;
 pub mod validate;
 
 pub use parse::{
-    parse_request, parse_request_shared, parse_response, parse_response_shared, HttpParseError,
+    parse_request, parse_request_shared, parse_response, parse_response_frame,
+    parse_response_shared, HttpParseError,
 };
 pub use stream::{
     rejection_code, rejection_status, Frame, ParseLimits, RequestDecoder, RequestFrame,

@@ -18,6 +18,7 @@ use std::ops::Range;
 
 use dandelion_common::{utf8_lossy, SharedBytes};
 
+use crate::stream::{Frame, ResponseFrame};
 use crate::types::{
     parse_content_length, Headers, HttpRequest, HttpResponse, Method, StatusCode, Version,
 };
@@ -502,8 +503,19 @@ pub fn parse_response(input: &[u8]) -> Result<HttpResponse, HttpParseError> {
 /// Parses a serialized HTTP response held in a [`SharedBytes`] receive
 /// buffer; the returned response's body is a zero-copy view of that buffer.
 pub fn parse_response_shared(input: &SharedBytes) -> Result<HttpResponse, HttpParseError> {
+    Ok(parse_response_frame(input)?.to_response())
+}
+
+/// Frames the one response a [`SharedBytes`] receive buffer holds, as
+/// [`parse_response_shared`] does, and builds nothing: the frame's
+/// [`status`](Frame::status) and [`body`](Frame::body) — a view of `input`
+/// — are read from the head's one scan, with no header map.
+pub fn parse_response_frame(input: &SharedBytes) -> Result<ResponseFrame, HttpParseError> {
     let (head, body) = parse_message(input, status_line)?;
-    Ok(build_response(input, &head, input.slice(body)))
+    Ok(Frame {
+        bytes: input.slice(..body.end),
+        head,
+    })
 }
 
 #[cfg(test)]

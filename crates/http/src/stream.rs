@@ -111,8 +111,8 @@ pub fn rejection_code(error: &HttpParseError) -> &'static str {
 /// owned strings until a caller asks for the structured message.
 #[derive(Debug, Clone)]
 pub struct Frame<L> {
-    bytes: SharedBytes,
-    head: Head<L>,
+    pub(crate) bytes: SharedBytes,
+    pub(crate) head: Head<L>,
 }
 
 /// A request as a stream decoder frames it.
@@ -675,6 +675,7 @@ mod tests {
         for (head, status) in FRAMING_HEADS {
             let request = head.replace("{}", "POST /x HTTP/1.1").into_bytes();
             let response = head.replace("{}", "HTTP/1.1 200 OK").into_bytes();
+            let shared = SharedBytes::from_vec(response.clone());
             let verdicts = [
                 decode_request(&request, limits).map(|frame| {
                     assert_eq!(frame.expect("complete").bytes().len(), request.len());
@@ -684,6 +685,10 @@ mod tests {
                     assert_eq!(frame.expect("complete").body(), b"abc");
                 }),
                 parse_response(&response).map(|parsed| assert_eq!(parsed.body, b"abc")),
+                crate::parse_response_frame(&shared).map(|frame| {
+                    assert_eq!(frame.status(), StatusCode::OK);
+                    assert_eq!(frame.body(), b"abc");
+                }),
             ];
             for verdict in verdicts {
                 let got = verdict
@@ -763,6 +768,32 @@ mod tests {
             decoder.feed(&wire[cut..]);
             let parsed = decoder.next_request().unwrap().expect("complete");
             assert_eq!(parsed, reference, "split at byte {cut} diverged");
+        }
+
+        // A response, framed by the decoder at every split and by
+        // `parse_response_frame` whole: the two frames have one status and
+        // one body, and no prefix is framed whole by either.
+        let wire = HttpResponse::new(StatusCode::SERVICE_UNAVAILABLE, b"down\r\nfor now".to_vec())
+            .with_header("Content-Type", "text/plain")
+            .to_bytes();
+        let read = |frame: &ResponseFrame| (frame.status(), frame.body());
+        let reference =
+            read(&crate::parse_response_frame(&SharedBytes::from_vec(wire.clone())).unwrap());
+        for cut in 0..=wire.len() {
+            let prefix = SharedBytes::from_vec(wire[..cut].to_vec());
+            let verdict = crate::parse_response_frame(&prefix).map(|frame| read(&frame));
+            let mut decoder = ResponseDecoder::new(ParseLimits::default());
+            decoder.feed(&wire[..cut]);
+            if let Some(early) = decoder.next_frame().unwrap() {
+                assert_eq!(cut, wire.len());
+                assert_eq!(read(&early), reference);
+                assert_eq!(verdict, Ok(reference.clone()));
+                continue;
+            }
+            assert!(verdict.is_err(), "prefix of {cut} bytes framed whole");
+            decoder.feed(&wire[cut..]);
+            let framed = decoder.next_frame().unwrap().expect("complete");
+            assert_eq!(read(&framed), reference, "split at byte {cut} diverged");
         }
     }
 

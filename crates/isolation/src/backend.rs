@@ -189,11 +189,20 @@ impl IsolationBackend for StagedExecutor {
 
     /// Runs the full sandbox lifecycle for one task.
     fn execute(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport> {
-        let mut measured = StageTimings::new();
         let artifact = &task.artifact;
+        // One clock read per stage boundary: each stage runs from the read
+        // that ended the one before it to its own.
+        let mut measured = StageTimings::new();
+        let mut boundary = Instant::now();
+        let mut lap = |stage: Stage| {
+            let now = Instant::now();
+            let elapsed = now - boundary;
+            measured.record(stage, elapsed);
+            boundary = now;
+            elapsed
+        };
 
         // Stage 1: marshal — validate the task shape.
-        let marshal_start = Instant::now();
         if artifact.output_sets.is_empty() {
             return Err(DandelionError::FunctionFault {
                 function: artifact.name.clone(),
@@ -207,7 +216,7 @@ impl IsolationBackend for StagedExecutor {
                 input_bytes, artifact.memory_requirement
             )));
         }
-        measured.record(Stage::Marshal, marshal_start.elapsed());
+        lap(Stage::Marshal);
 
         // Stage 2: load — map the cached binary into the context. The
         // artifact's binary is one read-only buffer built at registration;
@@ -217,29 +226,26 @@ impl IsolationBackend for StagedExecutor {
         // for byte, but no byte of it is touched here. (What a cold or warm
         // load costs on the paper's hardware is the cost model's charge,
         // `modeled`, not this span.)
-        let load_start = Instant::now();
         let mut context =
             MemoryContext::new(artifact.memory_requirement + artifact.binary.len() + 4096);
         context.import(&artifact.binary)?;
-        measured.record(Stage::Load, load_start.elapsed());
+        lap(Stage::Load);
 
         // Stage 3: transfer input — attach input payloads to the context by
         // reference (the zero-copy data passing of paper §6.1). The bytes
         // stay in the producer's buffer; only capacity accounting happens
         // here.
-        let transfer_start = Instant::now();
         for set in task.inputs.iter() {
             for item in &set.items {
                 context.import(&item.data)?;
             }
         }
-        measured.record(Stage::TransferInput, transfer_start.elapsed());
+        lap(Stage::TransferInput);
 
         // Stage 4: execute — run the body. The function's context shares the
         // task's inputs, the artifact's output-set names and the backend's
         // syscall policy; its filesystem view of the inputs exists only if
         // the body asks for it.
-        let execute_start = Instant::now();
         let mut ctx = FunctionCtx::new(
             Arc::clone(&task.inputs),
             Arc::clone(&artifact.output_sets),
@@ -251,8 +257,7 @@ impl IsolationBackend for StagedExecutor {
             reason: err.to_string(),
         })?;
         let run_result = catch_unwind(AssertUnwindSafe(|| artifact.logic.run(&mut ctx)));
-        let body_elapsed = execute_start.elapsed();
-        measured.record(Stage::Execute, body_elapsed);
+        let body_elapsed = lap(Stage::Execute);
 
         let syscall_attempts = ctx.syscall_attempts().to_vec();
         match run_result {
@@ -293,21 +298,20 @@ impl IsolationBackend for StagedExecutor {
         // reference after checking it against the declared length — so
         // downstream consumers receive views of the producer's buffers, not
         // copies. (The payload-carrying descriptor of `encode_outputs`
-        // remains the wire format at the HTTP boundary.)
-        let output_start = Instant::now();
+        // remains the wire format at the HTTP boundary.) Its span starts at
+        // the body's return, so it includes the checks just above.
         let outputs = ctx.take_outputs();
         let frame = output_parser::encode_frame(&outputs);
         context.import(&frame)?;
         let parsed = output_parser::parse_frame(&frame)?;
         let outputs = attach_frame_payloads(&artifact.name, parsed, outputs, &mut context)?;
-        measured.record(Stage::Output, output_start.elapsed());
+        lap(Stage::Output);
 
         // Stage 6: other — context teardown: detach the binary, the inputs,
         // the frame and the outputs (a reference count each).
-        let other_start = Instant::now();
         let high_water = context.high_water_bytes();
         context.clear();
-        measured.record(Stage::Other, other_start.elapsed());
+        lap(Stage::Other);
 
         let modeled = StageTimings::modeled(&self.cost, task.cold_binary, body_elapsed);
         Ok(ExecutionReport {

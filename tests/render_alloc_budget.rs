@@ -6,16 +6,18 @@
 //! report allocated once at its final size. The integration tests' counting
 //! global allocator watches one run of the function's logic over a prepared
 //! context and holds it to that: no copy of a body (an owned lossy-text
-//! conversion makes one per response), no regrown report (grown from its
-//! opening tag, a 40 KiB report doubles 11 times, the last doubling moving
-//! all of it), and a block count that is the same for 8 KiB and 64 KiB logs.
+//! conversion makes one per response), no header map, no regrown report
+//! (grown from its opening tag, a 40 KiB report doubles 11 times, the last
+//! doubling moving all of it) — also when a log is not UTF-8 and its repaired
+//! text is three times its size — and a block count that is the same for
+//! 8 KiB and 64 KiB logs, and for a UTF-8 log that is not ASCII.
 //!
-//! The second case holds the HTTP boundary around it to the same rule: a
+//! Another case holds the HTTP boundary around it to the same rule: a
 //! request and a response are put on the wire as a head built once plus the
-//! body by reference, whatever the body's size. The third holds `MatMul`, the
+//! body by reference, whatever the body's size. Another holds `MatMul`, the
 //! compute function of the paper's Fig. 6, to it: the matrices are read where
 //! the request left them and the product is written where the response will
-//! take it from. The fourth holds a gateway's hop to it: what a client sent
+//! take it from. The last holds a gateway's hop to it: what a client sent
 //! and what a member answered go on as the bytes that arrived, spliced, not
 //! decoded and encoded again.
 
@@ -46,13 +48,14 @@ fn log_body(bytes: usize) -> Vec<u8> {
     line.into_iter().cycle().take(bytes).collect()
 }
 
-/// Runs `Render`'s logic over five log responses of `log_bytes` each; returns
-/// what the run asked of the heap, the size of its inputs and the report.
-fn render_pass(log_bytes: usize) -> (HeapUse, usize, Vec<u8>) {
+/// Runs `Render`'s logic over five log responses with `log` as their body;
+/// returns what the run asked of the heap, the size of its inputs and the
+/// report.
+fn render_pass(log: &[u8]) -> (HeapUse, usize, Vec<u8>) {
     let artifact = render_artifact();
     let items: Vec<DataItem> = (0..LOG_SERVICES)
         .map(|index| {
-            let response = HttpResponse::ok(log_body(log_bytes))
+            let response = HttpResponse::ok(log.to_vec())
                 .with_header("Content-Type", "text/plain")
                 .to_bytes();
             DataItem::new(format!("response-{index}"), response)
@@ -74,24 +77,26 @@ fn render_pass(log_bytes: usize) -> (HeapUse, usize, Vec<u8>) {
 }
 
 /// The report's tags around the five sections (`OPEN` + `CLOSE` in
-/// `logproc.rs`) and `SECTION_MARKUP` per section: what the report's one
-/// allocation may exceed its inputs by.
-const FIXED_MARKUP: usize = 34 + 15 + LOG_SERVICES * 64;
+/// `logproc.rs`), and per section its tags and the `\n` a log's last line
+/// may lack: what the report's one allocation may exceed its inputs by.
+const FIXED_MARKUP: usize = 34 + 15 + LOG_SERVICES * (32 + 1);
 
-/// Blocks one execute may request, whatever the size of the logs. Per
-/// response, parsing its head: the start line, per header its line, name and
-/// value, and the header list (1 + 2 × 3 + 1 = 8 each, 40). The report (1).
-/// Handing it over: the item's name, the shared handle of its buffer, the
-/// output set's name and item list, and the list of staged sets (5). Exact,
-/// like the other two budgets: a copy of a body is one more block per
-/// response, a regrown report one more per doubling, a cloned input set seven.
-const MAX_BLOCKS: usize = 46;
+/// Blocks one execute may request, whatever the size of the logs: the list
+/// of the five sections the pass over the responses found (1) — framing a
+/// response builds no header map, and the report is written into the output
+/// memory the context came with — and handing the report over: the item's
+/// name, the shared handle of its buffer, the output set's name and item
+/// list, and the list of staged sets (5). Exact, like the other two budgets:
+/// a header map is eight more blocks per response, a copy of a body one more
+/// per response, a regrown report one more per doubling, a cloned input set
+/// seven.
+const MAX_BLOCKS: usize = 6;
 
 #[test]
 fn render_reads_bodies_in_place_and_allocates_the_report_once() {
     let mut blocks = Vec::new();
     for log_bytes in [8 * 1024, 64 * 1024] {
-        let (heap_use, input_bytes, report) = render_pass(log_bytes);
+        let (heap_use, input_bytes, report) = render_pass(&log_body(log_bytes));
         // All five logs made it into the report.
         let text = String::from_utf8(report).expect("report is UTF-8");
         assert_eq!(text.matches("<section><pre>\n").count(), LOG_SERVICES);
@@ -117,6 +122,62 @@ fn render_reads_bodies_in_place_and_allocates_the_report_once() {
         blocks.push(heap_use.blocks);
     }
     assert_eq!(blocks[0], blocks[1], "blocks for 8 KiB vs 64 KiB logs");
+}
+
+/// A log that is UTF-8 but not ASCII is re-lined, not copied whole, yet its
+/// text is its bytes: its report is sized from the inputs like an ASCII
+/// log's and written into the output memory the context came with. Sized as
+/// if every byte were repaired it would be three times that, too large for
+/// that memory and a block of its own.
+#[test]
+fn a_log_that_is_utf8_but_not_ascii_is_sized_like_an_ascii_one() {
+    const LOG_BYTES: usize = 8 * 1024;
+    let line = "caf\u{e9} \u{1F33C} ".repeat(5) + "\n";
+    let log = line.repeat(LOG_BYTES / line.len());
+    let (heap_use, input_bytes, report) = render_pass(log.as_bytes());
+    let text = String::from_utf8(report).expect("report is UTF-8");
+    assert_eq!(text.matches(log.as_str()).count(), LOG_SERVICES);
+    assert!(
+        heap_use.largest_block <= input_bytes + FIXED_MARKUP,
+        "a {}-byte block for {input_bytes} bytes of input",
+        heap_use.largest_block
+    );
+    assert!(
+        heap_use.largest_regrown < 1024,
+        "a block was regrown to {} bytes",
+        heap_use.largest_regrown
+    );
+    assert!(
+        heap_use.blocks <= MAX_BLOCKS,
+        "{} blocks requested, budget {MAX_BLOCKS}",
+        heap_use.blocks
+    );
+}
+
+/// A log that is not UTF-8 is repaired as it is written — each of its bytes
+/// here becomes a three-byte U+FFFD — with no owned copy of its text, into a
+/// report sized for that before the first byte is written. The output memory
+/// the context came with, sized from the inputs, is too small for it: it
+/// goes back to the pool (whose list for its class may grow, a block) and
+/// the report is a buffer of its own (a block). A report sized from the
+/// bodies' lengths alone would move through six classes on its way to
+/// 60 KiB, a block or two each.
+#[test]
+fn a_log_that_is_not_utf8_is_neither_copied_nor_regrows_the_report() {
+    const LOG_BYTES: usize = 4 * 1024;
+    let (heap_use, _, report) = render_pass(&[0xFF; LOG_BYTES]);
+    let text = String::from_utf8(report).expect("report is UTF-8");
+    assert_eq!(text.matches('\u{FFFD}').count(), LOG_SERVICES * LOG_BYTES);
+    assert!(
+        heap_use.largest_regrown < 1024,
+        "a block was regrown to {} bytes",
+        heap_use.largest_regrown
+    );
+    assert!(
+        heap_use.blocks <= MAX_BLOCKS + 2,
+        "{} blocks requested, budget {MAX_BLOCKS} + 2",
+        heap_use.blocks
+    );
 }
 
 /// One 128×128 `MatMul` execute asks the heap for the handful of small
