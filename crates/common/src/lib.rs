@@ -11,8 +11,8 @@
 //!   ([`InvocationId`], [`NodeId`], [`ContextId`]);
 //! * the value model passed between functions: [`DataItem`] and
 //!   [`DataSet`];
-//! * latency recorders, histograms and time series ([`LatencyRecorder`],
-//!   [`LatencyHistogram`], [`TimeSeries`]);
+//! * latency histograms and time series ([`LatencyHistogram`],
+//!   [`TimeSeries`]);
 //! * [`rng`] — a small deterministic RNG and the statistical distributions
 //!   used to generate synthetic workloads;
 //! * [`config`] — platform configuration structs shared by the runtime and
@@ -67,46 +67,9 @@ pub use pool::{
     settle_heap_thresholds, BufferPool, PoolStats, PooledBuf, LARGEST_CLASS, SIZE_CLASSES,
 };
 pub use rope::{BatchProgress, Rope, RopeBatch, RopeWriter};
-pub use stats::{LatencyHistogram, LatencyRecorder, LatencySummary, TimeSeries};
+pub use stats::{LatencyHistogram, LatencySummary, TimeSeries};
 
 /// Number of bytes in a kibibyte.
 pub const KIB: usize = 1024;
 /// Number of bytes in a mebibyte.
 pub const MIB: usize = 1024 * KIB;
-/// Number of bytes in a gibibyte.
-pub const GIB: usize = 1024 * MIB;
-
-/// Formats a byte count using binary units with one decimal digit.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(dandelion_common::format_bytes(512), "512 B");
-/// assert_eq!(dandelion_common::format_bytes(2048), "2.0 KiB");
-/// ```
-pub fn format_bytes(bytes: usize) -> String {
-    if bytes >= GIB {
-        format!("{:.1} GiB", bytes as f64 / GIB as f64)
-    } else if bytes >= MIB {
-        format!("{:.1} MiB", bytes as f64 / MIB as f64)
-    } else if bytes >= KIB {
-        format!("{:.1} KiB", bytes as f64 / KIB as f64)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn format_bytes_covers_all_units() {
-        assert_eq!(format_bytes(0), "0 B");
-        assert_eq!(format_bytes(1023), "1023 B");
-        assert_eq!(format_bytes(1024), "1.0 KiB");
-        assert_eq!(format_bytes(1536), "1.5 KiB");
-        assert_eq!(format_bytes(3 * MIB), "3.0 MiB");
-        assert_eq!(format_bytes(2 * GIB), "2.0 GiB");
-    }
-}

@@ -15,11 +15,8 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
-    /// The Weyl increment the state advances by per draw. A generator seeded
-    /// with `seed + k * INCREMENT` continues the sequence of one seeded with
-    /// `seed` after `k` draws, which lets concurrent callers share a
-    /// sequence through an atomic counter.
-    pub const INCREMENT: u64 = 0x9E37_79B9_7F4A_7C15;
+    /// The Weyl increment the state advances by per draw.
+    const INCREMENT: u64 = 0x9E37_79B9_7F4A_7C15;
 
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> Self {

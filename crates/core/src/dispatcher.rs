@@ -6,32 +6,44 @@
 //! completions back until the composition's external outputs are available
 //! (paper §5, §6.1).
 //!
-//! The dispatcher is asynchronous end-to-end, matching the paper's dataflow
-//! engine: [`Dispatcher::submit`] registers the invocation in a shared
-//! **in-flight table** and returns an [`InvocationHandle`] immediately. A
-//! single background *driver* thread multiplexes every engine completion
-//! (task results carry their invocation id), advances the owning
-//! invocation's dataflow state, submits newly ready instances, and settles
-//! the handle when the external outputs are available. Any number of
-//! invocations can therefore be in flight per client with no thread parked
-//! per invocation; the blocking [`Dispatcher::invoke`] is just
-//! `submit(..).wait(None)`.
+//! **One owner.** Every invocation the dispatcher knows about — running, or
+//! settled and retained for polling — is an entry of one [`InFlight`] table.
+//! The table is plain data: no lock, no clock and no thread of its own. Each
+//! of its transitions (`submit`, `complete`, `reap`, `cancel_all`, `take`,
+//! `on_settle`, `poll`) takes the `now` its caller read and writes what is
+//! left to do into an [`Effects`] buffer the caller owns: tasks for the
+//! engine queues, settle callbacks with their outcomes, and whether a parked
+//! [`InvocationHandle::wait`] must be woken.
+//!
+//! **One lock.** The shell ([`Core`]) keeps the table behind one mutex and
+//! applies the effects after it unlocks, so no push and no callback ever
+//! runs under the lock. A task a full queue refuses comes back to the table,
+//! under the lock again, as its instance's failed result; on an initial
+//! [`Dispatcher::submit`] that is the synchronous, retryable
+//! [`DandelionError::ResourceExhausted`].
+//!
+//! [`Dispatcher::submit`] registers an invocation and returns an
+//! [`InvocationHandle`] immediately. A single background *driver* thread
+//! takes the table lock once per engine message (results carry their
+//! invocation id), advances the owning invocation, and settles it when its
+//! external outputs are available. Any number of invocations can therefore
+//! be in flight per client with no thread parked per invocation; the
+//! blocking [`Dispatcher::invoke`] is just `submit(..).wait(None)`.
 //!
 //! The driver is the worker's one thread besides the engines, with its one
 //! clock: it waits for results until the stall reaper (every 100 ms), the
 //! pool release (every 500 ms) or, with control on, the core controller is
 //! due, and after every wake reads the clock once and runs what is due, busy
-//! or idle. The table's functions take that `now`, or the one
-//! [`Dispatcher::submit`] reads; they read no clock.
+//! or idle.
 //!
 //! Nested compositions are registered as *child invocations* in the same
 //! table, linked to the parent instance that spawned them; a child's
 //! completion flows back into the parent exactly like an engine result.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,7 +59,7 @@ use parking_lot::Mutex;
 use crate::control::PoolControl;
 use crate::invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 use crate::registry::{Registry, Vertex};
-use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
+use crate::task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
 
 /// How often the driver fails invocations that stopped making progress.
 const REAP_PERIOD: Duration = Duration::from_millis(100);
@@ -56,27 +68,6 @@ const REAP_PERIOD: Duration = Duration::from_millis(100);
 /// nobody needed since the look before, half a second, is given back, so a
 /// node's memory is back about a second after a load.
 const POOL_RELEASE_PERIOD: Duration = Duration::from_millis(500);
-
-/// Number of shards of the in-flight table: the machine's available
-/// parallelism rounded up to a power of two, clamped to `[4, 64]`.
-/// Submitting clients and the driver thread contend only within a shard, so
-/// the submit/complete hot path never serializes on one global lock, and the
-/// shard count scales with the number of threads that can actually contend
-/// instead of being hard-coded.
-fn in_flight_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|cores| cores.get())
-        .unwrap_or(16)
-        .next_power_of_two()
-        .clamp(4, 64)
-}
-
-/// Maximum engine replies the driver folds into one wakeup. Batching
-/// amortizes the channel receive and keeps one reply from head-of-line
-/// blocking the rest; the cap bounds latency for replies arriving during a
-/// long drain. (Engines additionally coalesce same-invocation results into
-/// one channel message before they get here.)
-const DRIVER_MAX_BATCH: usize = 256;
 
 /// A retained result view smaller than `1/RETAINED_PIN_FACTOR` of its
 /// parent buffer is copy-compacted when the invocation settles, so that
@@ -222,7 +213,7 @@ impl Default for DispatchMetrics {
 /// released, as by [`InvocationHandle::wait`]. Registered through
 /// [`InvocationHandle::on_settle`]; invoked on the dispatcher driver thread
 /// (or the registering thread when the invocation already settled), never
-/// while an entry lock is held — so the callback may use the table freely.
+/// while the table lock is held — so the callback may use the table freely.
 pub(crate) type SettleCallback = Box<dyn FnOnce(DandelionResult<InvocationOutcome>) + Send>;
 
 /// Links a child invocation to the parent instance awaiting it.
@@ -248,17 +239,24 @@ impl ParentLink {
     }
 }
 
-/// The mutable half of an in-flight table entry.
-struct EntryInner {
-    status: InvocationStatus,
-    /// Dataflow state; dropped once the invocation settles.
-    dataflow: Option<InvocationState>,
+/// Where an entry is: running with its dataflow, or settled with the result
+/// the table holds for polling.
+enum Progress {
+    Running(InvocationState),
+    Settled(DandelionResult<InvocationOutcome>),
+}
+
+/// One invocation in the in-flight table.
+///
+/// Only a running entry or a settled one nobody has consumed is in the
+/// table: an invocation whose outcome goes to a settle callback or to a
+/// parent leaves it the moment it settles.
+struct Entry {
+    graph: Arc<CompositionGraph>,
+    progress: Progress,
     report: InvocationReport,
-    /// The settled result of an invocation nobody was waiting for through a
-    /// callback or a parent; `take`n by the first consumer.
-    outcome: Option<DandelionResult<InvocationOutcome>>,
     /// Handed the outcome when the invocation settles.
-    notify: Option<SettleCallback>,
+    callback: Option<SettleCallback>,
     parent: Option<ParentLink>,
     started: Instant,
     /// When the invocation last made progress (registered, or an instance
@@ -267,138 +265,613 @@ struct EntryInner {
     last_progress: Instant,
 }
 
-/// One invocation registered in the in-flight table.
-struct InvocationEntry {
-    composition: String,
-    inner: StdMutex<EntryInner>,
-    settled: Condvar,
-    /// Set while the table holds this entry's settled result for polling;
-    /// owned by [`InFlightTable`], which counts the entries that have it set.
-    retained: AtomicBool,
-}
-
-impl InvocationEntry {
-    fn new(
-        composition: String,
-        state: InvocationState,
-        parent: Option<ParentLink>,
-        now: Instant,
-    ) -> Self {
-        Self {
-            composition,
-            inner: StdMutex::new(EntryInner {
-                status: InvocationStatus::Queued,
-                dataflow: Some(state),
-                report: InvocationReport::default(),
-                outcome: None,
-                notify: None,
-                parent,
-                started: now,
-                last_progress: now,
-            }),
-            settled: Condvar::new(),
-            retained: AtomicBool::new(false),
+impl Entry {
+    fn status(&self) -> InvocationStatus {
+        match &self.progress {
+            Progress::Running(_) => InvocationStatus::Running,
+            Progress::Settled(Ok(_)) => InvocationStatus::Completed,
+            Progress::Settled(Err(_)) => InvocationStatus::Failed,
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, EntryInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn is_running(&self) -> bool {
+        matches!(self.progress, Progress::Running(_))
     }
 }
 
-/// The shared table of every invocation the dispatcher knows about: queued,
-/// running, and — for invocations that were submitted to be polled —
-/// recently finished, retained for result polling up to the configured
-/// retention, after which polling reports not-found. An invocation whose
-/// outcome goes to a settle callback (every sync `/v1/invoke` of the
-/// network server) or to a parent invocation is never retained: its entry
-/// leaves the table the moment it settles.
-///
-/// The table is split into [`IN_FLIGHT_SHARDS`] shards keyed by invocation
-/// id, so concurrent submitters, pollers and the driver thread only contend
-/// when they touch the same shard. The retention queue is a separate small
-/// mutex taken once per settled invocation.
+/// What an [`InFlight`] call leaves its caller to do once the table is
+/// unlocked.
+#[derive(Default)]
+struct Effects {
+    /// Tasks for the engine queues.
+    tasks: Vec<Task>,
+    /// Settle callbacks, each with the outcome it is handed.
+    settled: Vec<(SettleCallback, DandelionResult<InvocationOutcome>)>,
+    /// An invocation settled while a [`InvocationHandle::wait`] was parked.
+    wake: bool,
+}
+
+/// Work one table call still has to apply to another entry: a child
+/// invocation cannot be registered, nor its outcome folded into its parent,
+/// while the entry that caused it is borrowed.
+enum Work {
+    /// A completed instance: an engine result, or a child invocation's
+    /// outcome (with its report when it succeeded) addressed to the parent
+    /// instance that spawned it.
+    Complete(TaskResult, Option<InvocationReport>),
+    Spawn(ParentLink, Arc<CompositionGraph>, Vec<DataSet>),
+}
+
+/// Seed of the cold-binary draw sequence.
+const COLD_DRAW_SEED: u64 = 0xDA4D_E110;
+
+/// Draws whether a compute task's binary must be loaded cold, with
+/// probability `ratio`. A ratio of 0 or 1 has one outcome and draws nothing.
+fn draw_cold_binary(draws: &mut SplitMix64, ratio: f64) -> bool {
+    if ratio <= 0.0 {
+        return false;
+    }
+    if ratio >= 1.0 {
+        return true;
+    }
+    draws.bernoulli(ratio)
+}
+
+/// Turns a ready instance into an engine task or a child invocation.
+struct Launcher {
+    registry: Arc<Registry>,
+    /// The channel every task's engine replies on.
+    reply: ReplySender,
+    cold_draws: SplitMix64,
+    cold_ratio: f64,
+    function_timeout: Duration,
+}
+
+impl Launcher {
+    fn launch(
+        &mut self,
+        id: InvocationId,
+        spec: InstanceSpec<'_>,
+        report: &mut InvocationReport,
+        tasks: &mut Vec<Task>,
+        work: &mut VecDeque<Work>,
+    ) -> DandelionResult<()> {
+        let vertex =
+            self.registry
+                .resolve(spec.vertex)
+                .ok_or_else(|| DandelionError::NotFound {
+                    kind: "vertex",
+                    name: spec.vertex.to_string(),
+                })?;
+        let payload = match vertex {
+            Vertex::Compute(artifact) => {
+                report.compute_tasks += 1;
+                TaskPayload::Compute {
+                    artifact,
+                    // The one place a task's inputs are built; from here on
+                    // they are shared, never cloned.
+                    inputs: spec.inputs.into(),
+                    cold_binary: draw_cold_binary(&mut self.cold_draws, self.cold_ratio),
+                    timeout: self.function_timeout,
+                }
+            }
+            Vertex::Communication(_) => {
+                report.communication_tasks += 1;
+                let response_set = spec
+                    .output_sets
+                    .first()
+                    .map_or_else(|| "Response".to_string(), |output| output.set.clone());
+                TaskPayload::Http {
+                    inputs: spec.inputs.into(),
+                    response_set,
+                }
+            }
+            Vertex::Composition(nested) => {
+                // Nested composition: a child invocation in the same table,
+                // completing the parent instance when it settles.
+                let parent = ParentLink {
+                    invocation: id,
+                    node: spec.node,
+                    instance: spec.instance,
+                };
+                work.push_back(Work::Spawn(parent, nested, spec.inputs));
+                return Ok(());
+            }
+        };
+        tasks.push(Task {
+            invocation: id,
+            node: spec.node,
+            instance: spec.instance,
+            payload,
+            reply: self.reply.clone(),
+        });
+        Ok(())
+    }
+}
+
+/// The in-flight table: every invocation the dispatcher knows about —
+/// running, and, for invocations that were submitted to be polled, settled
+/// and retained up to the configured retention, after which polling reports
+/// not-found.
 ///
 /// Zero-copy trade-off: retained outputs are `SharedBytes` views, so a
 /// small output sliced from a large producer buffer (e.g. an item of a big
 /// HTTP request body) keeps that whole buffer alive until the entry is
-/// consumed or expires. That is the price of delivering results without
-/// copying; deployments retaining many results of payload-heavy
-/// compositions should size `completed_retention` accordingly.
-struct InFlightTable {
-    shards: Vec<StdMutex<HashMap<u64, Arc<InvocationEntry>>>>,
-    finished: StdMutex<VecDeque<u64>>,
+/// consumed or expires, unless it is small enough to be compacted (see
+/// [`RETAINED_PIN_FACTOR`]). Deployments retaining many results of
+/// payload-heavy compositions should size `completed_retention`
+/// accordingly.
+struct InFlight {
+    entries: HashMap<InvocationId, Entry>,
+    /// Ids of retained results, oldest first; some may have been taken since.
+    retained: VecDeque<InvocationId>,
     retention: usize,
-    /// `retained_results` counts the entries retained here.
+    launcher: Launcher,
+    /// `function_timeout + engine_stall_grace`.
+    stall_deadline: Duration,
     metrics: Arc<DispatchMetrics>,
+    /// [`InvocationHandle::wait`]s parked on the shell's condvar.
+    waiters: usize,
+    /// Set by the final sweep: nothing registers after it.
+    shutting_down: bool,
 }
 
-impl InFlightTable {
-    fn new(retention: usize, metrics: Arc<DispatchMetrics>) -> Self {
+impl InFlight {
+    fn new(
+        registry: Arc<Registry>,
+        config: &WorkerConfig,
+        reply: ReplySender,
+        metrics: Arc<DispatchMetrics>,
+    ) -> Self {
         Self {
-            shards: (0..in_flight_shard_count())
-                .map(|_| StdMutex::new(HashMap::new()))
-                .collect(),
-            finished: StdMutex::new(VecDeque::new()),
-            retention: retention.max(1),
+            entries: HashMap::new(),
+            retained: VecDeque::new(),
+            retention: config.completed_retention.max(1),
+            launcher: Launcher {
+                registry,
+                reply,
+                cold_draws: SplitMix64::new(COLD_DRAW_SEED),
+                cold_ratio: config.binary_cold_load_ratio,
+                function_timeout: config.function_timeout,
+            },
+            stall_deadline: config.function_timeout + config.engine_stall_grace,
             metrics,
+            waiters: 0,
+            shutting_down: false,
         }
     }
 
-    fn shard(&self, id: u64) -> MutexGuard<'_, HashMap<u64, Arc<InvocationEntry>>> {
-        self.shards[(id % self.shards.len() as u64) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Registers a top-level invocation of `graph`, started at `now`, and
+    /// launches its first ready instances.
+    fn submit(
+        &mut self,
+        graph: Arc<CompositionGraph>,
+        inputs: Vec<DataSet>,
+        now: Instant,
+        effects: &mut Effects,
+    ) -> DandelionResult<InvocationId> {
+        if self.shutting_down {
+            return Err(DandelionError::Cancelled);
+        }
+        let mut work = VecDeque::new();
+        let id = self
+            .register(graph, inputs, None, now, effects, &mut work)
+            .inspect_err(|_| {
+                self.metrics.failures.fetch_add(1, Ordering::Relaxed);
+            })?;
+        self.run(&mut work, now, effects);
+        Ok(id)
     }
 
-    fn insert(&self, id: InvocationId, entry: Arc<InvocationEntry>) {
-        self.shard(id.as_u64()).insert(id.as_u64(), entry);
-    }
-
-    fn entry(&self, id: InvocationId) -> Option<Arc<InvocationEntry>> {
-        self.shard(id.as_u64()).get(&id.as_u64()).cloned()
-    }
-
-    /// Releases an entry: its result was consumed, handed over, or expired.
-    fn remove(&self, id: InvocationId) {
-        let removed = self.shard(id.as_u64()).remove(&id.as_u64());
-        if removed.is_some_and(|entry| entry.retained.swap(false, Ordering::Relaxed)) {
-            // Relaxed: a statistic, it publishes no other data.
-            self.metrics
-                .retained_results
-                .fetch_sub(1, Ordering::Relaxed);
+    /// Applies one engine message. Results for ids the table does not hold
+    /// (abandoned or already handed over) are dropped.
+    fn complete(&mut self, results: Vec<TaskResult>, now: Instant, effects: &mut Effects) {
+        let mut work = VecDeque::new();
+        for result in results {
+            self.advance(
+                result.invocation,
+                Some((result, None)),
+                now,
+                effects,
+                &mut work,
+            );
+            self.run(&mut work, now, effects);
         }
     }
 
-    /// Retains a settled invocation's result for polling and expires the
-    /// oldest retained results beyond the retention limit.
-    fn retain_finished(&self, id: InvocationId, entry: &InvocationEntry) {
-        entry.retained.store(true, Ordering::Relaxed);
+    /// Fails invocations that, at `now`, have gone longer than
+    /// `function_timeout + engine_stall_grace` without any instance
+    /// completing. Engines time functions out themselves, so this only
+    /// fires if an engine reply is lost (e.g. an engine thread died) or a
+    /// function never returns; without it, such an invocation would leave
+    /// `wait(None)` callers blocked forever.
+    fn reap(&mut self, now: Instant, effects: &mut Effects) {
+        let deadline = self.stall_deadline;
+        let stalled = DandelionError::Dispatch("timed out waiting for engine results".to_string());
+        self.fail_running(stalled, now, effects, |entry| {
+            now.saturating_duration_since(entry.last_progress) > deadline
+        });
+    }
+
+    /// The final sweep: fails every unsettled invocation with
+    /// [`DandelionError::Cancelled`] as any other failure settles, and
+    /// refuses every later submission.
+    fn cancel_all(&mut self, now: Instant, effects: &mut Effects) {
+        self.shutting_down = true;
+        self.fail_running(DandelionError::Cancelled, now, effects, |_| true);
+    }
+
+    /// Settles every running entry `pick` selects with `error`.
+    fn fail_running(
+        &mut self,
+        error: DandelionError,
+        now: Instant,
+        effects: &mut Effects,
+        pick: impl Fn(&Entry) -> bool,
+    ) {
+        let picked: Vec<InvocationId> = self
+            .entries
+            .iter()
+            .filter(|(_, entry)| entry.is_running() && pick(entry))
+            .map(|(id, _)| *id)
+            .collect();
+        let mut work = VecDeque::new();
+        for id in picked {
+            self.settle(id, Err(error.clone()), now, effects, &mut work);
+        }
+        self.run(&mut work, now, effects);
+    }
+
+    /// Takes `id`'s settled result, releasing its entry; `None` while it
+    /// runs, and once its result was taken or expired.
+    fn take(&mut self, id: InvocationId) -> Option<DandelionResult<InvocationOutcome>> {
+        if self.entries.get(&id)?.is_running() {
+            return None;
+        }
+        // Relaxed: a statistic, it publishes no other data.
+        self.metrics
+            .retained_results
+            .fetch_sub(1, Ordering::Relaxed);
+        match self.entries.remove(&id)?.progress {
+            Progress::Settled(outcome) => Some(outcome),
+            Progress::Running(_) => None,
+        }
+    }
+
+    /// Hands `id`'s outcome to `callback` when it settles; a later
+    /// registration replaces an unfired earlier one. If it has settled
+    /// already, the callback comes back with the outcome to fire now — a
+    /// result already taken is the error a second `wait` gets.
+    fn on_settle(
+        &mut self,
+        id: InvocationId,
+        callback: SettleCallback,
+    ) -> Option<(SettleCallback, DandelionResult<InvocationOutcome>)> {
+        if let Some(entry) = self.entries.get_mut(&id).filter(|entry| entry.is_running()) {
+            entry.callback = Some(callback);
+            return None;
+        }
+        Some((callback, self.take(id).unwrap_or_else(already_taken)))
+    }
+
+    /// A non-consuming view of `id`.
+    fn poll(&self, id: InvocationId) -> Option<InvocationSnapshot> {
+        let entry = self.entries.get(&id)?;
+        Some(InvocationSnapshot {
+            id,
+            composition: entry.graph.name.clone(),
+            status: entry.status(),
+            outcome: match &entry.progress {
+                Progress::Running(_) => None,
+                Progress::Settled(outcome) => Some(outcome.clone()),
+            },
+        })
+    }
+
+    fn status(&self, id: InvocationId) -> Option<InvocationStatus> {
+        self.entries.get(&id).map(Entry::status)
+    }
+
+    /// Creates a (top-level or child) invocation started at `now` and
+    /// launches its first ready instances.
+    fn register(
+        &mut self,
+        graph: Arc<CompositionGraph>,
+        inputs: Vec<DataSet>,
+        parent: Option<ParentLink>,
+        now: Instant,
+        effects: &mut Effects,
+        work: &mut VecDeque<Work>,
+    ) -> DandelionResult<InvocationId> {
+        let id = InvocationId::next();
+        let dataflow = InvocationState::new(id, Arc::clone(&graph), inputs)?;
+        if parent.is_none() {
+            self.metrics.inflight.fetch_add(1, Ordering::SeqCst);
+        }
+        let entry = Entry {
+            graph,
+            progress: Progress::Running(dataflow),
+            report: InvocationReport::default(),
+            callback: None,
+            parent,
+            started: now,
+            last_progress: now,
+        };
+        self.entries.insert(id, entry);
+        self.advance(id, None, now, effects, work);
+        Ok(id)
+    }
+
+    /// Applies `work` until none is left.
+    fn run(&mut self, work: &mut VecDeque<Work>, now: Instant, effects: &mut Effects) {
+        while let Some(item) = work.pop_front() {
+            match item {
+                Work::Complete(result, child_report) => {
+                    let id = result.invocation;
+                    self.advance(id, Some((result, child_report)), now, effects, work);
+                }
+                Work::Spawn(parent, graph, inputs) => {
+                    let link = parent.clone();
+                    if let Err(error) = self.register(graph, inputs, Some(link), now, effects, work)
+                    {
+                        work.push_back(Work::Complete(parent.result(Err(error)), None));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Advances one running invocation: applies an instance completion (if
+    /// any: a result, with the report of the child invocation it came
+    /// from), launches newly ready instances, and settles the invocation
+    /// when its dataflow has no work left.
+    fn advance(
+        &mut self,
+        id: InvocationId,
+        completion: Option<(TaskResult, Option<InvocationReport>)>,
+        now: Instant,
+        effects: &mut Effects,
+        work: &mut VecDeque<Work>,
+    ) {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        let Progress::Running(dataflow) = &mut entry.progress else {
+            return;
+        };
+        let mut check_ready = completion.is_none();
+        if let Some((result, child_report)) = completion {
+            let applied = dataflow.complete_instance(result.node, result.instance, result.outcome);
+            if applied == Ok(InstanceCompletion::Duplicate) {
+                // A duplicate result for an instance that already completed
+                // (an engine died after replying and its retry ran anyway):
+                // counting it twice would inflate the report.
+                return;
+            }
+            entry.last_progress = now;
+            entry.report.peak_context_bytes += result.context_high_water;
+            entry.report.modeled_busy_time += result.modeled_latency;
+            if let Some(child_report) = &child_report {
+                entry.report.merge(child_report);
+            }
+            match applied {
+                Ok(applied) => check_ready = applied == InstanceCompletion::NodeFinished,
+                Err(error) => return self.settle(id, Err(error), now, effects, work),
+            }
+        }
+        if check_ready {
+            let failure = match dataflow.ready_instances() {
+                Ok(ready) => ready.into_iter().find_map(|spec| {
+                    self.launcher
+                        .launch(id, spec, &mut entry.report, &mut effects.tasks, work)
+                        .err()
+                }),
+                Err(error) => Some(error),
+            };
+            if let Some(error) = failure {
+                return self.settle(id, Err(error), now, effects, work);
+            }
+        }
+        // Complete: every node completed or was skipped (an error settled
+        // above), so no engine task or child invocation of this one is
+        // outstanding.
+        if dataflow.is_complete() {
+            let outcome = dataflow.external_outputs();
+            self.settle(id, outcome, now, effects, work);
+        }
+    }
+
+    /// Settles a running invocation: counts a top-level one, and hands the
+    /// outcome to whoever it belongs to — the parent instance of a child
+    /// invocation, the registered settle callback, or, when nobody has asked
+    /// for it yet, the table, which retains it for polling. Only the last
+    /// keeps the entry. A completed invocation's latency runs from its start
+    /// to `now`.
+    fn settle(
+        &mut self,
+        id: InvocationId,
+        outcome: DandelionResult<Vec<DataSet>>,
+        now: Instant,
+        effects: &mut Effects,
+        work: &mut VecDeque<Work>,
+    ) {
+        // Exactly-once: every settle path (dataflow completion, dataflow
+        // error, stall reaper, final sweep) funnels through here, and an
+        // entry that has settled is left as it is.
+        if !self.entries.get(&id).is_some_and(Entry::is_running) {
+            return;
+        }
+        fail_point!("dispatcher/settle");
+        effects.wake |= self.waiters > 0;
+        let mut entry = self.entries.remove(&id).expect("checked above");
+        if let Some(parent) = entry.parent.take() {
+            // A child's outputs flow straight back into the parent's
+            // dataflow (uncompacted: keeping the producer's buffer shared is
+            // the point) and its statistics fold into the parent's report.
+            let report = outcome.is_ok().then_some(entry.report);
+            work.push_back(Work::Complete(parent.result(outcome), report));
+            return;
+        }
+        let mut result = outcome.map(|outputs| InvocationOutcome {
+            outputs,
+            report: std::mem::take(&mut entry.report),
+        });
+        match &result {
+            Ok(outcome) => {
+                self.metrics.invocations.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .compute_tasks
+                    .fetch_add(outcome.report.compute_tasks as u64, Ordering::Relaxed);
+                self.metrics
+                    .communication_tasks
+                    .fetch_add(outcome.report.communication_tasks as u64, Ordering::Relaxed);
+                self.metrics.latency.record(now - entry.started);
+            }
+            Err(_) => {
+                self.metrics.failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
+        if let Some(callback) = entry.callback.take() {
+            effects.settled.push((callback, result));
+            return;
+        }
+        // Retained results live in the table until consumed or expired;
+        // compact views that would pin a much larger parent buffer for that
+        // whole time.
+        if let Ok(outcome) = &mut result {
+            compact_retained_outputs(&mut outcome.outputs);
+        }
+        entry.progress = Progress::Settled(result);
+        self.entries.insert(id, entry);
         self.metrics
             .retained_results
             .fetch_add(1, Ordering::Relaxed);
-        let expired: Vec<u64> = {
-            let mut finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
-            finished.push_back(id.as_u64());
-            let excess = finished.len().saturating_sub(self.retention);
-            finished.drain(..excess).collect()
-        };
-        for id in expired {
-            self.remove(InvocationId::from_raw(id));
+        self.retained.push_back(id);
+        while self.retained.len() > self.retention {
+            let expired = self
+                .retained
+                .pop_front()
+                .expect("longer than the retention");
+            self.take(expired);
+        }
+    }
+}
+
+/// What a consumer gets when an earlier one already took the result.
+fn already_taken() -> DandelionResult<InvocationOutcome> {
+    Err(DandelionError::Dispatch(
+        "invocation result was already taken".to_string(),
+    ))
+}
+
+/// Copy-compacts retained result views whose window is less than
+/// `1/RETAINED_PIN_FACTOR` of their parent buffer: a 40-byte result sliced
+/// out of a multi-MiB receive buffer must not keep that buffer alive until
+/// retention expiry. Views at or above the threshold — including every
+/// whole-buffer view, for which `compact` is free — keep their zero-copy
+/// sharing.
+fn compact_retained_outputs(sets: &mut [DataSet]) {
+    for set in sets {
+        for item in &mut set.items {
+            if item.data.len() * RETAINED_PIN_FACTOR < item.data.backing_len() {
+                item.data = item.data.compact();
+            }
+        }
+    }
+}
+
+/// The shell around the table: its one lock, the condvar
+/// [`InvocationHandle::wait`] parks on, and the engine queues the table's
+/// tasks are pushed to. Nothing is pushed and no callback runs under the
+/// lock.
+struct Core {
+    table: StdMutex<InFlight>,
+    /// Notified, after the lock is released, when an invocation settled
+    /// while a `wait` was parked.
+    settled: Condvar,
+    compute_queue: TaskQueue,
+    communication_queue: TaskQueue,
+}
+
+impl Core {
+    fn lock(&self) -> MutexGuard<'_, InFlight> {
+        // A panic under the lock (an armed settle failpoint, say) leaves
+        // every entry whole — at worst one still running, which the reaper
+        // fails — so a poisoned guard is used as it is.
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `effects` outside the lock: pushes the tasks, fires the
+    /// callbacks and wakes parked waiters. A task a full queue refuses fails
+    /// its instance at `now`, under the lock again, which may leave more to
+    /// apply. Returns whether a queue refused a task.
+    fn apply(&self, effects: &mut Effects, now: Instant) -> bool {
+        let mut refused_any = false;
+        loop {
+            if std::mem::take(&mut effects.wake) {
+                self.settled.notify_all();
+            }
+            let refused: Vec<TaskResult> = effects
+                .tasks
+                .drain(..)
+                .filter_map(|task| self.push(task).err())
+                .collect();
+            for (callback, outcome) in effects.settled.drain(..) {
+                fail_point!("dispatcher/notify");
+                callback(outcome);
+            }
+            if refused.is_empty() {
+                return refused_any;
+            }
+            refused_any = true;
+            self.lock().complete(refused, now, effects);
         }
     }
 
-    fn all_entries(&self) -> Vec<(InvocationId, Arc<InvocationEntry>)> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            all.extend(
-                shard
-                    .iter()
-                    .map(|(id, entry)| (InvocationId::from_raw(*id), Arc::clone(entry))),
-            );
+    /// Pushes a task onto its engine queue; a full queue hands it back as
+    /// its instance's failed result.
+    fn push(&self, task: Task) -> Result<(), TaskResult> {
+        let (queue, name) = match task.payload {
+            TaskPayload::Compute { .. } => (&self.compute_queue, "compute"),
+            _ => (&self.communication_queue, "communication"),
+        };
+        queue.try_push(task).map_err(|task| TaskResult {
+            invocation: task.invocation,
+            node: task.node,
+            instance: task.instance,
+            outcome: Err(DandelionError::ResourceExhausted(format!(
+                "{name} queue full"
+            ))),
+            context_high_water: 0,
+            modeled_latency: Duration::ZERO,
+        })
+    }
+
+    /// Registers a top-level invocation at `now`. Engine-queue
+    /// back-pressure during the initial submission is a synchronous,
+    /// retryable condition, not an executed invocation: it is returned here
+    /// so clients see 429 instead of an accepted-then-failed handle (the
+    /// failure was counted when the invocation settled).
+    fn submit(
+        &self,
+        graph: Arc<CompositionGraph>,
+        inputs: Vec<DataSet>,
+        now: Instant,
+    ) -> DandelionResult<InvocationId> {
+        let mut effects = Effects::default();
+        let id = self.lock().submit(graph, inputs, now, &mut effects)?;
+        if self.apply(&mut effects, now) {
+            let mut table = self.lock();
+            if let Some(Progress::Settled(Err(DandelionError::ResourceExhausted(_)))) =
+                table.entries.get(&id).map(|entry| &entry.progress)
+            {
+                if let Some(Err(error)) = table.take(id) {
+                    return Err(error);
+                }
+            }
         }
-        all
+        Ok(id)
     }
 }
 
@@ -416,8 +889,9 @@ impl InFlightTable {
 /// [`on_settle`]: InvocationHandle::on_settle
 pub struct InvocationHandle {
     id: InvocationId,
-    entry: Arc<InvocationEntry>,
-    table: Arc<InFlightTable>,
+    core: Arc<Core>,
+    /// The terminal status this handle saw, answered once the entry is gone.
+    terminal: OnceLock<InvocationStatus>,
 }
 
 impl InvocationHandle {
@@ -426,14 +900,31 @@ impl InvocationHandle {
         self.id
     }
 
-    /// The composition this invocation runs.
-    pub fn composition(&self) -> &str {
-        &self.entry.composition
+    /// The invocation's current lifecycle status. Once its entry has left
+    /// the table, the status this handle saw it settle with; if it never
+    /// saw that (a callback took the result, or it expired first),
+    /// [`InvocationStatus::Failed`], as a second `wait` finds an error.
+    pub fn status(&self) -> InvocationStatus {
+        let status = self.core.lock().status(self.id);
+        self.seen(status)
     }
 
-    /// The invocation's current lifecycle status.
-    pub fn status(&self) -> InvocationStatus {
-        self.entry.lock().status
+    /// Remembers a terminal status seen in the table; answers for an entry
+    /// that has left it.
+    fn seen(&self, status: Option<InvocationStatus>) -> InvocationStatus {
+        match status {
+            Some(status) => {
+                if status.is_terminal() {
+                    let _ = self.terminal.set(status);
+                }
+                status
+            }
+            None => self
+                .terminal
+                .get()
+                .copied()
+                .unwrap_or(InvocationStatus::Failed),
+        }
     }
 
     /// Registers a one-shot callback fired when the invocation settles.
@@ -450,25 +941,20 @@ impl InvocationHandle {
     /// no thread ever blocks in [`InvocationHandle::wait`]. The callback
     /// runs on the dispatcher driver thread (or immediately on the calling
     /// thread when the invocation has already settled) and is never invoked
-    /// while the entry lock is held, so it may poll or consume the handle.
+    /// while the table lock is held, so it may poll or consume the handle.
     /// Only one callback can be registered per invocation; a later
     /// registration replaces an unfired earlier one.
     pub fn on_settle<F>(&self, callback: F)
     where
         F: FnOnce(DandelionResult<InvocationOutcome>) + Send + 'static,
     {
-        let mut callback: Option<SettleCallback> = Some(Box::new(callback));
-        let immediate = {
-            let mut inner = self.entry.lock();
-            if inner.status.is_terminal() {
-                Some(inner.outcome.take().unwrap_or_else(already_taken))
-            } else {
-                inner.notify = callback.take();
-                None
-            }
+        let (status, immediate) = {
+            let mut table = self.core.lock();
+            let status = table.status(self.id);
+            (status, table.on_settle(self.id, Box::new(callback)))
         };
-        if let (Some(callback), Some(outcome)) = (callback, immediate) {
-            self.table.remove(self.id);
+        self.seen(status);
+        if let Some((callback, outcome)) = immediate {
             callback(outcome);
         }
     }
@@ -476,16 +962,11 @@ impl InvocationHandle {
     /// Takes the result if the invocation has settled; `None` while it is
     /// still queued/running (or if the result was already consumed).
     pub fn try_result(&self) -> Option<DandelionResult<InvocationOutcome>> {
-        let outcome = {
-            let mut inner = self.entry.lock();
-            if !inner.status.is_terminal() {
-                return None;
-            }
-            inner.outcome.take()
-        };
-        if outcome.is_some() {
-            self.table.remove(self.id);
-        }
+        let mut table = self.core.lock();
+        let status = table.status(self.id);
+        let outcome = table.take(self.id);
+        drop(table);
+        self.seen(status);
         outcome
     }
 
@@ -496,135 +977,63 @@ impl InvocationHandle {
     /// invocation has not settled in time; the invocation itself keeps
     /// running and can still be waited on or polled afterwards.
     pub fn wait(&self, timeout: Option<Duration>) -> DandelionResult<InvocationOutcome> {
-        let outcome = {
-            let mut inner = self.wait_settled(timeout)?;
-            inner.outcome.take()
-        };
-        self.table.remove(self.id);
-        outcome.unwrap_or_else(already_taken)
-    }
-
-    /// Waits until the entry is terminal and returns the guard.
-    fn wait_settled(
-        &self,
-        timeout: Option<Duration>,
-    ) -> DandelionResult<MutexGuard<'_, EntryInner>> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut inner = self.entry.lock();
-        while !inner.status.is_terminal() {
-            match deadline {
-                None => {
-                    inner = self
-                        .entry
-                        .settled
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(DandelionError::Timeout {
-                            function: self.entry.composition.clone(),
-                            limit_ms: timeout.unwrap_or_default().as_millis() as u64,
-                        });
-                    }
-                    let (guard, _) = self
-                        .entry
-                        .settled
-                        .wait_timeout(inner, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    inner = guard;
-                }
+        let deadline = timeout.map(|limit| Instant::now() + limit);
+        let mut table = self.core.lock();
+        loop {
+            let status = table.status(self.id);
+            if status.is_none_or(|status| status.is_terminal()) {
+                let outcome = table.take(self.id);
+                drop(table);
+                self.seen(status);
+                return outcome.unwrap_or_else(already_taken);
             }
+            let left = match deadline {
+                None => None,
+                Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => {
+                        return Err(DandelionError::Timeout {
+                            function: table.entries[&self.id].graph.name.clone(),
+                            limit_ms: timeout.unwrap_or_default().as_millis() as u64,
+                        })
+                    }
+                },
+            };
+            table.waiters += 1;
+            table = match left {
+                None => self
+                    .core
+                    .settled
+                    .wait(table)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) => {
+                    self.core
+                        .settled
+                        .wait_timeout(table, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            table.waiters -= 1;
         }
-        Ok(inner)
     }
-}
-
-/// What a consumer gets when an earlier one already took the result.
-fn already_taken() -> DandelionResult<InvocationOutcome> {
-    Err(DandelionError::Dispatch(
-        "invocation result was already taken".to_string(),
-    ))
 }
 
 impl std::fmt::Debug for InvocationHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InvocationHandle")
             .field("id", &self.id)
-            .field("composition", &self.entry.composition)
             .field("status", &self.status())
             .finish()
     }
 }
 
-/// Work the driver (or a submitting client thread) still has to apply.
-///
-/// Completions and child spawns are queued instead of applied recursively so
-/// that only one entry lock is ever held at a time — a child that settles
-/// instantly produces a `Complete` item for its parent rather than locking
-/// the parent while the child is being advanced.
-enum WorkItem {
-    /// A completed instance: an engine result, or a child invocation's
-    /// outcome addressed to the parent instance that spawned it.
-    Complete {
-        result: TaskResult,
-        /// Present when the completion is a child invocation folding its
-        /// execution statistics into the parent.
-        child_report: Option<InvocationReport>,
-    },
-    SpawnChild {
-        parent: ParentLink,
-        graph: Arc<CompositionGraph>,
-        inputs: Vec<DataSet>,
-    },
-    /// A settle callback to fire now that the owning entry's lock has been
-    /// released (firing under the lock would deadlock callbacks that touch
-    /// the handle or the table).
-    Notify {
-        callback: SettleCallback,
-        outcome: DandelionResult<InvocationOutcome>,
-    },
-}
-
-/// Seed of the cold-binary draw sequence.
-const COLD_DRAW_SEED: u64 = 0xDA4D_E110;
-
-/// Draws whether a compute task's binary must be loaded cold, with
-/// probability `ratio`, from the process-wide sequence in `state`.
-///
-/// SplitMix64 is a Weyl counter plus an output mix, so concurrent submitters
-/// advance the counter with one `fetch_add` and mix their own value: together
-/// they draw exactly the sequence `SplitMix64::new(COLD_DRAW_SEED)` yields,
-/// without a lock. A ratio of 0 or 1 has one outcome and draws nothing.
-fn draw_cold_binary(state: &AtomicU64, ratio: f64) -> bool {
-    if ratio <= 0.0 {
-        return false;
-    }
-    if ratio >= 1.0 {
-        return true;
-    }
-    // Relaxed: the counter publishes no other data.
-    let before = state.fetch_add(SplitMix64::INCREMENT, Ordering::Relaxed);
-    SplitMix64::new(before).bernoulli(ratio)
-}
-
-struct DispatcherCore {
-    registry: Arc<Registry>,
-    compute_queue: TaskQueue,
-    communication_queue: TaskQueue,
-    config: WorkerConfig,
-    /// State of the cold-binary draw, see [`draw_cold_binary`].
-    cold_draw_state: AtomicU64,
-    table: Arc<InFlightTable>,
-    results: Sender<Vec<TaskResult>>,
-    metrics: Arc<DispatchMetrics>,
-    shutting_down: AtomicBool,
-}
-
 /// Routes ready function instances to engine queues and collects results.
 pub struct Dispatcher {
-    core: Arc<DispatcherCore>,
+    core: Arc<Core>,
+    metrics: Arc<DispatchMetrics>,
+    /// The engines' reply channel; an empty message on it stops the driver.
+    results: ReplySender,
     driver: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -657,35 +1066,30 @@ impl Dispatcher {
         metrics: Arc<DispatchMetrics>,
         control: Option<PoolControl>,
     ) -> Self {
-        let (results_tx, results_rx) = channel::<Vec<TaskResult>>();
-        let core = Arc::new(DispatcherCore {
-            registry,
+        let (results, received) = channel::<Vec<TaskResult>>();
+        let table = InFlight::new(registry, &config, results.clone(), Arc::clone(&metrics));
+        let core = Arc::new(Core {
+            table: StdMutex::new(table),
+            settled: Condvar::new(),
             compute_queue,
             communication_queue,
-            table: Arc::new(InFlightTable::new(
-                config.completed_retention,
-                Arc::clone(&metrics),
-            )),
-            config,
-            cold_draw_state: AtomicU64::new(COLD_DRAW_SEED),
-            results: results_tx,
-            metrics,
-            shutting_down: AtomicBool::new(false),
         });
         let driver_core = Arc::clone(&core);
         let driver = std::thread::Builder::new()
             .name("dandelion-dispatcher".to_string())
-            .spawn(move || driver_loop(driver_core, results_rx, control))
+            .spawn(move || driver_loop(&driver_core, &received, control))
             .expect("spawning the dispatcher driver thread");
         Self {
             core,
+            metrics,
+            results,
             driver: Mutex::new(Some(driver)),
         }
     }
 
     /// The metrics this dispatcher reports into.
     pub fn metrics(&self) -> Arc<DispatchMetrics> {
-        Arc::clone(&self.core.metrics)
+        Arc::clone(&self.metrics)
     }
 
     /// Registers an invocation of `graph` and returns a handle immediately.
@@ -698,58 +1102,12 @@ impl Dispatcher {
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
     ) -> DandelionResult<InvocationHandle> {
-        if self.core.shutting_down.load(Ordering::SeqCst) {
-            return Err(DandelionError::Cancelled);
-        }
-        let now = Instant::now();
-        match self.core.register(graph, inputs, None, now) {
-            Ok((id, entry, work)) => {
-                self.core.process(work, now);
-                // Shutdown may have raced with registration: the driver
-                // could have run its final cancellation sweep before this
-                // entry existed, in which case nothing would ever settle
-                // it. Re-check and cancel the fresh entry ourselves; its id
-                // is never handed out, so nobody could consume the result.
-                if self.core.shutting_down.load(Ordering::SeqCst) {
-                    let mut work = Vec::new();
-                    let cancelled = Err(DandelionError::Cancelled);
-                    self.core
-                        .settle(id, &entry, &mut entry.lock(), cancelled, &mut work, now);
-                    self.core.process(work, now);
-                    self.core.table.remove(id);
-                    return Err(DandelionError::Cancelled);
-                }
-                // Engine-queue back-pressure during the initial submission
-                // is a synchronous, retryable condition, not an executed
-                // invocation: surface it here so clients see 429 instead of
-                // an accepted-then-failed handle. (The failure was already
-                // counted when the entry settled.)
-                {
-                    let mut inner = entry.lock();
-                    if matches!(
-                        inner.outcome,
-                        Some(Err(DandelionError::ResourceExhausted(_)))
-                    ) {
-                        let error = match inner.outcome.take() {
-                            Some(Err(error)) => error,
-                            _ => unreachable!("matched above"),
-                        };
-                        drop(inner);
-                        self.core.table.remove(id);
-                        return Err(error);
-                    }
-                }
-                Ok(InvocationHandle {
-                    id,
-                    entry,
-                    table: Arc::clone(&self.core.table),
-                })
-            }
-            Err(error) => {
-                self.core.metrics.failures.fetch_add(1, Ordering::Relaxed);
-                Err(error)
-            }
-        }
+        let id = self.core.submit(graph, inputs, Instant::now())?;
+        Ok(InvocationHandle {
+            id,
+            core: Arc::clone(&self.core),
+            terminal: OnceLock::new(),
+        })
     }
 
     /// Invokes a composition graph with the given inputs and waits for the
@@ -767,30 +1125,14 @@ impl Dispatcher {
     /// Returns `None` for ids the table has never seen or whose retained
     /// result has expired.
     pub fn poll(&self, id: InvocationId) -> Option<InvocationSnapshot> {
-        let entry = self.core.table.entry(id)?;
-        let inner = entry.lock();
-        Some(InvocationSnapshot {
-            id,
-            composition: entry.composition.clone(),
-            status: inner.status,
-            outcome: inner.outcome.clone(),
-        })
+        self.core.lock().poll(id)
     }
 
     /// Stops the driver thread; unsettled invocations fail with
-    /// [`DandelionError::Cancelled`].
+    /// [`DandelionError::Cancelled`], and later submissions are refused
+    /// with it.
     pub fn shutdown(&self) {
-        self.core.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the driver promptly with a sentinel result for an id the
-        // table has never issued.
-        let _ = self.core.results.send(vec![TaskResult {
-            invocation: InvocationId::from_raw(0),
-            node: 0,
-            instance: 0,
-            outcome: Err(DandelionError::Cancelled),
-            context_high_water: 0,
-            modeled_latency: Duration::ZERO,
-        }]);
+        let _ = self.results.send(Vec::new());
         if let Some(driver) = self.driver.lock().take() {
             let _ = driver.join();
         }
@@ -803,19 +1145,12 @@ impl Drop for Dispatcher {
     }
 }
 
-fn driver_loop(
-    core: Arc<DispatcherCore>,
-    results: Receiver<Vec<TaskResult>>,
-    control: Option<PoolControl>,
-) {
+fn driver_loop(core: &Core, results: &Receiver<Vec<TaskResult>>, control: Option<PoolControl>) {
     let mut now = Instant::now();
     let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
     let mut control = control.map(|control| (now + control.step.interval(), control));
-    let complete = |result| WorkItem::Complete {
-        result,
-        child_report: None,
-    };
-    while !core.shutting_down.load(Ordering::SeqCst) {
+    let mut effects = Effects::default();
+    loop {
         let next = reap.min(release);
         let next = control
             .as_ref()
@@ -823,27 +1158,18 @@ fn driver_loop(
         let received = results.recv_timeout(next.saturating_duration_since(now));
         now = Instant::now();
         match received {
-            Ok(first) => {
-                // Engines already coalesce same-invocation results into one
-                // message; drain whatever further messages have arrived
-                // since the last wakeup (up to the batch cap) and apply
-                // everything in one pass, instead of one channel round-trip
-                // and one table lookup cycle per reply.
-                let mut batch: Vec<WorkItem> = Vec::with_capacity(first.len());
-                batch.extend(first.into_iter().map(complete));
-                while batch.len() < DRIVER_MAX_BATCH {
-                    match results.try_recv() {
-                        Ok(more) => batch.extend(more.into_iter().map(complete)),
-                        Err(_) => break,
-                    }
-                }
-                core.process(batch, now);
+            // No engine sends an empty message: this is `shutdown`'s.
+            Ok(batch) if batch.is_empty() => break,
+            Ok(batch) => {
+                core.lock().complete(batch, now, &mut effects);
+                core.apply(&mut effects, now);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
         if reap <= now {
-            core.reap_stalled(now);
+            core.lock().reap(now, &mut effects);
+            core.apply(&mut effects, now);
             reap = now + REAP_PERIOD;
         }
         // Committed memory follows the load: what the pool retains and
@@ -859,363 +1185,8 @@ fn driver_loop(
             }
         }
     }
-    core.cancel_unsettled(now);
-}
-
-impl DispatcherCore {
-    /// Creates and kicks off a (top-level or child) invocation, started at
-    /// `now`. Returns the entry plus deferred work items; the caller must
-    /// [`process`] them.
-    ///
-    /// [`process`]: DispatcherCore::process
-    fn register(
-        &self,
-        graph: Arc<CompositionGraph>,
-        inputs: Vec<DataSet>,
-        parent: Option<ParentLink>,
-        now: Instant,
-    ) -> DandelionResult<(InvocationId, Arc<InvocationEntry>, Vec<WorkItem>)> {
-        let id = InvocationId::next();
-        let state = InvocationState::new(id, Arc::clone(&graph), inputs)?;
-        let top_level = parent.is_none();
-        let entry = Arc::new(InvocationEntry::new(graph.name.clone(), state, parent, now));
-        if top_level {
-            self.metrics.inflight.fetch_add(1, Ordering::SeqCst);
-        }
-        self.table.insert(id, Arc::clone(&entry));
-        let mut inner = entry.lock();
-        inner.status = InvocationStatus::Running;
-        let work = self.advance(id, &entry, &mut inner, None, now);
-        drop(inner);
-        Ok((id, entry, work))
-    }
-
-    /// Applies queued work items, as of `now`, until none remain. Holds at
-    /// most one entry lock at a time.
-    fn process(&self, items: Vec<WorkItem>, now: Instant) {
-        let mut queue: VecDeque<WorkItem> = items.into();
-        while let Some(item) = queue.pop_front() {
-            let more = match item {
-                WorkItem::Complete {
-                    result,
-                    child_report,
-                } => {
-                    // Unknown ids are results for abandoned or already
-                    // settled invocations; they are dropped.
-                    let id = result.invocation;
-                    let Some(entry) = self.table.entry(id) else {
-                        continue;
-                    };
-                    let mut inner = entry.lock();
-                    self.advance(id, &entry, &mut inner, Some((result, child_report)), now)
-                }
-                WorkItem::Notify { callback, outcome } => {
-                    fail_point!("dispatcher/notify");
-                    callback(outcome);
-                    continue;
-                }
-                WorkItem::SpawnChild {
-                    parent,
-                    graph,
-                    inputs,
-                } => match self.register(graph, inputs, Some(parent.clone()), now) {
-                    Ok((_, _, work)) => work,
-                    Err(error) => vec![WorkItem::Complete {
-                        result: parent.result(Err(error)),
-                        child_report: None,
-                    }],
-                },
-            };
-            queue.extend(more);
-        }
-    }
-
-    /// Advances one invocation: applies an instance completion (if any: a
-    /// result, with the report of the child invocation it came from),
-    /// submits newly ready instances, and settles the invocation when its
-    /// dataflow has no work left. Returns deferred work for other entries.
-    fn advance(
-        &self,
-        id: InvocationId,
-        entry: &Arc<InvocationEntry>,
-        inner: &mut EntryInner,
-        completion: Option<(TaskResult, Option<InvocationReport>)>,
-        now: Instant,
-    ) -> Vec<WorkItem> {
-        let mut out = Vec::new();
-        if inner.status.is_terminal() {
-            return out;
-        }
-        let mut check_ready = completion.is_none();
-        if let Some((result, child_report)) = completion {
-            let applied = inner
-                .dataflow
-                .as_mut()
-                .expect("running invocations keep their dataflow state")
-                .complete_instance(result.node, result.instance, result.outcome);
-            if applied == Ok(InstanceCompletion::Duplicate) {
-                // A duplicate result for an instance that already completed
-                // (an engine died after replying and its retry ran anyway):
-                // counting it twice would inflate the report.
-                return out;
-            }
-            inner.last_progress = now;
-            inner.report.peak_context_bytes += result.context_high_water;
-            inner.report.modeled_busy_time += result.modeled_latency;
-            if let Some(child_report) = &child_report {
-                inner.report.merge(child_report);
-            }
-            match applied {
-                Ok(applied) => check_ready = applied == InstanceCompletion::NodeFinished,
-                Err(error) => {
-                    self.settle(id, entry, inner, Err(error), &mut out, now);
-                    return out;
-                }
-            }
-        }
-        if check_ready {
-            // The ready instances borrow the graph through `dataflow`, so the
-            // other fields they are submitted against are borrowed beside it.
-            let EntryInner {
-                dataflow, report, ..
-            } = &mut *inner;
-            let failure = match dataflow
-                .as_mut()
-                .expect("running invocations keep their dataflow state")
-                .ready_instances()
-            {
-                Ok(ready) => ready
-                    .into_iter()
-                    .find_map(|spec| self.submit_instance(id, spec, report, &mut out).err()),
-                Err(error) => Some(error),
-            };
-            if let Some(error) = failure {
-                self.settle(id, entry, inner, Err(error), &mut out, now);
-                return out;
-            }
-        }
-        // Complete: every node completed or was skipped (an error settled
-        // above), so no engine task or child invocation of this one is
-        // outstanding.
-        if inner
-            .dataflow
-            .as_ref()
-            .is_some_and(InvocationState::is_complete)
-        {
-            let outcome = inner
-                .dataflow
-                .as_ref()
-                .expect("checked above")
-                .external_outputs();
-            self.settle(id, entry, inner, outcome, &mut out, now);
-        }
-        out
-    }
-
-    /// Routes one ready instance: compute and communication instances go to
-    /// the engine queues, nested compositions become child invocations.
-    fn submit_instance(
-        &self,
-        id: InvocationId,
-        spec: InstanceSpec<'_>,
-        report: &mut InvocationReport,
-        out: &mut Vec<WorkItem>,
-    ) -> DandelionResult<()> {
-        let vertex =
-            self.registry
-                .resolve(spec.vertex)
-                .ok_or_else(|| DandelionError::NotFound {
-                    kind: "vertex",
-                    name: spec.vertex.to_string(),
-                })?;
-        match vertex {
-            Vertex::Compute(artifact) => {
-                report.compute_tasks += 1;
-                let cold_binary =
-                    draw_cold_binary(&self.cold_draw_state, self.config.binary_cold_load_ratio);
-                let task = Task {
-                    invocation: id,
-                    node: spec.node,
-                    instance: spec.instance,
-                    payload: TaskPayload::Compute {
-                        artifact,
-                        // The one place a task's inputs are built; from here
-                        // on they are shared, never cloned.
-                        inputs: spec.inputs.into(),
-                        cold_binary,
-                        timeout: self.config.function_timeout,
-                    },
-                    reply: self.results.clone(),
-                };
-                self.compute_queue.try_push(task).map_err(|_| {
-                    DandelionError::ResourceExhausted("compute queue full".to_string())
-                })?;
-            }
-            Vertex::Communication(_) => {
-                report.communication_tasks += 1;
-                let response_set = spec
-                    .output_sets
-                    .first()
-                    .map_or_else(|| "Response".to_string(), |output| output.set.clone());
-                let task = Task {
-                    invocation: id,
-                    node: spec.node,
-                    instance: spec.instance,
-                    payload: TaskPayload::Http {
-                        inputs: spec.inputs.into(),
-                        response_set,
-                    },
-                    reply: self.results.clone(),
-                };
-                self.communication_queue.try_push(task).map_err(|_| {
-                    DandelionError::ResourceExhausted("communication queue full".to_string())
-                })?;
-            }
-            Vertex::Composition(nested) => {
-                // Nested composition: a child invocation in the same table,
-                // completing the parent instance when it settles.
-                out.push(WorkItem::SpawnChild {
-                    parent: ParentLink {
-                        invocation: id,
-                        node: spec.node,
-                        instance: spec.instance,
-                    },
-                    graph: nested,
-                    inputs: spec.inputs,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Settles an invocation: updates metrics for top-level invocations,
-    /// wakes waiters, and hands the outcome to whoever it belongs to — the
-    /// parent instance of a child invocation, the registered settle
-    /// callback, or, when nobody has asked for it yet, the table, which
-    /// retains it for polling. Only the last keeps the entry in the table.
-    /// A completed invocation's latency runs from its start to `now`.
-    fn settle(
-        &self,
-        id: InvocationId,
-        entry: &Arc<InvocationEntry>,
-        inner: &mut EntryInner,
-        outcome: DandelionResult<Vec<DataSet>>,
-        out: &mut Vec<WorkItem>,
-        now: Instant,
-    ) {
-        // Exactly-once: every settle path (dataflow completion, dataflow
-        // error, stall reaper) funnels through here, and racing paths must
-        // not double-count metrics or fire the notify callback twice.
-        if inner.status.is_terminal() {
-            return;
-        }
-        fail_point!("dispatcher/settle");
-        inner.status = if outcome.is_ok() {
-            InvocationStatus::Completed
-        } else {
-            InvocationStatus::Failed
-        };
-        inner.dataflow = None;
-        entry.settled.notify_all();
-        if let Some(parent) = inner.parent.take() {
-            // A child's outputs flow straight back into the parent's
-            // dataflow (uncompacted: keeping the producer's buffer shared is
-            // the point) and its statistics fold into the parent's report.
-            out.push(WorkItem::Complete {
-                child_report: outcome.is_ok().then(|| inner.report.clone()),
-                result: parent.result(outcome),
-            });
-            self.table.remove(id);
-            return;
-        }
-        let mut result = outcome.map(|outputs| InvocationOutcome {
-            outputs,
-            report: inner.report.clone(),
-        });
-        match &result {
-            Ok(outcome) => {
-                self.metrics.invocations.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .compute_tasks
-                    .fetch_add(outcome.report.compute_tasks as u64, Ordering::Relaxed);
-                self.metrics
-                    .communication_tasks
-                    .fetch_add(outcome.report.communication_tasks as u64, Ordering::Relaxed);
-                self.metrics.latency.record(now - inner.started);
-            }
-            Err(_) => {
-                self.metrics.failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
-        if let Some(callback) = inner.notify.take() {
-            // Deferred as a work item so the callback runs after this
-            // entry's lock is released.
-            out.push(WorkItem::Notify {
-                callback,
-                outcome: result,
-            });
-            self.table.remove(id);
-        } else {
-            // Retained results live in the table until consumed or expired;
-            // compact views that would pin a much larger parent buffer for
-            // that whole time.
-            if let Ok(outcome) = &mut result {
-                compact_retained_outputs(&mut outcome.outputs);
-            }
-            inner.outcome = Some(result);
-            self.table.retain_finished(id, entry);
-        }
-    }
-
-    /// Fails every unsettled invocation with [`DandelionError::Cancelled`]
-    /// as any other failure settles; called when the driver stops.
-    fn cancel_unsettled(&self, now: Instant) {
-        let mut work = Vec::new();
-        for (id, entry) in self.table.all_entries() {
-            let cancelled = Err(DandelionError::Cancelled);
-            self.settle(id, &entry, &mut entry.lock(), cancelled, &mut work, now);
-        }
-        self.process(work, now);
-    }
-
-    /// Fails invocations that, at `now`, have gone longer than
-    /// `function_timeout + engine_stall_grace` without any instance
-    /// completing. Engines time functions out themselves, so this only
-    /// fires if an engine reply is lost (e.g. an engine thread died) or a
-    /// function never returns; without it, such an invocation would leave
-    /// `wait(None)` callers blocked forever.
-    fn reap_stalled(&self, now: Instant) {
-        let deadline = self.config.function_timeout + self.config.engine_stall_grace;
-        let mut work = Vec::new();
-        for (id, entry) in self.table.all_entries() {
-            let mut inner = entry.lock();
-            if inner.status.is_terminal() || now - inner.last_progress <= deadline {
-                continue;
-            }
-            let stalled = Err(DandelionError::Dispatch(
-                "timed out waiting for engine results".to_string(),
-            ));
-            self.settle(id, &entry, &mut inner, stalled, &mut work, now);
-        }
-        self.process(work, now);
-    }
-}
-
-/// Copy-compacts retained result views whose window is less than
-/// `1/RETAINED_PIN_FACTOR` of their parent buffer (ROADMAP follow-up e): a
-/// 40-byte result sliced out of a multi-MiB receive buffer must not keep
-/// that buffer alive until retention expiry. Views at or above the
-/// threshold — including every whole-buffer view, for which `compact` is
-/// free — keep their zero-copy sharing.
-fn compact_retained_outputs(sets: &mut [DataSet]) {
-    for set in sets {
-        for item in &mut set.items {
-            if item.data.len() * RETAINED_PIN_FACTOR < item.data.backing_len() {
-                item.data = item.data.compact();
-            }
-        }
-    }
+    core.lock().cancel_all(now, &mut effects);
+    core.apply(&mut effects, now);
 }
 
 #[cfg(test)]
@@ -1223,6 +1194,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineExecutor, EnginePool};
     use dandelion_common::config::{EngineKind, IsolationKind};
+    use dandelion_common::{DataItem, SharedBytes};
     use dandelion_dsl::{CompositionBuilder, Distribution};
     use dandelion_http::validate::ValidationPolicy;
     use dandelion_http::{HttpRequest, HttpResponse};
@@ -1378,6 +1350,602 @@ mod tests {
         Arc::new(graph)
     }
 
+    // ---- Transitions of the table, as rows ----
+    //
+    // Each row steps the shell of a table in this thread: no engine pool, no
+    // driver, no sleep. The row pops the engine queues, answers on the reply
+    // channel it holds as an engine would, hands each message to the table
+    // as the driver does, and moves the clock itself.
+
+    /// A composition of one node that runs `function` over `In`, publishing
+    /// `Out`.
+    fn one_node(name: &str, function: &str, distribution: Distribution) -> CompositionGraph {
+        CompositionBuilder::new(name)
+            .input("In")
+            .output("Out")
+            .node(function, |node| {
+                node.bind("Data", distribution, "In")
+                    .publish("Out", "Copied")
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// An engine's echo: every output set of the task carries its first
+    /// input set's items.
+    fn echo(task: &Task) -> DandelionResult<Vec<DataSet>> {
+        let (inputs, output) = match &task.payload {
+            TaskPayload::Compute {
+                artifact, inputs, ..
+            } => (inputs, artifact.output_sets[0].clone()),
+            TaskPayload::Http {
+                inputs,
+                response_set,
+            } => (inputs, response_set.clone()),
+            TaskPayload::Shutdown => unreachable!("the table queues no stop marker"),
+        };
+        Ok(vec![DataSet::with_items(output, inputs[0].items.clone())])
+    }
+
+    type Delivered = Arc<Mutex<Vec<DandelionResult<InvocationOutcome>>>>;
+
+    struct Rig {
+        core: Arc<Core>,
+        registry: Arc<Registry>,
+        metrics: Arc<DispatchMetrics>,
+        config: WorkerConfig,
+        results: Receiver<Vec<TaskResult>>,
+        now: Instant,
+        effects: Effects,
+        /// Top-level submissions.
+        submitted: u64,
+        /// What each registered callback was handed.
+        callbacks: Vec<Delivered>,
+    }
+
+    impl Rig {
+        /// A table whose engine queues hold `capacity` tasks each and which
+        /// retains two results; `Copy` and `Identity` (`Copy` over all of
+        /// `In`) are registered.
+        fn new(capacity: usize) -> Self {
+            let config = WorkerConfig {
+                completed_retention: 2,
+                ..WorkerConfig::default()
+            };
+            let registry = Arc::new(Registry::new());
+            registry
+                .register_function(FunctionArtifact::new(
+                    "Copy",
+                    &["Copied"],
+                    |_: &mut FunctionCtx| Ok(()),
+                ))
+                .unwrap();
+            registry
+                .register_composition(one_node("Identity", "Copy", Distribution::All))
+                .unwrap();
+            let metrics = Arc::new(DispatchMetrics::default());
+            let (reply, results) = channel();
+            let table = InFlight::new(Arc::clone(&registry), &config, reply, Arc::clone(&metrics));
+            Self {
+                core: Arc::new(Core {
+                    table: StdMutex::new(table),
+                    settled: Condvar::new(),
+                    compute_queue: TaskQueue::new(EngineKind::Compute, capacity),
+                    communication_queue: TaskQueue::new(EngineKind::Communication, capacity),
+                }),
+                registry,
+                metrics,
+                config,
+                results,
+                now: Instant::now(),
+                effects: Effects::default(),
+                submitted: 0,
+                callbacks: Vec::new(),
+            }
+        }
+
+        fn graph(&self, name: &str) -> Arc<CompositionGraph> {
+            self.registry.composition(name).unwrap()
+        }
+
+        fn submit(&mut self, name: &str, items: &[&str]) -> DandelionResult<InvocationHandle> {
+            let items = items
+                .iter()
+                .enumerate()
+                .map(|(index, data)| DataItem::new(format!("i{index}"), data.as_bytes().to_vec()))
+                .collect();
+            self.submit_sets(name, vec![DataSet::with_items("In", items)])
+        }
+
+        fn submit_sets(
+            &mut self,
+            name: &str,
+            inputs: Vec<DataSet>,
+        ) -> DandelionResult<InvocationHandle> {
+            self.submitted += 1;
+            let id = self.core.submit(self.graph(name), inputs, self.now)?;
+            Ok(InvocationHandle {
+                id,
+                core: Arc::clone(&self.core),
+                terminal: OnceLock::new(),
+            })
+        }
+
+        /// Registers a callback that records what it is handed.
+        fn on_settle(&mut self, handle: &InvocationHandle) -> Delivered {
+            let delivered = Delivered::default();
+            let slot = Arc::clone(&delivered);
+            handle.on_settle(move |outcome| slot.lock().push(outcome));
+            self.callbacks.push(Arc::clone(&delivered));
+            delivered
+        }
+
+        /// Pops every queued task.
+        fn tasks(&self) -> Vec<Task> {
+            let compute = std::iter::from_fn(|| self.core.compute_queue.try_pop());
+            let communication = std::iter::from_fn(|| self.core.communication_queue.try_pop());
+            compute.chain(communication).collect()
+        }
+
+        /// Answers `task` on its reply channel as an engine does.
+        fn reply(&self, task: &Task, outcome: DandelionResult<Vec<DataSet>>, high_water: usize) {
+            let result = TaskResult {
+                invocation: task.invocation,
+                node: task.node,
+                instance: task.instance,
+                outcome,
+                context_high_water: high_water,
+                modeled_latency: Duration::ZERO,
+            };
+            task.reply.send(vec![result]).unwrap();
+        }
+
+        /// What the driver does with each message waiting on the channel.
+        fn deliver(&mut self) {
+            while let Ok(batch) = self.results.try_recv() {
+                self.core
+                    .lock()
+                    .complete(batch, self.now, &mut self.effects);
+                self.core.apply(&mut self.effects, self.now);
+            }
+        }
+
+        /// Echoes every task, and every task that causes, until none is
+        /// queued.
+        fn run(&mut self) {
+            loop {
+                let tasks = self.tasks();
+                if tasks.is_empty() {
+                    return;
+                }
+                for task in &tasks {
+                    self.reply(task, echo(task), 0);
+                }
+                self.deliver();
+            }
+        }
+
+        fn reap(&mut self) {
+            self.core.lock().reap(self.now, &mut self.effects);
+            self.core.apply(&mut self.effects, self.now);
+        }
+
+        fn cancel_all(&mut self) {
+            self.core.lock().cancel_all(self.now, &mut self.effects);
+            self.core.apply(&mut self.effects, self.now);
+        }
+
+        fn counter(&self, counter: &AtomicU64) -> u64 {
+            counter.load(Ordering::SeqCst)
+        }
+
+        fn entries(&self) -> usize {
+            self.core.lock().entries.len()
+        }
+
+        /// What every row ends with: each callback fired once, nothing is in
+        /// flight, and every top-level submission was counted once.
+        fn finish(self, row: &str) {
+            for (index, delivered) in self.callbacks.iter().enumerate() {
+                assert_eq!(delivered.lock().len(), 1, "{row}: callback {index}");
+            }
+            assert_eq!(self.counter(&self.metrics.inflight), 0, "{row}: inflight");
+            assert_eq!(
+                self.counter(&self.metrics.invocations) + self.counter(&self.metrics.failures),
+                self.submitted,
+                "{row}: invocations + failures"
+            );
+        }
+    }
+
+    fn text(outcome: &DandelionResult<InvocationOutcome>) -> &str {
+        let outcome = outcome.as_ref().expect("the invocation succeeded");
+        outcome.outputs[0].items[0].as_str().unwrap()
+    }
+
+    fn stall_error() -> DandelionError {
+        DandelionError::Dispatch("timed out waiting for engine results".to_string())
+    }
+
+    fn nested_child_folds_into_its_parent() -> Rig {
+        let mut rig = Rig::new(16);
+        // The child: `Copy`, then the HTTP node over what it copied.
+        let child = CompositionBuilder::new("Fetch")
+            .input("In")
+            .output("Out")
+            .node("Copy", |node| {
+                node.bind("Data", Distribution::All, "In")
+                    .publish("Requests", "Copied")
+            })
+            .node("HTTP", |node| {
+                node.bind("Request", Distribution::Each, "Requests")
+                    .publish("Out", "Response")
+            })
+            .build()
+            .unwrap();
+        // The parent: the child, then `Copy` over its output.
+        let parent = CompositionBuilder::new("Outer")
+            .input("In")
+            .output("Out")
+            .node("Fetch", |node| {
+                node.bind("In", Distribution::All, "In")
+                    .publish("Fetched", "Out")
+            })
+            .node("Copy", |node| {
+                node.bind("Data", Distribution::All, "Fetched")
+                    .publish("Out", "Copied")
+            })
+            .build()
+            .unwrap();
+        rig.registry.register_composition(child).unwrap();
+        rig.registry.register_composition(parent).unwrap();
+        let handle = rig.submit("Outer", &["alpha"]).unwrap();
+        // Parent and child are both in the table while the child runs.
+        assert_eq!(rig.entries(), 2);
+        rig.run();
+        let outcome = handle.try_result().expect("settled");
+        assert_eq!(text(&outcome), "alpha");
+        // The child's tasks fold into the parent's report.
+        let report = outcome.unwrap().report;
+        assert_eq!((report.compute_tasks, report.communication_tasks), (2, 1));
+        // The child's result went to the parent and the parent's was taken.
+        assert_eq!(rig.entries(), 0);
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+        rig
+    }
+
+    fn faults_and_unknown_vertices_fail() -> Rig {
+        let mut rig = Rig::new(16);
+        let faulted = rig.submit("Identity", &["x"]).unwrap();
+        let fault = DandelionError::FunctionFault {
+            function: "Copy".to_string(),
+            reason: "intentional failure".to_string(),
+        };
+        for task in rig.tasks() {
+            rig.reply(&task, Err(fault.clone()), 0);
+        }
+        rig.deliver();
+        assert_eq!(faulted.try_result().unwrap().unwrap_err(), fault);
+        // A graph naming a function nobody registered, submitted directly
+        // (registration would have refused it).
+        let dangling = one_node("Dangling", "DoesNotExist", Distribution::All);
+        rig.submitted += 1;
+        let id = rig
+            .core
+            .submit(
+                Arc::new(dangling),
+                vec![DataSet::single("In", vec![1])],
+                rig.now,
+            )
+            .unwrap();
+        let outcome = rig.core.lock().take(id).expect("settled at submission");
+        assert!(matches!(
+            outcome,
+            Err(DandelionError::NotFound { kind: "vertex", .. })
+        ));
+        rig
+    }
+
+    fn take_consumes_once_and_poll_does_not() -> Rig {
+        let mut rig = Rig::new(16);
+        let handle = rig.submit("Identity", &["peek"]).unwrap();
+        let running = rig.core.lock().poll(handle.id()).unwrap();
+        assert_eq!(running.status, InvocationStatus::Running);
+        assert!(running.outcome.is_none());
+        assert!(
+            handle.try_result().is_none(),
+            "nothing to take while running"
+        );
+        rig.run();
+        for _ in 0..2 {
+            let snapshot = rig.core.lock().poll(handle.id()).expect("retained");
+            assert_eq!(snapshot.composition, "Identity");
+            assert_eq!(snapshot.status, InvocationStatus::Completed);
+            assert_eq!(text(&snapshot.outcome.unwrap()), "peek");
+        }
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
+        assert_eq!(text(&handle.try_result().unwrap()), "peek");
+        assert!(handle.try_result().is_none());
+        assert!(rig.core.lock().poll(handle.id()).is_none());
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+        // The handle still answers the status the invocation settled with.
+        assert_eq!(handle.status(), InvocationStatus::Completed);
+        rig
+    }
+
+    fn an_unknown_id_polls_none() -> Rig {
+        let rig = Rig::new(16);
+        assert!(rig
+            .core
+            .lock()
+            .poll(InvocationId::from_raw(u64::MAX))
+            .is_none());
+        rig
+    }
+
+    fn the_oldest_result_beyond_retention_expires() -> Rig {
+        let mut rig = Rig::new(16);
+        let handles: Vec<InvocationHandle> = (0..3u8)
+            .map(|index| {
+                let handle = rig.submit("Identity", &[&index.to_string()]).unwrap();
+                rig.run();
+                assert_eq!(handle.status(), InvocationStatus::Completed);
+                handle
+            })
+            .collect();
+        let poll = |handle: &InvocationHandle| rig.core.lock().poll(handle.id()).is_some();
+        assert_eq!(
+            handles.iter().map(poll).collect::<Vec<_>>(),
+            [false, true, true]
+        );
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 2);
+        assert_eq!(handles[0].status(), InvocationStatus::Completed);
+        rig
+    }
+
+    fn a_full_queue_refuses_the_first_submission() -> Rig {
+        let mut rig = Rig::new(0);
+        let error = rig.submit("Identity", &["x"]).unwrap_err();
+        assert_eq!(
+            error,
+            DandelionError::ResourceExhausted("compute queue full".to_string())
+        );
+        assert!(error.is_retryable());
+        assert_eq!(rig.counter(&rig.metrics.failures), 1);
+        assert_eq!(rig.entries(), 0);
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+        rig
+    }
+
+    /// `Twice`: `Copy`, then `Copy` again, so an invocation makes progress
+    /// half-way.
+    fn register_twice(rig: &Rig) {
+        let twice = CompositionBuilder::new("Twice")
+            .input("In")
+            .output("Out")
+            .node("Copy", |node| {
+                node.bind("Data", Distribution::All, "In")
+                    .publish("Mid", "Copied")
+            })
+            .node("Copy", |node| {
+                node.bind("Data", Distribution::All, "Mid")
+                    .publish("Out", "Copied")
+            })
+            .build()
+            .unwrap();
+        rig.registry.register_composition(twice).unwrap();
+    }
+
+    fn a_stall_is_reaped_one_nanosecond_past_the_deadline() -> Rig {
+        let mut rig = Rig::new(16);
+        let deadline = rig.config.function_timeout + rig.config.engine_stall_grace;
+        register_twice(&rig);
+        let handle = rig.submit("Twice", &["x"]).unwrap();
+        // The first instance completes half-way: the deadline runs from there.
+        rig.now += deadline / 2;
+        for task in rig.tasks() {
+            rig.reply(&task, echo(&task), 0);
+        }
+        rig.deliver();
+        rig.now += deadline;
+        rig.reap();
+        assert_eq!(handle.status(), InvocationStatus::Running);
+        rig.now += Duration::from_nanos(1);
+        rig.reap();
+        assert_eq!(handle.try_result().unwrap().unwrap_err(), stall_error());
+        assert_eq!(rig.tasks().len(), 1, "the second instance is still queued");
+        rig
+    }
+
+    fn a_reply_after_the_reap_settles_nothing_twice() -> Rig {
+        let mut rig = Rig::new(16);
+        let handle = rig.submit("Identity", &["late"]).unwrap();
+        let delivered = rig.on_settle(&handle);
+        rig.now += rig.config.function_timeout + rig.config.engine_stall_grace * 2;
+        rig.reap();
+        rig.run();
+        assert_eq!(delivered.lock()[0].as_ref().unwrap_err(), &stall_error());
+        assert_eq!(rig.counter(&rig.metrics.failures), 1);
+        assert_eq!(rig.counter(&rig.metrics.invocations), 0);
+        rig
+    }
+
+    fn on_settle_before_and_after_settling() -> Rig {
+        let mut rig = Rig::new(16);
+        let early = rig.submit("Identity", &["cb"]).unwrap();
+        let early_delivered = rig.on_settle(&early);
+        assert!(early_delivered.lock().is_empty());
+        rig.run();
+        assert_eq!(text(&early_delivered.lock()[0]), "cb");
+        // The callback consumed the result: nothing is retained for it.
+        assert!(rig.core.lock().poll(early.id()).is_none());
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+
+        let late = rig.submit("Identity", &["late"]).unwrap();
+        rig.run();
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
+        let late_delivered = rig.on_settle(&late);
+        assert_eq!(text(&late_delivered.lock()[0]), "late");
+        assert!(rig.core.lock().poll(late.id()).is_none());
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+
+        // A second registration finds the result gone, like a second `wait`.
+        let again = rig.on_settle(&early);
+        assert_eq!(
+            again.lock()[0].as_ref().unwrap_err(),
+            &DandelionError::Dispatch("invocation result was already taken".to_string())
+        );
+        rig
+    }
+
+    fn cancel_all_settles_every_running_invocation() -> Rig {
+        let mut rig = Rig::new(16);
+        let watched = rig.submit("Identity", &["a"]).unwrap();
+        let delivered = rig.on_settle(&watched);
+        let unwatched = rig.submit("Identity", &["b"]).unwrap();
+        rig.cancel_all();
+        assert_eq!(
+            delivered.lock()[0].as_ref().unwrap_err(),
+            &DandelionError::Cancelled
+        );
+        let snapshot = rig.core.lock().poll(unwatched.id()).expect("retained");
+        assert_eq!(snapshot.status, InvocationStatus::Failed);
+        assert_eq!(
+            snapshot.outcome.unwrap().unwrap_err(),
+            DandelionError::Cancelled
+        );
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
+        assert_eq!(rig.counter(&rig.metrics.failures), 2);
+        // Nothing registers after the final sweep.
+        let refused = rig.core.submit(rig.graph("Identity"), Vec::new(), rig.now);
+        assert_eq!(refused.unwrap_err(), DandelionError::Cancelled);
+        rig
+    }
+
+    fn small_views_are_compacted_when_retained_only() -> Rig {
+        let mut rig = Rig::new(16);
+        let payload = SharedBytes::from_vec(vec![0xEE; 4 * 1024 * 1024]);
+        let blob = vec![DataSet::with_items(
+            "In",
+            vec![DataItem::new("blob", payload.clone())],
+        )];
+        // Every task answers with the first 16 bytes of what it was given.
+        let head = |task: &Task| {
+            let mut outputs = echo(task)?;
+            let item = &mut outputs[0].items[0];
+            item.data = item.data.slice(..16);
+            Ok(outputs)
+        };
+        let retained = rig.submit_sets("Identity", blob.clone()).unwrap();
+        for task in rig.tasks() {
+            rig.reply(&task, head(&task), 0);
+        }
+        rig.deliver();
+        let outcome = retained.try_result().unwrap().unwrap();
+        let item = &outcome.outputs[0].items[0];
+        assert_eq!(item.data.as_slice(), &[0xEE; 16]);
+        assert!(!SharedBytes::same_buffer(&item.data, &payload));
+        assert!(
+            item.data.backing_len() <= 16,
+            "backing {}",
+            item.data.backing_len()
+        );
+
+        // A child's view goes to its parent as it is: the parent's next task
+        // is handed the producer's buffer.
+        let parent = CompositionBuilder::new("OuterIdentity")
+            .input("In")
+            .output("Out")
+            .node("Identity", |node| {
+                node.bind("In", Distribution::All, "In")
+                    .publish("Mid", "Out")
+            })
+            .node("Copy", |node| {
+                node.bind("Data", Distribution::All, "Mid")
+                    .publish("Out", "Copied")
+            })
+            .build()
+            .unwrap();
+        rig.registry.register_composition(parent).unwrap();
+        let nested = rig.submit_sets("OuterIdentity", blob).unwrap();
+        for task in rig.tasks() {
+            rig.reply(&task, head(&task), 0);
+        }
+        rig.deliver();
+        let tasks = rig.tasks();
+        let TaskPayload::Compute { inputs, .. } = &tasks[0].payload else {
+            panic!("the parent's Copy is a compute task");
+        };
+        assert!(SharedBytes::same_buffer(&inputs[0].items[0].data, &payload));
+        rig.reply(&tasks[0], echo(&tasks[0]), 0);
+        rig.deliver();
+        assert!(nested.try_result().unwrap().is_ok());
+        rig
+    }
+
+    fn a_duplicate_completion_is_counted_once() -> Rig {
+        let mut rig = Rig::new(16);
+        rig.registry
+            .register_composition(one_node("Pair", "Copy", Distribution::Each))
+            .unwrap();
+        let handle = rig.submit("Pair", &["a", "b"]).unwrap();
+        let tasks = rig.tasks();
+        assert_eq!(tasks.len(), 2);
+        // The first instance's result arrives twice (an engine died after
+        // replying and its retry ran anyway), then the second's.
+        rig.reply(&tasks[0], echo(&tasks[0]), 100);
+        rig.reply(&tasks[0], echo(&tasks[0]), 100);
+        rig.reply(&tasks[1], echo(&tasks[1]), 100);
+        rig.deliver();
+        let outcome = handle.try_result().unwrap().unwrap();
+        assert_eq!(outcome.outputs[0].items.len(), 2);
+        assert_eq!(outcome.report.peak_context_bytes, 200);
+        assert_eq!(outcome.report.compute_tasks, 2);
+        rig
+    }
+
+    /// A row's name, and the script that builds, steps and checks its rig.
+    type Row = (&'static str, fn() -> Rig);
+
+    #[test]
+    fn in_flight_transitions_hold_row_by_row() {
+        let rows: [Row; 12] = [
+            ("nested child", nested_child_folds_into_its_parent),
+            ("fault and unknown vertex", faults_and_unknown_vertices_fail),
+            ("take and poll", take_consumes_once_and_poll_does_not),
+            ("unknown id", an_unknown_id_polls_none),
+            ("retention", the_oldest_result_beyond_retention_expires),
+            ("full queue", a_full_queue_refuses_the_first_submission),
+            (
+                "stall deadline",
+                a_stall_is_reaped_one_nanosecond_past_the_deadline,
+            ),
+            ("late reply", a_reply_after_the_reap_settles_nothing_twice),
+            ("on_settle", on_settle_before_and_after_settling),
+            ("cancel_all", cancel_all_settles_every_running_invocation),
+            ("compaction", small_views_are_compacted_when_retained_only),
+            ("duplicate", a_duplicate_completion_is_counted_once),
+        ];
+        for (name, row) in rows {
+            row().finish(name);
+        }
+    }
+
+    #[test]
+    fn cold_draws_are_the_seeded_splitmix_sequence() {
+        let mut draws = SplitMix64::new(COLD_DRAW_SEED);
+        let mut reference = SplitMix64::new(0xDA4D_E110);
+        assert_eq!(draw_cold_binary(&mut draws, 0.5), reference.bernoulli(0.5));
+        // A certain outcome consumes nothing from the sequence.
+        assert!(!draw_cold_binary(&mut draws, 0.0));
+        assert!(draw_cold_binary(&mut draws, 1.0));
+        assert_eq!(
+            draw_cold_binary(&mut draws, 0.5),
+            reference.bernoulli(0.5),
+            "the sequence continues where it was"
+        );
+    }
+
     #[test]
     fn end_to_end_compute_and_http_pipeline() {
         let harness = harness();
@@ -1396,72 +1964,6 @@ mod tests {
         assert_eq!(outcome.report.compute_tasks, 2);
         assert_eq!(outcome.report.communication_tasks, 2);
         assert!(outcome.report.modeled_busy_time > Duration::ZERO);
-    }
-
-    #[test]
-    fn nested_compositions_execute_as_child_invocations() {
-        let harness = harness();
-        let _inner = register_fetch_concat(&harness.registry);
-        let outer = CompositionBuilder::new("Outer")
-            .input("Keys")
-            .output("Final")
-            .node("FetchConcat", |node| {
-                node.bind("Keys", Distribution::All, "Keys")
-                    .publish("Final", "Result")
-            })
-            .build()
-            .unwrap();
-        harness
-            .registry
-            .register_composition(outer.clone())
-            .unwrap();
-        let outcome = harness
-            .dispatcher
-            .invoke(
-                Arc::new(outer),
-                vec![DataSet::single("Keys", b"a.txt".to_vec())],
-            )
-            .unwrap();
-        let text = String::from_utf8(outcome.outputs[0].items[0].data.as_slice().to_vec()).unwrap();
-        assert_eq!(text, "alpha|");
-        // The child's tasks fold into the parent's report.
-        assert_eq!(outcome.report.compute_tasks, 2);
-        assert_eq!(outcome.report.communication_tasks, 1);
-        // The child's result went to the parent and the parent's to
-        // `invoke`: neither is left in the table.
-        assert!(harness.dispatcher.core.table.all_entries().is_empty());
-        assert_eq!(retained_results(&harness), 0);
-    }
-
-    #[test]
-    fn function_faults_fail_the_invocation() {
-        let harness = harness();
-        harness
-            .registry
-            .register_function(FunctionArtifact::new(
-                "Broken",
-                &["Out"],
-                |_ctx: &mut FunctionCtx| Err("intentional failure".into()),
-            ))
-            .unwrap();
-        let graph = CompositionBuilder::new("Fails")
-            .input("In")
-            .output("Out")
-            .node("Broken", |node| {
-                node.bind("x", Distribution::All, "In")
-                    .publish("Out", "Out")
-            })
-            .build()
-            .unwrap();
-        harness
-            .registry
-            .register_composition(graph.clone())
-            .unwrap();
-        let err = harness
-            .dispatcher
-            .invoke(Arc::new(graph), vec![DataSet::single("In", vec![1])])
-            .unwrap_err();
-        assert!(matches!(err, DandelionError::FunctionFault { .. }));
     }
 
     #[test]
@@ -1525,26 +2027,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_vertices_are_reported() {
-        let harness = harness();
-        // Build a graph without registering the function it references, and
-        // invoke it directly (bypassing registration-time validation).
-        let graph = CompositionBuilder::new("Dangling")
-            .input("In")
-            .output("Out")
-            .node("DoesNotExist", |node| {
-                node.bind("x", Distribution::All, "In").publish("Out", "o")
-            })
-            .build()
-            .unwrap();
-        let err = harness
-            .dispatcher
-            .invoke(Arc::new(graph), vec![DataSet::single("In", vec![1])])
-            .unwrap_err();
-        assert!(matches!(err, DandelionError::NotFound { .. }));
-    }
-
-    #[test]
     fn submit_returns_a_handle_that_settles() {
         let harness = harness();
         let graph = register_copy_identity(&harness.registry);
@@ -1553,107 +2035,12 @@ mod tests {
             .submit(graph, vec![DataSet::single("In", b"ping".to_vec())])
             .unwrap();
         assert!(handle.id().as_u64() > 0);
-        assert_eq!(handle.composition(), "Identity");
         let outcome = handle.wait(Some(Duration::from_secs(10))).unwrap();
         assert_eq!(outcome.outputs[0].items[0].as_str(), Some("ping"));
         assert_eq!(handle.status(), InvocationStatus::Completed);
         // The result was consumed by wait(); the entry is released.
         assert!(handle.try_result().is_none());
         assert!(harness.dispatcher.poll(handle.id()).is_none());
-    }
-
-    #[test]
-    fn try_result_is_nonblocking_and_consumes_once() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
-        let handle = harness
-            .dispatcher
-            .submit(graph, vec![DataSet::single("In", b"x".to_vec())])
-            .unwrap();
-        // Poll until settled without blocking.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let outcome = loop {
-            if let Some(outcome) = handle.try_result() {
-                break outcome;
-            }
-            assert!(Instant::now() < deadline, "invocation did not settle");
-            std::thread::yield_now();
-        };
-        assert_eq!(outcome.unwrap().outputs[0].items[0].as_str(), Some("x"));
-        assert!(handle.try_result().is_none());
-    }
-
-    #[test]
-    fn poll_reports_status_without_consuming() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
-        let handle = harness
-            .dispatcher
-            .submit(graph, vec![DataSet::single("In", b"peek".to_vec())])
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let snapshot = harness
-                .dispatcher
-                .poll(handle.id())
-                .expect("still retained");
-            assert_eq!(snapshot.composition, "Identity");
-            if snapshot.status.is_terminal() {
-                let outcome = snapshot
-                    .outcome
-                    .expect("terminal snapshots carry the outcome");
-                assert_eq!(outcome.unwrap().outputs[0].items[0].as_str(), Some("peek"));
-                break;
-            }
-            assert!(Instant::now() < deadline, "invocation did not settle");
-            std::thread::yield_now();
-        }
-        // Polling is non-consuming: the snapshot can be taken repeatedly.
-        assert!(harness.dispatcher.poll(handle.id()).is_some());
-    }
-
-    #[test]
-    fn polling_unknown_ids_returns_none() {
-        let harness = harness();
-        assert!(harness
-            .dispatcher
-            .poll(InvocationId::from_raw(u64::MAX))
-            .is_none());
-    }
-
-    #[test]
-    fn finished_invocations_expire_beyond_retention() {
-        let harness = harness_with_config(WorkerConfig {
-            total_cores: 4,
-            initial_communication_cores: 1,
-            completed_retention: 2,
-            ..WorkerConfig::default()
-        });
-        let graph = register_copy_identity(&harness.registry);
-        let handles: Vec<InvocationHandle> = (0..3)
-            .map(|index| {
-                let handle = harness
-                    .dispatcher
-                    .submit(
-                        Arc::clone(&graph),
-                        vec![DataSet::single("In", vec![index as u8])],
-                    )
-                    .unwrap();
-                // Settle each one before the next so eviction order is
-                // deterministic.
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while !handle.status().is_terminal() {
-                    assert!(Instant::now() < deadline);
-                    std::thread::yield_now();
-                }
-                handle
-            })
-            .collect();
-        // Retention is 2: the oldest finished invocation has been expired.
-        assert!(harness.dispatcher.poll(handles[0].id()).is_none());
-        assert!(harness.dispatcher.poll(handles[1].id()).is_some());
-        assert!(harness.dispatcher.poll(handles[2].id()).is_some());
-        assert_eq!(retained_results(&harness), 2);
     }
 
     #[test]
@@ -1680,67 +2067,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queue_back_pressure_is_a_synchronous_submit_error() {
-        // Zero-capacity queues: every try_push is rejected, emulating a
-        // fully backed-up worker.
-        let registry = Arc::new(Registry::new());
-        let dispatcher = Dispatcher::new(
-            Arc::clone(&registry),
-            TaskQueue::new(EngineKind::Compute, 0),
-            TaskQueue::new(EngineKind::Communication, 0),
-            WorkerConfig {
-                total_cores: 4,
-                initial_communication_cores: 1,
-                ..WorkerConfig::default()
-            },
-        );
-        let graph = register_copy_identity(&registry);
-        let err = dispatcher
-            .submit(graph, vec![DataSet::single("In", vec![1])])
-            .unwrap_err();
-        assert!(
-            matches!(err, DandelionError::ResourceExhausted(_)),
-            "expected back-pressure, got {err:?}"
-        );
-        assert!(err.is_retryable());
-    }
-
-    #[test]
-    fn stalled_invocations_are_reaped_instead_of_hanging_waiters() {
-        // No engines at all: the submitted task sits on the queue forever,
-        // emulating a lost engine reply. The driver's stall reaper must
-        // fail the invocation after function_timeout + engine_stall_grace.
-        let registry = Arc::new(Registry::new());
-        let compute_queue = TaskQueue::new(EngineKind::Compute, 1024);
-        let communication_queue = TaskQueue::new(EngineKind::Communication, 1024);
-        let dispatcher = Dispatcher::new(
-            Arc::clone(&registry),
-            compute_queue,
-            communication_queue,
-            WorkerConfig {
-                total_cores: 4,
-                initial_communication_cores: 1,
-                function_timeout: Duration::from_millis(100),
-                engine_stall_grace: Duration::from_millis(100),
-                ..WorkerConfig::default()
-            },
-        );
-        let graph = register_copy_identity(&registry);
-        let handle = dispatcher
-            .submit(graph, vec![DataSet::single("In", vec![1])])
-            .unwrap();
-        let err = handle.wait(Some(Duration::from_secs(10))).unwrap_err();
-        assert!(
-            matches!(&err, DandelionError::Dispatch(message) if message.contains("timed out")),
-            "expected the stall reaper's dispatch timeout, got {err:?}"
-        );
-    }
-
-    /// The reaper runs on schedule on a busy node too: a function parked on
-    /// a channel this test holds stalls its invocation while another one
-    /// completes every 20 ms on the second engine, and the stall is failed
-    /// all the same. Its late return settles nothing twice.
     #[test]
     fn a_stalled_invocation_is_reaped_while_other_results_keep_arriving() {
         let harness = harness_with_config(WorkerConfig {
@@ -1825,64 +2151,6 @@ mod tests {
     }
 
     #[test]
-    fn on_settle_fires_with_the_outcome_without_blocking_a_thread() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
-        let handle = harness
-            .dispatcher
-            .submit(graph, vec![DataSet::single("In", b"cb".to_vec())])
-            .unwrap();
-        let (sender, receiver) = std::sync::mpsc::channel();
-        handle.on_settle(move |outcome| sender.send(outcome).unwrap());
-        let outcome = receiver
-            .recv_timeout(Duration::from_secs(10))
-            .expect("callback fires")
-            .expect("invocation succeeds");
-        assert_eq!(outcome.outputs[0].items[0].as_str(), Some("cb"));
-        // The callback consumed the result: nothing is retained for it.
-        assert!(harness.dispatcher.poll(handle.id()).is_none());
-        assert!(harness.dispatcher.core.table.entry(handle.id()).is_none());
-        assert_eq!(retained_results(&harness), 0);
-        // Registering after settlement fires immediately, on this thread,
-        // and finds the result gone — like a second `wait`.
-        let fired = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&fired);
-        handle.on_settle(move |outcome| {
-            assert_eq!(
-                outcome.unwrap_err(),
-                DandelionError::Dispatch("invocation result was already taken".to_string())
-            );
-            flag.store(true, Ordering::SeqCst);
-        });
-        assert!(fired.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn on_settle_after_settlement_takes_the_retained_outcome() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
-        let handle = harness
-            .dispatcher
-            .submit(graph, vec![DataSet::single("In", b"late".to_vec())])
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !handle.status().is_terminal() {
-            assert!(Instant::now() < deadline, "invocation did not settle");
-            std::thread::yield_now();
-        }
-        // Nobody asked for the result yet: it is retained for polling.
-        assert!(harness.dispatcher.poll(handle.id()).is_some());
-        assert_eq!(retained_results(&harness), 1);
-        let taken = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&taken);
-        handle.on_settle(move |outcome| *slot.lock() = Some(outcome));
-        let outcome = taken.lock().take().expect("fires on this thread").unwrap();
-        assert_eq!(outcome.outputs[0].items[0].as_str(), Some("late"));
-        assert!(harness.dispatcher.poll(handle.id()).is_none());
-        assert_eq!(retained_results(&harness), 0);
-    }
-
-    #[test]
     fn on_settle_reports_cancellation_when_the_dispatcher_stops() {
         // No engines: the invocation can never complete, so shutdown must
         // deliver `Cancelled` through the registered callback.
@@ -1908,88 +2176,6 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("cancellation reaches the callback");
         assert!(matches!(outcome, Err(DandelionError::Cancelled)));
-    }
-
-    #[test]
-    fn cold_draws_are_the_seeded_splitmix_sequence() {
-        let state = AtomicU64::new(COLD_DRAW_SEED);
-        let mut reference = SplitMix64::new(0xDA4D_E110);
-        let mut cold = 0;
-        for draw in 0..4096 {
-            let ratio = if draw % 2 == 0 { 0.03 } else { 0.5 };
-            let drawn = draw_cold_binary(&state, ratio);
-            assert_eq!(drawn, reference.bernoulli(ratio), "draw {draw}");
-            cold += usize::from(drawn);
-        }
-        assert!((900..1300).contains(&cold), "{cold} cold of 4096");
-        // A certain outcome consumes nothing from the sequence.
-        let before = state.load(Ordering::Relaxed);
-        assert!(!draw_cold_binary(&state, 0.0));
-        assert!(draw_cold_binary(&state, 1.0));
-        assert_eq!(state.load(Ordering::Relaxed), before);
-        assert_eq!(
-            draw_cold_binary(&state, 0.5),
-            reference.bernoulli(0.5),
-            "the sequence continues where it was"
-        );
-    }
-
-    #[test]
-    fn shard_count_is_core_derived_and_bounded() {
-        let shards = in_flight_shard_count();
-        assert!((4..=64).contains(&shards));
-        assert!(shards.is_power_of_two());
-        let table = InFlightTable::new(8, Arc::new(DispatchMetrics::default()));
-        assert_eq!(table.shards.len(), shards);
-    }
-
-    #[test]
-    fn small_retained_views_are_compacted_at_settle() {
-        use dandelion_common::SharedBytes;
-        let harness = harness();
-        harness
-            .registry
-            .register_function(FunctionArtifact::new(
-                "Slice",
-                &["Out"],
-                |ctx: &mut FunctionCtx| {
-                    let data = ctx.single_input("Data")?.data.clone();
-                    // A tiny window of the (large) input buffer.
-                    ctx.push_output(
-                        "Out",
-                        dandelion_common::DataItem::new("head", data.slice(..16)),
-                    )
-                },
-            ))
-            .unwrap();
-        let graph = CompositionBuilder::new("SliceHead")
-            .input("In")
-            .output("Out")
-            .node("Slice", |node| {
-                node.bind("Data", Distribution::All, "In")
-                    .publish("Out", "Out")
-            })
-            .build()
-            .unwrap();
-        harness
-            .registry
-            .register_composition(graph.clone())
-            .unwrap();
-        let payload = SharedBytes::from_vec(vec![0xEE; 4 * 1024 * 1024]);
-        let inputs = vec![DataSet::with_items(
-            "In",
-            vec![dandelion_common::DataItem::new("blob", payload.clone())],
-        )];
-        let outcome = harness.dispatcher.invoke(Arc::new(graph), inputs).unwrap();
-        let item = &outcome.outputs[0].items[0];
-        assert_eq!(item.data.as_slice(), &[0xEE; 16]);
-        // The retained view no longer pins the 4 MiB producer buffer.
-        assert!(!SharedBytes::same_buffer(&item.data, &payload));
-        assert!(
-            item.data.backing_len() <= 16,
-            "compacted view must not pin extra bytes, backing is {}",
-            item.data.backing_len()
-        );
     }
 
     #[test]

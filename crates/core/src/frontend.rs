@@ -32,9 +32,10 @@
 //! The status document carries `invocation_id`, `composition` and `status`
 //! (`queued` | `running` | `completed` | `failed`); once completed it adds
 //! `outputs` (sets of base64-encoded items) and a `report`, and once failed
-//! it adds the error object. Results are retained for polling up to the
-//! worker's `completed_retention`; polling an unknown or expired id yields
-//! `404` with code `not_found`.
+//! it adds the error object. A submitted invocation's entry stays in the
+//! dispatcher's in-flight table, so its result can be polled, until
+//! `completed_retention` newer results have settled; polling an unknown or
+//! expired id yields `404` with code `not_found`.
 //!
 //! Every error is a structured JSON body with a stable machine-readable
 //! code derived from [`DandelionError::code`]:

@@ -172,9 +172,9 @@ impl WorkerNode {
 
     /// Submits an invocation of a registered composition without blocking.
     ///
-    /// The returned `InvocationHandle` tracks the invocation through the
-    /// dispatcher's shared in-flight table: poll it with `try_result`, block
-    /// on it with `wait`, or discard it and poll by id through
+    /// The returned `InvocationHandle` tracks the invocation's entry in the
+    /// dispatcher's in-flight table: poll it with `try_result`, block on it
+    /// with `wait`, or discard it and poll by id through
     /// [`WorkerNode::poll`]. Many invocations can be in flight per client.
     pub fn submit(
         &self,

@@ -256,7 +256,13 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, peer: IpAddr, token: u64, shared: &Shared) -> Conn {
+    pub(crate) fn new(
+        stream: TcpStream,
+        peer: IpAddr,
+        token: u64,
+        shared: &Shared,
+        now: Instant,
+    ) -> Conn {
         Conn {
             stream,
             peer,
@@ -272,7 +278,7 @@ impl Conn {
             sock_readable: false,
             peer_closed: false,
             request_deadline: None,
-            idle_deadline: Instant::now() + shared.config.read_timeout,
+            idle_deadline: now + shared.config.read_timeout,
             write_deadline: None,
             write_progress_mark: 0,
         }
@@ -326,23 +332,31 @@ impl Conn {
         shared: &Shared,
         me: &Arc<LoopShared>,
         readable: bool,
+        now: Instant,
     ) -> Verdict {
         if readable {
             self.sock_readable = true;
         }
-        self.advance(shared, me, false)
+        self.advance(shared, me, false, now)
     }
 
     /// The *flush* half of a loop turn: every response ready at the head of
     /// the pipeline leaves in one vectored write, and intake resumes if
     /// that cleared a full backlog.
-    pub(crate) fn flush(&mut self, shared: &Shared, me: &Arc<LoopShared>) -> Verdict {
-        self.advance(shared, me, true)
+    pub(crate) fn flush(&mut self, shared: &Shared, me: &Arc<LoopShared>, now: Instant) -> Verdict {
+        self.advance(shared, me, true, now)
     }
 
     /// Advances the connection as far as readiness allows; `write` selects
-    /// whether this pass may also push queued responses onto the wire.
-    fn advance(&mut self, shared: &Shared, me: &Arc<LoopShared>, write: bool) -> Verdict {
+    /// whether this pass may also push queued responses onto the wire. Its
+    /// deadlines count from the turn's `now`.
+    fn advance(
+        &mut self,
+        shared: &Shared,
+        me: &Arc<LoopShared>,
+        write: bool,
+        now: Instant,
+    ) -> Verdict {
         let stopping = shared.stopping.load(Ordering::Acquire);
         loop {
             let mut progressed = false;
@@ -416,7 +430,7 @@ impl Conn {
                 }
             }
             if write {
-                match self.write_ready(shared, me, stopping) {
+                match self.write_ready(shared, me, stopping, now) {
                     Flush::Close => return Verdict::Close,
                     Flush::Progress => progressed = true,
                     Flush::Blocked => {}
@@ -436,11 +450,11 @@ impl Conn {
             self.request_deadline = None;
         } else if self.decoder.buffered() > 0 {
             if self.request_deadline.is_none() {
-                self.request_deadline = Some(Instant::now() + shared.config.read_timeout);
+                self.request_deadline = Some(now + shared.config.read_timeout);
             }
         } else {
             self.request_deadline = None;
-            self.idle_deadline = Instant::now() + shared.config.read_timeout;
+            self.idle_deadline = now + shared.config.read_timeout;
         }
         if stopping && self.is_idle() {
             return Verdict::Close;
@@ -600,7 +614,13 @@ impl Conn {
     /// pipeline into `outbound` — stopping behind a response that closes —
     /// and pushes the batch onto the wire until it is delivered or the
     /// socket refuses more bytes.
-    fn write_ready(&mut self, shared: &Shared, me: &LoopShared, stopping: bool) -> Flush {
+    fn write_ready(
+        &mut self,
+        shared: &Shared,
+        me: &LoopShared,
+        stopping: bool,
+        now: Instant,
+    ) -> Flush {
         let mut progressed = false;
         while !self.close_after_write && matches!(self.slots.front(), Some(Slot::Ready { .. })) {
             let Some(Slot::Ready { reply, close, held }) = self.slots.pop_front() else {
@@ -644,7 +664,7 @@ impl Conn {
                     // arm — only a fully stalled reader expires.
                     let written = self.outbound.written();
                     if self.write_deadline.is_none() || written > self.write_progress_mark {
-                        self.write_deadline = Some(Instant::now() + shared.config.write_timeout);
+                        self.write_deadline = Some(now + shared.config.write_timeout);
                         self.write_progress_mark = written;
                     }
                     return Flush::Blocked;

@@ -380,7 +380,7 @@ impl EventLoop {
         for event in events {
             match event.data {
                 WAKER_TOKEN => self.me.clear_signal(),
-                LISTENER_TOKEN => self.accept_ready(),
+                LISTENER_TOKEN => self.accept_ready(now),
                 token => self.conn_event(token, event.events, now),
             }
         }
@@ -401,7 +401,7 @@ impl EventLoop {
         }
         for index in 0..self.slab.len() {
             match &self.slab[index].endpoint {
-                Some(Endpoint::Client(_)) => self.service(index, false),
+                Some(Endpoint::Client(_)) => self.service(index, false, now),
                 Some(Endpoint::Upstream(upstream)) if upstream.depth() == 0 => {
                     self.close_upstream(index);
                 }
@@ -411,13 +411,13 @@ impl EventLoop {
     }
 
     /// Accepts until the listener would block, applying admission control.
-    fn accept_ready(&mut self) {
+    fn accept_ready(&mut self, now: Instant) {
         loop {
             let Some(listener) = &self.listener else {
                 return;
             };
             match listener.accept() {
-                Ok((stream, peer)) => self.admit(stream, peer.ip()),
+                Ok((stream, peer)) => self.admit(stream, peer.ip(), now),
                 Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
                 // Out of file descriptors: the pending connection stays in
@@ -466,7 +466,7 @@ impl EventLoop {
     /// Admission control. The kernel already load-balanced the connection
     /// to this loop's listener, so the loop that accepted it adopts it — no
     /// cross-loop hand-off on the admission path at all.
-    fn admit(&mut self, stream: TcpStream, peer: IpAddr) {
+    fn admit(&mut self, stream: TcpStream, peer: IpAddr, now: Instant) {
         if self.shared.stopping.load(Ordering::Acquire) {
             return;
         }
@@ -478,7 +478,7 @@ impl EventLoop {
             return;
         }
         self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        self.adopt(stream, peer);
+        self.adopt(stream, peer, now);
     }
 
     /// Answers a refused connection with `503` before closing it. The
@@ -513,14 +513,14 @@ impl EventLoop {
 
     /// Takes ownership of an admitted connection: non-blocking, slab slot,
     /// epoll registration.
-    fn adopt(&mut self, stream: TcpStream, peer: IpAddr) {
+    fn adopt(&mut self, stream: TcpStream, peer: IpAddr, now: Instant) {
         if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
             return;
         }
         let index = self.alloc_slot();
         let token = token_of(index, self.slab[index].generation);
-        let conn = Conn::new(stream, peer, token, &self.shared);
+        let conn = Conn::new(stream, peer, token, &self.shared, now);
         // Edge-triggered with the full interest mask, registered exactly
         // once: the pumps drain the socket on every edge, so this
         // connection never pays another `epoll_ctl` until it closes.
@@ -547,7 +547,7 @@ impl EventLoop {
         // A freshly adopted connection may already have bytes waiting:
         // pump it immediately rather than waiting for the registration's
         // initial readiness event.
-        self.service(index, true);
+        self.service(index, true, now);
     }
 
     /// Routes one readiness event to its endpoint, ignoring stale tokens.
@@ -574,7 +574,7 @@ impl EventLoop {
                     if peer_closed {
                         conn.note_peer_closed();
                     }
-                    self.service(index, readable);
+                    self.service(index, readable, now);
                 }
             }
             Some(Endpoint::Upstream(upstream)) => {
@@ -585,7 +585,7 @@ impl EventLoop {
                     // connecting socket it is the kernel's connect-success
                     // signal.
                     if events & EPOLLOUT != 0 {
-                        upstream.note_writable();
+                        upstream.note_writable(now);
                     }
                     if peer_closed {
                         upstream.note_peer_closed();
@@ -621,8 +621,10 @@ impl EventLoop {
 
     /// Applies readiness to one client connection — read, parse, dispatch —
     /// and leaves whatever it now owes its socket to the turn's flush.
-    fn service(&mut self, index: usize, readable: bool) {
-        self.with_client(index, |conn, shared, me| conn.pump(shared, me, readable));
+    fn service(&mut self, index: usize, readable: bool, now: Instant) {
+        self.with_client(index, |conn, shared, me| {
+            conn.pump(shared, me, readable, now)
+        });
         self.mark_dirty(index);
     }
 
@@ -648,7 +650,7 @@ impl EventLoop {
             self.slab[index].dirty = false;
             match &self.slab[index].endpoint {
                 Some(Endpoint::Client(_)) => {
-                    self.with_client(index, |conn, shared, me| conn.flush(shared, me));
+                    self.with_client(index, |conn, shared, me| conn.flush(shared, me, now));
                 }
                 Some(Endpoint::Upstream(_)) => self.service_upstream(index, false, now),
                 None => {}
@@ -669,7 +671,7 @@ impl EventLoop {
             let node = upstream.node();
             let (verdict, delivered) =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    upstream.pump(readable, read_chunk, me)
+                    upstream.pump(readable, read_chunk, me, now)
                 }))
                 .unwrap_or((UpstreamVerdict::Close, Vec::new()));
             (verdict, delivered, node)
@@ -774,7 +776,7 @@ impl EventLoop {
     /// cluster in a tight loop — the deadline scan re-fires it.
     fn forward(&mut self, token: u64, seq: u64, mut plan: ForwardPlan, now: Instant) {
         let router = self.router();
-        if let Some(upstream_index) = self.upstream_for(&plan) {
+        if let Some(upstream_index) = self.upstream_for(&plan, now) {
             if let Some(Endpoint::Upstream(upstream)) = self.slab[upstream_index].endpoint.as_mut()
             {
                 router.note_forward(&plan.load, plan.bytes);
@@ -784,7 +786,7 @@ impl EventLoop {
                     bytes: plan.bytes,
                     track_submit: plan.track_submit,
                 };
-                upstream.enqueue(plan.rope, origin);
+                upstream.enqueue(plan.rope, origin, now);
                 self.mark_dirty(upstream_index);
             } else {
                 // Invariant: `upstream_for` returned a live upstream slot.
@@ -833,7 +835,7 @@ impl EventLoop {
     /// The upstream connection a new exchange for `plan.node` should ride:
     /// the shallowest pooled connection, or a fresh one while the pool is
     /// below its per-loop budget and everything pooled is busy.
-    fn upstream_for(&mut self, plan: &ForwardPlan) -> Option<usize> {
+    fn upstream_for(&mut self, plan: &ForwardPlan, now: Instant) -> Option<usize> {
         let limit = self.router().config().upstreams_per_loop.max(1);
         let pool = self.pools.entry(plan.node).or_insert_with(|| NodePool {
             load: Arc::clone(&plan.load),
@@ -854,7 +856,7 @@ impl EventLoop {
         }
         let all_busy = best.is_none_or(|(_, depth)| depth > 0);
         if all_busy && pooled < limit {
-            if let Some(index) = self.connect_upstream(plan) {
+            if let Some(index) = self.connect_upstream(plan, now) {
                 return Some(index);
             }
         }
@@ -868,12 +870,12 @@ impl EventLoop {
     /// write error) and [`EventLoop::fail_upstream`] replays everything
     /// still unsent on another member. A handshake that never completes is
     /// failed by the deadline scan after the router's `connect_timeout`.
-    fn connect_upstream(&mut self, plan: &ForwardPlan) -> Option<usize> {
+    fn connect_upstream(&mut self, plan: &ForwardPlan, now: Instant) -> Option<usize> {
         let stream = connect_nonblocking(&plan.addr).ok()?;
         stream.set_nodelay(true).ok()?;
         let index = self.alloc_slot();
         let token = token_of(index, self.slab[index].generation);
-        let upstream = UpstreamConn::new(stream, plan.node, self.shared.config.limits, true);
+        let upstream = UpstreamConn::new(stream, plan.node, self.shared.config.limits, true, now);
         // Edge-triggered like the client side; EPOLLOUT doubles as the
         // kernel's connect-success signal on the non-blocking handshake.
         if self

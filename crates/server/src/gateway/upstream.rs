@@ -98,6 +98,7 @@ impl UpstreamConn {
         node: NodeId,
         limits: ParseLimits,
         connecting: bool,
+        now: Instant,
     ) -> UpstreamConn {
         UpstreamConn {
             stream,
@@ -107,7 +108,7 @@ impl UpstreamConn {
             pending: VecDeque::new(),
             peer_closed: false,
             connecting,
-            last_progress: Instant::now(),
+            last_progress: now,
         }
     }
 
@@ -145,14 +146,14 @@ impl UpstreamConn {
         ropes.into_iter().zip(origins).collect()
     }
 
-    /// Accepts one serialized exchange for delivery to the member.
-    pub(crate) fn enqueue(&mut self, rope: Rope, origin: Origin) {
+    /// Accepts one serialized exchange for delivery to the member at `now`.
+    pub(crate) fn enqueue(&mut self, rope: Rope, origin: Origin, now: Instant) {
         // A pooled keep-alive connection may have sat idle far longer than
         // the stall timeout; restart the progress clock when it goes from
         // idle to loaded so the deadline measures this exchange, not the
         // idle gap before it.
         if self.pending.is_empty() {
-            self.last_progress = Instant::now();
+            self.last_progress = now;
         }
         self.outbox.push(rope);
         self.pending.push_back(origin);
@@ -167,10 +168,10 @@ impl UpstreamConn {
     /// how the kernel signals a successful connect (failures arrive as
     /// `EPOLLERR`/`EPOLLHUP` instead), so this completes the connect and
     /// counts as progress.
-    pub(crate) fn note_writable(&mut self) {
+    pub(crate) fn note_writable(&mut self, now: Instant) {
         if self.connecting {
             self.connecting = false;
-            self.last_progress = Instant::now();
+            self.last_progress = now;
         }
     }
 
@@ -196,6 +197,7 @@ impl UpstreamConn {
         readable: bool,
         read_chunk: usize,
         me: &LoopShared,
+        now: Instant,
     ) -> (UpstreamVerdict, Vec<(Origin, ResponseFrame)>) {
         let mut delivered = Vec::new();
         let mut write_failed = false;
@@ -246,7 +248,7 @@ impl UpstreamConn {
                         break;
                     }
                     Ok(read) => {
-                        self.last_progress = Instant::now();
+                        self.last_progress = now;
                         // Fewer bytes than offered: the socket is drained,
                         // and the next arrival raises a fresh edge.
                         if read < offered && !self.peer_closed {
@@ -332,9 +334,15 @@ mod tests {
     /// member's end of it.
     fn answered_exchange(answer: HttpResponse, me: &LoopShared) -> (UpstreamConn, TcpStream) {
         let (ours, mut member) = socket_pair();
-        let mut conn = UpstreamConn::new(ours, NodeId::from_raw(2), ParseLimits::default(), false);
-        conn.enqueue(request_rope(), origin(0));
-        let (verdict, delivered) = conn.pump(false, 4096, me);
+        let mut conn = UpstreamConn::new(
+            ours,
+            NodeId::from_raw(2),
+            ParseLimits::default(),
+            false,
+            Instant::now(),
+        );
+        conn.enqueue(request_rope(), origin(0), Instant::now());
+        let (verdict, delivered) = conn.pump(false, 4096, me, Instant::now());
         assert_eq!(verdict, UpstreamVerdict::Keep);
         assert!(delivered.is_empty());
         let mut sink = [0u8; 4096];
@@ -352,24 +360,27 @@ mod tests {
     #[test]
     fn enqueue_after_idle_restarts_the_stall_clock() {
         let (ours, _member) = socket_pair();
-        let mut conn = UpstreamConn::new(ours, NodeId::from_raw(1), ParseLimits::default(), false);
+        let opened = Instant::now();
+        let mut conn = UpstreamConn::new(
+            ours,
+            NodeId::from_raw(1),
+            ParseLimits::default(),
+            false,
+            opened,
+        );
         let timeout = Duration::from_millis(50);
         // Let the connection sit idle well past the timeout: idleness alone
         // must never stall it, and the first exchange after the gap must be
         // measured from its own enqueue, not from the stale idle clock.
-        std::thread::sleep(Duration::from_millis(70));
+        let later = opened + Duration::from_millis(70);
+        assert!(!conn.stalled(later, timeout), "idle is not a stall");
+        conn.enqueue(request_rope(), origin(0), later);
         assert!(
-            !conn.stalled(Instant::now(), timeout),
-            "idle is not a stall"
-        );
-        conn.enqueue(request_rope(), origin(0));
-        assert!(
-            !conn.stalled(Instant::now(), timeout),
+            !conn.stalled(later, timeout),
             "a fresh exchange on a long-idle keep-alive gets the full timeout"
         );
-        std::thread::sleep(Duration::from_millis(70));
         assert!(
-            conn.stalled(Instant::now(), timeout),
+            conn.stalled(later + Duration::from_millis(70), timeout),
             "a genuinely unanswered exchange still stalls"
         );
     }
@@ -385,7 +396,7 @@ mod tests {
         ] {
             let me = LoopShared::new().unwrap();
             let (mut conn, _member) = answered_exchange(answer(connection, b"last one"), &me);
-            let (verdict, delivered) = conn.pump(true, 4096, &me);
+            let (verdict, delivered) = conn.pump(true, 4096, &me, Instant::now());
             assert_eq!(verdict, expected, "Connection: {connection}");
             assert_eq!(delivered.len(), 1, "Connection: {connection}");
             assert_eq!(delivered[0].1.body().as_ref(), b"last one");
@@ -402,7 +413,7 @@ mod tests {
         let chunked = answer("keep-alive", b"5\r\nhello\r\n0\r\n\r\n")
             .with_header("Transfer-Encoding", "chunked");
         let (mut conn, _member) = answered_exchange(chunked, &me);
-        let (verdict, delivered) = conn.pump(true, 4096, &me);
+        let (verdict, delivered) = conn.pump(true, 4096, &me, Instant::now());
         assert_eq!(verdict, UpstreamVerdict::Close);
         assert!(delivered.is_empty(), "nothing of it is delivered");
         let failed = conn.take_pending();
@@ -419,8 +430,8 @@ mod tests {
         // the receive buffer: the doomed pump must deliver it, not discard
         // it behind the write error.
         conn.stream.shutdown(Shutdown::Write).unwrap();
-        conn.enqueue(request_rope(), origin(1));
-        let (verdict, delivered) = conn.pump(false, 4096, &me);
+        conn.enqueue(request_rope(), origin(1), Instant::now());
+        let (verdict, delivered) = conn.pump(false, 4096, &me, Instant::now());
         assert_eq!(verdict, UpstreamVerdict::Close);
         assert_eq!(
             delivered.len(),
