@@ -11,8 +11,8 @@
 //!   ([`InvocationId`], [`NodeId`], [`ContextId`]);
 //! * the value model passed between functions: [`DataItem`] and
 //!   [`DataSet`];
-//! * latency histograms and time series ([`LatencyHistogram`],
-//!   [`TimeSeries`]);
+//! * latency recorders, histograms and time series ([`LatencyRecorder`],
+//!   [`LatencyHistogram`], [`TimeSeries`]);
 //! * [`rng`] — a small deterministic RNG and the statistical distributions
 //!   used to generate synthetic workloads;
 //! * [`config`] — platform configuration structs shared by the runtime and
@@ -67,7 +67,7 @@ pub use pool::{
     settle_heap_thresholds, BufferPool, PoolStats, PooledBuf, LARGEST_CLASS, SIZE_CLASSES,
 };
 pub use rope::{BatchProgress, Rope, RopeBatch, RopeWriter};
-pub use stats::{LatencyHistogram, LatencySummary, TimeSeries};
+pub use stats::{LatencyHistogram, LatencyRecorder, LatencySummary, TimeSeries};
 
 /// Number of bytes in a kibibyte.
 pub const KIB: usize = 1024;

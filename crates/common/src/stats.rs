@@ -1,13 +1,152 @@
-//! Latency histograms, percentile summaries and time series.
+//! Latency recorders, percentile summaries and time series.
 //!
 //! The evaluation of the paper reports tail latencies (p99, p99.5), medians
 //! with p5/p95 error bars, averages, relative variance, and committed-memory
-//! time series. This module provides the small statistics toolkit that
-//! computes those numbers: the bounded [`LatencyHistogram`] both a serving
-//! process and the simulator record into, and [`TimeSeries`].
+//! time series. This module provides the small statistics toolkit used by the
+//! simulator and the benchmark harness to compute those numbers, and the
+//! bounded [`LatencyHistogram`] a serving process records into instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Collects duration samples and computes summary statistics.
+#[derive(Debug, Clone, Default)]
+pub struct LatencyRecorder {
+    samples_us: Vec<f64>,
+    sorted: bool,
+}
+
+impl LatencyRecorder {
+    /// Creates an empty recorder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates a recorder with capacity for `capacity` samples.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            samples_us: Vec::with_capacity(capacity),
+            sorted: true,
+        }
+    }
+
+    /// Records one latency sample.
+    pub fn record(&mut self, latency: Duration) {
+        self.samples_us.push(latency.as_secs_f64() * 1e6);
+        self.sorted = false;
+    }
+
+    /// Number of recorded samples.
+    pub fn len(&self) -> usize {
+        self.samples_us.len()
+    }
+
+    /// Returns `true` if no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.samples_us.is_empty()
+    }
+
+    /// Merges another recorder's samples into this one.
+    pub fn merge(&mut self, other: &LatencyRecorder) {
+        self.samples_us.extend_from_slice(&other.samples_us);
+        self.sorted = false;
+    }
+
+    fn ensure_sorted(&mut self) {
+        if !self.sorted {
+            self.samples_us
+                .sort_by(|a, b| a.partial_cmp(b).expect("latency samples are finite"));
+            self.sorted = true;
+        }
+    }
+
+    /// Returns the percentile (0.0..=100.0) in microseconds.
+    ///
+    /// Uses nearest-rank interpolation. Returns `None` when empty.
+    pub fn percentile_us(&mut self, percentile: f64) -> Option<f64> {
+        if self.samples_us.is_empty() {
+            return None;
+        }
+        self.ensure_sorted();
+        let clamped = percentile.clamp(0.0, 100.0);
+        let rank = (clamped / 100.0) * (self.samples_us.len() - 1) as f64;
+        let low = rank.floor() as usize;
+        let high = rank.ceil() as usize;
+        if low == high {
+            return Some(self.samples_us[low]);
+        }
+        let weight = rank - low as f64;
+        Some(self.samples_us[low] * (1.0 - weight) + self.samples_us[high] * weight)
+    }
+
+    /// Returns the percentile as a [`Duration`].
+    pub fn percentile(&mut self, percentile: f64) -> Option<Duration> {
+        self.percentile_us(percentile)
+            .map(|us| Duration::from_secs_f64(us / 1e6))
+    }
+
+    /// Arithmetic mean in microseconds.
+    pub fn mean_us(&self) -> Option<f64> {
+        if self.samples_us.is_empty() {
+            return None;
+        }
+        Some(self.samples_us.iter().sum::<f64>() / self.samples_us.len() as f64)
+    }
+
+    /// Population variance in microseconds squared.
+    pub fn variance_us2(&self) -> Option<f64> {
+        let mean = self.mean_us()?;
+        let n = self.samples_us.len() as f64;
+        Some(
+            self.samples_us
+                .iter()
+                .map(|sample| {
+                    let diff = sample - mean;
+                    diff * diff
+                })
+                .sum::<f64>()
+                / n,
+        )
+    }
+
+    /// Standard deviation in microseconds.
+    pub fn std_dev_us(&self) -> Option<f64> {
+        self.variance_us2().map(f64::sqrt)
+    }
+
+    /// Relative variance (coefficient of variation of the variance as used in
+    /// the paper's Figure 8 discussion): `variance / mean²`, in percent.
+    pub fn relative_variance_percent(&self) -> Option<f64> {
+        let mean = self.mean_us()?;
+        if mean == 0.0 {
+            return None;
+        }
+        self.variance_us2()
+            .map(|variance| 100.0 * variance / (mean * mean))
+    }
+
+    /// Maximum sample in microseconds.
+    pub fn max_us(&mut self) -> Option<f64> {
+        self.ensure_sorted();
+        self.samples_us.last().copied()
+    }
+
+    /// Produces an immutable summary of the recorded distribution.
+    pub fn summary(&mut self) -> LatencySummary {
+        LatencySummary {
+            count: self.len(),
+            mean_us: self.mean_us().unwrap_or(0.0),
+            p5_us: self.percentile_us(5.0).unwrap_or(0.0),
+            p50_us: self.percentile_us(50.0).unwrap_or(0.0),
+            p95_us: self.percentile_us(95.0).unwrap_or(0.0),
+            p99_us: self.percentile_us(99.0).unwrap_or(0.0),
+            p995_us: self.percentile_us(99.5).unwrap_or(0.0),
+            max_us: self.max_us().unwrap_or(0.0),
+            std_dev_us: self.std_dev_us().unwrap_or(0.0),
+            relative_variance_percent: self.relative_variance_percent().unwrap_or(0.0),
+        }
+    }
+}
 
 /// Immutable summary of a latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -67,8 +206,9 @@ const HISTOGRAM_BUCKETS: usize =
 /// A fixed-size latency histogram that any thread records into without a
 /// lock or an allocation.
 ///
-/// A serving process settles invocations for as long as it is up, so this
-/// histogram does not keep samples: it counts nanosecond values in log-linear buckets
+/// [`LatencyRecorder`] keeps every sample, which suits a simulation that
+/// ends; a serving process settles invocations for as long as it is up.
+/// This histogram instead counts nanosecond values in log-linear buckets
 /// (HDR-histogram style: each power of two is cut into 64 equal buckets), so
 /// its 19 KiB never grow, a record is three relaxed atomic adds, and a
 /// reported percentile — the midpoint of the bucket holding that rank — is
@@ -137,7 +277,7 @@ impl LatencyHistogram {
         }
         let max_us = self.max_ns.load(Ordering::Relaxed) as f64 / 1e3;
         let percentile_us = |percentile: f64| {
-            // The rank below the one an exact percentile interpolates at.
+            // The same rank LatencyRecorder interpolates from.
             let rank = (percentile / 100.0 * (count - 1) as f64) as u64;
             let mut seen = 0;
             for (bucket, &in_bucket) in counts.iter().enumerate() {
@@ -278,6 +418,54 @@ impl TimeSeries {
 mod tests {
     use super::*;
 
+    fn recorder_from_ms(values: &[u64]) -> LatencyRecorder {
+        let mut recorder = LatencyRecorder::new();
+        for value in values {
+            recorder.record(Duration::from_millis(*value));
+        }
+        recorder
+    }
+
+    #[test]
+    fn percentiles_interpolate() {
+        let mut recorder = recorder_from_ms(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
+        assert_eq!(recorder.len(), 10);
+        let p50 = recorder.percentile_us(50.0).unwrap();
+        assert!((p50 - 55_000.0).abs() < 1.0);
+        let p0 = recorder.percentile_us(0.0).unwrap();
+        assert!((p0 - 10_000.0).abs() < 1.0);
+        let p100 = recorder.percentile_us(100.0).unwrap();
+        assert!((p100 - 100_000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn empty_recorder_returns_none() {
+        let mut recorder = LatencyRecorder::new();
+        assert!(recorder.percentile_us(99.0).is_none());
+        assert!(recorder.mean_us().is_none());
+        assert!(recorder.variance_us2().is_none());
+        assert!(recorder.is_empty());
+    }
+
+    #[test]
+    fn mean_and_variance() {
+        let recorder = recorder_from_ms(&[10, 10, 10, 10]);
+        assert!((recorder.mean_us().unwrap() - 10_000.0).abs() < 1e-9);
+        assert!((recorder.variance_us2().unwrap()).abs() < 1e-9);
+
+        let recorder = recorder_from_ms(&[10, 20]);
+        assert!((recorder.mean_us().unwrap() - 15_000.0).abs() < 1e-9);
+        assert!((recorder.std_dev_us().unwrap() - 5_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn relative_variance_matches_paper_definition() {
+        // Mean 10ms, std-dev 5ms: relative variance = 25/100 = 25%.
+        let recorder = recorder_from_ms(&[5, 15]);
+        let relative = recorder.relative_variance_percent().unwrap();
+        assert!((relative - 25.0).abs() < 1e-6);
+    }
+
     #[test]
     fn histogram_buckets_tile_the_range_within_two_percent() {
         // Every value maps into a bucket whose midpoint is within 2 % of it,
@@ -302,57 +490,58 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summary_tracks_the_exact_statistics() {
+    fn histogram_summary_tracks_the_exact_recorder() {
         // 50k samples spread log-uniformly over 2 us .. 20 s: wide enough to
         // cross 23 powers of two, dense enough that neighbouring ranks agree.
         let histogram = LatencyHistogram::new();
-        let mut samples_us = Vec::new();
+        let mut exact = LatencyRecorder::new();
         let mut rng = crate::rng::SplitMix64::new(7);
         for _ in 0..50_000 {
             let exponent = 11.0 + 23.0 * (rng.next_bounded(1 << 30) as f64 / (1u64 << 30) as f64);
             let latency = Duration::from_nanos(exponent.exp2() as u64);
             histogram.record(latency);
-            samples_us.push(latency.as_secs_f64() * 1e6);
+            exact.record(latency);
         }
-        // The exact statistics, from every sample: a percentile interpolates
-        // between the two ranks around it.
-        samples_us.sort_by(f64::total_cmp);
-        let last = (samples_us.len() - 1) as f64;
-        let percentile = |p: f64| {
-            let rank = p / 100.0 * last;
-            let (low, high) = (
-                samples_us[rank.floor() as usize],
-                samples_us[rank.ceil() as usize],
-            );
-            low + (high - low) * rank.fract()
-        };
-        let mean = samples_us.iter().sum::<f64>() / samples_us.len() as f64;
-        let variance =
-            samples_us.iter().map(|us| (us - mean).powi(2)).sum::<f64>() / samples_us.len() as f64;
         let summary = histogram.summary();
-        assert_eq!(summary.count, samples_us.len());
+        let reference = exact.summary();
+        assert_eq!(summary.count, reference.count);
         let close = |name: &str, got: f64, want: f64, tolerance: f64| {
             let error = (got - want).abs() / want;
             assert!(error <= tolerance, "{name}: {got} vs {want} ({error})");
         };
-        close("mean", summary.mean_us, mean, 1e-9);
-        close(
-            "max",
-            summary.max_us,
-            samples_us[samples_us.len() - 1],
-            1e-9,
-        );
-        close("p5", summary.p5_us, percentile(5.0), 0.02);
-        close("p50", summary.p50_us, percentile(50.0), 0.02);
-        close("p95", summary.p95_us, percentile(95.0), 0.02);
-        close("p99", summary.p99_us, percentile(99.0), 0.02);
-        close("p99.5", summary.p995_us, percentile(99.5), 0.02);
-        close("std dev", summary.std_dev_us, variance.sqrt(), 0.02);
+        close("mean", summary.mean_us, reference.mean_us, 1e-9);
+        close("max", summary.max_us, reference.max_us, 1e-9);
+        close("p5", summary.p5_us, reference.p5_us, 0.02);
+        close("p50", summary.p50_us, reference.p50_us, 0.02);
+        close("p95", summary.p95_us, reference.p95_us, 0.02);
+        close("p99", summary.p99_us, reference.p99_us, 0.02);
+        close("p99.5", summary.p995_us, reference.p995_us, 0.02);
+        close("std dev", summary.std_dev_us, reference.std_dev_us, 0.02);
         // Out-of-range samples saturate instead of indexing out of bounds,
         // and an empty histogram summarizes to zeros.
         histogram.record(Duration::from_secs(1 << 40));
         assert_eq!(histogram.summary().count, 50_001);
         assert_eq!(LatencyHistogram::new().summary(), LatencySummary::default());
+    }
+
+    #[test]
+    fn merge_combines_samples() {
+        let mut a = recorder_from_ms(&[1, 2]);
+        let b = recorder_from_ms(&[3, 4]);
+        a.merge(&b);
+        assert_eq!(a.len(), 4);
+        assert!((a.mean_us().unwrap() - 2_500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_is_consistent() {
+        let mut recorder = recorder_from_ms(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let summary = recorder.summary();
+        assert_eq!(summary.count, 10);
+        assert!(summary.p99_us >= summary.p50_us);
+        assert!(summary.p995_us >= summary.p99_us);
+        assert!(summary.max_us >= summary.p995_us);
+        assert!(summary.p99_ms() >= summary.p50_ms());
     }
 
     #[test]

@@ -1352,10 +1352,11 @@ mod tests {
 
     // ---- Transitions of the table, as rows ----
     //
-    // Each row steps the shell of a table in this thread: no engine pool, no
-    // driver, no sleep. The row pops the engine queues, answers on the reply
-    // channel it holds as an engine would, hands each message to the table
-    // as the driver does, and moves the clock itself.
+    // Each row is a test that steps the shell of a table in this thread: no
+    // engine pool, no driver, no sleep. The row pops the engine queues,
+    // answers on the reply channel it holds as an engine would, hands each
+    // message to the table as the driver does, moves the clock itself, and
+    // ends with `Rig::finish`.
 
     /// A composition of one node that runs `function` over `In`, publishing
     /// `Out`.
@@ -1545,15 +1546,15 @@ mod tests {
 
         /// What every row ends with: each callback fired once, nothing is in
         /// flight, and every top-level submission was counted once.
-        fn finish(self, row: &str) {
+        fn finish(self) {
             for (index, delivered) in self.callbacks.iter().enumerate() {
-                assert_eq!(delivered.lock().len(), 1, "{row}: callback {index}");
+                assert_eq!(delivered.lock().len(), 1, "callback {index}");
             }
-            assert_eq!(self.counter(&self.metrics.inflight), 0, "{row}: inflight");
+            assert_eq!(self.counter(&self.metrics.inflight), 0, "inflight");
             assert_eq!(
                 self.counter(&self.metrics.invocations) + self.counter(&self.metrics.failures),
                 self.submitted,
-                "{row}: invocations + failures"
+                "invocations + failures"
             );
         }
     }
@@ -1567,7 +1568,8 @@ mod tests {
         DandelionError::Dispatch("timed out waiting for engine results".to_string())
     }
 
-    fn nested_child_folds_into_its_parent() -> Rig {
+    #[test]
+    fn nested_compositions_execute_as_child_invocations() {
         let mut rig = Rig::new(16);
         // The child: `Copy`, then the HTTP node over what it copied.
         let child = CompositionBuilder::new("Fetch")
@@ -1611,10 +1613,11 @@ mod tests {
         // The child's result went to the parent and the parent's was taken.
         assert_eq!(rig.entries(), 0);
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
-        rig
+        rig.finish();
     }
 
-    fn faults_and_unknown_vertices_fail() -> Rig {
+    #[test]
+    fn function_faults_fail_the_invocation() {
         let mut rig = Rig::new(16);
         let faulted = rig.submit("Identity", &["x"]).unwrap();
         let fault = DandelionError::FunctionFault {
@@ -1626,6 +1629,12 @@ mod tests {
         }
         rig.deliver();
         assert_eq!(faulted.try_result().unwrap().unwrap_err(), fault);
+        rig.finish();
+    }
+
+    #[test]
+    fn unknown_vertices_are_reported() {
+        let mut rig = Rig::new(16);
         // A graph naming a function nobody registered, submitted directly
         // (registration would have refused it).
         let dangling = one_node("Dangling", "DoesNotExist", Distribution::All);
@@ -1643,19 +1652,16 @@ mod tests {
             outcome,
             Err(DandelionError::NotFound { kind: "vertex", .. })
         ));
-        rig
+        rig.finish();
     }
 
-    fn take_consumes_once_and_poll_does_not() -> Rig {
+    #[test]
+    fn poll_reports_status_without_consuming() {
         let mut rig = Rig::new(16);
         let handle = rig.submit("Identity", &["peek"]).unwrap();
         let running = rig.core.lock().poll(handle.id()).unwrap();
         assert_eq!(running.status, InvocationStatus::Running);
         assert!(running.outcome.is_none());
-        assert!(
-            handle.try_result().is_none(),
-            "nothing to take while running"
-        );
         rig.run();
         for _ in 0..2 {
             let snapshot = rig.core.lock().poll(handle.id()).expect("retained");
@@ -1664,26 +1670,41 @@ mod tests {
             assert_eq!(text(&snapshot.outcome.unwrap()), "peek");
         }
         assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
+        rig.finish();
+    }
+
+    #[test]
+    fn try_result_is_nonblocking_and_consumes_once() {
+        let mut rig = Rig::new(16);
+        let handle = rig.submit("Identity", &["peek"]).unwrap();
+        assert!(
+            handle.try_result().is_none(),
+            "nothing to take while running"
+        );
+        rig.run();
+        assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
         assert_eq!(text(&handle.try_result().unwrap()), "peek");
         assert!(handle.try_result().is_none());
         assert!(rig.core.lock().poll(handle.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
         // The handle still answers the status the invocation settled with.
         assert_eq!(handle.status(), InvocationStatus::Completed);
-        rig
+        rig.finish();
     }
 
-    fn an_unknown_id_polls_none() -> Rig {
+    #[test]
+    fn polling_unknown_ids_returns_none() {
         let rig = Rig::new(16);
         assert!(rig
             .core
             .lock()
             .poll(InvocationId::from_raw(u64::MAX))
             .is_none());
-        rig
+        rig.finish();
     }
 
-    fn the_oldest_result_beyond_retention_expires() -> Rig {
+    #[test]
+    fn finished_invocations_expire_beyond_retention() {
         let mut rig = Rig::new(16);
         let handles: Vec<InvocationHandle> = (0..3u8)
             .map(|index| {
@@ -1700,10 +1721,11 @@ mod tests {
         );
         assert_eq!(rig.counter(&rig.metrics.retained_results), 2);
         assert_eq!(handles[0].status(), InvocationStatus::Completed);
-        rig
+        rig.finish();
     }
 
-    fn a_full_queue_refuses_the_first_submission() -> Rig {
+    #[test]
+    fn queue_back_pressure_is_a_synchronous_submit_error() {
         let mut rig = Rig::new(0);
         let error = rig.submit("Identity", &["x"]).unwrap_err();
         assert_eq!(
@@ -1714,7 +1736,7 @@ mod tests {
         assert_eq!(rig.counter(&rig.metrics.failures), 1);
         assert_eq!(rig.entries(), 0);
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
-        rig
+        rig.finish();
     }
 
     /// `Twice`: `Copy`, then `Copy` again, so an invocation makes progress
@@ -1736,7 +1758,8 @@ mod tests {
         rig.registry.register_composition(twice).unwrap();
     }
 
-    fn a_stall_is_reaped_one_nanosecond_past_the_deadline() -> Rig {
+    #[test]
+    fn stalled_invocations_are_reaped_instead_of_hanging_waiters() {
         let mut rig = Rig::new(16);
         let deadline = rig.config.function_timeout + rig.config.engine_stall_grace;
         register_twice(&rig);
@@ -1754,10 +1777,11 @@ mod tests {
         rig.reap();
         assert_eq!(handle.try_result().unwrap().unwrap_err(), stall_error());
         assert_eq!(rig.tasks().len(), 1, "the second instance is still queued");
-        rig
+        rig.finish();
     }
 
-    fn a_reply_after_the_reap_settles_nothing_twice() -> Rig {
+    #[test]
+    fn a_reply_after_the_reap_settles_nothing_twice() {
         let mut rig = Rig::new(16);
         let handle = rig.submit("Identity", &["late"]).unwrap();
         let delivered = rig.on_settle(&handle);
@@ -1767,10 +1791,11 @@ mod tests {
         assert_eq!(delivered.lock()[0].as_ref().unwrap_err(), &stall_error());
         assert_eq!(rig.counter(&rig.metrics.failures), 1);
         assert_eq!(rig.counter(&rig.metrics.invocations), 0);
-        rig
+        rig.finish();
     }
 
-    fn on_settle_before_and_after_settling() -> Rig {
+    #[test]
+    fn on_settle_fires_with_the_outcome_without_blocking_a_thread() {
         let mut rig = Rig::new(16);
         let early = rig.submit("Identity", &["cb"]).unwrap();
         let early_delivered = rig.on_settle(&early);
@@ -1780,7 +1805,18 @@ mod tests {
         // The callback consumed the result: nothing is retained for it.
         assert!(rig.core.lock().poll(early.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+        // A second registration finds the result gone, like a second `wait`.
+        let again = rig.on_settle(&early);
+        assert_eq!(
+            again.lock()[0].as_ref().unwrap_err(),
+            &DandelionError::Dispatch("invocation result was already taken".to_string())
+        );
+        rig.finish();
+    }
 
+    #[test]
+    fn on_settle_after_settlement_takes_the_retained_outcome() {
+        let mut rig = Rig::new(16);
         let late = rig.submit("Identity", &["late"]).unwrap();
         rig.run();
         assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
@@ -1788,17 +1824,11 @@ mod tests {
         assert_eq!(text(&late_delivered.lock()[0]), "late");
         assert!(rig.core.lock().poll(late.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
-
-        // A second registration finds the result gone, like a second `wait`.
-        let again = rig.on_settle(&early);
-        assert_eq!(
-            again.lock()[0].as_ref().unwrap_err(),
-            &DandelionError::Dispatch("invocation result was already taken".to_string())
-        );
-        rig
+        rig.finish();
     }
 
-    fn cancel_all_settles_every_running_invocation() -> Rig {
+    #[test]
+    fn cancel_all_settles_every_running_invocation() {
         let mut rig = Rig::new(16);
         let watched = rig.submit("Identity", &["a"]).unwrap();
         let delivered = rig.on_settle(&watched);
@@ -1819,10 +1849,11 @@ mod tests {
         // Nothing registers after the final sweep.
         let refused = rig.core.submit(rig.graph("Identity"), Vec::new(), rig.now);
         assert_eq!(refused.unwrap_err(), DandelionError::Cancelled);
-        rig
+        rig.finish();
     }
 
-    fn small_views_are_compacted_when_retained_only() -> Rig {
+    #[test]
+    fn small_retained_views_are_compacted_at_settle() {
         let mut rig = Rig::new(16);
         let payload = SharedBytes::from_vec(vec![0xEE; 4 * 1024 * 1024]);
         let blob = vec![DataSet::with_items(
@@ -1880,10 +1911,11 @@ mod tests {
         rig.reply(&tasks[0], echo(&tasks[0]), 0);
         rig.deliver();
         assert!(nested.try_result().unwrap().is_ok());
-        rig
+        rig.finish();
     }
 
-    fn a_duplicate_completion_is_counted_once() -> Rig {
+    #[test]
+    fn a_duplicate_completion_is_counted_once() {
         let mut rig = Rig::new(16);
         rig.registry
             .register_composition(one_node("Pair", "Copy", Distribution::Each))
@@ -1901,34 +1933,7 @@ mod tests {
         assert_eq!(outcome.outputs[0].items.len(), 2);
         assert_eq!(outcome.report.peak_context_bytes, 200);
         assert_eq!(outcome.report.compute_tasks, 2);
-        rig
-    }
-
-    /// A row's name, and the script that builds, steps and checks its rig.
-    type Row = (&'static str, fn() -> Rig);
-
-    #[test]
-    fn in_flight_transitions_hold_row_by_row() {
-        let rows: [Row; 12] = [
-            ("nested child", nested_child_folds_into_its_parent),
-            ("fault and unknown vertex", faults_and_unknown_vertices_fail),
-            ("take and poll", take_consumes_once_and_poll_does_not),
-            ("unknown id", an_unknown_id_polls_none),
-            ("retention", the_oldest_result_beyond_retention_expires),
-            ("full queue", a_full_queue_refuses_the_first_submission),
-            (
-                "stall deadline",
-                a_stall_is_reaped_one_nanosecond_past_the_deadline,
-            ),
-            ("late reply", a_reply_after_the_reap_settles_nothing_twice),
-            ("on_settle", on_settle_before_and_after_settling),
-            ("cancel_all", cancel_all_settles_every_running_invocation),
-            ("compaction", small_views_are_compacted_when_retained_only),
-            ("duplicate", a_duplicate_completion_is_counted_once),
-        ];
-        for (name, row) in rows {
-            row().finish(name);
-        }
+        rig.finish();
     }
 
     #[test]

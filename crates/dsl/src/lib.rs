@@ -47,7 +47,7 @@ pub use builder::{render_logs_composition, CompositionBuilder};
 pub use graph::{CompositionGraph, GraphNode, InputSource, NodeInput, NodeOutput};
 
 use dandelion_common::DandelionResult;
-use parser::parse_composition;
+use parser::{parse_composition, parse_program};
 
 /// Parses and validates a single composition from DSL text.
 ///
@@ -56,6 +56,14 @@ use parser::parse_composition;
 pub fn compile(source: &str) -> DandelionResult<CompositionGraph> {
     let ast = parse_composition(source)?;
     CompositionGraph::from_ast(&ast).map_err(Into::into)
+}
+
+/// Parses and validates every composition in a DSL program.
+pub fn compile_program(source: &str) -> DandelionResult<Vec<CompositionGraph>> {
+    let asts = parse_program(source)?;
+    asts.iter()
+        .map(|ast| CompositionGraph::from_ast(ast).map_err(Into::into))
+        .collect()
 }
 
 #[cfg(test)]
@@ -85,6 +93,16 @@ mod tests {
         assert_eq!(graph.nodes[3].vertex, "HTTP");
         // Topological order is simply 0..n for this linear pipeline.
         assert_eq!(graph.topological_order, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn compile_program_handles_multiple_compositions() {
+        let source = format!(
+            "{RENDER_LOGS}\ncomposition Identity(In) => Out {{ Copy(Data = all In) => (Out = Data); }}"
+        );
+        let graphs = compile_program(&source).unwrap();
+        assert_eq!(graphs.len(), 2);
+        assert_eq!(graphs[1].name, "Identity");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::{LatencyHistogram, LatencySummary, TimeSeries};
+use dandelion_common::{LatencyRecorder, LatencySummary, TimeSeries};
 use dandelion_trace::Trace;
 
 use crate::platforms::PlatformModel;
@@ -48,7 +48,7 @@ pub struct SweepPoint {
 
 fn collect(
     model: &mut dyn PlatformModel,
-    recorder: &LatencyHistogram,
+    recorder: &mut LatencyRecorder,
     requests: usize,
     horizon: Duration,
 ) -> RunResult {
@@ -76,7 +76,7 @@ pub fn run_open_loop(
     seed: u64,
 ) -> RunResult {
     let mut rng = SplitMix64::new(seed);
-    let recorder = LatencyHistogram::new();
+    let mut recorder = LatencyRecorder::new();
     let mut now = Duration::ZERO;
     let mut requests = 0usize;
     while now < duration {
@@ -89,7 +89,7 @@ pub fn run_open_loop(
         recorder.record(done.latency);
         requests += 1;
     }
-    collect(model, &recorder, requests, duration)
+    collect(model, &mut recorder, requests, duration)
 }
 
 /// Sweeps open-loop load over the given request rates, constructing a fresh
@@ -153,7 +153,7 @@ pub fn run_bursty(
     }
     arrivals.sort_by_key(|a| a.0);
 
-    let recorders: Vec<LatencyHistogram> = apps.iter().map(|_| LatencyHistogram::new()).collect();
+    let mut recorders: Vec<LatencyRecorder> = apps.iter().map(|_| LatencyRecorder::new()).collect();
     let mut counts = vec![0usize; apps.len()];
     for (at, app_index) in arrivals {
         let done = model.submit(at, &apps[app_index].0);
@@ -189,7 +189,7 @@ pub fn run_bursty(
 
 /// Replays an Azure-like trace against a platform model (Figures 1 and 10).
 pub fn run_trace(model: &mut dyn PlatformModel, trace: &Trace) -> RunResult {
-    let recorder = LatencyHistogram::new();
+    let mut recorder = LatencyRecorder::new();
     let mut requests = 0usize;
     for event in &trace.events {
         let mut spec = workloads::trace_invocation(event.duration, event.memory_mib);
@@ -198,7 +198,7 @@ pub fn run_trace(model: &mut dyn PlatformModel, trace: &Trace) -> RunResult {
         recorder.record(done.latency);
         requests += 1;
     }
-    collect(model, &recorder, requests, trace.duration)
+    collect(model, &mut recorder, requests, trace.duration)
 }
 
 #[cfg(test)]
