@@ -16,10 +16,10 @@
 //! [`InvocationHandle::wait`] must be woken.
 //!
 //! **One lock.** The shell ([`Core`]) keeps the table behind one mutex and
-//! applies the effects after it unlocks, so no push and no callback ever
-//! runs under the lock. A task a full queue refuses comes back to the table,
-//! under the lock again, as its instance's failed result; on an initial
-//! [`Dispatcher::submit`] that is the synchronous, retryable
+//! applies the effects after it unlocks, so no push, no callback and no
+//! failpoint ever runs under the lock. A task a full queue refuses comes
+//! back to the table, under the lock again, as its instance's failed result;
+//! on an initial [`Dispatcher::submit`] that is the synchronous, retryable
 //! [`DandelionError::ResourceExhausted`].
 //!
 //! [`Dispatcher::submit`] registers an invocation and returns an
@@ -246,6 +246,10 @@ enum Progress {
     Settled(DandelionResult<InvocationOutcome>),
 }
 
+/// Where a top-level invocation's handle reads the status it settled with:
+/// the table sets it when the invocation settles, before the entry leaves.
+type TerminalStatus = Arc<OnceLock<InvocationStatus>>;
+
 /// One invocation in the in-flight table.
 ///
 /// Only a running entry or a settled one nobody has consumed is in the
@@ -258,6 +262,7 @@ struct Entry {
     /// Handed the outcome when the invocation settles.
     callback: Option<SettleCallback>,
     parent: Option<ParentLink>,
+    terminal: TerminalStatus,
     started: Instant,
     /// When the invocation last made progress (registered, or an instance
     /// completed); the stall reaper fails invocations whose progress is
@@ -289,6 +294,9 @@ struct Effects {
     settled: Vec<(SettleCallback, DandelionResult<InvocationOutcome>)>,
     /// An invocation settled while a [`InvocationHandle::wait`] was parked.
     wake: bool,
+    /// Invocations settled: the `dispatcher/settle` failpoint is evaluated
+    /// once for each, outside the lock.
+    settles: usize,
 }
 
 /// Work one table call still has to apply to another entry: a child
@@ -442,25 +450,26 @@ impl InFlight {
     }
 
     /// Registers a top-level invocation of `graph`, started at `now`, and
-    /// launches its first ready instances.
+    /// launches its first ready instances. Returns its id and the cell its
+    /// terminal status is set in.
     fn submit(
         &mut self,
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
         now: Instant,
         effects: &mut Effects,
-    ) -> DandelionResult<InvocationId> {
+    ) -> DandelionResult<(InvocationId, TerminalStatus)> {
         if self.shutting_down {
             return Err(DandelionError::Cancelled);
         }
         let mut work = VecDeque::new();
-        let id = self
+        let registered = self
             .register(graph, inputs, None, now, effects, &mut work)
             .inspect_err(|_| {
                 self.metrics.failures.fetch_add(1, Ordering::Relaxed);
             })?;
         self.run(&mut work, now, effects);
-        Ok(id)
+        Ok(registered)
     }
 
     /// Applies one engine message. Results for ids the table does not hold
@@ -573,7 +582,8 @@ impl InFlight {
     }
 
     /// Creates a (top-level or child) invocation started at `now` and
-    /// launches its first ready instances.
+    /// launches its first ready instances. Returns its id and the cell its
+    /// terminal status is set in.
     fn register(
         &mut self,
         graph: Arc<CompositionGraph>,
@@ -582,24 +592,26 @@ impl InFlight {
         now: Instant,
         effects: &mut Effects,
         work: &mut VecDeque<Work>,
-    ) -> DandelionResult<InvocationId> {
+    ) -> DandelionResult<(InvocationId, TerminalStatus)> {
         let id = InvocationId::next();
         let dataflow = InvocationState::new(id, Arc::clone(&graph), inputs)?;
         if parent.is_none() {
             self.metrics.inflight.fetch_add(1, Ordering::SeqCst);
         }
+        let terminal = TerminalStatus::default();
         let entry = Entry {
             graph,
             progress: Progress::Running(dataflow),
             report: InvocationReport::default(),
             callback: None,
             parent,
+            terminal: Arc::clone(&terminal),
             started: now,
             last_progress: now,
         };
         self.entries.insert(id, entry);
         self.advance(id, None, now, effects, work);
-        Ok(id)
+        Ok((id, terminal))
     }
 
     /// Applies `work` until none is left.
@@ -701,9 +713,14 @@ impl InFlight {
         if !self.entries.get(&id).is_some_and(Entry::is_running) {
             return;
         }
-        fail_point!("dispatcher/settle");
+        effects.settles += 1;
         effects.wake |= self.waiters > 0;
         let mut entry = self.entries.remove(&id).expect("checked above");
+        let _ = entry.terminal.set(if outcome.is_ok() {
+            InvocationStatus::Completed
+        } else {
+            InvocationStatus::Failed
+        });
         if let Some(parent) = entry.parent.take() {
             // A child's outputs flow straight back into the parent's
             // dataflow (uncompacted: keeping the producer's buffer shared is
@@ -802,13 +819,17 @@ impl Core {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Applies `effects` outside the lock: pushes the tasks, fires the
-    /// callbacks and wakes parked waiters. A task a full queue refuses fails
-    /// its instance at `now`, under the lock again, which may leave more to
-    /// apply. Returns whether a queue refused a task.
+    /// Applies `effects` outside the lock: evaluates the settle failpoint,
+    /// pushes the tasks, fires the callbacks and wakes parked waiters. A task
+    /// a full queue refuses fails its instance at `now`, under the lock
+    /// again, which may leave more to apply. Returns whether a queue refused
+    /// a task.
     fn apply(&self, effects: &mut Effects, now: Instant) -> bool {
         let mut refused_any = false;
         loop {
+            for _ in 0..std::mem::take(&mut effects.settles) {
+                fail_point!("dispatcher/settle");
+            }
             if std::mem::take(&mut effects.wake) {
                 self.settled.notify_all();
             }
@@ -854,13 +875,13 @@ impl Core {
     /// so clients see 429 instead of an accepted-then-failed handle (the
     /// failure was counted when the invocation settled).
     fn submit(
-        &self,
+        self: &Arc<Self>,
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
         now: Instant,
-    ) -> DandelionResult<InvocationId> {
+    ) -> DandelionResult<InvocationHandle> {
         let mut effects = Effects::default();
-        let id = self.lock().submit(graph, inputs, now, &mut effects)?;
+        let (id, terminal) = self.lock().submit(graph, inputs, now, &mut effects)?;
         if self.apply(&mut effects, now) {
             let mut table = self.lock();
             if let Some(Progress::Settled(Err(DandelionError::ResourceExhausted(_)))) =
@@ -871,7 +892,11 @@ impl Core {
                 }
             }
         }
-        Ok(id)
+        Ok(InvocationHandle {
+            id,
+            core: Arc::clone(self),
+            terminal,
+        })
     }
 }
 
@@ -890,8 +915,8 @@ impl Core {
 pub struct InvocationHandle {
     id: InvocationId,
     core: Arc<Core>,
-    /// The terminal status this handle saw, answered once the entry is gone.
-    terminal: OnceLock<InvocationStatus>,
+    /// Set by the table when the invocation settles.
+    terminal: TerminalStatus,
 }
 
 impl InvocationHandle {
@@ -900,31 +925,13 @@ impl InvocationHandle {
         self.id
     }
 
-    /// The invocation's current lifecycle status. Once its entry has left
-    /// the table, the status this handle saw it settle with; if it never
-    /// saw that (a callback took the result, or it expired first),
-    /// [`InvocationStatus::Failed`], as a second `wait` finds an error.
+    /// The invocation's current lifecycle status; once it settled, the
+    /// status it settled with, also after its result was taken or expired.
     pub fn status(&self) -> InvocationStatus {
-        let status = self.core.lock().status(self.id);
-        self.seen(status)
-    }
-
-    /// Remembers a terminal status seen in the table; answers for an entry
-    /// that has left it.
-    fn seen(&self, status: Option<InvocationStatus>) -> InvocationStatus {
-        match status {
-            Some(status) => {
-                if status.is_terminal() {
-                    let _ = self.terminal.set(status);
-                }
-                status
-            }
-            None => self
-                .terminal
-                .get()
-                .copied()
-                .unwrap_or(InvocationStatus::Failed),
-        }
+        self.terminal
+            .get()
+            .copied()
+            .unwrap_or(InvocationStatus::Running)
     }
 
     /// Registers a one-shot callback fired when the invocation settles.
@@ -948,12 +955,7 @@ impl InvocationHandle {
     where
         F: FnOnce(DandelionResult<InvocationOutcome>) + Send + 'static,
     {
-        let (status, immediate) = {
-            let mut table = self.core.lock();
-            let status = table.status(self.id);
-            (status, table.on_settle(self.id, Box::new(callback)))
-        };
-        self.seen(status);
+        let immediate = self.core.lock().on_settle(self.id, Box::new(callback));
         if let Some((callback, outcome)) = immediate {
             callback(outcome);
         }
@@ -962,12 +964,7 @@ impl InvocationHandle {
     /// Takes the result if the invocation has settled; `None` while it is
     /// still queued/running (or if the result was already consumed).
     pub fn try_result(&self) -> Option<DandelionResult<InvocationOutcome>> {
-        let mut table = self.core.lock();
-        let status = table.status(self.id);
-        let outcome = table.take(self.id);
-        drop(table);
-        self.seen(status);
-        outcome
+        self.core.lock().take(self.id)
     }
 
     /// Blocks until the invocation settles and takes the result, releasing
@@ -980,12 +977,11 @@ impl InvocationHandle {
         let deadline = timeout.map(|limit| Instant::now() + limit);
         let mut table = self.core.lock();
         loop {
-            let status = table.status(self.id);
-            if status.is_none_or(|status| status.is_terminal()) {
-                let outcome = table.take(self.id);
-                drop(table);
-                self.seen(status);
-                return outcome.unwrap_or_else(already_taken);
+            if table
+                .status(self.id)
+                .is_none_or(|status| status.is_terminal())
+            {
+                return table.take(self.id).unwrap_or_else(already_taken);
             }
             let left = match deadline {
                 None => None,
@@ -1102,12 +1098,7 @@ impl Dispatcher {
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
     ) -> DandelionResult<InvocationHandle> {
-        let id = self.core.submit(graph, inputs, Instant::now())?;
-        Ok(InvocationHandle {
-            id,
-            core: Arc::clone(&self.core),
-            terminal: OnceLock::new(),
-        })
+        self.core.submit(graph, inputs, Instant::now())
     }
 
     /// Invokes a composition graph with the given inputs and waits for the
@@ -1464,12 +1455,7 @@ mod tests {
             inputs: Vec<DataSet>,
         ) -> DandelionResult<InvocationHandle> {
             self.submitted += 1;
-            let id = self.core.submit(self.graph(name), inputs, self.now)?;
-            Ok(InvocationHandle {
-                id,
-                core: Arc::clone(&self.core),
-                terminal: OnceLock::new(),
-            })
+            self.core.submit(self.graph(name), inputs, self.now)
         }
 
         /// Registers a callback that records what it is handed.
@@ -1639,7 +1625,7 @@ mod tests {
         // (registration would have refused it).
         let dangling = one_node("Dangling", "DoesNotExist", Distribution::All);
         rig.submitted += 1;
-        let id = rig
+        let handle = rig
             .core
             .submit(
                 Arc::new(dangling),
@@ -1647,7 +1633,8 @@ mod tests {
                 rig.now,
             )
             .unwrap();
-        let outcome = rig.core.lock().take(id).expect("settled at submission");
+        assert_eq!(handle.status(), InvocationStatus::Failed);
+        let outcome = handle.try_result().expect("settled at submission");
         assert!(matches!(
             outcome,
             Err(DandelionError::NotFound { kind: "vertex", .. })
@@ -1710,7 +1697,6 @@ mod tests {
             .map(|index| {
                 let handle = rig.submit("Identity", &[&index.to_string()]).unwrap();
                 rig.run();
-                assert_eq!(handle.status(), InvocationStatus::Completed);
                 handle
             })
             .collect();
@@ -1720,6 +1706,7 @@ mod tests {
             [false, true, true]
         );
         assert_eq!(rig.counter(&rig.metrics.retained_results), 2);
+        // The expired invocation's handle still answers how it settled.
         assert_eq!(handles[0].status(), InvocationStatus::Completed);
         rig.finish();
     }
@@ -1800,8 +1787,12 @@ mod tests {
         let early = rig.submit("Identity", &["cb"]).unwrap();
         let early_delivered = rig.on_settle(&early);
         assert!(early_delivered.lock().is_empty());
+        assert_eq!(early.status(), InvocationStatus::Running);
         rig.run();
         assert_eq!(text(&early_delivered.lock()[0]), "cb");
+        // The handle answers how the invocation settled, though the callback
+        // took the result.
+        assert_eq!(early.status(), InvocationStatus::Completed);
         // The callback consumed the result: nothing is retained for it.
         assert!(rig.core.lock().poll(early.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
@@ -1838,6 +1829,7 @@ mod tests {
             delivered.lock()[0].as_ref().unwrap_err(),
             &DandelionError::Cancelled
         );
+        assert_eq!(watched.status(), InvocationStatus::Failed);
         let snapshot = rig.core.lock().poll(unwatched.id()).expect("retained");
         assert_eq!(snapshot.status, InvocationStatus::Failed);
         assert_eq!(
@@ -1940,7 +1932,14 @@ mod tests {
     fn cold_draws_are_the_seeded_splitmix_sequence() {
         let mut draws = SplitMix64::new(COLD_DRAW_SEED);
         let mut reference = SplitMix64::new(0xDA4D_E110);
-        assert_eq!(draw_cold_binary(&mut draws, 0.5), reference.bernoulli(0.5));
+        let mut cold = 0;
+        for draw in 0..4096 {
+            let ratio = if draw % 2 == 0 { 0.03 } else { 0.5 };
+            let drawn = draw_cold_binary(&mut draws, ratio);
+            assert_eq!(drawn, reference.bernoulli(ratio), "draw {draw}");
+            cold += usize::from(drawn);
+        }
+        assert!((900..1300).contains(&cold), "{cold} cold of 4096");
         // A certain outcome consumes nothing from the sequence.
         assert!(!draw_cold_binary(&mut draws, 0.0));
         assert!(draw_cold_binary(&mut draws, 1.0));

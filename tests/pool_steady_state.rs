@@ -110,19 +110,12 @@ fn read_responses(stream: &mut TcpStream, pending: &mut Vec<u8>, count: usize) -
     body_bytes
 }
 
-/// `CONNECTIONS` connections send `wire` `DEPTH` deep for `rounds` rounds,
-/// each round together. Returns the pool's counters at half time and at the
-/// end, each read with every response of the rounds before it received, and
-/// the body size.
+/// `CONNECTIONS` connections send `wire` `DEPTH` deep for `rounds` rounds.
+/// Returns the pool's counters at half time and at the end, each read with
+/// every response of the rounds before it received, and the body size.
 fn pipelined_load(addr: SocketAddr, wire: &[u8], rounds: usize) -> (PoolStats, PoolStats, usize) {
     // Clients and this thread meet at half time and at the end.
     let barrier = Barrier::new(CONNECTIONS + 1);
-    // Each round starts on every connection at once. Clients left to their
-    // own pace drift apart, so their rounds overlap less and hold fewer
-    // buffers at once, and the half-time meeting puts them back in step:
-    // the pool's half-second look would free what the drifted rounds left
-    // unused, and the second half would allocate it again.
-    let in_step = Barrier::new(CONNECTIONS);
     std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CONNECTIONS)
             .map(|_| {
@@ -137,7 +130,6 @@ fn pipelined_load(addr: SocketAddr, wire: &[u8], rounds: usize) -> (PoolStats, P
                             barrier.wait();
                             barrier.wait();
                         }
-                        in_step.wait();
                         stream.write_all(&batch).expect("requests leave");
                         body_bytes = read_responses(&mut stream, &mut pending, DEPTH);
                     }
