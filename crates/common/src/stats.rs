@@ -1,152 +1,14 @@
-//! Latency recorders, percentile summaries and time series.
+//! Latency histograms, percentile summaries and time series.
 //!
 //! The evaluation of the paper reports tail latencies (p99, p99.5), medians
 //! with p5/p95 error bars, averages, relative variance, and committed-memory
-//! time series. This module provides the small statistics toolkit used by the
-//! simulator and the benchmark harness to compute those numbers, and the
-//! bounded [`LatencyHistogram`] a serving process records into instead.
+//! time series. One summariser computes those numbers: the bounded
+//! [`LatencyHistogram`], which a serving node records each settled
+//! invocation into and the simulator behind `reproduce` each simulated
+//! request. [`TimeSeries`] holds the simulator's memory timelines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Collects duration samples and computes summary statistics.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_us: Vec<f64>,
-    sorted: bool,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a recorder with capacity for `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            samples_us: Vec::with_capacity(capacity),
-            sorted: true,
-        }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: Duration) {
-        self.samples_us.push(latency.as_secs_f64() * 1e6);
-        self.sorted = false;
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples_us.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples_us.is_empty()
-    }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_us.extend_from_slice(&other.samples_us);
-        self.sorted = false;
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples_us
-                .sort_by(|a, b| a.partial_cmp(b).expect("latency samples are finite"));
-            self.sorted = true;
-        }
-    }
-
-    /// Returns the percentile (0.0..=100.0) in microseconds.
-    ///
-    /// Uses nearest-rank interpolation. Returns `None` when empty.
-    pub fn percentile_us(&mut self, percentile: f64) -> Option<f64> {
-        if self.samples_us.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let clamped = percentile.clamp(0.0, 100.0);
-        let rank = (clamped / 100.0) * (self.samples_us.len() - 1) as f64;
-        let low = rank.floor() as usize;
-        let high = rank.ceil() as usize;
-        if low == high {
-            return Some(self.samples_us[low]);
-        }
-        let weight = rank - low as f64;
-        Some(self.samples_us[low] * (1.0 - weight) + self.samples_us[high] * weight)
-    }
-
-    /// Returns the percentile as a [`Duration`].
-    pub fn percentile(&mut self, percentile: f64) -> Option<Duration> {
-        self.percentile_us(percentile)
-            .map(|us| Duration::from_secs_f64(us / 1e6))
-    }
-
-    /// Arithmetic mean in microseconds.
-    pub fn mean_us(&self) -> Option<f64> {
-        if self.samples_us.is_empty() {
-            return None;
-        }
-        Some(self.samples_us.iter().sum::<f64>() / self.samples_us.len() as f64)
-    }
-
-    /// Population variance in microseconds squared.
-    pub fn variance_us2(&self) -> Option<f64> {
-        let mean = self.mean_us()?;
-        let n = self.samples_us.len() as f64;
-        Some(
-            self.samples_us
-                .iter()
-                .map(|sample| {
-                    let diff = sample - mean;
-                    diff * diff
-                })
-                .sum::<f64>()
-                / n,
-        )
-    }
-
-    /// Standard deviation in microseconds.
-    pub fn std_dev_us(&self) -> Option<f64> {
-        self.variance_us2().map(f64::sqrt)
-    }
-
-    /// Relative variance (coefficient of variation of the variance as used in
-    /// the paper's Figure 8 discussion): `variance / mean²`, in percent.
-    pub fn relative_variance_percent(&self) -> Option<f64> {
-        let mean = self.mean_us()?;
-        if mean == 0.0 {
-            return None;
-        }
-        self.variance_us2()
-            .map(|variance| 100.0 * variance / (mean * mean))
-    }
-
-    /// Maximum sample in microseconds.
-    pub fn max_us(&mut self) -> Option<f64> {
-        self.ensure_sorted();
-        self.samples_us.last().copied()
-    }
-
-    /// Produces an immutable summary of the recorded distribution.
-    pub fn summary(&mut self) -> LatencySummary {
-        LatencySummary {
-            count: self.len(),
-            mean_us: self.mean_us().unwrap_or(0.0),
-            p5_us: self.percentile_us(5.0).unwrap_or(0.0),
-            p50_us: self.percentile_us(50.0).unwrap_or(0.0),
-            p95_us: self.percentile_us(95.0).unwrap_or(0.0),
-            p99_us: self.percentile_us(99.0).unwrap_or(0.0),
-            p995_us: self.percentile_us(99.5).unwrap_or(0.0),
-            max_us: self.max_us().unwrap_or(0.0),
-            std_dev_us: self.std_dev_us().unwrap_or(0.0),
-            relative_variance_percent: self.relative_variance_percent().unwrap_or(0.0),
-        }
-    }
-}
 
 /// Immutable summary of a latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -206,13 +68,14 @@ const HISTOGRAM_BUCKETS: usize =
 /// A fixed-size latency histogram that any thread records into without a
 /// lock or an allocation.
 ///
-/// [`LatencyRecorder`] keeps every sample, which suits a simulation that
-/// ends; a serving process settles invocations for as long as it is up.
-/// This histogram instead counts nanosecond values in log-linear buckets
-/// (HDR-histogram style: each power of two is cut into 64 equal buckets), so
-/// its 19 KiB never grow, a record is three relaxed atomic adds, and a
-/// reported percentile — the midpoint of the bucket holding that rank — is
-/// within 1 % of the sample it stands for.
+/// A serving process settles invocations for as long as it is up, so the
+/// histogram keeps no sample. It counts nanosecond values in log-linear
+/// buckets (HDR-histogram style: each power of two is cut into 64 equal
+/// buckets), so its 19 KiB never grow, a record is three relaxed atomic adds,
+/// and a reported percentile — the midpoint of the bucket holding that rank —
+/// is within 1 % of the sample it stands for. A simulation that ends records
+/// into it all the same: one summariser makes the simulated figures and the
+/// served ones.
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64]>,
     sum_ns: AtomicU64,
@@ -277,7 +140,8 @@ impl LatencyHistogram {
         }
         let max_us = self.max_ns.load(Ordering::Relaxed) as f64 / 1e3;
         let percentile_us = |percentile: f64| {
-            // The same rank LatencyRecorder interpolates from.
+            // The lower of the two ranks an exact percentile interpolates
+            // between.
             let rank = (percentile / 100.0 * (count - 1) as f64) as u64;
             let mut seen = 0;
             for (bucket, &in_bucket) in counts.iter().enumerate() {
@@ -418,52 +282,44 @@ impl TimeSeries {
 mod tests {
     use super::*;
 
-    fn recorder_from_ms(values: &[u64]) -> LatencyRecorder {
-        let mut recorder = LatencyRecorder::new();
+    fn summary_from_ms(values: &[u64]) -> LatencySummary {
+        let histogram = LatencyHistogram::new();
         for value in values {
-            recorder.record(Duration::from_millis(*value));
+            histogram.record(Duration::from_millis(*value));
         }
-        recorder
+        histogram.summary()
     }
 
-    #[test]
-    fn percentiles_interpolate() {
-        let mut recorder = recorder_from_ms(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
-        assert_eq!(recorder.len(), 10);
-        let p50 = recorder.percentile_us(50.0).unwrap();
-        assert!((p50 - 55_000.0).abs() < 1.0);
-        let p0 = recorder.percentile_us(0.0).unwrap();
-        assert!((p0 - 10_000.0).abs() < 1.0);
-        let p100 = recorder.percentile_us(100.0).unwrap();
-        assert!((p100 - 100_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn empty_recorder_returns_none() {
-        let mut recorder = LatencyRecorder::new();
-        assert!(recorder.percentile_us(99.0).is_none());
-        assert!(recorder.mean_us().is_none());
-        assert!(recorder.variance_us2().is_none());
-        assert!(recorder.is_empty());
+    /// The width, in microseconds, of the bucket that holds `ms`. Count, mean
+    /// and maximum are exact; a deviation computed from bucket midpoints is
+    /// off by at most half the widest bucket a sample sits in, so one width
+    /// of the largest sample is the tolerance the tests below state.
+    fn bucket_width_us(ms: u64) -> f64 {
+        let ns = ms * 1_000_000;
+        (1u64 << (63 - ns.leading_zeros() - HISTOGRAM_SUB_BITS)) as f64 / 1e3
     }
 
     #[test]
     fn mean_and_variance() {
-        let recorder = recorder_from_ms(&[10, 10, 10, 10]);
-        assert!((recorder.mean_us().unwrap() - 10_000.0).abs() < 1e-9);
-        assert!((recorder.variance_us2().unwrap()).abs() < 1e-9);
+        let summary = summary_from_ms(&[10, 10, 10, 10]);
+        assert!((summary.mean_us - 10_000.0).abs() < 1e-9);
+        assert!(summary.std_dev_us <= bucket_width_us(10));
 
-        let recorder = recorder_from_ms(&[10, 20]);
-        assert!((recorder.mean_us().unwrap() - 15_000.0).abs() < 1e-9);
-        assert!((recorder.std_dev_us().unwrap() - 5_000.0).abs() < 1e-6);
+        let summary = summary_from_ms(&[10, 20]);
+        assert!((summary.mean_us - 15_000.0).abs() < 1e-9);
+        assert!((summary.std_dev_us - 5_000.0).abs() <= bucket_width_us(20));
     }
 
     #[test]
     fn relative_variance_matches_paper_definition() {
-        // Mean 10ms, std-dev 5ms: relative variance = 25/100 = 25%.
-        let recorder = recorder_from_ms(&[5, 15]);
-        let relative = recorder.relative_variance_percent().unwrap();
-        assert!((relative - 25.0).abs() < 1e-6);
+        // Mean 10ms, std-dev 5ms: relative variance = 25/100 = 25%. The
+        // deviation is within one bucket width `w` (at 15 ms) of 5 ms, so the
+        // relative variance is within 100·((5 ms + w)² − (5 ms)²)/(10 ms)² of
+        // it: 1.3 points.
+        let summary = summary_from_ms(&[5, 15]);
+        let deviation_us = 5_000.0 + bucket_width_us(15);
+        let tolerance = 100.0 * (deviation_us * deviation_us - 5_000.0 * 5_000.0) / 1e8;
+        assert!((summary.relative_variance_percent - 25.0).abs() <= tolerance);
     }
 
     #[test]
@@ -493,30 +349,46 @@ mod tests {
     fn histogram_summary_tracks_the_exact_recorder() {
         // 50k samples spread log-uniformly over 2 us .. 20 s: wide enough to
         // cross 23 powers of two, dense enough that neighbouring ranks agree.
+        // The exact reference keeps every sample, sorted, and interpolates a
+        // percentile between the two ranks around `p / 100 · (n − 1)`.
         let histogram = LatencyHistogram::new();
-        let mut exact = LatencyRecorder::new();
+        let mut exact_us = Vec::with_capacity(50_000);
         let mut rng = crate::rng::SplitMix64::new(7);
         for _ in 0..50_000 {
             let exponent = 11.0 + 23.0 * (rng.next_bounded(1 << 30) as f64 / (1u64 << 30) as f64);
             let latency = Duration::from_nanos(exponent.exp2() as u64);
             histogram.record(latency);
-            exact.record(latency);
+            exact_us.push(latency.as_secs_f64() * 1e6);
         }
+        exact_us.sort_by(f64::total_cmp);
+        let n = exact_us.len();
+        let exact_percentile = |percentile: f64| {
+            let rank = percentile / 100.0 * (n - 1) as f64;
+            let (low, high) = (rank.floor() as usize, rank.ceil() as usize);
+            let weight = rank - low as f64;
+            exact_us[low] * (1.0 - weight) + exact_us[high] * weight
+        };
+        let exact_mean = exact_us.iter().sum::<f64>() / n as f64;
+        let exact_variance = exact_us
+            .iter()
+            .map(|sample| (sample - exact_mean).powi(2))
+            .sum::<f64>()
+            / n as f64;
+
         let summary = histogram.summary();
-        let reference = exact.summary();
-        assert_eq!(summary.count, reference.count);
+        assert_eq!(summary.count, n);
         let close = |name: &str, got: f64, want: f64, tolerance: f64| {
             let error = (got - want).abs() / want;
             assert!(error <= tolerance, "{name}: {got} vs {want} ({error})");
         };
-        close("mean", summary.mean_us, reference.mean_us, 1e-9);
-        close("max", summary.max_us, reference.max_us, 1e-9);
-        close("p5", summary.p5_us, reference.p5_us, 0.02);
-        close("p50", summary.p50_us, reference.p50_us, 0.02);
-        close("p95", summary.p95_us, reference.p95_us, 0.02);
-        close("p99", summary.p99_us, reference.p99_us, 0.02);
-        close("p99.5", summary.p995_us, reference.p995_us, 0.02);
-        close("std dev", summary.std_dev_us, reference.std_dev_us, 0.02);
+        close("mean", summary.mean_us, exact_mean, 1e-9);
+        close("max", summary.max_us, exact_us[n - 1], 1e-9);
+        close("p5", summary.p5_us, exact_percentile(5.0), 0.02);
+        close("p50", summary.p50_us, exact_percentile(50.0), 0.02);
+        close("p95", summary.p95_us, exact_percentile(95.0), 0.02);
+        close("p99", summary.p99_us, exact_percentile(99.0), 0.02);
+        close("p99.5", summary.p995_us, exact_percentile(99.5), 0.02);
+        close("std dev", summary.std_dev_us, exact_variance.sqrt(), 0.02);
         // Out-of-range samples saturate instead of indexing out of bounds,
         // and an empty histogram summarizes to zeros.
         histogram.record(Duration::from_secs(1 << 40));
@@ -525,18 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_samples() {
-        let mut a = recorder_from_ms(&[1, 2]);
-        let b = recorder_from_ms(&[3, 4]);
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert!((a.mean_us().unwrap() - 2_500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn summary_is_consistent() {
-        let mut recorder = recorder_from_ms(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        let summary = recorder.summary();
+        // Percentiles never exceed the exact maximum, so the order holds
+        // without a tolerance.
+        let summary = summary_from_ms(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(summary.count, 10);
         assert!(summary.p99_us >= summary.p50_us);
         assert!(summary.p995_us >= summary.p99_us);

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use dandelion_common::rng::SplitMix64;
-use dandelion_common::{LatencyRecorder, LatencySummary, TimeSeries};
+use dandelion_common::{LatencyHistogram, LatencySummary, TimeSeries};
 use dandelion_trace::Trace;
 
 use crate::platforms::PlatformModel;
@@ -48,8 +48,9 @@ pub struct SweepPoint {
 
 fn collect(
     model: &mut dyn PlatformModel,
-    recorder: &mut LatencyRecorder,
+    latency: &LatencyHistogram,
     requests: usize,
+    cold_starts: u64,
     horizon: Duration,
 ) -> RunResult {
     model.finish(horizon);
@@ -59,8 +60,8 @@ fn collect(
     RunResult {
         platform: model.name(),
         requests,
-        latency: recorder.summary(),
-        cold_starts: model.cold_starts(),
+        latency: latency.summary(),
+        cold_starts,
         memory_timeline,
         average_memory_bytes,
         peak_memory_bytes,
@@ -76,9 +77,10 @@ pub fn run_open_loop(
     seed: u64,
 ) -> RunResult {
     let mut rng = SplitMix64::new(seed);
-    let mut recorder = LatencyRecorder::new();
+    let latency = LatencyHistogram::new();
     let mut now = Duration::ZERO;
     let mut requests = 0usize;
+    let mut cold_starts = 0u64;
     while now < duration {
         let gap = rng.exponential(rps.max(1e-9));
         now += Duration::from_secs_f64(gap);
@@ -86,10 +88,11 @@ pub fn run_open_loop(
             break;
         }
         let done = model.submit(now, spec);
-        recorder.record(done.latency);
+        latency.record(done.latency);
         requests += 1;
+        cold_starts += u64::from(done.cold_start);
     }
-    collect(model, &mut recorder, requests, duration)
+    collect(model, &latency, requests, cold_starts, duration)
 }
 
 /// Sweeps open-loop load over the given request rates, constructing a fresh
@@ -153,12 +156,14 @@ pub fn run_bursty(
     }
     arrivals.sort_by_key(|a| a.0);
 
-    let mut recorders: Vec<LatencyRecorder> = apps.iter().map(|_| LatencyRecorder::new()).collect();
+    let latencies: Vec<LatencyHistogram> = apps.iter().map(|_| LatencyHistogram::new()).collect();
     let mut counts = vec![0usize; apps.len()];
+    let mut cold_starts = vec![0u64; apps.len()];
     for (at, app_index) in arrivals {
         let done = model.submit(at, &apps[app_index].0);
-        recorders[app_index].record(done.latency);
+        latencies[app_index].record(done.latency);
         counts[app_index] += 1;
+        cold_starts[app_index] += u64::from(done.cold_start);
     }
 
     model.finish(duration);
@@ -166,7 +171,6 @@ pub fn run_bursty(
     let average_memory_bytes = model.memory().average_bytes(duration);
     let peak_memory_bytes = memory_timeline.max_value().unwrap_or(0.0);
     let platform = model.name();
-    let cold_starts = model.cold_starts();
 
     apps.iter()
         .enumerate()
@@ -176,8 +180,8 @@ pub fn run_bursty(
                 RunResult {
                     platform: platform.clone(),
                     requests: counts[index],
-                    latency: recorders[index].summary(),
-                    cold_starts,
+                    latency: latencies[index].summary(),
+                    cold_starts: cold_starts[index],
                     memory_timeline: memory_timeline.clone(),
                     average_memory_bytes,
                     peak_memory_bytes,
@@ -189,16 +193,18 @@ pub fn run_bursty(
 
 /// Replays an Azure-like trace against a platform model (Figures 1 and 10).
 pub fn run_trace(model: &mut dyn PlatformModel, trace: &Trace) -> RunResult {
-    let mut recorder = LatencyRecorder::new();
+    let latency = LatencyHistogram::new();
     let mut requests = 0usize;
+    let mut cold_starts = 0u64;
     for event in &trace.events {
         let mut spec = workloads::trace_invocation(event.duration, event.memory_mib);
         spec.name = trace.functions[event.function].name.clone();
         let done = model.submit(event.time, &spec);
-        recorder.record(done.latency);
+        latency.record(done.latency);
         requests += 1;
+        cold_starts += u64::from(done.cold_start);
     }
-    collect(model, &mut recorder, requests, trace.duration)
+    collect(model, &latency, requests, cold_starts, trace.duration)
 }
 
 #[cfg(test)]
@@ -271,6 +277,30 @@ mod tests {
         // Log processing includes ~22ms of remote latency, so it is slower
         // end-to-end than image compression on an unloaded Dandelion node.
         assert!(logs.latency.p50_us > compression.latency.p50_us);
+    }
+
+    #[test]
+    fn bursty_run_counts_each_apps_own_cold_starts() {
+        // Every Dandelion request pays a sandbox cold start, however many
+        // compute phases it has (log processing has three), so each app's
+        // count is its own request count, not the model's total.
+        let mut model = dandelion();
+        let apps = vec![
+            (
+                workloads::image_compression(),
+                vec![(Duration::ZERO, 200.0)],
+            ),
+            (workloads::log_processing(), vec![(Duration::ZERO, 100.0)]),
+        ];
+        let results = run_bursty(&mut model, &apps, Duration::from_secs(2), 4);
+        for (name, result) in &results {
+            assert!(
+                result.requests > 100,
+                "{name}: {} requests",
+                result.requests
+            );
+            assert_eq!(result.cold_starts as usize, result.requests, "{name}");
+        }
     }
 
     #[test]

@@ -49,9 +49,6 @@ pub trait PlatformModel {
     /// The committed-memory tracker.
     fn memory(&self) -> &MemoryTracker;
 
-    /// Number of sandbox cold starts so far.
-    fn cold_starts(&self) -> u64;
-
     /// Called once after the last submission with the experiment horizon so
     /// that still-provisioned sandboxes can flush their memory intervals.
     fn finish(&mut self, _horizon: Duration) {}
@@ -117,7 +114,6 @@ pub struct DandelionSim {
     next_control_tick: Duration,
     rng: SplitMix64,
     memory: MemoryTracker,
-    cold_starts: u64,
     core_timeline: Vec<(Duration, usize, usize)>,
 }
 
@@ -133,7 +129,6 @@ impl DandelionSim {
             next_control_tick: config.controller.interval,
             rng: SplitMix64::new(config.seed),
             memory: MemoryTracker::new(),
-            cold_starts: 0,
             core_timeline: Vec::new(),
             config,
         }
@@ -183,7 +178,6 @@ impl PlatformModel for DandelionSim {
                         );
                     let (start, finish) = self.compute.acquire(cursor, service);
                     self.memory.record(start, finish, request.memory_bytes());
-                    self.cold_starts += 1;
                     cursor = finish;
                 }
                 Phase::Communication {
@@ -206,10 +200,6 @@ impl PlatformModel for DandelionSim {
     fn memory(&self) -> &MemoryTracker {
         &self.memory
     }
-
-    fn cold_starts(&self) -> u64 {
-        self.cold_starts
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -226,7 +216,6 @@ pub struct DHybridSim {
     threads_per_core: usize,
     pinned: bool,
     memory: MemoryTracker,
-    cold_starts: u64,
 }
 
 impl DHybridSim {
@@ -245,7 +234,6 @@ impl DHybridSim {
             threads_per_core,
             pinned,
             memory: MemoryTracker::new(),
-            cold_starts: 0,
         }
     }
 
@@ -274,7 +262,6 @@ impl PlatformModel for DHybridSim {
         // lifetime and one sandbox creation.
         let (slot, slot_start) = self.slots.acquire_deferred(arrival);
         let mut cursor = slot_start + self.cost.cold_total(false);
-        self.cold_starts += 1;
         let penalty = self.compute_penalty();
         for phase in &request.phases {
             match phase {
@@ -301,10 +288,6 @@ impl PlatformModel for DHybridSim {
 
     fn memory(&self) -> &MemoryTracker {
         &self.memory
-    }
-
-    fn cold_starts(&self) -> u64 {
-        self.cold_starts
     }
 }
 
@@ -394,7 +377,6 @@ pub struct MicroVmSim {
     policy: WarmPolicy,
     rng: SplitMix64,
     memory: MemoryTracker,
-    cold_starts: u64,
     /// Provisioned VMs in autoscaled mode: (function, free_at, created,
     /// memory bytes).
     vms: Vec<ProvisionedVm>,
@@ -425,7 +407,6 @@ impl MicroVmSim {
             policy,
             rng: SplitMix64::new(seed),
             memory: MemoryTracker::new(),
-            cold_starts: 0,
             vms: Vec::new(),
             horizon_hint: Duration::ZERO,
         }
@@ -511,7 +492,6 @@ impl PlatformModel for MicroVmSim {
         let cpu_service = if warm {
             cpu_service_warm
         } else {
-            self.cold_starts += 1;
             cpu_service_warm + self.kind.cold_start_cost(self.hardware)
         };
         let (start, cpu_finish) = self.cores.acquire(arrival, cpu_service);
@@ -557,10 +537,6 @@ impl PlatformModel for MicroVmSim {
         &self.memory
     }
 
-    fn cold_starts(&self) -> u64 {
-        self.cold_starts
-    }
-
     fn finish(&mut self, horizon: Duration) {
         self.flush_provisioned(horizon);
     }
@@ -575,7 +551,6 @@ impl PlatformModel for MicroVmSim {
 pub struct WasmtimeSim {
     cores: CorePool,
     memory: MemoryTracker,
-    cold_starts: u64,
     /// Code-generation slowdown relative to native (§7.3).
     compute_slowdown: f64,
     /// Per-request instantiation cost with pooled allocation.
@@ -588,7 +563,6 @@ impl WasmtimeSim {
         Self {
             cores: CorePool::new(cores),
             memory: MemoryTracker::new(),
-            cold_starts: 0,
             compute_slowdown: 2.2,
             instantiation: Duration::from_micros(450),
         }
@@ -608,7 +582,6 @@ impl PlatformModel for WasmtimeSim {
     }
 
     fn submit(&mut self, arrival: Duration, request: &RequestSpec) -> Completion {
-        self.cold_starts += 1;
         let mut cursor = arrival;
         let mut first_start = None;
         for phase in &request.phases {
@@ -638,10 +611,6 @@ impl PlatformModel for WasmtimeSim {
     fn memory(&self) -> &MemoryTracker {
         &self.memory
     }
-
-    fn cold_starts(&self) -> u64 {
-        self.cold_starts
-    }
 }
 
 #[cfg(test)]
@@ -665,7 +634,7 @@ mod tests {
         // Table 1: 89 µs sandbox total + dispatch overhead; well under 1 ms.
         assert!(done.latency > Duration::from_micros(80));
         assert!(done.latency < Duration::from_millis(1));
-        assert_eq!(sim.cold_starts(), 1);
+        assert_eq!(u64::from(done.cold_start), 1);
         assert!(!sim.memory().is_empty());
     }
 
@@ -736,10 +705,12 @@ mod tests {
         );
         let spec = workloads::matmul_128();
         let total = 10_000u64;
+        let mut cold_starts = 0u64;
         for index in 0..total {
-            sim.submit(Duration::from_micros(index * 1000), &spec);
+            let done = sim.submit(Duration::from_micros(index * 1000), &spec);
+            cold_starts += u64::from(done.cold_start);
         }
-        let ratio = sim.cold_starts() as f64 / total as f64;
+        let ratio = cold_starts as f64 / total as f64;
         assert!((0.02..0.04).contains(&ratio), "cold ratio {ratio}");
     }
 

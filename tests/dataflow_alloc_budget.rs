@@ -4,17 +4,17 @@
 //! runner's other threads do not leak in) measures what the dispatcher's
 //! bookkeeping asks of the heap for one request of the paper's flagship
 //! composition (Fig. 3: 3 compute + 6 communication tasks, fan-out 5), driven
-//! by hand the way `DispatcherCore::advance` drives it: `ready_instances`
-//! after construction and after every completion that finished a node. The
-//! engines' results are built outside the measured region — they are not the
-//! state machine's work.
+//! by hand the way the dispatcher's `InFlight::advance` drives it:
+//! `ready_instances` after construction and after every completion that
+//! finished a node. The engines' results are built outside the measured
+//! region — they are not the state machine's work.
 //!
-//! The same script runs against the state machine as it was at the parent
-//! commit (`oracle/invocation_parent.rs`). Counting dependencies instead of
-//! cloning every waiting `GraphNode`, keeping merged outputs in lists indexed
-//! by output position instead of a `HashMap<String, DataSet>` per node, and
-//! moving instance outputs instead of cloning them is what keeps a pass at
-//! less than half the parent's blocks; any of those coming back goes over.
+//! The state machine before this one asked for 419 blocks on the same
+//! script ([`PARENT_BLOCKS`]). Counting dependencies instead of cloning every
+//! waiting `GraphNode`, keeping merged outputs in lists indexed by output
+//! position instead of a `HashMap<String, DataSet>` per node, and moving
+//! instance outputs instead of cloning them is what keeps a pass at less than
+//! half of that; any of those coming back goes over.
 
 use std::sync::Arc;
 
@@ -22,10 +22,6 @@ use dandelion_common::{DataItem, DataSet, InvocationId, SharedBytes};
 use dandelion_core::{InstanceCompletion, InvocationState};
 use dandelion_dsl::{render_logs_composition, CompositionGraph};
 use dandelion_integration_tests::{heap_use_of, CountingAllocator};
-
-#[allow(dead_code)]
-#[path = "oracle/invocation_parent.rs"]
-mod parent_dataflow;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -92,63 +88,41 @@ fn engine_results(log_bytes: usize) -> Vec<(usize, usize, Vec<DataSet>)> {
     results
 }
 
-/// Drives one `RenderLogs` request through `$state` (the current state
-/// machine or the oracle: same method names, different return types) and
-/// returns the blocks it requested. `$finished` turns what
-/// `complete_instance` returns into "this completion finished its node".
-macro_rules! render_logs_pass {
-    ($state:ty, $finished:expr, $graph:expr, $log_bytes:expr) => {{
-        let graph: Arc<CompositionGraph> = Arc::clone($graph);
-        let inputs = vec![DataSet::single("AccessToken", b"demo-token".to_vec())];
-        let results = engine_results($log_bytes);
-        let report: SharedBytes = results.last().expect("Render's result").2[0].items[0]
-            .data
-            .clone();
-        // The state leaves the measured region alive: dropping it releases
-        // the intermediate buffers into `dandelion_common`'s buffer pool,
-        // whose free lists grow as they fill — the pool's blocks, not the
-        // state machine's.
-        let ((handed_out, outputs, _state), blocks) = blocks_requested_by(|| {
-            let mut state =
-                <$state>::new(InvocationId::from_raw(1), graph, inputs).expect("valid inputs");
-            let mut handed_out = state.ready_instances().expect("first sweep").len();
-            for (node, instance, outputs) in results {
-                let applied = state
-                    .complete_instance(node, instance, Ok(outputs))
-                    .expect("completion applies");
-                if $finished(applied) {
-                    handed_out += state.ready_instances().expect("sweep").len();
-                }
+/// Drives one `RenderLogs` request through the dataflow state and returns
+/// the blocks it requested.
+fn render_logs_pass(graph: &Arc<CompositionGraph>, log_bytes: usize) -> usize {
+    let graph = Arc::clone(graph);
+    let inputs = vec![DataSet::single("AccessToken", b"demo-token".to_vec())];
+    let results = engine_results(log_bytes);
+    let report: SharedBytes = results.last().expect("Render's result").2[0].items[0]
+        .data
+        .clone();
+    // The state leaves the measured region alive: dropping it releases
+    // the intermediate buffers into `dandelion_common`'s buffer pool,
+    // whose free lists grow as they fill — the pool's blocks, not the
+    // state machine's.
+    let ((handed_out, outputs, _state), blocks) = blocks_requested_by(|| {
+        let mut state =
+            InvocationState::new(InvocationId::from_raw(1), graph, inputs).expect("valid inputs");
+        let mut handed_out = state.ready_instances().expect("first sweep").len();
+        for (node, instance, outputs) in results {
+            let applied = state
+                .complete_instance(node, instance, Ok(outputs))
+                .expect("completion applies");
+            if applied == InstanceCompletion::NodeFinished {
+                handed_out += state.ready_instances().expect("sweep").len();
             }
-            let outputs = state.external_outputs().expect("complete");
-            (handed_out, outputs, state)
-        });
-        // 3 compute + 6 communication tasks, and the report arrives as the
-        // very buffer Render produced.
-        assert_eq!(handed_out, 4 + LOG_SERVICES);
-        assert_eq!(outputs.len(), 1);
-        assert_eq!(outputs[0].name, "HTMLOutput");
-        assert!(SharedBytes::same_buffer(&outputs[0].items[0].data, &report));
-        blocks
-    }};
-}
-
-fn current_pass(graph: &Arc<CompositionGraph>, log_bytes: usize) -> usize {
-    render_logs_pass!(
-        InvocationState,
-        |applied| applied == InstanceCompletion::NodeFinished,
-        graph,
-        log_bytes
-    )
-}
-
-fn parent_pass(graph: &Arc<CompositionGraph>, log_bytes: usize) -> usize {
-    render_logs_pass!(
-        parent_dataflow::InvocationState,
-        |finished_node: bool| finished_node,
-        graph,
-        log_bytes
-    )
+        }
+        let outputs = state.external_outputs().expect("complete");
+        (handed_out, outputs, state)
+    });
+    // 3 compute + 6 communication tasks, and the report arrives as the
+    // very buffer Render produced.
+    assert_eq!(handed_out, 4 + LOG_SERVICES);
+    assert_eq!(outputs.len(), 1);
+    assert_eq!(outputs[0].name, "HTMLOutput");
+    assert!(SharedBytes::same_buffer(&outputs[0].items[0].data, &report));
+    blocks
 }
 
 /// What one pass asks of the heap, block by block. The client's items by
@@ -163,29 +137,31 @@ fn parent_pass(graph: &Arc<CompositionGraph>, log_bytes: usize) -> usize {
 /// set's name, its item list and the item's name (4). These are exact: one
 /// more clone of an item (1 block and up) or of a graph node (5 and up) fails
 /// the test; a toolchain that grows `Vec`s differently means measuring again,
-/// not padding. The parent state machine asked for 419.
+/// not padding.
 const MAX_BLOCKS: usize = 77;
+
+/// What the state machine before this one asked for on the same pass.
+const PARENT_BLOCKS: usize = 419;
 
 #[test]
 fn one_render_logs_pass_allocates_at_most_half_of_what_it_did() {
     let graph = Arc::new(render_logs_composition());
-    let current = current_pass(&graph, 8 * 1024);
-    let parent = parent_pass(&graph, 8 * 1024);
+    let current = render_logs_pass(&graph, 8 * 1024);
     assert!(
         current <= MAX_BLOCKS,
         "{current} blocks requested, budget {MAX_BLOCKS}"
     );
     assert!(
-        2 * current <= parent,
-        "{current} blocks requested, the parent state machine requested {parent}"
+        2 * current <= PARENT_BLOCKS,
+        "{current} blocks requested, the parent state machine requested {PARENT_BLOCKS}"
     );
 }
 
 #[test]
 fn the_cost_of_a_pass_does_not_depend_on_the_payload_size() {
     let graph = Arc::new(render_logs_composition());
-    let small = current_pass(&graph, 8 * 1024);
-    let large = current_pass(&graph, 1024 * 1024);
+    let small = render_logs_pass(&graph, 8 * 1024);
+    let large = render_logs_pass(&graph, 1024 * 1024);
     assert_eq!(small, large, "blocks for 8 KiB vs 1 MiB log bodies");
     assert!(
         large <= MAX_BLOCKS,

@@ -1078,14 +1078,156 @@ fn partitioned_queries_are_deterministic() {
     }
 }
 
-/// `crates/core/src/invocation.rs` as it was at the parent commit: the
-/// reference [`dataflow_state_matches_the_parent_oracle`] compares against.
-#[allow(dead_code)]
-#[path = "oracle/invocation_parent.rs"]
-mod parent_dataflow;
+/// The dataflow rules written down plainly, sharing no code with
+/// `InvocationState`: the reference [`dataflow_state_matches_the_parent_oracle`]
+/// steps it against.
+///
+/// A node is handed out once every producer has settled, in sweeps over node
+/// order until a sweep hands out nothing. It is skipped if a required set is
+/// empty; its own sets are then empty, so the skip cascades. An `each`
+/// binding makes one instance per item, a `key` binding one per key in key
+/// order, every other binding hands each instance all of its items, and two
+/// fan-out bindings are an error. What a node publishes as a set is every
+/// item its instances returned under that name, in instance order. A second
+/// result for an instance is a duplicate; after a failure none is applied.
+mod dataflow_reference {
+    use std::sync::Arc;
 
-/// What a dataflow state hands out or returns, in a form both the current
-/// state and the oracle can be reduced to: names, and for payloads the
+    use dandelion_common::{DandelionError, DandelionResult, DataSet};
+    use dandelion_core::InstanceCompletion::{self, Duplicate, NodeFinished, Pending};
+    use dandelion_dsl::{CompositionGraph, Distribution, GraphNode, InputSource, NodeInput};
+
+    use super::dataflow_view::{sets, Ready};
+
+    pub(crate) struct Reference {
+        graph: Arc<CompositionGraph>,
+        /// Per node, `None` until it is handed out, then one result slot per
+        /// instance (none if it was skipped); settled once every slot is
+        /// filled. Last comes the client, settled with the inputs.
+        nodes: Vec<Option<Vec<Option<Vec<DataSet>>>>>,
+        pub(crate) error: Option<DandelionError>,
+    }
+
+    impl Reference {
+        pub(crate) fn new(graph: Arc<CompositionGraph>, inputs: Vec<DataSet>) -> Self {
+            let client = Some(vec![Some(inputs)]);
+            let nodes = graph.nodes.iter().map(|_| None).chain([client]).collect();
+            Self {
+                graph,
+                nodes,
+                error: None,
+            }
+        }
+
+        /// Every item a settled node's instances returned in sets called
+        /// `set`, in instance order, as one set called `name`; `None` until
+        /// the node has settled.
+        fn published(&self, node: usize, set: &str, name: &str) -> Option<DataSet> {
+            let slots = self.nodes[node].as_ref()?;
+            let returned: Option<Vec<&Vec<DataSet>>> = slots.iter().map(Option::as_ref).collect();
+            let named = returned?.into_iter().flatten().filter(|s| s.name == set);
+            let items = named.flat_map(|set| set.items.clone()).collect();
+            Some(DataSet::with_items(name, items))
+        }
+
+        pub(crate) fn is_complete(&self) -> bool {
+            let settled = |node| self.published(node, "", "").is_some();
+            self.error.is_some() || (0..self.nodes.len()).all(settled)
+        }
+
+        pub(crate) fn ready_instances(&mut self) -> DandelionResult<Vec<Ready>> {
+            let (graph, client) = (Arc::clone(&self.graph), self.nodes.len() - 1);
+            let (mut ready, mut swept) = (Vec::new(), self.error.is_none());
+            while swept {
+                swept = false;
+                for (index, node) in graph.nodes.iter().enumerate() {
+                    let source = |b: &NodeInput| match &b.source {
+                        InputSource::External { name } => self.published(client, name, &b.set),
+                        InputSource::Node { node, set } => self.published(*node, set, &b.set),
+                    };
+                    let sources: Option<Vec<_>> = node.inputs.iter().map(source).collect();
+                    if let (None, Some(sources)) = (&self.nodes[index], sources) {
+                        swept = true;
+                        let instances = instances(node, sources)?;
+                        let outputs: Vec<_> = node.outputs.iter().map(|o| o.set.clone()).collect();
+                        for (instance, inputs) in instances.iter().enumerate() {
+                            let vertex = node.vertex.clone();
+                            ready.push((index, instance, vertex, outputs.clone(), sets(inputs)));
+                        }
+                        self.nodes[index] = Some(vec![None; instances.len()]);
+                    }
+                }
+            }
+            Ok(ready)
+        }
+
+        pub(crate) fn complete_instance(
+            &mut self,
+            node: usize,
+            instance: usize,
+            outcome: DandelionResult<Vec<DataSet>>,
+        ) -> DandelionResult<InstanceCompletion> {
+            let slots = self.nodes[node].as_mut().expect("the node was handed out");
+            if slots[instance].is_some() {
+                return Ok(Duplicate);
+            }
+            if self.error.is_some() {
+                return Ok(Pending);
+            }
+            slots[instance] = Some(outcome.inspect_err(|error| self.error = Some(error.clone()))?);
+            let finished = slots.iter().all(Option::is_some);
+            Ok(if finished { NodeFinished } else { Pending })
+        }
+
+        pub(crate) fn external_outputs(&self) -> DandelionResult<Vec<DataSet>> {
+            if let Some(error) = &self.error {
+                return Err(error.clone());
+            }
+            let incomplete = || DandelionError::Dispatch("invocation is not complete yet".into());
+            let bindings = self.graph.output_bindings.iter();
+            let outputs: Option<Vec<_>> = bindings
+                .map(|b| self.published(b.node, &b.set, &b.name))
+                .collect();
+            outputs
+                .filter(|_| self.is_complete())
+                .ok_or_else(incomplete)
+        }
+    }
+
+    /// Each instance's input sets: none if a required set is empty (the node
+    /// is skipped).
+    fn instances(node: &GraphNode, all: Vec<DataSet>) -> DandelionResult<Vec<Vec<DataSet>>> {
+        let mut bindings = node.inputs.iter().zip(&all);
+        if bindings.any(|(b, set)| !b.optional && set.is_empty()) {
+            return Ok(Vec::new());
+        }
+        let fanout = |position: &usize| node.inputs[*position].distribution != Distribution::All;
+        let fanouts: Vec<usize> = (0..all.len()).filter(fanout).collect();
+        let vertex = &node.vertex;
+        if fanouts.len() > 1 {
+            let text = format!(
+                "vertex `{vertex}` uses more than one `each`/`key` input, which is not supported"
+            );
+            return Err(DandelionError::Validation(text));
+        }
+        let Some(&fanout) = fanouts.first() else {
+            return Ok(vec![all]);
+        };
+        let shares: Vec<Vec<_>> = match node.inputs[fanout].distribution {
+            Distribution::Each => all[fanout].items.chunks(1).map(Vec::from).collect(),
+            _ => all[fanout].group_by_key().into_values().collect(),
+        };
+        let instance = |items| {
+            let mut inputs = all.clone();
+            inputs[fanout].items = items;
+            inputs
+        };
+        Ok(shares.into_iter().map(instance).collect())
+    }
+}
+
+/// What a dataflow state hands out or returns, in a form both the state
+/// machine and the reference can be reduced to: names, and for payloads the
 /// address and length of the view — equal only if both sides passed the
 /// *same* buffer on, neither a copy nor another item's.
 mod dataflow_view {
@@ -1215,14 +1357,13 @@ fn arbitrary_items(rng: &mut SplitMix64, prefix: &str, max: u64) -> Vec<DataItem
 
 /// The dataflow state machine hands out the same instances with the same
 /// inputs, in the same order, and assembles the same external outputs as the
-/// one it replaced — at every step of a random schedule with out-of-order and
+/// reference — at every step of a random schedule with out-of-order and
 /// duplicate completions, empty and missing sets, undeclared and repeated
 /// output sets, and at most one failing instance.
 #[test]
 fn dataflow_state_matches_the_parent_oracle() {
     use dandelion_common::{DandelionError, InvocationId};
-    use dandelion_core::{InstanceCompletion, InvocationState};
-    use std::collections::HashSet;
+    use dandelion_core::InvocationState;
     use std::sync::Arc;
 
     for seed in 0..2_500u64 {
@@ -1240,12 +1381,7 @@ fn dataflow_state_matches_the_parent_oracle() {
         }
         let id = InvocationId::next();
         let mut current = InvocationState::new(id, Arc::clone(&graph), inputs.clone()).unwrap();
-        let mut oracle =
-            parent_dataflow::InvocationState::new(id, Arc::clone(&graph), inputs).unwrap();
-        // The oracle's caller kept the set of applied completions (the
-        // dispatcher's `EntryInner.completed`); the current state answers
-        // "duplicate" itself.
-        let mut applied: HashSet<(usize, usize)> = HashSet::new();
+        let mut reference = dataflow_reference::Reference::new(Arc::clone(&graph), inputs);
         let mut outstanding: Vec<(usize, usize, Vec<String>)> = Vec::new();
         let mut completed: Vec<(usize, usize)> = Vec::new();
         let mut may_fail = rng.bernoulli(0.3);
@@ -1270,22 +1406,8 @@ fn dataflow_state_matches_the_parent_oracle() {
                         .collect()
                 })
                 .map_err(|error| error.to_string());
-            let expected: Result<Vec<dataflow_view::Ready>, String> = oracle
+            let expected = reference
                 .ready_instances()
-                .map(|ready| {
-                    ready
-                        .iter()
-                        .map(|spec| {
-                            (
-                                spec.node,
-                                spec.instance,
-                                spec.vertex.clone(),
-                                spec.output_sets.clone(),
-                                dataflow_view::sets(&spec.inputs),
-                            )
-                        })
-                        .collect()
-                })
                 .map_err(|error| error.to_string());
             assert_eq!(ready, expected, "{context}: ready instances");
             let Ok(ready) = ready else {
@@ -1299,15 +1421,19 @@ fn dataflow_state_matches_the_parent_oracle() {
             );
             assert_eq!(
                 current.is_complete(),
-                oracle.is_complete(),
+                reference.is_complete(),
                 "{context}: completeness"
             );
             assert_eq!(
                 dataflow_view::outputs(current.external_outputs()),
-                dataflow_view::outputs(oracle.external_outputs()),
+                dataflow_view::outputs(reference.external_outputs()),
                 "{context}: external outputs"
             );
-            assert_eq!(current.error(), oracle.error(), "{context}: error");
+            assert_eq!(
+                current.error(),
+                reference.error.as_ref(),
+                "{context}: error"
+            );
 
             // Now and then an engine retry re-delivers an applied result.
             // (Not after a failure: the dispatcher settles a failed
@@ -1361,20 +1487,9 @@ fn dataflow_state_matches_the_parent_oracle() {
             let got = current
                 .complete_instance(node, instance, outcome.clone())
                 .map_err(|error| error.to_string());
-            let expected = if applied.insert((node, instance)) {
-                oracle
-                    .complete_instance(node, instance, outcome)
-                    .map(|finished_node| {
-                        if finished_node {
-                            InstanceCompletion::NodeFinished
-                        } else {
-                            InstanceCompletion::Pending
-                        }
-                    })
-                    .map_err(|error| error.to_string())
-            } else {
-                Ok(InstanceCompletion::Duplicate)
-            };
+            let expected = reference
+                .complete_instance(node, instance, outcome)
+                .map_err(|error| error.to_string());
             assert_eq!(
                 got, expected,
                 "{context}: completing node {node} instance {instance}"
