@@ -23,18 +23,22 @@
 //! [`DandelionError::ResourceExhausted`].
 //!
 //! [`Dispatcher::submit`] registers an invocation and returns an
-//! [`InvocationHandle`] immediately. A single background *driver* thread
-//! takes the table lock once per engine message (results carry their
-//! invocation id), advances the owning invocation, and settles it when its
-//! external outputs are available. Any number of invocations can therefore
-//! be in flight per client with no thread parked per invocation; the
-//! blocking [`Dispatcher::invoke`] is just `submit(..).wait(None)`.
+//! [`InvocationHandle`] immediately. **An engine settles what it
+//! finishes:** every task carries the dispatcher's completion sink (a
+//! [`ReplySender`]), through which the engine that ran a batch reads the
+//! clock, takes the table lock once for the batch (results carry their
+//! invocation id), advances the owning invocation, and then, on its own
+//! thread, pushes the successor tasks and fires the settle callbacks. No
+//! result crosses a channel or another thread on its way. Any number of
+//! invocations can therefore be in flight per client with no thread parked
+//! per invocation; the blocking [`Dispatcher::invoke`] is just
+//! `submit(..).wait(None)`.
 //!
-//! The driver is the worker's one thread besides the engines, with its one
-//! clock: it waits for results until the stall reaper (every 100 ms), the
-//! pool release (every 500 ms) or, with control on, the core controller is
-//! due, and after every wake reads the clock once and runs what is due, busy
-//! or idle.
+//! The *driver* is the worker's one thread besides the engines, and it
+//! keeps only the clock: it sleeps until the stall reaper (every 100 ms),
+//! the pool release (every 500 ms) or, with control on, the core controller
+//! is due, and after every wake reads the clock once and runs what is due,
+//! busy or idle.
 //!
 //! Nested compositions are registered as *child invocations* in the same
 //! table, linked to the parent instance that spawned them; a child's
@@ -42,8 +46,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -170,12 +174,17 @@ pub struct InvocationSnapshot {
     pub outcome: Option<DandelionResult<InvocationOutcome>>,
 }
 
-/// Counters and latency shared between the dispatcher's driver thread and
-/// whoever owns the dispatcher (the worker node surfaces them as
-/// [`crate::worker::WorkerStats`]). Only *top-level* invocations are
-/// counted; nested child invocations fold into their parent's report.
+/// Counters and latency shared between the threads that step the in-flight
+/// table (submitters, engines, the driver) and whoever owns the dispatcher
+/// (the worker node surfaces them as [`crate::worker::WorkerStats`]). Only
+/// *top-level* invocations are counted; nested child invocations fold into
+/// their parent's report. Once nothing is in flight, `invocations +
+/// failures == submitted`: every accepted invocation settled exactly once.
 #[derive(Debug)]
 pub struct DispatchMetrics {
+    /// Invocations the table accepted (a submission before the final sweep;
+    /// one refused for its inputs or a full queue is accepted and fails).
+    pub submitted: AtomicU64,
     /// Completed invocations.
     pub invocations: AtomicU64,
     /// Failed invocations.
@@ -197,6 +206,7 @@ pub struct DispatchMetrics {
 impl Default for DispatchMetrics {
     fn default() -> Self {
         Self {
+            submitted: AtomicU64::new(0),
             invocations: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             compute_tasks: AtomicU64::new(0),
@@ -211,9 +221,11 @@ impl Default for DispatchMetrics {
 /// A one-shot callback fired when an invocation settles. It receives the
 /// outcome itself, not a copy: the result is consumed and the table entry
 /// released, as by [`InvocationHandle::wait`]. Registered through
-/// [`InvocationHandle::on_settle`]; invoked on the dispatcher driver thread
-/// (or the registering thread when the invocation already settled), never
-/// while the table lock is held — so the callback may use the table freely.
+/// [`InvocationHandle::on_settle`]; invoked on the thread that settled the
+/// invocation — the engine that delivered its last result, the driver when
+/// it reaps or cancels, a submitter whose task a full queue refused, or the
+/// registering thread when the invocation already settled — and never while
+/// the table lock is held, so the callback may use the table freely.
 pub(crate) type SettleCallback = Box<dyn FnOnce(DandelionResult<InvocationOutcome>) + Send>;
 
 /// Links a child invocation to the parent instance awaiting it.
@@ -328,7 +340,7 @@ fn draw_cold_binary(draws: &mut SplitMix64, ratio: f64) -> bool {
 /// Turns a ready instance into an engine task or a child invocation.
 struct Launcher {
     registry: Arc<Registry>,
-    /// The channel every task's engine replies on.
+    /// The sink every task's engine replies through.
     reply: ReplySender,
     cold_draws: SplitMix64,
     cold_ratio: f64,
@@ -462,6 +474,8 @@ impl InFlight {
         if self.shutting_down {
             return Err(DandelionError::Cancelled);
         }
+        // Relaxed: a statistic, read once nothing is in flight.
+        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let mut work = VecDeque::new();
         let registered = self
             .register(graph, inputs, None, now, effects, &mut work)
@@ -472,7 +486,7 @@ impl InFlight {
         Ok(registered)
     }
 
-    /// Applies one engine message. Results for ids the table does not hold
+    /// Applies one engine's batch. Results for ids the table does not hold
     /// (abandoned or already handed over) are dropped.
     fn complete(&mut self, results: Vec<TaskResult>, now: Instant, effects: &mut Effects) {
         let mut work = VecDeque::new();
@@ -819,6 +833,14 @@ impl Core {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Applies an engine's batch at `now`: the table under its lock, then the
+    /// effects outside it, on the calling thread.
+    fn complete(&self, results: Vec<TaskResult>, now: Instant) {
+        let mut effects = Effects::default();
+        self.lock().complete(results, now, &mut effects);
+        self.apply(&mut effects, now);
+    }
+
     /// Applies `effects` outside the lock: evaluates the settle failpoint,
     /// pushes the tasks, fires the callbacks and wakes parked waiters. A task
     /// a full queue refuses fails its instance at `now`, under the lock
@@ -857,15 +879,10 @@ impl Core {
             TaskPayload::Compute { .. } => (&self.compute_queue, "compute"),
             _ => (&self.communication_queue, "communication"),
         };
-        queue.try_push(task).map_err(|task| TaskResult {
-            invocation: task.invocation,
-            node: task.node,
-            instance: task.instance,
-            outcome: Err(DandelionError::ResourceExhausted(format!(
+        queue.try_push(task).map_err(|task| {
+            task.failed(DandelionError::ResourceExhausted(format!(
                 "{name} queue full"
-            ))),
-            context_high_water: 0,
-            modeled_latency: Duration::ZERO,
+            )))
         })
     }
 
@@ -903,10 +920,9 @@ impl Core {
 /// A handle to one submitted invocation.
 ///
 /// The handle does not pin a thread: the invocation advances on the engine
-/// and driver threads whether or not anyone is watching. Results are
-/// consumed exactly once — the first successful [`try_result`] or [`wait`],
-/// or the [`on_settle`] callback, takes the outcome and releases the table
-/// entry. Until one of them does, the settled result stays in the table for
+/// threads whether or not anyone is watching. Results are consumed exactly
+/// once — the first successful [`try_result`] or [`wait`], or the
+/// [`on_settle`] callback, takes the outcome and releases the table entry. Until one of them does, the settled result stays in the table for
 /// polling by id ([`Dispatcher::poll`]) up to the configured retention.
 ///
 /// [`try_result`]: InvocationHandle::try_result
@@ -946,9 +962,11 @@ impl InvocationHandle {
     /// event loop submits an invocation, parks the connection, and the
     /// callback posts the finished response back to the owning loop —
     /// no thread ever blocks in [`InvocationHandle::wait`]. The callback
-    /// runs on the dispatcher driver thread (or immediately on the calling
-    /// thread when the invocation has already settled) and is never invoked
-    /// while the table lock is held, so it may poll or consume the handle.
+    /// runs on the thread that settles the invocation — as a rule the engine
+    /// that delivered its last result; the driver when it reaps or cancels
+    /// it; immediately on the calling thread when it has already settled —
+    /// and is never invoked while the table lock is held, so it may poll or
+    /// consume the handle.
     /// Only one callback can be registered per invocation; a later
     /// registration replaces an unfired earlier one.
     pub fn on_settle<F>(&self, callback: F)
@@ -1024,13 +1042,12 @@ impl std::fmt::Debug for InvocationHandle {
     }
 }
 
-/// Routes ready function instances to engine queues and collects results.
+/// Routes ready function instances to engine queues; engines settle them.
 pub struct Dispatcher {
     core: Arc<Core>,
     metrics: Arc<DispatchMetrics>,
-    /// The engines' reply channel; an empty message on it stops the driver.
-    results: ReplySender,
-    driver: Mutex<Option<JoinHandle<()>>>,
+    /// The driver thread, and the sender whose drop stops it.
+    driver: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
 }
 
 impl Dispatcher {
@@ -1062,24 +1079,26 @@ impl Dispatcher {
         metrics: Arc<DispatchMetrics>,
         control: Option<PoolControl>,
     ) -> Self {
-        let (results, received) = channel::<Vec<TaskResult>>();
-        let table = InFlight::new(registry, &config, results.clone(), Arc::clone(&metrics));
-        let core = Arc::new(Core {
-            table: StdMutex::new(table),
-            settled: Condvar::new(),
-            compute_queue,
-            communication_queue,
+        let core = Arc::new_cyclic(|core| {
+            let reply = completion_sink(Weak::clone(core));
+            let table = InFlight::new(registry, &config, reply, Arc::clone(&metrics));
+            Core {
+                table: StdMutex::new(table),
+                settled: Condvar::new(),
+                compute_queue,
+                communication_queue,
+            }
         });
+        let (stop, stopped) = channel();
         let driver_core = Arc::clone(&core);
         let driver = std::thread::Builder::new()
             .name("dandelion-dispatcher".to_string())
-            .spawn(move || driver_loop(&driver_core, &received, control))
+            .spawn(move || driver_loop(&driver_core, &stopped, control))
             .expect("spawning the dispatcher driver thread");
         Self {
             core,
             metrics,
-            results,
-            driver: Mutex::new(Some(driver)),
+            driver: Mutex::new(Some((stop, driver))),
         }
     }
 
@@ -1123,8 +1142,8 @@ impl Dispatcher {
     /// [`DandelionError::Cancelled`], and later submissions are refused
     /// with it.
     pub fn shutdown(&self) {
-        let _ = self.results.send(Vec::new());
-        if let Some(driver) = self.driver.lock().take() {
+        if let Some((stop, driver)) = self.driver.lock().take() {
+            drop(stop);
             let _ = driver.join();
         }
     }
@@ -1136,7 +1155,21 @@ impl Drop for Dispatcher {
     }
 }
 
-fn driver_loop(core: &Core, results: &Receiver<Vec<TaskResult>>, control: Option<PoolControl>) {
+/// The sink every task of the dispatcher carries: the engine that ran a
+/// batch applies it on its own thread. It holds the core weakly, since the
+/// core's table holds the sink; a batch that outlives the core is dropped.
+fn completion_sink(core: Weak<Core>) -> ReplySender {
+    ReplySender::new(move |results| {
+        if let Some(core) = core.upgrade() {
+            core.complete(results, Instant::now());
+        }
+    })
+}
+
+/// The driver keeps the dispatcher's clock: it sleeps until the next timer
+/// is due or `shutdown` drops the sender of `stop` (nothing is ever sent on
+/// it), runs what is due, and ends with the final sweep.
+fn driver_loop(core: &Core, stop: &Receiver<()>, control: Option<PoolControl>) {
     let mut now = Instant::now();
     let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
     let mut control = control.map(|control| (now + control.step.interval(), control));
@@ -1146,17 +1179,10 @@ fn driver_loop(core: &Core, results: &Receiver<Vec<TaskResult>>, control: Option
         let next = control
             .as_ref()
             .map_or(next, |(next_step, _)| next.min(*next_step));
-        let received = results.recv_timeout(next.saturating_duration_since(now));
+        let woken = stop.recv_timeout(next.saturating_duration_since(now));
         now = Instant::now();
-        match received {
-            // No engine sends an empty message: this is `shutdown`'s.
-            Ok(batch) if batch.is_empty() => break,
-            Ok(batch) => {
-                core.lock().complete(batch, now, &mut effects);
-                core.apply(&mut effects, now);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        if woken != Err(RecvTimeoutError::Timeout) {
+            break;
         }
         if reap <= now {
             core.lock().reap(now, &mut effects);
@@ -1184,6 +1210,7 @@ fn driver_loop(core: &Core, results: &Receiver<Vec<TaskResult>>, control: Option
 mod tests {
     use super::*;
     use crate::engine::{EngineExecutor, EnginePool};
+    use crate::task::reply_channel;
     use dandelion_common::config::{EngineKind, IsolationKind};
     use dandelion_common::{DataItem, SharedBytes};
     use dandelion_dsl::{CompositionBuilder, Distribution};
@@ -1345,9 +1372,9 @@ mod tests {
     //
     // Each row is a test that steps the shell of a table in this thread: no
     // engine pool, no driver, no sleep. The row pops the engine queues,
-    // answers on the reply channel it holds as an engine would, hands each
-    // message to the table as the driver does, moves the clock itself, and
-    // ends with `Rig::finish`.
+    // answers through a sink that forwards to a channel it holds, hands each
+    // batch to the table as an engine's sink does, moves the clock itself,
+    // and ends with `Rig::finish`.
 
     /// A composition of one node that runs `function` over `In`, publishing
     /// `Out`.
@@ -1374,7 +1401,9 @@ mod tests {
                 inputs,
                 response_set,
             } => (inputs, response_set.clone()),
-            TaskPayload::Shutdown => unreachable!("the table queues no stop marker"),
+            TaskPayload::Shutdown | TaskPayload::Faulted { .. } => {
+                unreachable!("the table queues no marker")
+            }
         };
         Ok(vec![DataSet::with_items(output, inputs[0].items.clone())])
     }
@@ -1416,7 +1445,7 @@ mod tests {
                 .register_composition(one_node("Identity", "Copy", Distribution::All))
                 .unwrap();
             let metrics = Arc::new(DispatchMetrics::default());
-            let (reply, results) = channel();
+            let (reply, results) = reply_channel();
             let table = InFlight::new(Arc::clone(&registry), &config, reply, Arc::clone(&metrics));
             Self {
                 core: Arc::new(Core {
@@ -1474,7 +1503,7 @@ mod tests {
             compute.chain(communication).collect()
         }
 
-        /// Answers `task` on its reply channel as an engine does.
+        /// Answers `task` through its sink as an engine does.
         fn reply(&self, task: &Task, outcome: DandelionResult<Vec<DataSet>>, high_water: usize) {
             let result = TaskResult {
                 invocation: task.invocation,
@@ -1484,16 +1513,14 @@ mod tests {
                 context_high_water: high_water,
                 modeled_latency: Duration::ZERO,
             };
-            task.reply.send(vec![result]).unwrap();
+            task.reply.send(vec![result]);
         }
 
-        /// What the driver does with each message waiting on the channel.
+        /// What an engine's sink does with each batch waiting on the
+        /// channel, at the rig's clock.
         fn deliver(&mut self) {
             while let Ok(batch) = self.results.try_recv() {
-                self.core
-                    .lock()
-                    .complete(batch, self.now, &mut self.effects);
-                self.core.apply(&mut self.effects, self.now);
+                self.core.complete(batch, self.now);
             }
         }
 
@@ -1537,6 +1564,11 @@ mod tests {
                 assert_eq!(delivered.lock().len(), 1, "callback {index}");
             }
             assert_eq!(self.counter(&self.metrics.inflight), 0, "inflight");
+            assert_eq!(
+                self.counter(&self.metrics.submitted),
+                self.submitted,
+                "submitted"
+            );
             assert_eq!(
                 self.counter(&self.metrics.invocations) + self.counter(&self.metrics.failures),
                 self.submitted,
@@ -1968,6 +2000,41 @@ mod tests {
         assert_eq!(outcome.report.compute_tasks, 2);
         assert_eq!(outcome.report.communication_tasks, 2);
         assert!(outcome.report.modeled_busy_time > Duration::ZERO);
+    }
+
+    /// An engine settles what it finishes: the settle callback of a
+    /// compute → communication → compute invocation (the shape of
+    /// `RenderLogs`) runs on the compute engine that delivered the last
+    /// result, not on the driver, and before the driver's first timer (the
+    /// reaper's, `REAP_PERIOD` after it started) is due.
+    #[test]
+    fn the_engine_that_finishes_an_invocation_settles_it() {
+        let created = Instant::now();
+        let harness = harness();
+        let graph = register_fetch_concat(&harness.registry);
+        let handle = harness
+            .dispatcher
+            .submit(
+                graph,
+                vec![DataSet::single("Keys", b"a.txt\nb.txt".to_vec())],
+            )
+            .unwrap();
+        let (sender, receiver) = std::sync::mpsc::channel();
+        handle.on_settle(move |outcome| {
+            let thread = std::thread::current().name().map(str::to_string);
+            sender.send((thread, Instant::now(), outcome)).unwrap();
+        });
+        let (thread, settled, outcome) = receiver
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the invocation settles");
+        assert_eq!(text(&outcome), "alpha|beta|");
+        assert_eq!(thread.as_deref(), Some("dandelion-compute-engine"));
+        assert_ne!(thread.as_deref(), Some("dandelion-dispatcher"));
+        let after = settled - created;
+        assert!(
+            after < REAP_PERIOD,
+            "settled {after:?} after the dispatcher started, past its first timer"
+        );
     }
 
     #[test]

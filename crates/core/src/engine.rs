@@ -35,15 +35,15 @@ use dandelion_isolation::{ExecutionTask, IsolationBackend};
 use dandelion_services::ServiceRegistry;
 use parking_lot::Mutex;
 
-use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
+use crate::task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
 
-/// Maximum task results an engine coalesces into one reply message.
+/// Maximum task results an engine coalesces into one reply batch.
 ///
 /// Same-invocation tasks that are already waiting on the queue when a task
-/// finishes are executed back-to-back and their results cross the
-/// dispatcher channel as one batch (one send, one driver wakeup, one table
-/// lookup run) instead of one message each. The cap bounds how long the
-/// first result of a batch can be held back.
+/// finishes are executed back-to-back and their results reach the
+/// dispatcher as one batch (one call of the task's sink, one table lock)
+/// instead of one each. The cap bounds how long the first result of a
+/// batch can be held back.
 const ENGINE_COALESCE_MAX: usize = 32;
 
 /// The execution capability shared by every engine of a pool.
@@ -107,6 +107,13 @@ impl EngineExecutor {
                 (Ok(vec![set]), 0, latency)
             }
             (TaskPayload::Shutdown, _) => (Err(DandelionError::Cancelled), 0, Duration::ZERO),
+            (TaskPayload::Faulted { reason }, _) => (
+                Err(DandelionError::EngineFault {
+                    reason: reason.clone(),
+                }),
+                0,
+                Duration::ZERO,
+            ),
             (payload, executor) => (
                 Err(DandelionError::Dispatch(format!(
                     "task of kind {:?} routed to {} engine",
@@ -187,32 +194,18 @@ fn execute_supervised(executor: &EngineExecutor, task: &Task) -> TaskResult {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if failpoints_enabled() {
             if let Some(Fault::Error) = check_failpoint("engine/execute") {
-                return TaskResult {
-                    invocation: task.invocation,
-                    node: task.node,
-                    instance: task.instance,
-                    outcome: Err(DandelionError::EngineFault {
-                        reason: "failpoint engine/execute injected error".to_string(),
-                    }),
-                    context_high_water: 0,
-                    modeled_latency: Duration::ZERO,
-                };
+                return task.failed(DandelionError::EngineFault {
+                    reason: "failpoint engine/execute injected error".to_string(),
+                });
             }
         }
         executor.execute(task)
     }));
     match caught {
         Ok(result) => result,
-        Err(panic) => TaskResult {
-            invocation: task.invocation,
-            node: task.node,
-            instance: task.instance,
-            outcome: Err(DandelionError::EngineFault {
-                reason: panic_message(&panic),
-            }),
-            context_high_water: 0,
-            modeled_latency: Duration::ZERO,
-        },
+        Err(panic) => task.failed(DandelionError::EngineFault {
+            reason: panic_message(&panic),
+        }),
     }
 }
 
@@ -270,13 +263,16 @@ impl PoolShared {
 
 /// Per-engine-thread supervision state. On a normal exit the drop only
 /// releases the active slot; on a panic it requeues the tasks the engine
-/// held (once each), and respawns a replacement within the budget.
+/// held — each to run once more, or, on its second death, marked
+/// [`TaskPayload::Faulted`] — and respawns a replacement within the budget.
+/// The unwinding thread only pushes to the queue: no result is delivered,
+/// and so no table lock, failpoint or settle callback runs, on it.
 struct EngineGuard {
     shared: Arc<PoolShared>,
     /// Tasks popped but whose results have not been delivered yet. The
     /// engine moves each task in here and executes it from here, so a
     /// requeue hands on the very task that was popped — inputs, artifact and
-    /// reply channel — without a clone having been taken up front.
+    /// reply sink — without a clone having been taken up front.
     inflight: Vec<Task>,
     /// A task popped for a different invocation, carried into the next
     /// batch (not started: always safe to requeue).
@@ -293,26 +289,18 @@ impl Drop for EngineGuard {
         if let Some(task) = self.carried.take() {
             self.shared.queue.push(task);
         }
-        for task in self.inflight.drain(..) {
+        for mut task in self.inflight.drain(..) {
+            // Retry exactly once on a fresh engine. If the task already
+            // settled (the panic hit after the reply), the dispatcher's
+            // per-task completion guard drops the duplicate result. The
+            // second death sends the task back to be answered as a fault.
             let key = (task.invocation.as_u64(), task.node, task.instance);
-            let first_death = self.shared.retried.lock().insert(key);
-            if first_death {
-                // Retry exactly once on a fresh engine. If the task already
-                // settled (the panic hit after the reply), the dispatcher's
-                // per-task completion guard drops the duplicate result.
-                self.shared.queue.push(task);
-            } else {
-                let _ = task.reply.send(vec![TaskResult {
-                    invocation: task.invocation,
-                    node: task.node,
-                    instance: task.instance,
-                    outcome: Err(DandelionError::EngineFault {
-                        reason: "engine died twice executing this task".to_string(),
-                    }),
-                    context_high_water: 0,
-                    modeled_latency: Duration::ZERO,
-                }]);
+            if !self.shared.retried.lock().insert(key) {
+                task.payload = TaskPayload::Faulted {
+                    reason: "engine died twice executing this task".to_string(),
+                };
             }
+            self.shared.queue.push(task);
         }
         let budget_allows = self
             .shared
@@ -337,7 +325,8 @@ fn execute_inflight(guard: &mut EngineGuard, task: Task) -> TaskResult {
 }
 
 /// The engine thread body: pull, execute under supervision, coalesce,
-/// reply. Mirrors the pre-supervision loop; `guard` tracks what must be
+/// reply. The reply applies the batch to the dispatcher's table on this
+/// thread (see [`crate::task::ReplySender`]); `guard` tracks what must be
 /// rescued if a panic unwinds out of here.
 fn run_engine(guard: &mut EngineGuard) {
     loop {
@@ -345,17 +334,25 @@ fn run_engine(guard: &mut EngineGuard) {
             Some(task) => task,
             None => guard.shared.queue.pop_wait(),
         };
-        if matches!(task.payload, TaskPayload::Shutdown) {
-            return;
+        match &task.payload {
+            TaskPayload::Shutdown => return,
+            // A task whose engine died twice: answered here, by a thread
+            // that is not unwinding, without running it and past the reply
+            // failpoints, so that it fails exactly once.
+            TaskPayload::Faulted { .. } => {
+                task.reply.send(vec![guard.shared.executor.execute(&task)]);
+                continue;
+            }
+            _ => {}
         }
         let mut batch = vec![execute_inflight(guard, task)];
         // Coalesce: execute same-invocation tasks already queued and reply
         // with one batch. The id alone decides: ids are process-unique
         // (`InvocationId::next`) and every task of an invocation carries its
-        // one dispatcher's sender, so one id means one reply channel. A task
-        // for a different invocation flushes the batch and is carried into
-        // the next iteration; a shutdown marker flushes it and ends the
-        // engine.
+        // one dispatcher's sink, so one id means one sink. A task for a
+        // different invocation, or a faulted one, flushes the batch and is
+        // carried into the next iteration; a shutdown marker flushes it and
+        // ends the engine.
         let mut stop_after_flush = false;
         while batch.len() < ENGINE_COALESCE_MAX {
             let first = &guard.inflight[0];
@@ -364,7 +361,10 @@ fn run_engine(guard: &mut EngineGuard) {
                     stop_after_flush = true;
                     break;
                 }
-                Some(next) if next.invocation == first.invocation => {
+                Some(next)
+                    if next.invocation == first.invocation
+                        && !matches!(next.payload, TaskPayload::Faulted { .. }) =>
+                {
                     batch.push(execute_inflight(guard, next));
                 }
                 Some(next) => {
@@ -377,9 +377,10 @@ fn run_engine(guard: &mut EngineGuard) {
         // Chaos hook: a panic here dies *before* delivery, exercising the
         // requeue-once path.
         fail_point!("engine/reply");
-        // A dropped receiver means the invocation was abandoned; the
-        // engine simply moves on.
-        let _ = guard.inflight[0].reply.send(batch);
+        // Applies the batch to the table and what it causes — successor
+        // tasks, settle callbacks — on this thread. A result for an
+        // invocation the table no longer holds is dropped there.
+        guard.inflight[0].reply.send(batch);
         guard.inflight.clear();
         // Chaos hook: a panic here dies *after* delivery — the respawn
         // keeps the pool size, and nothing is requeued.
@@ -476,13 +477,12 @@ impl EnginePool {
             }
         } else {
             for _ in target..current {
-                let (reply, _unused) = std::sync::mpsc::channel();
                 self.shared.queue.push(Task {
                     invocation: dandelion_common::InvocationId::from_raw(0),
                     node: 0,
                     instance: 0,
                     payload: TaskPayload::Shutdown,
-                    reply,
+                    reply: ReplySender::new(|_| {}),
                 });
             }
         }
@@ -508,12 +508,12 @@ impl Drop for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::reply_channel;
     use dandelion_common::config::IsolationKind;
     use dandelion_common::InvocationId;
     use dandelion_http::HttpRequest;
     use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
     use dandelion_services::ObjectStore;
-    use std::sync::mpsc::channel;
 
     fn compute_pool() -> EnginePool {
         let queue = TaskQueue::new(EngineKind::Compute, 1024);
@@ -553,7 +553,7 @@ mod tests {
         let pool = compute_pool();
         pool.resize(2);
         assert_eq!(pool.engine_count(), 2);
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         for index in 0..4 {
             pool.queue().push(Task {
                 invocation: InvocationId::from_raw(7),
@@ -586,7 +586,7 @@ mod tests {
     #[test]
     fn same_invocation_results_coalesce_into_one_reply() {
         let pool = compute_pool();
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         // Queue every task before any engine exists, so a single engine
         // deterministically finds the rest of the invocation's tasks queued
         // when the first one finishes.
@@ -620,7 +620,7 @@ mod tests {
     #[test]
     fn different_invocations_do_not_coalesce() {
         let pool = compute_pool();
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         for (index, invocation) in [7u64, 7, 9, 9].into_iter().enumerate() {
             pool.queue().push(Task {
                 invocation: InvocationId::from_raw(invocation),
@@ -649,7 +649,7 @@ mod tests {
     fn communication_pool_performs_http_requests() {
         let (pool, _store) = comm_pool_with_store();
         pool.resize(1);
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         let good = HttpRequest::get("http://s3.internal/bucket/hello.txt").to_bytes();
         let missing = HttpRequest::get("http://s3.internal/bucket/none").to_bytes();
         let invalid = b"NOT A REQUEST".to_vec();
@@ -690,7 +690,7 @@ mod tests {
     fn misrouted_tasks_report_dispatch_errors() {
         let (pool, _store) = comm_pool_with_store();
         pool.resize(1);
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         pool.queue().push(Task {
             invocation: InvocationId::from_raw(2),
             node: 0,
@@ -705,6 +705,63 @@ mod tests {
         });
         let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(batch[0].outcome, Err(DandelionError::Dispatch(_))));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_faulted_task_is_answered_without_running() {
+        let pool = compute_pool();
+        let (reply, results) = reply_channel();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&ran);
+        let artifact = Arc::new(FunctionArtifact::new(
+            "count",
+            &["out"],
+            move |_: &mut FunctionCtx| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            },
+        ));
+        // A task of the invocation, and behind it another one of it whose
+        // engine died twice, both queued before the engine starts.
+        for (instance, payload) in [
+            TaskPayload::Compute {
+                artifact,
+                inputs: Arc::new([]),
+                cold_binary: false,
+                timeout: Duration::from_secs(5),
+            },
+            TaskPayload::Faulted {
+                reason: "engine died twice executing this task".to_string(),
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            pool.queue().push(Task {
+                invocation: InvocationId::from_raw(13),
+                node: 0,
+                instance,
+                payload,
+                reply: reply.clone(),
+            });
+        }
+        pool.resize(1);
+        // The faulted task is not coalesced into the batch before it...
+        let ran_first = results.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(ran_first.len(), 1);
+        assert!(ran_first[0].outcome.is_ok());
+        // ...and is answered on its own, without running anything.
+        let faulted = results.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(faulted.len(), 1);
+        assert_eq!(faulted[0].instance, 1);
+        assert_eq!(
+            faulted[0].outcome.as_ref().unwrap_err(),
+            &DandelionError::EngineFault {
+                reason: "engine died twice executing this task".to_string()
+            }
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
         pool.shutdown();
     }
 
@@ -724,7 +781,7 @@ mod tests {
         assert_eq!(pool.engine_count(), 1);
         // No marker is left over: a task pushed now is executed, not eaten
         // by a stale shutdown marker.
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         pool.queue().push(Task {
             invocation: InvocationId::from_raw(9),
             node: 0,
@@ -746,7 +803,7 @@ mod tests {
     fn shrink_then_grow_never_loses_queued_tasks() {
         let pool = compute_pool();
         pool.resize(2);
-        let (reply, results) = channel();
+        let (reply, results) = reply_channel();
         let total = 50usize;
         for index in 0..total {
             pool.queue().push(Task {

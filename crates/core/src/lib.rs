@@ -48,5 +48,5 @@ pub use engine::{EngineExecutor, EnginePool};
 pub use frontend::{sync_invoke_response, Frontend, FrontendReply, StatsSource};
 pub use invocation::{InstanceCompletion, InvocationState};
 pub use registry::Registry;
-pub use task::{ReplySender, Task, TaskPayload, TaskQueue};
+pub use task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
 pub use worker::{default_test_services, WorkerNode};

@@ -3,16 +3,16 @@
 //! The dispatcher enqueues tasks (a prepared set of inputs plus metadata) to
 //! per-engine-kind queues; engines poll their type-specific queue to ensure
 //! late binding of tasks to cores (paper §5, "Engines"). Queue lengths are
-//! also the control plane's only input signal. Results flow back to the
-//! dispatcher over the standard library's channel.
+//! also the control plane's only input signal. An engine hands its results
+//! to the task's [`ReplySender`], which applies them to the dispatcher's
+//! in-flight table on the engine's own thread: no result crosses a channel.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use dandelion_common::config::EngineKind;
-use dandelion_common::{DandelionResult, DataSet, InvocationId};
+use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
 use dandelion_isolation::FunctionArtifact;
 
 /// The work carried by a task.
@@ -43,27 +43,70 @@ pub enum TaskPayload {
     },
     /// Ask an engine of this kind to shut down (used to shrink a pool).
     Shutdown,
+    /// A task whose engine died twice running it: the next engine of the
+    /// pool answers it with [`DandelionError::EngineFault`] and this reason,
+    /// without running it. Supervision puts it back on the queue so that
+    /// nothing of the dispatcher runs on the thread that is unwinding.
+    Faulted {
+        /// Why the task failed.
+        reason: String,
+    },
 }
 
 impl TaskPayload {
-    /// Which engine kind must execute this payload.
+    /// Which engine kind must execute this payload. The markers (`Shutdown`,
+    /// `Faulted`) are answered by the pool whose queue they are on.
     pub fn engine_kind(&self) -> EngineKind {
         match self {
             TaskPayload::Compute { .. } => EngineKind::Compute,
-            TaskPayload::Http { .. } | TaskPayload::Shutdown => EngineKind::Communication,
+            TaskPayload::Http { .. } | TaskPayload::Shutdown | TaskPayload::Faulted { .. } => {
+                EngineKind::Communication
+            }
         }
     }
 }
 
-/// The reply channel engines send completed task results on (a
-/// `std::sync::mpsc` sender: cloned per task, shared by every submitting
-/// thread).
+/// Where an engine hands the results of the tasks it ran: one cloneable
+/// completion sink per dispatcher, carried by each of its tasks. The
+/// dispatcher's sink applies the results to its in-flight table and then what
+/// they cause (successor tasks, settle callbacks), all on the calling
+/// engine's thread; a test that builds tasks by hand wraps its channel in
+/// one.
 ///
-/// Results cross the channel in *batches*: an engine coalesces the results
-/// of consecutively executed same-invocation tasks into one message, so a
-/// fan-out of N small instances costs one channel round-trip instead of N.
-/// The driver drains whole batches per wakeup on the receiving side.
-pub type ReplySender = Sender<Vec<TaskResult>>;
+/// Results come in *batches*: an engine coalesces the results of
+/// consecutively executed same-invocation tasks into one call, so a fan-out
+/// of N small instances takes the table lock once instead of N times.
+#[derive(Clone)]
+pub struct ReplySender(Arc<dyn Fn(Vec<TaskResult>) + Send + Sync>);
+
+impl ReplySender {
+    /// A sink that hands every batch to `sink`.
+    pub fn new(sink: impl Fn(Vec<TaskResult>) + Send + Sync + 'static) -> Self {
+        Self(Arc::new(sink))
+    }
+
+    /// Hands one batch of results to the sink.
+    pub fn send(&self, results: Vec<TaskResult>) {
+        (self.0)(results);
+    }
+}
+
+impl std::fmt::Debug for ReplySender {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReplySender")
+    }
+}
+
+/// A sink that forwards every batch to a channel, with the channel's
+/// receiving end: the engine's side of a test that steps the table itself.
+#[cfg(test)]
+pub(crate) fn reply_channel() -> (ReplySender, std::sync::mpsc::Receiver<Vec<TaskResult>>) {
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let sink = ReplySender::new(move |batch| {
+        let _ = sender.send(batch);
+    });
+    (sink, receiver)
+}
 
 /// A schedulable unit of work.
 #[derive(Debug, Clone)]
@@ -76,8 +119,23 @@ pub struct Task {
     pub instance: usize,
     /// The work itself.
     pub payload: TaskPayload,
-    /// Channel the executing engine replies on (in batches).
+    /// Where the executing engine hands the result (in batches).
     pub reply: ReplySender,
+}
+
+impl Task {
+    /// This task's result when it fails with `error` before producing
+    /// anything.
+    pub(crate) fn failed(&self, error: DandelionError) -> TaskResult {
+        TaskResult {
+            invocation: self.invocation,
+            node: self.node,
+            instance: self.instance,
+            outcome: Err(error),
+            context_high_water: 0,
+            modeled_latency: Duration::ZERO,
+        }
+    }
 }
 
 /// The result an engine sends back to the dispatcher.
@@ -211,9 +269,8 @@ impl std::fmt::Debug for TaskQueue {
 mod tests {
     use super::*;
     use dandelion_isolation::FunctionCtx;
-    use std::sync::mpsc::channel;
 
-    fn dummy_task(reply: ReplySender) -> Task {
+    fn dummy_task() -> Task {
         Task {
             invocation: InvocationId::from_raw(1),
             node: 0,
@@ -222,7 +279,7 @@ mod tests {
                 inputs: Arc::new([]),
                 response_set: "Response".to_string(),
             },
-            reply,
+            reply: ReplySender::new(|_| {}),
         }
     }
 
@@ -246,10 +303,9 @@ mod tests {
     #[test]
     fn queue_tracks_depth_and_totals() {
         let queue = TaskQueue::new(EngineKind::Communication, 16);
-        let (reply, _rx) = channel();
         assert!(queue.is_empty());
-        queue.push(dummy_task(reply.clone()));
-        queue.push(dummy_task(reply.clone()));
+        queue.push(dummy_task());
+        queue.push(dummy_task());
         assert_eq!(queue.len(), 2);
         assert!(queue.try_pop().is_some());
         assert_eq!(queue.len(), 1);
@@ -260,19 +316,17 @@ mod tests {
     #[test]
     fn try_push_applies_back_pressure() {
         let queue = TaskQueue::new(EngineKind::Communication, 1);
-        let (reply, _rx) = channel();
-        assert!(queue.try_push(dummy_task(reply.clone())).is_ok());
-        assert!(queue.try_push(dummy_task(reply.clone())).is_err());
+        assert!(queue.try_push(dummy_task()).is_ok());
+        assert!(queue.try_push(dummy_task()).is_err());
         queue.try_pop().unwrap();
-        assert!(queue.try_push(dummy_task(reply)).is_ok());
+        assert!(queue.try_push(dummy_task()).is_ok());
     }
 
     #[test]
     fn queue_clones_share_state() {
         let queue = TaskQueue::new(EngineKind::Compute, 8);
         let clone = queue.clone();
-        let (reply, _rx) = channel();
-        queue.push(dummy_task(reply));
+        queue.push(dummy_task());
         assert_eq!(clone.len(), 1);
         assert!(clone.try_pop().is_some());
         assert!(queue.is_empty());
@@ -282,8 +336,7 @@ mod tests {
     fn try_pop_is_nonblocking() {
         let queue = TaskQueue::new(EngineKind::Compute, 8);
         assert!(queue.try_pop().is_none());
-        let (reply, _rx) = channel();
-        queue.push(dummy_task(reply));
+        queue.push(dummy_task());
         assert!(queue.try_pop().is_some());
         assert!(queue.try_pop().is_none());
         assert!(queue.is_empty());

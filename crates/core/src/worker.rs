@@ -28,6 +28,9 @@ use crate::task::TaskQueue;
 /// Point-in-time statistics of a worker node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStats {
+    /// Invocations the dispatcher accepted; once none is in flight,
+    /// `invocations + failures` equals it.
+    pub submitted: u64,
     /// Completed invocations.
     pub invocations: u64,
     /// Failed invocations.
@@ -243,6 +246,7 @@ impl WorkerNode {
     pub fn stats(&self) -> WorkerStats {
         let allocation = self.core_allocation();
         WorkerStats {
+            submitted: self.metrics.submitted.load(Ordering::Relaxed),
             invocations: self.metrics.invocations.load(Ordering::Relaxed),
             failures: self.metrics.failures.load(Ordering::Relaxed),
             compute_tasks: self.metrics.compute_tasks.load(Ordering::Relaxed),

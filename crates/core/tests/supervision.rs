@@ -11,7 +11,7 @@
 //! is safe under the default parallel test runner.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -22,6 +22,7 @@ use dandelion_common::{
 };
 use dandelion_core::{
     Dispatcher, EngineExecutor, EnginePool, Registry, ReplySender, Task, TaskPayload, TaskQueue,
+    TaskResult,
 };
 use dandelion_dsl::{CompositionBuilder, Distribution};
 use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
@@ -62,7 +63,9 @@ fn compute_pool() -> EnginePool {
     EnginePool::new(EngineExecutor::Compute { backend }, queue)
 }
 
-fn task(reply: &ReplySender) -> Task {
+/// A task whose engine's reply goes to `reply`.
+fn task(reply: &Sender<Vec<TaskResult>>) -> Task {
+    let reply = reply.clone();
     Task {
         invocation: InvocationId::from_raw(7),
         node: 0,
@@ -73,7 +76,9 @@ fn task(reply: &ReplySender) -> Task {
             cold_binary: false,
             timeout: Duration::from_secs(5),
         },
-        reply: reply.clone(),
+        reply: ReplySender::new(move |batch| {
+            let _ = reply.send(batch);
+        }),
     }
 }
 

@@ -181,8 +181,7 @@ impl Parser {
 
 /// Parses a single composition from DSL text.
 ///
-/// Trailing input after the composition is rejected; use [`parse_program`]
-/// for files containing several compositions.
+/// Trailing input after the composition is rejected.
 pub(crate) fn parse_composition(source: &str) -> DandelionResult<CompositionAst> {
     let mut parser = Parser::new(lex(source)?);
     let composition = parser.parse_composition()?;
@@ -190,16 +189,6 @@ pub(crate) fn parse_composition(source: &str) -> DandelionResult<CompositionAst>
         return Err(parser.error("unexpected tokens after composition"));
     }
     Ok(composition)
-}
-
-/// Parses every composition in a DSL program.
-pub(crate) fn parse_program(source: &str) -> DandelionResult<Vec<CompositionAst>> {
-    let mut parser = Parser::new(lex(source)?);
-    let mut compositions = Vec::new();
-    while !parser.at_eof() {
-        compositions.push(parser.parse_composition()?);
-    }
-    Ok(compositions)
 }
 
 #[cfg(test)]
@@ -293,18 +282,5 @@ mod tests {
         let err = parse_composition("composition X(A) => B { F(a = all A) => (B = Out); } garbage")
             .unwrap_err();
         assert!(err.to_string().contains("unexpected tokens"));
-    }
-
-    #[test]
-    fn parse_program_returns_all_compositions() {
-        let source = r#"
-            composition A(X) => Y { F(a = all X) => (Y = Out); }
-            composition B(X) => Y { G(a = each X) => (Y = Out); }
-        "#;
-        let program = parse_program(source).unwrap();
-        assert_eq!(program.len(), 2);
-        assert_eq!(program[0].name, "A");
-        assert_eq!(program[1].name, "B");
-        assert!(parse_program("").unwrap().is_empty());
     }
 }

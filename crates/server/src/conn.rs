@@ -492,10 +492,11 @@ impl Conn {
                     let seq = self.park(close, held, me);
                     let me = Arc::clone(me);
                     let token = self.token;
-                    // Runs on the dispatcher driver thread when the worker
-                    // settles the invocation and releases its table entry:
-                    // encode there (cheap, zero-copy for single outputs) and
-                    // wake the owning event loop.
+                    // Runs on the thread that settles the invocation — the
+                    // engine that finished it, or the dispatcher driver when
+                    // it reaps or cancels it — once the worker releases its
+                    // table entry: encode there (cheap, zero-copy for single
+                    // outputs) and wake the owning event loop.
                     handle.on_settle(move |outcome| {
                         me.post(LoopMsg::Complete {
                             token,

@@ -135,12 +135,18 @@ pub(crate) fn shutdown_node(server: Server, worker: Arc<WorkerNode>) -> bool {
 }
 
 /// Shuts down a worker whose servers have stopped: it has no invocation in
-/// flight (submitted = settled: a settle path that loses one fails here,
-/// whatever the test looked at), and the pool's books balance
-/// ([`assert_pool_accounted`]).
+/// flight, and every invocation it accepted settled exactly once (a settle
+/// path that loses one, or counts one twice, fails here, whatever the test
+/// looked at), and the pool's books balance ([`assert_pool_accounted`]).
 pub(crate) fn finish_worker(worker: &WorkerNode) {
     worker.shutdown();
     assert_eq!(worker.inflight(), 0, "invocations left in flight");
+    let stats = worker.stats();
+    assert_eq!(
+        stats.invocations + stats.failures,
+        stats.submitted,
+        "invocations + failures"
+    );
     assert_pool_accounted();
 }
 

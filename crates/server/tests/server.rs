@@ -1021,6 +1021,103 @@ fn completion_storm_with_connection_churn_loses_nothing() {
     assert!(common::shutdown_node(server, worker));
 }
 
+/// Every invocation a node accepts settles exactly once by its teardown,
+/// whichever thread settles it: the engine that finished it (sync and
+/// submitted invocations), the engine that reported a function's error,
+/// and the final sweep for one still running when the node stops. Every
+/// served teardown checks `invocations + failures == submitted`
+/// ([`common::finish_worker`]); here all three paths run at once, from
+/// several connections, and the counts are the ones sent.
+#[test]
+fn every_accepted_invocation_settles_exactly_once_at_teardown() {
+    const CLIENTS: u64 = 3;
+    const PAIRS: u64 = 20;
+    const SUBMITTED: u64 = 10;
+    let worker = test_worker();
+    worker
+        .register_function(FunctionArtifact::new(
+            "Refuse",
+            &["Out"],
+            |_: &mut FunctionCtx| Err("refused on purpose".into()),
+        ))
+        .unwrap();
+    worker
+        .register_function(FunctionArtifact::new(
+            "Hold",
+            &["Out"],
+            |ctx: &mut FunctionCtx| {
+                std::thread::sleep(Duration::from_millis(1_000));
+                let data = ctx.single_input("In")?.data.clone();
+                ctx.push_output("Out", dandelion_common::DataItem::new("held", data))
+            },
+        ))
+        .unwrap();
+    for (name, function) in [("RefuseComp", "Refuse"), ("HoldComp", "Hold")] {
+        worker
+            .register_composition_dsl(&format!(
+                "composition {name}(Input) => Output {{ {function}(In = all Input) => (Output = Out); }}"
+            ))
+            .unwrap();
+    }
+    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(10),
+        drain_timeout: Duration::from_millis(50),
+        ..loopback_config()
+    };
+    let server = Server::start(config, frontend).expect("server binds");
+    let addr = server.local_addr();
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            std::thread::spawn(move || {
+                let mut connection =
+                    HttpClientConnection::connect(addr, Duration::from_secs(10)).unwrap();
+                for pair in 0..PAIRS {
+                    let body = format!("{client}-{pair}").into_bytes();
+                    let echoed = connection
+                        .request(&HttpRequest::post("/v1/invoke/EchoComp", body.clone()))
+                        .unwrap();
+                    assert_eq!(echoed.status.0, 200);
+                    let refused = connection
+                        .request(&HttpRequest::post("/v1/invoke/RefuseComp", body))
+                        .unwrap();
+                    assert_eq!(refused.status.0, 422, "{}", refused.body_text());
+                }
+            })
+        })
+        .collect();
+    let mut client = HttpClientConnection::connect(addr, Duration::from_secs(10)).unwrap();
+    for index in 0..SUBMITTED {
+        let response = client
+            .request(&HttpRequest::post(
+                "/v1/invocations/EchoComp",
+                format!("async {index}").into_bytes(),
+            ))
+            .unwrap();
+        assert_eq!(response.status.0, 202);
+    }
+    for thread in clients {
+        thread.join().expect("client thread panicked");
+    }
+    let held = client
+        .request(&HttpRequest::post(
+            "/v1/invocations/HoldComp",
+            b"cancelled".to_vec(),
+        ))
+        .unwrap();
+    assert_eq!(held.status.0, 202);
+    drop(client);
+
+    // The server gives up draining `HoldComp` after 50 ms; the worker's
+    // final sweep cancels it.
+    assert!(!common::shutdown_node(server, Arc::clone(&worker)));
+    let stats = worker.stats();
+    assert_eq!(stats.submitted, CLIENTS * PAIRS * 2 + SUBMITTED + 1);
+    assert_eq!(stats.invocations, CLIENTS * PAIRS + SUBMITTED);
+    assert_eq!(stats.failures, CLIENTS * PAIRS + 1);
+}
+
 #[test]
 fn graceful_shutdown_drains_inflight_invocations() {
     let worker = test_worker();

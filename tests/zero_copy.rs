@@ -345,7 +345,7 @@ fn retained_slivers_do_not_pin_their_parent_buffers() {
 }
 
 /// The non-blocking submit path preserves sharing too: a handle settled on
-/// the driver thread still delivers the producer's buffer.
+/// the engine thread that finished it still delivers the producer's buffer.
 #[test]
 fn submitted_invocations_preserve_sharing() {
     let _quiet = no_faults();
