@@ -1,9 +1,10 @@
 //! A lock-free multi-producer/single-consumer queue.
 //!
 //! [`MpscQueue`] is the inbox of every server event loop: many threads (the
-//! accept path, dispatcher completion callbacks, the gateway control thread)
-//! push messages concurrently, and exactly one consumer — the loop thread —
-//! drains them in batches between `epoll_wait`s. The previous
+//! engines and the dispatcher driver, through the completion callbacks of
+//! the invocations they settle) push messages concurrently, and exactly one
+//! consumer — the loop thread — drains them in batches between
+//! `epoll_wait`s. The previous
 //! `Mutex<VecDeque>` inbox made every completion storm a lock convoy; this
 //! queue makes a push one compare-and-swap and the drain one atomic swap,
 //! with no lock for producers to convoy on.

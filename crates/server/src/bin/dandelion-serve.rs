@@ -155,50 +155,30 @@ fn run_gateway(options: Options) -> ! {
             exit(1);
         }
     };
+    let mut joined = 0;
     for member in &members {
-        match member.parse() {
-            Ok(addr) => match router.join(addr) {
-                Ok(node) => println!("  member {member} joined as {node}"),
-                Err(problem) => eprintln!("  member {member} failed to join: {problem}"),
-            },
-            Err(_) => invalid(&format!("--member expects HOST:PORT, got `{member}`")),
+        let Ok(addr) = member.parse() else {
+            invalid(&format!("--member expects HOST:PORT, got `{member}`"));
+        };
+        match router.join(addr) {
+            Ok(node) => {
+                joined += 1;
+                println!("  member {member} joined as {node}");
+            }
+            Err(problem) => eprintln!("  member {member} failed to join: {problem}"),
         }
     }
     println!(
         "dandelion-serve gateway listening on http://{}",
         server.local_addr()
     );
-    println!(
-        "  {} event loops, {} members",
-        event_loops,
-        router.member_rows().len()
-    );
+    println!("  {event_loops} event loops, {joined} members");
     println!(
         "  try: curl http://{}/v1/cluster/members",
         server.local_addr()
     );
     loop {
         std::thread::park();
-    }
-}
-
-/// Announces a member's bound address to its gateway.
-fn announce_to_gateway(gateway: &str, local: std::net::SocketAddr) {
-    use dandelion_http::HttpRequest;
-    use dandelion_server::HttpClientConnection;
-    let body = format!("{{\"addr\":\"{local}\"}}").into_bytes();
-    let result = HttpClientConnection::connect(gateway, std::time::Duration::from_secs(2))
-        .and_then(|mut client| client.request(&HttpRequest::post("/v1/cluster/members", body)));
-    match result {
-        Ok(response) if response.status.is_success() => {
-            println!("  joined gateway {gateway}");
-        }
-        Ok(response) => eprintln!(
-            "  gateway {gateway} refused the join ({}): {}",
-            response.status.0,
-            response.body_str()
-        ),
-        Err(error) => eprintln!("  could not reach gateway {gateway}: {error}"),
     }
 }
 
@@ -238,8 +218,13 @@ fn main() {
         worker.registry().composition_names().len()
     );
     println!("  try: curl http://{}/healthz", server.local_addr());
+    // A member announces its bound address to its gateway.
     if let Some(gateway) = join {
-        announce_to_gateway(&gateway, server.local_addr());
+        let timeout = std::time::Duration::from_secs(2);
+        match dandelion_server::join_gateway(&gateway, server.local_addr(), timeout) {
+            Ok(node) => println!("  joined gateway {gateway} as {node}"),
+            Err(problem) => eprintln!("  {problem}"),
+        }
     }
     // Serve until the process is killed; the server's threads do the work.
     loop {

@@ -8,13 +8,13 @@
 //! enough to drive the v1 API over a real socket.
 
 use std::io::{self, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsFd;
 use std::time::Duration;
 
-use dandelion_common::KIB;
+use dandelion_common::{JsonValue, NodeId, KIB};
 use dandelion_core::DandelionClient;
-use dandelion_http::{HttpRequest, HttpResponse, ParseLimits, ResponseDecoder};
+use dandelion_http::{HttpRequest, HttpResponse, ParseLimits, ResponseDecoder, StatusCode};
 use parking_lot::Mutex;
 
 /// Bytes requested from the kernel per read.
@@ -72,6 +72,33 @@ impl HttpClientConnection {
     pub fn request(&mut self, request: &HttpRequest) -> io::Result<HttpResponse> {
         self.send(request)?;
         self.receive()
+    }
+}
+
+/// Announces the member at `member` to the gateway at `gateway`
+/// (`POST /v1/cluster/members`, what `dandelion-serve --join` sends) and
+/// returns the node id the gateway gave it. The gateway answers once it has
+/// probed the member, within `timeout` or not at all.
+pub fn join_gateway(
+    gateway: impl ToSocketAddrs + std::fmt::Display,
+    member: SocketAddr,
+    timeout: Duration,
+) -> Result<NodeId, String> {
+    let body = JsonValue::object([("addr", JsonValue::string(member.to_string()))]);
+    let request = HttpRequest::post("/v1/cluster/members", body.to_json_string());
+    let response = HttpClientConnection::connect(&gateway, timeout)
+        .and_then(|mut client| client.request(&request))
+        .map_err(|error| format!("gateway {gateway} did not answer the join: {error}"))?;
+    let node = JsonValue::parse(&response.body_str())
+        .ok()
+        .and_then(|document| NodeId::parse(document.get("node")?.as_str()?));
+    match node {
+        Some(node) if response.status == StatusCode::CREATED => Ok(node),
+        _ => Err(format!(
+            "gateway {gateway} refused the join ({}): {}",
+            response.status.0,
+            response.body_str()
+        )),
     }
 }
 

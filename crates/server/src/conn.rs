@@ -74,7 +74,7 @@ use dandelion_http::{
 };
 
 use crate::event_loop::{LoopMsg, LoopShared};
-use crate::gateway::{relay_rope, GatewayReply};
+use crate::gateway::relay_rope;
 use crate::rate::RateLimit;
 use crate::server::{AppKind, Shared};
 
@@ -141,6 +141,14 @@ fn wants_close(request: &RequestFrame) -> bool {
         || (request.version() == Version::Http10 && !request.connection_keep_alive())
 }
 
+/// A parked response slot, where a completion, a member's response or a
+/// control job's answer goes: its connection's slab token and its sequence.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ClientSlot {
+    pub(crate) token: u64,
+    pub(crate) seq: u64,
+}
+
 /// A response in hand, serialized only when its slot is popped for the wire
 /// — that is when the `Connection` line it gets is known.
 pub(crate) enum Reply {
@@ -183,7 +191,8 @@ enum Slot {
         held: usize,
     },
     /// A synchronous invocation is running on the worker; its completion
-    /// callback fills this slot via a [`LoopMsg::Complete`].
+    /// callback fills this slot via a [`LoopMsg`]; on a gateway, a member's
+    /// response or a control job's answer does.
     Waiting { close: bool, held: usize },
 }
 
@@ -253,6 +262,9 @@ pub(crate) struct Conn {
     /// `RopeBatch::written` when the write deadline was last (re)armed;
     /// progress past it counts as the client still reading.
     write_progress_mark: u64,
+    /// A gateway's requests parked for routing, which its loop takes after
+    /// each step (the router answers some at once, forwards and jobs later).
+    pub(crate) routed: Vec<(ClientSlot, RequestFrame)>,
 }
 
 impl Conn {
@@ -281,6 +293,7 @@ impl Conn {
             idle_deadline: now + shared.config.read_timeout,
             write_deadline: None,
             write_progress_mark: 0,
+            routed: Vec::new(),
         }
     }
 
@@ -466,8 +479,10 @@ impl Conn {
     /// the router. Synchronous invocations park a `Waiting` slot and hand
     /// their completion callback the loop's inbox. The callback is the
     /// outcome's only consumer — a sync response carries no invocation id to
-    /// poll — so the worker hands it over by move and retains nothing.
-    /// Whatever the route, the request's one slot holds its body length.
+    /// poll — so the worker hands it over by move and retains nothing. On
+    /// a gateway every request parks a slot and waits in `routed` for the
+    /// loop to route it. Whatever the route, the request's one slot holds
+    /// its body length.
     fn dispatch(&mut self, request: RequestFrame, shared: &Shared, me: &Arc<LoopShared>) {
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         let close = wants_close(&request);
@@ -489,69 +504,40 @@ impl Conn {
             AppKind::Local(frontend) => match frontend.begin(&request.to_request()) {
                 FrontendReply::Ready(response) => self.enqueue(response, close, held),
                 FrontendReply::Pending(handle) => {
-                    let seq = self.park(close, held, me);
+                    let slot = self.park(close, held);
+                    me.inflight.fetch_add(1, Ordering::Relaxed);
                     let me = Arc::clone(me);
-                    let token = self.token;
                     // Runs on the thread that settles the invocation — the
                     // engine that finished it, or the dispatcher driver when
                     // it reaps or cancels it — once the worker releases its
                     // table entry: encode there (cheap, zero-copy for single
                     // outputs) and wake the owning event loop.
                     handle.on_settle(move |outcome| {
-                        me.post(LoopMsg::Complete {
-                            token,
-                            seq,
+                        me.post(LoopMsg {
+                            slot,
                             response: sync_invoke_response(outcome),
                         });
                     });
                 }
             },
-            AppKind::Gateway(router) => match router.dispatch(&request) {
-                GatewayReply::Respond(response) => self.enqueue(response, close, held),
-                GatewayReply::Control(op) => {
-                    // Blocking control-plane work (member probes, broadcast
-                    // registrations, drain relays) must not run on this loop
-                    // thread — it would freeze every other connection the
-                    // loop owns. Park a response slot and let the router's
-                    // control thread post the completion back, exactly like
-                    // a worker invocation settling.
-                    let seq = self.park(close, held, me);
-                    let me = Arc::clone(me);
-                    let token = self.token;
-                    router.submit_control(
-                        op,
-                        Box::new(move |response| {
-                            me.post(LoopMsg::Complete {
-                                token,
-                                seq,
-                                response,
-                            });
-                        }),
-                    );
-                }
-                GatewayReply::Forward(plan) => {
-                    // Park a response slot and hand the plan to the owning
-                    // event loop (its own inbox — drained this iteration),
-                    // which executes it on a pooled upstream connection.
-                    let seq = self.park(close, held, me);
-                    me.post(LoopMsg::Forward {
-                        token: self.token,
-                        seq,
-                        plan: Box::new(plan),
-                    });
-                }
-            },
+            AppKind::Gateway(_) => {
+                let slot = self.park(close, held);
+                self.routed.push((slot, request));
+            }
         }
     }
 
     /// Parks a `Waiting` slot for a response that arrives as a
-    /// [`LoopMsg::Complete`] and returns the sequence number it answers to.
-    fn park(&mut self, close: bool, held: usize, me: &LoopShared) -> u64 {
-        let seq = self.next_seq;
+    /// [`LoopMsg`], the router's, a member's or a control job's; the loop's
+    /// `inflight` gauge counts it once it waits on one.
+    fn park(&mut self, close: bool, held: usize) -> ClientSlot {
+        let slot = ClientSlot {
+            token: self.token,
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
         self.slots.push_back(Slot::Waiting { close, held });
-        me.inflight.fetch_add(1, Ordering::Relaxed);
-        seq
+        slot
     }
 
     /// Queues a response that is already in hand; `held` is the body length

@@ -26,8 +26,7 @@
 //! across them, and a connection lives and dies on the loop that accepted
 //! it. Cross-thread traffic arrives through each loop's inbox — a lock-free
 //! [`MpscQueue`] drained in whole batches: the dispatcher's completion
-//! callbacks post finished responses ([`LoopMsg::Complete`]), and gateway
-//! dispatch posts forward plans ([`LoopMsg::Forward`]). The `eventfd`
+//! callbacks post finished responses ([`LoopMsg`]). The `eventfd`
 //! wakeup is conditional: a producer writes it only when it observes the
 //! loop asleep (an atomic `sleeping` flag set around `epoll_wait`), so a
 //! completion storm against a busy loop coalesces into zero syscalls —
@@ -42,9 +41,11 @@
 //! reads the clock; each [`EventLoop::turn`] it hands the readiness and that
 //! `now` to is *apply → flush dirty → deadlines → flush dirty*.
 //! Applying is everything that takes input: readiness events are read,
-//! framed and dispatched, member responses are framed and put into the
-//! client slots that wait for them, and the inbox is drained — settled
-//! invocations fill their slots, forward plans join an upstream's outbox.
+//! framed and dispatched — on a gateway a forward joins an upstream's outbox
+//! as its request is dispatched, a control job's exchanges the outboxes of
+//! upstreams of their own — member responses are framed and put into the
+//! client slots that wait for them, and the inbox is drained: settled
+//! invocations fill their slots.
 //! None of that writes a socket; it only marks the endpoint *dirty* (a
 //! flag in its slab entry plus a reused index list, so a turn allocates
 //! nothing for it). Only then does `flush_dirty` visit each dirty endpoint
@@ -64,7 +65,7 @@
 //! late completions for the old occupant fall harmlessly on the floor.
 
 use std::collections::HashMap;
-use std::net::{IpAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,14 +73,16 @@ use std::time::{Duration, Instant};
 
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::{
-    fail_point, utf8_lossy, BatchProgress, Drain, InvocationId, JsonValue, MpscQueue, NodeId,
-    SharedBytes,
+    check_failpoint, fail_point, failpoints_enabled, utf8_lossy, BatchProgress, Drain,
+    InvocationId, JsonValue, MpscQueue, NodeId, SharedBytes,
 };
 use dandelion_http::{HttpResponse, ResponseFrame, StatusCode};
 
-use crate::conn::{overloaded_response, response_rope, Conn, Due, Reply, Verdict};
-use crate::gateway::upstream::{Origin, UpstreamConn, UpstreamVerdict};
-use crate::gateway::{node_line, upstream_failed_response, ForwardPlan, MemberLoad, Router};
+use crate::conn::{overloaded_response, response_rope, ClientSlot, Conn, Due, Reply, Verdict};
+use crate::gateway::upstream::{Forwarded, Origin, UpstreamConn, UpstreamVerdict};
+use crate::gateway::{
+    node_line, upstream_failed_response, Effects, ForwardPlan, MemberLoad, Router,
+};
 use crate::server::{AppKind, Shared};
 use crate::sys::{
     connect_nonblocking, Epoll, EpollEvent, EventFd, EMFILE, ENFILE, EPOLLERR, EPOLLET, EPOLLHUP,
@@ -100,23 +103,11 @@ const RETRY_BACKOFF_BASE_MS: u64 = 10;
 /// Backoff delay ceiling for replanned forwards.
 const RETRY_BACKOFF_CAP_MS: u64 = 200;
 
-/// A message for one event loop, posted by another thread (or by the loop
-/// itself, for work it must finish outside a connection borrow).
-pub(crate) enum LoopMsg {
-    /// A settled synchronous invocation's response for slot `seq` of the
-    /// connection identified by `token`.
-    Complete {
-        token: u64,
-        seq: u64,
-        response: HttpResponse,
-    },
-    /// A gateway forward plan for slot `seq` of the client connection
-    /// `token`: execute it on one of this loop's upstream connections.
-    Forward {
-        token: u64,
-        seq: u64,
-        plan: Box<ForwardPlan>,
-    },
+/// A message for one event loop, posted by the thread that settled a
+/// synchronous invocation: its response for the slot that waits for it.
+pub(crate) struct LoopMsg {
+    pub(crate) slot: ClientSlot,
+    pub(crate) response: HttpResponse,
 }
 
 /// The cross-thread half of one event loop: a lock-free inbox plus the
@@ -260,8 +251,7 @@ struct SlabEntry {
 /// re-attempts it once `due` passes.
 struct PlannedRetry {
     due: Instant,
-    token: u64,
-    seq: u64,
+    slot: ClientSlot,
     plan: ForwardPlan,
 }
 
@@ -304,6 +294,11 @@ pub(crate) struct EventLoop {
     retries: Vec<PlannedRetry>,
     /// Jitter source for the retry backoff (deterministic per loop).
     rng: SplitMix64,
+    /// What routing and cluster transitions left this loop to apply.
+    effects: Effects,
+    /// Loop 0 of a gateway: when the next probe pass is due, so a turn with
+    /// none due takes no lock. `None` elsewhere and once probing stopped.
+    next_probe: Option<Instant>,
     /// One file descriptor held in reserve so fd exhaustion can still be
     /// handled: on `EMFILE` the reserve is released, one flooding
     /// connection is accepted and immediately closed (clearing it from
@@ -326,6 +321,8 @@ impl EventLoop {
         epoll.add(me.waker.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
         listener.set_nonblocking(true)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+        let next_probe =
+            (index == 0 && matches!(shared.app, AppKind::Gateway(_))).then(Instant::now);
         Ok(EventLoop {
             shared,
             me,
@@ -339,6 +336,8 @@ impl EventLoop {
             drain_deadline: None,
             retries: Vec::new(),
             rng: SplitMix64::new(0xBAC0_0FF5 ^ index as u64),
+            effects: Effects::default(),
+            next_probe,
             reserve_fd: std::fs::File::open("/dev/null").ok(),
         })
     }
@@ -384,7 +383,11 @@ impl EventLoop {
                 token => self.conn_event(token, event.events, now),
             }
         }
-        self.drain_inbox(now);
+        self.drain_inbox();
+        if self.next_probe.is_some_and(|due| now >= due) {
+            self.next_probe = self.router().probe(now, &mut self.effects);
+            self.apply(now);
+        }
         self.flush_dirty(now);
         self.scan_deadlines(now);
         self.flush_dirty(now);
@@ -596,8 +599,8 @@ impl EventLoop {
         }
     }
 
-    /// Runs one step of the client connection at `index` and applies its
-    /// verdict.
+    /// Runs one step of the client connection at `index` at `now`, applies
+    /// its verdict, and on a gateway routes the requests the step parked.
     ///
     /// A panic while servicing must cost only that connection, never the
     /// loop thread (which owns thousands of others): the unwind is caught
@@ -605,6 +608,7 @@ impl EventLoop {
     fn with_client(
         &mut self,
         index: usize,
+        now: Instant,
         step: impl FnOnce(&mut Conn, &Shared, &Arc<LoopShared>) -> Verdict,
     ) {
         let (shared, me) = (&self.shared, &self.me);
@@ -614,15 +618,27 @@ impl EventLoop {
         let verdict =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(conn, shared, me)))
                 .unwrap_or(Verdict::Close);
+        let routed = std::mem::take(&mut conn.routed);
         if verdict == Verdict::Close {
             self.close_client(index);
+        }
+        if let Some(router) = (!routed.is_empty()).then(|| self.router()) {
+            for (slot, request) in routed {
+                let answer = router.dispatch(&request, slot, &mut self.effects);
+                // In flight once routed: the router's own answers never count.
+                self.me.inflight.fetch_add(1, Ordering::Relaxed);
+                if let Some(response) = answer {
+                    self.complete_client(slot, response);
+                }
+            }
+            self.apply(now);
         }
     }
 
     /// Applies readiness to one client connection — read, parse, dispatch —
     /// and leaves whatever it now owes its socket to the turn's flush.
     fn service(&mut self, index: usize, readable: bool, now: Instant) {
-        self.with_client(index, |conn, shared, me| {
+        self.with_client(index, now, |conn, shared, me| {
             conn.pump(shared, me, readable, now)
         });
         self.mark_dirty(index);
@@ -650,7 +666,7 @@ impl EventLoop {
             self.slab[index].dirty = false;
             match &self.slab[index].endpoint {
                 Some(Endpoint::Client(_)) => {
-                    self.with_client(index, |conn, shared, me| conn.flush(shared, me, now));
+                    self.with_client(index, now, |conn, shared, me| conn.flush(shared, me, now));
                 }
                 Some(Endpoint::Upstream(_)) => self.service_upstream(index, false, now),
                 None => {}
@@ -660,28 +676,32 @@ impl EventLoop {
     }
 
     /// Pumps one upstream connection: writes queued forwards, decodes
-    /// member responses, and hands each to its waiting client slot.
+    /// member responses, and hands each to its waiting client slot — or, on
+    /// a control exchange's own connection, to the cluster.
     fn service_upstream(&mut self, index: usize, readable: bool, now: Instant) {
         let read_chunk = self.shared.config.read_chunk_bytes;
         let me = &self.me;
-        let (verdict, delivered, node) = {
+        let (verdict, delivered) = {
             let Some(Endpoint::Upstream(upstream)) = self.slab[index].endpoint.as_mut() else {
                 return;
             };
-            let node = upstream.node();
-            let (verdict, delivered) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    upstream.pump(readable, read_chunk, me, now)
-                }))
-                .unwrap_or((UpstreamVerdict::Close, Vec::new()));
-            (verdict, delivered, node)
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                upstream.pump(readable, read_chunk, me, now)
+            }))
+            .unwrap_or((UpstreamVerdict::Close, Vec::new()))
         };
         for (origin, response) in delivered {
-            self.deliver(node, origin, response);
+            match origin {
+                Origin::Client(forwarded) => self.deliver(forwarded, response),
+                Origin::Cluster(call) => {
+                    self.router().settle(call, Ok(&response), &mut self.effects);
+                }
+            }
         }
         if verdict == UpstreamVerdict::Close {
             self.fail_upstream(index, true, now);
         }
+        self.apply(now);
     }
 
     /// Releases a client connection: epoll deregistration, slab slot
@@ -717,54 +737,65 @@ impl EventLoop {
         let _ = self.epoll.delete(upstream.stream().as_raw_fd());
         self.slab[index].generation = self.slab[index].generation.wrapping_add(1);
         self.free.push(index);
-        if let Some(pool) = self.pools.get_mut(&upstream.node()) {
+        if let Some(pool) = upstream.node().and_then(|node| self.pools.get_mut(&node)) {
             pool.conns.retain(|&existing| existing != token);
         }
         Some(upstream)
     }
 
-    /// An upstream connection died. Exchanges already on the wire fail
-    /// with `502` — the member may have executed them, so replaying is not
-    /// safe. Exchanges still queued never left the gateway and are
-    /// replayed on another member, so a killed node costs only its truly
-    /// in-flight requests.
+    /// An upstream connection died, or a control exchange's own connection
+    /// has its answer. Exchanges already on the wire fail with `502` — the
+    /// member may have executed them. Exchanges still queued never left the
+    /// gateway and are replayed on another member, so a killed node costs
+    /// only its truly in-flight requests. A control exchange is settled as
+    /// failed, never replayed.
     ///
-    /// The member is charged a failed exchange only when the connection
-    /// owed it something — exchanges queued or on the wire, or a connect
-    /// that never completed — and `blame_member` holds (it does not for
-    /// the gateway's own drain backstop). A member closing an idle
-    /// keep-alive, or closing after its last answer, is not failing.
+    /// A pooled connection's member is charged a failed exchange only when
+    /// the connection owed it something (exchanges, or an unfinished
+    /// connect) and `blame_member` holds (not for the drain backstop):
+    /// closing an idle keep-alive, or after the last answer, is not failing.
     fn fail_upstream(&mut self, index: usize, blame_member: bool, now: Instant) {
         let Some(mut upstream) = self.close_upstream(index) else {
             return;
         };
-        let node = upstream.node();
+        if let Some(node) = upstream.node() {
+            if blame_member && (upstream.is_connecting() || upstream.depth() > 0) {
+                self.router().note_upstream_failure(node);
+            }
+        }
         let router = self.router();
-        if blame_member && (upstream.is_connecting() || upstream.depth() > 0) {
-            router.note_upstream_failure(node);
-        }
-        let unsent = upstream.take_unsent();
-        let sent = upstream.take_pending();
-        let load = self.pools.get(&node).map(|pool| Arc::clone(&pool.load));
-        for origin in sent {
-            if let Some(load) = &load {
-                router.note_settled(load, origin.bytes);
+        let unsent = upstream
+            .take_unsent()
+            .into_iter()
+            .map(|(rope, o)| (Some(rope), o));
+        let sent = upstream
+            .take_pending()
+            .into_iter()
+            .map(|origin| (None, origin));
+        for (unsent, origin) in sent.chain(unsent) {
+            let forwarded = match origin {
+                Origin::Client(forwarded) => forwarded,
+                Origin::Cluster(call) => {
+                    router.settle(call, Err("the member did not answer"), &mut self.effects);
+                    continue;
+                }
+            };
+            let node = forwarded.node;
+            if let Some(pool) = self.pools.get(&node) {
+                router.note_settled(&pool.load, forwarded.bytes);
             }
-            router.note_upstream_error();
-            self.complete_client(origin.token, origin.seq, upstream_failed_response(node));
-        }
-        for (rope, origin) in unsent {
-            if let Some(load) = &load {
-                router.note_settled(load, origin.bytes);
-            }
-            match router.plan_fallback(node, rope, origin.bytes, origin.track_submit) {
-                Some(plan) => self.forward(origin.token, origin.seq, plan, now),
+            let (slot, bytes) = (forwarded.slot, forwarded.bytes);
+            let replay = unsent
+                .and_then(|rope| router.plan_fallback(node, rope, bytes, forwarded.track_submit));
+            match replay {
+                Some(plan) => self.forward(slot, plan, now),
                 None => {
                     router.note_upstream_error();
-                    self.complete_client(origin.token, origin.seq, upstream_failed_response(node));
+                    self.complete_client(slot, upstream_failed_response(node));
                 }
             }
         }
+        self.apply(now);
     }
 
     /// Executes a forward plan: find (or open) an upstream connection to
@@ -774,18 +805,18 @@ impl EventLoop {
     /// budget and attempt ceiling), but the next attempt waits out an
     /// exponential backoff with equal jitter rather than hammering the
     /// cluster in a tight loop — the deadline scan re-fires it.
-    fn forward(&mut self, token: u64, seq: u64, mut plan: ForwardPlan, now: Instant) {
+    fn forward(&mut self, slot: ClientSlot, mut plan: ForwardPlan, now: Instant) {
         let router = self.router();
         if let Some(upstream_index) = self.upstream_for(&plan, now) {
             if let Some(Endpoint::Upstream(upstream)) = self.slab[upstream_index].endpoint.as_mut()
             {
                 router.note_forward(&plan.load, plan.bytes);
-                let origin = Origin {
-                    token,
-                    seq,
+                let origin = Origin::Client(Forwarded {
+                    node: plan.node,
+                    slot,
                     bytes: plan.bytes,
                     track_submit: plan.track_submit,
-                };
+                });
                 upstream.enqueue(plan.rope, origin, now);
                 self.mark_dirty(upstream_index);
             } else {
@@ -794,7 +825,7 @@ impl EventLoop {
                 // exchange with a clean 502 instead of panicking the loop
                 // thread that owns every other connection.
                 router.note_upstream_error();
-                self.complete_client(token, seq, upstream_failed_response(plan.node));
+                self.complete_client(slot, upstream_failed_response(plan.node));
             }
             return;
         }
@@ -804,10 +835,10 @@ impl EventLoop {
         let failed = plan.node;
         plan.tried.push(failed);
         match router.replan(plan) {
-            Some(next) => self.schedule_retry(token, seq, next, now),
+            Some(next) => self.schedule_retry(slot, next, now),
             None => {
                 router.note_upstream_error();
-                self.complete_client(token, seq, upstream_failed_response(failed));
+                self.complete_client(slot, upstream_failed_response(failed));
             }
         }
     }
@@ -818,7 +849,7 @@ impl EventLoop {
     /// against a member spread their retries instead of arriving as a
     /// synchronized thundering herd. The loop's `TICK_MS` idle timeout
     /// bounds how late the deadline scan picks it back up.
-    fn schedule_retry(&mut self, token: u64, seq: u64, plan: ForwardPlan, now: Instant) {
+    fn schedule_retry(&mut self, slot: ClientSlot, plan: ForwardPlan, now: Instant) {
         let attempt = plan.tried.len().min(8) as u32;
         let base = RETRY_BACKOFF_BASE_MS
             .saturating_mul(1 << attempt)
@@ -826,8 +857,7 @@ impl EventLoop {
         let delay = base / 2 + self.rng.next_bounded(base / 2 + 1);
         self.retries.push(PlannedRetry {
             due: now + Duration::from_millis(delay),
-            token,
-            seq,
+            slot,
             plan,
         });
     }
@@ -836,7 +866,7 @@ impl EventLoop {
     /// the shallowest pooled connection, or a fresh one while the pool is
     /// below its per-loop budget and everything pooled is busy.
     fn upstream_for(&mut self, plan: &ForwardPlan, now: Instant) -> Option<usize> {
-        let limit = self.router().config().upstreams_per_loop.max(1);
+        let limit = self.router().config.upstreams_per_loop.max(1);
         let pool = self.pools.entry(plan.node).or_insert_with(|| NodePool {
             load: Arc::clone(&plan.load),
             node_line: node_line(plan.node),
@@ -856,26 +886,30 @@ impl EventLoop {
         }
         let all_busy = best.is_none_or(|(_, depth)| depth > 0);
         if all_busy && pooled < limit {
-            if let Some(index) = self.connect_upstream(plan, now) {
+            if let Some(index) = self.connect_upstream(&plan.addr, Some(plan.node), now) {
                 return Some(index);
             }
         }
         best.map(|(index, _)| index)
     }
 
-    /// Opens a new upstream connection to the planned member. The connect
-    /// is non-blocking: the loop keeps serving its other connections while
-    /// the handshake is in flight. Exchanges queue on the connecting
-    /// connection; a failed connect surfaces as `EPOLLERR`/`EPOLLHUP` (or a
-    /// write error) and [`EventLoop::fail_upstream`] replays everything
-    /// still unsent on another member. A handshake that never completes is
-    /// failed by the deadline scan after the router's `connect_timeout`.
-    fn connect_upstream(&mut self, plan: &ForwardPlan, now: Instant) -> Option<usize> {
-        let stream = connect_nonblocking(&plan.addr).ok()?;
+    /// Opens a new upstream connection to `addr`, into `node`'s pool (none:
+    /// for one control exchange). The connect is non-blocking and exchanges
+    /// queue on the connecting connection; a failed connect surfaces as
+    /// `EPOLLERR`/`EPOLLHUP` (or a write error) and [`EventLoop::fail_upstream`]
+    /// replays what is unsent. The deadline scan fails a handshake that never
+    /// completes.
+    fn connect_upstream(
+        &mut self,
+        addr: &SocketAddr,
+        node: Option<NodeId>,
+        now: Instant,
+    ) -> Option<usize> {
+        let stream = connect_nonblocking(addr).ok()?;
         stream.set_nodelay(true).ok()?;
         let index = self.alloc_slot();
         let token = token_of(index, self.slab[index].generation);
-        let upstream = UpstreamConn::new(stream, plan.node, self.shared.config.limits, true, now);
+        let upstream = UpstreamConn::new(stream, node, self.shared.config.limits, true, now);
         // Edge-triggered like the client side; EPOLLOUT doubles as the
         // kernel's connect-success signal on the non-blocking handshake.
         if self
@@ -891,18 +925,61 @@ impl EventLoop {
             return None;
         }
         self.slab[index].endpoint = Some(Endpoint::Upstream(upstream));
-        if let Some(pool) = self.pools.get_mut(&plan.node) {
+        if let Some(pool) = node.and_then(|node| self.pools.get_mut(&node)) {
             pool.conns.push(token);
         }
         Some(index)
+    }
+
+    /// Applies what routing and cluster transitions left to do, outside the
+    /// cluster's lock: answers fill their slots, forwards join upstreams,
+    /// and each call goes out on an upstream of its own (a probe the
+    /// `gateway/probe` failpoint fails does not). A call that cannot be sent
+    /// is settled as failed at once, which may leave more to apply.
+    fn apply(&mut self, now: Instant) {
+        loop {
+            let Effects {
+                forwards,
+                calls,
+                answers,
+            } = std::mem::take(&mut self.effects);
+            if forwards.is_empty() && calls.is_empty() && answers.is_empty() {
+                return;
+            }
+            for (slot, response) in answers {
+                self.complete_client(slot, response);
+            }
+            for (slot, plan) in forwards {
+                self.forward(slot, plan, now);
+            }
+            for call in calls {
+                let faulted = call.probe
+                    && failpoints_enabled()
+                    && check_failpoint("gateway/probe").is_some();
+                let sent = (!faulted)
+                    .then(|| self.connect_upstream(&call.addr, None, now))
+                    .flatten();
+                match sent.map(|index| (index, self.slab[index].endpoint.as_mut())) {
+                    Some((index, Some(Endpoint::Upstream(upstream)))) => {
+                        upstream.enqueue(call.request, Origin::Cluster(call.id), now);
+                        self.mark_dirty(index);
+                    }
+                    _ => {
+                        let unsent = Err("the call was not sent");
+                        self.router().settle(call.id, unsent, &mut self.effects);
+                    }
+                }
+            }
+        }
     }
 
     /// Delivers a member's response to the client slot that parked for it:
     /// load gauges released, submit responses remembered for owner-routed
     /// polls, and the frame handed over as it arrived, with the member's
     /// `X-Dandelion-Node` line for the pop that serializes it.
-    fn deliver(&mut self, node: NodeId, origin: Origin, response: ResponseFrame) {
+    fn deliver(&mut self, origin: Forwarded, response: ResponseFrame) {
         let router = self.router();
+        let node = origin.node;
         let node_line = match self.pools.get(&node) {
             Some(pool) => {
                 router.note_settled(&pool.load, origin.bytes);
@@ -928,20 +1005,20 @@ impl EventLoop {
             response,
             node_line,
         };
-        self.complete_client(origin.token, origin.seq, reply);
+        self.complete_client(origin.slot, reply);
     }
 
     /// Fills a client's waiting slot with its response and marks the
     /// connection dirty; nothing is written here. Stale tokens (the client
     /// closed first) are dropped; the in-flight gauge is released either
     /// way.
-    fn complete_client(&mut self, token: u64, seq: u64, reply: impl Into<Reply>) {
+    fn complete_client(&mut self, slot: ClientSlot, reply: impl Into<Reply>) {
         // Paired with the increment when the slot was parked; settled work
         // leaves the gauge even when the connection died before its
         // completion arrived.
         self.me.inflight.fetch_sub(1, Ordering::Relaxed);
-        let index = (token & u32::MAX as u64) as usize;
-        let generation = (token >> 32) as u32;
+        let index = (slot.token & u32::MAX as u64) as usize;
+        let generation = (slot.token >> 32) as u32;
         let Some(entry) = self.slab.get_mut(index) else {
             return;
         };
@@ -949,23 +1026,15 @@ impl EventLoop {
             return;
         }
         if let Some(Endpoint::Client(conn)) = entry.endpoint.as_mut() {
-            conn.complete(seq, reply.into());
+            conn.complete(slot.seq, reply.into());
             self.mark_dirty(index);
         }
     }
 
-    /// Applies queued cross-thread messages: settled invocation responses
-    /// and gateway forward plans.
-    fn drain_inbox(&mut self, now: Instant) {
+    /// Applies queued cross-thread messages: settled invocation responses.
+    fn drain_inbox(&mut self) {
         for msg in self.me.take_messages() {
-            match msg {
-                LoopMsg::Complete {
-                    token,
-                    seq,
-                    response,
-                } => self.complete_client(token, seq, response),
-                LoopMsg::Forward { token, seq, plan } => self.forward(token, seq, *plan, now),
-            }
+            self.complete_client(msg.slot, msg.response);
         }
     }
 
@@ -976,91 +1045,48 @@ impl EventLoop {
         // Re-fire forwards whose backoff expired (all of them at the drain
         // backstop — they either go through or fail fast to the client).
         if !self.retries.is_empty() {
-            let mut due = Vec::new();
-            let mut index = 0;
-            while index < self.retries.len() {
-                if force_close || now >= self.retries[index].due {
-                    due.push(self.retries.swap_remove(index));
-                } else {
-                    index += 1;
-                }
-            }
+            let (due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.retries)
+                .into_iter()
+                .partition(|retry| force_close || now >= retry.due);
+            self.retries = waiting;
             for retry in due {
-                self.forward(retry.token, retry.seq, retry.plan, now);
+                self.forward(retry.slot, retry.plan, now);
             }
         }
         for index in 0..self.slab.len() {
-            enum Action {
-                None,
-                CloseIdle,
-                CloseWriteStalled,
-                FireRequestTimeout,
-                FailUpstream,
-                ForceCloseClient,
-            }
-            let action = match &self.slab[index].endpoint {
-                None => Action::None,
-                Some(Endpoint::Client(conn)) => {
-                    if force_close {
-                        Action::ForceCloseClient
-                    } else {
-                        match conn.due(now) {
-                            Some(Due::Idle) => Action::CloseIdle,
-                            Some(Due::WriteStalled) => Action::CloseWriteStalled,
-                            Some(Due::RequestStalled) => Action::FireRequestTimeout,
-                            None => Action::None,
-                        }
+            match &self.slab[index].endpoint {
+                None => {}
+                Some(Endpoint::Client(_)) if force_close => self.close_client(index),
+                Some(Endpoint::Client(conn)) => match conn.due(now) {
+                    None => {}
+                    Some(Due::RequestStalled) => {
+                        self.with_client(index, now, |conn, shared, _| {
+                            conn.fire_request_timeout(shared);
+                            Verdict::Keep
+                        });
+                        self.mark_dirty(index);
                     }
-                }
+                    // An idle keep-alive, or a client that is not reading its
+                    // response: there is no point writing an error it will
+                    // not read either.
+                    Some(due) => {
+                        let stats = &self.shared.stats;
+                        let counter = match due {
+                            Due::Idle => &stats.idle_closed,
+                            _ => &stats.write_timeouts,
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        self.close_client(index);
+                    }
+                },
                 Some(Endpoint::Upstream(upstream)) => {
                     let stalled = match &self.shared.app {
-                        AppKind::Gateway(router) => {
-                            let config = router.config();
-                            // A connecting socket answers to the short
-                            // connect budget; an established one to the
-                            // response stall deadline.
-                            let timeout = if upstream.is_connecting() {
-                                config.connect_timeout
-                            } else {
-                                config.upstream_timeout
-                            };
-                            upstream.stalled(now, timeout)
-                        }
+                        AppKind::Gateway(router) => upstream.stalled(now, &router.config),
                         AppKind::Local(_) => false,
                     };
                     if force_close || stalled {
-                        Action::FailUpstream
-                    } else {
-                        Action::None
+                        self.fail_upstream(index, !force_close, now);
                     }
-                }
-            };
-            match action {
-                Action::None => {}
-                Action::ForceCloseClient => self.close_client(index),
-                Action::CloseIdle => {
-                    self.shared
-                        .stats
-                        .idle_closed
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.close_client(index);
-                }
-                Action::CloseWriteStalled => {
-                    // The client is not reading its response; there is no
-                    // point writing an error it will not read either.
-                    self.shared
-                        .stats
-                        .write_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.close_client(index);
-                }
-                Action::FailUpstream => self.fail_upstream(index, !force_close, now),
-                Action::FireRequestTimeout => {
-                    self.with_client(index, |conn, shared, _| {
-                        conn.fire_request_timeout(shared);
-                        Verdict::Keep
-                    });
-                    self.mark_dirty(index);
                 }
             }
         }

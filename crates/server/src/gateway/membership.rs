@@ -9,8 +9,8 @@
 //! A member's health is one state machine, [`Member::observe`]: the only
 //! code that moves a member between `Healthy` and `Ejected` or touches the
 //! failure streak and window it judges by. It reads no clock and takes no
-//! lock — the router's probe pass is its tick and the table lock is the
-//! caller's — so a script can drive it as well as the control thread can.
+//! lock — the cluster's probe pass is its tick and the table lock is the
+//! caller's — so a script drives it exactly as the event loops do.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -34,8 +34,9 @@
 //!   the gateway probes them and records the compositions they advertise.
 //!   Advertisements refresh on every health probe, so registering a new
 //!   composition on a member re-advertises automatically.
-//! * **Health checking**: a background thread probes each member's
-//!   `GET /v1/compositions` on a fixed cadence. Probe outcomes and failed
+//! * **Health checking**: the first event loop probes each member's
+//!   `GET /v1/compositions` on a fixed cadence, an exchange on an upstream
+//!   of its own like every control call. Probe outcomes and failed
 //!   exchanges (refused connects, upstream connections that die owing
 //!   answers) feed one state machine per member (`Member::observe`): a
 //!   failure streak or a failure rate that reaches the answers ejects the
@@ -62,6 +63,7 @@
 //!   table once its in-flight work settles — the rolling-restart
 //!   primitive.
 
+mod cluster;
 mod membership;
 mod router;
 mod specification;
@@ -72,5 +74,6 @@ pub use router::{
 };
 pub use specification::{proxy_request, proxy_response};
 
+pub(crate) use cluster::Effects;
 pub(crate) use membership::MemberLoad;
-pub(crate) use router::{upstream_failed_response, ForwardPlan, GatewayReply};
+pub(crate) use router::{upstream_failed_response, ForwardPlan};

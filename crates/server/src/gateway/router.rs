@@ -1,14 +1,13 @@
 //! The gateway router: one front door for a cluster of worker nodes.
 //!
-//! The router owns the membership table and decides, per request, whether
-//! the gateway answers locally (cluster control plane, stats, health) or
-//! forwards to a member over the v1 HTTP protocol. It routes a request by
-//! the record its head's one scan left (method, target, body), never a
-//! decoded header map. Forwarding is planned here but executed by the event
-//! loops: the router returns a [`ForwardPlan`] carrying the bytes to forward
-//! — the request as received, its `Connection` lines cut ([`forward_rope`])
-//! — and the chosen member, and the loop pipelines it onto a pooled upstream
-//! connection.
+//! The router decides, per request, whether the gateway answers locally
+//! (cluster control plane, stats, health) or forwards to a member over the
+//! v1 HTTP protocol. It routes a request by the record its head's one scan
+//! left (method, target, body), never a decoded header map. Forwarding is
+//! planned here but executed by the event loops: the router returns a
+//! [`ForwardPlan`] carrying the bytes to forward — the request as received,
+//! its `Connection` lines cut ([`forward_rope`]) — and the chosen member,
+//! and the loop pipelines it onto a pooled upstream connection.
 //!
 //! Routing is load-aware with composition affinity: invocations of a
 //! composition prefer a stable member (FNV hash of the name over the
@@ -18,42 +17,30 @@
 //! member. Status polls follow the member that accepted the submission
 //! through a bounded invocation-owner map.
 //!
-//! The router's one background thread, the control thread, runs the
-//! blocking member calls no event loop may make. It waits for a control
-//! job (a registration broadcast, a join, a drain relay) until the next
-//! probe pass is due, and checks after every job whether one is, so neither
-//! starves the other; a job that arrives during a pass waits it out, at most
-//! members × `probe_timeout`. A pass probes every member's
-//! `GET /v1/compositions` and feeds each outcome, like every failed exchange
-//! the loops report, to the member's health machine ([`Member::observe`]):
-//! it refreshes the advertised compositions (changes re-advertise
-//! automatically), ejects and re-admits members, and says when a draining
-//! member is done; the router counts the transitions and removes the row.
+//! The membership table, the owner map and the control plane are one
+//! [`Cluster`] behind one mutex, stepped by the event loops and by nothing
+//! else — the router has no thread: a control request starts a job in it,
+//! loop 0 runs its probe passes, and every failed exchange the loops report
+//! goes to the member's health machine ([`Member::observe`]) through it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use dandelion_common::rng::fnv1a;
 use dandelion_common::{
-    check_failpoint, failpoint_stats_json, failpoints_enabled, init_failpoints_from_env,
-    utf8_lossy, InvocationId, JsonValue, NodeId, Rope, SharedBytes,
+    failpoint_stats_json, init_failpoints_from_env, utf8_lossy, InvocationId, JsonValue, NodeId,
+    Rope, SharedBytes,
 };
 use dandelion_core::frontend::error_body;
-use dandelion_http::{
-    HttpRequest, HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, Uri,
-};
-use parking_lot::{Mutex, RwLock};
+use dandelion_core::StatsSource;
+use dandelion_http::{HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, Uri};
 
-use crate::client::HttpClientConnection;
-use crate::gateway::membership::{Member, MemberLoad, MemberState, Observation, Transition};
-
-/// Invocation-owner entries retained for poll routing; the oldest entries
-/// are evicted first once the map is full.
-const INVOCATION_ROUTE_CAPACITY: usize = 64 * 1024;
+use crate::client::join_gateway;
+use crate::conn::ClientSlot;
+use crate::gateway::cluster::{Answer, Cluster, Effects};
+use crate::gateway::membership::{Member, MemberLoad, MemberState, Observation};
 
 /// How much worse (in load-score terms) the affinity-preferred member may
 /// be before the router abandons affinity for the least-loaded member:
@@ -72,10 +59,10 @@ pub struct GatewayConfig {
     /// Cadence of the per-member health probe (`GET /v1/compositions`), the
     /// tick of every member's health machine.
     pub probe_interval: Duration,
-    /// Socket timeout of one probe or control-plane call to a member.
+    /// Deadline of one probe or other control exchange with a member,
+    /// connect included, on the loop's clock.
     pub probe_timeout: Duration,
-    /// Timeout of one upstream `connect` on the data path (the loops call
-    /// this inline, so it must stay short).
+    /// Deadline of one upstream `connect` on the data path.
     pub connect_timeout: Duration,
     /// The streak rule's length: failures, probes or exchanges, with no
     /// answered exchange and no probe success between them that eject a
@@ -128,83 +115,8 @@ pub(crate) struct ForwardPlan {
     pub tried: Vec<NodeId>,
 }
 
-/// What the router decided about one request.
-pub(crate) enum GatewayReply {
-    /// The gateway answers this itself.
-    Respond(HttpResponse),
-    /// Forward to a member; the event loop executes the plan.
-    Forward(ForwardPlan),
-    /// A blocking control-plane operation (member probes, broadcasts, drain
-    /// relays): the connection parks a response slot and the router's
-    /// control thread posts the completion back — loop threads never make
-    /// blocking member calls.
-    Control(ControlOp),
-}
-
-/// One deferred control-plane operation, executed on the control thread.
-pub(crate) enum ControlOp {
-    /// `POST /v1/compositions`: broadcast the registration to every member.
-    RegisterComposition {
-        /// The DSL body, by reference.
-        body: SharedBytes,
-    },
-    /// `POST /v1/cluster/members`: probe and admit a joining member.
-    Join {
-        /// The `{"addr": ...}` JSON body.
-        body: SharedBytes,
-    },
-    /// `POST /v1/cluster/drain/{node}`: mark draining and relay the signal.
-    Drain {
-        /// The node id path segment, still unparsed.
-        node: String,
-    },
-}
-
-/// A control-plane operation paired with the completion that delivers its
-/// response back to the owning event loop.
-type ControlJob = (ControlOp, Box<dyn FnOnce(HttpResponse) + Send>);
-
-/// Bounded invocation-id → owner map for poll routing. Evicted ids are
-/// remembered (in a second bounded FIFO) so a poll for one answers a
-/// structured `410 result_evicted` instead of being misrouted to an
-/// arbitrary member that never heard of it.
-struct InvocationOwners {
-    owners: HashMap<InvocationId, NodeId>,
-    order: VecDeque<InvocationId>,
-    evicted: HashSet<InvocationId>,
-    evicted_order: VecDeque<InvocationId>,
-}
-
-impl InvocationOwners {
-    fn record(&mut self, id: InvocationId, node: NodeId) {
-        // A resubmitted id is live again: forget any earlier eviction.
-        if self.evicted.remove(&id) {
-            self.evicted_order.retain(|old| *old != id);
-        }
-        if self.owners.insert(id, node).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > INVOCATION_ROUTE_CAPACITY {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.owners.remove(&evicted);
-                    if self.evicted.insert(evicted) {
-                        self.evicted_order.push_back(evicted);
-                        while self.evicted_order.len() > INVOCATION_ROUTE_CAPACITY {
-                            if let Some(forgotten) = self.evicted_order.pop_front() {
-                                self.evicted.remove(&forgotten);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn was_evicted(&self, id: InvocationId) -> bool {
-        self.evicted.contains(&id)
-    }
-}
-
-/// Gateway-level counters surfaced in `GET /v1/stats`.
+/// Data-path counters surfaced in `GET /v1/stats`; the membership
+/// transitions are counted by the [`Cluster`].
 #[derive(Debug, Default)]
 struct GatewayStats {
     /// Requests forwarded to members.
@@ -213,237 +125,91 @@ struct GatewayStats {
     upstream_errors: AtomicU64,
     /// Forwards replanned onto another member after a connect failure.
     retries: AtomicU64,
-    /// Members ejected, by the streak rule or the rate rule.
-    ejections: AtomicU64,
-    /// Ejected members re-admitted by a succeeding probe.
-    readmissions: AtomicU64,
-    /// Draining members removed once their in-flight work settled.
-    drained_out: AtomicU64,
-    /// Polls for invocation ids that fell out of the bounded owner map
-    /// (answered `410 result_evicted`).
-    evicted_polls: AtomicU64,
     /// Replans denied because the failed member's retry budget was empty.
     budget_denials: AtomicU64,
 }
 
 /// The cluster gateway's routing brain (see the module docs).
 pub struct Router {
-    config: GatewayConfig,
-    members: RwLock<Vec<Member>>,
-    owners: Mutex<InvocationOwners>,
+    pub(crate) config: GatewayConfig,
+    cluster: Mutex<Cluster>,
     stats: GatewayStats,
-    /// The serving layer's stats document, merged into `GET /v1/stats`.
-    server_stats: Mutex<Option<Arc<dyn Fn() -> JsonValue + Send + Sync>>>,
-    /// Feeds the control thread; `None` once shut down (late submissions
-    /// answer `503` instead of blocking). Dropping it ends the thread.
-    control_tx: Mutex<Option<mpsc::Sender<ControlJob>>>,
-    control_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Where the gateway serving this router listens, and its serving
+    /// layer's stats document; set by `Server::start_gateway`.
+    server: OnceLock<(SocketAddr, StatsSource)>,
 }
 
 impl Router {
-    /// Creates the router and starts its control thread. The thread holds a
-    /// weak reference, so dropping the last `Arc<Router>` (or calling
-    /// [`Router::shutdown`]) ends it.
+    /// Creates the router; its first probe pass is due one
+    /// `probe_interval` after the gateway's first loop turn.
     pub fn start(config: GatewayConfig) -> Arc<Router> {
         init_failpoints_from_env();
-        let router = Arc::new(Router {
+        let mut cluster = Cluster::default();
+        cluster.config = config.clone();
+        Arc::new(Router {
+            cluster: Mutex::new(cluster),
             config,
-            members: RwLock::new(Vec::new()),
-            owners: Mutex::new(InvocationOwners {
-                owners: HashMap::new(),
-                order: VecDeque::new(),
-                evicted: HashSet::new(),
-                evicted_order: VecDeque::new(),
-            }),
             stats: GatewayStats::default(),
-            server_stats: Mutex::new(None),
-            control_tx: Mutex::new(None),
-            control_thread: Mutex::new(None),
-        });
-        // The control thread serializes the blocking member calls that must
-        // never run on an event loop (see the module docs); it exits when
-        // the sender side is dropped (shutdown or the router going away).
-        let (control_tx, control_rx) = mpsc::channel::<ControlJob>();
-        let weak: Weak<Router> = Arc::downgrade(&router);
-        let interval = router.config.probe_interval;
-        let handle = std::thread::Builder::new()
-            .name("dandelion-gateway-control".to_string())
-            .spawn(move || {
-                let mut next_probe = Instant::now() + interval;
-                loop {
-                    let job = control_rx
-                        .recv_timeout(next_probe.saturating_duration_since(Instant::now()));
-                    let Some(router) = weak.upgrade() else {
-                        return;
-                    };
-                    match job {
-                        Ok((op, complete)) => complete(router.execute_control(op)),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                    if Instant::now() >= next_probe {
-                        router.probe_members();
-                        next_probe = Instant::now() + interval;
-                    }
-                }
-            })
-            .expect("spawning the gateway control thread");
-        *router.control_tx.lock() = Some(control_tx);
-        *router.control_thread.lock() = Some(handle);
-        router
+            server: OnceLock::new(),
+        })
     }
 
-    /// The router's configuration.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
-    /// Stops the control thread. Forwarding keeps working (the server owns
-    /// the data path); health state is frozen and late control-plane
-    /// requests answer `503`.
+    /// Stops the control plane: probing ends and control requests answer
+    /// `503`. Forwarding keeps working (the server owns the data path), on
+    /// health state that stays as it was.
     pub fn shutdown(&self) {
-        // Dropping the sender ends the control thread's wait.
-        self.control_tx.lock().take();
-        if let Some(handle) = self.control_thread.lock().take() {
-            let _ = handle.join();
-        }
+        self.cluster().stopped = true;
     }
 
-    /// Installs the serving layer's stats source (set by the server when it
-    /// starts in gateway mode).
-    pub(crate) fn set_server_stats(&self, source: Arc<dyn Fn() -> JsonValue + Send + Sync>) {
-        *self.server_stats.lock() = Some(source);
+    /// The cluster under its lock. A panic under it can leave the table
+    /// torn (a row half moved, a job half answered), so the poison
+    /// propagates to every later caller instead of being read through.
+    fn cluster(&self) -> MutexGuard<'_, Cluster> {
+        self.cluster
+            .lock()
+            .expect("the cluster table was torn by a panic")
     }
 
-    /// Hands a blocking control-plane operation to the control thread;
-    /// `complete` runs there with the response. A router that is already
-    /// shut down answers `503` immediately (on the caller's thread — the
-    /// response is in hand, nothing blocks).
-    pub(crate) fn submit_control(
-        &self,
-        op: ControlOp,
-        complete: Box<dyn FnOnce(HttpResponse) + Send>,
-    ) {
-        let rejected = {
-            let sender = self.control_tx.lock();
-            match sender.as_ref() {
-                Some(tx) => tx.send((op, complete)).err().map(|failed| failed.0 .1),
-                None => Some(complete),
-            }
-        };
-        if let Some(complete) = rejected {
-            complete(error_body(
-                StatusCode::SERVICE_UNAVAILABLE,
-                "gateway_stopping",
-                "the gateway control plane is shut down",
-                true,
-            ));
-        }
+    /// Records where the gateway serving this router listens and its
+    /// serving layer's stats document (set by the server when it starts in
+    /// gateway mode).
+    pub(crate) fn serve(&self, addr: SocketAddr, stats: StatsSource) {
+        let _ = self.server.set((addr, stats));
     }
 
-    /// Executes one control-plane operation (control thread only).
-    fn execute_control(&self, op: ControlOp) -> HttpResponse {
-        match op {
-            ControlOp::RegisterComposition { body } => self.register_composition(&body),
-            ControlOp::Join { body } => self.join_request(&body),
-            ControlOp::Drain { node } => self.drain_request(&node),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Membership control plane
-    // ------------------------------------------------------------------
-
-    /// Joins a member: probes its `/v1/stats` (liveness) and
-    /// `/v1/compositions` (advertisement), then adds it to the table.
+    /// Joins the member at `addr` through the gateway's own
+    /// `POST /v1/cluster/members` — the one join there is: the loop that
+    /// takes the request probes the member and answers with its node id.
+    /// `Err` before the gateway has started, or when the member failed its
+    /// join probe.
     pub fn join(&self, addr: SocketAddr) -> Result<NodeId, String> {
-        probe_stats(addr, self.config.probe_timeout)
-            .map_err(|error| format!("member {addr} failed its join probe: {error}"))?;
-        let compositions = fetch_compositions(addr, self.config.probe_timeout)
-            .map_err(|error| format!("member {addr} did not list compositions: {error}"))?;
-        let mut members = self.members.write();
-        // Re-joining an address resets it instead of duplicating the row
-        // (a restarted member announces itself again): back in rotation,
-        // and the join probe ends its failure streak like any probe.
-        if let Some(existing) = members.iter_mut().find(|member| member.addr == addr) {
-            existing.state = MemberState::Healthy;
-            existing.observe(Observation::ProbeAnswered(compositions), &self.config);
-            return Ok(existing.id);
-        }
-        let member = Member::new(addr, MemberState::Healthy, compositions);
-        let id = member.id;
-        members.push(member);
-        Ok(id)
+        let (gateway, _) = self
+            .server
+            .get()
+            .ok_or_else(|| "the gateway has not started".to_string())?;
+        // The gateway answers within one `probe_timeout`; the second is its
+        // turns' slack.
+        join_gateway(gateway, addr, self.config.probe_timeout * 2)
     }
 
-    /// Marks a member draining: no new work; a probe pass removes it
-    /// once its in-flight count reaches zero. Returns the member's address
-    /// so the caller can relay the drain signal to the node itself.
-    pub fn drain(&self, node: NodeId) -> Option<SocketAddr> {
-        let mut members = self.members.write();
-        let member = members.iter_mut().find(|member| member.id == node)?;
-        member.state = MemberState::Draining;
-        Some(member.addr)
+    /// Runs the probe pass due at `now`, if one is (loop 0 calls this when
+    /// the time it was last given has passed). Returns when the next pass
+    /// is due, `None` once the control plane stopped.
+    pub(crate) fn probe(&self, now: Instant, effects: &mut Effects) -> Option<Instant> {
+        self.cluster().probe(now, effects)
     }
 
-    /// Members currently in the table, as `(id, addr, state)` rows.
-    pub fn member_rows(&self) -> Vec<(NodeId, SocketAddr, &'static str)> {
-        self.members
-            .read()
-            .iter()
-            .map(|member| (member.id, member.addr, member.state.as_str()))
-            .collect()
-    }
-
-    /// One health pass over every member (also exposed for tests that do
-    /// not want to wait for the probe cadence).
-    pub fn probe_members(&self) {
-        let snapshot: Vec<(NodeId, SocketAddr)> = self
-            .members
-            .read()
-            .iter()
-            .map(|member| (member.id, member.addr))
-            .collect();
-        for (node, addr) in snapshot {
-            let observation = if failpoints_enabled() && check_failpoint("gateway/probe").is_some()
-            {
-                Observation::ProbeFailed
-            } else {
-                fetch_compositions(addr, self.config.probe_timeout)
-                    .map_or(Observation::ProbeFailed, Observation::ProbeAnswered)
-            };
-            self.observe(node, observation);
-        }
+    /// Settles the control exchange `call`: the member's response, or why
+    /// there is none.
+    pub(crate) fn settle(&self, call: u64, answer: Answer, effects: &mut Effects) {
+        self.cluster().settle(call, answer, effects);
     }
 
     /// Records a data-path failure against a member: a connect refused or
     /// never completed, or a connection that died owing it answers.
     pub(crate) fn note_upstream_failure(&self, node: NodeId) {
-        self.observe(node, Observation::ExchangeFailed);
+        self.cluster().observe(node, Observation::ExchangeFailed);
     }
-
-    /// Hands one observation to `node`'s health machine and applies what it
-    /// decided: counted, and a finished draining member's row removed.
-    fn observe(&self, node: NodeId, observation: Observation) {
-        let mut members = self.members.write();
-        let Some(index) = members.iter().position(|member| member.id == node) else {
-            return;
-        };
-        let counter = match members[index].observe(observation, &self.config) {
-            None => return,
-            Some(Transition::Ejected) => &self.stats.ejections,
-            Some(Transition::Readmitted) => &self.stats.readmissions,
-            Some(Transition::Removed) => {
-                members.remove(index);
-                &self.stats.drained_out
-            }
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // ------------------------------------------------------------------
-    // Data-path bookkeeping (called by the event loops)
-    // ------------------------------------------------------------------
 
     /// An exchange left for a member: count it against the load gauges.
     pub(crate) fn note_forward(&self, load: &MemberLoad, bytes: usize) {
@@ -475,19 +241,22 @@ impl Router {
     /// Remembers which member accepted a submitted invocation, so polls for
     /// its id route to the node that holds the result.
     pub(crate) fn record_invocation(&self, id: InvocationId, node: NodeId) {
-        self.owners.lock().record(id, node);
+        self.cluster().owners.record(id, node);
     }
 
-    // ------------------------------------------------------------------
-    // Request routing
-    // ------------------------------------------------------------------
-
-    /// Routes one framed request: local control-plane answers are returned
-    /// directly, proxied requests come back as a [`ForwardPlan`].
-    pub(crate) fn dispatch(&self, request: &RequestFrame) -> GatewayReply {
+    /// Routes one framed request. The gateway's own answers are returned;
+    /// `None` means `slot` — the slot the request gets when it parks — is
+    /// answered through `effects`: by the member a forward goes to, or by
+    /// the job a control request starts.
+    pub(crate) fn dispatch(
+        &self,
+        request: &RequestFrame,
+        slot: ClientSlot,
+        effects: &mut Effects,
+    ) -> Option<HttpResponse> {
         let target = utf8_lossy(request.target());
         let Some(uri) = Uri::parse(&target) else {
-            return GatewayReply::Respond(error_body(
+            return Some(error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
                 &format!("unparseable request target `{target}`"),
@@ -495,7 +264,7 @@ impl Router {
             ));
         };
         if uri.query.is_some() {
-            return GatewayReply::Respond(error_body(
+            return Some(error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
                 "query strings are not accepted",
@@ -504,42 +273,30 @@ impl Router {
         }
         let segments: Vec<&str> = uri.path.split('/').filter(|s| !s.is_empty()).collect();
         match (request.method(), segments.as_slice()) {
-            (Method::Get, ["healthz"]) => GatewayReply::Respond(HttpResponse::ok(b"ok".to_vec())),
-            (Method::Get, ["v1", "stats"]) => GatewayReply::Respond(self.stats_response()),
-            (Method::Get, ["v1", "compositions"]) => {
-                GatewayReply::Respond(self.list_compositions())
-            }
-            // The mutating control plane makes blocking member calls
-            // (probes, broadcasts, relays): deferred to the control thread
-            // so the event loop never stalls behind them.
+            (Method::Get, ["healthz"]) => Some(HttpResponse::ok(b"ok".to_vec())),
+            (Method::Get, ["v1", "stats"]) => Some(self.stats_response()),
+            (Method::Get, ["v1", "compositions"]) => Some(self.list_compositions()),
             (Method::Post, ["v1", "compositions"]) => {
-                GatewayReply::Control(ControlOp::RegisterComposition {
-                    body: request.body(),
-                })
+                self.control(|cluster| cluster.register(request.body(), slot, effects))
             }
-            (Method::Get, ["v1", "cluster", "members"]) => {
-                GatewayReply::Respond(self.members_response(StatusCode::OK))
-            }
+            (Method::Get, ["v1", "cluster", "members"]) => Some(self.members_response()),
             (Method::Post, ["v1", "cluster", "members"]) => {
-                GatewayReply::Control(ControlOp::Join {
-                    body: request.body(),
-                })
+                self.control(|cluster| cluster.join(&request.body(), slot, effects))
             }
             (Method::Post, ["v1", "cluster", "drain", node]) => {
-                GatewayReply::Control(ControlOp::Drain {
-                    node: node.to_string(),
-                })
+                self.control(|cluster| cluster.drain(node, slot, effects))
             }
-            (Method::Post, ["v1", "invoke", name]) if !name.is_empty() => {
-                self.plan_invocation(request, name, false)
-            }
-            (Method::Post, ["v1", "invocations", name]) if !name.is_empty() => {
-                self.plan_invocation(request, name, true)
+            // Invocations go by composition affinity, with a load-aware
+            // escape hatch.
+            (Method::Post, ["v1", "invoke" | "invocations", name]) if !name.is_empty() => {
+                let member = self.pick_member(Some(name), &[]);
+                let track_submit = segments[1] == "invocations";
+                self.forward(request, member, Some(name), track_submit, slot, effects)
             }
             (Method::Get, ["v1", "invocations", id]) if !id.is_empty() => {
-                self.plan_poll(request, id)
+                self.plan_poll(request, id, slot, effects)
             }
-            _ => GatewayReply::Respond(error_body(
+            _ => Some(error_body(
                 StatusCode::NOT_FOUND,
                 "not_found",
                 &format!("endpoint `{}` not found on the gateway", uri.path),
@@ -548,51 +305,70 @@ impl Router {
         }
     }
 
-    /// Plans the forward of an invocation (`invoke` or `submit`) by
-    /// composition affinity with a load-aware escape hatch.
-    fn plan_invocation(
+    /// Steps the cluster with one control request: a job that holds the
+    /// slot until its exchanges settle, or an answer in hand — `503` once
+    /// the control plane stopped.
+    fn control(
+        &self,
+        job: impl FnOnce(&mut Cluster) -> Option<HttpResponse>,
+    ) -> Option<HttpResponse> {
+        let mut cluster = self.cluster();
+        if cluster.stopped {
+            return Some(error_body(
+                StatusCode::SERVICE_UNAVAILABLE,
+                "gateway_stopping",
+                "the gateway control plane is shut down",
+                true,
+            ));
+        }
+        job(&mut cluster)
+    }
+
+    /// Queues the forward of `request` to `member` for `slot` — or answers
+    /// `503` when there is no member to take it.
+    fn forward(
         &self,
         request: &RequestFrame,
-        composition: &str,
+        member: Option<(NodeId, SocketAddr, Arc<MemberLoad>)>,
+        composition: Option<&str>,
         track_submit: bool,
-    ) -> GatewayReply {
-        match self.pick_member(Some(composition), &[]) {
-            Some((node, addr, load)) => {
-                let rope = forward_rope(request);
-                let bytes = rope.len();
-                GatewayReply::Forward(ForwardPlan {
-                    node,
-                    addr,
-                    load,
-                    rope,
-                    bytes,
-                    track_submit,
-                    composition: Some(composition.to_string()),
-                    tried: Vec::new(),
-                })
-            }
-            None => GatewayReply::Respond(no_members_response()),
-        }
+        slot: ClientSlot,
+        effects: &mut Effects,
+    ) -> Option<HttpResponse> {
+        let Some((node, addr, load)) = member else {
+            return Some(no_members_response());
+        };
+        let rope = forward_rope(request);
+        let plan = ForwardPlan {
+            node,
+            addr,
+            load,
+            bytes: rope.len(),
+            rope,
+            track_submit,
+            composition: composition.map(String::from),
+            tried: Vec::new(),
+        };
+        effects.forwards.push((slot, plan));
+        None
     }
 
     /// Plans the forward of a status poll: the member that accepted the
     /// submission owns the result, so the owner map wins when it can.
-    fn plan_poll(&self, request: &RequestFrame, id_text: &str) -> GatewayReply {
-        let id = InvocationId::parse(id_text);
-        let owner = id.and_then(|id| {
-            let owners = self.owners.lock();
-            if owners.was_evicted(id) {
-                return Some(Err(()));
-            }
-            owners.owners.get(&id).copied().map(Ok)
-        });
-        let owner = match owner {
+    fn plan_poll(
+        &self,
+        request: &RequestFrame,
+        id_text: &str,
+        slot: ClientSlot,
+        effects: &mut Effects,
+    ) -> Option<HttpResponse> {
+        let owner = match InvocationId::parse(id_text).map(|id| self.cluster().owners.owner(id)) {
             // The id was tracked but fell out of the bounded owner map:
             // routing the poll to an arbitrary member would produce a
             // misleading `404`, so answer `410` and say why.
             Some(Err(())) => {
-                self.stats.evicted_polls.fetch_add(1, Ordering::Relaxed);
-                return GatewayReply::Respond(error_body(
+                self.cluster().evicted_polls += 1;
+                return Some(error_body(
                     StatusCode(410),
                     "result_evicted",
                     &format!(
@@ -602,29 +378,13 @@ impl Router {
                     false,
                 ));
             }
-            Some(Ok(node)) => Some(node),
+            Some(Ok(owner)) => owner,
             None => None,
         };
-        let target = owner
+        let member = owner
             .and_then(|node| self.member_for_poll(node))
             .or_else(|| self.pick_member(None, &[]));
-        match target {
-            Some((node, addr, load)) => {
-                let rope = forward_rope(request);
-                let bytes = rope.len();
-                GatewayReply::Forward(ForwardPlan {
-                    node,
-                    addr,
-                    load,
-                    rope,
-                    bytes,
-                    track_submit: false,
-                    composition: None,
-                    tried: Vec::new(),
-                })
-            }
-            None => GatewayReply::Respond(no_members_response()),
-        }
+        self.forward(request, member, None, false, slot, effects)
     }
 
     /// Replans a forward whose member could not be reached. The failed
@@ -685,9 +445,10 @@ impl Router {
         composition: Option<&str>,
         tried: &[NodeId],
     ) -> Option<(NodeId, SocketAddr, Arc<MemberLoad>)> {
-        let members = self.members.read();
+        let cluster = self.cluster();
         let eligible: Vec<&Member> = {
-            let routable = members
+            let routable = cluster
+                .members
                 .iter()
                 .filter(|member| member.routable() && !tried.contains(&member.id));
             match composition {
@@ -731,60 +492,39 @@ impl Router {
     /// still present and not ejected (a draining member still answers
     /// polls — refusing *new* invocations is the worker's business).
     fn member_for_poll(&self, node: NodeId) -> Option<(NodeId, SocketAddr, Arc<MemberLoad>)> {
-        let members = self.members.read();
-        members
+        self.cluster()
+            .members
             .iter()
             .find(|member| member.id == node && member.state != MemberState::Ejected)
             .map(|member| (member.id, member.addr, Arc::clone(&member.load)))
     }
 
-    // ------------------------------------------------------------------
-    // Local responses
-    // ------------------------------------------------------------------
-
     fn stats_response(&self) -> HttpResponse {
-        let members = self.members.read();
+        let cluster = self.cluster();
+        let counter = |value: &AtomicU64| JsonValue::from(value.load(Ordering::Relaxed));
         let mut pairs: Vec<(String, JsonValue)> = vec![
             ("role".into(), JsonValue::string("gateway")),
             (
                 "members".into(),
-                JsonValue::array(members.iter().map(Member::to_json)),
+                JsonValue::array(cluster.members.iter().map(Member::to_json)),
             ),
-            (
-                "proxied".into(),
-                JsonValue::from(self.stats.proxied.load(Ordering::Relaxed)),
-            ),
+            ("proxied".into(), counter(&self.stats.proxied)),
             (
                 "upstream_errors".into(),
-                JsonValue::from(self.stats.upstream_errors.load(Ordering::Relaxed)),
+                counter(&self.stats.upstream_errors),
             ),
-            (
-                "retries".into(),
-                JsonValue::from(self.stats.retries.load(Ordering::Relaxed)),
-            ),
-            (
-                "ejections".into(),
-                JsonValue::from(self.stats.ejections.load(Ordering::Relaxed)),
-            ),
-            (
-                "readmissions".into(),
-                JsonValue::from(self.stats.readmissions.load(Ordering::Relaxed)),
-            ),
-            (
-                "drained".into(),
-                JsonValue::from(self.stats.drained_out.load(Ordering::Relaxed)),
-            ),
+            ("retries".into(), counter(&self.stats.retries)),
+            ("ejections".into(), JsonValue::from(cluster.ejections)),
+            ("readmissions".into(), JsonValue::from(cluster.readmissions)),
+            ("drained".into(), JsonValue::from(cluster.drained)),
             (
                 "evicted_polls".into(),
-                JsonValue::from(self.stats.evicted_polls.load(Ordering::Relaxed)),
+                JsonValue::from(cluster.evicted_polls),
             ),
-            (
-                "budget_denials".into(),
-                JsonValue::from(self.stats.budget_denials.load(Ordering::Relaxed)),
-            ),
+            ("budget_denials".into(), counter(&self.stats.budget_denials)),
         ];
-        drop(members);
-        if let Some(source) = self.server_stats.lock().as_ref() {
+        drop(cluster);
+        if let Some((_, source)) = self.server.get() {
             pairs.push(("server".into(), source()));
         }
         if let Some(failpoints) = failpoint_stats_json() {
@@ -796,8 +536,9 @@ impl Router {
     /// `GET /v1/compositions` on the gateway: the union of what the
     /// members advertise.
     fn list_compositions(&self) -> HttpResponse {
-        let members = self.members.read();
-        let mut names: Vec<&str> = members
+        let cluster = self.cluster();
+        let mut names: Vec<&str> = cluster
+            .members
             .iter()
             .flat_map(|member| member.compositions.iter().map(String::as_str))
             .collect();
@@ -812,144 +553,14 @@ impl Router {
         )
     }
 
-    /// `POST /v1/compositions` on the gateway: broadcast the registration
-    /// to every routable member (blocking — control thread only), so any
-    /// of them can serve the composition afterwards.
-    fn register_composition(&self, body: &[u8]) -> HttpResponse {
-        let targets: Vec<(NodeId, SocketAddr)> = self
-            .members
-            .read()
-            .iter()
-            .filter(|member| member.routable())
-            .map(|member| (member.id, member.addr))
-            .collect();
-        if targets.is_empty() {
-            return no_members_response();
-        }
-        let mut name: Option<String> = None;
-        let mut failures: Vec<String> = Vec::new();
-        for (node, addr) in &targets {
-            match register_on_member(*addr, body, self.config.probe_timeout) {
-                Ok(registered) => name = Some(registered),
-                Err(error) => failures.push(format!("{node}: {error}")),
-            }
-        }
-        let Some(name) = name else {
-            return error_body(
-                StatusCode(502),
-                "upstream_failed",
-                &format!(
-                    "no member accepted the composition: {}",
-                    failures.join("; ")
-                ),
-                true,
-            );
-        };
-        // Advertise immediately instead of waiting a probe interval.
-        {
-            let mut members = self.members.write();
-            for member in members.iter_mut() {
-                if targets.iter().any(|(node, _)| *node == member.id) && !member.advertises(&name) {
-                    member.compositions.push(name.clone());
-                }
-            }
-        }
-        if failures.is_empty() {
-            json_response(
-                StatusCode::CREATED,
-                &JsonValue::object([
-                    ("name", JsonValue::string(name)),
-                    ("nodes", JsonValue::from(targets.len())),
-                ]),
-            )
-        } else {
-            error_body(
-                StatusCode(502),
-                "partial_registration",
-                &format!(
-                    "composition `{name}` registered on {} of {} members; failed: {}",
-                    targets.len() - failures.len(),
-                    targets.len(),
-                    failures.join("; ")
-                ),
-                true,
-            )
-        }
-    }
-
-    fn members_response(&self, status: StatusCode) -> HttpResponse {
-        let members = self.members.read();
+    fn members_response(&self) -> HttpResponse {
+        let cluster = self.cluster();
         json_response(
-            status,
+            StatusCode::OK,
             &JsonValue::object([(
                 "members",
-                JsonValue::array(members.iter().map(Member::to_json)),
+                JsonValue::array(cluster.members.iter().map(Member::to_json)),
             )]),
-        )
-    }
-
-    /// `POST /v1/cluster/members` with body `{"addr": "host:port"}`: a
-    /// member announcing itself (what `dandelion-serve --join` sends).
-    /// Blocking (join probes the candidate) — control thread only.
-    fn join_request(&self, body: &[u8]) -> HttpResponse {
-        let addr = JsonValue::parse(&utf8_lossy(body))
-            .ok()
-            .and_then(|document| {
-                document
-                    .get("addr")
-                    .and_then(JsonValue::as_str)
-                    .map(String::from)
-            })
-            .and_then(|text| text.parse::<SocketAddr>().ok());
-        let Some(addr) = addr else {
-            return error_body(
-                StatusCode::BAD_REQUEST,
-                "invalid_request",
-                "body must be a JSON object with an `addr` of the form `host:port`",
-                false,
-            );
-        };
-        match self.join(addr) {
-            Ok(node) => json_response(
-                StatusCode::CREATED,
-                &JsonValue::object([
-                    ("node", JsonValue::string(node.to_string())),
-                    ("addr", JsonValue::string(addr.to_string())),
-                ]),
-            ),
-            Err(problem) => error_body(StatusCode(502), "join_failed", &problem, true),
-        }
-    }
-
-    /// `POST /v1/cluster/drain/{node}`: take a member out of rotation for a
-    /// rolling restart. The drain signal is relayed to the node itself
-    /// (best-effort) so it refuses work arriving around the gateway too.
-    /// Blocking (the relay is an HTTP call) — control thread only.
-    fn drain_request(&self, node_text: &str) -> HttpResponse {
-        let Some(node) = NodeId::parse(node_text) else {
-            return error_body(
-                StatusCode::BAD_REQUEST,
-                "invalid_request",
-                &format!("malformed node id `{node_text}`"),
-                false,
-            );
-        };
-        let Some(addr) = self.drain(node) else {
-            return error_body(
-                StatusCode::NOT_FOUND,
-                "not_found",
-                &format!("no member `{node}` in the cluster"),
-                false,
-            );
-        };
-        let relayed = relay_drain(addr, self.config.probe_timeout).is_ok();
-        json_response(
-            StatusCode::ACCEPTED,
-            &JsonValue::object([
-                ("node", JsonValue::string(node.to_string())),
-                ("state", JsonValue::string("draining")),
-                ("relayed", JsonValue::from(relayed)),
-            ]),
         )
     }
 }
@@ -991,101 +602,7 @@ pub fn relay_rope(response: &ResponseFrame, node_line: &SharedBytes, close: bool
     }
 }
 
-// ----------------------------------------------------------------------
-// Blocking member calls (control plane and health probes only)
-// ----------------------------------------------------------------------
-
-/// One request to a member on a fresh connection. Any answer but the
-/// `expected` status is an error naming what the member said instead.
-fn member_call(
-    addr: SocketAddr,
-    timeout: Duration,
-    request: &HttpRequest,
-    expected: StatusCode,
-) -> Result<HttpResponse, String> {
-    let mut client =
-        HttpClientConnection::connect(addr, timeout).map_err(|error| error.to_string())?;
-    let response = client.request(request).map_err(|error| error.to_string())?;
-    if response.status != expected {
-        return Err(format!(
-            "{} {} answered {}: {}",
-            request.method,
-            request.target,
-            response.status.0,
-            response.body_str()
-        ));
-    }
-    Ok(response)
-}
-
-fn probe_stats(addr: SocketAddr, timeout: Duration) -> Result<(), String> {
-    member_call(
-        addr,
-        timeout,
-        &HttpRequest::get("/v1/stats"),
-        StatusCode::OK,
-    )
-    .map(drop)
-}
-
-fn fetch_compositions(addr: SocketAddr, timeout: Duration) -> Result<Vec<String>, String> {
-    let response = member_call(
-        addr,
-        timeout,
-        &HttpRequest::get("/v1/compositions"),
-        StatusCode::OK,
-    )?;
-    let document =
-        JsonValue::parse(&response.body_str()).map_err(|error| format!("bad JSON: {error}"))?;
-    let names = document
-        .get("compositions")
-        .and_then(|value| value.as_array())
-        .map(|values| {
-            values
-                .iter()
-                .filter_map(JsonValue::as_str)
-                .map(String::from)
-                .collect()
-        })
-        .unwrap_or_default();
-    Ok(names)
-}
-
-fn register_on_member(addr: SocketAddr, body: &[u8], timeout: Duration) -> Result<String, String> {
-    let response = member_call(
-        addr,
-        timeout,
-        &HttpRequest::post("/v1/compositions", body.to_vec()),
-        StatusCode::CREATED,
-    )?;
-    JsonValue::parse(&response.body_str())
-        .ok()
-        .and_then(|document| {
-            document
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .map(String::from)
-        })
-        .ok_or_else(|| "registration response carried no name".to_string())
-}
-
-/// Relays the drain signal: only the member's own `202` means it began
-/// draining — a `404`, a `429` from its rate limit or a `500` did not.
-fn relay_drain(addr: SocketAddr, timeout: Duration) -> Result<(), String> {
-    member_call(
-        addr,
-        timeout,
-        &HttpRequest::post("/v1/drain", Vec::new()),
-        StatusCode::ACCEPTED,
-    )
-    .map(drop)
-}
-
-// ----------------------------------------------------------------------
-// Response helpers
-// ----------------------------------------------------------------------
-
-fn json_response(status: StatusCode, value: &JsonValue) -> HttpResponse {
+pub(super) fn json_response(status: StatusCode, value: &JsonValue) -> HttpResponse {
     HttpResponse::new(status, value.to_json_string().into_bytes())
         .with_header("Content-Type", "application/json")
 }
@@ -1109,16 +626,21 @@ pub(crate) fn no_members_response() -> HttpResponse {
         true,
     )
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gateway::cluster::{Call, INVOCATION_ROUTE_CAPACITY};
+    use dandelion_http::HttpRequest;
 
     fn router_without_health() -> Arc<Router> {
-        Router::start(GatewayConfig {
+        Router::start(without_health())
+    }
+
+    fn without_health() -> GatewayConfig {
+        GatewayConfig {
             probe_interval: Duration::from_secs(3600),
             ..GatewayConfig::default()
-        })
+        }
     }
 
     fn insert_member(router: &Router, port: u16, compositions: &[&str]) -> NodeId {
@@ -1128,13 +650,13 @@ mod tests {
             compositions.iter().map(|s| s.to_string()).collect(),
         );
         let id = member.id;
-        router.members.write().push(member);
+        router.cluster().members.push(member);
         id
     }
 
     fn load_of(router: &Router, node: NodeId) -> Arc<MemberLoad> {
-        let members = router.members.read();
-        Arc::clone(&members.iter().find(|m| m.id == node).unwrap().load)
+        let cluster = router.cluster();
+        Arc::clone(&cluster.members.iter().find(|m| m.id == node).unwrap().load)
     }
 
     fn invoke_echo() -> HttpRequest {
@@ -1143,6 +665,15 @@ mod tests {
 
     fn poll(id: impl std::fmt::Display) -> HttpRequest {
         HttpRequest::get(format!("/v1/invocations/{id}"))
+    }
+
+    fn drain(node: NodeId) -> HttpRequest {
+        HttpRequest::post(format!("/v1/cluster/drain/{node}"), Vec::new())
+    }
+
+    fn join(addr: &str) -> HttpRequest {
+        let body = format!(r#"{{"addr":"{addr}"}}"#);
+        HttpRequest::post("/v1/cluster/members", body.into_bytes())
     }
 
     /// `request` as a client connection's decoder hands it to the router.
@@ -1155,22 +686,134 @@ mod tests {
             .expect("complete")
     }
 
+    /// The slot a request of the placement tests would park in.
+    const SLOT: ClientSlot = ClientSlot { token: 0, seq: 0 };
+
     /// The plan `request` is forwarded with.
     fn forwarded(router: &Router, request: HttpRequest) -> ForwardPlan {
-        match router.dispatch(&frame(&request)) {
-            GatewayReply::Forward(plan) => plan,
-            _ => panic!("{} {} must forward", request.method, request.target),
-        }
+        let mut effects = Effects::default();
+        let answer = router.dispatch(&frame(&request), SLOT, &mut effects);
+        assert!(
+            answer.is_none(),
+            "{} {} must forward",
+            request.method,
+            request.target
+        );
+        only(effects.forwards).1
     }
 
     /// The gateway's own answer to `request`.
     fn answered(router: &Router, request: HttpRequest) -> HttpResponse {
-        match router.dispatch(&frame(&request)) {
-            GatewayReply::Respond(response) => response,
-            _ => panic!(
-                "{} {} must be answered locally",
-                request.method, request.target
-            ),
+        let answer = router.dispatch(&frame(&request), SLOT, &mut Effects::default());
+        answer.expect("answered by the gateway itself")
+    }
+
+    /// The one item of `items`.
+    fn only<T>(items: Vec<T>) -> T {
+        assert_eq!(items.len(), 1, "exactly one expected");
+        items.into_iter().next().unwrap()
+    }
+
+    /// A call's request line, `GET /v1/compositions HTTP/1.1` and the like.
+    fn request_line(call: &Call) -> String {
+        let bytes = call.request.to_vec();
+        let end = bytes.windows(2).position(|pair| pair == b"\r\n").unwrap();
+        utf8_lossy(&bytes[..end]).into_owned()
+    }
+
+    /// A gateway's control plane stepped by hand as its loops step it, in
+    /// one thread and with no socket: each request is dispatched with a slot
+    /// of its own, the probe pass due runs at the rig's clock, and every
+    /// control exchange the cluster sends waits among `calls` until the row
+    /// answers or fails it, as a member and the loop's deadline would.
+    struct Rig {
+        router: Arc<Router>,
+        now: Instant,
+        effects: Effects,
+        /// Slots parked so far; the next request parks under this sequence.
+        parked: u64,
+    }
+
+    impl Rig {
+        /// A router whose clock is the rig's: it starts one probe interval
+        /// before the first pass.
+        fn new(config: GatewayConfig) -> Rig {
+            let interval = config.probe_interval;
+            let router = Router::start(config);
+            let mut effects = Effects::default();
+            let first = router.probe(Instant::now(), &mut effects).unwrap();
+            assert!(effects.calls.is_empty(), "no pass is due at the start");
+            Rig {
+                router,
+                now: first - interval,
+                effects,
+                parked: 0,
+            }
+        }
+
+        fn member(&self, port: u16, compositions: &[&str]) -> NodeId {
+            insert_member(&self.router, port, compositions)
+        }
+
+        /// Sends `request` from a client: the gateway's own answer, or the
+        /// sequence of the slot a control job now holds.
+        fn request(&mut self, request: HttpRequest) -> Result<HttpResponse, u64> {
+            let slot = ClientSlot {
+                token: 1,
+                seq: self.parked,
+            };
+            let answer = self
+                .router
+                .dispatch(&frame(&request), slot, &mut self.effects);
+            assert!(self.effects.forwards.is_empty(), "a control request");
+            answer.ok_or_else(|| {
+                self.parked += 1;
+                slot.seq
+            })
+        }
+
+        /// Moves the clock on by `by` and runs the probe pass then due, as
+        /// loop 0 does.
+        fn advance(&mut self, by: Duration) {
+            self.now += by;
+            self.router.probe(self.now, &mut self.effects);
+        }
+
+        /// The control exchanges sent since the last look.
+        fn calls(&mut self) -> Vec<Call> {
+            std::mem::take(&mut self.effects.calls)
+        }
+
+        /// The member answers `call` with `status` and `body`.
+        fn answer(&mut self, call: &Call, status: u16, body: &str) {
+            let response = HttpResponse::new(StatusCode(status), body.as_bytes().to_vec());
+            let mut decoder = dandelion_http::ResponseDecoder::default();
+            decoder.feed(&response.to_bytes());
+            let frame = decoder.next_frame().unwrap().expect("complete");
+            self.router.settle(call.id, Ok(&frame), &mut self.effects);
+        }
+
+        /// `call` gets no answer: refused, reset, or past `probe_timeout`.
+        fn fail(&mut self, call: &Call) {
+            self.router
+                .settle(call.id, Err("no answer"), &mut self.effects);
+        }
+
+        /// The parked slots answered since the last look, by sequence.
+        fn answers(&mut self) -> Vec<(u64, HttpResponse)> {
+            std::mem::take(&mut self.effects.answers)
+                .into_iter()
+                .map(|(slot, response)| (slot.seq, response))
+                .collect()
+        }
+
+        fn states(&self) -> Vec<&'static str> {
+            let cluster = self.router.cluster();
+            cluster
+                .members
+                .iter()
+                .map(|member| member.state.as_str())
+                .collect()
         }
     }
 
@@ -1264,43 +907,31 @@ mod tests {
     /// the operator is told so.
     #[test]
     fn a_refused_drain_relay_is_reported_as_not_relayed() {
-        use std::io::{Read, Write};
-
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let member = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut head = Vec::new();
-            let mut byte = [0u8; 1];
-            while !head.ends_with(b"\r\n\r\n") {
-                stream.read_exact(&mut byte).unwrap();
-                head.push(byte[0]);
-            }
-            assert!(head.starts_with(b"POST /v1/drain "));
-            stream
-                .write_all(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n")
-                .unwrap();
-        });
-        let router = router_without_health();
-        let node = insert_member(&router, port, &["Echo"]);
-        let response = router.drain_request(&node.to_string());
-        member.join().unwrap();
+        let mut rig = Rig::new(without_health());
+        let node = rig.member(9001, &["Echo"]);
+        let slot = rig.request(drain(node)).unwrap_err();
+        let relay = only(rig.calls());
+        assert_eq!(request_line(&relay), "POST /v1/drain HTTP/1.1");
+        assert_eq!(relay.addr.port(), 9001);
+        rig.answer(&relay, 500, "");
+        let (answered, response) = only(rig.answers());
+        assert_eq!(answered, slot);
         assert_eq!(response.status, StatusCode::ACCEPTED);
         assert!(response.body_text().contains("\"relayed\":false"));
         // The gateway's own half still happened: no new work goes there.
-        assert_eq!(router.member_rows()[0].2, "draining");
+        assert_eq!(rig.states(), ["draining"]);
     }
 
     #[test]
     fn draining_and_ejected_members_receive_no_new_work() {
         let router = router_without_health();
-        let a = insert_member(&router, 9001, &["Echo"]);
+        insert_member(&router, 9001, &["Echo"]);
         let b = insert_member(&router, 9002, &["Echo"]);
-        router.drain(a);
+        router.cluster().members[0].state = MemberState::Draining;
         for _ in 0..4 {
             assert_eq!(forwarded(&router, invoke_echo()).node, b);
         }
-        router.members.write()[1].state = MemberState::Ejected;
+        router.cluster().members[1].state = MemberState::Ejected;
         assert_eq!(answered(&router, invoke_echo()).status.0, 503);
     }
 
@@ -1325,8 +956,13 @@ mod tests {
         for _ in 0..router.config.fail_threshold {
             router.note_upstream_failure(a);
         }
-        let rows = router.member_rows();
-        assert_eq!((rows[0].0, rows[0].2), (a, "ejected"));
+        let first = router
+            .cluster()
+            .members
+            .iter()
+            .map(|m| (m.id, m.state))
+            .next();
+        assert_eq!(first, Some((a, MemberState::Ejected)));
         // Replanning a forward that already tried `b` has nowhere to go.
         let mut plan = forwarded(&router, invoke_echo());
         assert_eq!(plan.node, b);
@@ -1390,7 +1026,7 @@ mod tests {
         // Both members out: nothing is routable.
         fail_at_rate(b);
         assert_eq!(answered(&router, invoke_echo()).status.0, 503);
-        assert_eq!(router.stats.ejections.load(Ordering::Relaxed), 2);
+        assert_eq!(router.cluster().ejections, 2);
     }
 
     #[test]
@@ -1406,7 +1042,7 @@ mod tests {
         let response = answered(&router, poll(first));
         assert_eq!(response.status.0, 410);
         assert!(response.body_text().contains("\"result_evicted\""));
-        assert_eq!(router.stats.evicted_polls.load(Ordering::Relaxed), 1);
+        assert_eq!(router.cluster().evicted_polls, 1);
         // Ids still tracked keep forwarding to their owner.
         let live = InvocationId::from_raw(INVOCATION_ROUTE_CAPACITY as u64);
         assert_eq!(forwarded(&router, poll(live)).node, node);
@@ -1415,128 +1051,219 @@ mod tests {
         assert_eq!(forwarded(&router, poll(first)).node, node);
     }
 
-    /// A loopback port with nothing listening: probes to it fail instantly.
-    fn dead_port() -> u16 {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.local_addr().unwrap().port()
-    }
-
+    /// The rolling restart killed the drained member and nothing is in
+    /// flight: its probe fails, and the row must go — not linger as
+    /// "draining".
     #[test]
     fn dead_draining_member_is_removed_when_probes_fail() {
-        let router = router_without_health();
-        let node = insert_member(&router, dead_port(), &["Echo"]);
-        router.drain(node);
-        // Nothing in flight: the rolling restart killed the process, the
-        // probe fails, and the row must go — not linger as "draining".
-        router.probe_members();
+        let config = GatewayConfig::default();
+        let interval = config.probe_interval;
+        let mut rig = Rig::new(config);
+        let node = rig.member(9001, &["Echo"]);
+        rig.request(drain(node)).unwrap_err();
+        let relay = only(rig.calls());
+        rig.fail(&relay);
+        rig.answers();
+        rig.advance(interval);
+        let probe = only(rig.calls());
+        assert_eq!(request_line(&probe), "GET /v1/compositions HTTP/1.1");
+        rig.fail(&probe);
         assert!(
-            router.member_rows().is_empty(),
+            rig.states().is_empty(),
             "a dead drained member with no in-flight work must be removed"
         );
-        assert_eq!(router.stats.drained_out.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.router.cluster().drained, 1);
     }
 
     #[test]
     fn dead_draining_member_with_inflight_work_is_removed_after_threshold() {
-        let router = router_without_health();
-        let node = insert_member(&router, dead_port(), &["Echo"]);
-        {
-            let members = router.members.read();
-            members[0].load.in_flight.store(1, Ordering::Relaxed);
-        }
-        router.drain(node);
-        for round in 0..router.config.fail_threshold {
+        let config = GatewayConfig::default();
+        let (interval, threshold) = (config.probe_interval, config.fail_threshold);
+        let mut rig = Rig::new(config);
+        let node = rig.member(9001, &["Echo"]);
+        load_of(&rig.router, node)
+            .in_flight
+            .store(1, Ordering::Relaxed);
+        rig.request(drain(node)).unwrap_err();
+        let relay = only(rig.calls());
+        rig.fail(&relay);
+        for round in 0..threshold {
             assert_eq!(
-                router.member_rows().len(),
+                rig.states().len(),
                 1,
                 "still within the failure threshold after {round} probes"
             );
-            router.probe_members();
+            rig.advance(interval);
+            let probe = only(rig.calls());
+            rig.fail(&probe);
         }
         assert!(
-            router.member_rows().is_empty(),
+            rig.states().is_empty(),
             "consecutive probe failures must remove a draining member even \
              when its in-flight gauge never settled"
         );
     }
 
+    /// Before shutdown a control request is stepped (a drain of an unknown
+    /// node is answered `404` at once); after it, every control request
+    /// answers `503` instead of starting a job, and no probe pass runs.
     #[test]
-    fn mutating_control_plane_requests_defer_to_the_control_thread() {
-        let router = router_without_health();
-        let drain = frame(&HttpRequest::post(
-            "/v1/cluster/drain/node-424242",
-            Vec::new(),
-        ));
-        let GatewayReply::Control(op) = router.dispatch(&drain) else {
-            panic!("mutating control-plane requests must defer off the event loop");
-        };
-        let (tx, rx) = mpsc::channel();
-        router.submit_control(
-            op,
-            Box::new(move |response| {
-                let _ = tx.send(response);
-            }),
-        );
-        let response = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the control thread answers");
-        assert_eq!(
-            response.status.0,
-            404,
-            "unknown node: {}",
-            response.body_text()
-        );
+    fn control_requests_answer_503_once_the_control_plane_stops() {
+        let config = GatewayConfig::default();
+        let interval = config.probe_interval;
+        let mut rig = Rig::new(config);
+        rig.member(9001, &["Echo"]);
+        let unknown = drain(NodeId::from_raw(424_242));
+        let response = rig.request(unknown.clone()).expect("answered at once");
+        assert_eq!(response.status.0, 404, "{}", response.body_text());
 
-        // After shutdown, deferred operations answer 503 instead of hanging.
-        router.shutdown();
-        let GatewayReply::Control(op) = router.dispatch(&drain) else {
-            panic!("dispatch shape does not change at shutdown");
-        };
-        let (tx, rx) = mpsc::channel();
-        router.submit_control(
-            op,
-            Box::new(move |response| {
-                let _ = tx.send(response);
-            }),
-        );
-        let response = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(response.status.0, 503);
-        assert!(response.body_text().contains("gateway_stopping"));
+        rig.router.shutdown();
+        let registration = HttpRequest::post("/v1/compositions", b"composition".to_vec());
+        for request in [unknown, join("127.0.0.1:9002"), registration] {
+            let response = rig.request(request).expect("answered, not parked");
+            assert_eq!(response.status.0, 503);
+            assert!(response.body_text().contains("gateway_stopping"));
+        }
+        rig.advance(interval);
+        assert!(rig.calls().is_empty(), "no probe after shutdown");
+        assert_eq!(rig.router.probe(rig.now, &mut rig.effects), None);
     }
 
-    /// One thread runs both: a control job every 10 ms does not keep the
-    /// probe passes from ejecting a member that refuses connections.
+    /// One loop steps both, so a control job cannot hold up a probe pass:
+    /// with a join to an address that never answers started every 10 ms,
+    /// the passes at 100, 200 and 300 ms each probe the member that refuses
+    /// connections once, and the third failure ejects it.
     #[test]
     fn probes_stay_on_schedule_under_a_stream_of_control_jobs() {
-        let router = Router::start(GatewayConfig {
+        let mut rig = Rig::new(GatewayConfig {
             probe_interval: Duration::from_millis(100),
             ..GatewayConfig::default()
         });
-        insert_member(&router, dead_port(), &["Echo"]);
-        let drain = frame(&HttpRequest::post(
-            "/v1/cluster/drain/node-424242",
-            Vec::new(),
-        ));
-        let start = Instant::now();
-        while router.member_rows()[0].2 != "ejected" {
-            assert!(
-                start.elapsed() < Duration::from_secs(2),
-                "the member was not ejected"
+        rig.member(9001, &["Echo"]);
+        let mut probes = 0;
+        for step in 1..=30 {
+            assert!(rig.request(join("10.0.0.1:9")).is_err(), "a join is a job");
+            rig.advance(Duration::from_millis(10));
+            for call in rig.calls() {
+                if call.probe {
+                    assert_eq!(call.addr.port(), 9001);
+                    probes += 1;
+                    rig.fail(&call);
+                }
+            }
+            let ejected = rig.states() == ["ejected"];
+            assert_eq!(
+                ejected,
+                step == 30,
+                "after {step} steps and {probes} probes"
             );
-            let GatewayReply::Control(op) = router.dispatch(&drain) else {
-                panic!("a drain is a control job");
-            };
-            let (tx, rx) = mpsc::channel();
-            router.submit_control(
-                op,
-                Box::new(move |response| {
-                    let _ = tx.send(response);
-                }),
-            );
-            let response = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(response.status.0, 404, "{}", response.body_text());
-            std::thread::sleep(Duration::from_millis(10));
         }
-        router.shutdown();
+        assert_eq!(probes, 3);
+        assert!(rig.answers().is_empty(), "the joins are still waiting");
+    }
+
+    /// A join's one exchange is the probe `GET /v1/compositions`. Answered,
+    /// it adds the member; unanswered until the loop's deadline fails it,
+    /// the join gets `502 join_failed` and the table stays as it was.
+    #[test]
+    fn a_join_that_is_never_answered_gets_502_and_adds_no_row() {
+        let mut rig = Rig::new(without_health());
+        let slot = rig.request(join("10.0.0.1:9")).unwrap_err();
+        let probe = only(rig.calls());
+        assert_eq!(probe.addr, "10.0.0.1:9".parse().unwrap());
+        assert_eq!(request_line(&probe), "GET /v1/compositions HTTP/1.1");
+        assert!(rig.answers().is_empty(), "the slot waits for the probe");
+        rig.fail(&probe);
+        let (answered, response) = only(rig.answers());
+        assert_eq!(answered, slot);
+        assert_eq!(response.status.0, 502);
+        assert!(response.body_text().contains("\"join_failed\""));
+        assert!(rig.states().is_empty());
+
+        rig.request(join("127.0.0.1:9001")).unwrap_err();
+        let probe = only(rig.calls());
+        rig.answer(&probe, 200, r#"{"compositions":["Echo"]}"#);
+        let (_, response) = only(rig.answers());
+        assert_eq!(response.status.0, 201, "{}", response.body_text());
+        assert_eq!(rig.states(), ["healthy"]);
+        assert!(rig.router.cluster().members[0].advertises("Echo"));
+    }
+
+    /// A drain does not wait out a probe pass: it is answered as soon as its
+    /// relay replies, while the probe of a stalled member is still out — and
+    /// the next pass does not stack a second probe on that one.
+    #[test]
+    fn a_drain_is_answered_when_its_relay_replies_while_a_probe_is_outstanding() {
+        let config = GatewayConfig::default();
+        let interval = config.probe_interval;
+        let mut rig = Rig::new(config);
+        rig.member(9001, &["Echo"]);
+        let drained = rig.member(9002, &["Echo"]);
+        rig.advance(interval);
+        let probes = rig.calls();
+        assert_eq!(probes.len(), 2);
+        for probe in probes.iter().filter(|probe| probe.addr.port() == 9002) {
+            rig.answer(probe, 200, r#"{"compositions":["Echo"]}"#);
+        }
+
+        let slot = rig.request(drain(drained)).unwrap_err();
+        let relay = only(rig.calls());
+        assert_eq!(relay.addr.port(), 9002);
+        rig.answer(&relay, 202, "{}");
+        let (answered, response) = only(rig.answers());
+        assert_eq!(answered, slot);
+        assert_eq!(response.status, StatusCode::ACCEPTED);
+        assert!(response.body_text().contains("\"relayed\":true"));
+
+        rig.advance(interval);
+        let next = only(rig.calls());
+        assert_eq!(
+            next.addr.port(),
+            9002,
+            "the stalled member's probe is still out"
+        );
+    }
+
+    /// One of two members refuses a registration: the client learns it
+    /// (`502 partial_registration`), and only the member that registered
+    /// the composition advertises it, so affinity never routes it to the
+    /// member that would answer `404`.
+    #[test]
+    fn a_partial_registration_advertises_only_on_the_member_that_accepted() {
+        let mut rig = Rig::new(without_health());
+        let accepted = rig.member(9001, &["Echo"]);
+        rig.member(9002, &["Echo"]);
+        let dsl = b"composition Fresh(Input) => Output { Echo(In = all Input) => (Output = Out); }";
+        let slot = rig
+            .request(HttpRequest::post("/v1/compositions", dsl.to_vec()))
+            .unwrap_err();
+        let calls = rig.calls();
+        assert_eq!(calls.len(), 2);
+        for call in &calls {
+            assert_eq!(request_line(call), "POST /v1/compositions HTTP/1.1");
+            assert!(call.request.to_vec().ends_with(dsl));
+        }
+        let (first, second) = (&calls[0], &calls[1]);
+        assert_eq!(first.addr.port(), 9001);
+        rig.answer(first, 201, r#"{"name":"Fresh"}"#);
+        assert!(rig.answers().is_empty(), "the broadcast waits for both");
+        rig.answer(second, 400, r#"{"error":{"code":"invalid_request"}}"#);
+        let (answered, response) = only(rig.answers());
+        assert_eq!(answered, slot);
+        assert_eq!(response.status.0, 502);
+        assert!(response.body_text().contains("\"partial_registration\""));
+
+        let advertising: Vec<bool> = rig
+            .router
+            .cluster()
+            .members
+            .iter()
+            .map(|member| member.advertises("Fresh"))
+            .collect();
+        assert_eq!(advertising, [true, false]);
+        for _ in 0..8 {
+            let invoke = HttpRequest::post("/v1/invoke/Fresh", b"x".to_vec());
+            assert_eq!(forwarded(&rig.router, invoke).node, accepted);
+        }
     }
 }

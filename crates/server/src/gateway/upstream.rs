@@ -11,7 +11,9 @@
 //! its head's scan record), and are matched FIFO to the client slots that
 //! wait for them. The gateway therefore never burns a thread per in-flight
 //! request — an upstream connection is a slab entry, exactly like the
-//! downstream connections it serves.
+//! downstream connections it serves. The gateway's own control exchanges
+//! (probes, joins, registrations, drain relays) ride connections of their
+//! own, outside the pools, each closed once its one call is answered.
 //!
 //! Within a loop turn, forwards are only *queued* ([`UpstreamConn::enqueue`]
 //! during the apply half); the turn's flush then calls
@@ -38,16 +40,24 @@ use dandelion_common::{
 };
 use dandelion_http::{ParseLimits, ResponseDecoder, ResponseFrame};
 
+use crate::conn::ClientSlot;
 use crate::event_loop::LoopShared;
+use crate::gateway::GatewayConfig;
 
-/// Where a proxied response must be delivered: the client connection slot
-/// that parked for it.
+/// Where a pending exchange's response goes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Origin {
-    /// Slab token of the client connection (generation-tagged).
-    pub token: u64,
-    /// Pipeline sequence of the client's waiting slot.
-    pub seq: u64,
+pub(crate) enum Origin {
+    /// To the client slot that parked for the forwarded request.
+    Client(Forwarded),
+    /// To `Router::settle`, under the control exchange's call id.
+    Cluster(u64),
+}
+
+/// A client slot waiting for the response of `node` to its forward.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Forwarded {
+    pub node: NodeId,
+    pub slot: ClientSlot,
     /// Serialized request bytes, released from the member's queued-bytes
     /// gauge when the exchange settles.
     pub bytes: usize,
@@ -68,7 +78,9 @@ pub(crate) enum UpstreamVerdict {
 /// One pooled keep-alive connection from the gateway to a member.
 pub(crate) struct UpstreamConn {
     stream: TcpStream,
-    node: NodeId,
+    /// The member whose pool holds this connection; `None` on a control
+    /// exchange's own connection, which carries its one call and closes.
+    node: Option<NodeId>,
     /// Serialized requests not yet fully written, each with its own write
     /// cursor; they align with the tail of `pending`.
     outbox: RopeBatch,
@@ -95,7 +107,7 @@ pub(crate) struct UpstreamConn {
 impl UpstreamConn {
     pub(crate) fn new(
         stream: TcpStream,
-        node: NodeId,
+        node: Option<NodeId>,
         limits: ParseLimits,
         connecting: bool,
         now: Instant,
@@ -116,7 +128,7 @@ impl UpstreamConn {
         &self.stream
     }
 
-    pub(crate) fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> Option<NodeId> {
         self.node
     }
 
@@ -180,9 +192,15 @@ impl UpstreamConn {
         self.peer_closed = true;
     }
 
-    /// Whether the connection has stalled past `timeout` (no response
-    /// progress with exchanges pending, or a connect that never completed).
-    pub(crate) fn stalled(&self, now: Instant, timeout: std::time::Duration) -> bool {
+    /// Whether a connect or exchanges pending stalled past the deadline: a
+    /// control exchange's `probe_timeout`, else `connect_timeout` while the
+    /// connection connects and `upstream_timeout` once it waits for answers.
+    pub(crate) fn stalled(&self, now: Instant, config: &GatewayConfig) -> bool {
+        let timeout = match self.node {
+            None => config.probe_timeout,
+            Some(_) if self.connecting => config.connect_timeout,
+            Some(_) => config.upstream_timeout,
+        };
         (self.connecting || !self.pending.is_empty())
             && now.duration_since(self.last_progress) >= timeout
     }
@@ -289,7 +307,8 @@ impl UpstreamConn {
                 }
             }
         }
-        if close {
+        // A control exchange's own connection is done once it is answered.
+        if close || (self.node.is_none() && self.pending.is_empty()) {
             (UpstreamVerdict::Close, delivered)
         } else {
             (UpstreamVerdict::Keep, delivered)
@@ -317,11 +336,19 @@ mod tests {
     }
 
     fn origin(seq: u64) -> Origin {
-        Origin {
-            token: 7,
-            seq,
+        Origin::Client(Forwarded {
+            node: NodeId::from_raw(2),
+            slot: ClientSlot { token: 7, seq },
             bytes: 16,
             track_submit: false,
+        })
+    }
+
+    /// The client slot sequence `origin` answers.
+    fn seq(origin: &Origin) -> u64 {
+        match origin {
+            Origin::Client(forwarded) => forwarded.slot.seq,
+            Origin::Cluster(_) => panic!("a forward's origin"),
         }
     }
 
@@ -336,7 +363,7 @@ mod tests {
         let (ours, mut member) = socket_pair();
         let mut conn = UpstreamConn::new(
             ours,
-            NodeId::from_raw(2),
+            Some(NodeId::from_raw(2)),
             ParseLimits::default(),
             false,
             Instant::now(),
@@ -363,24 +390,27 @@ mod tests {
         let opened = Instant::now();
         let mut conn = UpstreamConn::new(
             ours,
-            NodeId::from_raw(1),
+            Some(NodeId::from_raw(1)),
             ParseLimits::default(),
             false,
             opened,
         );
-        let timeout = Duration::from_millis(50);
+        let timeout = GatewayConfig {
+            upstream_timeout: Duration::from_millis(50),
+            ..GatewayConfig::default()
+        };
         // Let the connection sit idle well past the timeout: idleness alone
         // must never stall it, and the first exchange after the gap must be
         // measured from its own enqueue, not from the stale idle clock.
         let later = opened + Duration::from_millis(70);
-        assert!(!conn.stalled(later, timeout), "idle is not a stall");
+        assert!(!conn.stalled(later, &timeout), "idle is not a stall");
         conn.enqueue(request_rope(), origin(0), later);
         assert!(
-            !conn.stalled(later, timeout),
+            !conn.stalled(later, &timeout),
             "a fresh exchange on a long-idle keep-alive gets the full timeout"
         );
         assert!(
-            conn.stalled(later + Duration::from_millis(70), timeout),
+            conn.stalled(later + Duration::from_millis(70), &timeout),
             "a genuinely unanswered exchange still stalls"
         );
     }
@@ -418,7 +448,7 @@ mod tests {
         assert!(delivered.is_empty(), "nothing of it is delivered");
         let failed = conn.take_pending();
         assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].seq, 0);
+        assert_eq!(seq(&failed[0]), 0);
     }
 
     #[test]
@@ -438,11 +468,11 @@ mod tests {
             1,
             "the response received before the write error must be delivered"
         );
-        assert_eq!(delivered[0].0.seq, 0);
+        assert_eq!(seq(&delivered[0].0), 0);
         assert_eq!(delivered[0].1.body().as_ref(), b"already sent");
         // Only the exchange that never got an answer is left to fail.
         let remaining = conn.take_pending();
         assert_eq!(remaining.len(), 1);
-        assert_eq!(remaining[0].seq, 1);
+        assert_eq!(seq(&remaining[0]), 1);
     }
 }

@@ -44,7 +44,7 @@ mod rate;
 mod server;
 mod sys;
 
-pub use client::{connect, HttpClientConnection};
+pub use client::{connect, join_gateway, HttpClientConnection};
 pub use config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 pub use conn::response_rope;
 pub use gateway::{GatewayConfig, Router};

@@ -300,7 +300,6 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     frontend: Option<Arc<Frontend>>,
-    router: Option<Arc<Router>>,
     config: ServerConfig,
     stats: Arc<ServerStats>,
     stats_source: StatsSource,
@@ -351,10 +350,6 @@ impl Server {
         let loops = (0..loop_count)
             .map(|_| LoopShared::new().map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
-        let (frontend, router) = match &app {
-            AppKind::Local(frontend) => (Some(Arc::clone(frontend)), None),
-            AppKind::Gateway(router) => (None, Some(Arc::clone(router))),
-        };
         let intake = Arc::new(Intake::new(&app, &config));
         let shared = Arc::new(Shared {
             app,
@@ -376,11 +371,16 @@ impl Server {
             let loops = shared.loops.clone();
             Arc::new(move || server_stats_json(&stats, &intake, &loops))
         };
-        match (&frontend, &router) {
-            (Some(frontend), _) => frontend.add_stats_source("server", Arc::clone(&stats_source)),
-            (_, Some(router)) => router.set_server_stats(Arc::clone(&stats_source)),
-            _ => unreachable!("a server is local or gateway"),
-        }
+        let frontend = match &shared.app {
+            AppKind::Local(frontend) => {
+                frontend.add_stats_source("server", Arc::clone(&stats_source));
+                Some(Arc::clone(frontend))
+            }
+            AppKind::Gateway(router) => {
+                router.serve(addr, Arc::clone(&stats_source));
+                None
+            }
+        };
 
         let mut threads = Vec::with_capacity(loop_count);
         for (index, listener) in listeners.into_iter().enumerate() {
@@ -399,7 +399,6 @@ impl Server {
         Ok(Server {
             addr,
             frontend,
-            router,
             config,
             stats,
             stats_source,
@@ -417,16 +416,11 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// A gateway server has no local frontend; use [`Server::router`].
+    /// A gateway server has no local frontend.
     pub fn frontend(&self) -> &Arc<Frontend> {
         self.frontend
             .as_ref()
             .expect("a gateway server has no local frontend")
-    }
-
-    /// The cluster router, when this server runs in gateway mode.
-    pub fn router(&self) -> Option<&Arc<Router>> {
-        self.router.as_ref()
     }
 
     /// Number of event-loop threads serving connections.

@@ -308,7 +308,7 @@ fn retained_and_served(connection: &mut HttpClientConnection) -> (u64, u64) {
 }
 
 /// Small traffic that never stops does not keep a burst's memory committed:
-/// a member behind a gateway is probed twice a second (`GET /v1/stats`, a
+/// a member behind a gateway is probed twice a second (`GET /v1/compositions`, a
 /// receive buffer and a response head from the pool each time) and this test
 /// reads its stats ten times a second on top, and what the pool retained
 /// for a burst of 128×128 multiplications is still given back — the release

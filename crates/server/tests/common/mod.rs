@@ -93,14 +93,14 @@ pub(crate) fn start_gateway_pipelining(
     members: &[SocketAddr],
 ) -> (Server, Arc<Router>) {
     let router = Router::start(config);
-    for addr in members {
-        router.join(*addr).expect("member joins");
-    }
     let server_config = ServerConfig {
         max_pipelined,
         ..loopback_config()
     };
     let server = Server::start_gateway(server_config, Arc::clone(&router)).expect("gateway binds");
+    for addr in members {
+        router.join(*addr).expect("member joins");
+    }
     (server, router)
 }
 

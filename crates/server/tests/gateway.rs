@@ -11,12 +11,12 @@ use std::time::{Duration, Instant};
 use dandelion_common::JsonValue;
 use dandelion_core::WorkerNode;
 use dandelion_http::HttpRequest;
-use dandelion_server::{GatewayConfig, Server};
+use dandelion_server::{GatewayConfig, Router, Server, ServerConfig};
 
 mod common;
 use common::{
     connect, shutdown, start_gateway, start_gateway_pipelining, start_member,
-    start_member_idling_out_after, test_gateway_config,
+    start_member_idling_out_after, stop_and_check_loops, test_gateway_config,
 };
 
 /// `node-id → addr` rows from the gateway's membership document.
@@ -785,4 +785,41 @@ fn a_member_killed_mid_forward_batch_splits_it_into_502s_and_single_replays() {
     assert_eq!(counter("upstream_errors"), failed as u64);
 
     shutdown(gateway, [(survivor, survivor_worker)]);
+}
+
+/// A control job still waiting on a member when the gateway shuts down: the
+/// drain backstop fails the job's call, and the slot the job holds is
+/// released exactly once — no loop stops with `inflight` left.
+#[test]
+fn the_drain_backstop_releases_the_slot_of_a_waiting_control_job() {
+    // A candidate that accepts the join probe and never answers it.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let candidate = silent.local_addr().unwrap();
+    let router = Router::start(GatewayConfig {
+        probe_timeout: Duration::from_secs(60),
+        ..test_gateway_config()
+    });
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        event_loops: 1,
+        drain_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let gateway = Server::start_gateway(config, Arc::clone(&router)).expect("gateway binds");
+    let mut client = connect(gateway.local_addr());
+    let body = format!(r#"{{"addr":"{candidate}"}}"#).into_bytes();
+    client
+        .send(&HttpRequest::post("/v1/cluster/members", body))
+        .unwrap();
+    // The join's probe reached the candidate: the job holds the slot.
+    silent.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let _probe = loop {
+        match silent.accept() {
+            Ok((probe, _)) => break probe,
+            Err(_) => assert!(Instant::now() < deadline, "the join never probed"),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    stop_and_check_loops(gateway);
 }

@@ -204,10 +204,10 @@ fn client_facade_keeps_eight_invocations_in_flight_on_a_two_node_cluster() {
         })
         .collect();
     let router = Router::start(GatewayConfig::default());
+    let gateway = Server::start_gateway(loopback(), Arc::clone(&router)).expect("gateway binds");
     for (server, _) in &members {
         router.join(server.local_addr()).expect("member joins");
     }
-    let gateway = Server::start_gateway(loopback(), router).expect("gateway binds");
     let client = dandelion_server::connect(gateway.local_addr(), Duration::from_secs(10))
         .expect("client connects");
 
