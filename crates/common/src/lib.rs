@@ -34,6 +34,13 @@
 //! Its two modules with a path of their own, [`config`] and [`rng`], are
 //! named that way by `benchmark/`; everything else is used from the crate
 //! root.
+//!
+//! **Locks.** The workspace locks with `std::sync`, and what a lock poisoned
+//! by a panicking thread means is decided per lock, beside it. A lock whose
+//! every update leaves its data whole (a read-mostly map written one insert
+//! at a time, state whose transitions run no foreign code), or that is taken
+//! in `Drop`, recovers the guard with `PoisonError::into_inner`. A lock
+//! under which a panic can leave torn state lets the panic propagate.
 
 mod bytes;
 // `pub` because `benchmark/src/layerwalk.rs` imports it by path.

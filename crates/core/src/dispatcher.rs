@@ -47,7 +47,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,10 +58,10 @@ use dandelion_common::{
     LatencyHistogram,
 };
 use dandelion_dsl::CompositionGraph;
-use parking_lot::Mutex;
 
 use crate::control::PoolControl;
 use crate::invocation::{InstanceCompletion, InstanceSpec, InvocationState};
+use crate::recover;
 use crate::registry::{Registry, Vertex};
 use crate::task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
 
@@ -817,7 +817,7 @@ fn compact_retained_outputs(sets: &mut [DataSet]) {
 /// tasks are pushed to. Nothing is pushed and no callback runs under the
 /// lock.
 struct Core {
-    table: StdMutex<InFlight>,
+    table: Mutex<InFlight>,
     /// Notified, after the lock is released, when an invocation settled
     /// while a `wait` was parked.
     settled: Condvar,
@@ -830,7 +830,7 @@ impl Core {
         // A panic under the lock (an armed settle failpoint, say) leaves
         // every entry whole — at worst one still running, which the reaper
         // fails — so a poisoned guard is used as it is.
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+        recover(self.table.lock())
     }
 
     /// Applies an engine's batch at `now`: the table under its lock, then the
@@ -1015,18 +1015,8 @@ impl InvocationHandle {
             };
             table.waiters += 1;
             table = match left {
-                None => self
-                    .core
-                    .settled
-                    .wait(table)
-                    .unwrap_or_else(PoisonError::into_inner),
-                Some(left) => {
-                    self.core
-                        .settled
-                        .wait_timeout(table, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
+                None => recover(self.core.settled.wait(table)),
+                Some(left) => recover(self.core.settled.wait_timeout(table, left)).0,
             };
             table.waiters -= 1;
         }
@@ -1083,7 +1073,7 @@ impl Dispatcher {
             let reply = completion_sink(Weak::clone(core));
             let table = InFlight::new(registry, &config, reply, Arc::clone(&metrics));
             Core {
-                table: StdMutex::new(table),
+                table: Mutex::new(table),
                 settled: Condvar::new(),
                 compute_queue,
                 communication_queue,
@@ -1142,7 +1132,8 @@ impl Dispatcher {
     /// [`DandelionError::Cancelled`], and later submissions are refused
     /// with it.
     pub fn shutdown(&self) {
-        if let Some((stop, driver)) = self.driver.lock().take() {
+        // Only this `take` runs under the lock, and `Drop` calls here.
+        if let Some((stop, driver)) = recover(self.driver.lock()).take() {
             drop(stop);
             let _ = driver.join();
         }
@@ -1401,8 +1392,9 @@ mod tests {
                 inputs,
                 response_set,
             } => (inputs, response_set.clone()),
-            TaskPayload::Shutdown | TaskPayload::Faulted { .. } => {
-                unreachable!("the table queues no marker")
+            TaskPayload::Faulted { reason } => {
+                let reason = reason.clone();
+                return Err(DandelionError::EngineFault { reason });
             }
         };
         Ok(vec![DataSet::with_items(output, inputs[0].items.clone())])
@@ -1449,7 +1441,7 @@ mod tests {
             let table = InFlight::new(Arc::clone(&registry), &config, reply, Arc::clone(&metrics));
             Self {
                 core: Arc::new(Core {
-                    table: StdMutex::new(table),
+                    table: Mutex::new(table),
                     settled: Condvar::new(),
                     compute_queue: TaskQueue::new(EngineKind::Compute, capacity),
                     communication_queue: TaskQueue::new(EngineKind::Communication, capacity),
@@ -1491,7 +1483,7 @@ mod tests {
         fn on_settle(&mut self, handle: &InvocationHandle) -> Delivered {
             let delivered = Delivered::default();
             let slot = Arc::clone(&delivered);
-            handle.on_settle(move |outcome| slot.lock().push(outcome));
+            handle.on_settle(move |outcome| slot.lock().unwrap().push(outcome));
             self.callbacks.push(Arc::clone(&delivered));
             delivered
         }
@@ -1561,7 +1553,7 @@ mod tests {
         /// flight, and every top-level submission was counted once.
         fn finish(self) {
             for (index, delivered) in self.callbacks.iter().enumerate() {
-                assert_eq!(delivered.lock().len(), 1, "callback {index}");
+                assert_eq!(delivered.lock().unwrap().len(), 1, "callback {index}");
             }
             assert_eq!(self.counter(&self.metrics.inflight), 0, "inflight");
             assert_eq!(
@@ -1807,7 +1799,10 @@ mod tests {
         rig.now += rig.config.function_timeout + rig.config.engine_stall_grace * 2;
         rig.reap();
         rig.run();
-        assert_eq!(delivered.lock()[0].as_ref().unwrap_err(), &stall_error());
+        assert_eq!(
+            delivered.lock().unwrap()[0].as_ref().unwrap_err(),
+            &stall_error()
+        );
         assert_eq!(rig.counter(&rig.metrics.failures), 1);
         assert_eq!(rig.counter(&rig.metrics.invocations), 0);
         rig.finish();
@@ -1818,10 +1813,10 @@ mod tests {
         let mut rig = Rig::new(16);
         let early = rig.submit("Identity", &["cb"]).unwrap();
         let early_delivered = rig.on_settle(&early);
-        assert!(early_delivered.lock().is_empty());
+        assert!(early_delivered.lock().unwrap().is_empty());
         assert_eq!(early.status(), InvocationStatus::Running);
         rig.run();
-        assert_eq!(text(&early_delivered.lock()[0]), "cb");
+        assert_eq!(text(&early_delivered.lock().unwrap()[0]), "cb");
         // The handle answers how the invocation settled, though the callback
         // took the result.
         assert_eq!(early.status(), InvocationStatus::Completed);
@@ -1831,7 +1826,7 @@ mod tests {
         // A second registration finds the result gone, like a second `wait`.
         let again = rig.on_settle(&early);
         assert_eq!(
-            again.lock()[0].as_ref().unwrap_err(),
+            again.lock().unwrap()[0].as_ref().unwrap_err(),
             &DandelionError::Dispatch("invocation result was already taken".to_string())
         );
         rig.finish();
@@ -1844,7 +1839,7 @@ mod tests {
         rig.run();
         assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
         let late_delivered = rig.on_settle(&late);
-        assert_eq!(text(&late_delivered.lock()[0]), "late");
+        assert_eq!(text(&late_delivered.lock().unwrap()[0]), "late");
         assert!(rig.core.lock().poll(late.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
         rig.finish();
@@ -1858,7 +1853,7 @@ mod tests {
         let unwatched = rig.submit("Identity", &["b"]).unwrap();
         rig.cancel_all();
         assert_eq!(
-            delivered.lock()[0].as_ref().unwrap_err(),
+            delivered.lock().unwrap()[0].as_ref().unwrap_err(),
             &DandelionError::Cancelled
         );
         assert_eq!(watched.status(), InvocationStatus::Failed);
@@ -2155,7 +2150,7 @@ mod tests {
                 "Park",
                 &["Out"],
                 move |ctx: &mut FunctionCtx| {
-                    let _ = parked.lock().recv();
+                    let _ = parked.lock().unwrap().recv();
                     ctx.push_output_bytes("Out", "o", vec![1])
                 },
             ))

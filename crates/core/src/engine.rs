@@ -11,17 +11,23 @@
 //!   the maximum of its requests rather than their sum.
 //!
 //! Both pools can grow and shrink at run time; the control plane moves cores
-//! between them by resizing the pools (paper §5, "Control plane").
+//! between them by resizing the pools (paper §5, "Control plane"). A pool's
+//! whole state is one plain value, [`Engines`], behind its [`TaskQueue`]'s
+//! one lock. Its transitions read no clock and return what the shell
+//! ([`EnginePool`], the engine threads, the queue) must do after unlocking:
+//! no thread is spawned, joined or woken under the lock. A shrink hands out
+//! stop tickets, which engines take at their next task boundary; the queued
+//! tasks stay for the engines that remain.
 //!
 //! Engines are **supervised**: a panic inside the task body is caught and
 //! converted into a structured [`DandelionError::EngineFault`] result, and a
 //! panic that escapes the task guard (the reply path, injected chaos) kills
-//! only that engine thread — the pool requeues its in-flight tasks once and
+//! only that engine — the pool requeues its in-flight tasks once and
 //! respawns a replacement within a restart budget, so one poisoned task can
 //! never silently shrink the pool or strand an invocation.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{HashSet, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -33,9 +39,8 @@ use dandelion_common::{
 use dandelion_http::validate::{validate_request_shared, ValidationPolicy};
 use dandelion_isolation::{ExecutionTask, IsolationBackend};
 use dandelion_services::ServiceRegistry;
-use parking_lot::Mutex;
 
-use crate::task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
+use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
 
 /// Maximum task results an engine coalesces into one reply batch.
 ///
@@ -106,7 +111,6 @@ impl EngineExecutor {
                 let (set, latency) = execute_http(inputs, response_set, registry, policy);
                 (Ok(vec![set]), 0, latency)
             }
-            (TaskPayload::Shutdown, _) => (Err(DandelionError::Cancelled), 0, Duration::ZERO),
             (TaskPayload::Faulted { reason }, _) => (
                 Err(DandelionError::EngineFault {
                     reason: reason.clone(),
@@ -186,6 +190,154 @@ fn execute_http(
 /// before giving up (a crash-looping backend must not respawn forever).
 const DEFAULT_RESTART_BUDGET: usize = 32;
 
+/// An engine's turn at a batch boundary: run a task, wait on the queue's
+/// condition variable and ask again, or leave with a stop ticket after
+/// waking this many parked engines.
+#[derive(Debug)]
+pub(crate) enum Next {
+    Run(Task),
+    Park,
+    Stop(usize),
+}
+
+/// What a pool-wide transition leaves the shell to do after unlocking:
+/// engine threads to start and parked engines to wake (one notify each).
+#[derive(Debug, PartialEq, Eq)]
+struct Effects {
+    spawn: usize,
+    wake: usize,
+}
+
+/// A pool's whole state: plain data, with no lock, clock or thread of its
+/// own.
+#[derive(Default)]
+pub(crate) struct Engines {
+    /// Tasks owed an answer, oldest first.
+    tasks: VecDeque<Task>,
+    /// The depth at which `try_push` refuses.
+    capacity: usize,
+    /// Engines started that have neither stopped nor died.
+    running: usize,
+    /// Stops a shrink asked for that no engine has taken yet.
+    tickets: usize,
+    /// Engines waiting on the queue's condition variable.
+    parked: usize,
+    /// Respawns still allowed; a death past them leaves the pool smaller
+    /// until the next grow.
+    restarts_left: usize,
+    /// Engine threads killed by a panic that escaped the task guard.
+    deaths: usize,
+    /// Replacement engines spawned by supervision.
+    respawns: usize,
+    /// Task keys already requeued once after an engine death: the second
+    /// death of the same task fails it with `EngineFault` instead of
+    /// retrying forever. Bounded by the deaths, which the budget bounds.
+    retried: HashSet<(u64, usize, usize)>,
+    /// The threads started, joined by `EnginePool::shutdown`.
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Engines {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            restarts_left: DEFAULT_RESTART_BUDGET,
+            ..Self::default()
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Queues `task`; one parked engine, if any, is woken for it.
+    pub(crate) fn push(&mut self, task: Task) -> usize {
+        self.tasks.push_back(task);
+        self.parked.min(1)
+    }
+
+    /// Queues `task` unless `capacity` tasks are owed an answer already.
+    pub(crate) fn try_push(&mut self, task: Task) -> Result<usize, Task> {
+        if self.tasks.len() >= self.capacity {
+            return Err(task);
+        }
+        Ok(self.push(task))
+    }
+
+    /// Pops the oldest task if `take` accepts it: how an engine coalesces.
+    pub(crate) fn pop_if(&mut self, take: impl FnOnce(&Task) -> bool) -> Option<Task> {
+        self.tasks.pop_front_if(|task| take(task))
+    }
+
+    /// An engine at a batch boundary, `woken` from its park: a stop ticket
+    /// comes before the oldest task. An engine that leaves while tasks are
+    /// queued wakes a parked one, so that no task waits while an engine
+    /// sleeps.
+    pub(crate) fn next(&mut self, woken: bool) -> Next {
+        self.parked -= usize::from(woken);
+        if self.tickets > 0 {
+            self.tickets -= 1;
+            self.running -= 1;
+            return Next::Stop(self.parked.min(usize::from(!self.tasks.is_empty())));
+        }
+        let next = self.tasks.pop_front().map_or(Next::Park, Next::Run);
+        self.parked += usize::from(matches!(next, Next::Park));
+        next
+    }
+
+    /// Converges on `target` engines, counting the running ones that hold no
+    /// stop ticket: a grow cancels tickets before it spawns, a shrink hands
+    /// them out and wakes parked engines to take them.
+    fn resize(&mut self, target: usize) -> Effects {
+        let staying = self.running - self.tickets;
+        if target < staying {
+            self.tickets += staying - target;
+            let wake = self.parked.min(staying - target);
+            return Effects { spawn: 0, wake };
+        }
+        let cancelled = self.tickets.min(target - staying);
+        self.tickets -= cancelled;
+        let spawn = target - staying - cancelled;
+        self.running += spawn;
+        Effects { spawn, wake: 0 }
+    }
+
+    /// An engine died holding `inflight`: each task is requeued to run once
+    /// more or, on its second death, marked [`TaskPayload::Faulted`]. The
+    /// death takes an outstanding stop ticket; without one, a replacement
+    /// starts within the budget.
+    fn died(&mut self, inflight: Vec<Task>) -> Effects {
+        self.deaths += 1;
+        self.running -= 1;
+        let wake = self.parked.min(inflight.len());
+        for mut task in inflight {
+            // If the task already settled (the panic hit after the reply),
+            // the dispatcher's per-task guard drops the duplicate result.
+            let key = (task.invocation.as_u64(), task.node, task.instance);
+            if !self.retried.insert(key) {
+                task.payload = TaskPayload::Faulted {
+                    reason: "engine died twice executing this task".to_string(),
+                };
+            }
+            self.tasks.push_back(task);
+        }
+        if self.tickets > 0 {
+            self.tickets -= 1;
+            return Effects { spawn: 0, wake };
+        }
+        let spawn = usize::from(self.restarts_left > 0);
+        self.restarts_left -= spawn;
+        self.respawns += spawn;
+        self.running += spawn;
+        Effects { spawn, wake }
+    }
+
+    /// Once every engine is joined: the tasks still queued, to be answered.
+    fn shutdown(&mut self) -> VecDeque<Task> {
+        std::mem::take(&mut self.tasks)
+    }
+}
+
 /// Executes one task under a panic guard: a panic anywhere in the task
 /// body (the isolation backend, the service registry, injected chaos)
 /// becomes a structured [`DandelionError::EngineFault`] result instead of
@@ -220,159 +372,69 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// State shared between the pool handle and every engine thread — the
-/// engine threads themselves need it to requeue and respawn when dying.
-struct PoolShared {
-    executor: EngineExecutor,
-    queue: TaskQueue,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    active: AtomicUsize,
-    started_total: AtomicUsize,
-    /// Engine threads killed by a panic that escaped the task guard.
-    deaths: AtomicUsize,
-    /// Replacement engines spawned by supervision.
-    respawns: AtomicUsize,
-    /// Respawns still allowed; exhausting it leaves the pool smaller.
-    restarts_left: AtomicUsize,
-    /// Task keys already requeued once after an engine death: the second
-    /// death of the same task fails it with `EngineFault` instead of
-    /// retrying forever. Bounded by the number of deaths, which the
-    /// restart budget bounds in turn.
-    retried: Mutex<HashSet<(u64, usize, usize)>>,
+/// Applies a pool transition's effects after unlocking: wakes the engines,
+/// starts the threads and files their handles. A panic that escapes
+/// [`run_engine`] hands the tasks the engine held to the death transition
+/// and starts the replacement that asks for; the thread only pushes to the
+/// queue, so no table lock, failpoint or settle callback runs on it.
+fn apply(executor: &EngineExecutor, queue: &TaskQueue, effects: Effects) {
+    queue.notify(effects.wake);
+    let handles: Vec<JoinHandle<()>> = (0..effects.spawn)
+        .map(|_| {
+            let (executor, queue) = (executor.clone(), queue.clone());
+            std::thread::Builder::new()
+                .name(format!("dandelion-{}-engine", executor.kind()))
+                .spawn(move || {
+                    let mut inflight = Vec::new();
+                    let engine = AssertUnwindSafe(|| run_engine(&executor, &queue, &mut inflight));
+                    if std::panic::catch_unwind(engine).is_err() {
+                        let effects = queue.lock().died(inflight);
+                        apply(&executor, &queue, effects);
+                    }
+                })
+                .expect("spawning an engine thread")
+        })
+        .collect();
+    queue.lock().handles.extend(handles);
 }
 
-impl PoolShared {
-    fn spawn_engine(self: &Arc<PoolShared>) {
-        self.active.fetch_add(1, Ordering::SeqCst);
-        self.started_total.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("dandelion-{}-engine", self.executor.kind()))
-            .spawn(move || {
-                let mut guard = EngineGuard {
-                    shared,
-                    inflight: Vec::new(),
-                    carried: None,
-                };
-                run_engine(&mut guard);
-            })
-            .expect("spawning an engine thread");
-        self.handles.lock().push(handle);
-    }
-}
-
-/// Per-engine-thread supervision state. On a normal exit the drop only
-/// releases the active slot; on a panic it requeues the tasks the engine
-/// held — each to run once more, or, on its second death, marked
-/// [`TaskPayload::Faulted`] — and respawns a replacement within the budget.
-/// The unwinding thread only pushes to the queue: no result is delivered,
-/// and so no table lock, failpoint or settle callback runs, on it.
-struct EngineGuard {
-    shared: Arc<PoolShared>,
-    /// Tasks popped but whose results have not been delivered yet. The
-    /// engine moves each task in here and executes it from here, so a
-    /// requeue hands on the very task that was popped — inputs, artifact and
-    /// reply sink — without a clone having been taken up front.
-    inflight: Vec<Task>,
-    /// A task popped for a different invocation, carried into the next
-    /// batch (not started: always safe to requeue).
-    carried: Option<Task>,
-}
-
-impl Drop for EngineGuard {
-    fn drop(&mut self) {
-        self.shared.active.fetch_sub(1, Ordering::SeqCst);
-        if !std::thread::panicking() {
-            return;
-        }
-        self.shared.deaths.fetch_add(1, Ordering::SeqCst);
-        if let Some(task) = self.carried.take() {
-            self.shared.queue.push(task);
-        }
-        for mut task in self.inflight.drain(..) {
-            // Retry exactly once on a fresh engine. If the task already
-            // settled (the panic hit after the reply), the dispatcher's
-            // per-task completion guard drops the duplicate result. The
-            // second death sends the task back to be answered as a fault.
-            let key = (task.invocation.as_u64(), task.node, task.instance);
-            if !self.shared.retried.lock().insert(key) {
-                task.payload = TaskPayload::Faulted {
-                    reason: "engine died twice executing this task".to_string(),
-                };
-            }
-            self.shared.queue.push(task);
-        }
-        let budget_allows = self
-            .shared
-            .restarts_left
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
-                left.checked_sub(1)
-            })
-            .is_ok();
-        if budget_allows {
-            self.shared.respawns.fetch_add(1, Ordering::SeqCst);
-            self.shared.spawn_engine();
-        }
-    }
-}
-
-/// Parks `task` in the guard's in-flight list — where supervision finds it
-/// if this thread dies before the reply — and executes it from there.
-fn execute_inflight(guard: &mut EngineGuard, task: Task) -> TaskResult {
-    guard.inflight.push(task);
-    let task = guard.inflight.last().expect("pushed above");
-    execute_supervised(&guard.shared.executor, task)
+/// Parks `task` in the engine's in-flight list — where supervision finds it
+/// if the engine dies before the reply — and executes it from there.
+fn execute_inflight(executor: &EngineExecutor, inflight: &mut Vec<Task>, task: Task) -> TaskResult {
+    inflight.push(task);
+    execute_supervised(executor, inflight.last().expect("pushed above"))
 }
 
 /// The engine thread body: pull, execute under supervision, coalesce,
-/// reply. The reply applies the batch to the dispatcher's table on this
-/// thread (see [`crate::task::ReplySender`]); `guard` tracks what must be
-/// rescued if a panic unwinds out of here.
-fn run_engine(guard: &mut EngineGuard) {
-    loop {
-        let task = match guard.carried.take() {
-            Some(task) => task,
-            None => guard.shared.queue.pop_wait(),
-        };
-        match &task.payload {
-            TaskPayload::Shutdown => return,
-            // A task whose engine died twice: answered here, by a thread
-            // that is not unwinding, without running it and past the reply
-            // failpoints, so that it fails exactly once.
-            TaskPayload::Faulted { .. } => {
-                task.reply.send(vec![guard.shared.executor.execute(&task)]);
-                continue;
-            }
-            _ => {}
+/// reply, until the engine takes a stop ticket. The reply applies the batch
+/// to the dispatcher's table on this thread (see
+/// [`crate::task::ReplySender`]). Each task popped is moved into `inflight`
+/// until its result is delivered, so a requeue hands on the very task that
+/// was popped — inputs, artifact and reply sink — without a clone.
+fn run_engine(executor: &EngineExecutor, queue: &TaskQueue, inflight: &mut Vec<Task>) {
+    while let Some(task) = queue.next() {
+        // A task whose engine died twice: answered here, by a thread that is
+        // not unwinding, without running it and past the reply failpoints,
+        // so that it fails exactly once.
+        if let TaskPayload::Faulted { .. } = task.payload {
+            task.reply.send(vec![executor.execute(&task)]);
+            continue;
         }
-        let mut batch = vec![execute_inflight(guard, task)];
-        // Coalesce: execute same-invocation tasks already queued and reply
+        let invocation = task.invocation;
+        let mut batch = vec![execute_inflight(executor, inflight, task)];
+        // Coalesce: execute the same invocation's tasks queued next and reply
         // with one batch. The id alone decides: ids are process-unique
         // (`InvocationId::next`) and every task of an invocation carries its
-        // one dispatcher's sink, so one id means one sink. A task for a
-        // different invocation, or a faulted one, flushes the batch and is
-        // carried into the next iteration; a shutdown marker flushes it and
-        // ends the engine.
-        let mut stop_after_flush = false;
+        // one dispatcher's sink, so one id means one sink. A task of another
+        // invocation, or a faulted one, ends the batch and stays queued.
+        let same = |next: &Task| {
+            next.invocation == invocation && !matches!(next.payload, TaskPayload::Faulted { .. })
+        };
         while batch.len() < ENGINE_COALESCE_MAX {
-            let first = &guard.inflight[0];
-            match guard.shared.queue.try_pop() {
-                Some(next) if matches!(next.payload, TaskPayload::Shutdown) => {
-                    stop_after_flush = true;
-                    break;
-                }
-                Some(next)
-                    if next.invocation == first.invocation
-                        && !matches!(next.payload, TaskPayload::Faulted { .. }) =>
-                {
-                    batch.push(execute_inflight(guard, next));
-                }
-                Some(next) => {
-                    guard.carried = Some(next);
-                    break;
-                }
-                None => break,
-            }
+            let Some(next) = queue.lock().pop_if(same) else {
+                break;
+            };
+            batch.push(execute_inflight(executor, inflight, next));
         }
         // Chaos hook: a panic here dies *before* delivery, exercising the
         // requeue-once path.
@@ -380,121 +442,85 @@ fn run_engine(guard: &mut EngineGuard) {
         // Applies the batch to the table and what it causes — successor
         // tasks, settle callbacks — on this thread. A result for an
         // invocation the table no longer holds is dropped there.
-        guard.inflight[0].reply.send(batch);
-        guard.inflight.clear();
+        inflight[0].reply.send(batch);
+        inflight.clear();
         // Chaos hook: a panic here dies *after* delivery — the respawn
         // keeps the pool size, and nothing is requeued.
         fail_point!("engine/after-reply");
-        if stop_after_flush {
-            return;
-        }
     }
 }
 
-/// A resizable pool of engines of one kind.
+/// A resizable pool of engines of one kind: the shell that starts and joins
+/// the threads its queue's state asks for.
 pub struct EnginePool {
-    shared: Arc<PoolShared>,
-    /// The engine count the pool is converging to. Tracked separately from
-    /// `active` so that a shrink immediately followed by a grow accounts for
-    /// shutdown markers that no engine has consumed yet.
-    desired: Mutex<usize>,
+    executor: EngineExecutor,
+    queue: TaskQueue,
 }
 
 impl EnginePool {
     /// Creates a pool that pulls work from `queue`.
     pub fn new(executor: EngineExecutor, queue: TaskQueue) -> Self {
-        Self {
-            shared: Arc::new(PoolShared {
-                executor,
-                queue,
-                handles: Mutex::new(Vec::new()),
-                active: AtomicUsize::new(0),
-                started_total: AtomicUsize::new(0),
-                deaths: AtomicUsize::new(0),
-                respawns: AtomicUsize::new(0),
-                restarts_left: AtomicUsize::new(DEFAULT_RESTART_BUDGET),
-                retried: Mutex::new(HashSet::new()),
-            }),
-            desired: Mutex::new(0),
-        }
-    }
-
-    /// The engine kind of this pool.
-    pub fn kind(&self) -> EngineKind {
-        self.shared.executor.kind()
+        Self { executor, queue }
     }
 
     /// The queue feeding this pool.
     pub fn queue(&self) -> &TaskQueue {
-        &self.shared.queue
+        &self.queue
     }
 
-    /// Number of engines currently running.
+    /// Number of engines running: right after a shrink this still counts
+    /// the engines that have yet to take their stop tickets.
     pub fn engine_count(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
-    /// Total engines ever started (for tests and reporting).
-    pub fn engines_started_total(&self) -> usize {
-        self.shared.started_total.load(Ordering::SeqCst)
+        self.queue.lock().running
     }
 
     /// Engine threads killed by a panic that escaped the task guard.
     pub fn engine_deaths(&self) -> usize {
-        self.shared.deaths.load(Ordering::SeqCst)
+        self.queue.lock().deaths
     }
 
     /// Replacement engines spawned by supervision after a death.
     pub fn engine_respawns(&self) -> usize {
-        self.shared.respawns.load(Ordering::SeqCst)
+        self.queue.lock().respawns
     }
 
     /// Respawns supervision may still perform.
     pub fn restart_budget_left(&self) -> usize {
-        self.shared.restarts_left.load(Ordering::SeqCst)
+        self.queue.lock().restarts_left
     }
 
     /// Replaces the respawn budget (tests tighten it to prove exhaustion).
     pub fn set_restart_budget(&self, budget: usize) {
-        self.shared.restarts_left.store(budget, Ordering::SeqCst);
+        self.queue.lock().restarts_left = budget;
     }
 
-    /// Grows or shrinks the pool to `target` engines.
-    ///
-    /// Growing spawns new engine threads immediately; shrinking enqueues
-    /// shutdown markers which the next engines to reach the queue consume.
-    /// Because markers travel through the FIFO queue *behind* already-queued
-    /// work, shrinking never drops queued tasks, and because the delta is
-    /// computed against the desired count (not the live thread count), a
-    /// shrink immediately followed by a grow converges to the grow target
-    /// even while markers are still in flight.
+    /// Grows or shrinks the pool to `target` engines: a grow takes back the
+    /// stop tickets no engine has taken yet and starts threads for the rest
+    /// at once; a shrink hands out stop tickets (module docs).
     pub fn resize(&self, target: usize) {
-        let mut desired = self.desired.lock();
-        let current = *desired;
-        if target > current {
-            for _ in current..target {
-                self.shared.spawn_engine();
-            }
-        } else {
-            for _ in target..current {
-                self.shared.queue.push(Task {
-                    invocation: dandelion_common::InvocationId::from_raw(0),
-                    node: 0,
-                    instance: 0,
-                    payload: TaskPayload::Shutdown,
-                    reply: ReplySender::new(|_| {}),
-                });
-            }
-        }
-        *desired = target;
+        let effects = self.queue.lock().resize(target);
+        apply(&self.executor, &self.queue, effects);
     }
 
-    /// Stops every engine and waits for the threads to exit.
+    /// Stops every engine, waits for the threads to exit, then answers each
+    /// task still queued once with [`DandelionError::Cancelled`], through
+    /// its sink, on the calling thread.
     pub fn shutdown(&self) {
         self.resize(0);
-        let handles: Vec<JoinHandle<()>> = self.shared.handles.lock().drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
+        loop {
+            let handles = std::mem::take(&mut self.queue.lock().handles);
+            if handles.is_empty() {
+                break;
+            }
+            // The panic hook has reported a thread's panic.
+            for handle in handles {
+                let _ = handle.join();
+            }
+        }
+        let leftovers = self.queue.lock().shutdown();
+        for task in leftovers {
+            task.reply
+                .send(vec![task.failed(DandelionError::Cancelled)]);
         }
     }
 }
@@ -508,12 +534,13 @@ impl Drop for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::reply_channel;
+    use crate::task::{reply_channel, ReplySender};
     use dandelion_common::config::IsolationKind;
     use dandelion_common::InvocationId;
     use dandelion_http::HttpRequest;
     use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
     use dandelion_services::ObjectStore;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn compute_pool() -> EnginePool {
         let queue = TaskQueue::new(EngineKind::Compute, 1024);
@@ -765,99 +792,187 @@ mod tests {
         pool.shutdown();
     }
 
-    #[test]
-    fn shrink_delivers_shutdown_markers_without_polling() {
-        let pool = compute_pool();
-        pool.resize(3);
-        assert_eq!(pool.engine_count(), 3);
-        // Shrinking enqueues exactly the marker delta: the pool settles on
-        // the target without any engine busy-waiting (engines park on the
-        // queue's condition variable until a marker or task arrives).
-        pool.resize(1);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.engine_count() > 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.engine_count(), 1);
-        // No marker is left over: a task pushed now is executed, not eaten
-        // by a stale shutdown marker.
-        let (reply, results) = reply_channel();
-        pool.queue().push(Task {
-            invocation: InvocationId::from_raw(9),
+    // Rows: `Engines` stepped by hand in one thread, no engine thread and no
+    // sleep. An "engine" is a call of `next` as its thread would make it:
+    // `next(false)` at a batch boundary, `next(true)` after its park.
+
+    /// A task that rows queue and hand out, never run.
+    fn queued(invocation: u64, instance: usize) -> Task {
+        Task {
+            invocation: InvocationId::from_raw(invocation),
             node: 0,
-            instance: 0,
-            payload: TaskPayload::Compute {
-                artifact: echo_artifact(),
-                inputs: vec![DataSet::single("in", b"alive".to_vec())].into(),
-                cold_binary: false,
-                timeout: Duration::from_secs(5),
+            instance,
+            payload: TaskPayload::Http {
+                inputs: Arc::new([]),
+                response_set: "Response".to_string(),
             },
-            reply,
-        });
-        let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(batch[0].outcome.is_ok());
-        pool.shutdown();
+            reply: ReplySender::new(|_| {}),
+        }
     }
 
-    #[test]
-    fn shrink_then_grow_never_loses_queued_tasks() {
-        let pool = compute_pool();
-        pool.resize(2);
-        let (reply, results) = reply_channel();
-        let total = 50usize;
-        for index in 0..total {
-            pool.queue().push(Task {
-                invocation: InvocationId::from_raw(11),
-                node: 0,
-                instance: index,
-                payload: TaskPayload::Compute {
-                    artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", format!("t{index}").into_bytes())].into(),
-                    cold_binary: false,
-                    timeout: Duration::from_secs(5),
-                },
-                reply: reply.clone(),
-            });
+    fn run(next: Next) -> Task {
+        match next {
+            Next::Run(task) => task,
+            other => panic!("expected a task, got {other:?}"),
         }
-        // Shrink while the queue is full, then immediately grow again. The
-        // grow is computed against the desired count, so the pool converges
-        // back to 3 engines even though the shutdown markers from the
-        // shrink are still queued behind the tasks.
-        pool.resize(1);
-        pool.resize(3);
-        let mut instances: Vec<usize> = Vec::new();
-        while instances.len() < total {
-            let batch = results
-                .recv_timeout(Duration::from_secs(10))
-                .expect("every queued task completes");
-            instances.extend(batch.into_iter().map(|result| result.instance));
-        }
-        instances.sort_unstable();
-        assert_eq!(instances, (0..total).collect::<Vec<_>>());
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.engine_count() != 3 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.engine_count(), 3);
-        pool.shutdown();
-        assert_eq!(pool.engine_count(), 0);
+    }
+
+    fn spawned(effects: Effects) -> usize {
+        assert_eq!(effects.wake, 0, "a grow wakes nobody");
+        effects.spawn
     }
 
     #[test]
     fn resize_shrinks_and_grows() {
-        let pool = compute_pool();
-        pool.resize(3);
-        assert_eq!(pool.engine_count(), 3);
-        pool.resize(1);
-        // Shrinking happens as idle engines pick up the shutdown markers.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.engine_count() > 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        let mut engines = Engines::new(1024);
+        let mut started = spawned(engines.resize(3));
+        assert_eq!(engines.running, 3);
+        for _ in 0..3 {
+            assert!(matches!(engines.next(false), Next::Park));
         }
-        assert_eq!(pool.engine_count(), 1);
-        assert_eq!(pool.engines_started_total(), 3);
-        pool.resize(2);
-        assert_eq!(pool.engine_count(), 2);
+        // The shrink wakes as many parked engines as it hands out tickets,
+        // and they stop without anything polling.
+        assert_eq!(engines.resize(1), Effects { spawn: 0, wake: 2 });
+        assert!(matches!(engines.next(true), Next::Stop(0)));
+        assert!(matches!(engines.next(true), Next::Stop(0)));
+        assert_eq!(engines.running, 1);
+        // No ticket is left over: a task pushed now is run, not eaten.
+        assert_eq!(engines.push(queued(9, 0)), 1);
+        assert_eq!(run(engines.next(true)).invocation.as_u64(), 9);
+        assert_eq!(engines.tickets, 0);
+        assert_eq!(started, 3);
+        started += spawned(engines.resize(2));
+        assert_eq!((engines.running, started), (2, 4));
+    }
+
+    #[test]
+    fn shrink_then_grow_never_loses_queued_tasks() {
+        let mut engines = Engines::new(1024);
+        assert_eq!(spawned(engines.resize(2)), 2);
+        let total = 50;
+        for instance in 0..total {
+            engines.push(queued(11, instance));
+        }
+        // Shrink while the queue is full, then grow again at once: the grow
+        // takes the ticket back and starts only what is still missing.
+        assert_eq!(engines.resize(1), Effects { spawn: 0, wake: 0 });
+        assert_eq!(spawned(engines.resize(3)), 1);
+        assert_eq!((engines.running, engines.tickets), (3, 0));
+        let mut instances: Vec<usize> = (0..total)
+            .map(|_| run(engines.next(false)).instance)
+            .collect();
+        instances.sort_unstable();
+        assert_eq!(instances, (0..total).collect::<Vec<_>>());
+        assert_eq!(engines.running, 3);
+        engines.resize(0);
+        for _ in 0..3 {
+            assert!(matches!(engines.next(false), Next::Stop(0)));
+        }
+        assert_eq!(engines.running, 0);
+    }
+
+    #[test]
+    fn a_shrink_neither_deepens_nor_fills_the_queue() {
+        let mut engines = Engines::new(2);
+        spawned(engines.resize(1));
+        engines.push(queued(1, 0));
+        run(engines.next(false));
+        engines.push(queued(1, 1));
+        engines.resize(0);
+        assert_eq!(engines.len(), 1);
+        assert!(engines.try_push(queued(1, 2)).is_ok());
+        assert!(engines.try_push(queued(1, 3)).is_err());
+    }
+
+    #[test]
+    fn a_shrink_under_a_backlog_stops_one_engine_at_its_task_boundary() {
+        let mut engines = Engines::new(1024);
+        spawned(engines.resize(2));
+        for instance in 0..4 {
+            engines.push(queued(3, instance));
+        }
+        // Both engines are busy when the shrink comes.
+        run(engines.next(false));
+        run(engines.next(false));
+        assert_eq!(engines.resize(1), Effects { spawn: 0, wake: 0 });
+        assert_eq!((engines.len(), engines.running), (2, 2));
+        // The first to finish its batch stops; every task stays queued.
+        assert!(matches!(engines.next(false), Next::Stop(0)));
+        assert_eq!((engines.len(), engines.running), (2, 1));
+        assert_eq!(run(engines.next(false)).instance, 2);
+        assert_eq!(run(engines.next(false)).instance, 3);
+        assert!(matches!(engines.next(false), Next::Park));
+    }
+
+    #[test]
+    fn a_death_while_a_ticket_is_outstanding_takes_it_and_does_not_respawn() {
+        let mut engines = Engines::new(1024);
+        spawned(engines.resize(2));
+        engines.push(queued(5, 0));
+        engines.push(queued(5, 1));
+        let held = run(engines.next(false));
+        run(engines.next(false));
+        engines.resize(1);
+        assert_eq!(engines.died(vec![held]), Effects { spawn: 0, wake: 0 });
+        assert_eq!((engines.running, engines.tickets), (1, 0));
+        assert_eq!((engines.deaths, engines.respawns), (1, 0));
+        assert_eq!(engines.restarts_left, DEFAULT_RESTART_BUDGET);
+        // The survivor takes no ticket: it runs the requeued task.
+        assert_eq!(run(engines.next(false)).instance, 0);
+    }
+
+    #[test]
+    fn an_unreplaced_death_is_made_up_by_the_next_grow() {
+        let mut engines = Engines::new(1024);
+        engines.restarts_left = 0;
+        spawned(engines.resize(1));
+        engines.push(queued(6, 0));
+        run(engines.next(false));
+        // The engine dies after its reply, with the budget spent.
+        assert_eq!(engines.died(Vec::new()), Effects { spawn: 0, wake: 0 });
+        assert_eq!(engines.running, 0);
+        assert_eq!(spawned(engines.resize(2)), 2);
+        assert_eq!(engines.running, 2);
+    }
+
+    #[test]
+    fn a_stopping_engine_wakes_a_parked_one_while_tasks_remain() {
+        let mut engines = Engines::new(1024);
+        spawned(engines.resize(2));
+        assert!(matches!(engines.next(false), Next::Park));
+        assert!(matches!(engines.next(false), Next::Park));
+        // A push wakes one engine; a shrink comes before it runs.
+        assert_eq!(engines.push(queued(8, 0)), 1);
+        assert_eq!(engines.resize(1), Effects { spawn: 0, wake: 1 });
+        // The woken engine takes the ticket and hands the task on.
+        assert!(matches!(engines.next(true), Next::Stop(1)));
+        assert_eq!(run(engines.next(true)).instance, 0);
+        // With nothing queued, a stopping engine wakes nobody.
+        engines.resize(0);
+        assert!(matches!(engines.next(false), Next::Stop(0)));
+    }
+
+    #[test]
+    fn shutdown_answers_every_leftover_task_cancelled_exactly_once() {
+        let pool = compute_pool();
+        let (reply, results) = reply_channel();
+        for instance in 0..3 {
+            pool.queue().push(Task {
+                reply: reply.clone(),
+                ..queued(4, instance)
+            });
+        }
         pool.shutdown();
+        let mut instances = Vec::new();
+        while let Ok(batch) = results.try_recv() {
+            for result in batch {
+                assert_eq!(result.outcome.unwrap_err(), DandelionError::Cancelled);
+                instances.push(result.instance);
+            }
+        }
+        assert_eq!(instances, vec![0, 1, 2]);
+        assert!(pool.queue().is_empty());
+        drop(pool);
+        assert!(results.try_recv().is_err(), "answered once");
     }
 }

@@ -41,16 +41,16 @@
 //! code derived from [`DandelionError::code`]:
 //! `{"error": {"code": "..", "message": "..", "retryable": bool}}`.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use dandelion_common::{
     BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, JsonValue,
 };
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
 use dandelion_isolation::output_parser;
-use parking_lot::RwLock;
 
 use crate::dispatcher::{InvocationHandle, InvocationOutcome, InvocationSnapshot};
+use crate::recover;
 use crate::worker::WorkerNode;
 
 /// Content type for binary-encoded set lists.
@@ -123,7 +123,9 @@ pub enum FrontendReply {
 /// The HTTP frontend of a worker node.
 pub struct Frontend {
     worker: Arc<WorkerNode>,
-    /// Extra named objects merged into the `/v1/stats` document.
+    /// Extra named objects merged into the `/v1/stats` document. Each write
+    /// is one push, replacement or `retain`, so a poisoned guard is
+    /// recovered.
     stats_sources: RwLock<Vec<(String, StatsSource)>>,
 }
 
@@ -145,7 +147,7 @@ impl Frontend {
     /// merged into the `/v1/stats` document under `name`. The serving layer
     /// uses this to surface connection gauges next to the worker counters.
     pub fn add_stats_source(&self, name: &str, source: StatsSource) {
-        let mut sources = self.stats_sources.write();
+        let mut sources = recover(self.stats_sources.write());
         if let Some(slot) = sources.iter_mut().find(|(existing, _)| existing == name) {
             slot.1 = source;
         } else {
@@ -157,9 +159,7 @@ impl Frontend {
     /// must not keep reporting frozen gauges through a frontend that may
     /// be served elsewhere).
     pub fn remove_stats_source(&self, name: &str) {
-        self.stats_sources
-            .write()
-            .retain(|(existing, _)| existing != name);
+        recover(self.stats_sources.write()).retain(|(existing, _)| existing != name);
     }
 
     /// Handles one client request, blocking until the response is complete
@@ -276,7 +276,7 @@ impl Frontend {
         ];
         // Registered sources (e.g. the network server's connection gauges)
         // ride along in the same document under their registered name.
-        for (name, source) in self.stats_sources.read().iter() {
+        for (name, source) in recover(self.stats_sources.read()).iter() {
             pairs.push((name.clone(), source()));
         }
         // Only present when fault injection is configured: per-failpoint

@@ -50,3 +50,9 @@ pub use invocation::{InstanceCompletion, InvocationState};
 pub use registry::Registry;
 pub use task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
 pub use worker::{default_test_services, WorkerNode};
+
+/// The guard of a lock whose every update leaves its data whole, poisoned or
+/// not (the lock rule in `dandelion_common`'s crate docs).
+fn recover<G>(locked: std::sync::LockResult<G>) -> G {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -7,12 +7,13 @@
 //! composition (nesting, paper §4.1).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use dandelion_common::{DandelionError, DandelionResult};
 use dandelion_dsl::CompositionGraph;
 use dandelion_isolation::FunctionArtifact;
-use parking_lot::RwLock;
+
+use crate::recover;
 
 /// The built-in communication functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +52,8 @@ impl std::fmt::Debug for Vertex {
     }
 }
 
-/// Thread-safe registry of functions and compositions.
+/// Thread-safe registry of functions and compositions. Each map is written
+/// one `insert` at a time, so a poisoned lock's guard is recovered.
 #[derive(Default)]
 pub struct Registry {
     functions: RwLock<HashMap<String, Arc<FunctionArtifact>>>,
@@ -76,13 +78,13 @@ impl Registry {
                 name,
             });
         }
-        if self.compositions.read().contains_key(&name) {
+        if recover(self.compositions.read()).contains_key(&name) {
             return Err(DandelionError::AlreadyRegistered {
                 kind: "composition",
                 name,
             });
         }
-        let mut functions = self.functions.write();
+        let mut functions = recover(self.functions.write());
         if functions.contains_key(&name) {
             return Err(DandelionError::AlreadyRegistered {
                 kind: "function",
@@ -101,7 +103,7 @@ impl Registry {
     /// paper's registration flow where binaries are uploaded before the DAG.
     pub fn register_composition(&self, graph: CompositionGraph) -> DandelionResult<()> {
         let name = graph.name.clone();
-        if self.functions.read().contains_key(&name)
+        if recover(self.functions.read()).contains_key(&name)
             || name == CommunicationKind::Http.vertex_name()
         {
             return Err(DandelionError::AlreadyRegistered {
@@ -122,7 +124,7 @@ impl Registry {
                 });
             }
         }
-        let mut compositions = self.compositions.write();
+        let mut compositions = recover(self.compositions.write());
         if compositions.contains_key(&name) {
             return Err(DandelionError::AlreadyRegistered {
                 kind: "composition",
@@ -138,10 +140,10 @@ impl Registry {
         if name == CommunicationKind::Http.vertex_name() {
             return Some(Vertex::Communication(CommunicationKind::Http));
         }
-        if let Some(artifact) = self.functions.read().get(name) {
+        if let Some(artifact) = recover(self.functions.read()).get(name) {
             return Some(Vertex::Compute(Arc::clone(artifact)));
         }
-        if let Some(graph) = self.compositions.read().get(name) {
+        if let Some(graph) = recover(self.compositions.read()).get(name) {
             return Some(Vertex::Composition(Arc::clone(graph)));
         }
         None
@@ -149,8 +151,7 @@ impl Registry {
 
     /// Looks up a registered composition.
     pub fn composition(&self, name: &str) -> DandelionResult<Arc<CompositionGraph>> {
-        self.compositions
-            .read()
+        recover(self.compositions.read())
             .get(name)
             .cloned()
             .ok_or_else(|| DandelionError::NotFound {
@@ -161,8 +162,7 @@ impl Registry {
 
     /// Looks up a registered compute function.
     pub fn function(&self, name: &str) -> DandelionResult<Arc<FunctionArtifact>> {
-        self.functions
-            .read()
+        recover(self.functions.read())
             .get(name)
             .cloned()
             .ok_or_else(|| DandelionError::NotFound {
@@ -173,14 +173,14 @@ impl Registry {
 
     /// Names of all registered compositions, sorted.
     pub fn composition_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.compositions.read().keys().cloned().collect();
+        let mut names: Vec<String> = recover(self.compositions.read()).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Names of all registered compute functions, sorted.
     pub fn function_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.functions.read().keys().cloned().collect();
+        let mut names: Vec<String> = recover(self.functions.read()).keys().cloned().collect();
         names.sort();
         names
     }

@@ -1,19 +1,22 @@
 //! Tasks, task queues and the engine/dispatcher wire format.
 //!
 //! The dispatcher enqueues tasks (a prepared set of inputs plus metadata) to
-//! per-engine-kind queues; engines poll their type-specific queue to ensure
-//! late binding of tasks to cores (paper §5, "Engines"). Queue lengths are
-//! also the control plane's only input signal. An engine hands its results
-//! to the task's [`ReplySender`], which applies them to the dispatcher's
-//! in-flight table on the engine's own thread: no result crosses a channel.
+//! per-engine-kind queues; engines pull from their type-specific queue to
+//! ensure late binding of tasks to cores (paper §5, "Engines"). Queue
+//! lengths, the tasks owed an answer, are also the control plane's only
+//! input signal. An engine hands its results to the task's [`ReplySender`],
+//! which applies them to the dispatcher's in-flight table on the engine's
+//! own thread: no result crosses a channel.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dandelion_common::config::EngineKind;
 use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
 use dandelion_isolation::FunctionArtifact;
+
+use crate::engine::{Engines, Next};
+use crate::recover;
 
 /// The work carried by a task.
 ///
@@ -41,8 +44,6 @@ pub enum TaskPayload {
         /// The output set name the responses are collected into.
         response_set: String,
     },
-    /// Ask an engine of this kind to shut down (used to shrink a pool).
-    Shutdown,
     /// A task whose engine died twice running it: the next engine of the
     /// pool answers it with [`DandelionError::EngineFault`] and this reason,
     /// without running it. Supervision puts it back on the queue so that
@@ -54,14 +55,12 @@ pub enum TaskPayload {
 }
 
 impl TaskPayload {
-    /// Which engine kind must execute this payload. The markers (`Shutdown`,
-    /// `Faulted`) are answered by the pool whose queue they are on.
+    /// Which engine kind must execute this payload. A `Faulted` task is
+    /// answered by the pool whose queue it is on.
     pub fn engine_kind(&self) -> EngineKind {
         match self {
             TaskPayload::Compute { .. } => EngineKind::Compute,
-            TaskPayload::Http { .. } | TaskPayload::Shutdown | TaskPayload::Faulted { .. } => {
-                EngineKind::Communication
-            }
+            TaskPayload::Http { .. } | TaskPayload::Faulted { .. } => EngineKind::Communication,
         }
     }
 }
@@ -155,21 +154,21 @@ pub struct TaskResult {
     pub modeled_latency: Duration,
 }
 
-/// A task queue: the FIFO deque engines of one kind park on.
+/// A task queue: the FIFO deque engines of one kind park on, in one cell
+/// with the rest of their pool's state.
 ///
 /// `push` never blocks the dispatcher; capacity-induced back-pressure is
-/// applied explicitly via [`TaskQueue::try_push`]. Every push wakes one
-/// parked engine. Clones share the deque.
+/// applied explicitly via [`TaskQueue::try_push`]. A push wakes one parked
+/// engine. Clones share the cell.
 #[derive(Clone)]
 pub struct TaskQueue {
     kind: EngineKind,
-    capacity: usize,
     shared: Arc<Shared>,
 }
 
 struct Shared {
-    tasks: Mutex<VecDeque<Task>>,
-    /// Notified once per push; engines with nothing to pop wait on it.
+    engines: Mutex<Engines>,
+    /// Engines with nothing to run wait on it.
     available: Condvar,
 }
 
@@ -178,76 +177,71 @@ impl TaskQueue {
     pub fn new(kind: EngineKind, capacity: usize) -> Self {
         Self {
             kind,
-            capacity,
             shared: Arc::new(Shared {
-                tasks: Mutex::new(VecDeque::new()),
+                engines: Mutex::new(Engines::new(capacity)),
                 available: Condvar::new(),
             }),
         }
     }
 
-    /// The engine kind this queue feeds.
-    pub fn kind(&self) -> EngineKind {
-        self.kind
+    /// Locks the pool's state. Only its transitions run under the lock, and
+    /// each leaves it whole, so the guard of a lock poisoned by a panicking
+    /// thread is as good as any.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Engines> {
+        recover(self.shared.engines.lock())
     }
 
-    /// Locks the deque. A push or a pop leaves it whole, so the guard of a
-    /// lock poisoned by a panicking thread is as good as any.
-    fn tasks(&self) -> MutexGuard<'_, VecDeque<Task>> {
-        self.shared
-            .tasks
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Wakes `engines` parked engines, outside the lock.
+    pub(crate) fn notify(&self, engines: usize) {
+        for _ in 0..engines {
+            self.shared.available.notify_one();
+        }
     }
 
     /// Enqueues a task, applying back-pressure when the queue is full.
     pub fn try_push(&self, task: Task) -> Result<(), Task> {
-        let mut tasks = self.tasks();
-        if tasks.len() >= self.capacity {
-            return Err(task);
-        }
-        tasks.push_back(task);
-        drop(tasks);
-        self.shared.available.notify_one();
+        let wake = self.lock().try_push(task)?;
+        self.notify(wake);
         Ok(())
     }
 
     /// Enqueues a task unconditionally.
     pub fn push(&self, task: Task) {
-        self.tasks().push_back(task);
-        self.shared.available.notify_one();
+        let wake = self.lock().push(task);
+        self.notify(wake);
     }
 
-    /// Dequeues the next task if one is immediately available, without
-    /// blocking.
-    ///
-    /// Engines use this after finishing a task to coalesce further
-    /// already-queued work of the same invocation into one reply batch.
-    pub fn try_pop(&self) -> Option<Task> {
-        self.tasks().pop_front()
+    /// Dequeues the next task if one is queued, without blocking.
+    #[cfg(test)]
+    pub(crate) fn try_pop(&self) -> Option<Task> {
+        self.lock().pop_if(|_| true)
     }
 
-    /// Dequeues the next task, blocking until one arrives.
-    ///
-    /// An idle engine parks on the queue's condition variable and is woken
-    /// by either real work or a [`TaskPayload::Shutdown`] marker.
-    pub fn pop_wait(&self) -> Task {
-        let mut tasks = self.tasks();
+    /// An engine's turn at a batch boundary: the next task, or `None` once
+    /// the engine took a stop ticket. An idle engine parks on the queue's
+    /// condition variable until a push or a shrink wakes it.
+    pub(crate) fn next(&self) -> Option<Task> {
+        let mut engines = self.lock();
+        let mut woken = false;
         loop {
-            if let Some(task) = tasks.pop_front() {
-                return task;
+            match engines.next(woken) {
+                Next::Run(task) => return Some(task),
+                Next::Stop(wake) => {
+                    drop(engines);
+                    self.notify(wake);
+                    return None;
+                }
+                Next::Park => {
+                    engines = recover(self.shared.available.wait(engines));
+                    woken = true;
+                }
             }
-            tasks = self
-                .shared
-                .available
-                .wait(tasks)
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Current queue depth.
+    /// Current queue depth: the tasks owed an answer.
     pub fn len(&self) -> usize {
-        self.tasks().len()
+        self.lock().len()
     }
 
     /// Returns `true` if the queue is currently empty.
@@ -294,10 +288,10 @@ mod tests {
             timeout: Duration::from_secs(1),
         };
         assert_eq!(compute.engine_kind(), EngineKind::Compute);
-        assert_eq!(
-            TaskPayload::Shutdown.engine_kind(),
-            EngineKind::Communication
-        );
+        let faulted = TaskPayload::Faulted {
+            reason: "engine died twice executing this task".to_string(),
+        };
+        assert_eq!(faulted.engine_kind(), EngineKind::Communication);
     }
 
     #[test]

@@ -234,7 +234,7 @@ impl WorkerNode {
 
     /// The current compute/communication core split: the engines running
     /// in each pool. Right after the controller moves a core the shrinking
-    /// pool still counts the engine that has yet to take its stop marker.
+    /// pool still counts the engine that has yet to take its stop ticket.
     pub fn core_allocation(&self) -> CoreAllocation {
         CoreAllocation::new(
             self.compute_pool.engine_count(),

@@ -217,6 +217,9 @@ fn exhausted_restart_budget_stops_respawns_but_allows_manual_recovery() {
     // up; queued work flows again.
     clear_failpoints();
     pool.resize(2);
+    wait_until("the pool to grow back to two engines", || {
+        pool.engine_count() == 2
+    });
     pool.queue().push(task(&reply));
     assert!(results.recv_timeout(Duration::from_secs(5)).unwrap()[0]
         .outcome

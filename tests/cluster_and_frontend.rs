@@ -93,7 +93,8 @@ fn control_plane_rebalances_cores_under_io_heavy_load() {
         handle.join().unwrap();
     }
     // The allocation counts running engines: right after a move the pool
-    // that shrinks still runs the engine its stop marker has yet to reach.
+    // that shrinks still runs the engine that has yet to take its stop
+    // ticket at its next task boundary.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
     let allocation = loop {
         let allocation = worker.core_allocation();
