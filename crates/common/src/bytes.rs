@@ -2,8 +2,8 @@
 //!
 //! The zero-copy data plane threads one type through every layer that moves
 //! payloads: a reference-counted buffer plus an `(offset, len)` window, in
-//! the style of the `bytes` crate (vendored crates only — so implemented
-//! here). Cloning and slicing never copy; the underlying allocation is freed
+//! the style of the `bytes` crate (the workspace uses no external crate —
+//! so implemented here). Cloning and slicing never copy; the underlying allocation is freed
 //! when the last view drops. Composition edges, HTTP bodies and the memory
 //! contexts of the isolation layer all hand out `SharedBytes` views of the
 //! producer's buffer instead of copying payloads at each boundary.

@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use crate::MIB;
-
 /// Which memory isolation mechanism a compute engine uses.
 ///
 /// The paper implements four backends and shows that the platform design is
@@ -107,8 +105,6 @@ pub struct WorkerConfig {
     pub initial_communication_cores: usize,
     /// Isolation backend used by compute engines.
     pub isolation: IsolationKind,
-    /// Default memory-context size when a function does not specify one.
-    pub default_context_bytes: usize,
     /// Default compute-function timeout before preemption.
     pub function_timeout: Duration,
     /// Upper bound on queued tasks per engine type before back-pressure.
@@ -133,7 +129,6 @@ impl Default for WorkerConfig {
             total_cores: 16,
             initial_communication_cores: 2,
             isolation: IsolationKind::Process,
-            default_context_bytes: 64 * MIB,
             function_timeout: Duration::from_secs(30),
             queue_capacity: 65_536,
             controller: ControllerConfig::default(),
@@ -158,9 +153,6 @@ impl WorkerConfig {
                 "initial_communication_cores must be in 1..{}",
                 self.total_cores
             ));
-        }
-        if self.default_context_bytes == 0 {
-            return Err("default_context_bytes must be positive".into());
         }
         if !(0.0..=1.0).contains(&self.binary_cold_load_ratio) {
             return Err("binary_cold_load_ratio must be within [0, 1]".into());
@@ -205,10 +197,6 @@ mod tests {
 
         config.initial_communication_cores = 2;
         config.binary_cold_load_ratio = 1.5;
-        assert!(config.validate().is_err());
-
-        config.binary_cold_load_ratio = 0.03;
-        config.default_context_bytes = 0;
         assert!(config.validate().is_err());
     }
 

@@ -26,8 +26,6 @@
 //!   into it without copying;
 //! * [`Rope`], multi-part payloads as lists of zero-copy segments with
 //!   vectored delivery;
-//! * [`MpscQueue`], the lock-free multi-producer inbox the server's event
-//!   loops drain in batches;
 //! * [`BufferPool`], the fixed-class slab of reusable buffers behind the
 //!   byte builders.
 //!
@@ -51,7 +49,6 @@ mod error;
 mod failpoint;
 mod id;
 mod json;
-mod mpsc;
 mod pool;
 // `pub` because `benchmark/src/{workload,schedule}.rs` import it by path.
 pub mod rng;
@@ -69,7 +66,6 @@ pub use failpoint::{
 };
 pub use id::{ContextId, InvocationId, NodeId};
 pub use json::JsonValue;
-pub use mpsc::{Drain, MpscQueue};
 pub use pool::{
     settle_heap_thresholds, BufferPool, PoolStats, PooledBuf, LARGEST_CLASS, SIZE_CLASSES,
 };

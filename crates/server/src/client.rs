@@ -10,12 +10,12 @@
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsFd;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use dandelion_common::{JsonValue, NodeId, KIB};
 use dandelion_core::DandelionClient;
 use dandelion_http::{HttpRequest, HttpResponse, ParseLimits, ResponseDecoder, StatusCode};
-use parking_lot::Mutex;
 
 /// Bytes requested from the kernel per read.
 const READ_CHUNK: usize = 64 * KIB;
@@ -108,6 +108,11 @@ pub fn join_gateway(
 pub fn connect(addr: impl ToSocketAddrs, read_timeout: Duration) -> io::Result<DandelionClient> {
     let connection = Mutex::new(HttpClientConnection::connect(addr, read_timeout)?);
     Ok(DandelionClient::with_transport(move |request| {
-        connection.lock().request(request)
+        // Poisoned: a request panicked with the connection in hand and may
+        // have left it half-written, so its stream cannot frame another.
+        let mut connection = connection.lock().map_err(|_| {
+            io::Error::new(io::ErrorKind::BrokenPipe, "connection poisoned by a panic")
+        })?;
+        connection.request(request)
     }))
 }

@@ -42,8 +42,6 @@ pub struct ServerConfig {
     /// the hard ceiling on how long a draining event loop keeps unfinished
     /// connections open.
     pub drain_timeout: Duration,
-    /// Bytes requested from the kernel per socket read.
-    pub read_chunk_bytes: usize,
     /// Per-client-IP token-bucket rate limit applied before request
     /// dispatch; `None` disables it. Over-limit requests are answered with
     /// `429` and the stable `rate_limited` code, the connection stays open.
@@ -52,19 +50,17 @@ pub struct ServerConfig {
     /// server stops reading further pipelined requests from it (read
     /// interest resumes as the backlog drains). A worker's connections
     /// stop at [`WORKER_PIPELINE_DEPTH`] if that is lower. The same number
-    /// of read chunks (`× read_chunk_bytes`) is the pipeline's depth in
-    /// request-body bytes: a connection holding that much unanswered takes
-    /// in no more until a response leaves, though never fewer than two
-    /// requests.
+    /// of 64 KiB read chunks is the pipeline's depth in request-body bytes:
+    /// a connection holding that much unanswered takes in no more until a
+    /// response leaves, though never fewer than two requests.
     pub max_pipelined: usize,
 }
 
 /// How deep a worker's pipeline is per connection, whatever `max_pipelined`
 /// allows: this many requests taken in and not yet answered, or this many
-/// read chunks of their bodies (8 × `read_chunk_bytes` = 512 KiB at the
-/// default), whichever comes first — and never fewer than two requests, so
-/// one body lands while another computes and a request larger than the
-/// whole depth is still served (`limits.max_body_bytes` is the limit on
+/// 64 KiB read chunks of their bodies (512 KiB), whichever comes first —
+/// and never fewer than two requests, so one body lands while another
+/// computes and a request larger than the whole depth is still served (`limits.max_body_bytes` is the limit on
 /// one request). A request parsed on a worker is an invocation under way,
 /// and its body and what it has fetched and computed so far are committed
 /// memory: a client that catches up after a pause with 32 pipelined
@@ -85,6 +81,9 @@ pub struct ServerConfig {
 /// stuck on one connection never stops another's first.
 pub const WORKER_PIPELINE_DEPTH: usize = 8;
 
+/// Bytes requested from the kernel per socket read.
+pub(crate) const READ_CHUNK_BYTES: usize = 64 * KIB;
+
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
@@ -95,7 +94,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(30),
-            read_chunk_bytes: 64 * KIB,
             rate_limit: None,
             max_pipelined: 64,
         }
@@ -123,9 +121,6 @@ impl ServerConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.max_connections == 0 {
             return Err("max_connections must be >= 1".to_string());
-        }
-        if self.read_chunk_bytes == 0 {
-            return Err("read_chunk_bytes must be >= 1".to_string());
         }
         if self.max_pipelined == 0 {
             return Err("max_pipelined must be >= 1".to_string());
@@ -182,10 +177,5 @@ mod tests {
             ..ServerConfig::default()
         };
         assert!(zero_rate.validate().unwrap_err().contains("rate_limit"));
-        let zero_chunk = ServerConfig {
-            read_chunk_bytes: 0,
-            ..ServerConfig::default()
-        };
-        assert!(zero_chunk.validate().is_err());
     }
 }

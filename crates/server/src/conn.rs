@@ -73,6 +73,7 @@ use dandelion_http::{
     ResponseFrame, StatusCode, Version,
 };
 
+use crate::config::READ_CHUNK_BYTES;
 use crate::event_loop::{LoopMsg, LoopShared};
 use crate::gateway::relay_rope;
 use crate::rate::RateLimit;
@@ -399,7 +400,7 @@ impl Conn {
             // one suspended for backpressure, and only a read that proves
             // the socket dry declares it so.
             if self.sock_readable && !self.stop_reading && self.has_room(shared) {
-                let mut read_chunk = shared.config.read_chunk_bytes;
+                let mut read_chunk = READ_CHUNK_BYTES;
                 if failpoints_enabled() {
                     match check_failpoint("conn/read") {
                         // An injected read error behaves like the kernel's:

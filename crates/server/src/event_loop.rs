@@ -24,13 +24,14 @@
 //! Every loop accepts for itself: each binds its own `SO_REUSEPORT`
 //! listener on the shared address, the kernel load-balances new connections
 //! across them, and a connection lives and dies on the loop that accepted
-//! it. Cross-thread traffic arrives through each loop's inbox — a lock-free
-//! [`MpscQueue`] drained in whole batches: the dispatcher's completion
-//! callbacks post finished responses ([`LoopMsg`]). The `eventfd`
-//! wakeup is conditional: a producer writes it only when it observes the
-//! loop asleep (an atomic `sleeping` flag set around `epoll_wait`), so a
-//! completion storm against a busy loop coalesces into zero syscalls —
-//! the posted/wakeup counters in `/v1/stats` prove the coalescing.
+//! it. Cross-thread traffic arrives through each loop's inbox — a `Vec`
+//! behind one `std::sync::Mutex`, taken in whole batches by swapping it
+//! with the loop's own: the thread that settles an invocation posts its
+//! response ([`LoopMsg`]). The `eventfd` wakeup is conditional: a post
+//! writes it only when it finds the loop asleep (a `sleeping` flag under the
+//! same lock, set around `epoll_wait`), so a completion storm against a busy
+//! loop coalesces into zero syscalls — the posted/wakeup counters in
+//! `/v1/stats` prove the coalescing.
 //!
 //! Connection registrations are **edge-triggered** (`EPOLLET`, full
 //! interest mask registered once at adoption): the pumps read until a read
@@ -67,14 +68,14 @@
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::{
-    check_failpoint, fail_point, failpoints_enabled, utf8_lossy, BatchProgress, Drain,
-    InvocationId, JsonValue, MpscQueue, NodeId, SharedBytes,
+    check_failpoint, fail_point, failpoints_enabled, utf8_lossy, BatchProgress, InvocationId,
+    JsonValue, NodeId, SharedBytes,
 };
 use dandelion_http::{HttpResponse, ResponseFrame, StatusCode};
 
@@ -110,16 +111,29 @@ pub(crate) struct LoopMsg {
     pub(crate) response: HttpResponse,
 }
 
-/// The cross-thread half of one event loop: a lock-free inbox plus the
-/// eventfd that wakes the loop to drain it. Shared with every completion
-/// callback targeting this loop.
-pub(crate) struct LoopShared {
-    inbox: MpscQueue<LoopMsg>,
-    waker: EventFd,
+/// What other threads hand one loop, and whether it sleeps, under one
+/// lock: each critical section is a push, a swap or a flag.
+#[derive(Default)]
+struct Inbox {
+    /// Posted and not yet taken by the loop.
+    messages: Vec<LoopMsg>,
     /// Set by the loop just before it blocks in `epoll_wait` with an empty
-    /// inbox; swapped off by the first producer that posts into the sleep,
-    /// which is the only producer that signals the eventfd.
-    sleeping: AtomicBool,
+    /// inbox; taken by the first post into the sleep, which is the only post
+    /// that signals the eventfd.
+    sleeping: bool,
+    /// Messages ever posted to this inbox.
+    posted: u64,
+    /// Eventfd signals posts wrote; `posted - wakeups` is the number of posts
+    /// that found the loop awake and cost no syscall.
+    wakeups: u64,
+}
+
+/// The cross-thread half of one event loop: its inbox plus the eventfd that
+/// wakes the loop to take it. Shared with every completion callback
+/// targeting this loop.
+pub(crate) struct LoopShared {
+    inbox: Mutex<Inbox>,
+    waker: EventFd,
     /// Gauge: connections owned by this loop. Raised by `adopt`, drained by
     /// `close`.
     pub(crate) connections: AtomicUsize,
@@ -129,11 +143,6 @@ pub(crate) struct LoopShared {
     /// Gauge: request-body bytes this loop's connections have taken in and
     /// not yet answered (what their byte gates weigh, summed).
     pub(crate) held_bytes: AtomicUsize,
-    /// Messages ever posted to this inbox.
-    pub(crate) posted: AtomicU64,
-    /// Eventfd signals actually written; `posted - wakeups` is the number
-    /// of posts that found the loop awake and cost no syscall.
-    pub(crate) wakeups: AtomicU64,
     /// Vectored socket writes this loop issued (client responses and
     /// upstream forwards alike).
     pub(crate) writes: AtomicU64,
@@ -145,17 +154,21 @@ pub(crate) struct LoopShared {
 impl LoopShared {
     pub(crate) fn new() -> std::io::Result<LoopShared> {
         Ok(LoopShared {
-            inbox: MpscQueue::new(),
+            inbox: Mutex::default(),
             waker: EventFd::new()?,
-            sleeping: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             held_bytes: AtomicUsize::new(0),
-            posted: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             messages_written: AtomicU64::new(0),
         })
+    }
+
+    /// The inbox, locked. No section under the lock runs foreign code or can
+    /// stop half-way through a push, a swap or a flag, so a poisoned lock is
+    /// recovered.
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Accounts one flush's socket writes (statistics only, hence relaxed).
@@ -169,27 +182,32 @@ impl LoopShared {
         }
     }
 
-    /// Approximate number of messages waiting in the inbox (stats gauge).
-    pub(crate) fn inbox_depth(&self) -> usize {
-        self.inbox.len()
+    /// The inbox's stats, read together: messages waiting, messages ever
+    /// posted, and eventfd signals those posts wrote.
+    pub(crate) fn inbox_stats(&self) -> (usize, u64, u64) {
+        let inbox = self.inbox();
+        (inbox.messages.len(), inbox.posted, inbox.wakeups)
     }
 
     /// Enqueues a message, waking the loop only if it is (going) asleep.
     ///
-    /// The push is a lock-free CAS; the eventfd `write(2)` happens only on
-    /// the awake→asleep transition: `sleeping` is swapped off, so of any
-    /// number of concurrent producers exactly one pays the syscall and a
-    /// loop that is already draining pays nothing at all. The ordering
-    /// argument is the same seqlock-style handshake as a futex wait: the
-    /// loop sets `sleeping` *before* its final emptiness check, so a
-    /// producer either sees `sleeping == true` (and signals) or its push
-    /// is visible to that check (and the loop skips the blocking wait).
+    /// Of the posts into one sleep, the first takes the flag and is the only
+    /// one to write the eventfd — after unlocking, so the syscall holds up no
+    /// other producer; a loop that is awake costs a post no syscall at all.
+    /// A post and the loop's [`prepare_sleep`](Self::prepare_sleep) take the
+    /// same lock, so either the post lands first (and the loop does not
+    /// block) or it finds the flag set (and signals).
     pub(crate) fn post(&self, msg: LoopMsg) {
         fail_point!("loop/post");
-        self.inbox.push(msg);
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
+        let signal = {
+            let mut inbox = self.inbox();
+            inbox.messages.push(msg);
+            inbox.posted += 1;
+            let signal = std::mem::take(&mut inbox.sleeping);
+            inbox.wakeups += u64::from(signal);
+            signal
+        };
+        if signal {
             self.waker.signal();
         }
     }
@@ -198,26 +216,21 @@ impl LoopShared {
     /// signals: shutdown is rare and must never be coalesced away.
     pub(crate) fn wake(&self) {
         fail_point!("loop/wakeup");
-        self.sleeping.store(false, Ordering::SeqCst);
+        self.inbox().sleeping = false;
         self.waker.signal();
     }
 
-    /// Announces the loop is about to block. Returns `false` — and cancels
-    /// the announcement — when messages raced in, in which case the caller
-    /// must poll instead of block.
+    /// Announces the loop is about to block, unless a message waits: then it
+    /// returns `false` and the caller must poll instead of block.
     fn prepare_sleep(&self) -> bool {
-        self.sleeping.store(true, Ordering::SeqCst);
-        if self.inbox.is_empty() {
-            true
-        } else {
-            self.sleeping.store(false, Ordering::SeqCst);
-            false
-        }
+        let mut inbox = self.inbox();
+        inbox.sleeping = inbox.messages.is_empty();
+        inbox.sleeping
     }
 
     /// The loop is awake again; producers go back to skipping the signal.
     fn cancel_sleep(&self) {
-        self.sleeping.store(false, Ordering::SeqCst);
+        self.inbox().sleeping = false;
     }
 
     /// Clears a delivered eventfd signal (called on its epoll event only,
@@ -226,8 +239,12 @@ impl LoopShared {
         self.waker.drain();
     }
 
-    fn take_messages(&self) -> Drain<LoopMsg> {
-        self.inbox.take_all()
+    /// Swaps every waiting message into `taken`, which must be empty, and
+    /// leaves its capacity to the inbox: the loop keeps the one vector from
+    /// turn to turn, so a post allocates nothing once both have grown.
+    fn take_messages(&self, taken: &mut Vec<LoopMsg>) {
+        debug_assert!(taken.is_empty());
+        std::mem::swap(&mut self.inbox().messages, taken);
     }
 }
 
@@ -281,6 +298,9 @@ pub(crate) struct EventLoop {
     /// socket has not seen yet; [`EventLoop::flush_dirty`] writes each once
     /// and empties the list, whose capacity is kept from turn to turn.
     dirty: Vec<usize>,
+    /// The messages [`EventLoop::drain_inbox`] took, swapped with the inbox's
+    /// and emptied each turn, capacity kept.
+    taken: Vec<LoopMsg>,
     /// Open **client** connections (upstreams do not count — the loop may
     /// exit a drain with idle upstreams still in the slab).
     open: usize,
@@ -331,6 +351,7 @@ impl EventLoop {
             slab: Vec::new(),
             free: Vec::new(),
             dirty: Vec::new(),
+            taken: Vec::new(),
             open: 0,
             pools: HashMap::new(),
             drain_deadline: None,
@@ -679,14 +700,13 @@ impl EventLoop {
     /// member responses, and hands each to its waiting client slot — or, on
     /// a control exchange's own connection, to the cluster.
     fn service_upstream(&mut self, index: usize, readable: bool, now: Instant) {
-        let read_chunk = self.shared.config.read_chunk_bytes;
         let me = &self.me;
         let (verdict, delivered) = {
             let Some(Endpoint::Upstream(upstream)) = self.slab[index].endpoint.as_mut() else {
                 return;
             };
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                upstream.pump(readable, read_chunk, me, now)
+                upstream.pump(readable, me, now)
             }))
             .unwrap_or((UpstreamVerdict::Close, Vec::new()))
         };
@@ -1033,9 +1053,12 @@ impl EventLoop {
 
     /// Applies queued cross-thread messages: settled invocation responses.
     fn drain_inbox(&mut self) {
-        for msg in self.me.take_messages() {
+        let mut taken = std::mem::take(&mut self.taken);
+        self.me.take_messages(&mut taken);
+        for msg in taken.drain(..) {
             self.complete_client(msg.slot, msg.response);
         }
+        self.taken = taken;
     }
 
     /// Fires the per-connection deadlines, forward retries and drain
@@ -1090,5 +1113,155 @@ impl EventLoop {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn msg(token: u64, seq: u64) -> LoopMsg {
+        LoopMsg {
+            slot: ClientSlot { token, seq },
+            response: HttpResponse::ok(Vec::new()),
+        }
+    }
+
+    #[test]
+    fn posts_into_a_sleep_signal_the_eventfd_once() {
+        let me = LoopShared::new().unwrap();
+        assert!(me.prepare_sleep());
+        for seq in 0..3 {
+            me.post(msg(0, seq));
+        }
+        assert_eq!(me.inbox_stats(), (3, 3, 1));
+        assert_eq!(me.waker.drain(), 1);
+    }
+
+    #[test]
+    fn a_post_to_an_awake_loop_signals_nothing() {
+        let me = LoopShared::new().unwrap();
+        me.post(msg(0, 0));
+        assert!(!me.prepare_sleep());
+        me.cancel_sleep();
+        me.post(msg(0, 1));
+        assert_eq!(me.inbox_stats(), (2, 2, 0));
+        assert_eq!(me.waker.drain(), 0);
+    }
+
+    #[test]
+    fn prepare_sleep_refuses_while_a_message_waits_and_accepts_once_taken() {
+        let me = LoopShared::new().unwrap();
+        me.post(msg(0, 0));
+        assert!(!me.prepare_sleep());
+        let mut taken = Vec::new();
+        me.take_messages(&mut taken);
+        assert_eq!(taken.len(), 1);
+        assert!(me.prepare_sleep());
+        me.post(msg(0, 1));
+        assert_eq!(me.inbox_stats(), (1, 2, 1));
+        assert_eq!(me.waker.drain(), 1);
+    }
+
+    #[test]
+    fn wake_always_signals() {
+        let me = LoopShared::new().unwrap();
+        assert!(me.prepare_sleep());
+        me.wake();
+        // The loop is awake now, and a wake signals all the same.
+        me.wake();
+        assert_eq!(me.waker.drain(), 2);
+        // The first wake took the flag: a post finds the loop awake.
+        me.post(msg(0, 0));
+        assert_eq!(me.inbox_stats(), (1, 1, 0));
+        assert_eq!(me.waker.drain(), 0);
+    }
+
+    #[test]
+    fn inbox_depth_is_exact_after_posts_and_a_take() {
+        let me = LoopShared::new().unwrap();
+        for seq in 0..5 {
+            me.post(msg(0, seq));
+            assert_eq!(me.inbox_stats().0, seq as usize + 1);
+        }
+        let mut taken = Vec::new();
+        me.take_messages(&mut taken);
+        assert_eq!(me.inbox_stats().0, 0);
+        let order: Vec<u64> = taken.drain(..).map(|msg| msg.slot.seq).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4]);
+        me.post(msg(0, 5));
+        me.post(msg(0, 6));
+        assert_eq!(me.inbox_stats(), (2, 7, 0));
+    }
+
+    /// The loop's wait protocol against eight producers: every message
+    /// arrives, each producer's in the order it posted them, and no wait
+    /// times out while a message posted before the timeout is untaken.
+    #[test]
+    fn concurrent_posts_lose_nothing_keep_order_and_miss_no_wakeup() {
+        const PRODUCERS: usize = 8;
+        const PER_PRODUCER: u64 = 10_000;
+        let me = Arc::new(LoopShared::new().unwrap());
+        // Per producer, how many of its posts have returned.
+        let returned: Arc<Vec<AtomicU64>> =
+            Arc::new((0..PRODUCERS).map(|_| AtomicU64::new(0)).collect());
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|producer| {
+                let me = Arc::clone(&me);
+                let returned = Arc::clone(&returned);
+                std::thread::spawn(move || {
+                    for seq in 0..PER_PRODUCER {
+                        me.post(msg(producer as u64, seq));
+                        returned[producer].store(seq + 1, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+
+        let epoll = Epoll::new().unwrap();
+        epoll.add(me.waker.raw_fd(), EPOLLIN, WAKER_TOKEN).unwrap();
+        let mut events = [EpollEvent { events: 0, data: 0 }; 1];
+        let mut seen = [0u64; PRODUCERS];
+        let mut taken = Vec::new();
+        let mut total = 0;
+        while total < PRODUCERS as u64 * PER_PRODUCER {
+            let sleeping = me.prepare_sleep();
+            let timeout_ms = if sleeping { 2_000 } else { 0 };
+            let ready = epoll.wait(&mut events, timeout_ms).unwrap();
+            let returned_by_then: Vec<u64> = returned
+                .iter()
+                .map(|count| count.load(Ordering::Acquire))
+                .collect();
+            me.cancel_sleep();
+            // A post that lands after the wait timed out but before
+            // `cancel_sleep` still signals, so it shows here, not as a miss.
+            let signalled = me.waker.drain() > 0;
+            if sleeping && ready == 0 && !signalled {
+                for producer in 0..PRODUCERS {
+                    assert!(
+                        seen[producer] >= returned_by_then[producer],
+                        "lost wake-up: message {} of producer {producer} was posted \
+                         before a wait that timed out",
+                        seen[producer]
+                    );
+                }
+            }
+            me.take_messages(&mut taken);
+            for msg in taken.drain(..) {
+                let producer = msg.slot.token as usize;
+                assert_eq!(
+                    msg.slot.seq, seen[producer],
+                    "producer {producer}'s messages arrived out of order"
+                );
+                seen[producer] += 1;
+                total += 1;
+            }
+        }
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        let (depth, posted, wakeups) = me.inbox_stats();
+        assert_eq!((depth, posted), (0, PRODUCERS as u64 * PER_PRODUCER));
+        assert!(wakeups <= posted);
     }
 }

@@ -40,6 +40,7 @@ use dandelion_common::{
 };
 use dandelion_http::{ParseLimits, ResponseDecoder, ResponseFrame};
 
+use crate::config::READ_CHUNK_BYTES;
 use crate::conn::ClientSlot;
 use crate::event_loop::LoopShared;
 use crate::gateway::GatewayConfig;
@@ -213,7 +214,6 @@ impl UpstreamConn {
     pub(crate) fn pump(
         &mut self,
         readable: bool,
-        read_chunk: usize,
         me: &LoopShared,
         now: Instant,
     ) -> (UpstreamVerdict, Vec<(Origin, ResponseFrame)>) {
@@ -240,7 +240,7 @@ impl UpstreamConn {
         }
         // Read side: pull bytes and frame complete responses in order.
         let mut saw_eof = false;
-        let mut read_chunk = read_chunk;
+        let mut read_chunk = READ_CHUNK_BYTES;
         if readable || write_failed {
             loop {
                 if failpoints_enabled() {
@@ -369,7 +369,7 @@ mod tests {
             Instant::now(),
         );
         conn.enqueue(request_rope(), origin(0), Instant::now());
-        let (verdict, delivered) = conn.pump(false, 4096, me, Instant::now());
+        let (verdict, delivered) = conn.pump(false, me, Instant::now());
         assert_eq!(verdict, UpstreamVerdict::Keep);
         assert!(delivered.is_empty());
         let mut sink = [0u8; 4096];
@@ -426,7 +426,7 @@ mod tests {
         ] {
             let me = LoopShared::new().unwrap();
             let (mut conn, _member) = answered_exchange(answer(connection, b"last one"), &me);
-            let (verdict, delivered) = conn.pump(true, 4096, &me, Instant::now());
+            let (verdict, delivered) = conn.pump(true, &me, Instant::now());
             assert_eq!(verdict, expected, "Connection: {connection}");
             assert_eq!(delivered.len(), 1, "Connection: {connection}");
             assert_eq!(delivered[0].1.body().as_ref(), b"last one");
@@ -443,7 +443,7 @@ mod tests {
         let chunked = answer("keep-alive", b"5\r\nhello\r\n0\r\n\r\n")
             .with_header("Transfer-Encoding", "chunked");
         let (mut conn, _member) = answered_exchange(chunked, &me);
-        let (verdict, delivered) = conn.pump(true, 4096, &me, Instant::now());
+        let (verdict, delivered) = conn.pump(true, &me, Instant::now());
         assert_eq!(verdict, UpstreamVerdict::Close);
         assert!(delivered.is_empty(), "nothing of it is delivered");
         let failed = conn.take_pending();
@@ -461,7 +461,7 @@ mod tests {
         // it behind the write error.
         conn.stream.shutdown(Shutdown::Write).unwrap();
         conn.enqueue(request_rope(), origin(1), Instant::now());
-        let (verdict, delivered) = conn.pump(false, 4096, &me, Instant::now());
+        let (verdict, delivered) = conn.pump(false, &me, Instant::now());
         assert_eq!(verdict, UpstreamVerdict::Close);
         assert_eq!(
             delivered.len(),

@@ -19,9 +19,8 @@
 
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// Sustained rate and burst ceiling of the per-IP token bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +69,13 @@ impl RateLimiter {
         }
     }
 
+    /// The buckets, locked. Each update is whole arithmetic on one bucket (or
+    /// a prune that keeps or drops whole buckets), so a poisoned lock is
+    /// recovered.
+    fn buckets(&self) -> MutexGuard<'_, Buckets> {
+        self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Spends one token from `peer`'s bucket; `false` means over limit and
     /// the request should be refused with `429`.
     pub(crate) fn admit(&self, peer: IpAddr) -> bool {
@@ -81,7 +87,7 @@ impl RateLimiter {
     pub(crate) fn admit_at(&self, peer: IpAddr, now: Instant) -> bool {
         let rate = f64::from(self.limit.requests_per_sec);
         let burst = f64::from(self.limit.burst.max(1));
-        let mut buckets = self.buckets.lock();
+        let mut buckets = self.buckets();
         let prune_due = buckets
             .last_prune
             .is_none_or(|last| now.saturating_duration_since(last) >= PRUNE_INTERVAL);
@@ -182,11 +188,11 @@ mod tests {
             let peer = IpAddr::V4(Ipv4Addr::from(u32::try_from(index).unwrap()));
             assert!(limiter.admit_at(peer, start));
         }
-        assert_eq!(limiter.buckets.lock().map.len(), PRUNE_HIGH_WATER);
+        assert_eq!(limiter.buckets().map.len(), PRUNE_HIGH_WATER);
         // All buckets refill within a few ms at 1000 rps; a new peer
         // arriving later triggers the prune.
         let later = start + Duration::from_secs(1);
         assert!(limiter.admit_at(ip(123), later));
-        assert!(limiter.buckets.lock().map.len() < PRUNE_HIGH_WATER);
+        assert!(limiter.buckets().map.len() < PRUNE_HIGH_WATER);
     }
 }

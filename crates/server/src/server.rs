@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use dandelion_common::JsonValue;
 use dandelion_core::{EnginePool, Frontend, StatsSource};
 
-use crate::config::{ServerConfig, WORKER_PIPELINE_DEPTH};
+use crate::config::{ServerConfig, READ_CHUNK_BYTES, WORKER_PIPELINE_DEPTH};
 use crate::event_loop::{EventLoop, LoopShared};
 use crate::gateway::Router;
 use crate::rate::RateLimiter;
@@ -139,7 +139,7 @@ impl Intake {
         };
         Intake {
             engines,
-            pipeline_bytes: pipeline_depth(app, config).saturating_mul(config.read_chunk_bytes),
+            pipeline_bytes: pipeline_depth(app, config).saturating_mul(READ_CHUNK_BYTES),
         }
     }
 
@@ -169,9 +169,11 @@ fn held_bytes(loops: &[Arc<LoopShared>]) -> usize {
 /// yet answered; `budget_bytes`: what a worker lets them hold, `null` on a
 /// gateway), plus one entry per event loop — the load gauges
 /// (`connections`, `inflight`, and `held_bytes`: the loop's share of the
-/// node's), the inbox backlog, and the wakeup-coalescing counters (`posted`
-/// messages vs `wakeups` actually signalled; `coalesced` is the difference,
-/// i.e. posts that found the loop awake and cost no syscall), and the
+/// node's), the inbox's messages not yet taken (`inbox_depth`) and its
+/// wakeup-coalescing counters (`posted` messages vs `wakeups` actually
+/// signalled; `coalesced` is the difference, i.e. posts that found the loop
+/// awake and cost no syscall), the three read together under the inbox's
+/// lock, and the
 /// write-coalescing counters (`messages_written / writes` is how many
 /// responses and upstream forwards one vectored socket write carried).
 pub(crate) fn server_stats_json(
@@ -189,8 +191,7 @@ pub(crate) fn server_stats_json(
         pairs.push((
             "loops".to_string(),
             JsonValue::array(loops.iter().map(|loop_shared| {
-                let posted = loop_shared.posted.load(Ordering::Relaxed);
-                let wakeups = loop_shared.wakeups.load(Ordering::Relaxed);
+                let (inbox_depth, posted, wakeups) = loop_shared.inbox_stats();
                 JsonValue::object([
                     (
                         "connections",
@@ -204,7 +205,7 @@ pub(crate) fn server_stats_json(
                         "held_bytes",
                         JsonValue::from(loop_shared.held_bytes.load(Ordering::Relaxed)),
                     ),
-                    ("inbox_depth", JsonValue::from(loop_shared.inbox_depth())),
+                    ("inbox_depth", JsonValue::from(inbox_depth)),
                     ("posted", JsonValue::from(posted)),
                     ("wakeups", JsonValue::from(wakeups)),
                     ("coalesced", JsonValue::from(posted.saturating_sub(wakeups))),

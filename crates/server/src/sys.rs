@@ -221,8 +221,9 @@ impl EventFd {
         };
     }
 
-    /// Clears pending wakeups so level-triggered polling goes quiet again.
-    pub(crate) fn drain(&self) {
+    /// Clears pending wakeups so level-triggered polling goes quiet again,
+    /// returning how many signals it cleared (0 when none were pending).
+    pub(crate) fn drain(&self) -> u64 {
         let mut counter: u64 = 0;
         unsafe {
             read(
@@ -231,6 +232,7 @@ impl EventFd {
                 8,
             )
         };
+        counter
     }
 }
 
@@ -383,7 +385,7 @@ mod tests {
         assert_eq!(ready, 1);
         let data = events[0].data;
         assert_eq!(data, 7);
-        waker.drain();
+        assert_eq!(waker.drain(), 2, "two signals, one readiness event");
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
     }
 

@@ -5,10 +5,10 @@
 //! with the list of log-service endpoints the token is authorized to read.
 
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
-use parking_lot::RwLock;
 
 use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
@@ -18,6 +18,8 @@ use crate::registry::{RemoteService, ServiceResponse};
 /// A grant is stored as the reply body it produces (the endpoints joined by
 /// newlines), so authorizing a token is a lookup and a reference count.
 pub struct AuthService {
+    /// Read-mostly, written one grant at a time, so a lock poisoned by a
+    /// panicking thread is recovered.
     tokens: RwLock<BTreeMap<String, SharedBytes>>,
     latency: LatencyModel,
 }
@@ -43,11 +45,13 @@ impl AuthService {
     pub fn grant(&self, token: &str, endpoints: &[&str]) {
         self.tokens
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(token.to_string(), endpoints.join("\n").into_bytes().into());
     }
 
     fn authorize(&self, token: &str) -> Option<SharedBytes> {
-        self.tokens.read().get(token).cloned()
+        let tokens = self.tokens.read().unwrap_or_else(PoisonError::into_inner);
+        tokens.get(token).cloned()
     }
 }
 
@@ -63,7 +67,8 @@ impl RemoteService for AuthService {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.tokens.read().values().map(SharedBytes::len).sum()
+        let tokens = self.tokens.read().unwrap_or_else(PoisonError::into_inner);
+        tokens.values().map(SharedBytes::len).sum()
     }
 
     fn handle(&self, request: &HttpRequest) -> ServiceResponse {

@@ -7,9 +7,9 @@
 //! [ORDER BY col [DESC]] [LIMIT n]`. Results are returned as CSV.
 
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
-use parking_lot::RwLock;
 
 use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
@@ -67,6 +67,8 @@ pub struct Table {
 
 /// The in-memory SQL database service.
 pub struct SqlDatabaseService {
+    /// Read-mostly, written one whole table at a time, so a lock poisoned by
+    /// a panicking thread is recovered.
     tables: RwLock<BTreeMap<String, Table>>,
     latency: LatencyModel,
 }
@@ -157,7 +159,10 @@ impl SqlDatabaseService {
 
     /// Registers (or replaces) a table.
     pub fn register_table(&self, name: &str, table: Table) {
-        self.tables.write().insert(name.to_string(), table);
+        self.tables
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.to_string(), table);
     }
 
     /// Executes a limited SELECT statement, returning CSV (header + rows).
@@ -205,7 +210,7 @@ impl SqlDatabaseService {
         };
         let table_name = table_part.trim().to_lowercase();
 
-        let tables = self.tables.read();
+        let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
         let table = tables
             .get(&table_name)
             .ok_or_else(|| format!("unknown table `{table_name}`"))?;

@@ -12,11 +12,10 @@
 //! first use, then stored and served like any object that was put.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dandelion_common::SharedBytes;
 use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
-use parking_lot::RwLock;
 
 use crate::latency::LatencyModel;
 use crate::registry::{RemoteService, ServiceResponse};
@@ -34,6 +33,8 @@ struct Bucket {
 
 /// In-memory S3-like object store.
 pub struct ObjectStore {
+    /// Read-mostly, written one insert or removal at a time (a source runs
+    /// outside it), so a lock poisoned by a panicking thread is recovered.
     buckets: RwLock<BTreeMap<String, Bucket>>,
     latency: LatencyModel,
 }
@@ -52,12 +53,19 @@ impl ObjectStore {
         }
     }
 
+    fn buckets(&self) -> RwLockReadGuard<'_, BTreeMap<String, Bucket>> {
+        self.buckets.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn buckets_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Bucket>> {
+        self.buckets.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Stores an object directly (bypassing HTTP), useful for test setup and
     /// for the benchmark data generator. Objects are held as [`SharedBytes`]
     /// so GETs serve zero-copy views of the stored buffer.
     pub fn put_object(&self, bucket: &str, key: &str, data: impl Into<SharedBytes>) {
-        self.buckets
-            .write()
+        self.buckets_mut()
             .entry(bucket.to_string())
             .or_default()
             .objects
@@ -83,8 +91,7 @@ impl ObjectStore {
         bucket: &str,
         source: impl Fn(&str) -> Option<SharedBytes> + Send + Sync + 'static,
     ) {
-        self.buckets
-            .write()
+        self.buckets_mut()
             .entry(bucket.to_string())
             .or_default()
             .source = Some(Arc::new(source));
@@ -94,7 +101,7 @@ impl ObjectStore {
     /// (materialising it first if the bucket's source has to make it).
     pub fn get_object(&self, bucket: &str, key: &str) -> Option<SharedBytes> {
         let source = {
-            let buckets = self.buckets.read();
+            let buckets = self.buckets();
             let entry = buckets.get(bucket)?;
             if let Some(data) = entry.objects.get(key) {
                 return Some(data.clone());
@@ -104,15 +111,14 @@ impl ObjectStore {
         let made = source(key)?;
         // Whoever stores first wins; a racing reader drops what it made and
         // takes the stored buffer, like any later reader.
-        let mut buckets = self.buckets.write();
+        let mut buckets = self.buckets_mut();
         let objects = &mut buckets.get_mut(bucket)?.objects;
         Some(objects.entry(key.to_string()).or_insert(made).clone())
     }
 
     /// Lists the keys of a bucket in sorted order.
     pub fn list_bucket(&self, bucket: &str) -> Vec<String> {
-        self.buckets
-            .read()
+        self.buckets()
             .get(bucket)
             .map(|bucket| bucket.objects.keys().cloned().collect())
             .unwrap_or_default()
@@ -120,8 +126,7 @@ impl ObjectStore {
 
     /// Total bytes stored across all buckets.
     pub fn total_bytes(&self) -> usize {
-        self.buckets
-            .read()
+        self.buckets()
             .values()
             .flat_map(|bucket| bucket.objects.values())
             .map(SharedBytes::len)
@@ -192,8 +197,7 @@ impl RemoteService for ObjectStore {
             }
             Method::Delete => {
                 let removed = self
-                    .buckets
-                    .write()
+                    .buckets_mut()
                     .get_mut(&bucket)
                     .and_then(|bucket| bucket.objects.remove(&key))
                     .is_some();

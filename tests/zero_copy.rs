@@ -3,7 +3,7 @@
 //! outputs as views of the producer's buffer (`Arc`-identity, not just
 //! equal bytes).
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
@@ -13,7 +13,6 @@ use dandelion_common::{
 };
 use dandelion_core::{default_test_services, WorkerNode};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
-use parking_lot::Mutex;
 
 const PAYLOAD_BYTES: usize = 1024 * 1024;
 
@@ -55,7 +54,7 @@ fn capturing_relay(name: &str, seen: Arc<Mutex<Vec<SharedBytes>>>) -> FunctionAr
     FunctionArtifact::new(name, &["Out"], move |ctx: &mut FunctionCtx| {
         let items = ctx.input_set("Items").ok_or("missing Items")?.clone();
         for item in &items.items {
-            seen.lock().push(item.data.clone());
+            seen.lock().unwrap().push(item.data.clone());
             ctx.push_output("Out", item.clone())?;
         }
         Ok(())
@@ -87,7 +86,7 @@ fn client_input_reaches_the_function_without_copying() {
     )];
     let outcome = worker.invoke("Identity", inputs).unwrap();
 
-    let seen = seen.lock();
+    let seen = seen.lock().unwrap();
     assert_eq!(seen.len(), 1);
     assert!(
         SharedBytes::same_buffer(&seen[0], &payload),
@@ -118,7 +117,7 @@ fn a_requeued_task_still_sees_the_submitted_buffers() {
         .register_function(
             FunctionArtifact::new("Relay", &["Out"], move |ctx: &mut FunctionCtx| {
                 let item = ctx.inputs()[0].items[0].clone();
-                let mut seen = seen_by_fn.lock();
+                let mut seen = seen_by_fn.lock().unwrap();
                 seen.push(item.data.clone());
                 if seen.len() == 2 {
                     // The retry: let this one be delivered.
@@ -148,7 +147,7 @@ fn a_requeued_task_still_sees_the_submitted_buffers() {
     let outcome = outcome.unwrap();
 
     assert_eq!(worker.compute_pool().engine_deaths(), 1);
-    let seen = seen.lock();
+    let seen = seen.lock().unwrap();
     assert_eq!(seen.len(), 2, "one attempt that died, one retry");
     for (attempt, received) in seen.iter().enumerate() {
         assert!(
@@ -179,7 +178,7 @@ fn composition_edges_share_the_producers_buffers() {
                 let count = ctx.single_input("Spec")?.as_str().unwrap_or("0").len();
                 for index in 0..count {
                     let payload = SharedBytes::from_vec(vec![index as u8; PAYLOAD_BYTES]);
-                    produced_for_fn.lock().push(payload.clone());
+                    produced_for_fn.lock().unwrap().push(payload.clone());
                     ctx.push_output("Out", DataItem::new(format!("p{index}"), payload))?;
                 }
                 Ok(())
@@ -204,8 +203,8 @@ fn composition_edges_share_the_producers_buffers() {
         .invoke("FanOut", vec![DataSet::single("Spec", b"xxx".to_vec())])
         .unwrap();
 
-    let produced = produced.lock();
-    let relayed = relayed.lock();
+    let produced = produced.lock().unwrap();
+    let relayed = relayed.lock().unwrap();
     assert_eq!(produced.len(), 3);
     assert_eq!(relayed.len(), 3);
     for received in relayed.iter() {
@@ -252,7 +251,7 @@ fn builder_frozen_payloads_reach_outputs_without_copying() {
                     written_ptr,
                     "freeze must reuse the builder's allocation"
                 );
-                frozen_for_fn.lock().push(payload.clone());
+                frozen_for_fn.lock().unwrap().push(payload.clone());
                 ctx.push_output("Out", DataItem::new("built", payload))
             })
             .with_memory_requirement(64 * 1024 * 1024),
@@ -266,7 +265,7 @@ fn builder_frozen_payloads_reach_outputs_without_copying() {
     let outcome = worker
         .invoke("Build", vec![DataSet::single("In", b"go".to_vec())])
         .unwrap();
-    let frozen = frozen.lock();
+    let frozen = frozen.lock().unwrap();
     assert_eq!(frozen.len(), 1);
     assert!(
         SharedBytes::same_buffer(&outcome.outputs[0].items[0].data, &frozen[0]),
