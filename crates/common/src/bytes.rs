@@ -813,6 +813,8 @@ mod tests {
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         assert_eq!(builder.as_slice(), b"kept");
         // A filler's own failure leaves the length alone too.
+        // SAFETY: the filler fails, reporting no count, so it owes no
+        // written slot.
         let error =
             unsafe { builder.read_with(8, |_| Err(io::ErrorKind::WouldBlock.into())) }.unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::WouldBlock);

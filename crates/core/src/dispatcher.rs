@@ -44,6 +44,7 @@
 //! table, linked to the parent instance that spawned them; a child's
 //! completion flows back into the parent exactly like an engine result.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -311,6 +312,25 @@ struct Effects {
     settles: usize,
 }
 
+thread_local! {
+    /// This thread's spare [`Effects`]: empty, its lists as long as an
+    /// earlier call on the thread grew them.
+    static SPARE_EFFECTS: Cell<Effects> = Cell::new(Effects::default());
+}
+
+impl Effects {
+    /// Empty effects whose lists keep what this thread's last call grew them
+    /// to, so a steady stream of submissions and batches allocates none.
+    fn reused() -> Effects {
+        SPARE_EFFECTS.try_with(Cell::take).unwrap_or_default()
+    }
+
+    /// Gives applied — so empty — effects back for this thread's next call.
+    fn recycle(self) {
+        let _ = SPARE_EFFECTS.try_with(|spare| spare.set(self));
+    }
+}
+
 /// Work one table call still has to apply to another entry: a child
 /// invocation cannot be registered, nor its outcome folded into its parent,
 /// while the entry that caused it is borrowed.
@@ -368,9 +388,9 @@ impl Launcher {
                 report.compute_tasks += 1;
                 TaskPayload::Compute {
                     artifact,
-                    // The one place a task's inputs are built; from here on
-                    // they are shared, never cloned.
-                    inputs: spec.inputs.into(),
+                    // The dataflow built the inputs in their shared form;
+                    // from here on they are shared, never cloned.
+                    inputs: spec.inputs,
                     cold_binary: draw_cold_binary(&mut self.cold_draws, self.cold_ratio),
                     timeout: self.function_timeout,
                 }
@@ -382,7 +402,7 @@ impl Launcher {
                     .first()
                     .map_or_else(|| "Response".to_string(), |output| output.set.clone());
                 TaskPayload::Http {
-                    inputs: spec.inputs.into(),
+                    inputs: spec.inputs,
                     response_set,
                 }
             }
@@ -394,7 +414,13 @@ impl Launcher {
                     node: spec.node,
                     instance: spec.instance,
                 };
-                work.push_back(Work::Spawn(parent, nested, spec.inputs));
+                // The spec's list is the only one, so its sets move out.
+                let mut inputs = spec.inputs;
+                let inputs = match Arc::get_mut(&mut inputs) {
+                    Some(sets) => sets.iter_mut().map(std::mem::take).collect(),
+                    None => inputs.to_vec(),
+                };
+                work.push_back(Work::Spawn(parent, nested, inputs));
                 return Ok(());
             }
         };
@@ -488,9 +514,9 @@ impl InFlight {
 
     /// Applies one engine's batch. Results for ids the table does not hold
     /// (abandoned or already handed over) are dropped.
-    fn complete(&mut self, results: Vec<TaskResult>, now: Instant, effects: &mut Effects) {
+    fn complete(&mut self, results: &mut Vec<TaskResult>, now: Instant, effects: &mut Effects) {
         let mut work = VecDeque::new();
-        for result in results {
+        for result in results.drain(..) {
             self.advance(
                 result.invocation,
                 Some((result, None)),
@@ -510,7 +536,8 @@ impl InFlight {
     /// `wait(None)` callers blocked forever.
     fn reap(&mut self, now: Instant, effects: &mut Effects) {
         let deadline = self.stall_deadline;
-        let stalled = DandelionError::Dispatch("timed out waiting for engine results".to_string());
+        let stalled =
+            || DandelionError::Dispatch("timed out waiting for engine results".to_string());
         self.fail_running(stalled, now, effects, |entry| {
             now.saturating_duration_since(entry.last_progress) > deadline
         });
@@ -521,13 +548,14 @@ impl InFlight {
     /// refuses every later submission.
     fn cancel_all(&mut self, now: Instant, effects: &mut Effects) {
         self.shutting_down = true;
-        self.fail_running(DandelionError::Cancelled, now, effects, |_| true);
+        self.fail_running(|| DandelionError::Cancelled, now, effects, |_| true);
     }
 
-    /// Settles every running entry `pick` selects with `error`.
+    /// Settles every running entry `pick` selects with `error()`, which is
+    /// not called when it selects none.
     fn fail_running(
         &mut self,
-        error: DandelionError,
+        error: impl Fn() -> DandelionError,
         now: Instant,
         effects: &mut Effects,
         pick: impl Fn(&Entry) -> bool,
@@ -540,7 +568,7 @@ impl InFlight {
             .collect();
         let mut work = VecDeque::new();
         for id in picked {
-            self.settle(id, Err(error.clone()), now, effects, &mut work);
+            self.settle(id, Err(error()), now, effects, &mut work);
         }
         self.run(&mut work, now, effects);
     }
@@ -702,7 +730,7 @@ impl InFlight {
         // above), so no engine task or child invocation of this one is
         // outstanding.
         if dataflow.is_complete() {
-            let outcome = dataflow.external_outputs();
+            let outcome = dataflow.take_external_outputs();
             self.settle(id, outcome, now, effects, work);
         }
     }
@@ -835,10 +863,11 @@ impl Core {
 
     /// Applies an engine's batch at `now`: the table under its lock, then the
     /// effects outside it, on the calling thread.
-    fn complete(&self, results: Vec<TaskResult>, now: Instant) {
-        let mut effects = Effects::default();
+    fn complete(&self, results: &mut Vec<TaskResult>, now: Instant) {
+        let mut effects = Effects::reused();
         self.lock().complete(results, now, &mut effects);
         self.apply(&mut effects, now);
+        effects.recycle();
     }
 
     /// Applies `effects` outside the lock: evaluates the settle failpoint,
@@ -855,7 +884,7 @@ impl Core {
             if std::mem::take(&mut effects.wake) {
                 self.settled.notify_all();
             }
-            let refused: Vec<TaskResult> = effects
+            let mut refused: Vec<TaskResult> = effects
                 .tasks
                 .drain(..)
                 .filter_map(|task| self.push(task).err())
@@ -868,7 +897,7 @@ impl Core {
                 return refused_any;
             }
             refused_any = true;
-            self.lock().complete(refused, now, effects);
+            self.lock().complete(&mut refused, now, effects);
         }
     }
 
@@ -897,9 +926,11 @@ impl Core {
         inputs: Vec<DataSet>,
         now: Instant,
     ) -> DandelionResult<InvocationHandle> {
-        let mut effects = Effects::default();
+        let mut effects = Effects::reused();
         let (id, terminal) = self.lock().submit(graph, inputs, now, &mut effects)?;
-        if self.apply(&mut effects, now) {
+        let refused = self.apply(&mut effects, now);
+        effects.recycle();
+        if refused {
             let mut table = self.lock();
             if let Some(Progress::Settled(Err(DandelionError::ResourceExhausted(_)))) =
                 table.entries.get(&id).map(|entry| &entry.progress)
@@ -1505,14 +1536,14 @@ mod tests {
                 context_high_water: high_water,
                 modeled_latency: Duration::ZERO,
             };
-            task.reply.send(vec![result]);
+            task.reply.send(&mut vec![result]);
         }
 
         /// What an engine's sink does with each batch waiting on the
         /// channel, at the rig's clock.
         fn deliver(&mut self) {
-            while let Ok(batch) = self.results.try_recv() {
-                self.core.complete(batch, self.now);
+            while let Ok(mut batch) = self.results.try_recv() {
+                self.core.complete(&mut batch, self.now);
             }
         }
 

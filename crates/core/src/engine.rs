@@ -408,20 +408,23 @@ fn execute_inflight(executor: &EngineExecutor, inflight: &mut Vec<Task>, task: T
 /// The engine thread body: pull, execute under supervision, coalesce,
 /// reply, until the engine takes a stop ticket. The reply applies the batch
 /// to the dispatcher's table on this thread (see
-/// [`crate::task::ReplySender`]). Each task popped is moved into `inflight`
+/// [`crate::task::ReplySender`]), and hands the batch list back empty for
+/// the next one. Each task popped is moved into `inflight`
 /// until its result is delivered, so a requeue hands on the very task that
 /// was popped — inputs, artifact and reply sink — without a clone.
 fn run_engine(executor: &EngineExecutor, queue: &TaskQueue, inflight: &mut Vec<Task>) {
+    let mut batch = Vec::new();
     while let Some(task) = queue.next() {
         // A task whose engine died twice: answered here, by a thread that is
         // not unwinding, without running it and past the reply failpoints,
         // so that it fails exactly once.
         if let TaskPayload::Faulted { .. } = task.payload {
-            task.reply.send(vec![executor.execute(&task)]);
+            batch.push(executor.execute(&task));
+            task.reply.send(&mut batch);
             continue;
         }
         let invocation = task.invocation;
-        let mut batch = vec![execute_inflight(executor, inflight, task)];
+        batch.push(execute_inflight(executor, inflight, task));
         // Coalesce: execute the same invocation's tasks queued next and reply
         // with one batch. The id alone decides: ids are process-unique
         // (`InvocationId::next`) and every task of an invocation carries its
@@ -442,7 +445,7 @@ fn run_engine(executor: &EngineExecutor, queue: &TaskQueue, inflight: &mut Vec<T
         // Applies the batch to the table and what it causes — successor
         // tasks, settle callbacks — on this thread. A result for an
         // invocation the table no longer holds is dropped there.
-        inflight[0].reply.send(batch);
+        inflight[0].reply.send(&mut batch);
         inflight.clear();
         // Chaos hook: a panic here dies *after* delivery — the respawn
         // keeps the pool size, and nothing is requeued.
@@ -520,7 +523,7 @@ impl EnginePool {
         let leftovers = self.queue.lock().shutdown();
         for task in leftovers {
             task.reply
-                .send(vec![task.failed(DandelionError::Cancelled)]);
+                .send(&mut vec![task.failed(DandelionError::Cancelled)]);
         }
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! The frontend is transport-agnostic: it maps [`HttpRequest`]s to worker
 //! operations and produces [`HttpResponse`]s. Examples and tests drive it
-//! directly; a deployment would put a socket listener in front of it.
-//! Request targets are parsed with [`dandelion_http::Uri`] (absolute-form
-//! and origin-form both work); query strings are rejected on every endpoint.
+//! directly; the server in front of it hands it each request as the frame
+//! its decoder cut ([`Frontend::begin_frame`]), read in place. Request
+//! targets are parsed with [`dandelion_http::UriRef`] (absolute-form and
+//! origin-form both work); query strings are rejected on every endpoint.
 //!
 //! # v1 JSON API
 //!
@@ -44,9 +45,10 @@
 use std::sync::{Arc, RwLock};
 
 use dandelion_common::{
-    BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, JsonValue,
+    utf8_lossy, BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, JsonValue,
+    SharedBytes,
 };
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode, Uri};
+use dandelion_http::{HttpRequest, HttpResponse, Method, RequestFrame, StatusCode, UriRef};
 use dandelion_isolation::output_parser;
 
 use crate::dispatcher::{InvocationHandle, InvocationOutcome, InvocationSnapshot};
@@ -59,47 +61,57 @@ pub const SET_LIST_CONTENT_TYPE: &str = "application/x-dandelion-sets";
 /// Content type for JSON documents.
 const JSON_CONTENT_TYPE: &str = "application/json";
 
-/// The typed routes of the frontend, as resolved by [`Route::resolve`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Route {
+/// The typed routes of the frontend, as resolved by [`Route::resolve`]; a
+/// name is a view of the request target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route<'a> {
     Health,
     ListCompositions,
     RegisterComposition,
     Stats,
     Drain,
-    InvokeSync(String),
-    SubmitInvocation(String),
-    PollInvocation(String),
+    InvokeSync(&'a str),
+    SubmitInvocation(&'a str),
+    PollInvocation(&'a str),
 }
 
-impl Route {
-    /// Resolves a method and an already-parsed URI path to a route.
-    fn resolve(method: Method, path: &str) -> Result<Route, HttpResponse> {
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        let route = match (method, segments.as_slice()) {
+impl<'a> Route<'a> {
+    /// Resolves a method and an already-parsed target to a route. Empty
+    /// segments (`//`, a trailing `/`) are skipped; no route has more than
+    /// three segments.
+    fn resolve(method: Method, uri: &UriRef<'a>) -> Result<Route<'a>, HttpResponse> {
+        let mut slots = [""; 3];
+        let route = match (method, uri.segments(&mut slots).unwrap_or_default()) {
             (Method::Get, ["healthz"]) => Route::Health,
             (Method::Get, ["v1", "compositions"]) => Route::ListCompositions,
             (Method::Post, ["v1", "compositions"]) => Route::RegisterComposition,
             (Method::Get, ["v1", "stats"]) => Route::Stats,
             (Method::Post, ["v1", "drain"]) => Route::Drain,
-            (Method::Post, ["v1", "invoke", name]) if !name.is_empty() => {
-                Route::InvokeSync((*name).to_string())
-            }
-            (Method::Post, ["v1", "invocations", name]) if !name.is_empty() => {
-                Route::SubmitInvocation((*name).to_string())
-            }
-            (Method::Get, ["v1", "invocations", id]) if !id.is_empty() => {
-                Route::PollInvocation((*id).to_string())
-            }
+            (Method::Post, ["v1", "invoke", name]) => Route::InvokeSync(name),
+            (Method::Post, ["v1", "invocations", name]) => Route::SubmitInvocation(name),
+            (Method::Get, ["v1", "invocations", id]) => Route::PollInvocation(id),
             _ => {
                 return Err(error_response(&DandelionError::NotFound {
                     kind: "endpoint",
-                    name: path.to_string(),
+                    name: uri.path.to_string(),
                 }))
             }
         };
         Ok(route)
     }
+}
+
+/// What the frontend reads of a request, borrowed from wherever it arrived:
+/// a structured [`HttpRequest`] ([`Frontend::begin`]) or the frame a server
+/// decoded ([`Frontend::begin_frame`]). Both are served by
+/// [`Frontend::serve`], so they cannot route differently.
+struct Parts<'a> {
+    method: Method,
+    /// The request target as text.
+    target: &'a str,
+    /// The first `Content-Type` value; empty when there is none.
+    content_type: &'a str,
+    body: &'a SharedBytes,
 }
 
 /// A named provider of extra key/value pairs merged into the `/v1/stats`
@@ -177,18 +189,46 @@ impl Frontend {
     /// completes immediately; the sync invoke is submitted and returned as
     /// [`FrontendReply::Pending`] for the caller to await however it wants.
     pub fn begin(&self, request: &HttpRequest) -> FrontendReply {
-        let Some(uri) = Uri::parse(&request.target) else {
+        self.serve(&Parts {
+            method: request.method,
+            target: &request.target,
+            content_type: request.headers.get("content-type").unwrap_or(""),
+            body: &request.body,
+        })
+    }
+
+    /// [`Frontend::begin`] for a request as a server's decoder framed it,
+    /// read in place: the target, the `Content-Type` value and the body are
+    /// views of the received bytes (text only where they are not UTF-8), so
+    /// routing builds no [`HttpRequest`]. It answers what `begin` answers
+    /// for [`RequestFrame::to_request`] of the same frame.
+    pub fn begin_frame(&self, frame: &RequestFrame) -> FrontendReply {
+        let target = utf8_lossy(frame.target());
+        let content_type = frame.header("content-type").map(utf8_lossy);
+        self.serve(&Parts {
+            method: frame.method(),
+            target: &target,
+            content_type: content_type.as_deref().unwrap_or(""),
+            body: &frame.body(),
+        })
+    }
+
+    /// Routes one request and answers it, or submits the synchronous
+    /// invocation it asks for. The target is matched in place, whatever its
+    /// form: routing copies nothing out of it.
+    fn serve(&self, request: &Parts<'_>) -> FrontendReply {
+        let Some(uri) = UriRef::parse(request.target) else {
             return FrontendReply::Ready(error_response(&DandelionError::InvalidRequest(format!(
                 "unparseable request target `{}`",
                 request.target
             ))));
         };
-        if let Some(query) = &uri.query {
+        if let Some(query) = uri.query {
             return FrontendReply::Ready(error_response(&DandelionError::InvalidRequest(format!(
                 "query strings are not accepted (got `?{query}`)"
             ))));
         }
-        let route = match Route::resolve(request.method, &uri.path) {
+        let route = match Route::resolve(request.method, &uri) {
             Ok(route) => route,
             Err(response) => return FrontendReply::Ready(response),
         };
@@ -207,14 +247,14 @@ impl Frontend {
             Route::RegisterComposition => self.register_composition(request),
             Route::Stats => self.stats(),
             Route::Drain => self.drain(),
-            Route::InvokeSync(name) => return self.invoke_sync(&name, request),
-            Route::SubmitInvocation(name) => self.submit_invocation(&name, request),
-            Route::PollInvocation(id) => self.poll_invocation(&id),
+            Route::InvokeSync(name) => return self.invoke_sync(name, request),
+            Route::SubmitInvocation(name) => self.submit_invocation(name, request),
+            Route::PollInvocation(id) => self.poll_invocation(id),
         })
     }
 
-    fn register_composition(&self, request: &HttpRequest) -> HttpResponse {
-        let source = request.body_str();
+    fn register_composition(&self, request: &Parts<'_>) -> HttpResponse {
+        let source = utf8_lossy(request.body);
         match self.worker.register_composition_dsl(&source) {
             Ok(name) => json_response(
                 StatusCode::CREATED,
@@ -289,7 +329,7 @@ impl Frontend {
 
     /// `POST /v1/invocations/{name}`: submit and return `202 Accepted` with
     /// the invocation id; the client polls `GET /v1/invocations/{id}`.
-    fn submit_invocation(&self, name: &str, request: &HttpRequest) -> HttpResponse {
+    fn submit_invocation(&self, name: &str, request: &Parts<'_>) -> HttpResponse {
         let inputs = match self.decode_inputs(name, request) {
             Ok(inputs) => inputs,
             Err(response) => return response,
@@ -330,7 +370,7 @@ impl Frontend {
     /// invocation is *submitted* here; how to wait is the caller's choice
     /// (see [`FrontendReply::Pending`]), so an event-loop server never parks
     /// a thread on it.
-    fn invoke_sync(&self, name: &str, request: &HttpRequest) -> FrontendReply {
+    fn invoke_sync(&self, name: &str, request: &Parts<'_>) -> FrontendReply {
         let inputs = match self.decode_inputs(name, request) {
             Ok(inputs) => inputs,
             Err(response) => return FrontendReply::Ready(response),
@@ -344,13 +384,12 @@ impl Frontend {
     fn decode_inputs(
         &self,
         composition: &str,
-        request: &HttpRequest,
+        request: &Parts<'_>,
     ) -> Result<Vec<DataSet>, HttpResponse> {
-        let content_type = request.headers.get("content-type").unwrap_or("");
-        if is_set_list(content_type) {
+        if is_set_list(request.content_type) {
             // Zero-copy: input items are views of the request's receive
             // buffer, not copies of each payload.
-            return output_parser::parse_outputs_shared(&request.body)
+            return output_parser::parse_outputs_shared(request.body)
                 .map_err(|err| error_response(&err));
         }
         // Raw body → single item of the composition's first external input;
@@ -731,7 +770,7 @@ mod tests {
             "Input",
             vec![DataItem::new("text", b"mixed Case".to_vec())],
         )];
-        let post = |endpoint: &str, body: Vec<u8>, content_type: &str| {
+        let post = |endpoint: &str, body: Vec<u8>, content_type: &'static str| {
             let target = format!("http://worker/v1/{endpoint}/Shout");
             frontend
                 .handle(&HttpRequest::post(target, body).with_header("Content-Type", content_type))

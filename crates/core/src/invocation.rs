@@ -8,11 +8,12 @@
 //! failure handling (§4.4) — live here and nowhere else.
 //!
 //! The state addresses data by position: a node counts the producers it
-//! still waits for, its merged outputs sit in a list indexed like the
-//! node's declared outputs, and names are read from the shared
-//! [`CompositionGraph`], never copied per invocation.
+//! still waits for, its merged outputs are the sets its instances returned,
+//! and names are read from the shared [`CompositionGraph`]. What a node
+//! returns moves on: a single instance's sets become the node's outputs
+//! as they are, and a settled invocation hands its outputs over instead of
+//! copying them.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dandelion_common::{DandelionError, DandelionResult, DataItem, DataSet, InvocationId};
@@ -31,8 +32,9 @@ pub struct InstanceSpec<'g> {
     /// The vertex name (compute function, communication function, or nested
     /// composition).
     pub vertex: &'g str,
-    /// Materialized input sets, named after the node's declared input sets.
-    pub inputs: Vec<DataSet>,
+    /// Materialized input sets, named after the node's declared input sets,
+    /// in one shared list (an engine task holds it as it is).
+    pub inputs: Arc<[DataSet]>,
     /// The node's declared outputs, in declaration order.
     pub output_sets: &'g [NodeOutput],
 }
@@ -71,9 +73,9 @@ struct NodeState {
     instances: usize,
     /// Instances that completed so far.
     finished: usize,
-    /// Merged output items, indexed like the node's declared outputs; empty
-    /// until the node completes.
-    outputs: Vec<Vec<DataItem>>,
+    /// The sets the node's instances returned, instance by instance merged
+    /// by name and only those the node declares; empty until it completes.
+    outputs: Vec<DataSet>,
     /// Per-instance results while the node is running.
     partial: Vec<Option<Vec<DataSet>>>,
 }
@@ -83,8 +85,9 @@ struct NodeState {
 pub struct InvocationState {
     id: InvocationId,
     graph: Arc<CompositionGraph>,
-    /// The client's items, indexed like the graph's external inputs.
-    external_inputs: Vec<Vec<DataItem>>,
+    /// The client's sets, as given; each is one of the graph's external
+    /// inputs.
+    inputs: Vec<DataSet>,
     nodes: Vec<NodeState>,
     /// Nodes that have neither completed nor been skipped.
     unsettled: usize,
@@ -100,7 +103,7 @@ impl InvocationState {
     pub fn new(
         id: InvocationId,
         graph: Arc<CompositionGraph>,
-        mut inputs: Vec<DataSet>,
+        inputs: Vec<DataSet>,
     ) -> DandelionResult<Self> {
         for provided in &inputs {
             if !graph.external_inputs.contains(&provided.name) {
@@ -110,23 +113,12 @@ impl InvocationState {
                 )));
             }
         }
-        let external_inputs = graph
-            .external_inputs
-            .iter()
-            .map(|name| {
-                inputs
-                    .iter_mut()
-                    .find(|set| &set.name == name)
-                    .map(|set| std::mem::take(&mut set.items))
-                    .unwrap_or_default()
-            })
-            .collect();
         let nodes: Vec<NodeState> = graph
             .nodes
             .iter()
             .map(|node| NodeState {
                 status: NodeStatus::Waiting,
-                pending: node.dependencies().len(),
+                pending: node.dependency_count(),
                 instances: 0,
                 finished: 0,
                 outputs: Vec::new(),
@@ -137,7 +129,7 @@ impl InvocationState {
             id,
             unsettled: nodes.len(),
             graph,
-            external_inputs,
+            inputs,
             nodes,
             error: None,
         })
@@ -189,40 +181,32 @@ impl InvocationState {
         let mut progressed = true;
         while progressed {
             progressed = false;
-            for (index, node) in graph.nodes.iter().enumerate() {
+            for index in 0..graph.nodes.len() {
                 let state = &self.nodes[index];
                 if state.status != NodeStatus::Waiting || state.pending > 0 {
                     continue;
                 }
                 progressed = true;
-                let instances = node_instances(graph, &self.external_inputs, &self.nodes, index)?;
+                let before = ready.len();
+                let runs =
+                    push_instances(graph, &mut self.inputs, &mut self.nodes, index, &mut ready)?;
+                let instances = ready.len() - before;
                 let state = &mut self.nodes[index];
-                match instances {
-                    Some(instances) if !instances.is_empty() => {
-                        state.status = NodeStatus::Running;
-                        state.instances = instances.len();
-                        state.partial = vec![None; instances.len()];
-                        ready.extend(instances.into_iter().enumerate().map(
-                            |(instance, inputs)| InstanceSpec {
-                                node: index,
-                                instance,
-                                vertex: &node.vertex,
-                                inputs,
-                                output_sets: &node.outputs,
-                            },
-                        ));
-                    }
+                if runs && instances > 0 {
+                    state.status = NodeStatus::Running;
+                    state.instances = instances;
+                    state.partial = vec![None; instances];
+                } else {
                     // Nothing to run: the node is skipped, or — e.g. an `each`
                     // over an empty optional set — completes with empty
                     // outputs. Either way its consumers stop waiting for it.
-                    settled => {
-                        state.status = match settled {
-                            Some(_) => NodeStatus::Completed,
-                            None => NodeStatus::Skipped,
-                        };
-                        self.unsettled -= 1;
-                        release_consumers(graph, &mut self.nodes, index);
-                    }
+                    state.status = if runs {
+                        NodeStatus::Completed
+                    } else {
+                        NodeStatus::Skipped
+                    };
+                    self.unsettled -= 1;
+                    release_consumers(graph, &mut self.nodes, index);
                 }
             }
         }
@@ -275,24 +259,33 @@ impl InvocationState {
         if state.finished < state.instances {
             return Ok(InstanceCompletion::Pending);
         }
-        // Merge instance outputs per declared output set, instance order.
-        // The items move; a set no instance appended to before is taken whole.
+        // Merge instance outputs by set name, in instance order: the items
+        // move, and a single instance's sets are the node's outputs as they
+        // are. A set the node does not declare is nobody's input.
         let declared = &self.graph.nodes[node].outputs;
-        let mut merged = vec![Vec::new(); declared.len()];
-        for set in std::mem::take(&mut state.partial)
-            .into_iter()
-            .flatten()
-            .flatten()
-        {
-            if let Some(position) = declared.iter().position(|output| output.set == set.name) {
-                let target: &mut Vec<DataItem> = &mut merged[position];
-                if target.is_empty() {
-                    *target = set.items;
-                } else {
-                    target.extend(set.items);
+        let mut instances = std::mem::take(&mut state.partial).into_iter().flatten();
+        let mut merged = instances.next().unwrap_or_default();
+        // A set an instance returned twice is one set, in return order.
+        let mut index = 0;
+        while index < merged.len() {
+            match merged[..index]
+                .iter()
+                .position(|earlier| earlier.name == merged[index].name)
+            {
+                Some(first) => {
+                    let set = merged.remove(index);
+                    merged[first].items.extend(set.items);
                 }
+                None => index += 1,
             }
         }
+        for set in instances.flatten() {
+            match merged.iter_mut().find(|merged| merged.name == set.name) {
+                Some(target) => target.items.extend(set.items),
+                None => merged.push(set),
+            }
+        }
+        merged.retain(|set| declared.iter().any(|output| output.set == set.name));
         state.outputs = merged;
         state.status = NodeStatus::Completed;
         self.unsettled -= 1;
@@ -300,8 +293,10 @@ impl InvocationState {
         Ok(InstanceCompletion::NodeFinished)
     }
 
-    /// Assembles the composition's external outputs once complete.
-    pub fn external_outputs(&self) -> DandelionResult<Vec<DataSet>> {
+    /// Hands over the composition's external outputs once complete: the
+    /// items move out of the state, so a second call finds them gone. A set
+    /// that two output bindings publish is cloned for the earlier one.
+    pub fn take_external_outputs(&mut self) -> DandelionResult<Vec<DataSet>> {
         if let Some(error) = &self.error {
             return Err(error.clone());
         }
@@ -310,14 +305,27 @@ impl InvocationState {
                 "invocation is not complete yet".to_string(),
             ));
         }
-        Ok(self
-            .graph
-            .output_bindings
+        let bindings = &self.graph.output_bindings;
+        Ok(bindings
             .iter()
-            .map(|binding| DataSet {
-                name: binding.name.clone(),
-                items: produced_items(&self.graph, &self.nodes, binding.node, &binding.set)
-                    .to_vec(),
+            .enumerate()
+            .map(|(index, binding)| {
+                let published_again = bindings[index + 1..]
+                    .iter()
+                    .any(|later| later.node == binding.node && later.set == binding.set);
+                let items = self.nodes[binding.node]
+                    .outputs
+                    .iter_mut()
+                    .find(|set| set.name == binding.set)
+                    .map(|set| &mut set.items);
+                DataSet {
+                    name: binding.name.clone(),
+                    items: match items {
+                        Some(items) if published_again => items.clone(),
+                        Some(items) => std::mem::take(items),
+                        None => Vec::new(),
+                    },
+                }
             })
             .collect())
     }
@@ -338,75 +346,138 @@ fn release_consumers(graph: &CompositionGraph, nodes: &mut [NodeState], settled:
 
 /// The merged items `producer` published as `set` (none if it was skipped or
 /// declares no such set).
-fn produced_items<'a>(
-    graph: &CompositionGraph,
-    nodes: &'a [NodeState],
-    producer: usize,
-    set: &str,
-) -> &'a [DataItem] {
-    graph.nodes[producer]
+fn produced_items<'a>(nodes: &'a [NodeState], producer: usize, set: &str) -> &'a [DataItem] {
+    nodes[producer]
         .outputs
         .iter()
-        .position(|output| output.set == set)
-        .and_then(|position| nodes[producer].outputs.get(position))
-        .map_or(&[], Vec::as_slice)
+        .find(|output| output.name == set)
+        .map_or(&[], |output| output.items.as_slice())
 }
 
 /// The items a binding of a ready node reads; `None` if the binding names an
 /// external input the graph does not declare.
 fn source_items<'a>(
     graph: &CompositionGraph,
-    external_inputs: &'a [Vec<DataItem>],
+    inputs: &'a [DataSet],
     nodes: &'a [NodeState],
     binding: &NodeInput,
 ) -> Option<&'a [DataItem]> {
     match &binding.source {
-        InputSource::External { name } => graph
-            .external_inputs
-            .iter()
-            .position(|declared| declared == name)
-            .map(|position| external_inputs[position].as_slice()),
-        InputSource::Node { node, set } => Some(produced_items(graph, nodes, *node, set)),
+        InputSource::External { name } => graph.external_inputs.contains(name).then(|| {
+            inputs
+                .iter()
+                .find(|set| &set.name == name)
+                .map_or(&[][..], |set| set.items.as_slice())
+        }),
+        InputSource::Node { node, set } => Some(produced_items(nodes, *node, set)),
     }
 }
 
-/// The per-instance input sets of a node whose producers have all settled,
-/// or `None` if the node must be skipped because a required set is empty
-/// (paper §4.4).
-fn node_instances(
-    graph: &CompositionGraph,
-    external_inputs: &[Vec<DataItem>],
-    nodes: &[NodeState],
+/// Pushes onto `ready` the instances of a node whose producers have all
+/// settled; `false` if the node must be skipped because a required set is
+/// empty (paper §4.4). A source only this node reads — the fan-out binding's
+/// if the node has one, else the first such binding's — is moved into the
+/// instances' inputs instead of being copied.
+fn push_instances<'g>(
+    graph: &'g CompositionGraph,
+    inputs: &mut [DataSet],
+    nodes: &mut [NodeState],
     index: usize,
-) -> DandelionResult<Option<Vec<Vec<DataSet>>>> {
+    ready: &mut Vec<InstanceSpec<'g>>,
+) -> DandelionResult<bool> {
     let node = &graph.nodes[index];
-    let mut sources = Vec::with_capacity(node.inputs.len());
+    let mut must_skip = false;
     for binding in &node.inputs {
-        let Some(items) = source_items(graph, external_inputs, nodes, binding) else {
+        let Some(items) = source_items(graph, inputs, nodes, binding) else {
             return Err(DandelionError::Dispatch(format!(
                 "node {index} considered ready but an input was unavailable"
             )));
         };
-        sources.push(items);
+        must_skip |= items.is_empty() && !binding.optional;
     }
-    let must_skip = node
+    if must_skip {
+        return Ok(false);
+    }
+    let fanout = node
         .inputs
         .iter()
-        .zip(&sources)
-        .any(|(binding, items)| !binding.optional && items.is_empty());
-    if must_skip {
-        return Ok(None);
+        .position(|binding| binding.distribution != Distribution::All);
+    let taken = match fanout {
+        Some(position) => {
+            Some(position).filter(|&position| readers(graph, &node.inputs[position].source) == 1)
+        }
+        None => node
+            .inputs
+            .iter()
+            .position(|binding| readers(graph, &binding.source) == 1),
     }
-    expand_instances(node, &sources).map(Some)
+    .map(|position| {
+        let items = match &node.inputs[position].source {
+            InputSource::External { name } => inputs
+                .iter_mut()
+                .find(|set| &set.name == name)
+                .map(|set| &mut set.items),
+            InputSource::Node { node, set } => nodes[*node]
+                .outputs
+                .iter_mut()
+                .find(|output| &output.name == set)
+                .map(|output| &mut output.items),
+        };
+        (position, items.map(std::mem::take).unwrap_or_default())
+    });
+    let (inputs, nodes) = (&*inputs, &*nodes);
+    let items =
+        |binding: &NodeInput| source_items(graph, inputs, nodes, binding).unwrap_or_default();
+    expand_instances(node, items, taken, |instance, inputs| {
+        ready.push(InstanceSpec {
+            node: index,
+            instance,
+            vertex: &node.vertex,
+            inputs,
+            output_sets: &node.outputs,
+        })
+    })?;
+    Ok(true)
 }
 
-/// Expands a node's source items into per-instance input sets according to
-/// the distribution keywords, each set renamed to the function-facing input
-/// set name.
-fn expand_instances(
+/// The group of an item under `key` distribution: its key, the empty string
+/// for none.
+fn group_key(item: &DataItem) -> &str {
+    item.key.as_deref().unwrap_or_default()
+}
+
+/// How many bindings read `source`: node inputs, and for a node's set the
+/// composition's output bindings too.
+fn readers(graph: &CompositionGraph, source: &InputSource) -> usize {
+    let by_nodes = graph
+        .nodes
+        .iter()
+        .flat_map(|node| &node.inputs)
+        .filter(|binding| &binding.source == source)
+        .count();
+    let by_outputs = match source {
+        InputSource::Node { node, set } => graph
+            .output_bindings
+            .iter()
+            .filter(|binding| binding.node == *node && &binding.set == set)
+            .count(),
+        InputSource::External { .. } => 0,
+    };
+    by_nodes + by_outputs
+}
+
+/// Expands a node's source items — `items` of each binding, or the items
+/// `taken` from the source of the binding at its position — into
+/// per-instance input sets according to the distribution keywords, each set
+/// renamed to the function-facing input set name, and hands each instance's
+/// inputs to `emit` with its index. Only the fan-out binding's items, if
+/// there is one, are ever taken.
+fn expand_instances<'a>(
     node: &GraphNode,
-    sources: &[&[DataItem]],
-) -> DandelionResult<Vec<Vec<DataSet>>> {
+    items: impl Fn(&NodeInput) -> &'a [DataItem],
+    taken: Option<(usize, Vec<DataItem>)>,
+    mut emit: impl FnMut(usize, Arc<[DataSet]>),
+) -> DandelionResult<()> {
     let mut fanout_bindings = node
         .inputs
         .iter()
@@ -420,47 +491,58 @@ fn expand_instances(
         )));
     }
     // One instance's inputs: every binding gets all of its source's items,
-    // except the fan-out binding, which gets `share`.
-    let inputs_with = |mut share: Option<(usize, Vec<DataItem>)>| -> Vec<DataSet> {
+    // except the binding at `share`'s position, which gets `share`'s. The
+    // list is collected straight into its shared form, one block.
+    let inputs_with = |mut share: Option<(usize, Vec<DataItem>)>| -> Arc<[DataSet]> {
         node.inputs
             .iter()
-            .zip(sources)
             .enumerate()
-            .map(|(position, (binding, items))| DataSet {
+            .map(|(position, binding)| DataSet {
                 name: binding.set.clone(),
                 items: match &mut share {
-                    Some((fanout, share)) if *fanout == position => std::mem::take(share),
-                    _ => items.to_vec(),
+                    Some((at, share)) if *at == position => std::mem::take(share),
+                    _ => items(binding).to_vec(),
                 },
             })
             .collect()
     };
     let Some((position, binding)) = fanout else {
         // All bindings are `all`: one instance receives everything.
-        return Ok(vec![inputs_with(None)]);
+        emit(0, inputs_with(taken));
+        return Ok(());
     };
-    Ok(match binding.distribution {
-        Distribution::Each => sources[position]
-            .iter()
-            .map(|item| inputs_with(Some((position, vec![item.clone()]))))
-            .collect(),
+    // The fan-out binding's items, by value: taken, or copied.
+    let shared = match taken {
+        Some((_, taken)) => taken,
+        None => items(binding).to_vec(),
+    };
+    match binding.distribution {
+        Distribution::Each => {
+            for (instance, item) in shared.into_iter().enumerate() {
+                emit(instance, inputs_with(Some((position, vec![item]))));
+            }
+        }
         Distribution::Key => {
             // Items without a key are grouped under the empty string; groups
-            // are ordered by key so that scheduling is deterministic.
-            let mut groups: BTreeMap<&str, Vec<DataItem>> = BTreeMap::new();
-            for item in sources[position] {
-                groups
-                    .entry(item.key.as_deref().unwrap_or_default())
-                    .or_default()
-                    .push(item.clone());
+            // are ordered by key so that scheduling is deterministic, and
+            // keep their items in production order (the sort is stable).
+            let mut shared = shared;
+            shared.sort_by(|a, b| group_key(a).cmp(group_key(b)));
+            let mut items = shared.into_iter().peekable();
+            let mut instance = 0;
+            while let Some(first) = items.next() {
+                let mut share = vec![first];
+                while let Some(item) = items.next_if(|item| group_key(item) == group_key(&share[0]))
+                {
+                    share.push(item);
+                }
+                emit(instance, inputs_with(Some((position, share))));
+                instance += 1;
             }
-            groups
-                .into_values()
-                .map(|items| inputs_with(Some((position, items))))
-                .collect()
         }
         Distribution::All => unreachable!("all-bindings are handled above"),
-    })
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -556,7 +638,7 @@ mod tests {
                 .unwrap();
         }
         assert!(state.is_complete());
-        let outputs = state.external_outputs().unwrap();
+        let outputs = state.take_external_outputs().unwrap();
         assert_eq!(outputs[0].name, "Out");
         let order: Vec<u8> = outputs[0].items.iter().map(|item| item.data[0]).collect();
         assert_eq!(order, vec![0, 1, 2]);
@@ -597,7 +679,7 @@ mod tests {
         let ready = state.ready_instances().unwrap();
         assert!(ready.is_empty());
         assert!(state.is_complete());
-        let outputs = state.external_outputs().unwrap();
+        let outputs = state.take_external_outputs().unwrap();
         assert_eq!(outputs.len(), 1);
         assert!(outputs[0].is_empty());
     }
@@ -642,7 +724,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DandelionError::FunctionFault { .. }));
         assert!(state.is_complete());
-        assert!(state.external_outputs().is_err());
+        assert!(state.take_external_outputs().is_err());
     }
 
     #[test]
@@ -671,7 +753,7 @@ mod tests {
             Ok(InstanceCompletion::Duplicate)
         );
         assert!(state.is_complete());
-        let outputs = state.external_outputs().unwrap();
+        let outputs = state.take_external_outputs().unwrap();
         assert_eq!(outputs[0].items[0].data.as_slice(), &[2]);
     }
 

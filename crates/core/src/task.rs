@@ -76,17 +76,24 @@ impl TaskPayload {
 /// consecutively executed same-invocation tasks into one call, so a fan-out
 /// of N small instances takes the table lock once instead of N times.
 #[derive(Clone)]
-pub struct ReplySender(Arc<dyn Fn(Vec<TaskResult>) + Send + Sync>);
+pub struct ReplySender(Arc<BatchSink>);
+
+/// What a [`ReplySender`] calls with each batch.
+type BatchSink = dyn Fn(&mut Vec<TaskResult>) + Send + Sync;
 
 impl ReplySender {
-    /// A sink that hands every batch to `sink`.
-    pub fn new(sink: impl Fn(Vec<TaskResult>) + Send + Sync + 'static) -> Self {
+    /// A sink that hands every batch to `sink`, which takes the results out
+    /// of the list.
+    pub fn new(sink: impl Fn(&mut Vec<TaskResult>) + Send + Sync + 'static) -> Self {
         Self(Arc::new(sink))
     }
 
-    /// Hands one batch of results to the sink.
-    pub fn send(&self, results: Vec<TaskResult>) {
+    /// Hands one batch of results to the sink. The list comes back empty
+    /// — whatever the sink left in it is dropped — for the caller's next
+    /// batch, so an engine allocates its batch list once.
+    pub fn send(&self, results: &mut Vec<TaskResult>) {
         (self.0)(results);
+        results.clear();
     }
 }
 
@@ -102,7 +109,7 @@ impl std::fmt::Debug for ReplySender {
 pub(crate) fn reply_channel() -> (ReplySender, std::sync::mpsc::Receiver<Vec<TaskResult>>) {
     let (sender, receiver) = std::sync::mpsc::channel();
     let sink = ReplySender::new(move |batch| {
-        let _ = sender.send(batch);
+        let _ = sender.send(std::mem::take(batch));
     });
     (sink, receiver)
 }

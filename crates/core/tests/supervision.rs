@@ -77,7 +77,7 @@ fn task(reply: &Sender<Vec<TaskResult>>) -> Task {
             timeout: Duration::from_secs(5),
         },
         reply: ReplySender::new(move |batch| {
-            let _ = reply.send(batch);
+            let _ = reply.send(std::mem::take(batch));
         }),
     }
 }

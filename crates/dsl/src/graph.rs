@@ -81,6 +81,21 @@ impl GraphNode {
         deps
     }
 
+    /// How many distinct nodes this node consumes data from: the length of
+    /// [`GraphNode::dependencies`], counted without building the list.
+    pub fn dependency_count(&self) -> usize {
+        let producers = || {
+            self.inputs.iter().filter_map(|input| match &input.source {
+                InputSource::Node { node, .. } => Some(*node),
+                InputSource::External { .. } => None,
+            })
+        };
+        producers()
+            .enumerate()
+            .filter(|&(position, node)| !producers().take(position).any(|earlier| earlier == node))
+            .count()
+    }
+
     /// Returns `true` if every input comes from external composition inputs.
     pub fn is_source(&self) -> bool {
         self.inputs

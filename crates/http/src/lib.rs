@@ -33,4 +33,4 @@ pub use stream::{
     ResponseDecoder, ResponseFrame, FRAMING_HEADS,
 };
 pub use types::{Headers, HttpRequest, HttpResponse, Method, StatusCode, Version};
-pub use uri::Uri;
+pub use uri::{Uri, UriRef};

@@ -402,7 +402,10 @@ fn headers(message: &[u8]) -> Headers {
         .position(|&byte| byte == b'\r')
         .map_or(message.len(), |end| end + 2);
     for (_, name, value) in field_lines(message, fields) {
-        headers.insert(utf8_lossy(name), utf8_lossy(value).trim());
+        headers.insert(
+            utf8_lossy(name).into_owned(),
+            utf8_lossy(value).trim().to_owned(),
+        );
     }
     headers
 }

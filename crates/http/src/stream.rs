@@ -142,6 +142,21 @@ impl<L> Frame<L> {
         self.head.content_length
     }
 
+    /// The value of the first field named `name` (compared
+    /// case-insensitively), as received, with the whitespace around it
+    /// trimmed; `None` when no field has that name. Reading one field this
+    /// way builds no header map.
+    pub fn header(&self, name: &str) -> Option<&[u8]> {
+        let head = &self.bytes[..self.head.body_offset];
+        let fields = head
+            .iter()
+            .position(|&byte| byte == b'\r')
+            .map_or(head.len(), |end| end + 2);
+        field_lines(head, fields)
+            .find(|(_, field, _)| field.eq_ignore_ascii_case(name.as_bytes()))
+            .map(|(_, _, value)| value.trim_ascii())
+    }
+
     /// Whether a `Connection` line lists the token `close`.
     pub fn connection_close(&self) -> bool {
         self.head.connection.close

@@ -50,13 +50,18 @@ fn header_lines_len(headers: &Headers) -> usize {
         .sum()
 }
 
+/// Writes one `name: value` line into a head builder.
+fn put_header_line(head: &mut SharedBytesMut, name: &str, value: &str) {
+    head.put_str(name);
+    head.put_str(": ");
+    head.put_str(value);
+    head.put_str("\r\n");
+}
+
 /// Writes the header block into a head builder.
 fn put_header_lines(head: &mut SharedBytesMut, headers: &Headers) {
     for (name, value) in headers.iter() {
-        head.put_str(name);
-        head.put_str(": ");
-        head.put_str(value);
-        head.put_str("\r\n");
+        put_header_line(head, name, value);
     }
 }
 
@@ -235,7 +240,8 @@ impl fmt::Display for StatusCode {
 /// An ordered, case-insensitive multimap of HTTP headers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    /// Names and values as given: a `'static` string costs no allocation.
+    entries: Vec<(Cow<'static, str>, Cow<'static, str>)>,
 }
 
 impl Headers {
@@ -244,8 +250,13 @@ impl Headers {
         Self::default()
     }
 
-    /// Appends a header, preserving insertion order.
-    pub fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    /// Appends a header, preserving insertion order. A `&'static str` name
+    /// or value is kept by reference; a `String` is moved in.
+    pub fn insert(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) {
         self.entries.push((name.into(), value.into()));
     }
 
@@ -254,7 +265,7 @@ impl Headers {
         self.entries
             .iter()
             .find(|(key, _)| key.eq_ignore_ascii_case(name))
-            .map(|(_, value)| value.as_str())
+            .map(|(_, value)| value.as_ref())
     }
 
     /// Removes every value of a header, case-insensitively. Returns `true`
@@ -273,7 +284,7 @@ impl Headers {
         self.entries
             .iter()
             .filter(|(key, _)| key.eq_ignore_ascii_case(name))
-            .map(|(_, value)| value.as_str())
+            .map(|(_, value)| value.as_ref())
             .collect()
     }
 
@@ -304,7 +315,7 @@ impl Headers {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries
             .iter()
-            .map(|(name, value)| (name.as_str(), value.as_str()))
+            .map(|(name, value)| (name.as_ref(), value.as_ref()))
     }
 
     /// Parses the `Content-Length` header if present and well-formed.
@@ -360,8 +371,13 @@ impl HttpRequest {
         }
     }
 
-    /// Adds a header and returns `self` for chaining.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
+    /// Adds a header and returns `self` for chaining (see
+    /// [`Headers::insert`]).
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
         self.headers.insert(name, value);
         self
     }
@@ -457,8 +473,13 @@ impl HttpResponse {
         Self::new(status, message.as_bytes().to_vec())
     }
 
-    /// Adds a header and returns `self` for chaining.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
+    /// Adds a header and returns `self` for chaining (see
+    /// [`Headers::insert`]).
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
         self.headers.insert(name, value);
         self
     }
@@ -476,11 +497,15 @@ impl HttpResponse {
         self.body_str().into_owned()
     }
 
-    /// Exact wire length of the response head (everything before the body).
-    fn head_len(&self) -> usize {
+    /// Exact wire length of the response head (everything before the body),
+    /// with `extra` — one more field line — among its headers.
+    fn head_len(&self, extra: Option<(&str, &str)>) -> usize {
         let mut len = self.version.as_str().len() + 1 + decimal_len(self.status.0 as usize) + 1;
         len += self.status.reason().len() + 2;
         len += header_lines_len(&self.headers);
+        if let Some((name, value)) = extra {
+            len += name.len() + 2 + value.len() + 2;
+        }
         if self.headers.content_length().is_none() {
             len += content_length_line_len(self.body.len());
         }
@@ -492,7 +517,18 @@ impl HttpResponse {
     /// sending a 4 MiB body prepends a few dozen header bytes without ever
     /// copying the payload. `Content-Length` is added unless already set.
     pub fn to_rope(&self) -> Rope {
-        let mut head = SharedBytesMut::with_capacity(self.head_len());
+        self.rope(None)
+    }
+
+    /// [`HttpResponse::to_rope`] with one more header, `name: value`,
+    /// written straight into the head after the response's own: a hop's
+    /// `Connection` line, say, which thus costs no header-map entry.
+    pub fn to_rope_with(&self, name: &str, value: &str) -> Rope {
+        self.rope(Some((name, value)))
+    }
+
+    fn rope(&self, extra: Option<(&str, &str)>) -> Rope {
+        let mut head = SharedBytesMut::with_capacity(self.head_len(extra));
         head.put_str(self.version.as_str());
         head.put_u8(b' ');
         head.put_decimal(self.status.0 as usize);
@@ -500,11 +536,14 @@ impl HttpResponse {
         head.put_str(self.status.reason());
         head.put_str("\r\n");
         put_header_lines(&mut head, &self.headers);
+        if let Some((name, value)) = extra {
+            put_header_line(&mut head, name, value);
+        }
         if self.headers.content_length().is_none() {
             put_content_length_line(&mut head, self.body.len());
         }
         head.put_str("\r\n");
-        debug_assert_eq!(head.len(), self.head_len());
+        debug_assert_eq!(head.len(), self.head_len(extra));
         let mut rope = Rope::new();
         rope.push_builder(head);
         rope.push(self.body.clone());

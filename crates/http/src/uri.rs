@@ -17,18 +17,32 @@ pub struct Uri {
     pub query: Option<String>,
 }
 
-impl Uri {
+/// A request target's parts as views of the target text: what
+/// [`Uri::parse`] reads, before anything is copied. A router that only
+/// matches the path reads it here and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UriRef<'a> {
+    /// URI scheme (`http` or `https`); empty for origin-form targets.
+    pub scheme: &'a str,
+    /// Host name or IP address; empty for origin-form targets.
+    pub host: &'a str,
+    /// Explicit port, if present.
+    pub port: Option<u16>,
+    /// Path component, always starting with `/`.
+    pub path: &'a str,
+    /// Query string without the leading `?`, if present.
+    pub query: Option<&'a str>,
+}
+
+impl<'a> UriRef<'a> {
     /// Parses an absolute URI (`http://host[:port]/path[?query]`) or an
     /// origin-form target (`/path[?query]`).
-    pub fn parse(input: &str) -> Option<Uri> {
-        if input.is_empty() {
-            return None;
-        }
-        if let Some(rest) = input.strip_prefix('/') {
-            let (path, query) = split_query(&format!("/{rest}"));
-            return Some(Uri {
-                scheme: String::new(),
-                host: String::new(),
+    pub fn parse(input: &'a str) -> Option<UriRef<'a>> {
+        if input.starts_with('/') {
+            let (path, query) = split_query(input);
+            return Some(UriRef {
+                scheme: "",
+                host: "",
                 port: None,
                 path,
                 query,
@@ -47,18 +61,44 @@ impl Uri {
         }
         let (host, port) = match authority.rsplit_once(':') {
             Some((host, port_text)) if !port_text.is_empty() && !host.is_empty() => {
-                let port: u16 = port_text.parse().ok()?;
-                (host.to_string(), Some(port))
+                (host, Some(port_text.parse().ok()?))
             }
-            _ => (authority.to_string(), None),
+            _ => (authority, None),
         };
         let (path, query) = split_query(path_and_query);
-        Some(Uri {
-            scheme: scheme.to_string(),
+        Some(UriRef {
+            scheme,
             host,
             port,
             path,
             query,
+        })
+    }
+
+    /// The path's non-empty segments — `//` and a trailing `/` add none —
+    /// in order, as many as `slots` holds: routing matches on the returned
+    /// slice and builds no list. `None` when the path has more segments.
+    pub fn segments<'s>(&self, slots: &'s mut [&'a str]) -> Option<&'s [&'a str]> {
+        let mut count = 0;
+        for segment in self.path.split('/').filter(|segment| !segment.is_empty()) {
+            *slots.get_mut(count)? = segment;
+            count += 1;
+        }
+        Some(&slots[..count])
+    }
+}
+
+impl Uri {
+    /// Parses an absolute URI (`http://host[:port]/path[?query]`) or an
+    /// origin-form target (`/path[?query]`).
+    pub fn parse(input: &str) -> Option<Uri> {
+        let parts = UriRef::parse(input)?;
+        Some(Uri {
+            scheme: parts.scheme.to_string(),
+            host: parts.host.to_string(),
+            port: parts.port,
+            path: parts.path.to_string(),
+            query: parts.query.map(str::to_string),
         })
     }
 
@@ -100,25 +140,22 @@ impl fmt::Display for Uri {
     }
 }
 
-fn split_query(path_and_query: &str) -> (String, Option<String>) {
+fn split_query(path_and_query: &str) -> (&str, Option<&str>) {
     match path_and_query.split_once('?') {
-        Some((path, query)) => (path.to_string(), Some(query.to_string())),
-        None => (path_and_query.to_string(), None),
+        Some((path, query)) => (path, Some(query)),
+        None => (path_and_query, None),
     }
 }
 
 /// Checks whether `host` is a dotted-quad IPv4 address.
 pub(crate) fn is_valid_ipv4(host: &str) -> bool {
-    let octets: Vec<&str> = host.split('.').collect();
-    if octets.len() != 4 {
-        return false;
-    }
-    octets.iter().all(|octet| {
-        !octet.is_empty()
-            && octet.len() <= 3
-            && octet.chars().all(|c| c.is_ascii_digit())
-            && octet.parse::<u16>().map(|v| v <= 255).unwrap_or(false)
-    })
+    host.split('.').count() == 4
+        && host.split('.').all(|octet| {
+            !octet.is_empty()
+                && octet.len() <= 3
+                && octet.chars().all(|c| c.is_ascii_digit())
+                && octet.parse::<u16>().map(|v| v <= 255).unwrap_or(false)
+        })
 }
 
 /// Checks whether `host` is a syntactically valid DNS name.
@@ -131,11 +168,11 @@ pub(crate) fn is_valid_domain(host: &str) -> bool {
     if host.is_empty() || host.len() > 253 {
         return false;
     }
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.iter().any(|label| label.is_empty()) {
+    let labels = || host.split('.');
+    if labels().any(str::is_empty) {
         return false;
     }
-    let all_labels_valid = labels.iter().all(|label| {
+    let all_labels_valid = labels().all(|label| {
         label.len() <= 63
             && label.chars().all(|c| c.is_ascii_alphanumeric() || c == '-')
             && !label.starts_with('-')
@@ -145,9 +182,7 @@ pub(crate) fn is_valid_domain(host: &str) -> bool {
         return false;
     }
     // Reject names where every label is numeric (e.g. "300.300.300.300").
-    !labels
-        .iter()
-        .all(|label| label.chars().all(|c| c.is_ascii_digit()))
+    !labels().all(|label| label.chars().all(|c| c.is_ascii_digit()))
 }
 
 #[cfg(test)]

@@ -384,25 +384,24 @@ impl FunctionCtx {
         // The function is done: output memory it did not ask for goes back
         // (and is what this thread builds the outputs' frame in).
         drop(self.output.take());
-        let mut staged = std::mem::take(&mut self.staged_outputs);
+        let mut sets = std::mem::take(&mut self.staged_outputs);
         let mut from_fs = self
             .fs
             .get()
             .map(|fs| fs.harvest_output_sets(&self.output_sets));
-        self.output_sets
-            .iter()
-            .enumerate()
-            .map(|(index, set_name)| {
-                let mut set = match staged.iter().position(|s| &s.name == set_name) {
-                    Some(position) => staged.swap_remove(position),
-                    None => DataSet::new(set_name.clone()),
-                };
-                if let Some(from_fs) = &mut from_fs {
-                    set.items.append(&mut from_fs[index].items);
-                }
-                set
-            })
-            .collect()
+        // Into declaration order in place: a staged set is swapped into its
+        // slot (every staged set is declared, and staged once), a declared
+        // set nothing was staged in is inserted empty.
+        for (index, set_name) in self.output_sets.iter().enumerate() {
+            match sets[index..].iter().position(|set| &set.name == set_name) {
+                Some(offset) => sets.swap(index, index + offset),
+                None => sets.insert(index, DataSet::new(set_name.clone())),
+            }
+            if let Some(from_fs) = &mut from_fs {
+                sets[index].items.append(&mut from_fs[index].items);
+            }
+        }
+        sets
     }
 }
 

@@ -25,7 +25,7 @@ use dandelion_common::{DandelionError, DandelionResult, DataItem, DataSet};
 use crate::abi::{FunctionArtifact, FunctionCtx, SyscallAttempt};
 use crate::context::MemoryContext;
 use crate::cost::{SandboxCostModel, Stage};
-use crate::output_parser;
+use crate::output_parser::{self, FrameEntry};
 use crate::policy::SyscallPolicy;
 
 /// Per-stage durations, either measured or modeled: one slot per [`Stage`],
@@ -226,8 +226,14 @@ impl IsolationBackend for StagedExecutor {
         // for byte, but no byte of it is touched here. (What a cold or warm
         // load costs on the paper's hardware is the cost model's charge,
         // `modeled`, not this span.)
-        let mut context =
-            MemoryContext::new(artifact.memory_requirement + artifact.binary.len() + 4096);
+        // Its region list is sized for what a sandbox attaches: the binary,
+        // every input item, the frame and an item per declared output set.
+        let regions =
+            2 + task.inputs.iter().map(DataSet::len).sum::<usize>() + artifact.output_sets.len();
+        let mut context = MemoryContext::with_regions(
+            artifact.memory_requirement + artifact.binary.len() + 4096,
+            regions,
+        );
         context.import(&artifact.binary)?;
         lap(Stage::Load);
 
@@ -297,14 +303,15 @@ impl IsolationBackend for StagedExecutor {
         // through the bounded frame parser; each payload is then attached by
         // reference after checking it against the declared length — so
         // downstream consumers receive views of the producer's buffers, not
-        // copies. (The payload-carrying descriptor of `encode_outputs`
-        // remains the wire format at the HTTP boundary.) Its span starts at
-        // the body's return, so it includes the checks just above.
+        // copies — and the staged sets, checked entry by entry, are the
+        // outputs as they are. (The payload-carrying descriptor of
+        // `encode_outputs` remains the wire format at the HTTP boundary.)
+        // Its span starts at the body's return, so it includes the checks
+        // just above.
         let outputs = ctx.take_outputs();
         let frame = output_parser::encode_frame(&outputs);
         context.import(&frame)?;
-        let parsed = output_parser::parse_frame(&frame)?;
-        let outputs = attach_frame_payloads(&artifact.name, parsed, outputs, &mut context)?;
+        attach_frame_payloads(&artifact.name, &frame, &outputs, &mut context)?;
         lap(Stage::Output);
 
         // Stage 6: other — context teardown: detach the binary, the inputs,
@@ -324,56 +331,67 @@ impl IsolationBackend for StagedExecutor {
     }
 }
 
-/// Rebuilds the output sets from a validated frame, attaching each staged
-/// payload to the context by reference and checking it against the frame's
-/// declared length. Any disagreement between the frame and the staged
-/// payloads is a function fault — the shim and the engine must agree on the
-/// output layout.
+/// Reads the frame with the bounded parser and checks every entry against
+/// the staged output sets, attaching each staged payload to the context by
+/// reference: the staged sets are the outputs, nothing is rebuilt. Any
+/// disagreement — the set count, a set's name or item count, an item's
+/// name, key or declared length — is a function fault: the shim and the
+/// engine must agree on the output layout.
 fn attach_frame_payloads(
     function: &str,
-    frame: Vec<output_parser::FrameSet>,
-    staged: Vec<DataSet>,
+    frame: &[u8],
+    staged: &[DataSet],
     context: &mut MemoryContext,
-) -> DandelionResult<Vec<DataSet>> {
+) -> DandelionResult<()> {
     let fault = |reason: String| DandelionError::FunctionFault {
         function: function.to_string(),
         reason,
     };
-    if frame.len() != staged.len() {
-        return Err(fault(format!(
-            "output frame describes {} sets but {} were staged",
-            frame.len(),
-            staged.len()
-        )));
-    }
-    let mut outputs = Vec::with_capacity(frame.len());
-    for (frame_set, staged_set) in frame.into_iter().zip(staged) {
-        if frame_set.name != staged_set.name || frame_set.items.len() != staged_set.items.len() {
-            return Err(fault(format!(
-                "output frame disagrees with staged set `{}`",
-                staged_set.name
-            )));
-        }
-        let mut set = DataSet::new(frame_set.name);
-        for (frame_item, staged_item) in frame_set.items.into_iter().zip(staged_set.items) {
-            if frame_item.data_len != staged_item.data.len() {
+    let beyond = || fault("output frame describes more than was staged".to_string());
+    let mut sets = staged.iter();
+    let mut items = [].iter();
+    output_parser::parse_frame(frame, |entry| {
+        match entry {
+            FrameEntry::Sets(count) if count != staged.len() => {
                 return Err(fault(format!(
-                    "output item `{}` declares {} bytes but carries {}",
-                    frame_item.name,
-                    frame_item.data_len,
-                    staged_item.data.len()
+                    "output frame describes {count} sets but {} were staged",
+                    staged.len()
                 )));
             }
-            context.import(&staged_item.data)?;
-            set.push(DataItem {
-                name: frame_item.name,
-                key: frame_item.key,
-                data: staged_item.data,
-            });
+            FrameEntry::Sets(_) => {}
+            FrameEntry::Set { name, items: count } => {
+                let set = sets.next().ok_or_else(beyond)?;
+                if name != set.name || count != set.items.len() {
+                    return Err(fault(format!(
+                        "output frame disagrees with staged set `{}`",
+                        set.name
+                    )));
+                }
+                items = set.items.iter();
+            }
+            FrameEntry::Item {
+                name,
+                key,
+                data_len,
+            } => {
+                let item: &DataItem = items.next().ok_or_else(beyond)?;
+                if name != item.name || key != item.key.as_deref() {
+                    return Err(fault(format!(
+                        "output frame disagrees with staged item `{}`",
+                        item.name
+                    )));
+                }
+                if data_len != item.data.len() {
+                    return Err(fault(format!(
+                        "output item `{name}` declares {data_len} bytes but carries {}",
+                        item.data.len()
+                    )));
+                }
+                context.import(&item.data)?;
+            }
         }
-        outputs.push(set);
-    }
-    Ok(outputs)
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -38,9 +38,15 @@ pub struct MemoryContext {
 impl MemoryContext {
     /// Creates an empty context with the given capacity.
     pub fn new(capacity: usize) -> Self {
+        Self::with_regions(capacity, 0)
+    }
+
+    /// Creates an empty context with the given capacity whose list of
+    /// attached regions has room for `regions` imports before it grows.
+    pub fn with_regions(capacity: usize, regions: usize) -> Self {
         Self {
             id: ContextId::next(),
-            imports: Vec::new(),
+            imports: Vec::with_capacity(regions),
             imported_bytes: 0,
             capacity,
             high_water: 0,

@@ -176,13 +176,14 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn read_name(&mut self, limits: &Limits, what: &str) -> DandelionResult<String> {
+    /// A name, as a view of the descriptor.
+    fn read_name(&mut self, limits: &Limits, what: &str) -> DandelionResult<&'a str> {
         let len = self.read_u32()?;
         if len > limits.max_name_bytes {
             return Err(self.error(&format!("{what} name of {len} bytes exceeds the limit")));
         }
         let bytes = self.read_bytes(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| self.error(&format!("{what} name is not valid UTF-8")))
     }
 }
@@ -244,7 +245,7 @@ fn parse_outputs_impl(
             reader.read_bytes(data_len)?;
             let mut item = DataItem::new(item_name, make_data(start..reader.offset));
             if !key.is_empty() {
-                item.key = Some(key);
+                item.key = Some(key.to_owned());
             }
             set.push(item);
         }
@@ -256,26 +257,25 @@ fn parse_outputs_impl(
     Ok(sets)
 }
 
-/// One set of a parsed descriptor [frame](encode_frame).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct FrameSet {
-    /// The set name.
-    pub(crate) name: String,
-    /// The set's item metadata, in production order.
-    pub(crate) items: Vec<FrameItem>,
-}
-
-/// One item of a [`FrameSet`]: everything about the item except the payload
-/// bytes, which stay in the function's memory and are attached by reference.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct FrameItem {
-    /// The item name.
-    pub(crate) name: String,
-    /// The grouping key, if any.
-    pub(crate) key: Option<String>,
-    /// Declared payload length in bytes, checked against the attached
-    /// payload region.
-    pub(crate) data_len: usize,
+/// One entry of a parsed descriptor [frame](encode_frame), in frame order:
+/// the set count first, then each set followed by its items. Names and keys
+/// are views of the frame; the payload bytes stay in the function's memory
+/// and are attached by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameEntry<'a> {
+    /// How many sets the frame describes.
+    Sets(usize),
+    /// A set, and how many item entries follow it.
+    Set { name: &'a str, items: usize },
+    /// An item of the set before it.
+    Item {
+        name: &'a str,
+        /// The grouping key, if any.
+        key: Option<&'a str>,
+        /// Declared payload length in bytes, checked against the attached
+        /// payload region.
+        data_len: usize,
+    },
 }
 
 /// Serializes output sets into a metadata-only descriptor *frame*, a frozen
@@ -314,9 +314,14 @@ pub(crate) fn encode_frame(sets: &[DataSet]) -> SharedBytes {
 }
 
 /// Parses a descriptor frame produced by [`encode_frame`], applying the
-/// default [`LIMITS`]. Like [`parse_outputs`] this never panics on
-/// malformed input.
-pub(crate) fn parse_frame(bytes: &[u8]) -> DandelionResult<Vec<FrameSet>> {
+/// default [`LIMITS`], and hands each entry to `visit` as it is read, so
+/// parsing builds nothing; an error from `visit` ends the parse. Like
+/// [`parse_outputs`] this never panics on malformed input, and a frame with
+/// bytes after its last entry is an error once every entry was visited.
+pub(crate) fn parse_frame<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(FrameEntry<'a>) -> DandelionResult<()>,
+) -> DandelionResult<()> {
     let limits = &LIMITS;
     let mut reader = Reader::new(bytes);
     let magic = reader.read_u32()?;
@@ -327,33 +332,35 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> DandelionResult<Vec<FrameSet>> {
     if set_count > limits.max_sets {
         return Err(reader.error(&format!("{set_count} sets exceed the limit")));
     }
-    let mut sets = Vec::with_capacity(set_count as usize);
+    visit(FrameEntry::Sets(set_count as usize))?;
     for _ in 0..set_count {
         let name = reader.read_name(limits, "set")?;
         let item_count = reader.read_u32()?;
         if item_count > limits.max_items_per_set {
             return Err(reader.error(&format!("{item_count} items exceed the per-set limit")));
         }
-        let mut items = Vec::with_capacity(item_count.min(1024) as usize);
+        visit(FrameEntry::Set {
+            name,
+            items: item_count as usize,
+        })?;
         for _ in 0..item_count {
-            let item_name = reader.read_name(limits, "item")?;
+            let name = reader.read_name(limits, "item")?;
             let key = reader.read_name(limits, "key")?;
             let data_len = reader.read_u32()?;
             if data_len > limits.max_item_bytes {
                 return Err(reader.error(&format!("item of {data_len} bytes exceeds the limit")));
             }
-            items.push(FrameItem {
-                name: item_name,
+            visit(FrameEntry::Item {
+                name,
                 key: (!key.is_empty()).then_some(key),
                 data_len: data_len as usize,
-            });
+            })?;
         }
-        sets.push(FrameSet { name, items });
     }
     if reader.offset != bytes.len() {
         return Err(reader.error("trailing bytes after frame"));
     }
-    Ok(sets)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -431,32 +438,57 @@ mod tests {
         }
     }
 
+    /// Every entry a frame holds, in order.
+    fn frame_entries(frame: &[u8]) -> DandelionResult<Vec<FrameEntry<'_>>> {
+        let mut entries = Vec::new();
+        parse_frame(frame, |entry| {
+            entries.push(entry);
+            Ok(())
+        })?;
+        Ok(entries)
+    }
+
     #[test]
     fn frame_roundtrip_preserves_structure() {
         let sets = sample_sets();
         let frame = encode_frame(&sets);
-        let parsed = parse_frame(&frame).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].name, "responses");
-        assert_eq!(parsed[0].items.len(), 2);
-        assert_eq!(parsed[0].items[0].name, "r0");
-        assert_eq!(parsed[0].items[0].data_len, 5);
-        assert!(parsed[0].items[0].key.is_none());
-        assert_eq!(parsed[0].items[1].key.as_deref(), Some("eu-west"));
-        assert!(parsed[1].items.is_empty());
+        let item = |name, key, data_len| FrameEntry::Item {
+            name,
+            key,
+            data_len,
+        };
+        assert_eq!(
+            frame_entries(&frame).unwrap(),
+            [
+                FrameEntry::Sets(2),
+                FrameEntry::Set {
+                    name: "responses",
+                    items: 2
+                },
+                item("r0", None, 5),
+                item("r1", Some("eu-west"), 5),
+                FrameEntry::Set {
+                    name: "errors",
+                    items: 0
+                },
+            ]
+        );
+        // A visitor's error ends the parse.
+        let refused = DandelionError::DataLayout("refused".to_string());
+        assert_eq!(parse_frame(&frame, |_| Err(refused.clone())), Err(refused));
     }
 
     #[test]
     fn frame_rejects_truncation_trailing_bytes_and_wrong_magic() {
         let frame = encode_frame(&sample_sets());
         for cut in 0..frame.len() {
-            assert!(parse_frame(&frame[..cut]).is_err(), "truncation at {cut}");
+            assert!(frame_entries(&frame[..cut]).is_err(), "truncation at {cut}");
         }
         let mut trailing = frame.to_vec();
         trailing.push(0);
-        assert!(parse_frame(&trailing).is_err());
+        assert!(frame_entries(&trailing).is_err());
         // A full descriptor is not a frame and vice versa.
-        assert!(parse_frame(&encode_outputs(&sample_sets())).is_err());
+        assert!(frame_entries(&encode_outputs(&sample_sets())).is_err());
         assert!(parse_outputs(&frame).is_err());
     }
 

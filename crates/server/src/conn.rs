@@ -4,8 +4,8 @@
 //! an event loop's slab, advanced in the two halves of a loop turn. In the
 //! *apply* half ([`Conn::pump`], [`Conn::complete`]) it reads into its
 //! [`RequestDecoder`] (pooled receive buffers, zero-copy bodies), frames
-//! every complete request and dispatches it (built into an `HttpRequest`
-//! for [`Frontend::begin`], or as the frame itself for a gateway's router),
+//! every complete request and dispatches it (the frame itself, read in
+//! place by [`Frontend::begin_frame`] or a gateway's router),
 //! and has its waiting slots filled by completions — and writes nothing. In
 //! the *flush* half ([`Conn::flush`], once per turn) every consecutive
 //! `Ready` slot at the head of the pipeline is serialized into the connection's
@@ -124,14 +124,12 @@ pub(crate) fn rate_limited_response(limit: RateLimit) -> HttpResponse {
     )
 }
 
-/// Finalizes a response for delivery: stamps the `Connection` header and
-/// serializes to a [`Rope`] so the body leaves by reference (the zero-copy
-/// invariant the integration tests assert by `Arc` identity).
-pub fn response_rope(mut response: HttpResponse, close: bool) -> Rope {
-    response
-        .headers
-        .insert("Connection", if close { "close" } else { "keep-alive" });
-    response.to_rope()
+/// Finalizes a response for delivery: serializes it to a [`Rope`] with the
+/// `Connection` line written straight into its head, so the body leaves by
+/// reference (the zero-copy invariant the integration tests assert by `Arc`
+/// identity).
+pub fn response_rope(response: HttpResponse, close: bool) -> Rope {
+    response.to_rope_with("Connection", if close { "close" } else { "keep-alive" })
 }
 
 /// Whether the request asks for the connection to close after the response:
@@ -502,7 +500,7 @@ impl Conn {
             }
         }
         match &shared.app {
-            AppKind::Local(frontend) => match frontend.begin(&request.to_request()) {
+            AppKind::Local(frontend) => match frontend.begin_frame(&request) {
                 FrontendReply::Ready(response) => self.enqueue(response, close, held),
                 FrontendReply::Pending(handle) => {
                     let slot = self.park(close, held);

@@ -639,12 +639,12 @@ impl EventLoop {
         let verdict =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(conn, shared, me)))
                 .unwrap_or(Verdict::Close);
-        let routed = std::mem::take(&mut conn.routed);
+        let mut routed = std::mem::take(&mut conn.routed);
         if verdict == Verdict::Close {
             self.close_client(index);
         }
         if let Some(router) = (!routed.is_empty()).then(|| self.router()) {
-            for (slot, request) in routed {
+            for (slot, request) in routed.drain(..) {
                 let answer = router.dispatch(&request, slot, &mut self.effects);
                 // In flight once routed: the router's own answers never count.
                 self.me.inflight.fetch_add(1, Ordering::Relaxed);
@@ -653,6 +653,12 @@ impl EventLoop {
                 }
             }
             self.apply(now);
+        }
+        // The emptied list goes back for the connection's next requests.
+        if let Some(Endpoint::Client(conn)) = self.slab[index].endpoint.as_mut() {
+            if conn.routed.is_empty() {
+                conn.routed = routed;
+            }
         }
     }
 

@@ -35,7 +35,7 @@ use dandelion_common::{
 };
 use dandelion_core::frontend::error_body;
 use dandelion_core::StatsSource;
-use dandelion_http::{HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, Uri};
+use dandelion_http::{HttpResponse, Method, RequestFrame, ResponseFrame, StatusCode, UriRef};
 
 use crate::client::join_gateway;
 use crate::conn::ClientSlot;
@@ -255,7 +255,7 @@ impl Router {
         effects: &mut Effects,
     ) -> Option<HttpResponse> {
         let target = utf8_lossy(request.target());
-        let Some(uri) = Uri::parse(&target) else {
+        let Some(uri) = UriRef::parse(&target) else {
             return Some(error_body(
                 StatusCode::BAD_REQUEST,
                 "invalid_request",
@@ -271,8 +271,9 @@ impl Router {
                 false,
             ));
         }
-        let segments: Vec<&str> = uri.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method(), segments.as_slice()) {
+        let mut slots = [""; 4];
+        let segments = uri.segments(&mut slots).unwrap_or_default();
+        match (request.method(), segments) {
             (Method::Get, ["healthz"]) => Some(HttpResponse::ok(b"ok".to_vec())),
             (Method::Get, ["v1", "stats"]) => Some(self.stats_response()),
             (Method::Get, ["v1", "compositions"]) => Some(self.list_compositions()),
@@ -446,44 +447,32 @@ impl Router {
         tried: &[NodeId],
     ) -> Option<(NodeId, SocketAddr, Arc<MemberLoad>)> {
         let cluster = self.cluster();
-        let eligible: Vec<&Member> = {
-            let routable = cluster
+        let routable = || {
+            cluster
                 .members
                 .iter()
-                .filter(|member| member.routable() && !tried.contains(&member.id));
-            match composition {
-                Some(name) => {
-                    let advertisers: Vec<&Member> =
-                        routable.clone().filter(|m| m.advertises(name)).collect();
-                    if advertisers.is_empty() {
-                        routable.collect()
-                    } else {
-                        advertisers
-                    }
-                }
-                None => routable.collect(),
-            }
+                .filter(|member| member.routable() && !tried.contains(&member.id))
         };
-        if eligible.is_empty() {
+        let advertised = composition.filter(|name| routable().any(|m| m.advertises(name)));
+        let eligible =
+            || routable().filter(move |m| advertised.is_none_or(|name| m.advertises(name)));
+        let count = eligible().count();
+        if count == 0 {
             return None;
         }
-        let min_score = eligible
-            .iter()
+        let min_score = eligible()
             .map(|member| member.load.score())
             .min()
             .unwrap_or(0);
         let preferred = composition
-            .map(|name| {
-                let index = (composition_affinity_hash(name) % eligible.len() as u64) as usize;
-                eligible[index]
+            .and_then(|name| {
+                let index = (composition_affinity_hash(name) % count as u64) as usize;
+                eligible().nth(index)
             })
             .filter(|member| member.load.score() <= 2 * min_score + AFFINITY_LOAD_SLACK);
         let chosen = match preferred {
             Some(member) => member,
-            None => eligible
-                .iter()
-                .min_by_key(|member| member.load.score())
-                .copied()?,
+            None => eligible().min_by_key(|member| member.load.score())?,
         };
         Some((chosen.id, chosen.addr, Arc::clone(&chosen.load)))
     }

@@ -380,7 +380,7 @@ mod tests {
     }
 
     /// An answer as a member gives it: `body` under this `Connection` header.
-    fn answer(connection: &str, body: &[u8]) -> HttpResponse {
+    fn answer(connection: &'static str, body: &[u8]) -> HttpResponse {
         HttpResponse::ok(body.to_vec()).with_header("Connection", connection)
     }
 

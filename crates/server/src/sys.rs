@@ -136,8 +136,11 @@ pub(crate) struct Epoll {
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub(crate) fn new() -> io::Result<Epoll> {
+        // SAFETY: `epoll_create1` reads no memory of ours; it returns a new
+        // descriptor or -1.
         let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll {
+            // SAFETY: `fd` was opened one line up, and nothing else owns it.
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }
@@ -147,6 +150,8 @@ impl Epoll {
             events,
             data: token,
         };
+        // SAFETY: `event` is a live `epoll_event` for the call's duration,
+        // which the kernel only reads; the epoll descriptor is ours.
         check(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut event) }).map(|_| ())
     }
 
@@ -166,6 +171,9 @@ impl Epoll {
     /// ready descriptors, returning how many. Interrupted waits report `0`
     /// ready events rather than an error.
     pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        // SAFETY: the kernel writes at most `events.len()` entries into the
+        // exclusively borrowed slice; `EpollEvent` is plain data, so any bytes
+        // it writes are a valid value.
         let count = unsafe {
             epoll_wait(
                 self.fd.as_raw_fd(),
@@ -196,8 +204,11 @@ pub(crate) struct EventFd {
 impl EventFd {
     /// Creates a non-blocking, close-on-exec eventfd.
     pub(crate) fn new() -> io::Result<EventFd> {
+        // SAFETY: `eventfd` reads no memory of ours; it returns a new
+        // descriptor or -1.
         let fd = check(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd {
+            // SAFETY: `fd` was opened one line up, and nothing else owns it.
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }
@@ -212,6 +223,8 @@ impl EventFd {
     /// readable, which is all a wakeup needs.
     pub(crate) fn signal(&self) {
         let one: u64 = 1;
+        // SAFETY: the kernel reads the 8 bytes of `one`, which lives across
+        // the call; the descriptor is ours.
         unsafe {
             write(
                 self.fd.as_raw_fd(),
@@ -225,6 +238,8 @@ impl EventFd {
     /// returning how many signals it cleared (0 when none were pending).
     pub(crate) fn drain(&self) -> u64 {
         let mut counter: u64 = 0;
+        // SAFETY: the kernel writes at most the 8 bytes of `counter`, which is
+        // exclusively borrowed across the call and valid for any bytes.
         unsafe {
             read(
                 self.fd.as_raw_fd(),
@@ -283,9 +298,15 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
         SocketAddr::V4(_) => AF_INET,
         SocketAddr::V6(_) => AF_INET6,
     };
+    // SAFETY: `socket` reads no memory of ours; it returns a new descriptor
+    // or -1.
     let fd = check(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
     // Wrap immediately so an early return cannot leak the descriptor.
+    // SAFETY: `fd` is a TCP socket opened one line up, and nothing else owns
+    // it.
     let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    // SAFETY: `with_sockaddr` hands over a pointer to a socket address of
+    // `len` bytes that lives across the call, which the kernel only reads.
     let result = with_sockaddr(addr, |sockaddr, len| unsafe {
         connect(stream.as_raw_fd(), sockaddr, len)
     });
@@ -311,11 +332,17 @@ pub(crate) fn bind_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
         SocketAddr::V4(_) => AF_INET,
         SocketAddr::V6(_) => AF_INET6,
     };
+    // SAFETY: `socket` reads no memory of ours; it returns a new descriptor
+    // or -1.
     let fd = check(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
     // Wrap immediately so an early return cannot leak the descriptor.
+    // SAFETY: `fd` is a TCP socket opened one line up, and nothing else owns
+    // it.
     let listener = unsafe { TcpListener::from_raw_fd(fd) };
     for option in [SO_REUSEADDR, SO_REUSEPORT] {
         let enable: c_int = 1;
+        // SAFETY: the kernel reads the `c_int` behind the pointer, which
+        // lives across the call, and no more than its size.
         check(unsafe {
             setsockopt(
                 listener.as_raw_fd(),
@@ -326,10 +353,13 @@ pub(crate) fn bind_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
             )
         })?;
     }
+    // SAFETY: `with_sockaddr` hands over a pointer to a socket address of
+    // `len` bytes that lives across the call, which the kernel only reads.
     let bound = with_sockaddr(addr, |sockaddr, len| unsafe {
         bind(listener.as_raw_fd(), sockaddr, len)
     });
     check(bound)?;
+    // SAFETY: `listen` reads no memory of ours; the socket is ours.
     check(unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) })?;
     Ok(listener)
 }
@@ -346,6 +376,8 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: the kernel writes one `RLimit`, laid out as its `rlimit`, into
+    // the exclusively borrowed `limit`.
     check(unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) })?;
     if limit.rlim_cur >= want {
         return Ok(limit.rlim_cur);
@@ -356,11 +388,15 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
             rlim_cur: want,
             rlim_max: want,
         };
+        // SAFETY: the kernel reads one `RLimit`, laid out as its `rlimit`,
+        // from `raised`, which lives across the call.
         if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
             return Ok(want);
         }
     }
     limit.rlim_cur = want.min(limit.rlim_max);
+    // SAFETY: the kernel reads one `RLimit`, laid out as its `rlimit`, from
+    // `limit`, which lives across the call.
     check(unsafe { setrlimit(RLIMIT_NOFILE, &limit) })?;
     Ok(limit.rlim_cur)
 }

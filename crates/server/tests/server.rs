@@ -741,6 +741,9 @@ fn shrink_recv_buffer(stream: &TcpStream) {
         ) -> i32;
     }
     let size: i32 = 16 * 1024;
+    // SAFETY: the kernel reads the `i32` behind the pointer, which lives
+    // across the call, and no more than its size; the socket is the
+    // stream's, borrowed for the call.
     let rc = unsafe {
         setsockopt(
             stream.as_raw_fd(),

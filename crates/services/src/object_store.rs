@@ -213,7 +213,7 @@ impl RemoteService for ObjectStore {
             Method::Head => match self.get_object(&bucket, &key) {
                 Some(data) => (
                     HttpResponse::ok(Vec::new())
-                        .with_header("Content-Length", &data.len().to_string()),
+                        .with_header("Content-Length", data.len().to_string()),
                     0,
                 ),
                 None => (

@@ -11,10 +11,11 @@
 //!
 //! The state machine before this one asked for 419 blocks on the same
 //! script ([`PARENT_BLOCKS`]). Counting dependencies instead of cloning every
-//! waiting `GraphNode`, keeping merged outputs in lists indexed by output
-//! position instead of a `HashMap<String, DataSet>` per node, and moving
-//! instance outputs instead of cloning them is what keeps a pass at less than
-//! half of that; any of those coming back goes over.
+//! waiting `GraphNode`, keeping the sets a node's instances returned instead
+//! of a `HashMap<String, DataSet>` per node, and moving instance outputs,
+//! sources read by one binding and the external outputs instead of cloning
+//! them is what keeps a pass at less than half of that; any of those coming
+//! back goes over.
 
 use std::sync::Arc;
 
@@ -113,7 +114,7 @@ fn render_logs_pass(graph: &Arc<CompositionGraph>, log_bytes: usize) -> usize {
                 handed_out += state.ready_instances().expect("sweep").len();
             }
         }
-        let outputs = state.external_outputs().expect("complete");
+        let outputs = state.take_external_outputs().expect("complete");
         (handed_out, outputs, state)
     });
     // 3 compute + 6 communication tasks, and the report arrives as the
@@ -125,20 +126,20 @@ fn render_logs_pass(graph: &Arc<CompositionGraph>, log_bytes: usize) -> usize {
     blocks
 }
 
-/// What one pass asks of the heap, block by block. The client's items by
-/// input position, the node table, and the dependency list of each of the
-/// four nodes that have one, to count it (6). Per node, five of them: the
-/// list of source slices, the list of instances, the slot list and the list
-/// of ready specs of its sweep, and the merged-outputs list when it completes
-/// (5 each; merging the five `Response` sets of the fan-out into one list
-/// grows that list twice: 2). Per instance, nine of them: its input list, the set's name
-/// and the set's item list (3 each), and per item handed to an instance the
-/// item's name (1 + 1 + 1 + 5 + 5). The external outputs: the list, the
-/// set's name, its item list and the item's name (4). These are exact: one
-/// more clone of an item (1 block and up) or of a graph node (5 and up) fails
-/// the test; a toolchain that grows `Vec`s differently means measuring again,
-/// not padding.
-const MAX_BLOCKS: usize = 77;
+/// What one pass asks of the heap, block by block. The node table (1). Per
+/// sweep — one after construction and one after each of the four nodes that
+/// finish another's inputs — the list of ready specs and the new node's slot
+/// list (2 each; the fan-out sweep's five specs grow its list once: 1).
+/// Merging the five `Response` sets of the fan-out moves them into the first
+/// instance's, whose item list grows twice (2). Per instance, two of them:
+/// its shared input list and the set's name (2 each). A source that one
+/// binding alone reads is moved to it, not copied: no item's name is copied
+/// anywhere, and only an `each` instance's one-item list is new (1 + 5). The
+/// external outputs: the list and the set's name; the items move (2). These
+/// are exact: one more clone of an item (1 block and up) or of a graph node
+/// (5 and up) fails the test; a toolchain that grows `Vec`s differently means
+/// measuring again, not padding.
+const MAX_BLOCKS: usize = 40;
 
 /// What the state machine before this one asked for on the same pass.
 const PARENT_BLOCKS: usize = 419;

@@ -8,7 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dandelion_core::WorkerNode;
@@ -40,13 +40,67 @@ thread_local! {
 /// statistic, it publishes no other data.
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+/// Threads whose blocks [`BlockTally`] keeps apart, at most: the first this
+/// many threads of the process that ask the heap for anything (a served
+/// test's process runs about a dozen).
+const THREAD_SLOTS: usize = 64;
+
+/// Blocks requested by every thread of the process. Relaxed, like
+/// `LIVE_BYTES`.
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
+
+/// Slots claimed so far; a slot is a thread's for the life of the process.
+static THREADS_SEEN: AtomicUsize = AtomicUsize::new(0);
+
+/// Each slot's thread, by kernel thread id, and the blocks it requested.
+static SLOT_TIDS: [AtomicI32; THREAD_SLOTS] = [const { AtomicI32::new(0) }; THREAD_SLOTS];
+static SLOT_BLOCKS: [AtomicUsize; THREAD_SLOTS] = [const { AtomicUsize::new(0) }; THREAD_SLOTS];
+
+thread_local! {
+    /// This thread's slot, claimed at its first request; `usize::MAX`
+    /// before. `const`-initialised and without a destructor, like
+    /// `HEAP_USE`.
+    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+extern "C" {
+    /// glibc's `gettid(2)` wrapper.
+    fn gettid() -> i32;
+}
+
+/// This thread's slot in `SLOT_BLOCKS`, claimed on first use; `None` past
+/// the last slot or while the thread's locals are torn down. Claiming
+/// allocates nothing.
+fn thread_slot() -> Option<usize> {
+    let slot = SLOT
+        .try_with(|slot| {
+            if slot.get() == usize::MAX {
+                let claimed = THREADS_SEEN.fetch_add(1, Ordering::Relaxed);
+                if claimed < THREAD_SLOTS {
+                    // SAFETY: `gettid` takes no arguments and cannot fail.
+                    let tid = unsafe { gettid() };
+                    SLOT_TIDS[claimed].store(tid, Ordering::Relaxed);
+                }
+                slot.set(claimed);
+            }
+            slot.get()
+        })
+        .ok()?;
+    (slot < THREAD_SLOTS).then_some(slot)
+}
+
 /// The counting global allocator of the allocation-budget tests. A test
 /// binary installs it with `#[global_allocator]` and measures with
-/// [`heap_use_of`] (what one thread requested) or [`live_heap_bytes`] (what
-/// the process holds).
+/// [`heap_use_of`] (what one thread requested), [`block_tally`] (what every
+/// thread requested, process-wide and thread by thread) or
+/// [`live_heap_bytes`] (what the process holds).
 pub struct CountingAllocator;
 
 fn note(bytes: usize, regrown: bool) {
+    BLOCKS.fetch_add(1, Ordering::Relaxed);
+    if let Some(slot) = thread_slot() {
+        SLOT_BLOCKS[slot].fetch_add(1, Ordering::Relaxed);
+    }
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down.
     let _ = HEAP_USE.try_with(|cell| {
@@ -103,6 +157,55 @@ pub fn heap_use_of<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
     (value, HEAP_USE.with(Cell::get))
 }
 
+/// Blocks requested up to one instant: by the whole process, and by each of
+/// its first 64 threads. Two tallies give what happened
+/// between them ([`BlockTally::since`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BlockTally {
+    total: usize,
+    threads: [usize; THREAD_SLOTS],
+}
+
+/// The blocks requested so far (all zero unless the binary installed
+/// [`CountingAllocator`]). Taking the tally allocates nothing, so a window
+/// between two of them holds only what was measured.
+pub fn block_tally() -> BlockTally {
+    BlockTally {
+        total: BLOCKS.load(Ordering::Relaxed),
+        threads: std::array::from_fn(|slot| SLOT_BLOCKS[slot].load(Ordering::Relaxed)),
+    }
+}
+
+impl BlockTally {
+    /// What was requested between `earlier` and this tally.
+    pub fn since(&self, earlier: &BlockTally) -> BlockTally {
+        BlockTally {
+            total: self.total - earlier.total,
+            threads: std::array::from_fn(|slot| self.threads[slot] - earlier.threads[slot]),
+        }
+    }
+
+    /// Blocks requested by every thread.
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Blocks requested by the threads whose name (as the kernel keeps it,
+    /// 15 bytes at most: `/proc/self/task/<tid>/comm`) is `name`. Threads
+    /// that have exited since are not found.
+    pub fn of_threads_named(&self, name: &str) -> usize {
+        let claimed = THREADS_SEEN.load(Ordering::Relaxed).min(THREAD_SLOTS);
+        (0..claimed)
+            .filter(|&slot| {
+                let tid = SLOT_TIDS[slot].load(Ordering::Relaxed);
+                std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+                    .is_ok_and(|comm| comm.trim_end() == name)
+            })
+            .map(|slot| self.threads[slot])
+            .sum()
+    }
+}
+
 /// Bytes the process holds on the heap right now (zero unless the binary
 /// installed [`CountingAllocator`]).
 pub fn live_heap_bytes() -> usize {
@@ -151,5 +254,65 @@ impl std::io::Write for ChoppyWriter {
 
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+/// One keep-alive connection that sends prepared requests one at a time and
+/// reads each response into a buffer it allocated up front, so an exchange
+/// asks nothing of the heap on the client's side: what a counting allocator
+/// sees during one is the server's.
+pub struct KeepAliveClient {
+    stream: std::net::TcpStream,
+    buffer: Vec<u8>,
+}
+
+impl KeepAliveClient {
+    /// Connects to `addr`; responses may be up to `max_response` bytes.
+    pub fn connect(addr: std::net::SocketAddr, max_response: usize) -> Self {
+        let stream = std::net::TcpStream::connect(addr).expect("the server accepts");
+        stream.set_nodelay(true).expect("TCP_NODELAY");
+        Self {
+            stream,
+            buffer: vec![0; max_response],
+        }
+    }
+
+    /// Writes `wire`, one whole request, and reads its response through:
+    /// the body of a `200 OK`. Panics on any other status or a response
+    /// without a `Content-Length`.
+    pub fn exchange(&mut self, wire: &[u8]) -> &[u8] {
+        use std::io::{Read, Write};
+        self.stream.write_all(wire).expect("the request is written");
+        let mut filled = 0;
+        let (body_start, end) = loop {
+            let read = self.stream.read(&mut self.buffer[filled..]).expect("reads");
+            assert!(read > 0, "the server closed the connection");
+            filled += read;
+            let received = &self.buffer[..filled];
+            let Some(blank) = received.windows(4).position(|line| line == b"\r\n\r\n") else {
+                continue;
+            };
+            assert!(
+                received.starts_with(b"HTTP/1.1 200 "),
+                "the server answered {:?}",
+                received.get(..received.len().min(64))
+            );
+            let length = received[..blank]
+                .split(|&byte| byte == b'\n')
+                .find_map(|line| line.strip_prefix(b"Content-Length: "))
+                .and_then(|value| std::str::from_utf8(value).ok())
+                .and_then(|value| value.trim().parse::<usize>().ok())
+                .expect("the response declares its length");
+            break (blank + 4, blank + 4 + length);
+        };
+        while filled < end {
+            let read = self
+                .stream
+                .read(&mut self.buffer[filled..end])
+                .expect("reads");
+            assert!(read > 0, "the server closed the connection mid-body");
+            filled += read;
+        }
+        &self.buffer[body_start..end]
     }
 }
