@@ -341,12 +341,18 @@ mod tests {
 
     #[test]
     fn sourced_objects_are_the_bytes_the_eager_fixture_stored() {
-        use dandelion_http::{HttpRequest, Uri};
+        use dandelion_common::SharedBytes;
+        use dandelion_http::validate::{validate_request_shared, ValidationPolicy};
+        use dandelion_http::HttpRequest;
         let services = demo_services(false);
+        // The engine's path: serialized, validated in place, dispatched.
         let get = |path: &str| {
             let request = HttpRequest::get(format!("http://{}/{path}", query_app::STORE_HOST));
-            let uri = Uri::parse(&request.target).unwrap();
-            services.dispatch(&uri, &request).response
+            let raw = SharedBytes::from_vec(request.to_bytes());
+            let validated = validate_request_shared(&raw, &ValidationPolicy::default()).unwrap();
+            services
+                .dispatch(&validated.uri, &validated.request)
+                .response
         };
         let idle = services.resident_bytes();
 

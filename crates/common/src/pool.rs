@@ -40,14 +40,16 @@
 //! `malloc_trim` after a release that freed something are what this module
 //! tells glibc about that.
 //!
-//! Every acquisition is stamped with a process-wide monotonically increasing
-//! *generation tag*. The tag uniquely identifies one ownership interval of a
-//! buffer: two live handles can never carry the same generation, which is
-//! what the aliasing stress test asserts while hammering the pool from many
-//! threads. The pool is an opportunistic fast path, never a correctness
-//! dependency.
+//! # Counting
+//!
+//! The counters ([`PoolStats`]) are kept per class, in the slab, under the
+//! lock that `acquire` and `recycle_vec` take anyway: one lock per acquire
+//! and per recycle, and no shared counter every thread writes to.
+//! [`BufferPool::stats`] sums the classes when it is read and derives
+//! `allocations` and `live` from the rest. Requests above the largest class,
+//! which no class serves, keep their own counts. The pool is an
+//! opportunistic fast path, never a correctness dependency.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The pooled size classes in bytes: from 4 KiB to 4 MiB, every power of two
@@ -115,16 +117,28 @@ pub struct PoolStats {
     pub acquires: u64,
     /// Acquires served from a recycled buffer (no allocation).
     pub reuses: u64,
-    /// Acquires that had to allocate (pool miss or oversized request).
+    /// Acquires that had to allocate (pool miss or oversized request):
+    /// `acquires − reuses`.
     pub allocations: u64,
     /// Issued buffers that came back and were kept for reuse.
     pub recycled: u64,
     /// Issued buffers that came back and were freed: the class was full, or
-    /// the request was above the largest class.
+    /// the buffer is of no class size (the request was above the largest
+    /// class).
     pub discarded: u64,
-    /// Issued buffers that have not come back yet: a gauge kept by the
-    /// handles, not derived from the other counters.
+    /// Issued buffers that have not come back yet:
+    /// `acquires − recycled − discarded`.
     pub live: u64,
+}
+
+/// What one class — or the requests above the largest — counted, under the
+/// lock its operations take.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    acquires: u64,
+    reuses: u64,
+    recycled: u64,
+    discarded: u64,
 }
 
 /// The parked buffers of one size class, every one of the class size.
@@ -137,18 +151,15 @@ struct Slab {
     /// [`BufferPool::release_unused`] last looked: that many, the bottom of
     /// the stack, nobody needed in all that time.
     low_water: usize,
+    counts: Counts,
 }
 
 /// A slab of reusable fixed-class byte buffers.
 pub struct BufferPool {
     classes: Vec<Mutex<Slab>>,
-    generation: AtomicU64,
-    acquires: AtomicU64,
-    reuses: AtomicU64,
-    allocations: AtomicU64,
-    recycled: AtomicU64,
-    discarded: AtomicU64,
-    live: AtomicU64,
+    /// The counts of requests above the largest class and of returned
+    /// buffers of no class size.
+    unpooled: Mutex<Counts>,
 }
 
 impl Default for BufferPool {
@@ -165,13 +176,7 @@ impl BufferPool {
                 .iter()
                 .map(|_| Mutex::new(Slab::default()))
                 .collect(),
-            generation: AtomicU64::new(0),
-            acquires: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            allocations: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
-            live: AtomicU64::new(0),
+            unpooled: Mutex::default(),
         }
     }
 
@@ -190,37 +195,31 @@ impl BufferPool {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn unpooled(&self) -> MutexGuard<'_, Counts> {
+        self.unpooled.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Pops (or allocates) an empty buffer with capacity for at least
-    /// `min_capacity` bytes, stamped with a fresh generation tag; dropping
-    /// the handle returns the buffer.
+    /// `min_capacity` bytes; dropping the handle returns the buffer.
     ///
     /// The returned vector always has `len() == 0`; recycled buffers are
     /// cleared before they are handed out, so no bytes from a previous
     /// owner are ever visible.
     pub fn acquire(&self, min_capacity: usize) -> PooledBuf<'_> {
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_add(1, Ordering::Relaxed);
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let class = class_holding(min_capacity);
-        let vec = match class.and_then(|class| self.pop_class(class)) {
-            Some(vec) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                vec
-            }
-            // A miss allocates the class size, so the buffer can come back;
-            // a request above the largest class what it asked for, and that
-            // one is freed on return.
+        let vec = match class_holding(min_capacity) {
+            // A miss allocates the class size, so the buffer can come back.
+            Some(class) => self
+                .pop_class(class)
+                .unwrap_or_else(|| Vec::with_capacity(SIZE_CLASSES[class])),
+            // A request above the largest class gets what it asked for, and
+            // that buffer is freed on return.
             None => {
-                self.allocations.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(class.map_or(min_capacity, |class| SIZE_CLASSES[class]))
+                self.unpooled().acquires += 1;
+                Vec::with_capacity(min_capacity)
             }
         };
         debug_assert!(vec.is_empty());
-        PooledBuf {
-            vec,
-            generation,
-            pool: self,
-        }
+        PooledBuf { vec, pool: self }
     }
 
     /// Like [`BufferPool::acquire`] but returns the raw vector for owners
@@ -243,27 +242,29 @@ impl BufferPool {
         if vec.capacity() == 0 {
             return;
         }
-        self.live.fetch_sub(1, Ordering::Relaxed);
         let class =
             class_holding(vec.capacity()).filter(|&class| SIZE_CLASSES[class] == vec.capacity());
         let Some(class) = class else {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
+            self.unpooled().discarded += 1;
             return;
         };
         vec.clear();
         let mut slab = self.class_lock(class);
         if slab.buffers.len() >= class_limit(class) {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
+            slab.counts.discarded += 1;
             return;
         }
         slab.buffers.push(vec);
-        self.recycled.fetch_add(1, Ordering::Relaxed);
+        slab.counts.recycled += 1;
     }
 
-    /// Pops the most recently returned buffer of `class`.
+    /// Counts an acquire of `class` and pops the most recently returned
+    /// buffer, if the class has one.
     fn pop_class(&self, class: usize) -> Option<Vec<u8>> {
         let mut slab = self.class_lock(class);
+        slab.counts.acquires += 1;
         let vec = slab.buffers.pop()?;
+        slab.counts.reuses += 1;
         slab.low_water = slab.low_water.min(slab.buffers.len());
         Some(vec)
     }
@@ -291,17 +292,30 @@ impl BufferPool {
         released
     }
 
-    /// A snapshot of the pool counters. Each is read on its own: the two
-    /// sums of [`PoolStats`] hold once the pool is quiet, and may be off by
-    /// the operations under way otherwise.
+    /// A snapshot of the pool counters, summed over the classes, each
+    /// class read under its lock in turn: the two sums of [`PoolStats`]
+    /// hold once the pool is quiet, and may be off by the operations under
+    /// way otherwise.
     pub fn stats(&self) -> PoolStats {
+        let counts = (0..SIZE_CLASSES.len())
+            .map(|class| self.class_lock(class).counts)
+            .chain([*self.unpooled()]);
+        let mut total = Counts::default();
+        for counts in counts {
+            total.acquires += counts.acquires;
+            total.reuses += counts.reuses;
+            total.recycled += counts.recycled;
+            total.discarded += counts.discarded;
+        }
         PoolStats {
-            acquires: self.acquires.load(Ordering::Relaxed),
-            reuses: self.reuses.load(Ordering::Relaxed),
-            allocations: self.allocations.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
-            discarded: self.discarded.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed),
+            acquires: total.acquires,
+            reuses: total.reuses,
+            allocations: total.acquires - total.reuses,
+            recycled: total.recycled,
+            discarded: total.discarded,
+            live: total
+                .acquires
+                .saturating_sub(total.recycled + total.discarded),
         }
     }
 
@@ -333,24 +347,16 @@ impl std::fmt::Debug for BufferPool {
     }
 }
 
-/// An acquired pool buffer: an empty `Vec<u8>` plus the generation tag of
-/// this ownership interval. Dropping the handle returns the buffer to its
-/// pool; [`PooledBuf::detach`] hands the vector to an owner that returns it
-/// itself.
+/// An acquired pool buffer: an empty `Vec<u8>`. Dropping the handle returns
+/// the buffer to its pool; [`PooledBuf::detach`] hands the vector to an
+/// owner that returns it itself.
 #[derive(Debug)]
 pub struct PooledBuf<'pool> {
     vec: Vec<u8>,
-    generation: u64,
     pool: &'pool BufferPool,
 }
 
 impl PooledBuf<'_> {
-    /// The generation tag stamped at acquisition. Strictly increasing across
-    /// all acquires of the pool, so no two live handles share a tag.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Extracts the buffer, consuming the handle; the buffer stays live
     /// until [`BufferPool::recycle_vec`] gets it back.
     pub fn detach(mut self) -> Vec<u8> {
@@ -626,18 +632,6 @@ mod tests {
         pool.recycle_vec(taken);
         assert_eq!(pool.retained()[MIB_CLASS].buffers, 8);
         accounted(&pool);
-    }
-
-    #[test]
-    fn generations_are_unique_and_increasing() {
-        let pool = BufferPool::new();
-        let a = pool.acquire(64);
-        let b = pool.acquire(64);
-        assert!(b.generation() > a.generation());
-        let vec = a.detach();
-        pool.recycle_vec(vec);
-        let c = pool.acquire(64);
-        assert!(c.generation() > b.generation());
     }
 
     #[test]

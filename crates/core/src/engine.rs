@@ -37,8 +37,9 @@ use dandelion_common::{
     check_failpoint, fail_point, failpoints_enabled, DandelionError, DataItem, DataSet, Fault,
 };
 use dandelion_http::validate::{validate_request_shared, ValidationPolicy};
+use dandelion_http::StatusCode;
 use dandelion_isolation::{ExecutionTask, IsolationBackend};
-use dandelion_services::ServiceRegistry;
+use dandelion_services::{Reply, ServiceRegistry};
 
 use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
 
@@ -152,31 +153,30 @@ fn execute_http(
     registry: &ServiceRegistry,
     policy: &ValidationPolicy,
 ) -> (DataSet, Duration) {
+    const PREFIX: &str = "response-";
     let mut responses = DataSet::new(response_set);
     let mut max_latency = Duration::ZERO;
     for set in inputs {
         for item in &set.items {
-            // Zero-copy: the request (and its body) are views of the item's
-            // buffer, which itself is a view of the producer's region. The
-            // response is serialized through the rope path: the head is
-            // built once in a pooled buffer and a body-less response is
-            // frozen without any copy at all.
+            // The request is validated where it lies and the service reads
+            // it there: its target is a view of the item's bytes and its body
+            // a view of their buffer, itself a view of the producer's region.
+            // The reply's head and body are written into one pooled buffer.
             let (response_bytes, latency) = match validate_request_shared(&item.data, policy) {
                 Ok(validated) => {
                     let reply = registry.dispatch(&validated.uri, &validated.request);
                     (reply.response.to_shared(), reply.latency)
                 }
-                Err(err) => {
-                    let response = dandelion_http::HttpResponse::error(
-                        dandelion_http::StatusCode::BAD_REQUEST,
-                        &err.to_string(),
-                    );
-                    (response.to_shared(), Duration::ZERO)
-                }
+                Err(err) => (
+                    Reply::error(StatusCode::BAD_REQUEST, &err.to_string()).to_shared(),
+                    Duration::ZERO,
+                ),
             };
             max_latency = max_latency.max(latency);
-            let mut response_item =
-                DataItem::new(format!("response-{}", item.name), response_bytes);
+            let mut name = String::with_capacity(PREFIX.len() + item.name.len());
+            name.push_str(PREFIX);
+            name.push_str(&item.name);
+            let mut response_item = DataItem::new(name, response_bytes);
             response_item.key = item.key.clone();
             responses.push(response_item);
         }
@@ -683,6 +683,8 @@ mod tests {
         let good = HttpRequest::get("http://s3.internal/bucket/hello.txt").to_bytes();
         let missing = HttpRequest::get("http://s3.internal/bucket/none").to_bytes();
         let invalid = b"NOT A REQUEST".to_vec();
+        // A target that is not UTF-8 is refused, not read lossily.
+        let not_utf8 = b"GET http://s3.internal/bucket/hello\xff.txt HTTP/1.1\r\n\r\n".to_vec();
         pool.queue().push(Task {
             invocation: InvocationId::from_raw(1),
             node: 1,
@@ -694,6 +696,7 @@ mod tests {
                         DataItem::new("r0", good),
                         DataItem::new("r1", missing),
                         DataItem::new("r2", invalid),
+                        DataItem::new("r3", not_utf8),
                     ],
                 )]
                 .into(),
@@ -706,12 +709,20 @@ mod tests {
         let result = &batch[0];
         let outputs = result.outcome.clone().unwrap();
         assert_eq!(outputs[0].name, "Response");
-        assert_eq!(outputs[0].len(), 3);
+        assert_eq!(outputs[0].len(), 4);
+        let names: Vec<_> = outputs[0].items.iter().map(|item| &item.name).collect();
+        assert_eq!(
+            names,
+            ["response-r0", "response-r1", "response-r2", "response-r3"]
+        );
         let parse = |item: &DataItem| dandelion_http::parse_response(&item.data).unwrap();
         assert_eq!(parse(&outputs[0].items[0]).status.0, 200);
         assert_eq!(parse(&outputs[0].items[0]).body, b"stored bytes");
         assert_eq!(parse(&outputs[0].items[1]).status.0, 404);
         assert_eq!(parse(&outputs[0].items[2]).status.0, 400);
+        let refused = parse(&outputs[0].items[3]);
+        assert_eq!(refused.status.0, 400);
+        assert!(refused.body_str().contains("is not a valid URI"));
         assert!(result.modeled_latency > Duration::ZERO);
         pool.shutdown();
     }

@@ -14,8 +14,12 @@
 //! * the URI authority must be a syntactically valid IP address or domain
 //!   name.
 //!
-//! [`validate::validate_request_shared`] implements exactly those checks and
-//! is covered by property tests.
+//! [`validate::validate_request_shared`] implements exactly those checks,
+//! where the request lies: one head scan gives the method, the target and a
+//! view of the body ([`RequestRef`]), the target's parts are views of it
+//! ([`UriRef`]), and everything else — the headers among it — passes through
+//! as opaque bytes. The validator is tested differentially against the
+//! one-shot [`parse_request`] and the owned rules it replaced.
 
 mod parse;
 mod stream;
@@ -25,12 +29,12 @@ mod uri;
 pub mod validate;
 
 pub use parse::{
-    parse_request, parse_request_shared, parse_response, parse_response_frame,
+    parse_request, parse_request_frame, parse_response, parse_response_frame,
     parse_response_shared, HttpParseError,
 };
 pub use stream::{
     rejection_code, rejection_status, Frame, ParseLimits, RequestDecoder, RequestFrame,
     ResponseDecoder, ResponseFrame, FRAMING_HEADS,
 };
-pub use types::{Headers, HttpRequest, HttpResponse, Method, StatusCode, Version};
-pub use uri::{Uri, UriRef};
+pub use types::{Headers, HttpRequest, HttpResponse, Method, RequestRef, StatusCode, Version};
+pub use uri::UriRef;

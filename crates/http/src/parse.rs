@@ -18,7 +18,7 @@ use std::ops::Range;
 
 use dandelion_common::{utf8_lossy, SharedBytes};
 
-use crate::stream::{Frame, ResponseFrame};
+use crate::stream::{Frame, RequestFrame, ResponseFrame};
 use crate::types::{
     parse_content_length, Headers, HttpRequest, HttpResponse, Method, StatusCode, Version,
 };
@@ -472,8 +472,8 @@ fn parse_message<L: Copy>(
 
 /// Parses a serialized HTTP request, copying the body out of `input`.
 ///
-/// [`parse_request_shared`] is the zero-copy variant over an owned receive
-/// buffer.
+/// [`parse_request_frame`] frames the same bytes in place and builds
+/// nothing.
 pub fn parse_request(input: &[u8]) -> Result<HttpRequest, HttpParseError> {
     let (head, body) = parse_message(input, request_line)?;
     Ok(build_request(
@@ -483,11 +483,17 @@ pub fn parse_request(input: &[u8]) -> Result<HttpRequest, HttpParseError> {
     ))
 }
 
-/// Parses a serialized HTTP request held in a [`SharedBytes`] receive
-/// buffer; the returned request's body is a zero-copy view of that buffer.
-pub fn parse_request_shared(input: &SharedBytes) -> Result<HttpRequest, HttpParseError> {
+/// Frames the one request a [`SharedBytes`] buffer holds and builds
+/// nothing: the frame's [`method`](Frame::method),
+/// [`target`](Frame::target) and [`body`](Frame::body) — views of `input`
+/// — are read from the head's one scan, with no header map. It is
+/// [`parse_request`]'s verdict on the same bytes.
+pub fn parse_request_frame(input: &SharedBytes) -> Result<RequestFrame, HttpParseError> {
     let (head, body) = parse_message(input, request_line)?;
-    Ok(build_request(input, &head, input.slice(body)))
+    Ok(Frame {
+        bytes: input.slice(..body.end),
+        head,
+    })
 }
 
 /// Parses a serialized HTTP response, copying the body out of `input`.
@@ -550,11 +556,16 @@ mod tests {
     #[test]
     fn shared_parse_views_the_receive_buffer() {
         let wire = SharedBytes::from_vec(
-            HttpRequest::post("http://svc.internal/x", b"a large payload".to_vec()).to_bytes(),
+            HttpRequest::post("http://svc.internal/x", b"a large payload".to_vec())
+                .with_header("X-Trace", "1")
+                .to_bytes(),
         );
-        let parsed = parse_request_shared(&wire).unwrap();
-        assert_eq!(parsed.body, b"a large payload");
-        assert!(SharedBytes::same_buffer(&parsed.body, &wire));
+        let frame = parse_request_frame(&wire).unwrap();
+        assert_eq!(frame.method(), Method::Post);
+        assert_eq!(frame.target(), b"http://svc.internal/x");
+        assert_eq!(frame.body(), b"a large payload");
+        assert!(SharedBytes::same_buffer(&frame.body(), &wire));
+        assert_eq!(frame.to_request(), parse_request(&wire).unwrap());
 
         let response_wire =
             SharedBytes::from_vec(HttpResponse::ok(b"response bytes".to_vec()).to_bytes());

@@ -1,6 +1,6 @@
 //! Incremental parsing for messages arriving over a byte stream.
 //!
-//! The one-shot parsers ([`parse_request_shared`] and its siblings) assume
+//! The one-shot parsers ([`parse_request_frame`] and its siblings) assume
 //! the whole message is in hand. A socket delivers bytes in arbitrary
 //! fragments, possibly several pipelined messages per read, so the network
 //! server needs two extra capabilities, provided here:
@@ -21,11 +21,11 @@
 //! Framing, validation and the one-shot parsers are one head scan, so the
 //! verdicts agree by construction, and decoded results are byte-identical to
 //! the one-shot path: a decoder that was fed a serialized request in
-//! arbitrary fragments yields exactly what [`parse_request_shared`] yields on
+//! arbitrary fragments yields exactly what [`parse_request_frame`] frames in
 //! the whole buffer (the property tests split at every byte boundary to
 //! prove it).
 //!
-//! [`parse_request_shared`]: crate::parse_request_shared
+//! [`parse_request_frame`]: crate::parse_request_frame
 
 use std::io::{self, Read};
 use std::os::fd::BorrowedFd;
@@ -214,9 +214,8 @@ impl Frame<RequestLine> {
         self.head.start.version
     }
 
-    /// The structured request: what
-    /// [`parse_request_shared`](crate::parse_request_shared) makes of the
-    /// same bytes, the body a view of them.
+    /// The structured request: what [`parse_request`](crate::parse_request)
+    /// makes of the same bytes, the body a view of them.
     pub fn to_request(&self) -> HttpRequest {
         build_request(&self.bytes, &self.head, self.body())
     }
@@ -770,7 +769,9 @@ mod tests {
     fn decoder_matches_one_shot_parse_at_every_split() {
         let request = sample_request();
         let wire = request.to_bytes();
-        let reference = crate::parse_request_shared(&SharedBytes::from_vec(wire.clone())).unwrap();
+        let reference = crate::parse_request_frame(&SharedBytes::from_vec(wire.clone()))
+            .unwrap()
+            .to_request();
         for cut in 0..=wire.len() {
             let mut decoder = RequestDecoder::new(ParseLimits::default());
             decoder.feed(&wire[..cut]);

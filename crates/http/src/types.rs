@@ -399,6 +399,22 @@ impl HttpRequest {
         len + 2
     }
 
+    /// Writes the head — start line, header lines, the `Content-Length`
+    /// line when a body is present and the header is missing, blank line.
+    fn put_head(&self, out: &mut SharedBytesMut) {
+        out.put_str(self.method.as_str());
+        out.put_u8(b' ');
+        out.put_str(&self.target);
+        out.put_u8(b' ');
+        out.put_str(self.version.as_str());
+        out.put_str("\r\n");
+        put_header_lines(out, &self.headers);
+        if !self.body.is_empty() && self.headers.content_length().is_none() {
+            put_content_length_line(out, self.body.len());
+        }
+        out.put_str("\r\n");
+    }
+
     /// Serializes the request as a [`Rope`]: the head is built once into a
     /// pooled, exactly sized buffer and the body attaches by reference.
     ///
@@ -408,17 +424,7 @@ impl HttpRequest {
     /// present and the header is missing.
     pub fn to_rope(&self) -> Rope {
         let mut head = SharedBytesMut::with_capacity(self.head_len());
-        head.put_str(self.method.as_str());
-        head.put_u8(b' ');
-        head.put_str(&self.target);
-        head.put_u8(b' ');
-        head.put_str(self.version.as_str());
-        head.put_str("\r\n");
-        put_header_lines(&mut head, &self.headers);
-        if !self.body.is_empty() && self.headers.content_length().is_none() {
-            put_content_length_line(&mut head, self.body.len());
-        }
-        head.put_str("\r\n");
+        self.put_head(&mut head);
         debug_assert_eq!(head.len(), self.head_len());
         let mut rope = Rope::new();
         rope.push_builder(head);
@@ -426,16 +432,44 @@ impl HttpRequest {
         rope
     }
 
-    /// Serializes the request into one contiguous zero-copy view
-    /// (one copy into a pooled buffer; none when the body is empty).
+    /// Serializes the request into one contiguous view: the head and the
+    /// body are written into one pooled buffer of exactly their length.
     pub fn to_shared(&self) -> SharedBytes {
-        self.to_rope().into_shared()
+        let length = self.head_len() + self.body.len();
+        let mut message = SharedBytesMut::with_capacity(length);
+        self.put_head(&mut message);
+        message.put_slice(&self.body);
+        debug_assert_eq!(message.len(), length);
+        message.freeze()
     }
 
     /// Serializes the request to wire format, adding `Content-Length` when a
     /// body is present and the header is missing.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_rope().to_vec()
+    }
+}
+
+/// A request read where it lies: what the communication engine validated
+/// of the bytes a compute function wrote, and all a remote service reads —
+/// the method, the target, a view of the body. Nothing is copied out of the
+/// bytes and no header is read: the headers travel as opaque bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestRef<'a> {
+    /// Request method.
+    pub method: Method,
+    /// Request target, either absolute (`http://host/path`) or origin form
+    /// (`/path`), as written.
+    pub target: &'a str,
+    /// Message body (a zero-copy view).
+    pub body: SharedBytes,
+}
+
+impl RequestRef<'_> {
+    /// The body as text (lossy): a borrow of the body's buffer when it is
+    /// valid UTF-8, a repaired copy only when it is not.
+    pub fn body_str(&self) -> Cow<'_, str> {
+        utf8_lossy(&self.body)
     }
 }
 
@@ -548,12 +582,6 @@ impl HttpResponse {
         rope.push_builder(head);
         rope.push(self.body.clone());
         rope
-    }
-
-    /// Serializes the response into one contiguous zero-copy view
-    /// (one copy into a pooled buffer; none when the body is empty).
-    pub fn to_shared(&self) -> SharedBytes {
-        self.to_rope().into_shared()
     }
 
     /// Serializes the response to wire format.
@@ -693,6 +721,21 @@ mod tests {
         let text = String::from_utf8(response.to_bytes()).unwrap();
         assert!(text.starts_with("HTTP/1.1 599 Unknown\r\n"));
         assert!(text.contains("Content-Length: 0\r\n"));
+    }
+
+    #[test]
+    fn to_shared_writes_the_wire_bytes_into_one_buffer_of_their_length() {
+        let body = SharedBytes::from_vec(vec![0x42; 5000]);
+        let request =
+            HttpRequest::put("http://svc.example/obj", body).with_header("X-Trace", "abc123");
+        let (shared, wire) = (request.to_shared(), request.to_bytes());
+        assert_eq!(shared.as_slice(), wire);
+        // One pooled buffer, of the class that holds head and body.
+        assert_eq!(shared.offset_in_buffer(), 0);
+        assert_eq!(
+            shared.backing_len(),
+            SharedBytesMut::with_capacity(wire.len()).capacity()
+        );
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //! on: the request line (method + version) and the host part of the URI. The
 //! rest of the request (path, query, headers, body) is treated as opaque data
 //! forwarded to the remote service.
+//!
+//! The request is validated where it lies: one head scan of the item's
+//! bytes ([`parse_request_frame`]) gives the method, the target and a view
+//! of the body, and the target's parts are views of it too
+//! ([`UriRef`]). Nothing is copied and no header map is built; the
+//! [`ValidatedRequest`] borrows the bytes until the service has answered.
 
-use dandelion_common::{DandelionError, DandelionResult, SharedBytes};
+use dandelion_common::{utf8_lossy, DandelionError, DandelionResult, SharedBytes};
 
-use crate::parse::{parse_request, parse_request_shared};
-use crate::types::{HttpRequest, Method};
-use crate::uri::Uri;
+use crate::parse::parse_request_frame;
+use crate::types::{Method, RequestRef};
+use crate::uri::UriRef;
 
 /// Policy describing what a communication engine accepts.
 #[derive(Debug, Clone)]
@@ -37,70 +43,70 @@ impl Default for ValidationPolicy {
     }
 }
 
-/// A request that passed validation, together with its parsed URI.
+/// A request that passed validation, borrowed from the bytes it was read
+/// from, together with its target's parts.
 #[derive(Debug, Clone)]
-pub struct ValidatedRequest {
-    /// The parsed request.
-    pub request: HttpRequest,
-    /// The parsed and host-validated URI.
-    pub uri: Uri,
+pub struct ValidatedRequest<'a> {
+    /// The method, the target and a view of the body.
+    pub request: RequestRef<'a>,
+    /// The target's parts, its host validated.
+    pub uri: UriRef<'a>,
 }
 
-/// Validates raw request bytes produced by an untrusted compute function.
+fn invalid(message: String) -> DandelionError {
+    DandelionError::InvalidRequest(message)
+}
+
+/// Validates the request a compute function wrote into a data item, where
+/// it lies: the returned request's target and URI are views of `raw` and
+/// its body a view of `raw`'s buffer. This is the communication engine's
+/// hot path.
 ///
-/// On success returns the parsed request and URI; on failure returns an
-/// [`DandelionError::InvalidRequest`] describing the first problem found.
-pub fn validate_request_bytes(
-    raw: &[u8],
+/// On failure returns an [`DandelionError::InvalidRequest`] describing the
+/// first problem found, in this order: the message does not parse, the
+/// method is not allowed, the body is over the limit, the target is not a
+/// URI (a target that is not UTF-8 is not: a request-target is ASCII by its
+/// grammar), the target names no host and the policy wants one, the host is
+/// neither an IPv4 address nor a domain name, or it is not on the
+/// allow-list.
+pub fn validate_request_shared<'a>(
+    raw: &'a SharedBytes,
     policy: &ValidationPolicy,
-) -> DandelionResult<ValidatedRequest> {
-    let request = parse_request(raw)
-        .map_err(|err| DandelionError::InvalidRequest(format!("malformed request: {err}")))?;
-    validate_request(request, policy)
-}
-
-/// Validates a request held in a [`SharedBytes`] buffer (the bytes of a
-/// data-plane item); on success the validated request's body is a zero-copy
-/// view of that buffer. This is the communication engine's hot path.
-pub fn validate_request_shared(
-    raw: &SharedBytes,
-    policy: &ValidationPolicy,
-) -> DandelionResult<ValidatedRequest> {
-    let request = parse_request_shared(raw)
-        .map_err(|err| DandelionError::InvalidRequest(format!("malformed request: {err}")))?;
-    validate_request(request, policy)
-}
-
-/// Validates an already parsed request against the policy.
-fn validate_request(
-    request: HttpRequest,
-    policy: &ValidationPolicy,
-) -> DandelionResult<ValidatedRequest> {
-    if !policy.allowed_methods.contains(&request.method) {
-        return Err(DandelionError::InvalidRequest(format!(
-            "method {} is not allowed",
-            request.method
-        )));
+) -> DandelionResult<ValidatedRequest<'a>> {
+    let frame =
+        parse_request_frame(raw).map_err(|err| invalid(format!("malformed request: {err}")))?;
+    let method = frame.method();
+    if !policy.allowed_methods.contains(&method) {
+        return Err(invalid(format!("method {method} is not allowed")));
     }
-    if request.body.len() > policy.max_body_bytes {
-        return Err(DandelionError::InvalidRequest(format!(
+    if frame.body_len() > policy.max_body_bytes {
+        return Err(invalid(format!(
             "body of {} bytes exceeds the {}-byte limit",
-            request.body.len(),
+            frame.body_len(),
             policy.max_body_bytes
         )));
     }
-    let uri = Uri::parse(&request.target).ok_or_else(|| {
-        DandelionError::InvalidRequest(format!("target `{}` is not a valid URI", request.target))
-    })?;
+    // The frame starts where `raw` does, so its target is borrowed from
+    // `raw` for as long as the caller holds it.
+    let target = &raw[frame.head.start.target.range()];
+    let Some((target, uri)) = std::str::from_utf8(target)
+        .ok()
+        .and_then(|target| Some((target, UriRef::parse(target)?)))
+    else {
+        return Err(invalid(format!(
+            "target `{}` is not a valid URI",
+            utf8_lossy(target)
+        )));
+    };
     if uri.is_origin_form() {
         if !policy.allow_origin_form {
-            return Err(DandelionError::InvalidRequest(
+            return Err(invalid(
                 "origin-form targets are not allowed; requests must name a host".to_string(),
             ));
         }
     } else {
         if !uri.host_is_ipv4() && !uri.host_is_domain() {
-            return Err(DandelionError::InvalidRequest(format!(
+            return Err(invalid(format!(
                 "host `{}` is neither a valid IP address nor a valid domain name",
                 uri.host
             )));
@@ -109,15 +115,22 @@ fn validate_request(
             && !policy
                 .allowed_hosts
                 .iter()
-                .any(|allowed| allowed == &uri.host)
+                .any(|allowed| allowed == uri.host)
         {
-            return Err(DandelionError::InvalidRequest(format!(
+            return Err(invalid(format!(
                 "host `{}` is not in the allow-list",
                 uri.host
             )));
         }
     }
-    Ok(ValidatedRequest { request, uri })
+    Ok(ValidatedRequest {
+        request: RequestRef {
+            method,
+            target,
+            body: frame.body(),
+        },
+        uri,
+    })
 }
 
 #[cfg(test)]
@@ -129,17 +142,46 @@ mod tests {
         ValidationPolicy::default()
     }
 
+    fn wire(request: HttpRequest) -> SharedBytes {
+        SharedBytes::from_vec(request.to_bytes())
+    }
+
+    fn validate(request: HttpRequest, policy: &ValidationPolicy) -> DandelionResult<()> {
+        validate_request_shared(&wire(request), policy).map(drop)
+    }
+
     #[test]
     fn accepts_well_formed_get() {
-        let request = HttpRequest::get("http://logs.svc.internal/api/lines");
-        let validated = validate_request(request, &policy()).unwrap();
+        let raw = wire(HttpRequest::get("http://logs.svc.internal/api/lines"));
+        let validated = validate_request_shared(&raw, &policy()).unwrap();
         assert_eq!(validated.uri.host, "logs.svc.internal");
+        assert_eq!(validated.request.method, Method::Get);
+        assert_eq!(
+            validated.request.target,
+            "http://logs.svc.internal/api/lines"
+        );
+        assert!(validated.request.body.is_empty());
+    }
+
+    #[test]
+    fn the_validated_request_is_read_in_place() {
+        let raw = wire(
+            HttpRequest::post("http://db.internal/query", b"SELECT 1".to_vec())
+                .with_header("Content-Type", "application/sql"),
+        );
+        let validated = validate_request_shared(&raw, &policy()).unwrap();
+        let target = validated.request.target.as_bytes().as_ptr_range();
+        assert!(raw.as_slice().as_ptr_range().contains(&target.start));
+        assert_eq!(validated.uri.path, "/query");
+        assert_eq!(validated.request.body, b"SELECT 1");
+        assert!(SharedBytes::same_buffer(&validated.request.body, &raw));
+        assert_eq!(validated.request.body_str(), "SELECT 1");
     }
 
     #[test]
     fn accepts_ip_hosts() {
-        let request = HttpRequest::get("http://10.1.2.3:8080/objects/a");
-        let validated = validate_request(request, &policy()).unwrap();
+        let raw = wire(HttpRequest::get("http://10.1.2.3:8080/objects/a"));
+        let validated = validate_request_shared(&raw, &policy()).unwrap();
         assert!(validated.uri.host_is_ipv4());
         assert_eq!(validated.uri.port_or_default(), 8080);
     }
@@ -147,26 +189,22 @@ mod tests {
     #[test]
     fn rejects_disallowed_method() {
         let request = HttpRequest::new(Method::Head, "http://svc/x");
-        let err = validate_request(request, &policy()).unwrap_err();
+        let err = validate(request, &policy()).unwrap_err();
         assert!(err.to_string().contains("HEAD"));
     }
 
     #[test]
     fn rejects_invalid_host() {
-        let request = HttpRequest::get("http://999.999.999.999/x");
-        assert!(validate_request(request, &policy()).is_err());
-        let request = HttpRequest::get("http://bad_host!/x");
-        assert!(validate_request(request, &policy()).is_err());
+        assert!(validate(HttpRequest::get("http://999.999.999.999/x"), &policy()).is_err());
+        assert!(validate(HttpRequest::get("http://bad_host!/x"), &policy()).is_err());
     }
 
     #[test]
     fn rejects_origin_form_by_default() {
-        let request = HttpRequest::get("/local/path");
-        assert!(validate_request(request, &policy()).is_err());
+        assert!(validate(HttpRequest::get("/local/path"), &policy()).is_err());
         let mut relaxed = policy();
         relaxed.allow_origin_form = true;
-        let request = HttpRequest::get("/local/path");
-        assert!(validate_request(request, &relaxed).is_ok());
+        assert!(validate(HttpRequest::get("/local/path"), &relaxed).is_ok());
     }
 
     #[test]
@@ -174,9 +212,9 @@ mod tests {
         let mut restricted = policy();
         restricted.allowed_hosts = vec!["auth.internal".to_string()];
         let ok = HttpRequest::get("http://auth.internal/token");
-        assert!(validate_request(ok, &restricted).is_ok());
+        assert!(validate(ok, &restricted).is_ok());
         let bad = HttpRequest::get("http://evil.example/exfil");
-        assert!(validate_request(bad, &restricted).is_err());
+        assert!(validate(bad, &restricted).is_err());
     }
 
     #[test]
@@ -184,16 +222,36 @@ mod tests {
         let mut small = policy();
         small.max_body_bytes = 4;
         let request = HttpRequest::post("http://svc/x", b"too large".to_vec());
-        assert!(validate_request(request, &small).is_err());
+        assert!(validate(request, &small).is_err());
+        let request = HttpRequest::post("http://svc/x", b"fits".to_vec());
+        assert!(validate(request, &small).is_ok());
     }
 
     #[test]
     fn validates_raw_bytes() {
-        let raw = HttpRequest::get("http://svc.example/x").to_bytes();
-        assert!(validate_request_bytes(&raw, &policy()).is_ok());
-        assert!(validate_request_bytes(b"garbage\r\n\r\n", &policy()).is_err());
+        let raw = |bytes: &[u8]| SharedBytes::from_vec(bytes.to_vec());
+        assert!(validate_request_shared(&raw(b"garbage\r\n\r\n"), &policy()).is_err());
         // A request smuggling attempt with an invalid method never reaches a
         // service.
-        assert!(validate_request_bytes(b"EVIL http://svc/x HTTP/1.1\r\n\r\n", &policy()).is_err());
+        let evil = raw(b"EVIL http://svc/x HTTP/1.1\r\n\r\n");
+        assert!(validate_request_shared(&evil, &policy()).is_err());
+    }
+
+    #[test]
+    fn refuses_a_target_that_is_not_utf8() {
+        // Read lossily, `a\xffb` and `a\xfeb` would both be `a\u{FFFD}b`: two
+        // objects would be one.
+        for target in [&b"a\xffb"[..], b"a\xfeb"] {
+            let mut raw = b"PUT http://s3.internal/bucket/".to_vec();
+            raw.extend_from_slice(target);
+            raw.extend_from_slice(b" HTTP/1.1\r\nContent-Length: 5\r\n\r\nfirst");
+            let err = validate_request_shared(&SharedBytes::from_vec(raw), &policy()).unwrap_err();
+            assert!(matches!(err, DandelionError::InvalidRequest(_)), "{err}");
+            assert!(
+                err.to_string()
+                    .contains("target `http://s3.internal/bucket/a\u{FFFD}b` is not a valid URI"),
+                "{err}"
+            );
+        }
     }
 }

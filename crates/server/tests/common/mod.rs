@@ -169,10 +169,9 @@ pub(crate) fn stop_and_check_loops(server: Server) -> bool {
 }
 
 /// Every buffer the global pool ever issued was recycled, was discarded or
-/// is still live: `acquires = recycled + discarded + live`, with `live` a
-/// gauge the handles keep and not the difference of the other three — a
-/// buffer returned twice, or one the pool never issued coming "back", breaks
-/// the sum for good.
+/// is still live: `acquires = recycled + discarded + live`. `live` is the
+/// difference of the other three, floored at zero, so the sum breaks for
+/// good when more buffers came back than the pool issued.
 pub(crate) fn assert_pool_accounted() {
     // The counters are read one by one while other tests of this binary use
     // the pool: a snapshot taken across an acquire or a return is off by

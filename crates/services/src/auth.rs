@@ -8,10 +8,10 @@ use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock};
 
 use dandelion_common::SharedBytes;
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
+use dandelion_http::{Method, RequestRef, StatusCode};
 
 use crate::latency::LatencyModel;
-use crate::registry::{RemoteService, ServiceResponse};
+use crate::registry::{RemoteService, Reply, ServiceResponse};
 
 /// Token-to-endpoints authorization service.
 ///
@@ -71,41 +71,41 @@ impl RemoteService for AuthService {
         tokens.values().map(SharedBytes::len).sum()
     }
 
-    fn handle(&self, request: &HttpRequest) -> ServiceResponse {
+    fn handle(&self, request: &RequestRef<'_>) -> ServiceResponse {
         let payload = request.body.len();
-        let make = |response: HttpResponse, extra: usize| ServiceResponse {
+        let make = |response: Reply, extra: usize| ServiceResponse {
             latency: self.latency.latency_for(payload + extra),
             response,
         };
         if request.method != Method::Post && request.method != Method::Get {
             return make(
-                HttpResponse::error(StatusCode::BAD_REQUEST, "auth accepts GET or POST only"),
+                Reply::error(StatusCode::BAD_REQUEST, "auth accepts GET or POST only"),
                 0,
             );
         }
         // The token is either the request body or a `token=` query parameter.
+        let body = request.body_str();
         let token = if !request.body.is_empty() {
-            request.body_str().trim().to_string()
+            body.trim()
         } else {
             request
                 .target
                 .split_once("token=")
-                .map(|(_, token)| token.trim().to_string())
-                .unwrap_or_default()
+                .map_or("", |(_, token)| token.trim())
         };
         if token.is_empty() {
             return make(
-                HttpResponse::error(StatusCode::BAD_REQUEST, "missing access token"),
+                Reply::error(StatusCode::BAD_REQUEST, "missing access token"),
                 0,
             );
         }
-        match self.authorize(&token) {
+        match self.authorize(token) {
             Some(body) => {
                 let bytes = body.len();
-                make(HttpResponse::ok(body), bytes)
+                make(Reply::ok(body), bytes)
             }
             None => make(
-                HttpResponse::error(StatusCode::UNAUTHORIZED, "unknown access token"),
+                Reply::error(StatusCode::UNAUTHORIZED, "unknown access token"),
                 0,
             ),
         }
@@ -114,7 +114,10 @@ impl RemoteService for AuthService {
 
 #[cfg(test)]
 mod tests {
+    use dandelion_http::HttpRequest;
+
     use super::*;
+    use crate::registry::testing::serve;
 
     fn service() -> AuthService {
         let auth = AuthService::new();
@@ -129,9 +132,9 @@ mod tests {
     fn valid_token_returns_endpoints() {
         let auth = service();
         let request = HttpRequest::post("http://auth.internal/authorize", b"token-alpha".to_vec());
-        let reply = auth.handle(&request);
+        let reply = serve(&auth, &request);
         assert_eq!(reply.response.status, StatusCode::OK);
-        let body = reply.response.body_text();
+        let body = reply.response.body_str();
         let endpoints: Vec<&str> = body.lines().map(str::trim).collect();
         assert_eq!(endpoints.len(), 2);
         assert!(endpoints[0].contains("logs-0"));
@@ -145,8 +148,8 @@ mod tests {
         let endpoints = ["http://logs-7.internal/logs", "http://logs-8.internal/logs"];
         auth.grant("token-alpha", &endpoints[..1]);
         auth.grant("token-alpha", &endpoints);
-        let first = auth.handle(&request).response;
-        let second = auth.handle(&request).response;
+        let first = serve(&auth, &request).response;
+        let second = serve(&auth, &request).response;
         assert_eq!(first.body.as_slice(), endpoints.join("\n").as_bytes());
         assert!(SharedBytes::same_buffer(&first.body, &second.body));
     }
@@ -155,7 +158,7 @@ mod tests {
     fn token_via_query_parameter() {
         let auth = service();
         let request = HttpRequest::get("http://auth.internal/authorize?token=token-alpha");
-        assert_eq!(auth.handle(&request).response.status, StatusCode::OK);
+        assert_eq!(serve(&auth, &request).response.status, StatusCode::OK);
     }
 
     #[test]
@@ -163,7 +166,7 @@ mod tests {
         let auth = service();
         let request = HttpRequest::post("http://auth.internal/authorize", b"wrong".to_vec());
         assert_eq!(
-            auth.handle(&request).response.status,
+            serve(&auth, &request).response.status,
             StatusCode::UNAUTHORIZED
         );
     }
@@ -173,12 +176,12 @@ mod tests {
         let auth = service();
         let request = HttpRequest::post("http://auth.internal/authorize", Vec::new());
         assert_eq!(
-            auth.handle(&request).response.status,
+            serve(&auth, &request).response.status,
             StatusCode::BAD_REQUEST
         );
         let request = HttpRequest::new(Method::Delete, "http://auth.internal/authorize");
         assert_eq!(
-            auth.handle(&request).response.status,
+            serve(&auth, &request).response.status,
             StatusCode::BAD_REQUEST
         );
     }

@@ -9,10 +9,10 @@
 use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock};
 
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
+use dandelion_http::{Method, RequestRef, StatusCode};
 
 use crate::latency::LatencyModel;
-use crate::registry::{RemoteService, ServiceResponse};
+use crate::registry::{RemoteService, Reply, ServiceResponse};
 
 /// A cell value: text or number.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,10 +309,10 @@ impl RemoteService for SqlDatabaseService {
         "sql-database"
     }
 
-    fn handle(&self, request: &HttpRequest) -> ServiceResponse {
+    fn handle(&self, request: &RequestRef<'_>) -> ServiceResponse {
         if request.method != Method::Post {
             return ServiceResponse {
-                response: HttpResponse::error(
+                response: Reply::error(
                     StatusCode::BAD_REQUEST,
                     "database expects POST with the SQL statement as body",
                 ),
@@ -323,12 +323,11 @@ impl RemoteService for SqlDatabaseService {
         match self.query(&sql) {
             Ok(csv) => ServiceResponse {
                 latency: self.latency.latency_for(request.body.len() + csv.len()),
-                response: HttpResponse::ok(csv.into_bytes())
-                    .with_header("Content-Type", "text/csv"),
+                response: Reply::ok(csv.into_bytes()).with_content_type("text/csv"),
             },
             Err(message) => ServiceResponse {
                 latency: self.latency.latency_for(request.body.len()),
-                response: HttpResponse::error(StatusCode::BAD_REQUEST, &message),
+                response: Reply::error(StatusCode::BAD_REQUEST, &message),
             },
         }
     }
@@ -336,7 +335,10 @@ impl RemoteService for SqlDatabaseService {
 
 #[cfg(test)]
 mod tests {
+    use dandelion_http::HttpRequest;
+
     use super::*;
+    use crate::registry::testing::serve;
 
     fn db() -> SqlDatabaseService {
         SqlDatabaseService::with_latency(LatencyModel::zero()).with_demo_data()
@@ -384,20 +386,17 @@ mod tests {
             "http://db.internal/query",
             b"SELECT title FROM movies ORDER BY rating DESC LIMIT 1".to_vec(),
         );
-        let reply = service.handle(&request);
+        let reply = serve(&service, &request);
         assert_eq!(reply.response.status, StatusCode::OK);
-        assert_eq!(
-            reply.response.body_text(),
-            "title\nThe Shawshank Redemption"
-        );
+        assert_eq!(reply.response.body_str(), "title\nThe Shawshank Redemption");
         let bad = HttpRequest::post("http://db.internal/query", b"DELETE FROM movies".to_vec());
         assert_eq!(
-            service.handle(&bad).response.status,
+            serve(&service, &bad).response.status,
             StatusCode::BAD_REQUEST
         );
         let get = HttpRequest::get("http://db.internal/query");
         assert_eq!(
-            service.handle(&get).response.status,
+            serve(&service, &get).response.status,
             StatusCode::BAD_REQUEST
         );
     }

@@ -10,6 +10,14 @@
 //! socket — everything else (request validation, response handling, data
 //! flow) is identical to a real deployment.
 //!
+//! A service is handed the request the engine validated, borrowed from the
+//! bytes the compute function wrote ([`RequestRef`](dandelion_http::RequestRef)):
+//! its method, its target and a view of its body, which is all any service
+//! reads — no service reads a header. It answers with a [`Reply`]: a status,
+//! a `'static` content type and a body, no header map. [`Reply::to_shared`]
+//! writes the head and the body into one pooled buffer, the response item
+//! the engine hands downstream.
+//!
 //! What a stand-in serves would sit on another machine, so it must not be
 //! the worker's start-up work or its idle memory: content is materialised on
 //! first use, then stored ([`ObjectStore::set_source`]), and
@@ -44,4 +52,4 @@ pub use latency::LatencyModel;
 pub use llm::LlmService;
 pub use logs::LogService;
 pub use object_store::ObjectStore;
-pub use registry::ServiceRegistry;
+pub use registry::{Reply, ServiceRegistry};

@@ -8,10 +8,10 @@
 //! keyword rules over a small schema so that the workflow is runnable and
 //! testable end-to-end.
 
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
+use dandelion_http::{Method, RequestRef, StatusCode};
 
 use crate::latency::LatencyModel;
-use crate::registry::{RemoteService, ServiceResponse};
+use crate::registry::{RemoteService, Reply, ServiceResponse};
 
 /// Deterministic Text2SQL "LLM" endpoint.
 pub struct LlmService {
@@ -119,10 +119,10 @@ impl RemoteService for LlmService {
         "llm"
     }
 
-    fn handle(&self, request: &HttpRequest) -> ServiceResponse {
+    fn handle(&self, request: &RequestRef<'_>) -> ServiceResponse {
         if request.method != Method::Post {
             return ServiceResponse {
-                response: HttpResponse::error(
+                response: Reply::error(
                     StatusCode::BAD_REQUEST,
                     "LLM endpoint expects POST with the prompt as body",
                 ),
@@ -132,7 +132,7 @@ impl RemoteService for LlmService {
         let prompt = request.body_str();
         if prompt.trim().is_empty() {
             return ServiceResponse {
-                response: HttpResponse::error(StatusCode::BAD_REQUEST, "empty prompt"),
+                response: Reply::error(StatusCode::BAD_REQUEST, "empty prompt"),
                 latency: self.latency.latency_for(0),
             };
         }
@@ -145,14 +145,17 @@ impl RemoteService for LlmService {
         );
         ServiceResponse {
             latency: self.latency.latency_for(request.body.len() + body.len()),
-            response: HttpResponse::ok(body.into_bytes()).with_header("Content-Type", "text/plain"),
+            response: Reply::ok(body.into_bytes()).with_content_type("text/plain"),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use dandelion_http::HttpRequest;
+
     use super::*;
+    use crate::registry::testing::serve;
 
     #[test]
     fn prompt_produces_fenced_sql() {
@@ -161,9 +164,9 @@ mod tests {
             "http://llm.internal/v1/generate",
             b"Which city in Switzerland has the largest population?".to_vec(),
         );
-        let reply = llm.handle(&request);
+        let reply = serve(&llm, &request);
         assert_eq!(reply.response.status, StatusCode::OK);
-        let body = reply.response.body_text();
+        let body = reply.response.body_str();
         assert!(body.contains("```sql\n"));
         assert!(body.contains("FROM cities"));
         assert!(body.contains("country = 'Switzerland'"));
@@ -190,7 +193,7 @@ mod tests {
     fn default_latency_matches_paper_measurement() {
         let llm = LlmService::new();
         let request = HttpRequest::post("http://llm.internal/v1/generate", b"hello".to_vec());
-        let reply = llm.handle(&request);
+        let reply = serve(&llm, &request);
         assert_eq!(reply.latency, LatencyModel::LLM.base);
     }
 
@@ -198,8 +201,8 @@ mod tests {
     fn rejects_empty_or_non_post() {
         let llm = LlmService::with_latency(LatencyModel::zero());
         let empty = HttpRequest::post("http://llm.internal/v1/generate", Vec::new());
-        assert_eq!(llm.handle(&empty).response.status, StatusCode::BAD_REQUEST);
+        assert_eq!(serve(&llm, &empty).response.status, StatusCode::BAD_REQUEST);
         let get = HttpRequest::get("http://llm.internal/v1/generate");
-        assert_eq!(llm.handle(&get).response.status, StatusCode::BAD_REQUEST);
+        assert_eq!(serve(&llm, &get).response.status, StatusCode::BAD_REQUEST);
     }
 }

@@ -6,10 +6,10 @@
 
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::SharedBytes;
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
+use dandelion_http::{Method, RequestRef, StatusCode};
 
 use crate::latency::LatencyModel;
-use crate::registry::{RemoteService, ServiceResponse};
+use crate::registry::{RemoteService, Reply, ServiceResponse};
 
 /// Severity levels used in the synthetic logs.
 const LEVELS: [&str; 4] = ["DEBUG", "INFO", "WARN", "ERROR"];
@@ -73,18 +73,15 @@ impl RemoteService for LogService {
         self.log.len()
     }
 
-    fn handle(&self, request: &HttpRequest) -> ServiceResponse {
+    fn handle(&self, request: &RequestRef<'_>) -> ServiceResponse {
         if request.method != Method::Get {
             return ServiceResponse {
-                response: HttpResponse::error(
-                    StatusCode::BAD_REQUEST,
-                    "log service only supports GET",
-                ),
+                response: Reply::error(StatusCode::BAD_REQUEST, "log service only supports GET"),
                 latency: self.latency.latency_for(0),
             };
         }
         ServiceResponse {
-            response: HttpResponse::ok(self.log.clone()).with_header("Content-Type", "text/plain"),
+            response: Reply::ok(self.log.clone()).with_content_type("text/plain"),
             latency: self.latency.latency_for(self.log.len()),
         }
     }
@@ -92,19 +89,19 @@ impl RemoteService for LogService {
 
 #[cfg(test)]
 mod tests {
+    use dandelion_http::HttpRequest;
+
     use super::*;
+    use crate::registry::testing::serve;
 
     #[test]
     fn serves_the_stored_log_without_rendering_or_copying_it() {
         let service = LogService::new("logs-0", 100, 7);
         let request = HttpRequest::get("http://logs-0.internal/logs");
-        let first = service.handle(&request);
-        let second = service.handle(&request);
+        let first = serve(&service, &request);
+        let second = serve(&service, &request);
         assert_eq!(first.response.status, StatusCode::OK);
-        assert_eq!(
-            first.response.headers.get("Content-Type"),
-            Some("text/plain")
-        );
+        assert_eq!(first.response.content_type, Some("text/plain"));
         // Both replies are views of the one buffer rendered in `new`.
         assert!(SharedBytes::same_buffer(
             &first.response.body,
@@ -129,7 +126,7 @@ mod tests {
         let small = LogService::new("s", 10, 3);
         let large = LogService::new("l", 10_000, 3);
         let request = HttpRequest::get("http://s/logs");
-        assert!(large.handle(&request).latency > small.handle(&request).latency);
+        assert!(serve(&large, &request).latency > serve(&small, &request).latency);
     }
 
     #[test]
@@ -137,7 +134,7 @@ mod tests {
         let service = LogService::new("logs-0", 10, 7);
         let request = HttpRequest::post("http://logs-0.internal/logs", b"x".to_vec());
         assert_eq!(
-            service.handle(&request).response.status,
+            serve(&service, &request).response.status,
             StatusCode::BAD_REQUEST
         );
     }

@@ -15,10 +15,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dandelion_common::SharedBytes;
-use dandelion_http::{HttpRequest, HttpResponse, Method, StatusCode};
+use dandelion_http::{Method, RequestRef, StatusCode};
 
 use crate::latency::LatencyModel;
-use crate::registry::{RemoteService, ServiceResponse};
+use crate::registry::{RemoteService, Reply, ServiceResponse};
 
 /// Makes the object a bucket holds under a key, or declines the key.
 type ObjectSource = dyn Fn(&str) -> Option<SharedBytes> + Send + Sync;
@@ -133,8 +133,8 @@ impl ObjectStore {
             .sum()
     }
 
-    /// Parses `/bucket/key...` from a request path.
-    fn parse_path(target: &str) -> Option<(String, String)> {
+    /// Parses `/bucket/key...` from a request target, as views of it.
+    fn parse_path(target: &str) -> Option<(&str, &str)> {
         let path = target
             .split_once("://")
             .map(|(_, rest)| rest.split_once('/').map(|(_, p)| p).unwrap_or(""))
@@ -144,7 +144,7 @@ impl ObjectStore {
         if bucket.is_empty() || key.is_empty() {
             return None;
         }
-        Some((bucket.to_string(), key.to_string()))
+        Some((bucket, key))
     }
 }
 
@@ -163,63 +163,53 @@ impl RemoteService for ObjectStore {
         self.total_bytes()
     }
 
-    fn handle(&self, request: &HttpRequest) -> ServiceResponse {
-        let Some((bucket, key)) = Self::parse_path(&request.target) else {
+    fn handle(&self, request: &RequestRef<'_>) -> ServiceResponse {
+        let Some((bucket, key)) = Self::parse_path(request.target) else {
             return ServiceResponse {
-                response: HttpResponse::error(
-                    StatusCode::BAD_REQUEST,
-                    "expected /<bucket>/<key> path",
-                ),
+                response: Reply::error(StatusCode::BAD_REQUEST, "expected /<bucket>/<key> path"),
                 latency: self.latency.latency_for(0),
             };
         };
+        let not_found = || Reply::error(StatusCode::NOT_FOUND, "no such object");
         let (response, payload) = match request.method {
-            Method::Get => match self.get_object(&bucket, &key) {
+            Method::Get => match self.get_object(bucket, key) {
                 Some(data) => {
                     let len = data.len();
                     (
-                        HttpResponse::ok(data)
-                            .with_header("Content-Type", "application/octet-stream"),
+                        Reply::ok(data).with_content_type("application/octet-stream"),
                         len,
                     )
                 }
-                None => (
-                    HttpResponse::error(StatusCode::NOT_FOUND, "no such object"),
-                    0,
-                ),
+                None => (not_found(), 0),
             },
             Method::Put | Method::Post => {
                 let len = request.body.len();
                 // Compact before storing: the body may be a small view of a
                 // large producer buffer, and the store outlives the request.
-                self.put_object(&bucket, &key, request.body.compact());
-                (HttpResponse::new(StatusCode::CREATED, Vec::new()), len)
+                self.put_object(bucket, key, request.body.compact());
+                (Reply::new(StatusCode::CREATED, SharedBytes::new()), len)
             }
             Method::Delete => {
                 let removed = self
                     .buckets_mut()
-                    .get_mut(&bucket)
-                    .and_then(|bucket| bucket.objects.remove(&key))
+                    .get_mut(bucket)
+                    .and_then(|bucket| bucket.objects.remove(key))
                     .is_some();
                 if removed {
-                    (HttpResponse::new(StatusCode::NO_CONTENT, Vec::new()), 0)
+                    (Reply::new(StatusCode::NO_CONTENT, SharedBytes::new()), 0)
                 } else {
-                    (
-                        HttpResponse::error(StatusCode::NOT_FOUND, "no such object"),
-                        0,
-                    )
+                    (not_found(), 0)
                 }
             }
-            Method::Head => match self.get_object(&bucket, &key) {
+            Method::Head => match self.get_object(bucket, key) {
                 Some(data) => (
-                    HttpResponse::ok(Vec::new())
-                        .with_header("Content-Length", data.len().to_string()),
+                    Reply {
+                        content_length: Some(data.len()),
+                        ..Reply::ok(SharedBytes::new())
+                    },
                     0,
                 ),
-                None => (
-                    HttpResponse::error(StatusCode::NOT_FOUND, "no such object"),
-                    0,
-                ),
+                None => (not_found(), 0),
             },
         };
         ServiceResponse {
@@ -233,25 +223,28 @@ impl RemoteService for ObjectStore {
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    use dandelion_http::HttpRequest;
+
     use super::*;
+    use crate::registry::testing::serve;
 
     #[test]
     fn put_get_delete_roundtrip() {
         let store = ObjectStore::new();
         let put = HttpRequest::put("http://s3.internal/ssb/lineorder.csv", b"a,b,c".to_vec());
-        assert_eq!(store.handle(&put).response.status, StatusCode::CREATED);
+        assert_eq!(serve(&store, &put).response.status, StatusCode::CREATED);
 
         let get = HttpRequest::get("http://s3.internal/ssb/lineorder.csv");
-        let reply = store.handle(&get);
+        let reply = serve(&store, &get);
         assert_eq!(reply.response.status, StatusCode::OK);
         assert_eq!(reply.response.body, b"a,b,c");
 
         let delete = HttpRequest::new(Method::Delete, "http://s3.internal/ssb/lineorder.csv");
         assert_eq!(
-            store.handle(&delete).response.status,
+            serve(&store, &delete).response.status,
             StatusCode::NO_CONTENT
         );
-        assert_eq!(store.handle(&get).response.status, StatusCode::NOT_FOUND);
+        assert_eq!(serve(&store, &get).response.status, StatusCode::NOT_FOUND);
     }
 
     #[test]
@@ -275,8 +268,8 @@ mod tests {
         let store = ObjectStore::new();
         store.put_object("b", "small", vec![0u8; 1024]);
         store.put_object("b", "large", vec![0u8; 10 * 1024 * 1024]);
-        let small = store.handle(&HttpRequest::get("http://s3/b/small")).latency;
-        let large = store.handle(&HttpRequest::get("http://s3/b/large")).latency;
+        let small = serve(&store, &HttpRequest::get("http://s3/b/small")).latency;
+        let large = serve(&store, &HttpRequest::get("http://s3/b/large")).latency;
         assert!(large > small + Duration::from_millis(50));
     }
 
@@ -285,7 +278,7 @@ mod tests {
         let store = ObjectStore::new();
         let request = HttpRequest::get("http://s3.internal/justbucket");
         assert_eq!(
-            store.handle(&request).response.status,
+            serve(&store, &request).response.status,
             StatusCode::BAD_REQUEST
         );
     }
@@ -295,10 +288,10 @@ mod tests {
         let store = ObjectStore::new();
         store.put_object("b", "k", vec![0u8; 100]);
         let request = HttpRequest::new(Method::Head, "http://s3/b/k");
-        let reply = store.handle(&request);
+        let reply = serve(&store, &request);
         assert_eq!(reply.response.status, StatusCode::OK);
         assert!(reply.response.body.is_empty());
-        assert_eq!(reply.response.headers.get("content-length"), Some("100"));
+        assert_eq!(reply.response.content_length, Some(100));
     }
 
     /// A store whose `lazy` bucket makes `"<n>"` → `n` bytes of `n as u8` for
@@ -322,8 +315,8 @@ mod tests {
         assert!(store.list_bucket("lazy").is_empty());
 
         let get = HttpRequest::get("http://s3.internal/lazy/7");
-        let first = store.handle(&get).response;
-        let second = store.handle(&get).response;
+        let first = serve(&store, &get).response;
+        let second = serve(&store, &get).response;
         assert_eq!(first.status, StatusCode::OK);
         assert_eq!(first.body, [7u8; 7]);
         assert!(SharedBytes::same_buffer(&first.body, &second.body));
@@ -343,8 +336,8 @@ mod tests {
         let url = "http://s3.internal/lazy/5";
         // Put before any read: the source is never asked.
         let put = HttpRequest::put(url, b"put".to_vec());
-        assert_eq!(store.handle(&put).response.status, StatusCode::CREATED);
-        assert_eq!(store.handle(&HttpRequest::get(url)).response.body, b"put");
+        assert_eq!(serve(&store, &put).response.status, StatusCode::CREATED);
+        assert_eq!(serve(&store, &HttpRequest::get(url)).response.body, b"put");
         assert_eq!(runs.load(Ordering::SeqCst), 0);
         // Put over a materialised object replaces it too.
         assert_eq!(store.get_object("lazy", "9").unwrap(), [9u8; 9]);
@@ -354,10 +347,13 @@ mod tests {
         // DELETE removes the stored copy; the next GET is a first read again.
         let delete = HttpRequest::new(Method::Delete, url);
         assert_eq!(
-            store.handle(&delete).response.status,
+            serve(&store, &delete).response.status,
             StatusCode::NO_CONTENT
         );
-        assert_eq!(store.handle(&HttpRequest::get(url)).response.body, [5u8; 5]);
+        assert_eq!(
+            serve(&store, &HttpRequest::get(url)).response.body,
+            [5u8; 5]
+        );
         assert_eq!(runs.load(Ordering::SeqCst), 2);
     }
 
@@ -372,7 +368,7 @@ mod tests {
             "http://s3.internal/nowhere/7",
         ] {
             for method in [Method::Get, Method::Head, Method::Delete] {
-                let reply = store.handle(&HttpRequest::new(method, url));
+                let reply = serve(&store, &HttpRequest::new(method, url));
                 assert_eq!(reply.response.status, StatusCode::NOT_FOUND, "{url}");
             }
         }
@@ -385,10 +381,10 @@ mod tests {
     #[test]
     fn head_reports_the_sourced_length() {
         let (store, _) = sourced_store();
-        let reply = store.handle(&HttpRequest::new(Method::Head, "http://s3/lazy/42"));
+        let reply = serve(&store, &HttpRequest::new(Method::Head, "http://s3/lazy/42"));
         assert_eq!(reply.response.status, StatusCode::OK);
         assert!(reply.response.body.is_empty());
-        assert_eq!(reply.response.headers.get("content-length"), Some("42"));
+        assert_eq!(reply.response.content_length, Some(42));
     }
 
     #[test]

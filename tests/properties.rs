@@ -12,7 +12,7 @@
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::{DataItem, DataSet};
 use dandelion_dsl::Distribution;
-use dandelion_http::validate::{validate_request_bytes, ValidationPolicy};
+use dandelion_http::validate::{validate_request_shared, ValidationPolicy};
 use dandelion_isolation::output_parser::{encode_outputs, parse_outputs};
 use dandelion_query::{generate_database, run_partitioned, SsbQuery};
 use dandelion_vfs::{VfsPath, VirtualFs};
@@ -166,36 +166,46 @@ fn rope_reads_cross_chunk_boundaries() {
 }
 
 /// Hammering one pool from many threads never aliases two live buffers:
-/// every thread stamps its acquired buffer with a pattern derived from the
-/// handle's unique generation tag and must read it back intact, and no two
-/// live handles ever observe the same generation.
+/// every acquired buffer gets a tag unique among all acquires (from a
+/// counter of the test's own), is stamped with a pattern derived from it and
+/// must read it back intact; no two live handles ever carry the same tag or
+/// the same buffer.
 #[test]
 fn pool_recycling_never_aliases_buffers() {
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     use dandelion_common::BufferPool;
 
     let pool = Arc::new(BufferPool::new());
-    let live_generations = Arc::new(Mutex::new(HashSet::new()));
+    let tags = Arc::new(AtomicU64::new(0));
+    // The live handles' tags and buffer addresses.
+    let live = Arc::new(Mutex::new((HashSet::new(), HashSet::new())));
     let threads: Vec<_> = (0..8)
         .map(|worker| {
             let pool = Arc::clone(&pool);
-            let live_generations = Arc::clone(&live_generations);
+            let tags = Arc::clone(&tags);
+            let live = Arc::clone(&live);
             std::thread::spawn(move || {
                 let mut rng = SplitMix64::new(0xA11A5 + worker);
                 for _ in 0..400 {
                     let capacity = 1 + rng.next_bounded(128 * 1024) as usize;
                     let mut buf = pool.acquire(capacity);
-                    let generation = buf.generation();
-                    assert!(
-                        live_generations.lock().unwrap().insert(generation),
-                        "two live handles share generation {generation}"
-                    );
+                    let tag = tags.fetch_add(1, Ordering::Relaxed);
+                    let address = buf.as_ptr() as usize;
+                    {
+                        let mut live = live.lock().unwrap();
+                        assert!(live.0.insert(tag), "two live handles share tag {tag}");
+                        assert!(
+                            live.1.insert(address),
+                            "two live handles share the buffer at {address:#x}"
+                        );
+                    }
                     assert!(buf.is_empty(), "recycled buffers must arrive cleared");
-                    // Stamp a generation-derived pattern across the buffer.
+                    // Stamp a tag-derived pattern across the buffer.
                     let fill = capacity.min(4096);
-                    buf.extend((0..fill).map(|i| (generation as usize + i) as u8));
+                    buf.extend((0..fill).map(|i| (tag as usize + i) as u8));
                     if rng.bernoulli(0.5) {
                         std::thread::yield_now();
                     }
@@ -203,11 +213,15 @@ fn pool_recycling_never_aliases_buffers() {
                     for (i, byte) in buf.iter().enumerate() {
                         assert_eq!(
                             *byte,
-                            (generation as usize + i) as u8,
-                            "buffer of generation {generation} was aliased"
+                            (tag as usize + i) as u8,
+                            "buffer of tag {tag} was aliased"
                         );
                     }
-                    assert!(live_generations.lock().unwrap().remove(&generation));
+                    {
+                        let mut live = live.lock().unwrap();
+                        assert!(live.0.remove(&tag));
+                        assert!(live.1.remove(&address));
+                    }
                     pool.recycle_vec(buf.detach());
                 }
             })
@@ -286,7 +300,8 @@ fn http_validation_is_safe() {
             }
             request
         };
-        if let Ok(validated) = validate_request_bytes(&bytes, &policy) {
+        let bytes = dandelion_common::SharedBytes::from_vec(bytes);
+        if let Ok(validated) = validate_request_shared(&bytes, &policy) {
             assert!(
                 dandelion_http::Method::DEFAULT_WHITELIST.contains(&validated.request.method),
                 "seed {seed}"
@@ -554,17 +569,18 @@ fn arbitrary_request(rng: &mut SplitMix64) -> dandelion_http::HttpRequest {
 /// The incremental stream decoder is split-invariant: feeding a serialized
 /// request to `RequestDecoder` fragmented at *every* byte boundary (plus
 /// SplitMix64-sampled three-way splits) yields a request byte-identical to
-/// the one-shot `parse_request_shared` path.
+/// the one-shot `parse_request_frame` path.
 #[test]
 fn incremental_request_parsing_is_split_invariant() {
     use dandelion_common::SharedBytes;
-    use dandelion_http::{parse_request_shared, ParseLimits, RequestDecoder};
+    use dandelion_http::{parse_request_frame, ParseLimits, RequestDecoder};
     for seed in 0..100 {
         let mut rng = SplitMix64::new(0x11770 ^ seed);
         let request = arbitrary_request(&mut rng);
         let wire = request.to_bytes();
-        let reference = parse_request_shared(&SharedBytes::from_vec(wire.clone()))
-            .expect("serialized requests reparse");
+        let reference = parse_request_frame(&SharedBytes::from_vec(wire.clone()))
+            .expect("serialized requests reparse")
+            .to_request();
 
         // Every two-fragment split.
         for cut in 0..=wire.len() {
@@ -615,7 +631,7 @@ fn incremental_request_parsing_is_split_invariant() {
 #[test]
 fn incremental_parsing_preserves_pipelined_request_order() {
     use dandelion_common::SharedBytes;
-    use dandelion_http::{parse_request_shared, ParseLimits, RequestDecoder};
+    use dandelion_http::{parse_request_frame, ParseLimits, RequestDecoder};
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(0x9199e ^ seed);
         let count = 1 + rng.next_bounded(3) as usize;
@@ -623,7 +639,9 @@ fn incremental_parsing_preserves_pipelined_request_order() {
         let references: Vec<_> = requests
             .iter()
             .map(|request| {
-                parse_request_shared(&SharedBytes::from_vec(request.to_bytes())).unwrap()
+                parse_request_frame(&SharedBytes::from_vec(request.to_bytes()))
+                    .unwrap()
+                    .to_request()
             })
             .collect();
         let wire: Vec<u8> = requests

@@ -63,7 +63,9 @@ const REQUESTS: usize = 1_000;
 const MATMUL1_BLOCKS: usize = 23;
 
 /// Blocks per `POST /v1/invoke/RenderLogs` with the demo token (the
-/// benchmark's `logs`: 3 compute and 6 communication tasks); 299 before.
+/// benchmark's `logs`: 3 compute and 6 communication tasks); 299 before the
+/// served path stopped building what it never reads, 173 before a
+/// communication call did.
 ///
 /// - On the event loop (13): the request decode (1); the raw body as the
 ///   first input's one-item set — the list of sets, the set's name (the
@@ -76,12 +78,16 @@ const MATMUL1_BLOCKS: usize = 23;
 ///   steps these engines settle: each released instance's shared input
 ///   list, input set name, `each` item list and response set name, the
 ///   sweeps' lists; the external outputs (2) and the response (1).
-/// - On the communication engines (80): the six HTTP calls — each request
-///   validated (its `HttpRequest`, `Uri` and header map), answered by a
-///   simulated service (its response's header list), serialized and
-///   wrapped into the response set and the task's result list — and the
-///   table's steps these engines settle.
-const LOGS_BLOCKS: usize = 173;
+/// - On the communication engines (39): each of the six HTTP calls costs
+///   five (30) — the response set's name, the task's result list, the
+///   response item's name (one `String` sized up front), the set's item
+///   list, and the reply's shared header at its freeze — and the table's
+///   steps these engines settle (9). The request is validated where it
+///   lies (no `HttpRequest`, no `Uri`, no header map, no target `String`);
+///   the service answers with a `'static` content type and no header list;
+///   the auth token is read in place; the reply's head and body are
+///   written into one pooled buffer.
+const LOGS_BLOCKS: usize = 132;
 
 /// The blocks per request of `REQUESTS` exchanges of `wire`, each answered
 /// with `expected`, and the share of them the server's event loop asked for.
