@@ -30,7 +30,7 @@
 //! # Giving it back
 //!
 //! What the classes retain follows the load with a delay of one to two
-//! periods: called on a steady schedule (a worker's dispatcher driver calls
+//! periods: called on a steady schedule (a worker's driver thread calls
 //! it twice a second, busy or idle), [`BufferPool::release_unused`] frees the
 //! buffers each class held the whole time since it last looked — the class's
 //! low-water mark — so a load that comes back finds what it used within the

@@ -25,7 +25,7 @@ use crate::engine::EnginePool;
 
 /// The actuation decided by one controller tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreMove {
+pub(crate) enum CoreMove {
     /// Move one core from communication to compute engines.
     ToCompute,
     /// Move one core from compute to communication engines.
@@ -58,7 +58,7 @@ impl CoreAllocation {
     }
 
     /// Applies a move, respecting the minimum cores per engine type.
-    pub fn apply(&self, core_move: CoreMove, min_per_kind: usize) -> CoreAllocation {
+    pub(crate) fn apply(&self, core_move: CoreMove, min_per_kind: usize) -> CoreAllocation {
         match core_move {
             CoreMove::ToCompute if self.communication > min_per_kind => CoreAllocation {
                 compute: self.compute + 1,

@@ -1,4 +1,4 @@
-//! The dispatcher: drives invocations over the engine pools.
+//! The dispatcher: drives invocations over the engine queues.
 //!
 //! The dispatcher owns the per-invocation dataflow state
 //! ([`crate::invocation::InvocationState`]), prepares tasks for ready
@@ -15,8 +15,8 @@
 //! engine queues, settle callbacks with their outcomes, and whether a parked
 //! [`InvocationHandle::wait`] must be woken.
 //!
-//! **One lock.** The shell ([`Core`]) keeps the table behind one mutex and
-//! applies the effects after it unlocks, so no push, no callback and no
+//! **One lock.** The shell ([`Dispatcher`]) keeps the table behind one mutex
+//! and applies the effects after it unlocks, so no push, no callback and no
 //! failpoint ever runs under the lock. A task a full queue refuses comes
 //! back to the table, under the lock again, as its instance's failed result;
 //! on an initial [`Dispatcher::submit`] that is the synchronous, retryable
@@ -31,14 +31,11 @@
 //! thread, pushes the successor tasks and fires the settle callbacks. No
 //! result crosses a channel or another thread on its way. Any number of
 //! invocations can therefore be in flight per client with no thread parked
-//! per invocation; the blocking [`Dispatcher::invoke`] is just
-//! `submit(..).wait(None)`.
+//! per invocation.
 //!
-//! The *driver* is the worker's one thread besides the engines, and it
-//! keeps only the clock: it sleeps until the stall reaper (every 100 ms),
-//! the pool release (every 500 ms) or, with control on, the core controller
-//! is due, and after every wake reads the clock once and runs what is due,
-//! busy or idle.
+//! The dispatcher has no thread of its own. The worker's driver
+//! ([`crate::worker`]) keeps the clock and calls [`Dispatcher::reap`] and,
+//! as it stops, [`Dispatcher::cancel_all`].
 //!
 //! Nested compositions are registered as *child invocations* in the same
 //! table, linked to the parent instance that spawned them; a child's
@@ -47,37 +44,26 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dandelion_common::config::WorkerConfig;
 use dandelion_common::rng::SplitMix64;
 use dandelion_common::{
-    fail_point, BufferPool, DandelionError, DandelionResult, DataSet, InvocationId,
-    LatencyHistogram,
+    fail_point, DandelionError, DandelionResult, DataSet, InvocationId, LatencyHistogram,
 };
 use dandelion_dsl::CompositionGraph;
 
-use crate::control::PoolControl;
 use crate::invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 use crate::recover;
 use crate::registry::{Registry, Vertex};
 use crate::task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
 
-/// How often the driver fails invocations that stopped making progress.
-const REAP_PERIOD: Duration = Duration::from_millis(100);
-
-/// How often the driver looks at what the buffer pool retains: a buffer
-/// nobody needed since the look before, half a second, is given back, so a
-/// node's memory is back about a second after a load.
-const POOL_RELEASE_PERIOD: Duration = Duration::from_millis(500);
-
 /// A retained result view smaller than `1/RETAINED_PIN_FACTOR` of its
-/// parent buffer is copy-compacted when the invocation settles, so that
-/// keeping a few result bytes around for polling does not pin a multi-MiB
-/// producer buffer until retention expiry.
+/// parent buffer is copy-compacted at the first reap after the invocation
+/// settles, so that keeping a few result bytes around for polling does not
+/// pin a multi-MiB producer buffer until retention expiry. A result taken
+/// before that reap is handed over as the engine's view, uncopied.
 const RETAINED_PIN_FACTOR: usize = 8;
 
 /// Per-invocation execution statistics.
@@ -161,7 +147,7 @@ impl std::fmt::Display for InvocationStatus {
 }
 
 /// A point-in-time, non-consuming view of an in-flight or retained
-/// invocation, as returned by [`Dispatcher::poll`].
+/// invocation, as returned by [`crate::WorkerNode::poll`].
 #[derive(Debug, Clone)]
 pub struct InvocationSnapshot {
     /// The invocation id.
@@ -182,7 +168,7 @@ pub struct InvocationSnapshot {
 /// their parent's report. Once nothing is in flight, `invocations +
 /// failures == submitted`: every accepted invocation settled exactly once.
 #[derive(Debug)]
-pub struct DispatchMetrics {
+pub(crate) struct DispatchMetrics {
     /// Invocations the table accepted (a submission before the final sweep;
     /// one refused for its inputs or a full queue is accepted and fails).
     pub submitted: AtomicU64,
@@ -223,10 +209,11 @@ impl Default for DispatchMetrics {
 /// outcome itself, not a copy: the result is consumed and the table entry
 /// released, as by [`InvocationHandle::wait`]. Registered through
 /// [`InvocationHandle::on_settle`]; invoked on the thread that settled the
-/// invocation — the engine that delivered its last result, the driver when
-/// it reaps or cancels, a submitter whose task a full queue refused, or the
-/// registering thread when the invocation already settled — and never while
-/// the table lock is held, so the callback may use the table freely.
+/// invocation — the engine that delivered its last result, the worker's
+/// driver when it reaps or cancels, a submitter whose task a full queue
+/// refused, or the registering thread when the invocation already settled —
+/// and never while the table lock is held, so the callback may use the table
+/// freely.
 pub(crate) type SettleCallback = Box<dyn FnOnce(DandelionResult<InvocationOutcome>) + Send>;
 
 /// Links a child invocation to the parent instance awaiting it.
@@ -443,14 +430,17 @@ impl Launcher {
 /// Zero-copy trade-off: retained outputs are `SharedBytes` views, so a
 /// small output sliced from a large producer buffer (e.g. an item of a big
 /// HTTP request body) keeps that whole buffer alive until the entry is
-/// consumed or expires, unless it is small enough to be compacted (see
-/// [`RETAINED_PIN_FACTOR`]). Deployments retaining many results of
-/// payload-heavy compositions should size `completed_retention`
+/// consumed or expires, unless it is small enough to be compacted at the
+/// next reap (see [`RETAINED_PIN_FACTOR`]). Deployments retaining many
+/// results of payload-heavy compositions should size `completed_retention`
 /// accordingly.
 struct InFlight {
     entries: HashMap<InvocationId, Entry>,
     /// Ids of retained results, oldest first; some may have been taken since.
     retained: VecDeque<InvocationId>,
+    /// How many of the newest ids in `retained` settled since the last reap:
+    /// the results the next reap compacts.
+    uncompacted: usize,
     retention: usize,
     launcher: Launcher,
     /// `function_timeout + engine_stall_grace`.
@@ -472,6 +462,7 @@ impl InFlight {
         Self {
             entries: HashMap::new(),
             retained: VecDeque::new(),
+            uncompacted: 0,
             retention: config.completed_retention.max(1),
             launcher: Launcher {
                 registry,
@@ -534,6 +525,9 @@ impl InFlight {
     /// fires if an engine reply is lost (e.g. an engine thread died) or a
     /// function never returns; without it, such an invocation would leave
     /// `wait(None)` callers blocked forever.
+    ///
+    /// Then compacts the results retained since the last reap (see
+    /// [`compact_retained_outputs`]); one taken meanwhile left uncopied.
     fn reap(&mut self, now: Instant, effects: &mut Effects) {
         let deadline = self.stall_deadline;
         let stalled =
@@ -541,6 +535,14 @@ impl InFlight {
         self.fail_running(stalled, now, effects, |entry| {
             now.saturating_duration_since(entry.last_progress) > deadline
         });
+        let fresh = std::mem::take(&mut self.uncompacted);
+        for id in self.retained.iter().rev().take(fresh) {
+            if let Some(Progress::Settled(Ok(outcome))) =
+                self.entries.get_mut(id).map(|entry| &mut entry.progress)
+            {
+                compact_retained_outputs(&mut outcome.outputs);
+            }
+        }
     }
 
     /// The final sweep: fails every unsettled invocation with
@@ -771,7 +773,7 @@ impl InFlight {
             work.push_back(Work::Complete(parent.result(outcome), report));
             return;
         }
-        let mut result = outcome.map(|outputs| InvocationOutcome {
+        let result = outcome.map(|outputs| InvocationOutcome {
             outputs,
             report: std::mem::take(&mut entry.report),
         });
@@ -795,12 +797,9 @@ impl InFlight {
             effects.settled.push((callback, result));
             return;
         }
-        // Retained results live in the table until consumed or expired;
-        // compact views that would pin a much larger parent buffer for that
-        // whole time.
-        if let Ok(outcome) = &mut result {
-            compact_retained_outputs(&mut outcome.outputs);
-        }
+        // Retained results live in the table until consumed or expired; the
+        // next reap compacts views that would pin a much larger parent
+        // buffer for that whole time.
         entry.progress = Progress::Settled(result);
         self.entries.insert(id, entry);
         self.metrics
@@ -814,6 +813,7 @@ impl InFlight {
                 .expect("longer than the retention");
             self.take(expired);
         }
+        self.uncompacted = (self.uncompacted + 1).min(self.retained.len());
     }
 }
 
@@ -844,7 +844,7 @@ fn compact_retained_outputs(sets: &mut [DataSet]) {
 /// [`InvocationHandle::wait`] parks on, and the engine queues the table's
 /// tasks are pushed to. Nothing is pushed and no callback runs under the
 /// lock.
-struct Core {
+pub(crate) struct Dispatcher {
     table: Mutex<InFlight>,
     /// Notified, after the lock is released, when an invocation settled
     /// while a `wait` was parked.
@@ -853,7 +853,34 @@ struct Core {
     communication_queue: TaskQueue,
 }
 
-impl Core {
+impl Dispatcher {
+    /// A dispatcher over `registry` that pushes to the two engine queues and
+    /// reports into `metrics`. Its tasks carry a completion sink that holds
+    /// it weakly, since its table holds the sink; a batch that outlives the
+    /// dispatcher is dropped.
+    pub(crate) fn new(
+        registry: Arc<Registry>,
+        config: &WorkerConfig,
+        metrics: Arc<DispatchMetrics>,
+        compute_queue: TaskQueue,
+        communication_queue: TaskQueue,
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|dispatcher: &Weak<Dispatcher>| {
+            let dispatcher = Weak::clone(dispatcher);
+            let reply = ReplySender::new(move |results| {
+                if let Some(dispatcher) = dispatcher.upgrade() {
+                    dispatcher.complete(results, Instant::now());
+                }
+            });
+            Dispatcher {
+                table: Mutex::new(InFlight::new(registry, config, reply, metrics)),
+                settled: Condvar::new(),
+                compute_queue,
+                communication_queue,
+            }
+        })
+    }
+
     fn lock(&self) -> MutexGuard<'_, InFlight> {
         // A panic under the lock (an armed settle failpoint, say) leaves
         // every entry whole — at worst one still running, which the reaper
@@ -915,12 +942,14 @@ impl Core {
         })
     }
 
-    /// Registers a top-level invocation at `now`. Engine-queue
-    /// back-pressure during the initial submission is a synchronous,
-    /// retryable condition, not an executed invocation: it is returned here
-    /// so clients see 429 instead of an accepted-then-failed handle (the
+    /// Registers a top-level invocation at `now` and returns a handle
+    /// immediately; execution failures surface through the handle. Invalid
+    /// inputs and a stopped dispatcher are synchronous errors, and so is
+    /// engine-queue back-pressure during the initial submission: a
+    /// retryable condition, not an executed invocation, returned here so
+    /// clients see 429 instead of an accepted-then-failed handle (the
     /// failure was counted when the invocation settled).
-    fn submit(
+    pub(crate) fn submit(
         self: &Arc<Self>,
         graph: Arc<CompositionGraph>,
         inputs: Vec<DataSet>,
@@ -942,9 +971,34 @@ impl Core {
         }
         Ok(InvocationHandle {
             id,
-            core: Arc::clone(self),
+            dispatcher: Arc::clone(self),
             terminal,
         })
+    }
+
+    /// A non-consuming view of an invocation; `None` for ids the table has
+    /// never seen or whose retained result has expired.
+    pub(crate) fn poll(&self, id: InvocationId) -> Option<InvocationSnapshot> {
+        self.lock().poll(id)
+    }
+
+    /// The reaper's tick at `now` ([`InFlight::reap`]), its settle callbacks
+    /// fired on the calling thread.
+    pub(crate) fn reap(&self, now: Instant) {
+        let mut effects = Effects::reused();
+        self.lock().reap(now, &mut effects);
+        self.apply(&mut effects, now);
+        effects.recycle();
+    }
+
+    /// The final sweep at `now`: every unsettled invocation fails with
+    /// [`DandelionError::Cancelled`], and later submissions are refused with
+    /// it.
+    pub(crate) fn cancel_all(&self, now: Instant) {
+        let mut effects = Effects::reused();
+        self.lock().cancel_all(now, &mut effects);
+        self.apply(&mut effects, now);
+        effects.recycle();
     }
 }
 
@@ -953,15 +1007,17 @@ impl Core {
 /// The handle does not pin a thread: the invocation advances on the engine
 /// threads whether or not anyone is watching. Results are consumed exactly
 /// once — the first successful [`try_result`] or [`wait`], or the
-/// [`on_settle`] callback, takes the outcome and releases the table entry. Until one of them does, the settled result stays in the table for
-/// polling by id ([`Dispatcher::poll`]) up to the configured retention.
+/// [`on_settle`] callback, takes the outcome and releases the table entry.
+/// Until one of them does, the settled result stays in the table for
+/// polling by id ([`crate::WorkerNode::poll`]) up to the configured
+/// retention.
 ///
 /// [`try_result`]: InvocationHandle::try_result
 /// [`wait`]: InvocationHandle::wait
 /// [`on_settle`]: InvocationHandle::on_settle
 pub struct InvocationHandle {
     id: InvocationId,
-    core: Arc<Core>,
+    dispatcher: Arc<Dispatcher>,
     /// Set by the table when the invocation settles.
     terminal: TerminalStatus,
 }
@@ -994,17 +1050,20 @@ impl InvocationHandle {
     /// callback posts the finished response back to the owning loop —
     /// no thread ever blocks in [`InvocationHandle::wait`]. The callback
     /// runs on the thread that settles the invocation — as a rule the engine
-    /// that delivered its last result; the driver when it reaps or cancels
-    /// it; immediately on the calling thread when it has already settled —
-    /// and is never invoked while the table lock is held, so it may poll or
-    /// consume the handle.
+    /// that delivered its last result; the worker's driver when it reaps or
+    /// cancels it; immediately on the calling thread when it has already
+    /// settled — and is never invoked while the table lock is held, so it may
+    /// poll or consume the handle.
     /// Only one callback can be registered per invocation; a later
     /// registration replaces an unfired earlier one.
     pub fn on_settle<F>(&self, callback: F)
     where
         F: FnOnce(DandelionResult<InvocationOutcome>) + Send + 'static,
     {
-        let immediate = self.core.lock().on_settle(self.id, Box::new(callback));
+        let immediate = self
+            .dispatcher
+            .lock()
+            .on_settle(self.id, Box::new(callback));
         if let Some((callback, outcome)) = immediate {
             callback(outcome);
         }
@@ -1013,7 +1072,7 @@ impl InvocationHandle {
     /// Takes the result if the invocation has settled; `None` while it is
     /// still queued/running (or if the result was already consumed).
     pub fn try_result(&self) -> Option<DandelionResult<InvocationOutcome>> {
-        self.core.lock().take(self.id)
+        self.dispatcher.lock().take(self.id)
     }
 
     /// Blocks until the invocation settles and takes the result, releasing
@@ -1024,7 +1083,7 @@ impl InvocationHandle {
     /// running and can still be waited on or polled afterwards.
     pub fn wait(&self, timeout: Option<Duration>) -> DandelionResult<InvocationOutcome> {
         let deadline = timeout.map(|limit| Instant::now() + limit);
-        let mut table = self.core.lock();
+        let mut table = self.dispatcher.lock();
         loop {
             if table
                 .status(self.id)
@@ -1046,8 +1105,8 @@ impl InvocationHandle {
             };
             table.waiters += 1;
             table = match left {
-                None => recover(self.core.settled.wait(table)),
-                Some(left) => recover(self.core.settled.wait_timeout(table, left)).0,
+                None => recover(self.dispatcher.settled.wait(table)),
+                Some(left) => recover(self.dispatcher.settled.wait_timeout(table, left)).0,
             };
             table.waiters -= 1;
         }
@@ -1063,249 +1122,45 @@ impl std::fmt::Debug for InvocationHandle {
     }
 }
 
-/// Routes ready function instances to engine queues; engines settle them.
-pub struct Dispatcher {
-    core: Arc<Core>,
-    metrics: Arc<DispatchMetrics>,
-    /// The driver thread, and the sender whose drop stops it.
-    driver: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
-}
-
-impl Dispatcher {
-    /// Creates a dispatcher submitting to the given queues, with private
-    /// metrics.
-    pub fn new(
-        registry: Arc<Registry>,
-        compute_queue: TaskQueue,
-        communication_queue: TaskQueue,
-        config: WorkerConfig,
-    ) -> Self {
-        Self::with_metrics(
-            registry,
-            compute_queue,
-            communication_queue,
-            config,
-            Arc::new(DispatchMetrics::default()),
-            None,
-        )
-    }
-
-    /// Creates a dispatcher that reports into the given shared metrics and,
-    /// given `control`, steps it every controller interval.
-    pub(crate) fn with_metrics(
-        registry: Arc<Registry>,
-        compute_queue: TaskQueue,
-        communication_queue: TaskQueue,
-        config: WorkerConfig,
-        metrics: Arc<DispatchMetrics>,
-        control: Option<PoolControl>,
-    ) -> Self {
-        let core = Arc::new_cyclic(|core| {
-            let reply = completion_sink(Weak::clone(core));
-            let table = InFlight::new(registry, &config, reply, Arc::clone(&metrics));
-            Core {
-                table: Mutex::new(table),
-                settled: Condvar::new(),
-                compute_queue,
-                communication_queue,
-            }
-        });
-        let (stop, stopped) = channel();
-        let driver_core = Arc::clone(&core);
-        let driver = std::thread::Builder::new()
-            .name("dandelion-dispatcher".to_string())
-            .spawn(move || driver_loop(&driver_core, &stopped, control))
-            .expect("spawning the dispatcher driver thread");
-        Self {
-            core,
-            metrics,
-            driver: Mutex::new(Some((stop, driver))),
-        }
-    }
-
-    /// The metrics this dispatcher reports into.
-    pub fn metrics(&self) -> Arc<DispatchMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Registers an invocation of `graph` and returns a handle immediately.
-    ///
-    /// Errors are returned synchronously only for problems detectable at
-    /// submission time (invalid inputs, engine queues full, dispatcher shut
-    /// down); execution failures surface through the handle.
-    pub fn submit(
-        &self,
-        graph: Arc<CompositionGraph>,
-        inputs: Vec<DataSet>,
-    ) -> DandelionResult<InvocationHandle> {
-        self.core.submit(graph, inputs, Instant::now())
-    }
-
-    /// Invokes a composition graph with the given inputs and waits for the
-    /// external outputs; equivalent to `submit(graph, inputs)?.wait(None)`.
-    pub fn invoke(
-        &self,
-        graph: Arc<CompositionGraph>,
-        inputs: Vec<DataSet>,
-    ) -> DandelionResult<InvocationOutcome> {
-        self.submit(graph, inputs)?.wait(None)
-    }
-
-    /// A non-consuming view of an invocation in the in-flight table.
-    ///
-    /// Returns `None` for ids the table has never seen or whose retained
-    /// result has expired.
-    pub fn poll(&self, id: InvocationId) -> Option<InvocationSnapshot> {
-        self.core.lock().poll(id)
-    }
-
-    /// Stops the driver thread; unsettled invocations fail with
-    /// [`DandelionError::Cancelled`], and later submissions are refused
-    /// with it.
-    pub fn shutdown(&self) {
-        // Only this `take` runs under the lock, and `Drop` calls here.
-        if let Some((stop, driver)) = recover(self.driver.lock()).take() {
-            drop(stop);
-            let _ = driver.join();
-        }
-    }
-}
-
-impl Drop for Dispatcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The sink every task of the dispatcher carries: the engine that ran a
-/// batch applies it on its own thread. It holds the core weakly, since the
-/// core's table holds the sink; a batch that outlives the core is dropped.
-fn completion_sink(core: Weak<Core>) -> ReplySender {
-    ReplySender::new(move |results| {
-        if let Some(core) = core.upgrade() {
-            core.complete(results, Instant::now());
-        }
-    })
-}
-
-/// The driver keeps the dispatcher's clock: it sleeps until the next timer
-/// is due or `shutdown` drops the sender of `stop` (nothing is ever sent on
-/// it), runs what is due, and ends with the final sweep.
-fn driver_loop(core: &Core, stop: &Receiver<()>, control: Option<PoolControl>) {
-    let mut now = Instant::now();
-    let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
-    let mut control = control.map(|control| (now + control.step.interval(), control));
-    let mut effects = Effects::default();
-    loop {
-        let next = reap.min(release);
-        let next = control
-            .as_ref()
-            .map_or(next, |(next_step, _)| next.min(*next_step));
-        let woken = stop.recv_timeout(next.saturating_duration_since(now));
-        now = Instant::now();
-        if woken != Err(RecvTimeoutError::Timeout) {
-            break;
-        }
-        if reap <= now {
-            core.lock().reap(now, &mut effects);
-            core.apply(&mut effects, now);
-            reap = now + REAP_PERIOD;
-        }
-        // Committed memory follows the load: what the pool retains and
-        // nothing has needed since the look before is freed.
-        if release <= now {
-            BufferPool::global().release_unused();
-            release = now + POOL_RELEASE_PERIOD;
-        }
-        if let Some((next_step, control)) = &mut control {
-            if *next_step <= now {
-                control.run();
-                *next_step = now + control.step.interval();
-            }
-        }
-    }
-    core.lock().cancel_all(now, &mut effects);
-    core.apply(&mut effects, now);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineExecutor, EnginePool};
     use crate::task::reply_channel;
+    use crate::worker::{WorkerNode, REAP_PERIOD};
     use dandelion_common::config::{EngineKind, IsolationKind};
     use dandelion_common::{DataItem, SharedBytes};
     use dandelion_dsl::{CompositionBuilder, Distribution};
-    use dandelion_http::validate::ValidationPolicy;
     use dandelion_http::{HttpRequest, HttpResponse};
-    use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
+    use dandelion_isolation::{FunctionArtifact, FunctionCtx};
     use dandelion_services::ObjectStore;
     use dandelion_services::ServiceRegistry;
 
-    struct Harness {
-        dispatcher: Dispatcher,
-        _compute_pool: EnginePool,
-        _communication_pool: EnginePool,
-        registry: Arc<Registry>,
-    }
-
-    fn retained_results(harness: &Harness) -> u64 {
-        harness
-            .dispatcher
-            .metrics()
-            .retained_results
-            .load(Ordering::Relaxed)
-    }
-
-    fn harness() -> Harness {
-        harness_with_config(WorkerConfig {
+    fn worker() -> Arc<WorkerNode> {
+        worker_with_config(WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 1,
             ..WorkerConfig::default()
         })
     }
 
-    fn harness_with_config(config: WorkerConfig) -> Harness {
-        let registry = Arc::new(Registry::new());
-        let compute_queue = TaskQueue::new(EngineKind::Compute, 1024);
-        let communication_queue = TaskQueue::new(EngineKind::Communication, 1024);
-
-        let backend = create_backend(IsolationKind::Native, HardwarePlatform::Morello);
-        let compute_pool =
-            EnginePool::new(EngineExecutor::Compute { backend }, compute_queue.clone());
-        compute_pool.resize(2);
-
+    /// A worker without the control plane, on native isolation, whose
+    /// object store holds `data/a.txt` and `data/b.txt`.
+    fn worker_with_config(config: WorkerConfig) -> Arc<WorkerNode> {
         let store = Arc::new(ObjectStore::new());
         store.put_object("data", "a.txt", b"alpha".to_vec());
         store.put_object("data", "b.txt", b"beta".to_vec());
         let mut services = ServiceRegistry::new();
         services.register("s3.internal", store);
-        let communication_pool = EnginePool::new(
-            EngineExecutor::Communication {
-                registry: Arc::new(services),
-                policy: Arc::new(ValidationPolicy::default()),
-            },
-            communication_queue.clone(),
-        );
-        communication_pool.resize(1);
-
-        let dispatcher = Dispatcher::new(
-            Arc::clone(&registry),
-            compute_queue,
-            communication_queue,
-            config,
-        );
-        Harness {
-            dispatcher,
-            _compute_pool: compute_pool,
-            _communication_pool: communication_pool,
-            registry,
-        }
+        let config = WorkerConfig {
+            isolation: IsolationKind::Native,
+            ..config
+        };
+        WorkerNode::start_with_control(config, services, false).unwrap()
     }
 
     /// A composition that lists two objects, fetches both over HTTP in
     /// parallel, and concatenates the responses.
-    fn register_fetch_concat(registry: &Registry) -> Arc<CompositionGraph> {
+    fn register_fetch_concat(registry: &Registry) {
         registry
             .register_function(FunctionArtifact::new(
                 "MakeRequests",
@@ -1362,11 +1217,10 @@ mod tests {
             })
             .build()
             .unwrap();
-        registry.register_composition(graph.clone()).unwrap();
-        Arc::new(graph)
+        registry.register_composition(graph).unwrap();
     }
 
-    fn register_copy_identity(registry: &Registry) -> Arc<CompositionGraph> {
+    fn register_copy_identity(registry: &Registry) {
         registry
             .register_function(FunctionArtifact::new(
                 "Copy",
@@ -1386,8 +1240,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        registry.register_composition(graph.clone()).unwrap();
-        Arc::new(graph)
+        registry.register_composition(graph).unwrap();
     }
 
     // ---- Transitions of the table, as rows ----
@@ -1434,13 +1287,12 @@ mod tests {
     type Delivered = Arc<Mutex<Vec<DandelionResult<InvocationOutcome>>>>;
 
     struct Rig {
-        core: Arc<Core>,
+        dispatcher: Arc<Dispatcher>,
         registry: Arc<Registry>,
         metrics: Arc<DispatchMetrics>,
         config: WorkerConfig,
-        results: Receiver<Vec<TaskResult>>,
+        results: std::sync::mpsc::Receiver<Vec<TaskResult>>,
         now: Instant,
-        effects: Effects,
         /// Top-level submissions.
         submitted: u64,
         /// What each registered callback was handed.
@@ -1471,7 +1323,7 @@ mod tests {
             let (reply, results) = reply_channel();
             let table = InFlight::new(Arc::clone(&registry), &config, reply, Arc::clone(&metrics));
             Self {
-                core: Arc::new(Core {
+                dispatcher: Arc::new(Dispatcher {
                     table: Mutex::new(table),
                     settled: Condvar::new(),
                     compute_queue: TaskQueue::new(EngineKind::Compute, capacity),
@@ -1482,7 +1334,6 @@ mod tests {
                 config,
                 results,
                 now: Instant::now(),
-                effects: Effects::default(),
                 submitted: 0,
                 callbacks: Vec::new(),
             }
@@ -1507,7 +1358,7 @@ mod tests {
             inputs: Vec<DataSet>,
         ) -> DandelionResult<InvocationHandle> {
             self.submitted += 1;
-            self.core.submit(self.graph(name), inputs, self.now)
+            self.dispatcher.submit(self.graph(name), inputs, self.now)
         }
 
         /// Registers a callback that records what it is handed.
@@ -1521,8 +1372,9 @@ mod tests {
 
         /// Pops every queued task.
         fn tasks(&self) -> Vec<Task> {
-            let compute = std::iter::from_fn(|| self.core.compute_queue.try_pop());
-            let communication = std::iter::from_fn(|| self.core.communication_queue.try_pop());
+            let compute = std::iter::from_fn(|| self.dispatcher.compute_queue.try_pop());
+            let communication =
+                std::iter::from_fn(|| self.dispatcher.communication_queue.try_pop());
             compute.chain(communication).collect()
         }
 
@@ -1543,7 +1395,7 @@ mod tests {
         /// channel, at the rig's clock.
         fn deliver(&mut self) {
             while let Ok(mut batch) = self.results.try_recv() {
-                self.core.complete(&mut batch, self.now);
+                self.dispatcher.complete(&mut batch, self.now);
             }
         }
 
@@ -1562,14 +1414,12 @@ mod tests {
             }
         }
 
-        fn reap(&mut self) {
-            self.core.lock().reap(self.now, &mut self.effects);
-            self.core.apply(&mut self.effects, self.now);
+        fn reap(&self) {
+            self.dispatcher.reap(self.now);
         }
 
-        fn cancel_all(&mut self) {
-            self.core.lock().cancel_all(self.now, &mut self.effects);
-            self.core.apply(&mut self.effects, self.now);
+        fn cancel_all(&self) {
+            self.dispatcher.cancel_all(self.now);
         }
 
         fn counter(&self, counter: &AtomicU64) -> u64 {
@@ -1577,7 +1427,7 @@ mod tests {
         }
 
         fn entries(&self) -> usize {
-            self.core.lock().entries.len()
+            self.dispatcher.lock().entries.len()
         }
 
         /// What every row ends with: each callback fired once, nothing is in
@@ -1681,7 +1531,7 @@ mod tests {
         let dangling = one_node("Dangling", "DoesNotExist", Distribution::All);
         rig.submitted += 1;
         let handle = rig
-            .core
+            .dispatcher
             .submit(
                 Arc::new(dangling),
                 vec![DataSet::single("In", vec![1])],
@@ -1701,12 +1551,12 @@ mod tests {
     fn poll_reports_status_without_consuming() {
         let mut rig = Rig::new(16);
         let handle = rig.submit("Identity", &["peek"]).unwrap();
-        let running = rig.core.lock().poll(handle.id()).unwrap();
+        let running = rig.dispatcher.poll(handle.id()).unwrap();
         assert_eq!(running.status, InvocationStatus::Running);
         assert!(running.outcome.is_none());
         rig.run();
         for _ in 0..2 {
-            let snapshot = rig.core.lock().poll(handle.id()).expect("retained");
+            let snapshot = rig.dispatcher.poll(handle.id()).expect("retained");
             assert_eq!(snapshot.composition, "Identity");
             assert_eq!(snapshot.status, InvocationStatus::Completed);
             assert_eq!(text(&snapshot.outcome.unwrap()), "peek");
@@ -1727,7 +1577,7 @@ mod tests {
         assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
         assert_eq!(text(&handle.try_result().unwrap()), "peek");
         assert!(handle.try_result().is_none());
-        assert!(rig.core.lock().poll(handle.id()).is_none());
+        assert!(rig.dispatcher.poll(handle.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
         // The handle still answers the status the invocation settled with.
         assert_eq!(handle.status(), InvocationStatus::Completed);
@@ -1738,8 +1588,7 @@ mod tests {
     fn polling_unknown_ids_returns_none() {
         let rig = Rig::new(16);
         assert!(rig
-            .core
-            .lock()
+            .dispatcher
             .poll(InvocationId::from_raw(u64::MAX))
             .is_none());
         rig.finish();
@@ -1755,7 +1604,7 @@ mod tests {
                 handle
             })
             .collect();
-        let poll = |handle: &InvocationHandle| rig.core.lock().poll(handle.id()).is_some();
+        let poll = |handle: &InvocationHandle| rig.dispatcher.poll(handle.id()).is_some();
         assert_eq!(
             handles.iter().map(poll).collect::<Vec<_>>(),
             [false, true, true]
@@ -1852,7 +1701,7 @@ mod tests {
         // took the result.
         assert_eq!(early.status(), InvocationStatus::Completed);
         // The callback consumed the result: nothing is retained for it.
-        assert!(rig.core.lock().poll(early.id()).is_none());
+        assert!(rig.dispatcher.poll(early.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
         // A second registration finds the result gone, like a second `wait`.
         let again = rig.on_settle(&early);
@@ -1871,7 +1720,7 @@ mod tests {
         assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
         let late_delivered = rig.on_settle(&late);
         assert_eq!(text(&late_delivered.lock().unwrap()[0]), "late");
-        assert!(rig.core.lock().poll(late.id()).is_none());
+        assert!(rig.dispatcher.poll(late.id()).is_none());
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
         rig.finish();
     }
@@ -1888,7 +1737,7 @@ mod tests {
             &DandelionError::Cancelled
         );
         assert_eq!(watched.status(), InvocationStatus::Failed);
-        let snapshot = rig.core.lock().poll(unwatched.id()).expect("retained");
+        let snapshot = rig.dispatcher.poll(unwatched.id()).expect("retained");
         assert_eq!(snapshot.status, InvocationStatus::Failed);
         assert_eq!(
             snapshot.outcome.unwrap().unwrap_err(),
@@ -1897,31 +1746,50 @@ mod tests {
         assert_eq!(rig.counter(&rig.metrics.retained_results), 1);
         assert_eq!(rig.counter(&rig.metrics.failures), 2);
         // Nothing registers after the final sweep.
-        let refused = rig.core.submit(rig.graph("Identity"), Vec::new(), rig.now);
+        let refused = rig
+            .dispatcher
+            .submit(rig.graph("Identity"), Vec::new(), rig.now);
         assert_eq!(refused.unwrap_err(), DandelionError::Cancelled);
         rig.finish();
     }
 
-    #[test]
-    fn small_retained_views_are_compacted_at_settle() {
-        let mut rig = Rig::new(16);
+    /// A 4 MiB buffer, and an input set whose one item is all of it.
+    fn blob() -> (SharedBytes, Vec<DataSet>) {
         let payload = SharedBytes::from_vec(vec![0xEE; 4 * 1024 * 1024]);
-        let blob = vec![DataSet::with_items(
-            "In",
-            vec![DataItem::new("blob", payload.clone())],
-        )];
-        // Every task answers with the first 16 bytes of what it was given.
-        let head = |task: &Task| {
-            let mut outputs = echo(task)?;
-            let item = &mut outputs[0].items[0];
-            item.data = item.data.slice(..16);
-            Ok(outputs)
-        };
+        let item = DataItem::new("blob", payload.clone());
+        (payload, vec![DataSet::with_items("In", vec![item])])
+    }
+
+    /// An engine's answer of the first 16 bytes of what `task` was given.
+    fn head(task: &Task) -> DandelionResult<Vec<DataSet>> {
+        let mut outputs = echo(task)?;
+        let item = &mut outputs[0].items[0];
+        item.data = item.data.slice(..16);
+        Ok(outputs)
+    }
+
+    #[test]
+    fn small_retained_views_are_compacted_at_the_next_reap() {
+        let mut rig = Rig::new(16);
+        let (payload, blob) = blob();
         let retained = rig.submit_sets("Identity", blob.clone()).unwrap();
         for task in rig.tasks() {
             rig.reply(&task, head(&task), 0);
         }
         rig.deliver();
+        // Until the reap the retained result is the engine's view.
+        let snapshot = rig
+            .dispatcher
+            .poll(retained.id())
+            .unwrap()
+            .outcome
+            .unwrap()
+            .unwrap();
+        assert!(SharedBytes::same_buffer(
+            &snapshot.outputs[0].items[0].data,
+            &payload
+        ));
+        rig.reap();
         let outcome = retained.try_result().unwrap().unwrap();
         let item = &outcome.outputs[0].items[0];
         assert_eq!(item.data.as_slice(), &[0xEE; 16]);
@@ -1961,6 +1829,31 @@ mod tests {
         rig.reply(&tasks[0], echo(&tasks[0]), 0);
         rig.deliver();
         assert!(nested.try_result().unwrap().is_ok());
+        rig.finish();
+    }
+
+    /// An invocation that settles before its callback is registered (an
+    /// engine faster than the submitting connection) hands the callback the
+    /// engine's view: retention copies nothing a consumer takes before the
+    /// next reap.
+    #[test]
+    fn a_result_taken_before_the_next_reap_is_the_engines_view() {
+        let mut rig = Rig::new(16);
+        let (payload, blob) = blob();
+        let handle = rig.submit_sets("Identity", blob).unwrap();
+        for task in rig.tasks() {
+            rig.reply(&task, head(&task), 0);
+        }
+        rig.deliver();
+        assert_eq!(handle.status(), InvocationStatus::Completed);
+        let delivered = rig.on_settle(&handle);
+        {
+            let delivered = delivered.lock().unwrap();
+            let item = &delivered[0].as_ref().unwrap().outputs[0].items[0];
+            assert_eq!(item.data.as_slice(), &[0xEE; 16]);
+            assert_eq!(item.data.backing_len(), payload.backing_len());
+            assert!(SharedBytes::same_buffer(&item.data, &payload));
+        }
         rig.finish();
     }
 
@@ -2010,12 +1903,11 @@ mod tests {
 
     #[test]
     fn end_to_end_compute_and_http_pipeline() {
-        let harness = harness();
-        let graph = register_fetch_concat(&harness.registry);
-        let outcome = harness
-            .dispatcher
+        let worker = worker();
+        register_fetch_concat(worker.registry());
+        let outcome = worker
             .invoke(
-                graph,
+                "FetchConcat",
                 vec![DataSet::single("Keys", b"a.txt\nb.txt".to_vec())],
             )
             .unwrap();
@@ -2031,17 +1923,16 @@ mod tests {
     /// An engine settles what it finishes: the settle callback of a
     /// compute → communication → compute invocation (the shape of
     /// `RenderLogs`) runs on the compute engine that delivered the last
-    /// result, not on the driver, and before the driver's first timer (the
-    /// reaper's, `REAP_PERIOD` after it started) is due.
+    /// result, not on the worker's driver, and before the driver's first
+    /// timer (the reaper's, `REAP_PERIOD` after it started) is due.
     #[test]
     fn the_engine_that_finishes_an_invocation_settles_it() {
         let created = Instant::now();
-        let harness = harness();
-        let graph = register_fetch_concat(&harness.registry);
-        let handle = harness
-            .dispatcher
+        let worker = worker();
+        register_fetch_concat(worker.registry());
+        let handle = worker
             .submit(
-                graph,
+                "FetchConcat",
                 vec![DataSet::single("Keys", b"a.txt\nb.txt".to_vec())],
             )
             .unwrap();
@@ -2059,15 +1950,14 @@ mod tests {
         let after = settled - created;
         assert!(
             after < REAP_PERIOD,
-            "settled {after:?} after the dispatcher started, past its first timer"
+            "settled {after:?} after the worker started, past its first timer"
         );
     }
 
     #[test]
     fn http_failures_flow_downstream_as_error_responses() {
-        let harness = harness();
-        harness
-            .registry
+        let worker = worker();
+        worker
             .register_function(FunctionArtifact::new(
                 "BadRequests",
                 &["Requests"],
@@ -2077,8 +1967,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        harness
-            .registry
+        worker
             .register_function(FunctionArtifact::new(
                 "CheckStatus",
                 &["Status"],
@@ -2112,24 +2001,19 @@ mod tests {
             })
             .build()
             .unwrap();
-        harness
-            .registry
-            .register_composition(graph.clone())
-            .unwrap();
-        let outcome = harness
-            .dispatcher
-            .invoke(Arc::new(graph), vec![DataSet::single("Trigger", vec![1])])
+        worker.register_composition(graph).unwrap();
+        let outcome = worker
+            .invoke("FailureFlow", vec![DataSet::single("Trigger", vec![1])])
             .unwrap();
         assert_eq!(outcome.outputs[0].items[0].as_str(), Some("502"));
     }
 
     #[test]
     fn submit_returns_a_handle_that_settles() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
-        let handle = harness
-            .dispatcher
-            .submit(graph, vec![DataSet::single("In", b"ping".to_vec())])
+        let worker = worker();
+        register_copy_identity(worker.registry());
+        let handle = worker
+            .submit("Identity", vec![DataSet::single("In", b"ping".to_vec())])
             .unwrap();
         assert!(handle.id().as_u64() > 0);
         let outcome = handle.wait(Some(Duration::from_secs(10))).unwrap();
@@ -2137,19 +2021,18 @@ mod tests {
         assert_eq!(handle.status(), InvocationStatus::Completed);
         // The result was consumed by wait(); the entry is released.
         assert!(handle.try_result().is_none());
-        assert!(harness.dispatcher.poll(handle.id()).is_none());
+        assert!(worker.poll(handle.id()).is_none());
     }
 
     #[test]
     fn many_concurrent_submissions_settle_independently() {
-        let harness = harness();
-        let graph = register_copy_identity(&harness.registry);
+        let worker = worker();
+        register_copy_identity(worker.registry());
         let handles: Vec<InvocationHandle> = (0..16)
             .map(|index| {
-                harness
-                    .dispatcher
+                worker
                     .submit(
-                        Arc::clone(&graph),
+                        "Identity",
                         vec![DataSet::single("In", format!("m{index}").into_bytes())],
                     )
                     .unwrap()
@@ -2166,7 +2049,7 @@ mod tests {
 
     #[test]
     fn a_stalled_invocation_is_reaped_while_other_results_keep_arriving() {
-        let harness = harness_with_config(WorkerConfig {
+        let worker = worker_with_config(WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 1,
             function_timeout: Duration::from_millis(100),
@@ -2175,8 +2058,7 @@ mod tests {
         });
         let (release, parked) = std::sync::mpsc::channel::<()>();
         let parked = Mutex::new(parked);
-        harness
-            .registry
+        worker
             .register_function(FunctionArtifact::new(
                 "Park",
                 &["Out"],
@@ -2195,15 +2077,11 @@ mod tests {
             })
             .build()
             .unwrap();
-        harness
-            .registry
-            .register_composition(parking.clone())
-            .unwrap();
-        let copy = register_copy_identity(&harness.registry);
+        worker.register_composition(parking).unwrap();
+        register_copy_identity(worker.registry());
         let submitted = Instant::now();
-        let stalled = harness
-            .dispatcher
-            .submit(Arc::new(parking), vec![DataSet::single("In", vec![1])])
+        let stalled = worker
+            .submit("Parked", vec![DataSet::single("In", vec![1])])
             .unwrap();
         let outcome = loop {
             if let Some(outcome) = stalled.try_result() {
@@ -2213,9 +2091,8 @@ mod tests {
                 submitted.elapsed() < Duration::from_secs(3),
                 "the parked invocation never settled"
             );
-            harness
-                .dispatcher
-                .invoke(Arc::clone(&copy), vec![DataSet::single("In", vec![2])])
+            worker
+                .invoke("Identity", vec![DataSet::single("In", vec![2])])
                 .unwrap();
             std::thread::sleep(Duration::from_millis(20));
         };
@@ -2233,42 +2110,25 @@ mod tests {
         // next invocation's, finds the invocation settled.
         release.send(()).unwrap();
         std::thread::sleep(Duration::from_millis(200));
-        harness
-            .dispatcher
-            .invoke(copy, vec![DataSet::single("In", vec![3])])
+        worker
+            .invoke("Identity", vec![DataSet::single("In", vec![3])])
             .unwrap();
-        assert_eq!(
-            harness
-                .dispatcher
-                .metrics()
-                .failures
-                .load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(worker.stats().failures, 1);
     }
 
     #[test]
     fn on_settle_reports_cancellation_when_the_dispatcher_stops() {
-        // No engines: the invocation can never complete, so shutdown must
-        // deliver `Cancelled` through the registered callback.
-        let registry = Arc::new(Registry::new());
-        let dispatcher = Dispatcher::new(
-            Arc::clone(&registry),
-            TaskQueue::new(EngineKind::Compute, 1024),
-            TaskQueue::new(EngineKind::Communication, 1024),
-            WorkerConfig {
-                total_cores: 4,
-                initial_communication_cores: 1,
-                ..WorkerConfig::default()
-            },
-        );
-        let graph = register_copy_identity(&registry);
-        let handle = dispatcher
-            .submit(graph, vec![DataSet::single("In", vec![1])])
+        // No compute engine: the invocation can never complete, so shutdown
+        // must deliver `Cancelled` through the registered callback.
+        let worker = worker();
+        worker.compute_pool().resize(0);
+        register_copy_identity(worker.registry());
+        let handle = worker
+            .submit("Identity", vec![DataSet::single("In", vec![1])])
             .unwrap();
         let (sender, receiver) = std::sync::mpsc::channel();
         handle.on_settle(move |outcome| sender.send(outcome).unwrap());
-        dispatcher.shutdown();
+        worker.shutdown();
         let outcome = receiver
             .recv_timeout(Duration::from_secs(10))
             .expect("cancellation reaches the callback");
@@ -2277,9 +2137,8 @@ mod tests {
 
     #[test]
     fn shutdown_cancels_unsettled_invocations() {
-        let harness = harness();
-        harness
-            .registry
+        let worker = worker();
+        worker
             .register_function(FunctionArtifact::new(
                 "Slow",
                 &["Out"],
@@ -2298,31 +2157,25 @@ mod tests {
             })
             .build()
             .unwrap();
-        harness
-            .registry
-            .register_composition(graph.clone())
+        worker.register_composition(graph).unwrap();
+        let handle = worker
+            .submit("Sleepy", vec![DataSet::single("In", vec![1])])
             .unwrap();
-        let handle = harness
-            .dispatcher
-            .submit(Arc::new(graph), vec![DataSet::single("In", vec![1])])
-            .unwrap();
-        harness.dispatcher.shutdown();
+        worker.shutdown();
         // Settled like any other result nobody has consumed yet: retained
         // for polling, and counted.
-        assert_eq!(retained_results(&harness), 1);
+        assert_eq!(worker.retained_results(), 1);
         let result = handle.wait(Some(Duration::from_secs(5)));
         // Either the task squeaked through before the driver stopped or the
         // invocation was cancelled; it must not hang or panic.
         if let Err(error) = result {
             assert_eq!(error, DandelionError::Cancelled);
         }
-        assert_eq!(retained_results(&harness), 0);
+        assert_eq!(worker.retained_results(), 0);
         // New submissions are rejected after shutdown.
-        let graph2 = register_copy_identity(&harness.registry);
+        register_copy_identity(worker.registry());
         assert!(matches!(
-            harness
-                .dispatcher
-                .submit(graph2, vec![DataSet::single("In", vec![2])]),
+            worker.submit("Identity", vec![DataSet::single("In", vec![2])]),
             Err(DandelionError::Cancelled)
         ));
     }

@@ -54,7 +54,7 @@ const ENGINE_COALESCE_MAX: usize = 32;
 
 /// The execution capability shared by every engine of a pool.
 #[derive(Clone)]
-pub enum EngineExecutor {
+pub(crate) enum EngineExecutor {
     /// Executes compute tasks through an isolation backend.
     Compute {
         /// The sandboxing mechanism.
@@ -78,7 +78,7 @@ impl EngineExecutor {
     }
 
     /// Executes one task payload, producing the dispatcher-facing result.
-    pub fn execute(&self, task: &Task) -> TaskResult {
+    pub(crate) fn execute(&self, task: &Task) -> TaskResult {
         let (outcome, high_water, modeled) = match (&task.payload, self) {
             (
                 TaskPayload::Compute {
@@ -462,12 +462,12 @@ pub struct EnginePool {
 
 impl EnginePool {
     /// Creates a pool that pulls work from `queue`.
-    pub fn new(executor: EngineExecutor, queue: TaskQueue) -> Self {
+    pub(crate) fn new(executor: EngineExecutor, queue: TaskQueue) -> Self {
         Self { executor, queue }
     }
 
     /// The queue feeding this pool.
-    pub fn queue(&self) -> &TaskQueue {
+    pub(crate) fn queue(&self) -> &TaskQueue {
         &self.queue
     }
 
@@ -508,7 +508,7 @@ impl EnginePool {
     /// Stops every engine, waits for the threads to exit, then answers each
     /// task still queued once with [`DandelionError::Cancelled`], through
     /// its sink, on the calling thread.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.resize(0);
         loop {
             let handles = std::mem::take(&mut self.queue.lock().handles);
@@ -585,18 +585,21 @@ mod tests {
         assert_eq!(pool.engine_count(), 2);
         let (reply, results) = reply_channel();
         for index in 0..4 {
-            pool.queue().push(Task {
-                invocation: InvocationId::from_raw(7),
-                node: 0,
-                instance: index,
-                payload: TaskPayload::Compute {
-                    artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", format!("p{index}").into_bytes())].into(),
-                    cold_binary: false,
-                    timeout: Duration::from_secs(5),
-                },
-                reply: reply.clone(),
-            });
+            pool.queue()
+                .try_push(Task {
+                    invocation: InvocationId::from_raw(7),
+                    node: 0,
+                    instance: index,
+                    payload: TaskPayload::Compute {
+                        artifact: echo_artifact(),
+                        inputs: vec![DataSet::single("in", format!("p{index}").into_bytes())]
+                            .into(),
+                        cold_binary: false,
+                        timeout: Duration::from_secs(5),
+                    },
+                    reply: reply.clone(),
+                })
+                .unwrap();
         }
         let mut seen = Vec::new();
         while seen.len() < 4 {
@@ -621,18 +624,21 @@ mod tests {
         // deterministically finds the rest of the invocation's tasks queued
         // when the first one finishes.
         for instance in 0..6 {
-            pool.queue().push(Task {
-                invocation: InvocationId::from_raw(42),
-                node: 0,
-                instance,
-                payload: TaskPayload::Compute {
-                    artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", format!("c{instance}").into_bytes())].into(),
-                    cold_binary: false,
-                    timeout: Duration::from_secs(5),
-                },
-                reply: reply.clone(),
-            });
+            pool.queue()
+                .try_push(Task {
+                    invocation: InvocationId::from_raw(42),
+                    node: 0,
+                    instance,
+                    payload: TaskPayload::Compute {
+                        artifact: echo_artifact(),
+                        inputs: vec![DataSet::single("in", format!("c{instance}").into_bytes())]
+                            .into(),
+                        cold_binary: false,
+                        timeout: Duration::from_secs(5),
+                    },
+                    reply: reply.clone(),
+                })
+                .unwrap();
         }
         pool.resize(1);
         let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -652,18 +658,20 @@ mod tests {
         let pool = compute_pool();
         let (reply, results) = reply_channel();
         for (index, invocation) in [7u64, 7, 9, 9].into_iter().enumerate() {
-            pool.queue().push(Task {
-                invocation: InvocationId::from_raw(invocation),
-                node: 0,
-                instance: index,
-                payload: TaskPayload::Compute {
-                    artifact: echo_artifact(),
-                    inputs: vec![DataSet::single("in", vec![index as u8])].into(),
-                    cold_binary: false,
-                    timeout: Duration::from_secs(5),
-                },
-                reply: reply.clone(),
-            });
+            pool.queue()
+                .try_push(Task {
+                    invocation: InvocationId::from_raw(invocation),
+                    node: 0,
+                    instance: index,
+                    payload: TaskPayload::Compute {
+                        artifact: echo_artifact(),
+                        inputs: vec![DataSet::single("in", vec![index as u8])].into(),
+                        cold_binary: false,
+                        timeout: Duration::from_secs(5),
+                    },
+                    reply: reply.clone(),
+                })
+                .unwrap();
         }
         pool.resize(1);
         let first = results.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -685,25 +693,27 @@ mod tests {
         let invalid = b"NOT A REQUEST".to_vec();
         // A target that is not UTF-8 is refused, not read lossily.
         let not_utf8 = b"GET http://s3.internal/bucket/hello\xff.txt HTTP/1.1\r\n\r\n".to_vec();
-        pool.queue().push(Task {
-            invocation: InvocationId::from_raw(1),
-            node: 1,
-            instance: 0,
-            payload: TaskPayload::Http {
-                inputs: vec![DataSet::with_items(
-                    "Request",
-                    vec![
-                        DataItem::new("r0", good),
-                        DataItem::new("r1", missing),
-                        DataItem::new("r2", invalid),
-                        DataItem::new("r3", not_utf8),
-                    ],
-                )]
-                .into(),
-                response_set: "Response".to_string(),
-            },
-            reply,
-        });
+        pool.queue()
+            .try_push(Task {
+                invocation: InvocationId::from_raw(1),
+                node: 1,
+                instance: 0,
+                payload: TaskPayload::Http {
+                    inputs: vec![DataSet::with_items(
+                        "Request",
+                        vec![
+                            DataItem::new("r0", good),
+                            DataItem::new("r1", missing),
+                            DataItem::new("r2", invalid),
+                            DataItem::new("r3", not_utf8),
+                        ],
+                    )]
+                    .into(),
+                    response_set: "Response".to_string(),
+                },
+                reply,
+            })
+            .unwrap();
         let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(batch.len(), 1);
         let result = &batch[0];
@@ -732,18 +742,20 @@ mod tests {
         let (pool, _store) = comm_pool_with_store();
         pool.resize(1);
         let (reply, results) = reply_channel();
-        pool.queue().push(Task {
-            invocation: InvocationId::from_raw(2),
-            node: 0,
-            instance: 0,
-            payload: TaskPayload::Compute {
-                artifact: echo_artifact(),
-                inputs: Arc::new([]),
-                cold_binary: false,
-                timeout: Duration::from_secs(1),
-            },
-            reply,
-        });
+        pool.queue()
+            .try_push(Task {
+                invocation: InvocationId::from_raw(2),
+                node: 0,
+                instance: 0,
+                payload: TaskPayload::Compute {
+                    artifact: echo_artifact(),
+                    inputs: Arc::new([]),
+                    cold_binary: false,
+                    timeout: Duration::from_secs(1),
+                },
+                reply,
+            })
+            .unwrap();
         let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(batch[0].outcome, Err(DandelionError::Dispatch(_))));
         pool.shutdown();
@@ -779,13 +791,15 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            pool.queue().push(Task {
-                invocation: InvocationId::from_raw(13),
-                node: 0,
-                instance,
-                payload,
-                reply: reply.clone(),
-            });
+            pool.queue()
+                .try_push(Task {
+                    invocation: InvocationId::from_raw(13),
+                    node: 0,
+                    instance,
+                    payload,
+                    reply: reply.clone(),
+                })
+                .unwrap();
         }
         pool.resize(1);
         // The faulted task is not coalesced into the batch before it...
@@ -971,10 +985,12 @@ mod tests {
         let pool = compute_pool();
         let (reply, results) = reply_channel();
         for instance in 0..3 {
-            pool.queue().push(Task {
-                reply: reply.clone(),
-                ..queued(4, instance)
-            });
+            pool.queue()
+                .try_push(Task {
+                    reply: reply.clone(),
+                    ..queued(4, instance)
+                })
+                .unwrap();
         }
         pool.shutdown();
         let mut instances = Vec::new();
@@ -985,7 +1001,7 @@ mod tests {
             }
         }
         assert_eq!(instances, vec![0, 1, 2]);
-        assert!(pool.queue().is_empty());
+        assert_eq!(pool.queue().len(), 0);
         drop(pool);
         assert!(results.try_recv().is_err(), "answered once");
     }

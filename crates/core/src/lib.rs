@@ -6,14 +6,13 @@
 //!   composition DAGs ([`Registry`]);
 //! * the **dispatcher**, which tracks per-invocation dataflow state, prepares
 //!   isolated memory contexts, and moves data between functions
-//!   ([`InvocationState`], [`Dispatcher`]);
+//!   ([`InvocationState`], [`InvocationHandle`]);
 //! * **compute engines** that execute untrusted functions one at a time to
 //!   completion inside an isolation backend, and **communication engines**
-//!   that execute trusted I/O functions cooperatively ([`EnginePool`],
-//!   [`TaskQueue`]);
+//!   that execute trusted I/O functions cooperatively ([`EnginePool`]);
 //! * the **control plane**: a PI controller that re-balances CPU cores
 //!   between compute and communication engines every 30 ms based on queue
-//!   growth ([`Step`]);
+//!   growth ([`Step`]), stepped by the worker's driver thread;
 //! * the **HTTP frontend** for registration and invocation ([`frontend`]),
 //!   exposing the versioned v1 JSON API with non-blocking
 //!   submit/poll invocation endpoints;
@@ -26,9 +25,12 @@
 //! layer that load-balances invocations across worker nodes.
 //!
 //! The crate is usable both as a real multi-threaded runtime (see
-//! [`WorkerNode`]) and as a library of policy components: the
+//! [`WorkerNode`], the one place that wires these pieces together and
+//! drives them) and as a library of policy components: the
 //! discrete-event simulator in `dandelion-sim` reuses the PI controller
 //! under virtual time.
+
+#![warn(unnameable_types)]
 
 mod client;
 mod control;
@@ -41,15 +43,16 @@ mod registry;
 mod task;
 mod worker;
 
-pub use client::DandelionClient;
+pub use client::{ClientHandle, ClientPoll, DandelionClient};
 pub use control::{CoreAllocation, Step};
-pub use dispatcher::{Dispatcher, InvocationStatus};
-pub use engine::{EngineExecutor, EnginePool};
+pub use dispatcher::{
+    InvocationHandle, InvocationOutcome, InvocationReport, InvocationSnapshot, InvocationStatus,
+};
+pub use engine::EnginePool;
 pub use frontend::{sync_invoke_response, Frontend, FrontendReply, StatsSource};
-pub use invocation::{InstanceCompletion, InvocationState};
+pub use invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 pub use registry::Registry;
-pub use task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
-pub use worker::{default_test_services, WorkerNode};
+pub use worker::{default_test_services, WorkerNode, WorkerStats};
 
 /// The guard of a lock whose every update leaves its data whole, poisoned or
 /// not (the lock rule in `dandelion_common`'s crate docs).

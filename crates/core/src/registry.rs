@@ -17,14 +17,14 @@ use crate::recover;
 
 /// The built-in communication functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CommunicationKind {
+pub(crate) enum CommunicationKind {
     /// The HTTP communication function (GET/PUT/POST/DELETE over REST).
     Http,
 }
 
 impl CommunicationKind {
     /// The vertex name used in compositions.
-    pub fn vertex_name(&self) -> &'static str {
+    pub(crate) fn vertex_name(&self) -> &'static str {
         match self {
             CommunicationKind::Http => "HTTP",
         }
@@ -33,7 +33,7 @@ impl CommunicationKind {
 
 /// What a composition vertex resolves to.
 #[derive(Clone)]
-pub enum Vertex {
+pub(crate) enum Vertex {
     /// An untrusted compute function executed in a sandbox.
     Compute(Arc<FunctionArtifact>),
     /// A trusted communication function executed by a communication engine.
@@ -136,7 +136,7 @@ impl Registry {
     }
 
     /// Resolves a vertex name to its kind.
-    pub fn resolve(&self, name: &str) -> Option<Vertex> {
+    pub(crate) fn resolve(&self, name: &str) -> Option<Vertex> {
         if name == CommunicationKind::Http.vertex_name() {
             return Some(Vertex::Communication(CommunicationKind::Http));
         }

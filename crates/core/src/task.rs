@@ -25,7 +25,7 @@ use crate::recover;
 /// function's context all hold the same allocation, so handing a task on
 /// never copies set or item metadata.
 #[derive(Debug, Clone)]
-pub enum TaskPayload {
+pub(crate) enum TaskPayload {
     /// Execute a compute function instance in a sandbox.
     Compute {
         /// The function to run.
@@ -57,7 +57,7 @@ pub enum TaskPayload {
 impl TaskPayload {
     /// Which engine kind must execute this payload. A `Faulted` task is
     /// answered by the pool whose queue it is on.
-    pub fn engine_kind(&self) -> EngineKind {
+    pub(crate) fn engine_kind(&self) -> EngineKind {
         match self {
             TaskPayload::Compute { .. } => EngineKind::Compute,
             TaskPayload::Http { .. } | TaskPayload::Faulted { .. } => EngineKind::Communication,
@@ -76,7 +76,7 @@ impl TaskPayload {
 /// consecutively executed same-invocation tasks into one call, so a fan-out
 /// of N small instances takes the table lock once instead of N times.
 #[derive(Clone)]
-pub struct ReplySender(Arc<BatchSink>);
+pub(crate) struct ReplySender(Arc<BatchSink>);
 
 /// What a [`ReplySender`] calls with each batch.
 type BatchSink = dyn Fn(&mut Vec<TaskResult>) + Send + Sync;
@@ -84,14 +84,14 @@ type BatchSink = dyn Fn(&mut Vec<TaskResult>) + Send + Sync;
 impl ReplySender {
     /// A sink that hands every batch to `sink`, which takes the results out
     /// of the list.
-    pub fn new(sink: impl Fn(&mut Vec<TaskResult>) + Send + Sync + 'static) -> Self {
+    pub(crate) fn new(sink: impl Fn(&mut Vec<TaskResult>) + Send + Sync + 'static) -> Self {
         Self(Arc::new(sink))
     }
 
     /// Hands one batch of results to the sink. The list comes back empty
     /// — whatever the sink left in it is dropped — for the caller's next
     /// batch, so an engine allocates its batch list once.
-    pub fn send(&self, results: &mut Vec<TaskResult>) {
+    pub(crate) fn send(&self, results: &mut Vec<TaskResult>) {
         (self.0)(results);
         results.clear();
     }
@@ -116,7 +116,7 @@ pub(crate) fn reply_channel() -> (ReplySender, std::sync::mpsc::Receiver<Vec<Tas
 
 /// A schedulable unit of work.
 #[derive(Debug, Clone)]
-pub struct Task {
+pub(crate) struct Task {
     /// The invocation this task belongs to.
     pub invocation: InvocationId,
     /// The graph node index within the invocation.
@@ -146,7 +146,7 @@ impl Task {
 
 /// The result an engine sends back to the dispatcher.
 #[derive(Debug, Clone)]
-pub struct TaskResult {
+pub(crate) struct TaskResult {
     /// The invocation the task belonged to.
     pub invocation: InvocationId,
     /// The graph node index.
@@ -164,11 +164,11 @@ pub struct TaskResult {
 /// A task queue: the FIFO deque engines of one kind park on, in one cell
 /// with the rest of their pool's state.
 ///
-/// `push` never blocks the dispatcher; capacity-induced back-pressure is
-/// applied explicitly via [`TaskQueue::try_push`]. A push wakes one parked
-/// engine. Clones share the cell.
+/// A push never blocks the dispatcher: [`TaskQueue::try_push`] refuses a
+/// task when the queue is full. A push wakes one parked engine. Clones share
+/// the cell.
 #[derive(Clone)]
-pub struct TaskQueue {
+pub(crate) struct TaskQueue {
     kind: EngineKind,
     shared: Arc<Shared>,
 }
@@ -181,7 +181,7 @@ struct Shared {
 
 impl TaskQueue {
     /// Creates a queue for the given engine kind with a maximum depth.
-    pub fn new(kind: EngineKind, capacity: usize) -> Self {
+    pub(crate) fn new(kind: EngineKind, capacity: usize) -> Self {
         Self {
             kind,
             shared: Arc::new(Shared {
@@ -206,16 +206,10 @@ impl TaskQueue {
     }
 
     /// Enqueues a task, applying back-pressure when the queue is full.
-    pub fn try_push(&self, task: Task) -> Result<(), Task> {
+    pub(crate) fn try_push(&self, task: Task) -> Result<(), Task> {
         let wake = self.lock().try_push(task)?;
         self.notify(wake);
         Ok(())
-    }
-
-    /// Enqueues a task unconditionally.
-    pub fn push(&self, task: Task) {
-        let wake = self.lock().push(task);
-        self.notify(wake);
     }
 
     /// Dequeues the next task if one is queued, without blocking.
@@ -247,13 +241,8 @@ impl TaskQueue {
     }
 
     /// Current queue depth: the tasks owed an answer.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().len()
-    }
-
-    /// Returns `true` if the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -304,9 +293,9 @@ mod tests {
     #[test]
     fn queue_tracks_depth_and_totals() {
         let queue = TaskQueue::new(EngineKind::Communication, 16);
-        assert!(queue.is_empty());
-        queue.push(dummy_task());
-        queue.push(dummy_task());
+        assert_eq!(queue.len(), 0);
+        queue.try_push(dummy_task()).unwrap();
+        queue.try_push(dummy_task()).unwrap();
         assert_eq!(queue.len(), 2);
         assert!(queue.try_pop().is_some());
         assert_eq!(queue.len(), 1);
@@ -327,19 +316,19 @@ mod tests {
     fn queue_clones_share_state() {
         let queue = TaskQueue::new(EngineKind::Compute, 8);
         let clone = queue.clone();
-        queue.push(dummy_task());
+        queue.try_push(dummy_task()).unwrap();
         assert_eq!(clone.len(), 1);
         assert!(clone.try_pop().is_some());
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
     fn try_pop_is_nonblocking() {
         let queue = TaskQueue::new(EngineKind::Compute, 8);
         assert!(queue.try_pop().is_none());
-        queue.push(dummy_task());
+        queue.try_push(dummy_task()).unwrap();
         assert!(queue.try_pop().is_some());
         assert!(queue.try_pop().is_none());
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
     }
 }

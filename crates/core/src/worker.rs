@@ -2,16 +2,24 @@
 //!
 //! A [`WorkerNode`] assembles the pieces of Figure 4: the registry, the
 //! dispatcher, the compute and communication engine pools, and the control
-//! plane that re-balances cores between them, which the dispatcher's driver
-//! thread steps with the rest of the worker's periodic work. It exposes the
-//! programmatic API used by examples and benchmarks; the HTTP surface lives
-//! in [`crate::frontend`].
+//! plane that re-balances cores between them. It is the one place that
+//! builds them, and it owns the worker's one thread besides the engines,
+//! the *driver*, which keeps the clock: it sleeps until the stall reaper
+//! (every 100 ms), the buffer pool's release (every 500 ms) or, with control
+//! on, the core controller is due, and after every wake reads the clock once
+//! and runs what is due, busy or idle. It exposes the programmatic API used
+//! by examples and benchmarks; the HTTP surface lives in [`crate::frontend`].
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use dandelion_common::config::{EngineKind, WorkerConfig};
-use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId, LatencySummary};
+use dandelion_common::{
+    BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, LatencySummary,
+};
 use dandelion_dsl::CompositionGraph;
 use dandelion_http::validate::ValidationPolicy;
 use dandelion_isolation::{create_backend, FunctionArtifact, HardwarePlatform};
@@ -22,8 +30,17 @@ use crate::dispatcher::{
     DispatchMetrics, Dispatcher, InvocationHandle, InvocationOutcome, InvocationSnapshot,
 };
 use crate::engine::{EngineExecutor, EnginePool};
+use crate::recover;
 use crate::registry::Registry;
 use crate::task::TaskQueue;
+
+/// How often the driver fails invocations that stopped making progress.
+pub(crate) const REAP_PERIOD: Duration = Duration::from_millis(100);
+
+/// How often the driver looks at what the buffer pool retains: a buffer
+/// nobody needed since the look before, half a second, is given back, so a
+/// node's memory is back about a second after a load.
+const POOL_RELEASE_PERIOD: Duration = Duration::from_millis(500);
 
 /// Point-in-time statistics of a worker node.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,13 +73,15 @@ pub struct WorkerNode {
     config: WorkerConfig,
     registry: Arc<Registry>,
     services: Arc<ServiceRegistry>,
-    dispatcher: Dispatcher,
+    dispatcher: Arc<Dispatcher>,
     compute_pool: Arc<EnginePool>,
     communication_pool: Arc<EnginePool>,
     metrics: Arc<DispatchMetrics>,
     /// Drain signal: while set, `submit` refuses new work so in-flight
     /// invocations can finish (rolling restarts, gateway-driven draining).
     draining: std::sync::atomic::AtomicBool,
+    /// The driver thread, and the sender whose drop stops it.
+    driver: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
 }
 
 impl WorkerNode {
@@ -90,10 +109,19 @@ impl WorkerNode {
 
         let services = Arc::new(services);
 
+        let metrics = Arc::new(DispatchMetrics::default());
+        let dispatcher = Dispatcher::new(
+            Arc::clone(&registry),
+            &config,
+            Arc::clone(&metrics),
+            compute_queue.clone(),
+            communication_queue.clone(),
+        );
+
         let backend = create_backend(config.isolation, HardwarePlatform::X86Linux);
         let compute_pool = Arc::new(EnginePool::new(
             EngineExecutor::Compute { backend },
-            compute_queue.clone(),
+            compute_queue,
         ));
         compute_pool.resize(config.initial_compute_cores());
 
@@ -102,7 +130,7 @@ impl WorkerNode {
                 registry: Arc::clone(&services),
                 policy: Arc::new(ValidationPolicy::default()),
             },
-            communication_queue.clone(),
+            communication_queue,
         ));
         communication_pool.resize(config.initial_communication_cores);
 
@@ -118,15 +146,12 @@ impl WorkerNode {
             communication: Arc::clone(&communication_pool),
         });
 
-        let metrics = Arc::new(DispatchMetrics::default());
-        let dispatcher = Dispatcher::with_metrics(
-            Arc::clone(&registry),
-            compute_queue,
-            communication_queue,
-            config.clone(),
-            Arc::clone(&metrics),
-            control,
-        );
+        let (stop, stopped) = channel();
+        let driven = Arc::clone(&dispatcher);
+        let driver = std::thread::Builder::new()
+            .name("dandelion-dispatcher".to_string())
+            .spawn(move || driver_loop(&driven, &stopped, control))
+            .expect("spawning the worker's driver thread");
 
         Ok(Arc::new(Self {
             config,
@@ -137,6 +162,7 @@ impl WorkerNode {
             communication_pool,
             metrics,
             draining: std::sync::atomic::AtomicBool::new(false),
+            driver: Mutex::new(Some((stop, driver))),
         }))
     }
 
@@ -191,7 +217,7 @@ impl WorkerNode {
             });
         }
         let graph = self.registry.composition(composition)?;
-        self.dispatcher.submit(graph, inputs)
+        self.dispatcher.submit(graph, inputs, Instant::now())
     }
 
     /// Invokes a registered composition and waits for its outputs;
@@ -299,10 +325,15 @@ impl WorkerNode {
         true
     }
 
-    /// Stops the dispatcher (and with it the control plane) and every
-    /// engine. Unsettled invocations fail with [`DandelionError::Cancelled`].
+    /// Stops the driver (and with it the control plane), then every
+    /// engine. Unsettled invocations fail with [`DandelionError::Cancelled`],
+    /// and later submissions are refused with it.
     pub fn shutdown(&self) {
-        self.dispatcher.shutdown();
+        // Only this `take` runs under the lock, and `Drop` calls here.
+        if let Some((stop, driver)) = recover(self.driver.lock()).take() {
+            drop(stop);
+            let _ = driver.join();
+        }
         self.compute_pool.shutdown();
         self.communication_pool.shutdown();
     }
@@ -312,6 +343,43 @@ impl Drop for WorkerNode {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// The driver keeps the worker's clock: it sleeps until the next timer is
+/// due or `shutdown` drops the sender of `stop` (nothing is ever sent on
+/// it), runs what is due, and ends with the dispatcher's final sweep.
+fn driver_loop(dispatcher: &Dispatcher, stop: &Receiver<()>, control: Option<PoolControl>) {
+    let mut now = Instant::now();
+    let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
+    let mut control = control.map(|control| (now + control.step.interval(), control));
+    loop {
+        let next = reap.min(release);
+        let next = control
+            .as_ref()
+            .map_or(next, |(next_step, _)| next.min(*next_step));
+        let woken = stop.recv_timeout(next.saturating_duration_since(now));
+        now = Instant::now();
+        if woken != Err(RecvTimeoutError::Timeout) {
+            break;
+        }
+        if reap <= now {
+            dispatcher.reap(now);
+            reap = now + REAP_PERIOD;
+        }
+        // Committed memory follows the load: what the pool retains and
+        // nothing has needed since the look before is freed.
+        if release <= now {
+            BufferPool::global().release_unused();
+            release = now + POOL_RELEASE_PERIOD;
+        }
+        if let Some((next_step, control)) = &mut control {
+            if *next_step <= now {
+                control.run();
+                *next_step = now + control.step.interval();
+            }
+        }
+    }
+    dispatcher.cancel_all(now);
 }
 
 /// Convenience constructor: a worker with the default registry of simulated
@@ -543,8 +611,8 @@ mod tests {
     }
 
     /// The controller, live: with both compute engines parked, a stream of
-    /// submissions grows the compute queue, and the dispatcher driver moves
-    /// a core from the communication pool to it.
+    /// submissions grows the compute queue, and the worker's driver moves a
+    /// core from the communication pool to it.
     #[test]
     fn the_controller_moves_a_core_to_a_growing_compute_queue() {
         let config = WorkerConfig {

@@ -506,11 +506,13 @@ impl Conn {
                     let slot = self.park(close, held);
                     me.inflight.fetch_add(1, Ordering::Relaxed);
                     let me = Arc::clone(me);
-                    // Runs on the thread that settles the invocation — the
-                    // engine that finished it, or the dispatcher driver when
-                    // it reaps or cancels it — once the worker releases its
-                    // table entry: encode there (cheap, zero-copy for single
-                    // outputs) and wake the owning event loop.
+                    // Runs once the worker releases the invocation's table
+                    // entry, on the thread that settles it — the engine that
+                    // finished it, or the worker's driver when it reaps or
+                    // cancels it — or, when the invocation settled before
+                    // this registration, here on the loop itself: encode
+                    // there (cheap, zero-copy for single outputs) and wake
+                    // the owning event loop.
                     handle.on_settle(move |outcome| {
                         me.post(LoopMsg {
                             slot,

@@ -34,6 +34,8 @@
 //! typed [`DandelionClient`](dandelion_core::DandelionClient) on one such
 //! connection, so it reaches a worker or a gateway like every other client.
 
+#![warn(unnameable_types)]
+
 mod client;
 mod config;
 mod conn;
@@ -49,5 +51,5 @@ pub use config::{ServerConfig, WORKER_PIPELINE_DEPTH};
 pub use conn::response_rope;
 pub use gateway::{GatewayConfig, Router};
 pub use rate::RateLimit;
-pub use server::Server;
+pub use server::{Server, ServerStatsSnapshot};
 pub use sys::raise_nofile_limit;

@@ -45,7 +45,7 @@ pub(crate) struct ServerStats {
     pub accept_overflow: AtomicU64,
 }
 
-/// Point-in-time snapshot of [`ServerStats`].
+/// Point-in-time snapshot of the server's counters ([`Server::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// Connections admitted past admission control.

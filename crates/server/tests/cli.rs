@@ -250,7 +250,7 @@ fn matmul128_burst(connection: &mut HttpClientConnection, rounds: usize) {
 /// (receive buffers, products, the multiply's own vectors); two seconds
 /// after the last answer it is back within 3 MiB of
 /// where it was before the first request. The buffer pool frees what it
-/// retained and nothing needed for half a second (the dispatcher driver
+/// retained and nothing needed for half a second (the worker's driver
 /// looks twice a second). At the parent the pool kept its buffers for good:
 /// 17 MiB above.
 #[test]

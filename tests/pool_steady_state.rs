@@ -254,7 +254,7 @@ fn an_idle_node_gives_the_pool_back() {
     pipelined_load(server.local_addr(), &wire, 4);
     assert_a_matmul128_load_is_retained(&wire);
     stop_node(server, worker);
-    // The node's own looks are its dispatcher driver's, twice a second; the
+    // The node's own looks are its worker's driver's, twice a second; the
     // same look, taken by hand: with nothing issued in between the second
     // look frees all of it (the first may already free what the load left
     // untouched).

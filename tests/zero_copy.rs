@@ -4,7 +4,7 @@
 //! equal bytes).
 
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dandelion_common::config::{IsolationKind, WorkerConfig};
 use dandelion_common::{
@@ -301,9 +301,10 @@ fn http_rope_serialization_attaches_bodies_by_reference() {
 }
 
 /// Retained results that are tiny windows of huge buffers are compacted at
-/// settle time (ROADMAP follow-up e): polling keeps working, but the big
-/// producer buffer is no longer pinned. Whole-buffer outputs (the tests
-/// above) keep full sharing.
+/// the worker driver's first reap after they settle (ROADMAP follow-up e):
+/// polling keeps working, but the big producer buffer is pinned for one
+/// reap period at most. Whole-buffer outputs (the tests above) keep full
+/// sharing.
 #[test]
 fn retained_slivers_do_not_pin_their_parent_buffers() {
     let _quiet = no_faults();
@@ -332,6 +333,16 @@ fn retained_slivers_do_not_pin_their_parent_buffers() {
             )],
         )
         .unwrap();
+    // Settled and retained, not taken: the reap after it compacts it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while worker.poll(handle.id()).is_none_or(|retained| {
+        retained.outcome.is_none_or(|outcome| {
+            SharedBytes::same_buffer(&outcome.unwrap().outputs[0].items[0].data, &payload)
+        })
+    }) {
+        assert!(Instant::now() < deadline, "the window was never compacted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let outcome = handle.wait(Some(Duration::from_secs(10))).unwrap();
     let item = &outcome.outputs[0].items[0];
     assert_eq!(item.data.as_slice(), &[0x42; 16]);
