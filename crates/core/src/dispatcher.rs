@@ -526,8 +526,7 @@ impl InFlight {
     /// function never returns; without it, such an invocation would leave
     /// `wait(None)` callers blocked forever.
     ///
-    /// Then compacts the results retained since the last reap (see
-    /// [`compact_retained_outputs`]); one taken meanwhile left uncopied.
+    /// Then compacts the results retained since the last reap.
     fn reap(&mut self, now: Instant, effects: &mut Effects) {
         let deadline = self.stall_deadline;
         let stalled =
@@ -535,6 +534,22 @@ impl InFlight {
         self.fail_running(stalled, now, effects, |entry| {
             now.saturating_duration_since(entry.last_progress) > deadline
         });
+        self.compact_fresh();
+    }
+
+    /// The final sweep: fails every unsettled invocation with
+    /// [`DandelionError::Cancelled`] as any other failure settles, and
+    /// refuses every later submission. No reap follows it, so it compacts
+    /// what the last reap left.
+    fn cancel_all(&mut self, now: Instant, effects: &mut Effects) {
+        self.shutting_down = true;
+        self.fail_running(|| DandelionError::Cancelled, now, effects, |_| true);
+        self.compact_fresh();
+    }
+
+    /// Compacts the results retained since the last call (see
+    /// [`compact_retained_outputs`]); one taken meanwhile is left uncopied.
+    fn compact_fresh(&mut self) {
         let fresh = std::mem::take(&mut self.uncompacted);
         for id in self.retained.iter().rev().take(fresh) {
             if let Some(Progress::Settled(Ok(outcome))) =
@@ -543,14 +558,6 @@ impl InFlight {
                 compact_retained_outputs(&mut outcome.outputs);
             }
         }
-    }
-
-    /// The final sweep: fails every unsettled invocation with
-    /// [`DandelionError::Cancelled`] as any other failure settles, and
-    /// refuses every later submission.
-    fn cancel_all(&mut self, now: Instant, effects: &mut Effects) {
-        self.shutting_down = true;
-        self.fail_running(|| DandelionError::Cancelled, now, effects, |_| true);
     }
 
     /// Settles every running entry `pick` selects with `error()`, which is
@@ -1829,6 +1836,30 @@ mod tests {
         rig.reply(&tasks[0], echo(&tasks[0]), 0);
         rig.deliver();
         assert!(nested.try_result().unwrap().is_ok());
+        rig.finish();
+    }
+
+    /// No reap follows the final sweep, so the sweep compacts what the last
+    /// reap left: after shutdown no retained sliver pins its parent buffer.
+    #[test]
+    fn the_final_sweep_compacts_what_the_last_reap_left() {
+        let mut rig = Rig::new(16);
+        let (payload, blob) = blob();
+        let retained = rig.submit_sets("Identity", blob).unwrap();
+        for task in rig.tasks() {
+            rig.reply(&task, head(&task), 0);
+        }
+        rig.deliver();
+        rig.cancel_all();
+        let outcome = retained.try_result().unwrap().unwrap();
+        let item = &outcome.outputs[0].items[0];
+        assert_eq!(item.data.as_slice(), &[0xEE; 16]);
+        assert!(!SharedBytes::same_buffer(&item.data, &payload));
+        assert!(
+            item.data.backing_len() <= 16,
+            "backing {}",
+            item.data.backing_len()
+        );
         rig.finish();
     }
 

@@ -46,8 +46,10 @@ impl Drop for ClearOnDrop {
 }
 
 /// A worker with one compute engine and no control plane, on which
-/// `Identity` runs `Copy` (sleeping `sleep_per_task` first) over `In`.
-fn worker(sleep_per_task: Duration) -> Arc<WorkerNode> {
+/// `Identity` runs `Copy` (sleeping `sleep_per_task` first) over `In`; the
+/// counter counts the runs of `Copy`, so a re-run shows even where the
+/// table drops its duplicate result.
+fn worker(sleep_per_task: Duration) -> (Arc<WorkerNode>, Arc<AtomicUsize>) {
     let config = WorkerConfig {
         total_cores: 2,
         initial_communication_cores: 1,
@@ -55,11 +57,14 @@ fn worker(sleep_per_task: Duration) -> Arc<WorkerNode> {
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start_with_control(config, ServiceRegistry::new(), false).unwrap();
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs);
     worker
         .register_function(FunctionArtifact::new(
             "Copy",
             &["Copied"],
             move |ctx: &mut FunctionCtx| {
+                counter.fetch_add(1, Ordering::SeqCst);
                 if !sleep_per_task.is_zero() {
                     std::thread::sleep(sleep_per_task);
                 }
@@ -78,7 +83,7 @@ fn worker(sleep_per_task: Duration) -> Arc<WorkerNode> {
         .build()
         .unwrap();
     worker.register_composition(graph).unwrap();
-    worker
+    (worker, runs)
 }
 
 type Settled = Receiver<DandelionResult<InvocationOutcome>>;
@@ -123,7 +128,7 @@ fn wait_until(what: &str, predicate: impl Fn() -> bool) {
 fn injected_execute_error_surfaces_as_engine_fault() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    let worker = worker(Duration::ZERO);
+    let (worker, _) = worker(Duration::ZERO);
     configure_failpoint("engine/execute", FailAction::Error, 1.0);
     let (outcomes, settled) = submit(&worker, b"payload");
     let outcome = outcomes.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -140,7 +145,7 @@ fn injected_execute_error_surfaces_as_engine_fault() {
 fn panic_in_the_task_body_is_contained_to_a_result() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    let worker = worker(Duration::ZERO);
+    let (worker, _) = worker(Duration::ZERO);
     configure_failpoint("engine/execute", FailAction::Panic, 1.0);
     let (outcomes, _) = submit(&worker, b"payload");
     assert_engine_fault(
@@ -160,7 +165,7 @@ fn panic_in_the_task_body_is_contained_to_a_result() {
 fn reply_panic_retries_once_then_fails_exactly_once() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    let worker = worker(Duration::ZERO);
+    let (worker, runs) = worker(Duration::ZERO);
     configure_failpoint("engine/reply", FailAction::Panic, 1.0);
     let (outcomes, settled) = submit(&worker, b"payload");
     // First engine dies before delivering; the task is requeued once onto
@@ -171,11 +176,18 @@ fn reply_panic_retries_once_then_fails_exactly_once() {
         "died twice",
     );
     // Exactly once: no second result may ever arrive for the task.
+    // The callback, and the sender with it, is dropped once it fired, so
+    // the window in which a second result or a re-run would show is waited
+    // out here.
+    std::thread::sleep(Duration::from_millis(200));
     assert!(
-        outcomes.recv_timeout(Duration::from_millis(200)).is_err(),
+        outcomes.try_recv().is_err(),
         "the task must settle exactly once"
     );
     assert_eq!(settled.load(Ordering::SeqCst), 1);
+    // The run and its one retry; the task of the second death is answered
+    // without running.
+    assert_eq!(runs.load(Ordering::SeqCst), 2);
     let pool = worker.compute_pool();
     assert_eq!(pool.engine_deaths(), 2);
     assert_eq!(pool.engine_respawns(), 2);
@@ -188,7 +200,7 @@ fn reply_panic_retries_once_then_fails_exactly_once() {
 fn post_delivery_panic_respawns_without_duplicating_the_result() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    let worker = worker(Duration::ZERO);
+    let (worker, runs) = worker(Duration::ZERO);
     configure_failpoint("engine/after-reply", FailAction::Panic, 1.0);
     let (outcomes, settled) = submit(&worker, b"payload");
     let outcome = outcomes.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -201,18 +213,27 @@ fn post_delivery_panic_respawns_without_duplicating_the_result() {
         pool.engine_count() == 1
     });
     assert_eq!(pool.engine_respawns(), 1);
+    // The callback, and the sender with it, is dropped once it fired, so
+    // the window in which a second result or a re-run would show is waited
+    // out here.
+    std::thread::sleep(Duration::from_millis(200));
     assert!(
-        outcomes.recv_timeout(Duration::from_millis(200)).is_err(),
+        outcomes.try_recv().is_err(),
         "a post-delivery death must not replay the task"
     );
     assert_eq!(settled.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        1,
+        "a post-delivery death must not re-run the task"
+    );
 }
 
 #[test]
 fn exhausted_restart_budget_stops_respawns_but_allows_manual_recovery() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    let worker = worker(Duration::ZERO);
+    let (worker, _) = worker(Duration::ZERO);
     let pool = worker.compute_pool();
     pool.set_restart_budget(0);
     configure_failpoint("engine/after-reply", FailAction::Panic, 1.0);
@@ -250,7 +271,7 @@ fn exhausted_restart_budget_stops_respawns_but_allows_manual_recovery() {
 fn engine_fault_fails_the_invocation_exactly_once() {
     let _guard = serial();
     let _clear = ClearOnDrop;
-    let worker = worker(Duration::ZERO);
+    let (worker, runs) = worker(Duration::ZERO);
     configure_failpoint("engine/reply", FailAction::Panic, 1.0);
     let (outcomes, settled) = submit(&worker, b"x");
     assert_engine_fault(
@@ -263,6 +284,7 @@ fn engine_fault_fails_the_invocation_exactly_once() {
         1,
         "the settle callback must fire exactly once"
     );
+    assert_eq!(runs.load(Ordering::SeqCst), 2, "run once, retried once");
     assert_eq!(worker.compute_pool().engine_deaths(), 2);
 }
 
@@ -276,7 +298,7 @@ fn cancellation_racing_completion_settles_exactly_once() {
     let _guard = serial();
     let _clear = ClearOnDrop;
     for step in 0..12u64 {
-        let worker = worker(Duration::from_millis(2));
+        let (worker, _) = worker(Duration::from_millis(2));
         let (outcomes, settled) = submit(&worker, b"race");
         // Offset the shutdown across the ~2ms execution window.
         std::thread::sleep(Duration::from_micros(step * 400));
