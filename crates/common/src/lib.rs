@@ -40,6 +40,8 @@
 //! in `Drop`, recovers the guard with `PoisonError::into_inner`. A lock
 //! under which a panic can leave torn state lets the panic propagate.
 
+#![warn(unnameable_types)]
+
 mod bytes;
 // `pub` because `benchmark/src/layerwalk.rs` imports it by path.
 pub mod config;
@@ -67,7 +69,8 @@ pub use failpoint::{
 pub use id::{ContextId, InvocationId, NodeId};
 pub use json::JsonValue;
 pub use pool::{
-    settle_heap_thresholds, BufferPool, PoolStats, PooledBuf, LARGEST_CLASS, SIZE_CLASSES,
+    settle_heap_thresholds, BufferPool, ClassRetention, PoolStats, PooledBuf, LARGEST_CLASS,
+    SIZE_CLASSES,
 };
 pub use rope::{BatchProgress, Rope, RopeBatch, RopeWriter};
 pub use stats::{LatencyHistogram, LatencySummary, TimeSeries};

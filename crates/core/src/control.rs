@@ -192,8 +192,8 @@ impl PoolControl {
     /// Samples both queues, steps, and resizes the pools when the split
     /// changed.
     pub(crate) fn run(&mut self) {
-        let compute_depth = self.compute.queue().len();
-        let communication_depth = self.communication.queue().len();
+        let compute_depth = self.compute.len();
+        let communication_depth = self.communication.len();
         if let Some(next) = self.step.step(compute_depth, communication_depth) {
             self.compute.resize(next.compute);
             self.communication.resize(next.communication);

@@ -24,14 +24,14 @@
 //!
 //! [`Dispatcher::submit`] registers an invocation and returns an
 //! [`InvocationHandle`] immediately. **An engine settles what it
-//! finishes:** every task carries the dispatcher's completion sink (a
-//! [`ReplySender`]), through which the engine that ran a batch reads the
-//! clock, takes the table lock once for the batch (results carry their
-//! invocation id), advances the owning invocation, and then, on its own
-//! thread, pushes the successor tasks and fires the settle callbacks. No
-//! result crosses a channel or another thread on its way. Any number of
-//! invocations can therefore be in flight per client with no thread parked
-//! per invocation.
+//! finishes:** both engine pools hand their batches to the dispatcher's
+//! completion sink ([`Dispatcher::sink`]), through which the engine that
+//! ran a batch reads the clock, takes the table lock once for the batch
+//! (results carry their invocation id), advances the owning invocation, and
+//! then, on its own thread, pushes the successor tasks and fires the settle
+//! callbacks. No result crosses a channel or another thread on its way. Any
+//! number of invocations can therefore be in flight per client with no
+//! thread parked per invocation.
 //!
 //! The dispatcher has no thread of its own. The worker's driver
 //! ([`crate::worker`]) keeps the clock and calls [`Dispatcher::reap`] and,
@@ -54,10 +54,11 @@ use dandelion_common::{
 };
 use dandelion_dsl::CompositionGraph;
 
+use crate::engine::{EnginePool, PoolCell};
 use crate::invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 use crate::recover;
 use crate::registry::{Registry, Vertex};
-use crate::task::{ReplySender, Task, TaskPayload, TaskQueue, TaskResult};
+use crate::task::{ReplySender, Task, TaskPayload, TaskResult};
 
 /// A retained result view smaller than `1/RETAINED_PIN_FACTOR` of its
 /// parent buffer is copy-compacted at the first reap after the invocation
@@ -347,11 +348,8 @@ fn draw_cold_binary(draws: &mut SplitMix64, ratio: f64) -> bool {
 /// Turns a ready instance into an engine task or a child invocation.
 struct Launcher {
     registry: Arc<Registry>,
-    /// The sink every task's engine replies through.
-    reply: ReplySender,
     cold_draws: SplitMix64,
     cold_ratio: f64,
-    function_timeout: Duration,
 }
 
 impl Launcher {
@@ -379,7 +377,6 @@ impl Launcher {
                     // from here on they are shared, never cloned.
                     inputs: spec.inputs,
                     cold_binary: draw_cold_binary(&mut self.cold_draws, self.cold_ratio),
-                    timeout: self.function_timeout,
                 }
             }
             Vertex::Communication(_) => {
@@ -416,7 +413,6 @@ impl Launcher {
             node: spec.node,
             instance: spec.instance,
             payload,
-            reply: self.reply.clone(),
         });
         Ok(())
     }
@@ -453,12 +449,7 @@ struct InFlight {
 }
 
 impl InFlight {
-    fn new(
-        registry: Arc<Registry>,
-        config: &WorkerConfig,
-        reply: ReplySender,
-        metrics: Arc<DispatchMetrics>,
-    ) -> Self {
+    fn new(registry: Arc<Registry>, config: &WorkerConfig, metrics: Arc<DispatchMetrics>) -> Self {
         Self {
             entries: HashMap::new(),
             retained: VecDeque::new(),
@@ -466,10 +457,8 @@ impl InFlight {
             retention: config.completed_retention.max(1),
             launcher: Launcher {
                 registry,
-                reply,
                 cold_draws: SplitMix64::new(COLD_DRAW_SEED),
                 cold_ratio: config.binary_cold_load_ratio,
-                function_timeout: config.function_timeout,
             },
             stall_deadline: config.function_timeout + config.engine_stall_grace,
             metrics,
@@ -848,42 +837,44 @@ fn compact_retained_outputs(sets: &mut [DataSet]) {
 }
 
 /// The shell around the table: its one lock, the condvar
-/// [`InvocationHandle::wait`] parks on, and the engine queues the table's
-/// tasks are pushed to. Nothing is pushed and no callback runs under the
-/// lock.
+/// [`InvocationHandle::wait`] parks on, and the cells of the two engine
+/// pools the table's tasks are pushed to. Nothing is pushed and no callback
+/// runs under the lock.
 pub(crate) struct Dispatcher {
     table: Mutex<InFlight>,
     /// Notified, after the lock is released, when an invocation settled
     /// while a `wait` was parked.
     settled: Condvar,
-    compute_queue: TaskQueue,
-    communication_queue: TaskQueue,
+    compute: Arc<PoolCell>,
+    communication: Arc<PoolCell>,
 }
 
 impl Dispatcher {
-    /// A dispatcher over `registry` that pushes to the two engine queues and
-    /// reports into `metrics`. Its tasks carry a completion sink that holds
-    /// it weakly, since its table holds the sink; a batch that outlives the
-    /// dispatcher is dropped.
+    /// A dispatcher over `registry` that pushes to the two pools and reports
+    /// into `metrics`.
     pub(crate) fn new(
         registry: Arc<Registry>,
         config: &WorkerConfig,
         metrics: Arc<DispatchMetrics>,
-        compute_queue: TaskQueue,
-        communication_queue: TaskQueue,
-    ) -> Arc<Self> {
-        Arc::new_cyclic(|dispatcher: &Weak<Dispatcher>| {
-            let dispatcher = Weak::clone(dispatcher);
-            let reply = ReplySender::new(move |results| {
-                if let Some(dispatcher) = dispatcher.upgrade() {
-                    dispatcher.complete(results, Instant::now());
-                }
-            });
-            Dispatcher {
-                table: Mutex::new(InFlight::new(registry, config, reply, metrics)),
-                settled: Condvar::new(),
-                compute_queue,
-                communication_queue,
+        compute: &EnginePool,
+        communication: &EnginePool,
+    ) -> Self {
+        Dispatcher {
+            table: Mutex::new(InFlight::new(registry, config, metrics)),
+            settled: Condvar::new(),
+            compute: Arc::clone(compute.cell()),
+            communication: Arc::clone(communication.cell()),
+        }
+    }
+
+    /// The completion sink the dispatcher's pools hand their batches to. It
+    /// holds the dispatcher weakly, since the dispatcher holds the pools'
+    /// cells; a batch that outlives the dispatcher is dropped.
+    pub(crate) fn sink(dispatcher: &Weak<Dispatcher>) -> ReplySender {
+        let dispatcher = Weak::clone(dispatcher);
+        ReplySender::new(move |results| {
+            if let Some(dispatcher) = dispatcher.upgrade() {
+                dispatcher.complete(results, Instant::now());
             }
         })
     }
@@ -935,14 +926,14 @@ impl Dispatcher {
         }
     }
 
-    /// Pushes a task onto its engine queue; a full queue hands it back as
+    /// Pushes a task onto its pool's queue; a full queue hands it back as
     /// its instance's failed result.
     fn push(&self, task: Task) -> Result<(), TaskResult> {
-        let (queue, name) = match task.payload {
-            TaskPayload::Compute { .. } => (&self.compute_queue, "compute"),
-            _ => (&self.communication_queue, "communication"),
+        let (pool, name) = match task.payload {
+            TaskPayload::Compute { .. } => (&self.compute, "compute"),
+            _ => (&self.communication, "communication"),
         };
-        queue.try_push(task).map_err(|task| {
+        pool.try_push(task).map_err(|task| {
             task.failed(DandelionError::ResourceExhausted(format!(
                 "{name} queue full"
             )))
@@ -1132,13 +1123,15 @@ impl std::fmt::Debug for InvocationHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineExecutor;
     use crate::task::reply_channel;
     use crate::worker::{WorkerNode, REAP_PERIOD};
-    use dandelion_common::config::{EngineKind, IsolationKind};
+    use dandelion_common::config::IsolationKind;
     use dandelion_common::{DataItem, SharedBytes};
     use dandelion_dsl::{CompositionBuilder, Distribution};
+    use dandelion_http::validate::ValidationPolicy;
     use dandelion_http::{HttpRequest, HttpResponse};
-    use dandelion_isolation::{FunctionArtifact, FunctionCtx};
+    use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
     use dandelion_services::ObjectStore;
     use dandelion_services::ServiceRegistry;
 
@@ -1253,7 +1246,7 @@ mod tests {
     // ---- Transitions of the table, as rows ----
     //
     // Each row is a test that steps the shell of a table in this thread: no
-    // engine pool, no driver, no sleep. The row pops the engine queues,
+    // engine thread, no driver, no sleep. The row pops the pools' queues,
     // answers through a sink that forwards to a channel it holds, hands each
     // batch to the table as an engine's sink does, moves the clock itself,
     // and ends with `Rig::finish`.
@@ -1298,6 +1291,8 @@ mod tests {
         registry: Arc<Registry>,
         metrics: Arc<DispatchMetrics>,
         config: WorkerConfig,
+        /// The pools' sink, and the channel it forwards to.
+        reply: ReplySender,
         results: std::sync::mpsc::Receiver<Vec<TaskResult>>,
         now: Instant,
         /// Top-level submissions.
@@ -1307,7 +1302,7 @@ mod tests {
     }
 
     impl Rig {
-        /// A table whose engine queues hold `capacity` tasks each and which
+        /// A table whose pools' queues hold `capacity` tasks each and which
         /// retains two results; `Copy` and `Identity` (`Copy` over all of
         /// `In`) are registered.
         fn new(capacity: usize) -> Self {
@@ -1328,17 +1323,31 @@ mod tests {
                 .unwrap();
             let metrics = Arc::new(DispatchMetrics::default());
             let (reply, results) = reply_channel();
-            let table = InFlight::new(Arc::clone(&registry), &config, reply, Arc::clone(&metrics));
+            let compute = EngineExecutor::Compute {
+                backend: create_backend(IsolationKind::Native, HardwarePlatform::Morello),
+                function_timeout: config.function_timeout,
+            };
+            let communication = EngineExecutor::Communication {
+                registry: Arc::new(ServiceRegistry::new()),
+                policy: Arc::new(ValidationPolicy::default()),
+            };
+            // Pools that start no engine: the rows pop the queues, which the
+            // dispatcher holds past the pools' handles.
+            let pools = [compute, communication]
+                .map(|executor| EnginePool::new(executor, capacity, reply.clone()));
+            let dispatcher = Dispatcher::new(
+                Arc::clone(&registry),
+                &config,
+                Arc::clone(&metrics),
+                &pools[0],
+                &pools[1],
+            );
             Self {
-                dispatcher: Arc::new(Dispatcher {
-                    table: Mutex::new(table),
-                    settled: Condvar::new(),
-                    compute_queue: TaskQueue::new(EngineKind::Compute, capacity),
-                    communication_queue: TaskQueue::new(EngineKind::Communication, capacity),
-                }),
+                dispatcher: Arc::new(dispatcher),
                 registry,
                 metrics,
                 config,
+                reply,
                 results,
                 now: Instant::now(),
                 submitted: 0,
@@ -1379,13 +1388,12 @@ mod tests {
 
         /// Pops every queued task.
         fn tasks(&self) -> Vec<Task> {
-            let compute = std::iter::from_fn(|| self.dispatcher.compute_queue.try_pop());
-            let communication =
-                std::iter::from_fn(|| self.dispatcher.communication_queue.try_pop());
+            let compute = std::iter::from_fn(|| self.dispatcher.compute.try_pop());
+            let communication = std::iter::from_fn(|| self.dispatcher.communication.try_pop());
             compute.chain(communication).collect()
         }
 
-        /// Answers `task` through its sink as an engine does.
+        /// Answers `task` through the pools' sink as an engine does.
         fn reply(&self, task: &Task, outcome: DandelionResult<Vec<DataSet>>, high_water: usize) {
             let result = TaskResult {
                 invocation: task.invocation,
@@ -1395,7 +1403,7 @@ mod tests {
                 context_high_water: high_water,
                 modeled_latency: Duration::ZERO,
             };
-            task.reply.send(&mut vec![result]);
+            self.reply.send(&mut vec![result]);
         }
 
         /// What an engine's sink does with each batch waiting on the
@@ -1634,6 +1642,25 @@ mod tests {
         assert_eq!(rig.counter(&rig.metrics.failures), 1);
         assert_eq!(rig.entries(), 0);
         assert_eq!(rig.counter(&rig.metrics.retained_results), 0);
+        rig.finish();
+    }
+
+    #[test]
+    fn a_wait_that_times_out_names_the_composition_and_leaves_the_invocation_running() {
+        let mut rig = Rig::new(16);
+        let handle = rig.submit("Identity", &["x"]).unwrap();
+        assert_eq!(
+            handle.wait(Some(Duration::from_millis(1))).unwrap_err(),
+            DandelionError::Timeout {
+                function: "Identity".to_string(),
+                limit_ms: 1,
+            }
+        );
+        assert_eq!(handle.status(), InvocationStatus::Running);
+        rig.run();
+        assert_eq!(handle.status(), InvocationStatus::Completed);
+        assert_eq!(text(&handle.wait(Some(Duration::from_millis(1)))), "x");
+        assert_eq!(rig.entries(), 0);
         rig.finish();
     }
 

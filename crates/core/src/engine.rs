@@ -10,11 +10,17 @@
 //!   many) HTTP requests cooperatively, so the modeled latency of a task is
 //!   the maximum of its requests rather than their sum.
 //!
+//! Engines of one kind pull from their pool's own queue, which ensures late
+//! binding of tasks to cores, and answer one dispatcher: the pool holds the
+//! worker's completion sink, and a compute pool the function timeout, so a
+//! task carries only what differs between tasks. Queue lengths, the tasks
+//! owed an answer, are the control plane's only input signal.
+//!
 //! Both pools can grow and shrink at run time; the control plane moves cores
 //! between them by resizing the pools (paper §5, "Control plane"). A pool's
-//! whole state is one plain value, [`Engines`], behind its [`TaskQueue`]'s
+//! whole state is one plain value, [`Engines`], behind its [`PoolCell`]'s
 //! one lock. Its transitions read no clock and return what the shell
-//! ([`EnginePool`], the engine threads, the queue) must do after unlocking:
+//! ([`EnginePool`], the engine threads, the cell) must do after unlocking:
 //! no thread is spawned, joined or woken under the lock. A shrink hands out
 //! stop tickets, which engines take at their next task boundary; the queued
 //! tasks stay for the engines that remain.
@@ -28,7 +34,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -41,13 +47,14 @@ use dandelion_http::StatusCode;
 use dandelion_isolation::{ExecutionTask, IsolationBackend};
 use dandelion_services::{Reply, ServiceRegistry};
 
-use crate::task::{Task, TaskPayload, TaskQueue, TaskResult};
+use crate::recover;
+use crate::task::{ReplySender, Task, TaskPayload, TaskResult};
 
 /// Maximum task results an engine coalesces into one reply batch.
 ///
 /// Same-invocation tasks that are already waiting on the queue when a task
 /// finishes are executed back-to-back and their results reach the
-/// dispatcher as one batch (one call of the task's sink, one table lock)
+/// dispatcher as one batch (one call of the pool's sink, one table lock)
 /// instead of one each. The cap bounds how long the first result of a
 /// batch can be held back.
 const ENGINE_COALESCE_MAX: usize = 32;
@@ -59,6 +66,8 @@ pub(crate) enum EngineExecutor {
     Compute {
         /// The sandboxing mechanism.
         backend: Arc<dyn IsolationBackend>,
+        /// How long one function may run.
+        function_timeout: Duration,
     },
     /// Executes HTTP communication tasks against the service registry.
     Communication {
@@ -85,15 +94,17 @@ impl EngineExecutor {
                     artifact,
                     inputs,
                     cold_binary,
-                    timeout,
                 },
-                EngineExecutor::Compute { backend },
+                EngineExecutor::Compute {
+                    backend,
+                    function_timeout,
+                },
             ) => {
                 // The backend shares the task's inputs (a reference count)
                 // and its report leaves by move.
                 let execution = ExecutionTask::new(Arc::clone(artifact), Arc::clone(inputs))
                     .with_cold_binary(*cold_binary)
-                    .with_timeout(*timeout);
+                    .with_timeout(*function_timeout);
                 match backend.execute(&execution) {
                     Ok(report) => {
                         let modeled = report.modeled_total();
@@ -190,11 +201,11 @@ fn execute_http(
 /// before giving up (a crash-looping backend must not respawn forever).
 const DEFAULT_RESTART_BUDGET: usize = 32;
 
-/// An engine's turn at a batch boundary: run a task, wait on the queue's
+/// An engine's turn at a batch boundary: run a task, wait on the pool's
 /// condition variable and ask again, or leave with a stop ticket after
 /// waking this many parked engines.
 #[derive(Debug)]
-pub(crate) enum Next {
+enum Next {
     Run(Task),
     Park,
     Stop(usize),
@@ -211,7 +222,7 @@ struct Effects {
 /// A pool's whole state: plain data, with no lock, clock or thread of its
 /// own.
 #[derive(Default)]
-pub(crate) struct Engines {
+struct Engines {
     /// Tasks owed an answer, oldest first.
     tasks: VecDeque<Task>,
     /// The depth at which `try_push` refuses.
@@ -220,7 +231,7 @@ pub(crate) struct Engines {
     running: usize,
     /// Stops a shrink asked for that no engine has taken yet.
     tickets: usize,
-    /// Engines waiting on the queue's condition variable.
+    /// Engines waiting on the pool's condition variable.
     parked: usize,
     /// Respawns still allowed; a death past them leaves the pool smaller
     /// until the next grow.
@@ -238,7 +249,7 @@ pub(crate) struct Engines {
 }
 
 impl Engines {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             capacity,
             restarts_left: DEFAULT_RESTART_BUDGET,
@@ -246,18 +257,18 @@ impl Engines {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.tasks.len()
     }
 
     /// Queues `task`; one parked engine, if any, is woken for it.
-    pub(crate) fn push(&mut self, task: Task) -> usize {
+    fn push(&mut self, task: Task) -> usize {
         self.tasks.push_back(task);
         self.parked.min(1)
     }
 
     /// Queues `task` unless `capacity` tasks are owed an answer already.
-    pub(crate) fn try_push(&mut self, task: Task) -> Result<usize, Task> {
+    fn try_push(&mut self, task: Task) -> Result<usize, Task> {
         if self.tasks.len() >= self.capacity {
             return Err(task);
         }
@@ -265,7 +276,7 @@ impl Engines {
     }
 
     /// Pops the oldest task if `take` accepts it: how an engine coalesces.
-    pub(crate) fn pop_if(&mut self, take: impl FnOnce(&Task) -> bool) -> Option<Task> {
+    fn pop_if(&mut self, take: impl FnOnce(&Task) -> bool) -> Option<Task> {
         self.tasks.pop_front_if(|task| take(task))
     }
 
@@ -273,7 +284,7 @@ impl Engines {
     /// comes before the oldest task. An engine that leaves while tasks are
     /// queued wakes a parked one, so that no task waits while an engine
     /// sleeps.
-    pub(crate) fn next(&mut self, woken: bool) -> Next {
+    fn next(&mut self, woken: bool) -> Next {
         self.parked -= usize::from(woken);
         if self.tickets > 0 {
             self.tickets -= 1;
@@ -372,30 +383,97 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// One pool's shared cell: its state behind one lock, the condition
+/// variable its idle engines park on, what its engines execute with and
+/// where they hand their results. The dispatcher pushes into it and each
+/// engine thread holds it; the pool's [`EnginePool`] starts and joins the
+/// threads.
+pub(crate) struct PoolCell {
+    engines: Mutex<Engines>,
+    /// Engines with nothing to run wait on it.
+    available: Condvar,
+    executor: EngineExecutor,
+    /// The worker's one completion sink, which every engine of the pool
+    /// hands its batches to.
+    reply: ReplySender,
+}
+
+impl PoolCell {
+    /// Locks the pool's state. Only its transitions run under the lock, and
+    /// each leaves it whole, so the guard of a lock poisoned by a panicking
+    /// thread is as good as any.
+    fn lock(&self) -> MutexGuard<'_, Engines> {
+        recover(self.engines.lock())
+    }
+
+    /// Wakes `engines` parked engines, outside the lock.
+    fn notify(&self, engines: usize) {
+        for _ in 0..engines {
+            self.available.notify_one();
+        }
+    }
+
+    /// Enqueues a task, applying back-pressure when the queue is full: a
+    /// push never blocks the dispatcher. A push wakes one parked engine.
+    pub(crate) fn try_push(&self, task: Task) -> Result<(), Task> {
+        let wake = self.lock().try_push(task)?;
+        self.notify(wake);
+        Ok(())
+    }
+
+    /// Dequeues the next task if one is queued, without blocking.
+    #[cfg(test)]
+    pub(crate) fn try_pop(&self) -> Option<Task> {
+        self.lock().pop_if(|_| true)
+    }
+
+    /// An engine's turn at a batch boundary: the next task, or `None` once
+    /// the engine took a stop ticket. An idle engine parks on the condition
+    /// variable until a push or a shrink wakes it.
+    fn next(&self) -> Option<Task> {
+        let mut engines = self.lock();
+        let mut woken = false;
+        loop {
+            match engines.next(woken) {
+                Next::Run(task) => return Some(task),
+                Next::Stop(wake) => {
+                    drop(engines);
+                    self.notify(wake);
+                    return None;
+                }
+                Next::Park => {
+                    engines = recover(self.available.wait(engines));
+                    woken = true;
+                }
+            }
+        }
+    }
+}
+
 /// Applies a pool transition's effects after unlocking: wakes the engines,
 /// starts the threads and files their handles. A panic that escapes
 /// [`run_engine`] hands the tasks the engine held to the death transition
 /// and starts the replacement that asks for; the thread only pushes to the
 /// queue, so no table lock, failpoint or settle callback runs on it.
-fn apply(executor: &EngineExecutor, queue: &TaskQueue, effects: Effects) {
-    queue.notify(effects.wake);
+fn apply(cell: &Arc<PoolCell>, effects: Effects) {
+    cell.notify(effects.wake);
     let handles: Vec<JoinHandle<()>> = (0..effects.spawn)
         .map(|_| {
-            let (executor, queue) = (executor.clone(), queue.clone());
+            let cell = Arc::clone(cell);
             std::thread::Builder::new()
-                .name(format!("dandelion-{}-engine", executor.kind()))
+                .name(format!("dandelion-{}-engine", cell.executor.kind()))
                 .spawn(move || {
                     let mut inflight = Vec::new();
-                    let engine = AssertUnwindSafe(|| run_engine(&executor, &queue, &mut inflight));
+                    let engine = AssertUnwindSafe(|| run_engine(&cell, &mut inflight));
                     if std::panic::catch_unwind(engine).is_err() {
-                        let effects = queue.lock().died(inflight);
-                        apply(&executor, &queue, effects);
+                        let effects = cell.lock().died(inflight);
+                        apply(&cell, effects);
                     }
                 })
                 .expect("spawning an engine thread")
         })
         .collect();
-    queue.lock().handles.extend(handles);
+    cell.lock().handles.extend(handles);
 }
 
 /// Parks `task` in the engine's in-flight list — where supervision finds it
@@ -411,30 +489,29 @@ fn execute_inflight(executor: &EngineExecutor, inflight: &mut Vec<Task>, task: T
 /// [`crate::task::ReplySender`]), and hands the batch list back empty for
 /// the next one. Each task popped is moved into `inflight`
 /// until its result is delivered, so a requeue hands on the very task that
-/// was popped — inputs, artifact and reply sink — without a clone.
-fn run_engine(executor: &EngineExecutor, queue: &TaskQueue, inflight: &mut Vec<Task>) {
+/// was popped, inputs and artifact, without a clone.
+fn run_engine(cell: &PoolCell, inflight: &mut Vec<Task>) {
+    let executor = &cell.executor;
     let mut batch = Vec::new();
-    while let Some(task) = queue.next() {
+    while let Some(task) = cell.next() {
         // A task whose engine died twice: answered here, by a thread that is
         // not unwinding, without running it and past the reply failpoints,
         // so that it fails exactly once.
         if let TaskPayload::Faulted { .. } = task.payload {
             batch.push(executor.execute(&task));
-            task.reply.send(&mut batch);
+            cell.reply.send(&mut batch);
             continue;
         }
         let invocation = task.invocation;
         batch.push(execute_inflight(executor, inflight, task));
         // Coalesce: execute the same invocation's tasks queued next and reply
-        // with one batch. The id alone decides: ids are process-unique
-        // (`InvocationId::next`) and every task of an invocation carries its
-        // one dispatcher's sink, so one id means one sink. A task of another
-        // invocation, or a faulted one, ends the batch and stays queued.
+        // with one batch. A task of another invocation, or a faulted one,
+        // ends the batch and stays queued.
         let same = |next: &Task| {
             next.invocation == invocation && !matches!(next.payload, TaskPayload::Faulted { .. })
         };
         while batch.len() < ENGINE_COALESCE_MAX {
-            let Some(next) = queue.lock().pop_if(same) else {
+            let Some(next) = cell.lock().pop_if(same) else {
                 break;
             };
             batch.push(execute_inflight(executor, inflight, next));
@@ -445,7 +522,7 @@ fn run_engine(executor: &EngineExecutor, queue: &TaskQueue, inflight: &mut Vec<T
         // Applies the batch to the table and what it causes — successor
         // tasks, settle callbacks — on this thread. A result for an
         // invocation the table no longer holds is dropped there.
-        inflight[0].reply.send(&mut batch);
+        cell.reply.send(&mut batch);
         inflight.clear();
         // Chaos hook: a panic here dies *after* delivery — the respawn
         // keeps the pool size, and nothing is requeued.
@@ -453,65 +530,78 @@ fn run_engine(executor: &EngineExecutor, queue: &TaskQueue, inflight: &mut Vec<T
     }
 }
 
-/// A resizable pool of engines of one kind: the shell that starts and joins
-/// the threads its queue's state asks for.
+/// A resizable pool of engines of one kind: the handle that starts and
+/// joins the threads its cell's state asks for, and whose drop stops them.
+/// The engine threads hold the cell, not this handle.
 pub struct EnginePool {
-    executor: EngineExecutor,
-    queue: TaskQueue,
+    cell: Arc<PoolCell>,
 }
 
 impl EnginePool {
-    /// Creates a pool that pulls work from `queue`.
-    pub(crate) fn new(executor: EngineExecutor, queue: TaskQueue) -> Self {
-        Self { executor, queue }
+    /// An empty pool whose queue holds up to `capacity` tasks and whose
+    /// engines execute through `executor` and hand their results to
+    /// `reply`.
+    pub(crate) fn new(executor: EngineExecutor, capacity: usize, reply: ReplySender) -> Self {
+        let cell = Arc::new(PoolCell {
+            engines: Mutex::new(Engines::new(capacity)),
+            available: Condvar::new(),
+            executor,
+            reply,
+        });
+        Self { cell }
     }
 
-    /// The queue feeding this pool.
-    pub(crate) fn queue(&self) -> &TaskQueue {
-        &self.queue
+    /// The cell the dispatcher pushes this pool's tasks into.
+    pub(crate) fn cell(&self) -> &Arc<PoolCell> {
+        &self.cell
+    }
+
+    /// Current queue depth: the tasks owed an answer.
+    pub(crate) fn len(&self) -> usize {
+        self.cell.lock().len()
     }
 
     /// Number of engines running: right after a shrink this still counts
     /// the engines that have yet to take their stop tickets.
     pub fn engine_count(&self) -> usize {
-        self.queue.lock().running
+        self.cell.lock().running
     }
 
     /// Engine threads killed by a panic that escaped the task guard.
     pub fn engine_deaths(&self) -> usize {
-        self.queue.lock().deaths
+        self.cell.lock().deaths
     }
 
     /// Replacement engines spawned by supervision after a death.
     pub fn engine_respawns(&self) -> usize {
-        self.queue.lock().respawns
+        self.cell.lock().respawns
     }
 
     /// Respawns supervision may still perform.
     pub fn restart_budget_left(&self) -> usize {
-        self.queue.lock().restarts_left
+        self.cell.lock().restarts_left
     }
 
     /// Replaces the respawn budget (tests tighten it to prove exhaustion).
     pub fn set_restart_budget(&self, budget: usize) {
-        self.queue.lock().restarts_left = budget;
+        self.cell.lock().restarts_left = budget;
     }
 
     /// Grows or shrinks the pool to `target` engines: a grow takes back the
     /// stop tickets no engine has taken yet and starts threads for the rest
     /// at once; a shrink hands out stop tickets (module docs).
     pub fn resize(&self, target: usize) {
-        let effects = self.queue.lock().resize(target);
-        apply(&self.executor, &self.queue, effects);
+        let effects = self.cell.lock().resize(target);
+        apply(&self.cell, effects);
     }
 
-    /// Stops every engine, waits for the threads to exit, then answers each
-    /// task still queued once with [`DandelionError::Cancelled`], through
-    /// its sink, on the calling thread.
+    /// Stops every engine, waits for the threads to exit, then answers the
+    /// tasks still queued, each once, with [`DandelionError::Cancelled`],
+    /// in one batch through the pool's sink, on the calling thread.
     pub(crate) fn shutdown(&self) {
         self.resize(0);
         loop {
-            let handles = std::mem::take(&mut self.queue.lock().handles);
+            let handles = std::mem::take(&mut self.cell.lock().handles);
             if handles.is_empty() {
                 break;
             }
@@ -520,10 +610,13 @@ impl EnginePool {
                 let _ = handle.join();
             }
         }
-        let leftovers = self.queue.lock().shutdown();
-        for task in leftovers {
-            task.reply
-                .send(&mut vec![task.failed(DandelionError::Cancelled)]);
+        let leftovers = self.cell.lock().shutdown();
+        if !leftovers.is_empty() {
+            let mut batch = leftovers
+                .iter()
+                .map(|task| task.failed(DandelionError::Cancelled))
+                .collect();
+            self.cell.reply.send(&mut batch);
         }
     }
 }
@@ -537,7 +630,7 @@ impl Drop for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{reply_channel, ReplySender};
+    use crate::task::reply_channel;
     use dandelion_common::config::IsolationKind;
     use dandelion_common::InvocationId;
     use dandelion_http::HttpRequest;
@@ -545,26 +638,31 @@ mod tests {
     use dandelion_services::ObjectStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn compute_pool() -> EnginePool {
-        let queue = TaskQueue::new(EngineKind::Compute, 1024);
+    /// A compute pool of no engine whose queue holds `capacity` tasks and
+    /// whose engines answer through `reply`.
+    fn compute_pool_of(capacity: usize, reply: ReplySender) -> EnginePool {
         let backend = create_backend(IsolationKind::Native, HardwarePlatform::Morello);
-        EnginePool::new(EngineExecutor::Compute { backend }, queue)
+        let executor = EngineExecutor::Compute {
+            backend,
+            function_timeout: Duration::from_secs(5),
+        };
+        EnginePool::new(executor, capacity, reply)
     }
 
-    fn comm_pool_with_store() -> (EnginePool, Arc<ObjectStore>) {
+    fn compute_pool(reply: ReplySender) -> EnginePool {
+        compute_pool_of(1024, reply)
+    }
+
+    fn comm_pool_with_store(reply: ReplySender) -> (EnginePool, Arc<ObjectStore>) {
         let store = Arc::new(ObjectStore::new());
         store.put_object("bucket", "hello.txt", b"stored bytes".to_vec());
         let mut registry = ServiceRegistry::new();
         registry.register("s3.internal", store.clone());
-        let queue = TaskQueue::new(EngineKind::Communication, 1024);
-        let pool = EnginePool::new(
-            EngineExecutor::Communication {
-                registry: Arc::new(registry),
-                policy: Arc::new(ValidationPolicy::default()),
-            },
-            queue,
-        );
-        (pool, store)
+        let executor = EngineExecutor::Communication {
+            registry: Arc::new(registry),
+            policy: Arc::new(ValidationPolicy::default()),
+        };
+        (EnginePool::new(executor, 1024, reply), store)
     }
 
     fn echo_artifact() -> Arc<FunctionArtifact> {
@@ -580,12 +678,12 @@ mod tests {
 
     #[test]
     fn compute_pool_executes_tasks() {
-        let pool = compute_pool();
+        let (reply, results) = reply_channel();
+        let pool = compute_pool(reply);
         pool.resize(2);
         assert_eq!(pool.engine_count(), 2);
-        let (reply, results) = reply_channel();
         for index in 0..4 {
-            pool.queue()
+            pool.cell()
                 .try_push(Task {
                     invocation: InvocationId::from_raw(7),
                     node: 0,
@@ -595,9 +693,7 @@ mod tests {
                         inputs: vec![DataSet::single("in", format!("p{index}").into_bytes())]
                             .into(),
                         cold_binary: false,
-                        timeout: Duration::from_secs(5),
                     },
-                    reply: reply.clone(),
                 })
                 .unwrap();
         }
@@ -618,13 +714,13 @@ mod tests {
 
     #[test]
     fn same_invocation_results_coalesce_into_one_reply() {
-        let pool = compute_pool();
         let (reply, results) = reply_channel();
+        let pool = compute_pool(reply);
         // Queue every task before any engine exists, so a single engine
         // deterministically finds the rest of the invocation's tasks queued
         // when the first one finishes.
         for instance in 0..6 {
-            pool.queue()
+            pool.cell()
                 .try_push(Task {
                     invocation: InvocationId::from_raw(42),
                     node: 0,
@@ -634,9 +730,7 @@ mod tests {
                         inputs: vec![DataSet::single("in", format!("c{instance}").into_bytes())]
                             .into(),
                         cold_binary: false,
-                        timeout: Duration::from_secs(5),
                     },
-                    reply: reply.clone(),
                 })
                 .unwrap();
         }
@@ -655,10 +749,10 @@ mod tests {
 
     #[test]
     fn different_invocations_do_not_coalesce() {
-        let pool = compute_pool();
         let (reply, results) = reply_channel();
+        let pool = compute_pool(reply);
         for (index, invocation) in [7u64, 7, 9, 9].into_iter().enumerate() {
-            pool.queue()
+            pool.cell()
                 .try_push(Task {
                     invocation: InvocationId::from_raw(invocation),
                     node: 0,
@@ -667,9 +761,7 @@ mod tests {
                         artifact: echo_artifact(),
                         inputs: vec![DataSet::single("in", vec![index as u8])].into(),
                         cold_binary: false,
-                        timeout: Duration::from_secs(5),
                     },
-                    reply: reply.clone(),
                 })
                 .unwrap();
         }
@@ -685,15 +777,15 @@ mod tests {
 
     #[test]
     fn communication_pool_performs_http_requests() {
-        let (pool, _store) = comm_pool_with_store();
-        pool.resize(1);
         let (reply, results) = reply_channel();
+        let (pool, _store) = comm_pool_with_store(reply);
+        pool.resize(1);
         let good = HttpRequest::get("http://s3.internal/bucket/hello.txt").to_bytes();
         let missing = HttpRequest::get("http://s3.internal/bucket/none").to_bytes();
         let invalid = b"NOT A REQUEST".to_vec();
         // A target that is not UTF-8 is refused, not read lossily.
         let not_utf8 = b"GET http://s3.internal/bucket/hello\xff.txt HTTP/1.1\r\n\r\n".to_vec();
-        pool.queue()
+        pool.cell()
             .try_push(Task {
                 invocation: InvocationId::from_raw(1),
                 node: 1,
@@ -711,7 +803,6 @@ mod tests {
                     .into(),
                     response_set: "Response".to_string(),
                 },
-                reply,
             })
             .unwrap();
         let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -739,10 +830,10 @@ mod tests {
 
     #[test]
     fn misrouted_tasks_report_dispatch_errors() {
-        let (pool, _store) = comm_pool_with_store();
-        pool.resize(1);
         let (reply, results) = reply_channel();
-        pool.queue()
+        let (pool, _store) = comm_pool_with_store(reply);
+        pool.resize(1);
+        pool.cell()
             .try_push(Task {
                 invocation: InvocationId::from_raw(2),
                 node: 0,
@@ -751,9 +842,7 @@ mod tests {
                     artifact: echo_artifact(),
                     inputs: Arc::new([]),
                     cold_binary: false,
-                    timeout: Duration::from_secs(1),
                 },
-                reply,
             })
             .unwrap();
         let batch = results.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -763,8 +852,8 @@ mod tests {
 
     #[test]
     fn a_faulted_task_is_answered_without_running() {
-        let pool = compute_pool();
         let (reply, results) = reply_channel();
+        let pool = compute_pool(reply);
         let ran = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&ran);
         let artifact = Arc::new(FunctionArtifact::new(
@@ -782,7 +871,6 @@ mod tests {
                 artifact,
                 inputs: Arc::new([]),
                 cold_binary: false,
-                timeout: Duration::from_secs(5),
             },
             TaskPayload::Faulted {
                 reason: "engine died twice executing this task".to_string(),
@@ -791,13 +879,12 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            pool.queue()
+            pool.cell()
                 .try_push(Task {
                     invocation: InvocationId::from_raw(13),
                     node: 0,
                     instance,
                     payload,
-                    reply: reply.clone(),
                 })
                 .unwrap();
         }
@@ -820,6 +907,44 @@ mod tests {
         pool.shutdown();
     }
 
+    /// A pool of no engine whose queue holds `capacity` tasks and whose
+    /// answers nobody reads.
+    fn idle_pool(capacity: usize) -> EnginePool {
+        compute_pool_of(capacity, ReplySender::new(|_| {}))
+    }
+
+    #[test]
+    fn queue_tracks_depth_and_totals() {
+        let pool = idle_pool(16);
+        assert_eq!(pool.len(), 0);
+        pool.cell().try_push(queued(1, 0)).unwrap();
+        pool.cell().try_push(queued(1, 1)).unwrap();
+        assert_eq!(pool.len(), 2);
+        assert!(pool.cell().try_pop().is_some());
+        assert_eq!(pool.len(), 1);
+        assert!(pool.cell().try_pop().is_some());
+        assert!(pool.cell().try_pop().is_none());
+    }
+
+    #[test]
+    fn try_push_applies_back_pressure() {
+        let pool = idle_pool(1);
+        assert!(pool.cell().try_push(queued(1, 0)).is_ok());
+        assert!(pool.cell().try_push(queued(1, 1)).is_err());
+        pool.cell().try_pop().unwrap();
+        assert!(pool.cell().try_push(queued(1, 2)).is_ok());
+    }
+
+    #[test]
+    fn try_pop_is_nonblocking() {
+        let pool = idle_pool(8);
+        assert!(pool.cell().try_pop().is_none());
+        pool.cell().try_push(queued(1, 0)).unwrap();
+        assert!(pool.cell().try_pop().is_some());
+        assert!(pool.cell().try_pop().is_none());
+        assert_eq!(pool.len(), 0);
+    }
+
     // Rows: `Engines` stepped by hand in one thread, no engine thread and no
     // sleep. An "engine" is a call of `next` as its thread would make it:
     // `next(false)` at a batch boundary, `next(true)` after its park.
@@ -834,7 +959,6 @@ mod tests {
                 inputs: Arc::new([]),
                 response_set: "Response".to_string(),
             },
-            reply: ReplySender::new(|_| {}),
         }
     }
 
@@ -982,15 +1106,10 @@ mod tests {
 
     #[test]
     fn shutdown_answers_every_leftover_task_cancelled_exactly_once() {
-        let pool = compute_pool();
         let (reply, results) = reply_channel();
+        let pool = compute_pool(reply);
         for instance in 0..3 {
-            pool.queue()
-                .try_push(Task {
-                    reply: reply.clone(),
-                    ..queued(4, instance)
-                })
-                .unwrap();
+            pool.cell().try_push(queued(4, instance)).unwrap();
         }
         pool.shutdown();
         let mut instances = Vec::new();
@@ -1001,7 +1120,7 @@ mod tests {
             }
         }
         assert_eq!(instances, vec![0, 1, 2]);
-        assert_eq!(pool.queue().len(), 0);
+        assert_eq!(pool.len(), 0);
         drop(pool);
         assert!(results.try_recv().is_err(), "answered once");
     }

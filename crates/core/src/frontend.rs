@@ -114,8 +114,8 @@ struct Parts<'a> {
     body: &'a SharedBytes,
 }
 
-/// A named provider of extra key/value pairs merged into the `/v1/stats`
-/// document (e.g. the network server contributing connection gauges).
+/// A provider of extra key/value pairs merged into the `/v1/stats`
+/// document under `"server"`: the network server's connection gauges.
 pub type StatsSource = Arc<dyn Fn() -> JsonValue + Send + Sync>;
 
 /// The outcome of [`Frontend::begin`]: either the response is already in
@@ -135,10 +135,9 @@ pub enum FrontendReply {
 /// The HTTP frontend of a worker node.
 pub struct Frontend {
     worker: Arc<WorkerNode>,
-    /// Extra named objects merged into the `/v1/stats` document. Each write
-    /// is one push, replacement or `retain`, so a poisoned guard is
-    /// recovered.
-    stats_sources: RwLock<Vec<(String, StatsSource)>>,
+    /// The serving layer's gauges, merged into the `/v1/stats` document.
+    /// Each write is one assignment, so a poisoned guard is recovered.
+    stats_source: RwLock<Option<StatsSource>>,
 }
 
 impl Frontend {
@@ -146,7 +145,7 @@ impl Frontend {
     pub fn new(worker: Arc<WorkerNode>) -> Self {
         Self {
             worker,
-            stats_sources: RwLock::new(Vec::new()),
+            stats_source: RwLock::new(None),
         }
     }
 
@@ -155,23 +154,19 @@ impl Frontend {
         &self.worker
     }
 
-    /// Registers (or replaces) a named stats source whose JSON value is
-    /// merged into the `/v1/stats` document under `name`. The serving layer
-    /// uses this to surface connection gauges next to the worker counters.
-    pub fn add_stats_source(&self, name: &str, source: StatsSource) {
-        let mut sources = recover(self.stats_sources.write());
-        if let Some(slot) = sources.iter_mut().find(|(existing, _)| existing == name) {
-            slot.1 = source;
-        } else {
-            sources.push((name.to_string(), source));
-        }
+    /// Registers the stats source whose JSON value is merged into the
+    /// `/v1/stats` document under `"server"`, next to the worker counters,
+    /// in place of any registered before: the server that started last on
+    /// this frontend reports.
+    pub fn add_stats_source(&self, source: StatsSource) {
+        *recover(self.stats_source.write()) = Some(source);
     }
 
-    /// Removes a stats source registered under `name` (a stopped server
-    /// must not keep reporting frozen gauges through a frontend that may
-    /// be served elsewhere).
-    pub fn remove_stats_source(&self, name: &str) {
-        recover(self.stats_sources.write()).retain(|(existing, _)| existing != name);
+    /// Removes `source` if it is still the registered one: a stopped server
+    /// must not keep reporting frozen gauges through a frontend that may be
+    /// served elsewhere, nor take away those of a server started after it.
+    pub fn remove_stats_source(&self, source: &StatsSource) {
+        recover(self.stats_source.write()).take_if(|current| Arc::ptr_eq(current, source));
     }
 
     /// Handles one client request, blocking until the response is complete
@@ -314,10 +309,10 @@ impl Frontend {
             ("p99_ms".into(), JsonValue::from(stats.latency.p99_ms())),
             ("memory".into(), memory_stats(&self.worker)),
         ];
-        // Registered sources (e.g. the network server's connection gauges)
-        // ride along in the same document under their registered name.
-        for (name, source) in recover(self.stats_sources.read()).iter() {
-            pairs.push((name.clone(), source()));
+        // The network server's connection gauges ride along in the same
+        // document.
+        if let Some(source) = recover(self.stats_source.read()).as_ref() {
+            pairs.push(("server".into(), source()));
         }
         // Only present when fault injection is configured: per-failpoint
         // hit counters so a chaos run can reconcile what actually fired.

@@ -1,22 +1,17 @@
-//! Tasks, task queues and the engine/dispatcher wire format.
+//! Tasks and the engine/dispatcher wire format.
 //!
-//! The dispatcher enqueues tasks (a prepared set of inputs plus metadata) to
-//! per-engine-kind queues; engines pull from their type-specific queue to
-//! ensure late binding of tasks to cores (paper §5, "Engines"). Queue
-//! lengths, the tasks owed an answer, are also the control plane's only
-//! input signal. An engine hands its results to the task's [`ReplySender`],
-//! which applies them to the dispatcher's in-flight table on the engine's
-//! own thread: no result crosses a channel.
+//! A task is plain data: the instance it runs and its payload. What every
+//! task of a pool shares, the completion sink and the function timeout,
+//! lives on the pool ([`crate::engine`]). An engine hands its results to
+//! its pool's [`ReplySender`], which applies them to the dispatcher's
+//! in-flight table on the engine's own thread: no result crosses a channel.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dandelion_common::config::EngineKind;
 use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
 use dandelion_isolation::FunctionArtifact;
-
-use crate::engine::{Engines, Next};
-use crate::recover;
 
 /// The work carried by a task.
 ///
@@ -34,8 +29,6 @@ pub(crate) enum TaskPayload {
         inputs: Arc<[DataSet]>,
         /// Whether the binary must be loaded from disk.
         cold_binary: bool,
-        /// Execution timeout.
-        timeout: Duration,
     },
     /// Execute an HTTP communication function instance.
     Http {
@@ -66,10 +59,10 @@ impl TaskPayload {
 }
 
 /// Where an engine hands the results of the tasks it ran: one cloneable
-/// completion sink per dispatcher, carried by each of its tasks. The
+/// completion sink per dispatcher, held by each of its engine pools. The
 /// dispatcher's sink applies the results to its in-flight table and then what
 /// they cause (successor tasks, settle callbacks), all on the calling
-/// engine's thread; a test that builds tasks by hand wraps its channel in
+/// engine's thread; a test that builds a pool by hand wraps its channel in
 /// one.
 ///
 /// Results come in *batches*: an engine coalesces the results of
@@ -125,8 +118,6 @@ pub(crate) struct Task {
     pub instance: usize,
     /// The work itself.
     pub payload: TaskPayload,
-    /// Where the executing engine hands the result (in batches).
-    pub reply: ReplySender,
 }
 
 impl Task {
@@ -161,117 +152,10 @@ pub(crate) struct TaskResult {
     pub modeled_latency: Duration,
 }
 
-/// A task queue: the FIFO deque engines of one kind park on, in one cell
-/// with the rest of their pool's state.
-///
-/// A push never blocks the dispatcher: [`TaskQueue::try_push`] refuses a
-/// task when the queue is full. A push wakes one parked engine. Clones share
-/// the cell.
-#[derive(Clone)]
-pub(crate) struct TaskQueue {
-    kind: EngineKind,
-    shared: Arc<Shared>,
-}
-
-struct Shared {
-    engines: Mutex<Engines>,
-    /// Engines with nothing to run wait on it.
-    available: Condvar,
-}
-
-impl TaskQueue {
-    /// Creates a queue for the given engine kind with a maximum depth.
-    pub(crate) fn new(kind: EngineKind, capacity: usize) -> Self {
-        Self {
-            kind,
-            shared: Arc::new(Shared {
-                engines: Mutex::new(Engines::new(capacity)),
-                available: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Locks the pool's state. Only its transitions run under the lock, and
-    /// each leaves it whole, so the guard of a lock poisoned by a panicking
-    /// thread is as good as any.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Engines> {
-        recover(self.shared.engines.lock())
-    }
-
-    /// Wakes `engines` parked engines, outside the lock.
-    pub(crate) fn notify(&self, engines: usize) {
-        for _ in 0..engines {
-            self.shared.available.notify_one();
-        }
-    }
-
-    /// Enqueues a task, applying back-pressure when the queue is full.
-    pub(crate) fn try_push(&self, task: Task) -> Result<(), Task> {
-        let wake = self.lock().try_push(task)?;
-        self.notify(wake);
-        Ok(())
-    }
-
-    /// Dequeues the next task if one is queued, without blocking.
-    #[cfg(test)]
-    pub(crate) fn try_pop(&self) -> Option<Task> {
-        self.lock().pop_if(|_| true)
-    }
-
-    /// An engine's turn at a batch boundary: the next task, or `None` once
-    /// the engine took a stop ticket. An idle engine parks on the queue's
-    /// condition variable until a push or a shrink wakes it.
-    pub(crate) fn next(&self) -> Option<Task> {
-        let mut engines = self.lock();
-        let mut woken = false;
-        loop {
-            match engines.next(woken) {
-                Next::Run(task) => return Some(task),
-                Next::Stop(wake) => {
-                    drop(engines);
-                    self.notify(wake);
-                    return None;
-                }
-                Next::Park => {
-                    engines = recover(self.shared.available.wait(engines));
-                    woken = true;
-                }
-            }
-        }
-    }
-
-    /// Current queue depth: the tasks owed an answer.
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-}
-
-impl std::fmt::Debug for TaskQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskQueue")
-            .field("kind", &self.kind)
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dandelion_isolation::FunctionCtx;
-
-    fn dummy_task() -> Task {
-        Task {
-            invocation: InvocationId::from_raw(1),
-            node: 0,
-            instance: 0,
-            payload: TaskPayload::Http {
-                inputs: Arc::new([]),
-                response_set: "Response".to_string(),
-            },
-            reply: ReplySender::new(|_| {}),
-        }
-    }
 
     #[test]
     fn payload_engine_kinds() {
@@ -281,54 +165,11 @@ mod tests {
             })),
             inputs: Arc::new([]),
             cold_binary: false,
-            timeout: Duration::from_secs(1),
         };
         assert_eq!(compute.engine_kind(), EngineKind::Compute);
         let faulted = TaskPayload::Faulted {
             reason: "engine died twice executing this task".to_string(),
         };
         assert_eq!(faulted.engine_kind(), EngineKind::Communication);
-    }
-
-    #[test]
-    fn queue_tracks_depth_and_totals() {
-        let queue = TaskQueue::new(EngineKind::Communication, 16);
-        assert_eq!(queue.len(), 0);
-        queue.try_push(dummy_task()).unwrap();
-        queue.try_push(dummy_task()).unwrap();
-        assert_eq!(queue.len(), 2);
-        assert!(queue.try_pop().is_some());
-        assert_eq!(queue.len(), 1);
-        assert!(queue.try_pop().is_some());
-        assert!(queue.try_pop().is_none());
-    }
-
-    #[test]
-    fn try_push_applies_back_pressure() {
-        let queue = TaskQueue::new(EngineKind::Communication, 1);
-        assert!(queue.try_push(dummy_task()).is_ok());
-        assert!(queue.try_push(dummy_task()).is_err());
-        queue.try_pop().unwrap();
-        assert!(queue.try_push(dummy_task()).is_ok());
-    }
-
-    #[test]
-    fn queue_clones_share_state() {
-        let queue = TaskQueue::new(EngineKind::Compute, 8);
-        let clone = queue.clone();
-        queue.try_push(dummy_task()).unwrap();
-        assert_eq!(clone.len(), 1);
-        assert!(clone.try_pop().is_some());
-        assert_eq!(queue.len(), 0);
-    }
-
-    #[test]
-    fn try_pop_is_nonblocking() {
-        let queue = TaskQueue::new(EngineKind::Compute, 8);
-        assert!(queue.try_pop().is_none());
-        queue.try_push(dummy_task()).unwrap();
-        assert!(queue.try_pop().is_some());
-        assert!(queue.try_pop().is_none());
-        assert_eq!(queue.len(), 0);
     }
 }

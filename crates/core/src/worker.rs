@@ -12,11 +12,11 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{EngineKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::{
     BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, LatencySummary,
 };
@@ -32,7 +32,6 @@ use crate::dispatcher::{
 use crate::engine::{EngineExecutor, EnginePool};
 use crate::recover;
 use crate::registry::Registry;
-use crate::task::TaskQueue;
 
 /// How often the driver fails invocations that stopped making progress.
 pub(crate) const REAP_PERIOD: Duration = Duration::from_millis(100);
@@ -104,34 +103,36 @@ impl WorkerNode {
         // relaxed atomic load.
         dandelion_common::init_failpoints_from_env();
         let registry = Arc::new(Registry::new());
-        let compute_queue = TaskQueue::new(EngineKind::Compute, config.queue_capacity);
-        let communication_queue = TaskQueue::new(EngineKind::Communication, config.queue_capacity);
-
         let services = Arc::new(services);
-
         let metrics = Arc::new(DispatchMetrics::default());
-        let dispatcher = Dispatcher::new(
-            Arc::clone(&registry),
-            &config,
-            Arc::clone(&metrics),
-            compute_queue.clone(),
-            communication_queue.clone(),
-        );
 
-        let backend = create_backend(config.isolation, HardwarePlatform::X86Linux);
-        let compute_pool = Arc::new(EnginePool::new(
-            EngineExecutor::Compute { backend },
-            compute_queue,
-        ));
-        compute_pool.resize(config.initial_compute_cores());
-
-        let communication_pool = Arc::new(EnginePool::new(
-            EngineExecutor::Communication {
+        // The dispatcher pushes to the pools, and the pools hand their
+        // results to the dispatcher through a sink that holds it weakly.
+        let mut pools = None;
+        let dispatcher = Arc::new_cyclic(|dispatcher: &Weak<Dispatcher>| {
+            let reply = Dispatcher::sink(dispatcher);
+            let compute = EngineExecutor::Compute {
+                backend: create_backend(config.isolation, HardwarePlatform::X86Linux),
+                function_timeout: config.function_timeout,
+            };
+            let communication = EngineExecutor::Communication {
                 registry: Arc::clone(&services),
                 policy: Arc::new(ValidationPolicy::default()),
-            },
-            communication_queue,
-        ));
+            };
+            let compute = EnginePool::new(compute, config.queue_capacity, reply.clone());
+            let communication = EnginePool::new(communication, config.queue_capacity, reply);
+            let shell = Dispatcher::new(
+                Arc::clone(&registry),
+                &config,
+                Arc::clone(&metrics),
+                &compute,
+                &communication,
+            );
+            pools = Some((Arc::new(compute), Arc::new(communication)));
+            shell
+        });
+        let (compute_pool, communication_pool) = pools.expect("built with the dispatcher");
+        compute_pool.resize(config.initial_compute_cores());
         communication_pool.resize(config.initial_communication_cores);
 
         let control = enable_control_plane.then(|| PoolControl {
@@ -279,8 +280,8 @@ impl WorkerNode {
             communication_tasks: self.metrics.communication_tasks.load(Ordering::Relaxed),
             compute_cores: allocation.compute,
             communication_cores: allocation.communication,
-            compute_queue_depth: self.compute_pool.queue().len(),
-            communication_queue_depth: self.communication_pool.queue().len(),
+            compute_queue_depth: self.compute_pool.len(),
+            communication_queue_depth: self.communication_pool.len(),
             latency: self.metrics.latency.summary(),
         }
     }

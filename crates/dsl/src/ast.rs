@@ -26,38 +26,38 @@ impl fmt::Display for Distribution {
 
 /// One input binding of a statement: `SetName = [optional] <dist> SourceName`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InputBinding {
+pub(crate) struct InputBinding {
     /// The input-set name declared by the function.
-    pub set: String,
+    pub(crate) set: String,
     /// The composition-level data name the set is fed from.
-    pub source: String,
+    pub(crate) source: String,
     /// How the source items are distributed over instances.
-    pub distribution: Distribution,
+    pub(crate) distribution: Distribution,
     /// Whether the function may run even if this set is empty (paper §4.4).
-    pub optional: bool,
+    pub(crate) optional: bool,
 }
 
 /// One output binding of a statement: `(PublishedName = OutputSetName)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutputBinding {
+pub(crate) struct OutputBinding {
     /// The composition-level name the output set is published under.
-    pub published: String,
+    pub(crate) published: String,
     /// The output-set name declared by the function.
-    pub set: String,
+    pub(crate) set: String,
 }
 
 /// A single statement: one vertex invocation in the DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Statement {
+pub(crate) struct Statement {
     /// The vertex name: a compute function, a communication function
     /// (e.g. `HTTP`), or another composition.
-    pub vertex: String,
+    pub(crate) vertex: String,
     /// Input bindings in declaration order.
-    pub inputs: Vec<InputBinding>,
+    pub(crate) inputs: Vec<InputBinding>,
     /// Output bindings in declaration order.
-    pub outputs: Vec<OutputBinding>,
+    pub(crate) outputs: Vec<OutputBinding>,
     /// Source line of the statement, for error messages.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// A parsed composition before semantic validation.
@@ -70,7 +70,7 @@ pub struct CompositionAst {
     /// External output data names (returned to the client).
     pub outputs: Vec<String>,
     /// The statements, in source order.
-    pub statements: Vec<Statement>,
+    pub(crate) statements: Vec<Statement>,
 }
 
 impl CompositionAst {

@@ -134,7 +134,7 @@ pub struct CompositionGraph {
 
 /// Errors found while validating a composition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationError {
+pub(crate) enum ValidationError {
     /// Two external inputs or outputs share a name.
     DuplicateExternalName(String),
     /// Two statements publish the same name, or a published name shadows an
@@ -199,7 +199,7 @@ impl From<ValidationError> for DandelionError {
 
 impl CompositionGraph {
     /// Validates an AST and lowers it into an executable graph.
-    pub fn from_ast(ast: &CompositionAst) -> Result<Self, ValidationError> {
+    pub(crate) fn from_ast(ast: &CompositionAst) -> Result<Self, ValidationError> {
         if ast.statements.is_empty() {
             return Err(ValidationError::Empty);
         }

@@ -36,15 +36,17 @@
 //! * [`CompositionBuilder`] — a programmatic builder for constructing graphs
 //!   without DSL text.
 
+#![warn(unnameable_types)]
+
 mod ast;
 mod builder;
 mod graph;
 mod lexer;
 mod parser;
 
-pub use ast::Distribution;
-pub use builder::{render_logs_composition, CompositionBuilder};
-pub use graph::{CompositionGraph, GraphNode, InputSource, NodeInput, NodeOutput};
+pub use ast::{CompositionAst, Distribution};
+pub use builder::{render_logs_composition, CompositionBuilder, StatementBuilder};
+pub use graph::{CompositionGraph, ExternalOutput, GraphNode, InputSource, NodeInput, NodeOutput};
 
 use dandelion_common::DandelionResult;
 use parser::parse_composition;

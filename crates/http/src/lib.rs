@@ -21,6 +21,8 @@
 //! as opaque bytes. The validator is tested differentially against the
 //! one-shot [`parse_request`] and the owned rules it replaced.
 
+#![warn(unnameable_types)]
+
 mod parse;
 mod stream;
 mod types;
@@ -30,7 +32,7 @@ pub mod validate;
 
 pub use parse::{
     parse_request, parse_request_frame, parse_response, parse_response_frame,
-    parse_response_shared, HttpParseError,
+    parse_response_shared, HttpParseError, RequestLine, StatusLine,
 };
 pub use stream::{
     rejection_code, rejection_status, Frame, ParseLimits, RequestDecoder, RequestFrame,

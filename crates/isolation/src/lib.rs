@@ -40,6 +40,8 @@
 //!   [`create_backend`]: the executor configured as CHERI, KVM, process,
 //!   rWasm or native.
 
+#![warn(unnameable_types)]
+
 mod abi;
 mod backend;
 mod backends;
@@ -49,9 +51,9 @@ mod cost;
 pub mod output_parser;
 mod policy;
 
-pub use abi::{FunctionArtifact, FunctionCtx, FunctionError};
-pub use backend::{ExecutionReport, ExecutionTask, IsolationBackend};
+pub use abi::{ComputeLogic, FunctionArtifact, FunctionCtx, FunctionError, SyscallAttempt};
+pub use backend::{ExecutionReport, ExecutionTask, IsolationBackend, StageTimings};
 pub use backends::create_backend;
 pub use context::MemoryContext;
 pub use cost::{HardwarePlatform, SandboxCostModel, Stage};
-pub use policy::SyscallPolicy;
+pub use policy::{SyscallDisposition, SyscallPolicy};

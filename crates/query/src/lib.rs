@@ -18,13 +18,15 @@
 //!   and for Dandelion on an EC2 instance (per-second pricing), used to
 //!   regenerate Figure 9's cost comparison.
 
+#![warn(unnameable_types)]
+
 mod athena;
 mod expr;
 mod ops;
 mod ssb;
 mod table;
 
-pub use athena::{AthenaModel, Ec2Model};
+pub use athena::{AthenaModel, Ec2Model, QueryCost};
 pub use ssb::{
     generate_database, lineorder_schema, merge_partials, run_partitioned, SsbDatabase, SsbQuery,
 };

@@ -374,7 +374,7 @@ impl Server {
         };
         let frontend = match &shared.app {
             AppKind::Local(frontend) => {
-                frontend.add_stats_source("server", Arc::clone(&stats_source));
+                frontend.add_stats_source(Arc::clone(&stats_source));
                 Some(Arc::clone(frontend))
             }
             AppKind::Gateway(router) => {
@@ -468,9 +468,10 @@ impl Server {
             let _ = thread.join();
         }
         // A stopped server's gauges must disappear from `/v1/stats`: the
-        // frontend outlives the server and may be served elsewhere.
+        // frontend outlives the server and may be served elsewhere, by a
+        // server whose gauges stay.
         if let Some(frontend) = &self.frontend {
-            frontend.remove_stats_source("server");
+            frontend.remove_stats_source(&self.stats_source);
         }
     }
 }

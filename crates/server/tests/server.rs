@@ -558,6 +558,39 @@ fn server_stats_are_exposed_through_v1_stats() {
     common::finish_worker(&worker);
 }
 
+/// Two servers on one frontend: stopping the one started first leaves the
+/// other's gauges in `/v1/stats`, and stopping the other takes them away.
+#[test]
+fn a_stopping_server_leaves_another_servers_stats_in_place() {
+    let worker = test_worker();
+    let frontend = Arc::new(Frontend::new(Arc::clone(&worker)));
+    let first = Server::start(loopback_config(), Arc::clone(&frontend)).expect("server binds");
+    let second = Server::start(loopback_config(), Arc::clone(&frontend)).expect("server binds");
+    let served_gauges = |server: &Server| {
+        let mut client =
+            HttpClientConnection::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+        let response = client.request(&HttpRequest::get("/v1/stats")).unwrap();
+        assert_eq!(response.status.0, 200);
+        let document = dandelion_common::JsonValue::parse(&response.body_text()).unwrap();
+        document.get("server").cloned()
+    };
+    assert!(served_gauges(&first).is_some());
+    common::stop_and_check_loops(first);
+    let gauges = served_gauges(&second).expect("the running server still reports");
+    let accepted = gauges
+        .get("accepted")
+        .and_then(dandelion_common::JsonValue::as_u64);
+    assert!(
+        accepted.is_some_and(|accepted| accepted >= 1),
+        "the running server's own gauges: {accepted:?}"
+    );
+    common::stop_and_check_loops(second);
+    let stats = frontend.handle(&HttpRequest::get("/v1/stats"));
+    let document = dandelion_common::JsonValue::parse(&stats.body_text()).unwrap();
+    assert!(document.get("server").is_none(), "no server is running");
+    common::finish_worker(&worker);
+}
+
 /// A sync `/v1/invoke` response carries no invocation id, so nobody can poll
 /// for it: its outcome is handed to the connection and nothing stays behind
 /// in the worker. A submitted invocation is retained until it is consumed or

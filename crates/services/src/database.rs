@@ -16,7 +16,7 @@ use crate::registry::{RemoteService, Reply, ServiceResponse};
 
 /// A cell value: text or number.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// Text value.
     Text(String),
     /// Numeric value (stored as f64, printed without trailing zeros).
@@ -58,11 +58,11 @@ impl Value {
 
 /// A table: column names plus rows.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     /// Column names in declaration order.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
     /// Row values, each the same length as `columns`.
-    pub rows: Vec<Vec<Value>>,
+    pub(crate) rows: Vec<Vec<Value>>,
 }
 
 /// The in-memory SQL database service.
@@ -158,7 +158,7 @@ impl SqlDatabaseService {
     }
 
     /// Registers (or replaces) a table.
-    pub fn register_table(&self, name: &str, table: Table) {
+    pub(crate) fn register_table(&self, name: &str, table: Table) {
         self.tables
             .write()
             .unwrap_or_else(PoisonError::into_inner)

@@ -38,6 +38,8 @@
 //! * [`SqlDatabaseService`] — a small SQL-over-HTTP database used
 //!   by the Text2SQL workflow.
 
+#![warn(unnameable_types)]
+
 mod auth;
 mod database;
 mod latency;
@@ -52,4 +54,4 @@ pub use latency::LatencyModel;
 pub use llm::LlmService;
 pub use logs::LogService;
 pub use object_store::ObjectStore;
-pub use registry::{Reply, ServiceRegistry};
+pub use registry::{RemoteService, Reply, ServiceRegistry, ServiceResponse};

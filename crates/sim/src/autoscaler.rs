@@ -13,17 +13,17 @@ use std::time::Duration;
 
 /// Autoscaler parameters (Knative defaults, scaled for simulation).
 #[derive(Debug, Clone, Copy)]
-pub struct AutoscalerConfig {
+pub(crate) struct AutoscalerConfig {
     /// Target concurrent requests per sandbox.
-    pub target_concurrency: f64,
+    pub(crate) target_concurrency: f64,
     /// Averaging window for the stable (scale-down) estimate.
-    pub stable_window: Duration,
+    pub(crate) stable_window: Duration,
     /// Averaging window for the panic (scale-up) estimate.
-    pub panic_window: Duration,
+    pub(crate) panic_window: Duration,
     /// Extra idle time before the last sandbox of a function is removed.
-    pub scale_to_zero_grace: Duration,
+    pub(crate) scale_to_zero_grace: Duration,
     /// How often the autoscaler re-evaluates desired counts.
-    pub tick: Duration,
+    pub(crate) tick: Duration,
 }
 
 impl Default for AutoscalerConfig {
@@ -62,7 +62,7 @@ pub struct KnativeAutoscaler {
 
 impl KnativeAutoscaler {
     /// Creates an autoscaler with the given configuration.
-    pub fn new(config: AutoscalerConfig) -> Self {
+    pub(crate) fn new(config: AutoscalerConfig) -> Self {
         Self {
             config,
             functions: HashMap::new(),

@@ -29,6 +29,8 @@
 //! Every model is deterministic given its seed, so figures regenerate
 //! identically across machines.
 
+#![warn(unnameable_types)]
+
 mod autoscaler;
 mod load;
 mod platforms;
@@ -36,9 +38,10 @@ mod request;
 mod server;
 
 pub use autoscaler::KnativeAutoscaler;
-pub use load::{run_bursty, run_open_loop, run_trace, sweep_open_loop, RunResult};
+pub use load::{run_bursty, run_open_loop, run_trace, sweep_open_loop, RunResult, SweepPoint};
 pub use platforms::{
-    DHybridSim, DandelionConfig, DandelionSim, MicroVmKind, MicroVmSim, PlatformModel, WarmPolicy,
-    WasmtimeSim,
+    Completion, DHybridSim, DandelionConfig, DandelionSim, MicroVmKind, MicroVmSim, PlatformModel,
+    WarmPolicy, WasmtimeSim,
 };
 pub use request::{workloads, Phase, RequestSpec};
+pub use server::MemoryTracker;

@@ -20,6 +20,8 @@
 //! functions InVitro-style and generates their arrivals, and
 //! [`Trace::arrivals_per_second`].
 
+#![warn(unnameable_types)]
+
 mod model;
 
-pub use model::{generate_trace, Trace, TraceConfig};
+pub use model::{generate_trace, ArrivalPattern, FunctionSpec, Trace, TraceConfig, TraceEvent};

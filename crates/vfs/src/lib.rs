@@ -20,8 +20,10 @@
 //! directories and files are distinct node types, and all failures are
 //! reported as [`VfsError`] values rather than panics.
 
+#![warn(unnameable_types)]
+
 mod fs;
 mod path;
 
-pub use fs::{VfsError, VirtualFs};
+pub use fs::{Metadata, NodeKind, VfsError, VirtualFs};
 pub use path::VfsPath;
