@@ -8,6 +8,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use dandelion_common::config::{IsolationKind, WorkerConfig};
 use dandelion_common::DandelionResult;
 use dandelion_core::WorkerNode;
 use dandelion_query::generate_database;
@@ -160,17 +161,20 @@ pub fn demo_worker(
     worker_with(total_cores, demo_services(realistic_latency))
 }
 
-/// The demo worker over the given services.
-fn worker_with(total_cores: usize, services: ServiceRegistry) -> DandelionResult<Arc<WorkerNode>> {
-    use dandelion_common::config::{IsolationKind, WorkerConfig};
-    let config = WorkerConfig {
+/// The demo worker's configuration on `total_cores` cores.
+pub fn demo_config(total_cores: usize) -> WorkerConfig {
+    WorkerConfig {
         total_cores: total_cores.max(2),
         initial_communication_cores: (total_cores / 4).max(1),
         isolation: IsolationKind::Native,
         function_timeout: Duration::from_secs(60),
         ..WorkerConfig::default()
-    };
-    let worker = WorkerNode::start_with_control(config, services, false)?;
+    }
+}
+
+/// The demo worker over the given services.
+fn worker_with(total_cores: usize, services: ServiceRegistry) -> DandelionResult<Arc<WorkerNode>> {
+    let worker = WorkerNode::start_with_control(demo_config(total_cores), services, false)?;
     register_applications(&worker)?;
     Ok(worker)
 }

@@ -12,16 +12,13 @@
 //! against the current split: it takes the two queue depths and returns the
 //! new split when it changes. Neither owns a thread or reads a clock. The
 //! discrete-event simulator steps it at virtual control ticks; a worker node
-//! with control on hands it, with the two engine pools, to its dispatcher
-//! driver, which samples the real queues, steps and resizes the pools every
-//! `interval` on the thread and the clock it keeps anyway.
+//! with control on hands it, with the two engine pools, to its timers, which
+//! sample the real queues, step and resize the pools every `interval` at the
+//! clock the worker's driver, or a stepped worker's caller, keeps anyway.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use dandelion_common::config::ControllerConfig;
-
-use crate::engine::EnginePool;
 
 /// The actuation decided by one controller tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,29 +172,6 @@ impl Step {
             self.allocation = next;
             next
         })
-    }
-}
-
-/// A [`Step`] over a worker's two engine pools.
-pub(crate) struct PoolControl {
-    /// The controller, over the split the pools start out with.
-    pub(crate) step: Step,
-    /// The compute engines.
-    pub(crate) compute: Arc<EnginePool>,
-    /// The communication engines.
-    pub(crate) communication: Arc<EnginePool>,
-}
-
-impl PoolControl {
-    /// Samples both queues, steps, and resizes the pools when the split
-    /// changed.
-    pub(crate) fn run(&mut self) {
-        let compute_depth = self.compute.len();
-        let communication_depth = self.communication.len();
-        if let Some(next) = self.step.step(compute_depth, communication_depth) {
-            self.compute.resize(next.compute);
-            self.communication.resize(next.communication);
-        }
     }
 }
 

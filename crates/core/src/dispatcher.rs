@@ -26,16 +26,16 @@
 //! [`InvocationHandle`] immediately. **An engine settles what it
 //! finishes:** both engine pools hand their batches to the dispatcher's
 //! completion sink ([`Dispatcher::sink`]), through which the engine that
-//! ran a batch reads the clock, takes the table lock once for the batch
-//! (results carry their invocation id), advances the owning invocation, and
-//! then, on its own thread, pushes the successor tasks and fires the settle
-//! callbacks. No result crosses a channel or another thread on its way. Any
-//! number of invocations can therefore be in flight per client with no
-//! thread parked per invocation.
+//! ran a batch, at the time it read once the batch ran, takes the table lock
+//! once for the batch (results carry their invocation id), advances the
+//! owning invocation, and then, on its own thread, pushes the successor
+//! tasks and fires the settle callbacks. No result crosses a channel or
+//! another thread on its way. Any number of invocations can therefore be in
+//! flight per client with no thread parked per invocation.
 //!
-//! The dispatcher has no thread of its own. The worker's driver
-//! ([`crate::worker`]) keeps the clock and calls [`Dispatcher::reap`] and,
-//! as it stops, [`Dispatcher::cancel_all`].
+//! The dispatcher has no thread and reads no clock of its own. The worker's
+//! timers ([`crate::worker`]'s `tick`) call [`Dispatcher::reap`], and the
+//! worker's shutdown [`Dispatcher::cancel_all`].
 //!
 //! Nested compositions are registered as *child invocations* in the same
 //! table, linked to the parent instance that spawned them; a child's
@@ -163,7 +163,7 @@ pub struct InvocationSnapshot {
 }
 
 /// Counters and latency shared between the threads that step the in-flight
-/// table (submitters, engines, the driver) and whoever owns the dispatcher
+/// table (submitters, engines, the timers) and whoever owns the dispatcher
 /// (the worker node surfaces them as [`crate::worker::WorkerStats`]). Only
 /// *top-level* invocations are counted; nested child invocations fold into
 /// their parent's report. Once nothing is in flight, `invocations +
@@ -210,9 +210,10 @@ impl Default for DispatchMetrics {
 /// outcome itself, not a copy: the result is consumed and the table entry
 /// released, as by [`InvocationHandle::wait`]. Registered through
 /// [`InvocationHandle::on_settle`]; invoked on the thread that settled the
-/// invocation — the engine that delivered its last result, the worker's
-/// driver when it reaps or cancels, a submitter whose task a full queue
-/// refused, or the registering thread when the invocation already settled —
+/// invocation — the engine that delivered its last result, the thread that
+/// ticks the worker's timers when it reaps, the one that shuts the worker
+/// down when it cancels, a submitter whose task a full queue refused, or
+/// the registering thread when the invocation already settled —
 /// and never while the table lock is held, so the callback may use the table
 /// freely.
 pub(crate) type SettleCallback = Box<dyn FnOnce(DandelionResult<InvocationOutcome>) + Send>;
@@ -872,9 +873,9 @@ impl Dispatcher {
     /// cells; a batch that outlives the dispatcher is dropped.
     pub(crate) fn sink(dispatcher: &Weak<Dispatcher>) -> ReplySender {
         let dispatcher = Weak::clone(dispatcher);
-        ReplySender::new(move |results| {
+        ReplySender::new(move |results, now| {
             if let Some(dispatcher) = dispatcher.upgrade() {
-                dispatcher.complete(results, Instant::now());
+                dispatcher.complete(results, now);
             }
         })
     }
@@ -1048,10 +1049,10 @@ impl InvocationHandle {
     /// callback posts the finished response back to the owning loop —
     /// no thread ever blocks in [`InvocationHandle::wait`]. The callback
     /// runs on the thread that settles the invocation — as a rule the engine
-    /// that delivered its last result; the worker's driver when it reaps or
-    /// cancels it; immediately on the calling thread when it has already
-    /// settled — and is never invoked while the table lock is held, so it may
-    /// poll or consume the handle.
+    /// that delivered its last result; the worker's timers when they reap
+    /// it, its shutdown when it cancels it; immediately on the calling thread
+    /// when it has already settled — and is never invoked while the table
+    /// lock is held, so it may poll or consume the handle.
     /// Only one callback can be registered per invocation; a later
     /// registration replaces an unfired earlier one.
     pub fn on_settle<F>(&self, callback: F)
@@ -1123,15 +1124,12 @@ impl std::fmt::Debug for InvocationHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineExecutor;
-    use crate::task::reply_channel;
     use crate::worker::{WorkerNode, REAP_PERIOD};
     use dandelion_common::config::IsolationKind;
     use dandelion_common::{DataItem, SharedBytes};
     use dandelion_dsl::{CompositionBuilder, Distribution};
-    use dandelion_http::validate::ValidationPolicy;
     use dandelion_http::{HttpRequest, HttpResponse};
-    use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
+    use dandelion_isolation::{FunctionArtifact, FunctionCtx};
     use dandelion_services::ObjectStore;
     use dandelion_services::ServiceRegistry;
 
@@ -1245,11 +1243,10 @@ mod tests {
 
     // ---- Transitions of the table, as rows ----
     //
-    // Each row is a test that steps the shell of a table in this thread: no
-    // engine thread, no driver, no sleep. The row pops the pools' queues,
-    // answers through a sink that forwards to a channel it holds, hands each
-    // batch to the table as an engine's sink does, moves the clock itself,
-    // and ends with `Rig::finish`.
+    // Each row is a test that steps the table of a stepped worker in this
+    // thread: no engine thread, no driver, no sleep. The row pops the pools'
+    // queues, answers through the pools' sink as an engine does, moves the
+    // clock itself, and ends with `Rig::finish`.
 
     /// A composition of one node that runs `function` over `In`, publishing
     /// `Out`.
@@ -1287,13 +1284,12 @@ mod tests {
     type Delivered = Arc<Mutex<Vec<DandelionResult<InvocationOutcome>>>>;
 
     struct Rig {
+        /// A stepped worker nobody steps: the rows pop its queues.
+        worker: Arc<WorkerNode>,
         dispatcher: Arc<Dispatcher>,
         registry: Arc<Registry>,
         metrics: Arc<DispatchMetrics>,
         config: WorkerConfig,
-        /// The pools' sink, and the channel it forwards to.
-        reply: ReplySender,
-        results: std::sync::mpsc::Receiver<Vec<TaskResult>>,
         now: Instant,
         /// Top-level submissions.
         submitted: u64,
@@ -1308,9 +1304,12 @@ mod tests {
         fn new(capacity: usize) -> Self {
             let config = WorkerConfig {
                 completed_retention: 2,
+                queue_capacity: capacity,
+                isolation: IsolationKind::Native,
                 ..WorkerConfig::default()
             };
-            let registry = Arc::new(Registry::new());
+            let worker = WorkerNode::stepped(config.clone(), ServiceRegistry::new()).unwrap();
+            let (registry, dispatcher, metrics) = worker.parts();
             registry
                 .register_function(FunctionArtifact::new(
                     "Copy",
@@ -1321,34 +1320,12 @@ mod tests {
             registry
                 .register_composition(one_node("Identity", "Copy", Distribution::All))
                 .unwrap();
-            let metrics = Arc::new(DispatchMetrics::default());
-            let (reply, results) = reply_channel();
-            let compute = EngineExecutor::Compute {
-                backend: create_backend(IsolationKind::Native, HardwarePlatform::Morello),
-                function_timeout: config.function_timeout,
-            };
-            let communication = EngineExecutor::Communication {
-                registry: Arc::new(ServiceRegistry::new()),
-                policy: Arc::new(ValidationPolicy::default()),
-            };
-            // Pools that start no engine: the rows pop the queues, which the
-            // dispatcher holds past the pools' handles.
-            let pools = [compute, communication]
-                .map(|executor| EnginePool::new(executor, capacity, reply.clone()));
-            let dispatcher = Dispatcher::new(
-                Arc::clone(&registry),
-                &config,
-                Arc::clone(&metrics),
-                &pools[0],
-                &pools[1],
-            );
             Self {
-                dispatcher: Arc::new(dispatcher),
+                worker,
+                dispatcher,
                 registry,
                 metrics,
                 config,
-                reply,
-                results,
                 now: Instant::now(),
                 submitted: 0,
                 callbacks: Vec::new(),
@@ -1393,7 +1370,8 @@ mod tests {
             compute.chain(communication).collect()
         }
 
-        /// Answers `task` through the pools' sink as an engine does.
+        /// Answers `task` through the pools' sink at the rig's clock, as an
+        /// engine does.
         fn reply(&self, task: &Task, outcome: DandelionResult<Vec<DataSet>>, high_water: usize) {
             let result = TaskResult {
                 invocation: task.invocation,
@@ -1403,15 +1381,8 @@ mod tests {
                 context_high_water: high_water,
                 modeled_latency: Duration::ZERO,
             };
-            self.reply.send(&mut vec![result]);
-        }
-
-        /// What an engine's sink does with each batch waiting on the
-        /// channel, at the rig's clock.
-        fn deliver(&mut self) {
-            while let Ok(mut batch) = self.results.try_recv() {
-                self.dispatcher.complete(&mut batch, self.now);
-            }
+            let pool = self.worker.compute_pool().cell();
+            pool.answer(&mut vec![result], self.now);
         }
 
         /// Echoes every task, and every task that causes, until none is
@@ -1425,7 +1396,6 @@ mod tests {
                 for task in &tasks {
                     self.reply(task, echo(task), 0);
                 }
-                self.deliver();
             }
         }
 
@@ -1533,7 +1503,6 @@ mod tests {
         for task in rig.tasks() {
             rig.reply(&task, Err(fault.clone()), 0);
         }
-        rig.deliver();
         assert_eq!(faulted.try_result().unwrap().unwrap_err(), fault);
         rig.finish();
     }
@@ -1694,7 +1663,6 @@ mod tests {
         for task in rig.tasks() {
             rig.reply(&task, echo(&task), 0);
         }
-        rig.deliver();
         rig.now += deadline;
         rig.reap();
         assert_eq!(handle.status(), InvocationStatus::Running);
@@ -1810,7 +1778,6 @@ mod tests {
         for task in rig.tasks() {
             rig.reply(&task, head(&task), 0);
         }
-        rig.deliver();
         // Until the reap the retained result is the engine's view.
         let snapshot = rig
             .dispatcher
@@ -1854,14 +1821,12 @@ mod tests {
         for task in rig.tasks() {
             rig.reply(&task, head(&task), 0);
         }
-        rig.deliver();
         let tasks = rig.tasks();
         let TaskPayload::Compute { inputs, .. } = &tasks[0].payload else {
             panic!("the parent's Copy is a compute task");
         };
         assert!(SharedBytes::same_buffer(&inputs[0].items[0].data, &payload));
         rig.reply(&tasks[0], echo(&tasks[0]), 0);
-        rig.deliver();
         assert!(nested.try_result().unwrap().is_ok());
         rig.finish();
     }
@@ -1876,7 +1841,6 @@ mod tests {
         for task in rig.tasks() {
             rig.reply(&task, head(&task), 0);
         }
-        rig.deliver();
         rig.cancel_all();
         let outcome = retained.try_result().unwrap().unwrap();
         let item = &outcome.outputs[0].items[0];
@@ -1902,7 +1866,6 @@ mod tests {
         for task in rig.tasks() {
             rig.reply(&task, head(&task), 0);
         }
-        rig.deliver();
         assert_eq!(handle.status(), InvocationStatus::Completed);
         let delivered = rig.on_settle(&handle);
         {
@@ -1929,7 +1892,6 @@ mod tests {
         rig.reply(&tasks[0], echo(&tasks[0]), 100);
         rig.reply(&tasks[0], echo(&tasks[0]), 100);
         rig.reply(&tasks[1], echo(&tasks[1]), 100);
-        rig.deliver();
         let outcome = handle.try_result().unwrap().unwrap();
         assert_eq!(outcome.outputs[0].items.len(), 2);
         assert_eq!(outcome.report.peak_context_bytes, 200);

@@ -20,10 +20,16 @@
 //! between them by resizing the pools (paper §5, "Control plane"). A pool's
 //! whole state is one plain value, [`Engines`], behind its [`PoolCell`]'s
 //! one lock. Its transitions read no clock and return what the shell
-//! ([`EnginePool`], the engine threads, the cell) must do after unlocking:
-//! no thread is spawned, joined or woken under the lock. A shrink hands out
-//! stop tickets, which engines take at their next task boundary; the queued
+//! ([`EnginePool`], the engines, the cell) must do after unlocking: no
+//! thread is spawned, joined or woken under the lock. A shrink hands out
+//! stop tickets, which engines take at their next batch boundary; the queued
 //! tasks stay for the engines that remain.
+//!
+//! An engine's step is one batch ([`Engine::run_batch`]). On a threaded pool
+//! each engine is a thread that loops on it; a stepped pool's state counts
+//! its engines all the same, but applying a transition starts no thread, and
+//! its caller takes the engines' turns ([`EnginePool::run_queued`]) through
+//! the same step at the caller's `now`.
 //!
 //! Engines are **supervised**: a panic inside the task body is caught and
 //! converted into a structured [`DandelionError::EngineFault`] result, and a
@@ -36,7 +42,7 @@ use std::collections::{HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dandelion_common::config::EngineKind;
 use dandelion_common::{
@@ -347,6 +353,18 @@ impl Engines {
     fn shutdown(&mut self) -> VecDeque<Task> {
         std::mem::take(&mut self.tasks)
     }
+
+    /// Asserts the invariants every transition keeps, in a debug build and
+    /// unless the thread is unwinding already (a pool dropped by a failing
+    /// test), where a second panic would abort the process. The queue has no
+    /// bound here: a death requeues what its engine held into a full queue.
+    fn check(&self) {
+        if cfg!(debug_assertions) && !std::thread::panicking() {
+            assert!(self.tickets <= self.running, "tickets > running");
+            assert!(self.parked <= self.running, "parked > running");
+            assert!(self.respawns <= self.deaths, "respawns > deaths");
+        }
+    }
 }
 
 /// Executes one task under a panic guard: a panic anywhere in the task
@@ -384,18 +402,20 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One pool's shared cell: its state behind one lock, the condition
-/// variable its idle engines park on, what its engines execute with and
-/// where they hand their results. The dispatcher pushes into it and each
-/// engine thread holds it; the pool's [`EnginePool`] starts and joins the
-/// threads.
+/// variable its idle engine threads park on, what its engines execute with
+/// and where they hand their results. The dispatcher pushes into it and each
+/// engine holds it; the pool's [`EnginePool`] starts and joins the threads.
 pub(crate) struct PoolCell {
     engines: Mutex<Engines>,
-    /// Engines with nothing to run wait on it.
+    /// Engine threads with nothing to run wait on it.
     available: Condvar,
     executor: EngineExecutor,
     /// The worker's one completion sink, which every engine of the pool
     /// hands its batches to.
     reply: ReplySender,
+    /// Whether the pool's engines are threads; a stepped pool's are its
+    /// caller's turns.
+    threaded: bool,
 }
 
 impl PoolCell {
@@ -404,6 +424,15 @@ impl PoolCell {
     /// thread is as good as any.
     fn lock(&self) -> MutexGuard<'_, Engines> {
         recover(self.engines.lock())
+    }
+
+    /// Applies one transition under the lock and checks the state's
+    /// invariants before unlocking.
+    fn transition<R>(&self, change: impl FnOnce(&mut Engines) -> R) -> R {
+        let mut engines = self.lock();
+        let out = change(&mut engines);
+        engines.check();
+        out
     }
 
     /// Wakes `engines` parked engines, outside the lock.
@@ -416,25 +445,21 @@ impl PoolCell {
     /// Enqueues a task, applying back-pressure when the queue is full: a
     /// push never blocks the dispatcher. A push wakes one parked engine.
     pub(crate) fn try_push(&self, task: Task) -> Result<(), Task> {
-        let wake = self.lock().try_push(task)?;
+        let wake = self.transition(|engines| engines.try_push(task))?;
         self.notify(wake);
         Ok(())
     }
 
-    /// Dequeues the next task if one is queued, without blocking.
-    #[cfg(test)]
-    pub(crate) fn try_pop(&self) -> Option<Task> {
-        self.lock().pop_if(|_| true)
-    }
-
-    /// An engine's turn at a batch boundary: the next task, or `None` once
-    /// the engine took a stop ticket. An idle engine parks on the condition
-    /// variable until a push or a shrink wakes it.
+    /// An engine thread's turn at a batch boundary: the next task, or `None`
+    /// once the engine took a stop ticket. An idle engine parks on the
+    /// condition variable until a push or a shrink wakes it.
     fn next(&self) -> Option<Task> {
         let mut engines = self.lock();
         let mut woken = false;
         loop {
-            match engines.next(woken) {
+            let next = engines.next(woken);
+            engines.check();
+            match next {
                 Next::Run(task) => return Some(task),
                 Next::Stop(wake) => {
                     drop(engines);
@@ -448,27 +473,41 @@ impl PoolCell {
             }
         }
     }
+
+    /// A stepped pool's turn, on its caller's thread: the next task while an
+    /// engine is left to run it. Engines holding stop tickets take them
+    /// first, as at their batch boundary; nothing parks, so nothing is asked
+    /// of an engine that would.
+    fn turn(&self) -> Option<Task> {
+        self.transition(|engines| {
+            while engines.running > 0 && (engines.tickets > 0 || !engines.tasks.is_empty()) {
+                if let Next::Run(task) = engines.next(false) {
+                    return Some(task);
+                }
+            }
+            None
+        })
+    }
 }
 
-/// Applies a pool transition's effects after unlocking: wakes the engines,
-/// starts the threads and files their handles. A panic that escapes
-/// [`run_engine`] hands the tasks the engine held to the death transition
-/// and starts the replacement that asks for; the thread only pushes to the
-/// queue, so no table lock, failpoint or settle callback runs on it.
+/// Applies a pool transition's effects after unlocking: wakes the engines
+/// and, on a threaded pool, starts the threads and files their handles.
 fn apply(cell: &Arc<PoolCell>, effects: Effects) {
     cell.notify(effects.wake);
+    if !cell.threaded {
+        return;
+    }
     let handles: Vec<JoinHandle<()>> = (0..effects.spawn)
         .map(|_| {
             let cell = Arc::clone(cell);
             std::thread::Builder::new()
                 .name(format!("dandelion-{}-engine", cell.executor.kind()))
                 .spawn(move || {
-                    let mut inflight = Vec::new();
-                    let engine = AssertUnwindSafe(|| run_engine(&cell, &mut inflight));
-                    if std::panic::catch_unwind(engine).is_err() {
-                        let effects = cell.lock().died(inflight);
-                        apply(&cell, effects);
-                    }
+                    supervised(&cell, |engine| {
+                        while let Some(task) = cell.next() {
+                            engine.run_batch(&cell, task, Instant::now);
+                        }
+                    });
                 })
                 .expect("spawning an engine thread")
         })
@@ -476,45 +515,58 @@ fn apply(cell: &Arc<PoolCell>, effects: Effects) {
     cell.lock().handles.extend(handles);
 }
 
-/// Parks `task` in the engine's in-flight list — where supervision finds it
-/// if the engine dies before the reply — and executes it from there.
-fn execute_inflight(executor: &EngineExecutor, inflight: &mut Vec<Task>, task: Task) -> TaskResult {
-    inflight.push(task);
-    execute_supervised(executor, inflight.last().expect("pushed above"))
+/// Runs one engine's batches under supervision: a panic that escapes a
+/// batch hands the tasks the engine held to the death transition and
+/// applies what it asks for, a replacement within the budget. Only the
+/// queue is touched, so no table lock, failpoint or settle callback runs on
+/// the unwinding thread.
+fn supervised(cell: &Arc<PoolCell>, batches: impl FnOnce(&mut Engine)) {
+    let mut engine = Engine::default();
+    if std::panic::catch_unwind(AssertUnwindSafe(|| batches(&mut engine))).is_err() {
+        let effects = cell.transition(|engines| engines.died(engine.inflight));
+        apply(cell, effects);
+    }
 }
 
-/// The engine thread body: pull, execute under supervision, coalesce,
-/// reply, until the engine takes a stop ticket. The reply applies the batch
-/// to the dispatcher's table on this thread (see
-/// [`crate::task::ReplySender`]), and hands the batch list back empty for
-/// the next one. Each task popped is moved into `inflight`
-/// until its result is delivered, so a requeue hands on the very task that
-/// was popped, inputs and artifact, without a clone.
-fn run_engine(cell: &PoolCell, inflight: &mut Vec<Task>) {
-    let executor = &cell.executor;
-    let mut batch = Vec::new();
-    while let Some(task) = cell.next() {
+/// What one engine holds across its batches: the tasks of the batch it
+/// runs, each moved here when popped and kept until its result is delivered
+/// — so a requeue hands on the very task, inputs and artifact, without a
+/// clone — and the results list, handed back empty by the sink.
+#[derive(Default)]
+struct Engine {
+    inflight: Vec<Task>,
+    batch: Vec<TaskResult>,
+}
+
+impl Engine {
+    /// One batch: executes `task` under the task guard, then the same
+    /// invocation's tasks queued next, and hands the results to the pool's
+    /// sink at the time `clock` reads once, when they ran. The reply applies
+    /// the batch to the dispatcher's table on this thread (see
+    /// [`crate::task::ReplySender`]).
+    fn run_batch(&mut self, cell: &PoolCell, task: Task, clock: impl FnOnce() -> Instant) {
+        let executor = &cell.executor;
         // A task whose engine died twice: answered here, by a thread that is
         // not unwinding, without running it and past the reply failpoints,
         // so that it fails exactly once.
         if let TaskPayload::Faulted { .. } = task.payload {
-            batch.push(executor.execute(&task));
-            cell.reply.send(&mut batch);
-            continue;
+            self.batch.push(executor.execute(&task));
+            cell.reply.send(&mut self.batch, clock());
+            return;
         }
         let invocation = task.invocation;
-        batch.push(execute_inflight(executor, inflight, task));
+        self.execute(executor, task);
         // Coalesce: execute the same invocation's tasks queued next and reply
         // with one batch. A task of another invocation, or a faulted one,
         // ends the batch and stays queued.
         let same = |next: &Task| {
             next.invocation == invocation && !matches!(next.payload, TaskPayload::Faulted { .. })
         };
-        while batch.len() < ENGINE_COALESCE_MAX {
-            let Some(next) = cell.lock().pop_if(same) else {
+        while self.batch.len() < ENGINE_COALESCE_MAX {
+            let Some(next) = cell.transition(|engines| engines.pop_if(same)) else {
                 break;
             };
-            batch.push(execute_inflight(executor, inflight, next));
+            self.execute(executor, next);
         }
         // Chaos hook: a panic here dies *before* delivery, exercising the
         // requeue-once path.
@@ -522,11 +574,19 @@ fn run_engine(cell: &PoolCell, inflight: &mut Vec<Task>) {
         // Applies the batch to the table and what it causes — successor
         // tasks, settle callbacks — on this thread. A result for an
         // invocation the table no longer holds is dropped there.
-        cell.reply.send(&mut batch);
-        inflight.clear();
+        cell.reply.send(&mut self.batch, clock());
+        self.inflight.clear();
         // Chaos hook: a panic here dies *after* delivery — the respawn
         // keeps the pool size, and nothing is requeued.
         fail_point!("engine/after-reply");
+    }
+
+    /// Parks `task` in the in-flight list — where supervision finds it if
+    /// the engine dies before the reply — and executes it from there.
+    fn execute(&mut self, executor: &EngineExecutor, task: Task) {
+        self.inflight.push(task);
+        let task = self.inflight.last().expect("pushed above");
+        self.batch.push(execute_supervised(executor, task));
     }
 }
 
@@ -540,13 +600,19 @@ pub struct EnginePool {
 impl EnginePool {
     /// An empty pool whose queue holds up to `capacity` tasks and whose
     /// engines execute through `executor` and hand their results to
-    /// `reply`.
-    pub(crate) fn new(executor: EngineExecutor, capacity: usize, reply: ReplySender) -> Self {
+    /// `reply`; with `threaded`, each engine is a thread.
+    pub(crate) fn new(
+        executor: EngineExecutor,
+        capacity: usize,
+        reply: ReplySender,
+        threaded: bool,
+    ) -> Self {
         let cell = Arc::new(PoolCell {
             engines: Mutex::new(Engines::new(capacity)),
             available: Condvar::new(),
             executor,
             reply,
+            threaded,
         });
         Self { cell }
     }
@@ -561,8 +627,9 @@ impl EnginePool {
         self.cell.lock().len()
     }
 
-    /// Number of engines running: right after a shrink this still counts
-    /// the engines that have yet to take their stop tickets.
+    /// Number of engines running, threads or a stepped pool's turns alike:
+    /// right after a shrink this still counts the engines that have yet to
+    /// take their stop tickets.
     pub fn engine_count(&self) -> usize {
         self.cell.lock().running
     }
@@ -584,15 +651,30 @@ impl EnginePool {
 
     /// Replaces the respawn budget (tests tighten it to prove exhaustion).
     pub fn set_restart_budget(&self, budget: usize) {
-        self.cell.lock().restarts_left = budget;
+        self.cell.transition(|pool| pool.restarts_left = budget);
     }
 
     /// Grows or shrinks the pool to `target` engines: a grow takes back the
     /// stop tickets no engine has taken yet and starts threads for the rest
     /// at once; a shrink hands out stop tickets (module docs).
     pub fn resize(&self, target: usize) {
-        let effects = self.cell.lock().resize(target);
+        let effects = self.cell.transition(|engines| engines.resize(target));
         apply(&self.cell, effects);
+    }
+
+    /// A stepped pool's engines, on the calling thread: runs batches, each
+    /// settled at `now`, until no engine has a turn or `budget` ran, and
+    /// returns how many ran.
+    pub(crate) fn run_queued(&self, budget: usize, now: Instant) -> usize {
+        let mut ran = 0;
+        supervised(&self.cell, |engine| {
+            while ran < budget {
+                let Some(task) = self.cell.turn() else { break };
+                engine.run_batch(&self.cell, task, || now);
+                ran += 1;
+            }
+        });
+        ran
     }
 
     /// Stops every engine, waits for the threads to exit, then answers the
@@ -610,13 +692,13 @@ impl EnginePool {
                 let _ = handle.join();
             }
         }
-        let leftovers = self.cell.lock().shutdown();
+        let leftovers = self.cell.transition(Engines::shutdown);
         if !leftovers.is_empty() {
             let mut batch = leftovers
                 .iter()
                 .map(|task| task.failed(DandelionError::Cancelled))
                 .collect();
-            self.cell.reply.send(&mut batch);
+            self.cell.reply.send(&mut batch, Instant::now());
         }
     }
 }
@@ -630,13 +712,34 @@ impl Drop for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::reply_channel;
     use dandelion_common::config::IsolationKind;
     use dandelion_common::InvocationId;
     use dandelion_http::HttpRequest;
     use dandelion_isolation::{create_backend, FunctionArtifact, FunctionCtx, HardwarePlatform};
     use dandelion_services::ObjectStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl PoolCell {
+        /// Dequeues the next task if one is queued, without blocking.
+        pub(crate) fn try_pop(&self) -> Option<Task> {
+            self.transition(|engines| engines.pop_if(|_| true))
+        }
+
+        /// Hands `results` to the pool's sink at `now`, as an engine does.
+        pub(crate) fn answer(&self, results: &mut Vec<TaskResult>, now: Instant) {
+            self.reply.send(results, now);
+        }
+    }
+
+    /// A sink that forwards every batch to a channel, with the channel's
+    /// receiving end: the dispatcher's side of a pool under test.
+    fn reply_channel() -> (ReplySender, std::sync::mpsc::Receiver<Vec<TaskResult>>) {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let sink = ReplySender::new(move |batch, _| {
+            let _ = sender.send(std::mem::take(batch));
+        });
+        (sink, receiver)
+    }
 
     /// A compute pool of no engine whose queue holds `capacity` tasks and
     /// whose engines answer through `reply`.
@@ -646,7 +749,7 @@ mod tests {
             backend,
             function_timeout: Duration::from_secs(5),
         };
-        EnginePool::new(executor, capacity, reply)
+        EnginePool::new(executor, capacity, reply, true)
     }
 
     fn compute_pool(reply: ReplySender) -> EnginePool {
@@ -662,7 +765,7 @@ mod tests {
             registry: Arc::new(registry),
             policy: Arc::new(ValidationPolicy::default()),
         };
-        (EnginePool::new(executor, 1024, reply), store)
+        (EnginePool::new(executor, 1024, reply, true), store)
     }
 
     fn echo_artifact() -> Arc<FunctionArtifact> {
@@ -910,7 +1013,7 @@ mod tests {
     /// A pool of no engine whose queue holds `capacity` tasks and whose
     /// answers nobody reads.
     fn idle_pool(capacity: usize) -> EnginePool {
-        compute_pool_of(capacity, ReplySender::new(|_| {}))
+        compute_pool_of(capacity, ReplySender::new(|_, _| {}))
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   that execute trusted I/O functions cooperatively ([`EnginePool`]);
 //! * the **control plane**: a PI controller that re-balances CPU cores
 //!   between compute and communication engines every 30 ms based on queue
-//!   growth ([`Step`]), stepped by the worker's driver thread;
+//!   growth ([`Step`]), stepped by the worker's timers;
 //! * the **HTTP frontend** for registration and invocation ([`frontend`]),
 //!   exposing the versioned v1 JSON API with non-blocking
 //!   submit/poll invocation endpoints;
@@ -26,9 +26,9 @@
 //!
 //! The crate is usable both as a real multi-threaded runtime (see
 //! [`WorkerNode`], the one place that wires these pieces together and
-//! drives them) and as a library of policy components: the
-//! discrete-event simulator in `dandelion-sim` reuses the PI controller
-//! under virtual time.
+//! drives them, on its threads or stepped by its caller) and as a library
+//! of policy components: the discrete-event simulator in `dandelion-sim`
+//! reuses the PI controller under virtual time.
 
 #![warn(unnameable_types)]
 
@@ -52,7 +52,7 @@ pub use engine::EnginePool;
 pub use frontend::{sync_invoke_response, Frontend, FrontendReply, StatsSource};
 pub use invocation::{InstanceCompletion, InstanceSpec, InvocationState};
 pub use registry::Registry;
-pub use worker::{default_test_services, WorkerNode, WorkerStats};
+pub use worker::{default_test_services, Stepped, WorkerNode, WorkerStats};
 
 /// The guard of a lock whose every update leaves its data whole, poisoned or
 /// not (the lock rule in `dandelion_common`'s crate docs).

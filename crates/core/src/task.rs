@@ -7,7 +7,7 @@
 //! in-flight table on the engine's own thread: no result crosses a channel.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dandelion_common::config::EngineKind;
 use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
@@ -60,10 +60,10 @@ impl TaskPayload {
 
 /// Where an engine hands the results of the tasks it ran: one cloneable
 /// completion sink per dispatcher, held by each of its engine pools. The
-/// dispatcher's sink applies the results to its in-flight table and then what
-/// they cause (successor tasks, settle callbacks), all on the calling
-/// engine's thread; a test that builds a pool by hand wraps its channel in
-/// one.
+/// dispatcher's sink applies the results to its in-flight table at the `now`
+/// its caller passes, and then what they cause (successor tasks, settle
+/// callbacks), all on the calling engine's thread; it reads no clock itself,
+/// so a stepped worker settles at its caller's time.
 ///
 /// Results come in *batches*: an engine coalesces the results of
 /// consecutively executed same-invocation tasks into one call, so a fan-out
@@ -71,21 +71,23 @@ impl TaskPayload {
 #[derive(Clone)]
 pub(crate) struct ReplySender(Arc<BatchSink>);
 
-/// What a [`ReplySender`] calls with each batch.
-type BatchSink = dyn Fn(&mut Vec<TaskResult>) + Send + Sync;
+/// What a [`ReplySender`] calls with each batch and the time it settles at.
+type BatchSink = dyn Fn(&mut Vec<TaskResult>, Instant) + Send + Sync;
 
 impl ReplySender {
     /// A sink that hands every batch to `sink`, which takes the results out
     /// of the list.
-    pub(crate) fn new(sink: impl Fn(&mut Vec<TaskResult>) + Send + Sync + 'static) -> Self {
+    pub(crate) fn new(
+        sink: impl Fn(&mut Vec<TaskResult>, Instant) + Send + Sync + 'static,
+    ) -> Self {
         Self(Arc::new(sink))
     }
 
-    /// Hands one batch of results to the sink. The list comes back empty
-    /// — whatever the sink left in it is dropped — for the caller's next
-    /// batch, so an engine allocates its batch list once.
-    pub(crate) fn send(&self, results: &mut Vec<TaskResult>) {
-        (self.0)(results);
+    /// Hands one batch of results, settled at `now`, to the sink. The list
+    /// comes back empty — whatever the sink left in it is dropped — for the
+    /// caller's next batch, so an engine allocates its batch list once.
+    pub(crate) fn send(&self, results: &mut Vec<TaskResult>, now: Instant) {
+        (self.0)(results, now);
         results.clear();
     }
 }
@@ -94,17 +96,6 @@ impl std::fmt::Debug for ReplySender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ReplySender")
     }
-}
-
-/// A sink that forwards every batch to a channel, with the channel's
-/// receiving end: the engine's side of a test that steps the table itself.
-#[cfg(test)]
-pub(crate) fn reply_channel() -> (ReplySender, std::sync::mpsc::Receiver<Vec<TaskResult>>) {
-    let (sender, receiver) = std::sync::mpsc::channel();
-    let sink = ReplySender::new(move |batch| {
-        let _ = sender.send(std::mem::take(batch));
-    });
-    (sink, receiver)
 }
 
 /// A schedulable unit of work.

@@ -3,12 +3,19 @@
 //! A [`WorkerNode`] assembles the pieces of Figure 4: the registry, the
 //! dispatcher, the compute and communication engine pools, and the control
 //! plane that re-balances cores between them. It is the one place that
-//! builds them, and it owns the worker's one thread besides the engines,
-//! the *driver*, which keeps the clock: it sleeps until the stall reaper
-//! (every 100 ms), the buffer pool's release (every 500 ms) or, with control
-//! on, the core controller is due, and after every wake reads the clock once
-//! and runs what is due, busy or idle. It exposes the programmatic API used
-//! by examples and benchmarks; the HTTP surface lives in [`crate::frontend`].
+//! builds them, in one of two shells. A threaded worker ([`WorkerNode::start`])
+//! runs each engine on a thread that loops on its batches, and one more
+//! thread, the *driver*, which keeps the clock: it sleeps until the next
+//! timer is due, reads the clock once and ticks — the stall reaper (every
+//! 100 ms), the buffer pool's release (every 500 ms) and, with control on,
+//! the core controller, each when due, busy or idle. A stepped worker
+//! ([`WorkerNode::stepped`]) starts no thread: its caller's
+//! [`WorkerNode::step`] runs the queued batches through the engines' same
+//! step and then ticks, at the caller's `now`. Nothing else moves it, so
+//! `wait(None)`, `invoke` and `drain` on it wait for a `step` that only the
+//! caller can make, as on a threaded worker resized to zero engines. It
+//! exposes the programmatic API used by examples and benchmarks; the HTTP
+//! surface lives in [`crate::frontend`].
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -25,7 +32,7 @@ use dandelion_http::validate::ValidationPolicy;
 use dandelion_isolation::{create_backend, FunctionArtifact, HardwarePlatform};
 use dandelion_services::ServiceRegistry;
 
-use crate::control::{CoreAllocation, PoolControl, Step};
+use crate::control::{CoreAllocation, Step};
 use crate::dispatcher::{
     DispatchMetrics, Dispatcher, InvocationHandle, InvocationOutcome, InvocationSnapshot,
 };
@@ -33,10 +40,10 @@ use crate::engine::{EngineExecutor, EnginePool};
 use crate::recover;
 use crate::registry::Registry;
 
-/// How often the driver fails invocations that stopped making progress.
+/// How often the timers fail invocations that stopped making progress.
 pub(crate) const REAP_PERIOD: Duration = Duration::from_millis(100);
 
-/// How often the driver looks at what the buffer pool retains: a buffer
+/// How often the timers look at what the buffer pool retains: a buffer
 /// nobody needed since the look before, half a second, is given back, so a
 /// node's memory is back about a second after a load.
 const POOL_RELEASE_PERIOD: Duration = Duration::from_millis(500);
@@ -79,9 +86,25 @@ pub struct WorkerNode {
     /// Drain signal: while set, `submit` refuses new work so in-flight
     /// invocations can finish (rolling restarts, gateway-driven draining).
     draining: std::sync::atomic::AtomicBool,
-    /// The driver thread, and the sender whose drop stops it.
+    /// The periodic jobs, ticked by the driver or by `step`.
+    timers: Arc<Mutex<Timers>>,
+    /// A threaded worker's driver, and the sender whose drop stops it.
     driver: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
 }
+
+/// What [`WorkerNode::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stepped {
+    /// Engine batches run, across both pools.
+    pub batches: usize,
+    /// Tasks still queued: left by the budget, or on a pool with no engine.
+    pub queued: usize,
+    /// When the next timer is due.
+    pub next_due: Instant,
+}
+
+/// The most batches one [`WorkerNode::step`] runs before it ticks.
+const STEP_BATCHES: usize = 1024;
 
 impl WorkerNode {
     /// Starts a worker node with the given configuration and remote-service
@@ -96,6 +119,23 @@ impl WorkerNode {
         config: WorkerConfig,
         services: ServiceRegistry,
         enable_control_plane: bool,
+    ) -> DandelionResult<Arc<Self>> {
+        Self::build(config, services, enable_control_plane, true)
+    }
+
+    /// A worker, with control on, that starts no thread: its caller moves
+    /// it with [`WorkerNode::step`] (module docs).
+    pub fn stepped(config: WorkerConfig, services: ServiceRegistry) -> DandelionResult<Arc<Self>> {
+        Self::build(config, services, true, false)
+    }
+
+    /// The one wiring of both shells; with `threaded`, the engines and the
+    /// timers get their threads.
+    fn build(
+        config: WorkerConfig,
+        services: ServiceRegistry,
+        enable_control_plane: bool,
+        threaded: bool,
     ) -> DandelionResult<Arc<Self>> {
         config.validate().map_err(DandelionError::Config)?;
         // Chaos runs configure fault injection through the environment; in
@@ -119,8 +159,9 @@ impl WorkerNode {
                 registry: Arc::clone(&services),
                 policy: Arc::new(ValidationPolicy::default()),
             };
-            let compute = EnginePool::new(compute, config.queue_capacity, reply.clone());
-            let communication = EnginePool::new(communication, config.queue_capacity, reply);
+            let capacity = config.queue_capacity;
+            let compute = EnginePool::new(compute, capacity, reply.clone(), threaded);
+            let communication = EnginePool::new(communication, capacity, reply, threaded);
             let shell = Dispatcher::new(
                 Arc::clone(&registry),
                 &config,
@@ -135,24 +176,34 @@ impl WorkerNode {
         compute_pool.resize(config.initial_compute_cores());
         communication_pool.resize(config.initial_communication_cores);
 
-        let control = enable_control_plane.then(|| PoolControl {
-            step: Step::new(
-                config.controller,
-                CoreAllocation::new(
-                    config.initial_compute_cores(),
-                    config.initial_communication_cores,
-                ),
-            ),
-            compute: Arc::clone(&compute_pool),
-            communication: Arc::clone(&communication_pool),
+        let now = Instant::now();
+        let control = enable_control_plane.then(|| {
+            let initial = CoreAllocation::new(
+                config.initial_compute_cores(),
+                config.initial_communication_cores,
+            );
+            let pools = [Arc::clone(&compute_pool), Arc::clone(&communication_pool)];
+            (
+                now + config.controller.interval,
+                Step::new(config.controller, initial),
+                pools,
+            )
         });
-
-        let (stop, stopped) = channel();
-        let driven = Arc::clone(&dispatcher);
-        let driver = std::thread::Builder::new()
-            .name("dandelion-dispatcher".to_string())
-            .spawn(move || driver_loop(&driven, &stopped, control))
-            .expect("spawning the worker's driver thread");
+        let timers = Arc::new(Mutex::new(Timers {
+            dispatcher: Arc::clone(&dispatcher),
+            reap: now + REAP_PERIOD,
+            release: now + POOL_RELEASE_PERIOD,
+            control,
+        }));
+        let driver = threaded.then(|| {
+            let (stop, stopped) = channel();
+            let ticked = Arc::clone(&timers);
+            let driver = std::thread::Builder::new()
+                .name("dandelion-dispatcher".to_string())
+                .spawn(move || driver_loop(&ticked, &stopped))
+                .expect("spawning the worker's driver thread");
+            (stop, driver)
+        });
 
         Ok(Arc::new(Self {
             config,
@@ -163,8 +214,36 @@ impl WorkerNode {
             communication_pool,
             metrics,
             draining: std::sync::atomic::AtomicBool::new(false),
-            driver: Mutex::new(Some((stop, driver))),
+            timers,
+            driver: Mutex::new(driver),
         }))
+    }
+
+    /// Steps a stepped worker at `now`, on the calling thread: runs queued
+    /// batches through the engines' step, each settled at `now`, until the
+    /// queues are empty or a budget is reached, then the timers due at `now`.
+    ///
+    /// # Panics
+    ///
+    /// On a running threaded worker, which its own threads step.
+    pub fn step(&self, now: Instant) -> Stepped {
+        let threaded = recover(self.driver.lock()).is_some();
+        assert!(!threaded, "a threaded worker is stepped by its own threads");
+        let mut batches = 0;
+        while batches < STEP_BATCHES {
+            let before = batches;
+            for pool in [&self.compute_pool, &self.communication_pool] {
+                batches += pool.run_queued(STEP_BATCHES - batches, now);
+            }
+            if batches == before {
+                break;
+            }
+        }
+        Stepped {
+            batches,
+            queued: self.compute_pool.len() + self.communication_pool.len(),
+            next_due: recover(self.timers.lock()).tick(now),
+        }
     }
 
     /// The worker's configuration.
@@ -293,9 +372,15 @@ impl WorkerNode {
     /// network server stops admitting work, drains, and only then calls
     /// [`WorkerNode::shutdown`] — so accepted invocations finish instead of
     /// failing with [`DandelionError::Cancelled`].
-    pub fn drain(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        self.wait_drained(deadline)
+    pub fn drain(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while self.inflight() > 0 {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        true
     }
 
     /// Raises the drain signal: [`WorkerNode::submit`] refuses further work
@@ -316,16 +401,6 @@ impl WorkerNode {
         self.draining.load(Ordering::SeqCst)
     }
 
-    fn wait_drained(&self, deadline: std::time::Instant) -> bool {
-        while self.inflight() > 0 {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        true
-    }
-
     /// Stops the driver (and with it the control plane), then every
     /// engine. Unsettled invocations fail with [`DandelionError::Cancelled`],
     /// and later submissions are refused with it.
@@ -335,6 +410,7 @@ impl WorkerNode {
             drop(stop);
             let _ = driver.join();
         }
+        self.dispatcher.cancel_all(Instant::now());
         self.compute_pool.shutdown();
         self.communication_pool.shutdown();
     }
@@ -346,41 +422,60 @@ impl Drop for WorkerNode {
     }
 }
 
-/// The driver keeps the worker's clock: it sleeps until the next timer is
-/// due or `shutdown` drops the sender of `stop` (nothing is ever sent on
-/// it), runs what is due, and ends with the dispatcher's final sweep.
-fn driver_loop(dispatcher: &Dispatcher, stop: &Receiver<()>, control: Option<PoolControl>) {
-    let mut now = Instant::now();
-    let (mut reap, mut release) = (now + REAP_PERIOD, now + POOL_RELEASE_PERIOD);
-    let mut control = control.map(|control| (now + control.step.interval(), control));
-    loop {
-        let next = reap.min(release);
-        let next = control
-            .as_ref()
-            .map_or(next, |(next_step, _)| next.min(*next_step));
-        let woken = stop.recv_timeout(next.saturating_duration_since(now));
-        now = Instant::now();
-        if woken != Err(RecvTimeoutError::Timeout) {
-            break;
-        }
-        if reap <= now {
-            dispatcher.reap(now);
-            reap = now + REAP_PERIOD;
+/// The worker's timers: when each periodic job is due next, and what it
+/// runs.
+struct Timers {
+    dispatcher: Arc<Dispatcher>,
+    reap: Instant,
+    release: Instant,
+    /// With control on, the core controller over the compute and the
+    /// communication pool.
+    control: Option<(Instant, Step, [Arc<EnginePool>; 2])>,
+}
+
+impl Timers {
+    /// Runs each job due at `now`; returns when the next one is due.
+    fn tick(&mut self, now: Instant) -> Instant {
+        if self.reap <= now {
+            self.dispatcher.reap(now);
+            self.reap = now + REAP_PERIOD;
         }
         // Committed memory follows the load: what the pool retains and
         // nothing has needed since the look before is freed.
-        if release <= now {
+        if self.release <= now {
             BufferPool::global().release_unused();
-            release = now + POOL_RELEASE_PERIOD;
+            self.release = now + POOL_RELEASE_PERIOD;
         }
-        if let Some((next_step, control)) = &mut control {
-            if *next_step <= now {
-                control.run();
-                *next_step = now + control.step.interval();
+        let mut next = self.reap.min(self.release);
+        if let Some((due, step, [compute, communication])) = &mut self.control {
+            if *due <= now {
+                // Samples both queues and resizes the pools when the split
+                // changes.
+                if let Some(split) = step.step(compute.len(), communication.len()) {
+                    compute.resize(split.compute);
+                    communication.resize(split.communication);
+                }
+                *due = now + step.interval();
             }
+            next = next.min(*due);
         }
+        next
     }
-    dispatcher.cancel_all(now);
+}
+
+/// The driver keeps a threaded worker's clock: it ticks, then sleeps until
+/// the next timer is due or `shutdown` drops the sender of `stop` (nothing
+/// is ever sent on it).
+fn driver_loop(timers: &Mutex<Timers>, stop: &Receiver<()>) {
+    let mut now = Instant::now();
+    loop {
+        let next = recover(timers.lock()).tick(now);
+        let woken = stop.recv_timeout(next.saturating_duration_since(now));
+        if woken != Err(RecvTimeoutError::Timeout) {
+            return;
+        }
+        now = Instant::now();
+    }
 }
 
 /// Convenience constructor: a worker with the default registry of simulated
@@ -434,6 +529,14 @@ mod tests {
     use super::*;
     use dandelion_common::config::IsolationKind;
     use dandelion_isolation::FunctionCtx;
+
+    impl WorkerNode {
+        /// What the dispatcher's rows step by hand.
+        pub(crate) fn parts(&self) -> (Arc<Registry>, Arc<Dispatcher>, Arc<DispatchMetrics>) {
+            let (registry, dispatcher) = (Arc::clone(&self.registry), Arc::clone(&self.dispatcher));
+            (registry, dispatcher, Arc::clone(&self.metrics))
+        }
+    }
 
     fn small_config() -> WorkerConfig {
         WorkerConfig {

@@ -160,11 +160,11 @@ impl FunctionArtifact {
 
 /// Record of a syscall attempted by the function.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyscallAttempt {
+pub(crate) struct SyscallAttempt {
     /// The syscall name the function asked for.
-    pub name: String,
+    pub(crate) name: String,
     /// What the policy decided.
-    pub disposition: SyscallDisposition,
+    pub(crate) disposition: SyscallDisposition,
 }
 
 /// The execution context handed to user code.
@@ -363,7 +363,8 @@ impl FunctionCtx {
     }
 
     /// Returns the syscalls the function attempted.
-    pub fn syscall_attempts(&self) -> &[SyscallAttempt] {
+    #[cfg(test)]
+    pub(crate) fn syscall_attempts(&self) -> &[SyscallAttempt] {
         &self.syscall_attempts
     }
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use dandelion_common::config::IsolationKind;
 use dandelion_common::{DandelionError, DandelionResult, DataItem, DataSet};
 
-use crate::abi::{FunctionArtifact, FunctionCtx, SyscallAttempt};
+use crate::abi::{FunctionArtifact, FunctionCtx};
 use crate::context::MemoryContext;
 use crate::cost::{SandboxCostModel, Stage};
 use crate::output_parser::{self, FrameEntry};
@@ -124,8 +124,6 @@ pub struct ExecutionReport {
     pub modeled: StageTimings,
     /// Peak bytes committed in the function's memory context.
     pub context_high_water: usize,
-    /// Syscalls the function attempted (all stubbed or the last one fatal).
-    pub syscall_attempts: Vec<SyscallAttempt>,
 }
 
 impl ExecutionReport {
@@ -265,7 +263,6 @@ impl IsolationBackend for StagedExecutor {
         let run_result = catch_unwind(AssertUnwindSafe(|| artifact.logic.run(&mut ctx)));
         let body_elapsed = lap(Stage::Execute);
 
-        let syscall_attempts = ctx.syscall_attempts().to_vec();
         match run_result {
             Err(_) => {
                 return Err(DandelionError::FunctionFault {
@@ -326,7 +323,6 @@ impl IsolationBackend for StagedExecutor {
             measured,
             modeled,
             context_high_water: high_water,
-            syscall_attempts,
         })
     }
 }

@@ -51,7 +51,7 @@ mod cost;
 pub mod output_parser;
 mod policy;
 
-pub use abi::{ComputeLogic, FunctionArtifact, FunctionCtx, FunctionError, SyscallAttempt};
+pub use abi::{ComputeLogic, FunctionArtifact, FunctionCtx, FunctionError};
 pub use backend::{ExecutionReport, ExecutionTask, IsolationBackend, StageTimings};
 pub use backends::create_backend;
 pub use context::MemoryContext;

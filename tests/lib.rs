@@ -11,7 +11,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dandelion_core::WorkerNode;
+use dandelion_common::DandelionResult;
+use dandelion_core::{InvocationHandle, InvocationOutcome, WorkerNode};
 
 /// What one thread asked of the heap while [`heap_use_of`] watched it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -216,6 +217,32 @@ pub fn live_heap_bytes() -> usize {
 /// (all applications registered, zero-latency simulated services).
 pub fn demo_worker() -> Arc<WorkerNode> {
     dandelion_apps::setup::demo_worker(4, false).expect("demo worker starts")
+}
+
+/// The demo worker's wiring on the stepped shell: the same configuration,
+/// services and applications, and no thread; nothing runs until
+/// [`settle_stepped`] steps it.
+pub fn stepped_demo_worker() -> Arc<WorkerNode> {
+    use dandelion_apps::setup::{demo_config, demo_services, register_applications};
+    let worker =
+        WorkerNode::stepped(demo_config(4), demo_services(false)).expect("stepped worker builds");
+    register_applications(&worker).expect("demo applications register");
+    worker
+}
+
+/// Steps `worker` at the wall clock until `handle` settles, and takes its
+/// outcome.
+pub fn settle_stepped(
+    worker: &WorkerNode,
+    handle: &InvocationHandle,
+) -> DandelionResult<InvocationOutcome> {
+    for _ in 0..1000 {
+        worker.step(std::time::Instant::now());
+        if let Some(outcome) = handle.try_result() {
+            return outcome;
+        }
+    }
+    panic!("{handle:?} did not settle in 1000 steps");
 }
 
 /// A writer modelling a non-blocking socket's send buffer: it accepts at
