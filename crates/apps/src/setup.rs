@@ -8,7 +8,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::DandelionResult;
 use dandelion_core::WorkerNode;
 use dandelion_query::generate_database;
@@ -166,7 +166,6 @@ pub fn demo_config(total_cores: usize) -> WorkerConfig {
     WorkerConfig {
         total_cores: total_cores.max(2),
         initial_communication_cores: (total_cores / 4).max(1),
-        isolation: IsolationKind::Native,
         function_timeout: Duration::from_secs(60),
         ..WorkerConfig::default()
     }

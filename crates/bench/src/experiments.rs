@@ -250,8 +250,9 @@ pub(crate) fn table1_sandbox_breakdown() -> Report {
     report.header(&["stage", "CHERI", "rWasm", "process", "KVM"]);
 
     // Execute the real 1x1 matmul through every backend to confirm the
-    // functional path, then report the calibrated per-stage model (the
-    // function body itself adds only a few microseconds).
+    // functional path, then report the backend's calibrated per-stage model
+    // with a cold binary (the function body itself adds only a few
+    // microseconds).
     let inputs = vec![dandelion_apps::matmul::matmul_inputs(1, 1)];
     let artifact = Arc::new(dandelion_apps::matmul::matmul_artifact());
     let mut totals = Vec::new();
@@ -261,10 +262,10 @@ pub(crate) fn table1_sandbox_breakdown() -> Report {
         .collect();
     for (backend, _) in paper_totals {
         let isolation = create_backend(backend, HardwarePlatform::Morello);
-        let task = ExecutionTask::new(Arc::clone(&artifact), inputs.clone()).with_cold_binary(true);
+        let task = ExecutionTask::new(Arc::clone(&artifact), inputs.clone());
         let execution = isolation.execute(&task).expect("matmul executes");
         assert_eq!(execution.outputs.len(), 1, "matmul produced its output");
-        let model = isolation.cost_model();
+        let model = SandboxCostModel::for_backend(backend, HardwarePlatform::Morello);
         for (row, stage) in stage_rows.iter_mut().zip(Stage::ALL.iter()) {
             row.push(format!("{}", model.stage_cost(*stage, true).as_micros()));
         }

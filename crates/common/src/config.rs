@@ -2,12 +2,14 @@
 
 use std::time::Duration;
 
-/// Which memory isolation mechanism a compute engine uses.
+/// A memory isolation mechanism: the syscall policy its sandbox runs a
+/// function under, and the cost model its stages are charged by in
+/// virtual-time experiments.
 ///
 /// The paper implements four backends and shows that the platform design is
 /// not tied to any particular one (§6.2). `Native` is a fifth, repo-only
-/// backend that executes the function directly and is used as the functional
-/// reference in tests.
+/// backend that executes the function directly; a worker node's compute
+/// engines run it, and no kind is a worker setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsolationKind {
     /// CHERI hybrid-capability isolation within a single address space.
@@ -96,24 +98,21 @@ impl Default for ControllerConfig {
     }
 }
 
-/// Worker-node configuration.
+/// Worker-node configuration: cores, queues, timeouts and retention. What a
+/// task would cost in a sandbox of the paper's hardware is not a worker
+/// setting; the simulator's configuration carries that model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerConfig {
     /// Total CPU cores available to engines on this node.
     pub total_cores: usize,
     /// Cores initially assigned to communication engines.
     pub initial_communication_cores: usize,
-    /// Isolation backend used by compute engines.
-    pub isolation: IsolationKind,
     /// Default compute-function timeout before preemption.
     pub function_timeout: Duration,
     /// Upper bound on queued tasks per engine type before back-pressure.
     pub queue_capacity: usize,
     /// PI controller parameters.
     pub controller: ControllerConfig,
-    /// Fraction of invocations whose function binary must be loaded from
-    /// disk rather than the in-memory cache (the paper uses 3%).
-    pub binary_cold_load_ratio: f64,
     /// How many finished invocations the in-flight table retains for result
     /// polling before the oldest are expired.
     pub completed_retention: usize,
@@ -128,11 +127,9 @@ impl Default for WorkerConfig {
         Self {
             total_cores: 16,
             initial_communication_cores: 2,
-            isolation: IsolationKind::Process,
             function_timeout: Duration::from_secs(30),
             queue_capacity: 65_536,
             controller: ControllerConfig::default(),
-            binary_cold_load_ratio: 0.03,
             completed_retention: 1024,
             engine_stall_grace: Duration::from_secs(30),
         }
@@ -153,9 +150,6 @@ impl WorkerConfig {
                 "initial_communication_cores must be in 1..{}",
                 self.total_cores
             ));
-        }
-        if !(0.0..=1.0).contains(&self.binary_cold_load_ratio) {
-            return Err("binary_cold_load_ratio must be within [0, 1]".into());
         }
         if self.controller.min_cores_per_kind == 0 {
             return Err("controller.min_cores_per_kind must be at least 1".into());
@@ -196,7 +190,7 @@ mod tests {
         assert!(config.validate().is_err());
 
         config.initial_communication_cores = 2;
-        config.binary_cold_load_ratio = 1.5;
+        config.controller.min_cores_per_kind = 0;
         assert!(config.validate().is_err());
     }
 

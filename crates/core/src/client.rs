@@ -292,12 +292,6 @@ fn parse_report_json(report: Option<&JsonValue>) -> InvocationReport {
         compute_tasks: count("compute_tasks"),
         communication_tasks: count("communication_tasks"),
         peak_context_bytes: count("peak_context_bytes"),
-        modeled_busy_time: Duration::from_micros(
-            report
-                .get("modeled_busy_us")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or_default(),
-        ),
     }
 }
 
@@ -305,7 +299,7 @@ fn parse_report_json(report: Option<&JsonValue>) -> InvocationReport {
 mod tests {
     use super::*;
     use crate::worker::{default_test_services, WorkerNode};
-    use dandelion_common::config::{IsolationKind, WorkerConfig};
+    use dandelion_common::config::WorkerConfig;
     use dandelion_isolation::{FunctionArtifact, FunctionCtx};
 
     const IDENTITY_DSL: &str =
@@ -322,7 +316,6 @@ mod tests {
         let config = WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 1,
-            isolation: IsolationKind::Native,
             ..WorkerConfig::default()
         };
         let worker =

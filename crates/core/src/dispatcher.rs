@@ -48,7 +48,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use dandelion_common::config::WorkerConfig;
-use dandelion_common::rng::SplitMix64;
 use dandelion_common::{
     fail_point, DandelionError, DandelionResult, DataSet, InvocationId, LatencyHistogram,
 };
@@ -76,10 +75,6 @@ pub struct InvocationReport {
     pub communication_tasks: usize,
     /// Sum of peak memory-context bytes across all compute tasks.
     pub peak_context_bytes: usize,
-    /// Sum of the modeled latencies of all tasks (an upper bound on the
-    /// modeled critical path; exact path accounting is done by the
-    /// simulator).
-    pub modeled_busy_time: Duration,
 }
 
 impl InvocationReport {
@@ -87,7 +82,6 @@ impl InvocationReport {
         self.compute_tasks += other.compute_tasks;
         self.communication_tasks += other.communication_tasks;
         self.peak_context_bytes += other.peak_context_bytes;
-        self.modeled_busy_time += other.modeled_busy_time;
     }
 }
 
@@ -236,7 +230,6 @@ impl ParentLink {
             instance: self.instance,
             outcome,
             context_high_water: 0,
-            modeled_latency: Duration::ZERO,
         }
     }
 }
@@ -331,92 +324,67 @@ enum Work {
     Spawn(ParentLink, Arc<CompositionGraph>, Vec<DataSet>),
 }
 
-/// Seed of the cold-binary draw sequence.
-const COLD_DRAW_SEED: u64 = 0xDA4D_E110;
-
-/// Draws whether a compute task's binary must be loaded cold, with
-/// probability `ratio`. A ratio of 0 or 1 has one outcome and draws nothing.
-fn draw_cold_binary(draws: &mut SplitMix64, ratio: f64) -> bool {
-    if ratio <= 0.0 {
-        return false;
-    }
-    if ratio >= 1.0 {
-        return true;
-    }
-    draws.bernoulli(ratio)
-}
-
 /// Turns a ready instance into an engine task or a child invocation.
-struct Launcher {
-    registry: Arc<Registry>,
-    cold_draws: SplitMix64,
-    cold_ratio: f64,
-}
-
-impl Launcher {
-    fn launch(
-        &mut self,
-        id: InvocationId,
-        spec: InstanceSpec<'_>,
-        report: &mut InvocationReport,
-        tasks: &mut Vec<Task>,
-        work: &mut VecDeque<Work>,
-    ) -> DandelionResult<()> {
-        let vertex =
-            self.registry
-                .resolve(spec.vertex)
-                .ok_or_else(|| DandelionError::NotFound {
-                    kind: "vertex",
-                    name: spec.vertex.to_string(),
-                })?;
-        let payload = match vertex {
-            Vertex::Compute(artifact) => {
-                report.compute_tasks += 1;
-                TaskPayload::Compute {
-                    artifact,
-                    // The dataflow built the inputs in their shared form;
-                    // from here on they are shared, never cloned.
-                    inputs: spec.inputs,
-                    cold_binary: draw_cold_binary(&mut self.cold_draws, self.cold_ratio),
-                }
+fn launch(
+    registry: &Registry,
+    id: InvocationId,
+    spec: InstanceSpec<'_>,
+    report: &mut InvocationReport,
+    tasks: &mut Vec<Task>,
+    work: &mut VecDeque<Work>,
+) -> DandelionResult<()> {
+    let vertex = registry
+        .resolve(spec.vertex)
+        .ok_or_else(|| DandelionError::NotFound {
+            kind: "vertex",
+            name: spec.vertex.to_string(),
+        })?;
+    let payload = match vertex {
+        Vertex::Compute(artifact) => {
+            report.compute_tasks += 1;
+            TaskPayload::Compute {
+                artifact,
+                // The dataflow built the inputs in their shared form; from
+                // here on they are shared, never cloned.
+                inputs: spec.inputs,
             }
-            Vertex::Communication(_) => {
-                report.communication_tasks += 1;
-                let response_set = spec
-                    .output_sets
-                    .first()
-                    .map_or_else(|| "Response".to_string(), |output| output.set.clone());
-                TaskPayload::Http {
-                    inputs: spec.inputs,
-                    response_set,
-                }
+        }
+        Vertex::Communication(_) => {
+            report.communication_tasks += 1;
+            let response_set = spec
+                .output_sets
+                .first()
+                .map_or_else(|| "Response".to_string(), |output| output.set.clone());
+            TaskPayload::Http {
+                inputs: spec.inputs,
+                response_set,
             }
-            Vertex::Composition(nested) => {
-                // Nested composition: a child invocation in the same table,
-                // completing the parent instance when it settles.
-                let parent = ParentLink {
-                    invocation: id,
-                    node: spec.node,
-                    instance: spec.instance,
-                };
-                // The spec's list is the only one, so its sets move out.
-                let mut inputs = spec.inputs;
-                let inputs = match Arc::get_mut(&mut inputs) {
-                    Some(sets) => sets.iter_mut().map(std::mem::take).collect(),
-                    None => inputs.to_vec(),
-                };
-                work.push_back(Work::Spawn(parent, nested, inputs));
-                return Ok(());
-            }
-        };
-        tasks.push(Task {
-            invocation: id,
-            node: spec.node,
-            instance: spec.instance,
-            payload,
-        });
-        Ok(())
-    }
+        }
+        Vertex::Composition(nested) => {
+            // Nested composition: a child invocation in the same table,
+            // completing the parent instance when it settles.
+            let parent = ParentLink {
+                invocation: id,
+                node: spec.node,
+                instance: spec.instance,
+            };
+            // The spec's list is the only one, so its sets move out.
+            let mut inputs = spec.inputs;
+            let inputs = match Arc::get_mut(&mut inputs) {
+                Some(sets) => sets.iter_mut().map(std::mem::take).collect(),
+                None => inputs.to_vec(),
+            };
+            work.push_back(Work::Spawn(parent, nested, inputs));
+            return Ok(());
+        }
+    };
+    tasks.push(Task {
+        invocation: id,
+        node: spec.node,
+        instance: spec.instance,
+        payload,
+    });
+    Ok(())
 }
 
 /// The in-flight table: every invocation the dispatcher knows about —
@@ -439,7 +407,8 @@ struct InFlight {
     /// the results the next reap compacts.
     uncompacted: usize,
     retention: usize,
-    launcher: Launcher,
+    /// Resolves the vertices of ready instances.
+    registry: Arc<Registry>,
     /// `function_timeout + engine_stall_grace`.
     stall_deadline: Duration,
     metrics: Arc<DispatchMetrics>,
@@ -456,11 +425,7 @@ impl InFlight {
             retained: VecDeque::new(),
             uncompacted: 0,
             retention: config.completed_retention.max(1),
-            launcher: Launcher {
-                registry,
-                cold_draws: SplitMix64::new(COLD_DRAW_SEED),
-                cold_ratio: config.binary_cold_load_ratio,
-            },
+            registry,
             stall_deadline: config.function_timeout + config.engine_stall_grace,
             metrics,
             waiters: 0,
@@ -703,7 +668,6 @@ impl InFlight {
             }
             entry.last_progress = now;
             entry.report.peak_context_bytes += result.context_high_water;
-            entry.report.modeled_busy_time += result.modeled_latency;
             if let Some(child_report) = &child_report {
                 entry.report.merge(child_report);
             }
@@ -715,9 +679,8 @@ impl InFlight {
         if check_ready {
             let failure = match dataflow.ready_instances() {
                 Ok(ready) => ready.into_iter().find_map(|spec| {
-                    self.launcher
-                        .launch(id, spec, &mut entry.report, &mut effects.tasks, work)
-                        .err()
+                    let tasks = &mut effects.tasks;
+                    launch(&self.registry, id, spec, &mut entry.report, tasks, work).err()
                 }),
                 Err(error) => Some(error),
             };
@@ -1125,7 +1088,6 @@ impl std::fmt::Debug for InvocationHandle {
 mod tests {
     use super::*;
     use crate::worker::{WorkerNode, REAP_PERIOD};
-    use dandelion_common::config::IsolationKind;
     use dandelion_common::{DataItem, SharedBytes};
     use dandelion_dsl::{CompositionBuilder, Distribution};
     use dandelion_http::{HttpRequest, HttpResponse};
@@ -1141,18 +1103,14 @@ mod tests {
         })
     }
 
-    /// A worker without the control plane, on native isolation, whose
-    /// object store holds `data/a.txt` and `data/b.txt`.
+    /// A worker without the control plane whose object store holds
+    /// `data/a.txt` and `data/b.txt`.
     fn worker_with_config(config: WorkerConfig) -> Arc<WorkerNode> {
         let store = Arc::new(ObjectStore::new());
         store.put_object("data", "a.txt", b"alpha".to_vec());
         store.put_object("data", "b.txt", b"beta".to_vec());
         let mut services = ServiceRegistry::new();
         services.register("s3.internal", store);
-        let config = WorkerConfig {
-            isolation: IsolationKind::Native,
-            ..config
-        };
         WorkerNode::start_with_control(config, services, false).unwrap()
     }
 
@@ -1305,7 +1263,6 @@ mod tests {
             let config = WorkerConfig {
                 completed_retention: 2,
                 queue_capacity: capacity,
-                isolation: IsolationKind::Native,
                 ..WorkerConfig::default()
             };
             let worker = WorkerNode::stepped(config.clone(), ServiceRegistry::new()).unwrap();
@@ -1379,7 +1336,6 @@ mod tests {
                 instance: task.instance,
                 outcome,
                 context_high_water: high_water,
-                modeled_latency: Duration::ZERO,
             };
             let pool = self.worker.compute_pool().cell();
             pool.answer(&mut vec![result], self.now);
@@ -1900,28 +1856,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_draws_are_the_seeded_splitmix_sequence() {
-        let mut draws = SplitMix64::new(COLD_DRAW_SEED);
-        let mut reference = SplitMix64::new(0xDA4D_E110);
-        let mut cold = 0;
-        for draw in 0..4096 {
-            let ratio = if draw % 2 == 0 { 0.03 } else { 0.5 };
-            let drawn = draw_cold_binary(&mut draws, ratio);
-            assert_eq!(drawn, reference.bernoulli(ratio), "draw {draw}");
-            cold += usize::from(drawn);
-        }
-        assert!((900..1300).contains(&cold), "{cold} cold of 4096");
-        // A certain outcome consumes nothing from the sequence.
-        assert!(!draw_cold_binary(&mut draws, 0.0));
-        assert!(draw_cold_binary(&mut draws, 1.0));
-        assert_eq!(
-            draw_cold_binary(&mut draws, 0.5),
-            reference.bernoulli(0.5),
-            "the sequence continues where it was"
-        );
-    }
-
-    #[test]
     fn end_to_end_compute_and_http_pipeline() {
         let worker = worker();
         register_fetch_concat(worker.registry());
@@ -1937,7 +1871,6 @@ mod tests {
         assert_eq!(text, "alpha|beta|");
         assert_eq!(outcome.report.compute_tasks, 2);
         assert_eq!(outcome.report.communication_tasks, 2);
-        assert!(outcome.report.modeled_busy_time > Duration::ZERO);
     }
 
     /// An engine settles what it finishes: the settle callback of a

@@ -7,8 +7,7 @@
 //!   an isolation backend — no context switches, no blocking.
 //! * A **communication engine** owns one core and executes trusted
 //!   communication functions. Within one task it performs the (possibly
-//!   many) HTTP requests cooperatively, so the modeled latency of a task is
-//!   the maximum of its requests rather than their sum.
+//!   many) HTTP requests of the task's input sets, one response item each.
 //!
 //! Engines of one kind pull from their pool's own queue, which ensures late
 //! binding of tasks to cores, and answer one dispatcher: the pool holds the
@@ -94,13 +93,9 @@ impl EngineExecutor {
 
     /// Executes one task payload, producing the dispatcher-facing result.
     pub(crate) fn execute(&self, task: &Task) -> TaskResult {
-        let (outcome, high_water, modeled) = match (&task.payload, self) {
+        let (outcome, high_water) = match (&task.payload, self) {
             (
-                TaskPayload::Compute {
-                    artifact,
-                    inputs,
-                    cold_binary,
-                },
+                TaskPayload::Compute { artifact, inputs },
                 EngineExecutor::Compute {
                     backend,
                     function_timeout,
@@ -109,14 +104,10 @@ impl EngineExecutor {
                 // The backend shares the task's inputs (a reference count)
                 // and its report leaves by move.
                 let execution = ExecutionTask::new(Arc::clone(artifact), Arc::clone(inputs))
-                    .with_cold_binary(*cold_binary)
                     .with_timeout(*function_timeout);
                 match backend.execute(&execution) {
-                    Ok(report) => {
-                        let modeled = report.modeled_total();
-                        (Ok(report.outputs), report.context_high_water, modeled)
-                    }
-                    Err(err) => (Err(err), 0, Duration::ZERO),
+                    Ok(report) => (Ok(report.outputs), report.context_high_water),
+                    Err(err) => (Err(err), 0),
                 }
             }
             (
@@ -125,16 +116,15 @@ impl EngineExecutor {
                     response_set,
                 },
                 EngineExecutor::Communication { registry, policy },
-            ) => {
-                let (set, latency) = execute_http(inputs, response_set, registry, policy);
-                (Ok(vec![set]), 0, latency)
-            }
+            ) => (
+                Ok(vec![execute_http(inputs, response_set, registry, policy)]),
+                0,
+            ),
             (TaskPayload::Faulted { reason }, _) => (
                 Err(DandelionError::EngineFault {
                     reason: reason.clone(),
                 }),
                 0,
-                Duration::ZERO,
             ),
             (payload, executor) => (
                 Err(DandelionError::Dispatch(format!(
@@ -143,7 +133,6 @@ impl EngineExecutor {
                     executor.kind()
                 ))),
                 0,
-                Duration::ZERO,
             ),
         };
         TaskResult {
@@ -152,7 +141,6 @@ impl EngineExecutor {
             instance: task.instance,
             outcome,
             context_high_water: high_water,
-            modeled_latency: modeled,
         }
     }
 }
@@ -169,27 +157,22 @@ fn execute_http(
     response_set: &str,
     registry: &ServiceRegistry,
     policy: &ValidationPolicy,
-) -> (DataSet, Duration) {
+) -> DataSet {
     const PREFIX: &str = "response-";
     let mut responses = DataSet::new(response_set);
-    let mut max_latency = Duration::ZERO;
     for set in inputs {
         for item in &set.items {
             // The request is validated where it lies and the service reads
             // it there: its target is a view of the item's bytes and its body
             // a view of their buffer, itself a view of the producer's region.
             // The reply's head and body are written into one pooled buffer.
-            let (response_bytes, latency) = match validate_request_shared(&item.data, policy) {
-                Ok(validated) => {
-                    let reply = registry.dispatch(&validated.uri, &validated.request);
-                    (reply.response.to_shared(), reply.latency)
-                }
-                Err(err) => (
-                    Reply::error(StatusCode::BAD_REQUEST, &err.to_string()).to_shared(),
-                    Duration::ZERO,
-                ),
+            let response_bytes = match validate_request_shared(&item.data, policy) {
+                Ok(validated) => registry
+                    .dispatch(&validated.uri, &validated.request)
+                    .response
+                    .to_shared(),
+                Err(err) => Reply::error(StatusCode::BAD_REQUEST, &err.to_string()).to_shared(),
             };
-            max_latency = max_latency.max(latency);
             let mut name = String::with_capacity(PREFIX.len() + item.name.len());
             name.push_str(PREFIX);
             name.push_str(&item.name);
@@ -198,9 +181,7 @@ fn execute_http(
             responses.push(response_item);
         }
     }
-    // Green threads overlap the requests of one task, so the modeled latency
-    // is the slowest request, not the sum.
-    (responses, max_latency)
+    responses
 }
 
 /// How many replacement engines a pool spawns for panic-killed threads
@@ -795,7 +776,6 @@ mod tests {
                         artifact: echo_artifact(),
                         inputs: vec![DataSet::single("in", format!("p{index}").into_bytes())]
                             .into(),
-                        cold_binary: false,
                     },
                 })
                 .unwrap();
@@ -832,7 +812,6 @@ mod tests {
                         artifact: echo_artifact(),
                         inputs: vec![DataSet::single("in", format!("c{instance}").into_bytes())]
                             .into(),
-                        cold_binary: false,
                     },
                 })
                 .unwrap();
@@ -863,7 +842,6 @@ mod tests {
                     payload: TaskPayload::Compute {
                         artifact: echo_artifact(),
                         inputs: vec![DataSet::single("in", vec![index as u8])].into(),
-                        cold_binary: false,
                     },
                 })
                 .unwrap();
@@ -927,7 +905,6 @@ mod tests {
         let refused = parse(&outputs[0].items[3]);
         assert_eq!(refused.status.0, 400);
         assert!(refused.body_str().contains("is not a valid URI"));
-        assert!(result.modeled_latency > Duration::ZERO);
         pool.shutdown();
     }
 
@@ -944,7 +921,6 @@ mod tests {
                 payload: TaskPayload::Compute {
                     artifact: echo_artifact(),
                     inputs: Arc::new([]),
-                    cold_binary: false,
                 },
             })
             .unwrap();
@@ -973,7 +949,6 @@ mod tests {
             TaskPayload::Compute {
                 artifact,
                 inputs: Arc::new([]),
-                cold_binary: false,
             },
             TaskPayload::Faulted {
                 reason: "engine died twice executing this task".to_string(),
@@ -1052,6 +1027,57 @@ mod tests {
     // sleep. An "engine" is a call of `next` as its thread would make it:
     // `next(false)` at a batch boundary, `next(true)` after its park.
 
+    /// `Engines` as the rows step it: every transition is followed by
+    /// `check`, as `PoolCell` follows it under its lock. Fields read and
+    /// set through it are the state's own.
+    struct Checked(Engines);
+
+    impl Checked {
+        fn new(capacity: usize) -> Self {
+            Self(Engines::new(capacity))
+        }
+
+        fn step<R>(&mut self, transition: impl FnOnce(&mut Engines) -> R) -> R {
+            let out = transition(&mut self.0);
+            self.0.check();
+            out
+        }
+
+        fn push(&mut self, task: Task) -> usize {
+            self.step(|engines| engines.push(task))
+        }
+
+        fn try_push(&mut self, task: Task) -> Result<usize, Task> {
+            self.step(|engines| engines.try_push(task))
+        }
+
+        fn next(&mut self, woken: bool) -> Next {
+            self.step(|engines| engines.next(woken))
+        }
+
+        fn resize(&mut self, target: usize) -> Effects {
+            self.step(|engines| engines.resize(target))
+        }
+
+        fn died(&mut self, inflight: Vec<Task>) -> Effects {
+            self.step(|engines| engines.died(inflight))
+        }
+    }
+
+    impl std::ops::Deref for Checked {
+        type Target = Engines;
+
+        fn deref(&self) -> &Engines {
+            &self.0
+        }
+    }
+
+    impl std::ops::DerefMut for Checked {
+        fn deref_mut(&mut self) -> &mut Engines {
+            &mut self.0
+        }
+    }
+
     /// A task that rows queue and hand out, never run.
     fn queued(invocation: u64, instance: usize) -> Task {
         Task {
@@ -1079,7 +1105,7 @@ mod tests {
 
     #[test]
     fn resize_shrinks_and_grows() {
-        let mut engines = Engines::new(1024);
+        let mut engines = Checked::new(1024);
         let mut started = spawned(engines.resize(3));
         assert_eq!(engines.running, 3);
         for _ in 0..3 {
@@ -1102,7 +1128,7 @@ mod tests {
 
     #[test]
     fn shrink_then_grow_never_loses_queued_tasks() {
-        let mut engines = Engines::new(1024);
+        let mut engines = Checked::new(1024);
         assert_eq!(spawned(engines.resize(2)), 2);
         let total = 50;
         for instance in 0..total {
@@ -1128,7 +1154,7 @@ mod tests {
 
     #[test]
     fn a_shrink_neither_deepens_nor_fills_the_queue() {
-        let mut engines = Engines::new(2);
+        let mut engines = Checked::new(2);
         spawned(engines.resize(1));
         engines.push(queued(1, 0));
         run(engines.next(false));
@@ -1141,7 +1167,7 @@ mod tests {
 
     #[test]
     fn a_shrink_under_a_backlog_stops_one_engine_at_its_task_boundary() {
-        let mut engines = Engines::new(1024);
+        let mut engines = Checked::new(1024);
         spawned(engines.resize(2));
         for instance in 0..4 {
             engines.push(queued(3, instance));
@@ -1161,7 +1187,7 @@ mod tests {
 
     #[test]
     fn a_death_while_a_ticket_is_outstanding_takes_it_and_does_not_respawn() {
-        let mut engines = Engines::new(1024);
+        let mut engines = Checked::new(1024);
         spawned(engines.resize(2));
         engines.push(queued(5, 0));
         engines.push(queued(5, 1));
@@ -1178,7 +1204,7 @@ mod tests {
 
     #[test]
     fn an_unreplaced_death_is_made_up_by_the_next_grow() {
-        let mut engines = Engines::new(1024);
+        let mut engines = Checked::new(1024);
         engines.restarts_left = 0;
         spawned(engines.resize(1));
         engines.push(queued(6, 0));
@@ -1192,7 +1218,7 @@ mod tests {
 
     #[test]
     fn a_stopping_engine_wakes_a_parked_one_while_tasks_remain() {
-        let mut engines = Engines::new(1024);
+        let mut engines = Checked::new(1024);
         spawned(engines.resize(2));
         assert!(matches!(engines.next(false), Next::Park));
         assert!(matches!(engines.next(false), Next::Park));

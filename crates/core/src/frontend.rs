@@ -543,10 +543,6 @@ fn report_json(outcome: &InvocationOutcome) -> JsonValue {
             "peak_context_bytes",
             JsonValue::from(outcome.report.peak_context_bytes),
         ),
-        (
-            "modeled_busy_us",
-            JsonValue::from(outcome.report.modeled_busy_time.as_micros() as u64),
-        ),
     ])
 }
 
@@ -611,7 +607,7 @@ mod tests {
     use super::*;
     use crate::worker::{default_test_services, WorkerNode};
     use dandelion_common::base64_decode;
-    use dandelion_common::config::{IsolationKind, WorkerConfig};
+    use dandelion_common::config::WorkerConfig;
     use dandelion_common::DataItem;
     use dandelion_isolation::{FunctionArtifact, FunctionCtx};
     use std::time::{Duration, Instant};
@@ -620,7 +616,6 @@ mod tests {
         let config = WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 1,
-            isolation: IsolationKind::Native,
             ..WorkerConfig::default()
         };
         let worker =

@@ -7,7 +7,7 @@
 //! in-flight table on the engine's own thread: no result crosses a channel.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dandelion_common::config::EngineKind;
 use dandelion_common::{DandelionError, DandelionResult, DataSet, InvocationId};
@@ -27,8 +27,6 @@ pub(crate) enum TaskPayload {
         artifact: Arc<FunctionArtifact>,
         /// Materialized inputs for this instance.
         inputs: Arc<[DataSet]>,
-        /// Whether the binary must be loaded from disk.
-        cold_binary: bool,
     },
     /// Execute an HTTP communication function instance.
     Http {
@@ -121,7 +119,6 @@ impl Task {
             instance: self.instance,
             outcome: Err(error),
             context_high_water: 0,
-            modeled_latency: Duration::ZERO,
         }
     }
 }
@@ -139,8 +136,6 @@ pub(crate) struct TaskResult {
     pub outcome: DandelionResult<Vec<DataSet>>,
     /// Peak context bytes used (compute tasks only).
     pub context_high_water: usize,
-    /// Modeled latency of the task (sandbox lifecycle / service latency).
-    pub modeled_latency: Duration,
 }
 
 #[cfg(test)]
@@ -155,7 +150,6 @@ mod tests {
                 Ok(())
             })),
             inputs: Arc::new([]),
-            cold_binary: false,
         };
         assert_eq!(compute.engine_kind(), EngineKind::Compute);
         let faulted = TaskPayload::Faulted {

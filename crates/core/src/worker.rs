@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::WorkerConfig;
+use dandelion_common::config::{IsolationKind, WorkerConfig};
 use dandelion_common::{
     BufferPool, DandelionError, DandelionResult, DataSet, InvocationId, LatencySummary,
 };
@@ -152,7 +152,9 @@ impl WorkerNode {
         let dispatcher = Arc::new_cyclic(|dispatcher: &Weak<Dispatcher>| {
             let reply = Dispatcher::sink(dispatcher);
             let compute = EngineExecutor::Compute {
-                backend: create_backend(config.isolation, HardwarePlatform::X86Linux),
+                // The native executor's permissive policy; no executor
+                // charges a cost, so the platform is immaterial.
+                backend: create_backend(IsolationKind::Native, HardwarePlatform::X86Linux),
                 function_timeout: config.function_timeout,
             };
             let communication = EngineExecutor::Communication {
@@ -527,7 +529,6 @@ pub fn default_test_services() -> ServiceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dandelion_common::config::IsolationKind;
     use dandelion_isolation::FunctionCtx;
 
     impl WorkerNode {
@@ -542,7 +543,6 @@ mod tests {
         WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 1,
-            isolation: IsolationKind::Native,
             ..WorkerConfig::default()
         }
     }
@@ -722,7 +722,6 @@ mod tests {
         let config = WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 2,
-            isolation: IsolationKind::Native,
             ..WorkerConfig::default()
         };
         let worker = WorkerNode::start(config, default_test_services()).unwrap();

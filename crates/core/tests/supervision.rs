@@ -16,7 +16,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::{
     clear_failpoints, configure_failpoint, failpoint_hits, DandelionError, DandelionResult,
     DataSet, FailAction,
@@ -53,7 +53,6 @@ fn worker(sleep_per_task: Duration) -> (Arc<WorkerNode>, Arc<AtomicUsize>) {
     let config = WorkerConfig {
         total_cores: 2,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start_with_control(config, ServiceRegistry::new(), false).unwrap();

@@ -6,7 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_core::WorkerNode;
 use dandelion_services::ServiceRegistry;
 
@@ -47,7 +47,6 @@ fn a_worker_starts_one_thread_per_engine_and_a_driver_and_joins_them_all() {
     let config = WorkerConfig {
         total_cores: 4,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start(config, ServiceRegistry::new()).unwrap();

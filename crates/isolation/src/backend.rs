@@ -6,30 +6,30 @@
 //! left behind, and clean up. The [`StagedExecutor`] implements that
 //! lifecycle once and is the one [`IsolationBackend`];
 //! [`create_backend`](crate::backends::create_backend) gives it each
-//! mechanism's syscall policy and cost model.
+//! mechanism's syscall policy.
 //!
 //! Nothing a task is handed — binary, inputs, output-set names, syscall
 //! policy — is copied on the way in: each is a shared, read-only reference
-//! counted against the context's capacity. The stages whose hardware cost is
-//! a copy or a page-table update are *charged* by the cost model
-//! ([`ExecutionReport::modeled`]); what [`ExecutionReport::measured`] times
-//! is this runtime's own bookkeeping.
+//! counted against the context's capacity. What [`ExecutionReport::measured`]
+//! times is this runtime's own bookkeeping; what a stage costs on the
+//! paper's hardware is [`SandboxCostModel`](crate::SandboxCostModel)'s
+//! charge, which the simulator and the experiment harness read and no
+//! execution carries.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::IsolationKind;
 use dandelion_common::{DandelionError, DandelionResult, DataItem, DataSet};
 
 use crate::abi::{FunctionArtifact, FunctionCtx};
 use crate::context::MemoryContext;
-use crate::cost::{SandboxCostModel, Stage};
+use crate::cost::Stage;
 use crate::output_parser::{self, FrameEntry};
 use crate::policy::SyscallPolicy;
 
-/// Per-stage durations, either measured or modeled: one slot per [`Stage`],
-/// in [`Stage::ALL`] order.
+/// Per-stage wall-clock durations: one slot per [`Stage`], in [`Stage::ALL`]
+/// order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageTimings {
     durations: [Duration; Stage::ALL.len()],
@@ -50,25 +50,6 @@ impl StageTimings {
     pub fn get(&self, stage: Stage) -> Duration {
         self.durations[stage as usize]
     }
-
-    /// Sum of all recorded stages.
-    pub fn total(&self) -> Duration {
-        self.durations.iter().sum()
-    }
-
-    /// Builds the modeled timings for a backend given whether the binary was
-    /// cold and how long the function body took.
-    pub fn modeled(model: &SandboxCostModel, cold_binary: bool, body: Duration) -> Self {
-        let mut timings = Self::new();
-        for stage in Stage::ALL {
-            let mut cost = model.stage_cost(stage, cold_binary);
-            if stage == Stage::Execute {
-                cost += body.mul_f64(model.compute_slowdown);
-            }
-            timings.record(stage, cost);
-        }
-        timings
-    }
 }
 
 /// A unit of work handed to an isolation backend.
@@ -80,29 +61,19 @@ pub struct ExecutionTask {
     /// handing them on (engine → backend → [`FunctionCtx`]) is a reference
     /// count, never a copy of the set and item metadata.
     pub inputs: Arc<[DataSet]>,
-    /// Whether the function binary has to be loaded "from disk" (cold) or is
-    /// already cached in memory.
-    pub cold_binary: bool,
     /// User-specified execution timeout; exceeding it is a fault.
     pub timeout: Duration,
 }
 
 impl ExecutionTask {
-    /// Creates a task with a warm binary and a 30 s timeout. `inputs` is a
-    /// `Vec<DataSet>` or an already shared `Arc<[DataSet]>`.
+    /// Creates a task with a 30 s timeout. `inputs` is a `Vec<DataSet>` or
+    /// an already shared `Arc<[DataSet]>`.
     pub fn new(artifact: Arc<FunctionArtifact>, inputs: impl Into<Arc<[DataSet]>>) -> Self {
         Self {
             artifact,
             inputs: inputs.into(),
-            cold_binary: false,
             timeout: Duration::from_secs(30),
         }
-    }
-
-    /// Marks the binary as requiring a cold load.
-    pub fn with_cold_binary(mut self, cold: bool) -> Self {
-        self.cold_binary = cold;
-        self
     }
 
     /// Overrides the execution timeout.
@@ -119,33 +90,12 @@ pub struct ExecutionReport {
     pub outputs: Vec<DataSet>,
     /// Wall-clock stage timings measured on this machine.
     pub measured: StageTimings,
-    /// Stage timings from the backend's calibrated cost model, used by
-    /// virtual-time experiments.
-    pub modeled: StageTimings,
     /// Peak bytes committed in the function's memory context.
     pub context_high_water: usize,
 }
 
-impl ExecutionReport {
-    /// Total measured latency of the invocation.
-    pub fn measured_total(&self) -> Duration {
-        self.measured.total()
-    }
-
-    /// Total modeled latency of the invocation.
-    pub fn modeled_total(&self) -> Duration {
-        self.modeled.total()
-    }
-}
-
 /// A mechanism that can execute compute functions in isolation.
 pub trait IsolationBackend: Send + Sync {
-    /// Which isolation mechanism this backend implements.
-    fn kind(&self) -> IsolationKind;
-
-    /// The calibrated cost model for this backend.
-    fn cost_model(&self) -> &SandboxCostModel;
-
     /// Executes one task to completion inside a fresh sandbox.
     fn execute(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport>;
 }
@@ -157,34 +107,22 @@ pub trait IsolationBackend: Send + Sync {
 /// [`MemoryContext`], the function really runs with no authority beyond its
 /// [`FunctionCtx`], and the outputs really round-trip through the untrusted
 /// output descriptor parser — so that functional behaviour, capacity
-/// enforcement and fault paths are genuine even though the absolute stage
-/// latencies of the original hardware are modeled.
+/// enforcement and fault paths are genuine; what the mechanisms differ in
+/// is the syscall policy a function runs under.
 pub(crate) struct StagedExecutor {
-    kind: IsolationKind,
     policy: Arc<SyscallPolicy>,
-    cost: SandboxCostModel,
 }
 
 impl StagedExecutor {
-    /// Creates an executor for a backend.
-    pub(crate) fn new(kind: IsolationKind, policy: SyscallPolicy, cost: SandboxCostModel) -> Self {
+    /// Creates an executor whose functions run under `policy`.
+    pub(crate) fn new(policy: SyscallPolicy) -> Self {
         Self {
-            kind,
             policy: Arc::new(policy),
-            cost,
         }
     }
 }
 
 impl IsolationBackend for StagedExecutor {
-    fn kind(&self) -> IsolationKind {
-        self.kind
-    }
-
-    fn cost_model(&self) -> &SandboxCostModel {
-        &self.cost
-    }
-
     /// Runs the full sandbox lifecycle for one task.
     fn execute(&self, task: &ExecutionTask) -> DandelionResult<ExecutionReport> {
         let artifact = &task.artifact;
@@ -222,8 +160,8 @@ impl IsolationBackend for StagedExecutor {
         // the real backends share the page-cache mapping of a cached binary.
         // It counts toward the context's capacity and high-water mark byte
         // for byte, but no byte of it is touched here. (What a cold or warm
-        // load costs on the paper's hardware is the cost model's charge,
-        // `modeled`, not this span.)
+        // load costs on the paper's hardware is the cost model's to charge,
+        // not this span's.)
         // Its region list is sized for what a sandbox attaches: the binary,
         // every input item, the frame and an item per declared output set.
         let regions =
@@ -317,11 +255,9 @@ impl IsolationBackend for StagedExecutor {
         context.clear();
         lap(Stage::Other);
 
-        let modeled = StageTimings::modeled(&self.cost, task.cold_binary, body_elapsed);
         Ok(ExecutionReport {
             outputs,
             measured,
-            modeled,
             context_high_water: high_water,
         })
     }
@@ -394,7 +330,6 @@ fn attach_frame_payloads(
 mod tests {
     use super::*;
     use crate::abi::FunctionCtx;
-    use crate::cost::HardwarePlatform;
     use dandelion_common::DataItem;
 
     fn echo_artifact() -> Arc<FunctionArtifact> {
@@ -409,11 +344,7 @@ mod tests {
     }
 
     fn executor() -> StagedExecutor {
-        StagedExecutor::new(
-            IsolationKind::Native,
-            SyscallPolicy::permissive(),
-            SandboxCostModel::for_backend(IsolationKind::Native, HardwarePlatform::Morello),
-        )
+        StagedExecutor::new(SyscallPolicy::permissive())
     }
 
     #[test]
@@ -426,18 +357,6 @@ mod tests {
         assert_eq!(report.outputs.len(), 1);
         assert_eq!(report.outputs[0].items[0].data.as_slice(), b"ping");
         assert!(report.context_high_water > 0);
-        assert!(report.measured_total() > Duration::ZERO);
-        assert!(report.modeled_total() > Duration::ZERO);
-    }
-
-    #[test]
-    fn modeled_timings_include_cold_load_penalty() {
-        let task = ExecutionTask::new(echo_artifact(), vec![DataSet::single("in", b"x".to_vec())]);
-        let warm = executor().execute(&task).unwrap();
-        let cold = executor()
-            .execute(&task.clone().with_cold_binary(true))
-            .unwrap();
-        assert!(cold.modeled.get(Stage::Load) > warm.modeled.get(Stage::Load));
     }
 
     #[test]
@@ -475,11 +394,7 @@ mod tests {
 
     #[test]
     fn forbidden_syscalls_terminate_the_function() {
-        let strict = StagedExecutor::new(
-            IsolationKind::Process,
-            SyscallPolicy::strict(),
-            SandboxCostModel::for_backend(IsolationKind::Process, HardwarePlatform::Morello),
-        );
+        let strict = StagedExecutor::new(SyscallPolicy::strict());
         let nosy = Arc::new(FunctionArtifact::new(
             "nosy",
             &["out"],
@@ -567,18 +482,5 @@ mod tests {
             .execute(&ExecutionTask::new(slow, vec![]).with_timeout(Duration::from_millis(1)))
             .unwrap_err();
         assert!(matches!(err, DandelionError::Timeout { .. }));
-    }
-
-    #[test]
-    fn stage_timings_cover_all_stages() {
-        let task = ExecutionTask::new(
-            echo_artifact(),
-            vec![DataSet::single("in", b"ping".to_vec())],
-        );
-        let report = executor().execute(&task).unwrap();
-        for stage in Stage::ALL {
-            // Modeled timings always have an entry for every stage.
-            assert!(report.modeled.get(stage) > Duration::ZERO, "{stage:?}");
-        }
     }
 }

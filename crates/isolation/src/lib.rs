@@ -8,12 +8,11 @@
 //!
 //! The paper implements four backends (CHERI, KVM, process, rWasm) to show
 //! that the platform design is independent of the isolation mechanism. This
-//! reproduction keeps the same staged lifecycle and per-backend behaviour,
-//! but the hardware mechanisms themselves (Morello capabilities, VT-x) are
-//! replaced by an in-process bounds-checked execution with a calibrated cost
-//! model (the hardware is not available to a portable build, and the paper's
-//! argument rests on the lifecycle and its stage costs, not on the
-//! mechanism):
+//! reproduction keeps the same staged lifecycle and per-backend syscall
+//! policy, but the hardware mechanisms themselves (Morello capabilities,
+//! VT-x) are replaced by an in-process bounds-checked execution (the
+//! hardware is not available to a portable build, and the paper's argument
+//! rests on the lifecycle and its stage costs, not on the mechanism):
 //!
 //! * every backend really accounts binary and inputs against the context's
 //!   capacity, invokes the function with a capacity-bounded virtual
@@ -21,8 +20,10 @@
 //!   memory context using the binary descriptor format of
 //!   [`output_parser`], and re-parses them exactly as the trusted engine
 //!   would;
-//! * per-stage latencies for virtual-time experiments come from
-//!   [`SandboxCostModel`], calibrated against Table 1 of the paper.
+//! * what each stage costs on the paper's hardware is a model,
+//!   [`SandboxCostModel`], calibrated against Table 1: the simulator and
+//!   the experiment harness read it by kind, and no execution is charged by
+//!   it, so a running node reports only what it measured.
 //!
 //! The crate's parts:
 //!
@@ -33,12 +34,13 @@
 //! * [`output_parser`] — the small, heavily tested parser for the output
 //!   descriptor a function leaves in its context (paper §8 emphasizes this
 //!   parser is ~100 lines and must be memory safe).
-//! * [`SandboxCostModel`] — per-backend, per-stage latency models (Table 1).
+//! * [`SandboxCostModel`] — per-backend, per-stage latency models (Table 1),
+//!   for virtual-time experiments only.
 //! * [`SyscallPolicy`] — the syscall stub/deny policy compute functions run
 //!   under.
 //! * [`IsolationBackend`] — the staged executor's interface, and
-//!   [`create_backend`]: the executor configured as CHERI, KVM, process,
-//!   rWasm or native.
+//!   [`create_backend`]: the executor under the syscall policy of CHERI,
+//!   KVM, process, rWasm or native.
 
 #![warn(unnameable_types)]
 

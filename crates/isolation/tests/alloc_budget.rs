@@ -12,7 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dandelion_common::config::IsolationKind;
 use dandelion_common::{DataItem, DataSet, SharedBytes};
@@ -104,7 +104,13 @@ fn echo_with_binary(binary_bytes: usize) -> Arc<FunctionArtifact> {
     )
 }
 
+/// Held across each warm-up and its measured run. The buffer pool is
+/// process-wide: a sibling test's sandbox running in between could take the
+/// buffer the warm-up gave back, and the measured run would allocate one.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
 fn lifecycle_cost(binary_bytes: usize) -> (usize, usize) {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
     let backend = create_backend(IsolationKind::Native, HardwarePlatform::Morello);
     let payload = SharedBytes::from_vec(vec![0x5A; 4096]);
     let task = ExecutionTask::new(

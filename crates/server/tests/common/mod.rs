@@ -14,12 +14,11 @@ use dandelion_server::{GatewayConfig, HttpClientConnection, Router, Server, Serv
 
 /// A member worker with the `Echo` function and `EchoComp` registered.
 fn echo_worker() -> Arc<WorkerNode> {
-    use dandelion_common::config::{IsolationKind, WorkerConfig};
+    use dandelion_common::config::WorkerConfig;
     use dandelion_isolation::{FunctionArtifact, FunctionCtx};
     let config = WorkerConfig {
         total_cores: 2,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start_with_control(config, default_test_services(), false).unwrap();

@@ -18,11 +18,10 @@ use dandelion_server::{HttpClientConnection, Server, ServerConfig, WORKER_PIPELI
 mod common;
 
 fn test_worker() -> Arc<WorkerNode> {
-    use dandelion_common::config::{IsolationKind, WorkerConfig};
+    use dandelion_common::config::WorkerConfig;
     let config = WorkerConfig {
         total_cores: 4,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start_with_control(config, default_test_services(), false).unwrap();

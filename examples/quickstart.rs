@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::DataSet;
 use dandelion_core::{DandelionClient, Frontend, WorkerNode};
 use dandelion_isolation::{FunctionArtifact, FunctionCtx};
@@ -33,7 +33,6 @@ fn main() {
     let config = WorkerConfig {
         total_cores: 4,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start(config, ServiceRegistry::new()).expect("worker starts");

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::DataSet;
 use dandelion_core::Frontend;
 use dandelion_http::{HttpRequest, StatusCode};
@@ -60,7 +60,6 @@ fn control_plane_rebalances_cores_under_io_heavy_load() {
     let config = WorkerConfig {
         total_cores: 6,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = dandelion_core::WorkerNode::start_with_control(

@@ -2,12 +2,15 @@
 //! real worker runtime (dispatcher, engines, isolation backends, simulated
 //! remote services) and produces correct results.
 
+use std::sync::Arc;
+
 use dandelion_apps::matmul::{decode_matrix, matmul_inputs};
 use dandelion_apps::setup::DEMO_TOKEN;
 use dandelion_apps::{png_dimensions, qoi_encode, Image};
 use dandelion_common::config::IsolationKind;
 use dandelion_common::DataSet;
 use dandelion_integration_tests::demo_worker;
+use dandelion_isolation::{create_backend, ExecutionTask, HardwarePlatform};
 use dandelion_query::{generate_database, SsbQuery};
 
 #[test]
@@ -51,36 +54,27 @@ fn log_processing_with_bad_token_degrades_gracefully() {
 
 #[test]
 fn matmul_application_is_correct_across_backends() {
-    // The same composition gives identical results under every isolation
-    // backend the worker can be configured with.
-    let mut results = Vec::new();
+    // The product the worker serves is the one the function computes in
+    // the executor of every isolation backend.
+    let worker = demo_worker();
+    let outcome = worker
+        .invoke("MatMulApp", vec![matmul_inputs(32, 11)])
+        .unwrap();
+    let served = decode_matrix(&outcome.outputs[0].items[0].data).unwrap();
+    assert_eq!(served.0, 32);
+    worker.shutdown();
+    let artifact = Arc::new(dandelion_apps::matmul::matmul_artifact());
     for isolation in [
         IsolationKind::Native,
         IsolationKind::Cheri,
         IsolationKind::Kvm,
     ] {
-        let config = dandelion_common::config::WorkerConfig {
-            total_cores: 4,
-            initial_communication_cores: 1,
-            isolation,
-            ..Default::default()
-        };
-        let worker = dandelion_core::WorkerNode::start_with_control(
-            config,
-            dandelion_apps::setup::demo_services(false),
-            false,
-        )
-        .unwrap();
-        dandelion_apps::setup::register_applications(&worker).unwrap();
-        let outcome = worker
-            .invoke("MatMulApp", vec![matmul_inputs(32, 11)])
-            .unwrap();
-        let (dimension, product) = decode_matrix(&outcome.outputs[0].items[0].data).unwrap();
-        assert_eq!(dimension, 32);
-        results.push(product);
-        worker.shutdown();
+        let backend = create_backend(isolation, HardwarePlatform::X86Linux);
+        let task = ExecutionTask::new(Arc::clone(&artifact), vec![matmul_inputs(32, 11)]);
+        let report = backend.execute(&task).unwrap();
+        let product = decode_matrix(&report.outputs[0].items[0].data).unwrap();
+        assert_eq!(product, served, "{isolation}");
     }
-    assert!(results.windows(2).all(|pair| pair[0] == pair[1]));
 }
 
 #[test]

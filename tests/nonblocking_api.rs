@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::{base64_decode, DataSet, JsonValue};
 use dandelion_core::{DandelionClient, Frontend, InvocationStatus, WorkerNode};
 use dandelion_http::{HttpRequest, StatusCode};
@@ -35,7 +35,6 @@ fn four_core_frontend() -> Frontend {
     let config = WorkerConfig {
         total_cores: 4,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start(config, ServiceRegistry::new()).unwrap();
@@ -191,7 +190,6 @@ fn client_facade_keeps_eight_invocations_in_flight_on_a_two_node_cluster() {
             let config = WorkerConfig {
                 total_cores: 2,
                 initial_communication_cores: 1,
-                isolation: IsolationKind::Native,
                 ..WorkerConfig::default()
             };
             let worker = WorkerNode::start(config, ServiceRegistry::new()).unwrap();

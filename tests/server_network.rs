@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::{base64_decode, utf8_lossy, DataItem, JsonValue, SharedBytes};
 use dandelion_core::{default_test_services, Frontend, WorkerNode};
 use dandelion_http::{HttpRequest, HttpResponse};
@@ -18,7 +18,6 @@ fn echo_worker() -> Arc<WorkerNode> {
     let config = WorkerConfig {
         total_cores: 4,
         initial_communication_cores: 1,
-        isolation: IsolationKind::Native,
         ..WorkerConfig::default()
     };
     let worker = WorkerNode::start_with_control(config, default_test_services(), false).unwrap();

@@ -1,7 +1,7 @@
 //! A worker's two shells give the same bytes: every composition the demo
 //! registers, run on the threaded worker (`WorkerNode::start_with_control`)
 //! and on the stepped one (`WorkerNode::stepped`, stepped by this thread),
-//! settles with byte-identical outputs.
+//! settles with byte-identical outputs and the same report.
 
 use dandelion_apps::matmul::matmul_inputs;
 use dandelion_apps::setup::DEMO_TOKEN;
@@ -77,13 +77,7 @@ fn every_demo_composition_gives_the_same_bytes_on_both_shells() {
         let outcome = settle_stepped(&stepped, &handle).unwrap();
         assert!(!sets(&expected).is_empty(), "{composition}");
         assert_eq!(sets(&outcome), sets(&expected), "{composition}");
-        // The modeled busy time includes each function's measured run.
-        let counts = |outcome: &InvocationOutcome| {
-            let report = &outcome.report;
-            let tasks = (report.compute_tasks, report.communication_tasks);
-            (tasks, report.peak_context_bytes)
-        };
-        assert_eq!(counts(&outcome), counts(&expected), "{composition}");
+        assert_eq!(outcome.report, expected.report, "{composition}");
     }
     threaded.shutdown();
     stepped.shutdown();

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use dandelion_common::config::{IsolationKind, WorkerConfig};
+use dandelion_common::config::WorkerConfig;
 use dandelion_common::{
     clear_failpoints, configure_failpoint, remove_failpoint, DataItem, DataSet, FailAction,
     SharedBytes,
@@ -39,7 +39,6 @@ fn worker() -> Arc<WorkerNode> {
         WorkerConfig {
             total_cores: 4,
             initial_communication_cores: 1,
-            isolation: IsolationKind::Native,
             ..WorkerConfig::default()
         },
         default_test_services(),
