@@ -359,6 +359,18 @@ mod tests {
         assert!(report.context_high_water > 0);
     }
 
+    /// A live execute charges nothing, so the cold-load penalty of the
+    /// modeled timings lives in the cost model alone: on the native
+    /// reference this executor stands for, a cold binary's load stage costs
+    /// more than a warm one's.
+    #[test]
+    fn modeled_timings_include_cold_load_penalty() {
+        use crate::cost::{HardwarePlatform, SandboxCostModel};
+        use dandelion_common::config::IsolationKind;
+        let model = SandboxCostModel::for_backend(IsolationKind::Native, HardwarePlatform::Morello);
+        assert!(model.stage_cost(Stage::Load, true) > model.stage_cost(Stage::Load, false));
+    }
+
     #[test]
     fn function_errors_become_faults() {
         let failing = Arc::new(FunctionArtifact::new(
