@@ -29,17 +29,12 @@
 //!
 //! # Giving it back
 //!
-//! What the classes retain follows the load with a delay of one to
-//! `LOOKS_UNUSED` + 1 periods: called on a steady schedule (a worker's
-//! driver thread calls it twice a second, busy or idle),
-//! [`BufferPool::release_unused`] frees the buffers a class held the whole
-//! time since it last looked — the class's low-water mark — if nothing was
-//! issued from it in that time, and those it held the whole time since its
-//! last `LOOKS_UNUSED` looks if something was. A load that comes back
-//! finds what it used within the last period; a load that goes on keeps what
-//! it used within the last `LOOKS_UNUSED`, so a second in which its
-//! requests happened to overlap less does not free what the next one
-//! allocates again; and traffic that keeps going, a health probe or a steady
+//! What the classes retain follows the load with a delay of one to two
+//! periods: called on a steady schedule (a worker's driver thread calls
+//! it twice a second, busy or idle), [`BufferPool::release_unused`] frees the
+//! buffers each class held the whole time since it last looked — the class's
+//! low-water mark — so a load that comes back finds what it used within the
+//! last period, and traffic that keeps going, a health probe or a steady
 //! stream of small invocations, does not keep a burst's memory committed. A
 //! freed buffer is the allocator's; [`settle_heap_thresholds`] and the
 //! `malloc_trim` after a release that freed something are what this module
@@ -82,13 +77,6 @@ pub const LARGEST_CLASS: usize = SIZE_CLASSES[SIZE_CLASSES.len() - 1];
 /// two of 4 MiB. A class retains what was in flight in it at once, up to
 /// this, and until it has gone unused ([`BufferPool::release_unused`]).
 const PER_CLASS_BYTES: usize = 8 * 1024 * 1024;
-
-/// The looks a buffer of a class still in use must lie unused through before
-/// [`BufferPool::release_unused`] frees it: two seconds at a worker's two
-/// looks a second. The two clients of a pipelined load on two cores drift in
-/// and out of step, and the fewest buffers their requests have in flight at
-/// once stays a third below the most for a second at a time.
-const LOOKS_UNUSED: usize = 4;
 
 /// Buffers `class` may retain: every buffer of a class is of the class size,
 /// so the byte bound is a count.
@@ -163,12 +151,6 @@ struct Slab {
     /// [`BufferPool::release_unused`] last looked: that many, the bottom of
     /// the stack, nobody needed in all that time.
     low_water: usize,
-    /// The low-water marks of the periods before, the latest first, less
-    /// what the looks since freed: that many at the bottom of the stack lay
-    /// unused through each.
-    earlier_low_waters: [usize; LOOKS_UNUSED - 1],
-    /// `counts.acquires` when [`BufferPool::release_unused`] last looked.
-    acquires_at_look: u64,
     counts: Counts,
 }
 
@@ -287,34 +269,18 @@ impl BufferPool {
         Some(vec)
     }
 
-    /// Frees the buffers the classes held unused and returns how many bytes
-    /// that was: of a class nothing was issued from since the last call,
-    /// what it held the whole time since then (its low-water mark); of a
-    /// class still in use, what it held the whole time since its last four
-    /// calls (`LOOKS_UNUSED`), so what a load is using, or used within
-    /// them, stays. Two calls with nothing issued in between free
-    /// everything retained. Buffers in use are untouched and retained again
-    /// when they come back.
+    /// Frees the buffers the classes held the whole time since the last
+    /// call — each class's low-water mark, so what a load is using, or used
+    /// a moment ago, stays — and returns how many bytes that was. Two calls
+    /// with nothing issued in between free everything retained. Buffers in
+    /// use are untouched and retained again when they come back.
     pub fn release_unused(&self) -> usize {
         let released = (0..SIZE_CLASSES.len())
             .map(|class| {
                 let mut slab = self.class_lock(class);
-                let mut unused = slab.low_water;
-                if slab.counts.acquires != slab.acquires_at_look {
-                    unused = slab
-                        .earlier_low_waters
-                        .iter()
-                        .fold(unused, |a, &b| a.min(b));
-                }
-                let unused = unused.min(slab.buffers.len());
+                let unused = slab.low_water.min(slab.buffers.len());
                 let released: Vec<_> = slab.buffers.drain(..unused).collect();
-                for mark in &mut slab.earlier_low_waters {
-                    *mark = mark.saturating_sub(unused);
-                }
-                slab.earlier_low_waters.rotate_right(1);
-                slab.earlier_low_waters[0] = slab.low_water - unused;
                 slab.low_water = slab.buffers.len();
-                slab.acquires_at_look = slab.counts.acquires;
                 // Freed after the lock is let go.
                 drop(slab);
                 released.len() * SIZE_CLASSES[class]
@@ -680,20 +646,11 @@ mod tests {
         // empty.
         assert_eq!(pool.release_unused(), 0);
         assert_eq!(pool.pooled_buffers(), 4);
-        // Small traffic goes on, one buffer of the smallest class at a time.
-        // The larger one went unused and nothing asked for its class, so it
-        // goes at the next look; the smallest class is in use, and the other
-        // two go once they have lain unused through `LOOKS_UNUSED` periods.
-        for look in 1..=LOOKS_UNUSED {
-            drop(pool.acquire(100));
-            drop(pool.acquire(100));
-            let released = match look {
-                1 => SIZE_CLASSES[4],
-                LOOKS_UNUSED => 2 * SIZE_CLASSES[0],
-                _ => 0,
-            };
-            assert_eq!(pool.release_unused(), released, "look {look}");
-        }
+        // Small traffic goes on, one buffer of the smallest class at a time:
+        // the other two and the larger one went unused, and go.
+        drop(pool.acquire(100));
+        drop(pool.acquire(100));
+        assert_eq!(pool.release_unused(), 2 * SIZE_CLASSES[0] + SIZE_CLASSES[4]);
         assert_eq!(pool.retained()[0].buffers, 1);
         assert_eq!(pool.pooled_buffers(), 1);
         // What was in use comes back late and goes once it has lain there

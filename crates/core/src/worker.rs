@@ -43,10 +43,9 @@ use crate::registry::Registry;
 /// How often the timers fail invocations that stopped making progress.
 pub(crate) const REAP_PERIOD: Duration = Duration::from_millis(100);
 
-/// How often the timers look at what the buffer pool retains: a buffer of a
-/// class nobody drew on since the look before, half a second, is given back,
-/// so a node's memory is back about a second after a load; under a load that
-/// goes on, a buffer is given back once nobody needed it for two seconds.
+/// How often the timers look at what the buffer pool retains: a buffer
+/// nobody needed since the look before, half a second, is given back, so a
+/// node's memory is back about a second after a load.
 const POOL_RELEASE_PERIOD: Duration = Duration::from_millis(500);
 
 /// Point-in-time statistics of a worker node.

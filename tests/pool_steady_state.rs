@@ -22,8 +22,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dandelion_apps::matmul::matmul_inputs;
@@ -112,20 +111,15 @@ fn read_responses(stream: &mut TcpStream, pending: &mut Vec<u8>, count: usize) -
 }
 
 /// `CONNECTIONS` connections send `wire` `DEPTH` deep for `rounds` rounds.
-/// Returns the pool's counters at half time, read once every connection has
-/// had the responses of its first half, and at the end, read with every
-/// response received, and the body size. The load does not stop for the
-/// half-time read: clients held there and let go together would send their
-/// next batches at the same instant, a burst the first half need not have
-/// had, and what it allocates would be the test's and not the steady
-/// state's.
+/// Returns the pool's counters at half time and at the end, each read with
+/// every response of the rounds before it received, and the body size.
 fn pipelined_load(addr: SocketAddr, wire: &[u8], rounds: usize) -> (PoolStats, PoolStats, usize) {
-    let (halfway, reached) = channel();
+    // Clients and this thread meet at half time and at the end.
+    let barrier = Barrier::new(CONNECTIONS + 1);
     std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CONNECTIONS)
             .map(|_| {
-                let halfway = halfway.clone();
-                scope.spawn(move || {
+                scope.spawn(|| {
                     let mut stream = TcpStream::connect(addr).expect("client connects");
                     stream.set_nodelay(true).expect("nodelay");
                     let batch = wire.repeat(DEPTH);
@@ -133,28 +127,27 @@ fn pipelined_load(addr: SocketAddr, wire: &[u8], rounds: usize) -> (PoolStats, P
                     let mut body_bytes = 0;
                     for round in 0..rounds {
                         if round == rounds / 2 {
-                            halfway.send(()).expect("the test reads the pool");
+                            barrier.wait();
+                            barrier.wait();
                         }
                         stream.write_all(&batch).expect("requests leave");
                         body_bytes = read_responses(&mut stream, &mut pending, DEPTH);
                     }
+                    barrier.wait();
                     body_bytes
                 })
             })
             .collect();
-        // A client that dies before half time drops its sender; with every
-        // sender gone the wait ends in an error instead of hanging.
-        drop(halfway);
-        for _ in 0..CONNECTIONS {
-            reached.recv().expect("every client reaches half time");
-        }
+        barrier.wait();
         let half_time = BufferPool::global().stats();
+        barrier.wait();
+        barrier.wait();
+        let end = BufferPool::global().stats();
         let body_bytes = clients
             .into_iter()
             .map(|client| client.join().expect("client finishes"))
             .max()
             .expect("there are clients");
-        let end = BufferPool::global().stats();
         (half_time, end, body_bytes)
     })
 }
